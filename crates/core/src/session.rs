@@ -1029,7 +1029,6 @@ impl Session {
             _ => Sink::None,
         };
         let policy = self.config.policy;
-        let image = restore.map(|(img, cfg)| (Arc::new(img.clone()), cfg));
         // The legacy single-shot plan and the schedule's kill list resolve
         // into one sorted kill sequence, shared read-only by every rank.
         let kills = Arc::new(
@@ -1054,12 +1053,12 @@ impl Session {
         // ones) and held for the whole run.
         let _gang = shared.map(|ts| ts.pool.acquire(cluster.nranks()));
         let run_result = World::run_on_with(cluster_arc, fabric, endpoints, plan, |ctx| {
-            let (mut stack, mut mem, resume) = match &image {
+            let (mut stack, mut mem, resume) = match restore {
                 None => (Stack::build(&spec, &ctx), Memory::new(), None),
                 Some((img, mana_cfg)) => {
                     let lower = spec.build_lower(&ctx);
                     let restored =
-                        restore_rank(ctx.clone(), *mana_cfg, lower, &img.ranks[ctx.rank()])
+                        restore_rank(ctx.clone(), mana_cfg, lower, &img.ranks[ctx.rank()])
                             .map_err(|e| to_sim(StoolError::Restore(e)))?;
                     (
                         Stack::Mana(Box::new(restored.mana)),

@@ -87,7 +87,6 @@
 //! kill the world, reopen the chain and restart the reconstructed
 //! [`WorldImage`] under the Open MPI engine through the Mukautuva shim.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io::{Read, Write as IoWrite};
@@ -468,8 +467,9 @@ impl Manifest {
 
     /// Decode either manifest version. Every count field is clamped
     /// against the bytes actually remaining in the buffer (each record
-    /// has a known minimum size), so a corrupted or hostile count can
-    /// never drive a multi-gigabyte `Vec::with_capacity` — it returns
+    /// has a known minimum size) and every block's `raw_len` against its
+    /// stored length, so a corrupted or hostile count or length can
+    /// never drive a multi-gigabyte allocation — it returns
     /// [`CodecError::LengthOutOfBounds`] instead of aborting the process.
     fn decode(buf: &[u8]) -> Result<Manifest, CodecError> {
         let mut r = Reader::checked(buf)?;
@@ -524,6 +524,19 @@ impl Manifest {
                     } else {
                         (len, r.u32()?, BlockCodec::Raw)
                     };
+                    // `raw_len` sizes the section buffer before any block
+                    // is CRC-checked, so it is bounded here like the
+                    // counts: raw blocks store what they hold, and the
+                    // LZ4 block format cannot expand a byte 255-fold.
+                    let plausible = match codec {
+                        BlockCodec::Raw => raw_len == len,
+                        BlockCodec::Lz4 | BlockCodec::ShuffleLz4 => {
+                            raw_len as u64 <= 255 * len as u64
+                        }
+                    };
+                    if !plausible {
+                        return Err(CodecError::LengthOutOfBounds(raw_len as u64));
+                    }
                     blocks.push((
                         key,
                         BlockLoc {
@@ -562,25 +575,62 @@ impl Manifest {
 /// through raw — both directions derive the split from the length alone.
 fn shuffle8(data: &[u8]) -> Vec<u8> {
     let words = data.len() / 8;
-    let cut = words * 8;
+    let (body, tail) = data.split_at(words * 8);
     let mut out = vec![0u8; data.len()];
-    for (i, &b) in data[..cut].iter().enumerate() {
-        out[(i % 8) * words + i / 8] = b;
+    // One pass per lane: lane `k` of the output takes byte `k` of every
+    // input word. (`max(1)`: a chunk size of zero panics, and a body
+    // shorter than one word has no lanes anyway.)
+    for (k, lane) in out[..body.len()].chunks_exact_mut(words.max(1)).enumerate() {
+        for (o, word) in lane.iter_mut().zip(body.chunks_exact(8)) {
+            *o = word[k];
+        }
     }
-    out[cut..].copy_from_slice(&data[cut..]);
+    out[body.len()..].copy_from_slice(tail);
     out
 }
 
-/// Inverse of [`shuffle8`].
-fn unshuffle8(data: &[u8]) -> Vec<u8> {
+/// Inverse of [`shuffle8`], written into `out` (same length as `data`).
+fn unshuffle8(data: &[u8], out: &mut [u8]) {
     let words = data.len() / 8;
-    let cut = words * 8;
-    let mut out = vec![0u8; data.len()];
-    for (i, o) in out[..cut].iter_mut().enumerate() {
-        *o = data[(i % 8) * words + i / 8];
+    let (body, tail) = data.split_at(words * 8);
+    for (k, lane) in body.chunks_exact(words.max(1)).enumerate() {
+        for (word, &b) in out[..body.len()].chunks_exact_mut(8).zip(lane) {
+            word[k] = b;
+        }
     }
-    out[cut..].copy_from_slice(&data[cut..]);
-    out
+    out[body.len()..].copy_from_slice(tail);
+}
+
+/// Map `f(index, item)` over `items` on up to `threads` scoped threads,
+/// one contiguous slice each, and return the results in item order. One
+/// thread or one item runs inline on the caller.
+fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    let per = items.len().div_ceil(threads);
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items
+            .chunks(per)
+            .enumerate()
+            .map(|(c, slice)| {
+                s.spawn(move || {
+                    let at = |(i, t)| f(c * per + i, t);
+                    slice.iter().enumerate().map(at).collect::<Vec<R>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("fan-out thread"))
+            .collect()
+    })
 }
 
 /// Pick the smallest stored form of a raw block under the configured
@@ -604,19 +654,29 @@ fn encode_block(raw: &[u8], compression: Compression) -> (BlockCodec, Option<Vec
     best
 }
 
-/// Decode one stored block back to its raw bytes. The stored slice has
-/// already passed its CRC, so any failure here means the manifest and
-/// the block bytes disagree — reported as corruption by the caller.
-fn decode_block<'a>(stored: &'a [u8], loc: &BlockLoc) -> Option<Cow<'a, [u8]>> {
-    match loc.codec {
-        BlockCodec::Raw => (loc.raw_len == loc.len).then_some(Cow::Borrowed(stored)),
-        BlockCodec::Lz4 => {
-            let raw = lz4_flex::decompress(stored, loc.raw_len as usize).ok()?;
-            (raw.len() == loc.raw_len as usize).then_some(Cow::Owned(raw))
+/// Decode one stored block straight into `out`, the block's own
+/// `raw_len`-byte span of its section buffer. Nothing is allocated per
+/// block: `scratch` is the caller's buffer, reused from block to block,
+/// for the still-shuffled bytes of a `ShuffleLz4` block. The stored
+/// slice has already passed its CRC, so `false` here means the manifest
+/// and the block bytes disagree — reported as corruption by the caller.
+fn decode_block(stored: &[u8], codec: BlockCodec, out: &mut [u8], scratch: &mut Vec<u8>) -> bool {
+    match codec {
+        BlockCodec::Raw => {
+            let fits = stored.len() == out.len();
+            if fits {
+                out.copy_from_slice(stored);
+            }
+            fits
         }
+        BlockCodec::Lz4 => lz4_flex::decompress_into(stored, out) == Ok(out.len()),
         BlockCodec::ShuffleLz4 => {
-            let shuffled = lz4_flex::decompress(stored, loc.raw_len as usize).ok()?;
-            (shuffled.len() == loc.raw_len as usize).then(|| Cow::Owned(unshuffle8(&shuffled)))
+            scratch.resize(out.len(), 0);
+            let ok = lz4_flex::decompress_into(stored, scratch) == Ok(out.len());
+            if ok {
+                unshuffle8(scratch, out);
+            }
+            ok
         }
     }
 }
@@ -1541,42 +1601,9 @@ impl DeltaStore {
         // pool (the CPU-heavy part; dedup placement below stays
         // deterministic).
         let block_size = self.config.block_size;
-        let threads = self.config.writer_threads.min(image.ranks.len()).max(1);
-        let chunked: Vec<RankChunks> = if threads <= 1 {
-            image
-                .ranks
-                .iter()
-                .zip(&skips)
-                .map(|(r, skip)| Self::chunk_rank(r, block_size, skip))
-                .collect()
-        } else {
-            let per = image.ranks.len().div_ceil(threads);
-            let mut parts: Vec<Vec<RankChunks>> = std::thread::scope(|s| {
-                let handles: Vec<_> = image
-                    .ranks
-                    .chunks(per)
-                    .zip(skips.chunks(per))
-                    .map(|(slice, skip_slice)| {
-                        s.spawn(move || {
-                            slice
-                                .iter()
-                                .zip(skip_slice)
-                                .map(|(r, skip)| Self::chunk_rank(r, block_size, skip))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("chunker thread"))
-                    .collect()
-            });
-            let mut all = Vec::with_capacity(image.ranks.len());
-            for part in parts.drain(..) {
-                all.extend(part);
-            }
-            all
-        };
+        let chunked: Vec<RankChunks> = fan_out(&image.ranks, self.config.writer_threads, |i, r| {
+            Self::chunk_rank(r, block_size, &skips[i])
+        });
 
         // Deterministic dedup placement: walk ranks/sections/blocks in
         // order, appending unseen content (under its winning codec) to
@@ -1803,35 +1830,42 @@ impl DeltaStore {
     }
 
     /// Reconstruct one epoch's world image by walking the chain: read its
-    /// manifest, fetch every referenced block (CRC32-verified) from the
-    /// epochs that wrote it, and reassemble the rank sections.
+    /// manifest and every `blocks.bin` it references once, then
+    /// reassemble the ranks fanned out over `writer_threads` (see
+    /// [`fan_out`]). Each block is CRC32-verified and then decoded
+    /// straight into its span of the section buffer. Results join in rank
+    /// order, so the error reported is the lowest failing rank's first
+    /// bad block — never whichever loader thread lost the race.
     pub fn load_epoch(&self, epoch: u64) -> Result<WorldImage, StoreError> {
         let manifest = self.read_manifest(epoch)?;
-        let mut files: HashMap<u64, Vec<u8>> = HashMap::new();
-        let mut ranks = Vec::with_capacity(manifest.ranks.len());
-        for (slot, (rank, nranks, rank_epoch, sections)) in manifest.ranks.iter().enumerate() {
+        // A file that cannot be read fails the first block that needs it.
+        let mut files: HashMap<u64, Result<Vec<u8>, StoreError>> = HashMap::new();
+        for (_, _, _, sections) in &manifest.ranks {
+            for (_, loc) in sections.iter().flat_map(|(_, blocks)| blocks) {
+                files.entry(loc.epoch).or_insert_with(|| {
+                    let dir = self.epoch_dir(loc.epoch);
+                    if !dir.is_dir() {
+                        return Err(StoreError::MissingEpoch { epoch: loc.epoch });
+                    }
+                    Self::read_file(&dir.join("blocks.bin"))
+                });
+            }
+        }
+        let assemble = |slot: usize, rec: &(usize, usize, u64, Vec<SectionRefs>)| {
+            let (rank, nranks, rank_epoch, sections) = rec;
             if *rank != slot {
                 return Err(StoreError::InconsistentImage(format!(
                     "manifest slot {slot} holds rank {rank}"
                 )));
             }
             let mut img = RankImage::new(*rank, *nranks, *rank_epoch);
+            let mut scratch = Vec::new();
             for (name, blocks) in sections {
                 let total: usize = blocks.iter().map(|(_, l)| l.raw_len as usize).sum();
-                let mut data = Vec::with_capacity(total);
+                let mut data = vec![0u8; total];
+                let mut rest = data.as_mut_slice();
                 for (_, loc) in blocks {
-                    let file = match files.entry(loc.epoch) {
-                        std::collections::hash_map::Entry::Occupied(e) => &*e.into_mut(),
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            let dir = self.epoch_dir(loc.epoch);
-                            if !dir.is_dir() {
-                                return Err(StoreError::MissingEpoch { epoch: loc.epoch });
-                            }
-                            &*v.insert(Self::read_file(&dir.join("blocks.bin"))?)
-                        }
-                    };
-                    let start = loc.offset as usize;
-                    let end = start + loc.len as usize;
+                    let file = files[&loc.epoch].as_ref().map_err(StoreError::clone)?;
                     let corrupt = || StoreError::BlockCorrupt {
                         epoch,
                         src_epoch: loc.epoch,
@@ -1839,7 +1873,10 @@ impl DeltaStore {
                         rank: *rank,
                         section: name.clone(),
                     };
-                    let slice = file.get(start..end).ok_or_else(corrupt)?;
+                    let slice = file
+                        .get(loc.offset as usize..)
+                        .and_then(|from| from.get(..loc.len as usize))
+                        .ok_or_else(corrupt)?;
                     // CRC the stored bytes first, then decode them: a
                     // decode failure after a CRC pass means the manifest
                     // itself disagrees with the block — still corruption,
@@ -1847,13 +1884,19 @@ impl DeltaStore {
                     if crc32(slice) != loc.crc {
                         return Err(corrupt());
                     }
-                    let raw = decode_block(slice, loc).ok_or_else(corrupt)?;
-                    data.extend_from_slice(&raw);
+                    let (out, tail) = rest.split_at_mut(loc.raw_len as usize);
+                    rest = tail;
+                    if !decode_block(slice, loc.codec, out, &mut scratch) {
+                        return Err(corrupt());
+                    }
                 }
                 img.put_section(name, data);
             }
-            ranks.push(img);
-        }
+            Ok(img)
+        };
+        let ranks = fan_out(&manifest.ranks, self.config.writer_threads, assemble)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(WorldImage::new(manifest.vendor_hint, ranks))
     }
 
@@ -2508,6 +2551,58 @@ mod tests {
     }
 
     #[test]
+    fn lowest_corrupt_rank_is_reported_whichever_loader_thread_finishes_first() {
+        let dir = tmp_dir("rankerr");
+        let cfg = StoreConfig {
+            writer_threads: 7,
+            ..small_cfg()
+        };
+        let mut store = DeltaStore::open_with(&dir, cfg).unwrap();
+        store.commit(&image(1, 48, 0x11, 3000)).unwrap();
+        store.commit(&image(2, 48, 0x22, 3000)).unwrap();
+        // Rot the last block of one section: the blocks before it still
+        // load, so it is the first error its rank meets.
+        let manifest = store.read_manifest(2).unwrap();
+        let rot = |rank: usize, section: &str| {
+            let (_, blocks) = manifest.ranks[rank]
+                .3
+                .iter()
+                .find(|(name, _)| name == section)
+                .unwrap();
+            let loc = blocks.last().unwrap().1;
+            let path = dir
+                .join(format!("epoch_{:06}", loc.epoch))
+                .join("blocks.bin");
+            let mut buf = std::fs::read(&path).unwrap();
+            buf[loc.offset as usize] ^= 0x01;
+            std::fs::write(&path, &buf).unwrap();
+            StoreError::BlockCorrupt {
+                epoch: 2,
+                src_epoch: loc.epoch,
+                offset: loc.offset,
+                rank,
+                section: section.to_string(),
+            }
+        };
+        // Rank 31's delta block (epoch 2) and rank 5's base block
+        // (epoch 1) land on different loader threads (7 ranks each).
+        let later = rot(31, "hot");
+        let first = rot(5, "static");
+        assert!(matches!(
+            later,
+            StoreError::BlockCorrupt { src_epoch: 2, .. }
+        ));
+        assert!(matches!(
+            first,
+            StoreError::BlockCorrupt { src_epoch: 1, .. }
+        ));
+        for _ in 0..20 {
+            assert_eq!(store.load_epoch(2).unwrap_err(), first);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn corrupt_manifest_detected_by_checksum() {
         let dir = tmp_dir("man");
         let mut store = DeltaStore::open_with(&dir, small_cfg()).unwrap();
@@ -2705,6 +2800,31 @@ mod tests {
             })
             .collect();
         WorldImage::new("MPICH".to_string(), ranks)
+    }
+
+    /// The index formula the lane-wise loops replaced: byte `i` of the
+    /// 8-aligned body goes to lane `i % 8`, word `i / 8`.
+    fn shuffle8_by_index(data: &[u8]) -> Vec<u8> {
+        let words = data.len() / 8;
+        let cut = words * 8;
+        let mut out = vec![0u8; data.len()];
+        for (i, &b) in data[..cut].iter().enumerate() {
+            out[(i % 8) * words + i / 8] = b;
+        }
+        out[cut..].copy_from_slice(&data[cut..]);
+        out
+    }
+
+    #[test]
+    fn lane_wise_shuffle_equals_the_index_formula_and_round_trips() {
+        for len in 0..=130usize {
+            let data = fill_bytes(len as u64 + 1, len);
+            let shuffled = shuffle8(&data);
+            assert_eq!(shuffled, shuffle8_by_index(&data), "shuffle, len {len}");
+            let mut back = vec![0xEEu8; len];
+            unshuffle8(&shuffled, &mut back);
+            assert_eq!(back, data, "round trip, len {len}");
+        }
     }
 
     #[test]
@@ -3072,6 +3192,54 @@ mod tests {
                 Err(other) => panic!("field {field}: expected LengthOutOfBounds, got {other:?}"),
                 Ok(_) => panic!("field {field}: hostile manifest decoded"),
             }
+        }
+    }
+
+    #[test]
+    fn hostile_raw_len_with_valid_checksum_rejects_at_decode() {
+        // Same class of bug as the counts above, on the length that sizes
+        // the section buffer: `load_epoch` allocates the sum of `raw_len`
+        // before any block is CRC-checked, so a few thousand blocks
+        // claiming `u32::MAX` raw bytes each would abort the restart.
+        let with_block = |codec: BlockCodec, len: u32, raw_len: u32| {
+            let loc = BlockLoc {
+                epoch: 1,
+                offset: 0,
+                len,
+                raw_len,
+                crc: 0,
+                codec,
+            };
+            let manifest = Manifest {
+                epoch: 1,
+                full: true,
+                vendor_hint: "MPICH".to_string(),
+                bytes_hashed: 0,
+                ranks: vec![(0, 1, 1, vec![("memory".to_string(), vec![((1, 2), loc)])])],
+            };
+            Manifest::decode(&manifest.encode(ManifestFormat::V2))
+        };
+        for (codec, len, raw_len) in [
+            (BlockCodec::Raw, 4096, u32::MAX),
+            (BlockCodec::Raw, 4096, 4095),
+            (BlockCodec::Lz4, 4096, u32::MAX),
+            (BlockCodec::Lz4, 16, 255 * 16 + 1),
+            (BlockCodec::ShuffleLz4, 0, 1),
+            (BlockCodec::ShuffleLz4, 1 << 24, u32::MAX),
+        ] {
+            match with_block(codec, len, raw_len) {
+                Err(CodecError::LengthOutOfBounds(n)) => assert_eq!(n, raw_len as u64),
+                Err(other) => panic!("{codec:?} {len}->{raw_len}: got {other:?}"),
+                Ok(_) => panic!("{codec:?} {len}->{raw_len}: hostile manifest decoded"),
+            }
+        }
+        // The bound itself is legal: the densest LZ4 stream there is.
+        for (codec, len, raw_len) in [
+            (BlockCodec::Raw, 4096, 4096),
+            (BlockCodec::Lz4, 16, 255 * 16),
+            (BlockCodec::ShuffleLz4, 4096, 16384),
+        ] {
+            assert!(with_block(codec, len, raw_len).is_ok());
         }
     }
 

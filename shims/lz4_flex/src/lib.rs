@@ -122,11 +122,29 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompress one LZ4 block. `expected` is the uncompressed size the
-/// caller recorded at compression time; output beyond it is an error
-/// (the bound is what keeps hostile input from ballooning memory).
-pub fn decompress(input: &[u8], expected: usize) -> Result<Vec<u8>, DecompressError> {
-    let mut out = Vec::with_capacity(expected);
+/// Copy the `len`-byte match that starts `offset` bytes before `pos` to
+/// `pos`. An offset shorter than the match legitimately overlaps
+/// (run-length encoding of periodic data): the bytes already written
+/// repeat with period `offset`, so every pass may copy everything
+/// written so far and the span doubles. The caller has checked
+/// `1 <= offset <= pos` and `pos + len <= out.len()`.
+fn copy_match(out: &mut [u8], pos: usize, offset: usize, len: usize) {
+    let start = pos - offset;
+    let mut done = 0;
+    while done < len {
+        let n = (offset + done).min(len - done);
+        out.copy_within(start..start + n, pos + done);
+        done += n;
+    }
+}
+
+/// Decompress one LZ4 block straight into `output`, returning how many
+/// bytes were written. `output.len()` is the bound: a stream that decodes
+/// to more is an error (that is what keeps hostile input from ballooning
+/// memory), one that decodes to less leaves the rest untouched.
+pub fn decompress_into(input: &[u8], output: &mut [u8]) -> Result<usize, DecompressError> {
+    let expected = output.len();
+    let mut pos = 0usize;
     let mut i = 0usize;
     let read_lsic = |i: &mut usize, base: usize| -> Result<usize, DecompressError> {
         let mut len = base;
@@ -150,32 +168,38 @@ pub fn decompress(input: &[u8], expected: usize) -> Result<Vec<u8>, DecompressEr
             .get(i..i + lit_len)
             .ok_or(DecompressError::Truncated)?;
         i += lit_len;
-        if out.len() + lit_len > expected {
+        if lit_len > expected - pos {
             return Err(DecompressError::OutputTooLarge { expected });
         }
-        out.extend_from_slice(lits);
+        output[pos..pos + lit_len].copy_from_slice(lits);
+        pos += lit_len;
         if i == input.len() {
             // The final sequence is literals-only.
-            return Ok(out);
+            return Ok(pos);
         }
         let off = input.get(i..i + 2).ok_or(DecompressError::Truncated)?;
         let offset = u16::from_le_bytes(off.try_into().expect("2 bytes")) as usize;
         i += 2;
-        if offset == 0 || offset > out.len() {
+        if offset == 0 || offset > pos {
             return Err(DecompressError::BadOffset);
         }
         let match_len = read_lsic(&mut i, (token & 0x0F) as usize)? + MIN_MATCH;
-        if out.len() + match_len > expected {
+        if match_len > expected - pos {
             return Err(DecompressError::OutputTooLarge { expected });
         }
-        // Byte-by-byte copy: offsets shorter than the match length
-        // legitimately overlap (run-length encoding of periodic data).
-        let start = out.len() - offset;
-        for k in 0..match_len {
-            let b = out[start + k];
-            out.push(b);
-        }
+        copy_match(output, pos, offset, match_len);
+        pos += match_len;
     }
+}
+
+/// Decompress one LZ4 block into a fresh buffer. `expected` is the
+/// uncompressed size the caller recorded at compression time; output
+/// beyond it is an error.
+pub fn decompress(input: &[u8], expected: usize) -> Result<Vec<u8>, DecompressError> {
+    let mut out = vec![0u8; expected];
+    let n = decompress_into(input, &mut out)?;
+    out.truncate(n);
+    Ok(out)
 }
 
 /// Compress with the uncompressed size prepended as a little-endian u32
@@ -201,7 +225,8 @@ pub fn decompress_size_prepended(input: &[u8]) -> Result<Vec<u8>, DecompressErro
 /// The real crate exposes the block API under `block` too.
 pub mod block {
     pub use super::{
-        compress, compress_prepend_size, decompress, decompress_size_prepended, DecompressError,
+        compress, compress_prepend_size, decompress, decompress_into, decompress_size_prepended,
+        DecompressError,
     };
 }
 
@@ -257,32 +282,84 @@ mod tests {
         roundtrip(&data);
     }
 
+    /// The byte-at-a-time match copy the decoder used to run: the
+    /// reference [`copy_match`] must equal.
+    fn copy_match_bytewise(out: &mut [u8], pos: usize, offset: usize, len: usize) {
+        for k in 0..len {
+            out[pos + k] = out[pos - offset + k];
+        }
+    }
+
+    #[test]
+    fn copy_match_equals_bytewise_reference() {
+        for offset in 1..=40usize {
+            for len in 4..=300usize {
+                // A prefix longer than the offset, so the copy must start
+                // at `pos - offset` and not at the buffer start.
+                let pos = offset + 3;
+                let mut fast: Vec<u8> = (0..pos + len + 2).map(|i| (i * 31 + 7) as u8).collect();
+                let mut slow = fast.clone();
+                copy_match(&mut fast, pos, offset, len);
+                copy_match_bytewise(&mut slow, pos, offset, len);
+                assert_eq!(fast, slow, "offset {offset} len {len}");
+            }
+        }
+    }
+
+    /// Both entry points, one verdict: `decompress` is `decompress_into`
+    /// over a fresh buffer, and the tests hold it to that.
+    fn decode_both(input: &[u8], expected: usize) -> Result<Vec<u8>, DecompressError> {
+        let owned = decompress(input, expected);
+        let mut buf = vec![0xEEu8; expected];
+        let into = decompress_into(input, &mut buf).map(|n| buf[..n].to_vec());
+        assert_eq!(owned, into, "decompress and decompress_into disagree");
+        owned
+    }
+
     #[test]
     fn hostile_input_errors_never_panics() {
         // Truncations of a valid stream.
         let data: Vec<u8> = (0..512).map(|i| (i % 9) as u8).collect();
         let c = compress(&data);
+        assert_eq!(decode_both(&c, data.len()).unwrap(), data);
         for cut in 0..c.len() {
-            let _ = decompress(&c[..cut], data.len());
+            let _ = decode_both(&c[..cut], data.len());
         }
         // Bad offset (reaches before output start).
         let bad = [0x01u8, 0x41, 0xFF, 0xFF];
-        assert!(decompress(&bad, 64).is_err());
-        // Output larger than declared.
-        assert!(matches!(
-            decompress(&c, data.len() - 1),
-            Err(DecompressError::OutputTooLarge { .. })
-        ));
+        assert!(decode_both(&bad, 64).is_err());
+        // Output larger than declared: every shorter output slice, down
+        // to the empty one.
+        for short in [data.len() - 1, data.len() / 2, 1, 0] {
+            assert!(matches!(
+                decode_both(&c, short),
+                Err(DecompressError::OutputTooLarge { .. })
+            ));
+        }
         // Zero offset.
         let zero = [0x11u8, 0x41, 0x00, 0x00, 0x00];
         assert!(matches!(
-            decompress(&zero, 64),
+            decode_both(&zero, 64),
             Err(DecompressError::BadOffset)
         ));
+        // An offset one byte past what has been written so far: it would
+        // read before the start of the output slice.
+        let before_start = [0x20u8, 0x41, 0x42, 0x03, 0x00, 0x00];
+        assert!(matches!(
+            decode_both(&before_start, 64),
+            Err(DecompressError::BadOffset)
+        ));
+        // A longer output slice than the stream fills is not an error:
+        // the count says how much was written, the rest is untouched.
+        let mut roomy = vec![0xEEu8; data.len() + 8];
+        assert_eq!(decompress_into(&c, &mut roomy), Ok(data.len()));
+        assert_eq!(roomy[..data.len()], data[..]);
+        assert_eq!(roomy[data.len()..], [0xEE; 8]);
     }
 
     #[test]
     fn empty_input() {
         assert_eq!(decompress(&compress(&[]), 0).unwrap(), Vec::<u8>::new());
+        assert_eq!(decompress_into(&compress(&[]), &mut []), Ok(0));
     }
 }

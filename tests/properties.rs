@@ -195,8 +195,9 @@ fn world_from_sections(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Full + randomized delta chains: applying random section mutations
-    /// epoch by epoch, every committed epoch must reload bit-identically.
+    /// Full + randomized delta chains of a 48-rank world: applying random
+    /// section mutations epoch by epoch, every committed epoch must reload
+    /// bit-identically, however many threads the loader fans out over.
     #[test]
     fn store_delta_chain_roundtrips(
         case in any::<u64>(),
@@ -222,14 +223,21 @@ proptest! {
             for (name, data) in mutations {
                 sections.insert(name.clone(), data.clone());
             }
-            let image = world_from_sections(i as u64 + 1, 3, &sections);
+            let image = world_from_sections(i as u64 + 1, 48, &sections);
             let stats = store.commit(&image).expect("commit");
             prop_assert_eq!(stats.full, i == 0 || (i % (max_chain + 1)) == 0);
             committed.push((stats.epoch, image));
         }
-        for (seq, expect) in &committed {
-            let got = store.load_epoch(*seq).expect("load epoch");
-            prop_assert_eq!(&got, expect, "epoch {} must roundtrip", seq);
+        // The loader fans ranks out over `writer_threads`: inline, the
+        // default pair, and a count that does not divide the world must
+        // all rebuild what was committed.
+        for threads in [1usize, 2, 7] {
+            let reader_cfg = StoreConfig { writer_threads: threads, ..cfg };
+            let reader = DeltaStore::open_with(&dir, reader_cfg).expect("reopen");
+            for (seq, expect) in &committed {
+                let got = reader.load_epoch(*seq).expect("load epoch");
+                prop_assert_eq!(&got, expect, "epoch {} on {} loader threads", seq, threads);
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
