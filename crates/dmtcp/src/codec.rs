@@ -65,12 +65,15 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// The 64-bit FNV prime: one FNV-1a step is `(hash ^ byte) * FNV_PRIME`.
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
 /// FNV-1a, 64-bit.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
 }
@@ -82,20 +85,22 @@ pub fn fnv1a_seeded(seed: u64, bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ seed.rotate_left(29);
     for &b in bytes {
         hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Used as the
-/// per-block integrity check of the delta-checkpoint store: unlike the
-/// whole-file FNV trailer, a CRC per block localizes corruption to the
-/// exact (epoch, offset) that rotted on disk.
+/// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-8: `t[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight input bytes
+/// fold in with eight independent table loads instead of eight dependent
+/// ones. Used as the per-block integrity check of the delta-checkpoint
+/// store: unlike the whole-file FNV trailer, a CRC per block localizes
+/// corruption to the exact (epoch, offset) that rotted on disk.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, e) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -106,11 +111,21 @@ pub fn crc32(bytes: &[u8]) -> u32 {
             }
             *e = c;
         }
+        for k in 1..8 {
+            t[k] = t[k - 1].map(|prev| t[0][(prev & 0xFF) as usize] ^ (prev >> 8));
+        }
         t
     });
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = (0..4).fold(0, |acc, k| {
+            acc ^ t[7 - k][(lo >> (8 * k) & 0xFF) as usize] ^ t[3 - k][w[4 + k] as usize]
+        });
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -397,6 +412,33 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The one-table, one-byte-per-step CRC-32 that [`crc32`] must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_crc32_equals_bytewise_at_every_length_and_alignment() {
+        let data: Vec<u8> = (0..80u32).map(|i| (i * 151 + 43) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=67 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
     }
 
     #[test]

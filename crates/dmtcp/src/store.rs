@@ -92,10 +92,11 @@ use std::fmt;
 use std::io::{Read, Write as IoWrite};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
 use simnet::telemetry::Telemetry;
 
-use crate::codec::{crc32, fnv1a, fnv1a_seeded, CodecError, Reader, Writer};
+use crate::codec::{crc32, fnv1a, fnv1a_seeded, CodecError, Reader, Writer, FNV_PRIME};
 use crate::coordinator::ImageSink;
 use crate::image::{ImageError, RankImage, WorldImage};
 use crate::tier::{
@@ -387,11 +388,9 @@ struct BlockLoc {
 }
 
 /// One chunked block of a section, before dedup placement.
+#[derive(Debug, PartialEq, Eq)]
 struct ChunkRec {
     key: BlockKey,
-    /// CRC32 of the raw chunk (valid as the stored CRC only when the
-    /// block lands uncompressed).
-    crc: u32,
     start: usize,
     len: usize,
 }
@@ -1470,61 +1469,55 @@ impl DeltaStore {
     }
 
     /// Cut one section into content-defined chunks (Gear rolling hash,
-    /// FastCDC-style bounds): boundaries follow the *content*, so an
-    /// insertion or deletion early in a section shifts block boundaries
-    /// only locally and the unchanged tail still dedups — exactly the
-    /// shape of a rank whose arrays grow or shrink between epochs (e.g.
-    /// atom migration). `avg` is the target mean chunk size; actual chunks
-    /// stay within [avg/4, 4*avg].
-    fn cut_points(data: &[u8], avg: usize) -> Vec<(usize, usize)> {
+    /// FastCDC-style bounds) and key each chunk, in one scan: boundaries
+    /// follow the *content*, so an insertion or deletion early in a
+    /// section shifts block boundaries only locally and the unchanged
+    /// tail still dedups — exactly the shape of a rank whose arrays grow
+    /// or shrink between epochs (e.g. atom migration). `avg` is the
+    /// target mean chunk size; actual chunks stay within [avg/4, 4*avg].
+    /// The Gear hash and the two FNV-1a lanes of the [`BlockKey`] are
+    /// three independent dependency chains over the same byte, so every
+    /// dirty byte is read once.
+    fn cut_and_hash(data: &[u8], avg: usize) -> Vec<ChunkRec> {
         let gear = Self::gear_table();
         let mask = (avg.next_power_of_two() as u64).wrapping_sub(1);
         let min = (avg / 4).max(1);
         let max = avg * 4;
-        let mut cuts = Vec::with_capacity(data.len() / avg + 1);
+        let mut recs = Vec::with_capacity(data.len() / avg + 1);
         let mut start = 0;
         while start < data.len() {
-            let mut h: u64 = 0;
-            let hard_end = (start + max).min(data.len());
-            let mut end = hard_end;
-            let scan_from = (start + min).min(data.len());
-            // Warm the rolling hash over the minimum region, then look
-            // for a content-defined boundary.
-            for (i, &b) in data[start..hard_end].iter().enumerate() {
-                h = (h << 1).wrapping_add(gear[b as usize]);
-                if start + i + 1 >= scan_from && h & mask == 0 {
-                    end = start + i + 1;
+            let window = &data[start..(start + max).min(data.len())];
+            let (mut h, mut a, mut b) = (0u64, fnv1a(&[]), fnv1a_seeded(0x5EED, &[]));
+            let mut len = 0;
+            for &byte in window {
+                a = (a ^ byte as u64).wrapping_mul(FNV_PRIME);
+                b = (b ^ byte as u64).wrapping_mul(FNV_PRIME);
+                h = (h << 1).wrapping_add(gear[byte as usize]);
+                len += 1;
+                // No boundary inside the minimum region.
+                if len >= min && h & mask == 0 {
                     break;
                 }
             }
-            cuts.push((start, end - start));
-            start = end;
+            recs.push(ChunkRec {
+                key: (a, b),
+                start,
+                len,
+            });
+            start += len;
         }
-        cuts
+        recs
     }
 
-    /// Chunk one rank image's sections into hashed, CRC'd block records.
+    /// Chunk one rank image's sections into keyed block records.
     /// Sections named in `skip` (clean per their generation hints) are
     /// passed through unchunked — not a byte of them is read here.
     fn chunk_rank(img: &RankImage, block_size: usize, skip: &HashSet<String>) -> RankChunks {
         img.sections()
             .map(|(name, data)| {
-                if skip.contains(name) {
-                    return (name.to_string(), None);
-                }
-                let recs = Self::cut_points(data, block_size)
-                    .into_iter()
-                    .map(|(start, len)| {
-                        let chunk = &data[start..start + len];
-                        ChunkRec {
-                            key: (fnv1a(chunk), fnv1a_seeded(0x5EED, chunk)),
-                            crc: crc32(chunk),
-                            start,
-                            len,
-                        }
-                    })
-                    .collect();
-                (name.to_string(), Some(recs))
+                let dirty = !skip.contains(name);
+                let recs = dirty.then(|| Self::cut_and_hash(data, block_size));
+                (name.to_string(), recs)
             })
             .collect()
     }
@@ -1565,14 +1558,17 @@ impl DeltaStore {
             }
         }
         let epoch = self.epochs.last().map_or(1, |&l| l + 1);
-
         let full = self.epochs.is_empty() || self.chain_len >= self.config.max_chain;
-        if full {
-            // A base references nothing older: dedup only within itself,
-            // and no previous-commit section refs may be reused.
-            self.index.clear();
-            self.section_cache.clear();
-        }
+        let started = Instant::now();
+        // A base references nothing older: it dedups only within itself
+        // and reuses no previous-commit section refs. The handle's own
+        // maps are read, never written, until the epoch is on disk.
+        let (no_index, no_cache) = (HashMap::new(), HashMap::new());
+        let (index, cache) = if full {
+            (&no_index, &no_cache)
+        } else {
+            (&self.index, &self.section_cache)
+        };
 
         // Dirty tracking: a hinted section whose generation stamp (and
         // length) matches what this handle cached at the previous commit
@@ -1585,7 +1581,7 @@ impl DeltaStore {
                 if self.config.dirty_tracking {
                     for (name, data) in img.sections() {
                         let hint = img.section_hint(name);
-                        let cache = self.section_cache.get(&(img.rank, name.to_string()));
+                        let cache = cache.get(&(img.rank, name.to_string()));
                         if let (Some(generation), Some(cache)) = (hint, cache) {
                             if cache.generation == generation && cache.raw_len == data.len() {
                                 skip.insert(name.to_string());
@@ -1598,73 +1594,85 @@ impl DeltaStore {
             .collect();
 
         // Chunk + hash every dirty section, fanned out over the writer
-        // pool (the CPU-heavy part; dedup placement below stays
-        // deterministic).
+        // pool.
         let block_size = self.config.block_size;
-        let chunked: Vec<RankChunks> = fan_out(&image.ranks, self.config.writer_threads, |i, r| {
+        let threads = self.config.writer_threads;
+        let chunked: Vec<RankChunks> = fan_out(&image.ranks, threads, |i, r| {
             Self::chunk_rank(r, block_size, &skips[i])
         });
 
-        // Deterministic dedup placement: walk ranks/sections/blocks in
-        // order, appending unseen content (under its winning codec) to
-        // this epoch's blocks file; skipped sections re-reference their
-        // previous refs untouched.
-        let mut blocks_buf: Vec<u8> = Vec::new();
+        // Deterministic dedup plan: walk ranks/sections/blocks in order
+        // and list the content the chain does not hold yet, first
+        // occurrence of a key first.
+        let mut plan: Vec<&[u8]> = Vec::new();
+        let mut planned: HashMap<BlockKey, usize> = HashMap::new();
+        for (img, sections) in image.ranks.iter().zip(&chunked) {
+            for (name, recs) in sections {
+                let data = img.section(name).expect("section exists");
+                for rec in recs.iter().flatten() {
+                    if !index.contains_key(&rec.key) {
+                        planned.entry(rec.key).or_insert_with(|| {
+                            plan.push(&data[rec.start..rec.start + rec.len]);
+                            plan.len() - 1
+                        });
+                    }
+                }
+            }
+        }
+        let chunk_done = Instant::now();
+
+        // Encode the planned blocks, one contiguous slice of the plan and
+        // one output buffer per worker. A block's stored form depends on
+        // its bytes alone and the buffers concatenate in plan order, so
+        // `blocks.bin` does not depend on where the slices were cut.
+        let compression = self.config.compression;
+        let parts: Vec<&[&[u8]]> = plan.chunks(plan.len().div_ceil(threads).max(1)).collect();
+        let encoded: Vec<(Vec<u8>, Vec<BlockLoc>)> = fan_out(&parts, threads, |_, part| {
+            let (mut buf, mut locs) = (Vec::new(), Vec::with_capacity(part.len()));
+            for raw in part.iter() {
+                let (codec, stored) = encode_block(raw, compression);
+                let stored = stored.as_deref().unwrap_or(raw);
+                buf.extend_from_slice(stored);
+                locs.push(BlockLoc {
+                    epoch,
+                    offset: 0, // assigned below, once the buffers are in line
+                    len: stored.len() as u32,
+                    raw_len: raw.len() as u32,
+                    crc: crc32(stored),
+                    codec,
+                });
+            }
+            (buf, locs)
+        });
+        // Append: blocks lie end to end in plan order, so a block starts
+        // where the stored lengths before it end.
+        let mut new_locs: Vec<BlockLoc> = encoded.iter().flat_map(|(_, l)| l).copied().collect();
+        let mut blocks_len = 0u64;
+        for loc in &mut new_locs {
+            loc.offset = blocks_len;
+            blocks_len += loc.len as u64;
+        }
+
+        // Resolve every block reference; skipped sections re-reference
+        // their previous refs untouched.
         let mut blocks_total = 0u64;
-        let mut blocks_new = 0u64;
         let mut bytes_hashed = 0u64;
-        let mut new_block_raw_bytes = 0u64;
         let mut new_cache: HashMap<(usize, String), SectionCache> = HashMap::new();
         let mut ranks_manifest = Vec::with_capacity(image.ranks.len());
         for (img, sections) in image.ranks.iter().zip(chunked) {
             let mut section_refs: Vec<SectionRefs> = Vec::with_capacity(sections.len());
             for (name, recs) in sections {
                 let data = img.section(&name).expect("section exists");
-                let refs = match recs {
-                    None => {
-                        // Clean per its hint: reuse the previous refs.
-                        let cache = self
-                            .section_cache
-                            .get(&(img.rank, name.clone()))
-                            .expect("skip plan implies a cache entry");
-                        blocks_total += cache.refs.len() as u64;
-                        cache.refs.clone()
-                    }
+                let refs: Vec<(BlockKey, BlockLoc)> = match recs {
+                    // Clean per its hint: reuse the previous refs.
+                    None => cache[&(img.rank, name.clone())].refs.clone(),
                     Some(recs) => {
                         bytes_hashed += data.len() as u64;
-                        let mut refs = Vec::with_capacity(recs.len());
-                        for rec in recs {
-                            blocks_total += 1;
-                            let loc = match self.index.get(&rec.key) {
-                                Some(&loc) => loc,
-                                None => {
-                                    let raw = &data[rec.start..rec.start + rec.len];
-                                    let (codec, stored) =
-                                        encode_block(raw, self.config.compression);
-                                    let (stored_bytes, crc): (&[u8], u32) = match &stored {
-                                        Some(c) => (c, crc32(c)),
-                                        None => (raw, rec.crc),
-                                    };
-                                    let loc = BlockLoc {
-                                        epoch,
-                                        offset: blocks_buf.len() as u64,
-                                        len: stored_bytes.len() as u32,
-                                        raw_len: rec.len as u32,
-                                        crc,
-                                        codec,
-                                    };
-                                    blocks_buf.extend_from_slice(stored_bytes);
-                                    self.index.insert(rec.key, loc);
-                                    blocks_new += 1;
-                                    new_block_raw_bytes += rec.len as u64;
-                                    loc
-                                }
-                            };
-                            refs.push((rec.key, loc));
-                        }
-                        refs
+                        let loc = |key| index.get(key).unwrap_or_else(|| &new_locs[planned[key]]);
+                        recs.iter().map(|rec| (rec.key, *loc(&rec.key))).collect()
                     }
                 };
+                blocks_total += refs.len() as u64;
                 if let Some(generation) = img.section_hint(&name) {
                     new_cache.insert(
                         (img.rank, name.clone()),
@@ -1688,6 +1696,7 @@ impl DeltaStore {
             ranks: ranks_manifest,
         };
         let manifest_buf = manifest.encode(self.config.format);
+        let encode_done = Instant::now();
 
         // Crash-safe commit: assemble in a temp dir, rename into place.
         let tmp = self.dir.join(format!("epoch_{epoch:06}.tmp"));
@@ -1695,19 +1704,31 @@ impl DeltaStore {
             std::fs::remove_dir_all(&tmp).map_err(|e| StoreError::io("remove tmp", &tmp, e))?;
         }
         std::fs::create_dir_all(&tmp).map_err(|e| StoreError::io("create tmp", &tmp, e))?;
-        let write = |name: &str, data: &[u8]| -> Result<(), StoreError> {
+        let write = |name: &str, parts: &[&[u8]]| -> Result<(), StoreError> {
             let path = tmp.join(name);
             let mut f =
                 std::fs::File::create(&path).map_err(|e| StoreError::io("create", &path, e))?;
-            f.write_all(data)
-                .map_err(|e| StoreError::io("write", &path, e))?;
+            for part in parts {
+                f.write_all(part)
+                    .map_err(|e| StoreError::io("write", &path, e))?;
+            }
             f.sync_all().map_err(|e| StoreError::io("sync", &path, e))
         };
-        write("blocks.bin", &blocks_buf)?;
-        write("manifest.bin", &manifest_buf)?;
+        let block_parts: Vec<&[u8]> = encoded.iter().map(|(buf, _)| buf.as_slice()).collect();
+        write("blocks.bin", &block_parts)?;
+        write("manifest.bin", &[&manifest_buf])?;
         let final_dir = self.epoch_dir(epoch);
         std::fs::rename(&tmp, &final_dir).map_err(|e| StoreError::io("rename", &final_dir, e))?;
+        let write_done = Instant::now();
 
+        // Publish: the epoch is durable, so the handle may now know it.
+        // Every error return is above this line — a failed commit leaves
+        // the handle, like the chain, as it was.
+        if full {
+            self.index.clear();
+        }
+        self.index
+            .extend(planned.iter().map(|(&key, &i)| (key, new_locs[i])));
         self.epochs.push(epoch);
         self.chain_len = if full { 0 } else { self.chain_len + 1 };
         self.section_cache = new_cache;
@@ -1723,24 +1744,36 @@ impl DeltaStore {
             epoch,
             full,
             image_bytes: image.total_bytes() as u64,
-            bytes_written: (blocks_buf.len() + manifest_buf.len()) as u64,
+            bytes_written: blocks_len + manifest_buf.len() as u64,
             bytes_hashed,
-            new_block_raw_bytes,
+            new_block_raw_bytes: plan.iter().map(|raw| raw.len() as u64).sum(),
             blocks_total,
-            blocks_new,
+            blocks_new: plan.len() as u64,
         };
         self.stats.push(stats);
         self.emit(
             simnet::telemetry::EventKind::StoreCommit,
             epoch,
             full as u64,
-            blocks_new,
+            stats.blocks_new,
         );
         if let Some(tel) = &self.telemetry {
             tel.metrics().counter("store.commits").incr();
             tel.metrics()
                 .histogram("store.commit_bytes")
                 .observe(stats.bytes_written);
+            // Where the commit's wall went: one histogram per stage.
+            let marks = [started, chunk_done, encode_done, write_done, Instant::now()];
+            let stages = [
+                "store.commit.chunk_us",
+                "store.commit.encode_us",
+                "store.commit.write_us",
+                "store.commit.gc_us",
+            ];
+            for (name, span) in stages.iter().zip(marks.windows(2)) {
+                let us = (span[1] - span[0]).as_micros() as u64;
+                tel.metrics().histogram(name).observe(us);
+            }
         }
         Ok(stats)
     }
@@ -2710,18 +2743,95 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The separate passes [`DeltaStore::cut_and_hash`] fused, kept as
+    /// its reference: the Gear boundary scan, then one `fnv1a` and one
+    /// `fnv1a_seeded` pass over each chunk.
+    fn cut_points(data: &[u8], avg: usize) -> Vec<(usize, usize)> {
+        let gear = DeltaStore::gear_table();
+        let mask = (avg.next_power_of_two() as u64).wrapping_sub(1);
+        let min = (avg / 4).max(1);
+        let max = avg * 4;
+        let mut cuts = Vec::with_capacity(data.len() / avg + 1);
+        let mut start = 0;
+        while start < data.len() {
+            let mut h: u64 = 0;
+            let hard_end = (start + max).min(data.len());
+            let mut end = hard_end;
+            let scan_from = (start + min).min(data.len());
+            // Warm the rolling hash over the minimum region, then look
+            // for a content-defined boundary.
+            for (i, &b) in data[start..hard_end].iter().enumerate() {
+                h = (h << 1).wrapping_add(gear[b as usize]);
+                if start + i + 1 >= scan_from && h & mask == 0 {
+                    end = start + i + 1;
+                    break;
+                }
+            }
+            cuts.push((start, end - start));
+            start = end;
+        }
+        cuts
+    }
+
+    fn cut_and_hash_reference(data: &[u8], avg: usize) -> Vec<ChunkRec> {
+        let rec = |(start, len): (usize, usize)| {
+            let chunk = &data[start..start + len];
+            ChunkRec {
+                key: (fnv1a(chunk), fnv1a_seeded(0x5EED, chunk)),
+                start,
+                len,
+            }
+        };
+        cut_points(data, avg).into_iter().map(rec).collect()
+    }
+
+    #[test]
+    fn fused_scan_equals_the_separate_passes_at_the_edges() {
+        let gear = DeltaStore::gear_table();
+        for avg in [64usize, 128, 4096] {
+            let (min, max) = (avg / 4, avg * 4);
+            let mask = avg as u64 - 1;
+            // A constant fill cuts at `min` every time or never: the
+            // rolling hash settles at `-gear[b]` in the masked bits.
+            let never = (0..=255u8).find(|&b| gear[b as usize] & mask != 0).unwrap();
+            let mut cases = vec![
+                Vec::new(),
+                vec![7],
+                fill_bytes(3, min - 1),
+                fill_bytes(4, min),
+                vec![never; max],
+                vec![never; max + 1],
+                vec![never; 3 * max + min],
+            ];
+            if let Some(always) = (0..=255u8).find(|&b| gear[b as usize] & mask == 0) {
+                cases.push(vec![always; 5 * min + 3]);
+            }
+            // A section ending one byte after a content-defined cut.
+            let noise = fill_bytes(avg as u64, 6 * max);
+            let first = cut_points(&noise, avg)[0].1;
+            assert!(first < max, "a content-defined cut, not the hard bound");
+            cases.push(noise[..first + 1].to_vec());
+            cases.push(noise);
+            for data in &cases {
+                let fused = DeltaStore::cut_and_hash(data, avg);
+                assert_eq!(fused, cut_and_hash_reference(data, avg), "avg {avg}");
+            }
+            assert_eq!(DeltaStore::cut_and_hash(&cases[4], avg).len(), 1);
+        }
+    }
+
     #[test]
     fn cut_points_cover_and_respect_bounds() {
         for len in [0usize, 1, 31, 128, 5000] {
             let data = fill_bytes(len as u64 + 7, len);
-            let cuts = DeltaStore::cut_points(&data, 64);
-            let total: usize = cuts.iter().map(|(_, l)| l).sum();
+            let cuts = DeltaStore::cut_and_hash(&data, 64);
+            let total: usize = cuts.iter().map(|c| c.len).sum();
             assert_eq!(total, len, "cuts must tile the section");
             let mut pos = 0;
-            for &(start, l) in &cuts {
-                assert_eq!(start, pos, "cuts must be contiguous");
-                assert!((1..=64 * 4).contains(&l), "bounds violated: {l}");
-                pos += l;
+            for c in &cuts {
+                assert_eq!(c.start, pos, "cuts must be contiguous");
+                assert!((1..=64 * 4).contains(&c.len), "bounds violated: {}", c.len);
+                pos += c.len;
             }
         }
     }
@@ -2736,6 +2846,22 @@ mod tests {
         v1.extend_from_slice(&tail);
         let mut v2 = fill_bytes(9, 700); // different, longer prefix
         v2.extend_from_slice(&tail);
+        // The fused scan itself: past the edit, the same chunks come
+        // back, shifted by the growth of the prefix.
+        let v2_cuts: HashSet<(usize, usize)> = DeltaStore::cut_and_hash(&v2, 256)
+            .iter()
+            .map(|c| (c.start, c.len))
+            .collect();
+        let v1_cuts = DeltaStore::cut_and_hash(&v1, 256);
+        let kept = v1_cuts
+            .iter()
+            .filter(|c| v2_cuts.contains(&(c.start + 700 - 512, c.len)))
+            .count();
+        assert!(
+            kept * 10 >= v1_cuts.len() * 8,
+            "{kept} of {}",
+            v1_cuts.len()
+        );
         let make = |epoch: u64, data: &[u8]| {
             let mut img = RankImage::new(0, 1, epoch);
             img.put_section("grown", data.to_vec());
@@ -3319,6 +3445,161 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The fixed chain behind the golden digests: a base, a delta and a
+    /// hinted-clean delta over shuffle-compressible, LZ4-compressible
+    /// and noise sections, with ranks 3 and 4 sharing their noise so
+    /// first-occurrence-wins placement is on the path.
+    fn golden_image(step: u64) -> WorldImage {
+        let ranks = (0..5usize)
+            .map(|r| {
+                let mut img = RankImage::new(r, 5, step);
+                let lattice = (0..1024u64).flat_map(|i| {
+                    let low = i.wrapping_mul(step + 3) & 0xFFFF;
+                    (0x3FF0_0000_0000_0000u64 | (r as u64) << 32 | low).to_le_bytes()
+                });
+                img.put_section("lattice", lattice.collect());
+                let text =
+                    (0..4000usize).map(|i| b"checkpoint "[(i * 7 + r) % 11] + (i / 500) as u8);
+                img.put_section("text", text.collect());
+                let moved = step.min(2);
+                img.put_section("noise", fill_bytes(moved << 8 | r.min(3) as u64, 6000));
+                img.put_section_hinted("static", fill_bytes(77 + r as u64, 3000), 1);
+                img.put_section_hinted("hot", fill_bytes(moved * 1000 + r as u64, 2000), moved);
+                img
+            })
+            .collect();
+        WorldImage::new("MPICH".to_string(), ranks)
+    }
+
+    fn golden_cfg(writer_threads: usize) -> StoreConfig {
+        StoreConfig {
+            block_size: 256,
+            writer_threads,
+            ..small_cfg()
+        }
+    }
+
+    #[test]
+    fn golden_chain_bytes_are_independent_of_writer_threads() {
+        // FNV-1a of epoch 1..=3's `blocks.bin`, `manifest.bin`, recorded
+        // from commit 2a4cbf1 — before the commit path was rebuilt.
+        const GOLDEN: [u64; 6] = [
+            0x14060a241737892c,
+            0x9421518e6075b165,
+            0x3f81f03ee5f36e8f,
+            0xe253ff24ad068e5e,
+            0xd3fafaa8e4965aaa,
+            0xafcdef05d17ba927,
+        ];
+        let mut chains = Vec::new();
+        for threads in [1usize, 2, 7] {
+            let dir = tmp_dir(&format!("golden{threads}"));
+            let mut store = DeltaStore::open_with(&dir, golden_cfg(threads)).unwrap();
+            let mut files = Vec::new();
+            for step in 1..=3u64 {
+                let s = store.commit(&golden_image(step)).unwrap();
+                assert_eq!(s.full, step == 1);
+                for name in ["blocks.bin", "manifest.bin"] {
+                    files.push(std::fs::read(store.epoch_dir(step).join(name)).unwrap());
+                }
+            }
+            // Every codec and both kinds of skip are on the path.
+            let refs = |e: u64| -> Vec<BlockLoc> {
+                let m = store.read_manifest(e).unwrap();
+                let sections = m.ranks.iter().flat_map(|r| &r.3);
+                sections.flat_map(|(_, b)| b.iter().map(|x| x.1)).collect()
+            };
+            for codec in [BlockCodec::Raw, BlockCodec::Lz4, BlockCodec::ShuffleLz4] {
+                assert!(refs(1).iter().any(|l| l.codec == codec), "{codec:?} unused");
+            }
+            assert!(store.stats()[2].bytes_hashed < store.stats()[1].bytes_hashed);
+            assert!(store.stats()[2].blocks_new > 0);
+            assert_eq!(store.load_epoch(3).unwrap(), golden_image(3));
+            chains.push(files);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        assert!(
+            chains[0] == chains[1] && chains[0] == chains[2],
+            "bytes moved with writer_threads"
+        );
+        let digests: Vec<u64> = chains[0].iter().map(|f| fnv1a(f)).collect();
+        assert_eq!(digests, GOLDEN, "chain bytes moved: {digests:#018x?}");
+    }
+
+    #[test]
+    fn repeated_commits_of_one_image_yield_identical_stats() {
+        let mut seen: Vec<Vec<EpochStats>> = Vec::new();
+        for _ in 0..20 {
+            let dir = tmp_dir("samestats");
+            let mut store = DeltaStore::open_with(&dir, golden_cfg(7)).unwrap();
+            for step in 1..=2 {
+                store.commit(&golden_image(step)).unwrap();
+            }
+            assert_eq!(store.stats(), store.epoch_stats_on_disk().unwrap());
+            seen.push(store.stats().to_vec());
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        assert!(seen.iter().all(|s| *s == seen[0]), "{seen:?}");
+    }
+
+    /// Everything a commit publishes into the handle, in comparable form.
+    fn handle_state(store: &DeltaStore) -> impl PartialEq + std::fmt::Debug {
+        let index: BTreeMap<BlockKey, (u64, u64)> = store
+            .index
+            .iter()
+            .map(|(&k, l)| (k, (l.epoch, l.offset)))
+            .collect();
+        let cache: BTreeMap<(usize, String), (u64, usize)> = store
+            .section_cache
+            .iter()
+            .map(|(k, c)| (k.clone(), (c.generation, c.refs.len())))
+            .collect();
+        let stats = store.stats.clone();
+        (store.epochs.clone(), store.chain_len, index, cache, stats)
+    }
+
+    #[test]
+    fn failed_commit_leaves_the_handle_unchanged_and_a_retry_restores() {
+        let dir = tmp_dir("failed_commit");
+        let cfg = StoreConfig {
+            max_chain: 1,
+            retain_epochs: 10,
+            ..small_cfg()
+        };
+        let mut store = DeltaStore::open_with(&dir, cfg).unwrap();
+        store.commit(&hinted_image(1, 3, 0x11, 3000)).unwrap();
+        // Epoch 2 is a delta attempt, epoch 3 a `full` rebase attempt.
+        for epoch in [2u64, 3] {
+            let img = hinted_image(epoch, 3, 0x11 * epoch as u8, 3000);
+            // A non-empty directory in the epoch's place fails the rename.
+            let obstacle = store.epoch_dir(epoch);
+            std::fs::create_dir_all(obstacle.join("squatter")).unwrap();
+            let before = handle_state(&store);
+            match store.commit(&img) {
+                Err(StoreError::Io { op: "rename", .. }) => {}
+                other => panic!("expected the rename to fail, got {other:?}"),
+            }
+            assert!(
+                handle_state(&store) == before,
+                "a failed commit moved the handle"
+            );
+            assert_eq!(
+                store.load_latest().unwrap().ranks[0].epoch,
+                epoch - 1,
+                "the chain still restores its head"
+            );
+            std::fs::remove_dir_all(&obstacle).unwrap();
+            let s = store.commit(&img).unwrap();
+            assert_eq!((s.epoch, s.full), (epoch, epoch == 3));
+            assert!(
+                s.blocks_new > 0,
+                "the retry writes what the attempt could not"
+            );
+            assert_eq!(store.load_latest().unwrap(), img);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     // -----------------------------------------------------------------
     // Corruption fuzz: decode must *return* errors, never panic or
     // allocate absurdly, on any mangled input.
@@ -3375,6 +3656,18 @@ mod tests {
     }
 
     proptest::proptest! {
+        #[test]
+        fn fused_scan_equals_the_separate_passes(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24_000),
+            avg in 0usize..3,
+        ) {
+            let avg = [64, 128, 4096][avg];
+            proptest::prop_assert_eq!(
+                DeltaStore::cut_and_hash(&data, avg),
+                cut_and_hash_reference(&data, avg)
+            );
+        }
+
         #[test]
         fn flipped_manifest_bytes_always_error(
             pos in 0usize..10_000,

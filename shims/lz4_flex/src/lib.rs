@@ -86,14 +86,29 @@ fn emit(out: &mut Vec<u8>, literals: &[u8], m: Option<(u16, usize)>) {
 /// Compress `input` as one LZ4 block. Deterministic; an incompressible
 /// input grows by at most `input.len()/255 + 16` bytes of framing.
 pub fn compress(input: &[u8]) -> Vec<u8> {
+    // Every position of an input this short fits a 16-bit slot: a
+    // quarter of the table to zero per call, and it lives on the stack
+    // (the real crate's `HashTable4KU16`).
+    if input.len() <= u16::MAX as usize {
+        compress_with(input, &mut [0u16; 1 << HASH_BITS])
+    } else {
+        compress_with(input, &mut vec![0usize; 1 << HASH_BITS])
+    }
+}
+
+/// The greedy matcher over a zeroed `table` of `1 << HASH_BITS` slots
+/// holding positions +1, so 0 means "empty slot". The slot width never
+/// shows in the output: [`compress`] picks one that holds every position.
+fn compress_with<S>(input: &[u8], table: &mut [S]) -> Vec<u8>
+where
+    S: Copy + TryFrom<usize> + Into<usize>,
+{
     let n = input.len();
     let mut out = Vec::with_capacity(n / 2 + 16);
     if n < MFLIMIT + 1 {
         emit(&mut out, input, None);
         return out;
     }
-    // Positions are stored +1 so 0 means "empty slot".
-    let mut table = vec![0usize; 1 << HASH_BITS];
     let match_limit = n - MFLIMIT;
     let extend_limit = n - LAST_LITERALS;
     let mut anchor = 0usize;
@@ -101,8 +116,11 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     while i < match_limit {
         let seq = u32::from_le_bytes(input[i..i + 4].try_into().expect("4 bytes"));
         let slot = hash(seq);
-        let cand = table[slot];
-        table[slot] = i + 1;
+        let cand: usize = table[slot].into();
+        let Ok(here) = S::try_from(i + 1) else {
+            unreachable!("compress picked a slot too narrow for position {i}")
+        };
+        table[slot] = here;
         if cand != 0 {
             let c = cand - 1;
             if i - c <= u16::MAX as usize && input[c..c + 4] == input[i..i + 4] {
@@ -280,6 +298,45 @@ mod tests {
         let mut data: Vec<u8> = (0..300).map(|i| (i * 17 % 251) as u8).collect();
         data.extend(std::iter::repeat_n(0x5A, 600));
         roundtrip(&data);
+    }
+
+    /// xorshift noise with a run every 64 bytes: literals and matches.
+    fn mixed(len: usize) -> Vec<u8> {
+        let mut x = 0x9E3779B97F4A7C15u64;
+        let noisy = |i: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if i % 64 < 24 {
+                (i / 64) as u8
+            } else {
+                (x >> 56) as u8
+            }
+        };
+        (0..len).map(noisy).collect()
+    }
+
+    #[test]
+    fn slot_width_never_shows_in_the_output() {
+        let mut corpus: Vec<Vec<u8>> = [0usize, 1, 4, 11, 12, 13, 64, 255, 256, 4096]
+            .iter()
+            .map(|&len| (0..len).map(|i| (i % 7) as u8).collect())
+            .collect();
+        corpus.push(vec![0xAB; 10_000]);
+        corpus.push((0..8192).map(|i| (i % 16) as u8).collect());
+        corpus.push(mixed(4096));
+        // The widest inputs the 16-bit table takes, and the first it
+        // does not (where `compress` itself must still round-trip).
+        corpus.extend([65_534, 65_535, 65_536].map(mixed));
+        for data in &corpus {
+            let wide = compress_with(data, &mut vec![0usize; 1 << HASH_BITS]);
+            assert_eq!(compress(data), wide, "len {}", data.len());
+            if data.len() <= u16::MAX as usize {
+                let narrow = compress_with(data, &mut [0u16; 1 << HASH_BITS]);
+                assert_eq!(narrow, wide, "len {}", data.len());
+            }
+            roundtrip(data);
+        }
     }
 
     /// The byte-at-a-time match copy the decoder used to run: the

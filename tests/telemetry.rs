@@ -7,7 +7,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use mpi_stool::simnet::{ClusterSpec, EventKind, Telemetry, TelemetryConfig};
+use mpi_stool::simnet::{ClusterSpec, EventKind, MetricValue, Telemetry, TelemetryConfig};
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{Checkpointer, Session, Vendor};
 
@@ -173,12 +173,14 @@ fn session_snapshot_unifies_events_metrics_and_store_stats() {
         .checkpoint_store(&dir)
         .build()
         .unwrap();
+    let launched = std::time::Instant::now();
     let out = session
         .launch(&RingPings {
             rounds: 10,
             payload: 32,
         })
         .unwrap();
+    let launch_us = launched.elapsed().as_micros() as u64;
     assert!(out.is_completed());
 
     let snap = session.telemetry().expect("snapshot after launch");
@@ -196,6 +198,21 @@ fn session_snapshot_unifies_events_metrics_and_store_stats() {
     let rounds = snap.emitted(EventKind::EpochCommit);
     assert!(rounds >= 2, "periodic checkpoints completed");
     assert_eq!(metrics["store.commits"].scalar(), rounds);
+    // Every commit says where its wall went; the launch flushes the
+    // writer, so all of that wall lies inside it.
+    let stages = ["chunk", "encode", "write", "gc"].map(|stage| {
+        match &metrics[&format!("store.commit.{stage}_us")] {
+            MetricValue::Histogram { count, sum, .. } => {
+                assert_eq!(*count, rounds, "one {stage} reading per commit");
+                *sum
+            }
+            other => panic!("store.commit.{stage}_us is not a histogram: {other:?}"),
+        }
+    });
+    assert!(
+        stages.iter().sum::<u64>() <= launch_us,
+        "stages {stages:?} exceed the launch's {launch_us} us"
+    );
     assert_eq!(snap.epochs.len() as u64, rounds);
     assert_eq!(snap.tier, None, "no tier attached");
     assert_eq!(snap.replica, None, "no replica group attached");
