@@ -666,6 +666,8 @@ pub enum RunOutcome {
         image: WorldImage,
         /// Per-rank clocks at stop time.
         clocks: Vec<VirtualTime>,
+        /// Per-rank communication counters at stop time.
+        counters: Vec<RankCounters>,
     },
     /// An injected failure killed the job (see [`FaultPlan`]).
     Failed {
@@ -676,6 +678,8 @@ pub enum RunOutcome {
         failed_step: u64,
         /// Per-rank clocks at failure time.
         clocks: Vec<VirtualTime>,
+        /// Per-rank communication counters at failure time.
+        counters: Vec<RankCounters>,
     },
 }
 
@@ -701,6 +705,15 @@ impl RunOutcome {
             .iter()
             .copied()
             .fold(VirtualTime::ZERO, VirtualTime::max)
+    }
+
+    /// Per-rank communication counters, however the run ended.
+    pub fn counters(&self) -> &[RankCounters] {
+        match self {
+            RunOutcome::Completed { counters, .. }
+            | RunOutcome::Checkpointed { counters, .. }
+            | RunOutcome::Failed { counters, .. } => counters,
+        }
     }
 
     /// Per-rank memories of a completed run.
@@ -1191,6 +1204,7 @@ impl Session {
                 image,
                 failed_step: step,
                 clocks: outcome.clocks,
+                counters: outcome.counters,
             });
         }
 
@@ -1209,6 +1223,7 @@ impl Session {
             return Ok(RunOutcome::Checkpointed {
                 image,
                 clocks: outcome.clocks,
+                counters: outcome.counters,
             });
         }
 

@@ -18,6 +18,18 @@ use crate::mpih::{self, MpiComm, MpiDatatype, MpiOp, MpiRequest, MpiStatus, Mpic
 /// standard ABI).
 pub type MpichUserFn = fn(invec: &[u8], inoutvec: &mut [u8], elem_size: usize);
 
+/// Communicator rank of world rank `world` in a member list (index =
+/// communicator rank, value = world rank), if a member. Every receive
+/// translates its source through here, so identity-mapped communicators
+/// (`MPI_COMM_WORLD` and its dups) answer in O(1); members are unique, so
+/// `ranks[world] == world` is the only position `world` can have.
+pub fn comm_rank_of_world(ranks: &[usize], world: usize) -> Option<i32> {
+    if ranks.get(world) == Some(&world) {
+        return Some(world as i32);
+    }
+    ranks.iter().position(|&w| w == world).map(|p| p as i32)
+}
+
 /// Cheap-to-clone communicator facts used throughout the library.
 #[derive(Debug, Clone)]
 pub struct CommInfo {
@@ -46,10 +58,7 @@ impl CommInfo {
 
     /// Communicator rank of a world rank, if a member.
     pub fn comm_rank_of_world(&self, world: usize) -> Option<i32> {
-        self.ranks
-            .iter()
-            .position(|&w| w == world)
-            .map(|p| p as i32)
+        comm_rank_of_world(&self.ranks, world)
     }
 
     /// The point-to-point context id.
@@ -347,6 +356,28 @@ impl Tables {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn source_translation_on_world_and_on_a_split() {
+        // Identity-mapped (world and its dups): the O(1) answer.
+        let world: Vec<usize> = (0..48).collect();
+        for w in [0, 1, 31, 47] {
+            assert_eq!(comm_rank_of_world(&world, w), Some(w as i32));
+        }
+        assert_eq!(comm_rank_of_world(&world, 48), None);
+        // A split (world ranks 0, 7, …, 42) falls back to the scan; rank 0
+        // happens to sit at its own index and must still be right.
+        let split: Vec<usize> = (0..48).step_by(7).collect();
+        for (cr, &w) in split.iter().enumerate() {
+            assert_eq!(comm_rank_of_world(&split, w), Some(cr as i32));
+        }
+        assert_eq!(comm_rank_of_world(&split, 1), None);
+        assert_eq!(comm_rank_of_world(&split, 6), None);
+        // Reordered by key: index 1 holds world 1, the others do not.
+        assert_eq!(comm_rank_of_world(&[2, 1, 0], 0), Some(2));
+        assert_eq!(comm_rank_of_world(&[2, 1, 0], 1), Some(1));
+        assert_eq!(comm_rank_of_world(&[2, 1, 0], 2), Some(0));
+    }
 
     #[test]
     fn world_and_self_preinstalled() {

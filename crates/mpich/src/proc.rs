@@ -10,7 +10,9 @@ use simnet::{RankCtx, SimError, VirtualTime};
 use crate::engine::{Arrived, MatchEngine, SrcSel, TagSel};
 use crate::kernels;
 use crate::mpih::{self, MpiComm, MpiDatatype, MpiOp, MpiRequest, MpiStatus, MpichResult};
-use crate::objects::{CommInfo, DerivedType, MpichUserFn, RequestObj, Tables, UserOp};
+use crate::objects::{
+    comm_rank_of_world, CommInfo, DerivedType, MpichUserFn, RequestObj, Tables, UserOp,
+};
 use crate::tuning::Tuning;
 
 /// Map a substrate error to a native MPICH-flavour error code.
@@ -353,11 +355,8 @@ impl MpichProcess {
                 if got.env.len() > max_bytes {
                     return Err(mpih::MPI_ERR_TRUNCATE);
                 }
-                let source = ranks
-                    .iter()
-                    .position(|&w| w == got.env.src)
-                    .map(|p| p as i32)
-                    .unwrap_or(mpih::MPI_ANY_SOURCE);
+                let source =
+                    comm_rank_of_world(&ranks, got.env.src).unwrap_or(mpih::MPI_ANY_SOURCE);
                 let status = MpiStatus::for_receive(source, got.env.tag, got.env.len() as u64);
                 Ok((status, Some(got.env.payload)))
             }
@@ -402,11 +401,8 @@ impl MpichProcess {
                         if got.env.len() > max_bytes {
                             return Err(mpih::MPI_ERR_TRUNCATE);
                         }
-                        let source = ranks
-                            .iter()
-                            .position(|&w| w == got.env.src)
-                            .map(|p| p as i32)
-                            .unwrap_or(mpih::MPI_ANY_SOURCE);
+                        let source =
+                            comm_rank_of_world(&ranks, got.env.src).unwrap_or(mpih::MPI_ANY_SOURCE);
                         let status =
                             MpiStatus::for_receive(source, got.env.tag, got.env.len() as u64);
                         Ok(Some((status, Some(got.env.payload))))

@@ -9,7 +9,7 @@ use simnet::{RankCtx, SimError, VirtualTime};
 
 use crate::engine::{Progress, Pulled, Want, WantTag};
 use crate::kernels;
-use crate::objects::{CommRec, Heap, OmpiUserFn, OpRec, ReqRec, TypeRec};
+use crate::objects::{comm_rank_of_world, CommRec, Heap, OmpiUserFn, OpRec, ReqRec, TypeRec};
 use crate::ompi_h::{self, MpiComm, MpiDatatype, MpiOp, MpiRequest, MpiStatus, OmpiResult};
 use crate::tuning::Tuning;
 
@@ -326,11 +326,8 @@ impl OmpiProcess {
                 if got.env.len() > max_bytes {
                     return Err(ompi_h::MPI_ERR_TRUNCATE);
                 }
-                let source = ranks
-                    .iter()
-                    .position(|&w| w == got.env.src)
-                    .map(|p| p as i32)
-                    .unwrap_or(ompi_h::MPI_ANY_SOURCE);
+                let source =
+                    comm_rank_of_world(&ranks, got.env.src).unwrap_or(ompi_h::MPI_ANY_SOURCE);
                 Ok((
                     MpiStatus::for_receive(source, got.env.tag, got.env.len()),
                     Some(got.env.payload),
@@ -377,10 +374,7 @@ impl OmpiProcess {
                         if got.env.len() > max_bytes {
                             return Err(ompi_h::MPI_ERR_TRUNCATE);
                         }
-                        let source = ranks
-                            .iter()
-                            .position(|&w| w == got.env.src)
-                            .map(|p| p as i32)
+                        let source = comm_rank_of_world(&ranks, got.env.src)
                             .unwrap_or(ompi_h::MPI_ANY_SOURCE);
                         Ok(Some((
                             MpiStatus::for_receive(source, got.env.tag, got.env.len()),

@@ -12,18 +12,45 @@
 //! time; receivers merge the stripes in stamp order, so a single-threaded
 //! send schedule is observed exactly in send order, as before striping.
 //!
-//! The fabric is **event-driven**: blocked receivers sleep on their
-//! mailbox's condition variable and are woken by the arrival of a message,
-//! by [`Fabric::shutdown`], or by [`Fabric::fail_rank`] — there is no
-//! polling interval, so failure-detection and shutdown latency is one
-//! condvar wakeup, not a timer tick. The condvar's guard mutex (the
-//! *gate*) protects nothing but the sleep itself: senders take and release
-//! it before notifying (and writers that flip the shutdown/failed flags do
-//! the same), so a receiver that checked the queues and flags under the
-//! gate and is about to sleep cannot miss the wakeup. Senders skip the
-//! gate entirely while no receiver is registered as waiting, which keeps
-//! the 512-rank incast fast path at one stripe lock per send.
+//! The fabric is **event-driven**: a blocked receiver sleeps on its
+//! mailbox's condition variable and is woken by an envelope it waits for,
+//! by [`Fabric::shutdown`] or by [`Fabric::fail_rank`] — no polling
+//! interval, so failure-detection and shutdown latency is one condvar
+//! wakeup, not a timer tick.
+//!
+//! **The gate guards the want.** The condvar's mutex (the *gate*) holds
+//! what the parked receiver waits for, a [`Want`] `{ctx_id, src, tag}`
+//! with `None` = wildcard. A receiver about to park takes the gate, writes
+//! its want, registers in `waiters`, re-checks `queued` and the unblock
+//! flags, and sleeps. A sender that reads `waiters > 0` after its push
+//! takes the gate and notifies **only if the want admits its envelope**;
+//! any other envelope waits in its stripe until the admitted one arrives
+//! and the receiver's next pump drains the lot, in arrival order. With no
+//! receiver registered a send takes one stripe lock and no gate (the
+//! 512-rank incast fast path). Shutdown, fail-stop and the detection flip
+//! ignore the want: gate, then `notify_all`.
+//!
+//! **No lost wake-up.** A sender bumps `queued` before it loads `waiters`;
+//! a receiver, holding the gate, writes its want and bumps `waiters`
+//! before its last look at `queued` (all `SeqCst`). A sender that reads
+//! `waiters == 0` is thus one whose envelope that look will see. One that
+//! reads `waiters > 0` takes the gate, which a parking receiver holds
+//! until `Condvar::wait` lets go of it, so the notify cannot fall between
+//! look and sleep. The count may be stale — a receiver deregisters only
+//! after waking — and then the want under the gate is the finished park's
+//! (a wrong filter, but the receiver is awake and its next park's look
+//! comes after this sender's bump) or a later park's, the filter of the
+//! sleep in progress. Modelled in `tests/loom_models.rs`
+//! (`targeted_wake_*`); change one side, change both.
+//!
+//! **Yield, then park.** An empty-handed receiver first calls
+//! `yield_now()` and looks again, at most [`YIELDS_BEFORE_PARK`] times:
+//! with more rank threads than cores that hands the core to a runnable
+//! sender, which then finds `waiters == 0` and skips gate and futex. The
+//! phase is bounded by a constant and falls through to the same park: no
+//! sleep, no timer, no second wake path.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -41,11 +68,36 @@ use crate::telemetry::{Counter, Telemetry};
 /// incast from hundreds of senders contend on eight locks instead of one.
 pub const DEFAULT_STRIPES: usize = 8;
 
+/// `yield_now()` + re-check rounds an empty-handed receiver makes before
+/// it parks. Swept on 2 cores (48 rank threads), `benches/e2e` `msgs_per_s`
+/// in k/s, median of 3 runs of 22 s, K = 0 / 4 / 8 / 16 / 32: `osu_coll`
+/// 496 / 675 / 655 / 634 / 695, `wave_story` 316 / 424 / 456 / 462 / 498
+/// (run-to-run spread ≈ ±8 %). 8 is the smallest within noise of the best.
+const YIELDS_BEFORE_PARK: u32 = 8;
+
 /// A queued envelope tagged with its destination-wide arrival stamp.
-type Stamped = (u64, Envelope);
+pub(crate) type Stamped = (u64, Envelope);
 
 /// A held stripe lock during the take-next front scan.
 type StripeGuard<'a> = std::sync::MutexGuard<'a, VecDeque<Stamped>>;
+
+/// What a parked receiver waits for: the filter senders read under the
+/// gate. `None` is a wildcard, so the default admits anything.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Want {
+    pub(crate) ctx_id: Option<u64>,
+    pub(crate) src: Option<usize>,
+    pub(crate) tag: Option<i32>,
+}
+
+impl Want {
+    /// Whether an envelope with this header is one the receiver waits for.
+    pub(crate) fn admits(&self, ctx_id: u64, src: usize, tag: i32) -> bool {
+        self.ctx_id.is_none_or(|c| c == ctx_id)
+            && self.src.is_none_or(|s| s == src)
+            && self.tag.is_none_or(|t| t == tag)
+    }
+}
 
 /// One lock stripe of a mailbox: envelopes from sources mapping to this
 /// stripe, each tagged with its destination-wide arrival stamp.
@@ -65,8 +117,8 @@ struct Mailbox {
     /// gate lock + notify when this is zero.
     waiters: AtomicUsize,
     stripes: Vec<Stripe>,
-    /// Guard mutex for the sleep; guards no data.
-    gate: Mutex<()>,
+    /// Guard mutex for the sleep; holds what the parked receiver wants.
+    gate: Mutex<Want>,
     arrived: Condvar,
 }
 
@@ -77,15 +129,16 @@ impl Mailbox {
             queued: AtomicUsize::new(0),
             waiters: AtomicUsize::new(0),
             stripes: (0..nstripes.max(1)).map(|_| Stripe::default()).collect(),
-            gate: Mutex::new(()),
+            gate: Mutex::new(Want::default()),
             arrived: Condvar::new(),
         }
     }
 
-    /// Enqueue one envelope from `src` and wake a sleeping receiver if one
-    /// is registered. Only the stripe lock is taken on the fast path.
-    /// Returns whether a sleeping receiver was woken.
-    fn push(&self, src: usize, env: Envelope) -> bool {
+    /// Enqueue one envelope from `src`; only the stripe lock is taken on
+    /// the fast path. If a receiver is registered, returns whether its want
+    /// admitted the envelope — notified — or it was left asleep.
+    fn push(&self, src: usize, env: Envelope) -> Option<bool> {
+        let (ctx_id, tag) = (env.ctx_id, env.tag);
         let stamp = self.arrivals.fetch_add(1, Ordering::SeqCst);
         let stripe = &self.stripes[src % self.stripes.len()];
         {
@@ -100,11 +153,17 @@ impl Mailbox {
         // The receiver registers in `waiters` *before* its final emptiness
         // check (both SeqCst): if we read zero here, the receiver's check
         // is ordered after our `queued` increment and it will not sleep.
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            self.wake_one();
-            return true;
+        if self.waiters.load(Ordering::SeqCst) == 0 {
+            return None;
         }
-        false
+        let gate = self.gate.lock().expect("mailbox gate poisoned");
+        if !gate.admits(ctx_id, src, tag) {
+            return Some(false);
+        }
+        // Released first, so the woken receiver does not run into it.
+        drop(gate);
+        self.arrived.notify_one();
+        Some(true)
     }
 
     /// Pop the queued envelope with the smallest arrival stamp, if any.
@@ -139,51 +198,58 @@ impl Mailbox {
         Some(env)
     }
 
-    /// Drain every stripe into `into`, merged in arrival-stamp order.
-    fn drain_into(&self, into: &mut Vec<Envelope>) -> usize {
-        let mut batch: Vec<(u64, Envelope)> =
-            Vec::with_capacity(self.queued.load(Ordering::SeqCst));
+    /// Drain every stripe onto the end of `into`, merged in arrival-stamp
+    /// order. An empty mailbox costs one atomic load, no stripe lock.
+    fn drain_into(&self, into: &mut Vec<Stamped>) -> usize {
+        if self.queued.load(Ordering::SeqCst) == 0 {
+            return 0;
+        }
+        let start = into.len();
         for stripe in &self.stripes {
             let mut queue = stripe.queue.lock().expect("stripe lock poisoned");
             // Decremented under the stripe lock, like the push increment,
             // so the counter cannot transiently underflow.
             self.queued.fetch_sub(queue.len(), Ordering::SeqCst);
-            batch.extend(queue.drain(..));
+            into.extend(queue.drain(..));
         }
-        batch.sort_unstable_by_key(|(stamp, _)| *stamp);
-        let n = batch.len();
-        into.extend(batch.into_iter().map(|(_, env)| env));
-        n
+        into[start..].sort_unstable_by_key(|(stamp, _)| *stamp);
+        into.len() - start
     }
 
-    /// Wake one sleeping receiver. Acquiring (and immediately releasing)
-    /// the gate first closes the race with a receiver that has checked the
-    /// queues and flags and is entering `Condvar::wait`: the notifier
-    /// either runs before the receiver's check (the new state is visible)
-    /// or after the wait released the gate (the notification is
-    /// delivered).
-    fn wake_one(&self) {
-        drop(self.gate.lock().expect("mailbox gate poisoned"));
-        self.arrived.notify_one();
-    }
-
-    /// Wake every receiver blocked on this mailbox (shutdown / fail-stop).
+    /// Wake every receiver blocked on this mailbox, whatever it wants
+    /// (shutdown / fail-stop). Passing through the gate first puts the
+    /// notify either before a parking receiver's check of the flags (it
+    /// sees the new state) or after its wait released the gate (it is woken).
     fn wake_all(&self) {
         drop(self.gate.lock().expect("mailbox gate poisoned"));
         self.arrived.notify_all();
     }
 }
 
-/// The fabric's attached flight recorder plus cached counter handles,
-/// so the send and match hot paths pay one atomic add per metric
-/// instead of a registry lookup.
+/// Counters an endpoint keeps in cells of its own and folds into the
+/// registry when it parks and when it drops, so 48 rank threads do not
+/// bounce a cache line per message. Exact once the rank threads are joined.
+const FOLDED: [&str; 5] = [
+    "fabric.sends",
+    "fabric.wake_skips",
+    "fabric.yield_hits",
+    "fabric.parks",
+    "match.hits",
+];
+const SENDS: usize = 0;
+const WAKE_SKIPS: usize = 1;
+const YIELD_HITS: usize = 2;
+const PARKS: usize = 3;
+pub(crate) const MATCH_HITS: usize = 4;
+
+/// The fabric's attached flight recorder plus cached counter handles, so
+/// no hot path pays a registry lookup.
 pub(crate) struct FabricTelemetry {
     pub(crate) tel: Arc<Telemetry>,
-    sends: Counter,
+    folded: [Counter; 5],
+    /// Notifies issued for an envelope the parked receiver waits for.
     wakeups: Counter,
     broadcast_wakeups: Counter,
-    /// Successful message matches (exact + wildcard), fed by [`crate::matching`].
-    pub(crate) match_hits: Counter,
     /// Wildcard receives that had to scan candidate bucket fronts.
     pub(crate) wildcard_scans: Counter,
     /// Total candidate buckets compared across all wildcard scans.
@@ -241,7 +307,8 @@ impl Fabric {
             .map(|rank| Endpoint {
                 rank,
                 fabric: fabric.clone(),
-                next_seq: std::cell::Cell::new(0),
+                next_seq: Cell::new(0),
+                counts: Default::default(),
             })
             .collect();
         (fabric, endpoints)
@@ -265,10 +332,9 @@ impl Fabric {
     /// events flow into it from every endpoint.
     pub fn attach_telemetry(&self, tel: Arc<Telemetry>) {
         let _ = self.shared.telemetry.set(FabricTelemetry {
-            sends: tel.metrics().counter("fabric.sends"),
+            folded: FOLDED.map(|name| tel.metrics().counter(name)),
             wakeups: tel.metrics().counter("fabric.wakeups"),
             broadcast_wakeups: tel.metrics().counter("fabric.broadcast_wakeups"),
-            match_hits: tel.metrics().counter("match.hits"),
             wildcard_scans: tel.metrics().counter("match.wildcard_scans"),
             wildcard_scanned: tel.metrics().counter("match.wildcard_scanned_buckets"),
             tel,
@@ -355,7 +421,15 @@ impl Fabric {
 pub struct Endpoint {
     rank: usize,
     fabric: Fabric,
-    next_seq: std::cell::Cell<u64>,
+    next_seq: Cell<u64>,
+    /// [`FOLDED`] counts not yet folded into the shared counters.
+    counts: [Cell<u64>; 5],
+}
+
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        self.fold_counts();
+    }
 }
 
 impl Endpoint {
@@ -367,6 +441,20 @@ impl Endpoint {
     /// The fabric this endpoint belongs to.
     pub fn fabric(&self) -> &Fabric {
         &self.fabric
+    }
+
+    /// Move this endpoint's local counts into the shared counters.
+    fn fold_counts(&self) {
+        if let Some(ft) = self.fabric.shared.telemetry.get() {
+            for (local, shared) in self.counts.iter().zip(&ft.folded) {
+                shared.add(local.take());
+            }
+        }
+    }
+
+    /// Count one [`FOLDED`] event on this endpoint.
+    pub(crate) fn count(&self, which: usize) {
+        self.counts[which].set(self.counts[which].get() + 1);
     }
 
     /// Why a blocked receiver must stop waiting, if it must. Message
@@ -438,11 +526,14 @@ impl Endpoint {
             seq,
         };
         ctx.count_send(env.len());
-        let woke = shared.mailboxes[dst].push(self.rank, env);
-        if let Some(ft) = shared.telemetry.get() {
-            ft.sends.incr();
-            if woke {
-                ft.wakeups.incr();
+        self.count(SENDS);
+        match shared.mailboxes[dst].push(self.rank, env) {
+            None => {}
+            Some(false) => self.count(WAKE_SKIPS),
+            Some(true) => {
+                if let Some(ft) = shared.telemetry.get() {
+                    ft.wakeups.incr();
+                }
             }
         }
         Ok(())
@@ -462,31 +553,60 @@ impl Endpoint {
     /// This is the progress engines' fast path: one lock round-trip per
     /// stripe per progress call instead of one per message.
     pub fn drain_raw_into(&self, into: &mut Vec<Envelope>) -> SimResult<usize> {
-        Ok(self.fabric.shared.mailboxes[self.rank].drain_into(into))
+        let mailbox = &self.fabric.shared.mailboxes[self.rank];
+        let mut stamped = Vec::with_capacity(mailbox.queued.load(Ordering::SeqCst));
+        let n = mailbox.drain_into(&mut stamped);
+        into.extend(stamped.into_iter().map(|(_, env)| env));
+        Ok(n)
+    }
+
+    /// [`Endpoint::drain_raw_into`] with the arrival stamps left on, so a
+    /// caller that pumps per receive can reuse one buffer.
+    pub(crate) fn drain_stamped_into(&self, into: &mut Vec<Stamped>) -> usize {
+        self.fabric.shared.mailboxes[self.rank].drain_into(into)
     }
 
     /// Blocking pull of the next raw envelope (no time accounting).
     ///
-    /// Sleeps on the mailbox condvar — no polling. Unblocks with an error
-    /// if the fabric shuts down, or — when failure detection is enabled —
-    /// if any rank has been marked failed; queued messages are always
-    /// delivered before an unblock error is reported.
+    /// Parks on the mailbox condvar after a bounded yield phase — no
+    /// polling. Unblocks with an error if the fabric shuts down, or — when
+    /// failure detection is enabled — if any rank has been marked failed;
+    /// queued messages are always delivered before an unblock error.
     pub fn recv_raw(&self) -> SimResult<Envelope> {
+        self.recv_raw_wanting(Want::default())
+    }
+
+    /// The blocking receive loop. Returns the next envelope in arrival
+    /// order, whatever it is: `want` only says which arrivals are worth
+    /// waking this receiver for once it is parked; anything else waits in
+    /// its stripe for the next time the receiver is awake.
+    pub(crate) fn recv_raw_wanting(&self, want: Want) -> SimResult<Envelope> {
         let mailbox = &self.fabric.shared.mailboxes[self.rank];
         loop {
             if let Some(env) = mailbox.take_next() {
                 return Ok(env);
             }
-            // Nothing queued: register on the condvar, then re-check both
-            // the queues and the unblock flags *after* registering, so a
-            // concurrent push or flag flip cannot be missed (senders read
-            // `waiters` after bumping `queued`; flag writers notify
-            // unconditionally through the gate).
-            let gate = mailbox.gate.lock().expect("mailbox gate poisoned");
+            // Nothing queued: offer the core to a runnable sender a few
+            // times before paying for a park.
+            for _ in 0..YIELDS_BEFORE_PARK {
+                std::thread::yield_now();
+                if let Some(env) = mailbox.take_next() {
+                    self.count(YIELD_HITS);
+                    return Ok(env);
+                }
+            }
+            // Still nothing: publish the want and register on the condvar,
+            // then re-check the queues and the unblock flags *after*
+            // registering, so a concurrent push or flag flip cannot be
+            // missed (module docs; flag writers always notify via the gate).
+            let mut gate = mailbox.gate.lock().expect("mailbox gate poisoned");
+            *gate = want;
             mailbox.waiters.fetch_add(1, Ordering::SeqCst);
             let wake_now =
                 mailbox.queued.load(Ordering::SeqCst) > 0 || self.unblock_reason().is_some();
             if !wake_now {
+                self.count(PARKS);
+                self.fold_counts();
                 drop(
                     mailbox
                         .arrived
@@ -524,6 +644,7 @@ mod tests {
     use crate::cluster::ClusterSpec;
     use crate::noise::NoiseModel;
     use crate::rank::RankCtx;
+    use crate::telemetry::Telemetry;
     use std::sync::Arc as StdArc;
     use std::time::Duration;
 
@@ -742,6 +863,168 @@ mod tests {
         let err = ctx1.endpoint().recv_raw().unwrap_err();
         assert_eq!(err, SimError::PeerFailed { rank: 0 });
         handle.join().unwrap();
+    }
+
+    /// An 8-rank fabric with a recorder attached and rank 0 asleep in
+    /// `recv_raw_wanting(want)` on a thread of its own. `then` runs on that
+    /// thread with what the receive returned.
+    struct Parked<R> {
+        fabric: Fabric,
+        tel: StdArc<Telemetry>,
+        /// Ranks 1..8, index = rank - 1, driven from the test thread.
+        senders: Vec<RankCtx>,
+        receiver: std::thread::JoinHandle<R>,
+    }
+
+    impl<R> Parked<R> {
+        fn count(&self, name: &str) -> u64 {
+            self.tel.metrics().counter(name).get()
+        }
+
+        fn send(&self, src: usize, ctx_id: u64, tag: i32, data: &[u8]) {
+            let ctx = &self.senders[src - 1];
+            ctx.endpoint()
+                .send_raw(0, ctx_id, tag, Bytes::copy_from_slice(data), ctx)
+                .unwrap();
+        }
+    }
+
+    fn park_rank0<R: Send + 'static>(
+        want: Want,
+        then: impl FnOnce(&RankCtx, SimResult<Envelope>) -> R + Send + 'static,
+    ) -> Parked<R> {
+        let spec = StdArc::new(ClusterSpec::builder().nodes(1).ranks_per_node(8).build());
+        let (fabric, eps) = Fabric::new(&spec);
+        let tel = StdArc::new(Telemetry::new(8));
+        fabric.attach_telemetry(tel.clone());
+        let mut ctxs = eps
+            .into_iter()
+            .enumerate()
+            .map(|(r, ep)| ctx_for(r, &spec, ep));
+        let ctx0 = ctxs.next().unwrap();
+        let receiver = std::thread::spawn(move || {
+            let first = ctx0.endpoint().recv_raw_wanting(want);
+            then(&ctx0, first)
+        });
+        let parked = Parked {
+            fabric,
+            tel,
+            senders: ctxs.collect(),
+            receiver,
+        };
+        // Wait for the state, not for a while: `fabric.parks` is bumped
+        // under the gate on the way into the condvar wait, and a sender
+        // takes that gate before it decides whether to notify.
+        while parked.count("fabric.parks") == 0 {
+            std::thread::yield_now();
+        }
+        parked
+    }
+
+    const NARROW: Want = Want {
+        ctx_id: Some(3),
+        src: Some(5),
+        tag: Some(7),
+    };
+
+    #[test]
+    fn parked_receiver_is_woken_only_by_the_envelope_it_wants() {
+        let mut parked = park_rank0(NARROW, |ctx, first| {
+            let mut all = vec![first.unwrap()];
+            ctx.endpoint().drain_raw_into(&mut all).unwrap();
+            all
+        });
+        // 40 envelopes that each miss the want in the context, the source
+        // or the tag (source 5 included, under the wrong tag or context).
+        for i in 0..40u8 {
+            let src = 1 + i as usize % 7;
+            let (ctx_id, tag) = match i % 3 {
+                0 => (4, 7),
+                1 => (3, 8),
+                _ if src == 5 => (3, 9),
+                _ => (3, 7),
+            };
+            parked.send(src, ctx_id, tag, &[i]);
+        }
+        assert_eq!(parked.count("fabric.wakeups"), 0, "nobody wanted those");
+        assert_eq!(parked.count("fabric.parks"), 1, "and nobody woke up");
+        parked.send(5, 3, 7, &[40]);
+        assert_eq!(parked.count("fabric.wakeups"), 1, "the wanted one notifies");
+        // Woken once, the receiver finds all 41 in arrival order: the
+        // oldest from the receive, the rest in the one drain after it.
+        // Skips are counted on the senders' endpoints and folded in when
+        // those drop.
+        parked.senders.clear();
+        assert_eq!(parked.count("fabric.wake_skips"), 40);
+        assert_eq!(parked.count("fabric.sends"), 41);
+        assert_eq!(parked.count("fabric.wakeups"), 1);
+        assert_eq!(parked.count("fabric.parks"), 1);
+        let all = parked.receiver.join().unwrap();
+        let order: Vec<u8> = all.iter().map(|env| env.payload[0]).collect();
+        assert_eq!(order, (0..=40).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    fn wildcard_wants_admit_what_their_pattern_matches() {
+        let any_src = Want {
+            src: None,
+            ..NARROW
+        };
+        let any_tag = Want {
+            tag: None,
+            ..NARROW
+        };
+        // (want, envelopes it must sleep through, the one that wakes it),
+        // each envelope as (src, ctx, tag).
+        type Header = (usize, u64, i32);
+        let cases: [(Want, &[Header], Header); 3] = [
+            (any_src, &[(5, 4, 7), (5, 3, 8), (2, 3, 6)], (2, 3, 7)),
+            (any_tag, &[(4, 3, 7), (5, 4, 7), (6, 3, 99)], (5, 3, 99)),
+            (Want::default(), &[], (6, 9, -4)),
+        ];
+        for (want, unwanted, wanted) in cases {
+            let parked = park_rank0(want, |_, first| first.unwrap());
+            for &(src, ctx_id, tag) in unwanted {
+                parked.send(src, ctx_id, tag, b"no");
+            }
+            assert_eq!(parked.count("fabric.wakeups"), 0, "{want:?}");
+            let (src, ctx_id, tag) = wanted;
+            parked.send(src, ctx_id, tag, b"yes");
+            assert_eq!(parked.count("fabric.wakeups"), 1, "{want:?}");
+            // Arrival order still rules what the receive returns.
+            let first = parked.receiver.join().unwrap();
+            let (src, ctx_id, tag) = unwanted.first().copied().unwrap_or(wanted);
+            assert_eq!((first.src, first.ctx_id, first.tag), (src, ctx_id, tag));
+        }
+    }
+
+    #[test]
+    fn narrow_want_still_unblocks_on_shutdown_and_failures() {
+        type Unblock = (fn(&Fabric), SimError);
+        let cases: [Unblock; 3] = [
+            (|f| f.shutdown(), SimError::Disconnected),
+            (|f| f.fail_rank(3), SimError::PeerFailed { rank: 3 }),
+            (|f| f.fail_rank(0), SimError::SelfFailed),
+        ];
+        for (unblock, expect) in cases {
+            let parked = park_rank0(NARROW, |ctx, first| {
+                (first, ctx.endpoint().recv_raw_wanting(NARROW))
+            });
+            // The detection flip is a broadcast wake-up; let the receiver
+            // go back to sleep before anything is sent.
+            parked.fabric.enable_failure_detection();
+            while parked.count("fabric.parks") < 2 {
+                std::thread::yield_now();
+            }
+            // Not wanted, so it only sits in its stripe — and must still
+            // come out before the error does.
+            parked.send(2, 3, 7, b"queued");
+            assert_eq!(parked.count("fabric.wakeups"), 0);
+            unblock(&parked.fabric);
+            let (first, second) = parked.receiver.join().unwrap();
+            assert_eq!(&first.unwrap().payload[..], b"queued");
+            assert_eq!(second.unwrap_err(), expect);
+        }
     }
 
     #[test]

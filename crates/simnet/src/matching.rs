@@ -32,15 +32,18 @@
 //! small-message progress-engine latency; Open MPI's OB1 uses the wire
 //! arrival as-is). Jitter is drawn exactly once per message, at ingest.
 //!
-//! Ingest itself is batched: one [`crate::fabric::Endpoint::drain_raw_into`]
-//! per progress call moves every queued envelope under a single lock
-//! acquisition instead of one lock round-trip per message.
+//! Ingest itself is batched: one drain per progress call moves every
+//! queued envelope into a reused buffer, one lock per stripe (none on an
+//! empty mailbox) instead of one per message. A blocking match parks with
+//! its pattern as the wake filter ([`crate::fabric`]'s *want*).
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::envelope::Envelope;
 use crate::error::SimResult;
+use crate::fabric::{Stamped, Want, MATCH_HITS};
 use crate::rank::RankCtx;
 use crate::telemetry::EventKind;
 use crate::time::VirtualTime;
@@ -95,21 +98,66 @@ pub struct MatchedMsg {
 /// Exact-match bucket key.
 type Key = (u64, usize, i32);
 
+/// Multiply-mix hasher for the matcher's integer keys. Context ids, world
+/// ranks and tags are made by this program, never by outside input, so
+/// SipHash's collision resistance bought nothing for most of a match's cost.
+#[derive(Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    /// One multiply per word of ≤ 8 bytes, which is how a key's integers come.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let word = u64::from_le_bytes(word);
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits; the table
+        // indexes with the low ones.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
+const SPARE_BUCKETS: usize = 64;
+
 /// The shared indexed matching core. One per rank per vendor engine.
 pub struct MatchCore<M: ArrivalModel = WireArrival> {
     model: M,
     /// Per-(ctx, src, tag) FIFO buckets in arrival order.
-    buckets: HashMap<Key, VecDeque<MatchedMsg>>,
+    buckets: MixMap<Key, VecDeque<MatchedMsg>>,
     /// Secondary index for wildcard scans: exactly the keys of live
     /// (nonempty) buckets, grouped by context id. Kept in lockstep with
     /// `buckets` on insert and evict.
-    by_ctx: HashMap<u64, Vec<Key>>,
+    by_ctx: MixMap<u64, Vec<Key>>,
+    /// Up to `SPARE_BUCKETS` emptied queues of evicted buckets, so the common
+    /// one-message bucket does not allocate and free a `VecDeque` per message.
+    spare: Vec<VecDeque<MatchedMsg>>,
     /// Next arrival sequence number.
     next_seq: u64,
     /// Total queued messages across all buckets.
     total: usize,
     /// Reused batch-drain buffer (amortizes the per-pump allocation).
-    scratch: Vec<Envelope>,
+    scratch: Vec<Stamped>,
+}
+
+/// The fabric wake filter equivalent to a receive pattern.
+fn want(ctx_id: u64, src: SrcPattern, tag: TagPattern) -> Want {
+    Want {
+        ctx_id: Some(ctx_id),
+        src: match src {
+            SrcPattern::Any => None,
+            SrcPattern::Is(s) => Some(s),
+        },
+        tag: match tag {
+            TagPattern::Any => None,
+            TagPattern::Is(t) => Some(t),
+        },
+    }
 }
 
 impl<M: ArrivalModel + Default> Default for MatchCore<M> {
@@ -130,8 +178,9 @@ impl<M: ArrivalModel> MatchCore<M> {
     pub fn with_model(model: M) -> Self {
         MatchCore {
             model,
-            buckets: HashMap::new(),
-            by_ctx: HashMap::new(),
+            buckets: MixMap::default(),
+            by_ctx: MixMap::default(),
+            spare: Vec::new(),
             next_seq: 0,
             total: 0,
             scratch: Vec::new(),
@@ -154,56 +203,50 @@ impl<M: ArrivalModel> MatchCore<M> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let key = (env.ctx_id, env.src, env.tag);
-        match self.buckets.entry(key) {
-            Entry::Occupied(mut o) => o.get_mut().push_back(MatchedMsg { env, arrival, seq }),
+        let bucket = match self.buckets.entry(key) {
+            Entry::Occupied(o) => o.into_mut(),
             Entry::Vacant(v) => {
                 // Invariant: a key is in by_ctx iff its bucket exists, so
                 // a vacant bucket means the key is not yet indexed.
-                v.insert(VecDeque::from([MatchedMsg { env, arrival, seq }]));
                 self.by_ctx.entry(key.0).or_default().push(key);
+                v.insert(self.spare.pop().unwrap_or_default())
             }
-        }
+        };
+        bucket.push_back(MatchedMsg { env, arrival, seq });
         self.total += 1;
     }
 
-    /// Batch-drain everything currently on the wire into the index:
-    /// exactly one mailbox lock acquisition per call.
+    /// Batch-drain everything currently on the wire into the index: one
+    /// lock acquisition per mailbox stripe per call, none when the
+    /// mailbox is empty.
     pub fn pump(&mut self, ctx: &RankCtx) -> SimResult<()> {
         let mut scratch = std::mem::take(&mut self.scratch);
-        ctx.endpoint().drain_raw_into(&mut scratch)?;
-        for env in scratch.drain(..) {
+        ctx.endpoint().drain_stamped_into(&mut scratch);
+        for (_, env) in scratch.drain(..) {
             self.ingest(ctx, env);
         }
         self.scratch = scratch;
         Ok(())
     }
 
-    /// The bucket key holding the first match for the pattern, if any,
-    /// plus how many candidate buckets a wildcard scan compared (0 for
-    /// exact probes). Exact patterns are a single hash probe; wildcard
-    /// patterns compare candidate bucket fronts by arrival sequence.
+    /// The key of the only bucket that can hold the first match for the
+    /// pattern, plus how many candidate buckets a wildcard scan compared.
+    /// An exact pattern *is* its key — not probed here, so the caller's
+    /// lookup is the one hash probe of an exact match; a wildcard compares
+    /// live bucket fronts by arrival sequence and names a live bucket.
     fn locate(&self, ctx_id: u64, src: SrcPattern, tag: TagPattern) -> (Option<Key>, usize) {
         if let (SrcPattern::Is(s), TagPattern::Is(t)) = (src, tag) {
-            let key = (ctx_id, s, t);
-            return (self.buckets.contains_key(&key).then_some(key), 0);
+            return (Some((ctx_id, s, t)), 0);
         }
         // by_ctx tracks exactly the live (nonempty) buckets: pick the
         // pattern-matching front with the smallest arrival sequence.
         let Some(keys) = self.by_ctx.get(&ctx_id) else {
             return (None, 0);
         };
+        let want = want(ctx_id, src, tag);
         let mut best: Option<(u64, Key)> = None;
         for &key in keys.iter() {
-            let (_, ksrc, ktag) = key;
-            let src_ok = match src {
-                SrcPattern::Any => true,
-                SrcPattern::Is(s) => ksrc == s,
-            };
-            let tag_ok = match tag {
-                TagPattern::Any => true,
-                TagPattern::Is(t) => ktag == t,
-            };
-            if !src_ok || !tag_ok {
+            if !want.admits(key.0, key.1, key.2) {
                 continue;
             }
             let front_seq = self.buckets[&key]
@@ -228,25 +271,21 @@ impl<M: ArrivalModel> MatchCore<M> {
         tag: TagPattern,
     ) -> SimResult<Option<MatchedMsg>> {
         self.pump(ctx)?;
-        Ok(self.take_located(ctx, ctx_id, src, tag))
-    }
-
-    fn take_located(
-        &mut self,
-        ctx: &RankCtx,
-        ctx_id: u64,
-        src: SrcPattern,
-        tag: TagPattern,
-    ) -> Option<MatchedMsg> {
         let (located, scanned) = self.locate(ctx_id, src, tag);
         note_scan(ctx, scanned);
-        let key = located?;
-        let bucket = self.buckets.get_mut(&key).expect("located bucket exists");
-        let msg = bucket.pop_front().expect("located bucket nonempty");
+        let Some(Entry::Occupied(mut bucket)) = located.map(|key| self.buckets.entry(key)) else {
+            return Ok(None);
+        };
+        let key = *bucket.key();
+        let msg = bucket.get_mut().pop_front().expect("buckets are nonempty");
         // Evict emptied buckets — and their by_ctx index entries — so no
         // per-(ctx, src, tag) state accumulates over communicator churn.
-        if bucket.is_empty() {
-            self.buckets.remove(&key);
+        // Only the emptied queue's allocation is kept, for the next key.
+        if bucket.get().is_empty() {
+            let queue = bucket.remove();
+            if self.spare.len() < SPARE_BUCKETS {
+                self.spare.push(queue);
+            }
             if let Some(keys) = self.by_ctx.get_mut(&key.0) {
                 if let Some(pos) = keys.iter().position(|k| *k == key) {
                     keys.swap_remove(pos);
@@ -259,7 +298,7 @@ impl<M: ArrivalModel> MatchCore<M> {
         self.total -= 1;
         ctx.count_recv(msg.env.len());
         note_match(ctx, &msg);
-        Some(msg)
+        Ok(Some(msg))
     }
 
     /// Blocking match: waits (event-driven, no polling) for a matching
@@ -275,10 +314,10 @@ impl<M: ArrivalModel> MatchCore<M> {
             if let Some(m) = self.try_match(ctx, ctx_id, src, tag)? {
                 return Ok(m);
             }
-            // Nothing matched and the wire is drained: sleep until the
-            // next envelope (or a shutdown/failure wakeup), then retry —
-            // the retry's pump batch-drains anything else that arrived.
-            let env = ctx.endpoint().recv_raw()?;
+            // Nothing matched and the wire is drained: sleep until an
+            // envelope the pattern admits (or a shutdown/failure wakeup),
+            // then retry — its pump batch-drains whatever else arrived.
+            let env = ctx.endpoint().recv_raw_wanting(want(ctx_id, src, tag))?;
             self.ingest(ctx, env);
         }
     }
@@ -295,11 +334,9 @@ impl<M: ArrivalModel> MatchCore<M> {
         self.pump(ctx)?;
         let (located, scanned) = self.locate(ctx_id, src, tag);
         note_scan(ctx, scanned);
-        let key = match located {
-            Some(key) => key,
-            None => return Ok(None),
-        };
-        Ok(self.buckets[&key].front().cloned())
+        Ok(located
+            .and_then(|key| self.buckets.get(&key))
+            .and_then(|bucket| bucket.front().cloned()))
     }
 
     /// Blocking peek (for `MPI_Probe`).
@@ -314,7 +351,7 @@ impl<M: ArrivalModel> MatchCore<M> {
             if let Some(m) = self.try_peek(ctx, ctx_id, src, tag)? {
                 return Ok(m);
             }
-            let env = ctx.endpoint().recv_raw()?;
+            let env = ctx.endpoint().recv_raw_wanting(want(ctx_id, src, tag))?;
             self.ingest(ctx, env);
         }
     }
@@ -325,8 +362,8 @@ impl<M: ArrivalModel> MatchCore<M> {
 /// the message's virtual arrival time, plus the match-hit counter.
 #[inline]
 fn note_match(ctx: &RankCtx, msg: &MatchedMsg) {
+    ctx.endpoint().count(MATCH_HITS);
     if let Some(ft) = ctx.endpoint().fabric().tel_handles() {
-        ft.match_hits.incr();
         ft.tel.emit_rank(
             ctx.rank(),
             EventKind::MsgMatch,
@@ -457,6 +494,57 @@ mod tests {
             .unwrap();
         assert_eq!(p.arrival, m.arrival, "jitter drawn exactly once, at ingest");
         assert_eq!(core.unexpected_len(), 0);
+    }
+
+    #[test]
+    fn blocking_match_parks_with_its_pattern_as_the_wake_filter() {
+        let spec = Arc::new(ClusterSpec::builder().nodes(1).ranks_per_node(2).build());
+        let (fabric, mut eps) = Fabric::new(&spec);
+        let tel = Arc::new(crate::telemetry::Telemetry::new(2));
+        fabric.attach_telemetry(tel.clone());
+        let count = |name: &str| tel.metrics().counter(name).get();
+        let c1 = RankCtx::new(
+            1,
+            spec.clone(),
+            eps.pop().unwrap(),
+            NoiseModel::disabled().stream_for_rank(1),
+        );
+        let c0 = RankCtx::new(
+            0,
+            spec,
+            eps.pop().unwrap(),
+            NoiseModel::disabled().stream_for_rank(0),
+        );
+        let receiver = std::thread::spawn(move || {
+            let mut core = MatchCore::new();
+            let m = core
+                .match_blocking(&c1, 3, SrcPattern::Is(0), TagPattern::Is(7))
+                .unwrap();
+            (m, core.unexpected_len())
+        });
+        while count("fabric.parks") == 0 {
+            std::thread::yield_now();
+        }
+        // Wrong tag, wrong context: the matcher sleeps through both.
+        send(&c0, 1, 3, 8, b"a");
+        send(&c0, 1, 4, 7, b"b");
+        assert_eq!(count("fabric.wakeups"), 0);
+        send(&c0, 1, 3, 7, b"c");
+        assert_eq!(count("fabric.wakeups"), 1);
+        let (m, left) = receiver.join().unwrap();
+        assert_eq!(&m.env.payload[..], b"c");
+        assert_eq!(m.seq, 2, "the backlog was ingested first, in arrival order");
+        assert_eq!(left, 2);
+        assert_eq!(count("fabric.parks"), 1);
+        // Endpoints fold their per-message counts in when they drop.
+        drop(c0);
+        assert_eq!(count("fabric.wake_skips"), 2);
+        assert_eq!(count("fabric.sends"), 3);
+        assert_eq!(
+            count("match.hits"),
+            1,
+            "the receiver's endpoint is gone too"
+        );
     }
 
     #[test]

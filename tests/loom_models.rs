@@ -1,7 +1,9 @@
-//! Loom models of the workspace's two hand-rolled concurrency
-//! protocols: the telemetry seqlock (`simnet::telemetry::Telemetry::emit`
-//! vs. the reader's double-checked collect) and the shared store's
-//! mux-lane round-robin cursor (`dmtcp::store::SharedStoreWriter`).
+//! Loom models of the workspace's hand-rolled concurrency protocols:
+//! the telemetry seqlock (`simnet::telemetry::Telemetry::emit` vs. the
+//! reader's double-checked collect), the shared store's mux-lane
+//! round-robin cursor (`dmtcp::store::SharedStoreWriter`) and the
+//! fabric's targeted-wake handshake (`simnet::fabric`: `Mailbox::push`
+//! vs. `Endpoint::recv_raw_wanting`).
 //!
 //! The models *mirror* the production protocols rather than
 //! instantiating them (the production types bundle I/O and rings the
@@ -12,7 +14,7 @@
 
 use std::sync::Arc;
 
-use loom::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use loom::sync::Mutex;
 use loom::thread;
 
@@ -198,5 +200,165 @@ fn mux_cursor_alternates_under_a_backlogged_lane() {
             vec![0, 1, 0, 1],
             "strict alternation regardless of when the push lands"
         );
+    });
+}
+
+/// Mirror of one fabric mailbox (fabric.rs `Mailbox`) as the wake
+/// handshake sees it. `queued` counts envelopes in the stripes; a
+/// sender adds [`WANTED`] or [`UNWANTED`], so the model can tell which
+/// kind is there. The gate holds the parked receiver's want — here just
+/// the source it waits for — and `asleep`, which stands for "inside
+/// `Condvar::wait`": the receiver sets it as it lets go of the gate
+/// (wait releases and sleeps atomically) and a notify clears it; a
+/// notify that finds nobody asleep is lost, as a real one is.
+///
+/// The model notifies while it still holds the gate; production
+/// notifies just after releasing it. Whoever is asleep at the earlier
+/// moment is still asleep at the later one, so the real notify wakes
+/// every sleeper the model's does: a receiver the model never strands
+/// is not stranded in production either.
+struct MailboxModel {
+    queued: AtomicUsize,
+    waiters: AtomicUsize,
+    gate: Mutex<Gate>,
+    /// Which of the receiver's looks at `queued` (0, 1, 2) is the first
+    /// to find the unwanted sender's envelope; see [`Self::look`].
+    unwanted_at: usize,
+}
+
+struct Gate {
+    want: usize,
+    asleep: bool,
+}
+
+/// The source the receiver waits for, and its envelope's `queued` weight.
+const WANTED_SRC: usize = 1;
+const WANTED: usize = 0x10;
+/// Another source's envelope.
+const UNWANTED: usize = 0x01;
+/// The receiver looks at `queued` three times; 3 = "after all of them".
+const LOOKS: usize = 3;
+
+impl MailboxModel {
+    fn new(waiters: usize, want: usize, unwanted_at: usize) -> Arc<MailboxModel> {
+        Arc::new(MailboxModel {
+            queued: AtomicUsize::new(0),
+            waiters: AtomicUsize::new(waiters),
+            gate: Mutex::new(Gate {
+                want,
+                asleep: false,
+            }),
+            unwanted_at,
+        })
+    }
+
+    /// `Mailbox::push` of the wanted envelope: enqueue, then — only if a
+    /// receiver is registered — read its want under the gate and notify
+    /// if it admits source 1.
+    fn push_wanted(&self) {
+        self.queued.fetch_add(WANTED, SeqCst);
+        if self.waiters.load(SeqCst) == 0 {
+            return;
+        }
+        let mut gate = self.gate.lock().unwrap();
+        if gate.want == WANTED_SRC {
+            gate.asleep = false;
+        }
+    }
+
+    /// `Mailbox::push` from the source the receiver never waits for, as
+    /// far as anyone can tell it happened. Its notify is always skipped,
+    /// and what leads up to the skip — a load of `waiters`, the gate
+    /// taken for a read — changes nothing anyone else can see; that
+    /// leaves its enqueue, which only the receiver's looks at `queued`
+    /// observe. So instead of a third thread (3 threads put the search
+    /// past 40 000 interleavings) the model is run once per place the
+    /// enqueue can fall among those looks, and makes it there.
+    fn look(&self, nth: usize) {
+        if nth == self.unwanted_at {
+            self.queued.fetch_add(UNWANTED, SeqCst);
+        }
+    }
+
+    /// The park of `recv_raw_wanting`: publish the want and register
+    /// under the gate, re-check `queued`, sleep if it is empty. Returns
+    /// whether the receiver went to sleep.
+    fn park(&self, look: usize) -> bool {
+        let mut gate = self.gate.lock().unwrap();
+        gate.want = WANTED_SRC;
+        self.waiters.fetch_add(1, SeqCst);
+        self.look(look);
+        gate.asleep = self.queued.load(SeqCst) == 0;
+        gate.asleep
+    }
+
+    /// The receive loop, from the moment the receiver has found the
+    /// mailbox empty, until it sleeps or has the wanted envelope within
+    /// reach. The unwanted envelope can make it take one lap: deregister
+    /// (late, as production does), take what is there, park again. After
+    /// that lap the only envelope that can keep it awake is the wanted
+    /// one.
+    fn receive(&self) {
+        if self.park(0) {
+            return;
+        }
+        self.waiters.fetch_sub(1, SeqCst);
+        self.look(1);
+        let taken = self.queued.swap(0, SeqCst);
+        if taken & WANTED == 0 {
+            self.park(2);
+        }
+    }
+
+    /// With every sender retired: a receiver still asleep while the
+    /// envelope it wants sits in the mailbox will sleep forever.
+    fn assert_not_stranded(&self) {
+        let asleep = self.gate.lock().unwrap().asleep;
+        let stranded = asleep && self.queued.load(SeqCst) & WANTED != 0;
+        assert!(!stranded, "receiver asleep with its envelope queued");
+    }
+}
+
+/// One receiver wanting source 1, a sender it wants and one it does
+/// not: in no interleaving does the receiver end up asleep with the
+/// wanted envelope queued — the unwanted envelope making the receiver
+/// take a lap (and leave `waiters` briefly stale), and the wanted
+/// sender reading `waiters` or the want at any point in between,
+/// included.
+#[test]
+fn targeted_wake_never_strands_a_receiver_whose_envelope_is_queued() {
+    for unwanted_at in 0..=LOOKS {
+        loom::model(move || {
+            let mb = MailboxModel::new(0, WANTED_SRC, unwanted_at);
+            let wanted = {
+                let mb = mb.clone();
+                thread::spawn(move || mb.push_wanted())
+            };
+            mb.receive();
+            wanted.join().unwrap();
+            mb.assert_not_stranded();
+        });
+    }
+}
+
+/// The stale-`waiters` window on its own (fabric.rs module docs, "No
+/// lost wake-up", case (c)): the receiver has just been woken from a
+/// park that wanted *another* source — `waiters` is still 1 and the
+/// gate still holds that want — and goes round to park for source 1
+/// while source 1's sender runs. The sender may see the stale count
+/// and, under the gate, either want; the receiver must not end up
+/// asleep with the envelope queued.
+#[test]
+fn targeted_wake_survives_a_stale_waiter_count_and_a_stale_want() {
+    loom::model(|| {
+        let mb = MailboxModel::new(1, 2, LOOKS);
+        let sender = {
+            let mb = mb.clone();
+            thread::spawn(move || mb.push_wanted())
+        };
+        mb.waiters.fetch_sub(1, SeqCst);
+        mb.receive();
+        sender.join().unwrap();
+        mb.assert_not_stranded();
     });
 }
