@@ -21,8 +21,10 @@
 
 use bytes::Bytes;
 
-use crate::engine::{SrcSel, TagSel};
-use crate::mpih::{self, MpiComm, MpiDatatype, MpiOp, MpichResult};
+use simnet::mpi::{chunk_lengths, Collectives, Process};
+use simnet::{SrcPattern, TagPattern};
+
+use crate::mpih::{self, MpiComm, MpiDatatype, MpiOp, Mpich, MpichResult};
 use crate::objects::CommInfo;
 use crate::proc::MpichProcess;
 
@@ -51,73 +53,13 @@ fn ceil_log2(n: usize) -> u32 {
     usize::BITS - n.saturating_sub(1).leading_zeros()
 }
 
-/// Split `total` elements into `parts` chunk lengths (in elements),
-/// front-loading the remainder like MPICH does.
-fn chunk_lengths(total_elems: usize, parts: usize) -> Vec<usize> {
-    let base = total_elems / parts;
-    let rem = total_elems % parts;
-    (0..parts).map(|i| base + usize::from(i < rem)).collect()
-}
-
-impl MpichProcess {
-    fn validate_coll(
-        &self,
-        comm: MpiComm,
-        dt: MpiDatatype,
-        buf_len: usize,
-    ) -> MpichResult<(CommInfo, usize)> {
-        if self.is_finalized() {
-            return Err(mpih::MPI_ERR_FINALIZED);
-        }
-        let info = self.info(comm)?;
-        let elem = self.check_typed_buf(dt, buf_len)?;
-        Ok((info, elem))
-    }
-
-    fn validate_root(info: &CommInfo, root: i32) -> MpichResult<usize> {
-        if root < 0 || root as usize >= info.size() {
-            Err(mpih::MPI_ERR_ROOT)
-        } else {
-            Ok(root as usize)
-        }
-    }
-
-    fn validate_op(&self, op: MpiOp) -> MpichResult<()> {
-        if crate::objects::Tables::is_builtin_op(op) {
-            Ok(())
-        } else {
-            self.tables.user_op(op).map(|_| ())
-        }
-    }
-
-    /// Ordered combine: `acc = lower op higher` where `other_first` says the
-    /// incoming data precedes `acc` in rank order. Charges reduction CPU.
-    fn combine_ordered(
-        &mut self,
-        op: MpiOp,
-        dt: MpiDatatype,
-        acc: &mut [u8],
-        other: &[u8],
-        other_first: bool,
-    ) -> MpichResult<()> {
-        self.charge_reduce_cost(acc.len());
-        if other_first {
-            self.combine_with(op, dt, acc, other)
-        } else {
-            // acc op other: run the user/builtin fn with roles swapped.
-            let mut tmp = other.to_vec();
-            self.combine_with(op, dt, &mut tmp, acc)?;
-            acc.copy_from_slice(&tmp);
-            Ok(())
-        }
-    }
-
+impl Collectives<Mpich> for MpichProcess {
     // ------------------------------------------------------------------
     // Barrier: dissemination
     // ------------------------------------------------------------------
 
     /// `MPI_Barrier` — dissemination algorithm, ⌈log₂ n⌉ rounds.
-    pub fn barrier(&mut self, comm: MpiComm) -> MpichResult<()> {
+    fn barrier(&mut self, comm: MpiComm) -> MpichResult<()> {
         let (info, _) = self.validate_coll(comm, mpih::MPI_BYTE, 0)?;
         let n = info.size();
         if n == 1 {
@@ -129,7 +71,12 @@ impl MpichProcess {
             let dst = ((me + k) % n) as i32;
             let src = info.world_of(((me + n - k) % n) as i32)?;
             self.xsend(&info, true, dst, TAG_BARRIER, Bytes::new())?;
-            self.xrecv(&info, true, SrcSel::World(src), TagSel::Is(TAG_BARRIER))?;
+            self.xrecv(
+                &info,
+                true,
+                SrcPattern::Is(src),
+                TagPattern::Is(TAG_BARRIER),
+            )?;
             k <<= 1;
         }
         Ok(())
@@ -140,7 +87,7 @@ impl MpichProcess {
     // ------------------------------------------------------------------
 
     /// `MPI_Bcast`.
-    pub fn bcast(
+    fn bcast(
         &mut self,
         buf: &mut [u8],
         dt: MpiDatatype,
@@ -148,17 +95,353 @@ impl MpichProcess {
         comm: MpiComm,
     ) -> MpichResult<()> {
         let (info, elem) = self.validate_coll(comm, dt, buf.len())?;
-        let root = Self::validate_root(&info, root)?;
+        let root = Process::validate_root(&info, root)?;
         if info.size() == 1 || buf.is_empty() {
             return Ok(());
         }
-        if buf.len() <= self.tuning().bcast_binomial_max {
+        if buf.len() <= self.tuning.bcast_binomial_max {
             self.bcast_binomial(&info, buf, root)
         } else {
             self.bcast_vandegeijn(&info, buf, elem, root)
         }
     }
 
+    // ------------------------------------------------------------------
+    // Reduce: binomial tree
+    // ------------------------------------------------------------------
+
+    /// `MPI_Reduce`. `recvbuf` must equal `sendbuf` in length at the root
+    /// (it may be empty elsewhere).
+    fn reduce(
+        &mut self,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        dt: MpiDatatype,
+        op: MpiOp,
+        root: i32,
+        comm: MpiComm,
+    ) -> MpichResult<()> {
+        let (info, _) = self.validate_coll(comm, dt, sendbuf.len())?;
+        let root = Process::validate_root(&info, root)?;
+        self.validate_op(op)?;
+        let me = info.my_rank as usize;
+        if me == root && recvbuf.len() != sendbuf.len() {
+            return Err(mpih::MPI_ERR_COUNT);
+        }
+        let n = info.size();
+        let mut acc = sendbuf.to_vec();
+        let rel = (me + n - root) % n;
+        let mut mask = 1usize;
+        while mask < n {
+            if rel & mask != 0 {
+                // Interior/leaf node: pass the subtree result to the parent.
+                let parent = ((rel - mask) + root) % n;
+                self.xsend(&info, true, parent as i32, TAG_REDUCE, Bytes::from(acc))?;
+                return Ok(());
+            }
+            let child_rel = rel | mask;
+            if child_rel < n {
+                let child = (child_rel + root) % n;
+                let got = self.xrecv(
+                    &info,
+                    true,
+                    SrcPattern::Is(info.world_of(child as i32)?),
+                    TagPattern::Is(TAG_REDUCE),
+                )?;
+                if got.env.len() != acc.len() {
+                    return Err(mpih::MPI_ERR_TRUNCATE);
+                }
+                // Child subtree holds higher relative ranks: acc ∘ child.
+                self.combine_ordered(op, dt, &mut acc, &got.env.payload, false)?;
+            }
+            mask <<= 1;
+        }
+        recvbuf.copy_from_slice(&acc);
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Allreduce: recursive doubling / Rabenseifner
+    // ------------------------------------------------------------------
+
+    /// `MPI_Allreduce`.
+    fn allreduce(
+        &mut self,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        dt: MpiDatatype,
+        op: MpiOp,
+        comm: MpiComm,
+    ) -> MpichResult<()> {
+        let (info, elem) = self.validate_coll(comm, dt, sendbuf.len())?;
+        self.validate_op(op)?;
+        if recvbuf.len() != sendbuf.len() {
+            return Err(mpih::MPI_ERR_COUNT);
+        }
+        recvbuf.copy_from_slice(sendbuf);
+        if info.size() == 1 || sendbuf.is_empty() {
+            return Ok(());
+        }
+        if sendbuf.len() <= self.tuning.allreduce_recdbl_max || sendbuf.len() / elem < info.size() {
+            self.allreduce_recdbl(&info, recvbuf, dt, op)
+        } else {
+            self.allreduce_rabenseifner(&info, recvbuf, elem, dt, op)
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Gather / Scatter: binomial trees
+    // ------------------------------------------------------------------
+
+    /// `MPI_Gather` (equal contributions; `recvbuf` significant at root).
+    fn gather(
+        &mut self,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        dt: MpiDatatype,
+        root: i32,
+        comm: MpiComm,
+    ) -> MpichResult<()> {
+        let (info, _) = self.validate_coll(comm, dt, sendbuf.len())?;
+        let root = Process::validate_root(&info, root)?;
+        let n = info.size();
+        let me = info.my_rank as usize;
+        let block = sendbuf.len();
+        if me == root && recvbuf.len() != block * n {
+            return Err(mpih::MPI_ERR_COUNT);
+        }
+        if n == 1 {
+            recvbuf.copy_from_slice(sendbuf);
+            return Ok(());
+        }
+        let rel = (me + n - root) % n;
+        let myspan = if rel == 0 {
+            n
+        } else {
+            lsb(rel).unwrap().min(n - rel)
+        };
+        // tmp holds relative blocks [rel, rel+myspan).
+        let mut tmp = vec![0u8; block * myspan];
+        tmp[..block].copy_from_slice(sendbuf);
+        let limit = if rel == 0 { n } else { lsb(rel).unwrap() };
+        let mut mask = 1usize;
+        while mask < limit {
+            let child_rel = rel + mask;
+            if child_rel < n {
+                let child_span = mask.min(n - child_rel);
+                let child = (child_rel + root) % n;
+                let got = self.xrecv(
+                    &info,
+                    true,
+                    SrcPattern::Is(info.world_of(child as i32)?),
+                    TagPattern::Is(TAG_GATHER),
+                )?;
+                if got.env.len() != block * child_span {
+                    return Err(mpih::MPI_ERR_TRUNCATE);
+                }
+                tmp[block * mask..block * (mask + child_span)].copy_from_slice(&got.env.payload);
+            }
+            mask <<= 1;
+        }
+        if rel != 0 {
+            let parent = ((rel - lsb(rel).unwrap()) + root) % n;
+            self.xsend(&info, true, parent as i32, TAG_GATHER, Bytes::from(tmp))?;
+        } else {
+            // Root: rotate relative order back to absolute ranks.
+            for i in 0..n {
+                let abs = (i + root) % n;
+                recvbuf[abs * block..(abs + 1) * block]
+                    .copy_from_slice(&tmp[i * block..(i + 1) * block]);
+            }
+        }
+        Ok(())
+    }
+
+    /// `MPI_Scatter` (equal blocks; `sendbuf` significant at root).
+    fn scatter(
+        &mut self,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        dt: MpiDatatype,
+        root: i32,
+        comm: MpiComm,
+    ) -> MpichResult<()> {
+        let (info, _) = self.validate_coll(comm, dt, recvbuf.len())?;
+        let root = Process::validate_root(&info, root)?;
+        let n = info.size();
+        let me = info.my_rank as usize;
+        let block = recvbuf.len();
+        if me == root && sendbuf.len() != block * n {
+            return Err(mpih::MPI_ERR_COUNT);
+        }
+        if n == 1 {
+            recvbuf.copy_from_slice(sendbuf);
+            return Ok(());
+        }
+        let rel = (me + n - root) % n;
+        let myspan = if rel == 0 {
+            n
+        } else {
+            lsb(rel).unwrap().min(n - rel)
+        };
+        let mut tmp = vec![0u8; block * myspan];
+        if rel == 0 {
+            // Pack into relative order.
+            for i in 0..n {
+                let abs = (i + root) % n;
+                tmp[i * block..(i + 1) * block]
+                    .copy_from_slice(&sendbuf[abs * block..(abs + 1) * block]);
+            }
+        } else {
+            let parent = ((rel - lsb(rel).unwrap()) + root) % n;
+            let got = self.xrecv(
+                &info,
+                true,
+                SrcPattern::Is(info.world_of(parent as i32)?),
+                TagPattern::Is(TAG_SCATTER),
+            )?;
+            if got.env.len() != tmp.len() {
+                return Err(mpih::MPI_ERR_TRUNCATE);
+            }
+            tmp.copy_from_slice(&got.env.payload);
+        }
+        // Send sub-spans to children, largest child first.
+        let mut mask = if rel == 0 {
+            1usize << (ceil_log2(n).saturating_sub(1))
+        } else {
+            lsb(rel).unwrap() >> 1
+        };
+        while mask > 0 {
+            let child_rel = rel + mask;
+            if child_rel < n {
+                let child_span = mask.min(n - child_rel);
+                let child = (child_rel + root) % n;
+                let payload =
+                    Bytes::copy_from_slice(&tmp[block * mask..block * (mask + child_span)]);
+                self.xsend(&info, true, child as i32, TAG_SCATTER, payload)?;
+            }
+            mask >>= 1;
+        }
+        recvbuf.copy_from_slice(&tmp[..block]);
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Allgather: Bruck (small) / ring (large)
+    // ------------------------------------------------------------------
+
+    /// `MPI_Allgather` (equal contributions).
+    fn allgather(
+        &mut self,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        dt: MpiDatatype,
+        comm: MpiComm,
+    ) -> MpichResult<()> {
+        let (info, _) = self.validate_coll(comm, dt, sendbuf.len())?;
+        let n = info.size();
+        let block = sendbuf.len();
+        if recvbuf.len() != block * n {
+            return Err(mpih::MPI_ERR_COUNT);
+        }
+        if n == 1 {
+            recvbuf.copy_from_slice(sendbuf);
+            return Ok(());
+        }
+        if block * n <= self.tuning.allgather_bruck_max {
+            self.allgather_bruck(&info, sendbuf, recvbuf, block)
+        } else {
+            self.allgather_ring(&info, sendbuf, recvbuf, block)
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Alltoall: Bruck / posted nonblocking / pairwise
+    // ------------------------------------------------------------------
+
+    /// `MPI_Alltoall` (equal blocks).
+    fn alltoall(
+        &mut self,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        dt: MpiDatatype,
+        comm: MpiComm,
+    ) -> MpichResult<()> {
+        let (info, _) = self.validate_coll(comm, dt, sendbuf.len())?;
+        let n = info.size();
+        if sendbuf.len() != recvbuf.len() || !sendbuf.len().is_multiple_of(n) {
+            return Err(mpih::MPI_ERR_COUNT);
+        }
+        let block = sendbuf.len() / n;
+        if n == 1 {
+            recvbuf.copy_from_slice(sendbuf);
+            return Ok(());
+        }
+        if block <= self.tuning.alltoall_bruck_max {
+            self.alltoall_bruck(&info, sendbuf, recvbuf, block)
+        } else if block >= self.tuning.alltoall_pairwise_min {
+            self.alltoall_pairwise(&info, sendbuf, recvbuf, block)
+        } else {
+            self.alltoall_posted(&info, sendbuf, recvbuf, block)
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Scan: recursive doubling (Hillis–Steele)
+    // ------------------------------------------------------------------
+
+    /// `MPI_Scan` (inclusive prefix reduction).
+    fn scan(
+        &mut self,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        dt: MpiDatatype,
+        op: MpiOp,
+        comm: MpiComm,
+    ) -> MpichResult<()> {
+        let (info, _) = self.validate_coll(comm, dt, sendbuf.len())?;
+        self.validate_op(op)?;
+        if recvbuf.len() != sendbuf.len() {
+            return Err(mpih::MPI_ERR_COUNT);
+        }
+        let n = info.size();
+        let me = info.my_rank as usize;
+        recvbuf.copy_from_slice(sendbuf);
+        if n == 1 || sendbuf.is_empty() {
+            return Ok(());
+        }
+        // `partial` is the running combination of a contiguous block of
+        // ranks ending at me; `recvbuf` accumulates the full prefix.
+        let mut partial = sendbuf.to_vec();
+        let mut d = 1usize;
+        while d < n {
+            if me + d < n {
+                self.xsend(
+                    &info,
+                    true,
+                    (me + d) as i32,
+                    TAG_SCAN,
+                    Bytes::copy_from_slice(&partial),
+                )?;
+            }
+            if me >= d {
+                let src = info.world_of((me - d) as i32)?;
+                let got = self.xrecv(&info, true, SrcPattern::Is(src), TagPattern::Is(TAG_SCAN))?;
+                if got.env.len() != partial.len() {
+                    return Err(mpih::MPI_ERR_TRUNCATE);
+                }
+                // Incoming covers ranks strictly below my block.
+                self.combine_ordered(op, dt, &mut partial, &got.env.payload, true)?;
+                self.combine_ordered(op, dt, recvbuf, &got.env.payload, true)?;
+            }
+            d <<= 1;
+        }
+        Ok(())
+    }
+}
+
+// The algorithms behind the entry points above.
+impl MpichProcess {
     fn bcast_binomial(&mut self, info: &CommInfo, buf: &mut [u8], root: usize) -> MpichResult<()> {
         let n = info.size();
         let me = info.my_rank as usize;
@@ -170,8 +453,8 @@ impl MpichProcess {
                 let got = self.xrecv(
                     info,
                     true,
-                    SrcSel::World(info.world_of(parent as i32)?),
-                    TagSel::Is(TAG_BCAST),
+                    SrcPattern::Is(info.world_of(parent as i32)?),
+                    TagPattern::Is(TAG_BCAST),
                 )?;
                 if got.env.len() != buf.len() {
                     return Err(mpih::MPI_ERR_TRUNCATE);
@@ -229,8 +512,8 @@ impl MpichProcess {
             let got = self.xrecv(
                 info,
                 true,
-                SrcSel::World(info.world_of(parent as i32)?),
-                TagSel::Is(TAG_BCAST),
+                SrcPattern::Is(info.world_of(parent as i32)?),
+                TagPattern::Is(TAG_BCAST),
             )?;
             // Chunk span [rel, rel+myspan) arrives packed.
             let mut off = 0usize;
@@ -276,8 +559,8 @@ impl MpichProcess {
             let got = self.xrecv(
                 info,
                 true,
-                SrcSel::World(left_world),
-                TagSel::Is(TAG_BCAST + 0x10),
+                SrcPattern::Is(left_world),
+                TagPattern::Is(TAG_BCAST + 0x10),
             )?;
             if got.env.len() != lens[recv_i] {
                 return Err(mpih::MPI_ERR_TRUNCATE);
@@ -285,90 +568,6 @@ impl MpichProcess {
             buf[offs[recv_i]..offs[recv_i] + lens[recv_i]].copy_from_slice(&got.env.payload);
         }
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Reduce: binomial tree
-    // ------------------------------------------------------------------
-
-    /// `MPI_Reduce`. `recvbuf` must equal `sendbuf` in length at the root
-    /// (it may be empty elsewhere).
-    pub fn reduce(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: MpiDatatype,
-        op: MpiOp,
-        root: i32,
-        comm: MpiComm,
-    ) -> MpichResult<()> {
-        let (info, _) = self.validate_coll(comm, dt, sendbuf.len())?;
-        let root = Self::validate_root(&info, root)?;
-        self.validate_op(op)?;
-        let me = info.my_rank as usize;
-        if me == root && recvbuf.len() != sendbuf.len() {
-            return Err(mpih::MPI_ERR_COUNT);
-        }
-        let n = info.size();
-        let mut acc = sendbuf.to_vec();
-        let rel = (me + n - root) % n;
-        let mut mask = 1usize;
-        while mask < n {
-            if rel & mask != 0 {
-                // Interior/leaf node: pass the subtree result to the parent.
-                let parent = ((rel - mask) + root) % n;
-                self.xsend(&info, true, parent as i32, TAG_REDUCE, Bytes::from(acc))?;
-                return Ok(());
-            }
-            let child_rel = rel | mask;
-            if child_rel < n {
-                let child = (child_rel + root) % n;
-                let got = self.xrecv(
-                    &info,
-                    true,
-                    SrcSel::World(info.world_of(child as i32)?),
-                    TagSel::Is(TAG_REDUCE),
-                )?;
-                if got.env.len() != acc.len() {
-                    return Err(mpih::MPI_ERR_TRUNCATE);
-                }
-                // Child subtree holds higher relative ranks: acc ∘ child.
-                self.combine_ordered(op, dt, &mut acc, &got.env.payload, false)?;
-            }
-            mask <<= 1;
-        }
-        recvbuf.copy_from_slice(&acc);
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Allreduce: recursive doubling / Rabenseifner
-    // ------------------------------------------------------------------
-
-    /// `MPI_Allreduce`.
-    pub fn allreduce(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: MpiDatatype,
-        op: MpiOp,
-        comm: MpiComm,
-    ) -> MpichResult<()> {
-        let (info, elem) = self.validate_coll(comm, dt, sendbuf.len())?;
-        self.validate_op(op)?;
-        if recvbuf.len() != sendbuf.len() {
-            return Err(mpih::MPI_ERR_COUNT);
-        }
-        recvbuf.copy_from_slice(sendbuf);
-        if info.size() == 1 || sendbuf.is_empty() {
-            return Ok(());
-        }
-        if sendbuf.len() <= self.tuning().allreduce_recdbl_max || sendbuf.len() / elem < info.size()
-        {
-            self.allreduce_recdbl(&info, recvbuf, dt, op)
-        } else {
-            self.allreduce_rabenseifner(&info, recvbuf, elem, dt, op)
-        }
     }
 
     /// Fold non-power-of-two ranks: returns `Some(newrank)` for ranks that
@@ -401,7 +600,7 @@ impl MpichProcess {
                 Ok(None)
             } else {
                 let src = info.world_of((me - 1) as i32)?;
-                let got = self.xrecv(info, true, SrcSel::World(src), TagSel::Is(tag))?;
+                let got = self.xrecv(info, true, SrcPattern::Is(src), TagPattern::Is(tag))?;
                 if got.env.len() != acc.len() {
                     return Err(mpih::MPI_ERR_TRUNCATE);
                 }
@@ -453,7 +652,7 @@ impl MpichProcess {
                 )?;
             } else {
                 let src = info.world_of((me + 1) as i32)?;
-                let got = self.xrecv(info, true, SrcSel::World(src), TagSel::Is(tag))?;
+                let got = self.xrecv(info, true, SrcPattern::Is(src), TagPattern::Is(tag))?;
                 if got.env.len() != acc.len() {
                     return Err(mpih::MPI_ERR_TRUNCATE);
                 }
@@ -497,8 +696,8 @@ impl MpichProcess {
                 let got = self.xrecv(
                     info,
                     true,
-                    SrcSel::World(info.world_of(partner as i32)?),
-                    TagSel::Is(TAG_ALLREDUCE + 1),
+                    SrcPattern::Is(info.world_of(partner as i32)?),
+                    TagPattern::Is(TAG_ALLREDUCE + 1),
                 )?;
                 if got.env.len() != acc.len() {
                     return Err(mpih::MPI_ERR_TRUNCATE);
@@ -576,8 +775,8 @@ impl MpichProcess {
                 let got = self.xrecv(
                     info,
                     true,
-                    SrcSel::World(info.world_of(partner as i32)?),
-                    TagSel::Is(TAG_ALLREDUCE + 3),
+                    SrcPattern::Is(info.world_of(partner as i32)?),
+                    TagPattern::Is(TAG_ALLREDUCE + 3),
                 )?;
                 let (kb, ke) = span(keep_lo, keep_hi);
                 if got.env.len() != ke - kb {
@@ -612,8 +811,8 @@ impl MpichProcess {
                 let got = self.xrecv(
                     info,
                     true,
-                    SrcSel::World(info.world_of(partner as i32)?),
-                    TagSel::Is(TAG_ALLREDUCE + 4),
+                    SrcPattern::Is(info.world_of(partner as i32)?),
+                    TagPattern::Is(TAG_ALLREDUCE + 4),
                 )?;
                 // The partner's range is [slo..lo) or [hi..shi).
                 let (pb, pe) = if lo == slo {
@@ -630,172 +829,6 @@ impl MpichProcess {
             }
         }
         self.fold_extras_post(info, acc, newrank, TAG_ALLREDUCE + 5)
-    }
-
-    // ------------------------------------------------------------------
-    // Gather / Scatter: binomial trees
-    // ------------------------------------------------------------------
-
-    /// `MPI_Gather` (equal contributions; `recvbuf` significant at root).
-    pub fn gather(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: MpiDatatype,
-        root: i32,
-        comm: MpiComm,
-    ) -> MpichResult<()> {
-        let (info, _) = self.validate_coll(comm, dt, sendbuf.len())?;
-        let root = Self::validate_root(&info, root)?;
-        let n = info.size();
-        let me = info.my_rank as usize;
-        let block = sendbuf.len();
-        if me == root && recvbuf.len() != block * n {
-            return Err(mpih::MPI_ERR_COUNT);
-        }
-        if n == 1 {
-            recvbuf.copy_from_slice(sendbuf);
-            return Ok(());
-        }
-        let rel = (me + n - root) % n;
-        let myspan = if rel == 0 {
-            n
-        } else {
-            lsb(rel).unwrap().min(n - rel)
-        };
-        // tmp holds relative blocks [rel, rel+myspan).
-        let mut tmp = vec![0u8; block * myspan];
-        tmp[..block].copy_from_slice(sendbuf);
-        let limit = if rel == 0 { n } else { lsb(rel).unwrap() };
-        let mut mask = 1usize;
-        while mask < limit {
-            let child_rel = rel + mask;
-            if child_rel < n {
-                let child_span = mask.min(n - child_rel);
-                let child = (child_rel + root) % n;
-                let got = self.xrecv(
-                    &info,
-                    true,
-                    SrcSel::World(info.world_of(child as i32)?),
-                    TagSel::Is(TAG_GATHER),
-                )?;
-                if got.env.len() != block * child_span {
-                    return Err(mpih::MPI_ERR_TRUNCATE);
-                }
-                tmp[block * mask..block * (mask + child_span)].copy_from_slice(&got.env.payload);
-            }
-            mask <<= 1;
-        }
-        if rel != 0 {
-            let parent = ((rel - lsb(rel).unwrap()) + root) % n;
-            self.xsend(&info, true, parent as i32, TAG_GATHER, Bytes::from(tmp))?;
-        } else {
-            // Root: rotate relative order back to absolute ranks.
-            for i in 0..n {
-                let abs = (i + root) % n;
-                recvbuf[abs * block..(abs + 1) * block]
-                    .copy_from_slice(&tmp[i * block..(i + 1) * block]);
-            }
-        }
-        Ok(())
-    }
-
-    /// `MPI_Scatter` (equal blocks; `sendbuf` significant at root).
-    pub fn scatter(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: MpiDatatype,
-        root: i32,
-        comm: MpiComm,
-    ) -> MpichResult<()> {
-        let (info, _) = self.validate_coll(comm, dt, recvbuf.len())?;
-        let root = Self::validate_root(&info, root)?;
-        let n = info.size();
-        let me = info.my_rank as usize;
-        let block = recvbuf.len();
-        if me == root && sendbuf.len() != block * n {
-            return Err(mpih::MPI_ERR_COUNT);
-        }
-        if n == 1 {
-            recvbuf.copy_from_slice(sendbuf);
-            return Ok(());
-        }
-        let rel = (me + n - root) % n;
-        let myspan = if rel == 0 {
-            n
-        } else {
-            lsb(rel).unwrap().min(n - rel)
-        };
-        let mut tmp = vec![0u8; block * myspan];
-        if rel == 0 {
-            // Pack into relative order.
-            for i in 0..n {
-                let abs = (i + root) % n;
-                tmp[i * block..(i + 1) * block]
-                    .copy_from_slice(&sendbuf[abs * block..(abs + 1) * block]);
-            }
-        } else {
-            let parent = ((rel - lsb(rel).unwrap()) + root) % n;
-            let got = self.xrecv(
-                &info,
-                true,
-                SrcSel::World(info.world_of(parent as i32)?),
-                TagSel::Is(TAG_SCATTER),
-            )?;
-            if got.env.len() != tmp.len() {
-                return Err(mpih::MPI_ERR_TRUNCATE);
-            }
-            tmp.copy_from_slice(&got.env.payload);
-        }
-        // Send sub-spans to children, largest child first.
-        let mut mask = if rel == 0 {
-            1usize << (ceil_log2(n).saturating_sub(1))
-        } else {
-            lsb(rel).unwrap() >> 1
-        };
-        while mask > 0 {
-            let child_rel = rel + mask;
-            if child_rel < n {
-                let child_span = mask.min(n - child_rel);
-                let child = (child_rel + root) % n;
-                let payload =
-                    Bytes::copy_from_slice(&tmp[block * mask..block * (mask + child_span)]);
-                self.xsend(&info, true, child as i32, TAG_SCATTER, payload)?;
-            }
-            mask >>= 1;
-        }
-        recvbuf.copy_from_slice(&tmp[..block]);
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Allgather: Bruck (small) / ring (large)
-    // ------------------------------------------------------------------
-
-    /// `MPI_Allgather` (equal contributions).
-    pub fn allgather(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: MpiDatatype,
-        comm: MpiComm,
-    ) -> MpichResult<()> {
-        let (info, _) = self.validate_coll(comm, dt, sendbuf.len())?;
-        let n = info.size();
-        let block = sendbuf.len();
-        if recvbuf.len() != block * n {
-            return Err(mpih::MPI_ERR_COUNT);
-        }
-        if n == 1 {
-            recvbuf.copy_from_slice(sendbuf);
-            return Ok(());
-        }
-        if block * n <= self.tuning().allgather_bruck_max {
-            self.allgather_bruck(&info, sendbuf, recvbuf, block)
-        } else {
-            self.allgather_ring(&info, sendbuf, recvbuf, block)
-        }
     }
 
     fn allgather_bruck(
@@ -818,7 +851,12 @@ impl MpichProcess {
             let src = info.world_of(((me + pof2) % n) as i32)?;
             let payload = Bytes::copy_from_slice(&tmp[..block * cnt]);
             self.xsend(info, true, dst, TAG_ALLGATHER, payload)?;
-            let got = self.xrecv(info, true, SrcSel::World(src), TagSel::Is(TAG_ALLGATHER))?;
+            let got = self.xrecv(
+                info,
+                true,
+                SrcPattern::Is(src),
+                TagPattern::Is(TAG_ALLGATHER),
+            )?;
             if got.env.len() != block * cnt {
                 return Err(mpih::MPI_ERR_TRUNCATE);
             }
@@ -854,8 +892,8 @@ impl MpichProcess {
             let got = self.xrecv(
                 info,
                 true,
-                SrcSel::World(left_world),
-                TagSel::Is(TAG_ALLGATHER + 1),
+                SrcPattern::Is(left_world),
+                TagPattern::Is(TAG_ALLGATHER + 1),
             )?;
             if got.env.len() != block {
                 return Err(mpih::MPI_ERR_TRUNCATE);
@@ -863,37 +901,6 @@ impl MpichProcess {
             recvbuf[recv_i * block..(recv_i + 1) * block].copy_from_slice(&got.env.payload);
         }
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Alltoall: Bruck / posted nonblocking / pairwise
-    // ------------------------------------------------------------------
-
-    /// `MPI_Alltoall` (equal blocks).
-    pub fn alltoall(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: MpiDatatype,
-        comm: MpiComm,
-    ) -> MpichResult<()> {
-        let (info, _) = self.validate_coll(comm, dt, sendbuf.len())?;
-        let n = info.size();
-        if sendbuf.len() != recvbuf.len() || !sendbuf.len().is_multiple_of(n) {
-            return Err(mpih::MPI_ERR_COUNT);
-        }
-        let block = sendbuf.len() / n;
-        if n == 1 {
-            recvbuf.copy_from_slice(sendbuf);
-            return Ok(());
-        }
-        if block <= self.tuning().alltoall_bruck_max {
-            self.alltoall_bruck(&info, sendbuf, recvbuf, block)
-        } else if block >= self.tuning().alltoall_pairwise_min {
-            self.alltoall_pairwise(&info, sendbuf, recvbuf, block)
-        } else {
-            self.alltoall_posted(&info, sendbuf, recvbuf, block)
-        }
     }
 
     fn alltoall_bruck(
@@ -923,7 +930,12 @@ impl MpichProcess {
             let dst = ((me + pof2) % n) as i32;
             let src = info.world_of(((me + n - pof2) % n) as i32)?;
             self.xsend(info, true, dst, TAG_ALLTOALL, Bytes::from(packed))?;
-            let got = self.xrecv(info, true, SrcSel::World(src), TagSel::Is(TAG_ALLTOALL))?;
+            let got = self.xrecv(
+                info,
+                true,
+                SrcPattern::Is(src),
+                TagPattern::Is(TAG_ALLTOALL),
+            )?;
             if got.env.len() != indices.len() * block {
                 return Err(mpih::MPI_ERR_TRUNCATE);
             }
@@ -965,8 +977,8 @@ impl MpichProcess {
             let got = self.xrecv(
                 info,
                 true,
-                SrcSel::World(info.world_of(src as i32)?),
-                TagSel::Is(TAG_ALLTOALL + 1),
+                SrcPattern::Is(info.world_of(src as i32)?),
+                TagPattern::Is(TAG_ALLTOALL + 1),
             )?;
             if got.env.len() != block {
                 return Err(mpih::MPI_ERR_TRUNCATE);
@@ -995,8 +1007,8 @@ impl MpichProcess {
             let got = self.xrecv(
                 info,
                 true,
-                SrcSel::World(info.world_of(src as i32)?),
-                TagSel::Is(TAG_ALLTOALL + 2),
+                SrcPattern::Is(info.world_of(src as i32)?),
+                TagPattern::Is(TAG_ALLTOALL + 2),
             )?;
             if got.env.len() != block {
                 return Err(mpih::MPI_ERR_TRUNCATE);
@@ -1004,63 +1016,5 @@ impl MpichProcess {
             recvbuf[src * block..(src + 1) * block].copy_from_slice(&got.env.payload);
         }
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Scan: recursive doubling (Hillis–Steele)
-    // ------------------------------------------------------------------
-
-    /// `MPI_Scan` (inclusive prefix reduction).
-    pub fn scan(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: MpiDatatype,
-        op: MpiOp,
-        comm: MpiComm,
-    ) -> MpichResult<()> {
-        let (info, _) = self.validate_coll(comm, dt, sendbuf.len())?;
-        self.validate_op(op)?;
-        if recvbuf.len() != sendbuf.len() {
-            return Err(mpih::MPI_ERR_COUNT);
-        }
-        let n = info.size();
-        let me = info.my_rank as usize;
-        recvbuf.copy_from_slice(sendbuf);
-        if n == 1 || sendbuf.is_empty() {
-            return Ok(());
-        }
-        // `partial` is the running combination of a contiguous block of
-        // ranks ending at me; `recvbuf` accumulates the full prefix.
-        let mut partial = sendbuf.to_vec();
-        let mut d = 1usize;
-        while d < n {
-            if me + d < n {
-                self.xsend(
-                    &info,
-                    true,
-                    (me + d) as i32,
-                    TAG_SCAN,
-                    Bytes::copy_from_slice(&partial),
-                )?;
-            }
-            if me >= d {
-                let src = info.world_of((me - d) as i32)?;
-                let got = self.xrecv(&info, true, SrcSel::World(src), TagSel::Is(TAG_SCAN))?;
-                if got.env.len() != partial.len() {
-                    return Err(mpih::MPI_ERR_TRUNCATE);
-                }
-                // Incoming covers ranks strictly below my block.
-                self.combine_ordered(op, dt, &mut partial, &got.env.payload, true)?;
-                self.combine_ordered(op, dt, recvbuf, &got.env.payload, true)?;
-            }
-            d <<= 1;
-        }
-        Ok(())
-    }
-
-    /// Access tuning (read-only, for the algorithm selectors above).
-    pub(crate) fn tuning(&self) -> &crate::tuning::Tuning {
-        &self.tuning
     }
 }

@@ -13,8 +13,17 @@
 //!   alltoall, binomial and van de Geijn broadcast, recursive-doubling and
 //!   Rabenseifner allreduce — the MPICH lineage, with MPICH-like switchover
 //!   thresholds ([`tuning::Tuning`]).
-//! * **Its own progress engine** ([`engine`]): unexpected-message queue and
-//!   (context, source, tag) matching above the raw transport.
+//! * **Tuning and cost model** ([`tuning`]): per-message software costs,
+//!   protocol thresholds, and the ch3:sock arrival model
+//!   ([`tuning::SockArrival`]).
+//! * **Object representation** ([`objects`]): slot tables behind the
+//!   bit-packed handles.
+//!
+//! Everything else — matching, point-to-point, requests, communicator and
+//! datatype management, reduction kernels — is the engine every vendor
+//! shares, [`simnet::mpi`], instantiated with this library's header
+//! ([`mpih::Mpich`]). MPI libraries differ in ABI and tuning, not in
+//! semantics.
 //!
 //! The library is instantiated per rank ([`MpichProcess::init`]) inside a
 //! `simnet` world and charges all costs to the rank's virtual clock.
@@ -27,13 +36,11 @@
 #![warn(missing_docs)]
 
 pub mod coll;
-pub mod engine;
-pub mod kernels;
 pub mod mpih;
 pub mod objects;
 pub mod proc;
 pub mod tuning;
 
-pub use objects::MpichUserFn;
+pub use mpih::Mpich;
 pub use proc::MpichProcess;
 pub use tuning::Tuning;

@@ -16,6 +16,8 @@
 //! handle values and status layout are meaningless there. That failure (and
 //! its repair by the `muk` shim) is demonstrated in `examples/abi_mismatch.rs`.
 
+use simnet::mpi::{ElemKind, NativeAbi, NativeStatus};
+
 /// Native communicator handle: a 32-bit integer, MPICH style.
 pub type MpiComm = i32;
 /// Native datatype handle.
@@ -238,6 +240,100 @@ pub const MPI_ERR_FINALIZED: i32 = 110;
 
 /// Result alias for native MPICH-flavour calls: the error is a native code.
 pub type MpichResult<T> = Result<T, i32>;
+
+// ---------------------------------------------------------------------
+// This header, as the shared engine reads it
+// ---------------------------------------------------------------------
+
+/// The MPICH-flavoured native ABI: the marker `simnet::mpi` is generic
+/// over. Every value below is one of this module's constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Mpich;
+
+impl NativeStatus for MpiStatus {
+    fn for_receive(source: i32, tag: i32, bytes: usize) -> MpiStatus {
+        MpiStatus::for_receive(source, tag, bytes as u64)
+    }
+
+    fn source(&self) -> i32 {
+        self.mpi_source
+    }
+
+    fn tag(&self) -> i32 {
+        self.mpi_tag
+    }
+
+    fn error(&self) -> i32 {
+        self.mpi_error
+    }
+
+    fn count_bytes(&self) -> u64 {
+        MpiStatus::count_bytes(self)
+    }
+}
+
+impl NativeAbi for Mpich {
+    type Comm = MpiComm;
+    type Datatype = MpiDatatype;
+    type Op = MpiOp;
+    type Request = MpiRequest;
+    type Status = MpiStatus;
+    type Arrival = crate::tuning::SockArrival;
+    type Store = crate::objects::Tables;
+    type Library = crate::MpichProcess;
+
+    const VERSION: &'static str = crate::Tuning::VERSION;
+    /// ~1.5 GB/s effective combine rate on the simulated Xeon.
+    const REDUCE_BYTES_PER_NS: f64 = 1.5;
+
+    const ANY_SOURCE: i32 = MPI_ANY_SOURCE;
+    const PROC_NULL: i32 = MPI_PROC_NULL;
+    const ANY_TAG: i32 = MPI_ANY_TAG;
+    const TAG_UB: i32 = MPI_TAG_UB;
+    const UNDEFINED: i32 = MPI_UNDEFINED;
+    const COMM_WORLD: MpiComm = MPI_COMM_WORLD;
+    const COMM_SELF: MpiComm = MPI_COMM_SELF;
+    const COMM_NULL: MpiComm = MPI_COMM_NULL;
+    const REQUEST_NULL: MpiRequest = MPI_REQUEST_NULL;
+
+    const SUCCESS: i32 = MPI_SUCCESS;
+    const ERR_BUFFER: i32 = MPI_ERR_BUFFER;
+    const ERR_COUNT: i32 = MPI_ERR_COUNT;
+    const ERR_TYPE: i32 = MPI_ERR_TYPE;
+    const ERR_TAG: i32 = MPI_ERR_TAG;
+    const ERR_COMM: i32 = MPI_ERR_COMM;
+    const ERR_RANK: i32 = MPI_ERR_RANK;
+    const ERR_ROOT: i32 = MPI_ERR_ROOT;
+    const ERR_GROUP: i32 = MPI_ERR_GROUP;
+    const ERR_OP: i32 = MPI_ERR_OP;
+    const ERR_REQUEST: i32 = MPI_ERR_REQUEST;
+    const ERR_TRUNCATE: i32 = MPI_ERR_TRUNCATE;
+    const ERR_ARG: i32 = MPI_ERR_ARG;
+    const ERR_OTHER: i32 = MPI_ERR_OTHER;
+    const ERR_INTERN: i32 = MPI_ERR_INTERN;
+    const ERR_PROC_FAILED: i32 = MPI_ERR_PROC_FAILED;
+    const ERR_SHUTDOWN: i32 = MPI_ERR_SHUTDOWN;
+    const ERR_FINALIZED: i32 = MPI_ERR_FINALIZED;
+
+    const DATATYPES: [(MpiDatatype, usize, ElemKind); 12] = [
+        (MPI_BYTE, 1, ElemKind::Uint(1)),
+        (MPI_CHAR, 1, ElemKind::Uint(1)),
+        (MPI_INT8_T, 1, ElemKind::Int(1)),
+        (MPI_UINT8_T, 1, ElemKind::Uint(1)),
+        (MPI_INT16_T, 2, ElemKind::Int(2)),
+        (MPI_UINT16_T, 2, ElemKind::Uint(2)),
+        (MPI_INT, 4, ElemKind::Int(4)),
+        (MPI_UINT32_T, 4, ElemKind::Uint(4)),
+        (MPI_INT64_T, 8, ElemKind::Int(8)),
+        (MPI_UINT64_T, 8, ElemKind::Uint(8)),
+        (MPI_FLOAT, 4, ElemKind::Float(4)),
+        (MPI_DOUBLE, 8, ElemKind::Float(8)),
+    ];
+    const OPS: [MpiOp; 10] = [
+        MPI_SUM, MPI_PROD, MPI_MIN, MPI_MAX, MPI_LAND, MPI_LOR, MPI_LXOR, MPI_BAND, MPI_BOR,
+        MPI_BXOR,
+    ];
+}
 
 #[cfg(test)]
 mod tests {

@@ -6,7 +6,31 @@
 //! pairwise alltoall, binomial / van-de-Geijn broadcast, recursive-doubling
 //! / Rabenseifner allreduce, with MPICH-like switchover points.
 
-use simnet::VirtualTime;
+use simnet::{ArrivalModel, Envelope, LinkClass, RankCtx, VirtualTime};
+
+/// ch3:sock cost model: small inter-node messages pay the sock channel's
+/// progress-engine wakeup latency on top of the wire arrival. This is
+/// MPICH's [`ArrivalModel`], applied once per message when the shared
+/// matcher ingests it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SockArrival {
+    /// Latency added to qualifying messages.
+    pub small_latency: VirtualTime,
+    /// Payloads up to this size qualify.
+    pub small_max: usize,
+}
+
+impl ArrivalModel for SockArrival {
+    fn arrival(&self, ctx: &RankCtx, env: &Envelope) -> VirtualTime {
+        let mut arrival = ctx.arrival_time(env);
+        if env.payload.len() <= self.small_max
+            && ctx.spec().link_class(env.src, ctx.rank()) == LinkClass::InterNode
+        {
+            arrival += self.small_latency;
+        }
+        arrival
+    }
+}
 
 /// Tuning parameters for the MPICH-flavoured library.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,5 +107,47 @@ mod tests {
         // messages (it models per-wakeup latency, not bandwidth).
         assert!(t.sock_small_max <= t.eager_threshold);
         assert!(t.sock_small_latency > VirtualTime::ZERO);
+    }
+
+    #[test]
+    fn sock_latency_applies_to_small_internode_only() {
+        use simnet::{ClusterSpec, Fabric, MatchCore, NoiseModel, SrcPattern, TagPattern};
+        use std::sync::Arc;
+
+        let spec = Arc::new(ClusterSpec::builder().nodes(2).ranks_per_node(1).build());
+        let (_fabric, mut eps) = Fabric::new(&spec);
+        let ep1 = eps.pop().unwrap();
+        let ep0 = eps.pop().unwrap();
+        let c0 = RankCtx::new(
+            0,
+            spec.clone(),
+            ep0,
+            NoiseModel::disabled().stream_for_rank(0),
+        );
+        let c1 = RankCtx::new(1, spec, ep1, NoiseModel::disabled().stream_for_rank(1));
+        let sock = VirtualTime::from_micros(50);
+        for (tag, data) in [(0, &b"small"[..]), (1, &[0u8; 4096][..])] {
+            c0.endpoint()
+                .send_raw(1, 0, tag, bytes::Bytes::copy_from_slice(data), &c0)
+                .unwrap();
+        }
+        let mut core = MatchCore::with_model(SockArrival {
+            small_latency: sock,
+            small_max: 1024,
+        });
+        let mut matched = |tag| {
+            core.try_match(&c1, 0, SrcPattern::Any, TagPattern::Is(tag))
+                .unwrap()
+                .unwrap()
+        };
+        let (small, big) = (matched(0), matched(1));
+        let wire_small = small.env.depart + c1.spec().link_between(0, 1).alpha;
+        assert_eq!(
+            small.arrival,
+            wire_small + sock,
+            "small message pays sock latency"
+        );
+        let wire_big = big.env.depart + c1.spec().link_between(0, 1).alpha;
+        assert_eq!(big.arrival, wire_big, "large message does not");
     }
 }

@@ -4,6 +4,7 @@
 //! thresholds (forced via custom tuning).
 
 use mpich_sim::{mpih, MpichProcess, Tuning};
+use simnet::mpi::Collectives;
 use simnet::{ClusterSpec, World};
 
 /// Tuning that forces the *large-message* algorithm everywhere.

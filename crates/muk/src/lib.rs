@@ -10,11 +10,12 @@
 //!
 //! * [`registry`] — the "dynamic loader": a soname-keyed table of wrap
 //!   library factories ([`registry::open_wrap`] is our `dlopen`);
-//! * [`mpich_wrap`] / [`ompi_wrap`] — the wrap libraries: each implements
-//!   the standard [`mpi_abi::MpiAbi`] function table over one vendor's
-//!   native API, translating handles (bidirectional tables), constants
-//!   (`ANY_SOURCE` −1↔−2 …), datatypes, reduction ops, status layouts, and
-//!   error codes;
+//! * [`wrap`] — the wrap library: **one** generic body ([`wrap::Wrap`])
+//!   implementing the standard [`mpi_abi::MpiAbi`] function table over a
+//!   vendor's native API, instantiated once per vendor header the way the
+//!   real wrap source is compiled once per `mpi.h`; it translates handles
+//!   (bidirectional tables), constants (`ANY_SOURCE` −1↔−2 …), datatypes,
+//!   reduction ops, status layouts, and error codes;
 //! * [`shim`] — `libmuk.so` itself: [`shim::MukShim`] fronts a wrap library,
 //!   charges the per-call translation overhead to the rank's virtual clock
 //!   (the cost the paper measures in §5.1), and reports a combined library
@@ -32,11 +33,10 @@
 
 mod bimap;
 pub mod fold;
-pub mod mpich_wrap;
-pub mod ompi_wrap;
 pub mod overhead;
 pub mod registry;
 pub mod shim;
+pub mod wrap;
 
 pub use overhead::MukOverhead;
 pub use registry::{open_wrap, soname_for, Vendor};

@@ -10,8 +10,10 @@ use std::rc::Rc;
 use mpi_abi::MpiAbi;
 use simnet::RankCtx;
 
-use crate::mpich_wrap::MpichWrap;
-use crate::ompi_wrap::OmpiWrap;
+use mpich_sim::{Mpich, MpichProcess};
+use ompi_sim::{OmpiProcess, OpenMpi};
+
+use crate::wrap::Wrap;
 
 /// The MPI implementations the shim can bind to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,13 +52,14 @@ pub fn soname_for(vendor: Vendor) -> &'static str {
     }
 }
 
-/// "dlopen" a wrap library by soname and initialize the vendor library
+/// "dlopen" a wrap library by soname — the one wrap source, instantiated
+/// for that vendor's header — and initialize the vendor library
 /// underneath it for this rank. Unknown sonames fail like a missing shared
 /// object would.
 pub fn open_wrap(soname: &str, ctx: Rc<RankCtx>) -> Result<Box<dyn MpiAbi>, String> {
     match soname {
-        "libmpich-wrap.so" => Ok(Box::new(MpichWrap::open(ctx))),
-        "libompi-wrap.so" => Ok(Box::new(OmpiWrap::open(ctx))),
+        "libmpich-wrap.so" => Ok(Box::new(Wrap::<Mpich>::open(MpichProcess::init(ctx)))),
+        "libompi-wrap.so" => Ok(Box::new(Wrap::<OpenMpi>::open(OmpiProcess::init(ctx)))),
         other => Err(format!(
             "cannot open shared object file: {other}: No such file"
         )),

@@ -1,12 +1,13 @@
-//! `libompi-wrap.so`: the wrap library that makes the Open MPI-flavoured
-//! vendor library speak the standard ABI.
+//! The wrap library: what makes a vendor library speak the standard ABI.
 //!
-//! The mirror image of [`crate::mpich_wrap`], compiled against the *other*
-//! vendor's headers: pointer handles instead of integers, swapped wildcard
-//! values (`ANY_SOURCE`/`PROC_NULL`), a different status layout, different
-//! error code values.
-
-use std::rc::Rc;
+//! Real Mukautuva's wrap library is **one** source compiled once per MPI
+//! against that MPI's `mpi.h` (`libmpich-wrap.so`, `libompi-wrap.so`).
+//! [`Wrap<V>`] is that source and `V` is the header: it is the only place
+//! outside a vendor crate that touches the vendor's native handle
+//! encodings, constants, status layout and error codes, and it reads all
+//! of them through [`NativeAbi`]. Every standard-ABI call is translated
+//! argument by argument, exactly the per-call work real wrap libraries
+//! do; with the ABI as a table, the translation is table-driven.
 
 use bytes::Bytes;
 
@@ -14,80 +15,61 @@ use mpi_abi::{
     consts, AbiError, AbiResult, AbiStatus, Datatype, Handle, HandleKind, MpiAbi, ReduceOp,
     UserOpFn,
 };
-use ompi_sim::{ompi_h, OmpiProcess};
-use simnet::RankCtx;
+use simnet::mpi::{Collectives, MpiResult, NativeAbi, NativeStatus};
 
 use crate::bimap::BiMap;
 
-/// Translate a native Open MPI error code to a standard error class.
-fn err_from_native(code: i32) -> AbiError {
-    match code {
-        ompi_h::MPI_ERR_BUFFER => AbiError::Buffer,
-        ompi_h::MPI_ERR_COUNT => AbiError::Count,
-        ompi_h::MPI_ERR_TYPE => AbiError::Datatype,
-        ompi_h::MPI_ERR_TAG => AbiError::Tag,
-        ompi_h::MPI_ERR_COMM => AbiError::Comm,
-        ompi_h::MPI_ERR_RANK => AbiError::Rank,
-        ompi_h::MPI_ERR_REQUEST => AbiError::Request,
-        ompi_h::MPI_ERR_ROOT => AbiError::Root,
-        ompi_h::MPI_ERR_GROUP => AbiError::Group,
-        ompi_h::MPI_ERR_OP => AbiError::Op,
-        ompi_h::MPI_ERR_TRUNCATE => AbiError::Truncate,
-        ompi_h::MPI_ERR_ARG => AbiError::Arg,
-        ompi_h::MPI_ERR_INTERN => AbiError::Intern,
-        ompi_h::MPI_ERR_PROC_FAILED => AbiError::ProcFailed,
-        ompi_h::MPI_ERR_SHUTDOWN => AbiError::Shutdown,
-        ompi_h::MPI_ERR_FINALIZED => AbiError::Finalized,
-        _ => AbiError::Other,
-    }
+/// Translate a native error code of `V` to a standard error class.
+fn err_from_native<V: NativeAbi>(code: i32) -> AbiError {
+    let classes = [
+        (V::ERR_BUFFER, AbiError::Buffer),
+        (V::ERR_COUNT, AbiError::Count),
+        (V::ERR_TYPE, AbiError::Datatype),
+        (V::ERR_TAG, AbiError::Tag),
+        (V::ERR_COMM, AbiError::Comm),
+        (V::ERR_RANK, AbiError::Rank),
+        (V::ERR_ROOT, AbiError::Root),
+        (V::ERR_GROUP, AbiError::Group),
+        (V::ERR_OP, AbiError::Op),
+        (V::ERR_REQUEST, AbiError::Request),
+        (V::ERR_TRUNCATE, AbiError::Truncate),
+        (V::ERR_ARG, AbiError::Arg),
+        (V::ERR_INTERN, AbiError::Intern),
+        (V::ERR_PROC_FAILED, AbiError::ProcFailed),
+        (V::ERR_SHUTDOWN, AbiError::Shutdown),
+        (V::ERR_FINALIZED, AbiError::Finalized),
+    ];
+    classes
+        .iter()
+        .find(|(native, _)| *native == code)
+        .map_or(AbiError::Other, |&(_, class)| class)
 }
 
-fn dtype_native_of(d: Datatype) -> ompi_h::MpiDatatype {
-    match d {
-        Datatype::Byte => ompi_h::MPI_BYTE,
-        Datatype::Char => ompi_h::MPI_CHAR,
-        Datatype::Int8 => ompi_h::MPI_INT8_T,
-        Datatype::Uint8 => ompi_h::MPI_UINT8_T,
-        Datatype::Int16 => ompi_h::MPI_INT16_T,
-        Datatype::Uint16 => ompi_h::MPI_UINT16_T,
-        Datatype::Int32 => ompi_h::MPI_INT,
-        Datatype::Uint32 => ompi_h::MPI_UINT32_T,
-        Datatype::Int64 => ompi_h::MPI_INT64_T,
-        Datatype::Uint64 => ompi_h::MPI_UINT64_T,
-        Datatype::Float => ompi_h::MPI_FLOAT,
-        Datatype::Double => ompi_h::MPI_DOUBLE,
-    }
+/// The predefined datatype translation (standard → native): the header's
+/// table is in ABI index order.
+fn dtype_native_of<V: NativeAbi>(d: Datatype) -> V::Datatype {
+    V::DATATYPES[d.abi_index() as usize - 1].0
 }
 
-fn op_native_of(op: ReduceOp) -> ompi_h::MpiOp {
-    match op {
-        ReduceOp::Sum => ompi_h::MPI_SUM,
-        ReduceOp::Prod => ompi_h::MPI_PROD,
-        ReduceOp::Min => ompi_h::MPI_MIN,
-        ReduceOp::Max => ompi_h::MPI_MAX,
-        ReduceOp::Land => ompi_h::MPI_LAND,
-        ReduceOp::Lor => ompi_h::MPI_LOR,
-        ReduceOp::Lxor => ompi_h::MPI_LXOR,
-        ReduceOp::Band => ompi_h::MPI_BAND,
-        ReduceOp::Bor => ompi_h::MPI_BOR,
-        ReduceOp::Bxor => ompi_h::MPI_BXOR,
-    }
+/// The predefined reduction-op translation (standard → native).
+fn op_native_of<V: NativeAbi>(op: ReduceOp) -> V::Op {
+    V::OPS[op.abi_index() as usize - 1]
 }
 
-/// The Open MPI wrap library.
-pub struct OmpiWrap {
-    native: OmpiProcess,
-    comms: BiMap<ompi_h::MpiComm>,
-    dtypes: BiMap<ompi_h::MpiDatatype>,
-    ops: BiMap<ompi_h::MpiOp>,
-    reqs: BiMap<ompi_h::MpiRequest>,
+/// The wrap library over the vendor library whose header is `V`.
+pub struct Wrap<V: NativeAbi> {
+    native: V::Library,
+    comms: BiMap<V::Comm>,
+    dtypes: BiMap<V::Datatype>,
+    ops: BiMap<V::Op>,
+    reqs: BiMap<V::Request>,
 }
 
-impl OmpiWrap {
-    /// "Load" the wrap library.
-    pub fn open(ctx: Rc<RankCtx>) -> OmpiWrap {
-        OmpiWrap {
-            native: OmpiProcess::init(ctx),
+impl<V: NativeAbi> Wrap<V> {
+    /// "Load" the wrap library over an initialized vendor library.
+    pub fn open(native: V::Library) -> Wrap<V> {
+        Wrap {
+            native,
             comms: BiMap::new(HandleKind::Comm),
             dtypes: BiMap::new(HandleKind::Datatype),
             ops: BiMap::new(HandleKind::Op),
@@ -95,51 +77,42 @@ impl OmpiWrap {
         }
     }
 
-    /// Open with explicit vendor tuning.
-    pub fn open_with_tuning(ctx: Rc<RankCtx>, tuning: ompi_sim::Tuning) -> OmpiWrap {
-        OmpiWrap {
-            native: OmpiProcess::init_with_tuning(ctx, tuning),
-            comms: BiMap::new(HandleKind::Comm),
-            dtypes: BiMap::new(HandleKind::Datatype),
-            ops: BiMap::new(HandleKind::Op),
-            reqs: BiMap::new(HandleKind::Request),
-        }
-    }
+    // ---- argument translation ------------------------------------------
 
-    fn comm_in(&self, h: Handle) -> AbiResult<ompi_h::MpiComm> {
+    fn comm_in(&self, h: Handle) -> AbiResult<V::Comm> {
         match h {
-            Handle::COMM_WORLD => Ok(ompi_h::MPI_COMM_WORLD),
-            Handle::COMM_SELF => Ok(ompi_h::MPI_COMM_SELF),
+            Handle::COMM_WORLD => Ok(V::COMM_WORLD),
+            Handle::COMM_SELF => Ok(V::COMM_SELF),
             Handle::COMM_NULL => Err(AbiError::Comm),
             h => self.comms.native_of(h).ok_or(AbiError::Comm),
         }
     }
 
-    fn dtype_in(&self, h: Handle) -> AbiResult<ompi_h::MpiDatatype> {
+    fn dtype_in(&self, h: Handle) -> AbiResult<V::Datatype> {
         if let Some(d) = Datatype::from_handle(h) {
-            return Ok(dtype_native_of(d));
+            return Ok(dtype_native_of::<V>(d));
         }
         self.dtypes.native_of(h).ok_or(AbiError::Datatype)
     }
 
-    fn op_in(&self, h: Handle) -> AbiResult<ompi_h::MpiOp> {
+    fn op_in(&self, h: Handle) -> AbiResult<V::Op> {
         if let Some(op) = ReduceOp::from_handle(h) {
-            return Ok(op_native_of(op));
+            return Ok(op_native_of::<V>(op));
         }
         self.ops.native_of(h).ok_or(AbiError::Op)
     }
 
     fn src_in(src: i32) -> i32 {
         match src {
-            consts::ANY_SOURCE => ompi_h::MPI_ANY_SOURCE,
-            consts::PROC_NULL => ompi_h::MPI_PROC_NULL,
+            consts::ANY_SOURCE => V::ANY_SOURCE,
+            consts::PROC_NULL => V::PROC_NULL,
             r => r,
         }
     }
 
     fn dest_in(dest: i32) -> i32 {
         if dest == consts::PROC_NULL {
-            ompi_h::MPI_PROC_NULL
+            V::PROC_NULL
         } else {
             dest
         }
@@ -147,41 +120,41 @@ impl OmpiWrap {
 
     fn tag_in(tag: i32) -> i32 {
         if tag == consts::ANY_TAG {
-            ompi_h::MPI_ANY_TAG
+            V::ANY_TAG
         } else {
             tag
         }
     }
 
-    fn status_out(st: ompi_h::MpiStatus) -> AbiStatus {
-        let source = match st.mpi_source {
-            ompi_h::MPI_PROC_NULL => consts::PROC_NULL,
-            ompi_h::MPI_ANY_SOURCE => consts::ANY_SOURCE,
+    fn status_out(st: V::Status) -> AbiStatus {
+        let source = match st.source() {
+            r if r == V::PROC_NULL => consts::PROC_NULL,
+            r if r == V::ANY_SOURCE => consts::ANY_SOURCE,
             r => r,
         };
-        let tag = if st.mpi_tag == ompi_h::MPI_ANY_TAG {
+        let tag = if st.tag() == V::ANY_TAG {
             consts::ANY_TAG
         } else {
-            st.mpi_tag
+            st.tag()
         };
         AbiStatus {
             source,
             tag,
-            error: if st.mpi_error == ompi_h::MPI_SUCCESS {
+            error: if st.error() == V::SUCCESS {
                 0
             } else {
-                err_from_native(st.mpi_error).code()
+                err_from_native::<V>(st.error()).code()
             },
-            count_bytes: st.count_bytes() as u64,
+            count_bytes: st.count_bytes(),
         }
     }
 
-    fn lift<T>(r: Result<T, i32>) -> AbiResult<T> {
-        r.map_err(err_from_native)
+    fn lift<T>(r: MpiResult<T>) -> AbiResult<T> {
+        r.map_err(err_from_native::<V>)
     }
 }
 
-impl MpiAbi for OmpiWrap {
+impl<V: NativeAbi> MpiAbi for Wrap<V> {
     fn library_version(&self) -> String {
         self.native.version().to_string()
     }
@@ -279,13 +252,14 @@ impl MpiAbi for OmpiWrap {
 
     fn test(&mut self, request: Handle) -> AbiResult<Option<(AbiStatus, Option<Bytes>)>> {
         let native = self.reqs.native_of(request).ok_or(AbiError::Request)?;
-        match Self::lift(self.native.test(native))? {
-            None => Ok(None),
-            Some((st, payload)) => {
-                self.reqs.remove(request);
-                Ok(Some((Self::status_out(st), payload)))
-            }
+        let done = Self::lift(self.native.test(native));
+        // Completed or failed, the vendor has consumed the request: the
+        // mapping goes too, so no stale standard handle can reach a
+        // native handle the vendor hands out again.
+        if !matches!(done, Ok(None)) {
+            self.reqs.remove(request);
         }
+        Ok(done?.map(|(st, payload)| (Self::status_out(st), payload)))
     }
 
     fn sendrecv(
@@ -445,12 +419,12 @@ impl MpiAbi for OmpiWrap {
     fn comm_split(&mut self, comm: Handle, color: i32, key: i32) -> AbiResult<Handle> {
         let c = self.comm_in(comm)?;
         let color = if color == consts::UNDEFINED {
-            ompi_h::MPI_UNDEFINED
+            V::UNDEFINED
         } else {
             color
         };
         let sub = Self::lift(self.native.comm_split(c, color, key))?;
-        if sub == ompi_h::MPI_COMM_NULL {
+        if sub == V::COMM_NULL {
             Ok(Handle::COMM_NULL)
         } else {
             Ok(self.comms.intern(sub))
@@ -484,6 +458,8 @@ impl MpiAbi for OmpiWrap {
     }
 
     fn op_create(&mut self, function: UserOpFn, commute: bool) -> AbiResult<Handle> {
+        // `UserOpFn` and the vendor's user-fn type have identical shapes;
+        // the function pointer passes straight through, as in C.
         let native = Self::lift(self.native.op_create(function, commute))?;
         Ok(self.ops.intern(native))
     }
@@ -497,6 +473,79 @@ impl MpiAbi for OmpiWrap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpich_sim::{Mpich, MpichProcess};
+    use ompi_sim::{OmpiProcess, OpenMpi};
+    use simnet::{ClusterSpec, RankCtx, World};
+    use std::rc::Rc;
+
+    /// Run each generic case against both headers.
+    macro_rules! for_both_vendors {
+        ($($case:ident),* $(,)?) => {
+            mod mpich {
+                $(#[test] fn $case() { super::$case::<super::Mpich>() })*
+            }
+            mod openmpi {
+                $(#[test] fn $case() { super::$case::<super::OpenMpi>() })*
+            }
+        };
+    }
+
+    for_both_vendors!(
+        constant_translation_tables,
+        status_layout_conversion,
+        error_code_translation,
+        predefined_dtype_and_op_tables_are_total,
+    );
+
+    fn constant_translation_tables<V: NativeAbi>() {
+        assert_eq!(Wrap::<V>::src_in(consts::ANY_SOURCE), V::ANY_SOURCE);
+        assert_eq!(Wrap::<V>::src_in(consts::PROC_NULL), V::PROC_NULL);
+        assert_eq!(Wrap::<V>::src_in(5), 5);
+        assert_eq!(Wrap::<V>::dest_in(consts::PROC_NULL), V::PROC_NULL);
+        assert_eq!(Wrap::<V>::dest_in(3), 3);
+        assert_eq!(Wrap::<V>::tag_in(consts::ANY_TAG), V::ANY_TAG);
+        assert_eq!(Wrap::<V>::tag_in(42), 42);
+    }
+
+    fn status_layout_conversion<V: NativeAbi>() {
+        let native = V::Status::for_receive(V::PROC_NULL, 7, 144);
+        let std = Wrap::<V>::status_out(native);
+        assert_eq!(std.source, consts::PROC_NULL);
+        assert_eq!(std.tag, 7);
+        assert_eq!(std.count_bytes, 144);
+        assert_eq!(std.error, 0);
+        let wild = Wrap::<V>::status_out(V::Status::for_receive(V::ANY_SOURCE, V::ANY_TAG, 0));
+        assert_eq!(
+            (wild.source, wild.tag),
+            (consts::ANY_SOURCE, consts::ANY_TAG)
+        );
+    }
+
+    fn error_code_translation<V: NativeAbi>() {
+        assert_eq!(err_from_native::<V>(V::ERR_TRUNCATE), AbiError::Truncate);
+        assert_eq!(err_from_native::<V>(V::ERR_REQUEST), AbiError::Request);
+        assert_eq!(
+            err_from_native::<V>(V::ERR_PROC_FAILED),
+            AbiError::ProcFailed
+        );
+        assert_eq!(err_from_native::<V>(V::ERR_OTHER), AbiError::Other);
+        assert_eq!(err_from_native::<V>(9999), AbiError::Other);
+        assert_eq!(err_from_native::<V>(-5), AbiError::Other);
+    }
+
+    fn predefined_dtype_and_op_tables_are_total<V: NativeAbi>() {
+        for d in Datatype::ALL {
+            // Every predefined standard type maps to a native type of the
+            // same size.
+            let (size, _) = V::builtin_type(dtype_native_of::<V>(d)).expect("native type exists");
+            assert_eq!(size, d.size(), "{d:?}");
+        }
+        for op in ReduceOp::ALL {
+            // The header's op table and the standard's agree by name.
+            let builtin = V::builtin_op(op_native_of::<V>(op)).expect("native op exists");
+            assert_eq!(format!("{builtin:?}"), format!("{op:?}"));
+        }
+    }
 
     #[test]
     fn wildcard_translation_is_the_swapped_pair() {
@@ -504,39 +553,41 @@ mod tests {
         // PROC_NULL (−3) maps to −2; on the MPICH side the same standard
         // values map to −2/−1. The swap is exactly the hazard the paper's
         // ABI standardization removes.
-        assert_eq!(OmpiWrap::src_in(consts::ANY_SOURCE), ompi_h::MPI_ANY_SOURCE);
-        assert_eq!(OmpiWrap::src_in(consts::PROC_NULL), ompi_h::MPI_PROC_NULL);
-        assert_eq!(OmpiWrap::src_in(3), 3);
-        assert_eq!(OmpiWrap::tag_in(consts::ANY_TAG), ompi_h::MPI_ANY_TAG);
+        assert_eq!(Wrap::<Mpich>::src_in(consts::ANY_SOURCE), -2);
+        assert_eq!(Wrap::<Mpich>::src_in(consts::PROC_NULL), -1);
+        assert_eq!(Wrap::<OpenMpi>::src_in(consts::ANY_SOURCE), -1);
+        assert_eq!(Wrap::<OpenMpi>::src_in(consts::PROC_NULL), -2);
+        // Same class, different native values.
+        assert_eq!(err_from_native::<Mpich>(19), AbiError::Request);
+        assert_eq!(err_from_native::<OpenMpi>(7), AbiError::Request);
+        assert_eq!(err_from_native::<Mpich>(7), AbiError::Root);
+    }
+
+    /// A `test` the vendor fails has consumed the request: the mapping
+    /// goes, and the next request — whose native handle MPICH recycles —
+    /// gets a fresh standard handle.
+    fn failed_test_drops_the_request_mapping<V: NativeAbi>(open: fn(Rc<RankCtx>) -> V::Library) {
+        let spec = ClusterSpec::builder().nodes(1).ranks_per_node(1).build();
+        World::run(&spec, |ctx| {
+            let mut wrap = Wrap::<V>::open(open(ctx));
+            let byte = Datatype::Byte.handle();
+            let first = wrap.irecv(4, byte, 0, 0, Handle::COMM_WORLD).unwrap();
+            wrap.send(&[0; 16], byte, 0, 0, Handle::COMM_WORLD).unwrap();
+            assert_eq!(wrap.test(first), Err(AbiError::Truncate));
+            assert_eq!(wrap.reqs.len(), 0);
+            assert_eq!(wrap.test(first), Err(AbiError::Request));
+            let second = wrap.irecv(4, byte, 0, 1, Handle::COMM_WORLD).unwrap();
+            assert_ne!(second, first);
+            assert_eq!(wrap.test(second), Ok(None));
+            assert_eq!(wrap.reqs.len(), 1);
+            Ok(())
+        })
+        .unwrap();
     }
 
     #[test]
-    fn status_conversion_from_ompi_layout() {
-        let native = ompi_h::MpiStatus::for_receive(ompi_h::MPI_PROC_NULL, 3, 99);
-        let std = OmpiWrap::status_out(native);
-        assert_eq!(std.source, consts::PROC_NULL);
-        assert_eq!(std.count_bytes, 99);
-    }
-
-    #[test]
-    fn error_translation() {
-        assert_eq!(err_from_native(ompi_h::MPI_ERR_REQUEST), AbiError::Request);
-        assert_eq!(
-            err_from_native(ompi_h::MPI_ERR_PROC_FAILED),
-            AbiError::ProcFailed
-        );
-        assert_eq!(err_from_native(-5), AbiError::Other);
-    }
-
-    #[test]
-    fn dtype_table_preserves_sizes() {
-        for d in Datatype::ALL {
-            let native = dtype_native_of(d);
-            let (_, size) = ompi_h::PREDEFINED_DATATYPES
-                .iter()
-                .find(|(h, _)| *h == native)
-                .expect("native type exists");
-            assert_eq!(*size, d.size());
-        }
+    fn failed_test_drops_the_request_mapping_on_both_vendors() {
+        failed_test_drops_the_request_mapping::<Mpich>(MpichProcess::init);
+        failed_test_drops_the_request_mapping::<OpenMpi>(OmpiProcess::init);
     }
 }

@@ -19,9 +19,11 @@
 
 use bytes::Bytes;
 
-use crate::engine::{Want, WantTag};
-use crate::objects::CommRec;
-use crate::ompi_h::{self, MpiComm, MpiDatatype, MpiOp, OmpiResult};
+use simnet::mpi::{chunk_lengths, Collectives, Process};
+use simnet::{SrcPattern, TagPattern};
+
+use crate::objects::CommInfo;
+use crate::ompi_h::{self, MpiComm, MpiDatatype, MpiOp, OmpiResult, OpenMpi};
 use crate::proc::OmpiProcess;
 
 const TAG_BARRIER: i32 = 0x0401;
@@ -34,12 +36,6 @@ const TAG_ALLGATHER: i32 = 0x0407;
 const TAG_ALLTOALL: i32 = 0x0408;
 const TAG_SCAN: i32 = 0x0409;
 
-fn chunk_lengths(total_elems: usize, parts: usize) -> Vec<usize> {
-    let base = total_elems / parts;
-    let rem = total_elems % parts;
-    (0..parts).map(|i| base + usize::from(i < rem)).collect()
-}
-
 fn offsets(lens: &[usize]) -> Vec<usize> {
     lens.iter()
         .scan(0usize, |a, &l| {
@@ -50,62 +46,13 @@ fn offsets(lens: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-impl OmpiProcess {
-    fn validate_coll(
-        &self,
-        comm: MpiComm,
-        dt: MpiDatatype,
-        buf_len: usize,
-    ) -> OmpiResult<(CommRec, usize)> {
-        if self.is_finalized() {
-            return Err(ompi_h::MPI_ERR_FINALIZED);
-        }
-        let rec = self.rec(comm)?;
-        let elem = self.check_typed_buf(dt, buf_len)?;
-        Ok((rec, elem))
-    }
-
-    fn validate_root(rec: &CommRec, root: i32) -> OmpiResult<usize> {
-        if root < 0 || root as usize >= rec.size() {
-            Err(ompi_h::MPI_ERR_ROOT)
-        } else {
-            Ok(root as usize)
-        }
-    }
-
-    fn validate_op(&self, op: MpiOp) -> OmpiResult<()> {
-        if crate::objects::Heap::is_builtin_op(op) {
-            Ok(())
-        } else {
-            self.heap.user_op(op).map(|_| ())
-        }
-    }
-
-    fn combine_ordered(
-        &mut self,
-        op: MpiOp,
-        dt: MpiDatatype,
-        acc: &mut [u8],
-        other: &[u8],
-        other_first: bool,
-    ) -> OmpiResult<()> {
-        self.charge_reduce_cost(acc.len());
-        if other_first {
-            self.combine_with(op, dt, acc, other)
-        } else {
-            let mut tmp = other.to_vec();
-            self.combine_with(op, dt, &mut tmp, acc)?;
-            acc.copy_from_slice(&tmp);
-            Ok(())
-        }
-    }
-
+impl Collectives<OpenMpi> for OmpiProcess {
     // ------------------------------------------------------------------
     // Barrier: recursive doubling with non-power-of-two fold
     // ------------------------------------------------------------------
 
     /// `MPI_Barrier`.
-    pub fn barrier(&mut self, comm: MpiComm) -> OmpiResult<()> {
+    fn barrier(&mut self, comm: MpiComm) -> OmpiResult<()> {
         let (rec, _) = self.validate_coll(comm, ompi_h::MPI_BYTE, 0)?;
         let n = rec.size();
         if n == 1 {
@@ -119,19 +66,29 @@ impl OmpiProcess {
             let partner = (me - pof2) as i32;
             self.xsend(&rec, true, partner, TAG_BARRIER, Bytes::new())?;
             let src = rec.world_of(partner)?;
-            self.xrecv(&rec, true, Want::Src(src), WantTag::Tag(TAG_BARRIER + 2))?;
+            self.xrecv(
+                &rec,
+                true,
+                SrcPattern::Is(src),
+                TagPattern::Is(TAG_BARRIER + 2),
+            )?;
             return Ok(());
         }
         if me < rem {
             let src = rec.world_of((me + pof2) as i32)?;
-            self.xrecv(&rec, true, Want::Src(src), WantTag::Tag(TAG_BARRIER))?;
+            self.xrecv(&rec, true, SrcPattern::Is(src), TagPattern::Is(TAG_BARRIER))?;
         }
         let mut mask = 1usize;
         while mask < pof2 {
             let partner = (me ^ mask) as i32;
             self.xsend(&rec, true, partner, TAG_BARRIER + 1, Bytes::new())?;
             let src = rec.world_of(partner)?;
-            self.xrecv(&rec, true, Want::Src(src), WantTag::Tag(TAG_BARRIER + 1))?;
+            self.xrecv(
+                &rec,
+                true,
+                SrcPattern::Is(src),
+                TagPattern::Is(TAG_BARRIER + 1),
+            )?;
             mask <<= 1;
         }
         if me < rem {
@@ -151,7 +108,7 @@ impl OmpiProcess {
     // ------------------------------------------------------------------
 
     /// `MPI_Bcast`.
-    pub fn bcast(
+    fn bcast(
         &mut self,
         buf: &mut [u8],
         dt: MpiDatatype,
@@ -159,18 +116,269 @@ impl OmpiProcess {
         comm: MpiComm,
     ) -> OmpiResult<()> {
         let (rec, _) = self.validate_coll(comm, dt, buf.len())?;
-        let root = Self::validate_root(&rec, root)?;
+        let root = Process::validate_root(&rec, root)?;
         if rec.size() == 1 || buf.is_empty() {
             return Ok(());
         }
-        if buf.len() <= self.tuning().bcast_bintree_max {
+        if buf.len() <= self.tuning.bcast_bintree_max {
             self.bcast_bintree(&rec, buf, root)
         } else {
             self.bcast_pipeline(&rec, buf, root)
         }
     }
 
-    fn bcast_bintree(&mut self, rec: &CommRec, buf: &mut [u8], root: usize) -> OmpiResult<()> {
+    // ------------------------------------------------------------------
+    // Reduce: linear / pipelined chain
+    // ------------------------------------------------------------------
+
+    /// `MPI_Reduce`.
+    fn reduce(
+        &mut self,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        dt: MpiDatatype,
+        op: MpiOp,
+        root: i32,
+        comm: MpiComm,
+    ) -> OmpiResult<()> {
+        let (rec, _) = self.validate_coll(comm, dt, sendbuf.len())?;
+        let root = Process::validate_root(&rec, root)?;
+        self.validate_op(op)?;
+        let me = rec.my_rank as usize;
+        if me == root && recvbuf.len() != sendbuf.len() {
+            return Err(ompi_h::MPI_ERR_COUNT);
+        }
+        if rec.size() == 1 {
+            recvbuf.copy_from_slice(sendbuf);
+            return Ok(());
+        }
+        if sendbuf.len() <= self.tuning.pipeline_segment {
+            self.reduce_linear(&rec, sendbuf, recvbuf, dt, op, root)
+        } else {
+            self.reduce_pipeline(&rec, sendbuf, recvbuf, dt, op, root)
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Allreduce: recursive doubling / ring
+    // ------------------------------------------------------------------
+
+    /// `MPI_Allreduce`.
+    fn allreduce(
+        &mut self,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        dt: MpiDatatype,
+        op: MpiOp,
+        comm: MpiComm,
+    ) -> OmpiResult<()> {
+        let (rec, elem) = self.validate_coll(comm, dt, sendbuf.len())?;
+        self.validate_op(op)?;
+        if recvbuf.len() != sendbuf.len() {
+            return Err(ompi_h::MPI_ERR_COUNT);
+        }
+        recvbuf.copy_from_slice(sendbuf);
+        let n = rec.size();
+        if n == 1 || sendbuf.is_empty() {
+            return Ok(());
+        }
+        if sendbuf.len() <= self.tuning.allreduce_recdbl_max || sendbuf.len() / elem < n {
+            self.allreduce_recdbl(&rec, recvbuf, dt, op)
+        } else {
+            self.allreduce_ring(&rec, recvbuf, elem, dt, op)
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Gather / Scatter: linear
+    // ------------------------------------------------------------------
+
+    /// `MPI_Gather` (linear: every rank sends straight to the root).
+    fn gather(
+        &mut self,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        dt: MpiDatatype,
+        root: i32,
+        comm: MpiComm,
+    ) -> OmpiResult<()> {
+        let (rec, _) = self.validate_coll(comm, dt, sendbuf.len())?;
+        let root = Process::validate_root(&rec, root)?;
+        let n = rec.size();
+        let me = rec.my_rank as usize;
+        let block = sendbuf.len();
+        if me == root {
+            if recvbuf.len() != block * n {
+                return Err(ompi_h::MPI_ERR_COUNT);
+            }
+            recvbuf[me * block..(me + 1) * block].copy_from_slice(sendbuf);
+            for cr in (0..n).filter(|&cr| cr != me) {
+                let got = self.xrecv(
+                    &rec,
+                    true,
+                    SrcPattern::Is(rec.world_of(cr as i32)?),
+                    TagPattern::Is(TAG_GATHER),
+                )?;
+                if got.env.len() != block {
+                    return Err(ompi_h::MPI_ERR_TRUNCATE);
+                }
+                recvbuf[cr * block..(cr + 1) * block].copy_from_slice(&got.env.payload);
+            }
+            Ok(())
+        } else {
+            self.xsend(
+                &rec,
+                true,
+                root as i32,
+                TAG_GATHER,
+                Bytes::copy_from_slice(sendbuf),
+            )
+        }
+    }
+
+    /// `MPI_Scatter` (linear).
+    fn scatter(
+        &mut self,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        dt: MpiDatatype,
+        root: i32,
+        comm: MpiComm,
+    ) -> OmpiResult<()> {
+        let (rec, _) = self.validate_coll(comm, dt, recvbuf.len())?;
+        let root = Process::validate_root(&rec, root)?;
+        let n = rec.size();
+        let me = rec.my_rank as usize;
+        let block = recvbuf.len();
+        if me == root {
+            if sendbuf.len() != block * n {
+                return Err(ompi_h::MPI_ERR_COUNT);
+            }
+            for cr in (0..n).filter(|&cr| cr != me) {
+                let payload = Bytes::copy_from_slice(&sendbuf[cr * block..(cr + 1) * block]);
+                self.xsend(&rec, true, cr as i32, TAG_SCATTER, payload)?;
+            }
+            recvbuf.copy_from_slice(&sendbuf[me * block..(me + 1) * block]);
+            Ok(())
+        } else {
+            let got = self.xrecv(
+                &rec,
+                true,
+                SrcPattern::Is(rec.world_of(root as i32)?),
+                TagPattern::Is(TAG_SCATTER),
+            )?;
+            if got.env.len() != block {
+                return Err(ompi_h::MPI_ERR_TRUNCATE);
+            }
+            recvbuf.copy_from_slice(&got.env.payload);
+            Ok(())
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Allgather: recursive doubling (p2) / ring
+    // ------------------------------------------------------------------
+
+    /// `MPI_Allgather`.
+    fn allgather(
+        &mut self,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        dt: MpiDatatype,
+        comm: MpiComm,
+    ) -> OmpiResult<()> {
+        let (rec, _) = self.validate_coll(comm, dt, sendbuf.len())?;
+        let n = rec.size();
+        let block = sendbuf.len();
+        if recvbuf.len() != block * n {
+            return Err(ompi_h::MPI_ERR_COUNT);
+        }
+        if n == 1 {
+            recvbuf.copy_from_slice(sendbuf);
+            return Ok(());
+        }
+        let small = block * n <= self.tuning.allgather_neighbor_max;
+        if small && n.is_power_of_two() {
+            self.allgather_recdbl(&rec, sendbuf, recvbuf, block)
+        } else {
+            self.allgather_ring(&rec, sendbuf, recvbuf, block)
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Alltoall: posted linear / pairwise
+    // ------------------------------------------------------------------
+
+    /// `MPI_Alltoall`.
+    fn alltoall(
+        &mut self,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        dt: MpiDatatype,
+        comm: MpiComm,
+    ) -> OmpiResult<()> {
+        let (rec, _) = self.validate_coll(comm, dt, sendbuf.len())?;
+        let n = rec.size();
+        if sendbuf.len() != recvbuf.len() || !sendbuf.len().is_multiple_of(n) {
+            return Err(ompi_h::MPI_ERR_COUNT);
+        }
+        let block = sendbuf.len() / n;
+        if n == 1 {
+            recvbuf.copy_from_slice(sendbuf);
+            return Ok(());
+        }
+        if block <= self.tuning.alltoall_linear_max {
+            self.alltoall_linear(&rec, sendbuf, recvbuf, block)
+        } else {
+            self.alltoall_pairwise(&rec, sendbuf, recvbuf, block)
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Scan: linear chain
+    // ------------------------------------------------------------------
+
+    /// `MPI_Scan` (inclusive prefix; linear chain, Open MPI `basic` style).
+    fn scan(
+        &mut self,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        dt: MpiDatatype,
+        op: MpiOp,
+        comm: MpiComm,
+    ) -> OmpiResult<()> {
+        let (rec, _) = self.validate_coll(comm, dt, sendbuf.len())?;
+        self.validate_op(op)?;
+        if recvbuf.len() != sendbuf.len() {
+            return Err(ompi_h::MPI_ERR_COUNT);
+        }
+        let n = rec.size();
+        let me = rec.my_rank as usize;
+        recvbuf.copy_from_slice(sendbuf);
+        if me > 0 {
+            let src = rec.world_of((me - 1) as i32)?;
+            let got = self.xrecv(&rec, true, SrcPattern::Is(src), TagPattern::Is(TAG_SCAN))?;
+            if got.env.len() != recvbuf.len() {
+                return Err(ompi_h::MPI_ERR_TRUNCATE);
+            }
+            self.combine_ordered(op, dt, recvbuf, &got.env.payload, true)?;
+        }
+        if me + 1 < n {
+            self.xsend(
+                &rec,
+                true,
+                (me + 1) as i32,
+                TAG_SCAN,
+                Bytes::copy_from_slice(recvbuf),
+            )?;
+        }
+        Ok(())
+    }
+}
+
+// The algorithms behind the entry points above.
+impl OmpiProcess {
+    fn bcast_bintree(&mut self, rec: &CommInfo, buf: &mut [u8], root: usize) -> OmpiResult<()> {
         let n = rec.size();
         let me = rec.my_rank as usize;
         let rel = (me + n - root) % n;
@@ -180,8 +388,8 @@ impl OmpiProcess {
             let got = self.xrecv(
                 rec,
                 true,
-                Want::Src(rec.world_of(parent as i32)?),
-                WantTag::Tag(TAG_BCAST),
+                SrcPattern::Is(rec.world_of(parent as i32)?),
+                TagPattern::Is(TAG_BCAST),
             )?;
             if got.env.len() != buf.len() {
                 return Err(ompi_h::MPI_ERR_TRUNCATE);
@@ -198,11 +406,11 @@ impl OmpiProcess {
         Ok(())
     }
 
-    fn bcast_pipeline(&mut self, rec: &CommRec, buf: &mut [u8], root: usize) -> OmpiResult<()> {
+    fn bcast_pipeline(&mut self, rec: &CommInfo, buf: &mut [u8], root: usize) -> OmpiResult<()> {
         let n = rec.size();
         let me = rec.my_rank as usize;
         let rel = (me + n - root) % n;
-        let seg = self.tuning().pipeline_segment.max(1);
+        let seg = self.tuning.pipeline_segment.max(1);
         let nseg = buf.len().div_ceil(seg);
         let prev = if rel > 0 {
             Some(((rel - 1) + root) % n)
@@ -221,8 +429,8 @@ impl OmpiProcess {
                 let got = self.xrecv(
                     rec,
                     true,
-                    Want::Src(rec.world_of(p as i32)?),
-                    WantTag::Tag(TAG_BCAST + 1),
+                    SrcPattern::Is(rec.world_of(p as i32)?),
+                    TagPattern::Is(TAG_BCAST + 1),
                 )?;
                 if got.env.len() != hi - lo {
                     return Err(ompi_h::MPI_ERR_TRUNCATE);
@@ -237,41 +445,9 @@ impl OmpiProcess {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Reduce: linear / pipelined chain
-    // ------------------------------------------------------------------
-
-    /// `MPI_Reduce`.
-    pub fn reduce(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: MpiDatatype,
-        op: MpiOp,
-        root: i32,
-        comm: MpiComm,
-    ) -> OmpiResult<()> {
-        let (rec, _) = self.validate_coll(comm, dt, sendbuf.len())?;
-        let root = Self::validate_root(&rec, root)?;
-        self.validate_op(op)?;
-        let me = rec.my_rank as usize;
-        if me == root && recvbuf.len() != sendbuf.len() {
-            return Err(ompi_h::MPI_ERR_COUNT);
-        }
-        if rec.size() == 1 {
-            recvbuf.copy_from_slice(sendbuf);
-            return Ok(());
-        }
-        if sendbuf.len() <= self.tuning().pipeline_segment {
-            self.reduce_linear(&rec, sendbuf, recvbuf, dt, op, root)
-        } else {
-            self.reduce_pipeline(&rec, sendbuf, recvbuf, dt, op, root)
-        }
-    }
-
     fn reduce_linear(
         &mut self,
-        rec: &CommRec,
+        rec: &CommInfo,
         sendbuf: &[u8],
         recvbuf: &mut [u8],
         dt: MpiDatatype,
@@ -298,8 +474,8 @@ impl OmpiProcess {
                 let got = self.xrecv(
                     rec,
                     true,
-                    Want::Src(rec.world_of(cr as i32)?),
-                    WantTag::Tag(TAG_REDUCE),
+                    SrcPattern::Is(rec.world_of(cr as i32)?),
+                    TagPattern::Is(TAG_REDUCE),
                 )?;
                 if got.env.len() != sendbuf.len() {
                     return Err(ompi_h::MPI_ERR_TRUNCATE);
@@ -320,7 +496,7 @@ impl OmpiProcess {
 
     fn reduce_pipeline(
         &mut self,
-        rec: &CommRec,
+        rec: &CommInfo,
         sendbuf: &[u8],
         recvbuf: &mut [u8],
         dt: MpiDatatype,
@@ -331,7 +507,7 @@ impl OmpiProcess {
         let me = rec.my_rank as usize;
         // Chain in relative order with the root last: rel 0 → 1 → … → n−1.
         let rel = (me + n - root + n - 1) % n; // root gets rel n−1
-        let seg = self.tuning().pipeline_segment.max(1);
+        let seg = self.tuning.pipeline_segment.max(1);
         let nseg = sendbuf.len().div_ceil(seg);
         let prev = if rel > 0 {
             Some((rel - 1 + root + 1) % n)
@@ -351,8 +527,8 @@ impl OmpiProcess {
                 let got = self.xrecv(
                     rec,
                     true,
-                    Want::Src(rec.world_of(p as i32)?),
-                    WantTag::Tag(TAG_REDUCE + 1),
+                    SrcPattern::Is(rec.world_of(p as i32)?),
+                    TagPattern::Is(TAG_REDUCE + 1),
                 )?;
                 if got.env.len() != hi - lo {
                     return Err(ompi_h::MPI_ERR_TRUNCATE);
@@ -371,39 +547,9 @@ impl OmpiProcess {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Allreduce: recursive doubling / ring
-    // ------------------------------------------------------------------
-
-    /// `MPI_Allreduce`.
-    pub fn allreduce(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: MpiDatatype,
-        op: MpiOp,
-        comm: MpiComm,
-    ) -> OmpiResult<()> {
-        let (rec, elem) = self.validate_coll(comm, dt, sendbuf.len())?;
-        self.validate_op(op)?;
-        if recvbuf.len() != sendbuf.len() {
-            return Err(ompi_h::MPI_ERR_COUNT);
-        }
-        recvbuf.copy_from_slice(sendbuf);
-        let n = rec.size();
-        if n == 1 || sendbuf.is_empty() {
-            return Ok(());
-        }
-        if sendbuf.len() <= self.tuning().allreduce_recdbl_max || sendbuf.len() / elem < n {
-            self.allreduce_recdbl(&rec, recvbuf, dt, op)
-        } else {
-            self.allreduce_ring(&rec, recvbuf, elem, dt, op)
-        }
-    }
-
     fn allreduce_recdbl(
         &mut self,
-        rec: &CommRec,
+        rec: &CommInfo,
         acc: &mut [u8],
         dt: MpiDatatype,
         op: MpiOp,
@@ -425,7 +571,12 @@ impl OmpiProcess {
         } else {
             if me < rem {
                 let src = rec.world_of((me + pof2) as i32)?;
-                let got = self.xrecv(rec, true, Want::Src(src), WantTag::Tag(TAG_ALLREDUCE))?;
+                let got = self.xrecv(
+                    rec,
+                    true,
+                    SrcPattern::Is(src),
+                    TagPattern::Is(TAG_ALLREDUCE),
+                )?;
                 if got.env.len() != acc.len() {
                     return Err(ompi_h::MPI_ERR_TRUNCATE);
                 }
@@ -448,8 +599,8 @@ impl OmpiProcess {
                 let got = self.xrecv(
                     rec,
                     true,
-                    Want::Src(rec.world_of(partner as i32)?),
-                    WantTag::Tag(TAG_ALLREDUCE + 1),
+                    SrcPattern::Is(rec.world_of(partner as i32)?),
+                    TagPattern::Is(TAG_ALLREDUCE + 1),
                 )?;
                 if got.env.len() != acc.len() {
                     return Err(ompi_h::MPI_ERR_TRUNCATE);
@@ -468,7 +619,12 @@ impl OmpiProcess {
             }
         } else {
             let src = rec.world_of((me - pof2) as i32)?;
-            let got = self.xrecv(rec, true, Want::Src(src), WantTag::Tag(TAG_ALLREDUCE + 2))?;
+            let got = self.xrecv(
+                rec,
+                true,
+                SrcPattern::Is(src),
+                TagPattern::Is(TAG_ALLREDUCE + 2),
+            )?;
             acc.copy_from_slice(&got.env.payload);
         }
         Ok(())
@@ -479,7 +635,7 @@ impl OmpiProcess {
     /// algorithm.
     fn allreduce_ring(
         &mut self,
-        rec: &CommRec,
+        rec: &CommInfo,
         acc: &mut [u8],
         elem: usize,
         dt: MpiDatatype,
@@ -504,8 +660,8 @@ impl OmpiProcess {
             let got = self.xrecv(
                 rec,
                 true,
-                Want::Src(prev_world),
-                WantTag::Tag(TAG_ALLREDUCE + 3),
+                SrcPattern::Is(prev_world),
+                TagPattern::Is(TAG_ALLREDUCE + 3),
             )?;
             if got.env.len() != lens[recv_c] {
                 return Err(ompi_h::MPI_ERR_TRUNCATE);
@@ -526,8 +682,8 @@ impl OmpiProcess {
             let got = self.xrecv(
                 rec,
                 true,
-                Want::Src(prev_world),
-                WantTag::Tag(TAG_ALLREDUCE + 4),
+                SrcPattern::Is(prev_world),
+                TagPattern::Is(TAG_ALLREDUCE + 4),
             )?;
             if got.env.len() != lens[recv_c] {
                 return Err(ompi_h::MPI_ERR_TRUNCATE);
@@ -537,125 +693,9 @@ impl OmpiProcess {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Gather / Scatter: linear
-    // ------------------------------------------------------------------
-
-    /// `MPI_Gather` (linear: every rank sends straight to the root).
-    pub fn gather(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: MpiDatatype,
-        root: i32,
-        comm: MpiComm,
-    ) -> OmpiResult<()> {
-        let (rec, _) = self.validate_coll(comm, dt, sendbuf.len())?;
-        let root = Self::validate_root(&rec, root)?;
-        let n = rec.size();
-        let me = rec.my_rank as usize;
-        let block = sendbuf.len();
-        if me == root {
-            if recvbuf.len() != block * n {
-                return Err(ompi_h::MPI_ERR_COUNT);
-            }
-            recvbuf[me * block..(me + 1) * block].copy_from_slice(sendbuf);
-            for cr in (0..n).filter(|&cr| cr != me) {
-                let got = self.xrecv(
-                    &rec,
-                    true,
-                    Want::Src(rec.world_of(cr as i32)?),
-                    WantTag::Tag(TAG_GATHER),
-                )?;
-                if got.env.len() != block {
-                    return Err(ompi_h::MPI_ERR_TRUNCATE);
-                }
-                recvbuf[cr * block..(cr + 1) * block].copy_from_slice(&got.env.payload);
-            }
-            Ok(())
-        } else {
-            self.xsend(
-                &rec,
-                true,
-                root as i32,
-                TAG_GATHER,
-                Bytes::copy_from_slice(sendbuf),
-            )
-        }
-    }
-
-    /// `MPI_Scatter` (linear).
-    pub fn scatter(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: MpiDatatype,
-        root: i32,
-        comm: MpiComm,
-    ) -> OmpiResult<()> {
-        let (rec, _) = self.validate_coll(comm, dt, recvbuf.len())?;
-        let root = Self::validate_root(&rec, root)?;
-        let n = rec.size();
-        let me = rec.my_rank as usize;
-        let block = recvbuf.len();
-        if me == root {
-            if sendbuf.len() != block * n {
-                return Err(ompi_h::MPI_ERR_COUNT);
-            }
-            for cr in (0..n).filter(|&cr| cr != me) {
-                let payload = Bytes::copy_from_slice(&sendbuf[cr * block..(cr + 1) * block]);
-                self.xsend(&rec, true, cr as i32, TAG_SCATTER, payload)?;
-            }
-            recvbuf.copy_from_slice(&sendbuf[me * block..(me + 1) * block]);
-            Ok(())
-        } else {
-            let got = self.xrecv(
-                &rec,
-                true,
-                Want::Src(rec.world_of(root as i32)?),
-                WantTag::Tag(TAG_SCATTER),
-            )?;
-            if got.env.len() != block {
-                return Err(ompi_h::MPI_ERR_TRUNCATE);
-            }
-            recvbuf.copy_from_slice(&got.env.payload);
-            Ok(())
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Allgather: recursive doubling (p2) / ring
-    // ------------------------------------------------------------------
-
-    /// `MPI_Allgather`.
-    pub fn allgather(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: MpiDatatype,
-        comm: MpiComm,
-    ) -> OmpiResult<()> {
-        let (rec, _) = self.validate_coll(comm, dt, sendbuf.len())?;
-        let n = rec.size();
-        let block = sendbuf.len();
-        if recvbuf.len() != block * n {
-            return Err(ompi_h::MPI_ERR_COUNT);
-        }
-        if n == 1 {
-            recvbuf.copy_from_slice(sendbuf);
-            return Ok(());
-        }
-        let small = block * n <= self.tuning().allgather_neighbor_max;
-        if small && n.is_power_of_two() {
-            self.allgather_recdbl(&rec, sendbuf, recvbuf, block)
-        } else {
-            self.allgather_ring(&rec, sendbuf, recvbuf, block)
-        }
-    }
-
     fn allgather_recdbl(
         &mut self,
-        rec: &CommRec,
+        rec: &CommInfo,
         sendbuf: &[u8],
         recvbuf: &mut [u8],
         block: usize,
@@ -673,8 +713,8 @@ impl OmpiProcess {
             let got = self.xrecv(
                 rec,
                 true,
-                Want::Src(rec.world_of(partner as i32)?),
-                WantTag::Tag(TAG_ALLGATHER),
+                SrcPattern::Is(rec.world_of(partner as i32)?),
+                TagPattern::Is(TAG_ALLGATHER),
             )?;
             if got.env.len() != mask * block {
                 return Err(ompi_h::MPI_ERR_TRUNCATE);
@@ -687,7 +727,7 @@ impl OmpiProcess {
 
     fn allgather_ring(
         &mut self,
-        rec: &CommRec,
+        rec: &CommInfo,
         sendbuf: &[u8],
         recvbuf: &mut [u8],
         block: usize,
@@ -705,8 +745,8 @@ impl OmpiProcess {
             let got = self.xrecv(
                 rec,
                 true,
-                Want::Src(prev_world),
-                WantTag::Tag(TAG_ALLGATHER + 1),
+                SrcPattern::Is(prev_world),
+                TagPattern::Is(TAG_ALLGATHER + 1),
             )?;
             if got.env.len() != block {
                 return Err(ompi_h::MPI_ERR_TRUNCATE);
@@ -716,38 +756,9 @@ impl OmpiProcess {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Alltoall: posted linear / pairwise
-    // ------------------------------------------------------------------
-
-    /// `MPI_Alltoall`.
-    pub fn alltoall(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: MpiDatatype,
-        comm: MpiComm,
-    ) -> OmpiResult<()> {
-        let (rec, _) = self.validate_coll(comm, dt, sendbuf.len())?;
-        let n = rec.size();
-        if sendbuf.len() != recvbuf.len() || !sendbuf.len().is_multiple_of(n) {
-            return Err(ompi_h::MPI_ERR_COUNT);
-        }
-        let block = sendbuf.len() / n;
-        if n == 1 {
-            recvbuf.copy_from_slice(sendbuf);
-            return Ok(());
-        }
-        if block <= self.tuning().alltoall_linear_max {
-            self.alltoall_linear(&rec, sendbuf, recvbuf, block)
-        } else {
-            self.alltoall_pairwise(&rec, sendbuf, recvbuf, block)
-        }
-    }
-
     fn alltoall_linear(
         &mut self,
-        rec: &CommRec,
+        rec: &CommInfo,
         sendbuf: &[u8],
         recvbuf: &mut [u8],
         block: usize,
@@ -766,8 +777,8 @@ impl OmpiProcess {
             let got = self.xrecv(
                 rec,
                 true,
-                Want::Src(rec.world_of(src as i32)?),
-                WantTag::Tag(TAG_ALLTOALL),
+                SrcPattern::Is(rec.world_of(src as i32)?),
+                TagPattern::Is(TAG_ALLTOALL),
             )?;
             if got.env.len() != block {
                 return Err(ompi_h::MPI_ERR_TRUNCATE);
@@ -779,7 +790,7 @@ impl OmpiProcess {
 
     fn alltoall_pairwise(
         &mut self,
-        rec: &CommRec,
+        rec: &CommInfo,
         sendbuf: &[u8],
         recvbuf: &mut [u8],
         block: usize,
@@ -796,8 +807,8 @@ impl OmpiProcess {
             let got = self.xrecv(
                 rec,
                 true,
-                Want::Src(rec.world_of(src as i32)?),
-                WantTag::Tag(TAG_ALLTOALL + 1),
+                SrcPattern::Is(rec.world_of(src as i32)?),
+                TagPattern::Is(TAG_ALLTOALL + 1),
             )?;
             if got.env.len() != block {
                 return Err(ompi_h::MPI_ERR_TRUNCATE);
@@ -805,50 +816,5 @@ impl OmpiProcess {
             recvbuf[src * block..(src + 1) * block].copy_from_slice(&got.env.payload);
         }
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Scan: linear chain
-    // ------------------------------------------------------------------
-
-    /// `MPI_Scan` (inclusive prefix; linear chain, Open MPI `basic` style).
-    pub fn scan(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: MpiDatatype,
-        op: MpiOp,
-        comm: MpiComm,
-    ) -> OmpiResult<()> {
-        let (rec, _) = self.validate_coll(comm, dt, sendbuf.len())?;
-        self.validate_op(op)?;
-        if recvbuf.len() != sendbuf.len() {
-            return Err(ompi_h::MPI_ERR_COUNT);
-        }
-        let n = rec.size();
-        let me = rec.my_rank as usize;
-        recvbuf.copy_from_slice(sendbuf);
-        if me > 0 {
-            let src = rec.world_of((me - 1) as i32)?;
-            let got = self.xrecv(&rec, true, Want::Src(src), WantTag::Tag(TAG_SCAN))?;
-            if got.env.len() != recvbuf.len() {
-                return Err(ompi_h::MPI_ERR_TRUNCATE);
-            }
-            self.combine_ordered(op, dt, recvbuf, &got.env.payload, true)?;
-        }
-        if me + 1 < n {
-            self.xsend(
-                &rec,
-                true,
-                (me + 1) as i32,
-                TAG_SCAN,
-                Bytes::copy_from_slice(recvbuf),
-            )?;
-        }
-        Ok(())
-    }
-
-    pub(crate) fn tuning(&self) -> &crate::tuning::Tuning {
-        &self.tuning
     }
 }

@@ -13,8 +13,14 @@
 //!   binary-tree and pipelined-chain broadcast, ring allreduce, linear and
 //!   pairwise alltoall, with its own thresholds ([`tuning::Tuning`]) and a
 //!   leaner per-message software path than the MPICH flavour.
-//! * **Its own progress engine** ([`engine`]): per-communicator unexpected
-//!   buckets, distinct from the MPICH flavour's single queue.
+//! * **Object representation** ([`objects`]): a heap of records behind
+//!   the pointer-style handles.
+//!
+//! Everything else — matching, point-to-point, requests, communicator and
+//! datatype management, reduction kernels — is the engine every vendor
+//! shares, [`simnet::mpi`], instantiated with this library's header
+//! ([`ompi_h::OpenMpi`]) and the plain wire-arrival cost model. MPI
+//! libraries differ in ABI and tuning, not in semantics.
 //!
 //! Like a real vendor library, this crate knows nothing about the standard
 //! ABI, Mukautuva, or MANA.
@@ -23,13 +29,11 @@
 #![warn(missing_docs)]
 
 pub mod coll;
-pub mod engine;
-pub mod kernels;
 pub mod objects;
 pub mod ompi_h;
 pub mod proc;
 pub mod tuning;
 
-pub use objects::OmpiUserFn;
+pub use ompi_h::OpenMpi;
 pub use proc::OmpiProcess;
 pub use tuning::Tuning;

@@ -15,6 +15,8 @@
 //! A binary "compiled against" this module cannot run on `mpich-sim`, and
 //! vice versa. Bridging this is the `muk` shim's whole job.
 
+use simnet::mpi::{ElemKind, NativeAbi, NativeStatus};
+
 /// Native communicator handle: a pointer-like address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MpiComm(pub usize);
@@ -219,6 +221,103 @@ pub const MPI_ERR_FINALIZED: i32 = 59;
 
 /// Result alias for native Open MPI-flavour calls.
 pub type OmpiResult<T> = Result<T, i32>;
+
+// ---------------------------------------------------------------------
+// This header, as the shared engine reads it
+// ---------------------------------------------------------------------
+
+/// The Open MPI-flavoured native ABI: the marker `simnet::mpi` is generic
+/// over. Every value below is one of this module's constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpenMpi;
+
+impl NativeStatus for MpiStatus {
+    fn for_receive(source: i32, tag: i32, bytes: usize) -> MpiStatus {
+        MpiStatus::for_receive(source, tag, bytes)
+    }
+
+    fn source(&self) -> i32 {
+        self.mpi_source
+    }
+
+    fn tag(&self) -> i32 {
+        self.mpi_tag
+    }
+
+    fn error(&self) -> i32 {
+        self.mpi_error
+    }
+
+    fn count_bytes(&self) -> u64 {
+        self.ucount as u64
+    }
+}
+
+impl NativeAbi for OpenMpi {
+    type Comm = MpiComm;
+    type Datatype = MpiDatatype;
+    type Op = MpiOp;
+    type Request = MpiRequest;
+    type Status = MpiStatus;
+    /// Open MPI's OB1 charges no per-message engine latency: the wire
+    /// arrival as it is.
+    type Arrival = simnet::WireArrival;
+    type Store = crate::objects::Heap;
+    type Library = crate::OmpiProcess;
+
+    const VERSION: &'static str = crate::Tuning::VERSION;
+    /// A slightly faster combine loop than the MPICH flavour's (different
+    /// compiler flags in the fiction; a real vendor-to-vendor delta).
+    const REDUCE_BYTES_PER_NS: f64 = 1.8;
+
+    const ANY_SOURCE: i32 = MPI_ANY_SOURCE;
+    const PROC_NULL: i32 = MPI_PROC_NULL;
+    const ANY_TAG: i32 = MPI_ANY_TAG;
+    const TAG_UB: i32 = MPI_TAG_UB;
+    const UNDEFINED: i32 = MPI_UNDEFINED;
+    const COMM_WORLD: MpiComm = MPI_COMM_WORLD;
+    const COMM_SELF: MpiComm = MPI_COMM_SELF;
+    const COMM_NULL: MpiComm = MPI_COMM_NULL;
+    const REQUEST_NULL: MpiRequest = MPI_REQUEST_NULL;
+
+    const SUCCESS: i32 = MPI_SUCCESS;
+    const ERR_BUFFER: i32 = MPI_ERR_BUFFER;
+    const ERR_COUNT: i32 = MPI_ERR_COUNT;
+    const ERR_TYPE: i32 = MPI_ERR_TYPE;
+    const ERR_TAG: i32 = MPI_ERR_TAG;
+    const ERR_COMM: i32 = MPI_ERR_COMM;
+    const ERR_RANK: i32 = MPI_ERR_RANK;
+    const ERR_ROOT: i32 = MPI_ERR_ROOT;
+    const ERR_GROUP: i32 = MPI_ERR_GROUP;
+    const ERR_OP: i32 = MPI_ERR_OP;
+    const ERR_REQUEST: i32 = MPI_ERR_REQUEST;
+    const ERR_TRUNCATE: i32 = MPI_ERR_TRUNCATE;
+    const ERR_ARG: i32 = MPI_ERR_ARG;
+    const ERR_OTHER: i32 = MPI_ERR_OTHER;
+    const ERR_INTERN: i32 = MPI_ERR_INTERN;
+    const ERR_PROC_FAILED: i32 = MPI_ERR_PROC_FAILED;
+    const ERR_SHUTDOWN: i32 = MPI_ERR_SHUTDOWN;
+    const ERR_FINALIZED: i32 = MPI_ERR_FINALIZED;
+
+    const DATATYPES: [(MpiDatatype, usize, ElemKind); 12] = [
+        (MPI_BYTE, 1, ElemKind::Uint(1)),
+        (MPI_CHAR, 1, ElemKind::Uint(1)),
+        (MPI_INT8_T, 1, ElemKind::Int(1)),
+        (MPI_UINT8_T, 1, ElemKind::Uint(1)),
+        (MPI_INT16_T, 2, ElemKind::Int(2)),
+        (MPI_UINT16_T, 2, ElemKind::Uint(2)),
+        (MPI_INT, 4, ElemKind::Int(4)),
+        (MPI_UINT32_T, 4, ElemKind::Uint(4)),
+        (MPI_INT64_T, 8, ElemKind::Int(8)),
+        (MPI_UINT64_T, 8, ElemKind::Uint(8)),
+        (MPI_FLOAT, 4, ElemKind::Float(4)),
+        (MPI_DOUBLE, 8, ElemKind::Float(8)),
+    ];
+    const OPS: [MpiOp; 10] = [
+        MPI_SUM, MPI_PROD, MPI_MIN, MPI_MAX, MPI_LAND, MPI_LOR, MPI_LXOR, MPI_BAND, MPI_BOR,
+        MPI_BXOR,
+    ];
+}
 
 #[cfg(test)]
 mod tests {

@@ -2,6 +2,7 @@
 //! references, across communicator sizes and across algorithm thresholds.
 
 use ompi_sim::{ompi_h, OmpiProcess, Tuning};
+use simnet::mpi::Collectives;
 use simnet::{ClusterSpec, World};
 
 /// Force the large-message algorithms everywhere.
@@ -318,6 +319,7 @@ fn vendor_timing_differs_from_mpich_flavour() {
 /// Minimal dev-dependency-free access to the sibling vendor for the timing
 /// comparison test (kept local to avoid a circular dev-dependency).
 mod mpich_sim_shim {
+    use simnet::mpi::Collectives;
     use std::rc::Rc;
 
     pub fn init(ctx: Rc<simnet::RankCtx>) -> mpich_sim::MpichProcess {

@@ -2,9 +2,10 @@
 //!
 //! Scans `crates/**/*.rs` (plus `tests/`, `benches/`, `examples/`,
 //! `src/`) and every reachable `Cargo.toml` against the rule set in
-//! [`sanity::lint::default_rules`]. Findings go to stderr
-//! human-readable and to stdout as one JSON report; exit code mirrors
-//! `benchgate`: 0 clean, 2 on any violation, 1 on a driver error.
+//! [`sanity::lint::default_rules`]. Findings and the per-crate table of
+//! library code lines go to stderr human-readable and to stdout as one
+//! JSON report; exit code mirrors `benchgate`: 0 clean, 2 on any
+//! violation, 1 on a driver error.
 //!
 //! ```text
 //! stoolint [--root DIR] [--list-rules] [--quiet]
@@ -71,6 +72,13 @@ fn main() -> ExitCode {
             report.manifests_scanned,
             report.findings.len()
         );
+        let total: usize = report.lines_by_crate.values().sum();
+        for (name, lines) in &report.lines_by_crate {
+            // lint:allow(no-eprintln) — gate tooling reports on stderr by design.
+            eprintln!("stoolint: {lines:>7} code lines  {name}");
+        }
+        // lint:allow(no-eprintln) — gate tooling reports on stderr by design.
+        eprintln!("stoolint: {total:>7} code lines  (library total, tests excluded)");
     }
     println!("{}", report.to_json());
     ExitCode::from(report.exit_code() as u8)

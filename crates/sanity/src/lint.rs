@@ -343,7 +343,7 @@ pub struct FileContext {
     allows: BTreeMap<String, BTreeSet<u32>>,
     /// `lint:region-start(rule)` .. `lint:region-end(rule)` line ranges.
     regions: BTreeMap<String, Vec<(u32, u32)>>,
-    /// Line ranges of `#[cfg(test)] mod` bodies.
+    /// Line ranges of `#[cfg(test)] mod` items.
     test_spans: Vec<(u32, u32)>,
 }
 
@@ -407,9 +407,21 @@ impl FileContext {
             .unwrap_or(false)
     }
 
-    /// Whether `line` falls inside a `#[cfg(test)] mod` body.
+    /// Whether `line` falls inside a `#[cfg(test)] mod` item.
     pub fn in_test(&self, line: u32) -> bool {
         self.test_spans.iter().any(|&(a, b)| line >= a && line <= b)
+    }
+
+    /// Code lines: lines carrying at least one token that is neither a
+    /// comment nor inside a `#[cfg(test)] mod` item. A literal spanning
+    /// several lines counts each of them.
+    pub fn code_lines(&self) -> usize {
+        let mut lines = BTreeSet::new();
+        for t in self.tokens.iter().filter(|t| t.kind != TokKind::Comment) {
+            let last = t.line + t.text.matches('\n').count() as u32;
+            lines.extend((t.line..=last).filter(|&line| !self.in_test(line)));
+        }
+        lines.len()
     }
 }
 
@@ -435,7 +447,8 @@ fn parse_marker(comment: &str, marker: &str) -> Vec<String> {
     out
 }
 
-/// Line spans of `#[cfg(test)] mod name { ... }` bodies, brace-matched.
+/// Line spans of `#[cfg(test)] mod name { ... }` items, from the attribute
+/// to the closing brace, brace-matched.
 fn find_test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
     let toks: Vec<&Token> = tokens
         .iter()
@@ -456,7 +469,7 @@ fn find_test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
                 && toks[j + 1].kind == TokKind::Ident
                 && toks[j + 2].text == "{"
             {
-                let open_line = toks[j + 2].line;
+                let open_line = toks[i].line;
                 let mut depth = 0i64;
                 let mut k = j + 2;
                 let mut close_line = open_line;
@@ -627,7 +640,12 @@ pub fn default_rules() -> Vec<Rule> {
 /// Run every applicable rule over one file's source. `path` is the
 /// repo-relative label stamped into findings.
 pub fn lint_source(path: &str, source: &str, rules: &[Rule]) -> Vec<Finding> {
-    let ctx = FileContext::new(path, source);
+    lint_context(&FileContext::new(path, source), rules)
+}
+
+/// [`lint_source`] over an already tokenized file.
+fn lint_context(ctx: &FileContext, rules: &[Rule]) -> Vec<Finding> {
+    let path = ctx.path.as_str();
     let mut out = Vec::new();
     for rule in rules {
         if !rule.paths.is_empty() && !rule.paths.iter().any(|p| path.contains(p)) {
@@ -637,13 +655,13 @@ pub fn lint_source(path: &str, source: &str, rules: &[Rule]) -> Vec<Finding> {
             continue;
         }
         let raw = match &rule.check {
-            Check::BannedMacro(macros) => check_banned_macro(&ctx, rule, macros),
-            Check::BannedCall(calls) => check_banned_call(&ctx, rule, calls),
-            Check::BannedPath(paths) => check_banned_path(&ctx, rule, paths),
+            Check::BannedMacro(macros) => check_banned_macro(ctx, rule, macros),
+            Check::BannedCall(calls) => check_banned_call(ctx, rule, calls),
+            Check::BannedPath(paths) => check_banned_path(ctx, rule, paths),
             Check::AllocInRegion { macros, calls } => {
-                check_alloc_in_region(&ctx, rule, macros, calls)
+                check_alloc_in_region(ctx, rule, macros, calls)
             }
-            Check::GuardAcrossBarrier(barriers) => check_guard_across_barrier(&ctx, rule, barriers),
+            Check::GuardAcrossBarrier(barriers) => check_guard_across_barrier(ctx, rule, barriers),
         };
         out.extend(raw.into_iter().filter(|f| {
             if ctx.allowed(rule.name, f.line) {
@@ -1065,6 +1083,10 @@ pub struct LintReport {
     pub files_scanned: usize,
     /// How many manifests were checked.
     pub manifests_scanned: usize,
+    /// Library size, the number the roadmap wants to go down: code lines
+    /// ([`FileContext::code_lines`]) under each `crates/<name>/src` and
+    /// under the root `src`, keyed `crates/<name>` / `src`.
+    pub lines_by_crate: BTreeMap<String, usize>,
 }
 
 impl LintReport {
@@ -1081,11 +1103,18 @@ impl LintReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"tool\":\"stoolint\",");
         out.push_str(&format!(
-            "\"files_scanned\":{},\"manifests_scanned\":{},\"violations\":{},\"findings\":[",
+            "\"files_scanned\":{},\"manifests_scanned\":{},\"violations\":{},\"lines_by_crate\":{{",
             self.files_scanned,
             self.manifests_scanned,
             self.findings.len()
         ));
+        for (i, (name, lines)) in self.lines_by_crate.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("{}:{lines}", json_string(name)));
+        }
+        out.push_str("},\"findings\":[");
         for (i, f) in self.findings.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -1113,6 +1142,7 @@ pub fn lint_tree(root: &Path) -> std::io::Result<LintReport> {
     let mut findings = Vec::new();
     let mut files_scanned = 0usize;
     let mut manifests_scanned = 0usize;
+    let mut lines_by_crate = BTreeMap::new();
 
     let mut rs_files = Vec::new();
     for top in ["crates", "tests", "benches", "examples", "src"] {
@@ -1122,8 +1152,12 @@ pub fn lint_tree(root: &Path) -> std::io::Result<LintReport> {
     for file in &rs_files {
         let source = std::fs::read_to_string(file)?;
         let label = rel_label(root, file);
-        findings.extend(lint_source(&label, &source, &rules));
+        let ctx = FileContext::new(&label, &source);
+        findings.extend(lint_context(&ctx, &rules));
         files_scanned += 1;
+        if let Some(krate) = library_crate(&label) {
+            *lines_by_crate.entry(krate).or_insert(0) += ctx.code_lines();
+        }
     }
 
     let mut manifests = vec![root.join("Cargo.toml")];
@@ -1146,7 +1180,20 @@ pub fn lint_tree(root: &Path) -> std::io::Result<LintReport> {
         findings,
         files_scanned,
         manifests_scanned,
+        lines_by_crate,
     })
+}
+
+/// The `lines_by_crate` key of a library source file: `crates/<name>` for
+/// `crates/<name>/src/**`, `src` for `src/**`; `None` for tests, benches
+/// and examples.
+fn library_crate(label: &str) -> Option<String> {
+    let mut parts = label.split('/');
+    match (parts.next()?, parts.next()?, parts.next()) {
+        ("crates", name, Some("src")) => Some(format!("crates/{name}")),
+        ("src", _, _) => Some("src".to_string()),
+        _ => None,
+    }
 }
 
 fn rel_label(root: &Path, file: &Path) -> String {

@@ -20,13 +20,15 @@
 //!   ≥ 5.9). On older kernels a split-process context switch needs a syscall,
 //!   which is the paper's stated cause of MANA's small-message overhead.
 //!
-//! The crate is MPI-agnostic: it moves [`Envelope`]s between endpoints in
-//! FIFO order per sender/receiver pair and accounts time. Message *matching*
-//! (communicator/tag/source semantics) is driven by the vendor MPI
-//! libraries built on top (`mpich-sim`, `ompi-sim`), which share the
-//! indexed matching core in [`matching`] while keeping their own cost
-//! models, mirroring how real MPI progress engines differ in tuning but
-//! agree on matching semantics.
+//! The substrate itself is MPI-agnostic: it moves [`Envelope`]s between
+//! endpoints in FIFO order per sender/receiver pair and accounts time.
+//! MPI semantics sit on top of it once, in [`mpi`]: one engine (matching
+//! over [`matching`], point-to-point, requests, communicators, datatypes,
+//! reduction kernels) generic over a vendor's native header. The vendor
+//! libraries (`mpich-sim`, `ompi-sim`) supply that header, their object
+//! representation, tuning, arrival cost model and collective algorithms —
+//! mirroring how real MPI libraries differ in ABI and tuning but agree on
+//! semantics.
 //!
 //! ## Transport architecture: event-driven mailboxes + indexed matching
 //!
@@ -87,6 +89,7 @@ pub mod error;
 pub mod fabric;
 pub mod link;
 pub mod matching;
+pub mod mpi;
 pub mod noise;
 pub mod pool;
 pub mod rank;

@@ -425,6 +425,12 @@ mod tests {
             send(&c0, 1, 3, 7, &[i]);
         }
         let mut core = MatchCore::new();
+        // A miss on the tag or on the source leaves the queue as it was.
+        for (src, tag) in [(0, 8), (1, 7)] {
+            let miss = core.try_match(&c1, 3, SrcPattern::Is(src), TagPattern::Is(tag));
+            assert!(miss.unwrap().is_none());
+        }
+        assert_eq!(core.unexpected_len(), 8);
         for i in 0..8u8 {
             let m = core
                 .try_match(&c1, 3, SrcPattern::Is(0), TagPattern::Is(7))

@@ -1,0 +1,706 @@
+//! The per-rank library instance: lifecycle, point-to-point messaging,
+//! requests, object management, and the helpers the vendors' collective
+//! algorithms share.
+
+use std::rc::Rc;
+use std::sync::Arc;
+
+use bytes::Bytes;
+
+use super::abi::{MpiResult, NativeAbi, NativeStatus};
+use super::kernels;
+use super::objects::{
+    comm_rank_of_world, CommInfo, DerivedType, ObjectStore, PostedRecv, Request, UserFn, UserOp,
+};
+use crate::error::SimError;
+use crate::matching::{MatchCore, MatchedMsg, SrcPattern, TagPattern};
+use crate::rank::RankCtx;
+use crate::time::VirtualTime;
+
+// Internal protocol tags of communicator creation (collective context;
+// replies use the tag + 1). Disjoint from both vendors' collective tags
+// (`0x01xx`, `0x04xx`).
+const CTX_TAG: i32 = 0x0200;
+const SPLIT_TAG: i32 = 0x0202;
+
+/// The per-message software costs of a vendor's point-to-point path.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct P2pCosts {
+    /// CPU time charged on the sender per message.
+    pub o_send: VirtualTime,
+    /// CPU time charged on the receiver per matched message.
+    pub o_recv: VirtualTime,
+    /// Messages larger than this use the rendezvous protocol, which costs
+    /// an extra round trip of the link latency before data flows.
+    pub eager_threshold: usize,
+}
+
+/// Split `total_elems` elements into `parts` chunk lengths (in elements),
+/// front-loading the remainder.
+pub fn chunk_lengths(total_elems: usize, parts: usize) -> Vec<usize> {
+    let base = total_elems / parts;
+    let rem = total_elems % parts;
+    (0..parts).map(|i| base + usize::from(i < rem)).collect()
+}
+
+/// One rank's instance of an MPI library whose native ABI is `V`.
+///
+/// Used through native calls that mirror the C API; every error is one
+/// of `V`'s native codes. The vendor's collective algorithms are built on
+/// [`Process::xsend`] / [`Process::xrecv`].
+pub struct Process<V: NativeAbi> {
+    ctx: Rc<RankCtx>,
+    costs: P2pCosts,
+    store: V::Store,
+    matcher: MatchCore<V::Arrival>,
+    next_ctx_base: u64,
+    finalized: bool,
+}
+
+impl<V: NativeAbi> Process<V> {
+    /// `MPI_Init`: attach to the fabric and set up predefined objects.
+    pub fn new(ctx: Rc<RankCtx>, costs: P2pCosts, arrival: V::Arrival) -> Self {
+        let store = V::Store::new(ctx.nranks(), ctx.rank());
+        Process {
+            ctx,
+            costs,
+            store,
+            matcher: MatchCore::with_model(arrival),
+            // World uses 0/1, self 2/3; dynamic communicators start at 4.
+            next_ctx_base: 4,
+            finalized: false,
+        }
+    }
+
+    /// Map a substrate error to a native error code.
+    fn sim_err(e: SimError) -> i32 {
+        match e {
+            SimError::NoSuchRank { .. } => V::ERR_RANK,
+            SimError::PeerFailed { .. } | SimError::SelfFailed => V::ERR_PROC_FAILED,
+            SimError::Disconnected | SimError::RankPanicked { .. } => V::ERR_SHUTDOWN,
+            SimError::InvalidConfig(_) => V::ERR_OTHER,
+        }
+    }
+
+    /// Library identification string.
+    pub fn version(&self) -> &'static str {
+        V::VERSION
+    }
+
+    /// `MPI_Finalize`.
+    pub fn finalize(&mut self) -> MpiResult<()> {
+        self.check_live()?;
+        self.finalized = true;
+        Ok(())
+    }
+
+    /// Whether `finalize` has been called.
+    pub fn is_finalized(&self) -> bool {
+        self.finalized
+    }
+
+    /// `MPI_Wtime` (virtual seconds).
+    pub fn wtime(&self) -> f64 {
+        self.ctx.now().as_secs_f64()
+    }
+
+    /// The object store (diagnostics).
+    pub fn store(&self) -> &V::Store {
+        &self.store
+    }
+
+    fn check_live(&self) -> MpiResult<()> {
+        if self.finalized {
+            Err(V::ERR_FINALIZED)
+        } else {
+            Ok(())
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Queries
+    // ------------------------------------------------------------------
+
+    /// `MPI_Comm_size`.
+    pub fn comm_size(&self, comm: V::Comm) -> MpiResult<i32> {
+        Ok(self.store.comm(comm)?.size() as i32)
+    }
+
+    /// `MPI_Comm_rank`.
+    pub fn comm_rank(&self, comm: V::Comm) -> MpiResult<i32> {
+        Ok(self.store.comm(comm)?.my_rank)
+    }
+
+    /// Translate a communicator rank to a world rank
+    /// (`MPI_Group_translate_ranks` against the world group).
+    pub fn comm_translate_rank(&self, comm: V::Comm, rank: i32) -> MpiResult<i32> {
+        Ok(self.store.comm(comm)?.world_of(rank)? as i32)
+    }
+
+    /// Cheap clone of communicator facts.
+    fn info(&self, comm: V::Comm) -> MpiResult<CommInfo<V>> {
+        self.store.comm(comm).cloned()
+    }
+
+    /// Validate a (buffer, datatype) pair; returns the element size.
+    fn check_typed_buf(&self, dt: V::Datatype, len: usize) -> MpiResult<usize> {
+        let size = self.store.type_size(dt)?;
+        if size == 0 || !len.is_multiple_of(size) {
+            return Err(V::ERR_COUNT);
+        }
+        Ok(size)
+    }
+
+    // ------------------------------------------------------------------
+    // Internal transport primitives (shared by p2p and collectives)
+    // ------------------------------------------------------------------
+
+    fn ctx_id(info: &CommInfo<V>, coll: bool) -> u64 {
+        if coll {
+            info.coll_ctx()
+        } else {
+            info.p2p_ctx()
+        }
+    }
+
+    /// Send `payload` to communicator rank `dst_cr` on the p2p or collective
+    /// context. Charges the per-message sender overhead, and for messages
+    /// beyond the eager threshold a rendezvous round-trip of the link.
+    pub fn xsend(
+        &mut self,
+        info: &CommInfo<V>,
+        coll: bool,
+        dst_cr: i32,
+        tag: i32,
+        payload: Bytes,
+    ) -> MpiResult<()> {
+        let dst_world = info.world_of(dst_cr)?;
+        self.ctx.advance(self.costs.o_send);
+        if payload.len() > self.costs.eager_threshold {
+            // Rendezvous: RTS/CTS handshake before the data moves.
+            let link = self.ctx.spec().link_between(self.ctx.rank(), dst_world);
+            self.ctx.advance(link.alpha + link.alpha);
+        }
+        self.ctx
+            .endpoint()
+            .send_raw(dst_world, Self::ctx_id(info, coll), tag, payload, &self.ctx)
+            .map_err(Self::sim_err)
+    }
+
+    /// Blocking matched receive on a communicator context. Charges arrival
+    /// and the per-message receiver overhead.
+    pub fn xrecv(
+        &mut self,
+        info: &CommInfo<V>,
+        coll: bool,
+        src: SrcPattern,
+        tag: TagPattern,
+    ) -> MpiResult<MatchedMsg> {
+        let got = self
+            .matcher
+            .match_blocking(&self.ctx, Self::ctx_id(info, coll), src, tag)
+            .map_err(Self::sim_err)?;
+        self.charge_receive(&got);
+        Ok(got)
+    }
+
+    fn charge_receive(&self, got: &MatchedMsg) {
+        self.ctx.advance_to(got.arrival);
+        self.ctx.advance(self.costs.o_recv);
+    }
+
+    /// Translate a communicator-rank source argument to a world selector.
+    fn src_sel(info: &CommInfo<V>, src: i32) -> MpiResult<SrcPattern> {
+        if src == V::ANY_SOURCE {
+            Ok(SrcPattern::Any)
+        } else {
+            Ok(SrcPattern::Is(info.world_of(src)?))
+        }
+    }
+
+    fn tag_sel(tag: i32) -> MpiResult<TagPattern> {
+        if tag == V::ANY_TAG {
+            Ok(TagPattern::Any)
+        } else {
+            Self::send_tag(tag).map(TagPattern::Is)
+        }
+    }
+
+    fn send_tag(tag: i32) -> MpiResult<i32> {
+        if (0..=V::TAG_UB).contains(&tag) {
+            Ok(tag)
+        } else {
+            Err(V::ERR_TAG)
+        }
+    }
+
+    /// Build the native status for a matched message.
+    fn status_of(ranks: &[usize], got: &MatchedMsg) -> V::Status {
+        let source = comm_rank_of_world(ranks, got.env.src).unwrap_or(V::ANY_SOURCE);
+        V::Status::for_receive(source, got.env.tag, got.env.len())
+    }
+
+    fn proc_null_status() -> V::Status {
+        V::Status::for_receive(V::PROC_NULL, V::ANY_TAG, 0)
+    }
+
+    // ------------------------------------------------------------------
+    // Point-to-point
+    // ------------------------------------------------------------------
+
+    /// `MPI_Send`.
+    pub fn send(
+        &mut self,
+        buf: &[u8],
+        dt: V::Datatype,
+        dest: i32,
+        tag: i32,
+        comm: V::Comm,
+    ) -> MpiResult<()> {
+        self.check_live()?;
+        self.check_typed_buf(dt, buf.len())?;
+        let tag = Self::send_tag(tag)?;
+        if dest == V::PROC_NULL {
+            return Ok(());
+        }
+        let info = self.info(comm)?;
+        self.xsend(&info, false, dest, tag, Bytes::copy_from_slice(buf))
+    }
+
+    /// `MPI_Recv`.
+    pub fn recv(
+        &mut self,
+        buf: &mut [u8],
+        dt: V::Datatype,
+        src: i32,
+        tag: i32,
+        comm: V::Comm,
+    ) -> MpiResult<V::Status> {
+        self.check_live()?;
+        self.check_typed_buf(dt, buf.len())?;
+        let tag_sel = Self::tag_sel(tag)?;
+        if src == V::PROC_NULL {
+            return Ok(Self::proc_null_status());
+        }
+        let info = self.info(comm)?;
+        let src_sel = Self::src_sel(&info, src)?;
+        let got = self.xrecv(&info, false, src_sel, tag_sel)?;
+        if got.env.len() > buf.len() {
+            return Err(V::ERR_TRUNCATE);
+        }
+        buf[..got.env.len()].copy_from_slice(&got.env.payload);
+        Ok(Self::status_of(&info.ranks, &got))
+    }
+
+    /// `MPI_Isend` (eager: the data leaves immediately; the request is a
+    /// completion token).
+    pub fn isend(
+        &mut self,
+        buf: &[u8],
+        dt: V::Datatype,
+        dest: i32,
+        tag: i32,
+        comm: V::Comm,
+    ) -> MpiResult<V::Request> {
+        self.send(buf, dt, dest, tag, comm)?;
+        Ok(self.store.add_request(Request::SendDone))
+    }
+
+    /// `MPI_Irecv`.
+    pub fn irecv(
+        &mut self,
+        max_bytes: usize,
+        dt: V::Datatype,
+        src: i32,
+        tag: i32,
+        comm: V::Comm,
+    ) -> MpiResult<V::Request> {
+        self.check_live()?;
+        self.check_typed_buf(dt, max_bytes)?;
+        let tag = Self::tag_sel(tag)?;
+        if src == V::PROC_NULL {
+            return Ok(self.store.add_request(Request::RecvDone {
+                status: Self::proc_null_status(),
+                payload: Bytes::new(),
+            }));
+        }
+        let info = self.info(comm)?;
+        let posted = PostedRecv {
+            ctx_id: info.p2p_ctx(),
+            src: Self::src_sel(&info, src)?,
+            tag,
+            max_bytes,
+            ranks: info.ranks,
+        };
+        Ok(self.store.add_request(Request::RecvPending(posted)))
+    }
+
+    /// Deliver the message a posted receive matched.
+    fn complete_recv(
+        &self,
+        posted: &PostedRecv,
+        got: MatchedMsg,
+    ) -> MpiResult<(V::Status, Option<Bytes>)> {
+        self.charge_receive(&got);
+        if got.env.len() > posted.max_bytes {
+            return Err(V::ERR_TRUNCATE);
+        }
+        let status = Self::status_of(&posted.ranks, &got);
+        Ok((status, Some(got.env.payload)))
+    }
+
+    /// `MPI_Wait`: complete a request; receive payloads are returned.
+    pub fn wait(&mut self, req: V::Request) -> MpiResult<(V::Status, Option<Bytes>)> {
+        self.check_live()?;
+        match self.store.take_request(req)? {
+            Request::SendDone => Ok((V::Status::default(), None)),
+            Request::RecvDone { status, payload } => Ok((status, Some(payload))),
+            Request::RecvPending(posted) => {
+                let got = self
+                    .matcher
+                    .match_blocking(&self.ctx, posted.ctx_id, posted.src, posted.tag)
+                    .map_err(Self::sim_err)?;
+                self.complete_recv(&posted, got)
+            }
+        }
+    }
+
+    /// `MPI_Test`.
+    pub fn test(&mut self, req: V::Request) -> MpiResult<Option<(V::Status, Option<Bytes>)>> {
+        self.check_live()?;
+        match self.store.take_request(req)? {
+            Request::SendDone => Ok(Some((V::Status::default(), None))),
+            Request::RecvDone { status, payload } => Ok(Some((status, Some(payload)))),
+            Request::RecvPending(posted) => {
+                let got = self
+                    .matcher
+                    .try_match(&self.ctx, posted.ctx_id, posted.src, posted.tag)
+                    .map_err(Self::sim_err)?;
+                match got {
+                    Some(got) => self.complete_recv(&posted, got).map(Some),
+                    None => {
+                        self.store
+                            .put_back_request(req, Request::RecvPending(posted))?;
+                        Ok(None)
+                    }
+                }
+            }
+        }
+    }
+
+    /// `MPI_Waitall`.
+    pub fn waitall(&mut self, reqs: &[V::Request]) -> MpiResult<Vec<(V::Status, Option<Bytes>)>> {
+        reqs.iter().map(|&r| self.wait(r)).collect()
+    }
+
+    /// `MPI_Sendrecv`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sendrecv(
+        &mut self,
+        sendbuf: &[u8],
+        dest: i32,
+        sendtag: i32,
+        recvbuf: &mut [u8],
+        src: i32,
+        recvtag: i32,
+        dt: V::Datatype,
+        comm: V::Comm,
+    ) -> MpiResult<V::Status> {
+        // Eager transport cannot deadlock: send first, then receive.
+        self.send(sendbuf, dt, dest, sendtag, comm)?;
+        self.recv(recvbuf, dt, src, recvtag, comm)
+    }
+
+    /// `MPI_Probe`.
+    pub fn probe(&mut self, src: i32, tag: i32, comm: V::Comm) -> MpiResult<V::Status> {
+        self.check_live()?;
+        let info = self.info(comm)?;
+        let src_sel = Self::src_sel(&info, src)?;
+        let tag_sel = Self::tag_sel(tag)?;
+        let got = self
+            .matcher
+            .peek_blocking(&self.ctx, info.p2p_ctx(), src_sel, tag_sel)
+            .map_err(Self::sim_err)?;
+        Ok(Self::status_of(&info.ranks, &got))
+    }
+
+    /// `MPI_Iprobe`.
+    pub fn iprobe(&mut self, src: i32, tag: i32, comm: V::Comm) -> MpiResult<Option<V::Status>> {
+        self.check_live()?;
+        let info = self.info(comm)?;
+        let src_sel = Self::src_sel(&info, src)?;
+        let tag_sel = Self::tag_sel(tag)?;
+        let got = self
+            .matcher
+            .try_peek(&self.ctx, info.p2p_ctx(), src_sel, tag_sel)
+            .map_err(Self::sim_err)?;
+        Ok(got.map(|g| Self::status_of(&info.ranks, &g)))
+    }
+
+    // ------------------------------------------------------------------
+    // Communicator management
+    // ------------------------------------------------------------------
+
+    /// `MPI_Comm_dup` (collective over `comm`).
+    pub fn comm_dup(&mut self, comm: V::Comm) -> MpiResult<V::Comm> {
+        self.check_live()?;
+        let info = self.info(comm)?;
+        let base = self.agree_ctx_base(&info)?;
+        self.next_ctx_base = base + 2;
+        Ok(self
+            .store
+            .add_comm(CommInfo::new(base, info.ranks, info.my_rank)))
+    }
+
+    /// `MPI_Comm_split` (collective over `comm`).
+    pub fn comm_split(&mut self, comm: V::Comm, color: i32, key: i32) -> MpiResult<V::Comm> {
+        self.check_live()?;
+        let info = self.info(comm)?;
+        let base = self.agree_ctx_base(&info)?;
+
+        // Everyone learns every member's (color, key), in parent-rank
+        // order. Deterministic and simple; communicator creation is not
+        // on the critical path.
+        let mut mine = Vec::with_capacity(8);
+        mine.extend_from_slice(&color.to_le_bytes());
+        mine.extend_from_slice(&key.to_le_bytes());
+        let flat = self.exchange_through_root(&info, SPLIT_TAG, mine.into(), |all| {
+            Bytes::from(all.concat())
+        })?;
+        let int = |b: &[u8]| i32::from_le_bytes(b.try_into().expect("4 bytes"));
+        let table: Vec<[i32; 2]> = flat
+            .chunks_exact(8)
+            .map(|ck| [int(&ck[..4]), int(&ck[4..])])
+            .collect();
+
+        // Distinct colors in sorted order; each gets ctx base + 2*index.
+        let mut colors: Vec<i32> = table
+            .iter()
+            .map(|ck| ck[0])
+            .filter(|&c| c != V::UNDEFINED)
+            .collect();
+        colors.sort_unstable();
+        colors.dedup();
+        self.next_ctx_base = base + 2 * colors.len().max(1) as u64;
+
+        if color == V::UNDEFINED {
+            return Ok(V::COMM_NULL);
+        }
+        let color_idx = colors.binary_search(&color).map_err(|_| V::ERR_INTERN)?;
+        // Members of my color, ordered by (key, parent rank).
+        let mut members: Vec<(i32, usize)> = table
+            .iter()
+            .enumerate()
+            .filter(|(_, ck)| ck[0] == color)
+            .map(|(cr, ck)| (ck[1], cr))
+            .collect();
+        members.sort_unstable();
+        let world_ranks: Vec<usize> = members.iter().map(|&(_, cr)| info.ranks[cr]).collect();
+        let me = info.my_rank as usize;
+        let my_new_rank = members
+            .iter()
+            .position(|&(_, cr)| cr == me)
+            .ok_or(V::ERR_INTERN)? as i32;
+        Ok(self.store.add_comm(CommInfo::new(
+            base + 2 * color_idx as u64,
+            Arc::new(world_ranks),
+            my_new_rank,
+        )))
+    }
+
+    /// `MPI_Comm_free`.
+    pub fn comm_free(&mut self, comm: V::Comm) -> MpiResult<()> {
+        self.check_live()?;
+        self.store.free_comm(comm)
+    }
+
+    /// Agree on a context-id base across the communicator: the maximum of
+    /// every member's `next_ctx_base` (the analogue of MPICH's context-id
+    /// allocation protocol).
+    fn agree_ctx_base(&mut self, info: &CommInfo<V>) -> MpiResult<u64> {
+        let word = |b: &Bytes| u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
+        let mine = Bytes::copy_from_slice(&self.next_ctx_base.to_le_bytes());
+        let agreed = self.exchange_through_root(info, CTX_TAG, mine, |all| {
+            let max = all.iter().map(word).max().expect("own contribution");
+            Bytes::copy_from_slice(&max.to_le_bytes())
+        })?;
+        Ok(word(&agreed))
+    }
+
+    /// Gather one contribution per member at comm rank 0, which `merge`s
+    /// them (in rank order) and hands the result to everyone. Rank 0
+    /// receives from ranks `1..n` in rank order, never from any source:
+    /// its clock — and after its reply everyone's — must not depend on
+    /// the order the host delivered the contributions. Senders are eager,
+    /// so a fixed order cannot deadlock.
+    fn exchange_through_root(
+        &mut self,
+        info: &CommInfo<V>,
+        tag: i32,
+        mine: Bytes,
+        merge: impl FnOnce(&[Bytes]) -> Bytes,
+    ) -> MpiResult<Bytes> {
+        let n = info.size();
+        if info.my_rank != 0 {
+            self.xsend(info, true, 0, tag, mine)?;
+            let root = SrcPattern::Is(info.world_of(0)?);
+            return Ok(self
+                .xrecv(info, true, root, TagPattern::Is(tag + 1))?
+                .env
+                .payload);
+        }
+        let mut all = vec![mine];
+        for cr in 1..n {
+            let src = SrcPattern::Is(info.world_of(cr as i32)?);
+            all.push(
+                self.xrecv(info, true, src, TagPattern::Is(tag))?
+                    .env
+                    .payload,
+            );
+        }
+        let merged = merge(&all);
+        for dst in 1..n {
+            self.xsend(info, true, dst as i32, tag + 1, merged.clone())?;
+        }
+        Ok(merged)
+    }
+
+    // ------------------------------------------------------------------
+    // Datatypes
+    // ------------------------------------------------------------------
+
+    /// `MPI_Type_size`.
+    pub fn type_size(&self, dt: V::Datatype) -> MpiResult<usize> {
+        self.store.type_size(dt)
+    }
+
+    /// `MPI_Type_contiguous`.
+    pub fn type_contiguous(&mut self, count: i32, oldtype: V::Datatype) -> MpiResult<V::Datatype> {
+        self.check_live()?;
+        if count < 0 {
+            return Err(V::ERR_COUNT);
+        }
+        let base_size = self.store.type_size(oldtype)?;
+        Ok(self.store.add_derived(DerivedType {
+            size: base_size * count as usize,
+            elem: self.store.elem_kind(oldtype).ok(),
+            committed: false,
+        }))
+    }
+
+    /// `MPI_Type_commit`.
+    pub fn type_commit(&mut self, dt: V::Datatype) -> MpiResult<()> {
+        self.check_live()?;
+        if V::builtin_type(dt).is_some() {
+            return Ok(()); // committing a predefined type is a no-op
+        }
+        self.store.commit_type(dt)
+    }
+
+    /// `MPI_Type_free`.
+    pub fn type_free(&mut self, dt: V::Datatype) -> MpiResult<()> {
+        self.check_live()?;
+        self.store.free_type(dt)
+    }
+
+    // ------------------------------------------------------------------
+    // Reduction ops
+    // ------------------------------------------------------------------
+
+    /// `MPI_Op_create`.
+    pub fn op_create(&mut self, func: UserFn, commute: bool) -> MpiResult<V::Op> {
+        self.check_live()?;
+        Ok(self.store.add_user_op(UserOp { func, commute }))
+    }
+
+    /// `MPI_Op_free`.
+    pub fn op_free(&mut self, op: V::Op) -> MpiResult<()> {
+        self.check_live()?;
+        self.store.free_op(op)
+    }
+
+    /// Element-wise `acc = op(other, acc)` with op/datatype resolution.
+    fn combine_with(
+        &self,
+        op: V::Op,
+        dt: V::Datatype,
+        acc: &mut [u8],
+        other: &[u8],
+    ) -> MpiResult<()> {
+        if let Some(builtin) = V::builtin_op(op) {
+            let kind = self.store.elem_kind(dt)?;
+            return kernels::combine::<V>(builtin, kind, acc, other);
+        }
+        let user = self.store.user_op(op)?;
+        if acc.len() != other.len() {
+            return Err(V::ERR_COUNT);
+        }
+        let elem_size = self.store.type_size(dt)?;
+        (user.func)(other, acc, elem_size);
+        Ok(())
+    }
+
+    /// Charge the CPU cost of reducing `bytes` bytes.
+    fn charge_reduce_cost(&self, bytes: usize) {
+        let ns = bytes as f64 / V::REDUCE_BYTES_PER_NS;
+        self.ctx.compute(VirtualTime::from_nanos(ns as u64));
+    }
+
+    // ------------------------------------------------------------------
+    // What the vendors' collective algorithms share
+    // ------------------------------------------------------------------
+
+    /// Validate a collective's communicator and (buffer, datatype) pair;
+    /// returns the communicator facts and the element size.
+    pub fn validate_coll(
+        &self,
+        comm: V::Comm,
+        dt: V::Datatype,
+        buf_len: usize,
+    ) -> MpiResult<(CommInfo<V>, usize)> {
+        self.check_live()?;
+        let info = self.info(comm)?;
+        let elem = self.check_typed_buf(dt, buf_len)?;
+        Ok((info, elem))
+    }
+
+    /// Validate a root argument; returns it as a communicator rank.
+    pub fn validate_root(info: &CommInfo<V>, root: i32) -> MpiResult<usize> {
+        if root < 0 || root as usize >= info.size() {
+            Err(V::ERR_ROOT)
+        } else {
+            Ok(root as usize)
+        }
+    }
+
+    /// Validate a reduction-op handle.
+    pub fn validate_op(&self, op: V::Op) -> MpiResult<()> {
+        if V::builtin_op(op).is_some() {
+            Ok(())
+        } else {
+            self.store.user_op(op).map(|_| ())
+        }
+    }
+
+    /// Ordered combine: `acc = lower op higher` where `other_first` says the
+    /// incoming data precedes `acc` in rank order. Charges reduction CPU.
+    pub fn combine_ordered(
+        &mut self,
+        op: V::Op,
+        dt: V::Datatype,
+        acc: &mut [u8],
+        other: &[u8],
+        other_first: bool,
+    ) -> MpiResult<()> {
+        self.charge_reduce_cost(acc.len());
+        if other_first {
+            self.combine_with(op, dt, acc, other)
+        } else {
+            // acc op other: run the user/builtin fn with roles swapped.
+            let mut tmp = other.to_vec();
+            self.combine_with(op, dt, &mut tmp, acc)?;
+            acc.copy_from_slice(&tmp);
+            Ok(())
+        }
+    }
+}

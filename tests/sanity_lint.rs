@@ -209,6 +209,34 @@ fn exit_codes_mirror_benchgate_semantics() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn lines_by_crate_counts_code_lines_outside_test_modules() {
+    let dir = std::env::temp_dir().join(format!("stoolint-lines-{}", std::process::id()));
+    let lib = "//! A doc comment.\n\nfn f() {}\nfn g() {} // trailing comment\n\
+               #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n";
+    for krate in ["crates/seeded/src", "crates/seeded/tests", "src"] {
+        std::fs::create_dir_all(dir.join(krate)).unwrap();
+        std::fs::write(dir.join(krate).join("lib.rs"), lib).unwrap();
+    }
+
+    let report = lint_tree(&dir).unwrap();
+    let counted: Vec<(&str, usize)> = report
+        .lines_by_crate
+        .iter()
+        .map(|(name, lines)| (name.as_str(), *lines))
+        .collect();
+    assert_eq!(
+        counted,
+        [("crates/seeded", 2), ("src", 2)],
+        "two code lines per library; a crate's tests/ is not library code"
+    );
+    assert!(report
+        .to_json()
+        .contains("\"lines_by_crate\":{\"crates/seeded\":2,\"src\":2}"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The acceptance criterion, self-enforced: the repository this test
 /// ships in must lint clean. A PR that reintroduces a banned pattern
 /// fails here even before CI runs the binary.
