@@ -1,9 +1,8 @@
-//! Criterion: ≥ 512-rank worlds — striped mailboxes, tree-barrier
-//! rendezvous, and the vendor stacks at 64…1024 ranks.
+//! ≥ 512-rank worlds — striped mailboxes, tree-barrier rendezvous, and
+//! the vendor stacks at 64…1024 ranks.
 //!
-//! As a side effect (in both `cargo bench` and `--test` smoke mode) this
-//! bench emits `BENCH_scale.json` at the workspace root so CI records the
-//! scale trajectory and `benchgate` can compare it against the committed
+//! Emits `BENCH_scale.json` at the workspace root so CI records the scale
+//! trajectory and `benchgate` can compare it against the committed
 //! baselines:
 //!
 //! * `rendezvous_wallclock` — wall-clock of one full checkpoint
@@ -30,7 +29,6 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use dmtcp_sim::replica::Clock;
 use dmtcp_sim::{
     BarrierPhase, BarrierTopology, CkptMode, Coordinator, Poll, RankImage, ReplicaConfig,
@@ -496,30 +494,8 @@ fn measure_all() -> Measurements {
     m
 }
 
-fn scale_benches(c: &mut Criterion) {
+fn main() {
     let m = measure_all();
     let (fabric, _eps) = Fabric::new(&cluster(64));
     emit_json(&m, fabric.stripes());
-
-    // Wall-clock criterion samples of the tree rendezvous at a mid size
-    // (the sweep above already recorded the full curves).
-    let mut group = c.benchmark_group("scale_rendezvous");
-    group.sample_size(10);
-    group.bench_function("tree_256", |b| {
-        b.iter(|| {
-            rendezvous_round_ms(
-                256,
-                BarrierTopology::Tree {
-                    radix: BarrierTopology::DEFAULT_RADIX,
-                },
-            )
-        });
-    });
-    group.bench_function("flat_256", |b| {
-        b.iter(|| rendezvous_round_ms(256, BarrierTopology::Flat));
-    });
-    group.finish();
 }
-
-criterion_group!(benches, scale_benches);
-criterion_main!(benches);

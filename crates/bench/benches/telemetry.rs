@@ -1,4 +1,4 @@
-//! Criterion: the flight recorder — what always-on telemetry costs.
+//! The flight recorder — what always-on telemetry costs.
 //!
 //! Two angles. The **deterministic** one: a fixed checkpointing workload
 //! is replayed and the control-plane events the run emits per committed
@@ -9,13 +9,11 @@
 //! several threads to measure nanoseconds per `emit` (machine-dependent,
 //! warns only).
 //!
-//! As a side effect (in both `cargo bench` and `--test` smoke mode) this
-//! bench emits `BENCH_telemetry.json` at the workspace root for the
-//! benchgate flow.
+//! Emits `BENCH_telemetry.json` at the workspace root for the benchgate
+//! flow.
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use simnet::ClusterSpec;
 use stool::programs::RingPings;
 use stool::{Checkpointer, EventKind, Session, Telemetry, Vendor};
@@ -103,7 +101,7 @@ fn emit_json(events_per_round: f64, rounds: u64, emit_wall_ns: f64, events_per_s
     std::fs::write(path, json).expect("write BENCH_telemetry.json");
 }
 
-fn telemetry_benches(c: &mut Criterion) {
+fn main() {
     let (events_per_round, rounds) = measure_session();
     let (emit_wall_ns, events_per_sec_wall) = measure_emit_wall();
     println!(
@@ -111,20 +109,4 @@ fn telemetry_benches(c: &mut Criterion) {
          hot emit {emit_wall_ns:.1} ns ({events_per_sec_wall:.0} events/s, 4 threads)"
     );
     emit_json(events_per_round, rounds, emit_wall_ns, events_per_sec_wall);
-
-    // Wall-clock per-emit cost under criterion for the local trajectory.
-    let tel = Telemetry::new(1);
-    let mut i = 0u64;
-    let mut group = c.benchmark_group("telemetry");
-    group.bench_function("emit", |b| {
-        b.iter(|| {
-            i += 1;
-            tel.emit_rank(0, EventKind::MsgMatch, i, i, 0, 0);
-            i
-        });
-    });
-    group.finish();
 }
-
-criterion_group!(benches, telemetry_benches);
-criterion_main!(benches);

@@ -1,31 +1,32 @@
-//! benchgate — the CI perf-regression gate.
+//! benchgate — the CI gate over the `BENCH_*.json` reports.
 //!
-//! Strictly validates freshly emitted `BENCH_ckpt.json` / `BENCH_scale.json`
-//! / `BENCH_telemetry.json` (a malformed emit fails CI instead of uploading a
-//! broken artifact) and compares them against the committed baselines under
-//! `benches/baselines/`.
+//! Strictly validates the freshly emitted reports (a malformed emit fails
+//! CI instead of uploading a broken artifact) and holds them against the
+//! committed baselines under `benches/baselines/`, each through its table
+//! in [`stool_bench::gate`].
 //!
 //! ```text
 //! cargo run -p stool-bench --bin benchgate              # gate against baselines
 //! cargo run -p stool-bench --bin benchgate -- --write-baselines   # refresh them
 //! ```
 //!
-//! Exit codes: 0 = pass, 1 = regression beyond tolerance, 2 = missing or
-//! malformed input. See `docs/ci.md` for the workflow.
+//! Exit codes: 0 = pass, 1 = regression, 2 = missing or malformed input.
+//! See `docs/ci.md` for the workflow.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use stool_bench::gate::{
-    compare_ckpt, compare_matrix, compare_scale, compare_telemetry, parse_ckpt_report,
-    parse_matrix_report, parse_scale_report, parse_telemetry_report, GateOutcome, TOLERANCE,
+    compare, read, GateOutcome, Json, Report, CKPT, FIGS, MATRIX, SCALE, TELEMETRY,
 };
 
+/// What a plain run gates. `--matrix PATH` gates [`MATRIX`] alone: the
+/// perf gate and the correctness gate fail for different reasons and want
+/// different remedies, so PR CI runs them as separately labelled steps.
+const PERF: [&Report; 4] = [&CKPT, &SCALE, &TELEMETRY, &FIGS];
+
 struct Args {
-    ckpt: PathBuf,
-    scale: PathBuf,
-    telemetry: PathBuf,
-    matrix: Option<PathBuf>,
+    reports: Vec<(&'static Report, PathBuf)>,
     baselines: PathBuf,
     write_baselines: bool,
 }
@@ -33,147 +34,83 @@ struct Args {
 fn usage() -> ! {
     // lint:allow(no-eprintln) — gate tooling reports on stderr by design.
     eprintln!(
-        "usage: benchgate [--ckpt PATH] [--scale PATH] [--telemetry PATH] [--baselines DIR] \
-         [--write-baselines]\n\
-         \x20      benchgate --matrix PATH [--baselines DIR] [--write-baselines]\n\
-         defaults: --ckpt BENCH_ckpt.json --scale BENCH_scale.json \
-         --telemetry BENCH_telemetry.json --baselines benches/baselines\n\
-         --matrix gates a scenario-matrix emit (BENCH_matrix.json) instead of the \
-         perf reports; see docs/scenarios.md"
+        "usage: benchgate [--ckpt|--scale|--telemetry|--figs PATH]... [--baselines DIR] \
+         [--write-baselines]\n       benchgate --matrix PATH [--baselines DIR] [--write-baselines]\n\
+         defaults: BENCH_<report>.json in the working directory, --baselines benches/baselines; \
+         --matrix gates a scenario-matrix emit instead of the perf reports (docs/scenarios.md)"
     );
     std::process::exit(2);
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
-        ckpt: PathBuf::from("BENCH_ckpt.json"),
-        scale: PathBuf::from("BENCH_scale.json"),
-        telemetry: PathBuf::from("BENCH_telemetry.json"),
-        matrix: None,
+        reports: PERF.iter().map(|r| (*r, PathBuf::from(r.file()))).collect(),
         baselines: PathBuf::from("benches/baselines"),
         write_baselines: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--ckpt" => args.ckpt = it.next().unwrap_or_else(|| usage()).into(),
-            "--scale" => args.scale = it.next().unwrap_or_else(|| usage()).into(),
-            "--telemetry" => args.telemetry = it.next().unwrap_or_else(|| usage()).into(),
-            "--matrix" => args.matrix = Some(it.next().unwrap_or_else(|| usage()).into()),
-            "--baselines" => args.baselines = it.next().unwrap_or_else(|| usage()).into(),
-            "--write-baselines" => args.write_baselines = true,
-            _ => usage(),
+        if flag == "--write-baselines" {
+            args.write_baselines = true;
+            continue;
+        }
+        let value = PathBuf::from(it.next().unwrap_or_else(|| usage()));
+        let name = flag.strip_prefix("--").unwrap_or_else(|| usage());
+        match args.reports.iter_mut().find(|(r, _)| r.name == name) {
+            Some((_, path)) => *path = value,
+            None if name == "matrix" => args.reports = vec![(&MATRIX, value)],
+            None if name == "baselines" => args.baselines = value,
+            None => usage(),
         }
     }
     args
 }
 
-fn read(path: &Path) -> Result<String, String> {
-    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
-}
-
-/// The `--matrix` mode: gate a scenario-matrix emit instead of the perf
-/// reports. Kept exclusive so PR CI can run it as a separate, clearly
-/// labelled step (the perf gate and the correctness gate fail for
-/// different reasons and want different remedies).
-fn run_matrix(args: &Args, fresh_path: &Path) -> Result<GateOutcome, String> {
-    let fresh_text = read(fresh_path)?;
-    let fresh = parse_matrix_report(&fresh_text)
-        .map_err(|e| format!("{} is malformed: {e}", fresh_path.display()))?;
-    println!(
-        "benchgate: validated {} ({} suite, {} scenarios of {} in spec)",
-        fresh_path.display(),
-        fresh.suite,
-        fresh.scenarios.len(),
-        fresh.spec_scenarios
-    );
-
-    if args.write_baselines {
-        if fresh.suite != "full" {
-            return Err(format!(
-                "matrix baselines must come from the full suite, not '{}'",
-                fresh.suite
-            ));
-        }
-        std::fs::create_dir_all(&args.baselines)
-            .map_err(|e| format!("cannot create {}: {e}", args.baselines.display()))?;
-        let to = args.baselines.join("BENCH_matrix.json");
-        std::fs::write(&to, &fresh_text)
-            .map_err(|e| format!("cannot write {}: {e}", to.display()))?;
-        println!("benchgate: matrix baseline refreshed at {}", to.display());
-        return Ok(GateOutcome::default());
-    }
-
-    let base_path = args.baselines.join("BENCH_matrix.json");
-    let base = parse_matrix_report(&read(&base_path)?)
-        .map_err(|e| format!("{} is malformed: {e}", base_path.display()))?;
-    let mut out = GateOutcome::default();
-    compare_matrix(&mut out, &base, &fresh);
-    Ok(out)
+fn read_report(report: &Report, path: &Path) -> Result<(String, Json), String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let doc = read(report, &text).map_err(|e| format!("{} is malformed: {e}", path.display()))?;
+    Ok((text, doc))
 }
 
 fn run() -> Result<GateOutcome, String> {
     let args = parse_args();
 
-    if let Some(matrix) = args.matrix.clone() {
-        return run_matrix(&args, &matrix);
+    // Strict validation first: a fresh emit that does not parse is a CI
+    // failure regardless of baselines, and must not refresh any of them.
+    let mut fresh = Vec::new();
+    for (report, path) in &args.reports {
+        let (text, doc) = read_report(report, path)?;
+        println!("benchgate: validated {}", path.display());
+        fresh.push((*report, text, doc));
     }
 
-    // Strict validation first: a fresh emit that does not parse is a CI
-    // failure regardless of baselines (the former silent-artifact bug).
-    let ckpt_text = read(&args.ckpt)?;
-    let fresh_ckpt = parse_ckpt_report(&ckpt_text)
-        .map_err(|e| format!("{} is malformed: {e}", args.ckpt.display()))?;
-    let scale_text = read(&args.scale)?;
-    let fresh_scale = parse_scale_report(&scale_text)
-        .map_err(|e| format!("{} is malformed: {e}", args.scale.display()))?;
-    let telemetry_text = read(&args.telemetry)?;
-    let fresh_telemetry = parse_telemetry_report(&telemetry_text)
-        .map_err(|e| format!("{} is malformed: {e}", args.telemetry.display()))?;
-    println!(
-        "benchgate: validated {} ({} workloads), {} ({} rendezvous sizes) and {} \
-         ({:.1} events/round)",
-        args.ckpt.display(),
-        fresh_ckpt.workloads.len(),
-        args.scale.display(),
-        fresh_scale.rendezvous_wallclock.len(),
-        args.telemetry.display(),
-        fresh_telemetry.events_per_round
-    );
-
+    let mut out = GateOutcome::default();
     if args.write_baselines {
         std::fs::create_dir_all(&args.baselines)
             .map_err(|e| format!("cannot create {}: {e}", args.baselines.display()))?;
-        let ckpt_to = args.baselines.join("BENCH_ckpt.json");
-        let scale_to = args.baselines.join("BENCH_scale.json");
-        let telemetry_to = args.baselines.join("BENCH_telemetry.json");
-        std::fs::write(&ckpt_to, &ckpt_text)
-            .map_err(|e| format!("cannot write {}: {e}", ckpt_to.display()))?;
-        std::fs::write(&scale_to, &scale_text)
-            .map_err(|e| format!("cannot write {}: {e}", scale_to.display()))?;
-        std::fs::write(&telemetry_to, &telemetry_text)
-            .map_err(|e| format!("cannot write {}: {e}", telemetry_to.display()))?;
-        println!(
-            "benchgate: baselines refreshed under {}",
-            args.baselines.display()
-        );
-        return Ok(GateOutcome::default());
     }
-
-    let base_ckpt_path = args.baselines.join("BENCH_ckpt.json");
-    let base_ckpt = parse_ckpt_report(&read(&base_ckpt_path)?)
-        .map_err(|e| format!("{} is malformed: {e}", base_ckpt_path.display()))?;
-    let base_scale_path = args.baselines.join("BENCH_scale.json");
-    let base_scale = parse_scale_report(&read(&base_scale_path)?)
-        .map_err(|e| format!("{} is malformed: {e}", base_scale_path.display()))?;
-    let base_telemetry_path = args.baselines.join("BENCH_telemetry.json");
-    let base_telemetry = parse_telemetry_report(&read(&base_telemetry_path)?)
-        .map_err(|e| format!("{} is malformed: {e}", base_telemetry_path.display()))?;
-
-    let mut out = GateOutcome::default();
-    compare_ckpt(&mut out, &base_ckpt, &fresh_ckpt);
-    compare_scale(&mut out, &base_scale, &fresh_scale);
-    compare_telemetry(&mut out, &base_telemetry, &fresh_telemetry);
+    for (report, text, doc) in &fresh {
+        let base_path = args.baselines.join(report.file());
+        if args.write_baselines {
+            let suite = doc.obj("validated").expect("validated").get("suite");
+            if suite.is_some_and(|s| *s != Json::Str("full".into())) {
+                return Err("matrix baselines must come from the full suite".into());
+            }
+            std::fs::write(&base_path, text)
+                .map_err(|e| format!("cannot write {}: {e}", base_path.display()))?;
+            println!("benchgate: baseline refreshed at {}", base_path.display());
+            continue;
+        }
+        let (_, base) = read_report(report, &base_path)?;
+        let before = out.passed;
+        compare(report, &mut out, &base, doc);
+        println!(
+            "benchgate: {}: {} gates held",
+            report.name,
+            out.passed - before
+        );
+    }
     Ok(out)
 }
 
@@ -189,11 +126,7 @@ fn main() -> ExitCode {
                 println!("benchgate: warn: {w}");
             }
             if out.ok() {
-                println!(
-                    "benchgate: PASS — {} metrics within {:.0}% of baselines",
-                    out.passed,
-                    TOLERANCE * 100.0
-                );
+                println!("benchgate: PASS — {} gates held", out.passed);
                 ExitCode::SUCCESS
             } else {
                 for r in &out.regressions {

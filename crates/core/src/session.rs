@@ -1054,7 +1054,7 @@ impl Session {
             Some(bytes) => RunPlan::with_stack_bytes(bytes),
             None => RunPlan::auto(cluster.nranks()),
         };
-        // Build the fabric here (instead of letting `World::run_with` do
+        // Build the fabric here (instead of letting `World::run` do
         // it) so the recorder's hot-path counters attach before any rank
         // sends its first message.
         let cluster_arc = Arc::new(cluster.clone());
@@ -1065,7 +1065,7 @@ impl Session {
         // (FIFO-ticketed, so a wide tenant is never starved by narrow
         // ones) and held for the whole run.
         let _gang = shared.map(|ts| ts.pool.acquire(cluster.nranks()));
-        let run_result = World::run_on_with(cluster_arc, fabric, endpoints, plan, |ctx| {
+        let run_result = World::run_plan(cluster_arc, fabric, endpoints, plan, |ctx| {
             let (mut stack, mut mem, resume) = match restore {
                 None => (Stack::build(&spec, &ctx), Memory::new(), None),
                 Some((img, mana_cfg)) => {

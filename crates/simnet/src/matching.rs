@@ -58,7 +58,7 @@ pub trait ArrivalModel {
 }
 
 /// The default model: wire arrival time only (departure + link latency
-/// with the receiver's jitter factor), no extra engine cost.
+/// with the message's jitter factor), no extra engine cost.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WireArrival;
 
@@ -83,8 +83,8 @@ pub enum TagPattern {
 }
 
 /// A message delivered by the matcher: the envelope, its arrival time
-/// (jitter drawn exactly once, at ingest), and its per-process arrival
-/// sequence number.
+/// (computed once, at ingest), and its per-process arrival sequence
+/// number.
 #[derive(Debug, Clone)]
 pub struct MatchedMsg {
     /// The message.
@@ -498,7 +498,7 @@ mod tests {
             .try_match(&c1, 3, SrcPattern::Any, TagPattern::Any)
             .unwrap()
             .unwrap();
-        assert_eq!(p.arrival, m.arrival, "jitter drawn exactly once, at ingest");
+        assert_eq!(p.arrival, m.arrival, "arrival computed once, at ingest");
         assert_eq!(core.unexpected_len(), 0);
     }
 

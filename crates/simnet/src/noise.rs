@@ -6,9 +6,18 @@
 //! error bars and occasional inversions we jitter each message's wire cost
 //! by a deterministic, seeded multiplicative factor.
 //!
-//! The generator is a small self-contained xorshift* PRNG: per-(seed, rank)
-//! streams are independent, and the whole simulation stays bit-reproducible
-//! for a fixed seed — a property the test suite relies on.
+//! What is keyed on what — the whole simulation stays bit-reproducible
+//! for a fixed seed, a property the test suite relies on:
+//!
+//! * A **message's** factor ([`NoiseModel::message_factor`]) is a pure
+//!   function of `(seed, destination, source, the source's send sequence
+//!   number)`. The receiver applies it when its matcher ingests the
+//!   envelope, and ingest order is host delivery order — which thread the
+//!   OS ran first — so a draw from a receiver-side *stream* would hand
+//!   the same message a different factor from run to run.
+//! * **Other costs** ([`NoiseStream::factor`], e.g. a file-system write)
+//!   draw from a per-`(seed, rank)` xorshift* stream in the rank's own
+//!   program order, which no other thread can reorder.
 
 /// Multiplicative jitter model for message costs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,7 +55,25 @@ impl NoiseModel {
         self.rel_sigma > 0.0
     }
 
-    /// Create the per-rank jitter stream.
+    /// The jitter factor of the message `src` sent to `dst` as its
+    /// `seq`-th: the same for a message however the host interleaves the
+    /// deliveries.
+    pub fn message_factor(&self, dst: usize, src: usize, seq: u64) -> f64 {
+        if self.rel_sigma == 0.0 {
+            return 1.0;
+        }
+        // splitmix64's finalizer between the key's parts: neighbouring
+        // (dst, src, seq) must not start neighbouring xorshift states.
+        let mix = |x: u64| {
+            let x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            x ^ (x >> 31)
+        };
+        let key = mix(mix(mix(self.seed ^ dst as u64) ^ src as u64) ^ seq);
+        NoiseStream::new(key, self.rel_sigma).factor()
+    }
+
+    /// Create the per-rank jitter stream (for costs other than messages).
     pub fn stream_for_rank(&self, rank: usize) -> NoiseStream {
         NoiseStream::new(
             self.seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -137,6 +164,27 @@ mod tests {
             })
             .collect();
         assert_ne!(a, c, "different ranks must get different streams");
+    }
+
+    #[test]
+    fn message_factor_is_a_pure_function_of_its_key() {
+        assert_eq!(NoiseModel::disabled().message_factor(1, 2, 3), 1.0);
+        let model = NoiseModel::with_sigma(0.1, 42);
+        let f = model.message_factor(1, 2, 3);
+        assert_eq!(f, model.message_factor(1, 2, 3));
+        let others = [
+            model.message_factor(2, 2, 3),
+            model.message_factor(1, 3, 3),
+            model.message_factor(1, 2, 4),
+            NoiseModel::with_sigma(0.1, 43).message_factor(1, 2, 3),
+        ];
+        assert!(others.iter().all(|&g| g != f), "{f} among {others:?}");
+        let n = 10_000;
+        let mean = (0..n)
+            .map(|seq| model.message_factor(0, 1, seq))
+            .sum::<f64>()
+            / n as f64;
+        assert!((mean - 1.0).abs() < 0.01, "mean message factor was {mean}");
     }
 
     #[test]

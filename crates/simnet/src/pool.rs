@@ -1,20 +1,16 @@
 //! A shared bounded worker pool with FIFO gang admission.
 //!
-//! Two callers need to bound rank-thread concurrency: [`World::run_pooled`]
-//! (independent rank bodies of ONE world admitted through a sliding
-//! window) and the multi-tenant cluster layer (MANY communicating worlds
-//! sharing one process, each needing *all* of its ranks live at once —
-//! gang admission, because a communicating world deadlocks if only half
-//! its ranks exist). Both express their need as permits against one
-//! [`WorkerPool`].
+//! The multi-tenant cluster layer runs MANY communicating worlds in one
+//! process and must bound their rank threads: each world needs *all* of
+//! its ranks live at once — gang admission, because a communicating world
+//! deadlocks if only half its ranks exist — so a tenant takes its whole
+//! world's permits against one shared [`WorkerPool`] before it launches.
 //!
 //! Admission is strictly FIFO by ticket: a large gang waiting at the head
 //! of the queue cannot be starved by a stream of small requests slipping
 //! past it. A gang larger than the pool's whole capacity is admitted
 //! alone, once the pool is fully idle — it borrows every permit rather
 //! than deadlocking on permits that can never all exist.
-//!
-//! [`World::run_pooled`]: crate::world::World::run_pooled
 
 use std::sync::Arc;
 

@@ -135,15 +135,18 @@ impl RankCtx {
     /// When an envelope arrives at this rank: departure (which already
     /// includes the sender-side serialization, see
     /// [`crate::fabric::Endpoint::send_raw`]) plus the link's propagation
-    /// latency, with the receiver's jitter factor applied.
+    /// latency, jittered by the message's own factor
+    /// ([`crate::NoiseModel::message_factor`]) — a function of the message,
+    /// not of when this rank's matcher happened to ingest it.
     pub fn arrival_time(&self, env: &Envelope) -> VirtualTime {
         let link = self.spec.link_between(env.src, self.rank);
-        let jittered = link.alpha.scale(self.noise.borrow_mut().factor());
-        env.depart + jittered
+        let factor = self.spec.noise.message_factor(self.rank, env.src, env.seq);
+        env.depart + link.alpha.scale(factor)
     }
 
-    /// Draw the next jitter factor directly (for costs other than messages,
-    /// e.g. file-system writes in the checkpointing layer).
+    /// Draw the next jitter factor of this rank's program-order stream
+    /// (for costs other than messages, e.g. file-system writes in the
+    /// checkpointing layer).
     pub fn jitter_factor(&self) -> f64 {
         self.noise.borrow_mut().factor()
     }

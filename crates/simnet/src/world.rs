@@ -7,10 +7,7 @@
 //! it *can* bound is the per-thread cost — [`RunPlan::auto`] shrinks rank
 //! stacks from the OS default (8 MiB) to 1 MiB once a world reaches 128
 //! ranks, which keeps a 1024-rank world at ~1 GiB of address space
-//! instead of ~8 GiB. For rank bodies that are **independent** (no
-//! cross-rank blocking — image generation, per-rank setup fan-out),
-//! [`World::run_pooled`] runs them through a bounded worker pool instead
-//! of one thread per rank.
+//! instead of ~8 GiB.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -19,7 +16,6 @@ use std::sync::Arc;
 use crate::cluster::ClusterSpec;
 use crate::error::{SimError, SimResult};
 use crate::fabric::Fabric;
-use crate::pool::WorkerPool;
 use crate::rank::{RankCounters, RankCtx};
 use crate::time::VirtualTime;
 
@@ -108,41 +104,17 @@ impl World {
         R: Send,
         F: Fn(Rc<RankCtx>) -> SimResult<R> + Sync,
     {
-        Self::run_with(spec, RunPlan::auto(spec.nranks()), f)
-    }
-
-    /// Like [`World::run`] with an explicit threading plan.
-    pub fn run_with<R, F>(spec: &ClusterSpec, plan: RunPlan, f: F) -> SimResult<WorldOutcome<R>>
-    where
-        R: Send,
-        F: Fn(Rc<RankCtx>) -> SimResult<R> + Sync,
-    {
         spec.validate().map_err(SimError::InvalidConfig)?;
         let spec = Arc::new(spec.clone());
         let (fabric, endpoints) = Fabric::new(&spec);
-        Self::run_on_with(spec, fabric, endpoints, plan, f)
-    }
-
-    /// Like [`World::run`], but over a caller-provided fabric — used by the
-    /// checkpointing layers, which need to keep out-of-band coordinator
-    /// channels alongside the fabric.
-    pub fn run_on<R, F>(
-        spec: Arc<ClusterSpec>,
-        fabric: Fabric,
-        endpoints: Vec<crate::fabric::Endpoint>,
-        f: F,
-    ) -> SimResult<WorldOutcome<R>>
-    where
-        R: Send,
-        F: Fn(Rc<RankCtx>) -> SimResult<R> + Sync,
-    {
         let plan = RunPlan::auto(spec.nranks());
-        Self::run_on_with(spec, fabric, endpoints, plan, f)
+        Self::run_plan(spec, fabric, endpoints, plan, f)
     }
 
-    /// The general entry point: caller-provided fabric *and* threading
-    /// plan.
-    pub fn run_on_with<R, F>(
+    /// The general entry point: a caller-provided fabric — the
+    /// checkpointing layers keep out-of-band coordinator channels and the
+    /// recorder's counters alongside it — *and* threading plan.
+    pub fn run_plan<R, F>(
         spec: Arc<ClusterSpec>,
         fabric: Fabric,
         endpoints: Vec<crate::fabric::Endpoint>,
@@ -174,81 +146,6 @@ impl World {
             for handle in handles {
                 // The closure itself contains panics, so join only fails if
                 // the containment machinery is broken; propagate in that case.
-                let (rank, res, clock, counters) = handle.join().expect("rank thread join failed");
-                slots[rank] = Some((res, clock, counters));
-            }
-        });
-
-        Self::collect(slots)
-    }
-
-    /// Run **independent** rank bodies through a bounded worker pool: at
-    /// most `max_threads` rank threads are live at any moment, admitted in
-    /// strict rank order through a fresh [`WorkerPool`].
-    ///
-    /// This is the "where the engine allows it" escape from one thread per
-    /// rank: a later rank does not exist until an earlier rank releases a
-    /// pool permit, so `f` must never *block on* a higher-numbered rank
-    /// (sends are fine — the fabric's mailboxes buffer them; a blocking
-    /// receive may only wait on lower-numbered ranks, which are always
-    /// admitted first). Use [`World::run`] for communicating programs.
-    pub fn run_pooled<R, F>(
-        spec: &ClusterSpec,
-        max_threads: usize,
-        f: F,
-    ) -> SimResult<WorldOutcome<R>>
-    where
-        R: Send,
-        F: Fn(Rc<RankCtx>) -> SimResult<R> + Sync,
-    {
-        let pool = WorkerPool::new(max_threads);
-        Self::run_pooled_on(spec, &pool, f)
-    }
-
-    /// Like [`World::run_pooled`] over a caller-provided (possibly shared)
-    /// [`WorkerPool`]. Each rank holds one pool permit for its lifetime;
-    /// permits are acquired on the launcher thread in rank order, so
-    /// admission is deterministic and FIFO-fair against other users of
-    /// the same pool.
-    pub fn run_pooled_on<R, F>(
-        spec: &ClusterSpec,
-        pool: &WorkerPool,
-        f: F,
-    ) -> SimResult<WorldOutcome<R>>
-    where
-        R: Send,
-        F: Fn(Rc<RankCtx>) -> SimResult<R> + Sync,
-    {
-        spec.validate().map_err(SimError::InvalidConfig)?;
-        let spec = Arc::new(spec.clone());
-        let (fabric, endpoints) = Fabric::new(&spec);
-        let nranks = spec.nranks();
-        let plan = RunPlan::auto(pool.capacity().min(nranks));
-        let f = &f;
-
-        let mut slots: Vec<Option<(SimResult<R>, VirtualTime, RankCounters)>> =
-            (0..nranks).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(nranks);
-            for (rank, ep) in endpoints.into_iter().enumerate() {
-                // Admission happens here, on the launcher thread: rank N+1
-                // is not spawned until a permit frees, and never before
-                // rank N was admitted.
-                let permit = pool.acquire(1);
-                let spec = spec.clone();
-                let fabric = fabric.clone();
-                let handle = plan
-                    .builder(rank)
-                    .spawn_scoped(scope, move || {
-                        let out = Self::rank_body(rank, spec, fabric, ep, f);
-                        drop(permit);
-                        out
-                    })
-                    .expect("spawn rank thread");
-                handles.push(handle);
-            }
-            for handle in handles {
                 let (rank, res, clock, counters) = handle.join().expect("rank thread join failed");
                 slots[rank] = Some((res, clock, counters));
             }
@@ -464,8 +361,10 @@ mod tests {
 
     #[test]
     fn bounded_stack_world_runs_fine() {
-        let spec = ClusterSpec::builder().nodes(1).ranks_per_node(4).build();
-        let outcome = World::run_with(&spec, RunPlan::with_stack_bytes(256 * 1024), |ctx| {
+        let spec = Arc::new(ClusterSpec::builder().nodes(1).ranks_per_node(4).build());
+        let (fabric, endpoints) = Fabric::new(&spec);
+        let plan = RunPlan::with_stack_bytes(256 * 1024);
+        let outcome = World::run_plan(spec, fabric, endpoints, plan, |ctx| {
             let n = ctx.nranks();
             let next = (ctx.rank() + 1) % n;
             ctx.endpoint()
@@ -475,51 +374,5 @@ mod tests {
         })
         .unwrap();
         assert_eq!(outcome.results, vec![7; 4]);
-    }
-
-    #[test]
-    fn pooled_run_bounds_live_threads() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let spec = ClusterSpec::builder().nodes(1).ranks_per_node(12).build();
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let outcome = World::run_pooled(&spec, 3, |ctx| {
-            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(now, Ordering::SeqCst);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            live.fetch_sub(1, Ordering::SeqCst);
-            Ok(ctx.rank())
-        })
-        .unwrap();
-        assert_eq!(outcome.results, (0..12).collect::<Vec<_>>());
-        assert!(
-            peak.load(Ordering::SeqCst) <= 3,
-            "peak {} exceeded the pool bound",
-            peak.load(Ordering::SeqCst)
-        );
-    }
-
-    #[test]
-    fn pooled_run_sends_cross_waves() {
-        // Wave 1 ranks send to wave 2 ranks; the mailboxes buffer across
-        // waves, so the later ranks receive what earlier ranks queued.
-        let spec = ClusterSpec::builder().nodes(1).ranks_per_node(8).build();
-        let outcome = World::run_pooled(&spec, 4, |ctx| {
-            if ctx.rank() < 4 {
-                ctx.endpoint().send_raw(
-                    ctx.rank() + 4,
-                    0,
-                    0,
-                    Bytes::from(vec![ctx.rank() as u8]),
-                    &ctx,
-                )?;
-                Ok(0u8)
-            } else {
-                let env = ctx.endpoint().recv_raw_blocking(&ctx)?;
-                Ok(env.payload[0])
-            }
-        })
-        .unwrap();
-        assert_eq!(outcome.results[4..], [0, 1, 2, 3]);
     }
 }

@@ -41,7 +41,7 @@ fn main() {
     };
 
     // A scaled-down sweep so the example runs in seconds; the full-size
-    // Figs. 2-4 reproduction lives in `cargo run -p stool-bench --bin fig2_alltoall`.
+    // Figs. 2-4 reproduction lives in `cargo run --release -p stool-bench --bin figs`.
     let bench = OsuLatency {
         kernel,
         min_size: 1,

@@ -237,3 +237,52 @@ fn session_label_reflects_stack() {
         "label {label:?} should name the checkpointer"
     );
 }
+
+#[test]
+fn seeded_noise_reproduces_bit_for_bit() {
+    // A message's jitter is a function of (seed, destination, source, the
+    // source's sequence number), not of the order in which the host
+    // happened to deliver it: under one seed every run of a noisy
+    // alltoall + allreduce sweep measures the same latencies to the bit,
+    // and another seed measures others.
+    use mpi_stool::simnet::NoiseModel;
+    let latencies = |vendor: Vendor, seed: u64| -> Vec<u64> {
+        let mut lat = Vec::new();
+        for kernel in [OsuKernel::Alltoall, OsuKernel::Allreduce] {
+            let bench = OsuLatency {
+                kernel,
+                min_size: 8,
+                max_size: 4096,
+                warmup: 1,
+                iters: 4,
+                ckpt_window: None,
+            };
+            let cluster = ClusterSpec::builder()
+                .nodes(2)
+                .ranks_per_node(4)
+                .noise(NoiseModel::with_sigma(0.06, seed))
+                .build();
+            let session = Session::builder().cluster(cluster).vendor(vendor);
+            let out = session
+                .native_abi()
+                .build()
+                .unwrap()
+                .launch(&bench)
+                .unwrap();
+            let mem = &out.memories().unwrap()[0];
+            lat.extend(mem.f64s("osu.lat_us").unwrap().iter().map(|x| x.to_bits()));
+        }
+        lat
+    };
+    for vendor in [Vendor::Mpich, Vendor::OpenMpi] {
+        let first = latencies(vendor, 0xC0FFEE);
+        for run in 1..20 {
+            assert_eq!(latencies(vendor, 0xC0FFEE), first, "{vendor:?} run {run}");
+        }
+        assert_ne!(
+            latencies(vendor, 0xC0FFEF),
+            first,
+            "{vendor:?}: the seed is not felt"
+        );
+    }
+}
