@@ -107,12 +107,6 @@ impl Datatype {
     pub const fn extent(self, count: usize) -> usize {
         self.size() * count
     }
-
-    /// Whether reduction arithmetic is defined for this type
-    /// (true for all numeric types; `Byte`/`Char` support only bitwise ops).
-    pub const fn is_numeric(self) -> bool {
-        !matches!(self, Datatype::Byte | Datatype::Char)
-    }
 }
 
 #[cfg(test)]

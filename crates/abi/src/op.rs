@@ -73,13 +73,6 @@ impl ReduceOp {
             .find(|o| o.abi_index() == h.index())
     }
 
-    /// Whether this operation is commutative (all predefined ops are; the
-    /// distinction matters for user-defined ops, where non-commutative ops
-    /// restrict the reduction tree shapes a library may use).
-    pub const fn is_commutative(self) -> bool {
-        true
-    }
-
     /// Whether the op is defined for non-numeric types (`Byte`/`Char`):
     /// only the bitwise family is.
     pub const fn is_bitwise(self) -> bool {

@@ -35,9 +35,6 @@ use crate::version::AbiVersion;
 /// must handle `invec.len() / elem_size` elements.
 pub type UserOpFn = fn(invec: &[u8], inoutvec: &mut [u8], elem_size: usize);
 
-/// A boxed ABI instance, as handed to application binaries.
-pub type DynMpi = Box<dyn MpiAbi>;
-
 /// The complete standard-ABI function table (one instance per rank).
 ///
 /// A library instance is thread-local to its rank (like a real MPI library
@@ -300,6 +297,6 @@ mod tests {
     #[test]
     fn trait_is_object_safe() {
         fn _takes_dyn(_: &mut dyn MpiAbi) {}
-        fn _boxed(_: DynMpi) {}
+        fn _boxed(_: Box<dyn MpiAbi>) {}
     }
 }

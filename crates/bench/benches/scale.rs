@@ -39,7 +39,9 @@ use simnet::{ClusterSpec, Fabric, Interconnect};
 use std::sync::Arc;
 use stool::cluster::{Cluster, TenantSpec};
 use stool::programs::RingPings;
-use stool::{AppCtx, Checkpointer, MpiProgram, Session, StoolResult, Vendor};
+use stool::{
+    AppCtx, Checkpointer, DurabilityPolicy, MpiProgram, Session, StoolResult, StorePolicy, Vendor,
+};
 
 /// World sizes for the sweep; ranks per node stays at 64 (16 nodes at the
 /// top end), mirroring a fat modern CPU partition.
@@ -326,7 +328,10 @@ fn cluster_saturation(tenants: usize) -> ClusterNumbers {
             .vendor(vendor)
             .checkpointer(Checkpointer::mana())
             .checkpoint_every(2)
-            .checkpoint_store(root.join(format!("chain_{i}")))
+            .durability(DurabilityPolicy {
+                store: Some(StorePolicy::new(root.join(format!("chain_{i}")))),
+                ..DurabilityPolicy::default()
+            })
             .build()
             .expect("tenant session");
         builder = builder.tenant(format!("t{i}"), TenantSpec::new(session));

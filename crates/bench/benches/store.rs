@@ -15,7 +15,10 @@ use dmtcp_sim::tier::{FsTier, ObjectTier};
 use dmtcp_sim::WorldImage;
 use mpi_apps::{CoMdMini, WaveMpi};
 use simnet::ClusterSpec;
-use stool::{Checkpointer, ManaConfig, MpiProgram, Session, StoreError, Vendor};
+use stool::{
+    Checkpointer, DurabilityPolicy, ManaConfig, MpiProgram, Session, StoreError, StorePolicy,
+    TierConfig, TierPolicy, Vendor,
+};
 
 fn bench_cluster() -> ClusterSpec {
     ClusterSpec::builder().nodes(2).ranks_per_node(3).build()
@@ -99,11 +102,18 @@ fn measure_workload(
             .vendor(Vendor::Mpich)
             .checkpointer(bench_mana())
             .checkpoint_every(every);
-        if let Some((dir, cfg, tier)) = store {
-            builder = builder.checkpoint_store_with(dir, cfg);
-            if let Some(tier_dir) = tier {
-                builder = builder.checkpoint_tier(tier_dir);
-            }
+        if let Some((dir, config, tier)) = store {
+            builder = builder.durability(DurabilityPolicy {
+                store: Some(StorePolicy {
+                    config,
+                    ..StorePolicy::new(dir)
+                }),
+                tier: tier.map(|dir| TierPolicy {
+                    dir: dir.to_path_buf(),
+                    config: TierConfig::default(),
+                }),
+                replicas: None,
+            });
         }
         let session = builder.build().expect("session");
         session.launch(program).expect("launch")

@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use simnet::ClusterSpec;
 use stool::programs::RingPings;
-use stool::{Checkpointer, EventKind, Session, Telemetry, Vendor};
+use stool::{Checkpointer, DurabilityPolicy, EventKind, Session, StorePolicy, Telemetry, Vendor};
 
 /// The kinds the coordinator/store control plane emits on a clean
 /// (no-replica, no-tier) checkpointing run. Per-round counts are a pure
@@ -42,7 +42,10 @@ fn measure_session() -> (f64, u64) {
         .vendor(Vendor::Mpich)
         .checkpointer(Checkpointer::mana())
         .checkpoint_every(6)
-        .checkpoint_store(&dir)
+        .durability(DurabilityPolicy {
+            store: Some(StorePolicy::new(&dir)),
+            ..DurabilityPolicy::default()
+        })
         .build()
         .expect("session");
     let out = session

@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use stool::{matrix_json, parse_matrix, run_scenario, ScenarioResult, ScenarioSpec};
-use stool_bench::app_for;
+use stool_bench::matrix::app_for;
 
 struct Args {
     spec: PathBuf,

@@ -420,12 +420,14 @@ pub fn collect(sweep: &Sweep) -> StoolResult<String> {
     let dir = format!("stool-figs-restart-{}-{nth}", std::process::id());
     let dir = std::env::temp_dir().join(dir);
     let _ = std::fs::remove_dir_all(&dir);
-    let stored = stopping().checkpoint_store(&dir).build()?;
-    assert!(matches!(
-        stored.launch(&modified)?,
-        RunOutcome::Checkpointed { .. }
-    ));
-    let from_store = full_stack(Vendor::Mpich).checkpoint_store(&dir).build()?;
+    let chain = || stool::DurabilityPolicy {
+        store: Some(stool::StorePolicy::new(&dir)),
+        ..Default::default()
+    };
+    // `into_image` is the check that the run stopped at its checkpoint.
+    let stored = stopping().durability(chain()).build()?;
+    stored.launch(&modified)?.into_image()?;
+    let from_store = full_stack(Vendor::Mpich).durability(chain()).build()?;
     let restarted_store = from_store.restore_from_store(&modified);
     std::fs::remove_dir_all(&dir).ok();
     let restarted_store = latencies(&restarted_store?)?;

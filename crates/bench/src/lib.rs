@@ -25,5 +25,3 @@
 pub mod figs;
 pub mod gate;
 pub mod matrix;
-
-pub use matrix::app_for;

@@ -2,7 +2,7 @@
 //!
 //! A [`Cluster`] hosts N independent *tenants* — each one a full
 //! [`Session`] configuration (own vendor, ABI mode, checkpoint policy,
-//! fault plan, [`crate::DurabilityPolicy`]) — and runs them
+//! fault schedule, [`crate::DurabilityPolicy`]) — and runs them
 //! concurrently over shared infrastructure:
 //!
 //! * **One bounded worker pool** ([`simnet::WorkerPool`]). Each tenant's
@@ -29,7 +29,7 @@
 //! use simnet::ClusterSpec;
 //! use stool::cluster::{Cluster, TenantSpec};
 //! use stool::programs::RingPings;
-//! use stool::{Checkpointer, Session, Vendor};
+//! use stool::{Checkpointer, DurabilityPolicy, Session, StorePolicy, Vendor};
 //!
 //! let tenant = |vendor| {
 //!     TenantSpec::new(
@@ -38,7 +38,10 @@
 //!             .vendor(vendor)
 //!             .checkpointer(Checkpointer::mana())
 //!             .checkpoint_every(2)
-//!             .checkpoint_store(format!("/tmp/chains/{vendor:?}"))
+//!             .durability(DurabilityPolicy {
+//!                 store: Some(StorePolicy::new(format!("/tmp/chains/{vendor:?}"))),
+//!                 ..DurabilityPolicy::default()
+//!             })
 //!             .build()
 //!             .unwrap(),
 //!     )
@@ -260,11 +263,6 @@ impl Cluster {
     /// Begin building a cluster.
     pub fn builder() -> ClusterBuilder {
         ClusterBuilder::default()
-    }
-
-    /// The tenant ids, in insertion order.
-    pub fn tenant_ids(&self) -> Vec<&str> {
-        self.tenants.iter().map(|t| t.id.as_str()).collect()
     }
 
     /// A tenant's session (e.g. to [`Session::restore_from_store`] its

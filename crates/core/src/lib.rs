@@ -55,7 +55,7 @@ pub use cluster::{Cluster, ClusterBuilder, ClusterReport, TenantReport, TenantSp
 pub use dmtcp_sim::memory::Memory;
 pub use dmtcp_sim::{
     tenant_namespace, FlakyTier, FsTier, GetFault, MemTier, ObjectTier, PutFault, ScrubReport,
-    Scrubber, SharedTier, TierConfig, TierError, TierStats,
+    SharedTier, TierConfig, TierError, TierStats,
 };
 pub use dmtcp_sim::{
     BarrierPhase, ReplicaConfig, ReplicaError, ReplicaFault, ReplicaGroup, ReplicaRecord,
@@ -63,8 +63,8 @@ pub use dmtcp_sim::{
 };
 pub use dmtcp_sim::{BarrierTopology, CkptMode, ImageError, WorldImage};
 pub use dmtcp_sim::{
-    Compression, DeltaStore, EpochStats, ManifestFormat, SharedStoreWriter, StoreConfig,
-    StoreError, TenantQuota, TenantSink,
+    Compression, DeltaStore, EpochStats, SharedStoreWriter, StoreConfig, StoreError, TenantQuota,
+    TenantSink,
 };
 pub use error::{StoolError, StoolResult};
 pub use mana_sim::ManaConfig;
@@ -75,8 +75,8 @@ pub use scenario::{
     ScenarioResult, ScenarioSpec, Straggler, Victims,
 };
 pub use session::{
-    Checkpointer, CkptPolicy, DurabilityPolicy, FaultPlan, Recovery, ReplicaPolicy,
-    ResilienceReport, RunOutcome, Session, SessionBuilder, StorePolicy, TierPolicy,
+    Checkpointer, CkptPolicy, DurabilityPolicy, Recovery, ReplicaPolicy, ResilienceReport,
+    RunOutcome, Session, SessionBuilder, StorePolicy, TierPolicy,
 };
 pub use telemetry::{
     Event, EventKind, MetricValue, MetricsRegistry, Telemetry, TelemetryConfig, TelemetrySnapshot,

@@ -5,7 +5,6 @@
 //! method lowers to exactly one ABI call, so interposition layers see the
 //! same call stream the raw interface would produce.
 
-use bytes::Bytes;
 use mpi_abi::{AbiResult, AbiStatus, Datatype, Handle, MpiAbi, ReduceOp};
 
 /// Convert a f64 slice to wire bytes.
@@ -118,56 +117,9 @@ impl<'a> Pmpi<'a> {
         Ok(st)
     }
 
-    /// Nonblocking typed send.
-    pub fn isend_f64s(
-        &mut self,
-        data: &[f64],
-        dest: i32,
-        tag: i32,
-        comm: Handle,
-    ) -> AbiResult<Handle> {
-        self.mpi.isend(
-            &f64s_to_bytes(data),
-            Datatype::Double.handle(),
-            dest,
-            tag,
-            comm,
-        )
-    }
-
-    /// Nonblocking typed receive of up to `max_elems` doubles.
-    pub fn irecv_f64s(
-        &mut self,
-        max_elems: usize,
-        src: i32,
-        tag: i32,
-        comm: Handle,
-    ) -> AbiResult<Handle> {
-        self.mpi
-            .irecv(max_elems * 8, Datatype::Double.handle(), src, tag, comm)
-    }
-
-    /// Wait and decode a typed receive payload (empty for sends).
-    pub fn wait_f64s(&mut self, req: Handle) -> AbiResult<(AbiStatus, Vec<f64>)> {
-        let (st, payload) = self.mpi.wait(req)?;
-        let payload = payload.unwrap_or_else(Bytes::new);
-        let mut out = vec![0.0; payload.len() / 8];
-        bytes_to_f64s(&payload, &mut out);
-        Ok((st, out))
-    }
-
     /// Barrier.
     pub fn barrier(&mut self, comm: Handle) -> AbiResult<()> {
         self.mpi.barrier(comm)
-    }
-
-    /// Typed broadcast (in place).
-    pub fn bcast_f64s(&mut self, data: &mut [f64], root: i32, comm: Handle) -> AbiResult<()> {
-        let mut buf = f64s_to_bytes(data);
-        self.mpi
-            .bcast(&mut buf, Datatype::Double.handle(), root, comm)?;
-        bytes_to_f64s(&buf, data);
-        Ok(())
     }
 
     /// Typed allreduce.
@@ -195,28 +147,6 @@ impl<'a> Pmpi<'a> {
         let mut out = [0.0];
         self.allreduce_f64s(&[x], &mut out, op, comm)?;
         Ok(out[0])
-    }
-
-    /// Typed reduce to `root` (recv significant there).
-    pub fn reduce_f64s(
-        &mut self,
-        send: &[f64],
-        recv: &mut [f64],
-        op: ReduceOp,
-        root: i32,
-        comm: Handle,
-    ) -> AbiResult<()> {
-        let mut buf = vec![0u8; recv.len() * 8];
-        self.mpi.reduce(
-            &f64s_to_bytes(send),
-            &mut buf,
-            Datatype::Double.handle(),
-            op.handle(),
-            root,
-            comm,
-        )?;
-        bytes_to_f64s(&buf, recv);
-        Ok(())
     }
 
     /// Typed gather of equal contributions to `root` (recv sized

@@ -61,8 +61,8 @@ pub struct AppCtx<'a> {
     pub(crate) sim: Rc<RankCtx>,
     pub(crate) resume: Option<u64>,
     pub(crate) policy: CkptPolicy,
-    /// Resolved kill schedule (legacy plan + fault schedule), sorted by
-    /// step; shared read-only across ranks.
+    /// Resolved kill schedule, sorted by step; shared read-only across
+    /// ranks.
     pub(crate) kills: Arc<Vec<ResolvedKill>>,
     /// This rank's straggler window, if the schedule delays it.
     pub(crate) straggle: Option<Straggler>,
@@ -98,11 +98,6 @@ impl AppCtx<'_> {
     /// after a restore.
     pub fn resume_step(&self) -> u64 {
         self.resume.unwrap_or(0)
-    }
-
-    /// Whether this run was restored from a checkpoint image.
-    pub fn is_restart(&self) -> bool {
-        self.resume.is_some()
     }
 
     /// Current virtual time on this rank.

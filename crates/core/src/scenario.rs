@@ -42,8 +42,7 @@ use simnet::{ClusterSpec, VirtualTime};
 
 use crate::program::MpiProgram;
 use crate::session::{
-    Checkpointer, DurabilityPolicy, FaultPlan, ReplicaPolicy, RunOutcome, Session, StorePolicy,
-    TierPolicy,
+    Checkpointer, DurabilityPolicy, ReplicaPolicy, RunOutcome, Session, StorePolicy, TierPolicy,
 };
 use crate::telemetry::TelemetrySnapshot;
 
@@ -91,9 +90,8 @@ impl Victims {
 }
 
 /// One scheduled kill: the job dies globally when the application reaches
-/// `at_step`, blamed on `victims`. Generalizes the single-shot
-/// [`FaultPlan`] — a schedule may hold several kills, consumed one per
-/// run as the job is restarted from the chain.
+/// `at_step`, blamed on `victims`. A schedule may hold several kills,
+/// consumed one per run as the job is restarted from the chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KillEvent {
     /// The safe-point step at which this kill strikes.
@@ -295,27 +293,17 @@ impl FaultSchedule {
         }
     }
 
-    /// Resolve the kill list against the cluster: sorted by step, same-step
-    /// events merged, victims expanded to rank lists, plus the legacy
-    /// single-shot [`FaultPlan`] folded in as a node-group kill (its `node`
-    /// is the blamed node-group).
-    pub(crate) fn resolved_kills(
-        &self,
-        cluster: &ClusterSpec,
-        legacy: Option<FaultPlan>,
-    ) -> Vec<ResolvedKill> {
+    /// Resolve the kill list against the cluster: sorted by step, victims
+    /// expanded to rank lists, same-step events merged (the first one
+    /// listed names the blamed node-group).
+    pub(crate) fn resolved_kills(&self, cluster: &ClusterSpec) -> Vec<ResolvedKill> {
         let mut by_step: BTreeMap<u64, (Vec<usize>, usize)> = BTreeMap::new();
-        let mut fold = |at_step: u64, victims: &Victims| {
-            let ranks = victims.resolve(cluster);
-            let node = victims.blamed_node(cluster);
-            let entry = by_step.entry(at_step).or_insert_with(|| (Vec::new(), node));
-            entry.0.extend(ranks);
-        };
         for kill in &self.kills {
-            fold(kill.at_step, &kill.victims);
-        }
-        if let Some(plan) = legacy {
-            fold(plan.at_step, &Victims::Nodes(vec![plan.node]));
+            let node = kill.victims.blamed_node(cluster);
+            let entry = by_step
+                .entry(kill.at_step)
+                .or_insert_with(|| (Vec::new(), node));
+            entry.0.extend(kill.victims.resolve(cluster));
         }
         by_step
             .into_iter()
@@ -992,7 +980,7 @@ pub fn run_scenario(
     // incident events.
     let expected_victims: u64 = spec
         .schedule
-        .resolved_kills(&spec.cluster(), None)
+        .resolved_kills(&spec.cluster())
         .iter()
         .map(|k| k.victims.len() as u64)
         .sum();
@@ -1355,15 +1343,15 @@ mod tests {
 
     #[test]
     fn resolved_kills_merge_and_sort() {
+        // Two scheduled kills, then the node-group events
+        // `inject_node_failure` appends: one on a step of its own, one on
+        // a scheduled kill's step.
         let schedule = FaultSchedule::default()
-            .kill_ranks(20, vec![1])
+            .kill_ranks(20, vec![5])
             .kill_nodes(10, vec![2])
-            .kill_ranks(20, vec![3]);
-        let legacy = Some(FaultPlan {
-            at_step: 15,
-            node: 0,
-        });
-        let kills = schedule.resolved_kills(&cluster(), legacy);
+            .kill_nodes(15, vec![0])
+            .kill_nodes(20, vec![0]);
+        let kills = schedule.resolved_kills(&cluster());
         assert_eq!(kills.len(), 3);
         assert_eq!(kills[0].at_step, 10);
         assert_eq!(kills[0].victims, vec![4, 5]);
@@ -1371,7 +1359,8 @@ mod tests {
         assert_eq!(kills[1].victims, vec![0, 1]);
         assert_eq!(kills[1].node, 0);
         assert_eq!(kills[2].at_step, 20);
-        assert_eq!(kills[2].victims, vec![1, 3]);
+        assert_eq!(kills[2].victims, vec![0, 1, 5]);
+        assert_eq!(kills[2].node, 2, "the first-listed kill names the node");
     }
 
     #[test]

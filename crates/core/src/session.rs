@@ -8,7 +8,7 @@ use dmtcp_sim::image::WorldImage;
 use dmtcp_sim::memory::Memory;
 use dmtcp_sim::replica::{Clock, ReplicaConfig, ReplicaFault, ReplicaGroup, SystemClock};
 use dmtcp_sim::store::{
-    DeltaStore, SharedStoreWriter, StoreConfig, StoreError, StoreWriter, TenantSink,
+    DeltaStore, SharedStoreWriter, StoreConfig, StoreError, TenantQuota, TenantSink,
 };
 use dmtcp_sim::tier::{
     FlakyTier, FsTier, GetFault, ObjectTier, PutFault, TierConfig, TierStatsHandle,
@@ -21,7 +21,7 @@ use simnet::{ClusterSpec, Fabric, RunPlan, VirtualTime, WorkerPool, World};
 
 use crate::error::{to_sim, StoolError, StoolResult};
 use crate::program::{AppCtx, MpiProgram};
-use crate::scenario::FaultSchedule;
+use crate::scenario::{FaultSchedule, KillEvent, Victims};
 use crate::stack::{Stack, StackSpec};
 use crate::telemetry::{Telemetry, TelemetryConfig, TelemetrySnapshot};
 
@@ -77,13 +77,10 @@ pub struct StorePolicy {
     /// Chain directory.
     pub dir: PathBuf,
     /// Store tunables: block size, retention, chain length, writer
-    /// threads, per-block [`dmtcp_sim::Compression`], dirty-segment
-    /// tracking, and the manifest format
-    /// ([`dmtcp_sim::ManifestFormat`]) — all wired through
-    /// [`SessionBuilder::checkpoint_store_with`].
+    /// threads, per-block [`dmtcp_sim::Compression`] and dirty-segment
+    /// tracking.
     pub config: StoreConfig,
-    /// Remote second tier, if attached
-    /// ([`SessionBuilder::checkpoint_tier`]): sealed epochs are shipped
+    /// Remote second tier, if attached: sealed epochs are shipped
     /// to it in the background, retention GC waits for upload
     /// durability, and a restore with missing/corrupt local epochs
     /// hydrates from it transparently.
@@ -98,53 +95,61 @@ pub struct StorePolicy {
 }
 
 impl StorePolicy {
-    /// Open the policy's store for its configured tenant: plain when no
-    /// tier is configured, with the filesystem-backed tier attached
-    /// (shipping reconciled, missing local epochs hydrated) when one is.
-    pub fn open_store(&self) -> Result<DeltaStore, StoreError> {
-        self.open_store_for(&self.tenant)
-    }
-
-    /// Like [`StorePolicy::open_store`], claiming the chain directory
-    /// for `tenant` explicitly. The claim is durable: a `TENANT` marker
-    /// file next to the chain records the owner, and mismatched opens
-    /// fail with [`StoreError::TenantMismatch`] before touching the
-    /// chain.
-    pub fn open_store_for(&self, tenant: &str) -> Result<DeltaStore, StoreError> {
-        self.claim_for(tenant)?;
-        match &self.tier {
-            None => DeltaStore::open_with(&self.dir, self.config),
-            Some(t) => {
-                let tier: Arc<dyn ObjectTier> =
-                    Arc::new(FsTier::open(&t.dir).map_err(StoreError::Tier)?);
-                DeltaStore::open_with_tier(&self.dir, self.config, tier, t.config)
-            }
+    /// An untagged, tierless chain at `dir` with default tunables.
+    pub fn new(dir: impl Into<PathBuf>) -> StorePolicy {
+        StorePolicy {
+            dir: dir.into(),
+            config: StoreConfig::default(),
+            tier: None,
+            tenant: String::new(),
         }
     }
 
-    /// Like [`StorePolicy::open_store`], with a fault-injection wrapper
-    /// ([`dmtcp_sim::FlakyTier`]) between the store and its tier, loaded
-    /// with the given FIFO upload/download fault scripts. Used by the
-    /// fault-schedule harness: the run's sink open scripts `puts`
-    /// (torn/failed uploads mid-ship), the restore open scripts `gets`
-    /// (torn/failed downloads during hydration). Requires a tier.
+    /// Open the policy's store for its configured tenant: plain when no
+    /// tier is configured, with the filesystem-backed tier attached
+    /// (shipping reconciled, missing local epochs hydrated) when one is.
+    /// The tenant's claim on the chain directory is durable: a `TENANT`
+    /// marker file next to the chain records the owner, and mismatched
+    /// opens fail with [`StoreError::TenantMismatch`] before touching the
+    /// chain.
+    pub fn open_store(&self) -> Result<DeltaStore, StoreError> {
+        self.open_store_flaky(&[], &[])
+    }
+
+    /// [`StorePolicy::open_store`] with FIFO upload/download fault
+    /// scripts: when either is non-empty, a fault-injection wrapper
+    /// ([`dmtcp_sim::FlakyTier`]) sits between the store and its tier
+    /// (which it then requires). Used by the fault-schedule harness: the
+    /// run's sink open scripts `puts` (torn/failed uploads mid-ship), the
+    /// restore open scripts `gets` (torn/failed downloads during
+    /// hydration).
     pub(crate) fn open_store_flaky(
         &self,
         puts: &[PutFault],
         gets: &[GetFault],
     ) -> Result<DeltaStore, StoreError> {
-        self.claim_for(&self.tenant)?;
-        let t = self.tier.as_ref().ok_or(StoreError::NoTier)?;
-        let inner: Arc<dyn ObjectTier> = Arc::new(FsTier::open(&t.dir).map_err(StoreError::Tier)?);
-        let flaky = FlakyTier::new(inner);
-        flaky.script_puts(puts.to_vec());
-        flaky.script_gets(gets.to_vec());
-        DeltaStore::open_with_tier(&self.dir, self.config, Arc::new(flaky), t.config)
+        self.claim()?;
+        let scripted = !(puts.is_empty() && gets.is_empty());
+        let t = match &self.tier {
+            Some(t) => t,
+            None if scripted => return Err(StoreError::NoTier),
+            None => return DeltaStore::open_with(&self.dir, self.config),
+        };
+        let mut tier: Arc<dyn ObjectTier> =
+            Arc::new(FsTier::open(&t.dir).map_err(StoreError::Tier)?);
+        if scripted {
+            let flaky = FlakyTier::new(tier);
+            flaky.script_puts(puts.to_vec());
+            flaky.script_gets(gets.to_vec());
+            tier = Arc::new(flaky);
+        }
+        DeltaStore::open_with_tier(&self.dir, self.config, tier, t.config)
     }
 
     /// Check (and on first tenant-tagged open, write) the directory's
     /// `TENANT` ownership marker.
-    fn claim_for(&self, tenant: &str) -> Result<(), StoreError> {
+    fn claim(&self) -> Result<(), StoreError> {
+        let tenant = self.tenant.as_str();
         let marker = self.dir.join("TENANT");
         match std::fs::read_to_string(&marker) {
             Ok(found) => {
@@ -232,9 +237,8 @@ impl ReplicaPolicy {
 }
 
 /// The durability leg of a session in one composable value: local delta
-/// store, remote second tier and coordinator replication. Both
-/// [`SessionBuilder`] (whose `checkpoint_store` / `checkpoint_tier` /
-/// `replicated_coordinator` knobs are now thin delegates onto this) and
+/// store, remote second tier and coordinator replication — installed with
+/// [`SessionBuilder::durability`], the only spelling. Plain sessions and
 /// [`crate::cluster::ClusterBuilder`] tenants consume the same policy, so
 /// a config tuned for a single session drops into a multi-tenant cluster
 /// unchanged.
@@ -252,13 +256,13 @@ pub struct DurabilityPolicy {
 }
 
 impl DurabilityPolicy {
-    /// Check internal consistency (the checks that need no session
-    /// context): a tier requires a store, a replica group needs ≥ 3
-    /// members.
-    pub fn validate(&self) -> StoolResult<()> {
+    /// Check internal consistency (a tier requires a store, a replica
+    /// group needs ≥ 3 members), then fold the free-standing tier into the
+    /// store policy (the canonical form every run path consumes).
+    pub fn resolve(mut self) -> StoolResult<DurabilityPolicy> {
         if self.tier.is_some() && self.store.is_none() {
             return Err(StoolError::Config(
-                "checkpoint_tier(..) requires checkpoint_store(..) on the session".into(),
+                "a remote tier requires a checkpoint store in the durability policy".into(),
             ));
         }
         if let Some(replicas) = &self.replicas {
@@ -270,13 +274,6 @@ impl DurabilityPolicy {
                 )));
             }
         }
-        Ok(())
-    }
-
-    /// Validate, then fold the free-standing tier into the store policy
-    /// (the canonical form every run path consumes).
-    pub fn resolve(mut self) -> StoolResult<DurabilityPolicy> {
-        self.validate()?;
         if let Some(tier) = self.tier.take() {
             if let Some(store) = &mut self.store {
                 store.tier = Some(tier);
@@ -284,30 +281,6 @@ impl DurabilityPolicy {
         }
         Ok(self)
     }
-}
-
-/// A deterministic injected failure: the job is killed when the application
-/// reaches the given safe-point step (the paper's motivating scenarios:
-/// node crash, allocation timeout, cluster shutdown).
-///
-/// Failure is observed *globally*, like an `MPI_Abort` or a fatal
-/// communication error under a non-fault-tolerant MPI: every rank unwinds
-/// at the same safe point. Recovery is Reinit-style global restart from the
-/// last completed checkpoint image ([`Session::run_resilient`]) — under any
-/// vendor, which is this paper's contribution.
-/// `FaultPlan` is the single-shot form; [`crate::scenario::FaultSchedule`]
-/// generalizes it to a composable schedule (fail-storms, node-group kills,
-/// stragglers, tier faults, leader kills). A plan is folded into the
-/// schedule at run time as a node-group kill at `at_step`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// The safe-point step at which the failure strikes.
-    pub at_step: u64,
-    /// The node-group blamed for the failure: every rank hosted on this
-    /// node is a victim, and the flight recorder's
-    /// [`simnet::telemetry::EventKind::RankKill`] events carry it as
-    /// their `node` payload.
-    pub node: usize,
 }
 
 /// Full session configuration.
@@ -329,12 +302,9 @@ pub struct SessionConfig {
     /// The durability leg: delta store, remote tier, coordinator
     /// replication — one composable [`DurabilityPolicy`].
     pub durability: DurabilityPolicy,
-    /// Injected failure, if any (fault-tolerance experiments).
-    pub fault: Option<FaultPlan>,
-    /// Composable fault schedule (scenario-matrix experiments): scheduled
-    /// kills, stragglers, tier fault scripts and replica fault scripts in
-    /// one data value. The single-shot `fault` above is folded into the
-    /// schedule's kill list at run time.
+    /// Composable fault schedule: scheduled kills (injected node failures
+    /// included), stragglers, tier fault scripts and replica fault scripts
+    /// in one data value.
     pub schedule: FaultSchedule,
     /// Canonical rank-ordered reductions through the shim (bitwise
     /// reproducible across vendors; requires `use_muk`).
@@ -359,6 +329,9 @@ pub struct SessionConfig {
 /// Builder for [`Session`].
 pub struct SessionBuilder {
     config: SessionConfig,
+    /// Kills from [`SessionBuilder::inject_node_failure`], appended to the
+    /// schedule's at build time so the two compose in either call order.
+    injected: Vec<KillEvent>,
 }
 
 impl Default for SessionBuilder {
@@ -372,7 +345,6 @@ impl Default for SessionBuilder {
                 checkpointer: Checkpointer::None,
                 policy: CkptPolicy::default(),
                 durability: DurabilityPolicy::default(),
-                fault: None,
                 schedule: FaultSchedule::default(),
                 deterministic_reductions: false,
                 rank_stack_bytes: None,
@@ -380,6 +352,7 @@ impl Default for SessionBuilder {
                 telemetry_echo: std::env::var_os("CKPT_TRACE").is_some(),
                 dump_dir: std::env::var_os("STOOL_DUMP_DIR").map(PathBuf::from),
             },
+            injected: Vec::new(),
         }
     }
 }
@@ -400,12 +373,6 @@ impl SessionBuilder {
     /// Bypass the Mukautuva shim (native-ABI baseline).
     pub fn native_abi(mut self) -> Self {
         self.config.use_muk = false;
-        self
-    }
-
-    /// Override the shim cost model.
-    pub fn muk_overhead(mut self, overhead: MukOverhead) -> Self {
-        self.config.muk_overhead = overhead;
         self
     }
 
@@ -442,75 +409,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Persist checkpoints through the asynchronous delta store at `dir`
-    /// (default tunables): ranks hand completed epochs to a background
-    /// writer pool at the rendezvous instead of paying the synchronous
-    /// image write, and only content-changed blocks reach the disk.
-    pub fn checkpoint_store(self, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint_store_with(dir, StoreConfig::default())
-    }
-
-    /// Like [`SessionBuilder::checkpoint_store`], with explicit tunables
-    /// — including per-block compression (`config.compression`),
-    /// dirty-segment tracking (`config.dirty_tracking`, skips hashing
-    /// segments the application provably did not touch since the last
-    /// epoch) and the on-disk manifest format (`config.format`;
-    /// [`dmtcp_sim::ManifestFormat::V1`] writes legacy chains).
-    pub fn checkpoint_store_with(mut self, dir: impl Into<PathBuf>, config: StoreConfig) -> Self {
-        self.config.durability.store = Some(StorePolicy {
-            dir: dir.into(),
-            config,
-            tier: None,
-            tenant: String::new(),
-        });
-        self
-    }
-
-    /// Attach a remote second tier (default tunables) to the checkpoint
-    /// store: every sealed epoch is shipped to object storage (modelled
-    /// by a filesystem-backed tier at `dir`) in the background, local
-    /// retention GC waits for upload durability, and
-    /// [`Session::restore_from_store`] transparently hydrates missing or
-    /// corrupt local epochs from the tier — a restart works from the
-    /// remote tier alone, under either vendor. Requires
-    /// [`SessionBuilder::checkpoint_store`].
-    pub fn checkpoint_tier(self, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint_tier_with(dir, TierConfig::default())
-    }
-
-    /// Like [`SessionBuilder::checkpoint_tier`], with explicit shipper
-    /// tunables (upload attempts, retry backoff).
-    pub fn checkpoint_tier_with(mut self, dir: impl Into<PathBuf>, config: TierConfig) -> Self {
-        self.config.durability.tier = Some(TierPolicy {
-            dir: dir.into(),
-            config,
-        });
-        self
-    }
-
-    /// Replicate the checkpoint coordinator (default policy: 3 replicas,
-    /// logs under `dir/replica_NN/`): every epoch record is
-    /// quorum-committed to the replica logs before the coordinator
-    /// releases the rendezvous barrier, so a killed coordinator leader no
-    /// longer poisons the world — a follower takes over within the
-    /// election timeout and the round commits on quorum or aborts
-    /// atomically. Requires the MANA checkpointer.
-    pub fn replicated_coordinator(self, dir: impl Into<PathBuf>) -> Self {
-        self.replicated_coordinator_with(ReplicaPolicy::new(dir))
-    }
-
-    /// Like [`SessionBuilder::replicated_coordinator`], with an explicit
-    /// [`ReplicaPolicy`] (group size, election timeout, log retry
-    /// tunables, scripted faults for failover tests).
-    pub fn replicated_coordinator_with(mut self, policy: ReplicaPolicy) -> Self {
-        self.config.durability.replicas = Some(policy);
-        self
-    }
-
-    /// Install a complete [`DurabilityPolicy`] in one call — the
-    /// composable form the per-knob delegates above feed into, and what
-    /// [`crate::cluster::ClusterBuilder`] tenants share with plain
-    /// sessions.
+    /// Install the session's [`DurabilityPolicy`]: an asynchronous delta
+    /// store (ranks hand completed epochs to a background writer at the
+    /// rendezvous, and only content-changed blocks reach the disk), its
+    /// remote second tier, and a replicated coordinator — the same value
+    /// [`crate::cluster::ClusterBuilder`] tenants take.
     pub fn durability(mut self, policy: DurabilityPolicy) -> Self {
         self.config.durability = policy;
         self
@@ -553,11 +456,15 @@ impl SessionBuilder {
     }
 
     /// Inject a global failure when the application reaches `step`,
-    /// attributed to `node`.
+    /// attributed to `node`: one more node-group [`KillEvent`] on the
+    /// session's fault schedule. Failure is observed *globally*, like an
+    /// `MPI_Abort` under a non-fault-tolerant MPI — every rank unwinds at
+    /// the same safe point, and recovery is a Reinit-style global restart
+    /// from the last completed checkpoint ([`Session::run_resilient`]).
     pub fn inject_node_failure(mut self, step: u64, node: usize) -> Self {
-        self.config.fault = Some(FaultPlan {
+        self.injected.push(KillEvent {
             at_step: step,
-            node,
+            victims: Victims::Nodes(vec![node]),
         });
         self
     }
@@ -566,8 +473,8 @@ impl SessionBuilder {
     /// kills, slow-but-alive stragglers, FIFO tier upload/download fault
     /// scripts and coordinator-replica fault scripts in one data value
     /// (the scenario-matrix harness, `stool::scenario`). Composes with
-    /// [`SessionBuilder::inject_node_failure`]: the single-shot plan is
-    /// folded into the schedule's kill list at run time.
+    /// [`SessionBuilder::inject_node_failure`] in either call order: the
+    /// injected kills follow the schedule's own in its kill list.
     pub fn fault_schedule(mut self, schedule: FaultSchedule) -> Self {
         self.config.schedule = schedule;
         self
@@ -576,6 +483,7 @@ impl SessionBuilder {
     /// Validate and build.
     pub fn build(mut self) -> StoolResult<Session> {
         self.config.durability = std::mem::take(&mut self.config.durability).resolve()?;
+        self.config.schedule.kills.append(&mut self.injected);
         let c = &self.config;
         c.cluster.validate().map_err(StoolError::Config)?;
         if (c.policy.at_step.is_some() || c.policy.every_steps.is_some())
@@ -606,14 +514,6 @@ impl SessionBuilder {
                     .into(),
             ));
         }
-        if let Some(fault) = c.fault {
-            if fault.node >= c.cluster.nodes {
-                return Err(StoolError::Config(format!(
-                    "fault blames node {} but the cluster has {} nodes",
-                    fault.node, c.cluster.nodes
-                )));
-            }
-        }
         c.schedule
             .validate(&c.cluster)
             .map_err(StoolError::Config)?;
@@ -626,7 +526,7 @@ impl SessionBuilder {
             && c.durability.store.as_ref().is_none_or(|s| s.tier.is_none())
         {
             return Err(StoolError::Config(
-                "tier fault scripts require checkpoint_tier(..) on the session".into(),
+                "tier fault scripts require a remote tier in the durability policy".into(),
             ));
         }
         if !c.schedule.replica.is_empty() && c.durability.replicas.is_none() {
@@ -669,7 +569,7 @@ pub enum RunOutcome {
         /// Per-rank communication counters at stop time.
         counters: Vec<RankCounters>,
     },
-    /// An injected failure killed the job (see [`FaultPlan`]).
+    /// An injected failure killed the job (see [`FaultSchedule`]).
     Failed {
         /// The last *completed* periodic checkpoint before the failure, if
         /// any — the recovery point for a Reinit-style global restart.
@@ -810,16 +710,6 @@ pub(crate) fn recorder_for(config: &SessionConfig, tag: Option<String>) -> Arc<T
     ))
 }
 
-/// How a run's completed epochs leave the rendezvous barrier.
-enum Sink {
-    /// No store attached: images stay in the coordinator's staging area.
-    None,
-    /// A private background writer (classic single session).
-    Own(Arc<StoreWriter>),
-    /// One lane of a cluster's shared committer.
-    Lane(Arc<SharedStoreWriter>, usize),
-}
-
 impl Session {
     /// Begin building a session.
     pub fn builder() -> SessionBuilder {
@@ -924,16 +814,12 @@ impl Session {
     pub fn restore_from_store(&self, program: &dyn MpiProgram) -> StoolResult<RunOutcome> {
         let policy = self.config.durability.store.as_ref().ok_or_else(|| {
             StoolError::Config(
-                "restore_from_store requires checkpoint_store(..) on the session".into(),
+                "restore_from_store requires a checkpoint store in the durability policy".into(),
             )
         })?;
         // A scheduled download-fault script makes the hydration path
         // itself flaky (torn/failed tier gets while the chain is pulled).
-        let store = if self.config.schedule.tier_gets.is_empty() {
-            policy.open_store()?
-        } else {
-            policy.open_store_flaky(&[], &self.config.schedule.tier_gets)?
-        };
+        let store = policy.open_store_flaky(&[], &self.config.schedule.tier_gets)?;
         let image = store.load_latest()?;
         self.restore(&image, program)
     }
@@ -1004,51 +890,43 @@ impl Session {
         }
         // With a store attached, a background committer takes ownership
         // of each completed epoch at the rendezvous barrier and persists
-        // it as a delta chain while the ranks run on: a private writer
-        // for a classic session, the tenant's lane of the ONE shared
-        // committer inside a cluster.
+        // it as a delta chain while the ranks run on: lane 0 of a private
+        // one-lane writer for a classic session, the tenant's lane of the
+        // ONE shared committer inside a cluster.
         let mut tier_stats = shared.and_then(|ts| ts.tier_stats.clone());
-        let sink = match (&coordinator, shared) {
-            (Some(coord), Some(ts)) => match &ts.writer {
-                Some((writer, lane)) => {
-                    let tenant_sink = Arc::new(TenantSink::new(writer.clone(), *lane));
-                    coord.attach_sink(tenant_sink, self.config.vendor.name());
-                    Sink::Lane(writer.clone(), *lane)
-                }
-                None => Sink::None,
-            },
-            (Some(coord), None) => match &self.config.durability.store {
+        let sink: Option<(Arc<SharedStoreWriter>, usize)> = match (&coordinator, shared) {
+            (Some(_), Some(ts)) => ts.writer.clone(),
+            (Some(_), None) => match &self.config.durability.store {
                 Some(policy) => {
                     // Open the store first so the recorder (and a live
                     // view of the tier shipper's stats) can attach before
                     // the store moves into the background writer thread.
                     // A scheduled upload-fault script wraps the tier in
                     // its fault-injection double for this run only.
-                    let mut store = if self.config.schedule.tier_puts.is_empty() {
-                        policy.open_store().map_err(StoolError::Store)?
-                    } else {
-                        policy
-                            .open_store_flaky(&self.config.schedule.tier_puts, &[])
-                            .map_err(StoolError::Store)?
-                    };
+                    let mut store = policy
+                        .open_store_flaky(&self.config.schedule.tier_puts, &[])
+                        .map_err(StoolError::Store)?;
                     store.attach_telemetry(tel.clone());
                     tier_stats = store.tier_stats_handle();
-                    let writer = Arc::new(StoreWriter::from_store(store));
-                    coord.attach_sink(writer.clone(), self.config.vendor.name());
-                    Sink::Own(writer)
+                    let quota = TenantQuota {
+                        max_queue: store.config().queue_depth,
+                        max_inflight_bytes: u64::MAX,
+                    };
+                    let stores = vec![(store, quota)];
+                    Some((Arc::new(SharedStoreWriter::spawn_stores(stores)), 0))
                 }
-                None => Sink::None,
+                None => None,
             },
-            _ => Sink::None,
+            _ => None,
         };
+        if let (Some(coord), Some((writer, lane))) = (&coordinator, &sink) {
+            let tenant_sink = Arc::new(TenantSink::new(writer.clone(), *lane));
+            coord.attach_sink(tenant_sink, self.config.vendor.name());
+        }
         let policy = self.config.policy;
-        // The legacy single-shot plan and the schedule's kill list resolve
-        // into one sorted kill sequence, shared read-only by every rank.
-        let kills = Arc::new(
-            self.config
-                .schedule
-                .resolved_kills(cluster, self.config.fault),
-        );
+        // The schedule's kill list resolves into one sorted kill
+        // sequence, shared read-only by every rank.
+        let kills = Arc::new(self.config.schedule.resolved_kills(cluster));
 
         let plan = match self.config.rank_stack_bytes {
             Some(bytes) => RunPlan::with_stack_bytes(bytes),
@@ -1106,9 +984,8 @@ impl Session {
         // even when the run failed, so the telemetry snapshot and the
         // crash dump below see the final store/tier state.
         let flush_result = match &sink {
-            Sink::Own(writer) => writer.flush(),
-            Sink::Lane(writer, lane) => writer.flush_lane(*lane),
-            Sink::None => Ok(()),
+            Some((writer, lane)) => writer.flush_lane(*lane),
+            None => Ok(()),
         };
         // Local durability settled; now drain the background tier shipper
         // too, so the snapshot below reports final shipping statistics
@@ -1149,9 +1026,8 @@ impl Session {
         let snapshot = TelemetrySnapshot {
             recorder: tel.clone(),
             epochs: match &sink {
-                Sink::Own(w) => w.stats(),
-                Sink::Lane(w, lane) => w.lane_stats(*lane),
-                Sink::None => Vec::new(),
+                Some((writer, lane)) => writer.lane_stats(*lane),
+                None => Vec::new(),
             },
             tier: tier_stats.as_ref().map(|h| h.stats()),
             replica: coordinator
@@ -1261,11 +1137,9 @@ impl Session {
             let outcome = match &pending_image {
                 None => self.launch(program)?,
                 Some(image) => {
-                    // The retry session: same stack, fault cleared (both
-                    // the single-shot plan and any scheduled kills — the
-                    // crashed node was replaced).
+                    // The retry session: same stack, kills cleared — the
+                    // crashed node was replaced.
                     let mut retry = Session::with_config(self.config.clone());
-                    retry.config.fault = None;
                     retry.config.schedule.kills.clear();
                     let outcome = retry.restore(image, program)?;
                     self.adopt_telemetry(&retry);
@@ -1293,7 +1167,6 @@ impl Session {
                     // exists either.
                     if pending_image.is_none() {
                         let mut retry = Session::with_config(self.config.clone());
-                        retry.config.fault = None;
                         retry.config.schedule.kills.clear();
                         let outcome = retry.launch(program)?;
                         self.adopt_telemetry(&retry);

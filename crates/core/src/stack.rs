@@ -128,11 +128,6 @@ impl Stack {
         }
     }
 
-    /// Whether this stack can take checkpoints.
-    pub fn checkpointable(&self) -> bool {
-        matches!(self, Stack::Mana(_))
-    }
-
     /// Poll/execute a checkpoint at a safe point (no-op for plain stacks).
     pub fn maybe_checkpoint(
         &mut self,

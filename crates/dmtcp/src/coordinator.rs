@@ -77,7 +77,7 @@ fn mode_code(mode: CkptMode) -> u64 {
 
 /// A consumer of completed world images, attached to the coordinator with
 /// [`Coordinator::attach_sink`]. The paradigm case is the asynchronous
-/// delta-checkpoint store ([`crate::store::StoreWriter`]): the sink takes
+/// delta-checkpoint store ([`crate::store::TenantSink`]): the sink takes
 /// ownership of the staged images inside the final rendezvous barrier so
 /// the ranks resume computing while the I/O proceeds in the background.
 ///

@@ -67,10 +67,10 @@ pub use replica::{
     ReplicaRecord, ReplicaStats, SystemClock, TestClock,
 };
 pub use store::{
-    Compression, DeltaStore, EpochStats, ManifestFormat, ScrubReport, SharedStoreWriter,
-    StoreConfig, StoreError, StoreWriter, TenantQuota, TenantSink,
+    Compression, DeltaStore, EpochStats, ScrubReport, SharedStoreWriter, StoreConfig, StoreError,
+    TenantQuota, TenantSink,
 };
 pub use tier::{
-    tenant_namespace, FlakyTier, FsTier, GetFault, MemTier, ObjectTier, PutFault, Scrubber,
-    SharedTier, TierConfig, TierError, TierStats, TierStatsHandle,
+    tenant_namespace, FlakyTier, FsTier, GetFault, MemTier, ObjectTier, PutFault, SharedTier,
+    TierConfig, TierError, TierStats, TierStatsHandle,
 };

@@ -620,6 +620,9 @@ pub struct ReplicaGroup {
     timer: LivenessTimer,
     acceptors: Vec<Acceptor>,
     state: Mutex<GroupState>,
+    /// Held for the whole of a [`ReplicaGroup::commit`]: one proposal in
+    /// flight at a time, so two callers can never claim the same slot.
+    proposing: Mutex<()>,
     /// Attached flight recorder (absent on bare groups).
     telemetry: OnceLock<Arc<Telemetry>>,
     /// Virtual-clock stamp of the round being committed, set by the
@@ -679,6 +682,7 @@ impl ReplicaGroup {
                 faults: VecDeque::new(),
                 stats: ReplicaStats::default(),
             }),
+            proposing: Mutex::new(()),
             telemetry: OnceLock::new(),
             vnow_ns: AtomicU64::new(0),
         })
@@ -805,7 +809,14 @@ impl ReplicaGroup {
     /// Errs with [`ReplicaError::NoQuorum`] only when a majority of
     /// replicas is unreachable — the caller must then abort its round
     /// atomically (nothing was committed anywhere).
+    ///
+    /// Callers on different threads (the round leader's seal, the
+    /// membership records of ranks resigning mid-round) are served one at
+    /// a time: the slot is read here and claimed only after the accept
+    /// phase, and a second proposer let in between would be acknowledged
+    /// in the same slot and overwrite the first one's record.
     pub fn commit(&self, record: ReplicaRecord) -> Result<u64, ReplicaError> {
+        let _turn = self.proposing.lock().expect("proposer lock");
         // Bounded retries: each iteration either commits or replaces the
         // leader; with every replica failing at most once, 2N + 2 rounds
         // cover any schedule the fault scripts can produce.

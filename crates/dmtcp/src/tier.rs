@@ -18,15 +18,17 @@
 //!   reports success), and held uploads (a put blocks until the test
 //!   releases it — the "slow tier" that tries to race retention GC).
 //! * `TierRuntime` (crate-internal) — the background shipper thread,
-//!   mirroring `StoreWriter`'s queue/sticky-error design: each locally
-//!   committed epoch is queued, its `blocks.bin` and `manifest.bin` are
+//!   mirroring `SharedStoreWriter`'s queue/sticky-error design: each
+//!   locally committed epoch is queued, its `blocks.bin` and `manifest.bin` are
 //!   uploaded with read-back CRC verification and exponential-backoff
 //!   retries, and a small checksummed **seal** object is written last.
 //!   An epoch is *durable in the tier* only once its seal is up; the
 //!   store's retention GC never deletes a local epoch that is not.
-//! * [`Scrubber`] — the healing pass over `.bad` quarantine directories:
-//!   re-fetch the epoch from the tier, verify seal CRCs and manifest
-//!   decode, and atomically reinstate the epoch in the local chain.
+//!
+//! The healing pass over `.bad` quarantine directories lives with the
+//! store ([`crate::store::DeltaStore::scrub`]): re-fetch the epoch from
+//! the tier, verify seal CRCs and manifest decode, and atomically
+//! reinstate the epoch in the local chain.
 //!
 //! The tier stores exactly the vendor-neutral on-disk epoch format, so a
 //! chain hydrated from the tier restores under either MPI engine
@@ -43,7 +45,6 @@ use std::time::Duration;
 use simnet::telemetry::{EventKind, Telemetry};
 
 use crate::codec::{crc32, fnv1a, CodecError, Reader, Writer};
-use crate::store::{DeltaStore, ScrubReport, StoreError};
 
 /// Magic prefix of a seal object ("TIERSEAL", one byte short).
 const SEAL_MAGIC: u64 = 0x5449_4552_5345_414C;
@@ -377,11 +378,6 @@ impl FsTier {
             root,
             stage_seq: AtomicU64::new(0),
         })
-    }
-
-    /// The tier's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     fn io(op: &'static str, key: &str, e: std::io::Error) -> TierError {
@@ -841,7 +837,7 @@ fn emit_tier(tel: &Option<Arc<Telemetry>>, kind: EventKind, a: u64, b: u64, c: u
 /// A cloneable live view of one lane's [`TierStats`], detached from
 /// the store that owns the [`TierRuntime`]. Lets a session keep reading
 /// shipping statistics after the store has moved into the background
-/// writer thread (`StoreWriter::from_store`).
+/// writer thread ([`crate::store::SharedStoreWriter`]).
 #[derive(Clone)]
 pub struct TierStatsHandle {
     shared: Arc<ShipShared>,
@@ -881,10 +877,10 @@ impl std::fmt::Debug for TierStatsHandle {
     }
 }
 
-/// The live tier attachment of one or many [`DeltaStore`]s: the tier
+/// The live tier attachment of one or many [`crate::store::DeltaStore`]s: the tier
 /// handle, its config, and ONE background shipper thread multiplexing
 /// sealed-epoch uploads from every registered lane, fair-share
-/// round-robin. Mirrors `StoreWriter`: bounded-latency hand-off (each
+/// round-robin. Mirrors `SharedStoreWriter`: bounded-latency hand-off (each
 /// lane's queue holds only epoch numbers; bytes are read on the
 /// shipper's thread), sticky first error *per lane*, drain-and-join on
 /// drop of the last handle.
@@ -1061,13 +1057,6 @@ impl TierRuntime {
             shared: self.shared.clone(),
             lane,
         }
-    }
-
-    /// The lane's sticky error, if any.
-    pub(crate) fn error(&self, lane: usize) -> Option<TierError> {
-        self.shared.state.lock().expect("shipper lock").lanes[lane]
-            .error
-            .clone()
     }
 }
 
@@ -1278,54 +1267,6 @@ fn ship_epoch(
     put_verified(tier, config, &manifest_key, &manifest, retries)?;
     put_verified(tier, config, &seal_key, &seal, retries)?;
     Ok((blocks.len() + manifest.len() + seal.len()) as u64)
-}
-
-// ---------------------------------------------------------------------------
-// Scrubber
-// ---------------------------------------------------------------------------
-
-/// The quarantine-healing pass: re-fetch `.bad` epochs from a tier,
-/// verify them (seal CRCs + manifest decode), and reinstate them in the
-/// local chain. A thin handle over [`DeltaStore::scrub`] for stores that
-/// did not attach the tier at open (e.g. forensic repair of a chain that
-/// was opened read-only without tier credentials).
-///
-/// Scrubbing is idempotent: a healthy chain (no `.bad` directories) is a
-/// verified no-op, and a second scrub after a heal finds nothing to do.
-pub struct Scrubber {
-    tier: Arc<dyn ObjectTier>,
-    config: TierConfig,
-    ns: String,
-}
-
-impl Scrubber {
-    /// A scrubber reading from `tier` with the default retry policy.
-    pub fn new(tier: Arc<dyn ObjectTier>) -> Scrubber {
-        Scrubber::with_config(tier, TierConfig::default())
-    }
-
-    /// A scrubber with an explicit retry/backoff/deadline policy for its
-    /// downloads.
-    pub fn with_config(tier: Arc<dyn ObjectTier>, config: TierConfig) -> Scrubber {
-        Scrubber {
-            tier,
-            config,
-            ns: String::new(),
-        }
-    }
-
-    /// Read under one tenant's key namespace ([`tenant_namespace`])
-    /// instead of the legacy root layout.
-    pub fn namespaced(mut self, ns: impl Into<String>) -> Scrubber {
-        self.ns = ns.into();
-        self
-    }
-
-    /// Heal `store`'s quarantined epochs from the tier. See
-    /// [`DeltaStore::scrub`] for the exact semantics and the report.
-    pub fn scrub(&self, store: &mut DeltaStore) -> Result<ScrubReport, StoreError> {
-        store.scrub_with(&*self.tier, self.config, &self.ns)
-    }
 }
 
 #[cfg(test)]

@@ -41,11 +41,8 @@ pub mod sections {
     /// with a constant clean-segment hint and the delta store never
     /// re-hashes it after the chain base.
     pub const TEXT: &str = "text";
-    /// Upper-half memory, as one whole blob (legacy images only; new
-    /// images carry one section per segment, see
-    /// [`MEMORY_INDEX`]/[`MEMORY_PREFIX`]).
-    pub const MEMORY: &str = "memory";
-    /// The ordered list of upper-half memory segment names.
+    /// The ordered list of upper-half memory segment names (upper-half
+    /// memory is one section per segment, see [`MEMORY_PREFIX`]).
     pub const MEMORY_INDEX: &str = "memory.index";
     /// Prefix of per-segment memory sections (`memory/<segment>`). One
     /// image section per segment keeps the delta store's chunk boundaries
@@ -294,31 +291,24 @@ pub fn restore_rank(
     let mut r = Reader::checked(meta).map_err(|e| e.to_string())?;
     let resume_step = r.u64().map_err(|e| e.to_string())?;
 
-    let memory = if let Some(idx) = image.section(sections::MEMORY_INDEX) {
-        let mut r = Reader::raw(idx);
-        let count = r.u64().map_err(|e| e.to_string())?;
-        if count > 1 << 24 {
-            return Err(format!("memory index claims {count} segments"));
-        }
-        let mut memory = Memory::new();
-        for _ in 0..count {
-            let name = r.string().map_err(|e| e.to_string())?;
-            let data = image
-                .section(&format!("{}{name}", sections::MEMORY_PREFIX))
-                .ok_or_else(|| format!("missing memory segment {name}"))?;
-            memory
-                .insert_segment(&name, data)
-                .map_err(|e| format!("memory segment {name}: {e}"))?;
-        }
+    let idx = image
+        .section(sections::MEMORY_INDEX)
+        .ok_or("missing memory index section")?;
+    let mut r = Reader::raw(idx);
+    let count = r.u64().map_err(|e| e.to_string())?;
+    if count > 1 << 24 {
+        return Err(format!("memory index claims {count} segments"));
+    }
+    let mut memory = Memory::new();
+    for _ in 0..count {
+        let name = r.string().map_err(|e| e.to_string())?;
+        let data = image
+            .section(&format!("{}{name}", sections::MEMORY_PREFIX))
+            .ok_or_else(|| format!("missing memory segment {name}"))?;
         memory
-    } else {
-        // Legacy images: the whole memory as one checksummed blob.
-        let mem = image
-            .section(sections::MEMORY)
-            .ok_or("missing memory section")?;
-        let mut r = Reader::checked(mem).map_err(|e| e.to_string())?;
-        Memory::decode(&mut r).map_err(|e| e.to_string())?
-    };
+            .insert_segment(&name, data)
+            .map_err(|e| format!("memory segment {name}: {e}"))?;
+    }
 
     let vids_bytes = image
         .section(sections::VIDS)

@@ -83,17 +83,6 @@ impl ManaMpi {
         &self.config
     }
 
-    /// Swap in a brand-new lower half, rebinding all virtual ids by
-    /// replaying the creation log. This is the "restart under another MPI"
-    /// move as a live operation (used by the migration example and the
-    /// restore path alike).
-    pub fn rebind_lower(&mut self, mut lower: Box<dyn MpiAbi>) -> AbiResult<()> {
-        let log = self.vids.log().to_vec();
-        self.vids = VidTable::replay(log, self.ctx.nranks(), lower.as_mut())?;
-        self.lower = lower;
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Cost accounting
     // ------------------------------------------------------------------

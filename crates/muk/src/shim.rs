@@ -46,23 +46,6 @@ impl MukShim {
         }
     }
 
-    /// Wrap an already-open wrap library (used by tests and by ablation
-    /// setups that pre-configure vendor tuning).
-    pub fn from_parts(
-        vendor: Vendor,
-        ctx: Rc<RankCtx>,
-        inner: Box<dyn MpiAbi>,
-        overhead: MukOverhead,
-    ) -> MukShim {
-        MukShim {
-            ctx,
-            inner,
-            vendor,
-            overhead,
-            deterministic_reductions: false,
-        }
-    }
-
     /// Which vendor this shim instance is bound to.
     pub fn vendor(&self) -> Vendor {
         self.vendor

@@ -180,18 +180,6 @@ pub fn take_incidents() -> Vec<LockIncident> {
     }
 }
 
-/// How many incidents are waiting to be drained.
-pub fn pending_incidents() -> usize {
-    #[cfg(feature = "lockcheck")]
-    {
-        graph::with_graph(|g| g.incidents.len())
-    }
-    #[cfg(not(feature = "lockcheck"))]
-    {
-        0
-    }
-}
-
 /// Declare a rendezvous crossing: the calling thread is about to park
 /// in a rank-synchronization point (`finish()` barrier, gang
 /// admission). With `lockcheck` on, any tracked guard still held by

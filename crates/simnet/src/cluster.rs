@@ -244,12 +244,6 @@ impl ClusterSpecBuilder {
         self
     }
 
-    /// Override the intra-node (shared-memory) link model.
-    pub fn shm_link(mut self, link: LinkModel) -> Self {
-        self.shm_link = link;
-        self
-    }
-
     /// Set the kernel version (controls FSGSBASE availability).
     pub fn kernel(mut self, kernel: KernelVersion) -> Self {
         self.kernel = kernel;
@@ -265,12 +259,6 @@ impl ClusterSpecBuilder {
     /// Enable stochastic jitter on message costs.
     pub fn noise(mut self, noise: NoiseModel) -> Self {
         self.noise = noise;
-        self
-    }
-
-    /// Set per-message header bytes charged on the wire.
-    pub fn header_bytes(mut self, bytes: usize) -> Self {
-        self.header_bytes = bytes;
         self
     }
 

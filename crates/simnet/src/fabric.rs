@@ -410,11 +410,6 @@ impl Fabric {
             mb.wake_all();
         }
     }
-
-    /// Whether the fabric has been shut down.
-    pub fn is_shutdown(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
 }
 
 /// A rank's attachment point to the fabric.

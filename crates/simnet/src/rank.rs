@@ -78,11 +78,6 @@ impl RankCtx {
         &self.spec
     }
 
-    /// Shared handle to the cluster description.
-    pub fn spec_arc(&self) -> Arc<ClusterSpec> {
-        self.spec.clone()
-    }
-
     /// The rank's fabric endpoint.
     #[inline]
     pub fn endpoint(&self) -> &Endpoint {

@@ -684,11 +684,6 @@ impl Telemetry {
         &self.registry
     }
 
-    /// Enable/disable echoing emitted events to stderr.
-    pub fn set_echo(&self, on: bool) {
-        self.echo.store(on, Ordering::SeqCst);
-    }
-
     /// Whether event echo is on.
     pub fn echo(&self) -> bool {
         self.echo.load(Ordering::SeqCst)

@@ -13,7 +13,7 @@ use mpi_stool::dmtcp::{
 use mpi_stool::simnet::ClusterSpec;
 use mpi_stool::stool::cluster::{Cluster, ClusterBuilder, TenantSpec};
 use mpi_stool::stool::programs::RingPings;
-use mpi_stool::stool::{Checkpointer, RunOutcome, Session, StorePolicy, Vendor};
+use mpi_stool::stool::{Checkpointer, DurabilityPolicy, RunOutcome, Session, StorePolicy, Vendor};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -61,6 +61,14 @@ fn vendor_for(i: usize) -> Vendor {
     }
 }
 
+/// A delta store at `dir` and nothing else.
+fn stored(dir: impl Into<std::path::PathBuf>) -> DurabilityPolicy {
+    DurabilityPolicy {
+        store: Some(StorePolicy::new(dir)),
+        ..DurabilityPolicy::default()
+    }
+}
+
 /// A checkpointing tenant: own chain dir, periodic checkpoints, tight
 /// committer quota so the shared writer's backpressure actually engages.
 fn tenant(root: &std::path::Path, i: usize, rounds: u64) -> TenantSpec {
@@ -69,7 +77,7 @@ fn tenant(root: &std::path::Path, i: usize, rounds: u64) -> TenantSpec {
         .vendor(vendor_for(i))
         .checkpointer(Checkpointer::mana())
         .checkpoint_every(1)
-        .checkpoint_store(root.join(format!("chain_{i}")))
+        .durability(stored(root.join(format!("chain_{i}"))))
         .build()
         .unwrap();
     let _ = rounds;
@@ -181,7 +189,7 @@ fn killing_one_tenant_leaves_the_other_seven_unaffected() {
             .vendor(vendor_for(i))
             .checkpointer(Checkpointer::mana())
             .checkpoint_every(2)
-            .checkpoint_store(root.join(format!("chain_{i}")));
+            .durability(stored(root.join(format!("chain_{i}"))));
         if i == 3 {
             // Tenant t3 dies mid-round.
             b = b.inject_node_failure(3, 0);
@@ -305,7 +313,7 @@ fn cluster_builder_rejects_misconfigured_tenancy() {
         Session::builder()
             .cluster(small_world())
             .checkpointer(Checkpointer::mana())
-            .checkpoint_store(root.join(dir))
+            .durability(stored(root.join(dir)))
             .build()
             .unwrap()
     };
@@ -348,21 +356,19 @@ fn cluster_builder_rejects_misconfigured_tenancy() {
 #[test]
 fn tenant_marker_rejects_foreign_and_untagged_opens() {
     let dir = tmp_dir("marker");
-    let policy = StorePolicy {
-        dir: dir.clone(),
-        config: StoreConfig::default(),
-        tier: None,
-        tenant: String::new(),
+    let as_tenant = |tenant: &str| StorePolicy {
+        tenant: tenant.to_string(),
+        ..StorePolicy::new(&dir)
     };
 
     // First tenant-tagged open claims the directory...
-    drop(policy.open_store_for("alice").unwrap());
+    drop(as_tenant("alice").open_store().unwrap());
     // ...the same tenant may come back...
-    drop(policy.open_store_for("alice").unwrap());
+    drop(as_tenant("alice").open_store().unwrap());
     // ...but another tenant (or an untagged session) is refused with a
     // structured error instead of silently interleaving epochs.
     for intruder in ["bob", ""] {
-        match policy.open_store_for(intruder) {
+        match as_tenant(intruder).open_store() {
             Err(StoreError::TenantMismatch {
                 expected, found, ..
             }) => {
@@ -376,12 +382,7 @@ fn tenant_marker_rejects_foreign_and_untagged_opens() {
 
     // Untagged directories keep full back-compat: repeated untagged
     // opens stay legal and never write a marker.
-    let legacy = StorePolicy {
-        dir: tmp_dir("marker_legacy"),
-        config: StoreConfig::default(),
-        tier: None,
-        tenant: String::new(),
-    };
+    let legacy = StorePolicy::new(tmp_dir("marker_legacy"));
     drop(legacy.open_store().unwrap());
     drop(legacy.open_store().unwrap());
     assert!(!legacy.dir.join("TENANT").exists());

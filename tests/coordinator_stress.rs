@@ -7,6 +7,9 @@
 //! earlier safe point than the requester and parking in the barrier while
 //! still owing messages — see `dmtcp_sim::coordinator`.)
 
+mod common;
+
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -111,32 +114,24 @@ fn press_near_program_end_aborts_instead_of_hanging() {
 fn back_to_back_requests_each_get_a_round_or_merge() {
     let n = 4;
     let coord = Coordinator::new(n);
-    std::thread::scope(|s| {
-        for rank in 0..n {
-            let coord = coord.clone();
-            s.spawn(move || {
-                let mut agent = coord.agent(rank);
-                let zeros = vec![0u64; n];
-                let mut step = 0u64;
-                while step < 60 {
-                    // Rank 0 presses the button three times as it runs.
-                    if rank == 0 && (step == 5 || step == 20 || step == 35) {
-                        coord.request_checkpoint(CkptMode::Continue);
-                    }
-                    match agent.poll(step).expect("poll") {
-                        Poll::None | Poll::KeepRunning => step += 1,
-                        Poll::Enter(session) => {
-                            session.exchange_counters(&zeros, &zeros).expect("exchange");
-                            session.submit_image(RankImage::new(rank, n, session.epoch()));
-                            session.finish().expect("finish");
-                            step += 1;
-                        }
-                    }
-                    std::thread::yield_now();
-                }
-            });
-        }
-    });
+    let zeros = vec![0u64; n];
+    common::lockstep(
+        &coord,
+        n,
+        60,
+        // Rank 0 presses the button three times as it runs.
+        |step| {
+            if [5, 20, 35].contains(&step) {
+                coord.request_checkpoint(CkptMode::Continue);
+            }
+        },
+        |rank, session| {
+            session.exchange_counters(&zeros, &zeros).expect("exchange");
+            session.submit_image(RankImage::new(rank, n, session.epoch()));
+            session.finish().expect("finish");
+            ControlFlow::Continue(())
+        },
+    );
     // Requests spaced well apart across 60 steps: every press is served
     // by some round (merging is only possible for presses landing inside
     // an open round, which 15-step spacing prevents here).

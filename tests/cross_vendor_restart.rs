@@ -2,10 +2,29 @@
 //! implementation, restart under another, with no change to the answer.
 
 use mpi_stool::apps::{CoMdMini, OsuKernel, OsuLatency, WaveMpi};
-use mpi_stool::dmtcp::{CkptMode, DeltaStore, ManifestFormat, StoreConfig, WorldImage};
+use mpi_stool::dmtcp::{CkptMode, DeltaStore, StoreConfig, TierConfig, WorldImage};
 use mpi_stool::simnet::{ClusterSpec, Interconnect, KernelVersion, VirtualTime};
 use mpi_stool::stool::programs::RingPings;
-use mpi_stool::stool::{Checkpointer, MpiProgram, Session, Vendor};
+use mpi_stool::stool::{
+    Checkpointer, DurabilityPolicy, MpiProgram, Session, StorePolicy, TierPolicy, Vendor,
+};
+use std::path::{Path, PathBuf};
+
+/// A delta store at `dir` with `config`, optionally shipped to a remote
+/// tier, and nothing else.
+fn stored(dir: &Path, config: StoreConfig, tier: Option<&Path>) -> DurabilityPolicy {
+    DurabilityPolicy {
+        store: Some(StorePolicy {
+            config,
+            ..StorePolicy::new(dir)
+        }),
+        tier: tier.map(|dir| TierPolicy {
+            dir: dir.to_path_buf(),
+            config: TierConfig::default(),
+        }),
+        replicas: None,
+    }
+}
 
 fn cluster() -> ClusterSpec {
     ClusterSpec::builder().nodes(2).ranks_per_node(3).build()
@@ -362,7 +381,7 @@ fn wave_delta_chain_mpich_kill_restart_openmpi() {
         .vendor(Vendor::Mpich)
         .checkpointer(Checkpointer::mana())
         .checkpoint_every(20)
-        .checkpoint_store_with(&dir, store_cfg)
+        .durability(stored(&dir, store_cfg, None))
         .inject_node_failure(75, 1)
         .build()
         .unwrap()
@@ -412,11 +431,32 @@ fn wave_delta_chain_mpich_kill_restart_openmpi() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Copy the committed V1 chain (`tests/fixtures/v1_chain`, recorded with
+/// the last V1 *writer* at ff12563: this test's solver under MPICH,
+/// `block_size` 256, epochs at steps 20/40/60, node 0 killed at 65) into
+/// a scratch directory a store may open and extend.
+fn v1_fixture(tag: &str) -> PathBuf {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1_chain");
+    let dir = std::env::temp_dir().join(format!("stool-v1-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for epoch in std::fs::read_dir(&fixture).unwrap() {
+        let epoch = epoch.unwrap();
+        let to = dir.join(epoch.file_name());
+        std::fs::create_dir_all(&to).unwrap();
+        for file in std::fs::read_dir(epoch.path()).unwrap() {
+            let file = file.unwrap();
+            std::fs::copy(file.path(), to.join(file.file_name())).unwrap();
+        }
+    }
+    dir
+}
+
 #[test]
 fn wave_restarts_bit_identically_from_a_v1_chain() {
     // Backward compatibility: a chain written in the legacy (PR 2)
     // manifest format — raw blocks, no codec byte — must restore under
-    // the other vendor exactly like a current chain does.
+    // the other vendor exactly like a current chain does. Nothing writes
+    // that format any more; the chain is a byte fixture.
     let solver = WaveMpi {
         npoints: 600,
         nsteps: 80,
@@ -424,26 +464,7 @@ fn wave_restarts_bit_identically_from_a_v1_chain() {
         ..WaveMpi::default()
     };
     let expect = reference_memories(&solver, Vendor::Mpich);
-
-    let dir = std::env::temp_dir().join(format!("stool-v1-chain-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let v1_cfg = StoreConfig {
-        block_size: 256,
-        format: ManifestFormat::V1,
-        ..StoreConfig::default()
-    };
-    let out = Session::builder()
-        .cluster(cluster())
-        .vendor(Vendor::Mpich)
-        .checkpointer(Checkpointer::mana())
-        .checkpoint_every(20)
-        .checkpoint_store_with(&dir, v1_cfg)
-        .inject_node_failure(65, 0)
-        .build()
-        .unwrap()
-        .launch(&solver)
-        .unwrap();
-    assert!(out.is_failed());
+    let dir = v1_fixture("chain");
 
     // A *current* store config opens the legacy chain transparently.
     let store = DeltaStore::open_with(&dir, StoreConfig::default()).unwrap();
@@ -481,6 +502,59 @@ fn wave_restarts_bit_identically_from_a_v1_chain() {
 }
 
 #[test]
+fn v2_store_extends_the_v1_chain_with_a_delta_and_restores_it() {
+    // The tree writes one manifest format. A current store over the V1
+    // fixture dedups against the raw V1 blocks, appends a V2 delta, and
+    // the mixed chain restores head and history alike.
+    let dir = v1_fixture("extend");
+    let manifest_version = |epoch: u64| {
+        let path = dir.join(format!("epoch_{epoch:06}")).join("manifest.bin");
+        let buf = std::fs::read(path).unwrap();
+        u64::from_le_bytes(buf[8..16].try_into().unwrap())
+    };
+    let cfg = StoreConfig {
+        block_size: 256,
+        ..StoreConfig::default()
+    };
+    let mut store = DeltaStore::open_with(&dir, cfg).unwrap();
+    assert_eq!(store.epochs(), &[1, 2, 3]);
+    let v1_head = store.load_latest().unwrap();
+
+    let mut next = v1_head.clone();
+    let (name, mut data) = {
+        let (name, data) = next.ranks[0]
+            .sections()
+            .max_by_key(|(_, d)| d.len())
+            .unwrap();
+        (name.to_string(), data.to_vec())
+    };
+    let half = data.len() / 2;
+    data[..half].iter_mut().for_each(|b| *b = !*b);
+    next.ranks[0].put_section(&name, data);
+    let s4 = store.commit(&next).unwrap();
+    assert_eq!((s4.epoch, s4.full), (4, false), "a delta on the V1 base");
+    assert!(
+        0 < s4.blocks_new && s4.blocks_new < s4.blocks_total,
+        "dedup against V1 blocks: {s4:?}"
+    );
+    assert_eq!(
+        (1..=4).map(manifest_version).collect::<Vec<_>>(),
+        [1, 1, 1, 2]
+    );
+
+    let reopened = DeltaStore::open_with(&dir, cfg).unwrap();
+    assert_eq!(reopened.load_latest().unwrap(), next);
+    assert_eq!(reopened.load_epoch(3).unwrap(), v1_head);
+    let disk = reopened.epoch_stats_on_disk().unwrap();
+    assert_eq!(
+        disk[2].bytes_hashed, disk[2].image_bytes,
+        "v1 manifests report the full-hash cost"
+    );
+    assert_eq!(disk[3].bytes_hashed, s4.bytes_hashed);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn wave_restarts_from_quarantined_head_chain() {
     // A rotted chain-head manifest must not strand the job: open
     // quarantines the broken head (renamed *.bad) and restart proceeds
@@ -505,7 +579,7 @@ fn wave_restarts_from_quarantined_head_chain() {
         .vendor(Vendor::Mpich)
         .checkpointer(Checkpointer::mana())
         .checkpoint_every(20)
-        .checkpoint_store_with(&dir, store_cfg)
+        .durability(stored(&dir, store_cfg, None))
         .inject_node_failure(65, 1)
         .build()
         .unwrap()
@@ -578,8 +652,7 @@ fn wave_remote_tier_only_restart_under_other_vendor() {
         .vendor(Vendor::Mpich)
         .checkpointer(Checkpointer::mana())
         .checkpoint_every(20)
-        .checkpoint_store_with(&dir, store_cfg)
-        .checkpoint_tier(&tier_dir)
+        .durability(stored(&dir, store_cfg, Some(&tier_dir)))
         .inject_node_failure(75, 1)
         .build()
         .unwrap()
@@ -593,7 +666,7 @@ fn wave_remote_tier_only_restart_under_other_vendor() {
             &dir,
             store_cfg,
             std::sync::Arc::new(mpi_stool::dmtcp::FsTier::open(&tier_dir).unwrap()),
-            mpi_stool::dmtcp::TierConfig::default(),
+            TierConfig::default(),
         )
         .unwrap();
         store.tier_flush().unwrap();
@@ -614,8 +687,7 @@ fn wave_remote_tier_only_restart_under_other_vendor() {
         .cluster(cluster())
         .vendor(Vendor::OpenMpi)
         .checkpointer(Checkpointer::mana())
-        .checkpoint_store_with(&dir, store_cfg)
-        .checkpoint_tier(&tier_dir)
+        .durability(stored(&dir, store_cfg, Some(&tier_dir)))
         .build()
         .unwrap()
         .restore_from_store(&solver)
@@ -645,7 +717,7 @@ fn restore_from_store_under_other_vendor() {
         .vendor(Vendor::OpenMpi)
         .checkpointer(Checkpointer::mana())
         .checkpoint_at_step(5, CkptMode::Stop)
-        .checkpoint_store(&dir)
+        .durability(stored(&dir, StoreConfig::default(), None))
         .build()
         .unwrap()
         .launch(&program)
@@ -658,7 +730,7 @@ fn restore_from_store_under_other_vendor() {
         .cluster(cluster())
         .vendor(Vendor::Mpich)
         .checkpointer(Checkpointer::mana())
-        .checkpoint_store(&dir)
+        .durability(stored(&dir, StoreConfig::default(), None))
         .build()
         .unwrap()
         .restore_from_store(&program)

@@ -1,7 +1,8 @@
 //! Loom models of the workspace's hand-rolled concurrency protocols:
 //! the telemetry seqlock (`simnet::telemetry::Telemetry::emit` vs. the
 //! reader's double-checked collect), the shared store's mux-lane
-//! round-robin cursor (`dmtcp::store::SharedStoreWriter`) and the
+//! round-robin pick (`MuxState::pop_next` in
+//! `crates/dmtcp/src/store/writer.rs`) and the
 //! fabric's targeted-wake handshake (`simnet::fabric`: `Mailbox::push`
 //! vs. `Endpoint::recv_raw_wanting`).
 //!
@@ -106,7 +107,7 @@ fn concurrent_emitters_never_lose_a_write() {
 }
 
 /// Mirror of the shared store committer's lane state
-/// (store.rs `MuxState`): per-lane backlogs, the fair round-robin
+/// (store/writer.rs `MuxState`): per-lane backlogs, the fair round-robin
 /// cursor, and the test hook that holds one lane closed.
 struct MuxState {
     lanes: Vec<u32>,
@@ -114,9 +115,9 @@ struct MuxState {
     held: Option<usize>,
 }
 
-/// Mirror of the committer's pop: scan from the cursor, skip a held
-/// lane, and park the cursor one past the lane served (store.rs:
-/// `st.rr = (idx + 1) % n` — the PR 8 fairness fix).
+/// Mirror of the committer's pop (store/writer.rs `MuxState::pop_next`):
+/// scan from the cursor, skip a held lane, and park the cursor one past
+/// the lane served (`self.rr = (idx + 1) % n` — the PR 8 fairness fix).
 fn pop_next(st: &mut MuxState) -> Option<usize> {
     let n = st.lanes.len();
     for k in 0..n {

@@ -301,7 +301,7 @@ proptest! {
 // Remote second tier: sealed-epoch round-trips and scrub idempotence
 // ---------------------------------------------------------------------------
 
-use mpi_stool::dmtcp::{FsTier, ObjectTier, Scrubber, TierConfig};
+use mpi_stool::dmtcp::{FsTier, ObjectTier, TierConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -415,14 +415,14 @@ proptest! {
         let mut store = DeltaStore::open_with(&dir, cfg).expect("reopen");
         prop_assert_eq!(store.quarantined(), &[2]);
 
-        let scrubber = Scrubber::new(tier);
-        let healed = scrubber.scrub(&mut store).expect("heal");
+        let scrub = |store: &mut DeltaStore| store.scrub_with(&*tier, TierConfig::default(), "");
+        let healed = scrub(&mut store).expect("heal");
         prop_assert_eq!(&healed.healed, &vec![2], "exactly one heal: {healed:?}");
         prop_assert!(store.quarantined().is_empty());
         prop_assert_eq!(&store.load_epoch(2).expect("healed head"), &img2);
         prop_assert_eq!(&store.load_epoch(1).expect("base intact"), &img1);
 
-        let again = scrubber.scrub(&mut store).expect("second scrub");
+        let again = scrub(&mut store).expect("second scrub");
         prop_assert!(again.is_noop(), "second scrub did {again:?}");
         prop_assert_eq!(again.verified, 2);
         std::fs::remove_dir_all(&dir).ok();

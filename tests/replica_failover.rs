@@ -6,6 +6,9 @@
 //! restart from the delta store after a failover is bit-identical under
 //! both vendors.
 
+mod common;
+
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -13,10 +16,13 @@ use std::time::Duration;
 use mpi_stool::apps::WaveMpi;
 use mpi_stool::dmtcp::replica::Clock;
 use mpi_stool::dmtcp::{
-    BarrierPhase, CkptError, CkptMode, Coordinator, FsTier, ObjectTier, Poll, RankImage,
-    ReplicaConfig, ReplicaError, ReplicaFault, ReplicaGroup, ReplicaRecord, TestClock, TierConfig,
+    BarrierPhase, CkptError, CkptMode, Coordinator, FlakyTier, FsTier, MemTier, ObjectTier,
+    PutFault, RankImage, ReplicaConfig, ReplicaError, ReplicaFault, ReplicaGroup, ReplicaRecord,
+    TestClock, TierConfig,
 };
-use mpi_stool::stool::{Checkpointer, ReplicaPolicy, Session, Vendor};
+use mpi_stool::stool::{
+    Checkpointer, DurabilityPolicy, ReplicaPolicy, Session, StorePolicy, Vendor,
+};
 
 const PHASES: [BarrierPhase; 4] = [
     BarrierPhase::Arrive,
@@ -25,47 +31,36 @@ const PHASES: [BarrierPhase; 4] = [
     BarrierPhase::Release,
 ];
 
-/// Drive `n` long-lived rank agents through `steps` safe points with rank
-/// 0 pressing the checkpoint button at each step in `presses`. Returns
+/// Drive `n` long-lived rank agents through `steps` safe points in
+/// lockstep, `press` scripting what rank 0 does before each step. Returns
 /// every `finish()` result, round by round per rank.
 fn drive_rounds(
     coord: &Coordinator,
     n: usize,
     steps: u64,
-    presses: &[u64],
+    press: impl Fn(u64) + Sync,
 ) -> Vec<Result<CkptMode, CkptError>> {
     let results = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for rank in 0..n {
-            let coord = coord.clone();
-            let results = &results;
-            s.spawn(move || {
-                let mut agent = coord.agent(rank);
-                let zeros = vec![0u64; n];
-                let mut step = 0u64;
-                while step < steps {
-                    if rank == 0 && presses.contains(&step) {
-                        coord.request_checkpoint(CkptMode::Continue);
-                    }
-                    match agent.poll(step).expect("poll") {
-                        Poll::None | Poll::KeepRunning => step += 1,
-                        Poll::Enter(session) => {
-                            session.exchange_counters(&zeros, &zeros).expect("exchange");
-                            session.submit_image(RankImage::new(rank, n, session.epoch()));
-                            // Finish *before* taking the results lock: the
-                            // final barrier parks this thread until every
-                            // rank arrives.
-                            let outcome = session.finish();
-                            results.lock().unwrap().push(outcome);
-                            step += 1;
-                        }
-                    }
-                    std::thread::yield_now();
-                }
-            });
-        }
+    let zeros = vec![0u64; n];
+    common::lockstep(coord, n, steps, press, |rank, session| {
+        session.exchange_counters(&zeros, &zeros).expect("exchange");
+        session.submit_image(RankImage::new(rank, n, session.epoch()));
+        // Finish *before* taking the results lock: the final barrier
+        // parks this thread until every rank arrives.
+        let outcome = session.finish();
+        results.lock().unwrap().push(outcome);
+        ControlFlow::Continue(())
     });
     results.into_inner().unwrap()
+}
+
+/// A `press` that requests a checkpoint at each step in `steps`.
+fn press_at<'a>(coord: &'a Coordinator, steps: &'a [u64]) -> impl Fn(u64) + Sync + 'a {
+    move |step| {
+        if steps.contains(&step) {
+            coord.request_checkpoint(CkptMode::Continue);
+        }
+    }
 }
 
 fn group3(clock: Arc<dyn Clock>) -> ReplicaGroup {
@@ -96,7 +91,7 @@ fn leader_killed_at_every_phase_never_poisons_survivors() {
         group.script_faults([ReplicaFault::KillLeaderAt(phase)]);
         coord.attach_replicas(group.clone());
 
-        let results = drive_rounds(&coord, n, 40, &[5, 15, 25]);
+        let results = drive_rounds(&coord, n, 40, press_at(&coord, &[5, 15, 25]));
         assert_eq!(results.len(), 3 * n, "{phase:?}: three full rounds");
         for r in &results {
             assert!(r.is_ok(), "{phase:?}: a finish() was poisoned: {r:?}");
@@ -141,7 +136,7 @@ fn quorum_loss_aborts_the_round_atomically() {
     group.kill(2);
     coord.attach_replicas(group.clone());
 
-    let results = drive_rounds(&coord, n, 20, &[5]);
+    let results = drive_rounds(&coord, n, 20, press_at(&coord, &[5]));
     assert_eq!(results.len(), n);
     for r in &results {
         match r {
@@ -173,42 +168,16 @@ fn revived_quorum_commits_after_an_abort() {
     group.kill(2);
     coord.attach_replicas(group.clone());
 
-    let results = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for rank in 0..n {
-            let coord = coord.clone();
-            let group = group.clone();
-            let results = &results;
-            s.spawn(move || {
-                let mut agent = coord.agent(rank);
-                let zeros = vec![0u64; n];
-                let mut step = 0u64;
-                while step < 30 {
-                    if rank == 0 && step == 5 {
-                        coord.request_checkpoint(CkptMode::Continue);
-                    }
-                    if rank == 0 && step == 15 {
-                        // Round 1 aborted on quorum loss; restore it.
-                        group.revive(1);
-                        coord.request_checkpoint(CkptMode::Continue);
-                    }
-                    match agent.poll(step).expect("poll") {
-                        Poll::None | Poll::KeepRunning => step += 1,
-                        Poll::Enter(session) => {
-                            session.exchange_counters(&zeros, &zeros).expect("exchange");
-                            session.submit_image(RankImage::new(rank, n, session.epoch()));
-                            let outcome = session.finish();
-                            results.lock().unwrap().push(outcome);
-                            step += 1;
-                        }
-                    }
-                    std::thread::yield_now();
-                }
-            });
+    let results = drive_rounds(&coord, n, 30, |step| {
+        if step == 15 {
+            // Round 1 aborted on quorum loss; restore it.
+            group.revive(1);
+        }
+        if step == 5 || step == 15 {
+            coord.request_checkpoint(CkptMode::Continue);
         }
     });
 
-    let results = results.into_inner().unwrap();
     assert_eq!(
         results.len(),
         2 * n,
@@ -233,44 +202,25 @@ fn rank_failstop_logs_a_membership_record() {
     coord.attach_replicas(group.clone());
 
     let poisoned = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        for rank in 0..n {
-            let coord = coord.clone();
-            let poisoned = &poisoned;
-            s.spawn(move || {
-                let mut agent = coord.agent(rank);
-                let zeros = vec![0u64; n];
-                let mut step = 0u64;
-                while step < 30 {
-                    if rank == 0 && step == 5 {
-                        coord.request_checkpoint(CkptMode::Continue);
-                    }
-                    match agent.poll(step).expect("poll") {
-                        Poll::None | Poll::KeepRunning => step += 1,
-                        Poll::Enter(session) => {
-                            if session.exchange_counters(&zeros, &zeros).is_err() {
-                                poisoned.fetch_add(1, Ordering::SeqCst);
-                                return;
-                            }
-                            // Rank 2 fail-stops inside the round: past the
-                            // exchange (so its peers are committed to the
-                            // barrier), before the final barrier. Dropping
-                            // the agent resigns it.
-                            if rank == 2 {
-                                return;
-                            }
-                            session.submit_image(RankImage::new(rank, n, session.epoch()));
-                            if session.finish().is_err() {
-                                poisoned.fetch_add(1, Ordering::SeqCst);
-                                return;
-                            }
-                            step += 1;
-                        }
-                    }
-                    std::thread::yield_now();
-                }
-            });
+    let zeros = vec![0u64; n];
+    common::lockstep(&coord, n, 30, press_at(&coord, &[5]), |rank, session| {
+        // Every rank leaves at this round. Rank 2 fail-stops inside it:
+        // past the exchange (so its peers are committed to the barrier),
+        // before the final barrier — dropping the session and then the
+        // agent resigns it. The survivors must find the round poisoned,
+        // at the exchange's release or at the final barrier.
+        let mut committed = session.exchange_counters(&zeros, &zeros).is_ok();
+        if rank == 2 {
+            return ControlFlow::Break(());
         }
+        if committed {
+            session.submit_image(RankImage::new(rank, n, session.epoch()));
+            committed = session.finish().is_ok();
+        }
+        if !committed {
+            poisoned.fetch_add(1, Ordering::SeqCst);
+        }
+        ControlFlow::Break(())
     });
 
     assert_eq!(
@@ -369,8 +319,11 @@ fn session_failover_restart_is_bit_identical_across_vendors() {
             .vendor(Vendor::Mpich)
             .checkpointer(Checkpointer::mana())
             .checkpoint_every(20)
-            .checkpoint_store(&dir)
-            .replicated_coordinator_with(policy)
+            .durability(DurabilityPolicy {
+                store: Some(StorePolicy::new(&dir)),
+                replicas: Some(policy),
+                ..DurabilityPolicy::default()
+            })
             .inject_node_failure(55, 0)
             .build()
             .unwrap()
@@ -410,7 +363,10 @@ fn session_failover_restart_is_bit_identical_across_vendors() {
                 .cluster(cluster())
                 .vendor(vendor)
                 .checkpointer(Checkpointer::mana())
-                .checkpoint_store(&dir)
+                .durability(DurabilityPolicy {
+                    store: Some(StorePolicy::new(&dir)),
+                    ..DurabilityPolicy::default()
+                })
                 .build()
                 .unwrap()
                 .restore_from_store(&solver())
@@ -454,8 +410,11 @@ fn leader_kill_writes_a_merged_crash_dump_timeline() {
         .vendor(Vendor::Mpich)
         .checkpointer(Checkpointer::mana())
         .checkpoint_every(20)
-        .checkpoint_store(&dir)
-        .replicated_coordinator_with(policy)
+        .durability(DurabilityPolicy {
+            store: Some(StorePolicy::new(&dir)),
+            replicas: Some(policy),
+            ..DurabilityPolicy::default()
+        })
         .crash_dump_dir(&ddir)
         .build()
         .unwrap();
@@ -528,5 +487,56 @@ fn leader_kill_writes_a_merged_crash_dump_timeline() {
 
     for d in [&dir, &rdir, &ddir] {
         std::fs::remove_dir_all(d).ok();
+    }
+}
+
+/// Regression, found by the lockstep harness: when a rank fail-stops
+/// inside a round, its resign and the survivors' resigns each commit a
+/// membership record, concurrently. Two proposers that read the next free
+/// slot before either had claimed it both "committed" there, and the
+/// slower one's record overwrote the other's in every log. Held here in
+/// the one interleaving that shows it: proposer A parked inside its last
+/// acceptor's log write while proposer B runs.
+#[test]
+fn concurrent_commits_never_share_a_log_slot() {
+    let logs: Vec<Arc<FlakyTier>> = (0..3)
+        .map(|_| Arc::new(FlakyTier::new(Arc::new(MemTier::new()))))
+        .collect();
+    let group = ReplicaGroup::new(
+        ReplicaConfig::default(),
+        Arc::new(TestClock::new()),
+        logs.iter()
+            .map(|l| l.clone() as Arc<dyn ObjectTier>)
+            .collect(),
+    )
+    .unwrap();
+    let gone = |rank| ReplicaRecord::Membership { rank, alive: false };
+    group.commit(gone(9)).unwrap(); // elects the leader, fills slot 0
+
+    logs[2].script_puts([PutFault::Hold]);
+    let first_log_puts = logs[0].puts();
+    let (slot_a, slot_b) = std::thread::scope(|s| {
+        let a = s.spawn(|| group.commit(gone(0)).unwrap());
+        while logs[2].injected() == 0 {
+            std::thread::yield_now();
+        }
+        let b = s.spawn(|| group.commit(gone(1)).unwrap());
+        // B either reaches the first log while A is parked (the bug) or
+        // waits its turn behind A; give it time to show which, then let
+        // A go. Only a run that has the bug can be cut short here.
+        let deadline = std::time::Instant::now() + Duration::from_millis(200);
+        while logs[0].puts() == first_log_puts + 1 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        logs[2].release();
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_ne!(slot_a, slot_b, "two commits acknowledged in one slot");
+    let committed = group.committed().unwrap();
+    for rank in [9, 0, 1] {
+        assert!(
+            committed.iter().any(|(_, r)| *r == gone(rank)),
+            "rank {rank}'s record was overwritten: {committed:?}"
+        );
     }
 }

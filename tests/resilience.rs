@@ -4,7 +4,7 @@
 
 use mpi_stool::simnet::ClusterSpec;
 use mpi_stool::stool::programs::RingPings;
-use mpi_stool::stool::{Checkpointer, Session, Vendor};
+use mpi_stool::stool::{Checkpointer, EventKind, FaultSchedule, RunOutcome, Session, Vendor};
 
 fn cluster() -> ClusterSpec {
     ClusterSpec::builder().nodes(2).ranks_per_node(2).build()
@@ -177,4 +177,63 @@ fn fault_on_checkpoint_step_loses_that_checkpoint() {
         .get_f64("ring.total")
         .unwrap();
     assert_eq!(got, expect);
+}
+
+#[test]
+fn injected_and_scheduled_kills_compose_in_either_call_order() {
+    // One kill list whichever builder call comes first: the schedule's
+    // own kills, then the injected ones — so on a shared step the
+    // schedule's victims name the blamed node-group.
+    let schedule = || {
+        FaultSchedule::default()
+            .kill_ranks(9, vec![3])
+            .kill_ranks(5, vec![2])
+    };
+    let base = || {
+        Session::builder()
+            .cluster(cluster())
+            .vendor(Vendor::Mpich)
+            .checkpointer(Checkpointer::mana())
+            .checkpoint_every(4)
+    };
+    let inject_first = base()
+        .inject_node_failure(5, 0)
+        .fault_schedule(schedule())
+        .build()
+        .unwrap();
+    let schedule_first = base()
+        .fault_schedule(schedule())
+        .inject_node_failure(5, 0)
+        .build()
+        .unwrap();
+    let expect = schedule().kill_nodes(5, vec![0]);
+    assert_eq!(inject_first.config.schedule, expect);
+    assert_eq!(schedule_first.config.schedule, expect);
+
+    let program = RingPings {
+        rounds: 12,
+        payload: 8,
+    };
+    for session in [inject_first, schedule_first] {
+        let out = session.launch(&program).unwrap();
+        assert!(matches!(out, RunOutcome::Failed { failed_step: 5, .. }));
+        // Step 5 kills rank 2 (scheduled, node 1) and node 0's ranks
+        // (injected); all three blame the schedule's node.
+        let kills: Vec<(u64, u64)> = session
+            .telemetry()
+            .unwrap()
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::RankKill)
+            .map(|e| (e.a, e.c))
+            .collect();
+        assert_eq!(kills.len(), 3, "{kills:?}");
+        for rank in [0, 1, 2] {
+            assert!(kills.contains(&(rank, 1)), "rank {rank}: {kills:?}");
+        }
+        // Both kills are spent by the time the job is restarted.
+        let report = session.run_resilient(&program, 3).unwrap();
+        assert_eq!(report.recoveries.len(), 1);
+        assert_eq!(report.recoveries[0].failed_at, 5);
+    }
 }

@@ -237,6 +237,35 @@ fn lines_by_crate_counts_code_lines_outside_test_modules() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The size ratchet: the tree's library total may not exceed the
+/// committed `benches/baselines/lines_by_crate.json` (ROADMAP aim 2 —
+/// the number goes down, or a PR says why not by raising the file;
+/// docs/ci.md has the one-liner that rewrites it).
+#[test]
+fn library_line_count_does_not_exceed_the_committed_ceiling() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let committed =
+        std::fs::read_to_string(root.join("benches/baselines/lines_by_crate.json")).unwrap();
+    // One flat `{"crate": lines, …}` object, as `stoolint` prints it:
+    // every colon is followed by a count.
+    let ceiling: usize = committed
+        .split(':')
+        .skip(1)
+        .map(|rest| {
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits
+                .parse::<usize>()
+                .expect("a line count after each colon")
+        })
+        .sum();
+    let counted = lint_tree(root).unwrap().lines_by_crate;
+    let total: usize = counted.values().sum();
+    assert!(
+        total <= ceiling,
+        "library code grew to {total} lines, the committed ceiling is {ceiling}: {counted:?}"
+    );
+}
+
 /// The acceptance criterion, self-enforced: the repository this test
 /// ships in must lint clean. A PR that reintroduces a banned pattern
 /// fails here even before CI runs the binary.

@@ -8,8 +8,8 @@ use std::path::PathBuf;
 
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{
-    parse_matrix, run_scenario, BarrierTopology, Checkpointer, EventKind, FaultSchedule,
-    ScenarioSpec, Session, Vendor, Victims,
+    parse_matrix, run_scenario, BarrierTopology, Checkpointer, DurabilityPolicy, EventKind,
+    FaultSchedule, ScenarioSpec, Session, StorePolicy, Vendor, Victims,
 };
 use proptest::prelude::*;
 use simnet::{ClusterSpec, VirtualTime};
@@ -201,7 +201,10 @@ fn straggler_cannot_poison_tree_barrier_or_skew_cut() {
             .vendor(Vendor::Mpich)
             .checkpointer(Checkpointer::mana())
             .checkpoint_every(8)
-            .checkpoint_store(&dir)
+            .durability(DurabilityPolicy {
+                store: Some(StorePolicy::new(&dir)),
+                ..DurabilityPolicy::default()
+            })
             .barrier_topology(BarrierTopology::Tree { radix: 2 })
             .fault_schedule(schedule)
             .build()

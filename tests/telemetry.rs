@@ -9,7 +9,18 @@ use proptest::prelude::*;
 
 use mpi_stool::simnet::{ClusterSpec, EventKind, MetricValue, Telemetry, TelemetryConfig};
 use mpi_stool::stool::programs::RingPings;
-use mpi_stool::stool::{Checkpointer, CkptMode, RunOutcome, Session, SessionBuilder, Vendor};
+use mpi_stool::stool::{
+    Checkpointer, CkptMode, DurabilityPolicy, RunOutcome, Session, SessionBuilder, StorePolicy,
+    Vendor,
+};
+
+/// A delta store at `dir` and nothing else.
+fn stored(dir: impl Into<std::path::PathBuf>) -> DurabilityPolicy {
+    DurabilityPolicy {
+        store: Some(StorePolicy::new(dir)),
+        ..DurabilityPolicy::default()
+    }
+}
 
 /// Wrap is flight-recorder overwrite: the ring keeps the newest events,
 /// the per-kind counters keep the true totals.
@@ -170,7 +181,7 @@ fn session_snapshot_unifies_events_metrics_and_store_stats() {
         .vendor(Vendor::Mpich)
         .checkpointer(Checkpointer::mana())
         .checkpoint_every(4)
-        .checkpoint_store(&dir)
+        .durability(stored(&dir))
         .build()
         .unwrap();
     let launched = std::time::Instant::now();
@@ -276,7 +287,7 @@ fn transport_counters_are_exact_however_the_run_ends() {
             .cluster(ClusterSpec::builder().nodes(2).ranks_per_node(3).build())
             .vendor(Vendor::OpenMpi)
             .checkpointer(Checkpointer::mana())
-            .checkpoint_store(dir.join(name));
+            .durability(stored(dir.join(name)));
         let session = ending(builder).build().unwrap();
         let out = session
             .launch(&RingPings {

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mpi_stool::dmtcp::{
-    DeltaStore, FlakyTier, FsTier, GetFault, ObjectTier, PutFault, RankImage, Scrubber,
-    StoreConfig, StoreError, StoreWriter, TierConfig, TierError, WorldImage,
+    DeltaStore, FlakyTier, FsTier, GetFault, ObjectTier, PutFault, RankImage, SharedStoreWriter,
+    StoreConfig, StoreError, TenantQuota, TierConfig, TierError, WorldImage,
 };
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -248,7 +248,7 @@ fn scrubber_heals_a_quarantined_chain_head_from_the_tier() {
 
     // The scrubber re-fetches the epoch from the healthy tier, verifies
     // it, and heals the chain in place.
-    let report = Scrubber::new(tier.clone()).scrub(&mut store).unwrap();
+    let report = store.scrub_with(&*tier, TierConfig::default(), "").unwrap();
     assert_eq!(report.healed, vec![3]);
     assert!(report.missing.is_empty());
     assert!(store.quarantined().is_empty(), "quarantine list cleared");
@@ -258,7 +258,7 @@ fn scrubber_heals_a_quarantined_chain_head_from_the_tier() {
 
     // Idempotence: a second scrub (and a scrub of a healthy chain) is a
     // verified no-op.
-    let again = Scrubber::new(tier).scrub(&mut store).unwrap();
+    let again = store.scrub_with(&*tier, TierConfig::default(), "").unwrap();
     assert!(
         again.is_noop(),
         "second scrub must change nothing: {again:?}"
@@ -290,7 +290,7 @@ fn scrub_without_a_tier_copy_leaves_the_quarantine_for_forensics() {
 
     // An empty tier has nothing to heal from: the .bad directory stays.
     let tier: Arc<dyn ObjectTier> = Arc::new(FsTier::open(&tier_dir).unwrap());
-    let report = Scrubber::new(tier).scrub(&mut store).unwrap();
+    let report = store.scrub_with(&*tier, TierConfig::default(), "").unwrap();
     assert_eq!(report.missing, vec![2]);
     assert!(report.healed.is_empty());
     assert!(
@@ -329,7 +329,7 @@ fn stale_bad_dir_with_a_healthy_live_epoch_is_cleaned() {
     assert!(store_dir.join("epoch_000002.bad").is_dir());
 
     let mut store = DeltaStore::open_with(&store_dir, small_cfg()).unwrap();
-    let report = Scrubber::new(tier).scrub(&mut store).unwrap();
+    let report = store.scrub_with(&*tier, TierConfig::default(), "").unwrap();
     assert_eq!(report.cleaned, vec![2]);
     assert!(report.healed.is_empty() && report.missing.is_empty());
     assert!(!store_dir.join("epoch_000002.bad").exists());
@@ -426,19 +426,20 @@ fn stale_seal_from_a_quarantined_predecessor_is_reshipped_not_trusted() {
 
 #[test]
 fn background_writer_ships_through_the_tier_end_to_end() {
-    // The full async pipeline: StoreWriter commits in the background,
-    // the shipper uploads behind it, and a remote-only reopen restores.
+    // The full async pipeline: the writer commits in the background, the
+    // shipper uploads behind it, and a remote-only reopen restores.
     let store_dir = tmp_dir("writer_store");
     let tier_dir = tmp_dir("writer_tier");
     let tier: Arc<dyn ObjectTier> = Arc::new(FsTier::open(&tier_dir).unwrap());
-    let writer =
-        StoreWriter::spawn_with_tier(&store_dir, small_cfg(), tier.clone(), tier_cfg()).unwrap();
+    let store =
+        DeltaStore::open_with_tier(&store_dir, small_cfg(), tier.clone(), tier_cfg()).unwrap();
+    let writer = SharedStoreWriter::spawn_stores(vec![(store, TenantQuota::default())]);
     for e in 1..=3 {
-        writer.submit(image(e, 3, e as u8, 1400)).unwrap();
+        writer.submit(0, image(e, 3, e as u8, 1400)).unwrap();
     }
-    writer.flush().unwrap();
-    let (store, stats) = writer.finish().unwrap();
-    assert_eq!(stats.len(), 3);
+    writer.flush_lane(0).unwrap();
+    let store = writer.finish().unwrap().pop().unwrap();
+    assert_eq!(store.stats().len(), 3);
     store.tier_flush().unwrap();
     assert_eq!(store.tier_durable(), vec![1, 2, 3]);
     drop(store);
