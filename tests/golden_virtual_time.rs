@@ -21,9 +21,13 @@
 //! reach and a vendor hoist moves — rooted and prefix collectives,
 //! nonblocking requests, probe, user-defined ops and derived datatypes —
 //! to constants recorded the same way on commit 5be1877 (the parent of
-//! the one-engine PR). The last pair pins the clocks communicator
-//! creation leaves behind, which since that PR are a function of the
-//! program alone.
+//! the one-engine PR). The third pair runs all fifteen families on a
+//! 32-rank power-of-two split, each size list led by a 0-byte leg, with
+//! constants recorded on commit 1682949 (the parent of the
+//! one-collectives-library PR): the no-fold recursive-doubling paths and
+//! the empty-buffer cases the other two communicators never reach. The
+//! last pair pins the clocks communicator creation leaves behind, which
+//! since the one-engine PR are a function of the program alone.
 
 use mpi_stool::abi::consts::{ANY_SOURCE, UNDEFINED};
 use mpi_stool::abi::{Datatype, Handle, ReduceOp};
@@ -36,10 +40,27 @@ use mpi_stool::stool::{AppCtx, MpiProgram, Session, StoolResult, Vendor};
 /// fixed start makes every later clock a pure function of the program.
 const START: VirtualTime = VirtualTime::from_secs(1);
 
-/// World ranks 0, 7, …, 42 of the 4 × 12 cluster: seven members on all
-/// four nodes, not identity-mapped, not a power of two.
-fn in_sub7(world_rank: usize) -> bool {
-    world_rank.is_multiple_of(7)
+/// The communicator a leg runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Comm {
+    /// The paper's 48-rank world.
+    World,
+    /// World ranks 0, 7, …, 42 of the 4 × 12 cluster: seven members on
+    /// all four nodes, not identity-mapped, not a power of two.
+    Sub7,
+    /// World ranks `r % 3 != 2`: 32 members on all four nodes, not
+    /// identity-mapped, a power of two.
+    Sub32,
+}
+
+impl Comm {
+    fn member(self, world_rank: usize) -> bool {
+        match self {
+            Comm::World => true,
+            Comm::Sub7 => world_rank.is_multiple_of(7),
+            Comm::Sub32 => world_rank % 3 != 2,
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,9 +110,11 @@ impl Op {
     /// straddled: inline 64; MPICH sock-small / Bruck 256, pairwise
     /// 32 KiB, eager 64 KiB, recursive doubling 32 KiB, binomial 512 KiB;
     /// Open MPI binary tree 2 KiB, eager / pipeline segment 8 KiB,
-    /// recursive doubling 1 KiB, linear alltoall 64 KiB.
-    fn sizes(self, sub7: bool) -> &'static [usize] {
-        match self {
+    /// recursive doubling 1 KiB, linear alltoall 64 KiB. The 32-rank
+    /// split leads every list with a 0-byte leg.
+    fn sizes(self, comm: Comm) -> Vec<usize> {
+        let sub7 = comm == Comm::Sub7;
+        let sizes: &[usize] = match self {
             Op::Barrier => &[0, 0, 0],
             Op::Bcast => &[
                 1, 64, 65, 256, 257, 2048, 2049, 8192, 8193, 20000, 65536, 65537, 524288, 524289,
@@ -110,6 +133,10 @@ impl Op {
             // Open MPI: linear up to the 8 KiB pipeline segment.
             Op::Reduce => &[8, 64, 72, 256, 264, 8192, 8200, 65536, 65544],
             Op::Gather | Op::Scatter => &[1, 64, 65, 256, 257, 2048, 8192, 8193],
+            // On 32 ranks: Open MPI recursive doubling up to 2 KiB of
+            // gathered data (64 bytes per block), MPICH Bruck up to 4 KiB
+            // (128).
+            Op::Allgather if comm == Comm::Sub32 => &[1, 64, 65, 128, 129, 8192, 8193],
             // MPICH: Bruck up to 4 KiB of gathered data, ring above —
             // 85 / 86 bytes per block on 48 ranks, 585 / 586 on seven.
             Op::Allgather => &[1, 64, 65, 85, 86, 585, 586, 8192, 8193],
@@ -122,7 +149,9 @@ impl Op {
             Op::DerivedBcast => &[
                 24, 48, 72, 264, 2040, 2064, 8184, 8208, 65520, 65544, 524280, 524304,
             ],
-        }
+        };
+        let empty: &[usize] = if comm == Comm::Sub32 { &[0] } else { &[] };
+        [empty, sizes].concat()
     }
 }
 
@@ -188,7 +217,7 @@ fn affine_compose(invec: &[u8], inoutvec: &mut [u8], elem_size: usize) {
 /// One op family on one communicator, every size in turn.
 struct GoldenLeg {
     op: Op,
-    sub7: bool,
+    comm: Comm,
 }
 
 impl MpiProgram for GoldenLeg {
@@ -197,13 +226,13 @@ impl MpiProgram for GoldenLeg {
     }
 
     fn run(&self, app: &mut AppCtx<'_>) -> StoolResult<()> {
-        let member = !self.sub7 || in_sub7(app.rank());
-        let comm = if self.sub7 {
+        let member = self.comm.member(app.rank());
+        let comm = if self.comm == Comm::World {
+            Handle::COMM_WORLD
+        } else {
             let key = app.rank() as i32;
             app.mpi()
                 .comm_split(Handle::COMM_WORLD, !member as i32, key)?
-        } else {
-            Handle::COMM_WORLD
         };
         // The objects a leg needs are made before the common start.
         let mpi = app.mpi();
@@ -225,7 +254,7 @@ impl MpiProgram for GoldenLeg {
         if member {
             let me = app.mpi().comm_rank(comm)? as usize;
             let n = app.mpi().comm_size(comm)? as usize;
-            for (leg, &len) in self.op.sizes(self.sub7).iter().enumerate() {
+            for (leg, len) in self.op.sizes(self.comm).into_iter().enumerate() {
                 let recv = self.leg(app, comm, me, n, leg, len, dtype, user_op)?;
                 if self.op != Op::AnySourceGather {
                     digest.u64(app.now().as_nanos());
@@ -387,13 +416,13 @@ impl GoldenLeg {
 
 /// Digest of one op family on one communicator: every rank's digest,
 /// folded in rank order.
-fn witness(vendor: Vendor, op: Op, sub7: bool) -> u64 {
+fn witness(vendor: Vendor, op: Op, comm: Comm) -> u64 {
     let outcome = Session::builder()
         .cluster(ClusterSpec::discovery())
         .vendor(vendor)
         .build()
         .expect("session")
-        .launch(&GoldenLeg { op, sub7 })
+        .launch(&GoldenLeg { op, comm })
         .expect("launch");
     let mut fold = Fnv::new();
     for mem in outcome.memories().expect("completed") {
@@ -406,7 +435,12 @@ fn witness(vendor: Vendor, op: Op, sub7: bool) -> u64 {
 fn check(vendor: Vendor, ops: &[Op], golden: &[(u64, u64)]) {
     let got: Vec<(u64, u64)> = ops
         .iter()
-        .map(|&op| (witness(vendor, op, false), witness(vendor, op, true)))
+        .map(|&op| {
+            (
+                witness(vendor, op, Comm::World),
+                witness(vendor, op, Comm::Sub7),
+            )
+        })
         .collect();
     let table: Vec<String> = ops
         .iter()
@@ -486,6 +520,74 @@ fn openmpi_hoisted_paths_equal_the_recorded_parent() {
             (0xb94b95d714741341, 0x36412a6de9e2403c), // ProbeRecv
             (0xfb65a8f6837881b4, 0x327dc7ab0ead8e4b), // UserOpAllreduce
             (0x7b042bfde6e6fbc0, 0x2b979658270f3b26), // DerivedBcast
+        ],
+    );
+}
+
+/// The 32-rank split's digest per op, over [`OPS`] then [`HOISTED_OPS`].
+fn check_sub32(vendor: Vendor, golden: &[u64]) {
+    let ops = [&OPS[..], &HOISTED_OPS[..]].concat();
+    let got: Vec<u64> = ops
+        .iter()
+        .map(|&op| witness(vendor, op, Comm::Sub32))
+        .collect();
+    let table: Vec<String> = ops
+        .iter()
+        .zip(&got)
+        .map(|(op, d)| format!("            {d:#018x}, // {op:?}"))
+        .collect();
+    assert!(
+        got == golden,
+        "virtual time or a receive buffer moved on the 32-rank split under {vendor:?}; \
+         measured:\n{}",
+        table.join("\n")
+    );
+}
+
+#[test]
+fn mpich_power_of_two_split_equals_the_recorded_parent() {
+    check_sub32(
+        Vendor::Mpich,
+        &[
+            0xb2e6fcc1514a06c5, // Barrier
+            0x1d9f576b0e1b805f, // Bcast
+            0xc00a93c17366d89b, // Allreduce
+            0xe78360c8da8a4d57, // Alltoall
+            0x22f6dae22e478db8, // Ring
+            0xda0afb247eac2c2a, // AnySourceGather
+            0xffbbcc9d19ffb85f, // Reduce
+            0xdc821adb9f5e90c7, // Gather
+            0xfae66f474b2b3a11, // Scatter
+            0x669b8accaed2d185, // Allgather
+            0xdd0201cbdf07c758, // Scan
+            0x81b3a8754b880865, // Halo
+            0x2c574a229548299f, // ProbeRecv
+            0x46558c855e3a6c3f, // UserOpAllreduce
+            0x5f0dfbe1e3f819af, // DerivedBcast
+        ],
+    );
+}
+
+#[test]
+fn openmpi_power_of_two_split_equals_the_recorded_parent() {
+    check_sub32(
+        Vendor::OpenMpi,
+        &[
+            0x7b01f5fdea6e9aa5, // Barrier
+            0xb5a306e25eb213bc, // Bcast
+            0x1f20674e337343ff, // Allreduce
+            0xd8986bea69df40be, // Alltoall
+            0x0e6748a7e1f96b2a, // Ring
+            0xda0afb247eac2c2a, // AnySourceGather
+            0x4ee1ac24c19ca6f1, // Reduce
+            0x1315c86100295d1a, // Gather
+            0xf143d642c19cb948, // Scatter
+            0x0b22f3e6357e093d, // Allgather
+            0x53f41d58f01eac44, // Scan
+            0x306986573263895c, // Halo
+            0x1fa5de913725ace4, // ProbeRecv
+            0xdd334c381994514b, // UserOpAllreduce
+            0xd7546b2060025c30, // DerivedBcast
         ],
     );
 }
