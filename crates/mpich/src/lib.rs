@@ -9,24 +9,23 @@
 //!   MPICH's `MPI_Status` layout. This ABI is deliberately incompatible with
 //!   `ompi-sim`'s pointer-style ABI — the incompatibility the paper's
 //!   standard-ABI + Mukautuva stack exists to bridge.
-//! * **Collective algorithms** ([`coll`]): Bruck and pairwise-exchange
-//!   alltoall, binomial and van de Geijn broadcast, recursive-doubling and
-//!   Rabenseifner allreduce — the MPICH lineage, with MPICH-like switchover
-//!   thresholds ([`tuning::Tuning`]).
-//! * **Tuning and cost model** ([`tuning`]): per-message software costs,
-//!   protocol thresholds, and the ch3:sock arrival model
-//!   ([`tuning::SockArrival`]).
+//! * **Tuning** ([`tuning`]): per-message software costs, the ch3:sock
+//!   arrival model ([`tuning::SockArrival`]), and the selection table —
+//!   Bruck and pairwise-exchange alltoall, binomial and van de Geijn
+//!   broadcast, recursive-doubling and Rabenseifner allreduce, the MPICH
+//!   lineage with MPICH-like switch-over points (the table is in
+//!   [`tuning`]'s docs).
 //! * **Object representation** ([`objects`]): slot tables behind the
 //!   bit-packed handles.
 //!
 //! Everything else — matching, point-to-point, requests, communicator and
-//! datatype management, reduction kernels — is the engine every vendor
-//! shares, [`simnet::mpi`], instantiated with this library's header
-//! ([`mpih::Mpich`]). MPI libraries differ in ABI and tuning, not in
-//! semantics.
+//! datatype management, the collective algorithms, reduction kernels — is
+//! the library every vendor shares, [`simnet::mpi`], instantiated with
+//! this crate's marker ([`mpih::Mpich`]). MPI libraries differ in ABI and
+//! tuning, not in semantics.
 //!
-//! The library is instantiated per rank ([`MpichProcess::init`]) inside a
-//! `simnet` world and charges all costs to the rank's virtual clock.
+//! The library is instantiated per rank (`Process::<Mpich>::init`) inside
+//! a `simnet` world and charges all costs to the rank's virtual clock.
 //!
 //! This crate knows nothing about the standard ABI, Mukautuva, or MANA:
 //! dependency-wise it sits at the bottom of the stool, exactly like a real
@@ -35,12 +34,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coll;
 pub mod mpih;
 pub mod objects;
-pub mod proc;
 pub mod tuning;
 
 pub use mpih::Mpich;
-pub use proc::MpichProcess;
-pub use tuning::Tuning;

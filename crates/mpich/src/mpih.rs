@@ -278,13 +278,9 @@ impl NativeAbi for Mpich {
     type Op = MpiOp;
     type Request = MpiRequest;
     type Status = MpiStatus;
-    type Arrival = crate::tuning::SockArrival;
     type Store = crate::objects::Tables;
-    type Library = crate::MpichProcess;
 
-    const VERSION: &'static str = crate::Tuning::VERSION;
-    /// ~1.5 GB/s effective combine rate on the simulated Xeon.
-    const REDUCE_BYTES_PER_NS: f64 = 1.5;
+    const VERSION: &'static str = "mpich-sim 3.3.2 (native ABI: integer handles)";
 
     const ANY_SOURCE: i32 = MPI_ANY_SOURCE;
     const PROC_NULL: i32 = MPI_PROC_NULL;

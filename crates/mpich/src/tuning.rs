@@ -1,12 +1,29 @@
-//! MPICH-flavour tuning: per-message software costs and collective
-//! algorithm selection thresholds.
+//! MPICH-flavour tuning: per-message software costs, the ch3:sock
+//! arrival model, and the collective selection table.
 //!
-//! These knobs are what make this library *perform* like the MPICH family:
-//! a heavier per-message software path than the Open MPI flavour, Bruck /
-//! pairwise alltoall, binomial / van-de-Geijn broadcast, recursive-doubling
-//! / Rabenseifner allreduce, with MPICH-like switchover points.
+//! This table is what makes the library *perform* like the MPICH family:
+//! a heavier per-message software path than the Open MPI flavour, and
+//! the MPICH lineage of algorithms with MPICH-like switch-over points:
+//!
+//! | collective  | selected algorithm ([`simnet::mpi::algos`])                   |
+//! |-------------|----------------------------------------------------------------|
+//! | `barrier`   | dissemination                                                  |
+//! | `bcast`     | binomial ≤ 512 KiB, van de Geijn scatter + ring above          |
+//! | `reduce`    | binomial                                                       |
+//! | `allreduce` | recursive doubling ≤ 32 KiB or fewer elements than ranks, Rabenseifner above (even ranks fold into odd) |
+//! | `gather`    | binomial                                                       |
+//! | `scatter`   | binomial                                                       |
+//! | `allgather` | Bruck ≤ 4 KiB gathered, ring above                             |
+//! | `alltoall`  | Bruck ≤ 256 B blocks, pairwise ≥ 32 KiB, posted in between     |
+//! | `scan`      | recursive doubling                                             |
 
+use simnet::mpi::algos::{
+    Allgather, Allreduce, Alltoall, Barrier, Bcast, Fold, Gather, Reduce, Scan, Scatter,
+};
+use simnet::mpi::{P2pCosts, Shape, Tuning};
 use simnet::{ArrivalModel, Envelope, LinkClass, RankCtx, VirtualTime};
+
+use crate::mpih::Mpich;
 
 /// ch3:sock cost model: small inter-node messages pay the sock channel's
 /// progress-engine wakeup latency on top of the wire arrival. This is
@@ -32,33 +49,25 @@ impl ArrivalModel for SockArrival {
     }
 }
 
-/// Tuning parameters for the MPICH-flavoured library.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tuning {
-    /// CPU time charged on the sender per message (matching, descriptor
-    /// setup, copy into the eager buffer).
-    pub o_send: VirtualTime,
-    /// CPU time charged on the receiver per matched message.
-    pub o_recv: VirtualTime,
-    /// Messages larger than this use the rendezvous protocol, which costs
-    /// an extra round trip of the link latency before data flows.
-    pub eager_threshold: usize,
-    /// Alltoall: use Bruck's algorithm for block sizes up to this.
-    pub alltoall_bruck_max: usize,
-    /// Alltoall: use pairwise exchange for block sizes from this up
-    /// (between the two: posted nonblocking all-to-all).
-    pub alltoall_pairwise_min: usize,
-    /// Bcast: binomial tree up to this payload; above it, the van de Geijn
-    /// scatter + allgather algorithm. On the paper testbed's high-latency
-    /// 10 GbE the allgather phase is latency-bound until well past the OSU
-    /// sweep, so the switchover sits far above MPICH's low-latency-fabric
-    /// default of 12 KiB.
-    pub bcast_binomial_max: usize,
-    /// Allreduce: recursive doubling up to this payload; above it,
-    /// Rabenseifner's reduce-scatter + allgather.
-    pub allreduce_recdbl_max: usize,
-    /// Allgather: Bruck up to this payload, ring above.
-    pub allgather_bruck_max: usize,
+/// Alltoall: Bruck for blocks up to this many bytes.
+pub const ALLTOALL_BRUCK_MAX: usize = 256;
+/// Alltoall: pairwise exchange for blocks from this many bytes up
+/// (between the two: posted nonblocking all-to-all).
+pub const ALLTOALL_PAIRWISE_MIN: usize = 32 * 1024;
+/// Bcast: binomial tree up to this payload; above it, the van de Geijn
+/// scatter + allgather algorithm. On the paper testbed's high-latency
+/// 10 GbE the allgather phase is latency-bound until well past the OSU
+/// sweep, so the switch-over sits far above MPICH's low-latency-fabric
+/// default of 12 KiB.
+pub const BCAST_BINOMIAL_MAX: usize = 512 * 1024;
+/// Allreduce: recursive doubling up to this payload; above it,
+/// Rabenseifner's reduce-scatter + allgather.
+pub const ALLREDUCE_DOUBLING_MAX: usize = 32 * 1024;
+/// Allgather: Bruck up to this many gathered bytes, ring above.
+pub const ALLGATHER_BRUCK_MAX: usize = 4 * 1024;
+
+impl Tuning for Mpich {
+    type Arrival = SockArrival;
     /// ch3:sock progress-engine latency added to each small inter-node
     /// message. MPICH 3.3.2 over plain 10 GbE runs the sock channel, whose
     /// poll-driven progress loop wakes noticeably later than Open MPI's
@@ -67,31 +76,73 @@ pub struct Tuning {
     /// like `wave_mpi` feel the full cost per step — which is what makes
     /// the paper's Fig. 5 wave bars differ by ~3x between vendors while
     /// Figs. 2-4 stay within ~1.3x.
-    pub sock_small_latency: VirtualTime,
-    /// Payloads up to this size pay `sock_small_latency`.
-    pub sock_small_max: usize,
-}
+    const ARRIVAL: SockArrival = SockArrival {
+        small_latency: VirtualTime::from_micros(60),
+        small_max: 256,
+    };
+    /// Matching, descriptor setup and the copy into the eager buffer;
+    /// rendezvous above 64 KiB.
+    const P2P: P2pCosts = P2pCosts {
+        o_send: VirtualTime::from_nanos(1_800),
+        o_recv: VirtualTime::from_nanos(1_800),
+        eager_threshold: 64 * 1024,
+    };
+    /// ~1.5 GB/s effective combine rate on the simulated Xeon.
+    const REDUCE_BYTES_PER_NS: f64 = 1.5;
 
-impl Default for Tuning {
-    fn default() -> Self {
-        Tuning {
-            o_send: VirtualTime::from_nanos(1_800),
-            o_recv: VirtualTime::from_nanos(1_800),
-            eager_threshold: 64 * 1024,
-            alltoall_bruck_max: 256,
-            alltoall_pairwise_min: 32 * 1024,
-            bcast_binomial_max: 512 * 1024,
-            allreduce_recdbl_max: 32 * 1024,
-            allgather_bruck_max: 4 * 1024,
-            sock_small_latency: VirtualTime::from_micros(60),
-            sock_small_max: 256,
+    fn barrier(_: Shape) -> Barrier {
+        Barrier::Dissemination
+    }
+
+    fn bcast(s: Shape) -> Bcast {
+        if s.bytes <= BCAST_BINOMIAL_MAX {
+            Bcast::Binomial
+        } else {
+            Bcast::ScatterRing
         }
     }
-}
 
-impl Tuning {
-    /// Library version string advertised through the ABI.
-    pub const VERSION: &'static str = "mpich-sim 3.3.2 (native ABI: integer handles)";
+    fn reduce(_: Shape) -> Reduce {
+        Reduce::Binomial
+    }
+
+    fn allreduce(s: Shape) -> Allreduce {
+        if s.bytes <= ALLREDUCE_DOUBLING_MAX || s.count < s.ranks {
+            Allreduce::RecursiveDoubling(Fold::EvenIntoOdd)
+        } else {
+            Allreduce::Rabenseifner(Fold::EvenIntoOdd)
+        }
+    }
+
+    fn gather(_: Shape) -> Gather {
+        Gather::Binomial
+    }
+
+    fn scatter(_: Shape) -> Scatter {
+        Scatter::Binomial
+    }
+
+    fn allgather(s: Shape) -> Allgather {
+        if s.bytes * s.ranks <= ALLGATHER_BRUCK_MAX {
+            Allgather::Bruck
+        } else {
+            Allgather::Ring
+        }
+    }
+
+    fn alltoall(s: Shape) -> Alltoall {
+        if s.bytes <= ALLTOALL_BRUCK_MAX {
+            Alltoall::Bruck
+        } else if s.bytes >= ALLTOALL_PAIRWISE_MIN {
+            Alltoall::Pairwise
+        } else {
+            Alltoall::Posted
+        }
+    }
+
+    fn scan(_: Shape) -> Scan {
+        Scan::RecursiveDoubling
+    }
 }
 
 #[cfg(test)]
@@ -100,13 +151,14 @@ mod tests {
 
     #[test]
     fn thresholds_are_ordered() {
-        let t = Tuning::default();
-        assert!(t.alltoall_bruck_max < t.alltoall_pairwise_min);
-        assert!(t.o_send > VirtualTime::ZERO);
-        // The sock-channel penalty only applies to genuinely small
-        // messages (it models per-wakeup latency, not bandwidth).
-        assert!(t.sock_small_max <= t.eager_threshold);
-        assert!(t.sock_small_latency > VirtualTime::ZERO);
+        const {
+            assert!(ALLTOALL_BRUCK_MAX < ALLTOALL_PAIRWISE_MIN);
+            // The sock-channel penalty only applies to genuinely small
+            // messages (it models per-wakeup latency, not bandwidth).
+            assert!(Mpich::ARRIVAL.small_max <= Mpich::P2P.eager_threshold);
+        }
+        assert!(Mpich::P2P.o_send > VirtualTime::ZERO);
+        assert!(Mpich::ARRIVAL.small_latency > VirtualTime::ZERO);
     }
 
     #[test]

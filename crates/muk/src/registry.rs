@@ -8,10 +8,11 @@
 use std::rc::Rc;
 
 use mpi_abi::MpiAbi;
+use simnet::mpi::Process;
 use simnet::RankCtx;
 
-use mpich_sim::{Mpich, MpichProcess};
-use ompi_sim::{OmpiProcess, OpenMpi};
+use mpich_sim::Mpich;
+use ompi_sim::OpenMpi;
 
 use crate::wrap::Wrap;
 
@@ -58,8 +59,8 @@ pub fn soname_for(vendor: Vendor) -> &'static str {
 /// object would.
 pub fn open_wrap(soname: &str, ctx: Rc<RankCtx>) -> Result<Box<dyn MpiAbi>, String> {
     match soname {
-        "libmpich-wrap.so" => Ok(Box::new(Wrap::<Mpich>::open(MpichProcess::init(ctx)))),
-        "libompi-wrap.so" => Ok(Box::new(Wrap::<OpenMpi>::open(OmpiProcess::init(ctx)))),
+        "libmpich-wrap.so" => Ok(Box::new(Wrap::<Mpich>::open(Process::init(ctx)))),
+        "libompi-wrap.so" => Ok(Box::new(Wrap::<OpenMpi>::open(Process::init(ctx)))),
         other => Err(format!(
             "cannot open shared object file: {other}: No such file"
         )),

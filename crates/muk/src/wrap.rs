@@ -15,7 +15,7 @@ use mpi_abi::{
     consts, AbiError, AbiResult, AbiStatus, Datatype, Handle, HandleKind, MpiAbi, ReduceOp,
     UserOpFn,
 };
-use simnet::mpi::{Collectives, MpiResult, NativeAbi, NativeStatus};
+use simnet::mpi::{MpiResult, NativeAbi, NativeStatus, Process};
 
 use crate::bimap::BiMap;
 
@@ -58,7 +58,7 @@ fn op_native_of<V: NativeAbi>(op: ReduceOp) -> V::Op {
 
 /// The wrap library over the vendor library whose header is `V`.
 pub struct Wrap<V: NativeAbi> {
-    native: V::Library,
+    native: Process<V>,
     comms: BiMap<V::Comm>,
     dtypes: BiMap<V::Datatype>,
     ops: BiMap<V::Op>,
@@ -67,7 +67,7 @@ pub struct Wrap<V: NativeAbi> {
 
 impl<V: NativeAbi> Wrap<V> {
     /// "Load" the wrap library over an initialized vendor library.
-    pub fn open(native: V::Library) -> Wrap<V> {
+    pub fn open(native: Process<V>) -> Wrap<V> {
         Wrap {
             native,
             comms: BiMap::new(HandleKind::Comm),
@@ -473,10 +473,9 @@ impl<V: NativeAbi> MpiAbi for Wrap<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpich_sim::{Mpich, MpichProcess};
-    use ompi_sim::{OmpiProcess, OpenMpi};
-    use simnet::{ClusterSpec, RankCtx, World};
-    use std::rc::Rc;
+    use mpich_sim::Mpich;
+    use ompi_sim::OpenMpi;
+    use simnet::{ClusterSpec, World};
 
     /// Run each generic case against both headers.
     macro_rules! for_both_vendors {
@@ -566,10 +565,10 @@ mod tests {
     /// A `test` the vendor fails has consumed the request: the mapping
     /// goes, and the next request — whose native handle MPICH recycles —
     /// gets a fresh standard handle.
-    fn failed_test_drops_the_request_mapping<V: NativeAbi>(open: fn(Rc<RankCtx>) -> V::Library) {
+    fn failed_test_drops_the_request_mapping<V: NativeAbi>() {
         let spec = ClusterSpec::builder().nodes(1).ranks_per_node(1).build();
         World::run(&spec, |ctx| {
-            let mut wrap = Wrap::<V>::open(open(ctx));
+            let mut wrap = Wrap::<V>::open(Process::init(ctx));
             let byte = Datatype::Byte.handle();
             let first = wrap.irecv(4, byte, 0, 0, Handle::COMM_WORLD).unwrap();
             wrap.send(&[0; 16], byte, 0, 0, Handle::COMM_WORLD).unwrap();
@@ -587,7 +586,7 @@ mod tests {
 
     #[test]
     fn failed_test_drops_the_request_mapping_on_both_vendors() {
-        failed_test_drops_the_request_mapping::<Mpich>(MpichProcess::init);
-        failed_test_drops_the_request_mapping::<OpenMpi>(OmpiProcess::init);
+        failed_test_drops_the_request_mapping::<Mpich>();
+        failed_test_drops_the_request_mapping::<OpenMpi>();
     }
 }

@@ -9,18 +9,19 @@
 //!   "addresses"), Open MPI constant values (`MPI_ANY_SOURCE = -1`,
 //!   `MPI_PROC_NULL = -2` — note the swap against MPICH!), Open MPI's
 //!   `MPI_Status` field order.
-//! * **Collective algorithms** ([`coll`]): the `coll/tuned` lineage —
-//!   binary-tree and pipelined-chain broadcast, ring allreduce, linear and
-//!   pairwise alltoall, with its own thresholds ([`tuning::Tuning`]) and a
-//!   leaner per-message software path than the MPICH flavour.
+//! * **Tuning** ([`tuning`]): a leaner per-message software path than the
+//!   MPICH flavour and the `coll/tuned` selection table — binary-tree and
+//!   pipelined-chain broadcast, ring allreduce, posted and pairwise
+//!   alltoall, with its own switch-over points (the table is in
+//!   [`tuning`]'s docs).
 //! * **Object representation** ([`objects`]): a heap of records behind
 //!   the pointer-style handles.
 //!
 //! Everything else — matching, point-to-point, requests, communicator and
-//! datatype management, reduction kernels — is the engine every vendor
-//! shares, [`simnet::mpi`], instantiated with this library's header
-//! ([`ompi_h::OpenMpi`]) and the plain wire-arrival cost model. MPI
-//! libraries differ in ABI and tuning, not in semantics.
+//! datatype management, the collective algorithms, reduction kernels — is
+//! the library every vendor shares, [`simnet::mpi`], instantiated with
+//! this crate's marker ([`ompi_h::OpenMpi`]). MPI libraries differ in ABI
+//! and tuning, not in semantics.
 //!
 //! Like a real vendor library, this crate knows nothing about the standard
 //! ABI, Mukautuva, or MANA.
@@ -28,12 +29,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coll;
 pub mod objects;
 pub mod ompi_h;
-pub mod proc;
 pub mod tuning;
 
 pub use ompi_h::OpenMpi;
-pub use proc::OmpiProcess;
-pub use tuning::Tuning;

@@ -259,16 +259,9 @@ impl NativeAbi for OpenMpi {
     type Op = MpiOp;
     type Request = MpiRequest;
     type Status = MpiStatus;
-    /// Open MPI's OB1 charges no per-message engine latency: the wire
-    /// arrival as it is.
-    type Arrival = simnet::WireArrival;
     type Store = crate::objects::Heap;
-    type Library = crate::OmpiProcess;
 
-    const VERSION: &'static str = crate::Tuning::VERSION;
-    /// A slightly faster combine loop than the MPICH flavour's (different
-    /// compiler flags in the fiction; a real vendor-to-vendor delta).
-    const REDUCE_BYTES_PER_NS: f64 = 1.8;
+    const VERSION: &'static str = "ompi-sim 3.1.2 (native ABI: pointer handles)";
 
     const ANY_SOURCE: i32 = MPI_ANY_SOURCE;
     const PROC_NULL: i32 = MPI_PROC_NULL;

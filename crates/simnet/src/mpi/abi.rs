@@ -1,13 +1,12 @@
-//! The vendor's native header as a trait, and the collective entry points
-//! a vendor library implements.
+//! The vendor's native header and its tuning, as two traits on one marker.
 
 use std::fmt::Debug;
 use std::hash::Hash;
-use std::ops::DerefMut;
 
+use super::algos::{Allgather, Allreduce, Alltoall, Barrier, Bcast, Gather, Reduce, Scan, Scatter};
 use super::kernels::{BuiltinOp, ElemKind};
 use super::objects::ObjectStore;
-use super::process::Process;
+use super::process::P2pCosts;
 use crate::matching::ArrivalModel;
 
 /// Result of a native call: the error is the vendor's native code.
@@ -27,10 +26,61 @@ pub trait NativeStatus: Copy + Default + PartialEq + Debug {
     fn count_bytes(&self) -> u64;
 }
 
+/// The shape of one collective call: everything a selection table reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shape {
+    /// Communicator size.
+    pub ranks: usize,
+    /// Bytes of one rank's buffer — one block for gather, scatter,
+    /// allgather and alltoall.
+    pub bytes: usize,
+    /// Elements in `bytes`.
+    pub count: usize,
+    /// Whether the reduction op commutes: predefined ops do, a user op
+    /// says so at `MPI_Op_create`; `true` where nothing is reduced.
+    pub commute: bool,
+}
+
+/// What a vendor's `tuning.rs` fixes — its message path's cost model and
+/// which algorithm runs each collective — implemented by the same marker
+/// as [`NativeAbi`]. Selection is a pure function of the call's
+/// [`Shape`]; the algorithms are [`super::algos`], shared by every vendor.
+pub trait Tuning {
+    /// When a message on the wire becomes visible to the matcher: the
+    /// vendor's progress-engine cost model.
+    type Arrival: ArrivalModel;
+    /// The arrival model every rank's matcher starts with.
+    const ARRIVAL: Self::Arrival;
+    /// The per-message software costs of the point-to-point path.
+    const P2P: P2pCosts;
+    /// Effective combine rate of the reduction loop (bytes per virtual
+    /// nanosecond), charged by the collectives per combined byte.
+    const REDUCE_BYTES_PER_NS: f64;
+
+    /// `MPI_Barrier`'s algorithm.
+    fn barrier(shape: Shape) -> Barrier;
+    /// `MPI_Bcast`'s algorithm.
+    fn bcast(shape: Shape) -> Bcast;
+    /// `MPI_Reduce`'s algorithm.
+    fn reduce(shape: Shape) -> Reduce;
+    /// `MPI_Allreduce`'s algorithm.
+    fn allreduce(shape: Shape) -> Allreduce;
+    /// `MPI_Gather`'s algorithm.
+    fn gather(shape: Shape) -> Gather;
+    /// `MPI_Scatter`'s algorithm.
+    fn scatter(shape: Shape) -> Scatter;
+    /// `MPI_Allgather`'s algorithm.
+    fn allgather(shape: Shape) -> Allgather;
+    /// `MPI_Alltoall`'s algorithm.
+    fn alltoall(shape: Shape) -> Alltoall;
+    /// `MPI_Scan`'s algorithm.
+    fn scan(shape: Shape) -> Scan;
+}
+
 /// What a vendor's `mpi.h` fixes — implemented by a zero-sized marker
 /// beside the header module. The engine, the wrap library and the tests
 /// are generic over it; the values stay the vendor's own.
-pub trait NativeAbi: Copy + Debug + Sized + 'static {
+pub trait NativeAbi: Tuning + Copy + Debug + Sized + 'static {
     /// Native communicator handle.
     type Comm: Copy + Eq + Hash + Debug;
     /// Native datatype handle.
@@ -41,20 +91,11 @@ pub trait NativeAbi: Copy + Debug + Sized + 'static {
     type Request: Copy + Eq + Hash + Debug;
     /// Native `MPI_Status`.
     type Status: NativeStatus;
-    /// When a message on the wire becomes visible to the matcher: the
-    /// vendor's progress-engine cost model.
-    type Arrival: ArrivalModel;
     /// How the library represents its objects behind the handles.
     type Store: ObjectStore<Self>;
-    /// The library a binary compiled against this header links: a
-    /// [`Process`] plus the vendor's collective algorithms.
-    type Library: Collectives<Self>;
 
     /// Library identification string.
     const VERSION: &'static str;
-    /// Effective combine rate of the reduction loop (bytes per virtual
-    /// nanosecond), charged by the collectives per combined byte.
-    const REDUCE_BYTES_PER_NS: f64;
 
     /// `MPI_ANY_SOURCE`.
     const ANY_SOURCE: i32;
@@ -134,85 +175,4 @@ pub trait NativeAbi: Copy + Debug + Sized + 'static {
             .position(|&native| native == op)
             .map(|at| BuiltinOp::ALL[at])
     }
-}
-
-/// The collective entry points, implemented by each vendor library with
-/// its own algorithm family on [`Process::xsend`] / [`Process::xrecv`].
-pub trait Collectives<V: NativeAbi>: DerefMut<Target = Process<V>> {
-    /// `MPI_Barrier`.
-    fn barrier(&mut self, comm: V::Comm) -> MpiResult<()>;
-
-    /// `MPI_Bcast`.
-    fn bcast(&mut self, buf: &mut [u8], dt: V::Datatype, root: i32, comm: V::Comm)
-        -> MpiResult<()>;
-
-    /// `MPI_Reduce`. `recvbuf` must equal `sendbuf` in length at the root
-    /// (it may be empty elsewhere).
-    fn reduce(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: V::Datatype,
-        op: V::Op,
-        root: i32,
-        comm: V::Comm,
-    ) -> MpiResult<()>;
-
-    /// `MPI_Allreduce`.
-    fn allreduce(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: V::Datatype,
-        op: V::Op,
-        comm: V::Comm,
-    ) -> MpiResult<()>;
-
-    /// `MPI_Gather` (equal contributions; `recvbuf` significant at root).
-    fn gather(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: V::Datatype,
-        root: i32,
-        comm: V::Comm,
-    ) -> MpiResult<()>;
-
-    /// `MPI_Scatter` (equal blocks; `sendbuf` significant at root).
-    fn scatter(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: V::Datatype,
-        root: i32,
-        comm: V::Comm,
-    ) -> MpiResult<()>;
-
-    /// `MPI_Allgather` (equal contributions).
-    fn allgather(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: V::Datatype,
-        comm: V::Comm,
-    ) -> MpiResult<()>;
-
-    /// `MPI_Alltoall` (equal blocks).
-    fn alltoall(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: V::Datatype,
-        comm: V::Comm,
-    ) -> MpiResult<()>;
-
-    /// `MPI_Scan` (inclusive prefix reduction).
-    fn scan(
-        &mut self,
-        sendbuf: &[u8],
-        recvbuf: &mut [u8],
-        dt: V::Datatype,
-        op: V::Op,
-        comm: V::Comm,
-    ) -> MpiResult<()>;
 }

@@ -1,6 +1,6 @@
 //! The per-rank library instance: lifecycle, point-to-point messaging,
-//! requests, object management, and the helpers the vendors' collective
-//! algorithms share.
+//! requests, object management, and the transport and validation helpers
+//! the collectives (`coll.rs`, `algos.rs`) are built on.
 
 use std::rc::Rc;
 use std::sync::Arc;
@@ -8,6 +8,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use super::abi::{MpiResult, NativeAbi, NativeStatus};
+use super::algos::Reduction;
 use super::kernels;
 use super::objects::{
     comm_rank_of_world, CommInfo, DerivedType, ObjectStore, PostedRecv, Request, UserFn, UserOp,
@@ -18,8 +19,8 @@ use crate::rank::RankCtx;
 use crate::time::VirtualTime;
 
 // Internal protocol tags of communicator creation (collective context;
-// replies use the tag + 1). Disjoint from both vendors' collective tags
-// (`0x01xx`, `0x04xx`).
+// replies use the tag + 1). Disjoint from the collective algorithms'
+// phase tags (`algos.rs`, below `0x0100`).
 const CTX_TAG: i32 = 0x0200;
 const SPLIT_TAG: i32 = 0x0202;
 
@@ -35,22 +36,14 @@ pub struct P2pCosts {
     pub eager_threshold: usize,
 }
 
-/// Split `total_elems` elements into `parts` chunk lengths (in elements),
-/// front-loading the remainder.
-pub fn chunk_lengths(total_elems: usize, parts: usize) -> Vec<usize> {
-    let base = total_elems / parts;
-    let rem = total_elems % parts;
-    (0..parts).map(|i| base + usize::from(i < rem)).collect()
-}
-
-/// One rank's instance of an MPI library whose native ABI is `V`.
+/// One rank's instance of the MPI library whose native ABI and tuning
+/// are `V`.
 ///
 /// Used through native calls that mirror the C API; every error is one
-/// of `V`'s native codes. The vendor's collective algorithms are built on
-/// [`Process::xsend`] / [`Process::xrecv`].
+/// of `V`'s native codes. Collectives run the algorithm `V`'s selection
+/// table picks, from the one library in `algos.rs`.
 pub struct Process<V: NativeAbi> {
     ctx: Rc<RankCtx>,
-    costs: P2pCosts,
     store: V::Store,
     matcher: MatchCore<V::Arrival>,
     next_ctx_base: u64,
@@ -58,14 +51,14 @@ pub struct Process<V: NativeAbi> {
 }
 
 impl<V: NativeAbi> Process<V> {
-    /// `MPI_Init`: attach to the fabric and set up predefined objects.
-    pub fn new(ctx: Rc<RankCtx>, costs: P2pCosts, arrival: V::Arrival) -> Self {
+    /// `MPI_Init`: attach to the fabric and set up predefined objects,
+    /// with `V`'s costs and arrival model.
+    pub fn init(ctx: Rc<RankCtx>) -> Self {
         let store = V::Store::new(ctx.nranks(), ctx.rank());
         Process {
             ctx,
-            costs,
             store,
-            matcher: MatchCore::with_model(arrival),
+            matcher: MatchCore::with_model(V::ARRIVAL),
             // World uses 0/1, self 2/3; dynamic communicators start at 4.
             next_ctx_base: 4,
             finalized: false,
@@ -166,7 +159,7 @@ impl<V: NativeAbi> Process<V> {
     /// Send `payload` to communicator rank `dst_cr` on the p2p or collective
     /// context. Charges the per-message sender overhead, and for messages
     /// beyond the eager threshold a rendezvous round-trip of the link.
-    pub fn xsend(
+    pub(super) fn xsend(
         &mut self,
         info: &CommInfo<V>,
         coll: bool,
@@ -175,8 +168,8 @@ impl<V: NativeAbi> Process<V> {
         payload: Bytes,
     ) -> MpiResult<()> {
         let dst_world = info.world_of(dst_cr)?;
-        self.ctx.advance(self.costs.o_send);
-        if payload.len() > self.costs.eager_threshold {
+        self.ctx.advance(V::P2P.o_send);
+        if payload.len() > V::P2P.eager_threshold {
             // Rendezvous: RTS/CTS handshake before the data moves.
             let link = self.ctx.spec().link_between(self.ctx.rank(), dst_world);
             self.ctx.advance(link.alpha + link.alpha);
@@ -189,7 +182,7 @@ impl<V: NativeAbi> Process<V> {
 
     /// Blocking matched receive on a communicator context. Charges arrival
     /// and the per-message receiver overhead.
-    pub fn xrecv(
+    pub(super) fn xrecv(
         &mut self,
         info: &CommInfo<V>,
         coll: bool,
@@ -206,7 +199,7 @@ impl<V: NativeAbi> Process<V> {
 
     fn charge_receive(&self, got: &MatchedMsg) {
         self.ctx.advance_to(got.arrival);
-        self.ctx.advance(self.costs.o_recv);
+        self.ctx.advance(V::P2P.o_recv);
     }
 
     /// Translate a communicator-rank source argument to a world selector.
@@ -620,22 +613,16 @@ impl<V: NativeAbi> Process<V> {
     }
 
     /// Element-wise `acc = op(other, acc)` with op/datatype resolution.
-    fn combine_with(
-        &self,
-        op: V::Op,
-        dt: V::Datatype,
-        acc: &mut [u8],
-        other: &[u8],
-    ) -> MpiResult<()> {
-        if let Some(builtin) = V::builtin_op(op) {
-            let kind = self.store.elem_kind(dt)?;
+    fn combine_with(&self, red: Reduction<V>, acc: &mut [u8], other: &[u8]) -> MpiResult<()> {
+        if let Some(builtin) = V::builtin_op(red.op) {
+            let kind = self.store.elem_kind(red.dt)?;
             return kernels::combine::<V>(builtin, kind, acc, other);
         }
-        let user = self.store.user_op(op)?;
+        let user = self.store.user_op(red.op)?;
         if acc.len() != other.len() {
             return Err(V::ERR_COUNT);
         }
-        let elem_size = self.store.type_size(dt)?;
+        let elem_size = self.store.type_size(red.dt)?;
         (user.func)(other, acc, elem_size);
         Ok(())
     }
@@ -647,12 +634,12 @@ impl<V: NativeAbi> Process<V> {
     }
 
     // ------------------------------------------------------------------
-    // What the vendors' collective algorithms share
+    // What the collectives share
     // ------------------------------------------------------------------
 
     /// Validate a collective's communicator and (buffer, datatype) pair;
     /// returns the communicator facts and the element size.
-    pub fn validate_coll(
+    pub(super) fn validate_coll(
         &self,
         comm: V::Comm,
         dt: V::Datatype,
@@ -665,7 +652,7 @@ impl<V: NativeAbi> Process<V> {
     }
 
     /// Validate a root argument; returns it as a communicator rank.
-    pub fn validate_root(info: &CommInfo<V>, root: i32) -> MpiResult<usize> {
+    pub(super) fn validate_root(info: &CommInfo<V>, root: i32) -> MpiResult<usize> {
         if root < 0 || root as usize >= info.size() {
             Err(V::ERR_ROOT)
         } else {
@@ -673,32 +660,32 @@ impl<V: NativeAbi> Process<V> {
         }
     }
 
-    /// Validate a reduction-op handle.
-    pub fn validate_op(&self, op: V::Op) -> MpiResult<()> {
+    /// Validate a reduction-op handle; returns whether the op commutes
+    /// (every predefined op does).
+    pub(super) fn validate_op(&self, op: V::Op) -> MpiResult<bool> {
         if V::builtin_op(op).is_some() {
-            Ok(())
+            Ok(true)
         } else {
-            self.store.user_op(op).map(|_| ())
+            self.store.user_op(op).map(|user| user.commute)
         }
     }
 
     /// Ordered combine: `acc = lower op higher` where `other_first` says the
     /// incoming data precedes `acc` in rank order. Charges reduction CPU.
-    pub fn combine_ordered(
+    pub(super) fn combine_ordered(
         &mut self,
-        op: V::Op,
-        dt: V::Datatype,
+        red: Reduction<V>,
         acc: &mut [u8],
         other: &[u8],
         other_first: bool,
     ) -> MpiResult<()> {
         self.charge_reduce_cost(acc.len());
         if other_first {
-            self.combine_with(op, dt, acc, other)
+            self.combine_with(red, acc, other)
         } else {
             // acc op other: run the user/builtin fn with roles swapped.
             let mut tmp = other.to_vec();
-            self.combine_with(op, dt, &mut tmp, acc)?;
+            self.combine_with(red, &mut tmp, acc)?;
             acc.copy_from_slice(&tmp);
             Ok(())
         }

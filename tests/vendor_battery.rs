@@ -11,33 +11,15 @@
 //! themselves) is tested beside that representation, in the vendor
 //! crates' `objects.rs`, `mpih.rs` / `ompi_h.rs`, and in `muk::wrap`.
 
-use std::rc::Rc;
 use std::sync::Arc;
 
-use mpi_stool::mpich::{Mpich, MpichProcess};
-use mpi_stool::ompi::{OmpiProcess, OpenMpi};
+use mpi_stool::mpich::Mpich;
+use mpi_stool::ompi::OpenMpi;
 use mpi_stool::simnet::mpi::{
     comm_rank_of_world, kernels, BuiltinOp, CommInfo, DerivedType, ElemKind, MpiResult, NativeAbi,
-    NativeStatus, ObjectStore, Request, UserOp,
+    NativeStatus, ObjectStore, Process, Request, UserOp,
 };
-use mpi_stool::simnet::{ClusterSpec, RankCtx, SimError, World};
-
-/// A header the battery can start a library for.
-trait Vendor: NativeAbi {
-    fn init(ctx: Rc<RankCtx>) -> Self::Library;
-}
-
-impl Vendor for Mpich {
-    fn init(ctx: Rc<RankCtx>) -> MpichProcess {
-        MpichProcess::init(ctx)
-    }
-}
-
-impl Vendor for OpenMpi {
-    fn init(ctx: Rc<RankCtx>) -> OmpiProcess {
-        OmpiProcess::init(ctx)
-    }
-}
+use mpi_stool::simnet::{ClusterSpec, SimError, World};
 
 // Indices into `NativeAbi::DATATYPES` (its documented order).
 const BYTE: usize = 0;
@@ -54,16 +36,16 @@ fn op<V: NativeAbi>(op: BuiltinOp) -> V::Op {
 }
 
 /// Run `f` on every rank of a one-node world of `nranks`.
-fn run_world<V: Vendor, R: Send>(
+fn run_world<V: NativeAbi, R: Send>(
     nranks: usize,
-    f: impl Fn(&mut V::Library) -> MpiResult<R> + Sync,
+    f: impl Fn(&mut Process<V>) -> MpiResult<R> + Sync,
 ) -> Vec<R> {
     let spec = ClusterSpec::builder()
         .nodes(1)
         .ranks_per_node(nranks)
         .build();
     World::run(&spec, |ctx| {
-        let mut proc = V::init(ctx);
+        let mut proc = Process::<V>::init(ctx);
         f(&mut proc).map_err(|code| SimError::InvalidConfig(format!("native MPI error {code}")))
     })
     .unwrap()
@@ -123,7 +105,7 @@ battery!(
 // The library through its native calls
 // ----------------------------------------------------------------------
 
-fn init_queries<V: Vendor>() {
+fn init_queries<V: NativeAbi>() {
     let sizes = run_world::<V, _>(4, |p| {
         assert_eq!(p.comm_rank(V::COMM_SELF)?, 0);
         assert_eq!(p.comm_size(V::COMM_SELF)?, 1);
@@ -134,7 +116,7 @@ fn init_queries<V: Vendor>() {
     assert_eq!(sizes, vec![(4, 0), (4, 1), (4, 2), (4, 3)]);
 }
 
-fn blocking_ring<V: Vendor>() {
+fn blocking_ring<V: NativeAbi>() {
     let out = run_world::<V, _>(4, |p| {
         let n = p.comm_size(V::COMM_WORLD)?;
         let me = p.comm_rank(V::COMM_WORLD)?;
@@ -152,7 +134,7 @@ fn blocking_ring<V: Vendor>() {
     assert_eq!(out, vec![3, 0, 1, 2]);
 }
 
-fn nonblocking_exchange<V: Vendor>() {
+fn nonblocking_exchange<V: NativeAbi>() {
     let out = run_world::<V, _>(2, |p| {
         let me = p.comm_rank(V::COMM_WORLD)?;
         let other = 1 - me;
@@ -170,7 +152,7 @@ fn nonblocking_exchange<V: Vendor>() {
     assert_eq!(out, vec![2.5, 1.5]);
 }
 
-fn nonblocking_and_test<V: Vendor>() {
+fn nonblocking_and_test<V: NativeAbi>() {
     let out = run_world::<V, _>(2, |p| {
         let me = p.comm_rank(V::COMM_WORLD)?;
         let other = 1 - me;
@@ -188,7 +170,7 @@ fn nonblocking_and_test<V: Vendor>() {
     assert_eq!(out, vec![1, 0]);
 }
 
-fn sendrecv_swaps<V: Vendor>() {
+fn sendrecv_swaps<V: NativeAbi>() {
     let out = run_world::<V, _>(2, |p| {
         let me = p.comm_rank(V::COMM_WORLD)?;
         let other = 1 - me;
@@ -208,7 +190,7 @@ fn sendrecv_swaps<V: Vendor>() {
     assert_eq!(out, vec![1, 0]);
 }
 
-fn proc_null_is_a_black_hole<V: Vendor>() {
+fn proc_null_is_a_black_hole<V: NativeAbi>() {
     run_world::<V, _>(1, |p| {
         p.send(&[1, 2, 3, 4], dt::<V>(INT), V::PROC_NULL, 0, V::COMM_WORLD)?;
         let mut buf = [0u8; 4];
@@ -223,7 +205,7 @@ fn proc_null_is_a_black_hole<V: Vendor>() {
     });
 }
 
-fn truncation_detected<V: Vendor>() {
+fn truncation_detected<V: NativeAbi>() {
     let out = run_world::<V, _>(2, |p| {
         let me = p.comm_rank(V::COMM_WORLD)?;
         if me == 0 {
@@ -240,7 +222,7 @@ fn truncation_detected<V: Vendor>() {
     assert_eq!(out[1], V::ERR_TRUNCATE);
 }
 
-fn any_source_any_tag<V: Vendor>() {
+fn any_source_any_tag<V: NativeAbi>() {
     let out = run_world::<V, _>(3, |p| {
         let me = p.comm_rank(V::COMM_WORLD)?;
         if me == 0 {
@@ -269,7 +251,7 @@ fn any_source_any_tag<V: Vendor>() {
     assert!(out[0]);
 }
 
-fn probe_then_sized_recv<V: Vendor>() {
+fn probe_then_sized_recv<V: NativeAbi>() {
     run_world::<V, _>(2, |p| {
         let me = p.comm_rank(V::COMM_WORLD)?;
         if me == 0 {
@@ -287,7 +269,7 @@ fn probe_then_sized_recv<V: Vendor>() {
     });
 }
 
-fn comm_dup_isolates_traffic<V: Vendor>() {
+fn comm_dup_isolates_traffic<V: NativeAbi>() {
     let out = run_world::<V, _>(2, |p| {
         let dup = p.comm_dup(V::COMM_WORLD)?;
         let me = p.comm_rank(dup)?;
@@ -305,7 +287,7 @@ fn comm_dup_isolates_traffic<V: Vendor>() {
     assert_eq!(out, vec![1, 0]);
 }
 
-fn comm_split_even_odd<V: Vendor>() {
+fn comm_split_even_odd<V: NativeAbi>() {
     let out = run_world::<V, _>(4, |p| {
         let me = p.comm_rank(V::COMM_WORLD)?;
         let sub = p.comm_split(V::COMM_WORLD, me % 2, me)?;
@@ -334,7 +316,7 @@ fn comm_split_even_odd<V: Vendor>() {
     assert_eq!(out[3], (1, 2, 1));
 }
 
-fn comm_split_undefined_gets_null<V: Vendor>() {
+fn comm_split_undefined_gets_null<V: NativeAbi>() {
     let out = run_world::<V, _>(3, |p| {
         let me = p.comm_rank(V::COMM_WORLD)?;
         let color = if me == 2 { V::UNDEFINED } else { 0 };
@@ -344,7 +326,7 @@ fn comm_split_undefined_gets_null<V: Vendor>() {
     assert_eq!(out, vec![false, false, true]);
 }
 
-fn comm_split_orders_by_key<V: Vendor>() {
+fn comm_split_orders_by_key<V: NativeAbi>() {
     let out = run_world::<V, _>(4, |p| {
         let me = p.comm_rank(V::COMM_WORLD)?;
         let color = if me == 0 { V::UNDEFINED } else { me % 2 };
@@ -363,7 +345,7 @@ fn comm_split_orders_by_key<V: Vendor>() {
     assert_eq!(out[3], (0, 2));
 }
 
-fn derived_contiguous_type<V: Vendor>() {
+fn derived_contiguous_type<V: NativeAbi>() {
     run_world::<V, _>(2, |p| {
         let vec3 = p.type_contiguous(3, dt::<V>(DOUBLE))?;
         assert_eq!(p.type_size(vec3)?, 24);
@@ -390,7 +372,7 @@ fn derived_contiguous_type<V: Vendor>() {
     });
 }
 
-fn finalize_blocks_further_calls<V: Vendor>() {
+fn finalize_blocks_further_calls<V: NativeAbi>() {
     run_world::<V, _>(1, |p| {
         p.finalize()?;
         assert!(p.is_finalized());
@@ -403,7 +385,7 @@ fn finalize_blocks_further_calls<V: Vendor>() {
     });
 }
 
-fn bad_arguments_rejected<V: Vendor>() {
+fn bad_arguments_rejected<V: NativeAbi>() {
     run_world::<V, _>(1, |p| {
         // Unaligned buffer length for the datatype.
         let err = p.send(&[0u8; 3], dt::<V>(INT), V::PROC_NULL, 0, V::COMM_WORLD);
@@ -427,7 +409,7 @@ fn bad_arguments_rejected<V: Vendor>() {
     });
 }
 
-fn wtime_advances_with_communication<V: Vendor>() {
+fn wtime_advances_with_communication<V: NativeAbi>() {
     let out = run_world::<V, _>(2, |p| {
         let t0 = p.wtime();
         let me = p.comm_rank(V::COMM_WORLD)?;
@@ -455,7 +437,7 @@ fn wtime_advances_with_communication<V: Vendor>() {
 /// for them must follow the number outstanding, not the number ever
 /// posted. (MPICH's table used to grow one slot per request and abort
 /// the rank after 16.7 M.)
-fn request_cycles_leave_no_footprint<V: Vendor>() {
+fn request_cycles_leave_no_footprint<V: NativeAbi>() {
     run_world::<V, _>(1, |p| {
         let int = dt::<V>(INT);
         for i in 0..100_000i32 {
@@ -514,7 +496,7 @@ fn solo<V: NativeAbi>(ctx_base: u64) -> CommInfo<V> {
     CommInfo::new(ctx_base, Arc::new(vec![0]), 0)
 }
 
-fn world_and_self_preinstalled<V: Vendor>() {
+fn world_and_self_preinstalled<V: NativeAbi>() {
     let t = V::Store::new(8, 3);
     let w = t.comm(V::COMM_WORLD).unwrap();
     assert_eq!(w.size(), 8);
@@ -529,7 +511,7 @@ fn world_and_self_preinstalled<V: Vendor>() {
     assert_eq!(t.comm(V::COMM_NULL).unwrap_err(), V::ERR_COMM);
 }
 
-fn comm_info_rank_translation<V: Vendor>() {
+fn comm_info_rank_translation<V: NativeAbi>() {
     let info = CommInfo::<V>::new(4, Arc::new(vec![5, 9, 2]), 1);
     assert_eq!(info.world_of(0), Ok(5));
     assert_eq!(info.world_of(2), Ok(2));
@@ -539,7 +521,7 @@ fn comm_info_rank_translation<V: Vendor>() {
     assert_eq!(info.comm_rank_of_world(7), None);
 }
 
-fn dynamic_comm_lifecycle<V: Vendor>() {
+fn dynamic_comm_lifecycle<V: NativeAbi>() {
     let mut t = V::Store::new(4, 0);
     let h = t.add_comm(CommInfo::new(4, Arc::new(vec![0, 1]), 0));
     assert_eq!(t.comm(h).unwrap().size(), 2);
@@ -552,7 +534,7 @@ fn dynamic_comm_lifecycle<V: Vendor>() {
     assert!(t.comm(V::COMM_WORLD).is_ok());
 }
 
-fn comm_handles_are_not_reused_after_free<V: Vendor>() {
+fn comm_handles_are_not_reused_after_free<V: NativeAbi>() {
     let mut t = V::Store::new(4, 0);
     let a = t.add_comm(solo(4));
     let b = t.add_comm(solo(6));
@@ -573,7 +555,7 @@ fn contiguous(size: usize, elem: Option<ElemKind>) -> DerivedType {
     }
 }
 
-fn datatype_sizes_builtin_and_derived<V: Vendor>() {
+fn datatype_sizes_builtin_and_derived<V: NativeAbi>() {
     let mut t = V::Store::new(2, 0);
     assert_eq!(t.type_size(dt::<V>(DOUBLE)), Ok(8));
     assert_eq!(t.type_size(dt::<V>(INT16)), Ok(2));
@@ -589,7 +571,7 @@ fn datatype_sizes_builtin_and_derived<V: Vendor>() {
     assert!(t.derived(dt::<V>(DOUBLE)).is_err(), "not a derived type");
 }
 
-fn elem_kind_through_contiguous<V: Vendor>() {
+fn elem_kind_through_contiguous<V: NativeAbi>() {
     let mut t = V::Store::new(2, 0);
     assert_eq!(t.elem_kind(dt::<V>(INT)), Ok(ElemKind::Int(4)));
     let h = t.add_derived(contiguous(32, Some(ElemKind::Float(8))));
@@ -598,7 +580,7 @@ fn elem_kind_through_contiguous<V: Vendor>() {
     assert_eq!(t.elem_kind(opaque), Err(V::ERR_TYPE));
 }
 
-fn op_table<V: Vendor>() {
+fn op_table<V: NativeAbi>() {
     fn my_op(a: &[u8], b: &mut [u8], _s: usize) {
         for (x, y) in a.iter().zip(b.iter_mut()) {
             *y ^= x;
@@ -617,7 +599,7 @@ fn op_table<V: Vendor>() {
     assert_eq!(t.free_op(h), Err(V::ERR_OP));
 }
 
-fn request_take_and_put_back<V: Vendor>() {
+fn request_take_and_put_back<V: NativeAbi>() {
     type Req<V> = Request<<V as NativeAbi>::Status>;
     let mut t = V::Store::new(2, 0);
     let h = t.add_request(Req::<V>::SendDone);
@@ -648,7 +630,7 @@ fn to_f64s(b: &[u8]) -> Vec<f64> {
         .collect()
 }
 
-fn f64_sum_and_max<V: Vendor>() {
+fn f64_sum_and_max<V: NativeAbi>() {
     let kind = ElemKind::Float(8);
     let mut acc = f64s(&[1.0, 2.0, 3.0]);
     kernels::combine::<V>(BuiltinOp::Sum, kind, &mut acc, &f64s(&[10.0, 20.0, 30.0])).unwrap();
@@ -657,7 +639,7 @@ fn f64_sum_and_max<V: Vendor>() {
     assert_eq!(to_f64s(&acc), vec![100.0, 22.0, 100.0]);
 }
 
-fn wrapping_sum_and_bitwise<V: Vendor>() {
+fn wrapping_sum_and_bitwise<V: NativeAbi>() {
     let i32_of = |b: &[u8]| i32::from_le_bytes(b.try_into().unwrap());
     let mut acc = i32::MAX.to_le_bytes().to_vec();
     kernels::combine::<V>(
@@ -688,7 +670,7 @@ fn wrapping_sum_and_bitwise<V: Vendor>() {
     assert_eq!(u64::from_le_bytes(acc[..].try_into().unwrap()), 0b0110);
 }
 
-fn logical_ops_normalize_to_zero_one<V: Vendor>() {
+fn logical_ops_normalize_to_zero_one<V: NativeAbi>() {
     let i32_of = |b: &[u8]| i32::from_le_bytes(b.try_into().unwrap());
     let mut acc = 5i32.to_le_bytes().to_vec();
     kernels::combine::<V>(
@@ -710,7 +692,7 @@ fn logical_ops_normalize_to_zero_one<V: Vendor>() {
     assert_eq!(i32_of(&acc), 0);
 }
 
-fn bad_combines_rejected<V: Vendor>() {
+fn bad_combines_rejected<V: NativeAbi>() {
     let mut acc = vec![0u8; 8];
     assert_eq!(
         kernels::combine::<V>(BuiltinOp::Sum, ElemKind::Float(8), &mut acc, &[0u8; 16]),
@@ -729,7 +711,7 @@ fn bad_combines_rejected<V: Vendor>() {
     );
 }
 
-fn builtin_tables<V: Vendor>() {
+fn builtin_tables<V: NativeAbi>() {
     assert_eq!(
         V::builtin_type(dt::<V>(DOUBLE)),
         Some((8, ElemKind::Float(8)))
