@@ -9,8 +9,8 @@
 //! |-------------|----------------------------------------------------------------|
 //! | `barrier`   | dissemination                                                  |
 //! | `bcast`     | binomial ≤ 512 KiB, van de Geijn scatter + ring above          |
-//! | `reduce`    | binomial                                                       |
-//! | `allreduce` | recursive doubling ≤ 32 KiB or fewer elements than ranks, Rabenseifner above (even ranks fold into odd) |
+//! | `reduce`    | binomial (rooted at rank 0 for a non-commutative op)          |
+//! | `allreduce` | recursive doubling ≤ 32 KiB, for fewer elements than ranks or a non-commutative op, Rabenseifner otherwise (even ranks fold into odd) |
 //! | `gather`    | binomial                                                       |
 //! | `scatter`   | binomial                                                       |
 //! | `allgather` | Bruck ≤ 4 KiB gathered, ring above                             |
@@ -107,7 +107,9 @@ impl Tuning for Mpich {
     }
 
     fn allreduce(s: Shape) -> Allreduce {
-        if s.bytes <= ALLREDUCE_DOUBLING_MAX || s.count < s.ranks {
+        // Recursive doubling keeps rank order; Rabenseifner's halving
+        // does not.
+        if s.bytes <= ALLREDUCE_DOUBLING_MAX || s.count < s.ranks || !s.commute {
             Allreduce::RecursiveDoubling(Fold::EvenIntoOdd)
         } else {
             Allreduce::Rabenseifner(Fold::EvenIntoOdd)

@@ -6,8 +6,8 @@
 //! |-------------|----------------------------------------------------------------|
 //! | `barrier`   | recursive doubling (upper ranks fold into lower)               |
 //! | `bcast`     | binary tree ≤ 2 KiB, pipelined chain in 8 KiB segments above   |
-//! | `reduce`    | linear ≤ 8 KiB, pipelined chain in 8 KiB segments above        |
-//! | `allreduce` | recursive doubling ≤ 1 KiB or fewer elements than ranks (upper ranks fold into lower), ring above |
+//! | `reduce`    | linear ≤ 8 KiB or for a non-commutative op, pipelined chain in 8 KiB segments above |
+//! | `allreduce` | reduce + bcast for a non-commutative op; otherwise recursive doubling ≤ 1 KiB or fewer elements than ranks (upper ranks fold into lower), ring above |
 //! | `gather`    | linear                                                         |
 //! | `scatter`   | linear                                                         |
 //! | `allgather` | recursive doubling ≤ 2 KiB gathered on a power of two, ring otherwise |
@@ -72,7 +72,8 @@ impl Tuning for OpenMpi {
     }
 
     fn reduce(s: Shape) -> Reduce {
-        if s.bytes <= PIPELINE_SEGMENT {
+        // The chain runs root + 1, …, n − 1, 0, …, root: not rank order.
+        if s.bytes <= PIPELINE_SEGMENT || !s.commute {
             Reduce::Linear
         } else {
             Reduce::Chain {
@@ -82,7 +83,10 @@ impl Tuning for OpenMpi {
     }
 
     fn allreduce(s: Shape) -> Allreduce {
-        if s.bytes <= ALLREDUCE_DOUBLING_MAX || s.count < s.ranks {
+        // Neither the upper-into-lower fold nor the ring keeps rank order.
+        if !s.commute {
+            Allreduce::ReduceBcast
+        } else if s.bytes <= ALLREDUCE_DOUBLING_MAX || s.count < s.ranks {
             Allreduce::RecursiveDoubling(Fold::UpperIntoLower)
         } else {
             Allreduce::Ring

@@ -39,6 +39,7 @@ const CHUNK_RING: i32 = 0x0b;
 const BINARY_TREE: i32 = 0x0c;
 const CHAIN_BCAST: i32 = 0x0d;
 const BINOMIAL_REDUCE: i32 = 0x0e;
+const REDUCE_FORWARD: i32 = 0x0f;
 const LINEAR_REDUCE: i32 = 0x10;
 const CHAIN_REDUCE: i32 = 0x11;
 const BINOMIAL_GATHER: i32 = 0x12;
@@ -113,6 +114,9 @@ pub enum Allreduce {
     Rabenseifner(Fold),
     /// [`allreduce_ring`].
     Ring,
+    /// The collective's own `reduce` to rank 0, then its own `bcast`
+    /// from rank 0 (Open MPI's "nonoverlapping").
+    ReduceBcast,
 }
 
 /// `MPI_Gather` algorithms.
@@ -560,7 +564,9 @@ pub fn bcast_chain<V: NativeAbi>(
 // ----------------------------------------------------------------------
 
 /// Binomial tree: each rank combines its children's subtrees (higher
-/// relative ranks) into its own and passes the result to its parent.
+/// relative ranks) into its own and passes the result to its parent. A
+/// non-commutative op is reduced at rank 0, where relative order is rank
+/// order, and the result forwarded to the root (MPICH).
 pub fn reduce_binomial<V: NativeAbi>(
     p: &mut Process<V>,
     info: &CommInfo<V>,
@@ -570,24 +576,32 @@ pub fn reduce_binomial<V: NativeAbi>(
     root: usize,
 ) -> MpiResult<()> {
     let n = info.size();
-    let rel = (info.my_rank as usize + n - root) % n;
+    let me = info.my_rank as usize;
+    let tree_root = if red.commute { root } else { 0 };
+    let rel = (me + n - tree_root) % n;
     let mut acc = send.to_vec();
     let mut mask = 1;
     while mask < n && rel & mask == 0 {
         let child = rel | mask;
         if child < n {
-            let got = p.coll_recv(info, (child + root) % n, BINOMIAL_REDUCE, acc.len())?;
+            let got = p.coll_recv(info, (child + tree_root) % n, BINOMIAL_REDUCE, acc.len())?;
             p.combine_ordered(red, &mut acc, &got, false)?;
         }
         mask <<= 1;
     }
     if mask < n {
-        let parent = (rel - mask + root) % n;
-        p.coll_send(info, parent, BINOMIAL_REDUCE, Bytes::from(acc))
-    } else {
+        let parent = (rel - mask + tree_root) % n;
+        p.coll_send(info, parent, BINOMIAL_REDUCE, Bytes::from(acc))?;
+    } else if me == root {
         recv.copy_from_slice(&acc);
-        Ok(())
+    } else {
+        p.coll_send(info, root, REDUCE_FORWARD, Bytes::from(acc))?;
     }
+    if me == root && tree_root != root {
+        let got = p.coll_recv(info, tree_root, REDUCE_FORWARD, recv.len())?;
+        recv.copy_from_slice(&got);
+    }
+    Ok(())
 }
 
 /// Linear: every rank sends to the root, which combines in rank order.

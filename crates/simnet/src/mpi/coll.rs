@@ -47,11 +47,22 @@ impl<V: NativeAbi> Process<V> {
         if info.size() == 1 || buf.is_empty() {
             return Ok(());
         }
-        match V::bcast(shape(&info, buf.len(), elem, true)) {
-            Bcast::Binomial => algos::bcast_binomial(self, &info, buf, root),
-            Bcast::ScatterRing => algos::bcast_scatter_ring(self, &info, buf, elem, root),
-            Bcast::BinaryTree => algos::bcast_binary_tree(self, &info, buf, root),
-            Bcast::Chain { segment } => algos::bcast_chain(self, &info, buf, root, segment),
+        self.bcast_with(&info, buf, elem, root)
+    }
+
+    /// `V`'s bcast algorithm on validated arguments.
+    fn bcast_with(
+        &mut self,
+        info: &CommInfo<V>,
+        buf: &mut [u8],
+        elem: usize,
+        root: usize,
+    ) -> MpiResult<()> {
+        match V::bcast(shape(info, buf.len(), elem, true)) {
+            Bcast::Binomial => algos::bcast_binomial(self, info, buf, root),
+            Bcast::ScatterRing => algos::bcast_scatter_ring(self, info, buf, elem, root),
+            Bcast::BinaryTree => algos::bcast_binary_tree(self, info, buf, root),
+            Bcast::Chain { segment } => algos::bcast_chain(self, info, buf, root, segment),
         }
     }
 
@@ -77,11 +88,24 @@ impl<V: NativeAbi> Process<V> {
             return Ok(());
         }
         let red = Reduction { op, dt, commute };
-        match V::reduce(shape(&info, sendbuf.len(), elem, commute)) {
-            Reduce::Binomial => algos::reduce_binomial(self, &info, sendbuf, recvbuf, red, root),
-            Reduce::Linear => algos::reduce_linear(self, &info, sendbuf, recvbuf, red, root),
+        self.reduce_with(&info, sendbuf, recvbuf, elem, red, root)
+    }
+
+    /// `V`'s reduce algorithm on validated arguments.
+    fn reduce_with(
+        &mut self,
+        info: &CommInfo<V>,
+        sendbuf: &[u8],
+        recvbuf: &mut [u8],
+        elem: usize,
+        red: Reduction<V>,
+        root: usize,
+    ) -> MpiResult<()> {
+        match V::reduce(shape(info, sendbuf.len(), elem, red.commute)) {
+            Reduce::Binomial => algos::reduce_binomial(self, info, sendbuf, recvbuf, red, root),
+            Reduce::Linear => algos::reduce_linear(self, info, sendbuf, recvbuf, red, root),
             Reduce::Chain { segment } => {
-                algos::reduce_chain(self, &info, sendbuf, recvbuf, red, root, segment)
+                algos::reduce_chain(self, info, sendbuf, recvbuf, red, root, segment)
             }
         }
     }
@@ -113,6 +137,10 @@ impl<V: NativeAbi> Process<V> {
                 algos::allreduce_rabenseifner(self, &info, recvbuf, elem, red, fold)
             }
             Allreduce::Ring => algos::allreduce_ring(self, &info, recvbuf, elem, red),
+            Allreduce::ReduceBcast => {
+                self.reduce_with(&info, sendbuf, recvbuf, elem, red, 0)?;
+                self.bcast_with(&info, recvbuf, elem, 0)
+            }
         }
     }
 

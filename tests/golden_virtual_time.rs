@@ -25,9 +25,17 @@
 //! 32-rank power-of-two split, each size list led by a 0-byte leg, with
 //! constants recorded on commit 1682949 (the parent of the
 //! one-collectives-library PR): the no-fold recursive-doubling paths and
-//! the empty-buffer cases the other two communicators never reach. The
-//! last pair pins the clocks communicator creation leaves behind, which
-//! since the one-engine PR are a function of the program alone.
+//! the empty-buffer cases the other two communicators never reach.
+//!
+//! One family was re-recorded on purpose: `UserOpAllreduce` (a
+//! non-commutative user op) on every communicator, in the commit that
+//! made both vendors combine such ops in rank order. Its legs assert the
+//! rank-order fold before they digest, and
+//! `non_commutative_ops_combine_in_rank_order` holds every reducing
+//! collective to the same rule.
+//!
+//! The last pair pins the clocks communicator creation leaves behind,
+//! which since the one-engine PR are a function of the program alone.
 
 use mpi_stool::abi::consts::{ANY_SOURCE, UNDEFINED};
 use mpi_stool::abi::{Datatype, Handle, ReduceOp};
@@ -60,6 +68,26 @@ impl Comm {
             Comm::Sub7 => world_rank.is_multiple_of(7),
             Comm::Sub32 => world_rank % 3 != 2,
         }
+    }
+
+    /// Members on the 4 × 12 cluster.
+    fn size(self) -> usize {
+        (0..48).filter(|&r| self.member(r)).count()
+    }
+
+    /// Create the communicator (collective over the world); `None` on
+    /// ranks outside it.
+    fn open(self, app: &mut AppCtx<'_>) -> StoolResult<Option<Handle>> {
+        let member = self.member(app.rank());
+        let handle = match self {
+            Comm::World => Handle::COMM_WORLD,
+            Comm::Sub7 | Comm::Sub32 => {
+                let key = app.rank() as i32;
+                app.mpi()
+                    .comm_split(Handle::COMM_WORLD, !member as i32, key)?
+            }
+        };
+        Ok(member.then_some(handle))
     }
 }
 
@@ -214,10 +242,26 @@ fn affine_compose(invec: &[u8], inoutvec: &mut [u8], elem_size: usize) {
     }
 }
 
+/// What the standard says a reduction of `affine_compose` over comm ranks
+/// `0..n` is, for every prefix: `x0 ∘ x1 ∘ … ∘ xk` at index `k`.
+fn rank_order_prefixes(n: usize, len: usize) -> Vec<Vec<u8>> {
+    let mut prefixes: Vec<Vec<u8>> = Vec::with_capacity(n);
+    for rank in 0..n {
+        let mut next = affine_maps(rank, len);
+        if let Some(lower) = prefixes.last() {
+            affine_compose(lower, &mut next, 16);
+        }
+        prefixes.push(next);
+    }
+    prefixes
+}
+
 /// One op family on one communicator, every size in turn.
 struct GoldenLeg {
     op: Op,
     comm: Comm,
+    /// `UserOpAllreduce`: the rank-order fold per leg.
+    folds: Vec<Vec<u8>>,
 }
 
 impl MpiProgram for GoldenLeg {
@@ -226,14 +270,7 @@ impl MpiProgram for GoldenLeg {
     }
 
     fn run(&self, app: &mut AppCtx<'_>) -> StoolResult<()> {
-        let member = self.comm.member(app.rank());
-        let comm = if self.comm == Comm::World {
-            Handle::COMM_WORLD
-        } else {
-            let key = app.rank() as i32;
-            app.mpi()
-                .comm_split(Handle::COMM_WORLD, !member as i32, key)?
-        };
+        let comm = self.comm.open(app)?;
         // The objects a leg needs are made before the common start.
         let mpi = app.mpi();
         let (dtype, user_op) = match self.op {
@@ -251,7 +288,7 @@ impl MpiProgram for GoldenLeg {
         };
         app.sleep(START.saturating_since(app.now()));
         let mut digest = Fnv::new();
-        if member {
+        if let Some(comm) = comm {
             let me = app.mpi().comm_rank(comm)? as usize;
             let n = app.mpi().comm_size(comm)? as usize;
             for (leg, len) in self.op.sizes(self.comm).into_iter().enumerate() {
@@ -399,6 +436,10 @@ impl GoldenLeg {
                 let op = user_op.expect("made by run");
                 let mut recv = vec![0; len];
                 mpi.allreduce(&affine_maps(me, len), &mut recv, dtype, op, comm)?;
+                assert!(
+                    recv == self.folds[leg],
+                    "{len} B not combined in rank order"
+                );
                 recv
             }
             Op::DerivedBcast => {
@@ -417,12 +458,24 @@ impl GoldenLeg {
 /// Digest of one op family on one communicator: every rank's digest,
 /// folded in rank order.
 fn witness(vendor: Vendor, op: Op, comm: Comm) -> u64 {
+    let folds = match op {
+        Op::UserOpAllreduce => op
+            .sizes(comm)
+            .into_iter()
+            .map(|len| {
+                rank_order_prefixes(comm.size(), len)
+                    .pop()
+                    .unwrap_or_default()
+            })
+            .collect(),
+        _ => Vec::new(),
+    };
     let outcome = Session::builder()
         .cluster(ClusterSpec::discovery())
         .vendor(vendor)
         .build()
         .expect("session")
-        .launch(&GoldenLeg { op, comm })
+        .launch(&GoldenLeg { op, comm, folds })
         .expect("launch");
     let mut fold = Fnv::new();
     for mem in outcome.memories().expect("completed") {
@@ -499,7 +552,7 @@ fn mpich_hoisted_paths_equal_the_recorded_parent() {
             (0x8a421a1f9158e25c, 0x573313c4b1924740), // Scan
             (0x42f5dbf3df5f7d21, 0x2b71c32de994aaba), // Halo
             (0x478bfe4ed79a4056, 0xa71b503852cb9702), // ProbeRecv
-            (0xe88ade077e76b719, 0x77ee70b9bb4e07bf), // UserOpAllreduce
+            (0x8394c6f9bfac81c1, 0x5e6a533a098b9365), // UserOpAllreduce
             (0x5ee18f60d7fb6ea5, 0x242651b35cab044f), // DerivedBcast
         ],
     );
@@ -518,7 +571,7 @@ fn openmpi_hoisted_paths_equal_the_recorded_parent() {
             (0x34b39c177e2c8e0c, 0x6952ba8a80a5fc35), // Scan
             (0xe6d64ba45a6086db, 0xe6608d4c888ec930), // Halo
             (0xb94b95d714741341, 0x36412a6de9e2403c), // ProbeRecv
-            (0xfb65a8f6837881b4, 0x327dc7ab0ead8e4b), // UserOpAllreduce
+            (0x45e5bf528129f601, 0xaca3bb079856f2cc), // UserOpAllreduce
             (0x7b042bfde6e6fbc0, 0x2b979658270f3b26), // DerivedBcast
         ],
     );
@@ -562,7 +615,7 @@ fn mpich_power_of_two_split_equals_the_recorded_parent() {
             0xdd0201cbdf07c758, // Scan
             0x81b3a8754b880865, // Halo
             0x2c574a229548299f, // ProbeRecv
-            0x46558c855e3a6c3f, // UserOpAllreduce
+            0xc25c1fbaa7e3c6a5, // UserOpAllreduce
             0x5f0dfbe1e3f819af, // DerivedBcast
         ],
     );
@@ -586,9 +639,112 @@ fn openmpi_power_of_two_split_equals_the_recorded_parent() {
             0x53f41d58f01eac44, // Scan
             0x306986573263895c, // Halo
             0x1fa5de913725ace4, // ProbeRecv
-            0xdd334c381994514b, // UserOpAllreduce
+            0x50a15aa2848d7f85, // UserOpAllreduce
             0xd7546b2060025c30, // DerivedBcast
         ],
+    );
+}
+
+/// The reducing calls [`RankOrder`] makes, in order.
+const RANK_ORDER_CALLS: [&str; 4] = [
+    "allreduce",
+    "reduce to rank 0",
+    "reduce to rank n-1",
+    "scan",
+];
+
+/// Sizes straddling every switch-over a non-commutative reduction can
+/// meet: Open MPI recursive doubling 1 KiB and pipeline segment 8 KiB,
+/// MPICH recursive doubling 32 KiB.
+const RANK_ORDER_SIZES: [usize; 8] = [0, 16, 1024, 1040, 8192, 8208, 32768, 32784];
+
+/// Every reducing collective with `affine_compose` (`commute = false`)
+/// on one communicator; each rank records the `(call, size)` pairs whose
+/// result is not the rank-order fold.
+struct RankOrder {
+    comm: Comm,
+    /// [`rank_order_prefixes`] per entry of [`RANK_ORDER_SIZES`].
+    prefixes: Vec<Vec<Vec<u8>>>,
+}
+
+impl MpiProgram for RankOrder {
+    fn name(&self) -> &'static str {
+        "rank-order"
+    }
+
+    fn run(&self, app: &mut AppCtx<'_>) -> StoolResult<()> {
+        let Some(comm) = self.comm.open(app)? else {
+            return Ok(());
+        };
+        let mpi = app.mpi();
+        let pair = mpi.type_contiguous(2, Datatype::Uint64.handle())?;
+        mpi.type_commit(pair)?;
+        let op = mpi.op_create(affine_compose, false)?;
+        let me = mpi.comm_rank(comm)? as usize;
+        let n = mpi.comm_size(comm)? as usize;
+        let mut wrong = Vec::new();
+        for (len, prefixes) in RANK_ORDER_SIZES.into_iter().zip(&self.prefixes) {
+            let mine = affine_maps(me, len);
+            let mut all = vec![0; len];
+            mpi.allreduce(&mine, &mut all, pair, op, comm)?;
+            // (call, what this rank got, what the standard says)
+            let mut results = vec![(0, all, &prefixes[n - 1])];
+            for (call, root) in [(1, 0), (2, n - 1)] {
+                let mut at_root = vec![0; if me == root { len } else { 0 }];
+                mpi.reduce(&mine, &mut at_root, pair, op, root as i32, comm)?;
+                if me == root {
+                    results.push((call, at_root, &prefixes[n - 1]));
+                }
+            }
+            let mut prefix = vec![0; len];
+            mpi.scan(&mine, &mut prefix, pair, op, comm)?;
+            results.push((3, prefix, &prefixes[me]));
+            for (call, got, want) in results {
+                if got != *want {
+                    wrong.extend([call, len as u64]);
+                }
+            }
+        }
+        mpi.op_free(op)?;
+        mpi.type_free(pair)?;
+        *app.mem.u64s_mut("rank_order.wrong", 0) = wrong;
+        Ok(())
+    }
+}
+
+/// `MPI_Op_create(…, commute = false)`: every reducing collective must
+/// combine in ascending rank order, under both vendors, on every
+/// communicator shape, on both sides of every switch-over.
+#[test]
+fn non_commutative_ops_combine_in_rank_order() {
+    let mut wrong = Vec::new();
+    for vendor in [Vendor::Mpich, Vendor::OpenMpi] {
+        for comm in [Comm::World, Comm::Sub32, Comm::Sub7] {
+            let prefixes = RANK_ORDER_SIZES
+                .iter()
+                .map(|&len| rank_order_prefixes(comm.size(), len))
+                .collect();
+            let outcome = Session::builder()
+                .cluster(ClusterSpec::discovery())
+                .vendor(vendor)
+                .build()
+                .expect("session")
+                .launch(&RankOrder { comm, prefixes })
+                .expect("launch");
+            for mem in outcome.memories().expect("completed") {
+                for pair in mem.u64s("rank_order.wrong").unwrap_or_default().chunks(2) {
+                    let call = RANK_ORDER_CALLS[pair[0] as usize];
+                    wrong.push(format!("{vendor:?} {comm:?}: {call} of {} B", pair[1]));
+                }
+            }
+        }
+    }
+    wrong.sort();
+    wrong.dedup();
+    assert!(
+        wrong.is_empty(),
+        "not combined in rank order:\n{}",
+        wrong.join("\n")
     );
 }
 
