@@ -24,6 +24,7 @@ fn shape<V: NativeAbi>(info: &CommInfo<V>, bytes: usize, elem: usize, commute: b
 impl<V: NativeAbi> Process<V> {
     /// `MPI_Barrier`.
     pub fn barrier(&mut self, comm: V::Comm) -> MpiResult<()> {
+        // No buffer: an empty one of `MPI_BYTE`.
         let (info, elem) = self.validate_coll(comm, V::DATATYPES[0].0, 0)?;
         if info.size() == 1 {
             return Ok(());
