@@ -1162,58 +1162,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_barrier_full_protocol_uniform_cut() {
-        // Odd world size with a tiny radix: groups of 3 with a ragged
-        // tail, so leader election, cascade release, and the last short
-        // group are all exercised over several back-to-back rounds (the
-        // barrier cells must be reusable generation after generation).
-        let n = 10;
-        let coord = Coordinator::with_topology(n, BarrierTopology::Tree { radix: 3 });
-        let cuts = std::sync::Mutex::new(vec![Vec::new(); n]);
-        std::thread::scope(|s| {
-            for rank in 0..n {
-                let coord = coord.clone();
-                let cuts = &cuts;
-                s.spawn(move || {
-                    let mut agent = coord.agent(rank);
-                    let zeros = vec![0u64; n];
-                    let mut step = 0u64;
-                    while step < 120 {
-                        // Rank 0 presses the button three times, spaced so
-                        // each press lands outside any open round.
-                        if rank == 0 && (step == 5 || step == 45 || step == 85) {
-                            coord.request_checkpoint(CkptMode::Continue);
-                        }
-                        match agent.poll(step).expect("poll") {
-                            Poll::None | Poll::KeepRunning => {
-                                step += 1;
-                                std::thread::yield_now();
-                            }
-                            Poll::Enter(session) => {
-                                let cut = session.cut();
-                                assert_eq!(cut, step, "entered away from the cut");
-                                session.exchange_counters(&zeros, &zeros).expect("exchange");
-                                session.submit_image(RankImage::new(rank, n, session.epoch()));
-                                session.finish().expect("finish");
-                                cuts.lock().unwrap()[rank].push(cut);
-                                step += 1;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let cuts = cuts.into_inner().unwrap();
-        for per_rank in &cuts {
-            assert_eq!(per_rank.len(), 3, "three rounds everywhere: {cuts:?}");
-            assert_eq!(per_rank, &cuts[0], "uniform cuts: {cuts:?}");
-        }
-        assert_eq!(coord.completed_rounds(), 3);
-        let world = coord.take_world_image("tree").expect("staged");
-        assert_eq!(world.nranks(), n);
-    }
-
-    #[test]
     fn tree_barrier_death_mid_rendezvous_poisons_all_groups() {
         // A resignation inside the rendezvous must release waiters in
         // *every* tree group, not only the victim's.
@@ -1677,43 +1625,5 @@ mod replica_tests {
         });
         assert_eq!(coord.completed_rounds(), 1);
         assert_eq!(group.stats().commits, 1);
-    }
-
-    #[test]
-    fn three_pressed_rounds_with_replicas_complete() {
-        let n = 3;
-        let coord = Coordinator::new(n);
-        let group = Arc::new(ReplicaGroup::in_memory(
-            ReplicaConfig::default(),
-            Arc::new(TestClock::new()),
-        ));
-        coord.attach_replicas(group.clone());
-        std::thread::scope(|s| {
-            for rank in 0..n {
-                let coord = coord.clone();
-                s.spawn(move || {
-                    let mut agent = coord.agent(rank);
-                    let zeros = vec![0u64; n];
-                    let mut step = 0u64;
-                    while step < 40 {
-                        if rank == 0 && (step == 5 || step == 15 || step == 25) {
-                            coord.request_checkpoint(CkptMode::Continue);
-                        }
-                        match agent.poll(step).expect("poll") {
-                            Poll::None | Poll::KeepRunning => step += 1,
-                            Poll::Enter(session) => {
-                                session.exchange_counters(&zeros, &zeros).expect("exchange");
-                                session.submit_image(RankImage::new(rank, n, session.epoch()));
-                                session.finish().expect("finish");
-                                step += 1;
-                            }
-                        }
-                        std::thread::yield_now();
-                    }
-                });
-            }
-        });
-        assert_eq!(coord.completed_rounds(), 3);
-        assert_eq!(group.stats().commits, 3);
     }
 }

@@ -11,9 +11,11 @@ mod common;
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use mpi_stool::dmtcp::{CkptMode, Coordinator, Poll, RankImage};
+use mpi_stool::dmtcp::{
+    BarrierTopology, CkptMode, Coordinator, Poll, RankImage, ReplicaConfig, ReplicaGroup, TestClock,
+};
 
 /// Drive `n` ranks through `steps` safe points each, with the button
 /// pressed from outside at a staggered moment. Returns the cuts taken.
@@ -136,4 +138,83 @@ fn back_to_back_requests_each_get_a_round_or_merge() {
     // by some round (merging is only possible for presses landing inside
     // an open round, which 15-step spacing prevents here).
     assert_eq!(coord.completed_rounds(), 3, "three presses, three rounds");
+}
+
+#[test]
+fn tree_barrier_full_protocol_uniform_cut() {
+    // Odd world size with a tiny radix: groups of 3 with a ragged tail,
+    // so leader election, cascade release, and the last short group are
+    // all exercised over several back-to-back rounds (the barrier cells
+    // must be reusable generation after generation).
+    let n = 10;
+    let coord = Coordinator::with_topology(n, BarrierTopology::Tree { radix: 3 });
+    let zeros = vec![0u64; n];
+    // The step every rank is polling: rank 0 sets it before the barrier
+    // that releases the step's polls.
+    let now = AtomicU64::new(0);
+    let entered = Mutex::new(vec![Vec::new(); n]);
+    common::lockstep(
+        &coord,
+        n,
+        120,
+        // Rank 0 presses the button three times, spaced so each press
+        // lands outside any open round.
+        |step| {
+            now.store(step, Ordering::SeqCst);
+            if [5, 45, 85].contains(&step) {
+                coord.request_checkpoint(CkptMode::Continue);
+            }
+        },
+        |rank, session| {
+            let step = now.load(Ordering::SeqCst);
+            let cut = session.cut();
+            session.exchange_counters(&zeros, &zeros).expect("exchange");
+            session.submit_image(RankImage::new(rank, n, session.epoch()));
+            session.finish().expect("finish");
+            entered.lock().unwrap()[rank].push((cut, step));
+            ControlFlow::Continue(())
+        },
+    );
+    let entered = entered.into_inner().unwrap();
+    for per_rank in &entered {
+        assert_eq!(per_rank.len(), 3, "three rounds everywhere: {entered:?}");
+        assert_eq!(per_rank, &entered[0], "uniform cuts: {entered:?}");
+        assert!(
+            per_rank.iter().all(|(cut, step)| cut == step),
+            "entered away from the cut: {entered:?}"
+        );
+    }
+    assert_eq!(coord.completed_rounds(), 3);
+    let world = coord.take_world_image("tree").expect("staged");
+    assert_eq!(world.nranks(), n);
+}
+
+#[test]
+fn three_pressed_rounds_with_replicas_complete() {
+    let n = 3;
+    let coord = Coordinator::new(n);
+    let group = Arc::new(ReplicaGroup::in_memory(
+        ReplicaConfig::default(),
+        Arc::new(TestClock::new()),
+    ));
+    coord.attach_replicas(group.clone());
+    let zeros = vec![0u64; n];
+    common::lockstep(
+        &coord,
+        n,
+        40,
+        |step| {
+            if [5, 15, 25].contains(&step) {
+                coord.request_checkpoint(CkptMode::Continue);
+            }
+        },
+        |rank, session| {
+            session.exchange_counters(&zeros, &zeros).expect("exchange");
+            session.submit_image(RankImage::new(rank, n, session.epoch()));
+            session.finish().expect("finish");
+            ControlFlow::Continue(())
+        },
+    );
+    assert_eq!(coord.completed_rounds(), 3);
+    assert_eq!(group.stats().commits, 3);
 }
