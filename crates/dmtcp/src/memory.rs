@@ -239,31 +239,6 @@ impl Memory {
         self.f64s(name).and_then(|v| v.first().copied())
     }
 
-    /// Serialize into a writer.
-    pub fn encode(&self, w: &mut Writer) {
-        w.u64(self.segments.len() as u64);
-        for (name, seg) in &self.segments {
-            w.string(name);
-            Self::encode_seg(seg, w);
-        }
-    }
-
-    /// Deserialize from a reader.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Memory, CodecError> {
-        let count = r.u64()?;
-        if count > 1 << 24 {
-            return Err(CodecError::LengthOutOfBounds(count));
-        }
-        let mut memory = Memory::new();
-        for _ in 0..count {
-            let name = r.string()?;
-            let seg = Self::decode_seg(r)?;
-            memory.touch(&name);
-            memory.segments.insert(name, seg);
-        }
-        Ok(memory)
-    }
-
     /// Serialize one segment (tag + payload, no name) on its own — the
     /// per-segment checkpoint image sections. Returns `None` for a name
     /// this memory does not hold.
@@ -357,11 +332,11 @@ mod tests {
         m.bytes_mut("blob", 4).copy_from_slice(b"\x01\x02\x03\x04");
         m.set_f64("energy", -1.25e6);
 
-        let mut w = Writer::new();
-        m.encode(&mut w);
-        let buf = w.finish();
-        let mut r = Reader::checked(&buf).unwrap();
-        let m2 = Memory::decode(&mut r).unwrap();
+        let mut m2 = Memory::new();
+        for name in m.names() {
+            let section = m.encode_segment(name).unwrap();
+            m2.insert_segment(name, &section).unwrap();
+        }
         assert_eq!(m, m2);
         assert_eq!(m2.f64s("u").unwrap(), &[1.5, -2.5, 3.25]);
         assert_eq!(m2.get_f64("energy"), Some(-1.25e6));
@@ -399,10 +374,10 @@ mod tests {
         let mut b = Memory::new();
         b.set_u64("alpha", 2);
         b.set_u64("zeta", 1);
-        let enc = |m: &Memory| {
-            let mut w = Writer::new();
-            m.encode(&mut w);
-            w.finish()
+        let enc = |m: &Memory| -> Vec<(String, Vec<u8>)> {
+            m.names()
+                .map(|name| (name.to_string(), m.encode_segment(name).unwrap()))
+                .collect()
         };
         assert_eq!(
             enc(&a),

@@ -5,7 +5,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use mpi_stool::abi::{Handle, HandleKind, ReduceOp};
-use mpi_stool::dmtcp::{Memory, RankImage, Reader, Writer};
+use mpi_stool::dmtcp::{Memory, RankImage};
 use mpi_stool::simnet::{ClusterSpec, VirtualTime};
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{AppCtx, Checkpointer, CkptMode, MpiProgram, Session, StoolResult, Vendor};
@@ -106,26 +106,30 @@ proptest! {
 
     #[test]
     fn memory_codec_roundtrip(mem in any_memory()) {
-        let mut w = Writer::new();
-        mem.encode(&mut w);
-        let buf = w.finish();
-        let mut r = Reader::checked(&buf).expect("checksum");
-        let back = Memory::decode(&mut r).expect("decode");
+        // The checkpoint path: one encoded section per segment, each
+        // inserted back under its name.
+        let mut back = Memory::new();
+        for name in mem.names() {
+            let section = mem.encode_segment(name).expect("a held segment");
+            back.insert_segment(name, &section).expect("decode");
+        }
         prop_assert_eq!(back, mem);
     }
 
     #[test]
     fn corrupted_image_is_rejected(mem in any_memory(), flip in any::<usize>()) {
-        let mut w = Writer::new();
-        mem.encode(&mut w);
-        let mut buf = w.finish();
-        prop_assume!(!buf.is_empty());
+        let mut img = RankImage::new(0, 1, 1);
+        for name in mem.names() {
+            let section = mem.encode_segment(name).expect("a held segment");
+            img.put_section(&format!("memory/{name}"), section);
+        }
+        let mut buf = img.encode();
         let i = flip % buf.len();
         buf[i] ^= 0x40;
         // The fnv1a trailer covers every body byte, and a trailer flip
         // breaks the stored sum itself: every single-bit corruption must be
         // rejected before any state is reconstructed.
-        prop_assert!(Reader::checked(&buf).is_err(), "bit flip at {} accepted", i);
+        prop_assert!(RankImage::decode(&buf).is_err(), "bit flip at {} accepted", i);
     }
 
     #[test]
