@@ -68,7 +68,7 @@ pub use dmtcp_sim::{
 };
 pub use error::{StoolError, StoolResult};
 pub use mana_sim::ManaConfig;
-pub use muk::{MukOverhead, Vendor};
+pub use muk::Vendor;
 pub use program::{AppCtx, Flow, MpiProgram};
 pub use scenario::{
     matrix_json, parse_matrix, run_scenario, DurabilityKind, FaultSchedule, KillEvent,

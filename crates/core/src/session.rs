@@ -15,7 +15,7 @@ use dmtcp_sim::tier::{
 };
 use mana_sim::ckpt::restore_rank;
 use mana_sim::ManaConfig;
-use muk::{MukOverhead, Vendor};
+use muk::Vendor;
 use simnet::rank::RankCounters;
 use simnet::{ClusterSpec, Fabric, RunPlan, VirtualTime, WorkerPool, World};
 
@@ -293,8 +293,6 @@ pub struct SessionConfig {
     /// Route calls through the Mukautuva shim? `false` models an
     /// application recompiled against the vendor's native headers.
     pub use_muk: bool,
-    /// Shim cost model.
-    pub muk_overhead: MukOverhead,
     /// The checkpointing package (leg 3).
     pub checkpointer: Checkpointer,
     /// Session-driven checkpoint policy.
@@ -341,7 +339,6 @@ impl Default for SessionBuilder {
                 cluster: ClusterSpec::discovery(),
                 vendor: Vendor::Mpich,
                 use_muk: true,
-                muk_overhead: MukOverhead::default(),
                 checkpointer: Checkpointer::None,
                 policy: CkptPolicy::default(),
                 durability: DurabilityPolicy::default(),
@@ -378,10 +375,11 @@ impl SessionBuilder {
 
     /// Make reductions bitwise reproducible across MPI implementations:
     /// the Mukautuva shim gathers contributions and folds them in world
-    /// rank order instead of trusting the vendor's association (see
-    /// `muk::fold`). Matters when a job checkpoints under one vendor and
-    /// restarts under another and its output must not depend on where it
-    /// ran. Costs a gather + bcast per reduction.
+    /// rank order, on the vendor's own reduction kernels, instead of
+    /// trusting the vendor's association (see `muk::shim`). Matters when a
+    /// job checkpoints under one vendor and restarts under another and its
+    /// output must not depend on where it ran. Costs a gather and a bcast
+    /// (a scatter for a scan) per reduction.
     pub fn deterministic_reductions(mut self) -> Self {
         self.config.deterministic_reductions = true;
         self
@@ -764,7 +762,7 @@ impl Session {
     pub fn stack_spec(&self) -> StackSpec {
         StackSpec {
             vendor: self.config.vendor,
-            muk: self.config.use_muk.then_some(self.config.muk_overhead),
+            muk: self.config.use_muk,
             mana: self.mana_config(),
             deterministic_reductions: self.config.deterministic_reductions,
         }

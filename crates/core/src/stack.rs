@@ -9,6 +9,9 @@
 //! * `libmana.so → libmuk.so → vendor wrap` (the full three-legged stool),
 //! * `libmana.so → vendor wrap` (the older vendor-specific "virtual id"
 //!   MANA mode, kept for the ablation benchmarks).
+//!
+//! The layer below MANA is always one [`MukShim`]; `muk` says whether
+//! Mukautuva is in front of its wrap library (charged) or not (native).
 
 use std::rc::Rc;
 
@@ -17,7 +20,7 @@ use dmtcp_sim::memory::Memory;
 use mana_sim::ckpt::{maybe_checkpoint, CkptAction};
 use mana_sim::{ManaConfig, ManaMpi};
 use mpi_abi::{AbiResult, MpiAbi};
-use muk::{registry, MukOverhead, MukShim, Vendor};
+use muk::{MukShim, Vendor};
 use simnet::RankCtx;
 
 /// Which layers to put under the application.
@@ -25,13 +28,13 @@ use simnet::RankCtx;
 pub struct StackSpec {
     /// The vendor MPI library at the bottom.
     pub vendor: Vendor,
-    /// Interpose the Mukautuva shim (with its overhead model)?
-    pub muk: Option<MukOverhead>,
+    /// Interpose the Mukautuva shim (charged per call)?
+    pub muk: bool,
     /// Interpose the MANA wrappers (with their cost model)?
     pub mana: Option<ManaConfig>,
     /// Route predefined-type reductions through the shim's canonical
     /// rank-ordered fold, making results bitwise identical across vendors
-    /// (requires the shim; see `muk::fold`).
+    /// (requires the shim; see `muk::shim`).
     pub deterministic_reductions: bool,
 }
 
@@ -40,7 +43,7 @@ impl StackSpec {
     pub fn native(vendor: Vendor) -> StackSpec {
         StackSpec {
             vendor,
-            muk: None,
+            muk: false,
             mana: None,
             deterministic_reductions: false,
         }
@@ -50,7 +53,7 @@ impl StackSpec {
     pub fn with_muk(vendor: Vendor) -> StackSpec {
         StackSpec {
             vendor,
-            muk: Some(MukOverhead::default()),
+            muk: true,
             mana: None,
             deterministic_reductions: false,
         }
@@ -61,7 +64,7 @@ impl StackSpec {
     pub fn full(vendor: Vendor) -> StackSpec {
         StackSpec {
             vendor,
-            muk: Some(MukOverhead::default()),
+            muk: true,
             mana: Some(ManaConfig::default()),
             deterministic_reductions: false,
         }
@@ -71,7 +74,7 @@ impl StackSpec {
     pub fn mana_only(vendor: Vendor) -> StackSpec {
         StackSpec {
             vendor,
-            muk: None,
+            muk: false,
             mana: Some(ManaConfig::default()),
             deterministic_reductions: false,
         }
@@ -80,7 +83,7 @@ impl StackSpec {
     /// A short label for reports ("MPICH + Mukautuva + MANA").
     pub fn label(&self) -> String {
         let mut s = self.vendor.name().to_string();
-        if self.muk.is_some() {
+        if self.muk {
             s.push_str(" + Mukautuva");
         }
         if self.mana.is_some() {
@@ -91,14 +94,12 @@ impl StackSpec {
 
     /// Build the ABI-facing layer below MANA (wrap, optionally shimmed).
     pub fn build_lower(&self, ctx: &Rc<RankCtx>) -> Box<dyn MpiAbi> {
-        match self.muk {
-            Some(overhead) => {
-                let mut shim = MukShim::load_with_overhead(self.vendor, ctx.clone(), overhead);
-                shim.set_deterministic_reductions(self.deterministic_reductions);
-                Box::new(shim)
-            }
-            None => registry::open_vendor(self.vendor, ctx.clone()),
-        }
+        Box::new(MukShim::open(
+            self.vendor,
+            ctx.clone(),
+            self.muk,
+            self.deterministic_reductions,
+        ))
     }
 }
 

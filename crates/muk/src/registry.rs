@@ -1,20 +1,18 @@
 //! The wrap-library "dynamic loader".
 //!
 //! Real Mukautuva detects the underlying MPI at runtime and `dlopen`s the
-//! matching wrap library by soname. This module is the analogue: a registry
-//! keyed by soname strings, with [`open_wrap`] playing the role of
-//! `dlopen` + `dlsym`.
+//! matching wrap library by soname. This module is the analogue: one
+//! soname per [`Vendor`], with [`open_wrap`] playing the role of `dlopen` +
+//! `dlsym`. What it opens is a [`MukShim`] over that vendor's wrap
+//! library; without the shim in front ([`open_vendor`]) it is the native
+//! baseline.
 
 use std::rc::Rc;
 
 use mpi_abi::MpiAbi;
-use simnet::mpi::Process;
 use simnet::RankCtx;
 
-use mpich_sim::Mpich;
-use ompi_sim::OpenMpi;
-
-use crate::wrap::Wrap;
+use crate::shim::MukShim;
 
 /// The MPI implementations the shim can bind to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,21 +53,21 @@ pub fn soname_for(vendor: Vendor) -> &'static str {
 
 /// "dlopen" a wrap library by soname — the one wrap source, instantiated
 /// for that vendor's header — and initialize the vendor library
-/// underneath it for this rank. Unknown sonames fail like a missing shared
-/// object would.
+/// underneath it for this rank, with nothing in front. Unknown sonames
+/// fail like a missing shared object would.
 pub fn open_wrap(soname: &str, ctx: Rc<RankCtx>) -> Result<Box<dyn MpiAbi>, String> {
-    match soname {
-        "libmpich-wrap.so" => Ok(Box::new(Wrap::<Mpich>::open(Process::init(ctx)))),
-        "libompi-wrap.so" => Ok(Box::new(Wrap::<OpenMpi>::open(Process::init(ctx)))),
-        other => Err(format!(
-            "cannot open shared object file: {other}: No such file"
-        )),
-    }
+    let vendor = Vendor::ALL
+        .into_iter()
+        .find(|&vendor| soname_for(vendor) == soname)
+        .ok_or_else(|| format!("cannot open shared object file: {soname}: No such file"))?;
+    Ok(open_vendor(vendor, ctx))
 }
 
-/// Convenience: open the wrap library for a vendor directly.
+/// The native baseline: a vendor's wrap library with no shim in front
+/// (the application recompiled against the vendor's header), charged no
+/// translation cost.
 pub fn open_vendor(vendor: Vendor, ctx: Rc<RankCtx>) -> Box<dyn MpiAbi> {
-    open_wrap(soname_for(vendor), ctx).expect("registered vendor")
+    Box::new(MukShim::open(vendor, ctx, false, false))
 }
 
 #[cfg(test)]
