@@ -455,6 +455,30 @@ fn fold_table(vendor: Vendor) {
                 }
             }
         }
+        // A receive buffer of other than one block: allreduce and scan
+        // refuse it on every rank before any traffic, reduce at the root
+        // after the gather.
+        let (d, o) = (Datatype::Int32.handle(), ReduceOp::Sum.handle());
+        let mine = contribution(Datatype::Int32, me);
+        let mut short = vec![0u8; mine.len() - 4];
+        let got = mpi.allreduce(&mine, &mut short, d, o, world);
+        if got != Err(AbiError::Count) {
+            bad.push(format!("short allreduce: {got:?}"));
+        }
+        let got = mpi.scan(&mine, &mut short, d, o, world);
+        if got != Err(AbiError::Count) {
+            bad.push(format!("short scan: {got:?}"));
+        }
+        let got = mpi.reduce(&mine, &mut short, d, o, ROOT as i32, world);
+        if got
+            != if me == ROOT {
+                Err(AbiError::Count)
+            } else {
+                Ok(())
+            }
+        {
+            bad.push(format!("short reduce: {got:?}"));
+        }
         Ok(bad)
     })
     .unwrap()
