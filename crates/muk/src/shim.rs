@@ -371,16 +371,8 @@ impl MpiAbi for MukShim {
                 return W::lift(w.native.reduce(sendbuf, recvbuf, dt, o, root, c));
             };
             let p = &mut w.native;
-            let prefixes = W::lift(rank_order_prefixes(
-                p,
-                red,
-                sendbuf,
-                recvbuf.len(),
-                dt,
-                root,
-                c,
-            ))?;
-            last_prefix(prefixes, recvbuf);
+            let prefixes = rank_order_prefixes(p, red, sendbuf, recvbuf.len(), dt, root, c);
+            last_prefix(W::lift(prefixes)?, recvbuf);
             Ok(())
         })
     }
@@ -404,16 +396,8 @@ impl MpiAbi for MukShim {
             }
             let c = w.comm_in(comm)?;
             let p = &mut w.native;
-            let prefixes = W::lift(rank_order_prefixes(
-                p,
-                red,
-                sendbuf,
-                recvbuf.len(),
-                dt,
-                0,
-                c,
-            ))?;
-            last_prefix(prefixes, recvbuf);
+            let prefixes = rank_order_prefixes(p, red, sendbuf, recvbuf.len(), dt, 0, c);
+            last_prefix(W::lift(prefixes)?, recvbuf);
             W::lift(p.bcast(recvbuf, dt, 0, c))
         })
     }
@@ -491,16 +475,9 @@ impl MpiAbi for MukShim {
             }
             let c = w.comm_in(comm)?;
             let p = &mut w.native;
-            let prefixes = W::lift(rank_order_prefixes(
-                p,
-                red,
-                sendbuf,
-                recvbuf.len(),
-                dt,
-                0,
-                c,
-            ))?;
-            W::lift(p.scatter(&prefixes.unwrap_or_default(), recvbuf, dt, 0, c))
+            let prefixes = rank_order_prefixes(p, red, sendbuf, recvbuf.len(), dt, 0, c);
+            let prefixes = W::lift(prefixes)?.unwrap_or_default();
+            W::lift(p.scatter(&prefixes, recvbuf, dt, 0, c))
         })
     }
 
