@@ -249,7 +249,7 @@ impl Memory {
         Some(w.into_raw())
     }
 
-    /// Insert one segment from its [`Memory::encode_segment`] bytes.
+    /// Insert one segment from its [`Self::encode_segment`] bytes.
     pub fn insert_segment(&mut self, name: &str, buf: &[u8]) -> Result<(), CodecError> {
         let mut r = Reader::raw(buf);
         let seg = Self::decode_seg(&mut r)?;
