@@ -11,6 +11,21 @@
 //! Format rules honored (LZ4 block spec): a match is at least 4 bytes, a
 //! match never starts within the last 12 bytes of the input, the last 5
 //! bytes are always literals, and the final sequence is literals-only.
+//!
+//! There is one matcher, and it writes into the caller's slice:
+//! [`compress_into`]. It returns [`CompressError::OutputTooSmall`] as soon
+//! as the stream provably cannot fit — when the bytes already emitted,
+//! plus one token, plus the literals pending since the last match exceed
+//! `output.len()`, or when the exact size of the next sequence does. So a
+//! caller that only wants a stream shorter than some bound stops paying at
+//! the bound, and `Ok` comes back exactly when the whole stream fits, with
+//! the same bytes [`compress`] returns over a [`get_maximum_output_size`]
+//! buffer. On the miss path the empty-slot test, the 16-bit offset bound
+//! and the 4-byte content test are one compare,
+//! `(cand_word ^ seq) | (cand == 0) | (offset > 65535) == 0`: the table
+//! holds positions + 1, an empty slot reads position 0 and is masked out
+//! by `cand == 0`, and the only branch left per input byte is "match
+//! found". A match then extends eight bytes at a time.
 
 #![forbid(unsafe_code)]
 
@@ -53,91 +68,203 @@ impl fmt::Display for DecompressError {
 
 impl std::error::Error for DecompressError {}
 
+/// Why compression failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CompressError {
+    /// The compressed stream does not fit the output slice.
+    OutputTooSmall,
+}
+
+impl fmt::Display for CompressError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "compressed block does not fit the output slice")
+    }
+}
+
+impl std::error::Error for CompressError {}
+
 fn hash(seq: u32) -> usize {
     (seq.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
-/// Append an LSIC-extended length (already reduced by the 15 carried in
-/// the token nibble).
-fn push_lsic(out: &mut Vec<u8>, mut v: usize) {
-    while v >= 255 {
-        out.push(255);
-        v -= 255;
-    }
-    out.push(v as u8);
+fn read_u32(input: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(input[at..at + 4].try_into().expect("4 bytes"))
 }
 
-fn emit(out: &mut Vec<u8>, literals: &[u8], m: Option<(u16, usize)>) {
-    let lit_nibble = literals.len().min(15);
-    let match_nibble = m.map_or(0, |(_, len)| (len - MIN_MATCH).min(15));
-    out.push(((lit_nibble as u8) << 4) | match_nibble as u8);
-    if literals.len() >= 15 {
-        push_lsic(out, literals.len() - 15);
+fn read_u64(input: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(input[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// Bytes the LSIC extension of a length takes beyond its token nibble.
+fn lsic_len(len: usize) -> usize {
+    if len >= 15 {
+        (len - 15) / 255 + 1
+    } else {
+        0
     }
-    out.extend_from_slice(literals);
-    if let Some((offset, len)) = m {
-        out.extend_from_slice(&offset.to_le_bytes());
-        if len - MIN_MATCH >= 15 {
-            push_lsic(out, len - MIN_MATCH - 15);
+}
+
+/// How many bytes from `a` on equal those from `b` on (`a < b`), with
+/// the run from `b` stopping at `limit`: eight at a time, then bytewise.
+fn common_len(input: &[u8], a: usize, b: usize, limit: usize) -> usize {
+    let mut len = 0;
+    while b + len + 8 <= limit {
+        let diff = read_u64(input, a + len) ^ read_u64(input, b + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
         }
+        len += 8;
+    }
+    while b + len < limit && input[a + len] == input[b + len] {
+        len += 1;
+    }
+    len
+}
+
+/// The caller's output slice and how much of it the stream has filled.
+struct Sink<'a> {
+    buf: &'a mut [u8],
+    pos: usize,
+}
+
+impl Sink<'_> {
+    fn put(&mut self, b: u8) {
+        self.buf[self.pos] = b;
+        self.pos += 1;
+    }
+
+    /// Append an LSIC-extended length (already reduced by the 15 carried
+    /// in the token nibble).
+    fn put_lsic(&mut self, mut v: usize) {
+        while v >= 255 {
+            self.put(255);
+            v -= 255;
+        }
+        self.put(v as u8);
+    }
+
+    /// Append one sequence: the literals, then the match `(offset, len)`
+    /// if there is one. Writes nothing if its exact size does not fit.
+    fn sequence(&mut self, literals: &[u8], m: Option<(u16, usize)>) -> Result<(), CompressError> {
+        let match_len = m.map_or(0, |(_, len)| len - MIN_MATCH);
+        let size = 1
+            + lsic_len(literals.len())
+            + literals.len()
+            + m.map_or(0, |_| 2 + lsic_len(match_len));
+        if size > self.buf.len() - self.pos {
+            return Err(CompressError::OutputTooSmall);
+        }
+        self.put(((literals.len().min(15) as u8) << 4) | match_len.min(15) as u8);
+        if literals.len() >= 15 {
+            self.put_lsic(literals.len() - 15);
+        }
+        self.buf[self.pos..self.pos + literals.len()].copy_from_slice(literals);
+        self.pos += literals.len();
+        if let Some((offset, _)) = m {
+            self.buf[self.pos..self.pos + 2].copy_from_slice(&offset.to_le_bytes());
+            self.pos += 2;
+            if match_len >= 15 {
+                self.put_lsic(match_len - 15);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The largest stream [`compress_into`] can write for an input of this
+/// length: all literals, one LSIC byte per 255 of them, and a token.
+pub fn get_maximum_output_size(input_len: usize) -> usize {
+    input_len + input_len / 255 + 16
+}
+
+/// Compress `input` as one LZ4 block into `output`, returning the stream's
+/// length. Fails with [`CompressError::OutputTooSmall`] exactly when the
+/// stream is longer than `output`, and stops as soon as that is certain
+/// (see the module doc); what was written before then is unspecified.
+pub fn compress_into(input: &[u8], output: &mut [u8]) -> Result<usize, CompressError> {
+    // Every position of an input this short fits a 16-bit slot: a
+    // quarter of the table to zero per call, and it lives on the stack
+    // (the real crate's `HashTable4KU16`).
+    if input.len() <= u16::MAX as usize {
+        compress_with(input, output, &mut [0u16; 1 << HASH_BITS])
+    } else {
+        compress_with(input, output, &mut vec![0usize; 1 << HASH_BITS])
     }
 }
 
 /// Compress `input` as one LZ4 block. Deterministic; an incompressible
 /// input grows by at most `input.len()/255 + 16` bytes of framing.
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    // Every position of an input this short fits a 16-bit slot: a
-    // quarter of the table to zero per call, and it lives on the stack
-    // (the real crate's `HashTable4KU16`).
-    if input.len() <= u16::MAX as usize {
-        compress_with(input, &mut [0u16; 1 << HASH_BITS])
-    } else {
-        compress_with(input, &mut vec![0usize; 1 << HASH_BITS])
-    }
+    let mut out = vec![0u8; get_maximum_output_size(input.len())];
+    let n = compress_into(input, &mut out).expect("the maximum output size always fits");
+    out.truncate(n);
+    out
 }
 
 /// The greedy matcher over a zeroed `table` of `1 << HASH_BITS` slots
 /// holding positions +1, so 0 means "empty slot". The slot width never
-/// shows in the output: [`compress`] picks one that holds every position.
-fn compress_with<S>(input: &[u8], table: &mut [S]) -> Vec<u8>
+/// shows in the output: [`compress_into`] picks one that holds every
+/// position.
+fn compress_with<S>(
+    input: &[u8],
+    output: &mut [u8],
+    table: &mut [S],
+) -> Result<usize, CompressError>
 where
     S: Copy + TryFrom<usize> + Into<usize>,
 {
     let n = input.len();
-    let mut out = Vec::with_capacity(n / 2 + 16);
+    let mut out = Sink {
+        buf: output,
+        pos: 0,
+    };
     if n < MFLIMIT + 1 {
-        emit(&mut out, input, None);
-        return out;
+        out.sequence(input, None)?;
+        return Ok(out.pos);
     }
     let match_limit = n - MFLIMIT;
     let extend_limit = n - LAST_LITERALS;
     let mut anchor = 0usize;
     let mut i = 0usize;
     while i < match_limit {
-        let seq = u32::from_le_bytes(input[i..i + 4].try_into().expect("4 bytes"));
-        let slot = hash(seq);
-        let cand: usize = table[slot].into();
-        let Ok(here) = S::try_from(i + 1) else {
-            unreachable!("compress picked a slot too narrow for position {i}")
-        };
-        table[slot] = here;
-        if cand != 0 {
-            let c = cand - 1;
-            if i - c <= u16::MAX as usize && input[c..c + 4] == input[i..i + 4] {
-                let mut len = MIN_MATCH;
-                while i + len < extend_limit && input[c + len] == input[i + len] {
-                    len += 1;
-                }
-                emit(&mut out, &input[anchor..i], Some(((i - c) as u16, len)));
-                i += len;
-                anchor = i;
-                continue;
+        // From `stop` on, what is out, one token and the literals pending
+        // since `anchor` overrun the slice: the stream cannot fit.
+        let room = (out.buf.len().checked_sub(out.pos + 1)).ok_or(CompressError::OutputTooSmall)?;
+        let stop = match_limit.min(anchor + room + 1);
+        let mut found = None;
+        while i < stop {
+            let seq = read_u32(input, i);
+            let slot = hash(seq);
+            let cand: usize = table[slot].into();
+            let Ok(here) = S::try_from(i + 1) else {
+                unreachable!("compress_into picked a slot too narrow for position {i}")
+            };
+            table[slot] = here;
+            // One compare for "empty slot", "offset past 16 bits" and
+            // "different first 4 bytes"; an empty slot reads position 0.
+            let c = cand.saturating_sub(1);
+            let miss = (read_u32(input, c) ^ seq)
+                | (cand == 0) as u32
+                | (i - c > u16::MAX as usize) as u32;
+            if miss == 0 {
+                found = Some(c);
+                break;
             }
+            i += 1;
         }
-        i += 1;
+        let Some(c) = found else {
+            if i < match_limit {
+                return Err(CompressError::OutputTooSmall);
+            }
+            break;
+        };
+        let len = MIN_MATCH + common_len(input, c + MIN_MATCH, i + MIN_MATCH, extend_limit);
+        out.sequence(&input[anchor..i], Some(((i - c) as u16, len)))?;
+        i += len;
+        anchor = i;
     }
-    emit(&mut out, &input[anchor..], None);
-    out
+    out.sequence(&input[anchor..], None)?;
+    Ok(out.pos)
 }
 
 /// Copy the `len`-byte match that starts `offset` bytes before `pos` to
@@ -243,8 +370,8 @@ pub fn decompress_size_prepended(input: &[u8]) -> Result<Vec<u8>, DecompressErro
 /// The real crate exposes the block API under `block` too.
 pub mod block {
     pub use super::{
-        compress, compress_prepend_size, decompress, decompress_into, decompress_size_prepended,
-        DecompressError,
+        compress, compress_into, compress_prepend_size, decompress, decompress_into,
+        decompress_size_prepended, get_maximum_output_size, CompressError, DecompressError,
     };
 }
 
@@ -316,26 +443,156 @@ mod tests {
         (0..len).map(noisy).collect()
     }
 
-    #[test]
-    fn slot_width_never_shows_in_the_output() {
-        let mut corpus: Vec<Vec<u8>> = [0usize, 1, 4, 11, 12, 13, 64, 255, 256, 4096]
-            .iter()
-            .map(|&len| (0..len).map(|i| (i % 7) as u8).collect())
-            .collect();
-        corpus.push(vec![0xAB; 10_000]);
-        corpus.push((0..8192).map(|i| (i % 16) as u8).collect());
-        corpus.push(mixed(4096));
-        // The widest inputs the 16-bit table takes, and the first it
-        // does not (where `compress` itself must still round-trip).
-        corpus.extend([65_534, 65_535, 65_536].map(mixed));
-        for data in &corpus {
-            let wide = compress_with(data, &mut vec![0usize; 1 << HASH_BITS]);
-            assert_eq!(compress(data), wide, "len {}", data.len());
-            if data.len() <= u16::MAX as usize {
-                let narrow = compress_with(data, &mut [0u16; 1 << HASH_BITS]);
-                assert_eq!(narrow, wide, "len {}", data.len());
+    fn push_lsic(out: &mut Vec<u8>, mut v: usize) {
+        while v >= 255 {
+            out.push(255);
+            v -= 255;
+        }
+        out.push(v as u8);
+    }
+
+    fn emit(out: &mut Vec<u8>, literals: &[u8], m: Option<(u16, usize)>) {
+        let lit_nibble = literals.len().min(15);
+        let match_nibble = m.map_or(0, |(_, len)| (len - MIN_MATCH).min(15));
+        out.push(((lit_nibble as u8) << 4) | match_nibble as u8);
+        if literals.len() >= 15 {
+            push_lsic(out, literals.len() - 15);
+        }
+        out.extend_from_slice(literals);
+        if let Some((offset, len)) = m {
+            out.extend_from_slice(&offset.to_le_bytes());
+            if len - MIN_MATCH >= 15 {
+                push_lsic(out, len - MIN_MATCH - 15);
             }
-            roundtrip(data);
+        }
+    }
+
+    /// The matcher [`compress_with`] replaced, kept as its reference: the
+    /// same greedy parse into a growing `Vec`, unbounded, with the
+    /// empty-slot, offset and content tests as separate branches and a
+    /// bytewise match extension.
+    fn compress_reference<S>(input: &[u8], table: &mut [S]) -> Vec<u8>
+    where
+        S: Copy + TryFrom<usize> + Into<usize>,
+    {
+        let n = input.len();
+        let mut out = Vec::with_capacity(n / 2 + 16);
+        if n < MFLIMIT + 1 {
+            emit(&mut out, input, None);
+            return out;
+        }
+        let match_limit = n - MFLIMIT;
+        let extend_limit = n - LAST_LITERALS;
+        let mut anchor = 0usize;
+        let mut i = 0usize;
+        while i < match_limit {
+            let seq = read_u32(input, i);
+            let slot = hash(seq);
+            let cand: usize = table[slot].into();
+            let Ok(here) = S::try_from(i + 1) else {
+                unreachable!("slot too narrow for position {i}")
+            };
+            table[slot] = here;
+            if cand != 0 {
+                let c = cand - 1;
+                if i - c <= u16::MAX as usize && input[c..c + 4] == input[i..i + 4] {
+                    let mut len = MIN_MATCH;
+                    while i + len < extend_limit && input[c + len] == input[i + len] {
+                        len += 1;
+                    }
+                    emit(&mut out, &input[anchor..i], Some(((i - c) as u16, len)));
+                    i += len;
+                    anchor = i;
+                    continue;
+                }
+            }
+            i += 1;
+        }
+        emit(&mut out, &input[anchor..], None);
+        out
+    }
+
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 56) as u8
+        };
+        (0..len).map(|_| next()).collect()
+    }
+
+    /// Noise, runs, every period up to 40, an `f64` staircase, mixed
+    /// literals and matches, the short lengths around `MFLIMIT`, and the
+    /// widest inputs either slot width takes.
+    fn differential_corpus() -> Vec<Vec<u8>> {
+        let mut corpus: Vec<Vec<u8>> = (0..=13usize)
+            .chain([64])
+            .flat_map(|len| {
+                [
+                    (0..len).map(|i| (i % 7) as u8).collect(),
+                    noise(len as u64, len),
+                ]
+            })
+            .collect();
+        corpus.extend((1..=40usize).map(|p| (0..4096).map(|i| (i % p * 37) as u8).collect()));
+        corpus.push(vec![0xAB; 10_000]);
+        corpus.push((0..10_000usize).map(|i| (i / 37) as u8).collect());
+        corpus.push(
+            (0..2048u32)
+                .flat_map(|i| f64::from(i / 8).to_le_bytes())
+                .collect(),
+        );
+        corpus.push(noise(7, 4096));
+        corpus.push(mixed(4096));
+        for len in [65_535, 65_536] {
+            corpus.extend([mixed(len), noise(len as u64, len), vec![0x5A; len]]);
+        }
+        // Content that recurs only beyond the 16-bit offset reach.
+        corpus.push(noise(9, 70_000).repeat(2));
+        corpus
+    }
+
+    #[test]
+    fn compress_into_equals_the_reference_at_every_output_bound() {
+        for data in differential_corpus() {
+            let n = data.len();
+            let want = compress_reference(&data, &mut vec![0usize; 1 << HASH_BITS]);
+            assert_eq!(compress(&data), want, "compress, len {n}");
+            let narrow = n <= u16::MAX as usize;
+            if narrow {
+                let short = compress_reference(&data, &mut [0u16; 1 << HASH_BITS]);
+                assert_eq!(short, want, "the slot width shows, len {n}");
+            }
+            let max = get_maximum_output_size(n);
+            // A short stream is cut at every length, so every sequence
+            // meets the bound once with a byte to spare and once without.
+            let bounds: Vec<usize> = match want.len() {
+                len if len <= 512 => (0..=len + 1).chain([max]).collect(),
+                len => vec![0, len - 1, len, len + 1, max],
+            };
+            for bound in bounds {
+                let mut wide_out = vec![0xEEu8; bound];
+                let mut narrow_out = vec![0xEEu8; bound];
+                let mut runs = vec![(
+                    compress_with(&data, &mut wide_out, &mut vec![0usize; 1 << HASH_BITS]),
+                    &wide_out,
+                )];
+                if narrow {
+                    let got = compress_with(&data, &mut narrow_out, &mut [0u16; 1 << HASH_BITS]);
+                    runs.push((got, &narrow_out));
+                }
+                for (got, out) in runs {
+                    if bound >= want.len() {
+                        assert_eq!(got, Ok(want.len()), "len {n}, bound {bound}");
+                        assert_eq!(out[..want.len()], want[..], "len {n}, bound {bound}");
+                    } else {
+                        assert_eq!(got, Err(CompressError::OutputTooSmall), "len {n}");
+                    }
+                }
+            }
+            roundtrip(&data);
         }
     }
 
