@@ -44,10 +44,10 @@ impl BlockCodec {
 /// Content-defined chunk boundaries are rarely 8-aligned, so the filter
 /// transposes the 8-aligned prefix and passes the `< 8`-byte tail
 /// through raw — both directions derive the split from the length alone.
-fn shuffle8(data: &[u8]) -> Vec<u8> {
+/// Written into `out` (same length as `data`).
+fn shuffle8(data: &[u8], out: &mut [u8]) {
     let words = data.len() / 8;
     let (body, tail) = data.split_at(words * 8);
-    let mut out = vec![0u8; data.len()];
     // One pass per lane: lane `k` of the output takes byte `k` of every
     // input word. (`max(1)`: a chunk size of zero panics, and a body
     // shorter than one word has no lanes anyway.)
@@ -57,7 +57,6 @@ fn shuffle8(data: &[u8]) -> Vec<u8> {
         }
     }
     out[body.len()..].copy_from_slice(tail);
-    out
 }
 
 /// Inverse of [`shuffle8`], written into `out` (same length as `data`).
@@ -104,25 +103,49 @@ pub(super) fn fan_out<T: Sync, R: Send>(
     })
 }
 
+/// One encode worker's buffers, kept from block to block: the shuffled
+/// bytes and one output slice per LZ4 attempt.
+#[derive(Default)]
+pub(super) struct EncodeScratch {
+    shuffled: Vec<u8>,
+    sh: Vec<u8>,
+    lz: Vec<u8>,
+}
+
+/// The first `len` bytes of `buf`, grown (never shrunk) to hold them.
+fn first(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+    &mut buf[..len]
+}
+
 /// Pick the smallest stored form of a raw block under the configured
-/// compression. Returns the codec and, for compressed codecs, the stored
-/// bytes (`None` means "store raw"). Deterministic per content.
-pub(super) fn encode_block(raw: &[u8], compression: Compression) -> (BlockCodec, Option<Vec<u8>>) {
+/// compression: the codec and the bytes to store, `raw` itself or a slice
+/// of `scratch`. A compressed form must be strictly smaller than `raw`,
+/// and ties go to `Lz4` before `ShuffleLz4`, so each attempt gets exactly
+/// the room it would win in and gives up past it: the shuffled one
+/// `raw.len() - 1` bytes, then plain LZ4 the shuffled length, or
+/// `raw.len() - 1` if the shuffled attempt did not fit. Deterministic per
+/// content.
+pub(super) fn encode_block<'a>(
+    raw: &'a [u8],
+    compression: Compression,
+    scratch: &'a mut EncodeScratch,
+) -> (BlockCodec, &'a [u8]) {
     if compression == Compression::None || raw.len() < MIN_COMPRESS_LEN {
-        return (BlockCodec::Raw, None);
+        return (BlockCodec::Raw, raw);
     }
-    let mut best = (BlockCodec::Raw, None);
-    let mut best_len = raw.len();
-    let lz = lz4_flex::compress(raw);
-    if lz.len() < best_len {
-        best_len = lz.len();
-        best = (BlockCodec::Lz4, Some(lz));
+    let EncodeScratch { shuffled, sh, lz } = scratch;
+    let shuffled = first(shuffled, raw.len());
+    shuffle8(raw, shuffled);
+    let sh_len = lz4_flex::compress_into(shuffled, first(sh, raw.len() - 1)).ok();
+    let lz_room = first(lz, sh_len.unwrap_or(raw.len() - 1));
+    match (lz4_flex::compress_into(raw, lz_room), sh_len) {
+        (Ok(n), _) => (BlockCodec::Lz4, &lz[..n]),
+        (Err(_), Some(n)) => (BlockCodec::ShuffleLz4, &sh[..n]),
+        (Err(_), None) => (BlockCodec::Raw, raw),
     }
-    let sh = lz4_flex::compress(&shuffle8(raw));
-    if sh.len() < best_len {
-        best = (BlockCodec::ShuffleLz4, Some(sh));
-    }
-    best
 }
 
 /// Decode one stored block straight into `out`, the block's own
@@ -180,11 +203,73 @@ mod tests {
     fn lane_wise_shuffle_equals_the_index_formula_and_round_trips() {
         for len in 0..=130usize {
             let data = fill_bytes(len as u64 + 1, len);
-            let shuffled = shuffle8(&data);
+            let mut shuffled = vec![0xEEu8; len];
+            shuffle8(&data, &mut shuffled);
             assert_eq!(shuffled, shuffle8_by_index(&data), "shuffle, len {len}");
             let mut back = vec![0xEEu8; len];
             unshuffle8(&shuffled, &mut back);
             assert_eq!(back, data, "round trip, len {len}");
+        }
+    }
+
+    /// The rule [`encode_block`]'s bounded attempts implement: compress
+    /// both forms in full, keep the strictly smallest, `Lz4` before
+    /// `ShuffleLz4` before `Raw`.
+    fn encode_block_reference(raw: &[u8]) -> (BlockCodec, Vec<u8>) {
+        let full = |data: &[u8]| {
+            let mut out = vec![0u8; lz4_flex::get_maximum_output_size(data.len())];
+            let n = lz4_flex::compress_into(data, &mut out).expect("maximum size fits");
+            out[..n].to_vec()
+        };
+        let mut shuffled = vec![0u8; raw.len()];
+        shuffle8(raw, &mut shuffled);
+        let (lz, sh) = (full(raw), full(&shuffled));
+        if raw.len() < MIN_COMPRESS_LEN {
+            (BlockCodec::Raw, raw.to_vec())
+        } else if lz.len() < raw.len() && lz.len() <= sh.len() {
+            (BlockCodec::Lz4, lz)
+        } else if sh.len() < raw.len() {
+            (BlockCodec::ShuffleLz4, sh)
+        } else {
+            (BlockCodec::Raw, raw.to_vec())
+        }
+    }
+
+    #[test]
+    fn bounded_attempts_pick_what_compressing_both_in_full_picks() {
+        let staircase = |n: u64| (0..n).flat_map(|i| ((i / 8) as f64).to_le_bytes());
+        let text = |n: usize| (0..n).map(|i| b"checkpoint "[(i * 7) % 11] + (i / 500) as u8);
+        // Large blocks first, then small ones: a reused buffer holds stale
+        // bytes past every later block's length.
+        let blocks: Vec<Vec<u8>> = vec![
+            fill_bytes(1, 16_384),
+            staircase(2048).collect(),
+            text(8000).collect(),
+            vec![0x5A; 4096],
+            staircase(8).collect(),
+            fill_bytes(2, 64),
+            text(64).collect(),
+            vec![0; 64],
+            fill_bytes(3, 63),
+        ];
+        let mut scratch = EncodeScratch::default();
+        let mut codecs = Vec::new();
+        for raw in &blocks {
+            let (codec, stored) = encode_block(raw, Compression::Lz4, &mut scratch);
+            let (want_codec, want) = encode_block_reference(raw);
+            assert_eq!(
+                (codec, stored),
+                (want_codec, &want[..]),
+                "len {}",
+                raw.len()
+            );
+            codecs.push(codec);
+        }
+        for codec in [BlockCodec::Raw, BlockCodec::Lz4, BlockCodec::ShuffleLz4] {
+            assert!(
+                codecs.contains(&codec),
+                "{codec:?} never chosen: {codecs:?}"
+            );
         }
     }
 

@@ -112,7 +112,8 @@ pub enum Compression {
     /// Per block, keep the smallest of: raw, LZ4, byte-shuffled LZ4
     /// (the shuffle transposes the block's 8-aligned prefix — the `f64`
     /// shape — and passes the tail through; both candidates are tried
-    /// for every block ≥ 64 bytes, on the background writer's thread).
+    /// for every block ≥ 64 bytes, each stopped once it cannot win, on
+    /// the background writer's thread).
     /// The choice is recorded in the block reference, so mixed chains
     /// decode.
     #[default]
