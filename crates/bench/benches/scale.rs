@@ -27,9 +27,11 @@
 //! bigger tenant sweep, printed and completion-asserted only — the gated
 //! `cluster` JSON section always comes from the fixed config.
 
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 use dmtcp_sim::replica::Clock;
+use dmtcp_sim::testing::lockstep;
 use dmtcp_sim::{
     BarrierPhase, BarrierTopology, CkptMode, Coordinator, Poll, RankImage, ReplicaConfig,
     ReplicaFault, ReplicaGroup, TestClock,
@@ -229,9 +231,11 @@ fn virt_makespan(nranks: usize, vendor: Vendor, program: &dyn MpiProgram, ckpt: 
 /// leader takeovers recovered across it: one scenario per barrier phase
 /// (arrive, pre-seal, post-seal, release), each a fresh 3-rank world with
 /// a fresh 3-replica group whose leader is killed at that phase of the
-/// middle round. Every scenario must complete all three rounds with
-/// exactly one election-timeout takeover, so the metric is exactly 4 —
-/// fully deterministic, gated as such.
+/// middle round. The ranks advance through the lockstep driver, rank 0
+/// pressing at steps 5, 15 and 25 of 40, so every press opens its own
+/// round whatever the OS schedule. Every scenario must complete all three
+/// rounds with exactly one election-timeout takeover, so the metric is
+/// exactly 4 — fully deterministic, gated as such.
 fn failover_recovery_rounds() -> u64 {
     const PHASES: [BarrierPhase; 4] = [
         BarrierPhase::Arrive,
@@ -247,32 +251,19 @@ fn failover_recovery_rounds() -> u64 {
         let group = Arc::new(ReplicaGroup::in_memory(ReplicaConfig::default(), clock));
         group.script_faults([ReplicaFault::KillLeaderAt(phase)]);
         coord.attach_replicas(group.clone());
-        std::thread::scope(|s| {
-            for rank in 0..n {
-                let coord = coord.clone();
-                s.spawn(move || {
-                    let mut agent = coord.agent(rank);
-                    let zeros = vec![0u64; n];
-                    let mut step = 0u64;
-                    while step < 40 {
-                        if rank == 0 && [5, 15, 25].contains(&step) {
-                            coord.request_checkpoint(CkptMode::Continue);
-                        }
-                        match agent.poll(step).expect("poll") {
-                            Poll::None | Poll::KeepRunning => step += 1,
-                            Poll::Enter(session) => {
-                                session
-                                    .exchange_counters(&zeros, &zeros)
-                                    .expect("exchange_counters");
-                                session.submit_image(RankImage::new(rank, n, session.epoch()));
-                                session.finish().expect("failover must not poison finish");
-                                step += 1;
-                            }
-                        }
-                        std::thread::yield_now();
-                    }
-                });
+        let press = |step| {
+            if [5, 15, 25].contains(&step) {
+                coord.request_checkpoint(CkptMode::Continue);
             }
+        };
+        let zeros = vec![0u64; n];
+        lockstep(&coord, n, 40, press, |rank, session| {
+            session
+                .exchange_counters(&zeros, &zeros)
+                .expect("exchange_counters");
+            session.submit_image(RankImage::new(rank, n, session.epoch()));
+            session.finish().expect("failover must not poison finish");
+            ControlFlow::Continue(())
         });
         assert_eq!(coord.completed_rounds(), 3, "{phase:?}");
         let stats = group.stats();

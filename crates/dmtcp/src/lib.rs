@@ -27,7 +27,9 @@
 //!   quorum-commits every epoch record (single-decree Paxos per log slot)
 //!   to `ObjectTier`-backed logs before the coordinator releases the final
 //!   barrier, with timeout-driven leader failover so a dead coordinator
-//!   leader poisons nothing.
+//!   leader poisons nothing;
+//! * [`testing`] — the lockstep driver that multi-round coordinator
+//!   harnesses advance their rank agents through.
 //!
 //! In the DMTCP analogy, the [`store`] plays the role of the checkpoint
 //! *image sink* behind the coordinator: where stock DMTCP has every
@@ -54,6 +56,7 @@ pub mod image;
 pub mod memory;
 pub mod replica;
 pub mod store;
+pub mod testing;
 pub mod tier;
 
 pub use codec::{CodecError, Reader, Writer};
