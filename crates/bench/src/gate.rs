@@ -12,11 +12,12 @@
 //! under `benches/baselines/`. A new report costs a table ([`FIGS`] is
 //! the model), not a parser.
 //!
-//! Gating policy: **virtual-time** metrics (makespans, byte ratios) are
-//! deterministic, so they gate hard — at ±15 % where a modelling change
-//! may legitimately move them ([`Gate::Upper`] / [`Gate::Lower`]),
-//! exactly where they are scripted counts or the paper's figures
-//! ([`Gate::Exact`]), and inside fixed bands where the paper states a
+//! Gating policy: **virtual-time** metrics (makespans, stored byte
+//! counts) are deterministic, so they gate hard — at ±15 % where a
+//! modelling change may legitimately move them ([`Gate::Upper`] /
+//! [`Gate::Lower`]), exactly where they are scripted counts, the bytes a
+//! store writes or the paper's figures ([`Gate::Exact`]), and inside
+//! fixed bands where the paper states a
 //! claim ([`Gate::Band`]). **Wall-clock** metrics depend on the CI
 //! machine and only warn.
 
@@ -372,10 +373,6 @@ pub struct Field {
 /// gate messages, then the fields `a` and `b`.
 #[derive(Debug, Clone, Copy)]
 pub enum Derived {
-    /// `a / max(b, 1)`, higher is better: at most [`TOLERANCE`] below the
-    /// baseline's. The fields are byte counts; the clamp keeps an empty
-    /// delta finite.
-    Ratio(&'static str, &'static str, &'static str),
     /// `a > b` on the fresh report alone: the order of two overheads.
     Above(&'static str, &'static str, &'static str),
 }
@@ -432,7 +429,7 @@ pub type Validate = fn(&Obj) -> Result<(), GateError>;
 /// A gate over a baseline's and a fresh report's root objects.
 pub type Rule = fn(&mut GateOutcome, &Obj, &Obj) -> bool;
 
-use Derived::{Above, Ratio};
+use Derived::Above;
 use Gate::{Band, Drift, Exact, Lower, Upper, Warn};
 use Sev::{Fail, Ignore};
 use Ty::{Any, NonNegative, Positive};
@@ -459,10 +456,11 @@ impl Field {
     }
 }
 
-/// `BENCH_ckpt.json` — the `store` bench. The four ratios and both
-/// makespans are deterministic (content-defined chunking, content-keyed
-/// dedup and deterministic codecs on virtual-time workloads): they gate
-/// hard. Commit wall-clock only warns.
+/// `BENCH_ckpt.json` — the `store` bench. Every byte count is a function
+/// of the workloads (content-defined chunking, content-keyed dedup and
+/// deterministic codecs on virtual-time programs), so each one gates
+/// exactly: any drift in what the store writes, hashes or ships fails.
+/// Both makespans gate hard; commit wall-clock only warns.
 pub const CKPT: Report = Report {
     name: "ckpt",
     root: &[field("bench", Ty::Tag(&["ckpt_store"]), &[])],
@@ -473,32 +471,18 @@ pub const CKPT: Report = Report {
         fields: &[
             field("name", Ty::Str, &[]),
             field("epochs", Positive, &[]),
-            field("full_base_bytes", Positive, &[]),
-            field("delta_bytes_avg", NonNegative, &[]),
-            field("delta_raw_bytes_avg", NonNegative, &[]),
-            field("hashed_dirty_avg", NonNegative, &[]),
-            field("hashed_full_avg", NonNegative, &[]),
-            field("image_bytes", Positive, &[]),
-            field("tier_shipped_bytes_avg", Positive, &[]),
+            field("full_base_bytes", Positive, &[Exact]),
+            field("delta_bytes_avg", NonNegative, &[Exact]),
+            field("delta_raw_bytes_avg", NonNegative, &[Exact]),
+            field("hashed_dirty_avg", NonNegative, &[Exact]),
+            field("hashed_full_avg", NonNegative, &[Exact]),
+            field("image_bytes", Positive, &[Exact]),
+            field("tier_shipped_bytes_avg", Positive, &[Exact]),
             field("commit_wall_ms", Positive, &[Warn]),
             field("sync_makespan_s", Positive, &[Upper]),
             field("async_makespan_s", Positive, &[Upper]),
         ],
-        derived: &[
-            // What the delta chain saves over full bases.
-            Ratio("delta_ratio", "full_base_bytes", "delta_bytes_avg"),
-            // What the clean-segment hints skip of the hashing.
-            Ratio("hash_skip_ratio", "hashed_full_avg", "hashed_dirty_avg"),
-            // What per-block compression saves on disk.
-            Ratio(
-                "compression_ratio",
-                "delta_raw_bytes_avg",
-                "delta_bytes_avg",
-            ),
-            // What content-keyed dedup saves at the remote tier: a
-            // collapse means the shipper re-uploads old content.
-            Ratio("tier_dedup_ratio", "image_bytes", "tier_shipped_bytes_avg"),
-        ],
+        derived: &[],
     }],
     validate: None,
     rule: None,
@@ -973,21 +957,14 @@ fn apply_gates(out: &mut GateOutcome, what: &str, gates: &[Gate], base: &Json, f
 
 /// Gate one object's derived metrics, then its fields, in table order.
 fn compare_object(out: &mut GateOutcome, prefix: &str, s: &Section, base: &Obj, fresh: &Obj) {
-    for d in s.derived {
-        match *d {
-            Ratio(name, a, b) => {
-                let ratio = |obj: &Obj| Json::Num(number(obj, a) / number(obj, b).max(1.0));
-                let what = format!("{prefix}/{name}");
-                apply_gates(out, &what, &[Lower], &ratio(base), &ratio(fresh));
-            }
-            Above(name, a, b) => out.check(
-                number(fresh, a) > number(fresh, b),
-                format!(
-                    "{prefix}/{name}: {a} {} is not above {b} {}",
-                    fresh[a], fresh[b]
-                ),
+    for &Above(name, a, b) in s.derived {
+        out.check(
+            number(fresh, a) > number(fresh, b),
+            format!(
+                "{prefix}/{name}: {a} {} is not above {b} {}",
+                fresh[a], fresh[b]
             ),
-        }
+        );
     }
     for f in s.fields {
         let what = match f.bare {
@@ -1137,12 +1114,12 @@ mod tests {
 
     #[test]
     fn ckpt_schema_accepts_wellformed() {
-        // Against itself: four ratios and two makespans hold.
+        // Against itself: seven byte counts and two makespans hold.
         let r = read(&CKPT, &ckpt_json(500, 2.0, 1.5)).unwrap();
         let mut out = GateOutcome::default();
         compare(&CKPT, &mut out, &r, &r);
         assert!(out.ok() && out.warnings.is_empty(), "{out:?}");
-        assert_eq!(out.passed, 6);
+        assert_eq!(out.passed, 9);
     }
 
     #[test]
@@ -1164,50 +1141,32 @@ mod tests {
     }
 
     #[test]
-    fn regression_gate_trips_beyond_tolerance() {
+    fn byte_counts_gate_exactly_and_makespans_beyond_tolerance() {
         let base = read(&CKPT, &ckpt_json(500, 2.0, 1.5)).unwrap();
-        // Within tolerance: passes.
-        let ok = read(&CKPT, &ckpt_json(550, 2.2, 1.6)).unwrap();
-        let mut out = GateOutcome::default();
-        compare(&CKPT, &mut out, &base, &ok);
-        assert!(out.ok(), "{:?}", out.regressions);
-        // Delta bytes ballooned (ratio collapsed): fails.
-        let worse = read(&CKPT, &ckpt_json(900, 2.0, 1.5)).unwrap();
-        let mut out = GateOutcome::default();
-        compare(&CKPT, &mut out, &base, &worse);
-        assert!(!out.ok());
-        assert!(out.regressions[0].contains("delta_ratio"));
+        let regressions = |fresh: &str| {
+            let mut out = GateOutcome::default();
+            compare(&CKPT, &mut out, &base, &read(&CKPT, fresh).unwrap());
+            out.regressions
+        };
+        // Makespans within tolerance, every byte count equal: passes.
+        assert_eq!(regressions(&ckpt_json(500, 2.2, 1.6)), Vec::<String>::new());
+        // One stored byte more or less per delta epoch: fails.
+        for delta in [499, 501] {
+            let r = regressions(&ckpt_json(delta, 2.0, 1.5));
+            assert!(r.len() == 1 && r[0].contains("delta_bytes_avg"), "{r:?}");
+        }
         // Makespan regressed 30%: fails.
-        let slower = read(&CKPT, &ckpt_json(500, 2.6, 1.5)).unwrap();
-        let mut out = GateOutcome::default();
-        compare(&CKPT, &mut out, &base, &slower);
-        assert!(!out.ok());
-        assert!(out.regressions[0].contains("sync_makespan_s"));
-        // Dirty tracking collapsed (hashed bytes tripled): fails.
-        let rehash = read(&CKPT, &ckpt_json_ext(500, 1200, 2.0, 1.5)).unwrap();
-        let mut out = GateOutcome::default();
-        compare(&CKPT, &mut out, &base, &rehash);
-        assert!(!out.ok());
-        assert!(out.regressions[0].contains("hash_skip_ratio"));
-        // Compression collapsed (delta bytes back at raw size): the
-        // delta and compression ratios both trip.
-        let fat = read(&CKPT, &ckpt_json_ext(800, 400, 2.0, 1.5)).unwrap();
-        let mut out = GateOutcome::default();
-        compare(&CKPT, &mut out, &base, &fat);
-        assert!(!out.ok());
-        assert!(out
-            .regressions
-            .iter()
-            .any(|r| r.contains("compression_ratio")));
-        // Tier dedup collapsed (shipped bytes doubled): fails.
-        let reship = read(&CKPT, &ckpt_json_full(500, 400, 1200, 2.0, 1.5)).unwrap();
-        let mut out = GateOutcome::default();
-        compare(&CKPT, &mut out, &base, &reship);
-        assert!(!out.ok());
-        assert!(out
-            .regressions
-            .iter()
-            .any(|r| r.contains("tier_dedup_ratio")));
+        let r = regressions(&ckpt_json(500, 2.6, 1.5));
+        assert!(r.len() == 1 && r[0].contains("sync_makespan_s"), "{r:?}");
+        // Dirty tracking hashed one byte more: fails.
+        let r = regressions(&ckpt_json_ext(500, 401, 2.0, 1.5));
+        assert!(r.len() == 1 && r[0].contains("hashed_dirty_avg"), "{r:?}");
+        // The tier shipped one byte fewer: fails too — a drift either way.
+        let r = regressions(&ckpt_json_full(500, 400, 599, 2.0, 1.5));
+        assert!(
+            r.len() == 1 && r[0].contains("tier_shipped_bytes_avg"),
+            "{r:?}"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! |---|---|---|
 //! | bin `figs` | `BENCH_figs.json` | the paper's Figs. 2–6 and the layer / FSGSBASE / algorithm / drain / deterministic-reduction ablations at the 4 × 12 testbed shape ([`figs`]); gated exactly and against the paper's bands |
 //! | bin `scenario` | `BENCH_matrix.json` | the fault-scenario matrix ([`matrix`], `docs/scenarios.md`) |
-//! | bench `store` | `BENCH_ckpt.json` | the delta store's byte ratios and sync vs async makespans |
+//! | bench `store` | `BENCH_ckpt.json` | the delta store's byte counts (gated exactly) and sync vs async makespans |
 //! | bench `scale` | `BENCH_scale.json` | 64–1024-rank worlds: rendezvous curves, virtual makespans, failover and multi-tenant batteries |
 //! | bench `telemetry` | `BENCH_telemetry.json` | what the always-on flight recorder costs |
 //! | bin `benchgate` | — | the gate: exit 0 pass, 1 regression, 2 malformed input |
