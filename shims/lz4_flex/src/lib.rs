@@ -87,6 +87,38 @@ fn hash(seq: u32) -> usize {
     (seq.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
+/// One slot of the matcher's table: position + 1 of the last input word
+/// that hashed there, 0 when empty.
+trait Slot: Copy {
+    /// Whether a stored position can lie more than 65 535 bytes back.
+    const FAR: bool;
+    fn pos(self) -> usize;
+    fn at(pos: usize) -> Self;
+}
+
+/// The slot [`compress_into`] uses for inputs of at most 65 535 bytes,
+/// so no stored position is ever out of reach.
+impl Slot for u16 {
+    const FAR: bool = false;
+    fn pos(self) -> usize {
+        self as usize
+    }
+    fn at(pos: usize) -> u16 {
+        debug_assert!(pos <= u16::MAX as usize, "a 16-bit slot for position {pos}");
+        pos as u16
+    }
+}
+
+impl Slot for usize {
+    const FAR: bool = true;
+    fn pos(self) -> usize {
+        self
+    }
+    fn at(pos: usize) -> usize {
+        pos
+    }
+}
+
 fn read_u32(input: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(input[at..at + 4].try_into().expect("4 bytes"))
 }
@@ -188,7 +220,9 @@ pub fn compress_into(input: &[u8], output: &mut [u8]) -> Result<usize, CompressE
     if input.len() <= u16::MAX as usize {
         compress_with(input, output, &mut [0u16; 1 << HASH_BITS])
     } else {
-        compress_with(input, output, &mut vec![0usize; 1 << HASH_BITS])
+        let mut table = vec![0usize; 1 << HASH_BITS];
+        let table = table.as_mut_slice().try_into().expect("one slot per hash");
+        compress_with(input, output, table)
     }
 }
 
@@ -201,18 +235,14 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// The greedy matcher over a zeroed `table` of `1 << HASH_BITS` slots
-/// holding positions +1, so 0 means "empty slot". The slot width never
-/// shows in the output: [`compress_into`] picks one that holds every
-/// position.
-fn compress_with<S>(
+/// The greedy matcher over a zeroed table, one [`Slot`] per hash. The
+/// slot width never shows in the output: [`compress_into`] picks one that
+/// holds every position.
+fn compress_with<S: Slot>(
     input: &[u8],
     output: &mut [u8],
-    table: &mut [S],
-) -> Result<usize, CompressError>
-where
-    S: Copy + TryFrom<usize> + Into<usize>,
-{
+    table: &mut [S; 1 << HASH_BITS],
+) -> Result<usize, CompressError> {
     let n = input.len();
     let mut out = Sink {
         buf: output,
@@ -229,23 +259,21 @@ where
     while i < match_limit {
         // From `stop` on, what is out, one token and the literals pending
         // since `anchor` overrun the slice: the stream cannot fit.
-        let room = (out.buf.len().checked_sub(out.pos + 1)).ok_or(CompressError::OutputTooSmall)?;
+        let room = out.buf.len().checked_sub(out.pos + 1);
+        let room = room.ok_or(CompressError::OutputTooSmall)?;
         let stop = match_limit.min(anchor + room + 1);
         let mut found = None;
         while i < stop {
             let seq = read_u32(input, i);
             let slot = hash(seq);
-            let cand: usize = table[slot].into();
-            let Ok(here) = S::try_from(i + 1) else {
-                unreachable!("compress_into picked a slot too narrow for position {i}")
-            };
-            table[slot] = here;
+            let cand = table[slot].pos();
+            table[slot] = S::at(i + 1);
             // One compare for "empty slot", "offset past 16 bits" and
             // "different first 4 bytes"; an empty slot reads position 0.
             let c = cand.saturating_sub(1);
             let miss = (read_u32(input, c) ^ seq)
                 | (cand == 0) as u32
-                | (i - c > u16::MAX as usize) as u32;
+                | (S::FAR && i - c > u16::MAX as usize) as u32;
             if miss == 0 {
                 found = Some(c);
                 break;
@@ -576,7 +604,7 @@ mod tests {
                 let mut wide_out = vec![0xEEu8; bound];
                 let mut narrow_out = vec![0xEEu8; bound];
                 let mut runs = vec![(
-                    compress_with(&data, &mut wide_out, &mut vec![0usize; 1 << HASH_BITS]),
+                    compress_with(&data, &mut wide_out, &mut [0usize; 1 << HASH_BITS]),
                     &wide_out,
                 )];
                 if narrow {
