@@ -25,7 +25,9 @@
 //! `(cand_word ^ seq) | (cand == 0) | (offset > 65535) == 0`: the table
 //! holds positions + 1, an empty slot reads position 0 and is masked out
 //! by `cand == 0`, and the only branch left per input byte is "match
-//! found". A match then extends eight bytes at a time.
+//! found". The offset term is compiled out of the 16-bit table, which
+//! serves inputs too short to hold a position out of reach. A match then
+//! extends eight bytes at a time.
 
 #![forbid(unsafe_code)]
 
@@ -96,15 +98,14 @@ trait Slot: Copy {
     fn at(pos: usize) -> Self;
 }
 
-/// The slot [`compress_into`] uses for inputs of at most 65 535 bytes,
-/// so no stored position is ever out of reach.
+/// The slot for inputs of at most 65 535 bytes (`compress_with` asserts
+/// it), so every position + 1 fits and none is ever out of reach.
 impl Slot for u16 {
     const FAR: bool = false;
     fn pos(self) -> usize {
         self as usize
     }
     fn at(pos: usize) -> u16 {
-        debug_assert!(pos <= u16::MAX as usize, "a 16-bit slot for position {pos}");
         pos as u16
     }
 }
@@ -244,6 +245,12 @@ fn compress_with<S: Slot>(
     table: &mut [S; 1 << HASH_BITS],
 ) -> Result<usize, CompressError> {
     let n = input.len();
+    // The stream's offsets depend on it: a narrow slot must hold every
+    // position + 1, or a truncated one would point out of reach.
+    assert!(
+        S::FAR || n <= u16::MAX as usize,
+        "16-bit slots for {n} bytes"
+    );
     let mut out = Sink {
         buf: output,
         pos: 0,
