@@ -231,7 +231,7 @@ fn virt_makespan(nranks: usize, vendor: Vendor, program: &dyn MpiProgram, ckpt: 
 /// leader takeovers recovered across it: one scenario per barrier phase
 /// (arrive, pre-seal, post-seal, release), each a fresh 3-rank world with
 /// a fresh 3-replica group whose leader is killed at that phase of the
-/// middle round. The ranks advance through the lockstep driver, rank 0
+/// middle round. The ranks advance through the lockstep loop, rank 0
 /// pressing at steps 5, 15 and 25 of 40, so every press opens its own
 /// round whatever the OS schedule. Every scenario must complete all three
 /// rounds with exactly one election-timeout takeover, so the metric is

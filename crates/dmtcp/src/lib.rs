@@ -28,7 +28,7 @@
 //!   to `ObjectTier`-backed logs before the coordinator releases the final
 //!   barrier, with timeout-driven leader failover so a dead coordinator
 //!   leader poisons nothing;
-//! * [`testing`] — the lockstep driver that multi-round coordinator
+//! * [`testing`] — the lockstep loop that multi-round coordinator
 //!   harnesses advance their rank agents through.
 //!
 //! In the DMTCP analogy, the [`store`] plays the role of the checkpoint

@@ -1,4 +1,4 @@
-//! Deterministic drivers for multi-round coordinator harnesses: the test
+//! Deterministic stepping for multi-round coordinator harnesses: the test
 //! batteries and the `scale` bench's failover section advance their rank
 //! agents through [`lockstep`], never through a free-running step budget
 //! whose outcome depends on which thread the OS runs first.
