@@ -200,8 +200,9 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::super::testutil::*;
-    use super::super::DeltaStore;
+    use super::super::{DeltaStore, StoreConfig};
     use super::*;
+    use crate::image::{RankImage, WorldImage};
 
     #[test]
     fn huge_counts_with_valid_checksum_reject_without_allocating() {
@@ -330,6 +331,96 @@ mod tests {
         let back = Manifest::decode(&v2).unwrap();
         assert_eq!(back.bytes_hashed, v1.bytes_hashed);
         assert_eq!(back.ranks, v1.ranks);
+    }
+
+    /// `tests/fixtures/v2_chain`: [`v2_chain_image`] steps 1..=3 committed
+    /// with [`v2_chain_cfg`] by the V2 writer of c095bdf, each epoch's
+    /// `blocks.bin` then `manifest.bin`.
+    const V2_CHAIN: [[&[u8]; 2]; 3] = [
+        [
+            include_bytes!("../../../../tests/fixtures/v2_chain/epoch_000001/blocks.bin"),
+            include_bytes!("../../../../tests/fixtures/v2_chain/epoch_000001/manifest.bin"),
+        ],
+        [
+            include_bytes!("../../../../tests/fixtures/v2_chain/epoch_000002/blocks.bin"),
+            include_bytes!("../../../../tests/fixtures/v2_chain/epoch_000002/manifest.bin"),
+        ],
+        [
+            include_bytes!("../../../../tests/fixtures/v2_chain/epoch_000003/blocks.bin"),
+            include_bytes!("../../../../tests/fixtures/v2_chain/epoch_000003/manifest.bin"),
+        ],
+    ];
+
+    /// The images behind [`V2_CHAIN`]: a base, a delta and a hinted-clean
+    /// delta of three ranks, with every codec, both kinds of skip and an
+    /// intra-epoch duplicate (ranks 1 and 2 share their noise) on the path.
+    fn v2_chain_image(step: u64) -> WorldImage {
+        let ranks = (0..3usize)
+            .map(|r| {
+                let mut img = RankImage::new(r, 3, step);
+                let lattice = (0..512u64).flat_map(|i| {
+                    let low = i.wrapping_mul(step + 3) & 0xFFFF;
+                    (0x3FF0_0000_0000_0000u64 | (r as u64) << 32 | low).to_le_bytes()
+                });
+                img.put_section("lattice", lattice.collect());
+                let text =
+                    (0..3000usize).map(|i| b"checkpoint "[(i * 7 + r) % 11] + (i / 500) as u8);
+                img.put_section("text", text.collect());
+                let moved = step.min(2);
+                img.put_section("noise", fill_bytes(moved << 8 | r.min(1) as u64, 3000));
+                img.put_section_hinted("static", fill_bytes(77 + r as u64, 2000), 1);
+                img.put_section_hinted("hot", fill_bytes(moved * 1000 + r as u64, 1000), moved);
+                img
+            })
+            .collect();
+        WorldImage::new("MPICH".to_string(), ranks)
+    }
+
+    fn v2_chain_cfg() -> StoreConfig {
+        StoreConfig {
+            block_size: 256,
+            ..small_cfg()
+        }
+    }
+
+    #[test]
+    fn v2_fixture_restores_and_the_writer_reproduces_its_bytes() {
+        let fixture = tmp_dir("v2_fixture");
+        for (step, files) in (1u64..).zip(V2_CHAIN) {
+            let epoch = fixture.join(format!("epoch_{step:06}"));
+            std::fs::create_dir_all(&epoch).unwrap();
+            for (name, bytes) in ["blocks.bin", "manifest.bin"].into_iter().zip(files) {
+                std::fs::write(epoch.join(name), bytes).unwrap();
+            }
+        }
+        let store = DeltaStore::open_with(&fixture, v2_chain_cfg()).unwrap();
+        for step in 1..=3 {
+            assert_eq!(store.load_epoch(step).unwrap(), v2_chain_image(step));
+        }
+        let base = Manifest::decode(V2_CHAIN[0][1]).unwrap();
+        let locs = base.ranks.iter().flat_map(|r| &r.3).flat_map(|s| &s.1);
+        let codecs: Vec<BlockCodec> = locs.map(|b| b.1.codec).collect();
+        for codec in [BlockCodec::Raw, BlockCodec::Lz4, BlockCodec::ShuffleLz4] {
+            assert!(codecs.contains(&codec), "{codec:?} unused");
+        }
+
+        let dir = tmp_dir("v2_rewrite");
+        let mut store = DeltaStore::open_with(&dir, v2_chain_cfg()).unwrap();
+        for (step, [blocks, manifest]) in (1u64..).zip(V2_CHAIN) {
+            let stats = store.commit(&v2_chain_image(step)).unwrap();
+            assert_eq!(stats.full, step == 1);
+            let read = |name| std::fs::read(store.epoch_dir(step).join(name)).unwrap();
+            assert!(
+                read("blocks.bin") == blocks,
+                "epoch {step}: blocks.bin moved"
+            );
+            assert!(
+                read("manifest.bin") == manifest,
+                "epoch {step}: manifest.bin moved"
+            );
+        }
+        std::fs::remove_dir_all(&fixture).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A representative manifest in either format: V2 encoded in memory
