@@ -922,7 +922,9 @@ impl TierRuntime {
                 };
                 emit_tier(&tel, EventKind::TierShip, epoch, 0, 0);
                 let mut retries = 0u64;
+                let started = std::time::Instant::now();
                 let result = ship_epoch(&*worker_tier, config, &dir, &ns, epoch, &mut retries);
+                let ship_us = started.elapsed().as_micros() as u64;
                 if let Some(tel) = &tel {
                     if retries > 0 {
                         tel.metrics().counter("tier.put_retries").add(retries);
@@ -937,6 +939,7 @@ impl TierRuntime {
                                 retries,
                             );
                             tel.metrics().histogram("tier.ship_bytes").observe(*bytes);
+                            tel.metrics().histogram("tier.ship_us").observe(ship_us);
                         }
                         Err(_) => {
                             // An abandoned upload leaves this epoch's only

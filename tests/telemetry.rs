@@ -7,11 +7,12 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use mpi_stool::dmtcp::TierConfig;
 use mpi_stool::simnet::{ClusterSpec, EventKind, MetricValue, Telemetry, TelemetryConfig};
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{
     Checkpointer, CkptMode, DurabilityPolicy, RunOutcome, Session, SessionBuilder, StorePolicy,
-    Vendor,
+    TierPolicy, Vendor,
 };
 
 /// A delta store at `dir` and nothing else.
@@ -256,6 +257,51 @@ fn session_snapshot_unifies_events_metrics_and_store_stats() {
     assert_eq!(commits, sorted, "epoch commits in epoch order");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// With a tier attached, every shipped epoch records what it uploaded and
+/// how long the upload took, once each.
+#[test]
+fn every_shipped_epoch_records_its_bytes_and_its_wall() {
+    let pid = std::process::id();
+    let dir = std::env::temp_dir().join(format!("stool-tel-ship-{pid}"));
+    let tier_dir = std::env::temp_dir().join(format!("stool-tel-ship-tier-{pid}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&tier_dir);
+    let session = Session::builder()
+        .cluster(ClusterSpec::builder().nodes(2).ranks_per_node(2).build())
+        .vendor(Vendor::Mpich)
+        .checkpointer(Checkpointer::mana())
+        .checkpoint_every(4)
+        .durability(DurabilityPolicy {
+            tier: Some(TierPolicy {
+                dir: tier_dir.clone(),
+                config: TierConfig::default(),
+            }),
+            ..stored(&dir)
+        })
+        .build()
+        .unwrap();
+    let out = session
+        .launch(&RingPings {
+            rounds: 10,
+            payload: 32,
+        })
+        .unwrap();
+    assert!(out.is_completed());
+
+    let snap = session.telemetry().expect("snapshot after launch");
+    let shipped = snap.tier.expect("a tier is attached").epochs_shipped;
+    assert!(shipped >= 2, "periodic checkpoints shipped: {shipped}");
+    let metrics = snap.metrics();
+    for name in ["tier.ship_bytes", "tier.ship_us"] {
+        match &metrics[name] {
+            MetricValue::Histogram { count, .. } => assert_eq!(*count, shipped, "{name}"),
+            other => panic!("{name} is not a histogram: {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&tier_dir).ok();
 }
 
 /// `fabric.sends` and `match.hits` are counted per endpoint and folded
