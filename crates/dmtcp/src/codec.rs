@@ -66,7 +66,7 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// The 64-bit FNV prime: one FNV-1a step is `(hash ^ byte) * FNV_PRIME`.
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// FNV-1a, 64-bit.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -78,9 +78,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// FNV-1a, 64-bit, seeded: a second independent-enough hash stream used
-/// together with [`fnv1a`] to form the 128-bit content key of checkpoint
-/// store blocks (see [`crate::store`]).
+/// FNV-1a, 64-bit, seeded: a second hash stream over the same bytes (the
+/// tier's retry jitter draws it from the object key and attempt number).
 pub fn fnv1a_seeded(seed: u64, bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ seed.rotate_left(29);
     for &b in bytes {
@@ -88,6 +87,57 @@ pub fn fnv1a_seeded(seed: u64, bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// The 128-bit content key of checkpoint-store blocks and of the tier's
+/// staging names (see [`crate::store`]). Two 64-bit lanes each fold one
+/// little-endian 8-byte word per step: xor, multiply by an odd constant,
+/// rotate. For a fixed word every step is a bijection of the lane, so two
+/// equal-length inputs that differ in one word differ in both lanes. The
+/// zero-padded tail word carries the length; a finalizer then mixes each
+/// lane into the other.
+pub fn content_key(bytes: &[u8]) -> (u64, u64) {
+    KeyLanes::SEED.finish(bytes, bytes.len())
+}
+
+/// A [`content_key`] in progress: the lanes after the whole words folded
+/// so far. The chunk scan folds words as it goes, then calls `finish`.
+pub(crate) struct KeyLanes(u64, u64);
+
+impl KeyLanes {
+    pub(crate) const SEED: KeyLanes = KeyLanes(0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344);
+
+    #[inline(always)]
+    pub(crate) fn fold(self, word: u64) -> KeyLanes {
+        let step = |lane: u64, mul: u64, rot| (lane ^ word).wrapping_mul(mul).rotate_left(rot);
+        let a = step(self.0, 0x9E37_79B9_7F4A_7C15, 29);
+        KeyLanes(a, step(self.1, 0xC2B2_AE3D_27D4_EB4F, 37))
+    }
+
+    /// Fold `rest`, the bytes after the words already folded, and `len`,
+    /// the length of the whole input, then mix the lanes.
+    pub(crate) fn finish(self, rest: &[u8], len: usize) -> (u64, u64) {
+        let mut words = rest.chunks_exact(8);
+        let mut lanes = self;
+        for w in &mut words {
+            lanes = lanes.fold(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        // The zero-padded little-endian tail word.
+        let rem = words.remainder();
+        let tail = rem.iter().rev().fold(0, |w, &b| w << 8 | b as u64);
+        let KeyLanes(a, b) = lanes.fold(tail ^ (len as u64).rotate_right(8));
+        // Two Feistel rounds: a bijection of the pair, so distinct lane
+        // states stay distinct keys.
+        let a = a ^ mix64(b);
+        (a, b ^ mix64(a))
+    }
+}
+
+/// The splitmix64 finalizer, a bijection of `u64`.
+pub(crate) fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-8: `t[k][b]` is

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use simnet::telemetry::{EventKind, Telemetry};
 
-use crate::codec::{CodecError, Reader, Writer};
+use crate::codec::{crc32, CodecError, Reader, Writer};
 use crate::tier::{get_retried, put_verified, ObjectTier, TierConfig, TierError};
 
 /// Magic prefix of a replicated log record ("REPLOG", two bytes short).
@@ -512,7 +512,15 @@ impl Acceptor {
         let mut w = Writer::new();
         w.u64(ballot);
         // lint:allow(guard-across-barrier) — `w.finish()` seals the local byte Writer, not the rank barrier.
-        put_verified(&*self.log, config, promised_key(), &w.finish(), retries)?;
+        let buf = w.finish();
+        put_verified(
+            &*self.log,
+            config,
+            promised_key(),
+            &buf,
+            crc32(&buf),
+            retries,
+        )?;
         st.promised = ballot;
         Ok(Some(st.accepted.clone()))
     }
@@ -535,11 +543,13 @@ impl Acceptor {
         if ballot < st.promised {
             return Ok(false);
         }
+        let buf = encode_accepted(ballot, record);
         put_verified(
             &*self.log,
             config,
             &slot_key(slot),
-            &encode_accepted(ballot, record),
+            &buf,
+            crc32(&buf),
             retries,
         )?;
         st.promised = ballot;

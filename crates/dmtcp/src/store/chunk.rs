@@ -2,7 +2,7 @@
 
 use std::collections::HashSet;
 
-use crate::codec::{fnv1a, fnv1a_seeded, FNV_PRIME};
+use crate::codec::{mix64, KeyLanes};
 use crate::image::RankImage;
 
 use super::manifest::BlockKey;
@@ -27,14 +27,7 @@ impl DeltaStore {
     fn gear_table() -> &'static [u64; 256] {
         static TABLE: std::sync::OnceLock<[u64; 256]> = std::sync::OnceLock::new();
         TABLE.get_or_init(|| {
-            let mut t = [0u64; 256];
-            for (i, e) in t.iter_mut().enumerate() {
-                let mut z = (i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                *e = z ^ (z >> 31);
-            }
-            t
+            std::array::from_fn(|i| mix64((i as u64).wrapping_add(0x9E37_79B9_7F4A_7C15)))
         })
     }
 
@@ -45,32 +38,47 @@ impl DeltaStore {
     /// tail still dedups — exactly the shape of a rank whose arrays grow
     /// or shrink between epochs (e.g. atom migration). `avg` is the
     /// target mean chunk size; actual chunks stay within [avg/4, 4*avg].
-    /// The Gear hash and the two FNV-1a lanes of the [`BlockKey`] are
-    /// three independent dependency chains over the same byte, so every
-    /// dirty byte is read once.
+    /// Each 8-byte word is folded into the [`BlockKey`] right after the
+    /// Gear hash has passed it, so every dirty byte is read once. The Gear
+    /// hash starts on the last word boundary 64 or more bytes before the
+    /// first legal cut: 64 shifts push a byte out of the `u64` state, so
+    /// no earlier byte can move a cut, and the words before it are only
+    /// keyed.
     pub(super) fn cut_and_hash(data: &[u8], avg: usize) -> Vec<ChunkRec> {
         let gear = Self::gear_table();
         let mask = (avg.next_power_of_two() as u64).wrapping_sub(1);
         let min = (avg / 4).max(1);
         let max = avg * 4;
+        let warm = min.saturating_sub(64) & !7;
         let mut recs = Vec::with_capacity(data.len() / avg + 1);
         let mut start = 0;
         while start < data.len() {
             let window = &data[start..(start + max).min(data.len())];
-            let (mut h, mut a, mut b) = (0u64, fnv1a(&[]), fnv1a_seeded(0x5EED, &[]));
-            let mut len = 0;
-            for &byte in window {
-                a = (a ^ byte as u64).wrapping_mul(FNV_PRIME);
-                b = (b ^ byte as u64).wrapping_mul(FNV_PRIME);
-                h = (h << 1).wrapping_add(gear[byte as usize]);
-                len += 1;
-                // No boundary inside the minimum region.
-                if len >= min && h & mask == 0 {
-                    break;
+            let (mut key, mut at, mut h, mut cut) = (KeyLanes::SEED, 0, 0u64, None);
+            // Roll the Gear hash over `bytes`, which start at `at`: the
+            // chunk's end, if a legal cut falls there.
+            let mut cut_in = |bytes: &[u8], at: usize| {
+                (at + 1..).zip(bytes).find_map(|(end, &byte)| {
+                    h = (h << 1).wrapping_add(gear[byte as usize]);
+                    // No boundary inside the minimum region.
+                    (end >= min && h & mask == 0).then_some(end)
+                })
+            };
+            let mut words = window.chunks_exact(8);
+            for w in &mut words {
+                if at >= warm {
+                    cut = cut_in(w, at);
+                    if cut.is_some() {
+                        break;
+                    }
                 }
+                key = key.fold(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+                at += 8;
             }
+            let len = cut.or_else(|| cut_in(words.remainder(), at));
+            let len = len.unwrap_or(window.len());
             recs.push(ChunkRec {
-                key: (a, b),
+                key: key.finish(&window[at..len], len),
                 start,
                 len,
             });
@@ -102,11 +110,17 @@ mod tests {
     use super::super::testutil::*;
     use super::super::StoreConfig;
     use super::*;
+    use crate::codec::content_key;
     use crate::image::WorldImage;
 
+    /// Chunk sizes on both sides of the 64-byte Gear warm-up: `min` is
+    /// 16, 32, 64, 75 (a warm-up start that is not a multiple of 8) and
+    /// 1024.
+    const AVGS: [usize; 5] = [64, 128, 256, 300, 4096];
+
     /// The separate passes [`DeltaStore::cut_and_hash`] fused, kept as
-    /// its reference: the Gear boundary scan, then one `fnv1a` and one
-    /// `fnv1a_seeded` pass over each chunk.
+    /// its reference: the Gear boundary scan from each chunk's first
+    /// byte, then one `content_key` pass over each chunk.
     fn cut_points(data: &[u8], avg: usize) -> Vec<(usize, usize)> {
         let gear = DeltaStore::gear_table();
         let mask = (avg.next_power_of_two() as u64).wrapping_sub(1);
@@ -138,7 +152,7 @@ mod tests {
         let rec = |(start, len): (usize, usize)| {
             let chunk = &data[start..start + len];
             ChunkRec {
-                key: (fnv1a(chunk), fnv1a_seeded(0x5EED, chunk)),
+                key: content_key(chunk),
                 start,
                 len,
             }
@@ -149,9 +163,9 @@ mod tests {
     #[test]
     fn fused_scan_equals_the_separate_passes_at_the_edges() {
         let gear = DeltaStore::gear_table();
-        for avg in [64usize, 128, 4096] {
+        for avg in AVGS {
             let (min, max) = (avg / 4, avg * 4);
-            let mask = avg as u64 - 1;
+            let mask = avg.next_power_of_two() as u64 - 1;
             // A constant fill cuts at `min` every time or never: the
             // rolling hash settles at `-gear[b]` in the masked bits.
             let never = (0..=255u8).find(|&b| gear[b as usize] & mask != 0).unwrap();
@@ -250,9 +264,9 @@ mod tests {
         #[test]
         fn fused_scan_equals_the_separate_passes(
             data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24_000),
-            avg in 0usize..3,
+            avg in 0usize..AVGS.len(),
         ) {
-            let avg = [64, 128, 4096][avg];
+            let avg = AVGS[avg];
             proptest::prop_assert_eq!(
                 DeltaStore::cut_and_hash(&data, avg),
                 cut_and_hash_reference(&data, avg)

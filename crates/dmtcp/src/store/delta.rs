@@ -148,7 +148,9 @@ impl DeltaStore {
 
     /// Head repair + content-index rebuild: quarantine unreadable heads
     /// until a manifest decodes (or the chain is empty), then rebuild
-    /// the dedup index and chain length from the surviving head.
+    /// the dedup index and chain length from the surviving head — or,
+    /// over a V1 or V2 head, leave the index empty and make the next
+    /// commit a full base.
     /// Quarantine is reserved for *structural* damage — a manifest that
     /// fails to decode, or an epoch directory missing its manifest file
     /// (a pre-atomic-commit torn write). A transient I/O failure
@@ -193,6 +195,13 @@ impl DeltaStore {
                     continue;
                 }
             };
+            // A V1 or V2 head's keys are not `content_key`s: index
+            // nothing, and let the next commit be a full V3 base (the
+            // unknown-depth rule below).
+            if !manifest.content_keys {
+                store.chain_len = store.config.max_chain;
+                break;
+            }
             for (_, _, _, sections) in &manifest.ranks {
                 for (_, blocks) in sections {
                     for &(key, loc) in blocks {
@@ -474,6 +483,7 @@ impl DeltaStore {
             vendor_hint: image.vendor_hint.clone(),
             bytes_hashed,
             ranks: ranks_manifest,
+            content_keys: true,
         };
         let manifest_buf = manifest.encode();
         let encode_done = Instant::now();
@@ -1351,14 +1361,16 @@ mod tests {
     #[test]
     fn golden_chain_bytes_are_independent_of_writer_threads() {
         // FNV-1a of epoch 1..=3's `blocks.bin`, `manifest.bin`, recorded
-        // from commit 2a4cbf1 — before the commit path was rebuilt.
+        // from commit 2a4cbf1 — before the commit path was rebuilt. The
+        // manifest digests were re-recorded when the keys became
+        // `content_key`s (manifest V3); the blocks did not move.
         const GOLDEN: [u64; 6] = [
             0x14060a241737892c,
-            0x9421518e6075b165,
+            0x6d2c673fe4e75e2f,
             0x3f81f03ee5f36e8f,
-            0xe253ff24ad068e5e,
+            0xba0dbaa8bf2e6915,
             0xd3fafaa8e4965aaa,
-            0xafcdef05d17ba927,
+            0x59bc6ddbb3fe9682,
         ];
         let mut chains = Vec::new();
         for threads in [1usize, 2, 7] {

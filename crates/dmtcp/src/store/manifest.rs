@@ -9,9 +9,13 @@ const MANIFEST_MAGIC: u64 = 0x434B_5054_4348_4E31; // "CKPTCHN1"
 /// The legacy (PR 2) manifest version: raw blocks, 40-byte references.
 /// Decoded, never written.
 const MANIFEST_V1: u64 = 1;
-/// Current manifest version: per-block codec byte + raw length, and a
-/// `bytes_hashed` header field recording what the commit actually hashed.
+/// Per-block codec byte + raw length, and a `bytes_hashed` header field
+/// recording what the commit actually hashed; keys are two FNV-1a
+/// streams. Decoded, never written.
 const MANIFEST_V2: u64 = 2;
+/// Current manifest version: V2's layout, keys are
+/// [`crate::codec::content_key`]s.
+const MANIFEST_V3: u64 = 3;
 /// Bytes of one block reference on disk, per manifest version.
 const BLOCK_REC_V1: usize = 40;
 const BLOCK_REC_V2: usize = 45;
@@ -20,12 +24,13 @@ const RANK_REC_MIN: usize = 32;
 /// Minimum bytes a section (name length prefix + nblocks) consumes.
 const SECTION_REC_MIN: usize = 16;
 
-/// 128-bit content identity of a block: two differently-seeded FNV-1a
-/// streams. A key collision would dedup distinct content (the manifest
-/// would reference the older block, whose bytes pass their own CRC), so
-/// the collision risk is *accepted*, not detected — acceptable because
-/// the streams disagree on any single-byte difference and the joint
-/// collision odds at simulation scales are negligible.
+/// 128-bit content identity of a block: its
+/// [`crate::codec::content_key`]. A key collision would dedup distinct
+/// content (the manifest would reference the older block, whose bytes
+/// pass their own CRC), so the collision risk is *accepted*, not detected
+/// — acceptable because both lanes differ whenever one word of two
+/// equal-length blocks does, and the joint collision odds at simulation
+/// scales are negligible.
 pub(super) type BlockKey = (u64, u64);
 
 /// Where a block's bytes live on disk.
@@ -60,13 +65,18 @@ pub(super) struct Manifest {
     pub(super) bytes_hashed: u64,
     /// Per rank: the `RankImage` header plus its sections' block refs.
     pub(super) ranks: Vec<(usize, usize, u64, Vec<SectionRefs>)>,
+    /// Whether the keys are `content_key`s (decoded from V3). Restore
+    /// never reads a key; dedup does, and a V1 or V2 key (FNV-1a) must
+    /// never meet a V3 key in one index.
+    pub(super) content_keys: bool,
 }
 
 impl Manifest {
+    /// Encode as V3, the one format the tree writes.
     pub(super) fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.u64(MANIFEST_MAGIC);
-        w.u64(MANIFEST_V2);
+        w.u64(MANIFEST_V3);
         w.u64(self.epoch);
         w.u8(self.full as u8);
         w.string(&self.vendor_hint);
@@ -95,7 +105,7 @@ impl Manifest {
         w.finish()
     }
 
-    /// Decode either manifest version. Every count field is clamped
+    /// Decode any manifest version. Every count field is clamped
     /// against the bytes actually remaining in the buffer (each record
     /// has a known minimum size) and every block's `raw_len` against its
     /// stored length, so a corrupted or hostile count or length can
@@ -105,21 +115,18 @@ impl Manifest {
         let mut r = Reader::checked(buf)?;
         r.expect_magic(MANIFEST_MAGIC)?;
         let version = r.u64()?;
-        if version != MANIFEST_V1 && version != MANIFEST_V2 {
+        if ![MANIFEST_V1, MANIFEST_V2, MANIFEST_V3].contains(&version) {
             return Err(CodecError::BadMagic {
-                expected: MANIFEST_V2,
+                expected: MANIFEST_V3,
                 found: version,
             });
         }
+        let v1 = version == MANIFEST_V1;
         let epoch = r.u64()?;
         let full = r.u8()? != 0;
         let vendor_hint = r.string()?;
-        let mut bytes_hashed = if version == MANIFEST_V2 { r.u64()? } else { 0 };
-        let block_rec = if version == MANIFEST_V2 {
-            BLOCK_REC_V2
-        } else {
-            BLOCK_REC_V1
-        };
+        let mut bytes_hashed = if v1 { 0 } else { r.u64()? };
+        let block_rec = if v1 { BLOCK_REC_V1 } else { BLOCK_REC_V2 };
         let clamp = |count: u64, rec_min: usize, remaining: usize| -> Result<usize, CodecError> {
             if (count as u128) * (rec_min as u128) > remaining as u128 {
                 return Err(CodecError::LengthOutOfBounds(count));
@@ -146,13 +153,13 @@ impl Manifest {
                     let src_epoch = r.u64()?;
                     let offset = r.u64()?;
                     let len = r.u32()?;
-                    let (raw_len, crc, codec) = if version == MANIFEST_V2 {
+                    let (raw_len, crc, codec) = if v1 {
+                        (len, r.u32()?, BlockCodec::Raw)
+                    } else {
                         let raw_len = r.u32()?;
                         let crc = r.u32()?;
                         let codec = BlockCodec::from_u8(r.u8()?)?;
                         (raw_len, crc, codec)
-                    } else {
-                        (len, r.u32()?, BlockCodec::Raw)
                     };
                     // `raw_len` sizes the section buffer before any block
                     // is CRC-checked, so it is bounded here like the
@@ -178,7 +185,7 @@ impl Manifest {
                             codec,
                         },
                     ));
-                    if version == MANIFEST_V1 {
+                    if v1 {
                         // v1 commits always hashed every referenced byte.
                         bytes_hashed += raw_len as u64;
                     }
@@ -193,6 +200,7 @@ impl Manifest {
             vendor_hint,
             bytes_hashed,
             ranks,
+            content_keys: version == MANIFEST_V3,
         })
     }
 }
@@ -259,6 +267,7 @@ mod tests {
                 vendor_hint: "MPICH".to_string(),
                 bytes_hashed: 0,
                 ranks: vec![(0, 1, 1, vec![("memory".to_string(), vec![((1, 2), loc)])])],
+                content_keys: true,
             };
             Manifest::decode(&manifest.encode())
         };
@@ -324,11 +333,12 @@ mod tests {
         assert!(locs().any(|l| l.epoch == 1) && locs().any(|l| l.epoch == 2));
         let referenced: u64 = locs().map(|l| l.raw_len as u64).sum();
         assert_eq!(v1.bytes_hashed, referenced, "v1 commits hashed every byte");
-        // Re-encoded, the same manifest is a V2 one, five bytes a block
+        assert!(!v1.content_keys);
+        // Re-encoded, the same manifest is a V3 one, five bytes a block
         // and one header field longer.
-        let v2 = v1.encode();
-        assert_eq!(v2.len(), V1_MANIFEST.len() + 8 + 5 * locs().count());
-        let back = Manifest::decode(&v2).unwrap();
+        let v3 = v1.encode();
+        assert_eq!(v3.len(), V1_MANIFEST.len() + 8 + 5 * locs().count());
+        let back = Manifest::decode(&v3).unwrap();
         assert_eq!(back.bytes_hashed, v1.bytes_hashed);
         assert_eq!(back.ranks, v1.ranks);
     }
@@ -383,8 +393,28 @@ mod tests {
         }
     }
 
+    /// Every field but the keys, as bytes: the manifest re-encoded with
+    /// each key zeroed.
+    fn unkeyed(m: &Manifest) -> Vec<u8> {
+        let mut ranks = m.ranks.clone();
+        let refs = ranks.iter_mut().flat_map(|r| &mut r.3);
+        refs.flat_map(|(_, b)| b).for_each(|b| b.0 = (0, 0));
+        let vendor_hint = m.vendor_hint.clone();
+        Manifest {
+            ranks,
+            vendor_hint,
+            ..*m
+        }
+        .encode()
+    }
+
+    fn keys(m: &Manifest) -> Vec<BlockKey> {
+        let sections = m.ranks.iter().flat_map(|r| &r.3);
+        sections.flat_map(|(_, b)| b.iter().map(|x| x.0)).collect()
+    }
+
     #[test]
-    fn v2_fixture_restores_and_the_writer_reproduces_its_bytes() {
+    fn v2_fixture_restores_and_the_v3_writer_moves_only_keys_and_version() {
         let fixture = tmp_dir("v2_fixture");
         for (step, files) in (1u64..).zip(V2_CHAIN) {
             let epoch = fixture.join(format!("epoch_{step:06}"));
@@ -404,9 +434,10 @@ mod tests {
             assert!(codecs.contains(&codec), "{codec:?} unused");
         }
 
+        let version = |buf: &[u8]| u64::from_le_bytes(buf[8..16].try_into().unwrap());
         let dir = tmp_dir("v2_rewrite");
         let mut store = DeltaStore::open_with(&dir, v2_chain_cfg()).unwrap();
-        for (step, [blocks, manifest]) in (1u64..).zip(V2_CHAIN) {
+        for (step, [blocks, v2_buf]) in (1u64..).zip(V2_CHAIN) {
             let stats = store.commit(&v2_chain_image(step)).unwrap();
             assert_eq!(stats.full, step == 1);
             let read = |name| std::fs::read(store.epoch_dir(step).join(name)).unwrap();
@@ -414,17 +445,28 @@ mod tests {
                 read("blocks.bin") == blocks,
                 "epoch {step}: blocks.bin moved"
             );
-            assert!(
-                read("manifest.bin") == manifest,
-                "epoch {step}: manifest.bin moved"
+            let v3_buf = read("manifest.bin");
+            assert_eq!(v3_buf.len(), v2_buf.len(), "epoch {step}");
+            assert_eq!(
+                (version(v2_buf), version(&v3_buf)),
+                (MANIFEST_V2, MANIFEST_V3)
             );
+            let v2 = Manifest::decode(v2_buf).unwrap();
+            let v3 = Manifest::decode(&v3_buf).unwrap();
+            assert_eq!((v2.content_keys, v3.content_keys), (false, true));
+            assert!(
+                unkeyed(&v2) == unkeyed(&v3),
+                "epoch {step}: more than keys moved"
+            );
+            let (old, new) = (keys(&v2), keys(&v3));
+            assert!(old.iter().zip(&new).all(|(a, b)| a.0 != b.0 && a.1 != b.1));
         }
         std::fs::remove_dir_all(&fixture).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A representative manifest in either format: V2 encoded in memory
-    /// without touching disk, V1 from the fixture.
+    /// A representative manifest, V3 encoded in memory without touching
+    /// disk, or V1 from the fixture.
     fn sample_manifest_buf(v1: bool) -> Vec<u8> {
         if v1 {
             return V1_MANIFEST.to_vec();
@@ -471,6 +513,7 @@ mod tests {
                     )
                 })
                 .collect(),
+            content_keys: true,
         };
         manifest.encode()
     }

@@ -37,7 +37,12 @@
 //!
 //! The manifest lists, for every rank and section, the ordered block
 //! references `(content key, source epoch, offset, stored length, raw
-//! length, CRC32, codec)` that reconstruct the section. A manifest is
+//! length, CRC32, codec)` that reconstruct the section. The content key
+//! is the block's 128-bit [`crate::codec::content_key`] (two word-at-a-time
+//! lanes) in the **v3** manifests the tree writes; v1 and v2 manifests,
+//! whose keys were two FNV-1a streams, still decode and restore, but a
+//! store never dedups against them: over a v1 or v2 head the next commit
+//! is a full v3 base. A manifest is
 //! self-contained: restart loads exactly one manifest and then walks the
 //! chain only to fetch block bytes from the `blocks.bin` files it
 //! references. Every block is CRC32-checked on read, so corruption is

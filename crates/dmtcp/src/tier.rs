@@ -44,7 +44,7 @@ use std::time::Duration;
 
 use simnet::telemetry::{EventKind, Telemetry};
 
-use crate::codec::{crc32, fnv1a, CodecError, Reader, Writer};
+use crate::codec::{content_key, crc32, CodecError, Reader, Writer};
 
 /// Magic prefix of a seal object ("TIERSEAL", one byte short).
 const SEAL_MAGIC: u64 = 0x5449_4552_5345_414C;
@@ -355,9 +355,10 @@ pub(crate) fn fetch_sealed_epoch(
 /// A filesystem directory standing in for an object store.
 ///
 /// Writes are atomic the way object stores are: the bytes land in a
-/// staging file under `.inflight/` named by a content hash (content
-/// addressing keeps concurrent writers of identical objects from
-/// clobbering each other's staging), then a single `rename` publishes
+/// staging file under `.inflight/` named by the object's 128-bit
+/// [`crate::codec::content_key`] (content addressing keeps concurrent
+/// writers of identical objects from clobbering each other's staging),
+/// then a single `rename` publishes
 /// the object. Readers can therefore never observe a half-written
 /// object — exactly the property the store's seal protocol assumes.
 pub struct FsTier {
@@ -433,12 +434,13 @@ impl ObjectTier for FsTier {
     fn put(&self, key: &str, data: &[u8]) -> Result<(), TierError> {
         use std::io::Write as _;
         let path = self.key_path(key)?;
-        // Content-addressed staging name: identical content stages to the
-        // same file, distinct content never collides (a per-handle
-        // sequence number breaks ties between concurrent distinct puts).
+        // Content-addressed staging name, from the object's 128-bit
+        // content key: identical content stages to the same file,
+        // distinct content never collides (a per-handle sequence number
+        // breaks ties between concurrent distinct puts).
+        let (a, b) = content_key(data);
         let stage = self.root.join(".inflight").join(format!(
-            "{:016x}_{}_{}",
-            fnv1a(data),
+            "{a:016x}{b:016x}_{}_{}",
             std::process::id(),
             self.stage_seq.fetch_add(1, Ordering::Relaxed)
         ));
@@ -1161,19 +1163,19 @@ fn backoff_or_timeout(
 }
 
 /// Upload one object with read-back verification and jittered
-/// exponential backoff. A put that "succeeds" but stores bytes whose CRC
-/// disagrees (a torn object) counts as a failed attempt and is
-/// re-uploaded. A configured deadline bounds the total retry wall-clock
-/// ([`TierError::Timeout`]).
+/// exponential backoff. `want` is the caller's `crc32(data)`. A put that
+/// "succeeds" but stores bytes whose CRC disagrees (a torn object) counts
+/// as a failed attempt and is re-uploaded. A configured deadline bounds
+/// the total retry wall-clock ([`TierError::Timeout`]).
 pub(crate) fn put_verified(
     tier: &dyn ObjectTier,
     config: TierConfig,
     key: &str,
     data: &[u8],
+    want: u32,
     retries: &mut u64,
 ) -> Result<(), TierError> {
     let start = std::time::Instant::now();
-    let want = crc32(data);
     let mut last = TierError::Io {
         op: "put",
         key: key.to_string(),
@@ -1263,13 +1265,20 @@ fn ship_epoch(
         blocks_crc: crc32(&blocks),
         manifest_len: manifest.len() as u64,
         manifest_crc: crc32(&manifest),
-    }
-    .encode();
+    };
+    let sealed = seal.encode();
     let (blocks_key, manifest_key, seal_key) = epoch_keys(ns, epoch);
-    put_verified(tier, config, &blocks_key, &blocks, retries)?;
-    put_verified(tier, config, &manifest_key, &manifest, retries)?;
-    put_verified(tier, config, &seal_key, &seal, retries)?;
-    Ok((blocks.len() + manifest.len() + seal.len()) as u64)
+    put_verified(tier, config, &blocks_key, &blocks, seal.blocks_crc, retries)?;
+    put_verified(
+        tier,
+        config,
+        &manifest_key,
+        &manifest,
+        seal.manifest_crc,
+        retries,
+    )?;
+    put_verified(tier, config, &seal_key, &sealed, crc32(&sealed), retries)?;
+    Ok((blocks.len() + manifest.len() + sealed.len()) as u64)
 }
 
 #[cfg(test)]
@@ -1394,13 +1403,14 @@ mod tests {
             ..TierConfig::default()
         };
         let mut retries = 0;
-        put_verified(&tier, cfg, "obj", b"payload bytes", &mut retries).unwrap();
+        let data = b"payload bytes";
+        put_verified(&tier, cfg, "obj", data, crc32(data), &mut retries).unwrap();
         assert_eq!(retries, 2, "one retry per injected fault");
-        assert_eq!(tier.get("obj").unwrap(), b"payload bytes");
+        assert_eq!(tier.get("obj").unwrap(), data);
         // Exhausting the budget surfaces the last error.
         tier.script_puts(std::iter::repeat_n(PutFault::Fail, 8));
         let mut retries = 0;
-        assert!(put_verified(&tier, cfg, "obj2", b"x", &mut retries).is_err());
+        assert!(put_verified(&tier, cfg, "obj2", b"x", crc32(b"x"), &mut retries).is_err());
         assert_eq!(retries, cfg.max_attempts as u64 - 1);
         std::fs::remove_dir_all(&root).unwrap();
     }
