@@ -93,9 +93,9 @@ pub fn fnv1a_seeded(seed: u64, bytes: &[u8]) -> u64 {
 /// staging names (see [`crate::store`]). Two 64-bit lanes each fold one
 /// little-endian 8-byte word per step: xor, multiply by an odd constant,
 /// rotate. For a fixed word every step is a bijection of the lane, so two
-/// equal-length inputs that differ in one word differ in both lanes. The
-/// zero-padded tail word carries the length; a finalizer then mixes each
-/// lane into the other.
+/// equal-length inputs that differ in one word leave both lanes
+/// different. The zero-padded tail word carries the length; a finalizer,
+/// a bijection of the lane pair, then mixes each lane into the other.
 pub fn content_key(bytes: &[u8]) -> (u64, u64) {
     KeyLanes::SEED.finish(bytes, bytes.len())
 }

@@ -28,8 +28,8 @@ const SECTION_REC_MIN: usize = 16;
 /// [`crate::codec::content_key`]. A key collision would dedup distinct
 /// content (the manifest would reference the older block, whose bytes
 /// pass their own CRC), so the collision risk is *accepted*, not detected
-/// — acceptable because both lanes differ whenever one word of two
-/// equal-length blocks does, and the joint collision odds at simulation
+/// — acceptable because two equal-length blocks that differ in one word
+/// always get different keys, and the joint collision odds at simulation
 /// scales are negligible.
 pub(super) type BlockKey = (u64, u64);
 

@@ -358,9 +358,9 @@ pub(crate) fn fetch_sealed_epoch(
 /// staging file under `.inflight/` named by the object's 128-bit
 /// [`crate::codec::content_key`] (content addressing keeps concurrent
 /// writers of identical objects from clobbering each other's staging),
-/// then a single `rename` publishes
-/// the object. Readers can therefore never observe a half-written
-/// object — exactly the property the store's seal protocol assumes.
+/// then a single `rename` publishes the object. Readers can therefore
+/// never observe a half-written object — exactly the property the
+/// store's seal protocol assumes.
 pub struct FsTier {
     root: PathBuf,
     stage_seq: AtomicU64,
