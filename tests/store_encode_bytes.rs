@@ -5,10 +5,13 @@
 //! before the encode stage was reworked. The `manifest.bin` digests were
 //! re-recorded when block keys became `content_key`s (manifest V3); the
 //! `blocks.bin` digests did not move. The same chain is committed with
-//! one and with two writer threads; both must write these bytes.
+//! one and with two writer threads; both must write these bytes. A third
+//! chain carries generation hints across two rebases, and writes the same
+//! bytes when the store is reopened, or a source block rots, just before
+//! a rebase.
 
 use mpi_stool::dmtcp::codec::fnv1a;
-use mpi_stool::dmtcp::{DeltaStore, RankImage, StoreConfig, WorldImage};
+use mpi_stool::dmtcp::{DeltaStore, RankImage, Reader, StoreConfig, WorldImage};
 
 /// xorshift64* bytes: content no codec can shrink.
 fn noise(seed: u64, len: usize) -> Vec<u8> {
@@ -140,4 +143,137 @@ fn a_block_past_64_kib_writes_pinned_bytes() {
         0x128c070d15c1c84d,
     ];
     assert_pinned("wide", 32 << 10, wide_world, GOLDEN);
+}
+
+/// One epoch of a 3-rank chain whose sections carry generation hints:
+/// two clean sections whose stamps never move, two dirty ones whose stamps
+/// move every step while one window of their content changes, and two
+/// unhinted ones (fresh noise, and a constant fill that always dedups).
+fn hinted_world(step: u64) -> WorldImage {
+    let ranks = (0..3usize)
+        .map(|r| {
+            let mut img = RankImage::new(r, 3, step);
+            img.put_section_hinted("clean.text", text(r, 12 << 10), 1);
+            img.put_section_hinted("clean.stairs", staircase(0, r, 2048), 2);
+            let mut stairs = staircase(0, r, 4096);
+            let at = (step as usize % 4) * 8192 + 1024;
+            stairs[at..at + 2048].copy_from_slice(&staircase(step, r, 256));
+            img.put_section_hinted("dirty.stairs", stairs, 100 + step);
+            let mut noisy = noise(r as u64 + 7, 16 << 10);
+            let at = (step as usize * 3 % 7) * 2048;
+            noisy[at..at + 1024].copy_from_slice(&noise(step << 4 | r as u64, 1024));
+            img.put_section_hinted("dirty.noise", noisy, 100 + step);
+            img.put_section("noise", noise(step << 8 | 0x80 | r as u64, 6 << 10));
+            img.put_section("constant", vec![0x33 + r as u8; 8 << 10]);
+            img
+        })
+        .collect();
+    WorldImage::new("Open MPI".to_string(), ranks)
+}
+
+/// What to do to the hinted chain on its way.
+#[derive(Clone, Copy, PartialEq)]
+enum Detour {
+    None,
+    /// Drop the handle after epoch 4 and open the directory again.
+    ReopenBeforeRebase,
+    /// Flip the first byte of epoch 1's `blocks.bin` (a clean section's
+    /// first block, which every later epoch references) after epoch 4.
+    CorruptBeforeRebase,
+}
+
+/// `bytes_hashed` of a V3 manifest, and the manifest with that one field
+/// replaced by `value` and the trailer re-sealed.
+fn with_bytes_hashed(manifest: &[u8], value: u64) -> (u64, Vec<u8>) {
+    let mut r = Reader::checked(manifest).expect("manifest trailer");
+    let _magic_version_epoch = (r.u64(), r.u64(), r.u64());
+    let _full = r.u8();
+    let _vendor = r.string();
+    let at = manifest.len() - 8 - r.remaining();
+    let hashed = r.u64().expect("bytes_hashed");
+    let mut out = manifest[..manifest.len() - 8].to_vec();
+    out[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    let trailer = fnv1a(&out);
+    out.extend_from_slice(&trailer.to_le_bytes());
+    (hashed, out)
+}
+
+/// Commit epochs 1..=10 of [`hinted_world`] at `max_chain` 3 (bases at 1,
+/// 5 and 9) and return each epoch's `blocks.bin` and `manifest.bin`.
+fn hinted_chain(writer_threads: usize, detour: Detour) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let dir = std::env::temp_dir().join(format!(
+        "stool_encode_bytes_hinted_{writer_threads}_{}_{}",
+        detour as u8,
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = StoreConfig {
+        max_chain: 3,
+        writer_threads,
+        ..StoreConfig::default()
+    };
+    let mut store = DeltaStore::open_with(&dir, config).expect("open store");
+    let mut files = Vec::new();
+    for step in 1..=10u64 {
+        if step == 5 && detour == Detour::ReopenBeforeRebase {
+            drop(store);
+            store = DeltaStore::open_with(&dir, config).expect("reopen store");
+        }
+        if step == 5 && detour == Detour::CorruptBeforeRebase {
+            let path = dir.join("epoch_000001").join("blocks.bin");
+            let mut bytes = std::fs::read(&path).expect("read blocks");
+            bytes[0] ^= 0x01;
+            std::fs::write(&path, bytes).expect("rot a block");
+        }
+        let image = hinted_world(step);
+        let stats = store.commit(&image).expect("commit");
+        assert_eq!(stats.full, [1, 5, 9].contains(&step), "epoch {step}");
+        let epoch_dir = dir.join(format!("epoch_{:06}", stats.epoch));
+        let read = |name: &str| std::fs::read(epoch_dir.join(name)).expect("read epoch file");
+        files.push((read("blocks.bin"), read("manifest.bin")));
+        assert_eq!(store.load_epoch(stats.epoch).expect("load"), image);
+    }
+    std::fs::remove_dir_all(&dir).expect("remove store dir");
+    files
+}
+
+#[test]
+fn a_hinted_chain_across_two_rebases_writes_pinned_bytes() {
+    // FNV-1a of epoch 1..=10's `blocks.bin`, then `manifest.bin`,
+    // recorded from commit 712b74b.
+    #[rustfmt::skip]
+    const GOLDEN: [u64; 20] = [
+        0xfe9c2bbd7d9eb12e, 0xe931bf0d0523a3a5,
+        0x7542a5538f733320, 0x9a23d53e2f597a16,
+        0xaa2ed4b83b204374, 0x4616ab330486df6d,
+        0x79e9b5ce2b1cee10, 0x24d86e12853eb07d,
+        0x556e2c474f3d4905, 0xa1f59359d91816e0,
+        0x1329d0cae3c16c10, 0x4f33bdabf5192a2d,
+        0x686c0bc535ebe4ae, 0x2247a6dbe076df79,
+        0x81839152bb3df537, 0xd18c7d8d0c859134,
+        0x091d6bdb737cbf7f, 0x3f5a503f191ed24a,
+        0xebed79dab66f336f, 0xd018e54febe2f5e4,
+    ];
+    let image_bytes = hinted_world(1).total_bytes() as u64;
+    for writer_threads in [1usize, 2] {
+        for detour in [
+            Detour::None,
+            Detour::ReopenBeforeRebase,
+            Detour::CorruptBeforeRebase,
+        ] {
+            let files = hinted_chain(writer_threads, detour);
+            let digests: Vec<u64> = files
+                .iter()
+                .flat_map(|(blocks, manifest)| [fnv1a(blocks), fnv1a(manifest)])
+                .collect();
+            assert_eq!(
+                digests, GOLDEN,
+                "{writer_threads} writer thread(s): chain bytes moved: {digests:#018x?}"
+            );
+            for epoch in [1usize, 5, 9] {
+                let (hashed, _) = with_bytes_hashed(&files[epoch - 1].1, image_bytes);
+                assert_eq!(hashed, image_bytes, "base {epoch} hashes every byte");
+            }
+        }
+    }
 }
