@@ -621,9 +621,17 @@ mod tests {
                     "{dynamic} ({g}) must outpace the static lattice ({lattice_gen})"
                 );
             }
-            assert!(
-                lattice_gen <= 5,
-                "comd.lattice was mutably touched mid-run: {lattice_gen}"
+            // Written once at init, before the initial forces: every stamp
+            // after it went to the forces, the energy series (at init and
+            // each print step) and the per-step state.
+            let md = small();
+            let prints = (0..md.nsteps)
+                .filter(|s| s % md.print_rate == 0 || s + 1 == md.nsteps)
+                .count() as u64;
+            assert_eq!(
+                mem.generation("comd.force").unwrap() - lattice_gen,
+                2 + 3 * prints + 3 * md.nsteps,
+                "comd.lattice was mutably touched mid-run"
             );
         }
     }

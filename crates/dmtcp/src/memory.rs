@@ -8,8 +8,24 @@
 //! which the integration tests verify.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::codec::{CodecError, Reader, Writer};
+
+/// Stamps one [`Memory`] reserves at a time from [`STAMPS`].
+const STAMP_RANGE: u64 = 1 << 32;
+
+/// The process-wide stamp clock. Every `Memory` hands out stamps from a
+/// range reserved here, so no two memories ever share a stamp: a memory
+/// swapped in for another cannot pass a rewritten segment off as the old
+/// one's clean copy.
+static STAMPS: AtomicU64 = AtomicU64::new(1);
+
+/// Reserve a fresh stamp range: `(first, end)`.
+fn reserve_stamps() -> (u64, u64) {
+    let first = STAMPS.fetch_add(STAMP_RANGE, Ordering::Relaxed);
+    (first, first + STAMP_RANGE)
+}
 
 /// One typed segment of application memory.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,9 +64,9 @@ impl Segment {
 /// Named, typed application memory. Iteration order is deterministic
 /// (BTreeMap), so serialized images are byte-stable.
 ///
-/// Every segment carries a **generation**: a counter drawn from a
-/// per-memory monotonic clock, re-stamped each time the segment is
-/// handed out mutably (or replaced). The checkpoint path forwards the
+/// Every segment carries a **generation**: a stamp drawn from a range
+/// this memory reserved from one process-wide clock, re-stamped each time
+/// the segment is handed out mutably (or replaced). The checkpoint path forwards the
 /// generation as a *clean-segment hint* to the delta store: a segment
 /// whose generation has not moved since the previous epoch provably was
 /// not written through this API, so the store can skip chunking and
@@ -58,16 +74,44 @@ impl Segment {
 /// conservative — taking a `*_mut` borrow counts as a write even if the
 /// caller never stores through it — so a stale hint can only cause
 /// extra hashing, never a stale checkpoint. Generations are run-local:
-/// they are not serialized, and restored memories start a fresh clock.
-#[derive(Debug, Clone, Default)]
+/// they are not serialized, and a restored memory stamps from a fresh
+/// range. A clone keeps its source's stamps (it holds the same bytes) but
+/// reserves a range of its own for what it writes next.
+#[derive(Debug)]
 pub struct Memory {
     segments: BTreeMap<String, Segment>,
-    /// Generation stamp per segment. Stamps are never reused within one
-    /// `Memory` (a removed and re-created segment gets a fresh stamp),
-    /// so "same name, same generation" implies "same unmutated data".
+    /// Generation stamp per segment. Stamps are never reused in the
+    /// process (a removed and re-created segment gets a fresh stamp, and
+    /// every memory stamps from its own range), so "same name, same
+    /// generation" implies "same unmutated data".
     gens: BTreeMap<String, u64>,
-    /// The next generation stamp to hand out.
+    /// The next generation stamp to hand out, and the end of the range
+    /// it comes from. A local increment: the apps' hot loops take `*_mut`
+    /// borrows, and a shared atomic there would contend.
     next_gen: u64,
+    gen_end: u64,
+}
+
+impl Default for Memory {
+    fn default() -> Memory {
+        let (next_gen, gen_end) = reserve_stamps();
+        Memory {
+            segments: BTreeMap::new(),
+            gens: BTreeMap::new(),
+            next_gen,
+            gen_end,
+        }
+    }
+}
+
+impl Clone for Memory {
+    fn clone(&self) -> Memory {
+        Memory {
+            segments: self.segments.clone(),
+            gens: self.gens.clone(),
+            ..Memory::default()
+        }
+    }
 }
 
 /// Equality is over the segment *contents* only: generations are
@@ -108,8 +152,11 @@ impl Memory {
     /// Stamp `name` with a fresh generation (any mutable hand-out or
     /// replacement counts as a write).
     fn touch(&mut self, name: &str) {
-        self.next_gen += 1;
+        if self.next_gen == self.gen_end {
+            (self.next_gen, self.gen_end) = reserve_stamps();
+        }
         self.gens.insert(name.to_string(), self.next_gen);
+        self.next_gen += 1;
     }
 
     /// The segment's current generation, or `None` if it does not exist.
@@ -418,6 +465,23 @@ mod tests {
         b.u64s_mut("x", 1);
         assert_eq!(a, b);
         assert_ne!(a.generation("x"), b.generation("x"));
+    }
+
+    #[test]
+    fn fresh_and_cloned_memories_never_share_a_stamp() {
+        let mut m = Memory::new();
+        m.bytes_mut("state", 8);
+        // The same first write into a fresh memory gets another stamp.
+        let mut fresh = Memory::new();
+        fresh.bytes_mut("state", 8);
+        assert_ne!(fresh.generation("state"), m.generation("state"));
+        // A clone keeps the stamps of the bytes it copied, then both
+        // sides stamp their next writes apart.
+        let mut twin = m.clone();
+        assert_eq!(twin.generation("state"), m.generation("state"));
+        twin.bytes_mut("state", 8);
+        m.bytes_mut("state", 8);
+        assert_ne!(twin.generation("state"), m.generation("state"));
     }
 
     #[test]

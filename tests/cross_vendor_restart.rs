@@ -1,12 +1,14 @@
 //! The headline capability (paper §5.3, Fig. 6): checkpoint under one MPI
 //! implementation, restart under another, with no change to the answer.
 
+use mpi_stool::abi::Handle;
 use mpi_stool::apps::{CoMdMini, OsuKernel, OsuLatency, WaveMpi};
 use mpi_stool::dmtcp::{CkptMode, DeltaStore, StoreConfig, StoreError, TierConfig, WorldImage};
 use mpi_stool::simnet::{ClusterSpec, Interconnect, KernelVersion, VirtualTime};
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{
-    Checkpointer, DurabilityPolicy, MpiProgram, Session, StorePolicy, TierPolicy, Vendor,
+    AppCtx, Checkpointer, DurabilityPolicy, Memory, MpiProgram, Session, StoolResult, StorePolicy,
+    TierPolicy, Vendor,
 };
 use std::path::{Path, PathBuf};
 
@@ -423,6 +425,90 @@ fn wave_delta_chain_mpich_kill_restart_openmpi() {
         .build()
         .unwrap()
         .restore(&image, &solver)
+        .unwrap()
+        .memories()
+        .unwrap()
+        .to_vec();
+    assert_memories_equal(&expect, &got);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Throws its memory away at step 1 and writes a segment of the same name
+/// and length into the fresh one, then passes the segment's sum around
+/// the ring. A fresh `Memory` must never hand out a stamp the discarded
+/// one had, or a clean-segment hint would make the new bytes look like
+/// the old ones.
+struct SwapsItsMemory;
+
+impl MpiProgram for SwapsItsMemory {
+    fn name(&self) -> &'static str {
+        "swaps-its-memory"
+    }
+
+    fn run(&self, app: &mut AppCtx<'_>) -> StoolResult<()> {
+        let me = app.rank() as i32;
+        let n = app.nranks() as i32;
+        for step in app.resume_step()..4 {
+            if app.checkpoint_point(step)?.is_stop() {
+                return Ok(());
+            }
+            match step {
+                0 => app.mem.bytes_mut("state", 4096).fill(0xA0 + me as u8),
+                1 => {
+                    *app.mem = Memory::new();
+                    app.mem.bytes_mut("state", 4096).fill(0xB0 + me as u8);
+                }
+                _ => {
+                    let state = app.mem.bytes("state").expect("written at step 1");
+                    let local = [state.iter().map(|&b| b as f64).sum::<f64>()];
+                    let mut incoming = [0.0];
+                    let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
+                    app.pmpi().sendrecv_f64s(
+                        &local,
+                        next,
+                        7,
+                        &mut incoming,
+                        prev,
+                        7,
+                        Handle::COMM_WORLD,
+                    )?;
+                    let acc = app.mem.get_f64("acc").unwrap_or(0.0);
+                    app.mem.set_f64("acc", acc + incoming[0]);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn a_swapped_in_memory_never_forges_a_clean_hint() {
+    let program = SwapsItsMemory;
+    let expect = reference_memories(&program, Vendor::Mpich);
+    let dir = std::env::temp_dir().join(format!("stool-swapped-memory-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durability = || stored(&dir, StoreConfig::default(), None);
+    // Epoch 1 holds the old memory's segment, epoch 2 (a delta) the new.
+    let out = Session::builder()
+        .cluster(cluster())
+        .vendor(Vendor::Mpich)
+        .checkpointer(Checkpointer::mana())
+        .checkpoint_every(1)
+        .checkpoint_at_step(2, CkptMode::Stop)
+        .durability(durability())
+        .build()
+        .unwrap()
+        .launch(&program)
+        .unwrap();
+    assert!(!out.is_completed(), "stopped at step 2");
+    let got = Session::builder()
+        .cluster(cluster())
+        .vendor(Vendor::OpenMpi)
+        .checkpointer(Checkpointer::mana())
+        .durability(durability())
+        .build()
+        .unwrap()
+        .restore_from_store(&program)
         .unwrap()
         .memories()
         .unwrap()
