@@ -817,8 +817,9 @@ impl ReplicaGroup {
     /// completing under whichever leader survived. Returns the log slot.
     ///
     /// Errs with [`ReplicaError::NoQuorum`] only when a majority of
-    /// replicas is unreachable — the caller must then abort its round
-    /// atomically (nothing was committed anywhere).
+    /// replicas is unreachable — dead, or unable to write its log — and
+    /// the caller must then abort its round atomically (nothing was
+    /// committed anywhere).
     ///
     /// Callers on different threads (the round leader's seal, the
     /// membership records of ranks resigning mid-round) are served one at
@@ -946,7 +947,11 @@ impl ReplicaGroup {
         let mut retries = 0u64;
         let mut promises = Vec::new();
         for acceptor in &self.acceptors {
-            let accepted = acceptor.prepare(ballot, self.config.log, &mut retries)?;
+            // A replica whose log write failed did not promise: one
+            // missing promise, like a dead replica's.
+            let accepted = acceptor
+                .prepare(ballot, self.config.log, &mut retries)
+                .unwrap_or(None);
             self.emit(
                 EventKind::Prepare,
                 ballot,
@@ -1044,7 +1049,7 @@ impl ReplicaGroup {
     }
 
     /// Phase 2 for one slot: true once a quorum durably accepted, false
-    /// if the ballot was superseded or too few replicas are live.
+    /// if the ballot was superseded or too few replicas acknowledged.
     fn drive_accept(
         &self,
         ballot: u64,
@@ -1054,7 +1059,9 @@ impl ReplicaGroup {
         let mut acks = 0;
         let mut retries = 0u64;
         for acceptor in &self.acceptors {
-            if acceptor.accept(ballot, slot, record, self.config.log, &mut retries)? {
+            // A failed log write is a missing ack: the others may still
+            // make a quorum, and then the record is committed.
+            if acceptor.accept(ballot, slot, record, self.config.log, &mut retries) == Ok(true) {
                 self.emit(EventKind::Accept, ballot, slot, acceptor.id as u64);
                 acks += 1;
             }
