@@ -9,7 +9,7 @@
 mod common;
 
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -490,13 +490,67 @@ fn leader_kill_writes_a_merged_crash_dump_timeline() {
     }
 }
 
+/// A group over three scripted logs; the logs named in `failing` fail
+/// every put they are asked for.
+fn group_with_failing_logs(failing: &[usize]) -> ReplicaGroup {
+    let logs: Vec<Arc<dyn ObjectTier>> = (0..3)
+        .map(|id| {
+            let log = FlakyTier::new(Arc::new(MemTier::new()));
+            if failing.contains(&id) {
+                log.script_puts(std::iter::repeat_n(PutFault::Fail, 1000));
+            }
+            Arc::new(log) as Arc<dyn ObjectTier>
+        })
+        .collect();
+    let config = ReplicaConfig {
+        log: TierConfig {
+            backoff: Duration::from_millis(1),
+            ..TierConfig::default()
+        },
+        ..ReplicaConfig::default()
+    };
+    ReplicaGroup::new(config, Arc::new(TestClock::new()), logs).unwrap()
+}
+
+/// One acceptor whose log write fails is one missing ack, not a failed
+/// commit: the other two make a quorum, and the record replays.
+#[test]
+fn one_failing_log_is_a_missing_ack_and_the_quorum_commits() {
+    let group = group_with_failing_logs(&[2]);
+    let record = ReplicaRecord::Membership {
+        rank: 4,
+        alive: false,
+    };
+    let slot = group.commit(record.clone()).expect("a quorum accepted");
+    assert_eq!(group.committed().unwrap(), vec![(slot, record)]);
+}
+
+/// Two failing logs leave no quorum: the commit says so, and nothing
+/// replays as committed.
+#[test]
+fn two_failing_logs_are_no_quorum_and_nothing_replays() {
+    let group = group_with_failing_logs(&[1, 2]);
+    let record = ReplicaRecord::Membership {
+        rank: 4,
+        alive: false,
+    };
+    match group.commit(record) {
+        Err(ReplicaError::NoQuorum { need: 2, .. }) => {}
+        other => panic!("expected NoQuorum, got {other:?}"),
+    }
+    assert_eq!(group.committed().unwrap(), vec![]);
+}
+
 /// Regression, found by the lockstep harness: when a rank fail-stops
 /// inside a round, its resign and the survivors' resigns each commit a
 /// membership record, concurrently. Two proposers that read the next free
 /// slot before either had claimed it both "committed" there, and the
 /// slower one's record overwrote the other's in every log. Held here in
 /// the one interleaving that shows it: proposer A parked inside its last
-/// acceptor's log write while proposer B runs.
+/// acceptor's log write while proposer B runs. B's first put, its accept
+/// at the first log, is held too, so the test waits on where B is, never
+/// on the clock: under the proposer lock B reaches that put only after A
+/// has claimed its slot.
 #[test]
 fn concurrent_commits_never_share_a_log_slot() {
     let logs: Vec<Arc<FlakyTier>> = (0..3)
@@ -513,23 +567,29 @@ fn concurrent_commits_never_share_a_log_slot() {
     let gone = |rank| ReplicaRecord::Membership { rank, alive: false };
     group.commit(gone(9)).unwrap(); // elects the leader, fills slot 0
 
-    logs[2].script_puts([PutFault::Hold]);
-    let first_log_puts = logs[0].puts();
-    let (slot_a, slot_b) = std::thread::scope(|s| {
-        let a = s.spawn(|| group.commit(gone(0)).unwrap());
-        while logs[2].injected() == 0 {
+    let wait_for = |log: &FlakyTier| {
+        while log.injected() == 0 {
             std::thread::yield_now();
         }
-        let b = s.spawn(|| group.commit(gone(1)).unwrap());
-        // B either reaches the first log while A is parked (the bug) or
-        // waits its turn behind A; give it time to show which, then let
-        // A go. Only a run that has the bug can be cut short here.
-        let deadline = std::time::Instant::now() + Duration::from_millis(200);
-        while logs[0].puts() == first_log_puts + 1 && std::time::Instant::now() < deadline {
+    };
+    logs[2].script_puts([PutFault::Hold]);
+    let b_started = AtomicBool::new(false);
+    let (slot_a, slot_b) = std::thread::scope(|s| {
+        let a = s.spawn(|| group.commit(gone(0)).unwrap());
+        wait_for(&logs[2]); // A has read its slot and not claimed it
+        logs[0].script_puts([PutFault::Hold]);
+        let b = s.spawn(|| {
+            b_started.store(true, Ordering::SeqCst);
+            group.commit(gone(1)).unwrap()
+        });
+        while !b_started.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
         logs[2].release();
-        (a.join().unwrap(), b.join().unwrap())
+        let slot_a = a.join().unwrap();
+        wait_for(&logs[0]); // B has read its slot
+        logs[0].release();
+        (slot_a, b.join().unwrap())
     });
     assert_ne!(slot_a, slot_b, "two commits acknowledged in one slot");
     let committed = group.committed().unwrap();
