@@ -5,11 +5,16 @@
 //! `meta`; the MANA layer adds `mana.vids`, `mana.pool`, `mana.counters`).
 //! This sectioning mirrors how DMTCP plugins contribute areas to a real
 //! `.dmtcp` image.
+//!
+//! A section's bytes are an `Arc<Vec<u8>>`, so a producer that keeps its
+//! encoded state between checkpoints ([`RankImage::put_section_shared`])
+//! hands an unchanged section to the next image without copying it.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write as IoWrite};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::codec::{CodecError, Reader, Writer};
 
@@ -151,8 +156,8 @@ pub struct RankImage {
     pub nranks: usize,
     /// Checkpoint epoch (coordinator-assigned, monotonic).
     pub epoch: u64,
-    /// Named sections.
-    sections: BTreeMap<String, Vec<u8>>,
+    /// Named sections, possibly shared with their producer.
+    sections: BTreeMap<String, Arc<Vec<u8>>>,
     /// Transient clean-segment hints: per section, the producer's
     /// generation stamp (see [`crate::memory::Memory::generation`]). The
     /// delta store skips chunking and hashing a section whose hint has
@@ -191,7 +196,7 @@ impl RankImage {
     /// Add or replace a section.
     pub fn put_section(&mut self, name: &str, data: Vec<u8>) {
         self.hints.remove(name);
-        self.sections.insert(name.to_string(), data);
+        self.sections.insert(name.to_string(), Arc::new(data));
     }
 
     /// Add or replace a section together with its producer generation
@@ -200,6 +205,14 @@ impl RankImage {
     /// data may have changed; a conservative producer that cannot tell
     /// should use [`RankImage::put_section`] instead.
     pub fn put_section_hinted(&mut self, name: &str, data: Vec<u8>, generation: u64) {
+        self.put_section_shared(name, Arc::new(data), generation);
+    }
+
+    /// [`RankImage::put_section_hinted`] with bytes the producer keeps a
+    /// reference to: a producer that caches each section's encoding by
+    /// its generation stamp re-references an unchanged one here instead
+    /// of encoding it again.
+    pub fn put_section_shared(&mut self, name: &str, data: Arc<Vec<u8>>, generation: u64) {
         self.sections.insert(name.to_string(), data);
         self.hints.insert(name.to_string(), generation);
     }
@@ -211,7 +224,7 @@ impl RankImage {
 
     /// Fetch a section.
     pub fn section(&self, name: &str) -> Option<&[u8]> {
-        self.sections.get(name).map(Vec::as_slice)
+        self.sections.get(name).map(|data| data.as_slice())
     }
 
     /// Section names in deterministic order.
@@ -229,7 +242,7 @@ impl RankImage {
 
     /// Total payload size (what would hit the parallel filesystem).
     pub fn total_bytes(&self) -> usize {
-        self.sections.values().map(Vec::len).sum()
+        self.sections.values().map(|data| data.len()).sum()
     }
 
     /// Serialize with magic, version and checksum.
@@ -264,7 +277,7 @@ impl RankImage {
         for _ in 0..nsections {
             let name = r.string()?;
             let data = r.bytes()?.to_vec();
-            sections.insert(name, data);
+            sections.insert(name, Arc::new(data));
         }
         Ok(RankImage {
             rank,
@@ -392,6 +405,19 @@ mod tests {
             back.section_names().collect::<Vec<_>>(),
             vec!["mana.vids", "memory"]
         );
+    }
+
+    #[test]
+    fn a_shared_section_is_a_plain_section_to_equality_and_the_codec() {
+        let data = Arc::new(vec![7u8; 32]);
+        let mut shared = sample_image(1);
+        shared.put_section_shared("memory/u", data.clone(), 9);
+        let mut copied = sample_image(1);
+        copied.put_section_hinted("memory/u", vec![7u8; 32], 3);
+        assert_eq!(shared, copied);
+        assert_eq!(shared.encode(), copied.encode());
+        assert_eq!(shared.section_hint("memory/u"), Some(9));
+        assert_eq!(Arc::strong_count(&data), 2, "shared, not copied");
     }
 
     #[test]

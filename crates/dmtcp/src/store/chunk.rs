@@ -5,7 +5,7 @@ use std::collections::HashSet;
 use crate::codec::{mix64, KeyLanes};
 use crate::image::RankImage;
 
-use super::manifest::BlockKey;
+use super::manifest::{BlockKey, BlockLoc};
 use super::DeltaStore;
 
 /// One chunked block of a section, before dedup placement.
@@ -85,6 +85,22 @@ impl DeltaStore {
             start += len;
         }
         recs
+    }
+
+    /// The chunk list a section's refs spell out: their keys and raw
+    /// lengths, in order — what chunking the same bytes again would cut.
+    pub(super) fn chunks_of(refs: &[(BlockKey, BlockLoc)]) -> Vec<ChunkRec> {
+        let mut start = 0;
+        let rec = |(key, loc): &(BlockKey, BlockLoc)| {
+            let len = loc.raw_len as usize;
+            start += len;
+            ChunkRec {
+                key: *key,
+                start: start - len,
+                len,
+            }
+        };
+        refs.iter().map(rec).collect()
     }
 
     /// Chunk one rank image's sections into keyed block records.

@@ -2,7 +2,8 @@
 //! commit pipeline, retention GC and the loader.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::io::{Read, Write as IoWrite};
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write as IoWrite};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,6 +45,15 @@ pub struct DeltaStore {
     /// is re-referenced without chunking or hashing. Run-local — never
     /// persisted, cleared by full bases and pruned with GC.
     section_cache: HashMap<(usize, String), SectionCache>,
+    /// The first epoch this handle committed itself (`latest + 1` when
+    /// the head state was last rebuilt). A rebase copies stored blocks
+    /// only from these: an older writer, or another config, may have
+    /// written the epochs below it.
+    own_from: u64,
+    /// Per epoch, the epochs its manifest references: what GC needs to
+    /// keep a delta's bases alive, without decoding manifests. Filled at
+    /// commit (or by GC on a miss), pruned with collected epochs.
+    refs_of: BTreeMap<u64, BTreeSet<u64>>,
     /// Epochs whose manifests were unreadable at open and were renamed
     /// aside to `epoch_NNNNNN.bad` so restart could fall back.
     pub(super) quarantined: Vec<u64>,
@@ -118,6 +128,8 @@ impl DeltaStore {
             chain_len: 0,
             index: HashMap::new(),
             section_cache: HashMap::new(),
+            own_from: 1,
+            refs_of: BTreeMap::new(),
             quarantined: Vec::new(),
             stats: Vec::new(),
             tier: None,
@@ -163,8 +175,9 @@ impl DeltaStore {
     pub(super) fn rebuild_head_state(&mut self) -> Result<(), StoreError> {
         self.index.clear();
         self.section_cache.clear();
+        self.refs_of.clear();
         self.chain_len = 0;
-        let store = self;
+        let store = &mut *self;
         while let Some(&latest) = store.epochs.last() {
             let manifest = match store.read_manifest(latest) {
                 Ok(m) => m,
@@ -235,6 +248,7 @@ impl DeltaStore {
             }
             break;
         }
+        self.own_from = self.latest().map_or(1, |l| l + 1);
         Ok(())
     }
 
@@ -292,7 +306,7 @@ impl DeltaStore {
 
     pub(super) fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
         let mut buf = Vec::new();
-        std::fs::File::open(path)
+        File::open(path)
             .map_err(|e| StoreError::io("open", path, e))?
             .read_to_end(&mut buf)
             .map_err(|e| StoreError::io("read", path, e))?;
@@ -346,15 +360,14 @@ impl DeltaStore {
         let epoch = self.epochs.last().map_or(1, |&l| l + 1);
         let full = self.epochs.is_empty() || self.chain_len >= self.config.max_chain;
         let started = Instant::now();
-        // A base references nothing older: it dedups only within itself
-        // and reuses no previous-commit section refs. The handle's own
-        // maps are read, never written, until the epoch is on disk.
-        let (no_index, no_cache) = (HashMap::new(), HashMap::new());
-        let (index, cache) = if full {
-            (&no_index, &no_cache)
-        } else {
-            (&self.index, &self.section_cache)
-        };
+        // A base references nothing older: it dedups only within itself.
+        // It still uses what the handle knows of the content — a clean
+        // section's chunk list, where an own epoch stores a block — to
+        // write the same bytes for less. The handle's own maps are read,
+        // never written, until the epoch is on disk.
+        let no_index = HashMap::new();
+        let index = if full { &no_index } else { &self.index };
+        let cache = &self.section_cache;
 
         // Dirty tracking: a hinted section whose generation stamp (and
         // length) matches what this handle cached at the previous commit
@@ -383,14 +396,29 @@ impl DeltaStore {
         // pool.
         let block_size = self.config.block_size;
         let threads = self.config.writer_threads;
-        let chunked: Vec<RankChunks> = fan_out(&image.ranks, threads, |i, r| {
+        let mut chunked: Vec<RankChunks> = fan_out(&image.ranks, threads, |i, r| {
             Self::chunk_rank(r, block_size, &skips[i])
         });
+        let bytes_hashed: u64 = (image.ranks.iter().zip(&skips))
+            .flat_map(|(img, skip)| img.sections().filter(|(name, _)| !skip.contains(*name)))
+            .map(|(_, data)| data.len() as u64)
+            .sum();
+        // A base plans what chunking every section would plan: a clean
+        // section takes its chunk list, keys and lengths in order, from
+        // its cached refs.
+        if full {
+            for (img, sections) in image.ranks.iter().zip(&mut chunked) {
+                for (name, recs) in sections.iter_mut().filter(|(_, recs)| recs.is_none()) {
+                    *recs = Some(Self::chunks_of(&cache[&(img.rank, name.clone())].refs));
+                }
+            }
+        }
 
         // Deterministic dedup plan: walk ranks/sections/blocks in order
         // and list the content the chain does not hold yet, first
-        // occurrence of a key first.
-        let mut plan: Vec<&[u8]> = Vec::new();
+        // occurrence of a key first, with where an epoch this handle
+        // wrote already stores it (only a base can find one).
+        let mut plan: Vec<(&[u8], Option<BlockLoc>)> = Vec::new();
         let mut planned: HashMap<BlockKey, usize> = HashMap::new();
         for (img, sections) in image.ranks.iter().zip(&chunked) {
             for (name, recs) in sections {
@@ -398,7 +426,11 @@ impl DeltaStore {
                 for rec in recs.iter().flatten() {
                     if !index.contains_key(&rec.key) {
                         planned.entry(rec.key).or_insert_with(|| {
-                            plan.push(&data[rec.start..rec.start + rec.len]);
+                            let stored = self.index.get(&rec.key).copied();
+                            let own = |l: &BlockLoc| {
+                                l.epoch >= self.own_from && l.raw_len as usize == rec.len
+                            };
+                            plan.push((&data[rec.start..rec.start + rec.len], stored.filter(own)));
                             plan.len() - 1
                         });
                     }
@@ -414,12 +446,27 @@ impl DeltaStore {
         // Nothing is allocated per block: the scratch lives as long as the
         // worker, and `buf` grows by doubling. (Sizing it for the slice's
         // raw bytes up front raised `ckpt_storm`'s peak RSS by a third.)
-        let compression = self.config.compression;
-        let parts: Vec<&[&[u8]]> = plan.chunks(plan.len().div_ceil(threads).max(1)).collect();
-        let encoded: Vec<(Vec<u8>, Vec<BlockLoc>)> = fan_out(&parts, threads, |_, part| {
-            let (mut buf, mut locs) = (Vec::new(), Vec::with_capacity(part.len()));
+        // A block an own epoch stores is copied — stored bytes, codec and
+        // CRC — once the copy passes that CRC: `encode_block` is a pure
+        // function of the raw bytes and the handle's compression, so the
+        // copy is what encoding would write.
+        let (compression, dir) = (self.config.compression, self.dir.as_path());
+        let parts: Vec<&[(&[u8], Option<BlockLoc>)]> =
+            plan.chunks(plan.len().div_ceil(threads).max(1)).collect();
+        let encoded: Vec<(Vec<u8>, Vec<BlockLoc>, u64)> = fan_out(&parts, threads, |_, part| {
+            let (mut buf, mut locs, mut reused) = (Vec::new(), Vec::with_capacity(part.len()), 0);
             let mut scratch = EncodeScratch::default();
-            for raw in part.iter() {
+            let mut files = HashMap::new();
+            for &(raw, stored) in part.iter() {
+                if let Some(loc) = stored.filter(|l| copy_stored(dir, &mut files, l, &mut buf)) {
+                    locs.push(BlockLoc {
+                        epoch,
+                        offset: 0, // assigned below, with the encoded blocks'
+                        ..loc
+                    });
+                    reused += loc.len as u64;
+                    continue;
+                }
                 let (codec, stored) = encode_block(raw, compression, &mut scratch);
                 buf.extend_from_slice(stored);
                 locs.push(BlockLoc {
@@ -431,11 +478,12 @@ impl DeltaStore {
                     codec,
                 });
             }
-            (buf, locs)
+            (buf, locs, reused)
         });
+        let reused_bytes: u64 = encoded.iter().map(|(_, _, reused)| reused).sum();
         // Append: blocks lie end to end in plan order, so a block starts
         // where the stored lengths before it end.
-        let mut new_locs: Vec<BlockLoc> = encoded.iter().flat_map(|(_, l)| l).copied().collect();
+        let mut new_locs: Vec<BlockLoc> = encoded.iter().flat_map(|(_, l, _)| l).copied().collect();
         let mut blocks_len = 0u64;
         for loc in &mut new_locs {
             loc.offset = blocks_len;
@@ -445,7 +493,6 @@ impl DeltaStore {
         // Resolve every block reference; skipped sections re-reference
         // their previous refs untouched.
         let mut blocks_total = 0u64;
-        let mut bytes_hashed = 0u64;
         let mut new_cache: HashMap<(usize, String), SectionCache> = HashMap::new();
         let mut ranks_manifest = Vec::with_capacity(image.ranks.len());
         for (img, sections) in image.ranks.iter().zip(chunked) {
@@ -456,7 +503,6 @@ impl DeltaStore {
                     // Clean per its hint: reuse the previous refs.
                     None => cache[&(img.rank, name.clone())].refs.clone(),
                     Some(recs) => {
-                        bytes_hashed += data.len() as u64;
                         let loc = |key| index.get(key).unwrap_or_else(|| &new_locs[planned[key]]);
                         recs.iter().map(|rec| (rec.key, *loc(&rec.key))).collect()
                     }
@@ -486,6 +532,7 @@ impl DeltaStore {
             content_keys: true,
         };
         let manifest_buf = manifest.encode();
+        let refs = manifest.referenced_epochs();
         let encode_done = Instant::now();
 
         // Crash-safe commit: assemble in a temp dir, rename into place.
@@ -496,15 +543,14 @@ impl DeltaStore {
         std::fs::create_dir_all(&tmp).map_err(|e| StoreError::io("create tmp", &tmp, e))?;
         let write = |name: &str, parts: &[&[u8]]| -> Result<(), StoreError> {
             let path = tmp.join(name);
-            let mut f =
-                std::fs::File::create(&path).map_err(|e| StoreError::io("create", &path, e))?;
+            let mut f = File::create(&path).map_err(|e| StoreError::io("create", &path, e))?;
             for part in parts {
                 f.write_all(part)
                     .map_err(|e| StoreError::io("write", &path, e))?;
             }
             f.sync_all().map_err(|e| StoreError::io("sync", &path, e))
         };
-        let block_parts: Vec<&[u8]> = encoded.iter().map(|(buf, _)| buf.as_slice()).collect();
+        let block_parts: Vec<&[u8]> = encoded.iter().map(|(buf, ..)| buf.as_slice()).collect();
         write("blocks.bin", &block_parts)?;
         write("manifest.bin", &[&manifest_buf])?;
         let final_dir = self.epoch_dir(epoch);
@@ -522,6 +568,7 @@ impl DeltaStore {
         self.epochs.push(epoch);
         self.chain_len = if full { 0 } else { self.chain_len + 1 };
         self.section_cache = new_cache;
+        self.refs_of.insert(epoch, refs);
         // Queue the sealed epoch for upload before GC runs: the epoch is
         // undurable until its seal lands, so the guard below keeps it
         // (and everything it references) on local disk meanwhile.
@@ -536,7 +583,7 @@ impl DeltaStore {
             image_bytes: image.total_bytes() as u64,
             bytes_written: blocks_len + manifest_buf.len() as u64,
             bytes_hashed,
-            new_block_raw_bytes: plan.iter().map(|raw| raw.len() as u64).sum(),
+            new_block_raw_bytes: plan.iter().map(|(raw, _)| raw.len() as u64).sum(),
             blocks_total,
             blocks_new: plan.len() as u64,
         };
@@ -564,6 +611,9 @@ impl DeltaStore {
                 let us = (span[1] - span[0]).as_micros() as u64;
                 tel.metrics().histogram(name).observe(us);
             }
+            tel.metrics()
+                .histogram("store.commit.reused_bytes")
+                .observe(reused_bytes);
         }
         Ok(stats)
     }
@@ -601,20 +651,15 @@ impl DeltaStore {
         // delta keeps its base restorable locally.
         let roots: Vec<u64> = live.iter().copied().collect();
         for e in roots {
-            match self.read_manifest(e) {
-                Ok(manifest) => {
-                    for (_, _, _, sections) in &manifest.ranks {
-                        for (_, blocks) in sections {
-                            for (_, loc) in blocks {
-                                live.insert(loc.epoch);
-                            }
-                        }
-                    }
+            if !self.refs_of.contains_key(&e) {
+                match self.read_manifest(e) {
+                    Ok(manifest) => _ = self.refs_of.insert(e, manifest.referenced_epochs()),
+                    // Can't prove what this manifest references: skip GC
+                    // entirely rather than risk deleting a live base.
+                    Err(_) => return,
                 }
-                // Can't prove what this manifest references: skip GC
-                // entirely rather than risk deleting a live base.
-                Err(_) => return,
             }
+            live.extend(&self.refs_of[&e]);
         }
         let dir = self.dir.clone();
         let before = self.epochs.len();
@@ -642,6 +687,7 @@ impl DeltaStore {
         // holds the same kind of refs and gets the same treatment.
         let alive: BTreeSet<u64> = self.epochs.iter().copied().collect();
         self.index.retain(|_, loc| alive.contains(&loc.epoch));
+        self.refs_of.retain(|e, _| alive.contains(e));
         self.section_cache
             .retain(|_, c| c.refs.iter().all(|(_, loc)| alive.contains(&loc.epoch)));
     }
@@ -768,6 +814,35 @@ impl DeltaStore {
         }
         Ok(out)
     }
+}
+
+/// Append the stored bytes `loc` names to `buf`, read from its epoch's
+/// `blocks.bin` under `dir` (each file opened once per `files`), and keep
+/// them only if they pass their CRC. A missing file, a short read or a
+/// rotten block leaves `buf` as it was.
+fn copy_stored(
+    dir: &Path,
+    files: &mut HashMap<u64, Option<File>>,
+    loc: &BlockLoc,
+    buf: &mut Vec<u8>,
+) -> bool {
+    let path = || {
+        dir.join(format!("epoch_{:06}", loc.epoch))
+            .join("blocks.bin")
+    };
+    let file = files
+        .entry(loc.epoch)
+        .or_insert_with(|| File::open(path()).ok());
+    let at = buf.len();
+    buf.resize(at + loc.len as usize, 0);
+    let read = file.as_mut().is_some_and(|f| {
+        f.seek(SeekFrom::Start(loc.offset)).is_ok() && f.read_exact(&mut buf[at..]).is_ok()
+    });
+    let copied = read && crc32(&buf[at..]) == loc.crc;
+    if !copied {
+        buf.truncate(at);
+    }
+    copied
 }
 
 #[cfg(test)]
@@ -1146,7 +1221,7 @@ mod tests {
     }
 
     #[test]
-    fn dirty_tracking_never_reuses_across_a_full_base() {
+    fn a_rebase_rehashes_only_dirty_sections_and_references_nothing_older() {
         let dir = tmp_dir("dirty_base");
         let cfg = StoreConfig {
             max_chain: 1,
@@ -1156,13 +1231,20 @@ mod tests {
         let mut store = DeltaStore::open_with(&dir, cfg).unwrap();
         store.commit(&hinted_image(1, 2, 0x11, 1500)).unwrap(); // base
         store.commit(&hinted_image(2, 2, 0x22, 1500)).unwrap(); // delta
-        let s3 = store.commit(&hinted_image(3, 2, 0x33, 1500)).unwrap(); // base again
+        let img3 = hinted_image(3, 2, 0x33, 1500);
+        let s3 = store.commit(&img3).unwrap(); // base again
         assert!(s3.full);
+        let hot: usize = img3
+            .ranks
+            .iter()
+            .map(|r| r.section("hot").unwrap().len())
+            .sum();
         assert_eq!(
-            s3.bytes_hashed,
-            hinted_image(3, 2, 0x33, 1500).total_bytes() as u64,
-            "a full base re-hashes everything: it may reference nothing older"
+            s3.bytes_hashed, hot as u64,
+            "a base takes a clean section's chunk list from its cached refs"
         );
+        let refs = store.read_manifest(3).unwrap().referenced_epochs();
+        assert_eq!(refs, [3].into(), "every block is the base's own");
         for e in 1..=3 {
             assert_eq!(
                 store.load_epoch(e).unwrap(),
@@ -1436,7 +1518,15 @@ mod tests {
             .map(|(k, c)| (k.clone(), (c.generation, c.refs.len())))
             .collect();
         let stats = store.stats.clone();
-        (store.epochs.clone(), store.chain_len, index, cache, stats)
+        let refs_of = store.refs_of.clone();
+        (
+            store.epochs.clone(),
+            store.chain_len,
+            index,
+            cache,
+            stats,
+            refs_of,
+        )
     }
 
     #[test]

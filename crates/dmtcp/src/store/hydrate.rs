@@ -264,14 +264,8 @@ impl DeltaStore {
         })?;
         // The target plus every epoch whose blocks it references:
         // exactly the set a restore of the target will read.
-        let mut needed: BTreeSet<u64> = [target].into();
-        for (_, _, _, sections) in &manifest.ranks {
-            for (_, blocks) in sections {
-                for (_, loc) in blocks {
-                    needed.insert(loc.epoch);
-                }
-            }
-        }
+        let mut needed = manifest.referenced_epochs();
+        needed.insert(target);
         let mut installed = Vec::new();
         for &epoch in &needed {
             if self.epoch_dir(epoch).is_dir() {

@@ -1,6 +1,8 @@
 //! The manifest codec: one epoch's block references, checksummed (see the
 //! chain format in [`super`]).
 
+use std::collections::BTreeSet;
+
 use crate::codec::{CodecError, Reader, Writer};
 
 use super::block::BlockCodec;
@@ -72,6 +74,13 @@ pub(super) struct Manifest {
 }
 
 impl Manifest {
+    /// The epochs whose `blocks.bin` this manifest's refs point into.
+    pub(super) fn referenced_epochs(&self) -> BTreeSet<u64> {
+        let sections = self.ranks.iter().flat_map(|(_, _, _, sections)| sections);
+        let refs = sections.flat_map(|(_, blocks)| blocks);
+        refs.map(|(_, loc)| loc.epoch).collect()
+    }
+
     /// Encode as V3, the one format the tree writes.
     pub(super) fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();

@@ -18,6 +18,7 @@
 //! and hand the application its resume position.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use dmtcp_sim::codec::{Reader, Writer};
 use dmtcp_sim::coordinator::{CkptMode, Poll, RankAgent};
@@ -168,7 +169,7 @@ fn drain(mana: &mut ManaMpi, pending: &[u64]) -> AbiResult<()> {
 
 /// Serialize one rank's state into an image.
 fn build_image(
-    mana: &ManaMpi,
+    mana: &mut ManaMpi,
     memory: &Memory,
     resume_step: u64,
     rank: usize,
@@ -197,7 +198,9 @@ fn build_image(
     // the delta store sees segment boundaries as section boundaries.
     // Each segment travels with its generation stamp — the clean-segment
     // hint that lets the store skip chunking and hashing segments the
-    // application has not touched since the previous epoch.
+    // application has not touched since the previous epoch. The same
+    // stamp lets this rank re-reference the bytes it encoded then: stamps
+    // are unique in the process, so an unmoved one means unchanged bytes.
     let mut idx = Writer::new();
     let names: Vec<&str> = memory.names().collect();
     idx.u64(names.len() as u64);
@@ -205,14 +208,16 @@ fn build_image(
         idx.string(name);
     }
     image.put_section(sections::MEMORY_INDEX, idx.into_raw());
+    let mut cached = std::mem::take(&mut mana.segments);
     for name in names {
-        let data = memory.encode_segment(name).expect("name from names()");
         let generation = memory.generation(name).expect("name from names()");
-        image.put_section_hinted(
-            &format!("{}{name}", sections::MEMORY_PREFIX),
-            data,
-            generation,
-        );
+        let data = match cached.remove(name) {
+            Some((stamp, data)) if stamp == generation => data,
+            _ => Arc::new(memory.encode_segment(name).expect("name from names()")),
+        };
+        let section = format!("{}{name}", sections::MEMORY_PREFIX);
+        image.put_section_shared(&section, data.clone(), generation);
+        mana.segments.insert(name.to_string(), (generation, data));
     }
 
     let mut w = Writer::new();
@@ -353,6 +358,7 @@ pub fn restore_rank(
         rcvd_from,
         reqs: std::collections::HashMap::new(),
         outstanding: 0,
+        segments: std::collections::HashMap::new(),
     };
     Ok(Restored {
         mana,

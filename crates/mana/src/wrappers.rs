@@ -16,6 +16,7 @@
 
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -49,6 +50,10 @@ pub struct ManaMpi {
     pub(crate) rcvd_from: Vec<u64>,
     pub(crate) reqs: HashMap<Handle, ReqEntry>,
     pub(crate) outstanding: usize,
+    /// Per upper-half memory segment: the generation stamp it was last
+    /// encoded at and those encoded bytes. A checkpoint re-references a
+    /// segment whose stamp has not moved instead of encoding it again.
+    pub(crate) segments: HashMap<String, (u64, Arc<Vec<u8>>)>,
 }
 
 impl ManaMpi {
@@ -65,6 +70,7 @@ impl ManaMpi {
             rcvd_from: vec![0; n],
             reqs: HashMap::new(),
             outstanding: 0,
+            segments: HashMap::new(),
         }
     }
 

@@ -10,8 +10,11 @@
 //! bytes when the store is reopened, or a source block rots, just before
 //! a rebase.
 
+use std::sync::Arc;
+
 use mpi_stool::dmtcp::codec::fnv1a;
 use mpi_stool::dmtcp::{DeltaStore, RankImage, Reader, StoreConfig, WorldImage};
+use mpi_stool::simnet::Telemetry;
 
 /// xorshift64* bytes: content no codec can shrink.
 fn noise(seed: u64, len: usize) -> Vec<u8> {
@@ -198,9 +201,18 @@ fn with_bytes_hashed(manifest: &[u8], value: u64) -> (u64, Vec<u8>) {
     (hashed, out)
 }
 
+/// One committed epoch of the hinted chain.
+struct Epoch {
+    blocks: Vec<u8>,
+    manifest: Vec<u8>,
+    /// Stored bytes the commit copied instead of encoding, as its
+    /// `store.commit.reused_bytes` reading.
+    reused: u64,
+}
+
 /// Commit epochs 1..=10 of [`hinted_world`] at `max_chain` 3 (bases at 1,
-/// 5 and 9) and return each epoch's `blocks.bin` and `manifest.bin`.
-fn hinted_chain(writer_threads: usize, detour: Detour) -> Vec<(Vec<u8>, Vec<u8>)> {
+/// 5 and 9); every epoch must restore.
+fn hinted_chain(writer_threads: usize, detour: Detour) -> Vec<Epoch> {
     let dir = std::env::temp_dir().join(format!(
         "stool_encode_bytes_hinted_{writer_threads}_{}_{}",
         detour as u8,
@@ -212,12 +224,19 @@ fn hinted_chain(writer_threads: usize, detour: Detour) -> Vec<(Vec<u8>, Vec<u8>)
         writer_threads,
         ..StoreConfig::default()
     };
-    let mut store = DeltaStore::open_with(&dir, config).expect("open store");
-    let mut files = Vec::new();
+    let tel = Arc::new(Telemetry::new(1));
+    let open = || {
+        let mut store = DeltaStore::open_with(&dir, config).expect("open store");
+        store.attach_telemetry(tel.clone());
+        store
+    };
+    let reused = || tel.metrics().histogram("store.commit.reused_bytes");
+    let mut store = open();
+    let mut epochs = Vec::new();
     for step in 1..=10u64 {
         if step == 5 && detour == Detour::ReopenBeforeRebase {
             drop(store);
-            store = DeltaStore::open_with(&dir, config).expect("reopen store");
+            store = open();
         }
         if step == 5 && detour == Detour::CorruptBeforeRebase {
             let path = dir.join("epoch_000001").join("blocks.bin");
@@ -226,54 +245,94 @@ fn hinted_chain(writer_threads: usize, detour: Detour) -> Vec<(Vec<u8>, Vec<u8>)
             std::fs::write(&path, bytes).expect("rot a block");
         }
         let image = hinted_world(step);
+        let before = reused().sum();
         let stats = store.commit(&image).expect("commit");
         assert_eq!(stats.full, [1, 5, 9].contains(&step), "epoch {step}");
+        assert_eq!(reused().count(), step, "one reading per commit");
         let epoch_dir = dir.join(format!("epoch_{:06}", stats.epoch));
         let read = |name: &str| std::fs::read(epoch_dir.join(name)).expect("read epoch file");
-        files.push((read("blocks.bin"), read("manifest.bin")));
+        epochs.push(Epoch {
+            blocks: read("blocks.bin"),
+            manifest: read("manifest.bin"),
+            reused: reused().sum() - before,
+        });
         assert_eq!(store.load_epoch(stats.epoch).expect("load"), image);
     }
     std::fs::remove_dir_all(&dir).expect("remove store dir");
-    files
+    epochs
+}
+
+/// FNV-1a of each epoch's `blocks.bin`, then `manifest.bin`.
+fn digests(chain: &[Epoch]) -> Vec<u64> {
+    let files = chain.iter().flat_map(|e| [&e.blocks, &e.manifest]);
+    files.map(|f| fnv1a(f)).collect()
 }
 
 #[test]
 fn a_hinted_chain_across_two_rebases_writes_pinned_bytes() {
-    // FNV-1a of epoch 1..=10's `blocks.bin`, then `manifest.bin`,
-    // recorded from commit 712b74b.
+    // Recorded from commit 712b74b, where a rebase chunked, hashed and
+    // encoded every byte. The two rebases' manifests were re-recorded
+    // when a rebase stopped hashing clean sections; the blocks did not
+    // move, and neither did any other manifest.
     #[rustfmt::skip]
     const GOLDEN: [u64; 20] = [
         0xfe9c2bbd7d9eb12e, 0xe931bf0d0523a3a5,
         0x7542a5538f733320, 0x9a23d53e2f597a16,
         0xaa2ed4b83b204374, 0x4616ab330486df6d,
         0x79e9b5ce2b1cee10, 0x24d86e12853eb07d,
-        0x556e2c474f3d4905, 0xa1f59359d91816e0,
+        0x556e2c474f3d4905, 0x5fc9677707131d03,
         0x1329d0cae3c16c10, 0x4f33bdabf5192a2d,
         0x686c0bc535ebe4ae, 0x2247a6dbe076df79,
         0x81839152bb3df537, 0xd18c7d8d0c859134,
-        0x091d6bdb737cbf7f, 0x3f5a503f191ed24a,
+        0x091d6bdb737cbf7f, 0x78cc6f295c6430d8,
         0xebed79dab66f336f, 0xd018e54febe2f5e4,
     ];
-    let image_bytes = hinted_world(1).total_bytes() as u64;
+    // The rebases' (epochs 5 and 9) `manifest.bin` as 712b74b wrote them.
+    const REBASES_AT_712B74B: [(usize, u64); 2] =
+        [(5, 0xa1f59359d91816e0), (9, 0x3f5a503f191ed24a)];
+    let world = hinted_world(1);
+    let image_bytes = world.total_bytes() as u64;
+    let clean_bytes: u64 = (world.ranks.iter().flat_map(|r| r.sections()))
+        .filter(|(name, _)| name.starts_with("clean."))
+        .map(|(_, data)| data.len() as u64)
+        .sum();
     for writer_threads in [1usize, 2] {
-        for detour in [
-            Detour::None,
-            Detour::ReopenBeforeRebase,
-            Detour::CorruptBeforeRebase,
-        ] {
-            let files = hinted_chain(writer_threads, detour);
-            let digests: Vec<u64> = files
-                .iter()
-                .flat_map(|(blocks, manifest)| [fnv1a(blocks), fnv1a(manifest)])
-                .collect();
-            assert_eq!(
-                digests, GOLDEN,
-                "{writer_threads} writer thread(s): chain bytes moved: {digests:#018x?}"
-            );
-            for epoch in [1usize, 5, 9] {
-                let (hashed, _) = with_bytes_hashed(&files[epoch - 1].1, image_bytes);
-                assert_eq!(hashed, image_bytes, "base {epoch} hashes every byte");
-            }
+        let chain = hinted_chain(writer_threads, Detour::None);
+        let got = digests(&chain);
+        assert_eq!(got, GOLDEN, "{writer_threads} thread(s): {got:#018x?}");
+        // `bytes_hashed` is the one field a rebase's manifest moved in.
+        for (epoch, parent) in REBASES_AT_712B74B {
+            let (hashed, as_parent) = with_bytes_hashed(&chain[epoch - 1].manifest, image_bytes);
+            assert_eq!(hashed, image_bytes - clean_bytes, "rebase {epoch}");
+            assert_eq!(fnv1a(&as_parent), parent, "rebase {epoch}");
         }
+        // Only a rebase copies stored blocks.
+        for (epoch, e) in (1..).zip(&chain) {
+            assert_eq!(e.reused > 0, [5, 9].contains(&epoch), "epoch {epoch}");
+        }
+
+        // Reopened before epoch 5: that rebase may copy nothing (its
+        // sources predate the handle) and trusts no hint (the handle has
+        // none), so it writes exactly what 712b74b wrote. Epoch 9 copies
+        // from epochs the new handle wrote.
+        let reopened = hinted_chain(writer_threads, Detour::ReopenBeforeRebase);
+        let mut want = GOLDEN;
+        want[9] = REBASES_AT_712B74B[0].1;
+        assert_eq!(
+            digests(&reopened),
+            want,
+            "reopened, {writer_threads} thread(s)"
+        );
+        assert_eq!(reopened[4].reused, 0);
+        assert!(reopened[8].reused > 0);
+
+        // A rotten source block fails its CRC and is encoded afresh.
+        let rotten = hinted_chain(writer_threads, Detour::CorruptBeforeRebase);
+        assert_eq!(
+            digests(&rotten),
+            GOLDEN,
+            "rotten, {writer_threads} thread(s)"
+        );
+        assert!(0 < rotten[4].reused && rotten[4].reused < chain[4].reused);
     }
 }

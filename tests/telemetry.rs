@@ -7,7 +7,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use mpi_stool::dmtcp::TierConfig;
+use mpi_stool::dmtcp::{StoreConfig, TierConfig};
 use mpi_stool::simnet::{ClusterSpec, EventKind, MetricValue, Telemetry, TelemetryConfig};
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{
@@ -256,6 +256,55 @@ fn session_snapshot_unifies_events_metrics_and_store_stats() {
     };
     assert_eq!(commits, sorted, "epoch commits in epoch order");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every commit records the stored bytes it copied instead of encoding:
+/// only a rebase copies, so every other commit records zero.
+#[test]
+fn reused_bytes_is_read_once_per_commit_and_non_zero_only_on_rebases() {
+    let dir = std::env::temp_dir().join(format!("stool-tel-reuse-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session = Session::builder()
+        .cluster(ClusterSpec::builder().nodes(2).ranks_per_node(2).build())
+        .vendor(Vendor::Mpich)
+        .checkpointer(Checkpointer::mana())
+        .checkpoint_every(2)
+        .durability(DurabilityPolicy {
+            store: Some(StorePolicy {
+                config: StoreConfig {
+                    max_chain: 1,
+                    ..StoreConfig::default()
+                },
+                ..StorePolicy::new(&dir)
+            }),
+            ..DurabilityPolicy::default()
+        })
+        .build()
+        .unwrap();
+    let out = session
+        .launch(&RingPings {
+            rounds: 12,
+            payload: 32,
+        })
+        .unwrap();
+    assert!(out.is_completed());
+    let snap = session.telemetry().expect("snapshot after launch");
+    let commits = snap.epochs.len() as u64;
+    let rebases = snap.epochs.iter().skip(1).filter(|e| e.full).count() as u64;
+    assert!(rebases >= 2, "{commits} commits, {rebases} rebases");
+    match &snap.metrics()["store.commit.reused_bytes"] {
+        MetricValue::Histogram {
+            count,
+            sum,
+            buckets,
+        } => {
+            assert_eq!(*count, commits, "one reading per commit");
+            assert_eq!(buckets[0], commits - rebases, "zero unless a rebase");
+            assert!(*sum > 0);
+        }
+        other => panic!("store.commit.reused_bytes is not a histogram: {other:?}"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
