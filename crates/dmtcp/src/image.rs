@@ -5,10 +5,6 @@
 //! `meta`; the MANA layer adds `mana.vids`, `mana.pool`, `mana.counters`).
 //! This sectioning mirrors how DMTCP plugins contribute areas to a real
 //! `.dmtcp` image.
-//!
-//! A section's bytes are an `Arc<Vec<u8>>`, so a producer that keeps its
-//! encoded state between checkpoints ([`RankImage::put_section_shared`])
-//! hands an unchanged section to the next image without copying it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -148,6 +144,12 @@ pub(crate) fn write_atomic(
 }
 
 /// A single rank's checkpoint image.
+///
+/// Sections are shared, immutable `Arc<Vec<u8>>` buffers: a clone of the
+/// image, or a section a producer that keeps its encoded state between
+/// checkpoints hands over with [`RankImage::put_section_shared`], copies
+/// no bytes. Sharing is invisible to [`RankImage::section`], equality and
+/// the codec.
 #[derive(Debug, Clone, Default)]
 pub struct RankImage {
     /// Rank id within the world at checkpoint time.
@@ -161,7 +163,7 @@ pub struct RankImage {
     /// Transient clean-segment hints: per section, the producer's
     /// generation stamp (see [`crate::memory::Memory::generation`]). The
     /// delta store skips chunking and hashing a section whose hint has
-    /// not moved since the previous committed epoch. Hints are run-local
+    /// not moved since the store handle's previous commit. Hints are run-local
     /// advice — never serialized, never part of image equality — so a
     /// reloaded image simply carries none and is fully re-hashed.
     hints: BTreeMap<String, u64>,

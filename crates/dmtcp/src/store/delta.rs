@@ -42,8 +42,9 @@ pub struct DeltaStore {
     index: HashMap<BlockKey, BlockLoc>,
     /// Dirty tracking: per `(rank, section)`, the hinted generation and
     /// block refs of the previous commit. A section whose hint matches
-    /// is re-referenced without chunking or hashing. Run-local — never
-    /// persisted, cleared by full bases and pruned with GC.
+    /// is re-referenced (by a base: re-planned) without chunking or
+    /// hashing. Run-local — never persisted, replaced by every commit,
+    /// cleared on reopen and pruned with GC.
     section_cache: HashMap<(usize, String), SectionCache>,
     /// The first epoch this handle committed itself (`latest + 1` when
     /// the head state was last rebuilt). A rebase copies stored blocks
@@ -1136,7 +1137,7 @@ mod tests {
         let mut store = DeltaStore::open_with(&dir, small_cfg()).unwrap();
         let img1 = hinted_image(1, 3, 0x11, 4000);
         let s1 = store.commit(&img1).unwrap();
-        // The full base hashes everything, hints or not.
+        // The first base hashes everything: no hint is cached yet.
         assert_eq!(s1.bytes_hashed, img1.total_bytes() as u64);
 
         // Same static stamp, moved hot stamp: only "hot" is hashed.

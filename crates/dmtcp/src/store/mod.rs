@@ -74,7 +74,17 @@
 //!   turns the per-epoch hash cost from O(image) into O(changed state).
 //!   The hint is advice, not trust-the-caller: it is only honored for
 //!   the section (same rank, same name, same length) cached from the
-//!   immediately preceding commit, never across reopen or a full base.
+//!   immediately preceding commit of this handle, never across reopen.
+//!   It is honored across a full base: the base takes the clean
+//!   section's chunk list from the cached refs instead of re-chunking
+//!   it, and still writes every block it references into its own
+//!   `blocks.bin`.
+//!
+//! A rebase writes those blocks for less where it can: a block an epoch
+//! this handle committed already stores is copied from that epoch's
+//! `blocks.bin` (stored bytes, codec and CRC, once the copy passes its
+//! CRC) instead of encoded again, since encoding is a pure function of
+//! the block's bytes and the handle's compression.
 //!
 //! # Retention and GC
 //!
@@ -83,7 +93,9 @@
 //! can grow. After each commit, epochs beyond the newest
 //! [`StoreConfig::retain_epochs`] restorable epochs are deleted — except
 //! those still referenced by a retained manifest (a delta keeps its base
-//! alive), so every retained epoch stays restorable.
+//! alive), so every retained epoch stays restorable. The handle remembers
+//! which epochs each manifest it committed references, so GC decodes a
+//! manifest only for an epoch it has not seen commit.
 //!
 //! # Cross-vendor restart
 //!
