@@ -39,7 +39,7 @@ use dmtcp_sim::{
 use mpi_abi::{Handle, ReduceOp};
 use simnet::{ClusterSpec, Fabric, Interconnect};
 use std::sync::Arc;
-use stool::cluster::{Cluster, TenantSpec};
+use stool::cluster::Cluster;
 use stool::programs::RingPings;
 use stool::{
     AppCtx, Checkpointer, DurabilityPolicy, MpiProgram, Session, StoolResult, StorePolicy, Vendor,
@@ -325,7 +325,7 @@ fn cluster_saturation(tenants: usize) -> ClusterNumbers {
             })
             .build()
             .expect("tenant session");
-        builder = builder.tenant(format!("t{i}"), TenantSpec::new(session));
+        builder = builder.tenant(format!("t{i}"), session);
     }
     let cluster = builder.build().expect("cluster");
     let program = RingPings {

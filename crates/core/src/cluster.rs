@@ -13,8 +13,8 @@
 //! * **One shared store committer** ([`dmtcp_sim::SharedStoreWriter`]).
 //!   Every tenant's completed epochs flow through a single background
 //!   thread that drains per-tenant lanes fair-share round-robin. A
-//!   tenant over its [`TenantQuota`] (queued epochs or in-flight bytes)
-//!   blocks only its *own* submits; sticky commit errors latch per lane.
+//!   tenant with [`dmtcp_sim::QUEUE_DEPTH`] epochs queued blocks only its
+//!   *own* submits; sticky commit errors latch per lane.
 //! * **One shared tier shipper** ([`dmtcp_sim::SharedTier`], optional).
 //!   Sealed epochs of every tenant ship through one multiplexed
 //!   runtime, each under its own `tenant/<id>/` key namespace — the
@@ -22,29 +22,27 @@
 //!
 //! Tenant isolation is the design invariant throughout: distinct chain
 //! directories (enforced, with a durable `TENANT` ownership marker in
-//! each), distinct tier namespaces, per-lane quotas/errors/stats, and a
+//! each), distinct tier namespaces, per-lane queues/errors/stats, and a
 //! failing or faulted tenant leaves its siblings' runs untouched.
 //!
 //! ```no_run
 //! use simnet::ClusterSpec;
-//! use stool::cluster::{Cluster, TenantSpec};
+//! use stool::cluster::Cluster;
 //! use stool::programs::RingPings;
 //! use stool::{Checkpointer, DurabilityPolicy, Session, StorePolicy, Vendor};
 //!
 //! let tenant = |vendor| {
-//!     TenantSpec::new(
-//!         Session::builder()
-//!             .cluster(ClusterSpec::builder().nodes(1).ranks_per_node(4).build())
-//!             .vendor(vendor)
-//!             .checkpointer(Checkpointer::mana())
-//!             .checkpoint_every(2)
-//!             .durability(DurabilityPolicy {
-//!                 store: Some(StorePolicy::new(format!("/tmp/chains/{vendor:?}"))),
-//!                 ..DurabilityPolicy::default()
-//!             })
-//!             .build()
-//!             .unwrap(),
-//!     )
+//!     Session::builder()
+//!         .cluster(ClusterSpec::builder().nodes(1).ranks_per_node(4).build())
+//!         .vendor(vendor)
+//!         .checkpointer(Checkpointer::mana())
+//!         .checkpoint_every(2)
+//!         .durability(DurabilityPolicy {
+//!             store: Some(StorePolicy::new(format!("/tmp/chains/{vendor:?}"))),
+//!             ..DurabilityPolicy::default()
+//!         })
+//!         .build()
+//!         .unwrap()
 //! };
 //! let cluster = Cluster::builder()
 //!     .worker_threads(8)
@@ -60,7 +58,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dmtcp_sim::store::{EpochStats, SharedStoreWriter, StoreError, TenantQuota};
+use dmtcp_sim::store::{EpochStats, SharedStoreWriter, StoreError};
 use dmtcp_sim::tier::{tenant_namespace, FsTier, ObjectTier, SharedTier};
 use simnet::WorkerPool;
 
@@ -68,35 +66,11 @@ use crate::error::{StoolError, StoolResult};
 use crate::program::MpiProgram;
 use crate::session::{recorder_for, RunOutcome, Session, TenantShared, TierPolicy};
 
-/// One tenant of a [`Cluster`]: a fully validated session configuration
-/// plus the tenant's fair-share [`TenantQuota`] on the shared committer.
-pub struct TenantSpec {
-    session: Session,
-    quota: TenantQuota,
-}
-
-impl TenantSpec {
-    /// Wrap a built [`Session`] as a cluster tenant with the default
-    /// quota.
-    pub fn new(session: Session) -> TenantSpec {
-        TenantSpec {
-            session,
-            quota: TenantQuota::default(),
-        }
-    }
-
-    /// Set the tenant's quota on the shared committer: how many epochs
-    /// (and bytes) it may have in flight before its own submits block.
-    pub fn quota(mut self, quota: TenantQuota) -> TenantSpec {
-        self.quota = quota;
-        self
-    }
-}
-
+/// One tenant of a [`Cluster`]: its id and its fully validated session
+/// configuration.
 struct Tenant {
     id: String,
     session: Session,
-    quota: TenantQuota,
 }
 
 /// Builder for [`Cluster`].
@@ -147,13 +121,13 @@ impl ClusterBuilder {
         self
     }
 
-    /// Add a tenant. `id` becomes the tenant's tier namespace, its
-    /// store-directory ownership claim and its telemetry tag.
-    pub fn tenant(mut self, id: impl Into<String>, spec: TenantSpec) -> Self {
+    /// Add a built [`Session`] as a tenant. `id` becomes the tenant's
+    /// tier namespace, its store-directory ownership claim and its
+    /// telemetry tag.
+    pub fn tenant(mut self, id: impl Into<String>, session: Session) -> Self {
         self.tenants.push(Tenant {
             id: id.into(),
-            session: spec.session,
-            quota: spec.quota,
+            session,
         });
         self
     }
@@ -232,7 +206,7 @@ pub struct TenantReport {
     /// Per-epoch commit statistics of the tenant's lane, in commit
     /// order (empty when the tenant attached no store).
     pub epochs: Vec<EpochStats>,
-    /// How many of the tenant's submits blocked on its own quota.
+    /// How many of the tenant's submits blocked on its own full queue.
     pub quota_waits: u64,
     /// The tenant lane's sticky commit error, if any.
     pub store_error: Option<StoreError>,
@@ -328,7 +302,7 @@ impl Cluster {
                             .map_err(StoolError::Store)?;
                     }
                     let stats = store.tier_stats_handle();
-                    stores.push((store, tenant.quota));
+                    stores.push(store);
                     (Some(stores.len() - 1), stats)
                 }
             };

@@ -51,7 +51,7 @@ pub mod session;
 pub mod stack;
 pub mod telemetry;
 
-pub use cluster::{Cluster, ClusterBuilder, ClusterReport, TenantReport, TenantSpec};
+pub use cluster::{Cluster, ClusterBuilder, ClusterReport, TenantReport};
 pub use dmtcp_sim::memory::Memory;
 pub use dmtcp_sim::{
     tenant_namespace, FlakyTier, FsTier, GetFault, MemTier, ObjectTier, PutFault, ScrubReport,
@@ -63,8 +63,7 @@ pub use dmtcp_sim::{
 };
 pub use dmtcp_sim::{BarrierTopology, CkptMode, ImageError, WorldImage};
 pub use dmtcp_sim::{
-    Compression, DeltaStore, EpochStats, SharedStoreWriter, StoreConfig, StoreError, TenantQuota,
-    TenantSink,
+    Compression, DeltaStore, EpochStats, SharedStoreWriter, StoreConfig, StoreError, TenantSink,
 };
 pub use error::{StoolError, StoolResult};
 pub use mana_sim::ManaConfig;

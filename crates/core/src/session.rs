@@ -7,9 +7,7 @@ use dmtcp_sim::coordinator::{BarrierTopology, CkptMode, Coordinator};
 use dmtcp_sim::image::WorldImage;
 use dmtcp_sim::memory::Memory;
 use dmtcp_sim::replica::{Clock, ReplicaConfig, ReplicaFault, ReplicaGroup, SystemClock};
-use dmtcp_sim::store::{
-    DeltaStore, SharedStoreWriter, StoreConfig, StoreError, TenantQuota, TenantSink,
-};
+use dmtcp_sim::store::{DeltaStore, SharedStoreWriter, StoreConfig, StoreError, TenantSink};
 use dmtcp_sim::tier::{
     FlakyTier, FsTier, GetFault, ObjectTier, PutFault, TierConfig, TierStatsHandle,
 };
@@ -906,12 +904,8 @@ impl Session {
                         .map_err(StoolError::Store)?;
                     store.attach_telemetry(tel.clone());
                     tier_stats = store.tier_stats_handle();
-                    let quota = TenantQuota {
-                        max_queue: store.config().queue_depth,
-                        max_inflight_bytes: u64::MAX,
-                    };
-                    let stores = vec![(store, quota)];
-                    Some((Arc::new(SharedStoreWriter::spawn_stores(stores)), 0))
+                    let writer = SharedStoreWriter::spawn_stores(vec![store]);
+                    Some((Arc::new(writer), 0))
                 }
                 None => None,
             },

@@ -23,6 +23,8 @@
 //! * [`store`] — the asynchronous delta-checkpoint store: epoch chains of
 //!   content-hashed blocks with per-block CRC32, atomic commits and
 //!   retention GC;
+//! * [`lanes`] — the lane multiplexer under the store's background
+//!   committer and the tier's shipper: one thread, N fair-share lanes;
 //! * [`replica`] — coordinator replication: a [`replica::ReplicaGroup`]
 //!   quorum-commits every epoch record (single-decree Paxos per log slot)
 //!   to `ObjectTier`-backed logs before the coordinator releases the final
@@ -53,6 +55,7 @@
 pub mod codec;
 pub mod coordinator;
 pub mod image;
+pub mod lanes;
 pub mod memory;
 pub mod replica;
 pub mod store;
@@ -71,7 +74,7 @@ pub use replica::{
 };
 pub use store::{
     Compression, DeltaStore, EpochStats, ScrubReport, SharedStoreWriter, StoreConfig, StoreError,
-    TenantQuota, TenantSink,
+    TenantSink, QUEUE_DEPTH,
 };
 pub use tier::{
     tenant_namespace, FlakyTier, FsTier, GetFault, MemTier, ObjectTier, PutFault, SharedTier,

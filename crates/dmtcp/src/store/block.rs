@@ -11,7 +11,7 @@ const MIN_COMPRESS_LEN: usize = 64;
 /// How a block's bytes are stored on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum BlockCodec {
-    /// Raw bytes (always the case in v1 chains).
+    /// Raw bytes.
     Raw,
     /// LZ4 block compression.
     Lz4,

@@ -122,7 +122,6 @@ impl DeltaStore {
                 block_size: config.block_size.max(1),
                 retain_epochs: config.retain_epochs.max(1),
                 writer_threads: config.writer_threads.max(1),
-                queue_depth: config.queue_depth.max(1),
                 ..config
             },
             epochs,
@@ -161,9 +160,7 @@ impl DeltaStore {
 
     /// Head repair + content-index rebuild: quarantine unreadable heads
     /// until a manifest decodes (or the chain is empty), then rebuild
-    /// the dedup index and chain length from the surviving head — or,
-    /// over a V1 or V2 head, leave the index empty and make the next
-    /// commit a full base.
+    /// the dedup index and chain length from the surviving head.
     /// Quarantine is reserved for *structural* damage — a manifest that
     /// fails to decode, or an epoch directory missing its manifest file
     /// (a pre-atomic-commit torn write). A transient I/O failure
@@ -209,13 +206,6 @@ impl DeltaStore {
                     continue;
                 }
             };
-            // A V1 or V2 head's keys are not `content_key`s: index
-            // nothing, and let the next commit be a full V3 base (the
-            // unknown-depth rule below).
-            if !manifest.content_keys {
-                store.chain_len = store.config.max_chain;
-                break;
-            }
             for (_, _, _, sections) in &manifest.ranks {
                 for (_, blocks) in sections {
                     for &(key, loc) in blocks {
@@ -530,7 +520,6 @@ impl DeltaStore {
             vendor_hint: image.vendor_hint.clone(),
             bytes_hashed,
             ranks: ranks_manifest,
-            content_keys: true,
         };
         let manifest_buf = manifest.encode();
         let refs = manifest.referenced_epochs();

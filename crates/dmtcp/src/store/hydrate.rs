@@ -142,7 +142,7 @@ impl DeltaStore {
     /// with no tier attached.
     pub fn tier_flush(&self) -> Result<(), StoreError> {
         match &self.tier {
-            Some(t) => t.runtime.flush(t.lane).map_err(StoreError::Tier),
+            Some(t) => t.runtime.mux.lanes.flush(t.lane).map_err(StoreError::Tier),
             None => Ok(()),
         }
     }

@@ -8,19 +8,13 @@ use crate::codec::{CodecError, Reader, Writer};
 use super::block::BlockCodec;
 
 const MANIFEST_MAGIC: u64 = 0x434B_5054_4348_4E31; // "CKPTCHN1"
-/// The legacy (PR 2) manifest version: raw blocks, 40-byte references.
-/// Decoded, never written.
-const MANIFEST_V1: u64 = 1;
-/// Per-block codec byte + raw length, and a `bytes_hashed` header field
-/// recording what the commit actually hashed; keys are two FNV-1a
-/// streams. Decoded, never written.
-const MANIFEST_V2: u64 = 2;
-/// Current manifest version: V2's layout, keys are
-/// [`crate::codec::content_key`]s.
+/// The one manifest version the tree reads and writes: a per-block
+/// codec byte and raw length, a `bytes_hashed` header field, and
+/// [`crate::codec::content_key`]s. Versions 1 and 2 (FNV-1a keys) are
+/// retired: they fail to decode like any other unknown version.
 const MANIFEST_V3: u64 = 3;
-/// Bytes of one block reference on disk, per manifest version.
-const BLOCK_REC_V1: usize = 40;
-const BLOCK_REC_V2: usize = 45;
+/// Bytes of one block reference on disk.
+const BLOCK_REC: usize = 45;
 /// Minimum bytes a rank header (rank, world, epoch, nsections) consumes.
 const RANK_REC_MIN: usize = 32;
 /// Minimum bytes a section (name length prefix + nblocks) consumes.
@@ -61,16 +55,10 @@ pub(super) struct Manifest {
     pub(super) epoch: u64,
     pub(super) full: bool,
     pub(super) vendor_hint: String,
-    /// Bytes of section payload this commit actually chunked and hashed
-    /// (v1 manifests, which predate dirty tracking, report the full
-    /// payload here).
+    /// Bytes of section payload this commit actually chunked and hashed.
     pub(super) bytes_hashed: u64,
     /// Per rank: the `RankImage` header plus its sections' block refs.
     pub(super) ranks: Vec<(usize, usize, u64, Vec<SectionRefs>)>,
-    /// Whether the keys are `content_key`s (decoded from V3). Restore
-    /// never reads a key; dedup does, and a V1 or V2 key (FNV-1a) must
-    /// never meet a V3 key in one index.
-    pub(super) content_keys: bool,
 }
 
 impl Manifest {
@@ -114,7 +102,7 @@ impl Manifest {
         w.finish()
     }
 
-    /// Decode any manifest version. Every count field is clamped
+    /// Decode a V3 manifest. Every count field is clamped
     /// against the bytes actually remaining in the buffer (each record
     /// has a known minimum size) and every block's `raw_len` against its
     /// stored length, so a corrupted or hostile count or length can
@@ -124,18 +112,16 @@ impl Manifest {
         let mut r = Reader::checked(buf)?;
         r.expect_magic(MANIFEST_MAGIC)?;
         let version = r.u64()?;
-        if ![MANIFEST_V1, MANIFEST_V2, MANIFEST_V3].contains(&version) {
+        if version != MANIFEST_V3 {
             return Err(CodecError::BadMagic {
                 expected: MANIFEST_V3,
                 found: version,
             });
         }
-        let v1 = version == MANIFEST_V1;
         let epoch = r.u64()?;
         let full = r.u8()? != 0;
         let vendor_hint = r.string()?;
-        let mut bytes_hashed = if v1 { 0 } else { r.u64()? };
-        let block_rec = if v1 { BLOCK_REC_V1 } else { BLOCK_REC_V2 };
+        let bytes_hashed = r.u64()?;
         let clamp = |count: u64, rec_min: usize, remaining: usize| -> Result<usize, CodecError> {
             if (count as u128) * (rec_min as u128) > remaining as u128 {
                 return Err(CodecError::LengthOutOfBounds(count));
@@ -155,21 +141,16 @@ impl Manifest {
             for _ in 0..nsections {
                 let name = r.string()?;
                 let nblocks = r.u64()?;
-                let nblocks = clamp(nblocks, block_rec, r.remaining())?;
+                let nblocks = clamp(nblocks, BLOCK_REC, r.remaining())?;
                 let mut blocks = Vec::with_capacity(nblocks);
                 for _ in 0..nblocks {
                     let key = (r.u64()?, r.u64()?);
                     let src_epoch = r.u64()?;
                     let offset = r.u64()?;
                     let len = r.u32()?;
-                    let (raw_len, crc, codec) = if v1 {
-                        (len, r.u32()?, BlockCodec::Raw)
-                    } else {
-                        let raw_len = r.u32()?;
-                        let crc = r.u32()?;
-                        let codec = BlockCodec::from_u8(r.u8()?)?;
-                        (raw_len, crc, codec)
-                    };
+                    let raw_len = r.u32()?;
+                    let crc = r.u32()?;
+                    let codec = BlockCodec::from_u8(r.u8()?)?;
                     // `raw_len` sizes the section buffer before any block
                     // is CRC-checked, so it is bounded here like the
                     // counts: raw blocks store what they hold, and the
@@ -194,10 +175,6 @@ impl Manifest {
                             codec,
                         },
                     ));
-                    if v1 {
-                        // v1 commits always hashed every referenced byte.
-                        bytes_hashed += raw_len as u64;
-                    }
                 }
                 sections.push((name, blocks));
             }
@@ -209,7 +186,6 @@ impl Manifest {
             vendor_hint,
             bytes_hashed,
             ranks,
-            content_keys: version == MANIFEST_V3,
         })
     }
 }
@@ -217,9 +193,8 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::super::testutil::*;
-    use super::super::{DeltaStore, StoreConfig};
+    use super::super::DeltaStore;
     use super::*;
-    use crate::image::{RankImage, WorldImage};
 
     #[test]
     fn huge_counts_with_valid_checksum_reject_without_allocating() {
@@ -231,7 +206,7 @@ mod tests {
         let huge_at = |field: usize| {
             let mut w = Writer::new();
             w.u64(MANIFEST_MAGIC);
-            w.u64(MANIFEST_V2);
+            w.u64(MANIFEST_V3);
             w.u64(1); // epoch
             w.u8(1); // full
             w.string("MPICH");
@@ -276,7 +251,6 @@ mod tests {
                 vendor_hint: "MPICH".to_string(),
                 bytes_hashed: 0,
                 ranks: vec![(0, 1, 1, vec![("memory".to_string(), vec![((1, 2), loc)])])],
-                content_keys: true,
             };
             Manifest::decode(&manifest.encode())
         };
@@ -325,161 +299,27 @@ mod tests {
     // allocate absurdly, on any mangled input.
     // -----------------------------------------------------------------
 
-    /// A V1 manifest as the last V1 writer left it: the delta epoch of
-    /// the committed fixture chain (nothing in the tree encodes V1).
-    const V1_MANIFEST: &[u8] =
-        include_bytes!("../../../../tests/fixtures/v1_chain/epoch_000002/manifest.bin");
-
     #[test]
-    fn v1_fixture_decodes_as_raw_blocks_with_full_hash_accounting() {
-        let v1 = Manifest::decode(V1_MANIFEST).unwrap();
-        assert_eq!((v1.epoch, v1.full, v1.ranks.len()), (2, false, 6));
-        let locs = || {
-            let sections = v1.ranks.iter().flat_map(|r| &r.3);
-            sections.flat_map(|(_, blocks)| blocks.iter().map(|b| b.1))
-        };
-        assert!(locs().all(|l| l.codec == BlockCodec::Raw && l.raw_len == l.len));
-        assert!(locs().any(|l| l.epoch == 1) && locs().any(|l| l.epoch == 2));
-        let referenced: u64 = locs().map(|l| l.raw_len as u64).sum();
-        assert_eq!(v1.bytes_hashed, referenced, "v1 commits hashed every byte");
-        assert!(!v1.content_keys);
-        // Re-encoded, the same manifest is a V3 one, five bytes a block
-        // and one header field longer.
-        let v3 = v1.encode();
-        assert_eq!(v3.len(), V1_MANIFEST.len() + 8 + 5 * locs().count());
-        let back = Manifest::decode(&v3).unwrap();
-        assert_eq!(back.bytes_hashed, v1.bytes_hashed);
-        assert_eq!(back.ranks, v1.ranks);
-    }
-
-    /// `tests/fixtures/v2_chain`: [`v2_chain_image`] steps 1..=3 committed
-    /// with [`v2_chain_cfg`] by the V2 writer of c095bdf, each epoch's
-    /// `blocks.bin` then `manifest.bin`.
-    const V2_CHAIN: [[&[u8]; 2]; 3] = [
-        [
-            include_bytes!("../../../../tests/fixtures/v2_chain/epoch_000001/blocks.bin"),
-            include_bytes!("../../../../tests/fixtures/v2_chain/epoch_000001/manifest.bin"),
-        ],
-        [
-            include_bytes!("../../../../tests/fixtures/v2_chain/epoch_000002/blocks.bin"),
-            include_bytes!("../../../../tests/fixtures/v2_chain/epoch_000002/manifest.bin"),
-        ],
-        [
-            include_bytes!("../../../../tests/fixtures/v2_chain/epoch_000003/blocks.bin"),
-            include_bytes!("../../../../tests/fixtures/v2_chain/epoch_000003/manifest.bin"),
-        ],
-    ];
-
-    /// The images behind [`V2_CHAIN`]: a base, a delta and a hinted-clean
-    /// delta of three ranks, with every codec, both kinds of skip and an
-    /// intra-epoch duplicate (ranks 1 and 2 share their noise) on the path.
-    fn v2_chain_image(step: u64) -> WorldImage {
-        let ranks = (0..3usize)
-            .map(|r| {
-                let mut img = RankImage::new(r, 3, step);
-                let lattice = (0..512u64).flat_map(|i| {
-                    let low = i.wrapping_mul(step + 3) & 0xFFFF;
-                    (0x3FF0_0000_0000_0000u64 | (r as u64) << 32 | low).to_le_bytes()
-                });
-                img.put_section("lattice", lattice.collect());
-                let text =
-                    (0..3000usize).map(|i| b"checkpoint "[(i * 7 + r) % 11] + (i / 500) as u8);
-                img.put_section("text", text.collect());
-                let moved = step.min(2);
-                img.put_section("noise", fill_bytes(moved << 8 | r.min(1) as u64, 3000));
-                img.put_section_hinted("static", fill_bytes(77 + r as u64, 2000), 1);
-                img.put_section_hinted("hot", fill_bytes(moved * 1000 + r as u64, 1000), moved);
-                img
-            })
-            .collect();
-        WorldImage::new("MPICH".to_string(), ranks)
-    }
-
-    fn v2_chain_cfg() -> StoreConfig {
-        StoreConfig {
-            block_size: 256,
-            ..small_cfg()
-        }
-    }
-
-    /// Every field but the keys, as bytes: the manifest re-encoded with
-    /// each key zeroed.
-    fn unkeyed(m: &Manifest) -> Vec<u8> {
-        let mut ranks = m.ranks.clone();
-        let refs = ranks.iter_mut().flat_map(|r| &mut r.3);
-        refs.flat_map(|(_, b)| b).for_each(|b| b.0 = (0, 0));
-        let vendor_hint = m.vendor_hint.clone();
-        Manifest {
-            ranks,
-            vendor_hint,
-            ..*m
-        }
-        .encode()
-    }
-
-    fn keys(m: &Manifest) -> Vec<BlockKey> {
-        let sections = m.ranks.iter().flat_map(|r| &r.3);
-        sections.flat_map(|(_, b)| b.iter().map(|x| x.0)).collect()
-    }
-
-    #[test]
-    fn v2_fixture_restores_and_the_v3_writer_moves_only_keys_and_version() {
-        let fixture = tmp_dir("v2_fixture");
-        for (step, files) in (1u64..).zip(V2_CHAIN) {
-            let epoch = fixture.join(format!("epoch_{step:06}"));
-            std::fs::create_dir_all(&epoch).unwrap();
-            for (name, bytes) in ["blocks.bin", "manifest.bin"].into_iter().zip(files) {
-                std::fs::write(epoch.join(name), bytes).unwrap();
+    fn a_retired_version_is_an_unknown_version_error() {
+        // A V3 buffer relabelled version 1, its trailer re-sealed so the
+        // checksum passes: the version check alone must refuse it.
+        let mut buf = sample_manifest_buf();
+        buf.truncate(buf.len() - 8);
+        buf[8..16].copy_from_slice(&1u64.to_le_bytes());
+        let sum = crate::codec::fnv1a(&buf);
+        buf.extend_from_slice(&sum.to_le_bytes());
+        match Manifest::decode(&buf) {
+            Err(CodecError::BadMagic { expected, found }) => {
+                assert_eq!((expected, found), (MANIFEST_V3, 1));
             }
+            Err(other) => panic!("expected the unknown-version error, got {other:?}"),
+            Ok(_) => panic!("a version-1 manifest decoded"),
         }
-        let store = DeltaStore::open_with(&fixture, v2_chain_cfg()).unwrap();
-        for step in 1..=3 {
-            assert_eq!(store.load_epoch(step).unwrap(), v2_chain_image(step));
-        }
-        let base = Manifest::decode(V2_CHAIN[0][1]).unwrap();
-        let locs = base.ranks.iter().flat_map(|r| &r.3).flat_map(|s| &s.1);
-        let codecs: Vec<BlockCodec> = locs.map(|b| b.1.codec).collect();
-        for codec in [BlockCodec::Raw, BlockCodec::Lz4, BlockCodec::ShuffleLz4] {
-            assert!(codecs.contains(&codec), "{codec:?} unused");
-        }
-
-        let version = |buf: &[u8]| u64::from_le_bytes(buf[8..16].try_into().unwrap());
-        let dir = tmp_dir("v2_rewrite");
-        let mut store = DeltaStore::open_with(&dir, v2_chain_cfg()).unwrap();
-        for (step, [blocks, v2_buf]) in (1u64..).zip(V2_CHAIN) {
-            let stats = store.commit(&v2_chain_image(step)).unwrap();
-            assert_eq!(stats.full, step == 1);
-            let read = |name| std::fs::read(store.epoch_dir(step).join(name)).unwrap();
-            assert!(
-                read("blocks.bin") == blocks,
-                "epoch {step}: blocks.bin moved"
-            );
-            let v3_buf = read("manifest.bin");
-            assert_eq!(v3_buf.len(), v2_buf.len(), "epoch {step}");
-            assert_eq!(
-                (version(v2_buf), version(&v3_buf)),
-                (MANIFEST_V2, MANIFEST_V3)
-            );
-            let v2 = Manifest::decode(v2_buf).unwrap();
-            let v3 = Manifest::decode(&v3_buf).unwrap();
-            assert_eq!((v2.content_keys, v3.content_keys), (false, true));
-            assert!(
-                unkeyed(&v2) == unkeyed(&v3),
-                "epoch {step}: more than keys moved"
-            );
-            let (old, new) = (keys(&v2), keys(&v3));
-            assert!(old.iter().zip(&new).all(|(a, b)| a.0 != b.0 && a.1 != b.1));
-        }
-        std::fs::remove_dir_all(&fixture).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A representative manifest, V3 encoded in memory without touching
-    /// disk, or V1 from the fixture.
-    fn sample_manifest_buf(v1: bool) -> Vec<u8> {
-        if v1 {
-            return V1_MANIFEST.to_vec();
-        }
+    /// disk.
+    fn sample_manifest_buf() -> Vec<u8> {
         let block = |e: u64, off: u64, codec: BlockCodec| {
             (
                 (0x1111 + off, 0x2222 + off),
@@ -522,7 +362,6 @@ mod tests {
                     )
                 })
                 .collect(),
-            content_keys: true,
         };
         manifest.encode()
     }
@@ -532,9 +371,8 @@ mod tests {
         fn flipped_manifest_bytes_always_error(
             pos in 0usize..10_000,
             xor in 1u8..=255,
-            v1 in proptest::prelude::any::<bool>(),
         ) {
-            let mut buf = sample_manifest_buf(v1);
+            let mut buf = sample_manifest_buf();
             let pos = pos % buf.len();
             buf[pos] ^= xor;
             // Any single-byte flip breaks the FNV trailer (or the
@@ -548,9 +386,8 @@ mod tests {
         fn truncated_or_padded_manifests_never_panic(
             cut in 0usize..10_000,
             tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
-            v1 in proptest::prelude::any::<bool>(),
         ) {
-            let mut buf = sample_manifest_buf(v1);
+            let mut buf = sample_manifest_buf();
             buf.truncate(cut % (buf.len() + 1));
             buf.extend_from_slice(&tail);
             // Outcome may be Ok only for the untouched buffer; all that

@@ -10,8 +10,10 @@
 //! * **Asynchrony** — one lane of a [`SharedStoreWriter`] is attached to
 //!   the coordinator as an [`crate::coordinator::ImageSink`]
 //!   ([`TenantSink`]). At the final rendezvous barrier the round leader
-//!   hands the complete set of [`RankImage`]s to the lane's bounded queue (the double buffer) and every rank resumes
-//!   computing; a background thread performs the chunking, hashing and I/O.
+//!   hands the complete set of [`RankImage`]s to the lane's bounded
+//!   queue (the double buffer, [`QUEUE_DEPTH`]) and every rank resumes
+//!   computing; a background thread performs the chunking, hashing and
+//!   I/O.
 //! * **Deltas** — each section of each rank image is chunked into blocks
 //!   with *content-defined* boundaries (Gear rolling hash, FastCDC-style
 //!   min/max bounds), identified by a 128-bit content hash. An epoch
@@ -39,11 +41,9 @@
 //! references `(content key, source epoch, offset, stored length, raw
 //! length, CRC32, codec)` that reconstruct the section. The content key
 //! is the block's 128-bit [`crate::codec::content_key`] (two word-at-a-time
-//! lanes) in the **v3** manifests the tree writes; v1 and v2 manifests,
-//! whose keys were two FNV-1a streams, still decode and restore, but a
-//! store never dedups against them: over a v1 or v2 head the next commit
-//! is a full v3 base. A manifest is
-//! self-contained: restart loads exactly one manifest and then walks the
+//! lanes). The tree reads and writes one manifest version, **v3**; a
+//! retired v1 or v2 manifest fails to decode, and `open` quarantines such
+//! a head like any other undecodable one. A manifest is self-contained: restart loads exactly one manifest and then walks the
 //! chain only to fetch block bytes from the `blocks.bin` files it
 //! references. Every block is CRC32-checked on read, so corruption is
 //! reported as the exact `(epoch, offset)` that rotted — never silently
@@ -56,15 +56,15 @@
 //!
 //! # Block compression and dirty-segment tracking
 //!
-//! Manifest **v2** adds two cost reducers, both per-block/per-section and
-//! both off the ranks' critical path:
+//! The manifest carries two cost reducers, both per-block/per-section
+//! and both off the ranks' critical path:
 //!
 //! * **Compression** ([`Compression::Lz4`], the default): each newly
 //!   written block is stored under the codec that wins for its bytes —
 //!   raw, LZ4, or byte-shuffled LZ4 (the classic 8-stride shuffle filter,
 //!   which groups the slowly-varying high bytes of `f64` lattice data
 //!   into long runs LZ4 can fold). The codec byte travels in the block
-//!   reference; v1 chains (raw-only) still decode.
+//!   reference.
 //! * **Dirty-segment tracking** ([`StoreConfig::dirty_tracking`]): image
 //!   sections may carry a producer generation stamp
 //!   ([`crate::image::RankImage::put_section_hinted`], fed by
@@ -119,12 +119,12 @@ mod manifest;
 mod writer;
 
 pub use delta::DeltaStore;
-pub use writer::{SharedStoreWriter, TenantQuota, TenantSink};
+pub use writer::{SharedStoreWriter, TenantSink, QUEUE_DEPTH};
 
 /// Per-block compression applied to newly written blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Compression {
-    /// Store raw block bytes (the v1 behavior).
+    /// Store raw block bytes.
     None,
     /// Per block, keep the smallest of: raw, LZ4, byte-shuffled LZ4
     /// (the shuffle transposes the block's 8-aligned prefix — the `f64`
@@ -154,10 +154,6 @@ pub struct StoreConfig {
     /// Threads used to chunk and hash rank images in parallel during a
     /// commit.
     pub writer_threads: usize,
-    /// Submit queue depth of the background writer (the double buffer):
-    /// ranks block on submit only when this many epochs are already
-    /// waiting.
-    pub queue_depth: usize,
     /// Per-block compression of newly written blocks.
     pub compression: Compression,
     /// Honor clean-segment generation hints: a hinted section whose
@@ -173,7 +169,6 @@ impl Default for StoreConfig {
             retain_epochs: 4,
             max_chain: 8,
             writer_threads: 2,
-            queue_depth: 2,
             compression: Compression::default(),
             dirty_tracking: true,
         }
@@ -421,7 +416,6 @@ mod testutil {
             retain_epochs: 3,
             max_chain: 4,
             writer_threads: 2,
-            queue_depth: 2,
             ..StoreConfig::default()
         }
     }

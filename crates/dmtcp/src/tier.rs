@@ -17,11 +17,11 @@
 //!   errors, torn writes (the object lands corrupted while the put
 //!   reports success), and held uploads (a put blocks until the test
 //!   releases it — the "slow tier" that tries to race retention GC).
-//! * `TierRuntime` (crate-internal) — the background shipper thread,
-//!   mirroring `SharedStoreWriter`'s queue/sticky-error design: each
-//!   locally committed epoch is queued, its `blocks.bin` and `manifest.bin` are
-//!   uploaded with read-back CRC verification and exponential-backoff
-//!   retries, and a small checksummed **seal** object is written last.
+//! * `TierRuntime` (crate-internal) — the background shipper thread, a
+//!   `crate::lanes::LaneMux`: each locally committed epoch is queued,
+//!   its `blocks.bin` and `manifest.bin` are uploaded with read-back CRC
+//!   verification and exponential-backoff retries, and a small
+//!   checksummed **seal** object is written last.
 //!   An epoch is *durable in the tier* only once its seal is up; the
 //!   store's retention GC never deletes a local epoch that is not.
 //!
@@ -45,6 +45,7 @@ use std::time::Duration;
 use simnet::telemetry::{EventKind, Telemetry};
 
 use crate::codec::{content_key, crc32, CodecError, Reader, Writer};
+use crate::lanes::{LaneMux, LaneWorker, Lanes};
 
 /// Magic prefix of a seal object ("TIERSEAL", one byte short).
 const SEAL_MAGIC: u64 = 0x5449_4552_5345_414C;
@@ -768,216 +769,136 @@ impl ObjectTier for MemTier {
 // ---------------------------------------------------------------------------
 
 /// One tenant's share of the shipper: its local store directory, its
-/// key namespace in the tier, and — crucially — its *own* queue, sticky
-/// error, durable set, and stats. A lane whose uploads go sticky stops
-/// shipping without touching its neighbors: the error is scoped to the
-/// tenant whose tier config is dead, never to the runtime.
-struct ShipLane {
+/// key namespace in the tier, and its *own* durable set and stats (the
+/// mux adds its queue and sticky error). A lane whose uploads go sticky
+/// stops shipping without touching its neighbors: the error is scoped
+/// to the tenant whose tier config is dead, never to the runtime.
+pub(crate) struct ShipLane {
     dir: PathBuf,
     ns: String,
-    queue: VecDeque<u64>,
-    in_flight: bool,
-    error: Option<TierError>,
     durable: BTreeSet<u64>,
     stats: TierStats,
-    /// Attached flight recorder of this lane's tenant, cloned out by
-    /// the shipper thread before uploading.
+    /// Attached flight recorder of this lane's tenant, read per job.
     telemetry: Option<Arc<Telemetry>>,
 }
 
-struct ShipState {
-    lanes: Vec<ShipLane>,
-    closed: bool,
-    /// Round-robin cursor: the lane the next dispatch starts scanning
-    /// from, so a chatty tenant cannot starve the others.
-    rr: usize,
+/// The shipper thread's worker: the tier handle and its retry policy.
+pub(crate) struct Shipper {
+    tier: Arc<dyn ObjectTier>,
+    config: TierConfig,
 }
 
-impl ShipState {
-    /// Pop the next epoch to ship, fair-share round-robin across lanes,
-    /// skipping lanes with a sticky error. Returns
-    /// `(lane, epoch, dir, ns, telemetry)`.
-    #[allow(clippy::type_complexity)]
-    fn next_work(&mut self) -> Option<(usize, u64, PathBuf, String, Option<Arc<Telemetry>>)> {
-        let n = self.lanes.len();
-        for i in 0..n {
-            let idx = (self.rr + i) % n;
-            let lane = &mut self.lanes[idx];
-            if lane.error.is_some() {
-                continue;
+impl LaneWorker for Shipper {
+    const NAME: &'static str = "ckpt-tier-shipper";
+    /// An epoch number: the bytes are read on the shipper's thread.
+    type Job = u64;
+    type Lane = ShipLane;
+    type Error = TierError;
+
+    fn run(&mut self, lanes: &Lanes<Self>, lane: usize, epoch: u64) -> Result<(), TierError> {
+        let (dir, ns, tel) =
+            lanes.with_lane(lane, |l| (l.dir.clone(), l.ns.clone(), l.telemetry.clone()));
+        let emit = |kind, a, b, c| {
+            if let Some(tel) = &tel {
+                tel.emit(tel.tier_lane(), kind, tel.observed_now(), a, b, c);
             }
-            if let Some(epoch) = lane.queue.pop_front() {
-                lane.in_flight = true;
-                self.rr = (idx + 1) % n;
-                return Some((
-                    idx,
-                    epoch,
-                    lane.dir.clone(),
-                    lane.ns.clone(),
-                    lane.telemetry.clone(),
-                ));
+        };
+        emit(EventKind::TierShip, epoch, 0, 0);
+        let mut retries = 0u64;
+        let started = std::time::Instant::now();
+        let result = ship_epoch(&*self.tier, self.config, &dir, &ns, epoch, &mut retries);
+        let ship_us = started.elapsed().as_micros() as u64;
+        if let Some(tel) = &tel {
+            if retries > 0 {
+                tel.metrics().counter("tier.put_retries").add(retries);
+            }
+            match &result {
+                Ok(bytes) => {
+                    emit(EventKind::SealDurable, epoch, *bytes, retries);
+                    tel.metrics().histogram("tier.ship_bytes").observe(*bytes);
+                    tel.metrics().histogram("tier.ship_us").observe(ship_us);
+                }
+                Err(_) => {
+                    // An abandoned upload leaves this epoch's only durable
+                    // copy local: an incident worth a dump.
+                    emit(EventKind::TierFail, epoch, retries, 0);
+                    tel.note_incident();
+                }
             }
         }
-        None
-    }
-}
-
-struct ShipShared {
-    state: Mutex<ShipState>,
-    cv: Condvar,
-}
-
-/// Emit one event on a recorder's tier lane, stamped with its observed
-/// virtual-clock high-water mark (the shipper is a wall-clock
-/// background thread).
-fn emit_tier(tel: &Option<Arc<Telemetry>>, kind: EventKind, a: u64, b: u64, c: u64) {
-    if let Some(tel) = tel {
-        tel.emit(tel.tier_lane(), kind, tel.observed_now(), a, b, c);
+        lanes.with_lane(lane, |l| {
+            l.stats.put_retries += retries;
+            match result {
+                Ok(bytes) => {
+                    l.durable.insert(epoch);
+                    l.stats.epochs_shipped += 1;
+                    l.stats.bytes_shipped += bytes;
+                    Ok(())
+                }
+                Err(e) => {
+                    // Sticky FOR THIS LANE ONLY: its queued epochs stay
+                    // undurable (the GC guard translates that into local
+                    // retention) while every other lane keeps shipping.
+                    l.stats.ship_failures += 1;
+                    Err(e)
+                }
+            }
+        })
     }
 }
 
 /// A cloneable live view of one lane's [`TierStats`], detached from
-/// the store that owns the [`TierRuntime`]. Lets a session keep reading
+/// the store that owns the shipper. Lets a session keep reading
 /// shipping statistics after the store has moved into the background
 /// writer thread ([`crate::store::SharedStoreWriter`]).
 #[derive(Clone)]
 pub struct TierStatsHandle {
-    shared: Arc<ShipShared>,
+    lanes: Arc<Lanes<Shipper>>,
     lane: usize,
 }
 
 impl TierStatsHandle {
     /// The lane's shipping statistics right now.
     pub fn stats(&self) -> TierStats {
-        self.shared.state.lock().expect("shipper lock").lanes[self.lane].stats
+        self.lanes.with_lane(self.lane, |l| l.stats)
     }
 
     /// Block until every upload queued on this lane so far is durable or
-    /// the lane's sticky error is set. Unlike `DeltaStore::tier_flush`
-    /// this works after the store has moved into the writer thread —
-    /// sessions drain the shipper through it so a telemetry snapshot sees
-    /// final shipping statistics instead of racing the background thread.
+    /// the lane's sticky error is set (the shipper's flush). Unlike
+    /// `DeltaStore::tier_flush` this works after the store has moved
+    /// into the writer thread — sessions drain the shipper through it so
+    /// a telemetry snapshot sees final shipping statistics instead of
+    /// racing the background thread.
     pub fn wait_durable(&self) -> Result<(), TierError> {
-        let mut st = self.shared.state.lock().expect("shipper lock");
-        while (!st.lanes[self.lane].queue.is_empty() || st.lanes[self.lane].in_flight)
-            && st.lanes[self.lane].error.is_none()
-        {
-            st = self.shared.cv.wait(st).expect("shipper wait");
-        }
-        match &st.lanes[self.lane].error {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
-    }
-}
-
-impl std::fmt::Debug for TierStatsHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TierStatsHandle")
-            .field("stats", &self.stats())
-            .finish()
+        self.lanes.flush(self.lane)
     }
 }
 
 /// The live tier attachment of one or many [`crate::store::DeltaStore`]s: the tier
-/// handle, its config, and ONE background shipper thread multiplexing
-/// sealed-epoch uploads from every registered lane, fair-share
-/// round-robin. Mirrors `SharedStoreWriter`: bounded-latency hand-off (each
-/// lane's queue holds only epoch numbers; bytes are read on the
-/// shipper's thread), sticky first error *per lane*, drain-and-join on
-/// drop of the last handle.
+/// handle, its config, and ONE background shipper thread (a
+/// [`LaneMux`]) multiplexing sealed-epoch uploads from every registered
+/// lane, fair-share round-robin. Each lane's queue holds only epoch
+/// numbers and never blocks a submit, so a slow tier pins no images in
+/// memory. Sticky first error *per lane*; drain-and-join on drop of the
+/// last handle.
 pub(crate) struct TierRuntime {
     pub(crate) tier: Arc<dyn ObjectTier>,
     pub(crate) config: TierConfig,
-    shared: Arc<ShipShared>,
-    worker: Mutex<Option<std::thread::JoinHandle<()>>>,
+    pub(crate) mux: LaneMux<Shipper>,
 }
 
 impl TierRuntime {
     /// Spawn the shipper with no lanes yet; stores register via
     /// [`TierRuntime::add_lane`].
     pub(crate) fn spawn(tier: Arc<dyn ObjectTier>, config: TierConfig) -> TierRuntime {
-        let shared = Arc::new(ShipShared {
-            state: Mutex::new(ShipState {
-                lanes: Vec::new(),
-                closed: false,
-                rr: 0,
-            }),
-            cv: Condvar::new(),
-        });
-        let worker_shared = shared.clone();
-        let worker_tier = tier.clone();
-        let worker = std::thread::Builder::new()
-            .name("ckpt-tier-shipper".into())
-            .spawn(move || loop {
-                let (lane, epoch, dir, ns, tel) = {
-                    let mut st = worker_shared.state.lock().expect("shipper lock");
-                    loop {
-                        if let Some(work) = st.next_work() {
-                            break work;
-                        }
-                        if st.closed {
-                            return;
-                        }
-                        st = worker_shared.cv.wait(st).expect("shipper wait");
-                    }
-                };
-                emit_tier(&tel, EventKind::TierShip, epoch, 0, 0);
-                let mut retries = 0u64;
-                let started = std::time::Instant::now();
-                let result = ship_epoch(&*worker_tier, config, &dir, &ns, epoch, &mut retries);
-                let ship_us = started.elapsed().as_micros() as u64;
-                if let Some(tel) = &tel {
-                    if retries > 0 {
-                        tel.metrics().counter("tier.put_retries").add(retries);
-                    }
-                    match &result {
-                        Ok(bytes) => {
-                            emit_tier(
-                                &Some(tel.clone()),
-                                EventKind::SealDurable,
-                                epoch,
-                                *bytes,
-                                retries,
-                            );
-                            tel.metrics().histogram("tier.ship_bytes").observe(*bytes);
-                            tel.metrics().histogram("tier.ship_us").observe(ship_us);
-                        }
-                        Err(_) => {
-                            // An abandoned upload leaves this epoch's only
-                            // durable copy local: an incident worth a dump.
-                            emit_tier(&Some(tel.clone()), EventKind::TierFail, epoch, retries, 0);
-                            tel.note_incident();
-                        }
-                    }
-                }
-                let mut st = worker_shared.state.lock().expect("shipper lock");
-                let l = &mut st.lanes[lane];
-                l.in_flight = false;
-                l.stats.put_retries += retries;
-                match result {
-                    Ok(bytes) => {
-                        l.durable.insert(epoch);
-                        l.stats.epochs_shipped += 1;
-                        l.stats.bytes_shipped += bytes;
-                    }
-                    Err(e) => {
-                        // Sticky FOR THIS LANE ONLY: its queued epochs stay
-                        // undurable (the GC guard translates that into
-                        // local retention) while every other lane keeps
-                        // shipping.
-                        l.stats.ship_failures += 1;
-                        l.error.get_or_insert(e);
-                    }
-                }
-                worker_shared.cv.notify_all();
-            })
-            .expect("spawn tier shipper");
+        let shipper = Shipper {
+            tier: tier.clone(),
+            config,
+        };
         TierRuntime {
             tier,
             config,
-            shared,
-            worker: Mutex::new(Some(worker)),
+            mux: LaneMux::spawn(shipper, Vec::new()),
         }
     }
 
@@ -985,81 +906,46 @@ impl TierRuntime {
     /// namespace, and the epochs already durably sealed in the tier
     /// (from a reconcile listing). Returns the lane index.
     pub(crate) fn add_lane(&self, dir: PathBuf, ns: String, durable: BTreeSet<u64>) -> usize {
-        let mut st = self.shared.state.lock().expect("shipper lock");
-        st.lanes.push(ShipLane {
+        self.mux.lanes.add_lane(ShipLane {
             dir,
             ns,
-            queue: VecDeque::new(),
-            in_flight: false,
-            error: None,
             durable,
             stats: TierStats::default(),
             telemetry: None,
-        });
-        st.lanes.len() - 1
-    }
-
-    /// How many lanes are registered.
-    pub(crate) fn lanes(&self) -> usize {
-        self.shared.state.lock().expect("shipper lock").lanes.len()
+        })
     }
 
     /// Attach a flight recorder to one lane (first attachment wins).
     /// Ship starts, durable seals, and abandoned uploads flow onto its
     /// tier lane.
     pub(crate) fn attach_telemetry(&self, lane: usize, tel: Arc<Telemetry>) {
-        let mut st = self.shared.state.lock().expect("shipper lock");
-        let slot = &mut st.lanes[lane].telemetry;
-        if slot.is_none() {
-            *slot = Some(tel);
-        }
+        self.mux.lanes.with_lane(lane, |l| {
+            l.telemetry.get_or_insert(tel);
+        });
     }
 
     /// Queue one committed epoch for upload on `lane`. Never blocks and
     /// never fails: after the lane's sticky error the enqueue is dropped
     /// (the epoch stays undurable and locally retained).
     pub(crate) fn enqueue(&self, lane: usize, epoch: u64) {
-        let mut st = self.shared.state.lock().expect("shipper lock");
-        if st.closed || st.lanes[lane].error.is_some() {
-            return;
-        }
-        st.lanes[lane].queue.push_back(epoch);
-        self.shared.cv.notify_all();
-    }
-
-    /// Wait until every epoch queued on `lane` is durable (or the lane
-    /// failed). Other lanes' backlogs do not gate this wait beyond their
-    /// fair share of the single shipper thread.
-    pub(crate) fn flush(&self, lane: usize) -> Result<(), TierError> {
-        let mut st = self.shared.state.lock().expect("shipper lock");
-        while (!st.lanes[lane].queue.is_empty() || st.lanes[lane].in_flight)
-            && st.lanes[lane].error.is_none()
-        {
-            st = self.shared.cv.wait(st).expect("shipper wait");
-        }
-        match &st.lanes[lane].error {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
+        let _ = self.mux.lanes.submit(lane, epoch);
     }
 
     /// Epochs whose seal is durably in the tier, for `lane`.
     pub(crate) fn durable(&self, lane: usize) -> BTreeSet<u64> {
-        self.shared.state.lock().expect("shipper lock").lanes[lane]
-            .durable
-            .clone()
+        self.mux.lanes.with_lane(lane, |l| l.durable.clone())
     }
 
     /// Shipping statistics of `lane` so far.
     pub(crate) fn stats(&self, lane: usize) -> TierStats {
-        self.shared.state.lock().expect("shipper lock").lanes[lane].stats
+        self.mux.lanes.with_lane(lane, |l| l.stats)
     }
 
     /// A cloneable handle that keeps reading one lane's live statistics
     /// after the owning store has moved to another thread.
     pub(crate) fn stats_handle(&self, lane: usize) -> TierStatsHandle {
         TierStatsHandle {
-            shared: self.shared.clone(),
+            lanes: self.mux.lanes.clone(),
             lane,
         }
     }
@@ -1093,26 +979,8 @@ impl SharedTier {
         self.runtime.config
     }
 
-    /// How many store lanes have been registered.
-    pub fn lanes(&self) -> usize {
-        self.runtime.lanes()
-    }
-
     pub(crate) fn runtime(&self) -> &Arc<TierRuntime> {
         &self.runtime
-    }
-}
-
-impl Drop for TierRuntime {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("shipper lock");
-            st.closed = true;
-            self.shared.cv.notify_all();
-        }
-        if let Some(handle) = self.worker.lock().expect("worker lock").take() {
-            handle.join().expect("tier shipper thread");
-        }
     }
 }
 

@@ -53,8 +53,13 @@ where
         let result = result.clone();
         std::thread::spawn(move || {
             rt::adopt(exec.clone(), tid);
-            exec.wait_for_token(tid);
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            // The wait is inside the unwind guard: an execution that
+            // fails before this thread first runs aborts the wait, and
+            // the thread must still finish or `explore` waits forever.
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                exec.wait_for_token(tid);
+                f()
+            }));
             let panicked = out.is_err();
             if let Ok(v) = out {
                 *result.lock().unwrap_or_else(|p| p.into_inner()) = Some(v);

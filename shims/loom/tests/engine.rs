@@ -72,6 +72,23 @@ fn finds_the_ab_ba_deadlock() {
 }
 
 #[test]
+#[should_panic(expected = "failing interleaving")]
+fn a_failure_before_a_spawned_thread_first_runs_is_reported() {
+    // The first schedule keeps the spawned thread waiting for the token
+    // while the model fails: the abort must unwind that waiting thread,
+    // not leave `explore` waiting for it forever.
+    loom::model(|| {
+        let flag = Arc::new(AtomicUsize::new(0));
+        let t = {
+            let flag = flag.clone();
+            thread::spawn(move || flag.store(1, Ordering::SeqCst))
+        };
+        assert_eq!(flag.load(Ordering::SeqCst), 1, "spawned thread not run");
+        t.join().unwrap();
+    });
+}
+
+#[test]
 fn yield_is_a_plain_scheduling_point() {
     loom::model(|| {
         let flag = Arc::new(AtomicUsize::new(0));

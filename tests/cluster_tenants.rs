@@ -2,16 +2,16 @@
 //! pool, one shared store committer and one shared tier shipper. The
 //! invariants under test are the redesign's acceptance criteria: every
 //! tenant commits all of its epochs, per-tenant restores are
-//! bit-identical, quotas throttle only their own tenant, and a killed
+//! bit-identical, a full queue throttles only its own tenant, and a killed
 //! tenant leaves its siblings untouched.
 
 use std::sync::Arc;
 
 use mpi_stool::dmtcp::{
-    DeltaStore, RankImage, SharedStoreWriter, StoreConfig, StoreError, TenantQuota, WorldImage,
+    DeltaStore, RankImage, SharedStoreWriter, StoreConfig, StoreError, WorldImage, QUEUE_DEPTH,
 };
 use mpi_stool::simnet::ClusterSpec;
-use mpi_stool::stool::cluster::{Cluster, ClusterBuilder, TenantSpec};
+use mpi_stool::stool::cluster::{Cluster, ClusterBuilder};
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{Checkpointer, DurabilityPolicy, RunOutcome, Session, StorePolicy, Vendor};
 
@@ -69,22 +69,17 @@ fn stored(dir: impl Into<std::path::PathBuf>) -> DurabilityPolicy {
     }
 }
 
-/// A checkpointing tenant: own chain dir, periodic checkpoints, tight
-/// committer quota so the shared writer's backpressure actually engages.
-fn tenant(root: &std::path::Path, i: usize, rounds: u64) -> TenantSpec {
-    let session = Session::builder()
+/// A checkpointing tenant: own chain dir, a checkpoint every step.
+fn tenant(root: &std::path::Path, i: usize, rounds: u64) -> Session {
+    let _ = rounds;
+    Session::builder()
         .cluster(small_world())
         .vendor(vendor_for(i))
         .checkpointer(Checkpointer::mana())
         .checkpoint_every(1)
         .durability(stored(root.join(format!("chain_{i}"))))
         .build()
-        .unwrap();
-    let _ = rounds;
-    TenantSpec::new(session).quota(TenantQuota {
-        max_queue: 2,
-        max_inflight_bytes: u64::MAX,
-    })
+        .unwrap()
 }
 
 fn eight_tenant_cluster(root: &std::path::Path, rounds: u64) -> ClusterBuilder {
@@ -194,7 +189,7 @@ fn killing_one_tenant_leaves_the_other_seven_unaffected() {
             // Tenant t3 dies mid-round.
             b = b.inject_node_failure(3, 0);
         }
-        builder = builder.tenant(format!("t{i}"), TenantSpec::new(b.build().unwrap()));
+        builder = builder.tenant(format!("t{i}"), b.build().unwrap());
     }
     let cluster = builder.build().unwrap();
     let ids = ["t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"];
@@ -232,35 +227,26 @@ fn quota_backpressure_throttles_only_the_over_budget_tenant() {
     };
     let store_a = DeltaStore::open_with(&dir_a, cfg).unwrap();
     let store_b = DeltaStore::open_with(&dir_b, cfg).unwrap();
-    let tight = TenantQuota {
-        max_queue: 2,
-        max_inflight_bytes: u64::MAX,
-    };
-    let roomy = TenantQuota {
-        max_queue: 64,
-        max_inflight_bytes: u64::MAX,
-    };
-    let writer = Arc::new(SharedStoreWriter::spawn_stores(vec![
-        (store_a, tight),
-        (store_b, roomy),
-    ]));
+    let writer = Arc::new(SharedStoreWriter::spawn_stores(vec![store_a, store_b]));
 
-    // Freeze the committer so the quota fills deterministically.
+    // Freeze the committer so lane 0's queue fills deterministically.
     writer.hold_commits();
-    writer.submit(0, world_image(1, 2, 1)).unwrap();
-    writer.submit(0, world_image(2, 2, 2)).unwrap();
-    assert!(writer.would_block(0, 64), "lane 0 is at quota");
-    assert!(!writer.would_block(1, 64), "lane 1 must be unaffected");
+    for e in 1..=QUEUE_DEPTH as u64 {
+        writer.submit(0, world_image(e, 2, e as u8)).unwrap();
+    }
 
-    // A third submit on the throttled lane blocks...
+    // One more submit on the full lane blocks: lane 0 is at its bound...
+    let next = QUEUE_DEPTH as u64 + 1;
     let blocked = {
         let writer = writer.clone();
-        std::thread::spawn(move || writer.submit(0, world_image(3, 2, 3)))
+        std::thread::spawn(move || writer.submit(0, world_image(next, 2, next as u8)))
     };
+    // A wait until the blocked thread has registered, not a step budget:
+    // the count moves exactly once, and nothing else can move it.
     while writer.quota_waits(0) == 0 {
         std::thread::yield_now();
     }
-    // ...while the other tenant's submits sail through untouched.
+    // ...while the other tenant's submit returns: lanes are isolated.
     writer.submit(1, world_image(1, 2, 9)).unwrap();
     assert_eq!(writer.quota_waits(1), 0);
 
@@ -280,15 +266,35 @@ fn quota_backpressure_throttles_only_the_over_budget_tenant() {
 }
 
 #[test]
+fn a_submit_queued_behind_a_failed_commit_is_never_committed() {
+    let dir = tmp_dir("behind_failure");
+    let writer = SharedStoreWriter::spawn_stores(vec![DeltaStore::open(&dir).unwrap()]);
+    writer.submit(0, world_image(1, 2, 1)).unwrap();
+    writer.flush_lane(0).unwrap();
+
+    // Both submits land before the failure: a malformed image (ranks
+    // disagree on the epoch), then a good one queued behind it.
+    writer.hold_commits();
+    let mut bad = world_image(2, 2, 2);
+    bad.ranks[1] = RankImage::new(1, 2, 7);
+    writer.submit(0, bad).unwrap();
+    writer.submit(0, world_image(3, 2, 3)).unwrap();
+    writer.release_commits();
+    assert!(writer.flush_lane(0).is_err());
+
+    // A failed lane is never dispatched again, so the good image does
+    // not reach the chain behind the failure, whatever the timing.
+    let stores = writer.finish().unwrap();
+    assert_eq!(stores[0].epochs(), vec![1]);
+}
+
+#[test]
 fn sticky_commit_errors_latch_per_lane() {
     let dir_a = tmp_dir("sticky_a");
     let dir_b = tmp_dir("sticky_b");
     let store_a = DeltaStore::open(&dir_a).unwrap();
     let store_b = DeltaStore::open(&dir_b).unwrap();
-    let writer = Arc::new(SharedStoreWriter::spawn_stores(vec![
-        (store_a, TenantQuota::default()),
-        (store_b, TenantQuota::default()),
-    ]));
+    let writer = Arc::new(SharedStoreWriter::spawn_stores(vec![store_a, store_b]));
 
     // Lane 0 commits a malformed image (ranks disagree on the epoch):
     // its error latches, its later submits bounce.
@@ -320,8 +326,8 @@ fn cluster_builder_rejects_misconfigured_tenancy() {
 
     // Two tenants, one chain directory: rejected up front.
     let err = Cluster::builder()
-        .tenant("a", TenantSpec::new(session("shared")))
-        .tenant("b", TenantSpec::new(session("shared")))
+        .tenant("a", session("shared"))
+        .tenant("b", session("shared"))
         .build()
         .map(|_| ())
         .unwrap_err();
@@ -329,8 +335,8 @@ fn cluster_builder_rejects_misconfigured_tenancy() {
 
     // Ids must be unique...
     let err = Cluster::builder()
-        .tenant("a", TenantSpec::new(session("c1")))
-        .tenant("a", TenantSpec::new(session("c2")))
+        .tenant("a", session("c1"))
+        .tenant("a", session("c2"))
         .build()
         .map(|_| ())
         .unwrap_err();
@@ -339,7 +345,7 @@ fn cluster_builder_rejects_misconfigured_tenancy() {
     // ...and valid single-segment tier namespaces.
     for bad in ["", "a/b", "..", ".inflight"] {
         let err = Cluster::builder()
-            .tenant(bad, TenantSpec::new(session("c3")))
+            .tenant(bad, session("c3"))
             .build()
             .map(|_| ())
             .unwrap_err();

@@ -3,14 +3,14 @@
 
 use mpi_stool::abi::Handle;
 use mpi_stool::apps::{CoMdMini, OsuKernel, OsuLatency, WaveMpi};
-use mpi_stool::dmtcp::{CkptMode, DeltaStore, StoreConfig, StoreError, TierConfig, WorldImage};
+use mpi_stool::dmtcp::{CkptMode, DeltaStore, StoreConfig, TierConfig, WorldImage};
 use mpi_stool::simnet::{ClusterSpec, Interconnect, KernelVersion, VirtualTime};
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{
     AppCtx, Checkpointer, DurabilityPolicy, Memory, MpiProgram, Session, StoolResult, StorePolicy,
     TierPolicy, Vendor,
 };
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// A delta store at `dir` with `config`, optionally shipped to a remote
 /// tier, and nothing else.
@@ -515,145 +515,6 @@ fn a_swapped_in_memory_never_forges_a_clean_hint() {
         .to_vec();
     assert_memories_equal(&expect, &got);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Copy a committed fixture chain into a scratch directory a store may
-/// open and extend. `v1_chain` was recorded with the last V1 *writer* at
-/// ff12563 (the wave solver below under MPICH, `block_size` 256, epochs
-/// at steps 20/40/60, node 0 killed at 65); `v2_chain` with the last V2
-/// writer at c095bdf (its images are in `dmtcp::store::manifest`'s
-/// tests).
-fn fixture_chain(name: &str, tag: &str) -> PathBuf {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name);
-    let dir = std::env::temp_dir().join(format!("stool-{name}-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    for epoch in std::fs::read_dir(&fixture).unwrap() {
-        let epoch = epoch.unwrap();
-        let to = dir.join(epoch.file_name());
-        std::fs::create_dir_all(&to).unwrap();
-        for file in std::fs::read_dir(epoch.path()).unwrap() {
-            let file = file.unwrap();
-            std::fs::copy(file.path(), to.join(file.file_name())).unwrap();
-        }
-    }
-    dir
-}
-
-#[test]
-fn wave_restarts_bit_identically_from_a_v1_chain() {
-    // Backward compatibility: a chain written in the legacy (PR 2)
-    // manifest format — raw blocks, no codec byte — must restore under
-    // the other vendor exactly like a current chain does. Nothing writes
-    // that format any more; the chain is a byte fixture.
-    let solver = WaveMpi {
-        npoints: 600,
-        nsteps: 80,
-        gather_final: true,
-        ..WaveMpi::default()
-    };
-    let expect = reference_memories(&solver, Vendor::Mpich);
-    let dir = fixture_chain("v1_chain", "restart");
-
-    // A *current* store config opens the legacy chain transparently.
-    let store = DeltaStore::open_with(&dir, StoreConfig::default()).unwrap();
-    assert!(store.epochs().len() >= 3, "epochs: {:?}", store.epochs());
-    let stats = store.epoch_stats_on_disk().unwrap();
-    for s in &stats {
-        assert_eq!(
-            s.bytes_hashed, s.image_bytes,
-            "v1 chains predate dirty tracking: full-hash accounting"
-        );
-        // v1 blocks are stored raw: the blocks file is exactly the raw
-        // payload of the epoch's new blocks.
-        let blocks = dir.join(format!("epoch_{:06}", s.epoch)).join("blocks.bin");
-        assert_eq!(
-            std::fs::metadata(&blocks).unwrap().len(),
-            s.new_block_raw_bytes,
-            "epoch {}",
-            s.epoch
-        );
-    }
-    let image = store.load_latest().unwrap();
-    let got = Session::builder()
-        .cluster(cluster())
-        .vendor(Vendor::OpenMpi)
-        .checkpointer(Checkpointer::mana())
-        .build()
-        .unwrap()
-        .restore(&image, &solver)
-        .unwrap()
-        .memories()
-        .unwrap()
-        .to_vec();
-    assert_memories_equal(&expect, &got);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn v3_store_rebases_over_the_v1_and_v2_chains_and_restores_them() {
-    // The tree writes one manifest format, and keys of two formats never
-    // meet in one dedup index: over a V1 or V2 head the first commit is a
-    // full V3 base that references nothing older, the next one is a delta
-    // on it, and the mixed chain restores head and history alike.
-    for (fixture, old) in [("v1_chain", 1u64), ("v2_chain", 2)] {
-        let dir = fixture_chain(fixture, "rebase");
-        let epoch_dir = |epoch: u64| dir.join(format!("epoch_{epoch:06}"));
-        let manifest_version = |epoch: u64| {
-            let buf = std::fs::read(epoch_dir(epoch).join("manifest.bin")).unwrap();
-            u64::from_le_bytes(buf[8..16].try_into().unwrap())
-        };
-        let cfg = StoreConfig {
-            block_size: 256,
-            retain_epochs: 8,
-            ..StoreConfig::default()
-        };
-        let mut store = DeltaStore::open_with(&dir, cfg).unwrap();
-        assert_eq!(store.epochs(), &[1, 2, 3], "{fixture}");
-        let history: Vec<WorldImage> = (1..=3).map(|e| store.load_epoch(e).unwrap()).collect();
-        let head = history[2].clone();
-
-        let mut next = head.clone();
-        let (name, mut data) = {
-            let (name, data) = next.ranks[0]
-                .sections()
-                .max_by_key(|(_, d)| d.len())
-                .unwrap();
-            (name.to_string(), data.to_vec())
-        };
-        let half = data.len() / 2;
-        data[..half].iter_mut().for_each(|b| *b = !*b);
-        next.ranks[0].put_section(&name, data);
-        let s4 = store.commit(&next).unwrap();
-        assert_eq!((s4.epoch, s4.full), (4, true), "{fixture}: a full V3 base");
-        let s5 = store.commit(&head).unwrap();
-        assert_eq!((s5.epoch, s5.full), (5, false), "{fixture}: a delta on it");
-        assert_eq!(
-            (1..=5).map(manifest_version).collect::<Vec<_>>(),
-            [old, old, old, 3, 3]
-        );
-
-        let reopened = DeltaStore::open_with(&dir, cfg).unwrap();
-        for (epoch, image) in (1..).zip(&history) {
-            assert_eq!(&reopened.load_epoch(epoch).unwrap(), image, "{fixture}");
-        }
-        assert_eq!(reopened.load_epoch(4).unwrap(), next);
-        assert_eq!(reopened.load_epoch(5).unwrap(), head);
-        assert_eq!(reopened.epoch_stats_on_disk().unwrap()[3], s4);
-        // Epochs 4 and 5 reference nothing in 1..=3; epoch 5 references 4.
-        for epoch in 1..=3 {
-            std::fs::remove_dir_all(epoch_dir(epoch)).unwrap();
-        }
-        assert_eq!(reopened.load_epoch(4).unwrap(), next, "{fixture}");
-        assert_eq!(reopened.load_epoch(5).unwrap(), head, "{fixture}");
-        std::fs::remove_dir_all(epoch_dir(4)).unwrap();
-        match reopened.load_epoch(5) {
-            Err(StoreError::MissingEpoch { epoch: 4 }) => {}
-            other => panic!("{fixture}: epoch 5 must reference epoch 4, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
 }
 
 #[test]

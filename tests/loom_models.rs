@@ -1,23 +1,25 @@
 //! Loom models of the workspace's hand-rolled concurrency protocols:
 //! the telemetry seqlock (`simnet::telemetry::Telemetry::emit` vs. the
-//! reader's double-checked collect), the shared store's mux-lane
-//! round-robin pick (`MuxState::pop_next` in
-//! `crates/dmtcp/src/store/writer.rs`) and the
-//! fabric's targeted-wake handshake (`simnet::fabric`: `Mailbox::push`
-//! vs. `Endpoint::recv_raw_wanting`).
+//! reader's double-checked collect), the lane multiplexer's dispatch
+//! (`dmtcp::lanes::Dispatch`, under the store's committer and the
+//! tier's shipper) and the fabric's targeted-wake handshake
+//! (`simnet::fabric`: `Mailbox::push` vs. `Endpoint::recv_raw_wanting`).
 //!
-//! The models *mirror* the production protocols rather than
-//! instantiating them (the production types bundle I/O and rings the
-//! model checker has no business exploring); each model names the code
-//! it shadows, and `docs/static-analysis.md` records the pairing so
-//! protocol changes update both sides. Exploration is exhaustive at the
-//! default bounds — see `shims/loom` for exactly what that claims.
+//! The mux models drive the production `Dispatch` itself, inside a
+//! model-checked mutex: it holds no lock of its own. The seqlock and
+//! wake models *mirror* their protocols (the production types bundle
+//! I/O and rings the model checker has no business exploring); each
+//! names the code it shadows, and `docs/static-analysis.md` records the
+//! pairing so protocol changes update both sides. Exploration is
+//! exhaustive at the default bounds — see `shims/loom` for exactly what
+//! that claims.
 
 use std::sync::Arc;
 
 use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use loom::sync::Mutex;
 use loom::thread;
+use mpi_stool::dmtcp::lanes::Dispatch;
 
 /// Mirror of one telemetry ring slot mid-emit (telemetry.rs `emit`):
 /// the writer stores `seq = 2·ticket+1`, the payload fields, then
@@ -106,92 +108,38 @@ fn concurrent_emitters_never_lose_a_write() {
     });
 }
 
-/// Mirror of the shared store committer's lane state
-/// (store/writer.rs `MuxState`): per-lane backlogs, the fair round-robin
-/// cursor, and the test hook that holds one lane closed.
-struct MuxState {
-    lanes: Vec<u32>,
-    rr: usize,
-    held: Option<usize>,
-}
-
-/// Mirror of the committer's pop (store/writer.rs `MuxState::pop_next`):
-/// scan from the cursor, skip a held lane, and park the cursor one past
-/// the lane served (`self.rr = (idx + 1) % n` — the PR 8 fairness fix).
-fn pop_next(st: &mut MuxState) -> Option<usize> {
-    let n = st.lanes.len();
-    for k in 0..n {
-        let idx = (st.rr + k) % n;
-        if st.held == Some(idx) || st.lanes[idx] == 0 {
-            continue;
+/// `lanes::Dispatch` with `backlog[i]` jobs queued on lane `i`.
+fn backlogged(backlog: &[usize]) -> Dispatch<(), ()> {
+    let mut dispatch = Dispatch::with_lanes(backlog.len());
+    for (lane, &jobs) in backlog.iter().enumerate() {
+        for _ in 0..jobs {
+            dispatch.push(lane, ());
         }
-        st.lanes[idx] -= 1;
-        st.rr = (idx + 1) % n;
-        return Some(idx);
     }
-    None
-}
-
-/// A held lane is skipped but never starves the rest, and once
-/// released (concurrently, from another thread) its backlog drains
-/// too: every lane is served exactly its backlog, in every
-/// interleaving of the release.
-#[test]
-fn mux_round_robin_drains_every_lane_around_a_held_lane() {
-    loom::model(|| {
-        let st = Arc::new(Mutex::new(MuxState {
-            lanes: vec![1, 1, 1],
-            rr: 0,
-            held: Some(0),
-        }));
-        let releaser = {
-            let st = st.clone();
-            thread::spawn(move || {
-                st.lock().unwrap().held = None;
-            })
-        };
-
-        let mut popped = Vec::new();
-        for _ in 0..2 {
-            let mut g = st.lock().unwrap();
-            if let Some(idx) = pop_next(&mut g) {
-                assert_ne!(g.held, Some(idx), "served a lane while it was held");
-                popped.push(idx);
-            }
-        }
-        releaser.join().unwrap();
-        while let Some(idx) = pop_next(&mut st.lock().unwrap()) {
-            popped.push(idx);
-        }
-
-        popped.sort_unstable();
-        assert_eq!(popped, vec![0, 1, 2], "every lane drained exactly once");
-    });
+    dispatch
 }
 
 /// With two backlogged lanes, the cursor alternates strictly — a
 /// tenant refilling lane 0 mid-drain (any interleaving) cannot starve
-/// lane 1. This is the committer property the PR 8 cursor fix bought.
+/// lane 1.
 #[test]
 fn mux_cursor_alternates_under_a_backlogged_lane() {
     loom::model(|| {
-        let st = Arc::new(Mutex::new(MuxState {
-            lanes: vec![2, 2],
-            rr: 0,
-            held: None,
-        }));
+        let st = Arc::new(Mutex::new(backlogged(&[2, 2])));
         let pusher = {
             let st = st.clone();
             thread::spawn(move || {
                 // Lane 0's tenant keeps feeding it mid-drain.
-                st.lock().unwrap().lanes[0] += 1;
+                st.lock().unwrap().push(0, ());
             })
         };
 
         let mut popped = Vec::new();
         for _ in 0..4 {
-            if let Some(idx) = pop_next(&mut st.lock().unwrap()) {
+            let next = st.lock().unwrap().pop();
+            if let Some((idx, ())) = next {
                 popped.push(idx);
+                st.lock().unwrap().done(idx, Ok(()));
             }
         }
         pusher.join().unwrap();
@@ -201,6 +149,92 @@ fn mux_cursor_alternates_under_a_backlogged_lane() {
             vec![0, 1, 0, 1],
             "strict alternation regardless of when the push lands"
         );
+    });
+}
+
+/// A lane whose error latches concurrently (a failed job of it
+/// finishing) is never served after the latch, and every other lane
+/// drains exactly its backlog, in every interleaving of the latch.
+#[test]
+fn mux_never_serves_a_lane_after_its_error_latches() {
+    loom::model(|| {
+        // The dispatch state, and whether lane 0's error has latched.
+        let st = Arc::new(Mutex::new((backlogged(&[2, 2, 2]), false)));
+        let latcher = {
+            let st = st.clone();
+            thread::spawn(move || {
+                let mut g = st.lock().unwrap();
+                g.0.done(0, Err(()));
+                g.1 = true;
+            })
+        };
+
+        // The drain thread: finish the previous job and pop the next one
+        // in one critical section, until nothing is dispatchable.
+        let mut served = [0usize; 3];
+        let mut running = None;
+        loop {
+            let (next, latched) = {
+                let mut g = st.lock().unwrap();
+                if let Some(idx) = running {
+                    g.0.done(idx, Ok(()));
+                }
+                (g.0.pop(), g.1)
+            };
+            let Some((idx, ())) = next else {
+                break;
+            };
+            assert!(
+                idx != 0 || !latched,
+                "served lane 0 after its error latched"
+            );
+            served[idx] += 1;
+            running = Some(idx);
+        }
+        latcher.join().unwrap();
+
+        assert!(st.lock().unwrap().0.pop().is_none(), "a job left behind");
+        assert_eq!(served[1..], [2, 2], "every other lane drained exactly");
+        assert!(served[0] <= 2);
+    });
+}
+
+/// While the global hold is set nothing is dispatched, and once a
+/// concurrent release lands every lane drains exactly once.
+#[test]
+fn mux_dispatches_nothing_while_held_and_drains_every_lane_after_release() {
+    loom::model(|| {
+        let mut held = backlogged(&[1, 1, 1]);
+        held.hold(true);
+        // The dispatch state, and whether the hold has been released.
+        let st = Arc::new(Mutex::new((held, false)));
+        let releaser = {
+            let st = st.clone();
+            thread::spawn(move || {
+                let mut g = st.lock().unwrap();
+                g.0.hold(false);
+                g.1 = true;
+            })
+        };
+
+        let mut popped = Vec::new();
+        for _ in 0..2 {
+            let (next, released) = {
+                let mut g = st.lock().unwrap();
+                (g.0.pop(), g.1)
+            };
+            if let Some((idx, ())) = next {
+                assert!(released, "dispatched lane {idx} while held");
+                popped.push(idx);
+            }
+        }
+        releaser.join().unwrap();
+        while let Some((idx, ())) = st.lock().unwrap().0.pop() {
+            popped.push(idx);
+        }
+
+        popped.sort_unstable();
+        assert_eq!(popped, vec![0, 1, 2], "every lane drained exactly once");
     });
 }
 

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use mpi_stool::dmtcp::{
     DeltaStore, FlakyTier, FsTier, GetFault, ObjectTier, PutFault, RankImage, SharedStoreWriter,
-    StoreConfig, StoreError, TenantQuota, TierConfig, TierError, WorldImage,
+    StoreConfig, StoreError, TierConfig, TierError, WorldImage,
 };
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -433,7 +433,7 @@ fn background_writer_ships_through_the_tier_end_to_end() {
     let tier: Arc<dyn ObjectTier> = Arc::new(FsTier::open(&tier_dir).unwrap());
     let store =
         DeltaStore::open_with_tier(&store_dir, small_cfg(), tier.clone(), tier_cfg()).unwrap();
-    let writer = SharedStoreWriter::spawn_stores(vec![(store, TenantQuota::default())]);
+    let writer = SharedStoreWriter::spawn_stores(vec![store]);
     for e in 1..=3 {
         writer.submit(0, image(e, 3, e as u8, 1400)).unwrap();
     }
