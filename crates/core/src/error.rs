@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use dmtcp_sim::image::ImageError;
 use dmtcp_sim::replica::ReplicaError;
 use dmtcp_sim::store::StoreError;
 use mpi_abi::AbiError;
@@ -22,8 +21,6 @@ pub enum StoolError {
     Config(String),
     /// A checkpoint image could not be restored.
     Restore(String),
-    /// A checkpoint image could not be saved or loaded on disk.
-    Image(ImageError),
     /// The delta-checkpoint store failed (committing, flushing or
     /// rebuilding an epoch chain).
     Store(StoreError),
@@ -41,7 +38,6 @@ impl fmt::Display for StoolError {
             StoolError::Sim(e) => write!(f, "cluster error: {e}"),
             StoolError::Config(m) => write!(f, "session configuration error: {m}"),
             StoolError::Restore(m) => write!(f, "restore error: {m}"),
-            StoolError::Image(e) => write!(f, "image error: {e}"),
             StoolError::Store(e) => write!(f, "checkpoint store error: {e}"),
             StoolError::Replica(e) => write!(f, "coordinator replication error: {e}"),
             StoolError::App(m) => write!(f, "application error: {m}"),
@@ -60,12 +56,6 @@ impl From<AbiError> for StoolError {
 impl From<SimError> for StoolError {
     fn from(e: SimError) -> Self {
         StoolError::Sim(e)
-    }
-}
-
-impl From<ImageError> for StoolError {
-    fn from(e: ImageError) -> Self {
-        StoolError::Image(e)
     }
 }
 

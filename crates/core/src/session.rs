@@ -173,6 +173,7 @@ impl StorePolicy {
                     path: self.dir.clone(),
                     msg: e.to_string(),
                 })?;
+                // lint:allow(one-persistence-path) — the tenant marker names the chain's owner; it holds no image bytes.
                 std::fs::write(&marker, tenant).map_err(|e| StoreError::Io {
                     op: "write",
                     path: marker.clone(),
@@ -506,7 +507,8 @@ impl SessionBuilder {
         }
         if c.deterministic_reductions && !c.use_muk {
             return Err(StoolError::Config(
-                "deterministic reductions are a feature of the Mukautuva shim;                  they are unavailable with native_abi()"
+                "deterministic reductions are a feature of the Mukautuva shim; \
+                 they are unavailable with native_abi()"
                     .into(),
             ));
         }

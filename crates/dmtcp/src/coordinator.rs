@@ -63,8 +63,9 @@ use sanity::lockcheck::{self, TrackedCondvar, TrackedMutex};
 
 use simnet::telemetry::{EventKind, Telemetry};
 
-use crate::image::{ImageError, RankImage, WorldImage};
+use crate::image::{RankImage, WorldImage};
 use crate::replica::{phase_code, BarrierPhase, ReplicaError, ReplicaGroup, ReplicaRecord};
+use crate::store::StoreError;
 
 /// Numeric code for a [`CkptMode`] in telemetry event payloads
 /// (`0` = continue, `1` = stop).
@@ -85,7 +86,7 @@ fn mode_code(mode: CkptMode) -> u64 {
 /// for backpressure but must never wait on the ranks it was called from.
 pub trait ImageSink: Send + Sync {
     /// Take ownership of one completed epoch's world image.
-    fn submit(&self, image: WorldImage) -> Result<(), ImageError>;
+    fn submit(&self, image: WorldImage) -> Result<(), StoreError>;
 }
 
 /// What the world should do after the checkpoint is taken.
@@ -124,7 +125,7 @@ pub enum CkptError {
     /// The attached [`ImageSink`] (the asynchronous checkpoint store)
     /// failed to accept a completed epoch; every participant of the round
     /// observes the same error so the world unwinds consistently.
-    Image(ImageError),
+    Store(StoreError),
     /// The attached replica group could not commit the epoch record to a
     /// quorum: the round aborted atomically (the staged epoch was
     /// discarded, nothing became durable anywhere) and every participant
@@ -147,19 +148,13 @@ impl std::fmt::Display for CkptError {
                     "rank overran the checkpoint cut (cut {cut}, reached {got})"
                 )
             }
-            CkptError::Image(e) => write!(f, "checkpoint image sink failed: {e}"),
+            CkptError::Store(e) => write!(f, "checkpoint store failed: {e}"),
             CkptError::Replica(e) => write!(f, "replica quorum commit failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for CkptError {}
-
-impl From<ImageError> for CkptError {
-    fn from(e: ImageError) -> CkptError {
-        CkptError::Image(e)
-    }
-}
 
 impl From<ReplicaError> for CkptError {
     fn from(e: ReplicaError) -> CkptError {
@@ -494,7 +489,7 @@ struct Shared {
     sink: TrackedMutex<Option<(Arc<dyn ImageSink>, String)>>,
     /// First sink failure; latched so every participant of the failing
     /// round (and any later round) unwinds with the same error.
-    sink_error: TrackedMutex<Option<ImageError>>,
+    sink_error: TrackedMutex<Option<StoreError>>,
     /// Attached coordinator replica group, if any. When present, every
     /// completed round's epoch record must reach a quorum of replica logs
     /// before the leader bumps `completed_epoch` or releases the barrier.
@@ -1087,7 +1082,7 @@ impl CkptSession<'_> {
             // Observed by every participant after the final barrier: the
             // checkpoint was taken but could not be persisted, and the
             // world unwinds with one consistent error.
-            return Err(CkptError::Image(e));
+            return Err(CkptError::Store(e));
         }
         self.agent.seen_epoch = shared.round.lock().expect("round lock").consumed_epoch;
         self.agent.in_protocol = false;
@@ -1395,7 +1390,7 @@ mod tests {
     fn attached_sink_takes_ownership_of_each_epoch() {
         struct Collect(std::sync::Mutex<Vec<WorldImage>>);
         impl ImageSink for Collect {
-            fn submit(&self, image: WorldImage) -> Result<(), crate::image::ImageError> {
+            fn submit(&self, image: WorldImage) -> Result<(), StoreError> {
                 self.0.lock().unwrap().push(image);
                 Ok(())
             }
@@ -1426,13 +1421,17 @@ mod tests {
 
     #[test]
     fn failing_sink_unwinds_every_participant() {
+        fn disk_full() -> StoreError {
+            StoreError::Io {
+                op: "write",
+                path: "epoch_000001.tmp/blocks.bin".into(),
+                msg: "disk full".into(),
+            }
+        }
         struct Fail;
         impl ImageSink for Fail {
-            fn submit(&self, _: WorldImage) -> Result<(), crate::image::ImageError> {
-                Err(crate::image::ImageError::Store {
-                    epoch: 1,
-                    msg: "disk full".into(),
-                })
+            fn submit(&self, _: WorldImage) -> Result<(), StoreError> {
+                Err(disk_full())
             }
         }
         let n = 2;
@@ -1459,12 +1458,7 @@ mod tests {
                     session.submit_image(RankImage::new(rank, n, session.epoch()));
                     // Every participant — leader or not — observes the
                     // persistence failure with the same error.
-                    match session.finish() {
-                        Err(CkptError::Image(e)) => {
-                            assert!(e.to_string().contains("disk full"), "{e}")
-                        }
-                        other => panic!("expected Image error, got {other:?}"),
-                    }
+                    assert_eq!(session.finish(), Err(CkptError::Store(disk_full())));
                 });
             }
         });

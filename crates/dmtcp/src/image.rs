@@ -1,147 +1,20 @@
-//! Checkpoint images: one per rank, grouped per world, savable to files.
+//! Checkpoint images: one per rank, grouped per world.
 //!
 //! A [`RankImage`] is a set of named sections, each an opaque byte blob
 //! produced by a layer of the stack (the platform writes `memory` and
 //! `meta`; the MANA layer adds `mana.vids`, `mana.pool`, `mana.counters`).
 //! This sectioning mirrors how DMTCP plugins contribute areas to a real
-//! `.dmtcp` image.
+//! `.dmtcp` image. A [`WorldImage`] reaches disk only as an epoch of the
+//! delta chain ([`crate::store`]); [`RankImage::encode`] is a checksummed
+//! in-memory codec for one rank's image, not a file format.
 
 use std::collections::BTreeMap;
-use std::fmt;
-use std::io::{Read, Write as IoWrite};
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::codec::{CodecError, Reader, Writer};
 
 const RANK_MAGIC: u64 = 0x4D50_4953_544F_4F4C; // "MPISTOOL"
 const IMAGE_VERSION: u64 = 1;
-
-/// What went wrong saving or loading a checkpoint image, with enough
-/// context (rank, epoch, path) to name the exact artifact at fault — a
-/// torn restart must say *which* file of *which* rank broke, not just
-/// "parse error".
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ImageError {
-    /// A filesystem operation failed. `rank` is `None` for world-level
-    /// files (`world.meta`).
-    Io {
-        /// The operation that failed ("create", "open", "read", ...).
-        op: &'static str,
-        /// The path involved.
-        path: PathBuf,
-        /// The rank whose image was being handled, if any.
-        rank: Option<usize>,
-        /// The OS error, stringified (keeps the error cloneable).
-        msg: String,
-    },
-    /// A rank image failed to decode (truncated, corrupted, bad magic).
-    Decode {
-        /// The rank whose image failed.
-        rank: usize,
-        /// The path read.
-        path: PathBuf,
-        /// The codec-level cause.
-        source: CodecError,
-    },
-    /// The world metadata file failed to decode.
-    Meta {
-        /// The path read.
-        path: PathBuf,
-        /// The codec-level cause.
-        source: CodecError,
-    },
-    /// A rank image's header does not belong where it was found.
-    RankMismatch {
-        /// The rank expected from the file name / slot.
-        expected: usize,
-        /// The rank the image header claims.
-        found: usize,
-        /// The path read.
-        path: PathBuf,
-    },
-    /// The delta-checkpoint store failed while persisting or rebuilding an
-    /// epoch (see [`crate::store`]); carried here so checkpoint-protocol
-    /// callers see one error type.
-    Store {
-        /// The epoch involved (0 when unknown).
-        epoch: u64,
-        /// The store-level cause, stringified.
-        msg: String,
-    },
-}
-
-impl fmt::Display for ImageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ImageError::Io {
-                op,
-                path,
-                rank,
-                msg,
-            } => match rank {
-                Some(r) => write!(f, "{op} {} (rank {r} image): {msg}", path.display()),
-                None => write!(f, "{op} {}: {msg}", path.display()),
-            },
-            ImageError::Decode { rank, path, source } => {
-                write!(f, "rank {rank} image {}: {source}", path.display())
-            }
-            ImageError::Meta { path, source } => {
-                write!(f, "world metadata {}: {source}", path.display())
-            }
-            ImageError::RankMismatch {
-                expected,
-                found,
-                path,
-            } => write!(
-                f,
-                "rank image {} claims rank {found}, expected rank {expected}",
-                path.display()
-            ),
-            ImageError::Store { epoch, msg } => {
-                write!(f, "checkpoint store (epoch {epoch}): {msg}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ImageError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ImageError::Decode { source, .. } | ImageError::Meta { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
-
-impl ImageError {
-    fn io(op: &'static str, path: &Path, rank: Option<usize>, e: std::io::Error) -> ImageError {
-        ImageError::Io {
-            op,
-            path: path.to_path_buf(),
-            rank,
-            msg: e.to_string(),
-        }
-    }
-}
-
-/// Write `data` to `path` crash-safely: write to a sibling temp file, then
-/// atomically rename over the destination. An interrupted writer can leave
-/// a stray `*.tmp`, never a torn destination file.
-pub(crate) fn write_atomic(
-    path: &Path,
-    data: &[u8],
-    rank: Option<usize>,
-) -> Result<(), ImageError> {
-    let tmp = path.with_extension("tmp");
-    let mut f = std::fs::File::create(&tmp).map_err(|e| ImageError::io("create", &tmp, rank, e))?;
-    f.write_all(data)
-        .map_err(|e| ImageError::io("write", &tmp, rank, e))?;
-    f.sync_all()
-        .map_err(|e| ImageError::io("sync", &tmp, rank, e))?;
-    drop(f);
-    std::fs::rename(&tmp, path).map_err(|e| ImageError::io("rename", path, rank, e))
-}
 
 /// A single rank's checkpoint image.
 ///
@@ -316,72 +189,6 @@ impl WorldImage {
     pub fn total_bytes(&self) -> usize {
         self.ranks.iter().map(RankImage::total_bytes).sum()
     }
-
-    /// File path of one rank's image under `dir`.
-    pub fn rank_path(dir: &Path, rank: usize) -> PathBuf {
-        dir.join(format!("ckpt_rank_{rank:05}.img"))
-    }
-
-    /// Save all rank images under a directory (like `ckpt_*.dmtcp` files).
-    ///
-    /// Crash-safe: every file is written to a temp path and atomically
-    /// renamed into place, so an interrupted save can leave stray `*.tmp`
-    /// files but never a torn image that [`WorldImage::load_dir`]
-    /// half-parses.
-    pub fn save_dir(&self, dir: &Path) -> Result<(), ImageError> {
-        std::fs::create_dir_all(dir).map_err(|e| ImageError::io("create dir", dir, None, e))?;
-        let mut meta = Writer::new();
-        meta.u64(RANK_MAGIC);
-        meta.string(&self.vendor_hint);
-        meta.u64(self.ranks.len() as u64);
-        write_atomic(&dir.join("world.meta"), &meta.finish(), None)?;
-        for img in &self.ranks {
-            let path = Self::rank_path(dir, img.rank);
-            write_atomic(&path, &img.encode(), Some(img.rank))?;
-        }
-        Ok(())
-    }
-
-    /// Load a world image from a directory.
-    pub fn load_dir(dir: &Path) -> Result<WorldImage, ImageError> {
-        let meta_path = dir.join("world.meta");
-        let read_file = |path: &Path, rank: Option<usize>| -> Result<Vec<u8>, ImageError> {
-            let mut buf = Vec::new();
-            std::fs::File::open(path)
-                .map_err(|e| ImageError::io("open", path, rank, e))?
-                .read_to_end(&mut buf)
-                .map_err(|e| ImageError::io("read", path, rank, e))?;
-            Ok(buf)
-        };
-        let meta_buf = read_file(&meta_path, None)?;
-        let meta_err = |source: CodecError| ImageError::Meta {
-            path: meta_path.clone(),
-            source,
-        };
-        let mut r = Reader::checked(&meta_buf).map_err(meta_err)?;
-        r.expect_magic(RANK_MAGIC).map_err(meta_err)?;
-        let vendor_hint = r.string().map_err(meta_err)?;
-        let nranks = r.u64().map_err(meta_err)? as usize;
-        let mut ranks = Vec::with_capacity(nranks);
-        for rank in 0..nranks {
-            let path = Self::rank_path(dir, rank);
-            let buf = read_file(&path, Some(rank))?;
-            let img = RankImage::decode(&buf).map_err(|source| ImageError::Decode {
-                rank,
-                path: path.clone(),
-                source,
-            })?;
-            if img.rank != rank {
-                return Err(ImageError::RankMismatch {
-                    expected: rank,
-                    found: img.rank,
-                    path,
-                });
-            }
-            ranks.push(img);
-        }
-        Ok(WorldImage { vendor_hint, ranks })
-    }
 }
 
 #[cfg(test)]
@@ -429,60 +236,5 @@ mod tests {
         let mid = buf.len() / 2;
         buf[mid] ^= 0xFF;
         assert!(RankImage::decode(&buf).is_err());
-    }
-
-    #[test]
-    fn world_image_file_round_trip() {
-        let dir = std::env::temp_dir().join(format!("stool_img_test_{}", std::process::id()));
-        let world = WorldImage::new("Open MPI".to_string(), (0..4).map(sample_image).collect());
-        world.save_dir(&dir).unwrap();
-        let back = WorldImage::load_dir(&dir).unwrap();
-        assert_eq!(world, back);
-        assert_eq!(back.vendor_hint, "Open MPI");
-        assert_eq!(back.nranks(), 4);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn truncated_image_file_detected() {
-        let dir = std::env::temp_dir().join(format!("stool_img_trunc_{}", std::process::id()));
-        let world = WorldImage::new("MPICH".to_string(), (0..2).map(sample_image).collect());
-        world.save_dir(&dir).unwrap();
-        // Truncate one rank's file.
-        let path = WorldImage::rank_path(&dir, 1);
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        let err = WorldImage::load_dir(&dir).unwrap_err();
-        assert!(matches!(err, ImageError::Decode { rank: 1, .. }), "{err}");
-        assert!(err.to_string().contains("rank 1"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stray_temp_file_does_not_confuse_load() {
-        // A crashed save may leave `*.tmp` files; the committed image must
-        // still load, and the stray must not shadow a real rank file.
-        let dir = std::env::temp_dir().join(format!("stool_img_tmp_{}", std::process::id()));
-        let world = WorldImage::new("MPICH".to_string(), (0..2).map(sample_image).collect());
-        world.save_dir(&dir).unwrap();
-        std::fs::write(
-            WorldImage::rank_path(&dir, 0).with_extension("tmp"),
-            b"torn",
-        )
-        .unwrap();
-        let back = WorldImage::load_dir(&dir).unwrap();
-        assert_eq!(world, back);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_rank_file_names_the_rank() {
-        let dir = std::env::temp_dir().join(format!("stool_img_miss_{}", std::process::id()));
-        let world = WorldImage::new("MPICH".to_string(), (0..2).map(sample_image).collect());
-        world.save_dir(&dir).unwrap();
-        std::fs::remove_file(WorldImage::rank_path(&dir, 1)).unwrap();
-        let err = WorldImage::load_dir(&dir).unwrap_err();
-        assert!(matches!(err, ImageError::Io { rank: Some(1), .. }), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

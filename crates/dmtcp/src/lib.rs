@@ -66,7 +66,7 @@ pub use codec::{CodecError, Reader, Writer};
 pub use coordinator::{
     BarrierTopology, CkptError, CkptMode, CkptSession, Coordinator, ImageSink, Poll, RankAgent,
 };
-pub use image::{ImageError, RankImage, WorldImage};
+pub use image::{RankImage, WorldImage};
 pub use memory::Memory;
 pub use replica::{
     BarrierPhase, Clock, LivenessTimer, ReplicaConfig, ReplicaError, ReplicaFault, ReplicaGroup,

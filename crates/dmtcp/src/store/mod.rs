@@ -1,11 +1,14 @@
 //! The asynchronous delta-checkpoint store: epoch chains of content-hashed
 //! blocks.
 //!
-//! `WorldImage::save_dir` writes every rank's full image on the rank's
-//! critical path, so checkpoint latency scales with total image size even
-//! when almost nothing changed since the previous epoch. This module is the
-//! layer between the coordinator and the filesystem that removes both
-//! costs:
+//! This module is the only code that writes a checkpoint to disk, and the
+//! chain it writes is the only on-disk image format (the
+//! `one-persistence-path` lint holds both; [`crate::tier`] ships the
+//! chain's files as they are). A world image
+//! ([`crate::image::WorldImage`]) enters at the coordinator's final
+//! rendezvous and comes back through [`DeltaStore::load_latest`]. Two
+//! properties keep checkpoint latency off the ranks' critical path and
+//! proportional to what changed, not to the total image size:
 //!
 //! * **Asynchrony** — one lane of a [`SharedStoreWriter`] is attached to
 //!   the coordinator as an [`crate::coordinator::ImageSink`]
@@ -108,7 +111,6 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use crate::codec::CodecError;
-use crate::image::ImageError;
 use crate::tier::TierError;
 
 mod block;
@@ -298,15 +300,6 @@ impl StoreError {
             op,
             path: path.to_path_buf(),
             msg: e.to_string(),
-        }
-    }
-
-    /// Fold into the image-layer error type (threaded through
-    /// `CkptError::Image` by the coordinator).
-    pub fn into_image_error(self, epoch: u64) -> ImageError {
-        ImageError::Store {
-            epoch,
-            msg: self.to_string(),
         }
     }
 }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use crate::coordinator::ImageSink;
-use crate::image::{ImageError, WorldImage};
+use crate::image::WorldImage;
 use crate::lanes::{LaneMux, LaneWorker, Lanes};
 
 use super::{DeltaStore, EpochStats, StoreError};
@@ -150,11 +150,8 @@ impl TenantSink {
 }
 
 impl ImageSink for TenantSink {
-    fn submit(&self, image: WorldImage) -> Result<(), ImageError> {
-        let epoch = image.ranks.first().map(|r| r.epoch).unwrap_or(0);
-        self.writer
-            .submit(self.lane, image)
-            .map_err(|e| e.into_image_error(epoch))
+    fn submit(&self, image: WorldImage) -> Result<(), StoreError> {
+        self.writer.submit(self.lane, image)
     }
 }
 

@@ -634,6 +634,18 @@ pub fn default_rules() -> Vec<Rule> {
             skip_tests: false,
             check: Check::GuardAcrossBarrier(&["finish", "rendezvous", "exchange_counters"]),
         },
+        Rule {
+            name: "one-persistence-path",
+            invariant: "a checkpoint reaches disk only through dmtcp::store and the tier",
+            paths: &["crates/dmtcp/src", "crates/mana/src", "crates/core/src"],
+            allow_paths: &["crates/dmtcp/src/store/", "crates/dmtcp/src/tier.rs"],
+            skip_tests: true,
+            check: Check::BannedPath(&[
+                &["File", "::", "create"],
+                &["fs", "::", "write"],
+                &["fs", "::", "rename"],
+            ]),
+        },
     ]
 }
 

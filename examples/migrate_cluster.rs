@@ -13,7 +13,7 @@
 //! ```
 
 use mpi_stool::apps::CoMdMini;
-use mpi_stool::dmtcp::WorldImage;
+use mpi_stool::dmtcp::DeltaStore;
 use mpi_stool::simnet::{ClusterSpec, Interconnect, KernelVersion};
 use mpi_stool::stool::{Checkpointer, CkptMode, Session, Vendor};
 
@@ -74,10 +74,16 @@ fn main() {
         image.total_bytes()
     );
 
-    // The image is ordinary data: write it out, ship it to cluster B.
+    // The image is ordinary data: commit it to a checkpoint store, and
+    // reopen the store on cluster B.
     let dir = std::env::temp_dir().join("mpi-stool-migrate-example");
-    image.save_dir(&dir).expect("write images");
-    let shipped = WorldImage::load_dir(&dir).expect("read images");
+    let _ = std::fs::remove_dir_all(&dir);
+    DeltaStore::open(&dir)
+        .and_then(|mut store| store.commit(&image))
+        .expect("write images");
+    let shipped = DeltaStore::open(&dir)
+        .and_then(|store| store.load_latest())
+        .expect("read images");
     println!("image round-tripped through {}", dir.display());
 
     // Phase 2: restart on cluster B under MPICH and finish the job.

@@ -151,6 +151,52 @@ fn f() {
 }
 
 // -------------------------------------------------------------------------
+// one-persistence-path
+// -------------------------------------------------------------------------
+
+const PERSIST: &str = "\
+fn save(p: &Path, q: &Path, b: &[u8]) {
+    std::fs::write(p, b).unwrap();
+    let f = File::create(p);
+    std::fs::rename(p, q);
+}
+";
+
+#[test]
+fn one_persistence_path_fires_outside_the_store() {
+    let rule = "one-persistence-path".to_string();
+    for path in [
+        "crates/dmtcp/src/image.rs",
+        "crates/mana/src/ckpt.rs",
+        "crates/core/src/session.rs",
+    ] {
+        assert_eq!(
+            findings_for(path, PERSIST),
+            vec![
+                (rule.clone(), 2, 10),
+                (rule.clone(), 3, 13),
+                (rule.clone(), 4, 10)
+            ],
+            "{path}"
+        );
+    }
+    // Tooling and benches are outside the rule's scope.
+    assert!(findings_for("crates/bench/src/gate.rs", PERSIST).is_empty());
+}
+
+#[test]
+fn one_persistence_path_is_silent_under_the_store_and_the_tier() {
+    assert!(findings_for("crates/dmtcp/src/store/delta.rs", PERSIST).is_empty());
+    assert!(findings_for("crates/dmtcp/src/tier.rs", PERSIST).is_empty());
+}
+
+#[test]
+fn one_persistence_path_is_silent_in_a_test_module() {
+    let in_test = format!("#[cfg(test)]\nmod tests {{\n{PERSIST}}}\n");
+    assert!(findings_for("crates/dmtcp/src/coordinator.rs", &in_test).is_empty());
+}
+
+// -------------------------------------------------------------------------
 // shims-only-deps (manifests)
 // -------------------------------------------------------------------------
 
