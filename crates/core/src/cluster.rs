@@ -58,13 +58,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dmtcp_sim::store::{EpochStats, SharedStoreWriter, StoreError};
+use dmtcp_sim::store::{EpochStats, StoreError};
 use dmtcp_sim::tier::{tenant_namespace, FsTier, ObjectTier, SharedTier};
 use simnet::WorkerPool;
 
 use crate::error::{StoolError, StoolResult};
 use crate::program::MpiProgram;
-use crate::session::{recorder_for, RunOutcome, Session, TenantShared, TierPolicy};
+use crate::session::{wire_runs, RunOutcome, Session, TierPolicy};
 
 /// One tenant of a [`Cluster`]: its id and its fully validated session
 /// configuration.
@@ -104,19 +104,10 @@ impl ClusterBuilder {
     /// tunables): every tenant's sealed epochs ship through the same
     /// multiplexed runtime, each under its own `tenant/<id>/` key
     /// namespace.
-    pub fn tier(self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.tier_with(dir, dmtcp_sim::TierConfig::default())
-    }
-
-    /// Like [`ClusterBuilder::tier`], with explicit shipper tunables.
-    pub fn tier_with(
-        mut self,
-        dir: impl Into<std::path::PathBuf>,
-        config: dmtcp_sim::TierConfig,
-    ) -> Self {
+    pub fn tier(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.tier = Some(TierPolicy {
             dir: dir.into(),
-            config,
+            config: dmtcp_sim::TierConfig::default(),
         });
         self
     }
@@ -280,62 +271,31 @@ impl Cluster {
             }
         };
 
-        // Open every storing tenant's chain up front — claiming its
-        // TENANT marker, attaching its tagged recorder and (namespaced)
-        // shared tier lane — then hand all the stores to ONE committer.
-        let mut recorders = Vec::with_capacity(self.tenants.len());
-        let mut lanes: Vec<Option<usize>> = Vec::with_capacity(self.tenants.len());
-        let mut tier_stats = Vec::with_capacity(self.tenants.len());
-        let mut stores = Vec::new();
-        for tenant in &self.tenants {
-            let tel = recorder_for(&tenant.session.config, Some(tenant.id.clone()));
-            let (lane, stats) = match &tenant.session.config.durability.store {
-                None => (None, None),
-                Some(policy) => {
-                    let mut store = policy.open_store().map_err(StoolError::Store)?;
-                    store.attach_telemetry(tel.clone());
-                    if let Some(st) = &shared_tier {
-                        let ns = tenant_namespace(&tenant.id)
-                            .map_err(|e| StoolError::Store(StoreError::Tier(e)))?;
-                        store
-                            .attach_shared_tier(st, &ns)
-                            .map_err(StoolError::Store)?;
-                    }
-                    let stats = store.tier_stats_handle();
-                    stores.push(store);
-                    (Some(stores.len() - 1), stats)
-                }
-            };
-            recorders.push(tel);
-            lanes.push(lane);
-            tier_stats.push(stats);
-        }
-        let writer =
-            (!stores.is_empty()).then(|| Arc::new(SharedStoreWriter::spawn_stores(stores)));
+        // Wire every tenant up front — the same wiring a lone session
+        // gets, N runs wide: one committer, one lane per storing tenant.
+        let runs: Vec<_> = self
+            .tenants
+            .iter()
+            .map(|t| (&t.session.config, Some(t.id.as_str())))
+            .collect();
+        let wirings = wire_runs(&runs, shared_tier.as_ref())?;
 
-        // One driver thread per tenant; each runs the tenant's world
-        // through the exact single-session wiring path, gang-admitted
-        // onto the shared pool.
+        // One driver thread per tenant, each gang-admitted onto the
+        // shared pool.
         let outcomes: Vec<StoolResult<RunOutcome>> = std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .tenants
                 .iter()
-                .zip(recorders.iter())
-                .zip(lanes.iter().zip(tier_stats.iter()))
-                .map(|((tenant, tel), (lane, stats))| {
+                .zip(&wirings)
+                .map(|(tenant, wiring)| {
                     let program = by_id.get(tenant.id.as_str()).copied();
-                    let shared = TenantShared {
-                        pool: &pool,
-                        writer: lane.and_then(|l| writer.as_ref().map(|w| (w.clone(), l))),
-                        tier_stats: stats.clone(),
-                        tel: tel.clone(),
-                    };
+                    let pool = &pool;
                     s.spawn(move || match program {
                         None => Err(StoolError::Config(format!(
                             "no program supplied for tenant {:?}",
                             tenant.id
                         ))),
-                        Some(p) => tenant.session.run_shared(p, &shared),
+                        Some(p) => tenant.session.run_inner(p, None, pool, wiring),
                     })
                 })
                 .collect();
@@ -346,12 +306,14 @@ impl Cluster {
         });
 
         let mut tenants = BTreeMap::new();
-        for (i, (tenant, outcome)) in self.tenants.iter().zip(outcomes).enumerate() {
-            let (epochs, quota_waits, store_error) = match (&writer, lanes[i]) {
-                (Some(w), Some(lane)) => {
-                    (w.lane_stats(lane), w.quota_waits(lane), w.lane_error(lane))
-                }
-                _ => (Vec::new(), 0, None),
+        for ((tenant, outcome), wiring) in self.tenants.iter().zip(outcomes).zip(&wirings) {
+            let (epochs, quota_waits, store_error) = match &wiring.sink {
+                Some((w, lane)) => (
+                    w.lane_stats(*lane),
+                    w.quota_waits(*lane),
+                    w.lane_error(*lane),
+                ),
+                None => (Vec::new(), 0, None),
             };
             tenants.insert(
                 tenant.id.clone(),
@@ -362,11 +324,6 @@ impl Cluster {
                     store_error,
                 },
             );
-        }
-        // Shut the shared committer down (drains every lane, joins the
-        // thread, drops the stores — which flushes their tier lanes).
-        if let Some(w) = writer {
-            drop(w);
         }
         Ok(ClusterReport { tenants })
     }

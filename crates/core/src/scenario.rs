@@ -133,7 +133,7 @@ pub struct FaultSchedule {
     /// `restore_from_store` hydrates the chain. Requires an attached tier.
     pub tier_gets: Vec<GetFault>,
     /// Scripted coordinator-replica faults (leader kills at a chosen
-    /// barrier phase), appended to the replica policy's own script.
+    /// barrier phase). Requires a replicated coordinator.
     pub replica: Vec<ReplicaFault>,
 }
 
@@ -1052,8 +1052,8 @@ fn durability_for(spec: &ScenarioSpec, base: &Path) -> DurabilityPolicy {
     });
     let replicas = spec.durability.has_replicas().then(|| {
         let mut policy = ReplicaPolicy::new(base.join("replicas"));
-        policy.election_timeout = Duration::from_millis(2);
-        policy.log.backoff = Duration::from_millis(1);
+        policy.config.election_timeout = Duration::from_millis(2);
+        policy.config.log.backoff = Duration::from_millis(1);
         policy
     });
     DurabilityPolicy {

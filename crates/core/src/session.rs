@@ -6,10 +6,11 @@ use std::sync::{Arc, Mutex};
 use dmtcp_sim::coordinator::{BarrierTopology, CkptMode, Coordinator};
 use dmtcp_sim::image::WorldImage;
 use dmtcp_sim::memory::Memory;
-use dmtcp_sim::replica::{Clock, ReplicaConfig, ReplicaFault, ReplicaGroup, SystemClock};
+use dmtcp_sim::replica::{Clock, ReplicaConfig, ReplicaGroup, SystemClock};
 use dmtcp_sim::store::{DeltaStore, SharedStoreWriter, StoreConfig, StoreError, TenantSink};
 use dmtcp_sim::tier::{
-    FlakyTier, FsTier, GetFault, ObjectTier, PutFault, TierConfig, TierStatsHandle,
+    tenant_namespace, FlakyTier, FsTier, GetFault, ObjectTier, PutFault, SharedTier, TierConfig,
+    TierStatsHandle,
 };
 use mana_sim::ckpt::restore_rank;
 use mana_sim::ManaConfig;
@@ -117,10 +118,9 @@ impl StorePolicy {
     /// [`StorePolicy::open_store`] with FIFO upload/download fault
     /// scripts: when either is non-empty, a fault-injection wrapper
     /// ([`dmtcp_sim::FlakyTier`]) sits between the store and its tier
-    /// (which it then requires). Used by the fault-schedule harness: the
-    /// run's sink open scripts `puts` (torn/failed uploads mid-ship), the
-    /// restore open scripts `gets` (torn/failed downloads during
-    /// hydration).
+    /// (which it then requires). [`wire_runs`] scripts the run's `puts`
+    /// (torn/failed uploads mid-ship), the restore open scripts `gets`
+    /// (torn/failed downloads during hydration).
     pub(crate) fn open_store_flaky(
         &self,
         puts: &[PutFault],
@@ -204,33 +204,22 @@ pub struct TierPolicy {
 /// point of failure: a leader replica killed at any barrier phase is
 /// replaced within the election timeout and the round either commits on
 /// quorum or aborts atomically (see `dmtcp_sim::replica`).
+/// Scripted replica faults live on the run's [`FaultSchedule`]
+/// (`replica`, [`FaultSchedule::kill_leader_at`]).
 #[derive(Debug, Clone)]
 pub struct ReplicaPolicy {
     /// Root directory; each replica's log lives in `replica_NN/` below it.
     pub dir: PathBuf,
-    /// Group size (must be ≥ 3; quorum is a majority).
-    pub replicas: usize,
-    /// Election timeout: how long a dead leader goes unnoticed before a
-    /// follower takes over.
-    pub election_timeout: std::time::Duration,
-    /// Retry/backoff tunables for the replica log puts and gets.
-    pub log: TierConfig,
-    /// Scripted replica faults for failover tests (consumed in order as
-    /// the leader passes barrier phases).
-    pub faults: Vec<ReplicaFault>,
+    /// Group size (≥ 3), election timeout and log retry tunables.
+    pub config: ReplicaConfig,
 }
 
 impl ReplicaPolicy {
-    /// Default policy rooted at `dir`: 3 replicas, the
-    /// [`ReplicaConfig`] default election timeout, no scripted faults.
+    /// The [`ReplicaConfig`] default group rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> ReplicaPolicy {
-        let defaults = ReplicaConfig::default();
         ReplicaPolicy {
             dir: dir.into(),
-            replicas: defaults.replicas,
-            election_timeout: defaults.election_timeout,
-            log: defaults.log,
-            faults: Vec::new(),
+            config: ReplicaConfig::default(),
         }
     }
 }
@@ -265,11 +254,11 @@ impl DurabilityPolicy {
             ));
         }
         if let Some(replicas) = &self.replicas {
-            if replicas.replicas < 3 {
+            if replicas.config.replicas < 3 {
                 return Err(StoolError::Config(format!(
                     "a replica group needs at least 3 replicas to survive one failure \
                      (got {})",
-                    replicas.replicas
+                    replicas.config.replicas
                 )));
             }
         }
@@ -306,16 +295,9 @@ pub struct SessionConfig {
     /// Canonical rank-ordered reductions through the shim (bitwise
     /// reproducible across vendors; requires `use_muk`).
     pub deterministic_reductions: bool,
-    /// Per-rank thread stack size override; `None` lets the world pick by
-    /// size (bounded stacks for ≥ 128-rank worlds, OS default below).
-    pub rank_stack_bytes: Option<usize>,
     /// Checkpoint-coordinator barrier topology override; `None` lets the
     /// coordinator pick by world size (flat ≤ 64 ranks, tree beyond).
     pub barrier_topology: Option<BarrierTopology>,
-    /// Echo every flight-recorder event to stderr as it is emitted (the
-    /// trace-level filter; default quiet, or on when the `CKPT_TRACE`
-    /// environment variable is set).
-    pub telemetry_echo: bool,
     /// Where the end-of-run crash-dump timeline is written when the run
     /// records incidents or fails. Defaults to the `STOOL_DUMP_DIR`
     /// environment variable; `None` disables dumping (events stay
@@ -343,9 +325,7 @@ impl Default for SessionBuilder {
                 durability: DurabilityPolicy::default(),
                 schedule: FaultSchedule::default(),
                 deterministic_reductions: false,
-                rank_stack_bytes: None,
                 barrier_topology: None,
-                telemetry_echo: std::env::var_os("CKPT_TRACE").is_some(),
                 dump_dir: std::env::var_os("STOOL_DUMP_DIR").map(PathBuf::from),
             },
             injected: Vec::new(),
@@ -416,29 +396,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Override the per-rank thread stack size. Without this the world
-    /// auto-bounds stacks once it reaches 128 ranks (see
-    /// [`simnet::RunPlan::auto`]) so 512–1024-rank worlds spin up without
-    /// a per-rank address-space explosion.
-    pub fn rank_stack_bytes(mut self, bytes: usize) -> Self {
-        self.config.rank_stack_bytes = Some(bytes);
-        self
-    }
-
     /// Override the checkpoint coordinator's rendezvous barrier topology
     /// (default: auto by world size — flat up to 64 ranks, radix-32 tree
     /// beyond).
     pub fn barrier_topology(mut self, topology: BarrierTopology) -> Self {
         self.config.barrier_topology = Some(topology);
-        self
-    }
-
-    /// Echo every flight-recorder event to stderr as it is emitted — the
-    /// trace knob that replaced the old ad-hoc `CKPT_TRACE` prints
-    /// (setting that environment variable still turns echoing on by
-    /// default).
-    pub fn telemetry_echo(mut self, on: bool) -> Self {
-        self.config.telemetry_echo = on;
         self
     }
 
@@ -667,45 +629,72 @@ pub struct ResilienceReport {
     pub recoveries: Vec<Recovery>,
 }
 
-/// What a cluster tenant's run shares with its siblings: the bounded
-/// worker pool its world gang-admits onto, its lane of the one shared
-/// store writer (if it checkpoints through a store), a live view of its
-/// tier-shipping lane, and a pre-tagged flight recorder.
-pub(crate) struct TenantShared<'p> {
-    /// The cluster-wide bounded worker pool.
-    pub pool: &'p WorkerPool,
-    /// The shared committer and this tenant's lane in it.
-    pub writer: Option<(Arc<SharedStoreWriter>, usize)>,
-    /// Live view of the tenant's tier-shipping lane stats, if a shared
-    /// tier is attached.
-    pub tier_stats: Option<TierStatsHandle>,
-    /// The tenant's flight recorder, tagged with its id.
+/// What one run is wired to before its world starts: its flight
+/// recorder, its lane of the committer (if it checkpoints through a
+/// store) and a live view of its tier-shipping lane (if it ships).
+pub(crate) struct RunWiring {
+    /// The run's flight recorder, tagged with the tenant id in a cluster.
     pub tel: Arc<Telemetry>,
+    /// The committer and this run's lane in it.
+    pub sink: Option<(Arc<SharedStoreWriter>, usize)>,
+    /// Live view of the run's tier-shipping lane stats.
+    pub tier_stats: Option<TierStatsHandle>,
 }
 
-/// Build a run's flight recorder: one lane per rank plus the four
-/// subsystem lanes, optionally tagged (cluster tenants stamp their id
-/// into every echo line and dump header). Each run dumps into its own
-/// subdirectory so concurrent runs sharing one configured directory
-/// (e.g. a CI-wide `STOOL_DUMP_DIR`) never overwrite each other's
-/// timelines.
-pub(crate) fn recorder_for(config: &SessionConfig, tag: Option<String>) -> Arc<Telemetry> {
-    Arc::new(Telemetry::with_config(
-        config.cluster.nranks(),
-        TelemetryConfig {
-            dump_dir: config.dump_dir.as_ref().map(|d| {
-                static RUN_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-                d.join(format!(
-                    "run-{}-{}",
-                    std::process::id(),
-                    RUN_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                ))
-            }),
-            echo: config.telemetry_echo,
-            tag,
-            ..TelemetryConfig::default()
-        },
-    ))
+/// Wire N runs: the only place a run's chain is opened for writing. Each
+/// run gets a recorder (one lane per rank plus the subsystem lanes,
+/// tagged with its tenant id if any, echoing when `CKPT_TRACE` is set,
+/// dumping into its own subdirectory so concurrent runs sharing one
+/// configured directory never overwrite each other's timelines). A
+/// storing run's chain is claimed and opened with its private tier
+/// behind the run's upload-fault script, or attached to `shared_tier`
+/// under the tenant's namespace; then every store becomes one lane of a
+/// single committer. A [`Session`] is the one-run case, a
+/// [`crate::cluster::Cluster`] the N-run case.
+pub(crate) fn wire_runs(
+    runs: &[(&SessionConfig, Option<&str>)],
+    shared_tier: Option<&SharedTier>,
+) -> StoolResult<Vec<RunWiring>> {
+    static RUN_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let mut stores = Vec::new();
+    let mut wired = Vec::with_capacity(runs.len());
+    for &(config, tenant) in runs {
+        let tel = Arc::new(Telemetry::with_config(
+            config.cluster.nranks(),
+            TelemetryConfig {
+                dump_dir: config.dump_dir.as_ref().map(|d| {
+                    let seq = RUN_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    d.join(format!("run-{}-{seq}", std::process::id()))
+                }),
+                echo: std::env::var_os("CKPT_TRACE").is_some(),
+                tag: tenant.map(str::to_string),
+                ..TelemetryConfig::default()
+            },
+        ));
+        let mut lane = None;
+        let mut tier_stats = None;
+        if let Some(policy) = &config.durability.store {
+            let mut store = policy.open_store_flaky(&config.schedule.tier_puts, &[])?;
+            store.attach_telemetry(tel.clone());
+            if let (Some(shared), Some(id)) = (shared_tier, tenant) {
+                let ns = tenant_namespace(id).map_err(StoreError::Tier)?;
+                store.attach_shared_tier(shared, &ns)?;
+            }
+            tier_stats = store.tier_stats_handle();
+            lane = Some(stores.len());
+            stores.push(store);
+        }
+        wired.push((tel, lane, tier_stats));
+    }
+    let writer = (!stores.is_empty()).then(|| Arc::new(SharedStoreWriter::spawn_stores(stores)));
+    Ok(wired
+        .into_iter()
+        .map(|(tel, lane, tier_stats)| RunWiring {
+            tel,
+            sink: lane.zip(writer.clone()).map(|(lane, w)| (w, lane)),
+            tier_stats,
+        })
+        .collect())
 }
 
 impl Session {
@@ -775,18 +764,7 @@ impl Session {
 
     /// Launch a program fresh.
     pub fn launch(&self, program: &dyn MpiProgram) -> StoolResult<RunOutcome> {
-        self.run_inner(program, None, None)
-    }
-
-    /// Internal: one tenant's run inside a [`crate::cluster::Cluster`] —
-    /// the same wiring path as [`Session::launch`], with the cluster's
-    /// shared pool, writer lane and tagged recorder attached.
-    pub(crate) fn run_shared(
-        &self,
-        program: &dyn MpiProgram,
-        shared: &TenantShared<'_>,
-    ) -> StoolResult<RunOutcome> {
-        self.run_inner(program, None, Some(shared))
+        self.run_alone(program, None)
     }
 
     /// Restore a checkpointed world image and continue the program —
@@ -802,7 +780,7 @@ impl Session {
                 self.config.cluster.nranks()
             )));
         }
-        self.run_inner(program, Some((image, mana_cfg)), None)
+        self.run_alone(program, Some((image, mana_cfg)))
     }
 
     /// Restart from the newest epoch of the session's attached delta
@@ -822,24 +800,34 @@ impl Session {
         self.restore(&image, program)
     }
 
-    fn run_inner(
+    /// This session as the one run of its own wiring, on a pool as wide
+    /// as its world.
+    fn run_alone(
         &self,
         program: &dyn MpiProgram,
         restore: Option<(&WorldImage, ManaConfig)>,
-        shared: Option<&TenantShared<'_>>,
+    ) -> StoolResult<RunOutcome> {
+        let pool = WorkerPool::new(self.config.cluster.nranks());
+        let wiring = wire_runs(&[(&self.config, None)], None)?;
+        self.run_inner(program, restore, &pool, &wiring[0])
+    }
+
+    /// One run over its [`RunWiring`]: the world gang-admits onto `pool`,
+    /// checkpoints through the wiring's committer lane, and reports
+    /// through its recorder.
+    pub(crate) fn run_inner(
+        &self,
+        program: &dyn MpiProgram,
+        restore: Option<(&WorldImage, ManaConfig)>,
+        pool: &WorkerPool,
+        wiring: &RunWiring,
     ) -> StoolResult<RunOutcome> {
         let spec = self.stack_spec();
         let cluster = &self.config.cluster;
-        // The run's flight recorder: one lane per rank plus the four
-        // subsystem lanes, attached to every layer below before any rank
+        // The recorder is attached to every layer below before any rank
         // starts. On incident (or failure) its merged virtual-clock
-        // timeline is dumped at the end of the run. Cluster tenants
-        // arrive with their own id-tagged recorder, already attached to
-        // their store lane.
-        let tel = match shared {
-            Some(ts) => ts.tel.clone(),
-            None => recorder_for(&self.config, None),
-        };
+        // timeline is dumped at the end of the run.
+        let tel = &wiring.tel;
         let coordinator = match self.config.checkpointer {
             Checkpointer::Mana(_) => {
                 let topology = self
@@ -856,12 +844,7 @@ impl Session {
         // quorum of the replicas' durable logs before any round becomes
         // observable; the scripted faults drive the failover battery.
         if let (Some(policy), Some(coord)) = (&self.config.durability.replicas, &coordinator) {
-            let config = ReplicaConfig {
-                replicas: policy.replicas,
-                election_timeout: policy.election_timeout,
-                log: policy.log,
-            };
-            let logs: Vec<Arc<dyn ObjectTier>> = (0..policy.replicas)
+            let logs: Vec<Arc<dyn ObjectTier>> = (0..policy.config.replicas)
                 .map(|i| {
                     let dir = policy.dir.join(format!("replica_{i:02}"));
                     FsTier::open(&dir)
@@ -870,13 +853,12 @@ impl Session {
                 })
                 .collect::<StoolResult<_>>()?;
             let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
-            let group = ReplicaGroup::new(config, clock, logs).map_err(StoolError::Replica)?;
-            // The policy's own scripted faults run first, then the fault
-            // schedule's (both are FIFO-consumed at barrier phases).
-            let mut faults = policy.faults.clone();
-            faults.extend(self.config.schedule.replica.iter().cloned());
-            let scripted = !faults.is_empty();
-            group.script_faults(faults);
+            let group =
+                ReplicaGroup::new(policy.config, clock, logs).map_err(StoolError::Replica)?;
+            // The schedule's replica faults are FIFO-consumed at barrier
+            // phases.
+            let scripted = !self.config.schedule.replica.is_empty();
+            group.script_faults(self.config.schedule.replica.clone());
             group.attach_telemetry(tel.clone());
             if scripted {
                 // A phase-scripted leader kill needs an incumbent from the
@@ -886,34 +868,12 @@ impl Session {
             }
             coord.attach_replicas(Arc::new(group));
         }
-        // With a store attached, a background committer takes ownership
-        // of each completed epoch at the rendezvous barrier and persists
-        // it as a delta chain while the ranks run on: lane 0 of a private
-        // one-lane writer for a classic session, the tenant's lane of the
-        // ONE shared committer inside a cluster.
-        let mut tier_stats = shared.and_then(|ts| ts.tier_stats.clone());
-        let sink: Option<(Arc<SharedStoreWriter>, usize)> = match (&coordinator, shared) {
-            (Some(_), Some(ts)) => ts.writer.clone(),
-            (Some(_), None) => match &self.config.durability.store {
-                Some(policy) => {
-                    // Open the store first so the recorder (and a live
-                    // view of the tier shipper's stats) can attach before
-                    // the store moves into the background writer thread.
-                    // A scheduled upload-fault script wraps the tier in
-                    // its fault-injection double for this run only.
-                    let mut store = policy
-                        .open_store_flaky(&self.config.schedule.tier_puts, &[])
-                        .map_err(StoolError::Store)?;
-                    store.attach_telemetry(tel.clone());
-                    tier_stats = store.tier_stats_handle();
-                    let writer = SharedStoreWriter::spawn_stores(vec![store]);
-                    Some((Arc::new(writer), 0))
-                }
-                None => None,
-            },
-            _ => None,
-        };
-        if let (Some(coord), Some((writer, lane))) = (&coordinator, &sink) {
+        // With a store attached, the committer takes ownership of each
+        // completed epoch at the rendezvous barrier and persists it as a
+        // delta chain on the run's lane while the ranks run on.
+        let sink = &wiring.sink;
+        let tier_stats = &wiring.tier_stats;
+        if let (Some(coord), Some((writer, lane))) = (&coordinator, sink) {
             let tenant_sink = Arc::new(TenantSink::new(writer.clone(), *lane));
             coord.attach_sink(tenant_sink, self.config.vendor.name());
         }
@@ -922,21 +882,17 @@ impl Session {
         // sequence, shared read-only by every rank.
         let kills = Arc::new(self.config.schedule.resolved_kills(cluster));
 
-        let plan = match self.config.rank_stack_bytes {
-            Some(bytes) => RunPlan::with_stack_bytes(bytes),
-            None => RunPlan::auto(cluster.nranks()),
-        };
+        let plan = RunPlan::auto(cluster.nranks());
         // Build the fabric here (instead of letting `World::run` do
         // it) so the recorder's hot-path counters attach before any rank
         // sends its first message.
         let cluster_arc = Arc::new(cluster.clone());
         let (fabric, endpoints) = Fabric::new(&cluster_arc);
         fabric.attach_telemetry(tel.clone());
-        // Inside a cluster, the tenant's world gang-admits onto the
-        // shared bounded pool: all of its rank permits are taken at once
-        // (FIFO-ticketed, so a wide tenant is never starved by narrow
-        // ones) and held for the whole run.
-        let _gang = shared.map(|ts| ts.pool.acquire(cluster.nranks()));
+        // The world gang-admits onto the pool: all of its rank permits
+        // are taken at once (FIFO-ticketed, so a wide tenant is never
+        // starved by narrow ones) and held for the whole run.
+        let _gang = pool.acquire(cluster.nranks());
         let run_result = World::run_plan(cluster_arc, fabric, endpoints, plan, |ctx| {
             let (mut stack, mut mem, resume) = match restore {
                 None => (Stack::build(&spec, &ctx), Memory::new(), None),
@@ -977,7 +933,7 @@ impl Session {
         // inspected (restart may read the chain immediately). Flushed
         // even when the run failed, so the telemetry snapshot and the
         // crash dump below see the final store/tier state.
-        let flush_result = match &sink {
+        let flush_result = match sink {
             Some((writer, lane)) => writer.flush_lane(*lane),
             None => Ok(()),
         };
@@ -987,7 +943,7 @@ impl Session {
         // sticky ship error is not a run error — it shows up as
         // `ship_failures`/`TierFail` in the telemetry it exists to feed.
         if flush_result.is_ok() {
-            if let Some(handle) = &tier_stats {
+            if let Some(handle) = tier_stats {
                 let _ = handle.wait_durable();
             }
         }
@@ -1019,7 +975,7 @@ impl Session {
         };
         let snapshot = TelemetrySnapshot {
             recorder: tel.clone(),
-            epochs: match &sink {
+            epochs: match sink {
                 Some((writer, lane)) => writer.lane_stats(*lane),
                 None => Vec::new(),
             },

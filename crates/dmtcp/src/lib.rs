@@ -16,7 +16,8 @@
 //!   address space (see DESIGN.md §1 for why Rust needs this cooperative
 //!   substitute for raw page capture);
 //! * [`image`] — per-rank checkpoint images ([`image::RankImage`]) grouped
-//!   into a world image ([`image::WorldImage`]), with file save/load;
+//!   into a world image ([`image::WorldImage`]); the [`store`] is their
+//!   only on-disk format;
 //! * [`coordinator`] — the checkpoint coordinator: epoch-based requests,
 //!   phase barriers, counter exchange used by the MANA drain protocol, and
 //!   image collection;

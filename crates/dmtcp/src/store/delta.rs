@@ -295,6 +295,31 @@ impl DeltaStore {
         self.dir.join(format!("epoch_{epoch:06}"))
     }
 
+    /// Stage an epoch directory: a fresh `epoch_NNNNNN.tmp` holding each
+    /// `(name, parts)` file written and fsynced. Returns the staged path;
+    /// the caller publishes it with its own rename.
+    pub(super) fn stage_epoch(
+        &self,
+        epoch: u64,
+        files: &[(&str, &[&[u8]])],
+    ) -> Result<PathBuf, StoreError> {
+        let tmp = self.dir.join(format!("epoch_{epoch:06}.tmp"));
+        if tmp.exists() {
+            std::fs::remove_dir_all(&tmp).map_err(|e| StoreError::io("remove tmp", &tmp, e))?;
+        }
+        std::fs::create_dir_all(&tmp).map_err(|e| StoreError::io("create tmp", &tmp, e))?;
+        for (name, parts) in files {
+            let path = tmp.join(name);
+            let mut f = File::create(&path).map_err(|e| StoreError::io("create", &path, e))?;
+            for part in *parts {
+                f.write_all(part)
+                    .map_err(|e| StoreError::io("write", &path, e))?;
+            }
+            f.sync_all().map_err(|e| StoreError::io("sync", &path, e))?;
+        }
+        Ok(tmp)
+    }
+
     pub(super) fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
         let mut buf = Vec::new();
         File::open(path)
@@ -525,24 +550,16 @@ impl DeltaStore {
         let refs = manifest.referenced_epochs();
         let encode_done = Instant::now();
 
-        // Crash-safe commit: assemble in a temp dir, rename into place.
-        let tmp = self.dir.join(format!("epoch_{epoch:06}.tmp"));
-        if tmp.exists() {
-            std::fs::remove_dir_all(&tmp).map_err(|e| StoreError::io("remove tmp", &tmp, e))?;
-        }
-        std::fs::create_dir_all(&tmp).map_err(|e| StoreError::io("create tmp", &tmp, e))?;
-        let write = |name: &str, parts: &[&[u8]]| -> Result<(), StoreError> {
-            let path = tmp.join(name);
-            let mut f = File::create(&path).map_err(|e| StoreError::io("create", &path, e))?;
-            for part in parts {
-                f.write_all(part)
-                    .map_err(|e| StoreError::io("write", &path, e))?;
-            }
-            f.sync_all().map_err(|e| StoreError::io("sync", &path, e))
-        };
+        // Crash-safe commit: assemble in a temp dir, rename into place
+        // (the rename fails on an existing epoch directory).
         let block_parts: Vec<&[u8]> = encoded.iter().map(|(buf, ..)| buf.as_slice()).collect();
-        write("blocks.bin", &block_parts)?;
-        write("manifest.bin", &[&manifest_buf])?;
+        let tmp = self.stage_epoch(
+            epoch,
+            &[
+                ("blocks.bin", &block_parts),
+                ("manifest.bin", &[&manifest_buf]),
+            ],
+        )?;
         let final_dir = self.epoch_dir(epoch);
         std::fs::rename(&tmp, &final_dir).map_err(|e| StoreError::io("rename", &final_dir, e))?;
         let write_done = Instant::now();

@@ -2,7 +2,6 @@
 //! behind or damaged local chain, scrub the quarantine.
 
 use std::collections::BTreeSet;
-use std::io::Write as IoWrite;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -169,22 +168,13 @@ impl DeltaStore {
     }
 
     /// Install one verified epoch's bytes as a local epoch directory,
-    /// atomically (tmp dir + rename), replacing any existing directory
-    /// of that number.
+    /// atomically (staged, then renamed), replacing any existing
+    /// directory of that number.
     fn install_epoch(&self, epoch: u64, blocks: &[u8], manifest: &[u8]) -> Result<(), StoreError> {
-        let tmp = self.dir.join(format!("epoch_{epoch:06}.tmp"));
-        if tmp.exists() {
-            std::fs::remove_dir_all(&tmp).map_err(|e| StoreError::io("remove tmp", &tmp, e))?;
-        }
-        std::fs::create_dir_all(&tmp).map_err(|e| StoreError::io("create tmp", &tmp, e))?;
-        for (name, data) in [("blocks.bin", blocks), ("manifest.bin", manifest)] {
-            let path = tmp.join(name);
-            let mut f =
-                std::fs::File::create(&path).map_err(|e| StoreError::io("create", &path, e))?;
-            f.write_all(data)
-                .map_err(|e| StoreError::io("write", &path, e))?;
-            f.sync_all().map_err(|e| StoreError::io("sync", &path, e))?;
-        }
+        let tmp = self.stage_epoch(
+            epoch,
+            &[("blocks.bin", &[blocks]), ("manifest.bin", &[manifest])],
+        )?;
         let final_dir = self.epoch_dir(epoch);
         if final_dir.exists() {
             std::fs::remove_dir_all(&final_dir)
@@ -363,26 +353,11 @@ impl DeltaStore {
                 report.cleaned.push(epoch);
                 continue;
             }
-            if !sealed.contains(&epoch) {
+            if self.heal_from_tier(tier, config, ns, &sealed, epoch)? {
+                self.adopt_epoch(epoch)?;
+                report.healed.push(epoch);
+            } else {
                 report.missing.push(epoch);
-                continue;
-            }
-            match fetch_sealed_epoch(tier, config, ns, epoch) {
-                Ok((blocks, manifest_buf)) => {
-                    // Verify the manifest decodes before trusting the
-                    // tier copy over the quarantined one.
-                    if Manifest::decode(&manifest_buf).is_err() {
-                        report.missing.push(epoch);
-                        continue;
-                    }
-                    self.install_epoch(epoch, &blocks, &manifest_buf)?;
-                    self.adopt_epoch(epoch)?;
-                    report.healed.push(epoch);
-                }
-                Err(TierError::NotFound { .. } | TierError::Corrupt { .. }) => {
-                    report.missing.push(epoch);
-                }
-                Err(e) => return Err(StoreError::Tier(e)),
             }
         }
         // Verify the live chain; heal in place anything that rotted
@@ -391,19 +366,10 @@ impl DeltaStore {
             match self.read_manifest(epoch) {
                 Ok(_) => report.verified += 1,
                 Err(StoreError::Manifest { .. } | StoreError::MissingEpoch { .. }) => {
-                    if !sealed.contains(&epoch) {
+                    if self.heal_from_tier(tier, config, ns, &sealed, epoch)? {
+                        report.healed.push(epoch);
+                    } else {
                         report.missing.push(epoch);
-                        continue;
-                    }
-                    match fetch_sealed_epoch(tier, config, ns, epoch) {
-                        Ok((blocks, manifest_buf)) if Manifest::decode(&manifest_buf).is_ok() => {
-                            self.install_epoch(epoch, &blocks, &manifest_buf)?;
-                            report.healed.push(epoch);
-                        }
-                        Ok(_) | Err(TierError::NotFound { .. } | TierError::Corrupt { .. }) => {
-                            report.missing.push(epoch);
-                        }
-                        Err(e) => return Err(StoreError::Tier(e)),
                     }
                 }
                 Err(e) => return Err(e),
@@ -415,5 +381,29 @@ impl DeltaStore {
             self.rebuild_head_state()?;
         }
         Ok(report)
+    }
+
+    /// Fetch `epoch` from the tier, verify its manifest decodes (before
+    /// trusting the tier copy over the local one) and install it.
+    /// `false` when the tier has no verifiable copy.
+    fn heal_from_tier(
+        &self,
+        tier: &dyn ObjectTier,
+        config: TierConfig,
+        ns: &str,
+        sealed: &BTreeSet<u64>,
+        epoch: u64,
+    ) -> Result<bool, StoreError> {
+        if !sealed.contains(&epoch) {
+            return Ok(false);
+        }
+        match fetch_sealed_epoch(tier, config, ns, epoch) {
+            Ok((blocks, manifest)) if Manifest::decode(&manifest).is_ok() => {
+                self.install_epoch(epoch, &blocks, &manifest)?;
+                Ok(true)
+            }
+            Ok(_) | Err(TierError::NotFound { .. } | TierError::Corrupt { .. }) => Ok(false),
+            Err(e) => Err(StoreError::Tier(e)),
+        }
     }
 }

@@ -646,6 +646,19 @@ pub fn default_rules() -> Vec<Rule> {
                 &["fs", "::", "rename"],
             ]),
         },
+        Rule {
+            name: "one-run-path",
+            invariant: "a run is wired (chain opened, committer spawned, world launched) only by session.rs",
+            paths: &["crates/core/src"],
+            allow_paths: &["crates/core/src/session.rs"],
+            skip_tests: true,
+            check: Check::BannedPath(&[
+                &["SharedStoreWriter", "::", "spawn_stores"],
+                &["World", "::", "run_plan"],
+                &["attach_shared_tier"],
+                &["open_store_flaky"],
+            ]),
+        },
     ]
 }
 

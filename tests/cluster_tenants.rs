@@ -13,7 +13,10 @@ use mpi_stool::dmtcp::{
 use mpi_stool::simnet::ClusterSpec;
 use mpi_stool::stool::cluster::{Cluster, ClusterBuilder};
 use mpi_stool::stool::programs::RingPings;
-use mpi_stool::stool::{Checkpointer, DurabilityPolicy, RunOutcome, Session, StorePolicy, Vendor};
+use mpi_stool::stool::{
+    Checkpointer, DurabilityPolicy, FaultSchedule, PutFault, RunOutcome, Session, StorePolicy,
+    TierConfig, TierPolicy, Vendor,
+};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -392,4 +395,47 @@ fn tenant_marker_rejects_foreign_and_untagged_opens() {
     drop(legacy.open_store().unwrap());
     drop(legacy.open_store().unwrap());
     assert!(!legacy.dir.join("TENANT").exists());
+}
+
+/// A tenant's whole fault plan applies inside a cluster: the upload-fault
+/// script of a tenant with a private tier reaches that tier's shipper,
+/// exactly as it would for the same session run alone.
+#[test]
+fn a_tenants_scripted_upload_faults_reach_its_private_tier() {
+    let root = tmp_dir("tenant_put_faults");
+    let tier = TierPolicy {
+        dir: root.join("tier"),
+        config: TierConfig {
+            backoff: std::time::Duration::from_millis(1),
+            ..TierConfig::default()
+        },
+    };
+    let session = Session::builder()
+        .cluster(small_world())
+        .checkpointer(Checkpointer::mana())
+        .checkpoint_every(1)
+        .durability(DurabilityPolicy {
+            tier: Some(tier),
+            ..stored(root.join("chain"))
+        })
+        .fault_schedule(FaultSchedule::default().tier_put_faults([PutFault::Fail, PutFault::Fail]))
+        .build()
+        .unwrap();
+    let cluster = Cluster::builder().tenant("t0", session).build().unwrap();
+    let program = RingPings {
+        rounds: 3,
+        payload: 16,
+    };
+    let report = cluster.run(&[("t0", &program)]).unwrap();
+    assert!(report.all_completed(), "{report:?}");
+
+    let snap = cluster.session("t0").unwrap().telemetry().unwrap();
+    let tier = snap
+        .tier
+        .expect("the tenant's private tier reports its stats");
+    assert!(
+        tier.put_retries >= 2,
+        "both scripted failures retried: {tier:?}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -21,7 +21,7 @@ use mpi_stool::dmtcp::{
     TestClock, TierConfig,
 };
 use mpi_stool::stool::{
-    Checkpointer, DurabilityPolicy, ReplicaPolicy, Session, StorePolicy, Vendor,
+    Checkpointer, DurabilityPolicy, FaultSchedule, ReplicaPolicy, Session, StorePolicy, Vendor,
 };
 
 const PHASES: [BarrierPhase; 4] = [
@@ -306,9 +306,8 @@ fn session_failover_restart_is_bit_identical_across_vendors() {
         let _ = std::fs::remove_dir_all(&rdir);
 
         let mut policy = ReplicaPolicy::new(&rdir);
-        policy.election_timeout = Duration::from_millis(2);
-        policy.log.backoff = Duration::from_millis(1);
-        policy.faults = vec![ReplicaFault::KillLeaderAt(*phase)];
+        policy.config.election_timeout = Duration::from_millis(2);
+        policy.config.log.backoff = Duration::from_millis(1);
 
         // Epoch 1 at step 20 primes the group (elects the leader); epoch
         // 2 at step 40 consumes the scripted kill and fails over; the
@@ -324,6 +323,7 @@ fn session_failover_restart_is_bit_identical_across_vendors() {
                 replicas: Some(policy),
                 ..DurabilityPolicy::default()
             })
+            .fault_schedule(FaultSchedule::default().kill_leader_at(*phase))
             .inject_node_failure(55, 0)
             .build()
             .unwrap()
@@ -397,13 +397,8 @@ fn leader_kill_writes_a_merged_crash_dump_timeline() {
     }
 
     let mut policy = ReplicaPolicy::new(&rdir);
-    policy.election_timeout = Duration::from_millis(2);
-    policy.log.backoff = Duration::from_millis(1);
-    // A fault-scripted session primes the group with its initial election
-    // on attach, so epoch 1 (step 20) already has an incumbent to strike:
-    // the scripted kill fires in the very first round — the "failed round"
-    // — and its commit rides the failover election.
-    policy.faults = vec![ReplicaFault::KillLeaderAt(BarrierPhase::PreSeal)];
+    policy.config.election_timeout = Duration::from_millis(2);
+    policy.config.log.backoff = Duration::from_millis(1);
 
     let session = Session::builder()
         .cluster(cluster())
@@ -415,6 +410,12 @@ fn leader_kill_writes_a_merged_crash_dump_timeline() {
             replicas: Some(policy),
             ..DurabilityPolicy::default()
         })
+        // A fault-scripted session primes the group with its initial
+        // election on attach, so epoch 1 (step 20) already has an
+        // incumbent to strike: the scripted kill fires in the very first
+        // round — the "failed round" — and its commit rides the failover
+        // election.
+        .fault_schedule(FaultSchedule::default().kill_leader_at(BarrierPhase::PreSeal))
         .crash_dump_dir(&ddir)
         .build()
         .unwrap();

@@ -197,6 +197,43 @@ fn one_persistence_path_is_silent_in_a_test_module() {
 }
 
 // -------------------------------------------------------------------------
+// one-run-path
+// -------------------------------------------------------------------------
+
+const WIRING: &str = "\
+fn wire(p: &StorePolicy, t: &SharedTier) {
+    let mut s = p.open_store_flaky(&[], &[]).unwrap();
+    s.attach_shared_tier(t, \"ns\");
+    let w = SharedStoreWriter::spawn_stores(vec![s]);
+    World::run_plan(spec, fabric, eps, plan, f);
+}
+";
+
+#[test]
+fn one_run_path_fires_in_core_outside_the_session() {
+    let rule = "one-run-path".to_string();
+    assert_eq!(
+        findings_for("crates/core/src/cluster.rs", WIRING),
+        vec![
+            (rule.clone(), 2, 19),
+            (rule.clone(), 3, 7),
+            (rule.clone(), 4, 13),
+            (rule.clone(), 5, 5)
+        ]
+    );
+    // Other crates build their own stores and worlds.
+    assert!(findings_for("crates/dmtcp/src/store/writer.rs", WIRING).is_empty());
+    assert!(findings_for("crates/simnet/src/world.rs", WIRING).is_empty());
+}
+
+#[test]
+fn one_run_path_is_silent_in_the_session_and_in_a_test_module() {
+    assert!(findings_for("crates/core/src/session.rs", WIRING).is_empty());
+    let in_test = format!("#[cfg(test)]\nmod tests {{\n{WIRING}}}\n");
+    assert!(findings_for("crates/core/src/cluster.rs", &in_test).is_empty());
+}
+
+// -------------------------------------------------------------------------
 // shims-only-deps (manifests)
 // -------------------------------------------------------------------------
 
