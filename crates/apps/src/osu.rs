@@ -55,19 +55,6 @@ pub struct OsuLatency {
 }
 
 impl OsuLatency {
-    /// The paper's configuration: 1 B – 256 KiB, like the OSU defaults
-    /// scaled to the figures' x-axes.
-    pub fn paper_config(kernel: OsuKernel) -> OsuLatency {
-        OsuLatency {
-            kernel,
-            min_size: 1,
-            max_size: 256 * 1024,
-            warmup: 10,
-            iters: 100,
-            ckpt_window: None,
-        }
-    }
-
     /// The message sizes swept (powers of two from min to max).
     pub fn sizes(&self) -> Vec<usize> {
         let mut v = Vec::new();
@@ -207,9 +194,6 @@ mod tests {
     fn sizes_are_powers_of_two() {
         let b = tiny();
         assert_eq!(b.sizes(), vec![1, 2, 4, 8, 16, 32, 64]);
-        let paper = OsuLatency::paper_config(OsuKernel::Bcast);
-        assert_eq!(paper.sizes().first(), Some(&1));
-        assert_eq!(paper.sizes().last(), Some(&(256 * 1024)));
     }
 
     #[test]

@@ -21,11 +21,6 @@ pub fn bytes_to_f64s(b: &[u8], out: &mut [f64]) {
     }
 }
 
-/// Convert a u64 slice to wire bytes.
-pub fn u64s_to_bytes(xs: &[u64]) -> Vec<u8> {
-    xs.iter().flat_map(|x| x.to_le_bytes()).collect()
-}
-
 /// Typed MPI operations over any ABI implementation.
 pub struct Pmpi<'a> {
     mpi: &'a mut dyn MpiAbi,
@@ -170,24 +165,6 @@ impl<'a> Pmpi<'a> {
         Ok(())
     }
 
-    /// Typed allgather.
-    pub fn allgather_f64s(
-        &mut self,
-        send: &[f64],
-        recv: &mut [f64],
-        comm: Handle,
-    ) -> AbiResult<()> {
-        let mut buf = vec![0u8; recv.len() * 8];
-        self.mpi.allgather(
-            &f64s_to_bytes(send),
-            &mut buf,
-            Datatype::Double.handle(),
-            comm,
-        )?;
-        bytes_to_f64s(&buf, recv);
-        Ok(())
-    }
-
     /// Raw-byte alltoall (what the OSU kernels use).
     pub fn alltoall_bytes(&mut self, send: &[u8], recv: &mut [u8], comm: Handle) -> AbiResult<()> {
         self.mpi.alltoall(send, recv, Datatype::Byte.handle(), comm)
@@ -225,7 +202,6 @@ mod tests {
         let mut back = [0.0; 4];
         bytes_to_f64s(&b, &mut back);
         assert_eq!(xs, back);
-        assert_eq!(u64s_to_bytes(&[1, 2]).len(), 16);
     }
 
     #[test]
@@ -236,21 +212,15 @@ mod tests {
                 let ss = StackSpec::native(vendor);
                 let mut stack = Stack::build(&ss, &ctx);
                 let p = Pmpi::new(stack.mpi());
-                let run = || -> AbiResult<(f64, Vec<f64>)> {
+                let run = || -> AbiResult<f64> {
                     let mut p = p;
                     let me = p.rank(Handle::COMM_WORLD)? as f64;
-                    let sum = p.allreduce_f64(me + 1.0, ReduceOp::Sum, Handle::COMM_WORLD)?;
-                    let mut all = vec![0.0; 3];
-                    p.allgather_f64s(&[me * 2.0], &mut all, Handle::COMM_WORLD)?;
-                    Ok((sum, all))
+                    p.allreduce_f64(me + 1.0, ReduceOp::Sum, Handle::COMM_WORLD)
                 };
                 run().map_err(|e| simnet::SimError::InvalidConfig(e.to_string()))
             })
             .unwrap();
-            for (sum, all) in out.results {
-                assert_eq!(sum, 6.0);
-                assert_eq!(all, vec![0.0, 2.0, 4.0]);
-            }
+            assert_eq!(out.results, vec![6.0; 3]);
         }
     }
 }

@@ -165,15 +165,6 @@ impl FaultSchedule {
         self
     }
 
-    /// Add a whole-world kill at `step`.
-    pub fn kill_world(mut self, step: u64) -> Self {
-        self.kills.push(KillEvent {
-            at_step: step,
-            victims: Victims::World,
-        });
-        self
-    }
-
     /// Delay `rank` by `delay` at every safe point in `[from, until)`.
     pub fn straggle(mut self, rank: usize, from: u64, until: u64, delay: VirtualTime) -> Self {
         self.stragglers.push(Straggler {
@@ -188,13 +179,6 @@ impl FaultSchedule {
     /// Script tier upload faults (FIFO, one per `put` call).
     pub fn tier_put_faults(mut self, faults: impl IntoIterator<Item = PutFault>) -> Self {
         self.tier_puts.extend(faults);
-        self
-    }
-
-    /// Script tier download faults (FIFO, one per `get` call during
-    /// hydration).
-    pub fn tier_get_faults(mut self, faults: impl IntoIterator<Item = GetFault>) -> Self {
-        self.tier_gets.extend(faults);
         self
     }
 
@@ -864,6 +848,7 @@ pub fn run_scenario(
         return result;
     }
     let base = workdir.join(&spec.name);
+    // lint:allow(one-persistence-path) — clears the row's scratch directory before it runs; no checkpoint is read.
     let _ = std::fs::remove_dir_all(&base);
     let durability = durability_for(spec, &base);
     let mut observed = Observed::default();
@@ -1196,6 +1181,7 @@ fn wipe_local_chain(durability: &DurabilityPolicy) -> Result<(), String> {
         .tier_flush()
         .map_err(|e| format!("wipe_local tier flush: {e}"))?;
     drop(store);
+    // lint:allow(one-persistence-path) — the fault under test is the whole local disk lost, not a store operation.
     std::fs::remove_dir_all(&policy.dir)
         .map_err(|e| format!("wipe_local remove {}: {e}", policy.dir.display()))
 }
@@ -1387,7 +1373,7 @@ mod tests {
             .validate(&c)
             .is_err());
         assert!(FaultSchedule::default()
-            .kill_world(3)
+            .kill_nodes(3, vec![0])
             .straggle(1, 0, 4, VirtualTime::from_micros(5))
             .validate(&c)
             .is_ok());
@@ -1395,13 +1381,15 @@ mod tests {
 
     #[test]
     fn after_failure_consumes_spent_faults() {
-        let schedule = FaultSchedule::default()
-            .kill_ranks(10, vec![1])
-            .kill_ranks(20, vec![2])
-            .straggle(0, 5, 25, VirtualTime::from_micros(9))
-            .tier_put_faults([PutFault::Torn])
-            .tier_get_faults([GetFault::Torn])
-            .kill_leader_at(BarrierPhase::PreSeal);
+        let schedule = FaultSchedule {
+            tier_gets: vec![GetFault::Torn],
+            ..FaultSchedule::default()
+                .kill_ranks(10, vec![1])
+                .kill_ranks(20, vec![2])
+                .straggle(0, 5, 25, VirtualTime::from_micros(9))
+                .tier_put_faults([PutFault::Torn])
+                .kill_leader_at(BarrierPhase::PreSeal)
+        };
         let rest = schedule.after_failure(10);
         assert_eq!(rest.kills.len(), 1);
         assert_eq!(rest.kills[0].at_step, 20);

@@ -1,6 +1,6 @@
 //! Sessions: binding the three legs of the stool at run time.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use dmtcp_sim::coordinator::{BarrierTopology, CkptMode, Coordinator};
@@ -10,7 +10,7 @@ use dmtcp_sim::replica::{Clock, ReplicaConfig, ReplicaGroup, SystemClock};
 use dmtcp_sim::store::{DeltaStore, SharedStoreWriter, StoreConfig, StoreError, TenantSink};
 use dmtcp_sim::tier::{
     tenant_namespace, FlakyTier, FsTier, GetFault, ObjectTier, PutFault, SharedTier, TierConfig,
-    TierStatsHandle,
+    TierError, TierStatsHandle,
 };
 use mana_sim::ckpt::restore_rank;
 use mana_sim::ManaConfig;
@@ -144,42 +144,32 @@ impl StorePolicy {
         DeltaStore::open_with_tier(&self.dir, self.config, tier, t.config)
     }
 
-    /// Check (and on first tenant-tagged open, write) the directory's
-    /// `TENANT` ownership marker.
+    /// Check (and on first tenant-tagged open, write) the `TENANT`
+    /// ownership marker, an object of the chain's own volume. Only a
+    /// missing marker leaves the chain unclaimed: a marker that cannot
+    /// be read is an error, and one that is not UTF-8 names no tenant
+    /// this open could be.
     fn claim(&self) -> Result<(), StoreError> {
         let tenant = self.tenant.as_str();
-        let marker = self.dir.join("TENANT");
-        match std::fs::read_to_string(&marker) {
+        // `FsTier::open` names the directory itself in its error.
+        let vol = FsTier::open(&self.dir).map_err(|e| StoreError::volume(Path::new(""), e))?;
+        let io = |e| StoreError::volume(&self.dir, e);
+        match vol.get("TENANT") {
             Ok(found) => {
-                let found = found.trim();
-                if found != tenant {
+                if std::str::from_utf8(&found).map(str::trim) != Ok(tenant) {
                     return Err(StoreError::TenantMismatch {
                         dir: self.dir.clone(),
                         expected: tenant.to_string(),
-                        found: found.to_string(),
+                        found: String::from_utf8_lossy(&found).trim().to_string(),
                     });
                 }
                 Ok(())
             }
-            Err(_) => {
-                // No marker: untagged opens stay untagged (full
-                // back-compat); the first tenant-tagged open claims the
-                // directory.
-                if tenant.is_empty() {
-                    return Ok(());
-                }
-                std::fs::create_dir_all(&self.dir).map_err(|e| StoreError::Io {
-                    op: "create",
-                    path: self.dir.clone(),
-                    msg: e.to_string(),
-                })?;
-                // lint:allow(one-persistence-path) — the tenant marker names the chain's owner; it holds no image bytes.
-                std::fs::write(&marker, tenant).map_err(|e| StoreError::Io {
-                    op: "write",
-                    path: marker.clone(),
-                    msg: e.to_string(),
-                })
-            }
+            // No marker: untagged opens stay untagged; the first
+            // tenant-tagged open claims the directory.
+            Err(TierError::NotFound { .. }) if tenant.is_empty() => Ok(()),
+            Err(TierError::NotFound { .. }) => vol.put("TENANT", tenant.as_bytes()).map_err(io),
+            Err(e) => Err(io(e)),
         }
     }
 }

@@ -70,16 +70,6 @@ impl StackSpec {
         }
     }
 
-    /// Vendor + MANA without Mukautuva (the pre-ABI "virtual id" MANA).
-    pub fn mana_only(vendor: Vendor) -> StackSpec {
-        StackSpec {
-            vendor,
-            muk: false,
-            mana: Some(ManaConfig::default()),
-            deterministic_reductions: false,
-        }
-    }
-
     /// A short label for reports ("MPICH + Mukautuva + MANA").
     pub fn label(&self) -> String {
         let mut s = self.vendor.name().to_string();
@@ -158,7 +148,11 @@ mod tests {
             StackSpec::full(Vendor::OpenMpi).label(),
             "Open MPI + Mukautuva + MANA"
         );
-        assert_eq!(StackSpec::mana_only(Vendor::Mpich).label(), "MPICH + MANA");
+        let mana_only = |vendor| StackSpec {
+            mana: Some(ManaConfig::default()),
+            ..StackSpec::native(vendor)
+        };
+        assert_eq!(mana_only(Vendor::Mpich).label(), "MPICH + MANA");
         assert_eq!(
             StackSpec::with_muk(Vendor::Mpich).label(),
             "MPICH + Mukautuva"
@@ -172,7 +166,10 @@ mod tests {
             StackSpec::native(Vendor::Mpich),
             StackSpec::with_muk(Vendor::OpenMpi),
             StackSpec::full(Vendor::Mpich),
-            StackSpec::mana_only(Vendor::OpenMpi),
+            StackSpec {
+                mana: Some(ManaConfig::default()),
+                ..StackSpec::native(Vendor::OpenMpi)
+            },
         ] {
             let out = World::run(&spec, |ctx| {
                 let mut stack = Stack::build(&ss, &ctx);

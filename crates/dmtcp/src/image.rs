@@ -102,11 +102,6 @@ impl RankImage {
         self.sections.get(name).map(|data| data.as_slice())
     }
 
-    /// Section names in deterministic order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.keys().map(String::as_str)
-    }
-
     /// All sections as `(name, data)` pairs in deterministic order (the
     /// delta store chunks each section independently).
     pub fn sections(&self) -> impl Iterator<Item = (&str, &[u8])> {
@@ -211,7 +206,7 @@ mod tests {
         assert_eq!(back.section("memory").unwrap(), &[1, 2, 3, 2]);
         assert_eq!(back.total_bytes(), 20);
         assert_eq!(
-            back.section_names().collect::<Vec<_>>(),
+            back.sections().map(|(name, _)| name).collect::<Vec<_>>(),
             vec!["mana.vids", "memory"]
         );
     }

@@ -2,8 +2,6 @@
 //! commit pipeline, retention GC and the loader.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write as IoWrite};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -12,12 +10,47 @@ use simnet::telemetry::Telemetry;
 
 use crate::codec::crc32;
 use crate::image::{RankImage, WorldImage};
+use crate::tier::{FsTier, ObjectTier, TierError};
 
 use super::block::{decode_block, encode_block, fan_out, EncodeScratch};
 use super::chunk::RankChunks;
 use super::hydrate::TierAttachment;
 use super::manifest::{BlockKey, BlockLoc, Manifest, SectionRefs};
 use super::{EpochStats, StoreConfig, StoreError};
+
+/// The stored-block file of an epoch directory.
+pub(super) const BLOCKS: &str = "blocks.bin";
+/// The manifest of an epoch directory: the object that commits it.
+pub(super) const MANIFEST: &str = "manifest.bin";
+
+/// The chain key of object `name` in epoch `epoch`'s directory, live
+/// (`suffix` `""`) or quarantined (`".bad"`).
+pub(super) fn key(epoch: u64, suffix: &str, name: &str) -> String {
+    format!("epoch_{epoch:06}{suffix}/{name}")
+}
+
+/// Split a chain key into its epoch, its directory suffix (`""`, `".bad"`,
+/// or a legacy staging directory's `".tmp"`) and its object name.
+pub(super) fn parse_key(key: &str) -> Option<(u64, &str, &str)> {
+    let (dir, name) = key.strip_prefix("epoch_")?.split_once('/')?;
+    let digits = dir.find(|c: char| !c.is_ascii_digit()).unwrap_or(dir.len());
+    let (epoch, suffix) = dir.split_at(digits);
+    Some((epoch.parse().ok()?, suffix, name))
+}
+
+/// Each epoch's `blocks.bin`, read once; an unreadable file is kept as
+/// its error, for the first block that needs it.
+type BlockFiles = HashMap<u64, Result<Vec<u8>, StoreError>>;
+
+/// The stored bytes `loc` names in `files`, once they pass their CRC:
+/// `Ok(None)` when they lie outside the file or fail it.
+fn stored_block<'f>(files: &'f BlockFiles, loc: &BlockLoc) -> Result<Option<&'f [u8]>, StoreError> {
+    let file = files[&loc.epoch].as_ref().map_err(StoreError::clone)?;
+    Ok(file
+        .get(loc.offset as usize..)
+        .and_then(|from| from.get(..loc.len as usize))
+        .filter(|stored| crc32(stored) == loc.crc))
+}
 
 /// The refs one hinted section resolved to at the previous commit of
 /// this handle, keyed by the producer's generation stamp.
@@ -31,7 +64,13 @@ struct SectionCache {
 /// Hand it to a [`SharedStoreWriter`] to take it off the ranks' critical
 /// path.
 pub struct DeltaStore {
-    pub(super) dir: PathBuf,
+    /// The chain's volume: every object of the chain is read and written
+    /// through it, so a commit, a hydrate and a ship share one put
+    /// protocol.
+    pub(super) vol: Arc<dyn ObjectTier>,
+    /// Where the volume lives, for the paths of its errors (empty for a
+    /// volume handed to [`DeltaStore::open_on`]).
+    root: PathBuf,
     config: StoreConfig,
     /// Committed epochs, ascending.
     pub(super) epochs: Vec<u64>,
@@ -55,7 +94,7 @@ pub struct DeltaStore {
     /// keep a delta's bases alive, without decoding manifests. Filled at
     /// commit (or by GC on a miss), pruned with collected epochs.
     refs_of: BTreeMap<u64, BTreeSet<u64>>,
-    /// Epochs whose manifests were unreadable at open and were renamed
+    /// Epochs whose manifests did not decode at open and were moved
     /// aside to `epoch_NNNNNN.bad` so restart could fall back.
     pub(super) quarantined: Vec<u64>,
     /// Stats of the commits performed by this handle.
@@ -74,57 +113,58 @@ impl DeltaStore {
         DeltaStore::open_with(dir, StoreConfig::default())
     }
 
-    /// Open (or initialize) a store directory. Leftover `*.tmp` epoch
-    /// directories from interrupted commits are removed; committed epochs
-    /// are discovered and the chain head's content index is rebuilt so
-    /// subsequent commits continue the delta chain.
-    ///
-    /// A chain head whose manifest is structurally broken (fails to
-    /// decode, or the `manifest.bin` file is missing — e.g. half-written
-    /// by a pre-atomic-commit writer) is **quarantined**: the epoch
-    /// directory is renamed to `epoch_NNNNNN.bad` (preserved for
-    /// forensics, invisible to the chain) and the open falls back to the
-    /// newest *readable* epoch — restart proceeds from older state
-    /// instead of failing outright. Quarantined epochs are listed by
-    /// [`DeltaStore::quarantined`]. Transient I/O failures (permissions,
-    /// fd exhaustion) are returned as errors, never quarantined.
+    /// Open (or initialize) the chain in directory `dir`: an [`FsTier`]
+    /// rooted there is its volume (see [`DeltaStore::open_on`]).
     pub fn open_with(
         dir: impl Into<PathBuf>,
         config: StoreConfig,
     ) -> Result<DeltaStore, StoreError> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir).map_err(|e| StoreError::io("create dir", &dir, e))?;
-        let mut epochs = Vec::new();
-        let entries = std::fs::read_dir(&dir).map_err(|e| StoreError::io("read dir", &dir, e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| StoreError::io("read dir", &dir, e))?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(rest) = name.strip_prefix("epoch_") {
-                if let Some(stem) = rest.strip_suffix(".tmp") {
-                    // An interrupted commit: never renamed, safe to drop.
-                    if stem.chars().all(|c| c.is_ascii_digit()) {
-                        std::fs::remove_dir_all(entry.path())
-                            .map_err(|e| StoreError::io("remove tmp", &entry.path(), e))?;
-                    }
-                } else if rest.chars().all(|c| c.is_ascii_digit()) {
-                    if let Ok(e) = rest.parse::<u64>() {
-                        epochs.push(e);
-                    }
-                }
-                // `epoch_NNNNNN.bad` (quarantined earlier) is ignored.
-            }
-        }
-        epochs.sort_unstable();
+        // `FsTier::open` names the directory itself in its error.
+        let vol = FsTier::open(&dir).map_err(|e| StoreError::volume(Path::new(""), e))?;
+        DeltaStore::open_at(Arc::new(vol), dir, config)
+    }
+
+    /// Open (or initialize) the chain on any volume. Committed epochs are
+    /// discovered by listing keys, and the chain head's content index is
+    /// rebuilt so subsequent commits continue the delta chain.
+    ///
+    /// An epoch is committed exactly when its `manifest.bin` exists (the
+    /// commit puts it last). Objects of an epoch without one were left by
+    /// an interrupted commit, GC or quarantine, and are deleted — unless
+    /// the head's manifest references that epoch: its blocks stay, and a
+    /// load that needs what is missing reports it. A legacy
+    /// `epoch_NNNNNN.tmp/` staging directory is deleted the same way.
+    ///
+    /// A chain head whose manifest does not decode is **quarantined**:
+    /// its objects move to `epoch_NNNNNN.bad/` (preserved for forensics,
+    /// invisible to the chain) and the open falls back to the newest
+    /// *readable* epoch — restart proceeds from older state instead of
+    /// failing outright. Quarantined epochs are listed by
+    /// [`DeltaStore::quarantined`]. A manifest that cannot be read
+    /// (permissions, fd exhaustion) is an error, never quarantined.
+    pub fn open_on(
+        vol: Arc<dyn ObjectTier>,
+        config: StoreConfig,
+    ) -> Result<DeltaStore, StoreError> {
+        DeltaStore::open_at(vol, PathBuf::new(), config)
+    }
+
+    fn open_at(
+        vol: Arc<dyn ObjectTier>,
+        root: PathBuf,
+        config: StoreConfig,
+    ) -> Result<DeltaStore, StoreError> {
         let mut store = DeltaStore {
-            dir,
+            vol,
+            root,
             config: StoreConfig {
                 block_size: config.block_size.max(1),
                 retain_epochs: config.retain_epochs.max(1),
                 writer_threads: config.writer_threads.max(1),
                 ..config
             },
-            epochs,
+            epochs: Vec::new(),
             chain_len: 0,
             index: HashMap::new(),
             section_cache: HashMap::new(),
@@ -135,7 +175,35 @@ impl DeltaStore {
             tier: None,
             telemetry: None,
         };
+        let mut committed = BTreeSet::new();
+        let mut loose: BTreeMap<u64, Vec<String>> = BTreeMap::new();
+        let mut staged = Vec::new();
+        for key in store.list()? {
+            match parse_key(&key) {
+                Some((epoch, "", MANIFEST)) => _ = committed.insert(epoch),
+                Some((epoch, "", _)) => loose.entry(epoch).or_default().push(key),
+                Some((_, ".tmp", _)) => staged.push(key),
+                _ => {}
+            }
+        }
+        loose.retain(|epoch, _| !committed.contains(epoch));
+        store.epochs = committed.into_iter().collect();
         store.rebuild_head_state()?;
+        let keep = store
+            .latest()
+            .and_then(|head| store.refs_of.get(&head).cloned())
+            .unwrap_or_default();
+        for (epoch, keys) in loose {
+            // Listed without a manifest; a read makes sure — a manifest
+            // that is there but cannot be read is an error, not garbage.
+            if keep.contains(&epoch) || store.get(&key(epoch, "", MANIFEST))?.is_some() {
+                continue;
+            }
+            staged.extend(keys);
+        }
+        for key in staged {
+            store.delete(&key)?;
+        }
         Ok(store)
     }
 
@@ -158,15 +226,14 @@ impl DeltaStore {
         }
     }
 
-    /// Head repair + content-index rebuild: quarantine unreadable heads
+    /// Head repair + content-index rebuild: quarantine undecodable heads
     /// until a manifest decodes (or the chain is empty), then rebuild
     /// the dedup index and chain length from the surviving head.
     /// Quarantine is reserved for *structural* damage — a manifest that
-    /// fails to decode, or an epoch directory missing its manifest file
-    /// (a pre-atomic-commit torn write). A transient I/O failure
-    /// (permissions, fd exhaustion, a flaky network mount) propagates as
-    /// an error instead: renaming a healthy newest epoch aside over a
-    /// hiccup would silently discard committed state.
+    /// fails to decode. A transient I/O failure (permissions, fd
+    /// exhaustion, a flaky network mount) propagates as an error
+    /// instead: moving a healthy newest epoch aside over a hiccup would
+    /// silently discard committed state.
     ///
     /// Also run after tier hydration and scrubbing, both of which can
     /// change which epoch is the chain head.
@@ -184,27 +251,12 @@ impl DeltaStore {
                     continue;
                 }
                 Err(StoreError::MissingEpoch { .. }) => {
-                    // The directory vanished under us: drop it from the
-                    // view, nothing on disk to rename.
+                    // The manifest vanished under us: drop the epoch from
+                    // the view, nothing to move aside.
                     store.epochs.retain(|&e| e != latest);
                     continue;
                 }
-                Err(err) => {
-                    if store
-                        .epoch_dir(latest)
-                        .join("manifest.bin")
-                        .try_exists()
-                        .map_err(|e| {
-                            StoreError::io("stat", &store.epoch_dir(latest).join("manifest.bin"), e)
-                        })?
-                    {
-                        // The file is there but unreadable right now:
-                        // surface the I/O error, do not destroy state.
-                        return Err(err);
-                    }
-                    store.quarantine(latest)?;
-                    continue;
-                }
+                Err(err) => return Err(err),
             };
             for (_, _, _, sections) in &manifest.ranks {
                 for (_, blocks) in sections {
@@ -237,27 +289,25 @@ impl DeltaStore {
                 }
                 store.chain_len += 1;
             }
+            store.refs_of.insert(latest, manifest.referenced_epochs());
             break;
         }
         self.own_from = self.latest().map_or(1, |l| l + 1);
         Ok(())
     }
 
-    /// Rename an epoch whose manifest cannot be read to
-    /// `epoch_NNNNNN.bad` and drop it from the chain view.
+    /// Move an epoch whose manifest does not decode aside to
+    /// `epoch_NNNNNN.bad/` and drop it from the chain view: copy its
+    /// objects there (replacing a stale copy of the same number), then
+    /// delete the originals, manifest first.
     fn quarantine(&mut self, epoch: u64) -> Result<(), StoreError> {
-        let from = self.epoch_dir(epoch);
-        let to = self.dir.join(format!("epoch_{epoch:06}.bad"));
-        // A stale `.bad` from an earlier quarantine of the same epoch
-        // number must not block the rename.
-        if to.exists() {
-            std::fs::remove_dir_all(&to).map_err(|e| StoreError::io("remove bad", &to, e))?;
+        for name in [BLOCKS, MANIFEST] {
+            match self.get(&key(epoch, "", name))? {
+                Some(buf) => self.put(&key(epoch, ".bad", name), &buf)?,
+                None => self.delete(&key(epoch, ".bad", name))?,
+            }
         }
-        match std::fs::rename(&from, &to) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(StoreError::io("quarantine", &from, e)),
-        }
+        self.delete_epoch(epoch, "")?;
         self.epochs.retain(|&e| e != epoch);
         self.quarantined.push(epoch);
         self.emit(simnet::telemetry::EventKind::Quarantine, epoch, 0, 0);
@@ -279,7 +329,7 @@ impl DeltaStore {
         self.epochs.last().copied()
     }
 
-    /// Epochs whose manifests were unreadable at open and were renamed
+    /// Epochs whose manifests did not decode at open and were moved
     /// aside (`epoch_NNNNNN.bad`) so the chain could fall back to older
     /// state.
     pub fn quarantined(&self) -> &[u64] {
@@ -291,55 +341,62 @@ impl DeltaStore {
         &self.stats
     }
 
-    pub(super) fn epoch_dir(&self, epoch: u64) -> PathBuf {
-        self.dir.join(format!("epoch_{epoch:06}"))
+    /// Every key of the chain's epoch directories, live or not.
+    pub(super) fn list(&self) -> Result<Vec<String>, StoreError> {
+        self.vol.list("epoch_").map_err(|e| self.vol_err(e))
     }
 
-    /// Stage an epoch directory: a fresh `epoch_NNNNNN.tmp` holding each
-    /// `(name, parts)` file written and fsynced. Returns the staged path;
-    /// the caller publishes it with its own rename.
-    pub(super) fn stage_epoch(
-        &self,
-        epoch: u64,
-        files: &[(&str, &[&[u8]])],
-    ) -> Result<PathBuf, StoreError> {
-        let tmp = self.dir.join(format!("epoch_{epoch:06}.tmp"));
-        if tmp.exists() {
-            std::fs::remove_dir_all(&tmp).map_err(|e| StoreError::io("remove tmp", &tmp, e))?;
+    /// Fetch one object of the chain: `None` when it does not exist.
+    pub(super) fn get(&self, key: &str) -> Result<Option<Vec<u8>>, StoreError> {
+        match self.vol.get(key) {
+            Ok(buf) => Ok(Some(buf)),
+            Err(TierError::NotFound { .. }) => Ok(None),
+            Err(e) => Err(self.vol_err(e)),
         }
-        std::fs::create_dir_all(&tmp).map_err(|e| StoreError::io("create tmp", &tmp, e))?;
-        for (name, parts) in files {
-            let path = tmp.join(name);
-            let mut f = File::create(&path).map_err(|e| StoreError::io("create", &path, e))?;
-            for part in *parts {
-                f.write_all(part)
-                    .map_err(|e| StoreError::io("write", &path, e))?;
-            }
-            f.sync_all().map_err(|e| StoreError::io("sync", &path, e))?;
-        }
-        Ok(tmp)
     }
 
-    pub(super) fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
-        let mut buf = Vec::new();
-        File::open(path)
-            .map_err(|e| StoreError::io("open", path, e))?
-            .read_to_end(&mut buf)
-            .map_err(|e| StoreError::io("read", path, e))?;
-        Ok(buf)
+    /// Put one object of the chain, durably.
+    pub(super) fn put(&self, key: &str, data: &[u8]) -> Result<(), StoreError> {
+        self.vol.put(key, data).map_err(|e| self.vol_err(e))
+    }
+
+    pub(super) fn delete(&self, key: &str) -> Result<(), StoreError> {
+        self.vol.delete(key).map_err(|e| self.vol_err(e))
+    }
+
+    /// Delete an epoch directory's objects, manifest first: once the
+    /// manifest is gone the epoch is uncommitted, whatever happens to
+    /// the rest.
+    pub(super) fn delete_epoch(&self, epoch: u64, suffix: &str) -> Result<(), StoreError> {
+        self.delete(&key(epoch, suffix, MANIFEST))?;
+        self.delete(&key(epoch, suffix, BLOCKS))
+    }
+
+    fn vol_err(&self, e: TierError) -> StoreError {
+        StoreError::volume(&self.root, e)
     }
 
     pub(super) fn read_manifest(&self, epoch: u64) -> Result<Manifest, StoreError> {
-        let dir = self.epoch_dir(epoch);
-        if !dir.is_dir() {
-            return Err(StoreError::MissingEpoch { epoch });
-        }
-        let buf = Self::read_file(&dir.join("manifest.bin"))?;
+        let buf = self
+            .get(&key(epoch, "", MANIFEST))?
+            .ok_or(StoreError::MissingEpoch { epoch })?;
         Manifest::decode(&buf).map_err(|source| StoreError::Manifest { epoch, source })
     }
 
+    /// The `blocks.bin` of each epoch in `epochs`, read once each.
+    fn block_files(&self, epochs: impl IntoIterator<Item = u64>) -> BlockFiles {
+        let mut files = BlockFiles::new();
+        for epoch in epochs {
+            files.entry(epoch).or_insert_with(|| {
+                self.get(&key(epoch, "", BLOCKS))?
+                    .ok_or(StoreError::MissingEpoch { epoch })
+            });
+        }
+        files
+    }
+
     /// Commit one epoch: write a full base or a delta against the chain
-    /// head, atomically (temp directory + rename), then garbage-collect.
+    /// head, publishing it with its manifest last, then garbage-collect.
     ///
     /// The chain assigns its own monotonic sequence number (the manifest
     /// epoch and directory name); the coordinator-assigned epochs inside
@@ -465,16 +522,19 @@ impl DeltaStore {
         // A block an own epoch stores is copied — stored bytes, codec and
         // CRC — once the copy passes that CRC: `encode_block` is a pure
         // function of the raw bytes and the handle's compression, so the
-        // copy is what encoding would write.
-        let (compression, dir) = (self.config.compression, self.dir.as_path());
+        // copy is what encoding would write. A source that cannot be read
+        // is encoded instead.
+        let compression = self.config.compression;
+        let sources = self.block_files(plan.iter().filter_map(|(_, s)| s.map(|l| l.epoch)));
         let parts: Vec<&[(&[u8], Option<BlockLoc>)]> =
             plan.chunks(plan.len().div_ceil(threads).max(1)).collect();
         let encoded: Vec<(Vec<u8>, Vec<BlockLoc>, u64)> = fan_out(&parts, threads, |_, part| {
             let (mut buf, mut locs, mut reused) = (Vec::new(), Vec::with_capacity(part.len()), 0);
             let mut scratch = EncodeScratch::default();
-            let mut files = HashMap::new();
             for &(raw, stored) in part.iter() {
-                if let Some(loc) = stored.filter(|l| copy_stored(dir, &mut files, l, &mut buf)) {
+                let copy = |l: BlockLoc| Some((l, stored_block(&sources, &l).ok().flatten()?));
+                if let Some((loc, bytes)) = stored.and_then(copy) {
+                    buf.extend_from_slice(bytes);
                     locs.push(BlockLoc {
                         epoch,
                         offset: 0, // assigned below, with the encoded blocks'
@@ -548,20 +608,25 @@ impl DeltaStore {
         };
         let manifest_buf = manifest.encode();
         let refs = manifest.referenced_epochs();
+        let mut parts = encoded.into_iter().map(|(buf, ..)| buf);
+        let mut blocks = parts.next().unwrap_or_default();
+        blocks.reserve_exact(blocks_len as usize - blocks.len());
+        parts.for_each(|part| blocks.extend_from_slice(&part));
         let encode_done = Instant::now();
 
-        // Crash-safe commit: assemble in a temp dir, rename into place
-        // (the rename fails on an existing epoch directory).
-        let block_parts: Vec<&[u8]> = encoded.iter().map(|(buf, ..)| buf.as_slice()).collect();
-        let tmp = self.stage_epoch(
-            epoch,
-            &[
-                ("blocks.bin", &block_parts),
-                ("manifest.bin", &[&manifest_buf]),
-            ],
-        )?;
-        let final_dir = self.epoch_dir(epoch);
-        std::fs::rename(&tmp, &final_dir).map_err(|e| StoreError::io("rename", &final_dir, e))?;
+        // Crash-safe commit: blocks, then the manifest that publishes
+        // them. A crash in between leaves an uncommitted epoch that the
+        // next open deletes. Never publish over a committed epoch.
+        let manifest_key = key(epoch, "", MANIFEST);
+        if self.get(&manifest_key)?.is_some() {
+            return Err(StoreError::Io {
+                op: "commit",
+                path: self.root.join(&manifest_key),
+                msg: format!("epoch {epoch} is already committed"),
+            });
+        }
+        self.put(&key(epoch, "", BLOCKS), &blocks)?;
+        self.put(&manifest_key, &manifest_buf)?;
         let write_done = Instant::now();
 
         // Publish: the epoch is durable, so the handle may now know it.
@@ -629,10 +694,16 @@ impl DeltaStore {
     /// their manifests still reference (a delta keeps its base alive),
     /// delete the rest.
     ///
+    /// Epochs go newest first, each manifest first: a delta is gone
+    /// before the bases it references, so a crash mid-collection never
+    /// leaves a committed epoch whose blocks are gone.
+    ///
     /// Housekeeping failures are non-fatal: the epoch just committed is
-    /// already durable, so a stale directory that cannot be read or
-    /// removed right now stays listed and is retried on the next commit —
-    /// GC must never tear down a run whose checkpoints are all intact.
+    /// already durable, so when a manifest cannot be deleted right now the
+    /// collection stops there — that epoch and everything older stay
+    /// listed and are retried on the next commit. GC must never tear down
+    /// a run whose checkpoints are all intact. An epoch whose blocks fail
+    /// to delete is uncommitted already, and the next open drops them.
     fn gc(&mut self) {
         if self.epochs.len() <= self.config.retain_epochs {
             return;
@@ -668,20 +739,16 @@ impl DeltaStore {
             }
             live.extend(&self.refs_of[&e]);
         }
-        let dir = self.dir.clone();
         let before = self.epochs.len();
-        self.epochs.retain(|e| {
-            if live.contains(e) {
-                return true;
+        let mut doomed = self.epochs.clone();
+        doomed.retain(|e| !live.contains(e));
+        for &e in doomed.iter().rev() {
+            if self.delete(&key(e, "", MANIFEST)).is_err() {
+                break;
             }
-            match std::fs::remove_dir_all(dir.join(format!("epoch_{e:06}"))) {
-                Ok(()) => false,
-                Err(err) if err.kind() == std::io::ErrorKind::NotFound => false,
-                // Deletion failed: keep it listed so the view matches the
-                // disk and the next commit retries.
-                Err(_) => true,
-            }
-        });
+            let _ = self.delete(&key(e, "", BLOCKS));
+            self.epochs.retain(|&x| x != e);
+        }
         self.emit(
             simnet::telemetry::EventKind::GcDecision,
             (before - self.epochs.len()) as u64,
@@ -714,19 +781,12 @@ impl DeltaStore {
     /// bad block — never whichever loader thread lost the race.
     pub fn load_epoch(&self, epoch: u64) -> Result<WorldImage, StoreError> {
         let manifest = self.read_manifest(epoch)?;
-        // A file that cannot be read fails the first block that needs it.
-        let mut files: HashMap<u64, Result<Vec<u8>, StoreError>> = HashMap::new();
-        for (_, _, _, sections) in &manifest.ranks {
-            for (_, loc) in sections.iter().flat_map(|(_, blocks)| blocks) {
-                files.entry(loc.epoch).or_insert_with(|| {
-                    let dir = self.epoch_dir(loc.epoch);
-                    if !dir.is_dir() {
-                        return Err(StoreError::MissingEpoch { epoch: loc.epoch });
-                    }
-                    Self::read_file(&dir.join("blocks.bin"))
-                });
-            }
-        }
+        let locs = manifest
+            .ranks
+            .iter()
+            .flat_map(|(_, _, _, sections)| sections);
+        let files =
+            self.block_files(locs.flat_map(|(_, blocks)| blocks.iter().map(|(_, l)| l.epoch)));
         let assemble = |slot: usize, rec: &(usize, usize, u64, Vec<SectionRefs>)| {
             let (rank, nranks, rank_epoch, sections) = rec;
             if *rank != slot {
@@ -741,7 +801,6 @@ impl DeltaStore {
                 let mut data = vec![0u8; total];
                 let mut rest = data.as_mut_slice();
                 for (_, loc) in blocks {
-                    let file = files[&loc.epoch].as_ref().map_err(StoreError::clone)?;
                     let corrupt = || StoreError::BlockCorrupt {
                         epoch,
                         src_epoch: loc.epoch,
@@ -749,17 +808,11 @@ impl DeltaStore {
                         rank: *rank,
                         section: name.clone(),
                     };
-                    let slice = file
-                        .get(loc.offset as usize..)
-                        .and_then(|from| from.get(..loc.len as usize))
-                        .ok_or_else(corrupt)?;
                     // CRC the stored bytes first, then decode them: a
                     // decode failure after a CRC pass means the manifest
                     // itself disagrees with the block — still corruption,
                     // localized to the same (epoch, offset).
-                    if crc32(slice) != loc.crc {
-                        return Err(corrupt());
-                    }
+                    let slice = stored_block(&files, loc)?.ok_or_else(corrupt)?;
                     let (out, tail) = rest.split_at_mut(loc.raw_len as usize);
                     rest = tail;
                     if !decode_block(slice, loc.codec, out, &mut scratch) {
@@ -784,7 +837,6 @@ impl DeltaStore {
         let mut out = Vec::with_capacity(self.epochs.len());
         for &epoch in &self.epochs {
             let manifest = self.read_manifest(epoch)?;
-            let dir = self.epoch_dir(epoch);
             let mut stats = EpochStats {
                 epoch,
                 full: manifest.full,
@@ -811,45 +863,14 @@ impl DeltaStore {
             }
             stats.blocks_new = own.len() as u64;
             stats.new_block_raw_bytes = own.values().sum();
-            for name in ["blocks.bin", "manifest.bin"] {
-                let path = dir.join(name);
-                let meta =
-                    std::fs::metadata(&path).map_err(|e| StoreError::io("stat", &path, e))?;
-                stats.bytes_written += meta.len();
+            for name in [BLOCKS, MANIFEST] {
+                let file = self.get(&key(epoch, "", name))?;
+                stats.bytes_written += file.ok_or(StoreError::MissingEpoch { epoch })?.len() as u64;
             }
             out.push(stats);
         }
         Ok(out)
     }
-}
-
-/// Append the stored bytes `loc` names to `buf`, read from its epoch's
-/// `blocks.bin` under `dir` (each file opened once per `files`), and keep
-/// them only if they pass their CRC. A missing file, a short read or a
-/// rotten block leaves `buf` as it was.
-fn copy_stored(
-    dir: &Path,
-    files: &mut HashMap<u64, Option<File>>,
-    loc: &BlockLoc,
-    buf: &mut Vec<u8>,
-) -> bool {
-    let path = || {
-        dir.join(format!("epoch_{:06}", loc.epoch))
-            .join("blocks.bin")
-    };
-    let file = files
-        .entry(loc.epoch)
-        .or_insert_with(|| File::open(path()).ok());
-    let at = buf.len();
-    buf.resize(at + loc.len as usize, 0);
-    let read = file.as_mut().is_some_and(|f| {
-        f.seek(SeekFrom::Start(loc.offset)).is_ok() && f.read_exact(&mut buf[at..]).is_ok()
-    });
-    let copied = read && crc32(&buf[at..]) == loc.crc;
-    if !copied {
-        buf.truncate(at);
-    }
-    copied
 }
 
 #[cfg(test)]
@@ -858,6 +879,7 @@ mod tests {
     use super::super::testutil::*;
     use super::*;
     use crate::codec::fnv1a;
+    use crate::tier::{FlakyTier, MemTier, PutFault};
 
     #[test]
     fn full_then_delta_roundtrip() {
@@ -1102,13 +1124,18 @@ mod tests {
             let mut store = DeltaStore::open_with(&dir, small_cfg()).unwrap();
             store.commit(&image(1, 2, 0x70, 400)).unwrap();
         }
-        // Simulate a crash mid-commit: a temp epoch dir that never renamed.
-        let torn = dir.join("epoch_000002.tmp");
+        // A crash mid-commit: blocks put, manifest never. And the staging
+        // directory an older build left when it never renamed.
+        let torn = dir.join("epoch_000002");
         std::fs::create_dir_all(&torn).unwrap();
-        std::fs::write(torn.join("blocks.bin"), b"half").unwrap();
+        std::fs::write(torn.join(BLOCKS), b"half").unwrap();
+        let staged = dir.join("epoch_000003.tmp");
+        std::fs::create_dir_all(&staged).unwrap();
+        std::fs::write(staged.join(BLOCKS), b"half").unwrap();
         let store = DeltaStore::open_with(&dir, small_cfg()).unwrap();
         assert_eq!(store.epochs(), &[1], "torn epoch invisible");
-        assert!(!torn.exists(), "torn tmp dir removed");
+        assert!(!torn.exists(), "uncommitted epoch removed");
+        assert!(!staged.exists(), "torn tmp dir removed");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1322,12 +1349,34 @@ mod tests {
             "healthy-looking epoch must not be quarantined on I/O failure"
         );
 
-        // manifest.bin *gone* from an existing epoch dir is structural
-        // (a torn pre-atomic write): quarantine and fall back.
+        // manifest.bin *gone* leaves the epoch uncommitted: open drops
+        // what is left of it and falls back.
         std::fs::remove_dir(&head_manifest).unwrap();
         let store = DeltaStore::open_with(&dir, small_cfg()).unwrap();
-        assert_eq!(store.quarantined(), &[2]);
+        assert!(store.quarantined().is_empty());
+        assert_eq!(store.epochs(), &[1]);
+        assert!(
+            !dir.join("epoch_000002").exists(),
+            "uncommitted head dropped"
+        );
         assert_eq!(store.load_latest().unwrap(), image(1, 2, 1, 500));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_uncommitted_epoch_the_head_references_keeps_its_blocks() {
+        let dir = tmp_dir("head_refs");
+        {
+            let mut store = DeltaStore::open_with(&dir, small_cfg()).unwrap();
+            store.commit(&image(1, 2, 1, 900)).unwrap();
+            store.commit(&image(2, 2, 2, 900)).unwrap();
+        }
+        // The delta head references its base, whose manifest is gone.
+        std::fs::remove_file(dir.join("epoch_000001").join(MANIFEST)).unwrap();
+        let store = DeltaStore::open_with(&dir, small_cfg()).unwrap();
+        assert_eq!(store.epochs(), &[2]);
+        assert!(dir.join("epoch_000001").join(BLOCKS).is_file());
+        assert_eq!(store.load_latest().unwrap(), image(2, 2, 2, 900));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1469,8 +1518,8 @@ mod tests {
             for step in 1..=3u64 {
                 let s = store.commit(&golden_image(step)).unwrap();
                 assert_eq!(s.full, step == 1);
-                for name in ["blocks.bin", "manifest.bin"] {
-                    files.push(std::fs::read(store.epoch_dir(step).join(name)).unwrap());
+                for name in [BLOCKS, MANIFEST] {
+                    files.push(store.get(&key(step, "", name)).unwrap().unwrap());
                 }
             }
             // Every codec and both kinds of skip are on the path.
@@ -1538,24 +1587,23 @@ mod tests {
 
     #[test]
     fn failed_commit_leaves_the_handle_unchanged_and_a_retry_restores() {
-        let dir = tmp_dir("failed_commit");
         let cfg = StoreConfig {
             max_chain: 1,
             retain_epochs: 10,
             ..small_cfg()
         };
-        let mut store = DeltaStore::open_with(&dir, cfg).unwrap();
+        let vol = Arc::new(FlakyTier::new(Arc::new(MemTier::new())));
+        let mut store = DeltaStore::open_on(vol.clone(), cfg).unwrap();
         store.commit(&hinted_image(1, 3, 0x11, 3000)).unwrap();
         // Epoch 2 is a delta attempt, epoch 3 a `full` rebase attempt.
         for epoch in [2u64, 3] {
             let img = hinted_image(epoch, 3, 0x11 * epoch as u8, 3000);
-            // A non-empty directory in the epoch's place fails the rename.
-            let obstacle = store.epoch_dir(epoch);
-            std::fs::create_dir_all(obstacle.join("squatter")).unwrap();
+            // The volume fails the commit's first put.
+            vol.script_puts([PutFault::Fail]);
             let before = handle_state(&store);
             match store.commit(&img) {
-                Err(StoreError::Io { op: "rename", .. }) => {}
-                other => panic!("expected the rename to fail, got {other:?}"),
+                Err(StoreError::Io { op: "put", .. }) => {}
+                other => panic!("expected the put to fail, got {other:?}"),
             }
             assert!(
                 handle_state(&store) == before,
@@ -1566,7 +1614,6 @@ mod tests {
                 epoch - 1,
                 "the chain still restores its head"
             );
-            std::fs::remove_dir_all(&obstacle).unwrap();
             let s = store.commit(&img).unwrap();
             assert_eq!((s.epoch, s.full), (epoch, epoch == 3));
             assert!(
@@ -1575,6 +1622,5 @@ mod tests {
             );
             assert_eq!(store.load_latest().unwrap(), img);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

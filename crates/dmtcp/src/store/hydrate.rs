@@ -11,6 +11,7 @@ use crate::tier::{
     TierStats,
 };
 
+use super::delta::{key, parse_key, BLOCKS, MANIFEST};
 use super::manifest::Manifest;
 use super::{DeltaStore, ScrubReport, StoreConfig, StoreError};
 
@@ -59,8 +60,8 @@ impl DeltaStore {
     /// state — mismatched epochs are re-shipped (the upload overwrites
     /// the tier objects, seal last).
     ///
-    /// From here on every commit is queued for upload after its local
-    /// rename, and retention GC refuses to delete any local epoch whose
+    /// From here on every commit is queued for upload once its manifest
+    /// is put, and retention GC refuses to delete any local epoch whose
     /// upload is not yet durable.
     ///
     /// Returns the epochs hydrated from the tier, ascending.
@@ -99,22 +100,21 @@ impl DeltaStore {
         let seals = crate::tier::sealed_seals(&*tier, config, &ns)?;
         let mut durable: BTreeSet<u64> = BTreeSet::new();
         for (&epoch, seal) in &seals {
-            let manifest_path = self.epoch_dir(epoch).join("manifest.bin");
-            if manifest_path.is_file() {
-                let local = Self::read_file(&manifest_path)?;
-                if local.len() as u64 == seal.manifest_len && crc32(&local) == seal.manifest_crc {
-                    durable.insert(epoch);
-                }
-                // Mismatch: the tier holds a different epoch under this
-                // number (quarantine + reuse). Not durable — re-shipped
-                // below.
-            } else {
-                // No local copy: the tier copy is the (only) truth.
+            // No local copy: the tier copy is the (only) truth. A
+            // mismatch: the tier holds a different epoch under this
+            // number (quarantine + reuse). Not durable — re-shipped below.
+            let same =
+                |l: &Vec<u8>| l.len() as u64 == seal.manifest_len && crc32(l) == seal.manifest_crc;
+            if self
+                .get(&key(epoch, "", MANIFEST))?
+                .as_ref()
+                .is_none_or(same)
+            {
                 durable.insert(epoch);
             }
         }
         let sealed: BTreeSet<u64> = seals.keys().copied().collect();
-        let lane = runtime.add_lane(self.dir.clone(), ns.clone(), durable.clone());
+        let lane = runtime.add_lane(self.vol.clone(), ns.clone(), durable.clone());
         if let Some(tel) = &self.telemetry {
             runtime.attach_telemetry(lane, tel.clone());
         }
@@ -167,30 +167,19 @@ impl DeltaStore {
         self.tier.as_ref().map(|t| t.runtime.stats_handle(t.lane))
     }
 
-    /// Install one verified epoch's bytes as a local epoch directory,
-    /// atomically (staged, then renamed), replacing any existing
-    /// directory of that number.
+    /// Install one verified epoch's objects in the local chain, the
+    /// commit's way: blocks, then the manifest that publishes them, each
+    /// replacing the object of that name.
     fn install_epoch(&self, epoch: u64, blocks: &[u8], manifest: &[u8]) -> Result<(), StoreError> {
-        let tmp = self.stage_epoch(
-            epoch,
-            &[("blocks.bin", &[blocks]), ("manifest.bin", &[manifest])],
-        )?;
-        let final_dir = self.epoch_dir(epoch);
-        if final_dir.exists() {
-            std::fs::remove_dir_all(&final_dir)
-                .map_err(|e| StoreError::io("remove stale epoch", &final_dir, e))?;
-        }
-        std::fs::rename(&tmp, &final_dir).map_err(|e| StoreError::io("rename", &final_dir, e))
+        self.put(&key(epoch, "", BLOCKS), blocks)?;
+        self.put(&key(epoch, "", MANIFEST), manifest)
     }
 
     /// After an epoch is reinstated locally, drop its stale `.bad` twin
-    /// (if any) and its quarantine listing, and splice it into the
-    /// chain view.
+    /// (if any, manifest first) and its quarantine listing, and splice
+    /// it into the chain view.
     fn adopt_epoch(&mut self, epoch: u64) -> Result<(), StoreError> {
-        let bad = self.dir.join(format!("epoch_{epoch:06}.bad"));
-        if bad.exists() {
-            std::fs::remove_dir_all(&bad).map_err(|e| StoreError::io("remove bad", &bad, e))?;
-        }
+        self.delete_epoch(epoch, ".bad")?;
         self.quarantined.retain(|&q| q != epoch);
         if !self.epochs.contains(&epoch) {
             self.epochs.push(epoch);
@@ -240,25 +229,24 @@ impl DeltaStore {
         // head is best-effort (skipping leaves the chain no worse).
         let pulling_new_head = local_head.is_none_or(|l| target > l);
         let mut fetched_target: Option<(Vec<u8>, Vec<u8>)> = None;
-        let manifest_buf = if self.epoch_dir(target).is_dir() {
-            Self::read_file(&self.epoch_dir(target).join("manifest.bin"))?
+        let manifest = if self.epochs.contains(&target) {
+            self.read_manifest(target)?
         } else {
             let pair = fetch_sealed_epoch(tier, config, ns, target)?;
-            let buf = pair.1.clone();
+            let manifest = Manifest::decode(&pair.1).map_err(|source| StoreError::Manifest {
+                epoch: target,
+                source,
+            })?;
             fetched_target = Some(pair);
-            buf
+            manifest
         };
-        let manifest = Manifest::decode(&manifest_buf).map_err(|source| StoreError::Manifest {
-            epoch: target,
-            source,
-        })?;
         // The target plus every epoch whose blocks it references:
         // exactly the set a restore of the target will read.
         let mut needed = manifest.referenced_epochs();
         needed.insert(target);
         let mut installed = Vec::new();
         for &epoch in &needed {
-            if self.epoch_dir(epoch).is_dir() {
+            if self.epochs.contains(&epoch) {
                 continue;
             }
             if !sealed.contains(&epoch) {
@@ -288,17 +276,17 @@ impl DeltaStore {
 
     /// Scrub the quarantine: heal `.bad` epochs from the attached tier.
     ///
-    /// For every `epoch_NNNNNN.bad` directory on disk (and every epoch
+    /// For every `epoch_NNNNNN.bad` copy in the chain (and every epoch
     /// this handle quarantined at open):
     ///
     /// * if a healthy live epoch of the same number exists (a later
-    ///   commit reused the number), the stale `.bad` directory is
-    ///   removed (`cleaned`);
+    ///   commit reused the number), the stale `.bad` copy is removed
+    ///   (`cleaned`);
     /// * otherwise the epoch is fetched from the tier, verified against
-    ///   its seal CRCs and its manifest decode, installed atomically,
-    ///   and the `.bad` directory dropped (`healed`);
-    /// * if the tier has no verifiable copy, the `.bad` directory is
-    ///   left in place for forensics (`missing`).
+    ///   its seal CRCs and its manifest decode, installed manifest last,
+    ///   and the `.bad` copy dropped (`healed`);
+    /// * if the tier has no verifiable copy, the `.bad` copy is left in
+    ///   place for forensics (`missing`).
     ///
     /// Every remaining live epoch's manifest is then verified readable
     /// (`verified`); a live epoch that fails is healed from the tier the
@@ -323,31 +311,19 @@ impl DeltaStore {
         ns: &str,
     ) -> Result<ScrubReport, StoreError> {
         let mut report = ScrubReport::default();
-        // Candidates: every .bad directory on disk (durable evidence of
+        // Candidates: every .bad copy in the chain (durable evidence of
         // past quarantines) plus this handle's own quarantine list.
         let mut candidates: BTreeSet<u64> = self.quarantined.iter().copied().collect();
-        let entries =
-            std::fs::read_dir(&self.dir).map_err(|e| StoreError::io("read dir", &self.dir, e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| StoreError::io("read dir", &self.dir, e))?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some(stem) = name
-                .strip_prefix("epoch_")
-                .and_then(|r| r.strip_suffix(".bad"))
-            {
-                if stem.chars().all(|c| c.is_ascii_digit()) {
-                    if let Ok(e) = stem.parse::<u64>() {
-                        candidates.insert(e);
-                    }
-                }
+        for key in self.list()? {
+            if let Some((epoch, ".bad", _)) = parse_key(&key) {
+                candidates.insert(epoch);
             }
         }
         // One tier sweep serves the whole pass (quarantine healing and
         // live-chain repair both consult it).
         let sealed = sealed_epochs(tier, config, ns)?;
         for &epoch in &candidates {
-            let live_ok = self.epoch_dir(epoch).is_dir() && self.read_manifest(epoch).is_ok();
+            let live_ok = self.read_manifest(epoch).is_ok();
             if live_ok {
                 self.adopt_epoch(epoch)?;
                 report.cleaned.push(epoch);

@@ -1,10 +1,12 @@
 //! The asynchronous delta-checkpoint store: epoch chains of content-hashed
 //! blocks.
 //!
-//! This module is the only code that writes a checkpoint to disk, and the
-//! chain it writes is the only on-disk image format (the
-//! `one-persistence-path` lint holds both; [`crate::tier`] ships the
-//! chain's files as they are). A world image
+//! This module is the only code that writes a checkpoint, and the chain
+//! it writes is the only on-disk image format. It writes through one
+//! seam, [`crate::tier::ObjectTier`]: the chain directory is an
+//! [`crate::tier::FsTier`] volume, and [`crate::tier`] ships the chain's
+//! objects as they are (the `one-persistence-path` lint keeps `std::fs`
+//! inside `tier.rs`). A world image
 //! ([`crate::image::WorldImage`]) enters at the coordinator's final
 //! rendezvous and comes back through [`DeltaStore::load_latest`]. Two
 //! properties keep checkpoint latency off the ranks' critical path and
@@ -37,7 +39,8 @@
 //!   epoch_000002/            # a DELTA epoch
 //!     blocks.bin             #   only the blocks that changed
 //!     manifest.bin
-//!   epoch_000003.tmp/        # an interrupted commit (ignored, cleaned up)
+//!   epoch_000003.bad/        # a quarantined head (kept for forensics)
+//!   .inflight/               # the volume's staging files (never read)
 //! ```
 //!
 //! The manifest lists, for every rank and section, the ordered block
@@ -50,12 +53,15 @@
 //! chain only to fetch block bytes from the `blocks.bin` files it
 //! references. Every block is CRC32-checked on read, so corruption is
 //! reported as the exact `(epoch, offset)` that rotted — never silently
-//! loaded. Commits are crash-safe: an epoch is assembled in an
-//! `epoch_NNNNNN.tmp` directory and atomically renamed into place, so a
-//! torn write can never be half-parsed. An epoch whose manifest *did*
-//! rot on disk is quarantined at open (renamed to `epoch_NNNNNN.bad`)
-//! and the store falls back to the newest readable epoch, so one broken
-//! head never makes the whole chain unrestorable.
+//! loaded. Commits are crash-safe: the volume's puts are atomic and
+//! durable on return, and a commit puts `blocks.bin` first and the
+//! `manifest.bin` that publishes it last, so a torn write can never be
+//! half-parsed and an epoch without a manifest is uncommitted (open
+//! deletes it; an `epoch_NNNNNN.tmp` left by an older build goes the
+//! same way). An epoch whose manifest *did* rot on disk is quarantined
+//! at open (moved to `epoch_NNNNNN.bad`) and the store falls back to the
+//! newest readable epoch, so one broken head never makes the whole chain
+//! unrestorable. docs/store.md, "Crash consistency", argues each path.
 //!
 //! # Block compression and dirty-segment tracking
 //!
@@ -180,9 +186,9 @@ impl Default for StoreConfig {
 /// Why a store operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
-    /// A filesystem operation failed.
+    /// An operation on the chain's own volume failed.
     Io {
-        /// The operation ("create", "read", "rename", ...).
+        /// The operation ("put", "get", "list", "delete", ...).
         op: &'static str,
         /// The path involved.
         path: PathBuf,
@@ -209,7 +215,7 @@ pub enum StoreError {
         /// The section name.
         section: String,
     },
-    /// A referenced epoch directory does not exist (GC'd or never written).
+    /// A referenced epoch's object does not exist (GC'd or never written).
     MissingEpoch {
         /// The epoch that is gone.
         epoch: u64,
@@ -221,7 +227,8 @@ pub enum StoreError {
     /// The background writer was shut down.
     Closed,
     /// A remote-tier operation failed (upload, listing, or a fetched
-    /// object that failed its seal verification).
+    /// object that failed its seal verification). A failure of the
+    /// chain's own volume is [`StoreError::Io`].
     Tier(TierError),
     /// A tier operation was requested but no tier is attached.
     NoTier,
@@ -295,11 +302,20 @@ impl From<TierError> for StoreError {
 }
 
 impl StoreError {
-    fn io(op: &'static str, path: &Path, e: std::io::Error) -> StoreError {
-        StoreError::Io {
-            op,
-            path: path.to_path_buf(),
-            msg: e.to_string(),
+    /// A failure of a chain's volume rooted at `root`, as the store
+    /// reports it: [`StoreError::Io`] on the object's path.
+    pub fn volume(root: &Path, e: TierError) -> StoreError {
+        match e {
+            TierError::Io { op, key, msg } => StoreError::Io {
+                op,
+                path: root.join(key),
+                msg,
+            },
+            other => StoreError::Io {
+                op: "volume",
+                path: root.to_path_buf(),
+                msg: other.to_string(),
+            },
         }
     }
 }
@@ -336,12 +352,12 @@ pub struct ScrubReport {
     /// Quarantined epochs re-fetched from the tier, verified, and
     /// reinstated in the local chain.
     pub healed: Vec<u64>,
-    /// Stale `.bad` directories removed because a healthy live epoch of
+    /// Stale `.bad` copies removed because a healthy live epoch of
     /// the same number already exists (a later commit reused the number,
     /// or an earlier heal already ran).
     pub cleaned: Vec<u64>,
     /// Quarantined epochs the tier could not supply (no seal, or the
-    /// tier copy failed verification): their `.bad` directories are left
+    /// tier copy failed verification): their `.bad` copies are left
     /// in place for forensics.
     pub missing: Vec<u64>,
     /// Live epochs whose manifests were verified readable.

@@ -1,5 +1,11 @@
-//! The remote second tier of the delta-checkpoint store: sealed-epoch
-//! shipping to object storage.
+//! The one seam for durable bytes, and the remote second tier of the
+//! delta-checkpoint store: sealed-epoch shipping to object storage.
+//!
+//! Every checkpoint byte that reaches a disk goes through [`ObjectTier`]:
+//! the node-local chain is an [`FsTier`] rooted at the chain directory
+//! ([`crate::store::DeltaStore`] commits, hydrates, quarantines and
+//! collects through it), and so are the remote tier and the replica
+//! logs. This file is the only one that calls `std::fs` for them.
 //!
 //! A node-local delta chain survives process failures, but the disk it
 //! lives on is itself a single point of failure — and the quarantine path
@@ -8,27 +14,30 @@
 //!
 //! * [`ObjectTier`] — a minimal put/get/list/delete interface over opaque
 //!   sealed objects, deliberately shaped like an object store (S3-style:
-//!   whole-object writes, no partial updates, keys not paths).
+//!   whole-object writes, no partial updates, keys not paths). A put
+//!   that returns `Ok` is durable.
 //! * [`FsTier`] — the in-tree implementation, modelling object storage on
-//!   a filesystem: every `put` lands in a staging file named by a content
-//!   hash and is atomically renamed into place, so a torn local write can
-//!   never be observed as a committed object.
+//!   a filesystem: every `put` lands in a staging file under `.inflight/`,
+//!   is fsynced, atomically renamed into place, and the directories the
+//!   rename changed are fsynced, so a torn local write can never be
+//!   observed as an object and a returned put survives power loss.
 //! * [`FlakyTier`] — a fault-injecting wrapper for tests: scripted upload
 //!   errors, torn writes (the object lands corrupted while the put
 //!   reports success), and held uploads (a put blocks until the test
 //!   releases it — the "slow tier" that tries to race retention GC).
 //! * `TierRuntime` (crate-internal) — the background shipper thread, a
 //!   `crate::lanes::LaneMux`: each locally committed epoch is queued,
-//!   its `blocks.bin` and `manifest.bin` are uploaded with read-back CRC
+//!   its `blocks.bin` and `manifest.bin` are read from the local volume
+//!   and uploaded with read-back CRC
 //!   verification and exponential-backoff retries, and a small
 //!   checksummed **seal** object is written last.
 //!   An epoch is *durable in the tier* only once its seal is up; the
 //!   store's retention GC never deletes a local epoch that is not.
 //!
-//! The healing pass over `.bad` quarantine directories lives with the
-//! store ([`crate::store::DeltaStore::scrub`]): re-fetch the epoch from
-//! the tier, verify seal CRCs and manifest decode, and atomically
-//! reinstate the epoch in the local chain.
+//! The healing pass over `.bad` quarantine copies lives with the store
+//! ([`crate::store::DeltaStore::scrub`]): re-fetch the epoch from the
+//! tier, verify seal CRCs and manifest decode, and reinstate the epoch
+//! in the local chain, manifest last.
 //!
 //! The tier stores exactly the vendor-neutral on-disk epoch format, so a
 //! chain hydrated from the tier restores under either MPI engine
@@ -44,7 +53,7 @@ use std::time::Duration;
 
 use simnet::telemetry::{EventKind, Telemetry};
 
-use crate::codec::{content_key, crc32, CodecError, Reader, Writer};
+use crate::codec::{crc32, CodecError, Reader, Writer};
 use crate::lanes::{LaneMux, LaneWorker, Lanes};
 
 /// Magic prefix of a seal object ("TIERSEAL", one byte short).
@@ -117,8 +126,16 @@ impl std::error::Error for TierError {}
 /// manifest's own checksum trailer), so a tier implementation does not
 /// need read-after-write consistency stronger than "a completed put is
 /// eventually observable".
+///
+/// A returned put is durable: the object survives a crash or power loss
+/// of the caller from that moment on. Every publish protocol built on the
+/// trait (the chain's manifest-last commit, the tier's seal-last ship)
+/// orders its puts and relies on exactly this. A delete promises less:
+/// it may be undone by a power loss, so no protocol lets a restore
+/// depend on an object being gone (docs/store.md, "Crash consistency").
 pub trait ObjectTier: Send + Sync {
-    /// Store `data` under `key`, replacing any existing object.
+    /// Store `data` under `key`, replacing any existing object; durable
+    /// on return.
     fn put(&self, key: &str, data: &[u8]) -> Result<(), TierError>;
     /// Fetch the object at `key`.
     fn get(&self, key: &str) -> Result<Vec<u8>, TierError>;
@@ -353,18 +370,26 @@ pub(crate) fn fetch_sealed_epoch(
 // FsTier
 // ---------------------------------------------------------------------------
 
+/// Staging-file sequence shared by every [`FsTier`] of the process: one
+/// root has several handles (a chain's store and its tenant claim), so a
+/// per-handle counter would hand two puts the same staging name.
+static STAGE_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// A filesystem directory standing in for an object store.
 ///
 /// Writes are atomic the way object stores are: the bytes land in a
-/// staging file under `.inflight/` named by the object's 128-bit
-/// [`crate::codec::content_key`] (content addressing keeps concurrent
-/// writers of identical objects from clobbering each other's staging),
-/// then a single `rename` publishes the object. Readers can therefore
-/// never observe a half-written object — exactly the property the
-/// store's seal protocol assumes.
+/// staging file `.inflight/{pid}_{n}` and are fsynced, then a single
+/// `rename` publishes the object. Readers can therefore never observe a
+/// half-written object — exactly the property the store's seal protocol
+/// assumes. A put returns only after the directories it changed are
+/// fsynced too: the object's parent, and the parent of every directory
+/// the put created. POSIX makes a rename durable only then.
+///
+/// A delete is not fsynced (see [`ObjectTier`]); it removes the object's
+/// directory when it was the last entry, so an epoch whose objects are
+/// all deleted leaves no directory behind.
 pub struct FsTier {
     root: PathBuf,
-    stage_seq: AtomicU64,
 }
 
 impl FsTier {
@@ -376,10 +401,7 @@ impl FsTier {
             key: root.display().to_string(),
             msg: e.to_string(),
         })?;
-        Ok(FsTier {
-            root,
-            stage_seq: AtomicU64::new(0),
-        })
+        Ok(FsTier { root })
     }
 
     fn io(op: &'static str, key: &str, e: std::io::Error) -> TierError {
@@ -435,25 +457,33 @@ impl ObjectTier for FsTier {
     fn put(&self, key: &str, data: &[u8]) -> Result<(), TierError> {
         use std::io::Write as _;
         let path = self.key_path(key)?;
-        // Content-addressed staging name, from the object's 128-bit
-        // content key: identical content stages to the same file,
-        // distinct content never collides (a per-handle sequence number
-        // breaks ties between concurrent distinct puts).
-        let (a, b) = content_key(data);
+        let io = |e| Self::io("put", key, e);
         let stage = self.root.join(".inflight").join(format!(
-            "{a:016x}{b:016x}_{}_{}",
+            "{}_{}",
             std::process::id(),
-            self.stage_seq.fetch_add(1, Ordering::Relaxed)
+            STAGE_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         {
-            let mut f = std::fs::File::create(&stage).map_err(|e| Self::io("put", key, e))?;
-            f.write_all(data).map_err(|e| Self::io("put", key, e))?;
-            f.sync_all().map_err(|e| Self::io("put", key, e))?;
+            let mut f = std::fs::File::create(&stage).map_err(io)?;
+            f.write_all(data).map_err(io)?;
+            f.sync_all().map_err(io)?;
         }
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent).map_err(|e| Self::io("put", key, e))?;
+        let parent = path
+            .parent()
+            .expect("a valid key names a file under the root");
+        // The rename changes `parent`; each directory made for it changes
+        // its own parent.
+        let made = parent.ancestors().take_while(|d| !d.is_dir());
+        let mut changed: Vec<&Path> = made.filter_map(Path::parent).collect();
+        changed.push(parent);
+        std::fs::create_dir_all(parent).map_err(io)?;
+        std::fs::rename(&stage, &path).map_err(io)?;
+        for dir in changed {
+            std::fs::File::open(dir)
+                .and_then(|d| d.sync_all())
+                .map_err(io)?;
         }
-        std::fs::rename(&stage, &path).map_err(|e| Self::io("put", key, e))
+        Ok(())
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>, TierError> {
@@ -478,7 +508,13 @@ impl ObjectTier for FsTier {
     fn delete(&self, key: &str) -> Result<(), TierError> {
         let path = self.key_path(key)?;
         match std::fs::remove_file(&path) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                // Fails, harmlessly, while the directory holds anything else.
+                if let Some(dir) = path.parent().filter(|&d| d != self.root) {
+                    let _ = std::fs::remove_dir(dir);
+                }
+                Ok(())
+            }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(Self::io("delete", key, e)),
         }
@@ -768,13 +804,13 @@ impl ObjectTier for MemTier {
 // The background shipper
 // ---------------------------------------------------------------------------
 
-/// One tenant's share of the shipper: its local store directory, its
+/// One tenant's share of the shipper: its local chain volume, its
 /// key namespace in the tier, and its *own* durable set and stats (the
 /// mux adds its queue and sticky error). A lane whose uploads go sticky
 /// stops shipping without touching its neighbors: the error is scoped
 /// to the tenant whose tier config is dead, never to the runtime.
 pub(crate) struct ShipLane {
-    dir: PathBuf,
+    vol: Arc<dyn ObjectTier>,
     ns: String,
     durable: BTreeSet<u64>,
     stats: TierStats,
@@ -796,8 +832,8 @@ impl LaneWorker for Shipper {
     type Error = TierError;
 
     fn run(&mut self, lanes: &Lanes<Self>, lane: usize, epoch: u64) -> Result<(), TierError> {
-        let (dir, ns, tel) =
-            lanes.with_lane(lane, |l| (l.dir.clone(), l.ns.clone(), l.telemetry.clone()));
+        let (vol, ns, tel) =
+            lanes.with_lane(lane, |l| (l.vol.clone(), l.ns.clone(), l.telemetry.clone()));
         let emit = |kind, a, b, c| {
             if let Some(tel) = &tel {
                 tel.emit(tel.tier_lane(), kind, tel.observed_now(), a, b, c);
@@ -806,7 +842,7 @@ impl LaneWorker for Shipper {
         emit(EventKind::TierShip, epoch, 0, 0);
         let mut retries = 0u64;
         let started = std::time::Instant::now();
-        let result = ship_epoch(&*self.tier, self.config, &dir, &ns, epoch, &mut retries);
+        let result = ship_epoch(&*self.tier, self.config, &*vol, &ns, epoch, &mut retries);
         let ship_us = started.elapsed().as_micros() as u64;
         if let Some(tel) = &tel {
             if retries > 0 {
@@ -902,12 +938,17 @@ impl TierRuntime {
         }
     }
 
-    /// Register one store's lane: its local chain directory, its key
+    /// Register one store's lane: its local chain volume, its key
     /// namespace, and the epochs already durably sealed in the tier
     /// (from a reconcile listing). Returns the lane index.
-    pub(crate) fn add_lane(&self, dir: PathBuf, ns: String, durable: BTreeSet<u64>) -> usize {
+    pub(crate) fn add_lane(
+        &self,
+        vol: Arc<dyn ObjectTier>,
+        ns: String,
+        durable: BTreeSet<u64>,
+    ) -> usize {
         self.mux.lanes.add_lane(ShipLane {
-            dir,
+            vol,
             ns,
             durable,
             stats: TierStats::default(),
@@ -1107,26 +1148,27 @@ pub(crate) fn get_retried(
     Err(last)
 }
 
-/// Ship one locally committed epoch: blocks, then manifest, then the
-/// seal (the durable commit point). Returns the bytes uploaded.
+/// Ship one locally committed epoch: copy its objects from the local
+/// volume `vol` — blocks, then manifest — then put the seal (the durable
+/// commit point). Returns the bytes uploaded.
 fn ship_epoch(
     tier: &dyn ObjectTier,
     config: TierConfig,
-    dir: &Path,
+    vol: &dyn ObjectTier,
     ns: &str,
     epoch: u64,
     retries: &mut u64,
 ) -> Result<u64, TierError> {
-    let edir = dir.join(format!("epoch_{epoch:06}"));
-    let read_local = |name: &str| -> Result<Vec<u8>, TierError> {
-        std::fs::read(edir.join(name)).map_err(|e| TierError::Io {
+    let (local_blocks, local_manifest, _) = epoch_keys("", epoch);
+    let read_local = |key: &str| -> Result<Vec<u8>, TierError> {
+        vol.get(key).map_err(|e| TierError::Io {
             op: "read local epoch",
-            key: format!("{ns}epoch_{epoch:06}/{name}"),
+            key: format!("{ns}{key}"),
             msg: e.to_string(),
         })
     };
-    let blocks = read_local("blocks.bin")?;
-    let manifest = read_local("manifest.bin")?;
+    let blocks = read_local(&local_blocks)?;
+    let manifest = read_local(&local_manifest)?;
     let seal = Seal {
         epoch,
         blocks_len: blocks.len() as u64,

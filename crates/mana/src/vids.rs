@@ -174,11 +174,6 @@ impl VidTable {
         &self.log
     }
 
-    /// Number of live dynamic objects.
-    pub fn live_objects(&self) -> usize {
-        self.to_real.len()
-    }
-
     /// Rebuild a table against a fresh lower half by replaying `log`.
     ///
     /// Executes every logged call in order through `lower`; the calls are
@@ -378,7 +373,6 @@ mod tests {
         t.bind(vid, real);
         t.cache_comm_size(vid, 2);
         assert_eq!(t.real_of(vid).unwrap(), real);
-        assert_eq!(t.live_objects(), 1);
         assert_eq!(
             t.live_comms(),
             vec![Handle::COMM_WORLD, Handle::COMM_SELF, vid]

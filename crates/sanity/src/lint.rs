@@ -636,14 +636,20 @@ pub fn default_rules() -> Vec<Rule> {
         },
         Rule {
             name: "one-persistence-path",
-            invariant: "a checkpoint reaches disk only through dmtcp::store and the tier",
+            invariant: "checkpoint bytes reach and leave a disk only through the ObjectTier seam in dmtcp::tier",
             paths: &["crates/dmtcp/src", "crates/mana/src", "crates/core/src"],
-            allow_paths: &["crates/dmtcp/src/store/", "crates/dmtcp/src/tier.rs"],
+            allow_paths: &["crates/dmtcp/src/tier.rs"],
             skip_tests: true,
             check: Check::BannedPath(&[
                 &["File", "::", "create"],
+                &["File", "::", "open"],
                 &["fs", "::", "write"],
                 &["fs", "::", "rename"],
+                &["fs", "::", "read"],
+                &["fs", "::", "read_dir"],
+                &["fs", "::", "remove_file"],
+                &["fs", "::", "remove_dir_all"],
+                &["fs", "::", "metadata"],
             ]),
         },
         Rule {

@@ -379,16 +379,6 @@ impl Fabric {
         rank < self.shared.nranks && self.shared.failed[rank].load(Ordering::SeqCst)
     }
 
-    /// Ranks currently marked failed.
-    pub fn failed_ranks(&self) -> Vec<usize> {
-        if self.shared.failed_count.load(Ordering::SeqCst) == 0 {
-            return Vec::new();
-        }
-        (0..self.shared.nranks)
-            .filter(|&r| self.is_failed(r))
-            .collect()
-    }
-
     /// Enable fault-tolerant semantics: blocked receives return
     /// [`SimError::PeerFailed`] when any rank has failed, instead of
     /// waiting forever like a non-fault-tolerant MPI.
@@ -532,13 +522,6 @@ impl Endpoint {
             }
         }
         Ok(())
-    }
-
-    /// Non-blocking poll for the next raw envelope, in arrival order.
-    /// No virtual-time accounting happens here; the caller's matching engine
-    /// decides when and how to charge time (see [`RankCtx::arrival_time`]).
-    pub fn poll_raw(&self) -> SimResult<Option<Envelope>> {
-        Ok(self.fabric.shared.mailboxes[self.rank].take_next())
     }
 
     /// Batch-drain every envelope currently queued into `into`, acquiring
@@ -717,10 +700,10 @@ mod tests {
                 .send_raw(5, 0, 0, Bytes::from(vec![i as u8]), &ctxs[src])
                 .unwrap();
         }
-        // poll_raw path: stamp-merged one at a time.
+        // recv path: stamp-merged one at a time.
         for i in 0..6u8 {
-            let env = receiver.endpoint().poll_raw().unwrap().unwrap();
-            assert_eq!(env.payload[0], i, "poll order broke at {i}");
+            let env = receiver.endpoint().recv_raw().unwrap();
+            assert_eq!(env.payload[0], i, "recv order broke at {i}");
             assert_eq!(env.src, schedule[i as usize]);
         }
         // drain path: the rest arrives merged in one batch.
@@ -815,7 +798,6 @@ mod tests {
         let ctx0 = ctx_for(0, &spec, ep0);
         fabric.fail_rank(1);
         assert!(fabric.is_failed(1));
-        assert_eq!(fabric.failed_ranks(), vec![1]);
         let err = ctx0
             .endpoint()
             .send_raw(1, 0, 0, Bytes::new(), &ctx0)
@@ -1044,21 +1026,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_raw_is_nonblocking() {
-        let (_fabric, mut eps, spec) = two_rank_setup();
-        let ep1 = eps.pop().unwrap();
-        let ep0 = eps.pop().unwrap();
-        let ctx0 = ctx_for(0, &spec, ep0);
-        let ctx1 = ctx_for(1, &spec, ep1);
-        assert!(ctx1.endpoint().poll_raw().unwrap().is_none());
-        ctx0.endpoint()
-            .send_raw(1, 0, 0, Bytes::from_static(b"x"), &ctx0)
-            .unwrap();
-        // Mailbox push is synchronous, so the message is immediately visible.
-        assert!(ctx1.endpoint().poll_raw().unwrap().is_some());
-    }
-
-    #[test]
     fn drain_collects_everything_in_order() {
         let (_fabric, mut eps, spec) = two_rank_setup();
         let ep1 = eps.pop().unwrap();
@@ -1079,7 +1046,6 @@ mod tests {
         }
         // Queue is now empty.
         assert_eq!(ctx1.endpoint().drain_raw_into(&mut buf).unwrap(), 0);
-        assert!(ctx1.endpoint().poll_raw().unwrap().is_none());
     }
 
     #[test]

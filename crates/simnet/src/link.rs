@@ -36,18 +36,6 @@ impl LinkModel {
         let ns = bytes as f64 / self.beta_inv_bps * 1e9;
         VirtualTime::from_nanos(ns.round() as u64)
     }
-
-    /// Full one-way transfer time for `m` bytes: `α + m·β`.
-    pub fn transfer_time(&self, bytes: usize) -> VirtualTime {
-        self.alpha + self.serialize_time(bytes)
-    }
-
-    /// The message size at which the bandwidth term equals the latency term
-    /// (`m* = α·bandwidth`); a useful calibration diagnostic because latency
-    /// dominates below it and bandwidth above it.
-    pub fn crossover_bytes(&self) -> usize {
-        (self.alpha.as_nanos() as f64 / 1e9 * self.beta_inv_bps).round() as usize
-    }
 }
 
 #[cfg(test)]
@@ -55,22 +43,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transfer_is_alpha_plus_m_beta() {
-        // 1 GB/s, 10 us alpha.
+    fn serialize_time_is_m_over_bandwidth() {
+        // 1 GB/s, 10 us alpha: 1000 bytes serialize in 1 us.
         let link = LinkModel::new(VirtualTime::from_micros(10), 1e9);
-        // 1000 bytes at 1 GB/s = 1 us.
         assert_eq!(link.serialize_time(1000), VirtualTime::from_micros(1));
-        assert_eq!(link.transfer_time(1000), VirtualTime::from_micros(11));
-        // Zero bytes costs exactly alpha.
-        assert_eq!(link.transfer_time(0), VirtualTime::from_micros(10));
-    }
-
-    #[test]
-    fn crossover_scales_with_alpha_and_bandwidth() {
-        let link = LinkModel::new(VirtualTime::from_micros(10), 1e9);
-        assert_eq!(link.crossover_bytes(), 10_000);
-        let faster = LinkModel::new(VirtualTime::from_micros(10), 2e9);
-        assert_eq!(faster.crossover_bytes(), 20_000);
     }
 
     #[test]

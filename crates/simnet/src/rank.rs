@@ -1,6 +1,6 @@
 //! Per-rank execution context: the virtual clock and its cost accounting.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::cluster::ClusterSpec;
@@ -31,30 +31,31 @@ pub struct RankCounters {
 ///
 /// Owns the rank's virtual clock. All methods take `&self`: the context is
 /// thread-local to its rank (it is not `Sync`), so interior mutability via
-/// `Cell`/`RefCell` is safe and keeps call sites ergonomic.
+/// `Cell` is safe and keeps call sites ergonomic.
 pub struct RankCtx {
     rank: usize,
     spec: Arc<ClusterSpec>,
     clock: Cell<u64>,
-    noise: RefCell<NoiseStream>,
     endpoint: Endpoint,
     counters: Cell<RankCounters>,
 }
 
 impl RankCtx {
     /// Construct a context. Normally done by [`crate::World::run`];
-    /// public for tests and custom launchers.
+    /// public for tests and custom launchers. No cost draws from the
+    /// rank's program-order noise stream (message jitter is a function
+    /// of the message, [`crate::NoiseModel::message_factor`]), so
+    /// `_noise` is accepted and dropped.
     pub fn new(
         rank: usize,
         spec: Arc<ClusterSpec>,
         endpoint: Endpoint,
-        noise: NoiseStream,
+        _noise: NoiseStream,
     ) -> RankCtx {
         RankCtx {
             rank,
             spec,
             clock: Cell::new(0),
-            noise: RefCell::new(noise),
             endpoint,
             counters: Cell::new(RankCounters::default()),
         }
@@ -137,13 +138,6 @@ impl RankCtx {
         let link = self.spec.link_between(env.src, self.rank);
         let factor = self.spec.noise.message_factor(self.rank, env.src, env.seq);
         env.depart + link.alpha.scale(factor)
-    }
-
-    /// Draw the next jitter factor of this rank's program-order stream
-    /// (for costs other than messages, e.g. file-system writes in the
-    /// checkpointing layer).
-    pub fn jitter_factor(&self) -> f64 {
-        self.noise.borrow_mut().factor()
     }
 
     /// Snapshot of this rank's counters.

@@ -44,13 +44,6 @@ impl RunPlan {
         }
     }
 
-    /// An explicit per-rank stack size.
-    pub fn with_stack_bytes(stack_bytes: usize) -> RunPlan {
-        RunPlan {
-            stack_bytes: Some(stack_bytes),
-        }
-    }
-
     fn builder(&self, rank: usize) -> std::thread::Builder {
         let b = std::thread::Builder::new().name(format!("rank-{rank}"));
         match self.stack_bytes {
@@ -363,7 +356,9 @@ mod tests {
     fn bounded_stack_world_runs_fine() {
         let spec = Arc::new(ClusterSpec::builder().nodes(1).ranks_per_node(4).build());
         let (fabric, endpoints) = Fabric::new(&spec);
-        let plan = RunPlan::with_stack_bytes(256 * 1024);
+        let plan = RunPlan {
+            stack_bytes: Some(256 * 1024),
+        };
         let outcome = World::run_plan(spec, fabric, endpoints, plan, |ctx| {
             let n = ctx.nranks();
             let next = (ctx.rank() + 1) % n;

@@ -397,6 +397,30 @@ fn tenant_marker_rejects_foreign_and_untagged_opens() {
     assert!(!legacy.dir.join("TENANT").exists());
 }
 
+/// A marker that does not decode is a claim nobody can match, not an
+/// absent one: the open is refused and the marker is left as it was.
+#[test]
+fn an_undecodable_tenant_marker_refuses_the_open() {
+    let dir = tmp_dir("marker_garbage");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("TENANT"), b"\xff").unwrap();
+    let policy = StorePolicy {
+        tenant: "alice".to_string(),
+        ..StorePolicy::new(&dir)
+    };
+    match policy.open_store() {
+        Err(StoreError::TenantMismatch {
+            expected, found, ..
+        }) => {
+            assert_eq!(expected, "alice");
+            assert_eq!(found, "\u{fffd}");
+        }
+        Ok(_) => panic!("an undecodable marker must not be overwritten by a claim"),
+        Err(e) => panic!("expected TenantMismatch, got {e}"),
+    }
+    assert_eq!(std::fs::read(dir.join("TENANT")).unwrap(), b"\xff");
+}
+
 /// A tenant's whole fault plan applies inside a cluster: the upload-fault
 /// script of a tenant with a private tier reaches that tier's shipper,
 /// exactly as it would for the same session run alone.

@@ -184,10 +184,45 @@ fn one_persistence_path_fires_outside_the_store() {
     assert!(findings_for("crates/bench/src/gate.rs", PERSIST).is_empty());
 }
 
+const READS: &str = "\
+fn load(p: &Path) {
+    let f = File::open(p);
+    let b = std::fs::read(p);
+    std::fs::read_dir(p);
+    std::fs::remove_file(p);
+    std::fs::remove_dir_all(p);
+    std::fs::metadata(p);
+}
+";
+
 #[test]
-fn one_persistence_path_is_silent_under_the_store_and_the_tier() {
-    assert!(findings_for("crates/dmtcp/src/store/delta.rs", PERSIST).is_empty());
+fn one_persistence_path_fires_in_the_store_on_reads_and_removals_too() {
+    let rule = "one-persistence-path".to_string();
+    let at = |spots: &[(u32, u32)]| -> Vec<(String, u32, u32)> {
+        spots.iter().map(|&(l, c)| (rule.clone(), l, c)).collect()
+    };
+    for path in [
+        "crates/dmtcp/src/store/delta.rs",
+        "crates/dmtcp/src/store/hydrate.rs",
+        "crates/core/src/session.rs",
+    ] {
+        assert_eq!(
+            findings_for(path, PERSIST),
+            at(&[(2, 10), (3, 13), (4, 10)]),
+            "{path}"
+        );
+        assert_eq!(
+            findings_for(path, READS),
+            at(&[(2, 13), (3, 18), (4, 10), (5, 10), (6, 10), (7, 10)]),
+            "{path}"
+        );
+    }
+}
+
+#[test]
+fn one_persistence_path_is_silent_in_the_tier() {
     assert!(findings_for("crates/dmtcp/src/tier.rs", PERSIST).is_empty());
+    assert!(findings_for("crates/dmtcp/src/tier.rs", READS).is_empty());
 }
 
 #[test]
