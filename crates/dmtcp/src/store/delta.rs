@@ -19,13 +19,13 @@ use super::manifest::{BlockKey, BlockLoc, Manifest, SectionRefs};
 use super::{EpochStats, StoreConfig, StoreError};
 
 /// The stored-block file of an epoch directory.
-pub(super) const BLOCKS: &str = "blocks.bin";
+pub(crate) const BLOCKS: &str = "blocks.bin";
 /// The manifest of an epoch directory: the object that commits it.
-pub(super) const MANIFEST: &str = "manifest.bin";
+pub(crate) const MANIFEST: &str = "manifest.bin";
 
 /// The chain key of object `name` in epoch `epoch`'s directory, live
 /// (`suffix` `""`) or quarantined (`".bad"`).
-pub(super) fn key(epoch: u64, suffix: &str, name: &str) -> String {
+pub(crate) fn epoch_key(epoch: u64, suffix: &str, name: &str) -> String {
     format!("epoch_{epoch:06}{suffix}/{name}")
 }
 
@@ -196,7 +196,7 @@ impl DeltaStore {
         for (epoch, keys) in loose {
             // Listed without a manifest; a read makes sure — a manifest
             // that is there but cannot be read is an error, not garbage.
-            if keep.contains(&epoch) || store.get(&key(epoch, "", MANIFEST))?.is_some() {
+            if keep.contains(&epoch) || store.get(&epoch_key(epoch, "", MANIFEST))?.is_some() {
                 continue;
             }
             staged.extend(keys);
@@ -302,9 +302,9 @@ impl DeltaStore {
     /// delete the originals, manifest first.
     fn quarantine(&mut self, epoch: u64) -> Result<(), StoreError> {
         for name in [BLOCKS, MANIFEST] {
-            match self.get(&key(epoch, "", name))? {
-                Some(buf) => self.put(&key(epoch, ".bad", name), &buf)?,
-                None => self.delete(&key(epoch, ".bad", name))?,
+            match self.get(&epoch_key(epoch, "", name))? {
+                Some(buf) => self.put(&epoch_key(epoch, ".bad", name), &buf)?,
+                None => self.delete(&epoch_key(epoch, ".bad", name))?,
             }
         }
         self.delete_epoch(epoch, "")?;
@@ -364,12 +364,26 @@ impl DeltaStore {
         self.vol.delete(key).map_err(|e| self.vol_err(e))
     }
 
+    /// Put an epoch's objects — a commit's, or a verified copy from the
+    /// tier — blocks first, then the manifest that publishes them, each
+    /// replacing the object of that name. A crash in between leaves an
+    /// uncommitted epoch, which the next open deletes.
+    pub(super) fn publish(
+        &self,
+        epoch: u64,
+        blocks: &[u8],
+        manifest: &[u8],
+    ) -> Result<(), StoreError> {
+        self.put(&epoch_key(epoch, "", BLOCKS), blocks)?;
+        self.put(&epoch_key(epoch, "", MANIFEST), manifest)
+    }
+
     /// Delete an epoch directory's objects, manifest first: once the
     /// manifest is gone the epoch is uncommitted, whatever happens to
     /// the rest.
     pub(super) fn delete_epoch(&self, epoch: u64, suffix: &str) -> Result<(), StoreError> {
-        self.delete(&key(epoch, suffix, MANIFEST))?;
-        self.delete(&key(epoch, suffix, BLOCKS))
+        self.delete(&epoch_key(epoch, suffix, MANIFEST))?;
+        self.delete(&epoch_key(epoch, suffix, BLOCKS))
     }
 
     fn vol_err(&self, e: TierError) -> StoreError {
@@ -378,7 +392,7 @@ impl DeltaStore {
 
     pub(super) fn read_manifest(&self, epoch: u64) -> Result<Manifest, StoreError> {
         let buf = self
-            .get(&key(epoch, "", MANIFEST))?
+            .get(&epoch_key(epoch, "", MANIFEST))?
             .ok_or(StoreError::MissingEpoch { epoch })?;
         Manifest::decode(&buf).map_err(|source| StoreError::Manifest { epoch, source })
     }
@@ -388,7 +402,7 @@ impl DeltaStore {
         let mut files = BlockFiles::new();
         for epoch in epochs {
             files.entry(epoch).or_insert_with(|| {
-                self.get(&key(epoch, "", BLOCKS))?
+                self.get(&epoch_key(epoch, "", BLOCKS))?
                     .ok_or(StoreError::MissingEpoch { epoch })
             });
         }
@@ -608,16 +622,14 @@ impl DeltaStore {
         };
         let manifest_buf = manifest.encode();
         let refs = manifest.referenced_epochs();
-        let mut parts = encoded.into_iter().map(|(buf, ..)| buf);
-        let mut blocks = parts.next().unwrap_or_default();
+        let mut bufs = encoded.into_iter().map(|(buf, ..)| buf);
+        let mut blocks = bufs.next().unwrap_or_default();
         blocks.reserve_exact(blocks_len as usize - blocks.len());
-        parts.for_each(|part| blocks.extend_from_slice(&part));
+        bufs.for_each(|buf| blocks.extend_from_slice(&buf));
         let encode_done = Instant::now();
 
-        // Crash-safe commit: blocks, then the manifest that publishes
-        // them. A crash in between leaves an uncommitted epoch that the
-        // next open deletes. Never publish over a committed epoch.
-        let manifest_key = key(epoch, "", MANIFEST);
+        // Never publish over a committed epoch.
+        let manifest_key = epoch_key(epoch, "", MANIFEST);
         if self.get(&manifest_key)?.is_some() {
             return Err(StoreError::Io {
                 op: "commit",
@@ -625,8 +637,7 @@ impl DeltaStore {
                 msg: format!("epoch {epoch} is already committed"),
             });
         }
-        self.put(&key(epoch, "", BLOCKS), &blocks)?;
-        self.put(&manifest_key, &manifest_buf)?;
+        self.publish(epoch, &blocks, &manifest_buf)?;
         let write_done = Instant::now();
 
         // Publish: the epoch is durable, so the handle may now know it.
@@ -743,10 +754,10 @@ impl DeltaStore {
         let mut doomed = self.epochs.clone();
         doomed.retain(|e| !live.contains(e));
         for &e in doomed.iter().rev() {
-            if self.delete(&key(e, "", MANIFEST)).is_err() {
+            if self.delete(&epoch_key(e, "", MANIFEST)).is_err() {
                 break;
             }
-            let _ = self.delete(&key(e, "", BLOCKS));
+            let _ = self.delete(&epoch_key(e, "", BLOCKS));
             self.epochs.retain(|&x| x != e);
         }
         self.emit(
@@ -864,7 +875,7 @@ impl DeltaStore {
             stats.blocks_new = own.len() as u64;
             stats.new_block_raw_bytes = own.values().sum();
             for name in [BLOCKS, MANIFEST] {
-                let file = self.get(&key(epoch, "", name))?;
+                let file = self.get(&epoch_key(epoch, "", name))?;
                 stats.bytes_written += file.ok_or(StoreError::MissingEpoch { epoch })?.len() as u64;
             }
             out.push(stats);
@@ -1519,7 +1530,7 @@ mod tests {
                 let s = store.commit(&golden_image(step)).unwrap();
                 assert_eq!(s.full, step == 1);
                 for name in [BLOCKS, MANIFEST] {
-                    files.push(store.get(&key(step, "", name)).unwrap().unwrap());
+                    files.push(store.get(&epoch_key(step, "", name)).unwrap().unwrap());
                 }
             }
             // Every codec and both kinds of skip are on the path.

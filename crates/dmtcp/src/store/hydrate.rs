@@ -11,7 +11,7 @@ use crate::tier::{
     TierStats,
 };
 
-use super::delta::{key, parse_key, BLOCKS, MANIFEST};
+use super::delta::{epoch_key, parse_key, MANIFEST};
 use super::manifest::Manifest;
 use super::{DeltaStore, ScrubReport, StoreConfig, StoreError};
 
@@ -106,7 +106,7 @@ impl DeltaStore {
             let same =
                 |l: &Vec<u8>| l.len() as u64 == seal.manifest_len && crc32(l) == seal.manifest_crc;
             if self
-                .get(&key(epoch, "", MANIFEST))?
+                .get(&epoch_key(epoch, "", MANIFEST))?
                 .as_ref()
                 .is_none_or(same)
             {
@@ -165,14 +165,6 @@ impl DeltaStore {
     /// session keeps reporting tier stats in its telemetry snapshot.
     pub fn tier_stats_handle(&self) -> Option<crate::tier::TierStatsHandle> {
         self.tier.as_ref().map(|t| t.runtime.stats_handle(t.lane))
-    }
-
-    /// Install one verified epoch's objects in the local chain, the
-    /// commit's way: blocks, then the manifest that publishes them, each
-    /// replacing the object of that name.
-    fn install_epoch(&self, epoch: u64, blocks: &[u8], manifest: &[u8]) -> Result<(), StoreError> {
-        self.put(&key(epoch, "", BLOCKS), blocks)?;
-        self.put(&key(epoch, "", MANIFEST), manifest)
     }
 
     /// After an epoch is reinstated locally, drop its stale `.bad` twin
@@ -264,7 +256,7 @@ impl DeltaStore {
                     fetch_sealed_epoch(tier, config, ns, epoch)?
                 }
             };
-            self.install_epoch(epoch, &blocks, &manifest)?;
+            self.publish(epoch, &blocks, &manifest)?;
             self.adopt_epoch(epoch)?;
             installed.push(epoch);
         }
@@ -375,7 +367,7 @@ impl DeltaStore {
         }
         match fetch_sealed_epoch(tier, config, ns, epoch) {
             Ok((blocks, manifest)) if Manifest::decode(&manifest).is_ok() => {
-                self.install_epoch(epoch, &blocks, &manifest)?;
+                self.publish(epoch, &blocks, &manifest)?;
                 Ok(true)
             }
             Ok(_) | Err(TierError::NotFound { .. } | TierError::Corrupt { .. }) => Ok(false),

@@ -127,6 +127,7 @@ mod manifest;
 mod writer;
 
 pub use delta::DeltaStore;
+pub(crate) use delta::{epoch_key, BLOCKS, MANIFEST};
 pub use writer::{SharedStoreWriter, TenantSink, QUEUE_DEPTH};
 
 /// Per-block compression applied to newly written blocks.

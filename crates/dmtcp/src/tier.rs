@@ -55,6 +55,7 @@ use simnet::telemetry::{EventKind, Telemetry};
 
 use crate::codec::{crc32, CodecError, Reader, Writer};
 use crate::lanes::{LaneMux, LaneWorker, Lanes};
+use crate::store::{epoch_key, BLOCKS, MANIFEST};
 
 /// Magic prefix of a seal object ("TIERSEAL", one byte short).
 const SEAL_MAGIC: u64 = 0x5449_4552_5345_414C;
@@ -200,11 +201,8 @@ pub struct TierStats {
 /// single-tenant layout, or `tenant/<id>/` for one tenant of a shared
 /// tier (see [`tenant_namespace`]).
 pub(crate) fn epoch_keys(ns: &str, epoch: u64) -> (String, String, String) {
-    (
-        format!("{ns}epoch_{epoch:06}/blocks.bin"),
-        format!("{ns}epoch_{epoch:06}/manifest.bin"),
-        format!("{ns}epoch_{epoch:06}/seal"),
-    )
+    let key = |name| format!("{ns}{}", epoch_key(epoch, "", name));
+    (key(BLOCKS), key(MANIFEST), key("seal"))
 }
 
 /// The tier key namespace of one tenant: `tenant/<id>/`. Rejects ids
