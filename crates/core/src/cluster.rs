@@ -278,7 +278,7 @@ impl Cluster {
             .iter()
             .map(|t| (&t.session.config, Some(t.id.as_str())))
             .collect();
-        let wirings = wire_runs(&runs, shared_tier.as_ref())?;
+        let wirings = wire_runs(&runs, shared_tier.as_ref(), false)?;
 
         // One driver thread per tenant, each gang-admitted onto the
         // shared pool.

@@ -2,6 +2,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use dmtcp_sim::coordinator::{BarrierTopology, CkptMode, Coordinator};
 use dmtcp_sim::image::WorldImage;
@@ -112,7 +113,7 @@ impl StorePolicy {
     /// opens fail with [`StoreError::TenantMismatch`] before touching the
     /// chain.
     pub fn open_store(&self) -> Result<DeltaStore, StoreError> {
-        self.open_store_flaky(&[], &[])
+        self.open_store_flaky(&[], &[], None)
     }
 
     /// [`StorePolicy::open_store`] with FIFO upload/download fault
@@ -120,28 +121,35 @@ impl StorePolicy {
     /// ([`dmtcp_sim::FlakyTier`]) sits between the store and its tier
     /// (which it then requires). [`wire_runs`] scripts the run's `puts`
     /// (torn/failed uploads mid-ship), the restore open scripts `gets`
-    /// (torn/failed downloads during hydration).
+    /// (torn/failed downloads during hydration). `tel` is attached before
+    /// the tier, so the open's hydration reports to it.
     pub(crate) fn open_store_flaky(
         &self,
         puts: &[PutFault],
         gets: &[GetFault],
+        tel: Option<&Arc<Telemetry>>,
     ) -> Result<DeltaStore, StoreError> {
         self.claim()?;
         let scripted = !(puts.is_empty() && gets.is_empty());
-        let t = match &self.tier {
-            Some(t) => t,
-            None if scripted => return Err(StoreError::NoTier),
-            None => return DeltaStore::open_with(&self.dir, self.config),
-        };
-        let mut tier: Arc<dyn ObjectTier> =
-            Arc::new(FsTier::open(&t.dir).map_err(StoreError::Tier)?);
-        if scripted {
-            let flaky = FlakyTier::new(tier);
-            flaky.script_puts(puts.to_vec());
-            flaky.script_gets(gets.to_vec());
-            tier = Arc::new(flaky);
+        if scripted && self.tier.is_none() {
+            return Err(StoreError::NoTier);
         }
-        DeltaStore::open_with_tier(&self.dir, self.config, tier, t.config)
+        let mut store = DeltaStore::open_with(&self.dir, self.config)?;
+        if let Some(tel) = tel {
+            store.attach_telemetry(tel.clone());
+        }
+        if let Some(t) = &self.tier {
+            let mut tier: Arc<dyn ObjectTier> =
+                Arc::new(FsTier::open(&t.dir).map_err(StoreError::Tier)?);
+            if scripted {
+                let flaky = FlakyTier::new(tier);
+                flaky.script_puts(puts.to_vec());
+                flaky.script_gets(gets.to_vec());
+                tier = Arc::new(flaky);
+            }
+            store.attach_tier(tier, t.config)?;
+        }
+        Ok(store)
     }
 
     /// Check (and on first tenant-tagged open, write) the `TENANT`
@@ -621,7 +629,8 @@ pub struct ResilienceReport {
 
 /// What one run is wired to before its world starts: its flight
 /// recorder, its lane of the committer (if it checkpoints through a
-/// store) and a live view of its tier-shipping lane (if it ships).
+/// store), a live view of its tier-shipping lane (if it ships) and, for
+/// a restart from the chain, the chain head it restores.
 pub(crate) struct RunWiring {
     /// The run's flight recorder, tagged with the tenant id in a cluster.
     pub tel: Arc<Telemetry>,
@@ -629,9 +638,13 @@ pub(crate) struct RunWiring {
     pub sink: Option<(Arc<SharedStoreWriter>, usize)>,
     /// Live view of the run's tier-shipping lane stats.
     pub tier_stats: Option<TierStatsHandle>,
+    /// The chain head, when the run restarts from it.
+    pub head: Option<WorldImage>,
+    /// The handle the head was loaded through, alive for the run.
+    _loader: Option<DeltaStore>,
 }
 
-/// Wire N runs: the only place a run's chain is opened for writing. Each
+/// Wire N runs: the only place a run's chain is opened. Each
 /// run gets a recorder (one lane per rank plus the subsystem lanes,
 /// tagged with its tenant id if any, echoing when `CKPT_TRACE` is set,
 /// dumping into its own subdirectory so concurrent runs sharing one
@@ -639,11 +652,13 @@ pub(crate) struct RunWiring {
 /// storing run's chain is claimed and opened with its private tier
 /// behind the run's upload-fault script, or attached to `shared_tier`
 /// under the tenant's namespace; then every store becomes one lane of a
-/// single committer. A [`Session`] is the one-run case, a
-/// [`crate::cluster::Cluster`] the N-run case.
+/// single committer. With `load_head`, each chain's head is loaded first,
+/// through an open behind the run's download-fault script. A [`Session`]
+/// is the one-run case, a [`crate::cluster::Cluster`] the N-run case.
 pub(crate) fn wire_runs(
     runs: &[(&SessionConfig, Option<&str>)],
     shared_tier: Option<&SharedTier>,
+    load_head: bool,
 ) -> StoolResult<Vec<RunWiring>> {
     static RUN_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let mut stores = Vec::new();
@@ -661,28 +676,38 @@ pub(crate) fn wire_runs(
                 ..TelemetryConfig::default()
             },
         ));
-        let mut lane = None;
-        let mut tier_stats = None;
+        let (mut lane, mut tier_stats, mut head, mut loader) = (None, None, None, None);
         if let Some(policy) = &config.durability.store {
-            let mut store = policy.open_store_flaky(&config.schedule.tier_puts, &[])?;
-            store.attach_telemetry(tel.clone());
+            let open_us = tel.metrics().histogram("store.open_us");
+            if load_head {
+                let started = Instant::now();
+                let store = policy.open_store_flaky(&[], &config.schedule.tier_gets, Some(&tel))?;
+                open_us.observe(started.elapsed().as_micros() as u64);
+                head = Some(store.load_latest()?);
+                loader = Some(store);
+            }
+            let started = Instant::now();
+            let mut store = policy.open_store_flaky(&config.schedule.tier_puts, &[], Some(&tel))?;
             if let (Some(shared), Some(id)) = (shared_tier, tenant) {
                 let ns = tenant_namespace(id).map_err(StoreError::Tier)?;
                 store.attach_shared_tier(shared, &ns)?;
             }
+            open_us.observe(started.elapsed().as_micros() as u64);
             tier_stats = store.tier_stats_handle();
             lane = Some(stores.len());
             stores.push(store);
         }
-        wired.push((tel, lane, tier_stats));
+        wired.push((tel, lane, tier_stats, head, loader));
     }
     let writer = (!stores.is_empty()).then(|| Arc::new(SharedStoreWriter::spawn_stores(stores)));
     Ok(wired
         .into_iter()
-        .map(|(tel, lane, tier_stats)| RunWiring {
+        .map(|(tel, lane, tier_stats, head, _loader)| RunWiring {
             tel,
             sink: lane.zip(writer.clone()).map(|(lane, w)| (w, lane)),
             tier_stats,
+            head,
+            _loader,
         })
         .collect())
 }
@@ -754,66 +779,80 @@ impl Session {
 
     /// Launch a program fresh.
     pub fn launch(&self, program: &dyn MpiProgram) -> StoolResult<RunOutcome> {
-        self.run_alone(program, None)
+        self.run_alone(program, None, false)
     }
 
     /// Restore a checkpointed world image and continue the program —
     /// possibly under a different vendor than it was checkpointed with.
     pub fn restore(&self, image: &WorldImage, program: &dyn MpiProgram) -> StoolResult<RunOutcome> {
-        let mana_cfg = self.mana_config().ok_or_else(|| {
-            StoolError::Config("restoring requires the MANA checkpointer in the session".into())
-        })?;
-        if image.nranks() != self.config.cluster.nranks() {
-            return Err(StoolError::Restore(format!(
-                "image has {} ranks, cluster has {}",
-                image.nranks(),
-                self.config.cluster.nranks()
-            )));
-        }
-        self.run_alone(program, Some((image, mana_cfg)))
+        self.run_alone(program, Some(image), false)
     }
 
     /// Restart from the newest epoch of the session's attached delta
     /// store — under this session's vendor, which may differ from the
     /// vendor the chain was checkpointed under (the paper's headline
-    /// scenario, now directly from deltas on disk).
+    /// scenario, now directly from deltas on disk). A scheduled
+    /// download-fault script makes the hydration path itself flaky
+    /// (torn/failed tier gets while the chain is pulled).
     pub fn restore_from_store(&self, program: &dyn MpiProgram) -> StoolResult<RunOutcome> {
-        let policy = self.config.durability.store.as_ref().ok_or_else(|| {
-            StoolError::Config(
+        if self.config.durability.store.is_none() {
+            return Err(StoolError::Config(
                 "restore_from_store requires a checkpoint store in the durability policy".into(),
-            )
-        })?;
-        // A scheduled download-fault script makes the hydration path
-        // itself flaky (torn/failed tier gets while the chain is pulled).
-        let store = policy.open_store_flaky(&[], &self.config.schedule.tier_gets)?;
-        let image = store.load_latest()?;
-        self.restore(&image, program)
+            ));
+        }
+        self.run_alone(program, None, true)
     }
 
     /// This session as the one run of its own wiring, on a pool as wide
-    /// as its world.
+    /// as its world, restoring `image` or, with `from_head`, the head of
+    /// its own chain.
     fn run_alone(
         &self,
         program: &dyn MpiProgram,
-        restore: Option<(&WorldImage, ManaConfig)>,
+        image: Option<&WorldImage>,
+        from_head: bool,
     ) -> StoolResult<RunOutcome> {
         let pool = WorkerPool::new(self.config.cluster.nranks());
-        let wiring = wire_runs(&[(&self.config, None)], None)?;
-        self.run_inner(program, restore, &pool, &wiring[0])
+        let wiring = wire_runs(&[(&self.config, None)], None, from_head)?;
+        self.run_inner(
+            program,
+            image.or(wiring[0].head.as_ref()),
+            &pool,
+            &wiring[0],
+        )
     }
 
     /// One run over its [`RunWiring`]: the world gang-admits onto `pool`,
     /// checkpoints through the wiring's committer lane, and reports
-    /// through its recorder.
+    /// through its recorder. With `image`, the run restores it: under
+    /// MANA, into a world of the image's size.
     pub(crate) fn run_inner(
         &self,
         program: &dyn MpiProgram,
-        restore: Option<(&WorldImage, ManaConfig)>,
+        image: Option<&WorldImage>,
         pool: &WorkerPool,
         wiring: &RunWiring,
     ) -> StoolResult<RunOutcome> {
         let spec = self.stack_spec();
         let cluster = &self.config.cluster;
+        let restore = match image {
+            None => None,
+            Some(image) => {
+                let mana_cfg = spec.mana.ok_or_else(|| {
+                    StoolError::Config(
+                        "restoring requires the MANA checkpointer in the session".into(),
+                    )
+                })?;
+                if image.nranks() != cluster.nranks() {
+                    return Err(StoolError::Restore(format!(
+                        "image has {} ranks, cluster has {}",
+                        image.nranks(),
+                        cluster.nranks()
+                    )));
+                }
+                Some((image, mana_cfg))
+            }
+        };
         // The recorder is attached to every layer below before any rank
         // starts. On incident (or failure) its merged virtual-clock
         // timeline is dumped at the end of the run.

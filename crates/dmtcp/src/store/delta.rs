@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use simnet::telemetry::Telemetry;
+use simnet::telemetry::{Histogram, Telemetry};
 
 use crate::codec::crc32;
 use crate::image::{RankImage, WorldImage};
@@ -17,6 +17,13 @@ use super::chunk::RankChunks;
 use super::hydrate::TierAttachment;
 use super::manifest::{BlockKey, BlockLoc, Manifest, SectionRefs};
 use super::{EpochStats, StoreConfig, StoreError};
+
+/// The restore path's histograms, in [`DeltaStore`]'s `restore_us` order.
+const RESTORE_US: [&str; 3] = [
+    "store.load.read_us",
+    "store.load.decode_us",
+    "tier.hydrate_us",
+];
 
 /// The stored-block file of an epoch directory.
 pub(crate) const BLOCKS: &str = "blocks.bin";
@@ -105,6 +112,10 @@ pub struct DeltaStore {
     /// Attached flight recorder: commits, GC decisions and quarantines
     /// land on its store lane.
     pub(super) telemetry: Option<Arc<Telemetry>>,
+    /// The restore path's wall-µs histograms on that recorder —
+    /// `blocks.bin` reads, CRC + decode, hydration — registered at attach
+    /// so that a reading neither locks nor allocates.
+    pub(super) restore_us: Option<[Histogram; 3]>,
 }
 
 impl DeltaStore {
@@ -174,6 +185,7 @@ impl DeltaStore {
             stats: Vec::new(),
             tier: None,
             telemetry: None,
+            restore_us: None,
         };
         let mut committed = BTreeSet::new();
         let mut loose: BTreeMap<u64, Vec<String>> = BTreeMap::new();
@@ -214,6 +226,7 @@ impl DeltaStore {
         if let Some(tier) = &self.tier {
             tier.runtime.attach_telemetry(tier.lane, tel.clone());
         }
+        self.restore_us = Some(RESTORE_US.map(|name| tel.metrics().histogram(name)));
         self.telemetry = Some(tel);
     }
 
@@ -796,8 +809,10 @@ impl DeltaStore {
             .ranks
             .iter()
             .flat_map(|(_, _, _, sections)| sections);
+        let started = Instant::now();
         let files =
             self.block_files(locs.flat_map(|(_, blocks)| blocks.iter().map(|(_, l)| l.epoch)));
+        let read = started.elapsed();
         let assemble = |slot: usize, rec: &(usize, usize, u64, Vec<SectionRefs>)| {
             let (rank, nranks, rank_epoch, sections) = rec;
             if *rank != slot {
@@ -834,9 +849,12 @@ impl DeltaStore {
             }
             Ok(img)
         };
-        let ranks = fan_out(&manifest.ranks, self.config.writer_threads, assemble)
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
+        let ranks = fan_out(&manifest.ranks, self.config.writer_threads, assemble);
+        if let Some([read_us, decode_us, _]) = &self.restore_us {
+            read_us.observe(read.as_micros() as u64);
+            decode_us.observe((started.elapsed() - read).as_micros() as u64);
+        }
+        let ranks = ranks.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(WorldImage::new(manifest.vendor_hint, ranks))
     }
 

@@ -209,6 +209,7 @@ impl DeltaStore {
         ns: &str,
         sealed: &BTreeSet<u64>,
     ) -> Result<Vec<u64>, StoreError> {
+        let started = std::time::Instant::now();
         let tier_head = sealed.last().copied();
         let local_head = self.latest();
         // The restore target: the newer of the two heads.
@@ -262,6 +263,9 @@ impl DeltaStore {
         }
         if !installed.is_empty() {
             self.rebuild_head_state()?;
+            if let Some([.., hydrate_us]) = &self.restore_us {
+                hydrate_us.observe(started.elapsed().as_micros() as u64);
+            }
         }
         Ok(installed)
     }
