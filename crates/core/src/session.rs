@@ -120,9 +120,11 @@ impl StorePolicy {
     /// scripts: when either is non-empty, a fault-injection wrapper
     /// ([`dmtcp_sim::FlakyTier`]) sits between the store and its tier
     /// (which it then requires). [`wire_runs`] scripts the run's `puts`
-    /// (torn/failed uploads mid-ship), the restore open scripts `gets`
-    /// (torn/failed downloads during hydration). `tel` is attached before
-    /// the tier, so the open's hydration reports to it.
+    /// (torn/failed uploads mid-ship) and, for a restore from the chain,
+    /// its `gets` (torn/failed downloads during hydration; the first put
+    /// drops what is left of them, so they never reach the shipper).
+    /// `tel` is attached before the tier, so the open's hydration reports
+    /// to it.
     pub(crate) fn open_store_flaky(
         &self,
         puts: &[PutFault],
@@ -638,10 +640,9 @@ pub(crate) struct RunWiring {
     pub sink: Option<(Arc<SharedStoreWriter>, usize)>,
     /// Live view of the run's tier-shipping lane stats.
     pub tier_stats: Option<TierStatsHandle>,
-    /// The chain head, when the run restarts from it.
+    /// The chain head, when the run restarts from it: loaded through the
+    /// handle that becomes the run's committer lane.
     pub head: Option<WorldImage>,
-    /// The handle the head was loaded through, alive for the run.
-    _loader: Option<DeltaStore>,
 }
 
 /// Wire N runs: the only place a run's chain is opened. Each
@@ -652,9 +653,10 @@ pub(crate) struct RunWiring {
 /// storing run's chain is claimed and opened with its private tier
 /// behind the run's upload-fault script, or attached to `shared_tier`
 /// under the tenant's namespace; then every store becomes one lane of a
-/// single committer. With `load_head`, each chain's head is loaded first,
-/// through an open behind the run's download-fault script. A [`Session`]
-/// is the one-run case, a [`crate::cluster::Cluster`] the N-run case.
+/// single committer. With `load_head` the open is also behind the run's
+/// download-fault script, and the chain head is loaded through it before
+/// it becomes the run's lane: one open per restore. A [`Session`] is the
+/// one-run case, a [`crate::cluster::Cluster`] the N-run case.
 pub(crate) fn wire_runs(
     runs: &[(&SessionConfig, Option<&str>)],
     shared_tier: Option<&SharedTier>,
@@ -676,38 +678,34 @@ pub(crate) fn wire_runs(
                 ..TelemetryConfig::default()
             },
         ));
-        let (mut lane, mut tier_stats, mut head, mut loader) = (None, None, None, None);
+        let (mut lane, mut tier_stats, mut head) = (None, None, None);
         if let Some(policy) = &config.durability.store {
             let open_us = tel.metrics().histogram("store.open_us");
-            if load_head {
-                let started = Instant::now();
-                let store = policy.open_store_flaky(&[], &config.schedule.tier_gets, Some(&tel))?;
-                open_us.observe(started.elapsed().as_micros() as u64);
-                head = Some(store.load_latest()?);
-                loader = Some(store);
-            }
             let started = Instant::now();
-            let mut store = policy.open_store_flaky(&config.schedule.tier_puts, &[], Some(&tel))?;
+            let gets = load_head.then_some(&config.schedule.tier_gets[..]);
+            let gets = gets.unwrap_or_default();
+            let mut store =
+                policy.open_store_flaky(&config.schedule.tier_puts, gets, Some(&tel))?;
             if let (Some(shared), Some(id)) = (shared_tier, tenant) {
                 let ns = tenant_namespace(id).map_err(StoreError::Tier)?;
                 store.attach_shared_tier(shared, &ns)?;
             }
             open_us.observe(started.elapsed().as_micros() as u64);
+            head = load_head.then(|| store.load_latest()).transpose()?;
             tier_stats = store.tier_stats_handle();
             lane = Some(stores.len());
             stores.push(store);
         }
-        wired.push((tel, lane, tier_stats, head, loader));
+        wired.push((tel, lane, tier_stats, head));
     }
     let writer = (!stores.is_empty()).then(|| Arc::new(SharedStoreWriter::spawn_stores(stores)));
     Ok(wired
         .into_iter()
-        .map(|(tel, lane, tier_stats, head, _loader)| RunWiring {
+        .map(|(tel, lane, tier_stats, head)| RunWiring {
             tel,
             sink: lane.zip(writer.clone()).map(|(lane, w)| (w, lane)),
             tier_stats,
             head,
-            _loader,
         })
         .collect())
 }
@@ -814,12 +812,8 @@ impl Session {
     ) -> StoolResult<RunOutcome> {
         let pool = WorkerPool::new(self.config.cluster.nranks());
         let wiring = wire_runs(&[(&self.config, None)], None, from_head)?;
-        self.run_inner(
-            program,
-            image.or(wiring[0].head.as_ref()),
-            &pool,
-            &wiring[0],
-        )
+        let image = image.or(wiring[0].head.as_ref());
+        self.run_inner(program, image, &pool, &wiring[0])
     }
 
     /// One run over its [`RunWiring`]: the world gang-admits onto `pool`,

@@ -81,8 +81,10 @@ pub struct DeltaStore {
     config: StoreConfig,
     /// Committed epochs, ascending.
     pub(super) epochs: Vec<u64>,
-    /// Consecutive delta epochs since the last full base.
-    chain_len: usize,
+    /// Consecutive delta epochs since the last full base: `Some(0)` on a
+    /// base head, `None` behind a delta head until the first commit walks
+    /// the chain back (`chain_len()`).
+    chain_len: Option<usize>,
     /// Content index of the chain head: every block the latest epoch
     /// references, so the next commit can dedup against the live image.
     index: HashMap<BlockKey, BlockLoc>,
@@ -176,7 +178,7 @@ impl DeltaStore {
                 ..config
             },
             epochs: Vec::new(),
-            chain_len: 0,
+            chain_len: Some(0),
             index: HashMap::new(),
             section_cache: HashMap::new(),
             own_from: 1,
@@ -241,7 +243,9 @@ impl DeltaStore {
 
     /// Head repair + content-index rebuild: quarantine undecodable heads
     /// until a manifest decodes (or the chain is empty), then rebuild
-    /// the dedup index and chain length from the surviving head.
+    /// the dedup index from the surviving head. Only the head's manifest
+    /// is read: the chain length behind a delta head waits for the first
+    /// commit (`chain_len()`).
     /// Quarantine is reserved for *structural* damage — a manifest that
     /// fails to decode. A transient I/O failure (permissions, fd
     /// exhaustion, a flaky network mount) propagates as an error
@@ -254,59 +258,49 @@ impl DeltaStore {
         self.index.clear();
         self.section_cache.clear();
         self.refs_of.clear();
-        self.chain_len = 0;
-        let store = &mut *self;
-        while let Some(&latest) = store.epochs.last() {
-            let manifest = match store.read_manifest(latest) {
+        self.chain_len = Some(0);
+        while let Some(&latest) = self.epochs.last() {
+            let manifest = match self.read_manifest(latest) {
                 Ok(m) => m,
                 Err(StoreError::Manifest { .. }) => {
-                    store.quarantine(latest)?;
+                    self.quarantine(latest)?;
                     continue;
                 }
                 Err(StoreError::MissingEpoch { .. }) => {
                     // The manifest vanished under us: drop the epoch from
                     // the view, nothing to move aside.
-                    store.epochs.retain(|&e| e != latest);
+                    self.epochs.retain(|&e| e != latest);
                     continue;
                 }
                 Err(err) => return Err(err),
             };
             for (_, _, _, sections) in &manifest.ranks {
-                for (_, blocks) in sections {
-                    for &(key, loc) in blocks {
-                        store.index.insert(key, loc);
-                    }
-                }
+                let refs = sections.iter().flat_map(|(_, blocks)| blocks);
+                self.index.extend(refs.copied());
             }
-            // Chain length = epochs since the newest full base. An
-            // unreadable *older* manifest leaves the head restorable
-            // (manifests are self-contained) but the chain length
-            // unknowable: pin it to `max_chain` so the next commit
-            // starts a fresh full base instead of extending a chain of
-            // unknown depth.
-            store.chain_len = 0;
-            for &e in store.epochs.iter().rev() {
-                let full = if e == latest {
-                    manifest.full
-                } else {
-                    match store.read_manifest(e) {
-                        Ok(m) => m.full,
-                        Err(_) => {
-                            store.chain_len = store.config.max_chain;
-                            break;
-                        }
-                    }
-                };
-                if full {
-                    break;
-                }
-                store.chain_len += 1;
-            }
-            store.refs_of.insert(latest, manifest.referenced_epochs());
+            self.chain_len = manifest.full.then_some(0);
+            self.refs_of.insert(latest, manifest.referenced_epochs());
             break;
         }
         self.own_from = self.latest().map_or(1, |l| l + 1);
         Ok(())
+    }
+
+    /// Chain length = epochs since the newest full base, walked back from
+    /// a delta head by the first commit that needs it. An unreadable
+    /// *older* manifest leaves the head restorable (manifests are
+    /// self-contained) but the chain length unknowable: pin it to
+    /// `max_chain` so the next commit starts a fresh full base instead of
+    /// extending a chain of unknown depth.
+    fn chain_len(&mut self) -> usize {
+        let len = self.chain_len.unwrap_or_else(|| {
+            (self.epochs.iter().rev().skip(1)) // behind the delta head
+                .map(|&e| self.read_manifest(e).map(|m| m.full))
+                .take_while(|full| !matches!(full, Ok(true)))
+                .try_fold(1, |len, full| full.map(|_| len + 1))
+                .unwrap_or(self.config.max_chain)
+        });
+        *self.chain_len.insert(len)
     }
 
     /// Move an epoch whose manifest does not decode aside to
@@ -458,7 +452,7 @@ impl DeltaStore {
             }
         }
         let epoch = self.epochs.last().map_or(1, |&l| l + 1);
-        let full = self.epochs.is_empty() || self.chain_len >= self.config.max_chain;
+        let full = self.epochs.is_empty() || self.chain_len() >= self.config.max_chain;
         let started = Instant::now();
         // A base references nothing older: it dedups only within itself.
         // It still uses what the handle knows of the content — a clean
@@ -662,7 +656,7 @@ impl DeltaStore {
         self.index
             .extend(planned.iter().map(|(&key, &i)| (key, new_locs[i])));
         self.epochs.push(epoch);
-        self.chain_len = if full { 0 } else { self.chain_len + 1 };
+        self.chain_len = Some(if full { 0 } else { self.chain_len() + 1 });
         self.section_cache = new_cache;
         self.refs_of.insert(epoch, refs);
         // Queue the sealed epoch for upload before GC runs: the epoch is

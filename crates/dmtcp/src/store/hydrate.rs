@@ -118,15 +118,14 @@ impl DeltaStore {
         if let Some(tel) = &self.telemetry {
             runtime.attach_telemetry(lane, tel.clone());
         }
-        self.tier = Some(TierAttachment { runtime, lane, ns });
-        let att = self.tier.as_ref().expect("tier just attached");
-        let ns = att.ns.clone();
+        self.tier = Some(TierAttachment {
+            runtime: runtime.clone(),
+            lane,
+            ns: ns.clone(),
+        });
         let hydrated = self.hydrate_with(&*tier, config, &ns, &sealed)?;
-        let att = self.tier.as_ref().expect("tier just attached");
-        for &e in &self.epochs {
-            if !durable.contains(&e) {
-                att.runtime.enqueue(att.lane, e);
-            }
+        for &e in self.epochs.iter().filter(|e| !durable.contains(e)) {
+            runtime.enqueue(lane, e);
         }
         Ok(hydrated)
     }
@@ -250,12 +249,9 @@ impl DeltaStore {
                 // get worse: leave the gap for load-time reporting.
                 continue;
             }
-            let (blocks, manifest) = match fetched_target.take() {
-                Some(pair) if epoch == target => pair,
-                other => {
-                    fetched_target = other;
-                    fetch_sealed_epoch(tier, config, ns, epoch)?
-                }
+            let (blocks, manifest) = match fetched_target.take_if(|_| epoch == target) {
+                Some(pair) => pair,
+                None => fetch_sealed_epoch(tier, config, ns, epoch)?,
             };
             self.publish(epoch, &blocks, &manifest)?;
             self.adopt_epoch(epoch)?;

@@ -556,8 +556,10 @@ pub enum GetFault {
 /// Faults come from three sources: a FIFO *script* of [`PutFault`]s
 /// consumed one per put, a FIFO script of [`GetFault`]s consumed one per
 /// get, and a *hold-all* switch that blocks every put until
-/// [`FlakyTier::release`]. Lists and deletes pass straight through to
-/// the inner tier.
+/// [`FlakyTier::release`]. The get script scripts a download window:
+/// the first put drops whatever is left of it, so faults meant for
+/// hydration never reach a shipper's read-back verification. Lists and
+/// deletes pass straight through to the inner tier.
 pub struct FlakyTier {
     inner: Arc<dyn ObjectTier>,
     state: Mutex<FlakyState>,
@@ -598,7 +600,7 @@ impl FlakyTier {
     }
 
     /// Append faults to the get script; each subsequent `get` consumes
-    /// one.
+    /// one, until the next `put` drops the rest.
     pub fn script_gets(&self, faults: impl IntoIterator<Item = GetFault>) {
         self.state
             .lock()
@@ -641,6 +643,7 @@ impl ObjectTier for FlakyTier {
         let fault = {
             let mut st = self.state.lock().expect("flaky lock");
             st.puts += 1;
+            st.get_script.clear();
             let fault = st.script.pop_front().or({
                 if st.hold_all && !st.released {
                     Some(PutFault::Hold)
