@@ -3,12 +3,12 @@
 
 use mpi_stool::abi::Handle;
 use mpi_stool::apps::{CoMdMini, OsuKernel, OsuLatency, WaveMpi};
-use mpi_stool::dmtcp::{CkptMode, DeltaStore, StoreConfig, TierConfig, WorldImage};
+use mpi_stool::dmtcp::{CkptMode, DeltaStore, GetFault, StoreConfig, TierConfig, WorldImage};
 use mpi_stool::simnet::{ClusterSpec, Interconnect, KernelVersion, VirtualTime};
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{
-    AppCtx, Checkpointer, DurabilityPolicy, Memory, MpiProgram, Session, StoolResult, StorePolicy,
-    TierPolicy, Vendor,
+    AppCtx, Checkpointer, DurabilityPolicy, FaultSchedule, Memory, MetricValue, MpiProgram,
+    Session, StoolResult, StorePolicy, TierPolicy, Vendor,
 };
 use std::path::Path;
 
@@ -752,4 +752,108 @@ fn checkpoint_at_every_step_gives_same_answer() {
         let got = restore_under(&program, &image, Vendor::Mpich);
         assert_memories_equal(&expect, &got);
     }
+}
+
+/// The number of readings of histogram `name` in a run's recorder.
+fn readings(session: &Session, name: &str) -> u64 {
+    let metrics = session.telemetry().expect("the session ran").metrics();
+    match metrics.get(name) {
+        Some(MetricValue::Histogram { count, .. }) => *count,
+        other => panic!("{name}: expected a histogram, got {other:?}"),
+    }
+}
+
+/// A stopped run of `program` under Open MPI that left its chain in
+/// `dir`, shipped to `tier_dir`: the epochs it sealed.
+fn shipped_chain(program: &RingPings, dir: &Path, tier_dir: &Path) -> u64 {
+    let _ = std::fs::remove_dir_all(dir);
+    let _ = std::fs::remove_dir_all(tier_dir);
+    let session = Session::builder()
+        .cluster(cluster())
+        .vendor(Vendor::OpenMpi)
+        .checkpointer(Checkpointer::mana())
+        .checkpoint_every(2)
+        .checkpoint_at_step(7, CkptMode::Stop)
+        .durability(stored(dir, StoreConfig::default(), Some(tier_dir)))
+        .build()
+        .unwrap();
+    session.launch(program).unwrap().into_image().unwrap();
+    let tier = session.telemetry().unwrap().tier.unwrap();
+    assert_eq!(tier.ship_failures, 0);
+    tier.epochs_shipped
+}
+
+#[test]
+fn restore_from_store_opens_its_chain_once() {
+    // A restart from the tier alone: the one open hydrates the chain,
+    // the head is loaded through it, and it commits the run.
+    let program = RingPings {
+        rounds: 12,
+        payload: 16,
+    };
+    let expect = reference_memories(&program, Vendor::OpenMpi);
+    let pid = std::process::id();
+    let dir = std::env::temp_dir().join(format!("stool-open-once-{pid}"));
+    let tier_dir = std::env::temp_dir().join(format!("stool-open-once-tier-{pid}"));
+    assert!(shipped_chain(&program, &dir, &tier_dir) >= 3);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let session = Session::builder()
+        .cluster(cluster())
+        .vendor(Vendor::Mpich)
+        .checkpointer(Checkpointer::mana())
+        .durability(stored(&dir, StoreConfig::default(), Some(&tier_dir)))
+        .build()
+        .unwrap();
+    let got = session.restore_from_store(&program).unwrap();
+    assert_memories_equal(&expect, got.memories().unwrap());
+    for name in [
+        "store.open_us",
+        "tier.hydrate_us",
+        "store.load.read_us",
+        "store.load.decode_us",
+    ] {
+        assert_eq!(readings(&session, name), 1, "{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&tier_dir).ok();
+}
+
+#[test]
+fn download_faults_left_over_by_hydration_never_reach_the_shipper() {
+    // Every seal download is torn, so the open finds nothing sealed and
+    // queues the whole local chain for upload again; three more torn
+    // downloads are scripted than the open makes. The run's shipper
+    // re-ships the chain through the same handle, and its read-back
+    // verification must see none of them.
+    let program = RingPings {
+        rounds: 12,
+        payload: 16,
+    };
+    let expect = reference_memories(&program, Vendor::OpenMpi);
+    let pid = std::process::id();
+    let dir = std::env::temp_dir().join(format!("stool-gets-left-{pid}"));
+    let tier_dir = std::env::temp_dir().join(format!("stool-gets-left-tier-{pid}"));
+    let sealed = shipped_chain(&program, &dir, &tier_dir);
+    assert!(sealed >= 3);
+
+    let session = Session::builder()
+        .cluster(cluster())
+        .vendor(Vendor::Mpich)
+        .checkpointer(Checkpointer::mana())
+        .durability(stored(&dir, StoreConfig::default(), Some(&tier_dir)))
+        .fault_schedule(FaultSchedule {
+            tier_gets: vec![GetFault::Torn; sealed as usize + 3],
+            ..FaultSchedule::default()
+        })
+        .build()
+        .unwrap();
+    let got = session.restore_from_store(&program).unwrap();
+    assert_memories_equal(&expect, got.memories().unwrap());
+    let tier = session.telemetry().unwrap().tier.unwrap();
+    assert_eq!(tier.epochs_shipped, sealed, "the chain is shipped again");
+    assert_eq!(tier.put_retries, 0, "no injected get reached a read-back");
+    assert_eq!(tier.ship_failures, 0);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&tier_dir).ok();
 }
