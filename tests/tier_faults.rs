@@ -6,9 +6,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use mpi_stool::apps::WaveMpi;
 use mpi_stool::dmtcp::{
     DeltaStore, FlakyTier, FsTier, GetFault, ObjectTier, PutFault, RankImage, SharedStoreWriter,
     StoreConfig, StoreError, TierConfig, TierError, WorldImage,
+};
+use mpi_stool::simnet::ClusterSpec;
+use mpi_stool::stool::{
+    Checkpointer, DurabilityPolicy, FaultSchedule, RunOutcome, Session, StorePolicy, TierPolicy,
 };
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -570,4 +575,59 @@ fn unreachable_tier_surfaces_timeout_at_the_retry_deadline() {
     );
     std::fs::remove_dir_all(&store_dir).ok();
     std::fs::remove_dir_all(&tier_dir).unwrap();
+}
+
+#[test]
+fn a_killed_runs_salvage_ships_nothing_past_its_sticky_shipper() {
+    // One scripted upload failure at one attempt makes the run's shipper
+    // sticky; the node kill then salvages the chain head. Nothing may
+    // reach the tier behind the run's recorder: no seal, and the
+    // snapshot's count of shipped epochs stays at zero.
+    let root = tmp_dir("salvage_sticky");
+    let tier_dir = root.join("tier");
+    let mut store = StorePolicy::new(root.join("chain"));
+    store.tier = Some(TierPolicy {
+        dir: tier_dir.clone(),
+        config: TierConfig {
+            max_attempts: 1,
+            backoff: Duration::from_millis(1),
+            ..TierConfig::default()
+        },
+    });
+    let session = Session::builder()
+        .cluster(ClusterSpec::builder().nodes(2).ranks_per_node(3).build())
+        .checkpointer(Checkpointer::mana())
+        .checkpoint_every(20)
+        .durability(DurabilityPolicy {
+            store: Some(store),
+            ..DurabilityPolicy::default()
+        })
+        .fault_schedule(
+            FaultSchedule::default()
+                .tier_put_faults([PutFault::Fail])
+                .kill_nodes(75, [1]),
+        )
+        .build()
+        .unwrap();
+    let solver = WaveMpi {
+        npoints: 900,
+        nsteps: 100,
+        ..WaveMpi::default()
+    };
+    let outcome = session.launch(&solver).unwrap();
+    assert!(
+        matches!(outcome, RunOutcome::Failed { image: Some(_), .. }),
+        "the kill fails the run, and its last epoch is salvaged"
+    );
+    let tier = FsTier::open(&tier_dir).unwrap();
+    let seals: Vec<String> = tier
+        .list("")
+        .unwrap()
+        .into_iter()
+        .filter(|k| k.ends_with("/seal"))
+        .collect();
+    assert!(seals.is_empty(), "the tier holds seals: {seals:?}");
+    let stats = session.telemetry().unwrap().tier.unwrap();
+    assert_eq!(stats.epochs_shipped, 0, "{stats:?}");
+    std::fs::remove_dir_all(&root).unwrap();
 }
