@@ -194,8 +194,9 @@ pub struct TenantReport {
     /// (fault plan, store error, rank panic) leaves its siblings'
     /// outcomes intact.
     pub outcome: StoolResult<RunOutcome>,
-    /// Per-epoch commit statistics of the tenant's lane, in commit
-    /// order (empty when the tenant attached no store).
+    /// Per-epoch commit statistics of the tenant's run, in commit order,
+    /// as its telemetry snapshot reports them (empty when the tenant
+    /// attached no store).
     pub epochs: Vec<EpochStats>,
     /// How many of the tenant's submits blocked on its own full queue.
     pub quota_waits: u64,
@@ -307,19 +308,16 @@ impl Cluster {
 
         let mut tenants = BTreeMap::new();
         for ((tenant, outcome), wiring) in self.tenants.iter().zip(outcomes).zip(&wirings) {
-            let (epochs, quota_waits, store_error) = match &wiring.sink {
-                Some((w, lane)) => (
-                    w.lane_stats(*lane),
-                    w.quota_waits(*lane),
-                    w.lane_error(*lane),
-                ),
-                None => (Vec::new(), 0, None),
+            let (quota_waits, store_error) = match &wiring.sink {
+                Some((w, lane)) => (w.quota_waits(*lane), w.lane_error(*lane)),
+                None => (0, None),
             };
+            let snapshot = tenant.session.telemetry();
             tenants.insert(
                 tenant.id.clone(),
                 TenantReport {
                     outcome,
-                    epochs,
+                    epochs: snapshot.map(|s| s.epochs).unwrap_or_default(),
                     quota_waits,
                     store_error,
                 },

@@ -11,7 +11,7 @@ use dmtcp_sim::replica::{Clock, ReplicaConfig, ReplicaGroup, SystemClock};
 use dmtcp_sim::store::{DeltaStore, SharedStoreWriter, StoreConfig, StoreError, TenantSink};
 use dmtcp_sim::tier::{
     tenant_namespace, FlakyTier, FsTier, GetFault, ObjectTier, PutFault, SharedTier, TierConfig,
-    TierError, TierStatsHandle,
+    TierError,
 };
 use mana_sim::ckpt::restore_rank;
 use mana_sim::ManaConfig;
@@ -631,15 +631,13 @@ pub struct ResilienceReport {
 
 /// What one run is wired to before its world starts: its flight
 /// recorder, its lane of the committer (if it checkpoints through a
-/// store), a live view of its tier-shipping lane (if it ships) and, for
-/// a restart from the chain, the chain head it restores.
+/// store; the lane holds the run's one handle on its chain) and, for a
+/// restart from the chain, the chain head it restores.
 pub(crate) struct RunWiring {
     /// The run's flight recorder, tagged with the tenant id in a cluster.
     pub tel: Arc<Telemetry>,
     /// The committer and this run's lane in it.
     pub sink: Option<(Arc<SharedStoreWriter>, usize)>,
-    /// Live view of the run's tier-shipping lane stats.
-    pub tier_stats: Option<TierStatsHandle>,
     /// The chain head, when the run restarts from it: loaded through the
     /// handle that becomes the run's committer lane.
     pub head: Option<WorldImage>,
@@ -678,7 +676,7 @@ pub(crate) fn wire_runs(
                 ..TelemetryConfig::default()
             },
         ));
-        let (mut lane, mut tier_stats, mut head) = (None, None, None);
+        let (mut lane, mut head) = (None, None);
         if let Some(policy) = &config.durability.store {
             let open_us = tel.metrics().histogram("store.open_us");
             let started = Instant::now();
@@ -692,19 +690,17 @@ pub(crate) fn wire_runs(
             }
             open_us.observe(started.elapsed().as_micros() as u64);
             head = load_head.then(|| store.load_latest()).transpose()?;
-            tier_stats = store.tier_stats_handle();
             lane = Some(stores.len());
             stores.push(store);
         }
-        wired.push((tel, lane, tier_stats, head));
+        wired.push((tel, lane, head));
     }
     let writer = (!stores.is_empty()).then(|| Arc::new(SharedStoreWriter::spawn_stores(stores)));
     Ok(wired
         .into_iter()
-        .map(|(tel, lane, tier_stats, head)| RunWiring {
+        .map(|(tel, lane, head)| RunWiring {
             tel,
             sink: lane.zip(writer.clone()).map(|(lane, w)| (w, lane)),
-            tier_stats,
             head,
         })
         .collect())
@@ -895,7 +891,6 @@ impl Session {
         // completed epoch at the rendezvous barrier and persists it as a
         // delta chain on the run's lane while the ranks run on.
         let sink = &wiring.sink;
-        let tier_stats = &wiring.tier_stats;
         if let (Some(coord), Some((writer, lane))) = (&coordinator, sink) {
             let tenant_sink = Arc::new(TenantSink::new(writer.clone(), *lane));
             coord.attach_sink(tenant_sink, self.config.vendor.name());
@@ -953,22 +948,21 @@ impl Session {
         });
 
         // Every submitted epoch must be durable before the outcome is
-        // inspected (restart may read the chain immediately). Flushed
-        // even when the run failed, so the telemetry snapshot and the
-        // crash dump below see the final store/tier state.
-        let flush_result = match sink {
-            Some((writer, lane)) => writer.flush_lane(*lane),
-            None => Ok(()),
+        // inspected (restart may read the chain immediately). Retired
+        // even when the run failed: the committer hands the run's store
+        // back, so the telemetry snapshot, the crash dump and the salvage
+        // below see the final store/tier state through the one handle.
+        let (flush_result, store) = match sink {
+            Some((writer, lane)) => writer.retire(*lane),
+            None => (Ok(()), None),
         };
         // Local durability settled; now drain the background tier shipper
         // too, so the snapshot below reports final shipping statistics
         // (upload retries included) instead of racing the thread. A
         // sticky ship error is not a run error — it shows up as
         // `ship_failures`/`TierFail` in the telemetry it exists to feed.
-        if flush_result.is_ok() {
-            if let Some(handle) = tier_stats {
-                let _ = handle.wait_durable();
-            }
+        if let (Ok(()), Some(store)) = (&flush_result, &store) {
+            let _ = store.tier_flush();
         }
 
         // Fold any lock-discipline findings (cycles, guards carried into
@@ -998,11 +992,8 @@ impl Session {
         };
         let snapshot = TelemetrySnapshot {
             recorder: tel.clone(),
-            epochs: match sink {
-                Some((writer, lane)) => writer.lane_stats(*lane),
-                None => Vec::new(),
-            },
-            tier: tier_stats.as_ref().map(|h| h.stats()),
+            epochs: store.as_ref().map_or_else(Vec::new, |s| s.stats().to_vec()),
+            tier: store.as_ref().and_then(DeltaStore::tier_stats),
             replica: coordinator
                 .as_ref()
                 .and_then(|c| c.replicas())
@@ -1018,20 +1009,18 @@ impl Session {
         flush_result.map_err(StoolError::Store)?;
         // Collect the image of the last checkpoint this run completed:
         // from the staging area, or — when the store consumed the staged
-        // images at the rendezvous — by rebuilding the chain head.
+        // images at the rendezvous — by loading the chain head through
+        // the run's own store.
         let collect_image = |c: &Coordinator| -> StoolResult<Option<WorldImage>> {
             if c.completed_epoch() == 0 {
                 return Ok(None);
             }
-            match &self.config.durability.store {
-                Some(policy) => {
-                    let store = policy.open_store().map_err(StoolError::Store)?;
-                    match store.load_latest() {
-                        Ok(img) => Ok(Some(img)),
-                        Err(StoreError::Empty) => Ok(None),
-                        Err(e) => Err(StoolError::Store(e)),
-                    }
-                }
+            match &store {
+                Some(store) => match store.load_latest() {
+                    Ok(img) => Ok(Some(img)),
+                    Err(StoreError::Empty) => Ok(None),
+                    Err(e) => Err(StoolError::Store(e)),
+                },
                 None => Ok(c.take_world_image(self.config.vendor.name())),
             }
         };

@@ -12,7 +12,8 @@
 //! * a round-robin cursor parked one past the lane served, so one lane's
 //!   backlog cannot starve the others;
 //! * a global hold (nothing is dispatched while it is set);
-//! * a flush that waits until a lane is idle or has failed;
+//! * a flush that waits until a lane is idle or has failed, and a
+//!   retire that flushes a lane, closes it and hands its state back;
 //! * a count of submits that blocked on `LaneWorker::BOUND`;
 //! * close, drain and join on drop.
 //!
@@ -50,6 +51,8 @@ struct Queue<J, E> {
     error: Option<E>,
     /// Submits that blocked on the bound.
     blocked: u64,
+    /// Retired: later submits fail as on a closed mux.
+    closed: bool,
 }
 
 /// A `LaneMux`'s dispatch state, with no lock inside: per-lane queues,
@@ -82,6 +85,7 @@ impl<J, E> Dispatch<J, E> {
             in_flight: false,
             error: None,
             blocked: 0,
+            closed: false,
         });
         self.lanes.len() - 1
     }
@@ -137,8 +141,7 @@ struct State<W: LaneWorker> {
 }
 
 /// The shared half of a [`LaneMux`]: its state under one lock and the
-/// condvar every wait sleeps on. An `Arc` of it reads the lanes without
-/// keeping the thread alive.
+/// condvar every wait sleeps on.
 pub(crate) struct Lanes<W: LaneWorker> {
     state: Mutex<State<W>>,
     cv: Condvar,
@@ -169,7 +172,7 @@ impl<W: LaneWorker> Lanes<W> {
             if let Some(e) = &queue.error {
                 return Err(Some(e.clone()));
             }
-            if closed {
+            if closed || queue.closed {
                 return Err(None);
             }
             if queue.jobs.len() < W::BOUND {
@@ -188,14 +191,39 @@ impl<W: LaneWorker> Lanes<W> {
     /// Wait until `lane` has nothing queued or running, or has failed.
     /// Returns the lane's sticky error, if any.
     pub fn flush(&self, lane: usize) -> Result<(), W::Error> {
+        self.idle(lane).1
+    }
+
+    /// [`Lanes::flush`] `lane`, then close it to later submits and apply
+    /// `take` to its state, under the lock the flush ended in. Every
+    /// other lane runs on.
+    pub fn retire<R>(
+        &self,
+        lane: usize,
+        take: impl FnOnce(&mut W::Lane) -> R,
+    ) -> (Result<(), W::Error>, R) {
+        let (mut st, flushed) = self.idle(lane);
+        st.dispatch.lanes[lane].closed = true;
+        (flushed, take(&mut st.lanes[lane]))
+    }
+
+    /// Every lane's state, taken out in lane order.
+    pub fn take_all(&self) -> Vec<W::Lane> {
+        std::mem::take(&mut self.lock().lanes)
+    }
+
+    /// Wait until `lane` is idle or has failed; returns the lock with
+    /// the lane's sticky error, if any.
+    fn idle(&self, lane: usize) -> (MutexGuard<'_, State<W>>, Result<(), W::Error>) {
         let mut st = self.lock();
         loop {
             let queue = &st.dispatch.lanes[lane];
             if let Some(e) = &queue.error {
-                return Err(e.clone());
+                let e = e.clone();
+                return (st, Err(e));
             }
             if queue.jobs.is_empty() && !queue.in_flight {
-                return Ok(());
+                return (st, Ok(()));
             }
             st = self.cv.wait(st).expect("lane mux wait");
         }
@@ -250,7 +278,7 @@ impl<W: LaneWorker> Lanes<W> {
 /// One background thread draining N lanes of [`LaneWorker::Job`]s. See
 /// the [module docs](self).
 pub(crate) struct LaneMux<W: LaneWorker> {
-    /// The lanes; clone the `Arc` to read them from elsewhere.
+    /// The lanes, shared with the thread.
     pub(crate) lanes: Arc<Lanes<W>>,
     thread: Option<JoinHandle<W>>,
 }

@@ -79,5 +79,5 @@ pub use store::{
 };
 pub use tier::{
     tenant_namespace, FlakyTier, FsTier, GetFault, MemTier, ObjectTier, PutFault, SharedTier,
-    TierConfig, TierError, TierStats, TierStatsHandle,
+    TierConfig, TierError, TierStats,
 };

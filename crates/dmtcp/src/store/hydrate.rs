@@ -158,14 +158,6 @@ impl DeltaStore {
         self.tier.as_ref().map(|t| t.runtime.stats(t.lane))
     }
 
-    /// A cloneable live view of the shipper's statistics, if a tier is
-    /// attached. Survives the store moving into the background writer
-    /// thread ([`SharedStoreWriter::spawn_stores`]), which is how a
-    /// session keeps reporting tier stats in its telemetry snapshot.
-    pub fn tier_stats_handle(&self) -> Option<crate::tier::TierStatsHandle> {
-        self.tier.as_ref().map(|t| t.runtime.stats_handle(t.lane))
-    }
-
     /// After an epoch is reinstated locally, drop its stale `.bad` twin
     /// (if any, manifest first) and its quarantine listing, and splice
     /// it into the chain view.

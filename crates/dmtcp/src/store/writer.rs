@@ -6,23 +6,22 @@ use crate::coordinator::ImageSink;
 use crate::image::WorldImage;
 use crate::lanes::{LaneMux, LaneWorker, Lanes};
 
-use super::{DeltaStore, EpochStats, StoreError};
+use super::{DeltaStore, StoreError};
 
 /// Epochs a lane may hold queued before its next submit blocks: the
 /// double buffer. A lane pins at most `QUEUE_DEPTH + 1` world images in
 /// memory, the queued ones and the one being committed.
 pub const QUEUE_DEPTH: usize = 2;
 
-/// The committer thread's worker: it owns every lane's store.
-struct Committer {
-    stores: Vec<DeltaStore>,
-}
+/// The committer thread's worker. A lane's state is its store, which
+/// leaves the lane only while one of its epochs commits.
+struct Committer;
 
 impl LaneWorker for Committer {
     const NAME: &'static str = "ckpt-store-writer";
     const BOUND: usize = QUEUE_DEPTH;
     type Job = WorldImage;
-    type Lane = Vec<EpochStats>;
+    type Lane = Option<DeltaStore>;
     type Error = StoreError;
 
     fn run(
@@ -31,7 +30,9 @@ impl LaneWorker for Committer {
         lane: usize,
         image: WorldImage,
     ) -> Result<(), StoreError> {
-        let store = &mut self.stores[lane];
+        let mut store = lanes
+            .with_lane(lane, Option::take)
+            .expect("a dispatched lane holds its store");
         let result = store.commit(&image);
         if result.is_err() {
             // A failing sink is a flight-recorder incident: record it
@@ -50,20 +51,22 @@ impl LaneWorker for Committer {
                 tel.note_incident();
             }
         }
-        let stats = result?;
-        lanes.with_lane(lane, |committed| committed.push(stats));
-        Ok(())
+        // Back before the lane goes idle, so a flush or a retire that
+        // sees it idle finds its store, a failed commit's too.
+        lanes.with_lane(lane, |slot| *slot = Some(store));
+        result.map(|_| ())
     }
 }
 
 /// The multi-tenant asynchronous face of the store: ONE background
-/// committer thread owns every tenant's [`DeltaStore`] and drains their
+/// committer thread holds every tenant's [`DeltaStore`] and drains their
 /// submit queues fair-share round-robin (a `LaneMux`). Per lane,
-/// everything is scoped to the tenant: its queue of at most
-/// [`QUEUE_DEPTH`] epochs, its sticky error, its [`EpochStats`]. A lane
-/// whose commit failed is never dispatched again, so no image queued
-/// behind the failure reaches the chain. A single session is the
-/// one-lane case.
+/// everything is scoped to the tenant: its store, its queue of at most
+/// [`QUEUE_DEPTH`] epochs and its sticky error. A lane whose commit
+/// failed is never dispatched again, so no image queued behind the
+/// failure reaches the chain. [`SharedStoreWriter::retire`] hands one
+/// lane's store back while the other lanes commit on. A single session
+/// is the one-lane case.
 pub struct SharedStoreWriter {
     mux: LaneMux<Committer>,
 }
@@ -71,9 +74,9 @@ pub struct SharedStoreWriter {
 impl SharedStoreWriter {
     /// Spawn the committer over one store per lane, in lane order.
     pub fn spawn_stores(stores: Vec<DeltaStore>) -> SharedStoreWriter {
-        let lanes = vec![Vec::new(); stores.len()];
+        let lanes = stores.into_iter().map(Some).collect();
         SharedStoreWriter {
-            mux: LaneMux::spawn(Committer { stores }, lanes),
+            mux: LaneMux::spawn(Committer, lanes),
         }
     }
 
@@ -111,9 +114,13 @@ impl SharedStoreWriter {
         self.mux.lanes.flush(lane)
     }
 
-    /// Stats of the epochs committed on `lane` so far, in commit order.
-    pub fn lane_stats(&self, lane: usize) -> Vec<EpochStats> {
-        self.mux.lanes.with_lane(lane, |stats| stats.clone())
+    /// Flush `lane`, then take its store out: a later submit on it
+    /// fails with [`StoreError::Closed`], while every other lane commits
+    /// on. Returns the flush result and the store, which a failed lane
+    /// hands back too (the chain on disk is still the restart source);
+    /// `None` once the lane is retired.
+    pub fn retire(&self, lane: usize) -> (Result<(), StoreError>, Option<DeltaStore>) {
+        self.mux.lanes.retire(lane, Option::take)
     }
 
     /// The lane's sticky error, if its commits have failed.
@@ -122,15 +129,13 @@ impl SharedStoreWriter {
     }
 
     /// Close every queue, drain the lanes that have not failed, join the
-    /// committer and hand back the underlying stores in lane order.
+    /// committer and hand back the stores not retired, in lane order.
     /// Lanes with a sticky error return their store too — the chain on
     /// disk is still the restart source; read the error first via
     /// [`SharedStoreWriter::lane_error`].
     pub fn finish(mut self) -> Result<Vec<DeltaStore>, StoreError> {
-        self.mux
-            .join()
-            .map(|committer| committer.stores)
-            .ok_or(StoreError::Closed)
+        self.mux.join().ok_or(StoreError::Closed)?;
+        Ok(self.mux.lanes.take_all().into_iter().flatten().collect())
     }
 }
 
@@ -176,11 +181,10 @@ mod tests {
             writer.submit(0, image(e, 3, e as u8, 1200)).unwrap();
         }
         writer.flush_lane(0).unwrap();
-        let stats = writer.lane_stats(0);
+        let store = writer.finish().unwrap().pop().unwrap();
+        let stats = store.stats();
         assert_eq!(stats.len(), 3);
         assert!(stats[0].full && !stats[1].full && !stats[2].full);
-        let store = writer.finish().unwrap().pop().unwrap();
-        assert_eq!(store.stats(), stats);
         assert_eq!(store.load_latest().unwrap(), image(3, 3, 3, 1200));
         std::fs::remove_dir_all(&dir).unwrap();
     }

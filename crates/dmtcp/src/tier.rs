@@ -884,33 +884,6 @@ impl LaneWorker for Shipper {
     }
 }
 
-/// A cloneable live view of one lane's [`TierStats`], detached from
-/// the store that owns the shipper. Lets a session keep reading
-/// shipping statistics after the store has moved into the background
-/// writer thread ([`crate::store::SharedStoreWriter`]).
-#[derive(Clone)]
-pub struct TierStatsHandle {
-    lanes: Arc<Lanes<Shipper>>,
-    lane: usize,
-}
-
-impl TierStatsHandle {
-    /// The lane's shipping statistics right now.
-    pub fn stats(&self) -> TierStats {
-        self.lanes.with_lane(self.lane, |l| l.stats)
-    }
-
-    /// Block until every upload queued on this lane so far is durable or
-    /// the lane's sticky error is set (the shipper's flush). Unlike
-    /// `DeltaStore::tier_flush` this works after the store has moved
-    /// into the writer thread — sessions drain the shipper through it so
-    /// a telemetry snapshot sees final shipping statistics instead of
-    /// racing the background thread.
-    pub fn wait_durable(&self) -> Result<(), TierError> {
-        self.lanes.flush(self.lane)
-    }
-}
-
 /// The live tier attachment of one or many [`crate::store::DeltaStore`]s: the tier
 /// handle, its config, and ONE background shipper thread (a
 /// [`LaneMux`]) multiplexing sealed-epoch uploads from every registered
@@ -981,15 +954,6 @@ impl TierRuntime {
     /// Shipping statistics of `lane` so far.
     pub(crate) fn stats(&self, lane: usize) -> TierStats {
         self.mux.lanes.with_lane(lane, |l| l.stats)
-    }
-
-    /// A cloneable handle that keeps reading one lane's live statistics
-    /// after the owning store has moved to another thread.
-    pub(crate) fn stats_handle(&self, lane: usize) -> TierStatsHandle {
-        TierStatsHandle {
-            lanes: self.mux.lanes.clone(),
-            lane,
-        }
     }
 }
 

@@ -257,13 +257,13 @@ fn quota_backpressure_throttles_only_the_over_budget_tenant() {
     blocked.join().unwrap().unwrap();
     writer.flush_lane(0).unwrap();
     writer.flush_lane(1).unwrap();
-    assert_eq!(writer.lane_stats(0).len(), 3);
-    assert_eq!(writer.lane_stats(1).len(), 1);
     assert!(writer.quota_waits(0) >= 1);
 
     let writer = Arc::try_unwrap(writer).ok().expect("sole owner");
     let stores = writer.finish().unwrap();
     assert_eq!(stores.len(), 2);
+    assert_eq!(stores[0].stats().len(), 3);
+    assert_eq!(stores[1].stats().len(), 1);
     assert_eq!(stores[0].epochs(), vec![1, 2, 3]);
     assert_eq!(stores[1].epochs(), vec![1]);
 }
@@ -310,9 +310,10 @@ fn sticky_commit_errors_latch_per_lane() {
 
     // Lane 1 never notices.
     writer.submit(1, world_image(1, 2, 3)).unwrap();
-    writer.flush_lane(1).unwrap();
+    let (flushed, store_b) = writer.retire(1);
+    flushed.unwrap();
     assert!(writer.lane_error(1).is_none());
-    assert_eq!(writer.lane_stats(1).len(), 1);
+    assert_eq!(store_b.unwrap().stats().len(), 1);
 }
 
 #[test]
