@@ -205,4 +205,82 @@ mod tests {
         assert!(matches!(err, StoreError::InconsistentImage(_)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// Two lanes over their own chains under `tag`.
+    fn two_lane_writer(tag: &str) -> (SharedStoreWriter, [std::path::PathBuf; 2]) {
+        let dirs = [tmp_dir(&format!("{tag}_a")), tmp_dir(&format!("{tag}_b"))];
+        let stores = dirs
+            .iter()
+            .map(|d| DeltaStore::open_with(d, small_cfg()).unwrap())
+            .collect();
+        (SharedStoreWriter::spawn_stores(stores), dirs)
+    }
+
+    #[test]
+    fn retire_flushes_and_hands_the_store_back() {
+        let dir = tmp_dir("retire");
+        let writer = one_lane_writer(&dir);
+        for e in 1..=2 {
+            writer.submit(0, image(e, 2, e as u8, 600)).unwrap();
+        }
+        let (flushed, store) = writer.retire(0);
+        flushed.unwrap();
+        let store = store.expect("the lane's store");
+        assert_eq!(store.stats().len(), 2);
+        assert_eq!(store.load_latest().unwrap(), image(2, 2, 2, 600));
+        // Retired once: the lane holds no store any more.
+        assert!(writer.retire(0).1.is_none());
+        assert!(writer.finish().unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_submit_after_retiring_fails_closed() {
+        let dir = tmp_dir("retire_closed");
+        let writer = one_lane_writer(&dir);
+        let (flushed, store) = writer.retire(0);
+        flushed.unwrap();
+        let err = writer.submit(0, image(1, 2, 1, 100)).unwrap_err();
+        assert!(matches!(err, StoreError::Closed), "{err:?}");
+        assert!(store.unwrap().stats().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_neighbouring_lane_commits_on_after_a_retire() {
+        let (writer, dirs) = two_lane_writer("retire_neighbour");
+        writer.submit(0, image(1, 2, 1, 300)).unwrap();
+        let (flushed, store_a) = writer.retire(0);
+        flushed.unwrap();
+        for e in 1..=3 {
+            writer.submit(1, image(e, 2, e as u8, 300)).unwrap();
+        }
+        writer.flush_lane(1).unwrap();
+        assert_eq!(store_a.unwrap().stats().len(), 1);
+        let stores = writer.finish().unwrap();
+        assert_eq!(stores.len(), 1);
+        assert_eq!(stores[0].stats().len(), 3);
+        assert_eq!(stores[0].epochs(), vec![1, 2, 3]);
+        dirs.iter()
+            .for_each(|d| std::fs::remove_dir_all(d).unwrap());
+    }
+
+    #[test]
+    fn a_failed_lane_still_hands_its_store_back() {
+        let (writer, dirs) = two_lane_writer("retire_failed");
+        writer.submit(0, image(1, 2, 1, 300)).unwrap();
+        let mut bad = image(2, 2, 2, 300);
+        bad.ranks[1].epoch = 9;
+        writer.submit(0, bad).unwrap();
+        let (flushed, store) = writer.retire(0);
+        assert!(matches!(flushed, Err(StoreError::InconsistentImage(_))));
+        let store = store.expect("a failed lane's store");
+        assert_eq!(store.epochs(), vec![1]);
+        assert_eq!(store.load_latest().unwrap(), image(1, 2, 1, 300));
+        // The failure is this lane's alone.
+        writer.submit(1, image(1, 2, 3, 300)).unwrap();
+        writer.flush_lane(1).unwrap();
+        dirs.iter()
+            .for_each(|d| std::fs::remove_dir_all(d).unwrap());
+    }
 }
