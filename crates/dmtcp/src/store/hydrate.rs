@@ -50,8 +50,8 @@ impl DeltaStore {
     /// Reconciles both directions in one tier sweep: local epochs whose
     /// content the tier does not durably hold are queued for upload, and
     /// epochs the restore target needs but the local chain is missing
-    /// (a behind or deleted local store) hydrate down (see
-    /// [`DeltaStore::hydrate_from_tier`]). A seal only counts as durable
+    /// (a behind or deleted local store) hydrate down, from the same
+    /// listing. A seal only counts as durable
     /// for a *locally present* epoch when its recorded manifest CRC
     /// matches the local manifest: after a quarantine the chain reuses
     /// epoch numbers, and a stale seal left by the quarantined
@@ -171,28 +171,18 @@ impl DeltaStore {
         Ok(())
     }
 
-    /// Hydrate the chain from the attached tier: determine the restore
-    /// target (the newer of the local and tier chain heads), and
-    /// download every epoch that target's manifest references but the
-    /// local chain is missing — verified against its seal — then rebuild
-    /// the head state. Covers both directions of damage: a local chain
-    /// that is behind or entirely gone (remote-only restore pulls the
-    /// tier head plus its bases), and a current local head whose *base*
-    /// epochs were lost (partial disk damage pulls just the bases back).
-    /// Epochs already present locally are left untouched.
+    /// Hydrate the chain from `tier` under `ns`, given its listed seals:
+    /// determine the restore target (the newer of the local and tier
+    /// chain heads), and download every epoch that target's manifest
+    /// references but the local chain is missing — verified against its
+    /// seal — then rebuild the head state. Covers both directions of
+    /// damage: a local chain that is behind or entirely gone
+    /// (remote-only restore pulls the tier head plus its bases), and a
+    /// current local head whose *base* epochs were lost (partial disk
+    /// damage pulls just the bases back). Epochs already present locally
+    /// are left untouched.
     ///
     /// Returns the epochs installed, ascending.
-    pub fn hydrate_from_tier(&mut self) -> Result<Vec<u64>, StoreError> {
-        let att = self.tier.as_ref().ok_or(StoreError::NoTier)?;
-        let tier = att.runtime.tier.clone();
-        let config = att.runtime.config;
-        let ns = att.ns.clone();
-        let sealed = sealed_epochs(&*tier, config, &ns)?;
-        self.hydrate_with(&*tier, config, &ns, &sealed)
-    }
-
-    /// [`DeltaStore::hydrate_from_tier`] against an explicit tier handle
-    /// and a pre-listed seal set (so attach does one sweep, not two).
     fn hydrate_with(
         &mut self,
         tier: &dyn ObjectTier,
