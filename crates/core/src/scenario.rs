@@ -37,6 +37,7 @@ use dmtcp_sim::replica::{BarrierPhase, ReplicaFault};
 use dmtcp_sim::store::StoreConfig;
 use dmtcp_sim::tier::{GetFault, PutFault, TierConfig};
 use muk::Vendor;
+use sanity::json_string;
 use simnet::telemetry::EventKind;
 use simnet::{ClusterSpec, VirtualTime};
 
@@ -1255,43 +1256,23 @@ fn memories_differ(expect: &[Memory], got: &[Memory]) -> Option<String> {
 // JSON emission (consumed by benchgate --matrix)
 // ---------------------------------------------------------------------------
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render a matrix run as the `BENCH_matrix.json` document `benchgate
 /// --matrix` validates: the suite that ran, the total scenario count of
 /// the spec file, and one structured row per executed scenario.
 pub fn matrix_json(suite: &str, spec_scenarios: usize, results: &[ScenarioResult]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"suite\": \"{}\",\n", json_escape(suite)));
+    out.push_str(&format!("  \"suite\": {},\n", json_string(suite)));
     out.push_str(&format!("  \"spec_scenarios\": {spec_scenarios},\n"));
     out.push_str("  \"scenarios\": [\n");
     for (i, r) in results.iter().enumerate() {
-        let failures: Vec<String> = r
-            .failures
-            .iter()
-            .map(|f| format!("\"{}\"", json_escape(f)))
-            .collect();
+        let failures: Vec<String> = r.failures.iter().map(|f| json_string(f)).collect();
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"app\": \"{}\", \"vendor\": \"{}\", \"pr\": {}, \
+            "    {{\"name\": {}, \"app\": {}, \"vendor\": \"{}\", \"pr\": {}, \
              \"passed\": {}, \"recovery_rounds\": {}, \"kills\": {}, \"epochs\": {}, \
              \"put_retries\": {}, \"stalls\": {}, \"elections\": {}, \"failures\": [{}]}}{}\n",
-            json_escape(&r.name),
-            json_escape(&r.app),
+            json_string(&r.name),
+            json_string(&r.app),
             r.vendor.name(),
             r.pr,
             r.passed(),

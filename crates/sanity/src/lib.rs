@@ -22,3 +22,25 @@
 
 pub mod lint;
 pub mod lockcheck;
+
+/// `s` as a quoted JSON string, with quotes, backslashes and control
+/// characters escaped: the one escaper behind every JSON document the
+/// workspace writes (stoolint's report, the flight recorder's dumps,
+/// the scenario matrix).
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
