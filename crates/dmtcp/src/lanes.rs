@@ -194,17 +194,16 @@ impl<W: LaneWorker> Lanes<W> {
         self.idle(lane).1
     }
 
-    /// [`Lanes::flush`] `lane`, then close it to later submits and apply
-    /// `take` to its state, under the lock the flush ended in. Every
-    /// other lane runs on.
-    pub fn retire<R>(
-        &self,
-        lane: usize,
-        take: impl FnOnce(&mut W::Lane) -> R,
-    ) -> (Result<(), W::Error>, R) {
+    /// [`Lanes::flush`] `lane`, then close it to later submits and take
+    /// its state out, under the lock the flush ended in. Every other
+    /// lane runs on.
+    pub fn retire(&self, lane: usize) -> (Result<(), W::Error>, W::Lane)
+    where
+        W::Lane: Default,
+    {
         let (mut st, flushed) = self.idle(lane);
         st.dispatch.lanes[lane].closed = true;
-        (flushed, take(&mut st.lanes[lane]))
+        (flushed, std::mem::take(&mut st.lanes[lane]))
     }
 
     /// Every lane's state, taken out in lane order.

@@ -120,7 +120,7 @@ impl SharedStoreWriter {
     /// hands back too (the chain on disk is still the restart source);
     /// `None` once the lane is retired.
     pub fn retire(&self, lane: usize) -> (Result<(), StoreError>, Option<DeltaStore>) {
-        self.mux.lanes.retire(lane, Option::take)
+        self.mux.lanes.retire(lane)
     }
 
     /// The lane's sticky error, if its commits have failed.
