@@ -1,7 +1,7 @@
 //! Sessions: binding the three legs of the stool at run time.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use dmtcp_sim::coordinator::{BarrierTopology, CkptMode, Coordinator};
@@ -631,13 +631,22 @@ pub struct ResilienceReport {
 
 /// What one run is wired to before its world starts: its flight
 /// recorder, its lane of the committer (if it checkpoints through a
-/// store; the lane holds the run's one handle on its chain) and, for a
-/// restart from the chain, the chain head it restores.
+/// store; the lane holds the run's one handle on its chain, and hands it
+/// back here when the world ends) and, for a restart from the chain, the
+/// chain head it restores.
 pub(crate) struct RunWiring {
     /// The run's flight recorder, tagged with the tenant id in a cluster.
     pub tel: Arc<Telemetry>,
     /// The committer and this run's lane in it.
     pub sink: Option<(Arc<SharedStoreWriter>, usize)>,
+    /// The run's store once its world has ended and the committer has
+    /// handed it back. Kept here, after `sink`, not in `run_inner`: a
+    /// lone session then drops the store and joins its tier shipper
+    /// after the committer thread exits, as when the committer owned
+    /// it. Which thread exits first decides which malloc arena the next
+    /// run's threads reuse; with the shipper first, a restore's head
+    /// load faulted in about a third more fresh pages (2 cores, glibc).
+    pub store: OnceLock<DeltaStore>,
     /// The chain head, when the run restarts from it: loaded through the
     /// handle that becomes the run's committer lane.
     pub head: Option<WorldImage>,
@@ -701,6 +710,7 @@ pub(crate) fn wire_runs(
         .map(|(tel, lane, head)| RunWiring {
             tel,
             sink: lane.zip(writer.clone()).map(|(lane, w)| (w, lane)),
+            store: OnceLock::new(),
             head,
         })
         .collect())
@@ -952,16 +962,14 @@ impl Session {
         // even when the run failed: the committer hands the run's store
         // back, so the telemetry snapshot, the crash dump and the salvage
         // below see the final store/tier state through the one handle.
-        let (flush_result, store) = match sink {
-            Some((writer, lane)) => writer.retire(*lane),
-            None => (Ok(()), None),
-        };
+        let (flush_result, store) = sink.as_ref().map_or((Ok(()), None), |(w, l)| w.retire(*l));
+        let store = store.map(|s| wiring.store.get_or_init(|| s));
         // Local durability settled; now drain the background tier shipper
         // too, so the snapshot below reports final shipping statistics
         // (upload retries included) instead of racing the thread. A
         // sticky ship error is not a run error — it shows up as
         // `ship_failures`/`TierFail` in the telemetry it exists to feed.
-        if let (Ok(()), Some(store)) = (&flush_result, &store) {
+        if let (Ok(()), Some(store)) = (&flush_result, store) {
             let _ = store.tier_flush();
         }
 
@@ -992,8 +1000,8 @@ impl Session {
         };
         let snapshot = TelemetrySnapshot {
             recorder: tel.clone(),
-            epochs: store.as_ref().map_or_else(Vec::new, |s| s.stats().to_vec()),
-            tier: store.as_ref().and_then(DeltaStore::tier_stats),
+            epochs: store.map_or_else(Vec::new, |s| s.stats().to_vec()),
+            tier: store.and_then(DeltaStore::tier_stats),
             replica: coordinator
                 .as_ref()
                 .and_then(|c| c.replicas())
@@ -1015,7 +1023,7 @@ impl Session {
             if c.completed_epoch() == 0 {
                 return Ok(None);
             }
-            match &store {
+            match store {
                 Some(store) => match store.load_latest() {
                     Ok(img) => Ok(Some(img)),
                     Err(StoreError::Empty) => Ok(None),
