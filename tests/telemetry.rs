@@ -7,12 +7,14 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use mpi_stool::dmtcp::{StoreConfig, TierConfig};
+use std::time::Duration;
+
+use mpi_stool::dmtcp::{BarrierPhase, PutFault, StoreConfig, TierConfig};
 use mpi_stool::simnet::{ClusterSpec, EventKind, MetricValue, Telemetry, TelemetryConfig};
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{
-    Checkpointer, CkptMode, DurabilityPolicy, RunOutcome, Session, SessionBuilder, StorePolicy,
-    TierPolicy, Vendor,
+    Checkpointer, CkptMode, DurabilityPolicy, FaultSchedule, ReplicaPolicy, RunOutcome, Session,
+    SessionBuilder, StorePolicy, TierPolicy, Vendor,
 };
 
 /// A delta store at `dir` and nothing else.
@@ -351,6 +353,82 @@ fn every_shipped_epoch_records_its_bytes_and_its_wall() {
     }
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&tier_dir).ok();
+}
+
+/// The snapshot's tier and replica stats are the run's registry, read
+/// back: a retried upload and a leader failover land in both, equal.
+#[test]
+fn tier_and_replica_stats_are_the_registrys_counts() {
+    let pid = std::process::id();
+    let root = std::env::temp_dir().join(format!("stool-tel-views-{pid}"));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut replicas = ReplicaPolicy::new(root.join("replicas"));
+    replicas.config.election_timeout = Duration::from_millis(2);
+    replicas.config.log.backoff = Duration::from_millis(1);
+    let session = Session::builder()
+        .cluster(ClusterSpec::builder().nodes(2).ranks_per_node(2).build())
+        .vendor(Vendor::Mpich)
+        .checkpointer(Checkpointer::mana())
+        .checkpoint_every(4)
+        .durability(DurabilityPolicy {
+            tier: Some(TierPolicy {
+                dir: root.join("tier"),
+                config: TierConfig {
+                    max_attempts: 2,
+                    backoff: Duration::from_millis(1),
+                    ..TierConfig::default()
+                },
+            }),
+            replicas: Some(replicas),
+            ..stored(root.join("chain"))
+        })
+        .fault_schedule(
+            FaultSchedule::default()
+                .tier_put_faults([PutFault::Fail])
+                .kill_leader_at(BarrierPhase::PreSeal),
+        )
+        .build()
+        .unwrap();
+    let out = session
+        .launch(&RingPings {
+            rounds: 10,
+            payload: 32,
+        })
+        .unwrap();
+    assert!(out.is_completed());
+
+    let snap = session.telemetry().expect("snapshot after launch");
+    let metrics = snap.metrics();
+    let count = |name: &str| match &metrics[name] {
+        MetricValue::Counter(v) => *v,
+        other => panic!("{name} is not a counter: {other:?}"),
+    };
+    let tier = snap.tier.expect("a tier is attached");
+    match &metrics["tier.ship_bytes"] {
+        MetricValue::Histogram { count, sum, .. } => {
+            assert_eq!(tier.epochs_shipped, *count, "{tier:?}");
+            assert_eq!(tier.bytes_shipped, *sum, "{tier:?}");
+        }
+        other => panic!("tier.ship_bytes is not a histogram: {other:?}"),
+    }
+    assert_eq!(tier.put_retries, count("tier.put_retries"), "{tier:?}");
+    assert_eq!(tier.ship_failures, count("tier.ship_failures"), "{tier:?}");
+    assert!(tier.epochs_shipped > 0 && tier.put_retries > 0, "{tier:?}");
+
+    let replica = snap.replica.expect("a replica group is attached");
+    let fields = [
+        ("commits", replica.commits),
+        ("elections", replica.elections),
+        ("recoveries", replica.recoveries),
+        ("re_adopted", replica.re_adopted),
+        ("log_retries", replica.log_retries),
+    ];
+    for (name, value) in fields {
+        assert_eq!(value, count(&format!("replica.{name}")), "{replica:?}");
+    }
+    assert!(replica.commits > 0, "{replica:?}");
+    assert!(replica.elections > 0 && replica.recoveries > 0, "{replica:?}");
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// `fabric.sends` and `match.hits` are counted per endpoint and folded

@@ -627,7 +627,9 @@ fn a_killed_runs_salvage_ships_nothing_past_its_sticky_shipper() {
         .filter(|k| k.ends_with("/seal"))
         .collect();
     assert!(seals.is_empty(), "the tier holds seals: {seals:?}");
-    let stats = session.telemetry().unwrap().tier.unwrap();
+    let snap = session.telemetry().unwrap();
+    let stats = snap.tier.unwrap();
     assert_eq!(stats.epochs_shipped, 0, "{stats:?}");
+    assert_eq!(snap.metrics()["tier.ship_failures"].scalar(), 1);
     std::fs::remove_dir_all(&root).unwrap();
 }
