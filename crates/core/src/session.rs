@@ -882,7 +882,7 @@ impl Session {
                 })
                 .collect::<StoolResult<_>>()?;
             let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
-            let group =
+            let mut group =
                 ReplicaGroup::new(policy.config, clock, logs).map_err(StoolError::Replica)?;
             // The schedule's replica faults are FIFO-consumed at barrier
             // phases.

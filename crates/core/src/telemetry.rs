@@ -6,7 +6,10 @@
 //! event/metric state with the per-subsystem statistics the run
 //! produced — the delta store's [`EpochStats`], the remote tier's
 //! [`TierStats`] and the replicated coordinator's [`ReplicaStats`] —
-//! behind one [`crate::Session::telemetry`] call.
+//! behind one [`crate::Session::telemetry`] call. Each fact is counted
+//! once, into the run's registry: the tier and replica stats are views
+//! of its `tier.*` and `replica.*` entries, built when the snapshot is
+//! taken, and the epoch stats are the store's commit log.
 //!
 //! See `docs/observability.md` for the event taxonomy, the crash-dump
 //! timeline formats and how to open them.
@@ -35,11 +38,12 @@ pub struct TelemetrySnapshot {
     /// Per-epoch delta-store commit statistics, in commit order (empty
     /// when the session attached no store).
     pub epochs: Vec<EpochStats>,
-    /// Remote-tier shipping statistics (`None` when the session attached
-    /// no tier).
+    /// Remote-tier shipping statistics, read from the recorder's
+    /// `tier.*` entries (`None` when the session attached no tier).
     pub tier: Option<TierStats>,
-    /// Replica-group statistics (`None` when the session attached no
-    /// replicated coordinator).
+    /// Replica-group statistics, read from the recorder's `replica.*`
+    /// counters (`None` when the session attached no replicated
+    /// coordinator).
     pub replica: Option<ReplicaStats>,
     /// Where the end-of-run crash-dump timeline was written, if the run
     /// recorded incidents (or failed) and a dump directory was

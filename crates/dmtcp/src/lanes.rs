@@ -19,7 +19,8 @@
 //!
 //! The dispatch state ([`Dispatch`]) holds no lock, so the loom models
 //! in `tests/loom_models.rs` check this very type inside a model-checked
-//! mutex; it is the module's one public item, the rest is crate-private.
+//! mutex, the committer's store handoff against a retire included; it is
+//! the module's one public item, the rest is crate-private.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -132,6 +133,32 @@ impl<J, E> Dispatch<J, E> {
     pub fn hold(&mut self, held: bool) {
         self.held = held;
     }
+
+    /// Whether `lane` has settled: nothing queued and nothing in flight,
+    /// or a sticky error. A flush and a retire wait for this.
+    pub fn idle(&self, lane: usize) -> bool {
+        let queue = &self.lanes[lane];
+        queue.error.is_some() || (queue.jobs.is_empty() && !queue.in_flight)
+    }
+
+    /// Whether `lane` takes a submit: `Err(Some(e))` is its sticky
+    /// error, `Err(None)` a lane closed by a retire.
+    pub fn admits(&self, lane: usize) -> Result<(), Option<E>>
+    where
+        E: Clone,
+    {
+        let queue = &self.lanes[lane];
+        match &queue.error {
+            Some(e) => Err(Some(e.clone())),
+            None if queue.closed => Err(None),
+            None => Ok(()),
+        }
+    }
+
+    /// Close `lane` to later submits.
+    pub fn close(&mut self, lane: usize) {
+        self.lanes[lane].closed = true;
+    }
 }
 
 struct State<W: LaneWorker> {
@@ -167,14 +194,11 @@ impl<W: LaneWorker> Lanes<W> {
         let mut st = self.lock();
         let mut waited = false;
         loop {
-            let closed = st.closed;
-            let queue = &mut st.dispatch.lanes[lane];
-            if let Some(e) = &queue.error {
-                return Err(Some(e.clone()));
-            }
-            if closed || queue.closed {
+            st.dispatch.admits(lane)?;
+            if st.closed {
                 return Err(None);
             }
+            let queue = &mut st.dispatch.lanes[lane];
             if queue.jobs.len() < W::BOUND {
                 queue.jobs.push_back(job);
                 self.cv.notify_all();
@@ -202,7 +226,7 @@ impl<W: LaneWorker> Lanes<W> {
         W::Lane: Default,
     {
         let (mut st, flushed) = self.idle(lane);
-        st.dispatch.lanes[lane].closed = true;
+        st.dispatch.close(lane);
         (flushed, std::mem::take(&mut st.lanes[lane]))
     }
 
@@ -215,17 +239,11 @@ impl<W: LaneWorker> Lanes<W> {
     /// the lane's sticky error, if any.
     fn idle(&self, lane: usize) -> (MutexGuard<'_, State<W>>, Result<(), W::Error>) {
         let mut st = self.lock();
-        loop {
-            let queue = &st.dispatch.lanes[lane];
-            if let Some(e) = &queue.error {
-                let e = e.clone();
-                return (st, Err(e));
-            }
-            if queue.jobs.is_empty() && !queue.in_flight {
-                return (st, Ok(()));
-            }
+        while !st.dispatch.idle(lane) {
             st = self.cv.wait(st).expect("lane mux wait");
         }
+        let flushed = st.dispatch.lanes[lane].error.clone().map_or(Ok(()), Err);
+        (st, flushed)
     }
 
     /// Read or update `lane`'s state under the lock.

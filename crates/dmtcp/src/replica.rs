@@ -35,10 +35,10 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use simnet::telemetry::{EventKind, Telemetry};
+use simnet::telemetry::{Counter, EventKind, Telemetry};
 
 use crate::codec::{crc32, CodecError, Reader, Writer};
 use crate::tier::{get_retried, put_verified, ObjectTier, TierConfig, TierError};
@@ -584,7 +584,9 @@ impl Default for ReplicaConfig {
     }
 }
 
-/// What the group has done so far.
+/// What the group has done so far: a view of the group's recorder,
+/// built on read from its registry's `replica.*` counters
+/// ([`ReplicaGroup::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicaStats {
     /// Records committed to a quorum.
@@ -611,7 +613,6 @@ struct GroupState {
     next_slot: u64,
     /// Scripted faults, consumed front-first as phases are announced.
     faults: VecDeque<ReplicaFault>,
-    stats: ReplicaStats,
 }
 
 /// A group of coordinator replicas running single-decree Paxos per log
@@ -633,8 +634,10 @@ pub struct ReplicaGroup {
     /// Held for the whole of a [`ReplicaGroup::commit`]: one proposal in
     /// flight at a time, so two callers can never claim the same slot.
     proposing: Mutex<()>,
-    /// Attached flight recorder (absent on bare groups).
-    telemetry: OnceLock<Arc<Telemetry>>,
+    /// The group's flight recorder — the run's once attached, a
+    /// detached one until then: elections, accepts and quorum losses
+    /// land on its replica lane, and their counts on its registry.
+    telemetry: Arc<Telemetry>,
     /// Virtual-clock stamp of the round being committed, set by the
     /// coordinator before it drives the group (the group itself runs on
     /// a wall [`Clock`] and has no virtual time of its own).
@@ -690,36 +693,40 @@ impl ReplicaGroup {
                 max_ballot,
                 next_slot,
                 faults: VecDeque::new(),
-                stats: ReplicaStats::default(),
             }),
             proposing: Mutex::new(()),
-            telemetry: OnceLock::new(),
+            telemetry: Telemetry::detached(),
             vnow_ns: AtomicU64::new(0),
         })
     }
 
-    /// Attach a flight recorder (first attachment wins). Elections,
-    /// per-slot accepts, and quorum losses flow onto its replica lane.
-    pub fn attach_telemetry(&self, tel: Arc<Telemetry>) {
-        let _ = self.telemetry.set(tel);
+    /// Move the group onto the run's recorder `tel`: elections,
+    /// per-slot accepts and quorum losses flow onto its replica lane, and
+    /// every count into its registry. Attach before the group counts
+    /// anything (before [`ReplicaGroup::prime`] or a commit): what it
+    /// counted so far stays in the detached recorder it was built with.
+    pub fn attach_telemetry(&mut self, tel: Arc<Telemetry>) {
+        self.telemetry = tel;
     }
 
     /// Stamp the virtual-clock time of the round about to be driven
     /// (called by the coordinator, which does carry a virtual clock).
     pub fn stamp_vnow(&self, vclock_ns: u64) {
         self.vnow_ns.fetch_max(vclock_ns, Ordering::SeqCst);
-        if let Some(tel) = self.telemetry.get() {
-            tel.observe_time(vclock_ns);
-        }
+        self.telemetry.observe_time(vclock_ns);
     }
 
     /// Emit one event on the replica lane, stamped with the round's
     /// virtual clock.
     fn emit(&self, kind: EventKind, a: u64, b: u64, c: u64) {
-        if let Some(tel) = self.telemetry.get() {
-            let vnow = self.vnow_ns.load(Ordering::SeqCst).max(tel.observed_now());
-            tel.emit(tel.replica_lane(), kind, vnow, a, b, c);
-        }
+        let tel = &self.telemetry;
+        let vnow = self.vnow_ns.load(Ordering::SeqCst).max(tel.observed_now());
+        tel.emit(tel.replica_lane(), kind, vnow, a, b, c);
+    }
+
+    /// The registry counter `replica.{name}`.
+    fn counter(&self, name: &str) -> Counter {
+        self.telemetry.metrics().counter(&format!("replica.{name}"))
     }
 
     /// A group over fresh in-memory logs (tests and benches).
@@ -807,9 +814,15 @@ impl ReplicaGroup {
         &self.timer
     }
 
-    /// Statistics so far.
+    /// Statistics so far, read from the recorder's registry.
     pub fn stats(&self) -> ReplicaStats {
-        self.state.lock().expect("group lock").stats
+        ReplicaStats {
+            commits: self.counter("commits").get(),
+            elections: self.counter("elections").get(),
+            recoveries: self.counter("recoveries").get(),
+            re_adopted: self.counter("re_adopted").get(),
+            log_retries: self.counter("log_retries").get(),
+        }
     }
 
     /// Commit one record to a quorum, transparently failing over if the
@@ -838,10 +851,8 @@ impl ReplicaGroup {
                 (st.ballot, st.next_slot)
             };
             if self.drive_accept(ballot, slot, &record)? {
-                let mut st = self.state.lock().expect("group lock");
-                st.next_slot = slot + 1;
-                st.stats.commits += 1;
-                drop(st);
+                self.state.lock().expect("group lock").next_slot = slot + 1;
+                self.counter("commits").incr();
                 self.timer.beat();
                 return Ok(slot);
             }
@@ -853,9 +864,7 @@ impl ReplicaGroup {
             }
         }
         self.emit(EventKind::QuorumLost, self.quorum() as u64, 0, 0);
-        if let Some(tel) = self.telemetry.get() {
-            tel.note_incident();
-        }
+        self.telemetry.note_incident();
         Err(ReplicaError::NoQuorum {
             need: self.quorum(),
             have: 0,
@@ -965,8 +974,8 @@ impl ReplicaGroup {
         {
             let mut st = self.state.lock().expect("group lock");
             st.max_ballot = st.max_ballot.max(ballot);
-            st.stats.log_retries += retries;
         }
+        self.counter("log_retries").add(retries);
         if promises.len() < self.quorum() {
             self.emit(
                 EventKind::QuorumLost,
@@ -974,9 +983,7 @@ impl ReplicaGroup {
                 promises.len() as u64,
                 0,
             );
-            if let Some(tel) = self.telemetry.get() {
-                tel.note_incident();
-            }
+            self.telemetry.note_incident();
             return Err(ReplicaError::NoQuorum {
                 need: self.quorum(),
                 have: promises.len(),
@@ -1002,11 +1009,9 @@ impl ReplicaGroup {
             let mut st = self.state.lock().expect("group lock");
             st.leader = Some(candidate);
             st.ballot = ballot;
-            st.stats.elections += 1;
-            if recovery {
-                st.stats.recoveries += 1;
-            }
         }
+        self.counter("elections").incr();
+        self.counter("recoveries").add(recovery as u64);
         self.timer.beat();
         if let Some((slot, _, record)) = in_flight {
             let next = {
@@ -1017,9 +1022,8 @@ impl ReplicaGroup {
                 // Replay: re-drive the in-flight record to quorum under
                 // the new ballot before accepting new proposals.
                 if self.drive_accept(ballot, slot, &record)? {
-                    let mut st = self.state.lock().expect("group lock");
-                    st.next_slot = slot + 1;
-                    st.stats.re_adopted += 1;
+                    self.state.lock().expect("group lock").next_slot = slot + 1;
+                    self.counter("re_adopted").incr();
                 } else {
                     let mut st = self.state.lock().expect("group lock");
                     st.leader = None;
@@ -1041,9 +1045,7 @@ impl ReplicaGroup {
         if recovery {
             // A takeover is the incident the flight recorder exists for:
             // make sure the session dumps this round's timeline.
-            if let Some(tel) = self.telemetry.get() {
-                tel.note_incident();
-            }
+            self.telemetry.note_incident();
         }
         Ok(())
     }
@@ -1066,19 +1068,14 @@ impl ReplicaGroup {
                 acks += 1;
             }
         }
-        {
-            let mut st = self.state.lock().expect("group lock");
-            st.stats.log_retries += retries;
-        }
+        self.counter("log_retries").add(retries);
         if acks >= self.quorum() {
             self.emit(EventKind::SlotCommit, slot, ballot, 0);
             return Ok(true);
         }
         if self.live() < self.quorum() {
             self.emit(EventKind::QuorumLost, self.quorum() as u64, acks as u64, 0);
-            if let Some(tel) = self.telemetry.get() {
-                tel.note_incident();
-            }
+            self.telemetry.note_incident();
             return Err(ReplicaError::NoQuorum {
                 need: self.quorum(),
                 have: acks,

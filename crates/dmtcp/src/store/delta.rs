@@ -18,12 +18,16 @@ use super::hydrate::TierAttachment;
 use super::manifest::{BlockKey, BlockLoc, Manifest, SectionRefs};
 use super::{EpochStats, StoreConfig, StoreError};
 
-/// The restore path's histograms, in [`DeltaStore`]'s `restore_us` order.
-const RESTORE_US: [&str; 3] = [
-    "store.load.read_us",
-    "store.load.decode_us",
-    "tier.hydrate_us",
-];
+/// The restore path's wall-µs histograms on `tel`: `blocks.bin` reads,
+/// CRC + decode, hydration.
+fn restore_us(tel: &Telemetry) -> [Histogram; 3] {
+    [
+        "store.load.read_us",
+        "store.load.decode_us",
+        "tier.hydrate_us",
+    ]
+    .map(|name| tel.metrics().histogram(name))
+}
 
 /// The stored-block file of an epoch directory.
 pub(crate) const BLOCKS: &str = "blocks.bin";
@@ -111,13 +115,13 @@ pub struct DeltaStore {
     /// The remote second tier, when attached: this store's lane in a
     /// (possibly shared) shipper runtime, plus its key namespace.
     pub(super) tier: Option<TierAttachment>,
-    /// Attached flight recorder: commits, GC decisions and quarantines
-    /// land on its store lane.
-    pub(super) telemetry: Option<Arc<Telemetry>>,
-    /// The restore path's wall-µs histograms on that recorder —
-    /// `blocks.bin` reads, CRC + decode, hydration — registered at attach
-    /// so that a reading neither locks nor allocates.
-    pub(super) restore_us: Option<[Histogram; 3]>,
+    /// The handle's flight recorder — the run's once attached, a
+    /// detached one until then: commits, GC decisions and quarantines
+    /// land on its store lane, and the commit stages on its registry.
+    pub(super) telemetry: Arc<Telemetry>,
+    /// The restore path's histograms on that recorder, registered with
+    /// it so that a reading neither locks nor allocates.
+    pub(super) restore_us: [Histogram; 3],
 }
 
 impl DeltaStore {
@@ -168,6 +172,7 @@ impl DeltaStore {
         root: PathBuf,
         config: StoreConfig,
     ) -> Result<DeltaStore, StoreError> {
+        let telemetry = Telemetry::detached();
         let mut store = DeltaStore {
             vol,
             root,
@@ -186,8 +191,8 @@ impl DeltaStore {
             quarantined: Vec::new(),
             stats: Vec::new(),
             tier: None,
-            telemetry: None,
-            restore_us: None,
+            restore_us: restore_us(&telemetry),
+            telemetry,
         };
         let mut committed = BTreeSet::new();
         let mut loose: BTreeMap<u64, Vec<String>> = BTreeMap::new();
@@ -221,24 +226,25 @@ impl DeltaStore {
         Ok(store)
     }
 
-    /// Attach a flight recorder. Commit/GC/quarantine events flow onto
-    /// its store lane; an attached tier runtime inherits it for its
-    /// ship/seal events.
+    /// Move this handle, and its tier lane if one is attached, onto the
+    /// run's recorder `tel`: commit/GC/quarantine events flow onto its
+    /// store lane, ship/seal events onto its tier lane, and every count
+    /// into its registry. Attach before the handle counts anything: what
+    /// it counted so far stays in the detached recorder it opened with.
     pub fn attach_telemetry(&mut self, tel: Arc<Telemetry>) {
         if let Some(tier) = &self.tier {
             tier.runtime.attach_telemetry(tier.lane, tel.clone());
         }
-        self.restore_us = Some(RESTORE_US.map(|name| tel.metrics().histogram(name)));
-        self.telemetry = Some(tel);
+        self.restore_us = restore_us(&tel);
+        self.telemetry = tel;
     }
 
     /// Emit one event on the store lane, stamped with the recorder's
     /// observed virtual-clock high-water mark (the store writer runs on
     /// a background thread with no virtual clock of its own).
     pub(super) fn emit(&self, kind: simnet::telemetry::EventKind, a: u64, b: u64, c: u64) {
-        if let Some(tel) = &self.telemetry {
-            tel.emit(tel.store_lane(), kind, tel.observed_now(), a, b, c);
-        }
+        let tel = &self.telemetry;
+        tel.emit(tel.store_lane(), kind, tel.observed_now(), a, b, c);
     }
 
     /// Head repair + content-index rebuild: quarantine undecodable heads
@@ -684,27 +690,22 @@ impl DeltaStore {
             full as u64,
             stats.blocks_new,
         );
-        if let Some(tel) = &self.telemetry {
-            tel.metrics().counter("store.commits").incr();
-            tel.metrics()
-                .histogram("store.commit_bytes")
-                .observe(stats.bytes_written);
-            // Where the commit's wall went: one histogram per stage.
-            let marks = [started, chunk_done, encode_done, write_done, Instant::now()];
-            let stages = [
-                "store.commit.chunk_us",
-                "store.commit.encode_us",
-                "store.commit.write_us",
-                "store.commit.gc_us",
-            ];
-            for (name, span) in stages.iter().zip(marks.windows(2)) {
-                let us = (span[1] - span[0]).as_micros() as u64;
-                tel.metrics().histogram(name).observe(us);
-            }
-            tel.metrics()
-                .histogram("store.commit.reused_bytes")
-                .observe(reused_bytes);
+        // Where the commit's wall went: one histogram per stage.
+        let metrics = self.telemetry.metrics();
+        let marks = [started, chunk_done, encode_done, write_done, Instant::now()];
+        let stages = [
+            "store.commit.chunk_us",
+            "store.commit.encode_us",
+            "store.commit.write_us",
+            "store.commit.gc_us",
+        ];
+        for (name, span) in stages.iter().zip(marks.windows(2)) {
+            let us = (span[1] - span[0]).as_micros() as u64;
+            metrics.histogram(name).observe(us);
         }
+        metrics
+            .histogram("store.commit.reused_bytes")
+            .observe(reused_bytes);
         Ok(stats)
     }
 
@@ -844,10 +845,9 @@ impl DeltaStore {
             Ok(img)
         };
         let ranks = fan_out(&manifest.ranks, self.config.writer_threads, assemble);
-        if let Some([read_us, decode_us, _]) = &self.restore_us {
-            read_us.observe(read.as_micros() as u64);
-            decode_us.observe((started.elapsed() - read).as_micros() as u64);
-        }
+        let [read_us, decode_us, _] = &self.restore_us;
+        read_us.observe(read.as_micros() as u64);
+        decode_us.observe((started.elapsed() - read).as_micros() as u64);
         let ranks = ranks.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(WorldImage::new(manifest.vendor_hint, ranks))
     }

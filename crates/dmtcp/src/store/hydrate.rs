@@ -114,10 +114,12 @@ impl DeltaStore {
             }
         }
         let sealed: BTreeSet<u64> = seals.keys().copied().collect();
-        let lane = runtime.add_lane(self.vol.clone(), ns.clone(), durable.clone());
-        if let Some(tel) = &self.telemetry {
-            runtime.attach_telemetry(lane, tel.clone());
-        }
+        let lane = runtime.add_lane(
+            self.vol.clone(),
+            ns.clone(),
+            durable.clone(),
+            self.telemetry.clone(),
+        );
         self.tier = Some(TierAttachment {
             runtime: runtime.clone(),
             lane,
@@ -153,7 +155,8 @@ impl DeltaStore {
             .unwrap_or_default()
     }
 
-    /// Shipping statistics, if a tier is attached.
+    /// Shipping statistics, read from the handle's recorder, if a tier
+    /// is attached.
     pub fn tier_stats(&self) -> Option<TierStats> {
         self.tier.as_ref().map(|t| t.runtime.stats(t.lane))
     }
@@ -241,9 +244,8 @@ impl DeltaStore {
         }
         if !installed.is_empty() {
             self.rebuild_head_state()?;
-            if let Some([.., hydrate_us]) = &self.restore_us {
-                hydrate_us.observe(started.elapsed().as_micros() as u64);
-            }
+            let [.., hydrate_us] = &self.restore_us;
+            hydrate_us.observe(started.elapsed().as_micros() as u64);
         }
         Ok(installed)
     }

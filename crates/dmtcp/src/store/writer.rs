@@ -38,18 +38,9 @@ impl LaneWorker for Committer {
             // A failing sink is a flight-recorder incident: record it
             // before the error goes sticky so the session's crash dump
             // explains the red run.
-            if let Some(tel) = &store.telemetry {
-                let epoch = image.ranks.first().map_or(0, |r| r.epoch);
-                tel.emit(
-                    tel.store_lane(),
-                    simnet::telemetry::EventKind::SinkError,
-                    tel.observed_now(),
-                    epoch,
-                    0,
-                    0,
-                );
-                tel.note_incident();
-            }
+            let epoch = image.ranks.first().map_or(0, |r| r.epoch);
+            store.emit(simnet::telemetry::EventKind::SinkError, epoch, 0, 0);
+            store.telemetry.note_incident();
         }
         // Back before the lane goes idle, so a flush or a retire that
         // sees it idle finds its store, a failed commit's too.

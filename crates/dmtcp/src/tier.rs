@@ -177,7 +177,8 @@ impl Default for TierConfig {
     }
 }
 
-/// What the shipper has done so far.
+/// What the shipper has done so far: a view of the lane's recorder,
+/// built on read from its registry ([`crate::DeltaStore::tier_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Epochs whose seal is durably in the tier.
@@ -805,8 +806,8 @@ impl ObjectTier for MemTier {
 // The background shipper
 // ---------------------------------------------------------------------------
 
-/// One tenant's share of the shipper: its local chain volume, its
-/// key namespace in the tier, and its *own* durable set and stats (the
+/// One tenant's share of the shipper: its local chain volume, its key
+/// namespace in the tier, its *own* durable set and its recorder (the
 /// mux adds its queue and sticky error). A lane whose uploads go sticky
 /// stops shipping without touching its neighbors: the error is scoped
 /// to the tenant whose tier config is dead, never to the runtime.
@@ -814,9 +815,9 @@ pub(crate) struct ShipLane {
     vol: Arc<dyn ObjectTier>,
     ns: String,
     durable: BTreeSet<u64>,
-    stats: TierStats,
-    /// Attached flight recorder of this lane's tenant, read per job.
-    telemetry: Option<Arc<Telemetry>>,
+    /// The store's recorder, read per job: every ship is counted once,
+    /// into its registry.
+    telemetry: Arc<Telemetry>,
 }
 
 /// The shipper thread's worker: the tier handle and its retry policy.
@@ -835,52 +836,33 @@ impl LaneWorker for Shipper {
     fn run(&mut self, lanes: &Lanes<Self>, lane: usize, epoch: u64) -> Result<(), TierError> {
         let (vol, ns, tel) =
             lanes.with_lane(lane, |l| (l.vol.clone(), l.ns.clone(), l.telemetry.clone()));
-        let emit = |kind, a, b, c| {
-            if let Some(tel) = &tel {
-                tel.emit(tel.tier_lane(), kind, tel.observed_now(), a, b, c);
-            }
-        };
+        let emit = |kind, a, b, c| tel.emit(tel.tier_lane(), kind, tel.observed_now(), a, b, c);
         emit(EventKind::TierShip, epoch, 0, 0);
         let mut retries = 0u64;
         let started = std::time::Instant::now();
         let result = ship_epoch(&*self.tier, self.config, &*vol, &ns, epoch, &mut retries);
         let ship_us = started.elapsed().as_micros() as u64;
-        if let Some(tel) = &tel {
-            if retries > 0 {
-                tel.metrics().counter("tier.put_retries").add(retries);
+        let metrics = tel.metrics();
+        metrics.counter("tier.put_retries").add(retries);
+        match &result {
+            Ok(bytes) => {
+                emit(EventKind::SealDurable, epoch, *bytes, retries);
+                metrics.histogram("tier.ship_bytes").observe(*bytes);
+                metrics.histogram("tier.ship_us").observe(ship_us);
+                lanes.with_lane(lane, |l| l.durable.insert(epoch));
             }
-            match &result {
-                Ok(bytes) => {
-                    emit(EventKind::SealDurable, epoch, *bytes, retries);
-                    tel.metrics().histogram("tier.ship_bytes").observe(*bytes);
-                    tel.metrics().histogram("tier.ship_us").observe(ship_us);
-                }
-                Err(_) => {
-                    // An abandoned upload leaves this epoch's only durable
-                    // copy local: an incident worth a dump.
-                    emit(EventKind::TierFail, epoch, retries, 0);
-                    tel.note_incident();
-                }
+            Err(_) => {
+                // An abandoned upload leaves this epoch's only durable
+                // copy local: an incident worth a dump. Sticky FOR THIS
+                // LANE ONLY: its queued epochs stay undurable (the GC
+                // guard translates that into local retention) while every
+                // other lane keeps shipping.
+                emit(EventKind::TierFail, epoch, retries, 0);
+                metrics.counter("tier.ship_failures").incr();
+                tel.note_incident();
             }
         }
-        lanes.with_lane(lane, |l| {
-            l.stats.put_retries += retries;
-            match result {
-                Ok(bytes) => {
-                    l.durable.insert(epoch);
-                    l.stats.epochs_shipped += 1;
-                    l.stats.bytes_shipped += bytes;
-                    Ok(())
-                }
-                Err(e) => {
-                    // Sticky FOR THIS LANE ONLY: its queued epochs stay
-                    // undurable (the GC guard translates that into local
-                    // retention) while every other lane keeps shipping.
-                    l.stats.ship_failures += 1;
-                    Err(e)
-                }
-            }
-        })
+        result.map(|_| ())
     }
 }
 
@@ -913,30 +895,29 @@ impl TierRuntime {
     }
 
     /// Register one store's lane: its local chain volume, its key
-    /// namespace, and the epochs already durably sealed in the tier
-    /// (from a reconcile listing). Returns the lane index.
+    /// namespace, the epochs already durably sealed in the tier (from a
+    /// reconcile listing) and the store's recorder. Returns the lane
+    /// index.
     pub(crate) fn add_lane(
         &self,
         vol: Arc<dyn ObjectTier>,
         ns: String,
         durable: BTreeSet<u64>,
+        telemetry: Arc<Telemetry>,
     ) -> usize {
         self.mux.lanes.add_lane(ShipLane {
             vol,
             ns,
             durable,
-            stats: TierStats::default(),
-            telemetry: None,
+            telemetry,
         })
     }
 
-    /// Attach a flight recorder to one lane (first attachment wins).
-    /// Ship starts, durable seals, and abandoned uploads flow onto its
-    /// tier lane.
+    /// Move one lane onto the run's recorder, with its store: ship
+    /// starts, durable seals and abandoned uploads flow onto its tier
+    /// lane, and their counts into its registry.
     pub(crate) fn attach_telemetry(&self, lane: usize, tel: Arc<Telemetry>) {
-        self.mux.lanes.with_lane(lane, |l| {
-            l.telemetry.get_or_insert(tel);
-        });
+        self.mux.lanes.with_lane(lane, |l| l.telemetry = tel);
     }
 
     /// Queue one committed epoch for upload on `lane`. Never blocks and
@@ -951,9 +932,18 @@ impl TierRuntime {
         self.mux.lanes.with_lane(lane, |l| l.durable.clone())
     }
 
-    /// Shipping statistics of `lane` so far.
+    /// Shipping statistics of `lane` so far, read from its recorder's
+    /// registry.
     pub(crate) fn stats(&self, lane: usize) -> TierStats {
-        self.mux.lanes.with_lane(lane, |l| l.stats)
+        let tel = self.mux.lanes.with_lane(lane, |l| l.telemetry.clone());
+        let metrics = tel.metrics();
+        let shipped = metrics.histogram("tier.ship_bytes");
+        TierStats {
+            epochs_shipped: shipped.count(),
+            bytes_shipped: shipped.sum(),
+            put_retries: metrics.counter("tier.put_retries").get(),
+            ship_failures: metrics.counter("tier.ship_failures").get(),
+        }
     }
 }
 

@@ -638,6 +638,18 @@ impl Telemetry {
         }
     }
 
+    /// A recorder of no world, for a store, tier lane or replica group
+    /// that no run has attached yet: its registry is the handle's one
+    /// home for counts, and its two-slot system rings keep almost no
+    /// events.
+    pub fn detached() -> Arc<Telemetry> {
+        let config = TelemetryConfig {
+            system_ring: 2,
+            ..TelemetryConfig::default()
+        };
+        Arc::new(Telemetry::with_config(0, config))
+    }
+
     /// The tenant tag this recorder was built with, if any.
     pub fn tag(&self) -> Option<&str> {
         self.tag.as_deref()

@@ -4,8 +4,9 @@
 //! schedule bounds admit: threads spawned with [`thread::spawn`] are
 //! real OS threads, but a token-passing scheduler lets exactly one run
 //! at a time and inserts a *scheduling point* at every visible
-//! operation ([`sync::Mutex`] lock/unlock, every [`sync::atomic`] op,
-//! spawn, join, [`thread::yield_now`]). At each point where more than
+//! operation ([`sync::Mutex`] lock/unlock, [`sync::Condvar`]
+//! wait/notify, every [`sync::atomic`] op, spawn, join,
+//! [`thread::yield_now`]). At each point where more than
 //! one thread could proceed, the choice is recorded on a path; when an
 //! execution finishes, the last not-yet-exhausted choice is advanced
 //! and the closure re-runs. The search is a plain DFS over those paths,

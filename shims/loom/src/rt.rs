@@ -54,6 +54,7 @@ enum ThreadState {
 enum BlockOn {
     Lock(usize),
     Join(usize),
+    Cond(usize),
 }
 
 struct State {
@@ -62,6 +63,8 @@ struct State {
     active: usize,
     /// Mutex slots registered this execution (`held_by` = owner tid).
     locks: Vec<Option<usize>>,
+    /// Condvars registered this execution.
+    conds: usize,
     /// The DFS path: prefix replayed from earlier executions, suffix
     /// appended as this execution reaches new choice points.
     path: Vec<Choice>,
@@ -233,6 +236,16 @@ impl Execution {
         if let Some(next) = (0..st.threads.len()).find(|&t| st.threads[t] == ThreadState::Runnable)
         {
             st.active = next;
+        } else if st.threads.iter().any(|t| *t != ThreadState::Finished) && !st.abort {
+            // The last runnable thread left the others asleep on a
+            // condvar nobody will notify.
+            st.failure = Some(format!(
+                "deadlock: thread {tid} finished with every other thread blocked \
+                 (threads {:?}, schedule {})",
+                st.threads,
+                path_string(&st.path, st.cursor),
+            ));
+            st.abort = true;
         }
         self.cv.notify_all();
     }
@@ -283,6 +296,36 @@ impl Execution {
             // Blocked: hand the token off and re-contend when woken.
             self.schedule(tid);
         }
+    }
+
+    /// Register a fresh condvar for this execution.
+    pub(crate) fn register_cond(&self) -> usize {
+        let mut st = self.lock_state();
+        st.conds += 1;
+        st.conds - 1
+    }
+
+    /// Release mutex `lock` and sleep on condvar `cond` in one step, so
+    /// no notify slips in between; once notified, re-acquire the mutex.
+    /// A thread nobody notifies stays asleep: a lost wake-up surfaces as
+    /// a deadlock.
+    pub(crate) fn cond_wait(&self, tid: usize, cond: usize, lock: usize) {
+        self.lock_state().threads[tid] = ThreadState::Blocked(BlockOn::Cond(cond));
+        self.lock_release(tid, lock);
+        self.lock_acquire(tid, lock);
+    }
+
+    /// Wake every thread asleep on condvar `cond` (a scheduling point).
+    pub(crate) fn cond_notify_all(&self, tid: usize, cond: usize) {
+        {
+            let mut st = self.lock_state();
+            for t in st.threads.iter_mut() {
+                if *t == ThreadState::Blocked(BlockOn::Cond(cond)) {
+                    *t = ThreadState::Runnable;
+                }
+            }
+        }
+        self.schedule(tid);
     }
 
     /// Release mutex `id`, waking its waiters (a scheduling point).
@@ -348,6 +391,7 @@ pub(crate) fn explore(bounds: Bounds, f: Arc<dyn Fn() + Send + Sync>) {
                 threads: vec![ThreadState::Runnable],
                 active: 0,
                 locks: Vec::new(),
+                conds: 0,
                 path: std::mem::take(&mut path),
                 cursor: 0,
                 abort: false,

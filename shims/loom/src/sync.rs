@@ -1,4 +1,4 @@
-//! `loom::sync`: model-checked mutexes and atomics.
+//! `loom::sync`: model-checked mutexes, condvars and atomics.
 //!
 //! Mutual exclusion is enforced by the scheduler (exactly one model
 //! thread runs at a time), so the data cells here are plain
@@ -76,6 +76,48 @@ impl<T> Drop for MutexGuard<'_, T> {
         } else {
             exec.lock_release(me, self.mx.id);
         }
+    }
+}
+
+/// A model-checked condition variable; mirrors the `std::sync::Condvar`
+/// API subset the workspace uses (`new`, `wait`, `notify_all`). A
+/// notify wakes only the threads already asleep, so a notify sent
+/// before the wait is lost, as a real one is. Spurious wake-ups are not
+/// explored.
+pub struct Condvar {
+    id: usize,
+}
+
+impl Condvar {
+    /// A new condvar registered with the current execution.
+    pub fn new() -> Condvar {
+        let (exec, _) = rt::current();
+        Condvar {
+            id: exec.register_cond(),
+        }
+    }
+
+    /// Release `guard`'s mutex and sleep until notified, then re-acquire
+    /// it (scheduling points on both sides).
+    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
+        let (exec, me) = rt::current();
+        let mx = guard.mx;
+        // The engine releases and re-takes the lock itself.
+        std::mem::forget(guard);
+        exec.cond_wait(me, self.id, mx.id);
+        Ok(MutexGuard { mx })
+    }
+
+    /// Wake every thread waiting on this condvar (a scheduling point).
+    pub fn notify_all(&self) {
+        let (exec, me) = rt::current();
+        exec.cond_notify_all(me, self.id);
+    }
+}
+
+impl Default for Condvar {
+    fn default() -> Condvar {
+        Condvar::new()
     }
 }
 

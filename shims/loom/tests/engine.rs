@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use loom::sync::atomic::{AtomicUsize, Ordering};
-use loom::sync::Mutex;
+use loom::sync::{Condvar, Mutex};
 use loom::thread;
 
 #[test]
@@ -100,5 +100,44 @@ fn yield_is_a_plain_scheduling_point() {
         // Either order is legal; the value is 1 after the join always.
         t.join().unwrap();
         assert_eq!(flag.load(Ordering::SeqCst), 1);
+    });
+}
+
+/// A flag set under the lock, then notified: the waiter that re-checks
+/// the flag in a loop wakes in every interleaving.
+#[test]
+fn a_condvar_wait_loop_sees_the_notified_flag() {
+    loom::model(|| {
+        let st = Arc::new((Mutex::new(false), Condvar::new()));
+        let t = {
+            let st = st.clone();
+            thread::spawn(move || {
+                *st.0.lock().unwrap() = true;
+                st.1.notify_all();
+            })
+        };
+        let mut set = st.0.lock().unwrap();
+        while !*set {
+            set = st.1.wait(set).unwrap();
+        }
+        drop(set);
+        t.join().unwrap();
+    });
+}
+
+/// A waiter that does not re-check its flag sleeps through a notify
+/// sent before its wait: the lost wake-up is found as a deadlock.
+#[test]
+#[should_panic(expected = "deadlock")]
+fn finds_the_lost_wakeup_of_an_unchecked_wait() {
+    loom::model(|| {
+        let st = Arc::new((Mutex::new(()), Condvar::new()));
+        let t = {
+            let st = st.clone();
+            thread::spawn(move || st.1.notify_all())
+        };
+        let guard = st.0.lock().unwrap();
+        drop(st.1.wait(guard).unwrap());
+        t.join().unwrap();
     });
 }

@@ -2,8 +2,9 @@
 //! the telemetry seqlock (`simnet::telemetry::Telemetry::emit` vs. the
 //! reader's double-checked collect), the lane multiplexer's dispatch
 //! (`dmtcp::lanes::Dispatch`, under the store's committer and the
-//! tier's shipper) and the fabric's targeted-wake handshake
-//! (`simnet::fabric`: `Mailbox::push` vs. `Endpoint::recv_raw_wanting`).
+//! tier's shipper), the committer's store handoff against a retire, and
+//! the fabric's targeted-wake handshake (`simnet::fabric`:
+//! `Mailbox::push` vs. `Endpoint::recv_raw_wanting`).
 //!
 //! The mux models drive the production `Dispatch` itself, inside a
 //! model-checked mutex: it holds no lock of its own. The seqlock and
@@ -17,7 +18,7 @@
 use std::sync::Arc;
 
 use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
-use loom::sync::Mutex;
+use loom::sync::{Condvar, Mutex};
 use loom::thread;
 use mpi_stool::dmtcp::lanes::Dispatch;
 
@@ -236,6 +237,98 @@ fn mux_dispatches_nothing_while_held_and_drains_every_lane_after_release() {
         popped.sort_unstable();
         assert_eq!(popped, vec![0, 1, 2], "every lane drained exactly once");
     });
+}
+
+/// One committer lane as the store handoff sees it: the production
+/// dispatch state (a job says whether its commit fails), the lane's
+/// store (the commits it holds) and whether the lane was retired.
+struct Handoff {
+    dispatch: Dispatch<bool, ()>,
+    store: Option<u32>,
+    retired: bool,
+}
+
+/// One turn of the committer thread (lanes.rs `Lanes::drain` running
+/// store/writer.rs `Committer::run`): pop under the lock, take the
+/// lane's store out, commit without the lock, put the store back, then
+/// `done` and notify.
+fn commit_next(st: &Mutex<Handoff>, cv: &Condvar) {
+    let next = st.lock().unwrap().dispatch.pop();
+    let Some((lane, fails)) = next else {
+        return;
+    };
+    let taken = st.lock().unwrap().store.take();
+    let mut store = taken.expect("a dispatched lane holds its store");
+    // The commit, unlocked: a failed one leaves the store as it was.
+    let result = if fails {
+        Err(())
+    } else {
+        store += 1;
+        Ok(())
+    };
+    st.lock().unwrap().store = Some(store);
+    st.lock().unwrap().dispatch.done(lane, result);
+    cv.notify_all();
+}
+
+/// The handoff (lanes.rs `Lanes::retire`) against a submit of one
+/// epoch and its commit. The retire waits on the condvar for
+/// `Dispatch::idle`, closes the lane and takes the store. The committer
+/// is folded into the submitter's thread: with one job it can only run
+/// after the submit, and the retire interleaves with every step in
+/// between. In every interleaving, with the commit succeeding or
+/// failing, no dispatched commit finds the lane empty, the retire gets
+/// the store with the admitted commit in it (not after a failure), and
+/// a submit that comes after the retire is refused.
+#[test]
+fn a_retire_always_gets_the_store_and_refuses_later_submits() {
+    for fails in [false, true] {
+        loom::model(move || {
+            let st = Arc::new(Mutex::new(Handoff {
+                dispatch: Dispatch::with_lanes(1),
+                store: Some(0),
+                retired: false,
+            }));
+            let cv = Arc::new(Condvar::new());
+            let submitter = {
+                let (st, cv) = (st.clone(), cv.clone());
+                thread::spawn(move || {
+                    let admitted = {
+                        let mut g = st.lock().unwrap();
+                        let admitted = g.dispatch.admits(0).is_ok();
+                        assert!(!(admitted && g.retired), "admitted after the retire");
+                        if admitted {
+                            g.dispatch.push(0, fails);
+                        }
+                        admitted
+                    };
+                    commit_next(&st, &cv);
+                    admitted
+                })
+            };
+
+            let (flushed, store) = {
+                let mut g = st.lock().unwrap();
+                while !g.dispatch.idle(0) {
+                    g = cv.wait(g).unwrap();
+                }
+                let flushed = g.dispatch.admits(0);
+                g.dispatch.close(0);
+                g.retired = true;
+                (flushed, g.store.take())
+            };
+            let admitted = submitter.join().unwrap();
+
+            let store = store.expect("the retire gets the store");
+            if admitted && fails {
+                assert_eq!(flushed, Err(Some(())), "the failure is the flush's");
+                assert_eq!(store, 0, "a failed commit leaves the store as it was");
+            } else {
+                assert_eq!(flushed, Ok(()));
+                assert_eq!(store, admitted as u32, "the admitted commit landed");
+            }
+        });
+    }
 }
 
 /// Mirror of one fabric mailbox (fabric.rs `Mailbox`) as the wake
