@@ -53,9 +53,10 @@ pub mod telemetry;
 
 pub use cluster::{Cluster, ClusterBuilder, ClusterReport, TenantReport};
 pub use dmtcp_sim::memory::Memory;
+pub use dmtcp_sim::testing::Fault;
 pub use dmtcp_sim::{
-    tenant_namespace, FlakyTier, FsTier, GetFault, MemTier, ObjectTier, PutFault, ScrubReport,
-    SharedTier, TierConfig, TierError, TierStats,
+    tenant_namespace, FsTier, MemTier, ObjectTier, ScrubReport, SharedTier, TierConfig, TierError,
+    TierStats,
 };
 pub use dmtcp_sim::{
     BarrierPhase, ReplicaConfig, ReplicaError, ReplicaFault, ReplicaGroup, ReplicaRecord,

@@ -35,7 +35,8 @@ use std::time::Duration;
 use dmtcp_sim::memory::Memory;
 use dmtcp_sim::replica::{BarrierPhase, ReplicaFault};
 use dmtcp_sim::store::StoreConfig;
-use dmtcp_sim::tier::{GetFault, PutFault, TierConfig};
+use dmtcp_sim::testing::Fault;
+use dmtcp_sim::tier::TierConfig;
 use muk::Vendor;
 use sanity::json_string;
 use simnet::telemetry::EventKind;
@@ -127,12 +128,12 @@ pub struct FaultSchedule {
     pub kills: Vec<KillEvent>,
     /// Slow-but-alive ranks (virtual-clock delay injection).
     pub stragglers: Vec<Straggler>,
-    /// FIFO upload-fault script applied to the remote tier during the
-    /// run (torn/failed uploads mid-ship). Requires an attached tier.
-    pub tier_puts: Vec<PutFault>,
-    /// FIFO download-fault script applied to the remote tier while
-    /// `restore_from_store` hydrates the chain. Requires an attached tier.
-    pub tier_gets: Vec<GetFault>,
+    /// The remote tier's put script during the run (torn/failed uploads
+    /// mid-ship; entry i faults the i-th put). Requires an attached tier.
+    pub tier_puts: Vec<Fault>,
+    /// The remote tier's get script while `restore_from_store` hydrates
+    /// the chain. Requires an attached tier.
+    pub tier_gets: Vec<Fault>,
     /// Scripted coordinator-replica faults (leader kills at a chosen
     /// barrier phase). Requires a replicated coordinator.
     pub replica: Vec<ReplicaFault>,
@@ -177,8 +178,8 @@ impl FaultSchedule {
         self
     }
 
-    /// Script tier upload faults (FIFO, one per `put` call).
-    pub fn tier_put_faults(mut self, faults: impl IntoIterator<Item = PutFault>) -> Self {
+    /// Append tier upload faults to the put script.
+    pub fn tier_put_faults(mut self, faults: impl IntoIterator<Item = Fault>) -> Self {
         self.tier_puts.extend(faults);
         self
     }
@@ -200,8 +201,9 @@ impl FaultSchedule {
     }
 
     /// Internal-consistency checks against the cluster the schedule will
-    /// run on. `Hold` faults are rejected: a held tier object would hang
-    /// the scenario instead of failing it.
+    /// run on. `Hold` and `PowerLoss` tier faults are rejected: a held
+    /// object would hang the scenario, and a lost tier wedge every later
+    /// upload, instead of failing it.
     pub fn validate(&self, cluster: &ClusterSpec) -> Result<(), String> {
         for kill in &self.kills {
             match &kill.victims {
@@ -249,11 +251,9 @@ impl FaultSchedule {
                 return Err(format!("straggler rank {}: zero delay", s.rank));
             }
         }
-        if self.tier_puts.contains(&PutFault::Hold) {
-            return Err("PutFault::Hold would hang a scenario; script Fail or Torn".into());
-        }
-        if self.tier_gets.contains(&GetFault::Hold) {
-            return Err("GetFault::Hold would hang a scenario; script Fail or Torn".into());
+        let mut scripts = self.tier_puts.iter().chain(&self.tier_gets);
+        if let Some(f) = scripts.find(|f| matches!(f, Fault::Hold | Fault::PowerLoss)) {
+            return Err(format!("a tier {f:?} would wedge a scenario"));
         }
         Ok(())
     }
@@ -715,21 +715,16 @@ fn parse_fault(clause: &str, schedule: &mut FaultSchedule) -> Result<(), String>
                 delay: VirtualTime::from_micros(delay_us.ok_or("straggle: missing delay_us=")?),
             });
         }
-        ["tier-put", list] => {
+        [kind @ ("tier-put" | "tier-get"), list] => {
+            let script = match *kind {
+                "tier-put" => &mut schedule.tier_puts,
+                _ => &mut schedule.tier_gets,
+            };
             for f in list.split(',') {
-                schedule.tier_puts.push(match f.trim() {
-                    "fail" => PutFault::Fail,
-                    "torn" => PutFault::Torn,
-                    other => return Err(format!("tier-put: unknown fault \"{other}\"")),
-                });
-            }
-        }
-        ["tier-get", list] => {
-            for f in list.split(',') {
-                schedule.tier_gets.push(match f.trim() {
-                    "fail" => GetFault::Fail,
-                    "torn" => GetFault::Torn,
-                    other => return Err(format!("tier-get: unknown fault \"{other}\"")),
+                script.push(match f.trim() {
+                    "fail" => Fault::Fail,
+                    "torn" => Fault::Torn,
+                    other => return Err(format!("{kind}: unknown fault \"{other}\"")),
                 });
             }
         }
@@ -1350,9 +1345,14 @@ mod tests {
             .validate(&c)
             .is_err());
         assert!(FaultSchedule::default()
-            .tier_put_faults([PutFault::Hold])
+            .tier_put_faults([Fault::Hold])
             .validate(&c)
             .is_err());
+        let lost = FaultSchedule {
+            tier_gets: vec![Fault::PowerLoss],
+            ..FaultSchedule::default()
+        };
+        assert!(lost.validate(&c).is_err());
         assert!(FaultSchedule::default()
             .kill_nodes(3, vec![0])
             .straggle(1, 0, 4, VirtualTime::from_micros(5))
@@ -1363,12 +1363,12 @@ mod tests {
     #[test]
     fn after_failure_consumes_spent_faults() {
         let schedule = FaultSchedule {
-            tier_gets: vec![GetFault::Torn],
+            tier_gets: vec![Fault::Torn],
             ..FaultSchedule::default()
                 .kill_ranks(10, vec![1])
                 .kill_ranks(20, vec![2])
                 .straggle(0, 5, 25, VirtualTime::from_micros(9))
-                .tier_put_faults([PutFault::Torn])
+                .tier_put_faults([Fault::Torn])
                 .kill_leader_at(BarrierPhase::PreSeal)
         };
         let rest = schedule.after_failure(10);
@@ -1419,11 +1419,8 @@ fault = "straggle rank=2 from=4 until=8 delay_us=500"
         assert_eq!(wave.durability, DurabilityKind::TierReplica);
         assert!(wave.wipe_local);
         assert_eq!(wave.schedule.replica.len(), 1);
-        assert_eq!(
-            wave.schedule.tier_puts,
-            vec![PutFault::Torn, PutFault::Fail]
-        );
-        assert_eq!(wave.schedule.tier_gets, vec![GetFault::Torn]);
+        assert_eq!(wave.schedule.tier_puts, vec![Fault::Torn, Fault::Fail]);
+        assert_eq!(wave.schedule.tier_gets, vec![Fault::Torn]);
         assert_eq!(wave.schedule.stragglers.len(), 1);
         assert_eq!(
             wave.schedule.stragglers[0].delay,

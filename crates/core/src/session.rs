@@ -9,10 +9,8 @@ use dmtcp_sim::image::WorldImage;
 use dmtcp_sim::memory::Memory;
 use dmtcp_sim::replica::{Clock, ReplicaConfig, ReplicaGroup, SystemClock};
 use dmtcp_sim::store::{DeltaStore, SharedStoreWriter, StoreConfig, StoreError, TenantSink};
-use dmtcp_sim::tier::{
-    tenant_namespace, FlakyTier, FsTier, GetFault, ObjectTier, PutFault, SharedTier, TierConfig,
-    TierError,
-};
+use dmtcp_sim::testing::{Fault, Op, Script};
+use dmtcp_sim::tier::{tenant_namespace, FsTier, ObjectTier, SharedTier, TierConfig, TierError};
 use mana_sim::ckpt::restore_rank;
 use mana_sim::ManaConfig;
 use muk::Vendor;
@@ -113,22 +111,20 @@ impl StorePolicy {
     /// opens fail with [`StoreError::TenantMismatch`] before touching the
     /// chain.
     pub fn open_store(&self) -> Result<DeltaStore, StoreError> {
-        self.open_store_flaky(&[], &[], None)
+        self.open_store_scripted(&[], &[], None)
     }
 
-    /// [`StorePolicy::open_store`] with FIFO upload/download fault
-    /// scripts: when either is non-empty, a fault-injection wrapper
-    /// ([`dmtcp_sim::FlakyTier`]) sits between the store and its tier
-    /// (which it then requires). [`wire_runs`] scripts the run's `puts`
-    /// (torn/failed uploads mid-ship) and, for a restore from the chain,
-    /// its `gets` (torn/failed downloads during hydration; the first put
-    /// drops what is left of them, so they never reach the shipper).
-    /// `tel` is attached before the tier, so the open's hydration reports
-    /// to it.
-    pub(crate) fn open_store_flaky(
+    /// [`StorePolicy::open_store`] with upload/download fault scripts:
+    /// when either is non-empty, a [`dmtcp_sim::testing::ScriptedVol`]
+    /// running them sits between the store and its tier (which it then
+    /// requires). [`wire_runs`] scripts the run's `puts` (torn/failed
+    /// uploads mid-ship) and, for a restore from the chain, its `gets`
+    /// (torn/failed downloads during hydration). `tel` is attached before
+    /// the tier, so the open's hydration reports to it.
+    pub(crate) fn open_store_scripted(
         &self,
-        puts: &[PutFault],
-        gets: &[GetFault],
+        puts: &[Fault],
+        gets: &[Fault],
         tel: Option<&Arc<Telemetry>>,
     ) -> Result<DeltaStore, StoreError> {
         self.claim()?;
@@ -144,10 +140,10 @@ impl StorePolicy {
             let mut tier: Arc<dyn ObjectTier> =
                 Arc::new(FsTier::open(&t.dir).map_err(StoreError::Tier)?);
             if scripted {
-                let flaky = FlakyTier::new(tier);
-                flaky.script_puts(puts.to_vec());
-                flaky.script_gets(gets.to_vec());
-                tier = Arc::new(flaky);
+                let script = Script::new();
+                script.push(Op::Put, puts.iter().copied());
+                script.push(Op::Get, gets.iter().copied());
+                tier = script.wrap(tier);
             }
             store.attach_tier(tier, t.config)?;
         }
@@ -692,7 +688,7 @@ pub(crate) fn wire_runs(
             let gets = load_head.then_some(&config.schedule.tier_gets[..]);
             let gets = gets.unwrap_or_default();
             let mut store =
-                policy.open_store_flaky(&config.schedule.tier_puts, gets, Some(&tel))?;
+                policy.open_store_scripted(&config.schedule.tier_puts, gets, Some(&tel))?;
             if let (Some(shared), Some(id)) = (shared_tier, tenant) {
                 let ns = tenant_namespace(id).map_err(StoreError::Tier)?;
                 store.attach_shared_tier(shared, &ns)?;

@@ -32,7 +32,8 @@
 //!   barrier, with timeout-driven leader failover so a dead coordinator
 //!   leader poisons nothing;
 //! * [`testing`] — the lockstep loop that multi-round coordinator
-//!   harnesses advance their rank agents through.
+//!   harnesses advance their rank agents through, and
+//!   [`testing::ScriptedVol`], the one fault-injecting volume.
 //!
 //! In the DMTCP analogy, the [`store`] plays the role of the checkpoint
 //! *image sink* behind the coordinator: where stock DMTCP has every
@@ -78,6 +79,5 @@ pub use store::{
     TenantSink, QUEUE_DEPTH,
 };
 pub use tier::{
-    tenant_namespace, FlakyTier, FsTier, GetFault, MemTier, ObjectTier, PutFault, SharedTier,
-    TierConfig, TierError, TierStats,
+    tenant_namespace, FsTier, MemTier, ObjectTier, SharedTier, TierConfig, TierError, TierStats,
 };

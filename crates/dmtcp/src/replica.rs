@@ -647,7 +647,7 @@ pub struct ReplicaGroup {
 impl ReplicaGroup {
     /// Build a group over explicit per-replica durable logs (one
     /// [`ObjectTier`] each — `FsTier` directories in production,
-    /// `MemTier`/`FlakyTier` in tests). Replays any state the logs
+    /// `MemTier`s, or a `ScriptedVol` over one, in tests). Replays any state the logs
     /// already hold, so re-opening the same logs resumes the group.
     pub fn new(
         config: ReplicaConfig,

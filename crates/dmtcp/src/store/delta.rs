@@ -902,7 +902,8 @@ mod tests {
     use super::super::testutil::*;
     use super::*;
     use crate::codec::fnv1a;
-    use crate::tier::{FlakyTier, MemTier, PutFault};
+    use crate::testing::{Fault, Op, Script};
+    use crate::tier::MemTier;
 
     #[test]
     fn full_then_delta_roundtrip() {
@@ -1615,14 +1616,14 @@ mod tests {
             retain_epochs: 10,
             ..small_cfg()
         };
-        let vol = Arc::new(FlakyTier::new(Arc::new(MemTier::new())));
-        let mut store = DeltaStore::open_on(vol.clone(), cfg).unwrap();
+        let script = Script::new();
+        let mut store = DeltaStore::open_on(script.wrap(Arc::new(MemTier::new())), cfg).unwrap();
         store.commit(&hinted_image(1, 3, 0x11, 3000)).unwrap();
         // Epoch 2 is a delta attempt, epoch 3 a `full` rebase attempt.
         for epoch in [2u64, 3] {
             let img = hinted_image(epoch, 3, 0x11 * epoch as u8, 3000);
             // The volume fails the commit's first put.
-            vol.script_puts([PutFault::Fail]);
+            script.push(Op::Put, [Fault::Fail]);
             let before = handle_state(&store);
             match store.commit(&img) {
                 Err(StoreError::Io { op: "put", .. }) => {}

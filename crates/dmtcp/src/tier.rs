@@ -21,10 +21,9 @@
 //!   is fsynced, atomically renamed into place, and the directories the
 //!   rename changed are fsynced, so a torn local write can never be
 //!   observed as an object and a returned put survives power loss.
-//! * [`FlakyTier`] — a fault-injecting wrapper for tests: scripted upload
-//!   errors, torn writes (the object lands corrupted while the put
-//!   reports success), and held uploads (a put blocks until the test
-//!   releases it — the "slow tier" that tries to race retention GC).
+//! * [`MemTier`] — an in-memory volume for tests and benches; faults are
+//!   injected by wrapping any volume in a
+//!   [`crate::testing::ScriptedVol`].
 //! * `TierRuntime` (crate-internal) — the background shipper thread, a
 //!   `crate::lanes::LaneMux`: each locally committed epoch is queued,
 //!   its `blocks.bin` and `manifest.bin` are read from the local volume
@@ -44,11 +43,11 @@
 //! bit-identically — the paper's cross-vendor claim extended across the
 //! storage boundary.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use simnet::telemetry::{EventKind, Telemetry};
@@ -146,19 +145,21 @@ pub trait ObjectTier: Send + Sync {
     fn delete(&self, key: &str) -> Result<(), TierError>;
 }
 
+/// Jitter applied to every backoff step, in permille of the step: each
+/// sleep is the step ± up to 25%. Derived deterministically from the key
+/// and attempt number, so retries are de-synchronized across objects
+/// without making tests flaky.
+const JITTER_PERMILLE: u128 = 250;
+
 /// Tunables of the tier shipper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TierConfig {
     /// Attempts per object upload before the shipper error goes sticky
     /// (each attempt is a put followed by a read-back CRC verification).
     pub max_attempts: u32,
-    /// Base backoff between attempts; doubles per retry.
+    /// Base backoff between attempts; doubles per retry, and each sleep
+    /// is jittered by up to ±25% (`JITTER_PERMILLE`).
     pub backoff: Duration,
-    /// Jitter applied to every backoff step, in permille of the step
-    /// (`250` = each sleep is the step ± up to 25%). Derived
-    /// deterministically from the key and attempt number, so retries are
-    /// de-synchronized across objects without making tests flaky.
-    pub jitter_permille: u32,
     /// Cap on the total retry wall-clock per object: once the next sleep
     /// would cross the deadline, the retry loop surfaces
     /// [`TierError::Timeout`] instead of waiting on. `None` = retries are
@@ -171,7 +172,6 @@ impl Default for TierConfig {
         TierConfig {
             max_attempts: 4,
             backoff: Duration::from_millis(10),
-            jitter_permille: 250,
             deadline: None,
         }
     }
@@ -521,215 +521,6 @@ impl ObjectTier for FsTier {
 }
 
 // ---------------------------------------------------------------------------
-// FlakyTier
-// ---------------------------------------------------------------------------
-
-/// A scripted fault applied to one `put` call, in script order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PutFault {
-    /// The upload fails outright (an I/O error).
-    Fail,
-    /// The upload *reports success* but the stored object is torn: its
-    /// last byte is dropped (or a lone garbage byte is stored for empty
-    /// objects). Only read-back verification can catch this.
-    Torn,
-    /// The upload blocks until [`FlakyTier::release`] — the slow tier.
-    Hold,
-}
-
-/// A scripted fault applied to one `get` call, in script order.
-/// Mirrors [`PutFault`] so download/hydration/log-replay retry paths are
-/// fault-injectable, not just uploads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GetFault {
-    /// The download fails outright (an I/O error).
-    Fail,
-    /// The download *reports success* but returns torn bytes: the last
-    /// byte is dropped (or a lone garbage byte for empty objects). Only
-    /// checksum verification downstream can catch this.
-    Torn,
-    /// The download blocks until [`FlakyTier::release`] — the slow tier.
-    Hold,
-}
-
-/// A fault-injecting [`ObjectTier`] wrapper for tests.
-///
-/// Faults come from three sources: a FIFO *script* of [`PutFault`]s
-/// consumed one per put, a FIFO script of [`GetFault`]s consumed one per
-/// get, and a *hold-all* switch that blocks every put until
-/// [`FlakyTier::release`]. The get script scripts a download window:
-/// the first put drops whatever is left of it, so faults meant for
-/// hydration never reach a shipper's read-back verification. Lists and
-/// deletes pass straight through to the inner tier.
-pub struct FlakyTier {
-    inner: Arc<dyn ObjectTier>,
-    state: Mutex<FlakyState>,
-    cv: Condvar,
-}
-
-struct FlakyState {
-    script: VecDeque<PutFault>,
-    get_script: VecDeque<GetFault>,
-    hold_all: bool,
-    released: bool,
-    puts: u64,
-    gets: u64,
-    injected: u64,
-}
-
-impl FlakyTier {
-    /// Wrap `inner` with an empty fault script.
-    pub fn new(inner: Arc<dyn ObjectTier>) -> FlakyTier {
-        FlakyTier {
-            inner,
-            state: Mutex::new(FlakyState {
-                script: VecDeque::new(),
-                get_script: VecDeque::new(),
-                hold_all: false,
-                released: false,
-                puts: 0,
-                gets: 0,
-                injected: 0,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Append faults to the script; each subsequent `put` consumes one.
-    pub fn script_puts(&self, faults: impl IntoIterator<Item = PutFault>) {
-        self.state.lock().expect("flaky lock").script.extend(faults);
-    }
-
-    /// Append faults to the get script; each subsequent `get` consumes
-    /// one, until the next `put` drops the rest.
-    pub fn script_gets(&self, faults: impl IntoIterator<Item = GetFault>) {
-        self.state
-            .lock()
-            .expect("flaky lock")
-            .get_script
-            .extend(faults);
-    }
-
-    /// Make every `put` (script aside) block until [`FlakyTier::release`].
-    pub fn hold_all(&self) {
-        self.state.lock().expect("flaky lock").hold_all = true;
-    }
-
-    /// Release every held `put`, current and future.
-    pub fn release(&self) {
-        let mut st = self.state.lock().expect("flaky lock");
-        st.released = true;
-        st.hold_all = false;
-        self.cv.notify_all();
-    }
-
-    /// Total `put` calls observed.
-    pub fn puts(&self) -> u64 {
-        self.state.lock().expect("flaky lock").puts
-    }
-
-    /// Total `get` calls observed.
-    pub fn gets(&self) -> u64 {
-        self.state.lock().expect("flaky lock").gets
-    }
-
-    /// Faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.state.lock().expect("flaky lock").injected
-    }
-}
-
-impl ObjectTier for FlakyTier {
-    fn put(&self, key: &str, data: &[u8]) -> Result<(), TierError> {
-        let fault = {
-            let mut st = self.state.lock().expect("flaky lock");
-            st.puts += 1;
-            st.get_script.clear();
-            let fault = st.script.pop_front().or({
-                if st.hold_all && !st.released {
-                    Some(PutFault::Hold)
-                } else {
-                    None
-                }
-            });
-            if fault.is_some() {
-                st.injected += 1;
-            }
-            fault
-        };
-        match fault {
-            None => self.inner.put(key, data),
-            Some(PutFault::Fail) => Err(TierError::Io {
-                op: "put",
-                key: key.to_string(),
-                msg: "injected upload failure".to_string(),
-            }),
-            Some(PutFault::Torn) => {
-                let torn: &[u8] = if data.is_empty() {
-                    &[0xFF]
-                } else {
-                    &data[..data.len() - 1]
-                };
-                self.inner.put(key, torn)
-            }
-            Some(PutFault::Hold) => {
-                let mut st = self.state.lock().expect("flaky lock");
-                while !st.released {
-                    st = self.cv.wait(st).expect("flaky wait");
-                }
-                drop(st);
-                self.inner.put(key, data)
-            }
-        }
-    }
-
-    fn get(&self, key: &str) -> Result<Vec<u8>, TierError> {
-        let fault = {
-            let mut st = self.state.lock().expect("flaky lock");
-            st.gets += 1;
-            let fault = st.get_script.pop_front();
-            if fault.is_some() {
-                st.injected += 1;
-            }
-            fault
-        };
-        match fault {
-            None => self.inner.get(key),
-            Some(GetFault::Fail) => Err(TierError::Io {
-                op: "get",
-                key: key.to_string(),
-                msg: "injected download failure".to_string(),
-            }),
-            Some(GetFault::Torn) => {
-                let mut data = self.inner.get(key)?;
-                if data.is_empty() {
-                    data.push(0xFF);
-                } else {
-                    data.pop();
-                }
-                Ok(data)
-            }
-            Some(GetFault::Hold) => {
-                let mut st = self.state.lock().expect("flaky lock");
-                while !st.released {
-                    st = self.cv.wait(st).expect("flaky wait");
-                }
-                drop(st);
-                self.inner.get(key)
-            }
-        }
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>, TierError> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, key: &str) -> Result<(), TierError> {
-        self.inner.delete(key)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // MemTier
 // ---------------------------------------------------------------------------
 
@@ -986,11 +777,7 @@ impl SharedTier {
 /// de-synchronize while every test run sleeps identically.
 fn backoff_step(config: TierConfig, key: &str, attempt: u32) -> Duration {
     let step = config.backoff * (1 << (attempt - 1).min(10));
-    let jitter = config.jitter_permille.min(1000) as u128;
-    if jitter == 0 || step.is_zero() {
-        return step;
-    }
-    let span = step.as_nanos() * jitter / 1000;
+    let span = step.as_nanos() * JITTER_PERMILLE / 1000;
     if span == 0 {
         return step;
     }
@@ -1075,7 +862,7 @@ pub(crate) fn put_verified(
 /// [`put_verified`]: transient I/O failures retry, a missing object does
 /// not (absence is an answer, not a fault), and a configured deadline
 /// bounds the total wait. Hydration and the replica-log replay read
-/// through this, so [`GetFault`] scripts exercise their retry paths.
+/// through this, so scripted get faults exercise their retry paths.
 pub(crate) fn get_retried(
     tier: &dyn ObjectTier,
     config: TierConfig,
@@ -1149,6 +936,7 @@ fn ship_epoch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{Fault, Op, Script};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1225,43 +1013,11 @@ mod tests {
     }
 
     #[test]
-    fn flaky_tier_scripts_faults_in_order() {
-        let root = tmp_dir("flaky");
-        let tier = FlakyTier::new(Arc::new(FsTier::open(&root).unwrap()));
-        tier.script_puts([PutFault::Fail, PutFault::Torn]);
-        assert!(matches!(tier.put("k", b"data"), Err(TierError::Io { .. })));
-        tier.put("k", b"data").unwrap(); // torn: reports success...
-        assert_eq!(tier.get("k").unwrap(), b"dat"); // ...but stored torn
-        tier.put("k", b"data").unwrap(); // script exhausted: clean
-        assert_eq!(tier.get("k").unwrap(), b"data");
-        assert_eq!(tier.puts(), 3);
-        assert_eq!(tier.injected(), 2);
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn flaky_tier_hold_blocks_until_release() {
-        let root = tmp_dir("hold");
-        let tier = Arc::new(FlakyTier::new(Arc::new(FsTier::open(&root).unwrap())));
-        tier.hold_all();
-        let t2 = tier.clone();
-        let handle = std::thread::spawn(move || t2.put("held", b"v"));
-        // The put must not complete while held.
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(matches!(tier.get("held"), Err(TierError::NotFound { .. })));
-        tier.release();
-        handle.join().unwrap().unwrap();
-        assert_eq!(tier.get("held").unwrap(), b"v");
-        // After release, future puts pass straight through.
-        tier.put("after", b"w").unwrap();
-        std::fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
     fn put_verified_retries_torn_and_failed_uploads() {
         let root = tmp_dir("verify");
-        let tier = FlakyTier::new(Arc::new(FsTier::open(&root).unwrap()));
-        tier.script_puts([PutFault::Fail, PutFault::Torn]);
+        let script = Script::new();
+        let tier = script.wrap(Arc::new(FsTier::open(&root).unwrap()));
+        script.push(Op::Put, [Fault::Fail, Fault::Torn]);
         let cfg = TierConfig {
             max_attempts: 4,
             backoff: Duration::from_millis(1),
@@ -1269,63 +1025,56 @@ mod tests {
         };
         let mut retries = 0;
         let data = b"payload bytes";
-        put_verified(&tier, cfg, "obj", data, crc32(data), &mut retries).unwrap();
+        put_verified(&*tier, cfg, "obj", data, crc32(data), &mut retries).unwrap();
         assert_eq!(retries, 2, "one retry per injected fault");
         assert_eq!(tier.get("obj").unwrap(), data);
         // Exhausting the budget surfaces the last error.
-        tier.script_puts(std::iter::repeat_n(PutFault::Fail, 8));
+        script.push(Op::Put, [Fault::Fail; 8]);
         let mut retries = 0;
-        assert!(put_verified(&tier, cfg, "obj2", b"x", crc32(b"x"), &mut retries).is_err());
+        assert!(put_verified(&*tier, cfg, "obj2", b"x", crc32(b"x"), &mut retries).is_err());
         assert_eq!(retries, cfg.max_attempts as u64 - 1);
         std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
-    fn flaky_tier_scripts_get_faults_in_order() {
-        let tier = FlakyTier::new(Arc::new(MemTier::new()));
-        tier.put("k", b"data").unwrap();
-        tier.script_gets([GetFault::Fail, GetFault::Torn]);
-        assert!(matches!(tier.get("k"), Err(TierError::Io { .. })));
-        assert_eq!(tier.get("k").unwrap(), b"dat"); // torn: last byte gone
-        assert_eq!(tier.get("k").unwrap(), b"data"); // script exhausted
-        assert_eq!(tier.gets(), 3);
-        assert_eq!(tier.injected(), 2);
-    }
-
-    #[test]
     fn get_retried_rides_out_scripted_failures() {
-        let tier = FlakyTier::new(Arc::new(MemTier::new()));
+        let script = Script::new();
+        let tier = script.wrap(Arc::new(MemTier::new()));
         tier.put("k", b"payload").unwrap();
-        tier.script_gets([GetFault::Fail, GetFault::Fail]);
+        script.push(Op::Get, [Fault::Fail, Fault::Fail]);
         let cfg = TierConfig {
             max_attempts: 4,
             backoff: Duration::from_millis(1),
             ..TierConfig::default()
         };
-        assert_eq!(get_retried(&tier, cfg, "k").unwrap(), b"payload");
+        assert_eq!(get_retried(&*tier, cfg, "k").unwrap(), b"payload");
         // Absence is an answer, not a fault: no retry budget is spent.
         assert!(matches!(
-            get_retried(&tier, cfg, "missing"),
+            get_retried(&*tier, cfg, "missing"),
             Err(TierError::NotFound { .. })
         ));
-        assert_eq!(tier.gets(), 4, "three for `k`, one for `missing`");
+        assert_eq!(
+            script.calls(Op::Get, None),
+            4,
+            "three for `k`, one for `missing`"
+        );
     }
 
     #[test]
     fn get_retried_surfaces_timeout_at_the_deadline() {
-        let tier = FlakyTier::new(Arc::new(MemTier::new()));
+        let script = Script::new();
+        let tier = script.wrap(Arc::new(MemTier::new()));
         tier.put("k", b"payload").unwrap();
-        tier.script_gets(std::iter::repeat_n(GetFault::Fail, 16));
+        script.push(Op::Get, [Fault::Fail; 16]);
         let cfg = TierConfig {
             max_attempts: 16,
             backoff: Duration::from_millis(50),
             deadline: Some(Duration::from_millis(5)),
-            ..TierConfig::default()
         };
         // The first backoff sleep alone would cross the deadline: the
         // retry loop surfaces Timeout instead of waiting it out.
         assert!(matches!(
-            get_retried(&tier, cfg, "k"),
+            get_retried(&*tier, cfg, "k"),
             Err(TierError::Timeout { op: "get", .. })
         ));
     }
@@ -1334,13 +1083,13 @@ mod tests {
     fn backoff_jitter_is_deterministic_and_bounded() {
         let cfg = TierConfig {
             backoff: Duration::from_millis(100),
-            jitter_permille: 250,
             ..TierConfig::default()
         };
+        let jitter = JITTER_PERMILLE as f64 / 1000.0;
         for attempt in 1..=4u32 {
             let step = cfg.backoff * (1 << (attempt - 1));
-            let lo = step - step.mul_f64(0.25);
-            let hi = step + step.mul_f64(0.25);
+            let lo = step - step.mul_f64(jitter);
+            let hi = step + step.mul_f64(jitter);
             let a = backoff_step(cfg, "epoch_000001/blocks.bin", attempt);
             let b = backoff_step(cfg, "epoch_000001/blocks.bin", attempt);
             assert_eq!(a, b, "same key+attempt sleeps identically");
@@ -1349,15 +1098,15 @@ mod tests {
                 "attempt {attempt}: {a:?} not in [{lo:?}, {hi:?}]"
             );
         }
-        // Different keys de-synchronize; zero jitter is exact.
+        // Different keys de-synchronize; a zero backoff never sleeps.
         assert_ne!(
             backoff_step(cfg, "epoch_000001/blocks.bin", 1),
             backoff_step(cfg, "epoch_000002/blocks.bin", 1),
         );
         let plain = TierConfig {
-            jitter_permille: 0,
+            backoff: Duration::ZERO,
             ..cfg
         };
-        assert_eq!(backoff_step(plain, "k", 3), plain.backoff * 4);
+        assert_eq!(backoff_step(plain, "k", 3), Duration::ZERO);
     }
 }

@@ -664,7 +664,7 @@ pub fn default_rules() -> Vec<Rule> {
                 &["SharedStoreWriter", "::", "spawn_stores"],
                 &["World", "::", "run_plan"],
                 &["attach_shared_tier"],
-                &["open_store_flaky"],
+                &["open_store_scripted"],
             ]),
         },
     ]

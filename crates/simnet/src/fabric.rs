@@ -602,18 +602,17 @@ impl Endpoint {
             // Spurious wakeup or a racing pop: go around again.
         }
     }
+}
 
-    /// Blocking receive **with** arrival-time accounting: advances the
-    /// rank's clock to `max(now, arrival)`. Convenience for substrate tests
-    /// and simple protocols; vendor libraries use [`Endpoint::recv_raw`]
-    /// plus their own matching.
-    pub fn recv_raw_blocking(&self, ctx: &RankCtx) -> SimResult<Envelope> {
-        let env = self.recv_raw()?;
-        let arrival = ctx.arrival_time(&env);
-        ctx.advance_to(arrival);
-        ctx.count_recv(env.len());
-        Ok(env)
-    }
+/// Blocking receive **with** arrival-time accounting, for the crate's
+/// tests: advances the rank's clock to `max(now, arrival)`. Vendor
+/// libraries use [`Endpoint::recv_raw`] plus their own matching.
+#[cfg(test)]
+pub(crate) fn recv_raw_blocking(ctx: &RankCtx) -> SimResult<Envelope> {
+    let env = ctx.endpoint().recv_raw()?;
+    ctx.advance_to(ctx.arrival_time(&env));
+    ctx.count_recv(env.len());
+    Ok(env)
 }
 
 #[cfg(test)]
@@ -651,7 +650,7 @@ mod tests {
         ctx0.endpoint()
             .send_raw(1, 42, 7, Bytes::from_static(b"hello"), &ctx0)
             .unwrap();
-        let env = ctx1.endpoint().recv_raw_blocking(&ctx1).unwrap();
+        let env = recv_raw_blocking(&ctx1).unwrap();
         assert_eq!(env.src, 0);
         assert_eq!(env.ctx_id, 42);
         assert_eq!(env.tag, 7);
@@ -673,7 +672,7 @@ mod tests {
                 .unwrap();
         }
         for i in 0..16u8 {
-            let env = ctx1.endpoint().recv_raw_blocking(&ctx1).unwrap();
+            let env = recv_raw_blocking(&ctx1).unwrap();
             assert_eq!(env.payload[0], i);
             assert_eq!(env.seq, i as u64);
         }
@@ -1060,7 +1059,7 @@ mod tests {
         ctx0.endpoint()
             .send_raw(1, 0, 0, Bytes::copy_from_slice(&[9u8; 64]), &ctx0)
             .unwrap();
-        let env = ctx1.endpoint().recv_raw_blocking(&ctx1).unwrap();
+        let env = recv_raw_blocking(&ctx1).unwrap();
         assert!(env.payload.is_inline());
         assert_eq!(env.payload.len(), 64);
     }

@@ -72,8 +72,10 @@
 //!     let next = (ctx.rank() + 1) % n;
 //!     let prev = (ctx.rank() + n - 1) % n;
 //!     ctx.endpoint().send_raw(next, 0, 7, bytes::Bytes::from(vec![ctx.rank() as u8]), &ctx);
-//!     let env = ctx.endpoint().recv_raw_blocking(&ctx).unwrap();
+//!     let env = ctx.endpoint().recv_raw().unwrap();
 //!     assert_eq!(env.src, prev);
+//!     // The receive itself is free; the clock moves to the arrival.
+//!     ctx.advance_to(ctx.arrival_time(&env));
 //!     Ok(ctx.now())
 //! })
 //! .unwrap();

@@ -236,6 +236,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::recv_raw_blocking;
     use bytes::Bytes;
 
     #[test]
@@ -265,7 +266,7 @@ mod tests {
             let next = (ctx.rank() + 1) % n;
             ctx.endpoint()
                 .send_raw(next, 0, 1, Bytes::from(vec![ctx.rank() as u8]), &ctx)?;
-            let env = ctx.endpoint().recv_raw_blocking(&ctx)?;
+            let env = recv_raw_blocking(&ctx)?;
             Ok(env.payload[0] as usize)
         })
         .unwrap();
@@ -329,7 +330,7 @@ mod tests {
                 for _ in 0..8 {
                     ctx.endpoint()
                         .send_raw(next, 0, 0, Bytes::from(vec![0u8; 256]), &ctx)?;
-                    ctx.endpoint().recv_raw_blocking(&ctx)?;
+                    recv_raw_blocking(&ctx)?;
                 }
                 Ok(ctx.now())
             })
@@ -364,7 +365,7 @@ mod tests {
             let next = (ctx.rank() + 1) % n;
             ctx.endpoint()
                 .send_raw(next, 0, 0, Bytes::from(vec![7u8]), &ctx)?;
-            let env = ctx.endpoint().recv_raw_blocking(&ctx)?;
+            let env = recv_raw_blocking(&ctx)?;
             Ok(env.payload[0])
         })
         .unwrap();

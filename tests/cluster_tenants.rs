@@ -14,7 +14,7 @@ use mpi_stool::simnet::ClusterSpec;
 use mpi_stool::stool::cluster::{Cluster, ClusterBuilder};
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{
-    Checkpointer, DurabilityPolicy, FaultSchedule, PutFault, RunOutcome, Session, StorePolicy,
+    Checkpointer, DurabilityPolicy, Fault, FaultSchedule, RunOutcome, Session, StorePolicy,
     TierConfig, TierPolicy, Vendor,
 };
 
@@ -443,7 +443,7 @@ fn a_tenants_scripted_upload_faults_reach_its_private_tier() {
             tier: Some(tier),
             ..stored(root.join("chain"))
         })
-        .fault_schedule(FaultSchedule::default().tier_put_faults([PutFault::Fail, PutFault::Fail]))
+        .fault_schedule(FaultSchedule::default().tier_put_faults([Fault::Fail, Fault::Fail]))
         .build()
         .unwrap();
     let cluster = Cluster::builder().tenant("t0", session).build().unwrap();

@@ -3,7 +3,8 @@
 
 use mpi_stool::abi::Handle;
 use mpi_stool::apps::{CoMdMini, OsuKernel, OsuLatency, WaveMpi};
-use mpi_stool::dmtcp::{CkptMode, DeltaStore, GetFault, StoreConfig, TierConfig, WorldImage};
+use mpi_stool::dmtcp::testing::Fault;
+use mpi_stool::dmtcp::{CkptMode, DeltaStore, StoreConfig, TierConfig, WorldImage};
 use mpi_stool::simnet::{ClusterSpec, Interconnect, KernelVersion, VirtualTime};
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{
@@ -843,7 +844,7 @@ fn download_faults_left_over_by_hydration_never_reach_the_shipper() {
         .checkpointer(Checkpointer::mana())
         .durability(stored(&dir, StoreConfig::default(), Some(&tier_dir)))
         .fault_schedule(FaultSchedule {
-            tier_gets: vec![GetFault::Torn; sealed as usize + 3],
+            tier_gets: vec![Fault::Torn; sealed as usize + 3],
             ..FaultSchedule::default()
         })
         .build()

@@ -15,10 +15,10 @@ use std::time::Duration;
 
 use mpi_stool::apps::WaveMpi;
 use mpi_stool::dmtcp::replica::Clock;
+use mpi_stool::dmtcp::testing::{Fault, Op, Script};
 use mpi_stool::dmtcp::{
-    BarrierPhase, CkptError, CkptMode, Coordinator, FlakyTier, FsTier, MemTier, ObjectTier,
-    PutFault, RankImage, ReplicaConfig, ReplicaError, ReplicaFault, ReplicaGroup, ReplicaRecord,
-    TestClock, TierConfig,
+    BarrierPhase, CkptError, CkptMode, Coordinator, FsTier, MemTier, ObjectTier, RankImage,
+    ReplicaConfig, ReplicaError, ReplicaFault, ReplicaGroup, ReplicaRecord, TestClock, TierConfig,
 };
 use mpi_stool::stool::{
     Checkpointer, DurabilityPolicy, FaultSchedule, ReplicaPolicy, Session, StorePolicy, Vendor,
@@ -496,11 +496,11 @@ fn leader_kill_writes_a_merged_crash_dump_timeline() {
 fn group_with_failing_logs(failing: &[usize]) -> ReplicaGroup {
     let logs: Vec<Arc<dyn ObjectTier>> = (0..3)
         .map(|id| {
-            let log = FlakyTier::new(Arc::new(MemTier::new()));
+            let script = Script::new();
             if failing.contains(&id) {
-                log.script_puts(std::iter::repeat_n(PutFault::Fail, 1000));
+                script.push(Op::Put, [Fault::Fail; 1000]);
             }
-            Arc::new(log) as Arc<dyn ObjectTier>
+            script.wrap(Arc::new(MemTier::new())) as Arc<dyn ObjectTier>
         })
         .collect();
     let config = ReplicaConfig {
@@ -554,31 +554,29 @@ fn two_failing_logs_are_no_quorum_and_nothing_replays() {
 /// has claimed its slot.
 #[test]
 fn concurrent_commits_never_share_a_log_slot() {
-    let logs: Vec<Arc<FlakyTier>> = (0..3)
-        .map(|_| Arc::new(FlakyTier::new(Arc::new(MemTier::new()))))
-        .collect();
+    let logs: Vec<Arc<Script>> = (0..3).map(|_| Script::new()).collect();
     let group = ReplicaGroup::new(
         ReplicaConfig::default(),
         Arc::new(TestClock::new()),
         logs.iter()
-            .map(|l| l.clone() as Arc<dyn ObjectTier>)
+            .map(|l| l.wrap(Arc::new(MemTier::new())) as Arc<dyn ObjectTier>)
             .collect(),
     )
     .unwrap();
     let gone = |rank| ReplicaRecord::Membership { rank, alive: false };
     group.commit(gone(9)).unwrap(); // elects the leader, fills slot 0
 
-    let wait_for = |log: &FlakyTier| {
+    let wait_for = |log: &Script| {
         while log.injected() == 0 {
             std::thread::yield_now();
         }
     };
-    logs[2].script_puts([PutFault::Hold]);
+    logs[2].push(Op::Put, [Fault::Hold]);
     let b_started = AtomicBool::new(false);
     let (slot_a, slot_b) = std::thread::scope(|s| {
         let a = s.spawn(|| group.commit(gone(0)).unwrap());
         wait_for(&logs[2]); // A has read its slot and not claimed it
-        logs[0].script_puts([PutFault::Hold]);
+        logs[0].push(Op::Put, [Fault::Hold]);
         let b = s.spawn(|| {
             b_started.store(true, Ordering::SeqCst);
             group.commit(gone(1)).unwrap()
@@ -586,10 +584,10 @@ fn concurrent_commits_never_share_a_log_slot() {
         while !b_started.load(Ordering::SeqCst) {
             std::thread::yield_now();
         }
-        logs[2].release();
+        logs[2].hold(false);
         let slot_a = a.join().unwrap();
         wait_for(&logs[0]); // B has read its slot
-        logs[0].release();
+        logs[0].hold(false);
         (slot_a, b.join().unwrap())
     });
     assert_ne!(slot_a, slot_b, "two commits acknowledged in one slot");

@@ -237,7 +237,7 @@ fn one_persistence_path_is_silent_in_a_test_module() {
 
 const WIRING: &str = "\
 fn wire(p: &StorePolicy, t: &SharedTier) {
-    let mut s = p.open_store_flaky(&[], &[]).unwrap();
+    let mut s = p.open_store_scripted(&[], &[]).unwrap();
     s.attach_shared_tier(t, \"ns\");
     let w = SharedStoreWriter::spawn_stores(vec![s]);
     World::run_plan(spec, fabric, eps, plan, f);

@@ -5,13 +5,13 @@
 //! (so a base copies blocks its own epochs stored) and two collections,
 //! each shipped to a second volume standing in for the remote tier, then a
 //! hydrate of that tier into an empty volume. Every volume is a
-//! [`CrashVol`] over a `MemTier`, and all of them count their mutating
-//! operations (`put`, `delete`) on one counter. A remote put waits until
-//! the script ships, so the order of operations depends on the script
-//! alone, never on the shipper thread.
+//! `ScriptedVol` over a `MemTier`, and all of them run one machine's
+//! `Script`: their mutating operations (`put`, `delete`) count on one
+//! counter. A remote put is held until the script ships, so the order of
+//! operations depends on the script alone, never on the shipper thread.
 //!
 //! Armed with `k`, the run either fails operation `k` and goes on, or
-//! loses power before it: operation `k` and every later one fail. Then the
+//! loses power at it: operation `k` and every later one fail. Then the
 //! state the run left behind must hold up:
 //!
 //! * the local chain, reopened as it was frozen, lists only epochs that
@@ -25,128 +25,24 @@
 //!   epochs that restore.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
+use mpi_stool::dmtcp::testing::{Fault, Op, Script, ScriptedVol};
 use mpi_stool::dmtcp::{
-    DeltaStore, MemTier, ObjectTier, RankImage, StoreConfig, TierConfig, TierError, WorldImage,
+    DeltaStore, MemTier, ObjectTier, RankImage, StoreConfig, TierConfig, WorldImage,
 };
 
 /// Commits in the script: a base, two deltas, a rebase, two deltas.
 const STEPS: u64 = 6;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Crash {
-    /// Mutating operation `k` fails; the run goes on.
-    Fail(u64),
-    /// Power is lost before operation `k`: it and every later one fail.
-    PowerLoss(u64),
-}
-
-/// What every volume of one run shares: the armed crash, the counter of
-/// mutating operations, and the gate remote puts wait on.
-struct Machine {
-    crash: Option<Crash>,
-    ops: AtomicU64,
-    shipping: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Machine {
-    fn new(crash: Option<Crash>) -> Arc<Machine> {
-        Arc::new(Machine {
-            crash,
-            ops: AtomicU64::new(0),
-            shipping: Mutex::new(false),
-            cv: Condvar::new(),
-        })
+/// A writable copy of what `vol` holds now.
+fn frozen(vol: &dyn ObjectTier) -> Arc<MemTier> {
+    let copy = MemTier::new();
+    for key in vol.list("").unwrap() {
+        copy.put(&key, &vol.get(&key).unwrap()).unwrap();
     }
-
-    /// Count one mutating operation: whether it fails.
-    fn fails(&self) -> bool {
-        let k = self.ops.fetch_add(1, Ordering::SeqCst);
-        match self.crash {
-            Some(Crash::Fail(at)) => k == at,
-            Some(Crash::PowerLoss(at)) => k >= at,
-            None => false,
-        }
-    }
-
-    fn set_shipping(&self, open: bool) {
-        *self.shipping.lock().unwrap() = open;
-        self.cv.notify_all();
-    }
-
-    fn wait_shipping(&self) {
-        let mut open = self.shipping.lock().unwrap();
-        while !*open {
-            open = self.cv.wait(open).unwrap();
-        }
-    }
-}
-
-/// A `MemTier` whose mutating operations count on the machine and fail
-/// as it is armed. A remote volume's puts also wait for the script to
-/// ship.
-struct CrashVol {
-    inner: MemTier,
-    machine: Arc<Machine>,
-    remote: bool,
-}
-
-impl CrashVol {
-    fn new(machine: &Arc<Machine>, remote: bool) -> Arc<CrashVol> {
-        Arc::new(CrashVol {
-            inner: MemTier::new(),
-            machine: machine.clone(),
-            remote,
-        })
-    }
-
-    /// A writable copy of what the volume holds now.
-    fn frozen(&self) -> Arc<MemTier> {
-        let copy = MemTier::new();
-        for key in self.inner.list("").unwrap() {
-            copy.put(&key, &self.inner.get(&key).unwrap()).unwrap();
-        }
-        Arc::new(copy)
-    }
-
-    fn crashed(op: &'static str, key: &str) -> TierError {
-        TierError::Io {
-            op,
-            key: key.to_string(),
-            msg: "crash point".to_string(),
-        }
-    }
-}
-
-impl ObjectTier for CrashVol {
-    fn put(&self, key: &str, data: &[u8]) -> Result<(), TierError> {
-        if self.remote {
-            self.machine.wait_shipping();
-        }
-        if self.machine.fails() {
-            return Err(CrashVol::crashed("put", key));
-        }
-        self.inner.put(key, data)
-    }
-
-    fn get(&self, key: &str) -> Result<Vec<u8>, TierError> {
-        self.inner.get(key)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>, TierError> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, key: &str) -> Result<(), TierError> {
-        if self.machine.fails() {
-            return Err(CrashVol::crashed("delete", key));
-        }
-        self.inner.delete(key)
-    }
+    Arc::new(copy)
 }
 
 fn noise(seed: u64, len: usize) -> Vec<u8> {
@@ -191,16 +87,17 @@ fn tier_cfg() -> TierConfig {
     TierConfig {
         max_attempts: 2,
         backoff: Duration::ZERO,
-        jitter_permille: 0,
         deadline: None,
     }
 }
 
 /// What one run of the script left behind.
 struct Run {
-    local: Arc<CrashVol>,
-    remote: Arc<CrashVol>,
-    hydrated: Arc<CrashVol>,
+    /// The script every volume runs: the armed crash and the counter.
+    machine: Arc<Script>,
+    local: Arc<ScriptedVol>,
+    remote: Arc<ScriptedVol>,
+    hydrated: Arc<ScriptedVol>,
     /// The image meant for each epoch number, set before its commit.
     images: BTreeMap<u64, WorldImage>,
     /// The newest epoch whose commit returned.
@@ -211,7 +108,7 @@ struct Run {
 }
 
 /// Open `vol` and attach `tier` to it, once more if the first try fails.
-fn open_attached(vol: &Arc<CrashVol>, tier: &Arc<CrashVol>) -> Option<DeltaStore> {
+fn open_attached(vol: &Arc<ScriptedVol>, tier: &Arc<ScriptedVol>) -> Option<DeltaStore> {
     let attach = || {
         let mut store = DeltaStore::open_on(vol.clone(), store_cfg())?;
         store.attach_tier(tier.clone(), tier_cfg())?;
@@ -220,11 +117,22 @@ fn open_attached(vol: &Arc<CrashVol>, tier: &Arc<CrashVol>) -> Option<DeltaStore
     attach().or_else(|_| attach()).ok()
 }
 
-fn script(machine: &Arc<Machine>) -> Run {
+/// Run the script with `crash` (a fault and the mutating operation it
+/// strikes) armed.
+fn script(crash: Option<(Fault, u64)>) -> Run {
+    let machine = Script::new();
+    if let Some((fault, k)) = crash {
+        machine.at(Op::Mutate, k, fault);
+    }
+    // Remote puts are held until the script ships.
+    let shipping = Script::new();
+    shipping.hold(true);
+    let vol = || machine.wrap(Arc::new(MemTier::new()));
     let mut run = Run {
-        local: CrashVol::new(machine, false),
-        remote: CrashVol::new(machine, true),
-        hydrated: CrashVol::new(machine, false),
+        local: vol(),
+        remote: shipping.wrap(vol()),
+        hydrated: vol(),
+        machine,
         images: BTreeMap::new(),
         acked: None,
         rebased: false,
@@ -239,9 +147,9 @@ fn script(machine: &Arc<Machine>) -> Run {
             let image = world(step);
             run.images.insert(epoch, image.clone());
             let committed = store.commit(&image).or_else(|_| store.commit(&image));
-            machine.set_shipping(true);
+            shipping.hold(false);
             let shipped = store.tier_flush();
-            machine.set_shipping(false);
+            shipping.hold(true);
             let Ok(stats) = committed else {
                 break 'script;
             };
@@ -255,7 +163,7 @@ fn script(machine: &Arc<Machine>) -> Run {
         drop(store);
         open_attached(&run.hydrated, &run.remote);
     }
-    machine.set_shipping(true);
+    shipping.hold(false);
     run
 }
 
@@ -271,10 +179,9 @@ fn assert_listed_epochs_restore(store: &DeltaStore, run: &Run, what: &str) {
     }
 }
 
-fn check(crash: Crash, run: &Run) {
-    let what = format!("{crash:?}");
+fn check(what: &str, run: &Run) {
     // The local chain as the crash froze it.
-    let mut local = DeltaStore::open_on(run.local.frozen(), store_cfg())
+    let mut local = DeltaStore::open_on(frozen(&*run.local), store_cfg())
         .unwrap_or_else(|e| panic!("{what}: reopen failed: {e}"));
     assert!(
         local.latest() >= run.acked,
@@ -282,7 +189,7 @@ fn check(crash: Crash, run: &Run) {
         local.latest(),
         run.acked
     );
-    assert_listed_epochs_restore(&local, run, &what);
+    assert_listed_epochs_restore(&local, run, what);
     let retry = world(STEPS + 1);
     local
         .commit(&retry)
@@ -290,7 +197,7 @@ fn check(crash: Crash, run: &Run) {
     assert!(local.load_latest().ok() == Some(retry), "{what}: retry");
 
     // The tier, hydrated into an empty volume: its newest sealed epoch.
-    let tier = run.remote.frozen();
+    let tier = frozen(&*run.remote);
     let tier_head = (tier.list("").unwrap().iter())
         .filter_map(|key| {
             key.strip_prefix("epoch_")?
@@ -307,16 +214,15 @@ fn check(crash: Crash, run: &Run) {
     assert_listed_epochs_restore(&from_tier, run, &format!("{what}, tier"));
 
     // The volume the script hydrated into.
-    let hydrated = DeltaStore::open_on(run.hydrated.frozen(), store_cfg())
+    let hydrated = DeltaStore::open_on(frozen(&*run.hydrated), store_cfg())
         .unwrap_or_else(|e| panic!("{what}: reopen of the hydrated volume failed: {e}"));
     assert_listed_epochs_restore(&hydrated, run, &format!("{what}, hydrated"));
 }
 
 #[test]
 fn every_crash_point_leaves_a_chain_that_restores() {
-    let clean = Machine::new(None);
-    let run = script(&clean);
-    let total = clean.ops.load(Ordering::SeqCst);
+    let run = script(None);
+    let total = run.machine.calls(Op::Mutate, None);
     assert_eq!(
         run.acked,
         Some(STEPS),
@@ -326,20 +232,20 @@ fn every_crash_point_leaves_a_chain_that_restores() {
         run.rebased && run.collected,
         "the chain rebases and collects"
     );
-    let hydrated = DeltaStore::open_on(run.hydrated.frozen(), store_cfg()).unwrap();
+    let hydrated = DeltaStore::open_on(frozen(&*run.hydrated), store_cfg()).unwrap();
     assert_eq!(hydrated.latest(), Some(STEPS), "the hydrate pulls the head");
-    // Guard the enumeration's reach: commits, ships, collections and the
+    // Pin the enumeration's reach: commits, ships, collections and the
     // hydrate all put or delete.
-    assert!(total >= 40, "only {total} mutating operations");
+    assert_eq!(total, 44, "mutating operations of the script");
 
     let mut enumerated = 0;
     for k in 0..total {
-        for crash in [Crash::Fail(k), Crash::PowerLoss(k)] {
-            let machine = Machine::new(Some(crash));
-            let run = script(&machine);
-            check(crash, &run);
+        for fault in [Fault::Fail, Fault::PowerLoss] {
+            let run = script(Some((fault, k)));
+            check(&format!("{fault:?} at operation {k}"), &run);
             enumerated += 1;
         }
     }
+    assert_eq!(enumerated, 88, "crash points");
     println!("{enumerated} crash points over {total} mutating operations");
 }

@@ -9,58 +9,20 @@
 //! handle that never closed.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mpi_stool::dmtcp::{
-    DeltaStore, MemTier, ObjectTier, RankImage, StoreConfig, TierError, WorldImage,
-};
+use mpi_stool::dmtcp::testing::{Op, Script};
+use mpi_stool::dmtcp::{DeltaStore, MemTier, ObjectTier, RankImage, StoreConfig, WorldImage};
 
-/// A `MemTier` that counts the `manifest.bin` objects read from it.
-struct CountingVol {
-    inner: MemTier,
-    manifest_gets: AtomicU64,
-}
-
-impl CountingVol {
-    fn new() -> Arc<CountingVol> {
-        Arc::new(CountingVol {
-            inner: MemTier::new(),
-            manifest_gets: AtomicU64::new(0),
+/// Every object on `vol`, by key.
+fn objects(vol: &dyn ObjectTier) -> BTreeMap<String, Vec<u8>> {
+    let keys = vol.list("").unwrap();
+    keys.into_iter()
+        .map(|key| {
+            let data = vol.get(&key).unwrap();
+            (key, data)
         })
-    }
-
-    /// Every object on the volume, by key.
-    fn objects(&self) -> BTreeMap<String, Vec<u8>> {
-        let keys = self.inner.list("").unwrap();
-        keys.into_iter()
-            .map(|key| {
-                let data = self.inner.get(&key).unwrap();
-                (key, data)
-            })
-            .collect()
-    }
-}
-
-impl ObjectTier for CountingVol {
-    fn put(&self, key: &str, data: &[u8]) -> Result<(), TierError> {
-        self.inner.put(key, data)
-    }
-
-    fn get(&self, key: &str) -> Result<Vec<u8>, TierError> {
-        if key.ends_with("/manifest.bin") {
-            self.manifest_gets.fetch_add(1, Ordering::SeqCst);
-        }
-        self.inner.get(key)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>, TierError> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, key: &str) -> Result<(), TierError> {
-        self.inner.delete(key)
-    }
+        .collect()
 }
 
 fn noise(seed: u64, len: usize) -> Vec<u8> {
@@ -103,7 +65,8 @@ fn cfg(max_chain: usize) -> StoreConfig {
 
 #[test]
 fn an_open_and_a_load_read_the_head_manifest_twice_and_no_other() {
-    let vol = CountingVol::new();
+    let script = Script::new();
+    let vol = script.wrap(Arc::new(MemTier::new()));
     let mut store = DeltaStore::open_on(vol.clone(), cfg(8)).unwrap();
     for step in 1..=9 {
         store.commit(&world(step)).unwrap();
@@ -115,12 +78,13 @@ fn an_open_and_a_load_read_the_head_manifest_twice_and_no_other() {
     );
     drop(store);
 
-    vol.manifest_gets.store(0, Ordering::SeqCst);
+    let manifest_gets = || script.calls(Op::Get, Some("manifest.bin"));
+    let before = manifest_gets();
     let store = DeltaStore::open_on(vol.clone(), cfg(8)).unwrap();
     assert_eq!(store.load_latest().unwrap(), world(9));
     // One decode at open, one at load: the eight manifests behind the
     // head are not read.
-    assert_eq!(vol.manifest_gets.load(Ordering::SeqCst), 2);
+    assert_eq!(manifest_gets() - before, 2);
 }
 
 /// Commit `steps` images, reopening the handle after commit `reopen_at`
@@ -130,7 +94,7 @@ fn chain(
     steps: u64,
     reopen_at: Option<u64>,
 ) -> (Vec<bool>, BTreeMap<String, Vec<u8>>) {
-    let vol = CountingVol::new();
+    let vol: Arc<dyn ObjectTier> = Arc::new(MemTier::new());
     let mut store = DeltaStore::open_on(vol.clone(), cfg(max_chain)).unwrap();
     let mut fulls = Vec::new();
     for step in 1..=steps {
@@ -140,7 +104,7 @@ fn chain(
             store = DeltaStore::open_on(vol.clone(), cfg(max_chain)).unwrap();
         }
     }
-    (fulls, vol.objects())
+    (fulls, objects(&*vol))
 }
 
 #[test]
@@ -164,7 +128,7 @@ fn a_handle_reopened_after_any_commit_writes_what_a_running_one_writes() {
 
 #[test]
 fn an_unreadable_older_manifest_makes_the_next_commit_a_base() {
-    let vol = CountingVol::new();
+    let vol: Arc<dyn ObjectTier> = Arc::new(MemTier::new());
     let mut store = DeltaStore::open_on(vol.clone(), cfg(8)).unwrap();
     for step in 1..=3 {
         store.commit(&world(step)).unwrap();
@@ -172,9 +136,9 @@ fn an_unreadable_older_manifest_makes_the_next_commit_a_base() {
     drop(store);
     // Rot the manifest of epoch 2, a delta behind the head.
     let key = "epoch_000002/manifest.bin";
-    let mut manifest = vol.inner.get(key).unwrap();
+    let mut manifest = vol.get(key).unwrap();
     manifest[0] ^= 0xFF;
-    vol.inner.put(key, &manifest).unwrap();
+    vol.put(key, &manifest).unwrap();
 
     let mut store = DeltaStore::open_on(vol.clone(), cfg(8)).unwrap();
     assert_eq!(store.epochs(), [1, 2, 3], "only a head is quarantined");

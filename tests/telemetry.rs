@@ -9,7 +9,8 @@ use proptest::prelude::*;
 
 use std::time::Duration;
 
-use mpi_stool::dmtcp::{BarrierPhase, PutFault, StoreConfig, TierConfig};
+use mpi_stool::dmtcp::testing::Fault;
+use mpi_stool::dmtcp::{BarrierPhase, StoreConfig, TierConfig};
 use mpi_stool::simnet::{ClusterSpec, EventKind, MetricValue, Telemetry, TelemetryConfig};
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{
@@ -386,7 +387,7 @@ fn tier_and_replica_stats_are_the_registrys_counts() {
         })
         .fault_schedule(
             FaultSchedule::default()
-                .tier_put_faults([PutFault::Fail])
+                .tier_put_faults([Fault::Fail])
                 .kill_leader_at(BarrierPhase::PreSeal),
         )
         .build()

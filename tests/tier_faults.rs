@@ -7,9 +7,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mpi_stool::apps::WaveMpi;
+use mpi_stool::dmtcp::testing::{Fault, Op, Script};
 use mpi_stool::dmtcp::{
-    DeltaStore, FlakyTier, FsTier, GetFault, ObjectTier, PutFault, RankImage, SharedStoreWriter,
-    StoreConfig, StoreError, TierConfig, TierError, WorldImage,
+    DeltaStore, FsTier, ObjectTier, RankImage, SharedStoreWriter, StoreConfig, StoreError,
+    TierConfig, TierError, WorldImage,
 };
 use mpi_stool::simnet::ClusterSpec;
 use mpi_stool::stool::{
@@ -76,13 +77,14 @@ fn tier_cfg() -> TierConfig {
 fn upload_errors_mid_epoch_are_retried_with_backoff() {
     let store_dir = tmp_dir("retry_store");
     let tier_dir = tmp_dir("retry_tier");
-    let flaky = Arc::new(FlakyTier::new(Arc::new(FsTier::open(&tier_dir).unwrap())));
+    let script = Script::new();
+    let tier = script.wrap(Arc::new(FsTier::open(&tier_dir).unwrap()));
     // Two failures strike in the middle of the epoch's object sequence
     // (blocks, manifest, seal): the shipper must retry past both.
-    flaky.script_puts([PutFault::Fail, PutFault::Fail]);
+    script.push(Op::Put, [Fault::Fail, Fault::Fail]);
 
     let mut store =
-        DeltaStore::open_with_tier(&store_dir, small_cfg(), flaky.clone(), tier_cfg()).unwrap();
+        DeltaStore::open_with_tier(&store_dir, small_cfg(), tier.clone(), tier_cfg()).unwrap();
     store.commit(&image(1, 2, 0x11, 2000)).unwrap();
     store.tier_flush().expect("retries must absorb both faults");
     assert_eq!(store.tier_durable(), vec![1]);
@@ -94,7 +96,7 @@ fn upload_errors_mid_epoch_are_retried_with_backoff() {
     assert_eq!(store.load_latest().unwrap(), image(1, 2, 0x11, 2000));
     drop(store);
     std::fs::remove_dir_all(&store_dir).unwrap();
-    let hydrated = DeltaStore::open_with_tier(&store_dir, small_cfg(), flaky, tier_cfg()).unwrap();
+    let hydrated = DeltaStore::open_with_tier(&store_dir, small_cfg(), tier, tier_cfg()).unwrap();
     assert_eq!(hydrated.load_latest().unwrap(), image(1, 2, 0x11, 2000));
     std::fs::remove_dir_all(&store_dir).unwrap();
     std::fs::remove_dir_all(&tier_dir).unwrap();
@@ -104,17 +106,18 @@ fn upload_errors_mid_epoch_are_retried_with_backoff() {
 fn persistent_upload_failure_goes_sticky_but_never_loses_local_state() {
     let store_dir = tmp_dir("sticky_store");
     let tier_dir = tmp_dir("sticky_tier");
-    let flaky = Arc::new(FlakyTier::new(Arc::new(FsTier::open(&tier_dir).unwrap())));
+    let script = Script::new();
+    let tier = script.wrap(Arc::new(FsTier::open(&tier_dir).unwrap()));
     // More consecutive failures than the attempt budget: the shipper
     // error goes sticky after max_attempts.
-    flaky.script_puts(std::iter::repeat_n(PutFault::Fail, 32));
+    script.push(Op::Put, [Fault::Fail; 32]);
 
     let cfg = StoreConfig {
         retain_epochs: 1,
         max_chain: 0, // every epoch a full base: GC would normally keep 1
         ..small_cfg()
     };
-    let mut store = DeltaStore::open_with_tier(&store_dir, cfg, flaky, tier_cfg()).unwrap();
+    let mut store = DeltaStore::open_with_tier(&store_dir, cfg, tier, tier_cfg()).unwrap();
     for e in 1..=5 {
         store.commit(&image(e, 2, e as u8, 1500)).unwrap();
     }
@@ -142,14 +145,15 @@ fn persistent_upload_failure_goes_sticky_but_never_loses_local_state() {
 fn torn_object_is_rejected_by_crc_and_reuploaded() {
     let store_dir = tmp_dir("torn_store");
     let tier_dir = tmp_dir("torn_tier");
-    let flaky = Arc::new(FlakyTier::new(Arc::new(FsTier::open(&tier_dir).unwrap())));
+    let script = Script::new();
+    let tier = script.wrap(Arc::new(FsTier::open(&tier_dir).unwrap()));
     // Every object of the first epoch lands torn once: the put reports
     // success but the stored bytes are short. Only read-back CRC
     // verification can catch this; each object must be re-uploaded.
-    flaky.script_puts([PutFault::Torn, PutFault::Torn, PutFault::Torn]);
+    script.push(Op::Put, [Fault::Torn; 3]);
 
     let mut store =
-        DeltaStore::open_with_tier(&store_dir, small_cfg(), flaky.clone(), tier_cfg()).unwrap();
+        DeltaStore::open_with_tier(&store_dir, small_cfg(), tier.clone(), tier_cfg()).unwrap();
     store.commit(&image(1, 2, 0x33, 2500)).unwrap();
     store
         .tier_flush()
@@ -165,7 +169,7 @@ fn torn_object_is_rejected_by_crc_and_reuploaded() {
     // The tier copy is bit-perfect: delete the whole local store and
     // hydrate from the tier alone.
     std::fs::remove_dir_all(&store_dir).unwrap();
-    let store = DeltaStore::open_with_tier(&store_dir, small_cfg(), flaky, tier_cfg()).unwrap();
+    let store = DeltaStore::open_with_tier(&store_dir, small_cfg(), tier, tier_cfg()).unwrap();
     assert_eq!(store.epochs(), &[1]);
     assert_eq!(store.load_latest().unwrap(), image(1, 2, 0x33, 2500));
     std::fs::remove_dir_all(&store_dir).unwrap();
@@ -180,15 +184,16 @@ fn slow_tier_cannot_race_gc_into_deleting_an_unshipped_epoch() {
     // commit collects them.
     let store_dir = tmp_dir("gcrace_store");
     let tier_dir = tmp_dir("gcrace_tier");
-    let flaky = Arc::new(FlakyTier::new(Arc::new(FsTier::open(&tier_dir).unwrap())));
-    flaky.hold_all();
+    let script = Script::new();
+    let tier = script.wrap(Arc::new(FsTier::open(&tier_dir).unwrap()));
+    script.hold(true);
 
     let cfg = StoreConfig {
         retain_epochs: 1,
         max_chain: 0, // every epoch a self-contained full base
         ..small_cfg()
     };
-    let mut store = DeltaStore::open_with_tier(&store_dir, cfg, flaky.clone(), tier_cfg()).unwrap();
+    let mut store = DeltaStore::open_with_tier(&store_dir, cfg, tier.clone(), tier_cfg()).unwrap();
     for e in 1..=5 {
         let s = store.commit(&image(e, 2, e as u8, 1200)).unwrap();
         assert!(s.full);
@@ -203,7 +208,7 @@ fn slow_tier_cannot_race_gc_into_deleting_an_unshipped_epoch() {
 
     // Release the tier; once every epoch is durable the next commit's GC
     // applies the configured retention again.
-    flaky.release();
+    script.hold(false);
     store.tier_flush().unwrap();
     assert_eq!(store.tier_durable(), vec![1, 2, 3, 4, 5]);
     store.commit(&image(6, 2, 6, 1200)).unwrap();
@@ -219,7 +224,7 @@ fn slow_tier_cannot_race_gc_into_deleting_an_unshipped_epoch() {
     // And the collected epochs live on in the tier: a remote-only
     // restore of the newest epoch works.
     std::fs::remove_dir_all(&store_dir).unwrap();
-    let store = DeltaStore::open_with_tier(&store_dir, cfg, flaky, tier_cfg()).unwrap();
+    let store = DeltaStore::open_with_tier(&store_dir, cfg, tier, tier_cfg()).unwrap();
     assert_eq!(store.load_latest().unwrap(), image(6, 2, 6, 1200));
     std::fs::remove_dir_all(&store_dir).unwrap();
     std::fs::remove_dir_all(&tier_dir).unwrap();
@@ -460,9 +465,10 @@ fn background_writer_ships_through_the_tier_end_to_end() {
 fn download_errors_during_hydration_are_retried() {
     let store_dir = tmp_dir("get_retry_store");
     let tier_dir = tmp_dir("get_retry_tier");
-    let flaky = Arc::new(FlakyTier::new(Arc::new(FsTier::open(&tier_dir).unwrap())));
+    let script = Script::new();
+    let tier = script.wrap(Arc::new(FsTier::open(&tier_dir).unwrap()));
     let mut store =
-        DeltaStore::open_with_tier(&store_dir, small_cfg(), flaky.clone(), tier_cfg()).unwrap();
+        DeltaStore::open_with_tier(&store_dir, small_cfg(), tier.clone(), tier_cfg()).unwrap();
     store.commit(&image(1, 2, 0x21, 1500)).unwrap();
     store.tier_flush().unwrap();
     drop(store);
@@ -471,14 +477,14 @@ fn download_errors_during_hydration_are_retried() {
     // middle of the hydration object sequence: the retrying get path
     // must absorb both.
     std::fs::remove_dir_all(&store_dir).unwrap();
-    flaky.script_gets([GetFault::Fail, GetFault::Fail]);
+    script.push(Op::Get, [Fault::Fail, Fault::Fail]);
     let hydrated =
-        DeltaStore::open_with_tier(&store_dir, small_cfg(), flaky.clone(), tier_cfg()).unwrap();
+        DeltaStore::open_with_tier(&store_dir, small_cfg(), tier.clone(), tier_cfg()).unwrap();
     assert_eq!(hydrated.load_latest().unwrap(), image(1, 2, 0x21, 1500));
     assert!(
-        flaky.injected() >= 2,
+        script.injected() >= 2,
         "both scripted faults fired: {}",
-        flaky.injected()
+        script.injected()
     );
     std::fs::remove_dir_all(&store_dir).unwrap();
     std::fs::remove_dir_all(&tier_dir).unwrap();
@@ -488,9 +494,10 @@ fn download_errors_during_hydration_are_retried() {
 fn torn_seal_download_hides_the_epoch_never_installs_garbage() {
     let store_dir = tmp_dir("get_torn_store");
     let tier_dir = tmp_dir("get_torn_tier");
-    let flaky = Arc::new(FlakyTier::new(Arc::new(FsTier::open(&tier_dir).unwrap())));
+    let script = Script::new();
+    let tier = script.wrap(Arc::new(FsTier::open(&tier_dir).unwrap()));
     let mut store =
-        DeltaStore::open_with_tier(&store_dir, small_cfg(), flaky.clone(), tier_cfg()).unwrap();
+        DeltaStore::open_with_tier(&store_dir, small_cfg(), tier.clone(), tier_cfg()).unwrap();
     store.commit(&image(1, 2, 0x31, 1500)).unwrap();
     store.tier_flush().unwrap();
     drop(store);
@@ -499,9 +506,9 @@ fn torn_seal_download_hides_the_epoch_never_installs_garbage() {
     // can catch it. The seal sweep must treat the epoch as unsealed —
     // invisible — rather than install anything from it.
     std::fs::remove_dir_all(&store_dir).unwrap();
-    flaky.script_gets([GetFault::Torn]);
+    script.push(Op::Get, [Fault::Torn]);
     let hydrated =
-        DeltaStore::open_with_tier(&store_dir, small_cfg(), flaky.clone(), tier_cfg()).unwrap();
+        DeltaStore::open_with_tier(&store_dir, small_cfg(), tier.clone(), tier_cfg()).unwrap();
     assert!(
         matches!(hydrated.load_latest(), Err(StoreError::Empty)),
         "a torn seal must hide the epoch, not install garbage"
@@ -509,7 +516,7 @@ fn torn_seal_download_hides_the_epoch_never_installs_garbage() {
     drop(hydrated);
     // The fault script is drained; a clean reopen hydrates fully.
     std::fs::remove_dir_all(&store_dir).unwrap();
-    let hydrated = DeltaStore::open_with_tier(&store_dir, small_cfg(), flaky, tier_cfg()).unwrap();
+    let hydrated = DeltaStore::open_with_tier(&store_dir, small_cfg(), tier, tier_cfg()).unwrap();
     assert_eq!(hydrated.load_latest().unwrap(), image(1, 2, 0x31, 1500));
     std::fs::remove_dir_all(&store_dir).unwrap();
     std::fs::remove_dir_all(&tier_dir).unwrap();
@@ -548,9 +555,10 @@ fn rotted_tier_object_surfaces_corrupt_not_garbage() {
 fn unreachable_tier_surfaces_timeout_at_the_retry_deadline() {
     let store_dir = tmp_dir("get_deadline_store");
     let tier_dir = tmp_dir("get_deadline_tier");
-    let flaky = Arc::new(FlakyTier::new(Arc::new(FsTier::open(&tier_dir).unwrap())));
+    let script = Script::new();
+    let tier = script.wrap(Arc::new(FsTier::open(&tier_dir).unwrap()));
     let mut store =
-        DeltaStore::open_with_tier(&store_dir, small_cfg(), flaky.clone(), tier_cfg()).unwrap();
+        DeltaStore::open_with_tier(&store_dir, small_cfg(), tier.clone(), tier_cfg()).unwrap();
     store.commit(&image(1, 2, 0x41, 1500)).unwrap();
     store.tier_flush().unwrap();
     drop(store);
@@ -559,14 +567,13 @@ fn unreachable_tier_surfaces_timeout_at_the_retry_deadline() {
     // configured deadline: the hydration bounds its wall-clock with
     // Timeout instead of sleeping out the whole retry budget.
     std::fs::remove_dir_all(&store_dir).unwrap();
-    flaky.script_gets(std::iter::repeat_n(GetFault::Fail, 64));
+    script.push(Op::Get, [Fault::Fail; 64]);
     let cfg = TierConfig {
         max_attempts: 16,
         backoff: Duration::from_millis(50),
         deadline: Some(Duration::from_millis(5)),
-        ..TierConfig::default()
     };
-    let err = DeltaStore::open_with_tier(&store_dir, small_cfg(), flaky, cfg)
+    let err = DeltaStore::open_with_tier(&store_dir, small_cfg(), tier, cfg)
         .map(|_| ())
         .expect_err("an unreachable tier must not hydrate");
     assert!(
@@ -604,7 +611,7 @@ fn a_killed_runs_salvage_ships_nothing_past_its_sticky_shipper() {
         })
         .fault_schedule(
             FaultSchedule::default()
-                .tier_put_faults([PutFault::Fail])
+                .tier_put_faults([Fault::Fail])
                 .kill_nodes(75, [1]),
         )
         .build()
