@@ -131,14 +131,14 @@ fn measure_workload(
     // plus manifest and seal. Sum what actually landed remotely.
     let tier = FsTier::open(&tier_dir)?;
     let mut tier_bytes = 0u64;
-    let mut sealed_epochs = 0u64;
+    let mut seals = 0u64;
     for key in tier.list("")? {
         tier_bytes += tier.get(&key)?.len() as u64;
         if key.ends_with("/seal") {
-            sealed_epochs += 1;
+            seals += 1;
         }
     }
-    let tier_shipped_bytes_avg = tier_bytes / sealed_epochs.max(1);
+    let tier_shipped_bytes_avg = tier_bytes / seals.max(1);
 
     let store = DeltaStore::open_with(&dir, store_cfg())?;
     let stats = store.epoch_stats_on_disk()?;
@@ -236,13 +236,12 @@ fn main() {
         measure_workload("wave_mpi", &wave, 8).expect("wave row"),
         measure_workload("CoMD", &comd, 6).expect("comd row"),
     ];
-    let ship_model = ManaConfig::default();
     for r in &rows {
         println!(
             "store/{}: {} epochs, full base {} B, avg delta {} B (raw {} B, \
              {:.2}x compression), hashed/delta {} B dirty vs {} B full \
              ({:.2}x less hashing), image {} B, tier ship {} B/epoch \
-             ({:.2}x dedup at tier, modelled {:.3} ms undurable), \
+             ({:.2}x dedup at tier), \
              commit {:.3} ms, makespan sync {:.6} s vs async {:.6} s",
             r.name,
             r.epochs,
@@ -256,10 +255,6 @@ fn main() {
             r.image_bytes,
             r.tier_shipped_bytes_avg,
             r.image_bytes as f64 / r.tier_shipped_bytes_avg.max(1) as f64,
-            ship_model
-                .tier_ship_time(r.tier_shipped_bytes_avg as usize)
-                .as_micros_f64()
-                / 1e3,
             r.commit_wall_ms,
             r.sync_makespan_s,
             r.async_makespan_s,

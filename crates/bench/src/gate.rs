@@ -1449,7 +1449,7 @@ mod tests {
         let mut out = GateOutcome::default();
         compare(&MATRIX, &mut out, &base, &fresh);
         assert!(out.regressions[0].starts_with("matrix/pr: "), "{out:?}");
-        // Recovery rounds are deterministic and must match exactly.
+        // Restart rounds are deterministic and must match exactly.
         let drifted = vec![
             matrix_row("a-storm", true, true, 2, 1),
             matrix_row("c-leader", true, true, 0, 0),

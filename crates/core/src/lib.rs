@@ -55,8 +55,7 @@ pub use cluster::{Cluster, ClusterBuilder, ClusterReport, TenantReport};
 pub use dmtcp_sim::memory::Memory;
 pub use dmtcp_sim::testing::Fault;
 pub use dmtcp_sim::{
-    tenant_namespace, FsTier, MemTier, ObjectTier, ScrubReport, SharedTier, TierConfig, TierError,
-    TierStats,
+    tenant_namespace, FsTier, MemTier, ObjectTier, SharedTier, TierConfig, TierError, TierStats,
 };
 pub use dmtcp_sim::{
     BarrierPhase, ReplicaConfig, ReplicaError, ReplicaFault, ReplicaGroup, ReplicaRecord,
@@ -75,8 +74,8 @@ pub use scenario::{
     ScenarioResult, ScenarioSpec, Straggler, Victims,
 };
 pub use session::{
-    Checkpointer, CkptPolicy, DurabilityPolicy, Recovery, ReplicaPolicy, ResilienceReport,
-    RunOutcome, Session, SessionBuilder, StorePolicy, TierPolicy,
+    Checkpointer, CkptPolicy, DurabilityPolicy, ReplicaPolicy, RunOutcome, Session, SessionBuilder,
+    StorePolicy, TierPolicy,
 };
 pub use telemetry::{
     Event, EventKind, MetricValue, MetricsRegistry, Telemetry, TelemetryConfig, TelemetrySnapshot,

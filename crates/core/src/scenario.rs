@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use dmtcp_sim::memory::Memory;
 use dmtcp_sim::replica::{BarrierPhase, ReplicaFault};
-use dmtcp_sim::store::StoreConfig;
+use dmtcp_sim::store::{DeltaStore, StoreConfig, StoreError};
 use dmtcp_sim::testing::Fault;
 use dmtcp_sim::tier::TierConfig;
 use muk::Vendor;
@@ -850,15 +850,15 @@ pub fn run_scenario(
     let mut observed = Observed::default();
     let mut references: BTreeMap<&'static str, Vec<Memory>> = BTreeMap::new();
 
-    // The run/restart chain: launch under the primary vendor with the
-    // full schedule; each kill fails the run globally, and the job is
-    // restarted from the chain under the alternating vendor with the
-    // remaining schedule.
+    // The run/restart chain: launch once under the primary vendor with
+    // the full schedule; each kill fails the run globally, and the job is
+    // restored from the chain under the alternating vendor with the
+    // remaining schedule. There is no other way back.
     let mut remaining = spec.schedule.clone();
     let mut vendor = spec.vendor;
-    let mut fresh = true;
     let max_rounds = spec.schedule.kills.len() as u64 + 2;
     let final_memories = loop {
+        let restart = result.recovery_rounds > 0;
         let session = match build_session(spec, vendor, durability.clone(), remaining.clone()) {
             Ok(s) => s,
             Err(e) => {
@@ -866,17 +866,17 @@ pub fn run_scenario(
                 break None;
             }
         };
-        let outcome = if fresh {
-            session.launch(program)
-        } else {
+        let outcome = if restart {
             session.restore_from_store(program)
+        } else {
+            session.launch(program)
         };
         let outcome = match outcome {
             Ok(o) => o,
             Err(e) => {
                 result.failures.push(format!(
                     "{} run under {} errored: {e}",
-                    if fresh { "launch" } else { "restart" },
+                    if restart { "restart" } else { "launch" },
                     vendor.name()
                 ));
                 break None;
@@ -885,6 +885,9 @@ pub fn run_scenario(
         let run_failed = outcome.is_failed();
         if let Some(snap) = session.telemetry() {
             observed.absorb(&snap, run_failed);
+            if restart {
+                check_restart(spec, result.recovery_rounds, &snap, &mut result.failures);
+            }
         }
         match outcome {
             RunOutcome::Completed { memories, .. } => break Some((memories, vendor)),
@@ -894,7 +897,9 @@ pub fn run_scenario(
                     .push("run checkpoint-stopped; scenarios never schedule a Stop".into());
                 break None;
             }
-            RunOutcome::Failed { failed_step, .. } => {
+            RunOutcome::Failed {
+                image, failed_step, ..
+            } => {
                 result.kills += 1;
                 // Invariant 1a: the failure lands exactly where the
                 // schedule says (every rank agreed, or run_inner would
@@ -907,6 +912,14 @@ pub fn run_scenario(
                     None => result
                         .failures
                         .push(format!("unscheduled failure at step {failed_step}")),
+                }
+                // A restart restores the newest checkpoint; without one
+                // the job could only relaunch from step 0.
+                if image.is_none() {
+                    result.failures.push(format!(
+                        "failed at step {failed_step} with no completed checkpoint to restore"
+                    ));
+                    break None;
                 }
                 // Invariant 1b: the chain survived the unwind whole.
                 check_chain(&durability, &mut result.failures);
@@ -931,7 +944,6 @@ pub fn run_scenario(
                 } else {
                     spec.vendor
                 };
-                fresh = chain_is_empty(&durability);
             }
         }
     };
@@ -1135,13 +1147,38 @@ fn verify_restart(
     }
 }
 
+/// A restart resumed from a checkpoint (it loaded a chain head) and,
+/// the first time after `wipe_local`, hydrated that head from the tier
+/// in its own run.
+fn check_restart(
+    spec: &ScenarioSpec,
+    round: u64,
+    snap: &TelemetrySnapshot,
+    failures: &mut Vec<String>,
+) {
+    let count = |name: &str| snap.recorder.metrics().histogram(name).count();
+    if count("store.load.read_us") == 0 {
+        failures.push(format!("restart round {round} relaunched from step 0"));
+    }
+    if spec.wipe_local && round == 1 && count("tier.hydrate_us") == 0 {
+        failures.push("the restart after wipe_local hydrated nothing from the tier".into());
+    }
+}
+
+/// The local chain alone, opened by its directory without the tier: what
+/// the node's disk holds.
+fn local_chain(durability: &DurabilityPolicy) -> Option<Result<DeltaStore, StoreError>> {
+    let policy = durability.store.as_ref()?;
+    Some(DeltaStore::open_with(&policy.dir, policy.config))
+}
+
 /// Invariant 1b: after a failed run the chain must be whole — strictly
 /// ascending epochs, nothing quarantined, newest epoch loadable.
 fn check_chain(durability: &DurabilityPolicy, failures: &mut Vec<String>) {
-    let Some(policy) = &durability.store else {
+    let Some(opened) = local_chain(durability) else {
         return;
     };
-    match policy.open_store() {
+    match opened {
         Err(e) => failures.push(format!("chain reopen after failure: {e}")),
         Ok(store) => {
             if !store.quarantined().is_empty() {
@@ -1163,42 +1200,23 @@ fn check_chain(durability: &DurabilityPolicy, failures: &mut Vec<String>) {
     }
 }
 
-/// Ship everything still local to the tier, then delete the local chain:
-/// the next restart must hydrate from the tier alone.
+/// Delete the local chain: the whole local disk lost. The run before
+/// drained its tier shipper when it ended, so the next restart must
+/// hydrate from the tier alone.
 fn wipe_local_chain(durability: &DurabilityPolicy) -> Result<(), String> {
     let policy = durability
         .store
         .as_ref()
         .ok_or("wipe_local without a store policy")?;
-    let store = policy
-        .open_store()
-        .map_err(|e| format!("wipe_local reopen: {e}"))?;
-    store
-        .tier_flush()
-        .map_err(|e| format!("wipe_local tier flush: {e}"))?;
-    drop(store);
     // lint:allow(one-persistence-path) — the fault under test is the whole local disk lost, not a store operation.
     std::fs::remove_dir_all(&policy.dir)
         .map_err(|e| format!("wipe_local remove {}: {e}", policy.dir.display()))
 }
 
-fn chain_is_empty(durability: &DurabilityPolicy) -> bool {
-    match &durability.store {
-        None => true,
-        Some(policy) => match policy.open_store() {
-            Ok(store) => store.epochs().is_empty(),
-            Err(_) => true,
-        },
-    }
-}
-
 fn final_epoch_count(durability: &DurabilityPolicy) -> u64 {
-    match &durability.store {
-        None => 0,
-        Some(policy) => policy
-            .open_store()
-            .map(|s| s.epochs().len() as u64)
-            .unwrap_or(0),
+    match local_chain(durability) {
+        Some(Ok(store)) => store.epochs().len() as u64,
+        _ => 0,
     }
 }
 

@@ -375,8 +375,8 @@ impl SessionBuilder {
     }
 
     /// Take a periodic checkpoint every `n` safe-point steps and keep
-    /// running (classic interval checkpointing; feeds
-    /// [`Session::run_resilient`]).
+    /// running (classic interval checkpointing: a failed run salvages the
+    /// last one, and [`Session::restore_from_store`] restarts from it).
     pub fn checkpoint_every(mut self, n: u64) -> Self {
         self.config.policy.every_steps = Some(n);
         self
@@ -415,7 +415,8 @@ impl SessionBuilder {
     /// session's fault schedule. Failure is observed *globally*, like an
     /// `MPI_Abort` under a non-fault-tolerant MPI — every rank unwinds at
     /// the same safe point, and recovery is a Reinit-style global restart
-    /// from the last completed checkpoint ([`Session::run_resilient`]).
+    /// from the last completed checkpoint (the run/restart loop of
+    /// [`crate::run_scenario`]).
     pub fn inject_node_failure(mut self, step: u64, node: usize) -> Self {
         self.injected.push(KillEvent {
             at_step: step,
@@ -606,25 +607,6 @@ impl RunOutcome {
     }
 }
 
-/// One recovery performed by [`Session::run_resilient`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Recovery {
-    /// The safe-point step at which the failure struck.
-    pub failed_at: u64,
-    /// Whether recovery used a checkpoint image (`false` = no checkpoint
-    /// had completed yet, so the job restarted from scratch).
-    pub from_image: bool,
-}
-
-/// What [`Session::run_resilient`] did to finish the job.
-#[derive(Debug)]
-pub struct ResilienceReport {
-    /// The final (completed) outcome.
-    pub outcome: RunOutcome,
-    /// The global restarts that were needed, in order.
-    pub recoveries: Vec<Recovery>,
-}
-
 /// What one run is wired to before its world starts: its flight
 /// recorder, its lane of the committer (if it checkpoints through a
 /// store; the lane holds the run's one handle on its chain, and hands it
@@ -736,18 +718,6 @@ impl Session {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .clone()
-    }
-
-    /// Carry a retry session's last snapshot over to this session, so
-    /// [`Session::run_resilient`] callers see the final attempt's
-    /// telemetry through [`Session::telemetry`].
-    fn adopt_telemetry(&self, retry: &Session) {
-        if let Some(snap) = retry.telemetry() {
-            *self
-                .last_telemetry
-                .lock()
-                .unwrap_or_else(|p| p.into_inner()) = Some(snap);
-        }
     }
 
     /// The effective MANA configuration: the configured one, with
@@ -1074,81 +1044,5 @@ impl Session {
             clocks: outcome.clocks,
             counters: outcome.counters,
         })
-    }
-
-    /// Run to completion through failures: Reinit-style global restart.
-    ///
-    /// Launches the program under this session's configuration (typically
-    /// with [`SessionBuilder::checkpoint_every`] for periodic checkpoints
-    /// and [`SessionBuilder::inject_node_failure`] for the experiment's
-    /// fault). Each time the job fails, it is restarted from the last
-    /// completed checkpoint image — or from scratch if none exists —
-    /// treating injected faults as transient (they are not re-injected on
-    /// the retry, like a crashed node that was replaced).
-    ///
-    /// `max_restarts` bounds the number of recoveries.
-    pub fn run_resilient(
-        &self,
-        program: &dyn MpiProgram,
-        max_restarts: usize,
-    ) -> StoolResult<ResilienceReport> {
-        if matches!(self.config.checkpointer, Checkpointer::None) {
-            return Err(StoolError::Config(
-                "run_resilient requires the MANA checkpointer".into(),
-            ));
-        }
-        let mut recoveries = Vec::new();
-        let mut pending_image: Option<WorldImage> = None;
-        loop {
-            let outcome = match &pending_image {
-                None => self.launch(program)?,
-                Some(image) => {
-                    // The retry session: same stack, kills cleared — the
-                    // crashed node was replaced.
-                    let mut retry = Session::with_config(self.config.clone());
-                    retry.config.schedule.kills.clear();
-                    let outcome = retry.restore(image, program)?;
-                    self.adopt_telemetry(&retry);
-                    outcome
-                }
-            };
-            match outcome {
-                RunOutcome::Failed {
-                    image, failed_step, ..
-                } => {
-                    if recoveries.len() >= max_restarts {
-                        return Err(StoolError::App(format!(
-                            "job failed at step {failed_step} after {} restarts",
-                            recoveries.len()
-                        )));
-                    }
-                    recoveries.push(Recovery {
-                        failed_at: failed_step,
-                        from_image: image.is_some(),
-                    });
-                    pending_image = image;
-                    // After the first failure the fault is spent; a fresh
-                    // from-scratch launch must not re-fail, so clear it by
-                    // retrying through a fault-free session when no image
-                    // exists either.
-                    if pending_image.is_none() {
-                        let mut retry = Session::with_config(self.config.clone());
-                        retry.config.schedule.kills.clear();
-                        let outcome = retry.launch(program)?;
-                        self.adopt_telemetry(&retry);
-                        return Ok(ResilienceReport {
-                            outcome,
-                            recoveries,
-                        });
-                    }
-                }
-                done => {
-                    return Ok(ResilienceReport {
-                        outcome: done,
-                        recoveries,
-                    })
-                }
-            }
-        }
     }
 }

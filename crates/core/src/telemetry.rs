@@ -28,8 +28,8 @@ pub use simnet::telemetry::{
 
 /// Everything one run recorded, in one place: the flight recorder
 /// (events + metrics registry) plus the statistics of every attached
-/// subsystem. Returned by [`crate::Session::telemetry`] after a launch,
-/// restore, or resilient run; cheap to clone (the recorder is shared).
+/// subsystem. Returned by [`crate::Session::telemetry`] after a launch
+/// or a restore; cheap to clone (the recorder is shared).
 #[derive(Clone)]
 pub struct TelemetrySnapshot {
     /// The run's flight recorder: merged event timeline, metrics

@@ -75,8 +75,8 @@ pub use replica::{
     ReplicaRecord, ReplicaStats, SystemClock, TestClock,
 };
 pub use store::{
-    Compression, DeltaStore, EpochStats, ScrubReport, SharedStoreWriter, StoreConfig, StoreError,
-    TenantSink, QUEUE_DEPTH,
+    Compression, DeltaStore, EpochStats, SharedStoreWriter, StoreConfig, StoreError, TenantSink,
+    QUEUE_DEPTH,
 };
 pub use tier::{
     tenant_namespace, FsTier, MemTier, ObjectTier, SharedTier, TierConfig, TierError, TierStats,

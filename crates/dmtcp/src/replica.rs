@@ -440,6 +440,27 @@ fn decode_accepted(key: &str, buf: &[u8]) -> Result<(u64, ReplicaRecord), Replic
     Ok((ballot, record))
 }
 
+/// Every accepted slot of one replica's log, in key order: each
+/// `slot_NNNNNN/accepted` object read through the retrying get path and
+/// decoded into its `(ballot, record)`.
+fn accepted_slots(log: &dyn ObjectTier, config: TierConfig) -> Result<AcceptedSlots, ReplicaError> {
+    let mut slots = AcceptedSlots::new();
+    for key in log.list("slot_")? {
+        let Some(digits) = key
+            .strip_prefix("slot_")
+            .and_then(|r| r.strip_suffix("/accepted"))
+        else {
+            continue;
+        };
+        let Ok(slot) = digits.parse::<u64>() else {
+            continue;
+        };
+        let buf = get_retried(log, config, &key, Ok)?;
+        slots.insert(slot, decode_accepted(&key, &buf)?);
+    }
+    Ok(slots)
+}
+
 impl Acceptor {
     /// Open an acceptor over its durable log, replaying any persisted
     /// promise and accepted slots (the restart path: a replica rejoins
@@ -449,17 +470,14 @@ impl Acceptor {
         log: Arc<dyn ObjectTier>,
         config: TierConfig,
     ) -> Result<Acceptor, ReplicaError> {
-        let mut state = AcceptorState {
-            promised: 0,
-            accepted: BTreeMap::new(),
-        };
-        match get_retried(&*log, config, promised_key()) {
+        let mut promised = 0;
+        match get_retried(&*log, config, promised_key(), Ok) {
             Ok(buf) => {
                 let mut r = Reader::checked(&buf).map_err(|e| ReplicaError::Corrupt {
                     key: promised_key().to_string(),
                     detail: format!("promise trailer: {e}"),
                 })?;
-                state.promised = r.u64().map_err(|e| ReplicaError::Corrupt {
+                promised = r.u64().map_err(|e| ReplicaError::Corrupt {
                     key: promised_key().to_string(),
                     detail: format!("promise ballot: {e}"),
                 })?;
@@ -467,25 +485,12 @@ impl Acceptor {
             Err(TierError::NotFound { .. }) => {}
             Err(e) => return Err(ReplicaError::Log(e)),
         }
-        for key in log.list("slot_")? {
-            let Some(digits) = key
-                .strip_prefix("slot_")
-                .and_then(|r| r.strip_suffix("/accepted"))
-            else {
-                continue;
-            };
-            let Ok(slot) = digits.parse::<u64>() else {
-                continue;
-            };
-            let buf = get_retried(&*log, config, &key)?;
-            let (ballot, record) = decode_accepted(&key, &buf)?;
-            state.accepted.insert(slot, (ballot, record));
-        }
+        let accepted = accepted_slots(&*log, config)?;
         Ok(Acceptor {
             id,
             alive: AtomicBool::new(true),
             log,
-            state: Mutex::new(state),
+            state: Mutex::new(AcceptorState { promised, accepted }),
         })
     }
 
@@ -881,18 +886,7 @@ impl ReplicaGroup {
             // A killed replica's *process* is gone but its durable log
             // survives (that is the restart story); replay reads every
             // log that still exists.
-            for key in acceptor.log.list("slot_")? {
-                let Some(digits) = key
-                    .strip_prefix("slot_")
-                    .and_then(|r| r.strip_suffix("/accepted"))
-                else {
-                    continue;
-                };
-                let Ok(slot) = digits.parse::<u64>() else {
-                    continue;
-                };
-                let buf = get_retried(&*acceptor.log, self.config.log, &key)?;
-                let entry = decode_accepted(&key, &buf)?;
+            for (slot, entry) in accepted_slots(&*acceptor.log, self.config.log)? {
                 by_slot.entry(slot).or_default().push(entry);
             }
         }

@@ -258,8 +258,8 @@ impl DeltaStore {
     /// instead: moving a healthy newest epoch aside over a hiccup would
     /// silently discard committed state.
     ///
-    /// Also run after tier hydration and scrubbing, both of which can
-    /// change which epoch is the chain head.
+    /// Also run after tier hydration, which can change which epoch is
+    /// the chain head.
     pub(super) fn rebuild_head_state(&mut self) -> Result<(), StoreError> {
         self.index.clear();
         self.section_cache.clear();

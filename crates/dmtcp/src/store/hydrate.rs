@@ -1,30 +1,27 @@
-//! The store's remote second tier: attach and reconcile, hydrate a
-//! behind or damaged local chain, scrub the quarantine.
+//! The store's remote second tier: attach and reconcile, and hydrate a
+//! behind or damaged local chain — the one way an epoch comes back from
+//! the tier.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use crate::codec::crc32;
-use crate::tier::{
-    fetch_sealed_epoch, sealed_epochs, ObjectTier, SharedTier, TierConfig, TierError, TierRuntime,
-    TierStats,
-};
+use crate::tier::{fetch_sealed_epoch, ObjectTier, SharedTier, TierConfig, TierRuntime, TierStats};
 
-use super::delta::{epoch_key, parse_key, MANIFEST};
+use super::delta::{epoch_key, MANIFEST};
 use super::manifest::Manifest;
-use super::{DeltaStore, ScrubReport, StoreConfig, StoreError};
+use super::{DeltaStore, StoreConfig, StoreError};
 
 /// One store's attachment to a tier shipper runtime: the runtime may be
 /// private to this store (the classic [`DeltaStore::attach_tier`] path,
 /// lane 0 of a runtime nobody else sees) or shared by many tenants'
 /// stores ([`DeltaStore::attach_shared_tier`]), in which case `lane`
-/// scopes this store's queue/durable-set/sticky-error and `ns` prefixes
-/// its keys in the tier.
+/// scopes this store's queue/durable-set/sticky-error (and the lane's
+/// namespace prefixes its keys in the tier).
 pub(super) struct TierAttachment {
     pub(super) runtime: Arc<TierRuntime>,
     pub(super) lane: usize,
-    pub(super) ns: String,
 }
 
 impl DeltaStore {
@@ -123,7 +120,6 @@ impl DeltaStore {
         self.tier = Some(TierAttachment {
             runtime: runtime.clone(),
             lane,
-            ns: ns.clone(),
         });
         let hydrated = self.hydrate_with(&*tier, config, &ns, &sealed)?;
         for &e in self.epochs.iter().filter(|e| !durable.contains(e)) {
@@ -248,114 +244,5 @@ impl DeltaStore {
             hydrate_us.observe(started.elapsed().as_micros() as u64);
         }
         Ok(installed)
-    }
-
-    /// Scrub the quarantine: heal `.bad` epochs from the attached tier.
-    ///
-    /// For every `epoch_NNNNNN.bad` copy in the chain (and every epoch
-    /// this handle quarantined at open):
-    ///
-    /// * if a healthy live epoch of the same number exists (a later
-    ///   commit reused the number), the stale `.bad` copy is removed
-    ///   (`cleaned`);
-    /// * otherwise the epoch is fetched from the tier, verified against
-    ///   its seal CRCs and its manifest decode, installed manifest last,
-    ///   and the `.bad` copy dropped (`healed`);
-    /// * if the tier has no verifiable copy, the `.bad` copy is left in
-    ///   place for forensics (`missing`).
-    ///
-    /// Every remaining live epoch's manifest is then verified readable
-    /// (`verified`); a live epoch that fails is healed from the tier the
-    /// same way. Scrubbing is idempotent: a healthy chain is a verified
-    /// no-op, and a second pass after a heal finds nothing to do.
-    pub fn scrub(&mut self) -> Result<ScrubReport, StoreError> {
-        let att = self.tier.as_ref().ok_or(StoreError::NoTier)?;
-        let tier = att.runtime.tier.clone();
-        let config = att.runtime.config;
-        let ns = att.ns.clone();
-        self.scrub_with(&*tier, config, &ns)
-    }
-
-    /// [`DeltaStore::scrub`] against an explicit tier handle, retry
-    /// policy and key namespace — for a store that did not attach the
-    /// tier at open (e.g. forensic repair of a chain opened without
-    /// tier credentials).
-    pub fn scrub_with(
-        &mut self,
-        tier: &dyn ObjectTier,
-        config: TierConfig,
-        ns: &str,
-    ) -> Result<ScrubReport, StoreError> {
-        let mut report = ScrubReport::default();
-        // Candidates: every .bad copy in the chain (durable evidence of
-        // past quarantines) plus this handle's own quarantine list.
-        let mut candidates: BTreeSet<u64> = self.quarantined.iter().copied().collect();
-        for key in self.list()? {
-            if let Some((epoch, ".bad", _)) = parse_key(&key) {
-                candidates.insert(epoch);
-            }
-        }
-        // One tier sweep serves the whole pass (quarantine healing and
-        // live-chain repair both consult it).
-        let sealed = sealed_epochs(tier, config, ns)?;
-        for &epoch in &candidates {
-            let live_ok = self.read_manifest(epoch).is_ok();
-            if live_ok {
-                self.adopt_epoch(epoch)?;
-                report.cleaned.push(epoch);
-                continue;
-            }
-            if self.heal_from_tier(tier, config, ns, &sealed, epoch)? {
-                self.adopt_epoch(epoch)?;
-                report.healed.push(epoch);
-            } else {
-                report.missing.push(epoch);
-            }
-        }
-        // Verify the live chain; heal in place anything that rotted
-        // since open (an older epoch's manifest, say).
-        for epoch in self.epochs.clone() {
-            match self.read_manifest(epoch) {
-                Ok(_) => report.verified += 1,
-                Err(StoreError::Manifest { .. } | StoreError::MissingEpoch { .. }) => {
-                    if self.heal_from_tier(tier, config, ns, &sealed, epoch)? {
-                        report.healed.push(epoch);
-                    } else {
-                        report.missing.push(epoch);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if !report.healed.is_empty() {
-            report.healed.sort_unstable();
-            report.healed.dedup();
-            self.rebuild_head_state()?;
-        }
-        Ok(report)
-    }
-
-    /// Fetch `epoch` from the tier, verify its manifest decodes (before
-    /// trusting the tier copy over the local one) and install it.
-    /// `false` when the tier has no verifiable copy.
-    fn heal_from_tier(
-        &self,
-        tier: &dyn ObjectTier,
-        config: TierConfig,
-        ns: &str,
-        sealed: &BTreeSet<u64>,
-        epoch: u64,
-    ) -> Result<bool, StoreError> {
-        if !sealed.contains(&epoch) {
-            return Ok(false);
-        }
-        match fetch_sealed_epoch(tier, config, ns, epoch) {
-            Ok((blocks, manifest)) if Manifest::decode(&manifest).is_ok() => {
-                self.publish(epoch, &blocks, &manifest)?;
-                Ok(true)
-            }
-            Ok(_) | Err(TierError::NotFound { .. } | TierError::Corrupt { .. }) => Ok(false),
-            Err(e) => Err(StoreError::Tier(e)),
-        }
     }
 }

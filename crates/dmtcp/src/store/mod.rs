@@ -347,33 +347,6 @@ pub struct EpochStats {
     pub blocks_new: u64,
 }
 
-/// What one scrub pass did (see [`DeltaStore::scrub`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScrubReport {
-    /// Quarantined epochs re-fetched from the tier, verified, and
-    /// reinstated in the local chain.
-    pub healed: Vec<u64>,
-    /// Stale `.bad` copies removed because a healthy live epoch of
-    /// the same number already exists (a later commit reused the number,
-    /// or an earlier heal already ran).
-    pub cleaned: Vec<u64>,
-    /// Quarantined epochs the tier could not supply (no seal, or the
-    /// tier copy failed verification): their `.bad` copies are left
-    /// in place for forensics.
-    pub missing: Vec<u64>,
-    /// Live epochs whose manifests were verified readable.
-    pub verified: usize,
-}
-
-impl ScrubReport {
-    /// Whether the pass changed nothing on disk (the idempotence
-    /// property: scrubbing a healthy chain, or scrubbing twice, is a
-    /// no-op).
-    pub fn is_noop(&self) -> bool {
-        self.healed.is_empty() && self.cleaned.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod testutil {
     use std::path::PathBuf;

@@ -33,10 +33,12 @@
 //!   An epoch is *durable in the tier* only once its seal is up; the
 //!   store's retention GC never deletes a local epoch that is not.
 //!
-//! The healing pass over `.bad` quarantine copies lives with the store
-//! ([`crate::store::DeltaStore::scrub`]): re-fetch the epoch from the
-//! tier, verify seal CRCs and manifest decode, and reinstate the epoch
-//! in the local chain, manifest last.
+//! An epoch comes back from the tier one way: a tier-attached open
+//! hydrates what the restore target needs and the local chain lacks —
+//! a wiped or behind chain, a lost base, a quarantined head — verified
+//! against its seal and installed manifest last
+//! (`crate::store::DeltaStore::attach_tier`). A download whose bytes fail
+//! their check is read again within the retry budget.
 //!
 //! The tier stores exactly the vendor-neutral on-disk epoch format, so a
 //! chain hydrated from the tier restores under either MPI engine
@@ -228,8 +230,8 @@ pub fn tenant_namespace(id: &str) -> Result<String, TierError> {
 /// The seal record: written to the tier *after* an epoch's blocks and
 /// manifest, it is the durable commit point of a shipped epoch and
 /// carries the lengths and CRCs that hydration verifies downloads
-/// against. An epoch without a (decodable) seal is treated as never
-/// shipped.
+/// against. An epoch whose seal does not decode on any download attempt
+/// is treated as never shipped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Seal {
     pub epoch: u64,
@@ -272,11 +274,29 @@ impl Seal {
     }
 }
 
-/// Decode every seal in the tier, keyed by epoch. An undecodable seal
-/// counts as "not shipped" (the shipper will re-upload), never as an
-/// error: the seal is the commit record, and a torn commit record means
-/// the commit did not happen. Seals whose recorded epoch disagrees with
-/// their key are skipped the same way.
+/// Download and decode the seal of `epoch`: bytes that do not decode, or
+/// name another epoch, are a failed attempt and read again.
+fn get_seal(
+    tier: &dyn ObjectTier,
+    config: TierConfig,
+    key: &str,
+    epoch: u64,
+) -> Result<Seal, TierError> {
+    get_retried(tier, config, key, |buf| match Seal::decode(&buf) {
+        Ok(seal) if seal.epoch == epoch => Ok(seal),
+        Ok(seal) => Err(format!(
+            "seal names epoch {}, key names {epoch}",
+            seal.epoch
+        )),
+        Err(e) => Err(format!("seal does not decode: {e}")),
+    })
+}
+
+/// Decode every seal in the tier, keyed by epoch. A seal that fails to
+/// decode (or names another epoch) on every download attempt counts as
+/// "not shipped" (the shipper will re-upload), never as an error: the
+/// seal is the commit record, and a torn commit record means the commit
+/// did not happen.
 pub(crate) fn sealed_seals(
     tier: &dyn ObjectTier,
     config: TierConfig,
@@ -297,35 +317,21 @@ pub(crate) fn sealed_seals(
         let Ok(epoch) = digits.parse::<u64>() else {
             continue;
         };
-        match get_retried(tier, config, &key) {
-            Ok(buf) => {
-                if let Ok(seal) = Seal::decode(&buf) {
-                    if seal.epoch == epoch {
-                        sealed.insert(epoch, seal);
-                    }
-                }
-            }
-            Err(TierError::NotFound { .. }) => {}
+        match get_seal(tier, config, &key, epoch) {
+            Ok(seal) => _ = sealed.insert(epoch, seal),
+            Err(TierError::NotFound { .. } | TierError::Corrupt { .. }) => {}
             Err(e) => return Err(e),
         }
     }
     Ok(sealed)
 }
 
-/// The epochs with a decodable seal in the tier.
-pub(crate) fn sealed_epochs(
-    tier: &dyn ObjectTier,
-    config: TierConfig,
-    ns: &str,
-) -> Result<BTreeSet<u64>, TierError> {
-    Ok(sealed_seals(tier, config, ns)?.into_keys().collect())
-}
-
 /// Fetch one sealed epoch, fully verified: the seal decodes, and both
 /// objects match the lengths and CRCs it records. Returns
 /// `(blocks, manifest)` bytes ready to install locally. Downloads go
-/// through the retrying get path, so transient tier faults heal and a
-/// configured deadline bounds the wait.
+/// through the retrying get path, so transient tier faults and torn
+/// downloads heal, and a configured deadline bounds the wait; bytes that
+/// fail their check on every attempt are [`TierError::Corrupt`].
 pub(crate) fn fetch_sealed_epoch(
     tier: &dyn ObjectTier,
     config: TierConfig,
@@ -333,32 +339,18 @@ pub(crate) fn fetch_sealed_epoch(
     epoch: u64,
 ) -> Result<(Vec<u8>, Vec<u8>), TierError> {
     let (blocks_key, manifest_key, seal_key) = epoch_keys(ns, epoch);
-    let seal_buf = get_retried(tier, config, &seal_key)?;
-    let seal = Seal::decode(&seal_buf).map_err(|e| TierError::Corrupt {
-        key: seal_key.clone(),
-        detail: format!("seal does not decode: {e}"),
-    })?;
-    if seal.epoch != epoch {
-        return Err(TierError::Corrupt {
-            key: seal_key,
-            detail: format!("seal names epoch {}, key names {epoch}", seal.epoch),
-        });
-    }
-    let verified = |key: String, want_len: u64, want_crc: u32| -> Result<Vec<u8>, TierError> {
-        let buf = get_retried(tier, config, &key)?;
-        if buf.len() as u64 != want_len || crc32(&buf) != want_crc {
-            return Err(TierError::Corrupt {
-                key,
-                detail: format!(
-                    "got {} bytes (crc {:08x}), seal says {} bytes (crc {:08x})",
-                    buf.len(),
-                    crc32(&buf),
-                    want_len,
-                    want_crc
-                ),
-            });
-        }
-        Ok(buf)
+    let seal = get_seal(tier, config, &seal_key, epoch)?;
+    let verified = |key: String, want_len: u64, want_crc: u32| {
+        get_retried(tier, config, &key, |buf| {
+            let crc = crc32(&buf);
+            if buf.len() as u64 == want_len && crc == want_crc {
+                return Ok(buf);
+            }
+            Err(format!(
+                "got {} bytes (crc {crc:08x}), seal says {want_len} bytes (crc {want_crc:08x})",
+                buf.len()
+            ))
+        })
     };
     let blocks = verified(blocks_key, seal.blocks_len, seal.blocks_crc)?;
     let manifest = verified(manifest_key, seal.manifest_len, seal.manifest_crc)?;
@@ -859,15 +851,18 @@ pub(crate) fn put_verified(
 }
 
 /// Download one object with the same jittered-backoff retry policy as
-/// [`put_verified`]: transient I/O failures retry, a missing object does
-/// not (absence is an answer, not a fault), and a configured deadline
-/// bounds the total wait. Hydration and the replica-log replay read
+/// [`put_verified`]: transient I/O failures retry, and so do bytes that
+/// fail `check` (a torn download reads again), while a missing object
+/// does not (absence is an answer, not a fault); a configured deadline
+/// bounds the total wait. Bytes that fail `check` on every attempt are
+/// [`TierError::Corrupt`]. Hydration and the replica-log replay read
 /// through this, so scripted get faults exercise their retry paths.
-pub(crate) fn get_retried(
+pub(crate) fn get_retried<T>(
     tier: &dyn ObjectTier,
     config: TierConfig,
     key: &str,
-) -> Result<Vec<u8>, TierError> {
+    check: impl Fn(Vec<u8>) -> Result<T, String>,
+) -> Result<T, TierError> {
     let start = std::time::Instant::now();
     let mut retries = 0u64;
     let mut last = TierError::Io {
@@ -879,8 +874,14 @@ pub(crate) fn get_retried(
         if attempt > 0 {
             backoff_or_timeout(config, start, "get", key, attempt, &mut retries)?;
         }
-        match tier.get(key) {
-            Ok(buf) => return Ok(buf),
+        match tier.get(key).map(&check) {
+            Ok(Ok(checked)) => return Ok(checked),
+            Ok(Err(detail)) => {
+                last = TierError::Corrupt {
+                    key: key.to_string(),
+                    detail,
+                }
+            }
             Err(e @ TierError::NotFound { .. }) | Err(e @ TierError::BadKey { .. }) => {
                 return Err(e)
             }
@@ -1047,10 +1048,10 @@ mod tests {
             backoff: Duration::from_millis(1),
             ..TierConfig::default()
         };
-        assert_eq!(get_retried(&*tier, cfg, "k").unwrap(), b"payload");
+        assert_eq!(get_retried(&*tier, cfg, "k", Ok).unwrap(), b"payload");
         // Absence is an answer, not a fault: no retry budget is spent.
         assert!(matches!(
-            get_retried(&*tier, cfg, "missing"),
+            get_retried(&*tier, cfg, "missing", Ok),
             Err(TierError::NotFound { .. })
         ));
         assert_eq!(
@@ -1074,7 +1075,7 @@ mod tests {
         // The first backoff sleep alone would cross the deadline: the
         // retry loop surfaces Timeout instead of waiting it out.
         assert!(matches!(
-            get_retried(&*tier, cfg, "k"),
+            get_retried(&*tier, cfg, "k", Ok),
             Err(TierError::Timeout { op: "get", .. })
         ));
     }

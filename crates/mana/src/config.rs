@@ -47,16 +47,6 @@ pub struct ManaConfig {
     /// dirty-segment tracking can skip hashing it entirely. `0` (the
     /// default) omits the section and keeps images app-state-only.
     pub static_image_bytes: usize,
-    /// Modelled upload bandwidth (bytes/second) to the delta store's
-    /// remote second tier (object storage behind the parallel
-    /// filesystem). A *reporting* knob, not a simulated cost: shipping
-    /// happens off the ranks' critical path on a real background thread,
-    /// so nothing in the virtual-time simulation consumes this value.
-    /// [`ManaConfig::tier_ship_time`] turns measured shipped bytes into
-    /// the implied undurable window (how long an epoch would stay
-    /// GC-pinned at this bandwidth), which the store bench prints
-    /// alongside the dedup-at-tier numbers.
-    pub tier_ship_bw: f64,
 }
 
 impl Default for ManaConfig {
@@ -71,9 +61,6 @@ impl Default for ManaConfig {
             async_image_writes: false,
             ckpt_submit_overhead: VirtualTime::from_micros(5),
             static_image_bytes: 0,
-            // Object storage is typically an order of magnitude behind
-            // the parallel filesystem (1 GB/s above).
-            tier_ship_bw: 2.0e8,
         }
     }
 }
@@ -107,15 +94,6 @@ impl ManaConfig {
     /// Modelled time to write `bytes` of checkpoint image.
     pub fn image_write_time(&self, bytes: usize) -> VirtualTime {
         VirtualTime::from_nanos((bytes as f64 / self.ckpt_write_bw * 1e9) as u64)
-    }
-
-    /// Implied time to ship `bytes` of sealed epoch to the remote
-    /// second tier at [`ManaConfig::tier_ship_bw`] — the modelled
-    /// undurable (locally GC-pinned) window the bench reports. Never
-    /// charged to any rank clock; actual shipping is wall-clock
-    /// background work.
-    pub fn tier_ship_time(&self, bytes: usize) -> VirtualTime {
-        VirtualTime::from_nanos((bytes as f64 / self.tier_ship_bw * 1e9) as u64)
     }
 
     /// What the checkpoint costs on the rank's critical path: the full
@@ -169,19 +147,6 @@ mod tests {
         assert_eq!(t2.as_nanos(), 2 * t1.as_nanos());
         // 1 MB at 1 GB/s = 1 ms.
         assert_eq!(t1, VirtualTime::from_millis(1));
-    }
-
-    #[test]
-    fn tier_ship_time_proportional_and_slower_than_local_writes() {
-        let c = ManaConfig::default();
-        let t1 = c.tier_ship_time(1_000_000);
-        let t2 = c.tier_ship_time(2_000_000);
-        assert_eq!(t2.as_nanos(), 2 * t1.as_nanos());
-        // The remote tier is behind the parallel filesystem: an epoch is
-        // undurable (GC-pinned) for longer than its local write took.
-        assert!(t1 > c.image_write_time(1_000_000));
-        // 1 MB at 200 MB/s = 5 ms.
-        assert_eq!(t1, VirtualTime::from_millis(5));
     }
 
     #[test]

@@ -822,8 +822,9 @@ fn restore_from_store_opens_its_chain_once() {
 
 #[test]
 fn download_faults_left_over_by_hydration_never_reach_the_shipper() {
-    // Every seal download is torn, so the open finds nothing sealed and
-    // queues the whole local chain for upload again; three more torn
+    // Every attempt at every seal download is torn (a torn seal is read
+    // again up to `max_attempts` times), so the open finds nothing sealed
+    // and queues the whole local chain for upload again; three more torn
     // downloads are scripted than the open makes. The run's shipper
     // re-ships the chain through the same handle, and its read-back
     // verification must see none of them.
@@ -837,6 +838,7 @@ fn download_faults_left_over_by_hydration_never_reach_the_shipper() {
     let tier_dir = std::env::temp_dir().join(format!("stool-gets-left-tier-{pid}"));
     let sealed = shipped_chain(&program, &dir, &tier_dir);
     assert!(sealed >= 3);
+    let torn = sealed * u64::from(TierConfig::default().max_attempts) + 3;
 
     let session = Session::builder()
         .cluster(cluster())
@@ -844,7 +846,7 @@ fn download_faults_left_over_by_hydration_never_reach_the_shipper() {
         .checkpointer(Checkpointer::mana())
         .durability(stored(&dir, StoreConfig::default(), Some(&tier_dir)))
         .fault_schedule(FaultSchedule {
-            tier_gets: vec![Fault::Torn; sealed as usize + 3],
+            tier_gets: vec![Fault::Torn; torn as usize],
             ..FaultSchedule::default()
         })
         .build()

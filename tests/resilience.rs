@@ -1,13 +1,26 @@
 //! Fault tolerance (the paper's motivating context): periodic
-//! checkpoints + injected node failure + Reinit-style global restart,
-//! through `Session::run_resilient`.
+//! checkpoints + injected node failure + Reinit-style global restart.
+//! A failed run salvages its last checkpoint, and the job comes back
+//! through `Session::restore_from_store` — the one restart path, which
+//! the scenario harness's run/restart loop drives row by row.
+
+use std::path::{Path, PathBuf};
 
 use mpi_stool::simnet::ClusterSpec;
 use mpi_stool::stool::programs::RingPings;
-use mpi_stool::stool::{Checkpointer, EventKind, FaultSchedule, RunOutcome, Session, Vendor};
+use mpi_stool::stool::{
+    parse_matrix, run_scenario, Checkpointer, DurabilityPolicy, EventKind, FaultSchedule,
+    RunOutcome, Session, StorePolicy, Vendor,
+};
 
 fn cluster() -> ClusterSpec {
     ClusterSpec::builder().nodes(2).ranks_per_node(2).build()
+}
+
+fn tmp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("stool_resilience_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 fn clean_total(program: &RingPings, vendor: Vendor) -> f64 {
@@ -22,96 +35,70 @@ fn clean_total(program: &RingPings, vendor: Vendor) -> f64 {
     out.memories().unwrap()[0].get_f64("ring.total").unwrap()
 }
 
+/// A session that checkpoints every 4 steps into the chain at `dir`.
+fn stored(vendor: Vendor, dir: &Path, schedule: FaultSchedule) -> Session {
+    Session::builder()
+        .cluster(cluster())
+        .vendor(vendor)
+        .checkpointer(Checkpointer::mana())
+        .checkpoint_every(4)
+        .durability(DurabilityPolicy {
+            store: Some(StorePolicy::new(dir)),
+            ..DurabilityPolicy::default()
+        })
+        .fault_schedule(schedule)
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn failure_recovers_from_periodic_checkpoint() {
+    // Fail under MPICH at step 9, after the step-4 and step-8 epochs;
+    // restore the chain under Open MPI with what is left of the schedule.
     let program = RingPings {
         rounds: 12,
         payload: 8,
     };
-    let expect = clean_total(&program, Vendor::Mpich);
-
-    let session = Session::builder()
-        .cluster(cluster())
-        .vendor(Vendor::Mpich)
-        .checkpointer(Checkpointer::mana())
-        .checkpoint_every(4)
-        .inject_node_failure(9, 1)
-        .build()
+    let expect = clean_total(&program, Vendor::OpenMpi);
+    let dir = tmp_dir("periodic");
+    let schedule = FaultSchedule::default().kill_nodes(9, vec![1]);
+    let failed = stored(Vendor::Mpich, &dir, schedule.clone())
+        .launch(&program)
         .unwrap();
-    let report = session.run_resilient(&program, 3).unwrap();
-    assert_eq!(report.recoveries.len(), 1, "one failure, one recovery");
-    assert_eq!(report.recoveries[0].failed_at, 9);
-    assert!(
-        report.recoveries[0].from_image,
-        "a checkpoint (step 4 or 8) must predate the step-9 failure"
-    );
-    let got = report.outcome.memories().unwrap()[0]
+    let RunOutcome::Failed {
+        image: Some(image),
+        failed_step: 9,
+        ..
+    } = failed
+    else {
+        panic!("a checkpointed run must fail at step 9: {failed:?}");
+    };
+    assert!(image.ranks.iter().all(|r| r.epoch == 2), "the step-8 epoch");
+
+    let restart = stored(Vendor::OpenMpi, &dir, schedule.after_failure(9));
+    let got = restart
+        .restore_from_store(&program)
+        .unwrap()
+        .memories()
+        .unwrap()[0]
         .get_f64("ring.total")
         .unwrap();
     assert_eq!(
         got, expect,
         "recovered run must finish the same computation"
     );
-}
-
-#[test]
-fn failure_before_first_checkpoint_restarts_from_scratch() {
-    let program = RingPings {
-        rounds: 8,
-        payload: 8,
-    };
-    let expect = clean_total(&program, Vendor::OpenMpi);
-
-    let session = Session::builder()
-        .cluster(cluster())
-        .vendor(Vendor::OpenMpi)
-        .checkpointer(Checkpointer::mana())
-        .checkpoint_every(6)
-        .inject_node_failure(3, 0) // dies before the step-6 checkpoint
-        .build()
-        .unwrap();
-    let report = session.run_resilient(&program, 3).unwrap();
-    assert_eq!(report.recoveries.len(), 1);
-    assert!(
-        !report.recoveries[0].from_image,
-        "no checkpoint had completed; recovery is a from-scratch restart"
-    );
-    let got = report.outcome.memories().unwrap()[0]
-        .get_f64("ring.total")
-        .unwrap();
-    assert_eq!(got, expect);
-}
-
-#[test]
-fn restart_budget_exhaustion_is_an_error() {
-    let program = RingPings {
-        rounds: 8,
-        payload: 8,
-    };
-    let session = Session::builder()
-        .cluster(cluster())
-        .vendor(Vendor::Mpich)
-        .checkpointer(Checkpointer::mana())
-        .inject_node_failure(2, 0)
-        .build()
-        .unwrap();
-    let err = session.run_resilient(&program, 0).unwrap_err();
-    assert!(err.to_string().contains("after 0 restarts"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn resilience_requires_a_checkpointer() {
-    let program = RingPings {
-        rounds: 4,
-        payload: 8,
-    };
-    let session = Session::builder()
+    let err = Session::builder()
         .cluster(cluster())
         .vendor(Vendor::Mpich)
+        .inject_node_failure(2, 0)
         .build()
-        .unwrap();
-    let err = session.run_resilient(&program, 1).unwrap_err();
-    assert!(err.to_string().contains("MANA"), "{err}");
+        .unwrap_err();
+    assert!(err.to_string().contains("checkpointing package"), "{err}");
 }
 
 #[test]
@@ -154,29 +141,48 @@ fn failed_runs_salvage_image_for_manual_cross_vendor_recovery() {
 
 #[test]
 fn fault_on_checkpoint_step_loses_that_checkpoint() {
-    // Adversarial ordering: the failure fires on entry to the step where
-    // a periodic checkpoint was due — the job must recover from the
-    // *previous* image, not the never-taken one.
+    // Adversarial ordering: the committed matrix row kills on entry to
+    // the step where a periodic checkpoint was due. The run salvages the
+    // *previous* epoch, not the never-taken one, and the row restarts
+    // from it under the other vendor bit-identically.
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("benches/scenarios/matrix.toml");
+    let specs = parse_matrix(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let spec = specs
+        .iter()
+        .find(|s| s.name == "ckpt-step-kill-mpich")
+        .expect("committed matrix lost the ckpt-step-kill-mpich row");
+    let step = 2 * spec.ckpt_every;
+    assert_eq!(spec.schedule.first_kill_step(), Some(step));
     let program = RingPings {
-        rounds: 12,
-        payload: 8,
+        rounds: spec.steps,
+        payload: spec.payload as usize,
     };
-    let expect = clean_total(&program, Vendor::Mpich);
-    let session = Session::builder()
-        .cluster(cluster())
-        .vendor(Vendor::Mpich)
+    let failed = Session::builder()
+        .cluster(spec.cluster())
+        .vendor(spec.vendor)
         .checkpointer(Checkpointer::mana())
-        .checkpoint_every(4)
-        .inject_node_failure(8, 0)
+        .checkpoint_every(spec.ckpt_every)
+        .fault_schedule(spec.schedule.clone())
         .build()
+        .unwrap()
+        .launch(&program)
         .unwrap();
-    let report = session.run_resilient(&program, 2).unwrap();
-    assert_eq!(report.recoveries.len(), 1);
-    assert!(report.recoveries[0].from_image);
-    let got = report.outcome.memories().unwrap()[0]
-        .get_f64("ring.total")
-        .unwrap();
-    assert_eq!(got, expect);
+    match failed {
+        RunOutcome::Failed {
+            image: Some(image),
+            failed_step,
+            ..
+        } if failed_step == step => {
+            assert!(image.ranks.iter().all(|r| r.epoch == 1), "the first epoch");
+        }
+        other => panic!("expected a failure at step {step} with an image: {other:?}"),
+    }
+
+    let dir = tmp_dir("ckpt_step");
+    let result = run_scenario(spec, &program, &dir);
+    assert!(result.passed(), "{:?}", result.failures);
+    assert_eq!((result.kills, result.recovery_rounds), (1, 1));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -231,9 +237,9 @@ fn injected_and_scheduled_kills_compose_in_either_call_order() {
         for rank in [0, 1, 2] {
             assert!(kills.contains(&(rank, 1)), "rank {rank}: {kills:?}");
         }
-        // Both kills are spent by the time the job is restarted.
-        let report = session.run_resilient(&program, 3).unwrap();
-        assert_eq!(report.recoveries.len(), 1);
-        assert_eq!(report.recoveries[0].failed_at, 5);
+        // The restart's schedule drops both step-5 kills and keeps the
+        // step-9 one.
+        let rest = session.config.schedule.after_failure(5);
+        assert_eq!(rest.kills, schedule().kills[..1]);
     }
 }

@@ -178,6 +178,24 @@ fn torn_upload_row_reships_and_hydrates_from_the_tier() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every wiped-disk row restores from the tier: the restart after the
+/// wipe resumes from a checkpoint instead of relaunching from step 0,
+/// and hydrates that checkpoint in its own run (`run_scenario` fails
+/// the row otherwise).
+#[test]
+fn wiped_disk_rows_hydrate_and_resume_from_the_tier() {
+    let specs = committed_matrix();
+    let wiped: Vec<&ScenarioSpec> = specs.iter().filter(|s| s.wipe_local).collect();
+    assert!(wiped.len() >= 3, "the matrix keeps its wiped-disk rows");
+    let dir = workdir("wiped");
+    for spec in wiped {
+        let result = run_scenario(spec, &ring_for(spec), &dir);
+        assert!(result.passed(), "{}: {:?}", spec.name, result.failures);
+        assert!(result.recovery_rounds >= 1, "{}", spec.name);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Straggler satellite: slow is not dead
 // ---------------------------------------------------------------------------

@@ -231,9 +231,9 @@ fn slow_tier_cannot_race_gc_into_deleting_an_unshipped_epoch() {
 }
 
 #[test]
-fn scrubber_heals_a_quarantined_chain_head_from_the_tier() {
-    let store_dir = tmp_dir("scrub_store");
-    let tier_dir = tmp_dir("scrub_tier");
+fn open_with_tier_heals_a_quarantined_head_from_the_tier() {
+    let store_dir = tmp_dir("heal_store");
+    let tier_dir = tmp_dir("heal_tier");
     let tier: Arc<dyn ObjectTier> = Arc::new(FsTier::open(&tier_dir).unwrap());
     {
         let mut store =
@@ -243,37 +243,20 @@ fn scrubber_heals_a_quarantined_chain_head_from_the_tier() {
         }
         store.tier_flush().unwrap();
     }
-    // Rot the chain head's manifest on disk; a plain (tier-less) open
-    // quarantines it exactly as PR 4 shipped.
+    // Rot the chain head's manifest on disk: the open quarantines it.
     let head_manifest = store_dir.join("epoch_000003").join("manifest.bin");
     let mut buf = std::fs::read(&head_manifest).unwrap();
     let mid = buf.len() / 2;
     buf[mid] ^= 0xFF;
     std::fs::write(&head_manifest, &buf).unwrap();
 
-    let mut store = DeltaStore::open_with(&store_dir, small_cfg()).unwrap();
-    assert_eq!(store.quarantined(), &[3]);
-    assert_eq!(store.epochs(), &[1, 2], "fell back to the readable epoch");
-    assert!(store_dir.join("epoch_000003.bad").is_dir());
-
-    // The scrubber re-fetches the epoch from the healthy tier, verifies
-    // it, and heals the chain in place.
-    let report = store.scrub_with(&*tier, TierConfig::default(), "").unwrap();
-    assert_eq!(report.healed, vec![3]);
-    assert!(report.missing.is_empty());
+    // The tier-attached open hydrates the quarantined head back from its
+    // sealed copy and drops the `.bad` twin.
+    let mut store = DeltaStore::open_with_tier(&store_dir, small_cfg(), tier, tier_cfg()).unwrap();
     assert!(store.quarantined().is_empty(), "quarantine list cleared");
     assert_eq!(store.epochs(), &[1, 2, 3]);
     assert!(!store_dir.join("epoch_000003.bad").exists(), ".bad dropped");
     assert_eq!(store.load_latest().unwrap(), image(3, 2, 3, 1800));
-
-    // Idempotence: a second scrub (and a scrub of a healthy chain) is a
-    // verified no-op.
-    let again = store.scrub_with(&*tier, TierConfig::default(), "").unwrap();
-    assert!(
-        again.is_noop(),
-        "second scrub must change nothing: {again:?}"
-    );
-    assert_eq!(again.verified, 3);
 
     // The healed chain keeps working: the next commit extends it.
     let s4 = store.commit(&image(4, 2, 4, 1800)).unwrap();
@@ -284,7 +267,7 @@ fn scrubber_heals_a_quarantined_chain_head_from_the_tier() {
 }
 
 #[test]
-fn scrub_without_a_tier_copy_leaves_the_quarantine_for_forensics() {
+fn a_quarantined_head_without_a_tier_copy_stays_for_forensics() {
     let store_dir = tmp_dir("noheal_store");
     let tier_dir = tmp_dir("noheal_tier");
     {
@@ -295,55 +278,18 @@ fn scrub_without_a_tier_copy_leaves_the_quarantine_for_forensics() {
     }
     let head_manifest = store_dir.join("epoch_000002").join("manifest.bin");
     std::fs::write(&head_manifest, b"garbage").unwrap();
-    let mut store = DeltaStore::open_with(&store_dir, small_cfg()).unwrap();
-    assert_eq!(store.quarantined(), &[2]);
 
-    // An empty tier has nothing to heal from: the .bad directory stays.
+    // An empty tier has nothing to hydrate from: the .bad directory stays.
     let tier: Arc<dyn ObjectTier> = Arc::new(FsTier::open(&tier_dir).unwrap());
-    let report = store.scrub_with(&*tier, TierConfig::default(), "").unwrap();
-    assert_eq!(report.missing, vec![2]);
-    assert!(report.healed.is_empty());
+    let store = DeltaStore::open_with_tier(&store_dir, small_cfg(), tier, tier_cfg()).unwrap();
+    assert_eq!(store.quarantined(), &[2]);
     assert!(
         store_dir.join("epoch_000002.bad").is_dir(),
         "kept for forensics"
     );
-    assert_eq!(store.quarantined(), &[2]);
     // The fallback chain still restores.
     assert_eq!(store.load_latest().unwrap(), image(1, 2, 1, 900));
-    std::fs::remove_dir_all(&store_dir).unwrap();
-    std::fs::remove_dir_all(&tier_dir).unwrap();
-}
-
-#[test]
-fn stale_bad_dir_with_a_healthy_live_epoch_is_cleaned() {
-    // After a quarantine the chain reuses the epoch number (PR 4
-    // behavior), leaving a stale .bad twin behind. Scrub removes it
-    // without touching the healthy live epoch.
-    let store_dir = tmp_dir("clean_store");
-    let tier_dir = tmp_dir("clean_tier");
-    let tier: Arc<dyn ObjectTier> = Arc::new(FsTier::open(&tier_dir).unwrap());
-    {
-        let mut store = DeltaStore::open_with(&store_dir, small_cfg()).unwrap();
-        store.commit(&image(1, 2, 1, 600)).unwrap();
-        store.commit(&image(2, 2, 2, 600)).unwrap();
-    }
-    let head_manifest = store_dir.join("epoch_000002").join("manifest.bin");
-    std::fs::write(&head_manifest, b"garbage").unwrap();
-    {
-        // Quarantine, then recommit epoch 2 with fresh content.
-        let mut store = DeltaStore::open_with(&store_dir, small_cfg()).unwrap();
-        assert_eq!(store.quarantined(), &[2]);
-        let s = store.commit(&image(2, 2, 9, 600)).unwrap();
-        assert_eq!(s.epoch, 2);
-    }
-    assert!(store_dir.join("epoch_000002.bad").is_dir());
-
-    let mut store = DeltaStore::open_with(&store_dir, small_cfg()).unwrap();
-    let report = store.scrub_with(&*tier, TierConfig::default(), "").unwrap();
-    assert_eq!(report.cleaned, vec![2]);
-    assert!(report.healed.is_empty() && report.missing.is_empty());
-    assert!(!store_dir.join("epoch_000002.bad").exists());
-    assert_eq!(store.load_latest().unwrap(), image(2, 2, 9, 600));
+    drop(store);
     std::fs::remove_dir_all(&store_dir).unwrap();
     std::fs::remove_dir_all(&tier_dir).unwrap();
 }
@@ -501,23 +447,32 @@ fn torn_seal_download_hides_the_epoch_never_installs_garbage() {
     store.commit(&image(1, 2, 0x31, 1500)).unwrap();
     store.tier_flush().unwrap();
     drop(store);
+    let open = || DeltaStore::open_with_tier(&store_dir, small_cfg(), tier.clone(), tier_cfg());
 
     // A torn seal download "succeeds" with bad bytes; only its checksum
-    // can catch it. The seal sweep must treat the epoch as unsealed —
-    // invisible — rather than install anything from it.
+    // can catch it. One torn read is read again, and the epoch installs.
     std::fs::remove_dir_all(&store_dir).unwrap();
     script.push(Op::Get, [Fault::Torn]);
-    let hydrated =
-        DeltaStore::open_with_tier(&store_dir, small_cfg(), tier.clone(), tier_cfg()).unwrap();
-    assert!(
-        matches!(hydrated.load_latest(), Err(StoreError::Empty)),
-        "a torn seal must hide the epoch, not install garbage"
+    let seal_gets = script.calls(Op::Get, Some("seal"));
+    let hydrated = open().unwrap();
+    assert_eq!(hydrated.load_latest().unwrap(), image(1, 2, 0x31, 1500));
+    assert_eq!(
+        script.calls(Op::Get, Some("seal")) - seal_gets,
+        3,
+        "the listing re-reads the torn seal, then the fetch reads it once"
     );
     drop(hydrated);
-    // The fault script is drained; a clean reopen hydrates fully.
+
+    // A seal torn on every attempt hides the epoch: the listing treats it
+    // as unsealed, never installs anything from it.
     std::fs::remove_dir_all(&store_dir).unwrap();
-    let hydrated = DeltaStore::open_with_tier(&store_dir, small_cfg(), tier, tier_cfg()).unwrap();
-    assert_eq!(hydrated.load_latest().unwrap(), image(1, 2, 0x31, 1500));
+    script.push(Op::Get, [Fault::Torn; 4]);
+    let hydrated = open().unwrap();
+    assert!(
+        matches!(hydrated.load_latest(), Err(StoreError::Empty)),
+        "a seal torn on every read must hide the epoch, not install garbage"
+    );
+    drop(hydrated);
     std::fs::remove_dir_all(&store_dir).unwrap();
     std::fs::remove_dir_all(&tier_dir).unwrap();
 }
