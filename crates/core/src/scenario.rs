@@ -885,6 +885,15 @@ pub fn run_scenario(
         let run_failed = outcome.is_failed();
         if let Some(snap) = session.telemetry() {
             observed.absorb(&snap, run_failed);
+            let run = match restart {
+                true => format!(
+                    "restart round {} under {}",
+                    result.recovery_rounds,
+                    vendor.name()
+                ),
+                false => format!("launch under {}", vendor.name()),
+            };
+            check_head_loads(&snap, restart, &run, &mut result.failures);
             if restart {
                 check_restart(spec, result.recovery_rounds, &snap, &mut result.failures);
             }
@@ -1123,8 +1132,14 @@ fn verify_restart(
         stragglers: spec.schedule.stragglers.clone(),
         ..FaultSchedule::default()
     };
-    let outcome = build_session(spec, vendor, durability.clone(), restart)
-        .and_then(|s| s.restore_from_store(program));
+    let outcome = build_session(spec, vendor, durability.clone(), restart).and_then(|s| {
+        let outcome = s.restore_from_store(program);
+        if let Some(snap) = s.telemetry() {
+            let run = format!("verification restart under {}", vendor.name());
+            check_head_loads(&snap, true, &run, &mut result.failures);
+        }
+        outcome
+    });
     match outcome {
         Err(e) => result
             .failures
@@ -1162,6 +1177,29 @@ fn check_restart(
     }
     if spec.wipe_local && round == 1 && count("tier.hydrate_us") == 0 {
         failures.push("the restart after wipe_local hydrated nothing from the tier".into());
+    }
+}
+
+/// One reader of a checkpoint: a launch loads no chain head, and a
+/// restore from the store loads exactly one, through the handle that
+/// then commits the run. A failed or stopped run names its head's epoch
+/// and leaves the reading to the restart.
+fn check_head_loads(
+    snap: &TelemetrySnapshot,
+    restore: bool,
+    run: &str,
+    failures: &mut Vec<String>,
+) {
+    let loads = snap
+        .recorder
+        .metrics()
+        .histogram("store.load.read_us")
+        .count();
+    if loads != u64::from(restore) {
+        failures.push(format!(
+            "{run} loaded the chain head {loads} time(s), want {}",
+            u64::from(restore)
+        ));
     }
 }
 
