@@ -424,9 +424,9 @@ pub fn collect(sweep: &Sweep) -> StoolResult<String> {
         store: Some(stool::StorePolicy::new(&dir)),
         ..Default::default()
     };
-    // `into_image` is the check that the run stopped at its checkpoint.
-    let stored = stopping().durability(chain()).build()?;
-    stored.launch(&modified)?.into_image()?;
+    // The stored run stops at its checkpoint and leaves it on the chain.
+    let stored = stopping().durability(chain()).build()?.launch(&modified)?;
+    assert!(matches!(stored, RunOutcome::Checkpointed { .. }));
     let from_store = full_stack(Vendor::Mpich).durability(chain()).build()?;
     let restarted_store = from_store.restore_from_store(&modified);
     std::fs::remove_dir_all(&dir).ok();

@@ -31,8 +31,9 @@
 //!
 //! The headline capability (paper §5.3 / Fig. 6): [`Session::launch`] a
 //! program under one vendor with a checkpoint policy, get back a
-//! [`RunOutcome::Checkpointed`] world image, then [`Session::restore`] it
-//! under the *other* vendor and run to completion.
+//! [`RunOutcome::Checkpointed`] [`Checkpoint`], then [`Session::restore`]
+//! its image (or [`Session::restore_from_store`] its chain epoch) under
+//! the *other* vendor and run to completion.
 //!
 //! Applications implement [`MpiProgram`] against [`AppCtx`], which exposes
 //! the standard ABI (plus typed convenience helpers in [`mpix`]), the
@@ -74,8 +75,8 @@ pub use scenario::{
     ScenarioResult, ScenarioSpec, Straggler, Victims,
 };
 pub use session::{
-    Checkpointer, CkptPolicy, DurabilityPolicy, ReplicaPolicy, RunOutcome, Session, SessionBuilder,
-    StorePolicy, TierPolicy,
+    Checkpoint, Checkpointer, CkptPolicy, DurabilityPolicy, ReplicaPolicy, RunOutcome, Session,
+    SessionBuilder, StorePolicy, TierPolicy,
 };
 pub use telemetry::{
     Event, EventKind, MetricValue, MetricsRegistry, Telemetry, TelemetryConfig, TelemetrySnapshot,

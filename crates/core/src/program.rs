@@ -116,15 +116,6 @@ impl AppCtx<'_> {
         self.sim.sleep(dt);
     }
 
-    /// Ask the coordinator for a checkpoint (the "user presses the button"
-    /// path). All ranks must reach their next safe point without requiring
-    /// MPI progress from ranks that already reached it.
-    pub fn request_checkpoint(&self, mode: CkptMode) {
-        if let Some(coord) = &self.coordinator {
-            coord.request_checkpoint(mode);
-        }
-    }
-
     /// A checkpoint **safe point**: the application guarantees it has no
     /// incomplete nonblocking requests and is between steps. `next_step` is
     /// recorded as the resume position if a checkpoint is taken here.

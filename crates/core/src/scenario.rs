@@ -885,18 +885,12 @@ pub fn run_scenario(
         let run_failed = outcome.is_failed();
         if let Some(snap) = session.telemetry() {
             observed.absorb(&snap, run_failed);
-            let run = match restart {
-                true => format!(
-                    "restart round {} under {}",
-                    result.recovery_rounds,
-                    vendor.name()
-                ),
-                false => format!("launch under {}", vendor.name()),
+            let round = result.recovery_rounds;
+            let run = match round {
+                0 => format!("launch under {}", vendor.name()),
+                r => format!("restart round {r} under {}", vendor.name()),
             };
-            check_head_loads(&snap, restart, &run, &mut result.failures);
-            if restart {
-                check_restart(spec, result.recovery_rounds, &snap, &mut result.failures);
-            }
+            check_head_loads(spec, &snap, round, &run, &mut result.failures);
         }
         match outcome {
             RunOutcome::Completed { memories, .. } => break Some((memories, vendor)),
@@ -907,7 +901,9 @@ pub fn run_scenario(
                 break None;
             }
             RunOutcome::Failed {
-                image, failed_step, ..
+                checkpoint,
+                failed_step,
+                ..
             } => {
                 result.kills += 1;
                 // Invariant 1a: the failure lands exactly where the
@@ -924,7 +920,7 @@ pub fn run_scenario(
                 }
                 // A restart restores the newest checkpoint; without one
                 // the job could only relaunch from step 0.
-                if image.is_none() {
+                if checkpoint.is_none() {
                     result.failures.push(format!(
                         "failed at step {failed_step} with no completed checkpoint to restore"
                     ));
@@ -1132,74 +1128,44 @@ fn verify_restart(
         stragglers: spec.schedule.stragglers.clone(),
         ..FaultSchedule::default()
     };
-    let outcome = build_session(spec, vendor, durability.clone(), restart).and_then(|s| {
-        let outcome = s.restore_from_store(program);
+    let run = format!("verification restart under {}", vendor.name());
+    let memories = build_session(spec, vendor, durability.clone(), restart).and_then(|s| {
+        let outcome = s.restore_from_store(program)?;
         if let Some(snap) = s.telemetry() {
-            let run = format!("verification restart under {}", vendor.name());
-            check_head_loads(&snap, true, &run, &mut result.failures);
+            check_head_loads(spec, &snap, 1, &run, &mut result.failures);
         }
-        outcome
+        outcome.memories().map(<[Memory]>::to_vec)
     });
-    match outcome {
-        Err(e) => result
-            .failures
-            .push(format!("verification restart under {}: {e}", vendor.name())),
-        Ok(outcome) => match outcome.memories() {
-            Err(e) => result
-                .failures
-                .push(format!("verification restart under {}: {e}", vendor.name())),
-            Ok(memories) => match reference_for(spec, vendor, program, references) {
-                Err(e) => result.failures.push(e),
-                Ok(reference) => {
-                    if let Some(msg) = memories_differ(reference, memories) {
-                        result
-                            .failures
-                            .push(format!("restart under {} diverged: {msg}", vendor.name()));
-                    }
-                }
-            },
-        },
+    let diverged = memories.map_err(|e| format!("{run}: {e}")).and_then(|got| {
+        let reference = reference_for(spec, vendor, program, references)?;
+        Ok(memories_differ(reference, &got))
+    });
+    match diverged {
+        Err(e) => result.failures.push(e),
+        Ok(Some(msg)) => result.failures.push(format!("{run} diverged: {msg}")),
+        Ok(None) => {}
     }
 }
 
-/// A restart resumed from a checkpoint (it loaded a chain head) and,
-/// the first time after `wipe_local`, hydrated that head from the tier
-/// in its own run.
-fn check_restart(
-    spec: &ScenarioSpec,
-    round: u64,
-    snap: &TelemetrySnapshot,
-    failures: &mut Vec<String>,
-) {
-    let count = |name: &str| snap.recorder.metrics().histogram(name).count();
-    if count("store.load.read_us") == 0 {
-        failures.push(format!("restart round {round} relaunched from step 0"));
-    }
-    if spec.wipe_local && round == 1 && count("tier.hydrate_us") == 0 {
-        failures.push("the restart after wipe_local hydrated nothing from the tier".into());
-    }
-}
-
-/// One reader of a checkpoint: a launch loads no chain head, and a
-/// restore from the store loads exactly one, through the handle that
-/// then commits the run. A failed or stopped run names its head's epoch
-/// and leaves the reading to the restart.
+/// One reader of a checkpoint: a launch (`round` 0) loads no chain head,
+/// and a restore from the store loads exactly one, through the handle
+/// that then commits the run — a failed or stopped run names its head's
+/// epoch and leaves the reading to the restart. The first restore after
+/// `wipe_local` hydrated that head from the tier in its own run.
 fn check_head_loads(
+    spec: &ScenarioSpec,
     snap: &TelemetrySnapshot,
-    restore: bool,
+    round: u64,
     run: &str,
     failures: &mut Vec<String>,
 ) {
-    let loads = snap
-        .recorder
-        .metrics()
-        .histogram("store.load.read_us")
-        .count();
-    if loads != u64::from(restore) {
-        failures.push(format!(
-            "{run} loaded the chain head {loads} time(s), want {}",
-            u64::from(restore)
-        ));
+    let count = |name: &str| snap.recorder.metrics().histogram(name).count();
+    let (loads, want) = (count("store.load.read_us"), u64::from(round > 0));
+    if loads != want {
+        failures.push(format!("{run} loaded {loads} chain heads, want {want}"));
+    }
+    if spec.wipe_local && round == 1 && count("tier.hydrate_us") == 0 {
+        failures.push(format!("{run} hydrated nothing from the wiped disk's tier"));
     }
 }
 

@@ -375,7 +375,7 @@ impl SessionBuilder {
     }
 
     /// Take a periodic checkpoint every `n` safe-point steps and keep
-    /// running (classic interval checkpointing: a failed run salvages the
+    /// running (classic interval checkpointing: a failed run names the
     /// last one, and [`Session::restore_from_store`] restarts from it).
     pub fn checkpoint_every(mut self, n: u64) -> Self {
         self.config.policy.every_steps = Some(n);
@@ -516,11 +516,10 @@ pub enum RunOutcome {
         /// Per-rank communication counters.
         counters: Vec<RankCounters>,
     },
-    /// A checkpoint-and-stop was taken; the world image is ready for
-    /// [`Session::restore`] — under any vendor.
+    /// A checkpoint-and-stop was taken; it restarts under any vendor.
     Checkpointed {
-        /// The collected world image.
-        image: WorldImage,
+        /// Where the checkpoint is.
+        checkpoint: Checkpoint,
         /// Per-rank clocks at stop time.
         clocks: Vec<VirtualTime>,
         /// Per-rank communication counters at stop time.
@@ -530,13 +529,28 @@ pub enum RunOutcome {
     Failed {
         /// The last *completed* periodic checkpoint before the failure, if
         /// any — the recovery point for a Reinit-style global restart.
-        image: Option<WorldImage>,
+        checkpoint: Option<Checkpoint>,
         /// The safe-point step at which the failure struck.
         failed_step: u64,
         /// Per-rank clocks at failure time.
         clocks: Vec<VirtualTime>,
         /// Per-rank communication counters at failure time.
         counters: Vec<RankCounters>,
+    },
+}
+
+/// Where a run left its newest completed checkpoint. Nothing on the way
+/// back to the caller reads it: the restart is its one reader.
+#[derive(Debug)]
+pub enum Checkpoint {
+    /// A store-less run's only copy, the coordinator's staged image:
+    /// ready for [`Session::restore`].
+    Image(WorldImage),
+    /// The head of a storing run's chain, left on disk for
+    /// [`Session::restore_from_store`].
+    Stored {
+        /// The head's epoch.
+        epoch: u64,
     },
 }
 
@@ -586,23 +600,20 @@ impl RunOutcome {
         }
     }
 
-    /// The world image of a checkpoint-stopped run.
+    /// The world image of a store-less run's checkpoint.
     pub fn into_image(self) -> StoolResult<WorldImage> {
-        match self {
-            RunOutcome::Checkpointed { image, .. } => Ok(image),
-            RunOutcome::Failed {
-                image: Some(image), ..
-            } => Ok(image),
-            RunOutcome::Failed {
-                image: None,
-                failed_step,
-                ..
-            } => Err(StoolError::App(format!(
-                "run failed at step {failed_step} before any checkpoint completed"
+        let checkpoint = match self {
+            RunOutcome::Checkpointed { checkpoint, .. } => Some(checkpoint),
+            RunOutcome::Failed { checkpoint, .. } => checkpoint,
+            RunOutcome::Completed { .. } => None,
+        };
+        match checkpoint {
+            Some(Checkpoint::Image(image)) => Ok(image),
+            Some(Checkpoint::Stored { epoch }) => Err(StoolError::App(format!(
+                "the checkpoint is epoch {epoch} of the session's store: \
+                 restart it with Session::restore_from_store"
             ))),
-            RunOutcome::Completed { .. } => {
-                Err(StoolError::App("run completed, no checkpoint image".into()))
-            }
+            None => Err(StoolError::App("the run left no checkpoint".into())),
         }
     }
 }
@@ -926,8 +937,9 @@ impl Session {
         // Every submitted epoch must be durable before the outcome is
         // inspected (restart may read the chain immediately). Retired
         // even when the run failed: the committer hands the run's store
-        // back, so the telemetry snapshot, the crash dump and the salvage
-        // below see the final store/tier state through the one handle.
+        // back, so the telemetry snapshot, the crash dump and the head
+        // epoch below see the final store/tier state through the one
+        // handle.
         let (flush_result, store) = sink.as_ref().map_or((Ok(()), None), |(w, l)| w.retire(*l));
         let store = store.map(|s| wiring.store.get_or_init(|| s));
         // Local durability settled; now drain the background tier shipper
@@ -981,21 +993,18 @@ impl Session {
 
         let outcome = run_result.map_err(StoolError::Sim)?;
         flush_result.map_err(StoolError::Store)?;
-        // Collect the image of the last checkpoint this run completed:
-        // from the staging area, or — when the store consumed the staged
-        // images at the rendezvous — by loading the chain head through
-        // the run's own store.
-        let collect_image = |c: &Coordinator| -> StoolResult<Option<WorldImage>> {
+        // The last checkpoint this run completed: the staged image, or —
+        // when the store consumed the staged images at the rendezvous —
+        // the head epoch of the run's chain, which only a restart reads.
+        let checkpoint = |c: &Coordinator| -> Option<Checkpoint> {
             if c.completed_epoch() == 0 {
-                return Ok(None);
+                return None;
             }
             match store {
-                Some(store) => match store.load_latest() {
-                    Ok(img) => Ok(Some(img)),
-                    Err(StoreError::Empty) => Ok(None),
-                    Err(e) => Err(StoolError::Store(e)),
-                },
-                None => Ok(c.take_world_image(self.config.vendor.name())),
+                Some(store) => store.latest().map(|epoch| Checkpoint::Stored { epoch }),
+                None => c
+                    .take_world_image(self.config.vendor.name())
+                    .map(Checkpoint::Image),
             }
         };
 
@@ -1007,13 +1016,8 @@ impl Session {
                         .into(),
                 ));
             }
-            // Salvage the last completed periodic checkpoint, if any.
-            let image = match &coordinator {
-                Some(c) => collect_image(c)?,
-                None => None,
-            };
             return Ok(RunOutcome::Failed {
-                image,
+                checkpoint: coordinator.as_ref().and_then(checkpoint),
                 failed_step: step,
                 clocks: outcome.clocks,
                 counters: outcome.counters,
@@ -1030,10 +1034,10 @@ impl Session {
             }
             let coordinator = coordinator
                 .ok_or_else(|| StoolError::Config("stopped without a coordinator".into()))?;
-            let image = collect_image(&coordinator)?
-                .ok_or_else(|| StoolError::Config("stop without a complete image".into()))?;
+            let checkpoint = checkpoint(&coordinator)
+                .ok_or_else(|| StoolError::Config("stop without a complete checkpoint".into()))?;
             return Ok(RunOutcome::Checkpointed {
-                image,
+                checkpoint,
                 clocks: outcome.clocks,
                 counters: outcome.counters,
             });

@@ -8,8 +8,8 @@ use mpi_stool::dmtcp::{CkptMode, DeltaStore, StoreConfig, TierConfig, WorldImage
 use mpi_stool::simnet::{ClusterSpec, Interconnect, KernelVersion, VirtualTime};
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{
-    AppCtx, Checkpointer, DurabilityPolicy, FaultSchedule, Memory, MetricValue, MpiProgram,
-    Session, StoolResult, StorePolicy, TierPolicy, Vendor,
+    AppCtx, Checkpoint, Checkpointer, DurabilityPolicy, FaultSchedule, Memory, MetricValue,
+    MpiProgram, RunOutcome, Session, StoolResult, StorePolicy, TierPolicy, Vendor,
 };
 use std::path::Path;
 
@@ -674,7 +674,9 @@ fn wave_remote_tier_only_restart_under_other_vendor() {
 #[test]
 fn restore_from_store_under_other_vendor() {
     // The one-call path: a store-backed session restarts its own chain
-    // directly, under a different vendor than wrote it.
+    // directly, under a different vendor than wrote it. The stopped run
+    // names the chain head's epoch and reads nothing back; the restart
+    // is the one reader.
     let program = RingPings {
         rounds: 12,
         payload: 16,
@@ -683,32 +685,46 @@ fn restore_from_store_under_other_vendor() {
     let dir = std::env::temp_dir().join(format!("stool-store-restore-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let out = Session::builder()
+    let stopping = Session::builder()
         .cluster(cluster())
         .vendor(Vendor::OpenMpi)
         .checkpointer(Checkpointer::mana())
         .checkpoint_at_step(5, CkptMode::Stop)
         .durability(stored(&dir, StoreConfig::default(), None))
         .build()
-        .unwrap()
-        .launch(&program)
         .unwrap();
-    // The stop-outcome image is reconstructed from the chain head.
-    let image = out.into_image().unwrap();
-    assert_eq!(image.vendor_hint, "Open MPI");
+    let out = stopping.launch(&program).unwrap();
+    assert!(
+        matches!(
+            out,
+            RunOutcome::Checkpointed {
+                checkpoint: Checkpoint::Stored { epoch: 1 },
+                ..
+            }
+        ),
+        "{out:?}"
+    );
+    assert_eq!(readings(&stopping, "store.load.read_us"), 0);
+    let err = out.into_image().unwrap_err().to_string();
+    assert!(
+        err.contains("epoch 1") && err.contains("restore_from_store"),
+        "{err}"
+    );
 
-    let got = Session::builder()
+    let restart = Session::builder()
         .cluster(cluster())
         .vendor(Vendor::Mpich)
         .checkpointer(Checkpointer::mana())
         .durability(stored(&dir, StoreConfig::default(), None))
         .build()
-        .unwrap()
+        .unwrap();
+    let got = restart
         .restore_from_store(&program)
         .unwrap()
         .memories()
         .unwrap()
         .to_vec();
+    assert_eq!(readings(&restart, "store.load.read_us"), 1);
     assert_memories_equal(&expect, &got);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -778,7 +794,8 @@ fn shipped_chain(program: &RingPings, dir: &Path, tier_dir: &Path) -> u64 {
         .durability(stored(dir, StoreConfig::default(), Some(tier_dir)))
         .build()
         .unwrap();
-    session.launch(program).unwrap().into_image().unwrap();
+    let out = session.launch(program).unwrap();
+    assert!(matches!(out, RunOutcome::Checkpointed { .. }), "{out:?}");
     let tier = session.telemetry().unwrap().tier.unwrap();
     assert_eq!(tier.ship_failures, 0);
     tier.epochs_shipped

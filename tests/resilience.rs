@@ -1,16 +1,17 @@
 //! Fault tolerance (the paper's motivating context): periodic
 //! checkpoints + injected node failure + Reinit-style global restart.
-//! A failed run salvages its last checkpoint, and the job comes back
-//! through `Session::restore_from_store` — the one restart path, which
-//! the scenario harness's run/restart loop drives row by row.
+//! A failed storing run names its last checkpoint's chain epoch and reads
+//! nothing back; the job comes back through `Session::restore_from_store`
+//! — the one restart path and the one reader of the chain head, which the
+//! scenario harness's run/restart loop drives row by row.
 
 use std::path::{Path, PathBuf};
 
 use mpi_stool::simnet::ClusterSpec;
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{
-    parse_matrix, run_scenario, Checkpointer, DurabilityPolicy, EventKind, FaultSchedule,
-    RunOutcome, Session, StorePolicy, Vendor,
+    parse_matrix, run_scenario, Checkpoint, Checkpointer, DurabilityPolicy, EventKind,
+    FaultSchedule, RunOutcome, Session, StorePolicy, Vendor,
 };
 
 fn cluster() -> ClusterSpec {
@@ -65,15 +66,17 @@ fn failure_recovers_from_periodic_checkpoint() {
     let failed = stored(Vendor::Mpich, &dir, schedule.clone())
         .launch(&program)
         .unwrap();
-    let RunOutcome::Failed {
-        image: Some(image),
-        failed_step: 9,
-        ..
-    } = failed
-    else {
-        panic!("a checkpointed run must fail at step 9: {failed:?}");
-    };
-    assert!(image.ranks.iter().all(|r| r.epoch == 2), "the step-8 epoch");
+    assert!(
+        matches!(
+            failed,
+            RunOutcome::Failed {
+                checkpoint: Some(Checkpoint::Stored { epoch: 2 }),
+                failed_step: 9,
+                ..
+            }
+        ),
+        "a checkpointed run must fail at step 9 after the step-8 epoch: {failed:?}"
+    );
 
     let restart = stored(Vendor::OpenMpi, &dir, schedule.after_failure(9));
     let got = restart
@@ -142,7 +145,7 @@ fn failed_runs_salvage_image_for_manual_cross_vendor_recovery() {
 #[test]
 fn fault_on_checkpoint_step_loses_that_checkpoint() {
     // Adversarial ordering: the committed matrix row kills on entry to
-    // the step where a periodic checkpoint was due. The run salvages the
+    // the step where a periodic checkpoint was due. The run names the
     // *previous* epoch, not the never-taken one, and the row restarts
     // from it under the other vendor bit-identically.
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("benches/scenarios/matrix.toml");
@@ -157,28 +160,33 @@ fn fault_on_checkpoint_step_loses_that_checkpoint() {
         rounds: spec.steps,
         payload: spec.payload as usize,
     };
+    let dir = tmp_dir("ckpt_step");
     let failed = Session::builder()
         .cluster(spec.cluster())
         .vendor(spec.vendor)
         .checkpointer(Checkpointer::mana())
         .checkpoint_every(spec.ckpt_every)
+        .durability(DurabilityPolicy {
+            store: Some(StorePolicy::new(dir.join("chain"))),
+            ..DurabilityPolicy::default()
+        })
         .fault_schedule(spec.schedule.clone())
         .build()
         .unwrap()
         .launch(&program)
         .unwrap();
-    match failed {
-        RunOutcome::Failed {
-            image: Some(image),
-            failed_step,
-            ..
-        } if failed_step == step => {
-            assert!(image.ranks.iter().all(|r| r.epoch == 1), "the first epoch");
-        }
-        other => panic!("expected a failure at step {step} with an image: {other:?}"),
-    }
+    assert!(
+        matches!(
+            failed,
+            RunOutcome::Failed {
+                checkpoint: Some(Checkpoint::Stored { epoch: 1 }),
+                failed_step,
+                ..
+            } if failed_step == step
+        ),
+        "expected a failure at step {step} after the first epoch: {failed:?}"
+    );
 
-    let dir = tmp_dir("ckpt_step");
     let result = run_scenario(spec, &program, &dir);
     assert!(result.passed(), "{:?}", result.failures);
     assert_eq!((result.kills, result.recovery_rounds), (1, 1));

@@ -14,7 +14,8 @@ use mpi_stool::dmtcp::{
 };
 use mpi_stool::simnet::ClusterSpec;
 use mpi_stool::stool::{
-    Checkpointer, DurabilityPolicy, FaultSchedule, RunOutcome, Session, StorePolicy, TierPolicy,
+    Checkpoint, Checkpointer, DurabilityPolicy, FaultSchedule, RunOutcome, Session, StorePolicy,
+    TierPolicy,
 };
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -540,12 +541,12 @@ fn unreachable_tier_surfaces_timeout_at_the_retry_deadline() {
 }
 
 #[test]
-fn a_killed_runs_salvage_ships_nothing_past_its_sticky_shipper() {
+fn a_killed_run_ships_nothing_past_its_sticky_shipper() {
     // One scripted upload failure at one attempt makes the run's shipper
-    // sticky; the node kill then salvages the chain head. Nothing may
-    // reach the tier behind the run's recorder: no seal, and the
-    // snapshot's count of shipped epochs stays at zero.
-    let root = tmp_dir("salvage_sticky");
+    // sticky; the node kill then fails the run, which names its chain
+    // head. Nothing may reach the tier behind the run's recorder: no
+    // seal, and the snapshot's count of shipped epochs stays at zero.
+    let root = tmp_dir("killed_sticky");
     let tier_dir = root.join("tier");
     let mut store = StorePolicy::new(root.join("chain"));
     store.tier = Some(TierPolicy {
@@ -578,8 +579,14 @@ fn a_killed_runs_salvage_ships_nothing_past_its_sticky_shipper() {
     };
     let outcome = session.launch(&solver).unwrap();
     assert!(
-        matches!(outcome, RunOutcome::Failed { image: Some(_), .. }),
-        "the kill fails the run, and its last epoch is salvaged"
+        matches!(
+            outcome,
+            RunOutcome::Failed {
+                checkpoint: Some(Checkpoint::Stored { .. }),
+                ..
+            }
+        ),
+        "the kill fails the run, which names its last epoch"
     );
     let tier = FsTier::open(&tier_dir).unwrap();
     let seals: Vec<String> = tier
