@@ -132,6 +132,71 @@ fn torn_emit_never_reaches_the_dump() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The recorder's counts and clock high-water mark are properties of the
+/// emit sequence, wherever the recorder keeps them: a scripted sequence
+/// over rank lanes, system lanes, an out-of-range lane and lapped rings
+/// reads back the totals pinned here.
+#[test]
+fn scripted_emits_read_back_pinned_totals() {
+    let tel = Telemetry::with_config(
+        3,
+        TelemetryConfig {
+            rank_ring: 4,
+            system_ring: 2,
+            ..TelemetryConfig::default()
+        },
+    );
+    // Rank 0 laps its four-slot ring more than twice.
+    for i in 0..10u64 {
+        tel.emit_rank(0, EventKind::MsgMatch, 100 + i, 1, i, 0);
+    }
+    tel.emit_rank(1, EventKind::RankStall, 50, 1, 5, 2);
+    tel.emit_rank(2, EventKind::RankKill, 700, 2, 3, 0);
+    tel.observe_time(900);
+    tel.emit_system(tel.coord_lane(), EventKind::EpochCommit, 1, 2, 0);
+    for epoch in 0..3u64 {
+        tel.emit_system(tel.store_lane(), EventKind::StoreCommit, epoch, 1, 4);
+    }
+    // Out of range: clamps to the last system lane.
+    tel.emit(99, EventKind::TierFail, 1200, 7, 3, 0);
+    // A stale stamp never lowers the high-water mark.
+    tel.emit_rank(1, EventKind::MsgMatch, 300, 0, 0, 0);
+    assert_eq!(tel.observed_now(), 1200);
+
+    let pinned = [
+        (EventKind::MsgMatch, 11),
+        (EventKind::RankStall, 1),
+        (EventKind::RankKill, 1),
+        (EventKind::EpochCommit, 1),
+        (EventKind::StoreCommit, 3),
+        (EventKind::TierFail, 1),
+    ];
+    for (kind, count) in pinned {
+        assert_eq!(tel.emitted(kind), count, "{kind:?}");
+    }
+    let nonzero: Vec<(EventKind, u64)> = tel
+        .emitted_by_kind()
+        .into_iter()
+        .filter(|&(_, n)| n > 0)
+        .collect();
+    let mut expected = pinned.to_vec();
+    expected.sort();
+    assert_eq!(nonzero, expected);
+    assert_eq!(tel.emitted_by_kind().len(), EventKind::ALL.len());
+    assert_eq!(tel.emitted_total(), 18);
+
+    // Resident: 4 + 2 + 1 rank events, 1 coord, 2 store, 1 replica.
+    let events = tel.events();
+    assert_eq!(events.len(), 11);
+    let commit = events
+        .iter()
+        .find(|e| e.kind == EventKind::EpochCommit)
+        .unwrap();
+    assert_eq!(commit.vclock_ns, 900, "a system emit stamps the high-water mark");
+    let clamped = events.iter().find(|e| e.kind == EventKind::TierFail).unwrap();
+    assert_eq!(clamped.lane, tel.replica_lane());
+}
+
 /// The one-shot dump claim: with a configured directory, the first
 /// `dump()` wins and every later call is a no-op.
 #[test]
