@@ -81,11 +81,6 @@ impl AbiError {
         }
     }
 
-    /// Recover the class from a standardized code.
-    pub fn from_code(code: i32) -> Option<AbiError> {
-        AbiError::ALL.into_iter().find(|e| e.code() == code)
-    }
-
     /// All error classes.
     pub const ALL: [AbiError; 19] = [
         AbiError::Buffer,
@@ -162,15 +157,6 @@ mod tests {
             assert!(e.code() > 0, "{e:?} must have positive code");
             assert!(seen.insert(e.code()), "duplicate code for {e:?}");
         }
-    }
-
-    #[test]
-    fn codes_round_trip() {
-        for e in AbiError::ALL {
-            assert_eq!(AbiError::from_code(e.code()), Some(e));
-        }
-        assert_eq!(AbiError::from_code(0), None, "0 is MPI_SUCCESS");
-        assert_eq!(AbiError::from_code(-1), None);
     }
 
     #[test]

@@ -148,15 +148,6 @@ impl Handle {
     pub const fn from_raw(raw: u64) -> Handle {
         Handle(raw)
     }
-
-    /// Check that the handle has the expected kind and is non-null.
-    pub fn expect_kind(self, kind: HandleKind) -> Result<Handle, crate::error::AbiError> {
-        if self.kind() != kind || self.is_null() {
-            Err(crate::error::AbiError::for_kind(kind))
-        } else {
-            Ok(self)
-        }
-    }
 }
 
 impl fmt::Debug for Handle {
@@ -210,15 +201,6 @@ mod tests {
     #[should_panic(expected = "collides with predefined range")]
     fn dynamic_slot_in_predefined_range_panics() {
         let _ = Handle::dynamic(HandleKind::Comm, 3);
-    }
-
-    #[test]
-    fn expect_kind_accepts_and_rejects() {
-        assert!(Handle::COMM_WORLD.expect_kind(HandleKind::Comm).is_ok());
-        assert!(Handle::COMM_WORLD
-            .expect_kind(HandleKind::Datatype)
-            .is_err());
-        assert!(Handle::COMM_NULL.expect_kind(HandleKind::Comm).is_err());
     }
 
     #[test]

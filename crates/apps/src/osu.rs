@@ -78,34 +78,37 @@ impl OsuLatency {
         }
     }
 
-    fn run_one(&self, app: &mut AppCtx<'_>, size: usize) -> StoolResult<f64> {
-        let n = app.nranks();
+    /// The bytes one call at `size` sends from each buffer: alltoall
+    /// sends a block to every rank, and OSU allreduce uses float data, so
+    /// its size rounds up to whole doubles.
+    fn buf_len(&self, size: usize, nranks: usize) -> usize {
         match self.kernel {
-            OsuKernel::Alltoall => {
-                let send = vec![0x5Au8; size * n];
-                let mut recv = vec![0u8; size * n];
-                app.pmpi()
-                    .alltoall_bytes(&send, &mut recv, Handle::COMM_WORLD)?;
-            }
-            OsuKernel::Bcast => {
-                let mut buf = vec![0x5Au8; size];
-                app.pmpi().bcast_bytes(&mut buf, 0, Handle::COMM_WORLD)?;
-            }
+            OsuKernel::Alltoall => size * nranks,
+            OsuKernel::Bcast => size,
+            OsuKernel::Allreduce => size.div_ceil(8).max(1) * 8,
+        }
+    }
+
+    /// One call at `size` on the run's buffers (`send` doubles as the
+    /// bcast buffer).
+    fn run_one(
+        &self,
+        app: &mut AppCtx<'_>,
+        size: usize,
+        send: &mut [u8],
+        recv: &mut [u8],
+    ) -> StoolResult<()> {
+        let len = self.buf_len(size, app.nranks());
+        let (send, recv) = (&mut send[..len], &mut recv[..len]);
+        match self.kernel {
+            OsuKernel::Alltoall => app.pmpi().alltoall_bytes(send, recv, Handle::COMM_WORLD)?,
+            OsuKernel::Bcast => app.pmpi().bcast_bytes(send, 0, Handle::COMM_WORLD)?,
             OsuKernel::Allreduce => {
-                // OSU allreduce uses float data; round the byte size up to
-                // whole doubles.
-                let elems = size.div_ceil(8).max(1);
-                let send = vec![0u8; elems * 8];
-                let mut recv = vec![0u8; elems * 8];
-                app.pmpi().allreduce_bytes_f64(
-                    &send,
-                    &mut recv,
-                    ReduceOp::Sum,
-                    Handle::COMM_WORLD,
-                )?;
+                app.pmpi()
+                    .allreduce_bytes_f64(send, recv, ReduceOp::Sum, Handle::COMM_WORLD)?
             }
         }
-        Ok(0.0)
+        Ok(())
     }
 }
 
@@ -121,6 +124,16 @@ impl MpiProgram for OsuLatency {
     fn run(&self, app: &mut AppCtx<'_>) -> StoolResult<()> {
         let sizes = self.sizes();
         let nsizes = sizes.len() as u64;
+        let largest = *sizes.last().expect("at least one size");
+        // Like OSU 7.x, allocate the buffers once, at the largest size.
+        // Allreduce sums zeros, so its send buffer stays zero.
+        let len = self.buf_len(largest, app.nranks());
+        let fill = if self.kernel == OsuKernel::Allreduce {
+            0
+        } else {
+            0x5A
+        };
+        let (mut send, mut recv) = (vec![fill; len], vec![0u8; len]);
 
         // Step 0: warmup (at the largest size) + optional sleep window.
         if app.resume_step() == 0 {
@@ -128,7 +141,7 @@ impl MpiProgram for OsuLatency {
                 return Ok(());
             }
             for _ in 0..self.warmup {
-                self.run_one(app, *sizes.last().expect("at least one size"))?;
+                self.run_one(app, largest, &mut send, &mut recv)?;
             }
             if let Some(window) = self.ckpt_window {
                 // The modified benchmark of §5.3: sleep so the user can
@@ -156,7 +169,7 @@ impl MpiProgram for OsuLatency {
             let mut local_us = 0.0;
             for _ in 0..iters {
                 let t0 = app.now();
-                self.run_one(app, size)?;
+                self.run_one(app, size, &mut send, &mut recv)?;
                 let t1 = app.now();
                 local_us += (t1 - t0).as_micros_f64();
                 app.pmpi().barrier(Handle::COMM_WORLD)?;

@@ -190,11 +190,6 @@ impl MpiStatus {
         (self.count_lo as u32 as u64)
             | (((self.count_hi_and_cancelled as u32 as u64) & 0x7FFF_FFFF) << 32)
     }
-
-    /// Whether the operation was cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        (self.count_hi_and_cancelled as u32) & 0x8000_0000 != 0
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -370,7 +365,6 @@ mod tests {
         assert_eq!(small.count_bytes(), 1234);
         assert_eq!(small.mpi_source, 3);
         assert_eq!(small.mpi_tag, 9);
-        assert!(!small.is_cancelled());
         // A count needing the high word.
         let big = MpiStatus::for_receive(0, 0, (7u64 << 32) | 42);
         assert_eq!(big.count_bytes(), (7u64 << 32) | 42);

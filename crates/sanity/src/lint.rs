@@ -667,6 +667,14 @@ pub fn default_rules() -> Vec<Rule> {
                 &["open_store_scripted"],
             ]),
         },
+        Rule {
+            name: "one-payload-path",
+            invariant: "an MPI message payload is built only by simnet::mpi::Process, whose pool recycles its buffer",
+            paths: &["crates/simnet/src/mpi/"],
+            allow_paths: &["crates/simnet/src/mpi/process.rs"],
+            skip_tests: true,
+            check: Check::BannedPath(&[&["Bytes", "::", "copy_from_slice"]]),
+        },
     ]
 }
 

@@ -229,24 +229,27 @@ impl Mailbox {
 /// Counters an endpoint keeps in cells of its own and folds into the
 /// registry when it parks and when it drops, so 48 rank threads do not
 /// bounce a cache line per message. Exact once the rank threads are joined.
-const FOLDED: [&str; 5] = [
+const FOLDED: [&str; 6] = [
     "fabric.sends",
     "fabric.wake_skips",
     "fabric.yield_hits",
     "fabric.parks",
     "match.hits",
+    "fabric.payload_allocs",
 ];
 const SENDS: usize = 0;
 const WAKE_SKIPS: usize = 1;
 const YIELD_HITS: usize = 2;
 const PARKS: usize = 3;
 pub(crate) const MATCH_HITS: usize = 4;
+/// Payload sends the rank's buffer pool could not serve (`simnet::mpi`).
+pub(crate) const PAYLOAD_ALLOCS: usize = 5;
 
 /// The fabric's attached flight recorder plus cached counter handles, so
 /// no hot path pays a registry lookup.
 pub(crate) struct FabricTelemetry {
     pub(crate) tel: Arc<Telemetry>,
-    folded: [Counter; 5],
+    folded: [Counter; 6],
     /// Notifies issued for an envelope the parked receiver waits for.
     wakeups: Counter,
     broadcast_wakeups: Counter,
@@ -408,7 +411,7 @@ pub struct Endpoint {
     fabric: Fabric,
     next_seq: Cell<u64>,
     /// [`FOLDED`] counts not yet folded into the shared counters.
-    counts: [Cell<u64>; 5],
+    counts: [Cell<u64>; 6],
 }
 
 impl Drop for Endpoint {

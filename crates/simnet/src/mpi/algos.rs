@@ -224,14 +224,15 @@ fn binomial_top(rel: usize, n: usize) -> usize {
 }
 
 impl<V: NativeAbi> Process<V> {
-    /// Send `payload` to comm rank `dst` on the collective context.
+    /// Send a copy of `data` to comm rank `dst` on the collective context.
     fn coll_send(
         &mut self,
         info: &CommInfo<V>,
         dst: usize,
         tag: i32,
-        payload: Bytes,
+        data: &[u8],
     ) -> MpiResult<()> {
+        let payload = self.payload(data);
         self.xsend(info, true, dst as i32, tag, payload)
     }
 
@@ -250,6 +251,27 @@ impl<V: NativeAbi> Process<V> {
             return Err(V::ERR_TRUNCATE);
         }
         Ok(got.env.payload)
+    }
+
+    /// Receive exactly `acc.len()` bytes from comm rank `src` on the
+    /// collective context into `acc`: copied in, or with `red` =
+    /// `(reduction, other_first)` combined in rank order
+    /// ([`Process::combine_ordered`]).
+    fn coll_recv_into(
+        &mut self,
+        info: &CommInfo<V>,
+        src: usize,
+        tag: i32,
+        acc: &mut [u8],
+        red: Option<(Reduction<V>, bool)>,
+    ) -> MpiResult<()> {
+        let got = self.coll_recv(info, src, tag, acc.len())?;
+        match red {
+            Some((red, other_first)) => self.combine_ordered(red, acc, &got, other_first)?,
+            None => acc.copy_from_slice(&got),
+        }
+        self.recycle(got);
+        Ok(())
     }
 }
 
@@ -328,17 +350,10 @@ impl Doubling {
         let me = info.my_rank as usize;
         let part = self.part(me);
         match part {
-            Part::Extra { into } => {
-                p.coll_send(info, into, FOLD_IN, Bytes::copy_from_slice(acc))?
-            }
+            Part::Extra { into } => p.coll_send(info, into, FOLD_IN, acc)?,
             Part::Survivor {
                 extra: Some(extra), ..
-            } => {
-                let got = p.coll_recv(info, extra, FOLD_IN, acc.len())?;
-                if let Some(red) = red {
-                    p.combine_ordered(red, acc, &got, extra < me)?;
-                }
-            }
+            } => p.coll_recv_into(info, extra, FOLD_IN, acc, red.map(|r| (r, extra < me)))?,
             Part::Survivor { extra: None, .. } => {}
         }
         Ok(part)
@@ -353,13 +368,10 @@ impl Doubling {
         part: Part,
     ) -> MpiResult<()> {
         match part {
-            Part::Extra { into } => {
-                let got = p.coll_recv(info, into, FOLD_OUT, acc.len())?;
-                acc.copy_from_slice(&got);
-            }
+            Part::Extra { into } => p.coll_recv_into(info, into, FOLD_OUT, acc, None)?,
             Part::Survivor {
                 extra: Some(extra), ..
-            } => p.coll_send(info, extra, FOLD_OUT, Bytes::copy_from_slice(acc))?,
+            } => p.coll_send(info, extra, FOLD_OUT, acc)?,
             Part::Survivor { extra: None, .. } => {}
         }
         Ok(())
@@ -384,11 +396,9 @@ fn doubling<V: NativeAbi>(
         let mut mask = 1;
         while mask < d.pof2 {
             let partner = d.rank_of(newrank ^ mask);
-            p.coll_send(info, partner, DOUBLING, Bytes::copy_from_slice(acc))?;
-            let got = p.coll_recv(info, partner, DOUBLING, acc.len())?;
-            if let Some(red) = red {
-                p.combine_ordered(red, acc, &got, partner < me)?;
-            }
+            p.coll_send(info, partner, DOUBLING, acc)?;
+            let red = red.map(|r| (r, partner < me));
+            p.coll_recv_into(info, partner, DOUBLING, acc, red)?;
             mask <<= 1;
         }
     }
@@ -409,7 +419,7 @@ pub fn barrier_dissemination<V: NativeAbi>(
     let me = info.my_rank as usize;
     let mut k = 1;
     while k < n {
-        p.coll_send(info, (me + k) % n, DISSEMINATION, Bytes::new())?;
+        p.coll_send(info, (me + k) % n, DISSEMINATION, &[])?;
         p.coll_recv(info, (me + n - k) % n, DISSEMINATION, 0)?;
         k <<= 1;
     }
@@ -442,21 +452,25 @@ pub fn bcast_binomial<V: NativeAbi>(
     let mut mask = 1;
     while mask < n {
         if rel & mask != 0 {
-            let got = p.coll_recv(info, (rel - mask + root) % n, BINOMIAL_BCAST, buf.len())?;
-            buf.copy_from_slice(&got);
+            p.coll_recv_into(info, (rel - mask + root) % n, BINOMIAL_BCAST, buf, None)?;
             break;
         }
         mask <<= 1;
     }
     mask >>= 1;
-    let payload = Bytes::copy_from_slice(buf);
+    // A rank with children has child rel + 1; a leaf copies nothing.
+    if mask == 0 || rel + 1 >= n {
+        return Ok(());
+    }
+    let payload = p.payload(buf);
     while mask > 0 {
         if rel + mask < n {
             let child = (rel + mask + root) % n;
-            p.coll_send(info, child, BINOMIAL_BCAST, payload.clone())?;
+            p.xsend(info, true, child as i32, BINOMIAL_BCAST, payload.clone())?;
         }
         mask >>= 1;
     }
+    p.recycle(payload);
     Ok(())
 }
 
@@ -479,16 +493,15 @@ pub fn bcast_scatter_ring<V: NativeAbi>(
     let (span, parent) = binomial_span(rel, n);
     if let Some(parent) = parent {
         let mine = range(rel, rel + span);
-        let got = p.coll_recv(info, (parent + root) % n, CHUNK_SCATTER, mine.len())?;
-        buf[mine].copy_from_slice(&got);
+        let parent = (parent + root) % n;
+        p.coll_recv_into(info, parent, CHUNK_SCATTER, &mut buf[mine], None)?;
     }
     let mut mask = binomial_top(rel, n);
     while mask > 0 {
         let child = rel + mask;
         if child < n {
             let theirs = range(child, child + mask.min(n - child));
-            let payload = Bytes::copy_from_slice(&buf[theirs]);
-            p.coll_send(info, (child + root) % n, CHUNK_SCATTER, payload)?;
+            p.coll_send(info, (child + root) % n, CHUNK_SCATTER, &buf[theirs])?;
         }
         mask >>= 1;
     }
@@ -500,10 +513,9 @@ pub fn bcast_scatter_ring<V: NativeAbi>(
     for s in 0..n - 1 {
         let send_i = (rel + n - s) % n;
         let recv_i = (rel + n - s - 1) % n;
-        let payload = Bytes::copy_from_slice(&buf[range(send_i, send_i + 1)]);
-        p.coll_send(info, right, CHUNK_RING, payload)?;
-        let got = p.coll_recv(info, left, CHUNK_RING, lens[recv_i])?;
-        buf[range(recv_i, recv_i + 1)].copy_from_slice(&got);
+        p.coll_send(info, right, CHUNK_RING, &buf[range(send_i, send_i + 1)])?;
+        let theirs = &mut buf[range(recv_i, recv_i + 1)];
+        p.coll_recv_into(info, left, CHUNK_RING, theirs, None)?;
     }
     Ok(())
 }
@@ -519,15 +531,19 @@ pub fn bcast_binary_tree<V: NativeAbi>(
     let n = info.size();
     let rel = (info.my_rank as usize + n - root) % n;
     if rel != 0 {
-        let got = p.coll_recv(info, ((rel - 1) / 2 + root) % n, BINARY_TREE, buf.len())?;
-        buf.copy_from_slice(&got);
+        p.coll_recv_into(info, ((rel - 1) / 2 + root) % n, BINARY_TREE, buf, None)?;
     }
-    let payload = Bytes::copy_from_slice(buf);
+    if 2 * rel + 1 >= n {
+        return Ok(());
+    }
+    let payload = p.payload(buf);
     for child in [2 * rel + 1, 2 * rel + 2] {
         if child < n {
-            p.coll_send(info, (child + root) % n, BINARY_TREE, payload.clone())?;
+            let child = ((child + root) % n) as i32;
+            p.xsend(info, true, child, BINARY_TREE, payload.clone())?;
         }
     }
+    p.recycle(payload);
     Ok(())
 }
 
@@ -548,12 +564,10 @@ pub fn bcast_chain<V: NativeAbi>(
     for lo in (0..buf.len()).step_by(seg) {
         let hi = (lo + seg).min(buf.len());
         if let Some(prev) = prev {
-            let got = p.coll_recv(info, prev, CHAIN_BCAST, hi - lo)?;
-            buf[lo..hi].copy_from_slice(&got);
+            p.coll_recv_into(info, prev, CHAIN_BCAST, &mut buf[lo..hi], None)?;
         }
         if let Some(next) = next {
-            let payload = Bytes::copy_from_slice(&buf[lo..hi]);
-            p.coll_send(info, next, CHAIN_BCAST, payload)?;
+            p.coll_send(info, next, CHAIN_BCAST, &buf[lo..hi])?;
         }
     }
     Ok(())
@@ -584,22 +598,21 @@ pub fn reduce_binomial<V: NativeAbi>(
     while mask < n && rel & mask == 0 {
         let child = rel | mask;
         if child < n {
-            let got = p.coll_recv(info, (child + tree_root) % n, BINOMIAL_REDUCE, acc.len())?;
-            p.combine_ordered(red, &mut acc, &got, false)?;
+            let from = (child + tree_root) % n;
+            p.coll_recv_into(info, from, BINOMIAL_REDUCE, &mut acc, Some((red, false)))?;
         }
         mask <<= 1;
     }
     if mask < n {
         let parent = (rel - mask + tree_root) % n;
-        p.coll_send(info, parent, BINOMIAL_REDUCE, Bytes::from(acc))?;
+        p.xsend(info, true, parent as i32, BINOMIAL_REDUCE, acc.into())?;
     } else if me == root {
         recv.copy_from_slice(&acc);
     } else {
-        p.coll_send(info, root, REDUCE_FORWARD, Bytes::from(acc))?;
+        p.xsend(info, true, root as i32, REDUCE_FORWARD, acc.into())?;
     }
     if me == root && tree_root != root {
-        let got = p.coll_recv(info, tree_root, REDUCE_FORWARD, recv.len())?;
-        recv.copy_from_slice(&got);
+        p.coll_recv_into(info, tree_root, REDUCE_FORWARD, recv, None)?;
     }
     Ok(())
 }
@@ -615,21 +628,21 @@ pub fn reduce_linear<V: NativeAbi>(
 ) -> MpiResult<()> {
     let me = info.my_rank as usize;
     if me != root {
-        return p.coll_send(info, root, LINEAR_REDUCE, Bytes::copy_from_slice(send));
+        return p.coll_send(info, root, LINEAR_REDUCE, send);
     }
-    let mut acc: Option<Vec<u8>> = None;
-    for cr in 0..info.size() {
-        let next = if cr == me {
-            Bytes::copy_from_slice(send)
+    // Rank 0's contribution seeds the result; later ranks combine in.
+    if me == 0 {
+        recv.copy_from_slice(send);
+    } else {
+        p.coll_recv_into(info, 0, LINEAR_REDUCE, recv, None)?;
+    }
+    for cr in 1..info.size() {
+        if cr == me {
+            p.combine_ordered(red, recv, send, false)?;
         } else {
-            p.coll_recv(info, cr, LINEAR_REDUCE, send.len())?
-        };
-        match &mut acc {
-            None => acc = Some(next.to_vec()),
-            Some(acc) => p.combine_ordered(red, acc, &next, false)?,
+            p.coll_recv_into(info, cr, LINEAR_REDUCE, recv, Some((red, false)))?;
         }
     }
-    recv.copy_from_slice(&acc.expect("one contribution per rank"));
     Ok(())
 }
 
@@ -656,12 +669,11 @@ pub fn reduce_chain<V: NativeAbi>(
     for lo in (0..acc.len()).step_by(seg) {
         let hi = (lo + seg).min(acc.len());
         if let Some(prev) = prev {
-            let got = p.coll_recv(info, prev, CHAIN_REDUCE, hi - lo)?;
-            p.combine_ordered(red, &mut acc[lo..hi], &got, true)?;
+            let seg = &mut acc[lo..hi];
+            p.coll_recv_into(info, prev, CHAIN_REDUCE, seg, Some((red, true)))?;
         }
         if let Some(next) = next {
-            let payload = Bytes::copy_from_slice(&acc[lo..hi]);
-            p.coll_send(info, next, CHAIN_REDUCE, payload)?;
+            p.coll_send(info, next, CHAIN_REDUCE, &acc[lo..hi])?;
         }
     }
     if me == root {
@@ -715,24 +727,21 @@ pub fn allreduce_rabenseifner<V: NativeAbi>(
                 (newrank - half, (mid, hi), (lo, mid))
             };
             let partner = d.rank_of(partner);
-            let payload = Bytes::copy_from_slice(&acc[range(give.0, give.1)]);
-            p.coll_send(info, partner, HALVING_SCATTER, payload)?;
-            let kept = range(keep.0, keep.1);
-            let got = p.coll_recv(info, partner, HALVING_SCATTER, kept.len())?;
-            p.combine_ordered(red, &mut acc[kept], &got, partner < me)?;
+            p.coll_send(info, partner, HALVING_SCATTER, &acc[range(give.0, give.1)])?;
+            let kept = &mut acc[range(keep.0, keep.1)];
+            let red = Some((red, partner < me));
+            p.coll_recv_into(info, partner, HALVING_SCATTER, kept, red)?;
             steps.push((lo, hi, partner));
             (lo, hi) = keep;
         }
         for &(parent_lo, parent_hi, partner) in steps.iter().rev() {
-            let payload = Bytes::copy_from_slice(&acc[range(lo, hi)]);
-            p.coll_send(info, partner, HALVING_GATHER, payload)?;
+            p.coll_send(info, partner, HALVING_GATHER, &acc[range(lo, hi)])?;
             let theirs = if lo == parent_lo {
                 range(hi, parent_hi)
             } else {
                 range(parent_lo, lo)
             };
-            let got = p.coll_recv(info, partner, HALVING_GATHER, theirs.len())?;
-            acc[theirs].copy_from_slice(&got);
+            p.coll_recv_into(info, partner, HALVING_GATHER, &mut acc[theirs], None)?;
             (lo, hi) = (parent_lo, parent_hi);
         }
     }
@@ -756,17 +765,14 @@ pub fn allreduce_ring<V: NativeAbi>(
     let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
     for s in 0..n - 1 {
         let (send_c, recv_c) = ((me + n - s) % n, (me + n - s - 1) % n);
-        let payload = Bytes::copy_from_slice(&acc[chunk(send_c)]);
-        p.coll_send(info, next, RING_SCATTER, payload)?;
-        let got = p.coll_recv(info, prev, RING_SCATTER, lens[recv_c])?;
-        p.combine_ordered(red, &mut acc[chunk(recv_c)], &got, true)?;
+        p.coll_send(info, next, RING_SCATTER, &acc[chunk(send_c)])?;
+        let theirs = &mut acc[chunk(recv_c)];
+        p.coll_recv_into(info, prev, RING_SCATTER, theirs, Some((red, true)))?;
     }
     for s in 0..n - 1 {
         let (send_c, recv_c) = ((me + 1 + n - s) % n, (me + n - s) % n);
-        let payload = Bytes::copy_from_slice(&acc[chunk(send_c)]);
-        p.coll_send(info, next, RING_GATHER, payload)?;
-        let got = p.coll_recv(info, prev, RING_GATHER, lens[recv_c])?;
-        acc[chunk(recv_c)].copy_from_slice(&got);
+        p.coll_send(info, next, RING_GATHER, &acc[chunk(send_c)])?;
+        p.coll_recv_into(info, prev, RING_GATHER, &mut acc[chunk(recv_c)], None)?;
     }
     Ok(())
 }
@@ -796,12 +802,12 @@ pub fn gather_binomial<V: NativeAbi>(
         let child = rel + mask;
         let child_span = mask.min(n - child);
         let from = (child + root) % n;
-        let got = p.coll_recv(info, from, BINOMIAL_GATHER, block * child_span)?;
-        tmp[block * mask..block * (mask + child_span)].copy_from_slice(&got);
+        let theirs = &mut tmp[block * mask..block * (mask + child_span)];
+        p.coll_recv_into(info, from, BINOMIAL_GATHER, theirs, None)?;
         mask <<= 1;
     }
     match parent {
-        Some(parent) => p.coll_send(info, (parent + root) % n, BINOMIAL_GATHER, tmp.into()),
+        Some(parent) => p.coll_send(info, (parent + root) % n, BINOMIAL_GATHER, &tmp),
         None => {
             for i in 0..n {
                 let at = (i + root) % n * block;
@@ -823,12 +829,12 @@ pub fn gather_linear<V: NativeAbi>(
     let me = info.my_rank as usize;
     let block = send.len();
     if me != root {
-        return p.coll_send(info, root, LINEAR_GATHER, Bytes::copy_from_slice(send));
+        return p.coll_send(info, root, LINEAR_GATHER, send);
     }
     recv[me * block..(me + 1) * block].copy_from_slice(send);
     for cr in (0..info.size()).filter(|&cr| cr != me) {
-        let got = p.coll_recv(info, cr, LINEAR_GATHER, block)?;
-        recv[cr * block..(cr + 1) * block].copy_from_slice(&got);
+        let theirs = &mut recv[cr * block..(cr + 1) * block];
+        p.coll_recv_into(info, cr, LINEAR_GATHER, theirs, None)?;
     }
     Ok(())
 }
@@ -855,8 +861,7 @@ pub fn scatter_binomial<V: NativeAbi>(
             }
         }
         Some(parent) => {
-            let got = p.coll_recv(info, (parent + root) % n, BINOMIAL_SCATTER, tmp.len())?;
-            tmp.copy_from_slice(&got);
+            p.coll_recv_into(info, (parent + root) % n, BINOMIAL_SCATTER, &mut tmp, None)?
         }
     }
     let mut mask = binomial_top(rel, n);
@@ -864,8 +869,8 @@ pub fn scatter_binomial<V: NativeAbi>(
         let child = rel + mask;
         if child < n {
             let child_span = mask.min(n - child);
-            let payload = Bytes::copy_from_slice(&tmp[block * mask..block * (mask + child_span)]);
-            p.coll_send(info, (child + root) % n, BINOMIAL_SCATTER, payload)?;
+            let theirs = &tmp[block * mask..block * (mask + child_span)];
+            p.coll_send(info, (child + root) % n, BINOMIAL_SCATTER, theirs)?;
         }
         mask >>= 1;
     }
@@ -884,13 +889,11 @@ pub fn scatter_linear<V: NativeAbi>(
     let me = info.my_rank as usize;
     let block = recv.len();
     if me != root {
-        let got = p.coll_recv(info, root, LINEAR_SCATTER, block)?;
-        recv.copy_from_slice(&got);
-        return Ok(());
+        return p.coll_recv_into(info, root, LINEAR_SCATTER, recv, None);
     }
     for cr in (0..info.size()).filter(|&cr| cr != me) {
-        let payload = Bytes::copy_from_slice(&send[cr * block..(cr + 1) * block]);
-        p.coll_send(info, cr, LINEAR_SCATTER, payload)?;
+        let theirs = &send[cr * block..(cr + 1) * block];
+        p.coll_send(info, cr, LINEAR_SCATTER, theirs)?;
     }
     recv.copy_from_slice(&send[me * block..(me + 1) * block]);
     Ok(())
@@ -917,10 +920,10 @@ pub fn allgather_bruck<V: NativeAbi>(
     let (mut have, mut pof2) = (1, 1);
     while pof2 < n {
         let cnt = pof2.min(n - have);
-        let payload = Bytes::copy_from_slice(&tmp[..block * cnt]);
-        p.coll_send(info, (me + n - pof2) % n, BRUCK_ALLGATHER, payload)?;
-        let got = p.coll_recv(info, (me + pof2) % n, BRUCK_ALLGATHER, block * cnt)?;
-        tmp[block * have..block * (have + cnt)].copy_from_slice(&got);
+        let to = (me + n - pof2) % n;
+        p.coll_send(info, to, BRUCK_ALLGATHER, &tmp[..block * cnt])?;
+        let theirs = &mut tmp[block * have..block * (have + cnt)];
+        p.coll_recv_into(info, (me + pof2) % n, BRUCK_ALLGATHER, theirs, None)?;
         have += cnt;
         pof2 <<= 1;
     }
@@ -948,10 +951,10 @@ pub fn allgather_doubling<V: NativeAbi>(
         let partner = me ^ mask;
         let mine = (me & !(mask - 1)) * block;
         let theirs = (partner & !(mask - 1)) * block;
-        let payload = Bytes::copy_from_slice(&recv[mine..mine + mask * block]);
-        p.coll_send(info, partner, DOUBLING_ALLGATHER, payload)?;
-        let got = p.coll_recv(info, partner, DOUBLING_ALLGATHER, mask * block)?;
-        recv[theirs..theirs + mask * block].copy_from_slice(&got);
+        let held = &recv[mine..mine + mask * block];
+        p.coll_send(info, partner, DOUBLING_ALLGATHER, held)?;
+        let theirs = &mut recv[theirs..theirs + mask * block];
+        p.coll_recv_into(info, partner, DOUBLING_ALLGATHER, theirs, None)?;
         mask <<= 1;
     }
     Ok(())
@@ -972,10 +975,10 @@ pub fn allgather_ring<V: NativeAbi>(
     let (right, left) = ((me + 1) % n, (me + n - 1) % n);
     for s in 0..n - 1 {
         let (send_i, recv_i) = ((me + n - s) % n, (me + n - s - 1) % n);
-        let payload = Bytes::copy_from_slice(&recv[send_i * block..(send_i + 1) * block]);
-        p.coll_send(info, right, RING_ALLGATHER, payload)?;
-        let got = p.coll_recv(info, left, RING_ALLGATHER, block)?;
-        recv[recv_i * block..(recv_i + 1) * block].copy_from_slice(&got);
+        let mine = &recv[send_i * block..(send_i + 1) * block];
+        p.coll_send(info, right, RING_ALLGATHER, mine)?;
+        let theirs = &mut recv[recv_i * block..(recv_i + 1) * block];
+        p.coll_recv_into(info, left, RING_ALLGATHER, theirs, None)?;
     }
     Ok(())
 }
@@ -1001,19 +1004,21 @@ pub fn alltoall_bruck<V: NativeAbi>(
         let at = (me + i) % n * block;
         tmp[i * block..(i + 1) * block].copy_from_slice(&send[at..at + block]);
     }
+    let mut packed = Vec::with_capacity(block * n.div_ceil(2));
     let mut pof2 = 1;
     while pof2 < n {
         let indices: Vec<usize> = (0..n).filter(|i| i & pof2 != 0).collect();
-        let mut packed = Vec::with_capacity(indices.len() * block);
+        packed.clear();
         for &i in &indices {
             packed.extend_from_slice(&tmp[i * block..(i + 1) * block]);
         }
-        p.coll_send(info, (me + pof2) % n, BRUCK_ALLTOALL, packed.into())?;
+        p.coll_send(info, (me + pof2) % n, BRUCK_ALLTOALL, &packed)?;
         let from = (me + n - pof2) % n;
         let got = p.coll_recv(info, from, BRUCK_ALLTOALL, indices.len() * block)?;
         for (k, &i) in indices.iter().enumerate() {
             tmp[i * block..(i + 1) * block].copy_from_slice(&got[k * block..(k + 1) * block]);
         }
+        p.recycle(got);
         pof2 <<= 1;
     }
     // The block now at tmp[i] came from rank (me − i) % n.
@@ -1037,13 +1042,13 @@ pub fn alltoall_posted<V: NativeAbi>(
     recv[me * block..(me + 1) * block].copy_from_slice(&send[me * block..(me + 1) * block]);
     for off in 1..n {
         let dst = (me + off) % n;
-        let payload = Bytes::copy_from_slice(&send[dst * block..(dst + 1) * block]);
-        p.coll_send(info, dst, POSTED_ALLTOALL, payload)?;
+        let theirs = &send[dst * block..(dst + 1) * block];
+        p.coll_send(info, dst, POSTED_ALLTOALL, theirs)?;
     }
     for off in 1..n {
         let src = (me + n - off) % n;
-        let got = p.coll_recv(info, src, POSTED_ALLTOALL, block)?;
-        recv[src * block..(src + 1) * block].copy_from_slice(&got);
+        let theirs = &mut recv[src * block..(src + 1) * block];
+        p.coll_recv_into(info, src, POSTED_ALLTOALL, theirs, None)?;
     }
     Ok(())
 }
@@ -1062,10 +1067,10 @@ pub fn alltoall_pairwise<V: NativeAbi>(
     recv[me * block..(me + 1) * block].copy_from_slice(&send[me * block..(me + 1) * block]);
     for step in 1..n {
         let (dst, src) = ((me + step) % n, (me + n - step) % n);
-        let payload = Bytes::copy_from_slice(&send[dst * block..(dst + 1) * block]);
-        p.coll_send(info, dst, PAIRWISE_ALLTOALL, payload)?;
-        let got = p.coll_recv(info, src, PAIRWISE_ALLTOALL, block)?;
-        recv[src * block..(src + 1) * block].copy_from_slice(&got);
+        let theirs = &send[dst * block..(dst + 1) * block];
+        p.coll_send(info, dst, PAIRWISE_ALLTOALL, theirs)?;
+        let theirs = &mut recv[src * block..(src + 1) * block];
+        p.coll_recv_into(info, src, PAIRWISE_ALLTOALL, theirs, None)?;
     }
     Ok(())
 }
@@ -1094,14 +1099,14 @@ pub fn scan_doubling<V: NativeAbi>(
     let mut d = 1;
     while d < n {
         if me + d < n {
-            let payload = Bytes::copy_from_slice(&partial);
-            p.coll_send(info, me + d, DOUBLING_SCAN, payload)?;
+            p.coll_send(info, me + d, DOUBLING_SCAN, &partial)?;
         }
         if me >= d {
             // What arrives covers the ranks just below my run.
             let got = p.coll_recv(info, me - d, DOUBLING_SCAN, partial.len())?;
             p.combine_ordered(red, &mut partial, &got, true)?;
             p.combine_ordered(red, recv, &got, true)?;
+            p.recycle(got);
         }
         d <<= 1;
     }
@@ -1119,11 +1124,10 @@ pub fn scan_chain<V: NativeAbi>(
     let me = info.my_rank as usize;
     recv.copy_from_slice(send);
     if me > 0 {
-        let got = p.coll_recv(info, me - 1, CHAIN_SCAN, recv.len())?;
-        p.combine_ordered(red, recv, &got, true)?;
+        p.coll_recv_into(info, me - 1, CHAIN_SCAN, recv, Some((red, true)))?;
     }
     if me + 1 < info.size() {
-        p.coll_send(info, me + 1, CHAIN_SCAN, Bytes::copy_from_slice(recv))?;
+        p.coll_send(info, me + 1, CHAIN_SCAN, recv)?;
     }
     Ok(())
 }

@@ -14,6 +14,7 @@ use super::objects::{
     comm_rank_of_world, CommInfo, DerivedType, ObjectStore, PostedRecv, Request, UserFn, UserOp,
 };
 use crate::error::SimError;
+use crate::fabric::PAYLOAD_ALLOCS;
 use crate::matching::{MatchCore, MatchedMsg, SrcPattern, TagPattern};
 use crate::rank::RankCtx;
 use crate::time::VirtualTime;
@@ -23,6 +24,53 @@ use crate::time::VirtualTime;
 // phase tags (`algos.rs`, below `0x0100`).
 const CTX_TAG: i32 = 0x0200;
 const SPLIT_TAG: i32 = 0x0202;
+
+/// The most payload buffers a rank keeps for reuse.
+pub const PAYLOAD_POOL_BUFFERS: usize = 64;
+/// The most bytes of capacity a rank's pooled payload buffers hold
+/// together: a 48-rank alltoall's 47 blocks of 64 KiB fit.
+pub const PAYLOAD_POOL_BYTES: usize = 4 << 20;
+
+/// A rank's free list of payload buffers. A send of more than
+/// [`Bytes::INLINE_CAP`] bytes copies into one; a receive that copies its
+/// payload out hands back a buffer it alone holds. Buffers move between
+/// ranks with the messages, so in steady state a send allocates nothing.
+#[derive(Default)]
+struct PayloadPool {
+    free: Vec<Vec<u8>>,
+    /// Total capacity of `free`.
+    bytes: usize,
+}
+
+impl PayloadPool {
+    /// A payload holding `data`, and whether it took a new allocation.
+    fn fill(&mut self, data: &[u8]) -> (Bytes, bool) {
+        if data.len() <= Bytes::INLINE_CAP {
+            return (Bytes::copy_from_slice(data), false);
+        }
+        let mut buf = self.free.pop().unwrap_or_default();
+        self.bytes -= buf.capacity();
+        // A buffer too small (or none) grows to fit: an allocation.
+        let miss = buf.capacity() < data.len();
+        buf.clear();
+        buf.extend_from_slice(data);
+        (Bytes::from(buf), miss)
+    }
+
+    /// Keep `payload`'s buffer if this handle alone holds it and the
+    /// pool is under both bounds; otherwise just drop the handle.
+    fn give(&mut self, payload: Bytes) {
+        if payload.is_inline() || !payload.is_unique() {
+            return;
+        }
+        let buf = Vec::from(payload);
+        let room = self.free.len() < PAYLOAD_POOL_BUFFERS;
+        if room && self.bytes + buf.capacity() <= PAYLOAD_POOL_BYTES {
+            self.bytes += buf.capacity();
+            self.free.push(buf);
+        }
+    }
+}
 
 /// The per-message software costs of a vendor's point-to-point path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,6 +94,9 @@ pub struct Process<V: NativeAbi> {
     ctx: Rc<RankCtx>,
     store: V::Store,
     matcher: MatchCore<V::Arrival>,
+    pool: PayloadPool,
+    /// Scratch of [`Process::combine_ordered`]'s swapped-role combine.
+    scratch: Vec<u8>,
     next_ctx_base: u64,
     finalized: bool,
 }
@@ -59,6 +110,8 @@ impl<V: NativeAbi> Process<V> {
             ctx,
             store,
             matcher: MatchCore::with_model(V::ARRIVAL),
+            pool: PayloadPool::default(),
+            scratch: Vec::new(),
             // World uses 0/1, self 2/3; dynamic communicators start at 4.
             next_ctx_base: 4,
             finalized: false,
@@ -197,6 +250,21 @@ impl<V: NativeAbi> Process<V> {
         Ok(got)
     }
 
+    /// A payload holding a copy of `data`, in a recycled buffer when the
+    /// pool has one; a miss counts into `fabric.payload_allocs`.
+    pub(super) fn payload(&mut self, data: &[u8]) -> Bytes {
+        let (payload, miss) = self.pool.fill(data);
+        if miss {
+            self.ctx.endpoint().count(PAYLOAD_ALLOCS);
+        }
+        payload
+    }
+
+    /// Hand a payload whose bytes have been copied out back to the pool.
+    pub(super) fn recycle(&mut self, payload: Bytes) {
+        self.pool.give(payload);
+    }
+
     fn charge_receive(&self, got: &MatchedMsg) {
         self.ctx.advance_to(got.arrival);
         self.ctx.advance(V::P2P.o_recv);
@@ -257,7 +325,8 @@ impl<V: NativeAbi> Process<V> {
             return Ok(());
         }
         let info = self.info(comm)?;
-        self.xsend(&info, false, dest, tag, Bytes::copy_from_slice(buf))
+        let payload = self.payload(buf);
+        self.xsend(&info, false, dest, tag, payload)
     }
 
     /// `MPI_Recv`.
@@ -282,7 +351,9 @@ impl<V: NativeAbi> Process<V> {
             return Err(V::ERR_TRUNCATE);
         }
         buf[..got.env.len()].copy_from_slice(&got.env.payload);
-        Ok(Self::status_of(&info.ranks, &got))
+        let status = Self::status_of(&info.ranks, &got);
+        self.recycle(got.env.payload);
+        Ok(status)
     }
 
     /// `MPI_Isend` (eager: the data leaves immediately; the request is a
@@ -683,11 +754,72 @@ impl<V: NativeAbi> Process<V> {
         if other_first {
             self.combine_with(red, acc, other)
         } else {
-            // acc op other: run the user/builtin fn with roles swapped.
-            let mut tmp = other.to_vec();
-            self.combine_with(red, &mut tmp, acc)?;
-            acc.copy_from_slice(&tmp);
-            Ok(())
+            // acc op other: run the user/builtin fn with roles swapped,
+            // in the rank's scratch buffer.
+            let mut tmp = std::mem::take(&mut self.scratch);
+            tmp.clear();
+            tmp.extend_from_slice(other);
+            let done = self.combine_with(red, &mut tmp, acc);
+            self.scratch = tmp;
+            done.map(|()| acc.copy_from_slice(&self.scratch))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_pool_never_exceeds_its_bounds() {
+        let mut pool = PayloadPool::default();
+        for _ in 0..2 * PAYLOAD_POOL_BUFFERS {
+            pool.give(Bytes::from(vec![1u8; 1024]));
+            assert!(pool.free.len() <= PAYLOAD_POOL_BUFFERS);
+        }
+        assert_eq!(pool.free.len(), PAYLOAD_POOL_BUFFERS);
+
+        let mut pool = PayloadPool::default();
+        let big = PAYLOAD_POOL_BYTES / 3;
+        for _ in 0..5 {
+            pool.give(Bytes::from(vec![2u8; big]));
+            assert!(pool.bytes <= PAYLOAD_POOL_BYTES);
+            assert_eq!(pool.bytes, pool.free.iter().map(Vec::capacity).sum());
+        }
+        assert_eq!(pool.free.len(), 3);
+    }
+
+    #[test]
+    fn a_fanned_out_payload_is_recycled_only_by_its_last_holder() {
+        let mut pool = PayloadPool::default();
+        let (sent, miss) = pool.fill(&[7u8; 1000]);
+        assert!(miss, "an empty pool allocates");
+        let clone = sent.clone();
+        pool.give(sent);
+        assert!(pool.free.is_empty(), "a clone still holds the buffer");
+        assert_eq!(&clone[..], &[7u8; 1000][..], "and its bytes are intact");
+        let ptr = clone.as_ptr();
+        pool.give(clone);
+        assert_eq!(pool.free.len(), 1);
+
+        let (again, miss) = pool.fill(&[9u8; 800]);
+        assert!(!miss);
+        assert_eq!(again.as_ptr(), ptr, "the next send reuses the buffer");
+        assert_eq!(&again[..], &[9u8; 800][..]);
+    }
+
+    #[test]
+    fn inline_payloads_skip_the_pool_and_small_buffers_grow() {
+        let mut pool = PayloadPool::default();
+        let (small, miss) = pool.fill(&[1u8; Bytes::INLINE_CAP]);
+        assert!(!miss && small.is_inline());
+        pool.give(small);
+        assert!(pool.free.is_empty());
+
+        pool.give(Bytes::from(vec![0u8; 100]));
+        let (grown, miss) = pool.fill(&[3u8; 200]);
+        assert!(miss, "a buffer too small for the payload grows");
+        assert!(pool.free.is_empty() && pool.bytes == 0);
+        assert_eq!(&grown[..], &[3u8; 200][..]);
     }
 }

@@ -6,10 +6,16 @@
 //! ring buffers — one *lane* per rank plus one per subsystem — stamped
 //! with both wall time and the simnet virtual clock. The hot path is
 //! **zero-alloc and lock-free**: an emit is one `fetch_add` ticket plus
-//! seven atomic stores into a seqlock-style slot, so a rank that panics
-//! mid-emit can never leave a lock poisoned, and the dump path (which
-//! only *reads* atomics) can always produce a post-mortem.
+//! eight stores into a seqlock-style slot, published with a release
+//! store, so a rank that panics mid-emit can never leave a lock
+//! poisoned, and the dump path (which only *reads* atomics) can always
+//! produce a post-mortem.
 //!
+//! * **An emit touches only its own lane.** A lane keeps its ring, its
+//!   per-kind emitted counts and its clock high-water mark on cache lines
+//!   of its own; the recorder's totals are summed (and the high-water
+//!   mark maxed) over the lanes on read. A matched message writes no
+//!   cell another rank's messages write.
 //! * **Rings are flight recorders.** When a lane wraps, the oldest
 //!   events are overwritten; per-kind emitted counters survive the wrap,
 //!   so registry metrics stay exact even when the ring holds only the
@@ -33,7 +39,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use sanity::json_string;
@@ -504,9 +510,16 @@ impl Slot {
     }
 }
 
-/// One bounded event ring (power-of-two capacity).
+/// One bounded event ring (power-of-two capacity) plus the counts of
+/// every emit it took. Cache-line aligned, so one lane's emits never
+/// write a line another lane's emits write.
+#[repr(align(64))]
 struct Lane {
     head: AtomicU64,
+    /// The highest virtual-clock stamp emitted on this lane.
+    observed: AtomicU64,
+    /// Events ever emitted on this lane, per kind (survive ring wrap).
+    emitted: [AtomicU64; KIND_COUNT],
     slots: Vec<Slot>,
 }
 
@@ -515,6 +528,8 @@ impl Lane {
         let cap = capacity.max(2).next_power_of_two();
         Lane {
             head: AtomicU64::new(0),
+            observed: AtomicU64::new(0),
+            emitted: std::array::from_fn(|_| AtomicU64::new(0)),
             slots: (0..cap).map(|_| Slot::new()).collect(),
         }
     }
@@ -527,24 +542,29 @@ impl Lane {
     /// Read every published event still resident in the ring, in ticket
     /// order, skipping torn or overwritten slots.
     fn collect(&self, lane_id: u32, into: &mut Vec<Event>) {
-        let head = self.head.load(Ordering::SeqCst);
+        let head = self.head.load(Ordering::Acquire);
         let cap = self.slots.len() as u64;
         let start = head.saturating_sub(cap);
         for ticket in start..head {
             let slot = self.slot_for(ticket);
             let published = 2 * ticket + 2;
-            if slot.seq.load(Ordering::SeqCst) != published {
+            // Acquire pairs with the writer's publishing store: the
+            // fields it wrote before publishing are visible below.
+            if slot.seq.load(Ordering::Acquire) != published {
                 continue;
             }
-            let kind = slot.kind.load(Ordering::SeqCst);
-            let vclock = slot.vclock.load(Ordering::SeqCst);
-            let wall = slot.wall.load(Ordering::SeqCst);
-            let a = slot.a.load(Ordering::SeqCst);
-            let b = slot.b.load(Ordering::SeqCst);
-            let c = slot.c.load(Ordering::SeqCst);
+            let kind = slot.kind.load(Ordering::Relaxed);
+            let vclock = slot.vclock.load(Ordering::Relaxed);
+            let wall = slot.wall.load(Ordering::Relaxed);
+            let a = slot.a.load(Ordering::Relaxed);
+            let b = slot.b.load(Ordering::Relaxed);
+            let c = slot.c.load(Ordering::Relaxed);
             // Re-check: a concurrent writer lapping this slot between the
-            // reads would have bumped seq; drop the torn read.
-            if slot.seq.load(Ordering::SeqCst) != published {
+            // reads would have bumped seq; drop the torn read. The fence
+            // pairs with the writer's release fence, so a field read that
+            // saw a lapping write also sees its odd seq here.
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) != published {
                 continue;
             }
             let Some(kind) = EventKind::from_u64(kind) else {
@@ -587,14 +607,15 @@ pub struct TelemetryConfig {
     pub tag: Option<String>,
 }
 
-/// The flight recorder: per-rank + per-subsystem event lanes, the
-/// metrics registry, per-kind emitted counters that survive ring wrap,
-/// and the one-shot crash-dump path.
+/// The flight recorder: per-rank + per-subsystem event lanes (each with
+/// per-kind emitted counts that survive ring wrap), the metrics
+/// registry, and the one-shot crash-dump path.
 pub struct Telemetry {
     nranks: usize,
     lanes: Vec<Lane>,
     registry: MetricsRegistry,
-    emitted: [AtomicU64; KIND_COUNT],
+    /// Clock observations that came without an emit
+    /// ([`Telemetry::observe_time`]).
     observed: AtomicU64,
     incidents: AtomicU64,
     dumped: AtomicBool,
@@ -628,7 +649,6 @@ impl Telemetry {
             nranks,
             lanes,
             registry: MetricsRegistry::new(),
-            emitted: std::array::from_fn(|_| AtomicU64::new(0)),
             observed: AtomicU64::new(0),
             incidents: AtomicU64::new(0),
             dumped: AtomicBool::new(false),
@@ -710,10 +730,13 @@ impl Telemetry {
         self.observed.fetch_max(vclock_ns, Ordering::Relaxed);
     }
 
-    /// The highest virtual-clock timestamp observed so far.
-    #[inline]
+    /// The highest virtual-clock timestamp observed so far: the maximum
+    /// over every lane's emits and [`Telemetry::observe_time`].
     pub fn observed_now(&self) -> u64 {
-        self.observed.load(Ordering::Relaxed)
+        self.lanes
+            .iter()
+            .map(|lane| lane.observed.load(Ordering::Relaxed))
+            .fold(self.observed.load(Ordering::Relaxed), u64::max)
     }
 
     /// Record an incident (failover, quorum loss, sink failure, rank
@@ -750,8 +773,6 @@ impl Telemetry {
     /// clamp to the last system lane rather than panicking — a telemetry
     /// bug must never take down the workload it observes.
     pub fn emit(&self, lane: u32, kind: EventKind, vclock_ns: u64, a: u64, b: u64, c: u64) {
-        self.observe_time(vclock_ns);
-        self.emitted[kind as usize].fetch_add(1, Ordering::Relaxed);
         let lane_ref = self
             .lanes
             .get(lane as usize)
@@ -759,16 +780,21 @@ impl Telemetry {
         // lint:region-start(no-alloc-in-emit) — the seqlock store sequence:
         // a killed writer must leave at worst a torn slot, never a held
         // allocator lock, so nothing here may allocate.
-        let ticket = lane_ref.head.fetch_add(1, Ordering::SeqCst);
+        lane_ref.observed.fetch_max(vclock_ns, Ordering::Relaxed);
+        lane_ref.emitted[kind as usize].fetch_add(1, Ordering::Relaxed);
+        let ticket = lane_ref.head.fetch_add(1, Ordering::Relaxed);
         let slot = lane_ref.slot_for(ticket);
-        slot.seq.store(2 * ticket + 1, Ordering::SeqCst);
-        slot.kind.store(kind as u64, Ordering::SeqCst);
-        slot.vclock.store(vclock_ns, Ordering::SeqCst);
-        slot.wall.store(wall_now_ns(), Ordering::SeqCst);
-        slot.a.store(a, Ordering::SeqCst);
-        slot.b.store(b, Ordering::SeqCst);
-        slot.c.store(c, Ordering::SeqCst);
-        slot.seq.store(2 * ticket + 2, Ordering::SeqCst);
+        slot.seq.store(2 * ticket + 1, Ordering::Relaxed);
+        // Orders the odd seq before the field stores (pairs with the
+        // reader's acquire fence).
+        fence(Ordering::Release);
+        slot.kind.store(kind as u64, Ordering::Relaxed);
+        slot.vclock.store(vclock_ns, Ordering::Relaxed);
+        slot.wall.store(wall_now_ns(), Ordering::Relaxed);
+        slot.a.store(a, Ordering::Relaxed);
+        slot.b.store(b, Ordering::Relaxed);
+        slot.c.store(c, Ordering::Relaxed);
+        slot.seq.store(2 * ticket + 2, Ordering::Release);
         // lint:region-end(no-alloc-in-emit)
         if self.echo() {
             match self.tag.as_deref() {
@@ -803,14 +829,18 @@ impl Telemetry {
         self.emit(lane, kind, self.observed_now(), a, b, c);
     }
 
-    /// How many events of `kind` were ever emitted (survives ring wrap).
+    /// How many events of `kind` were ever emitted (survives ring wrap),
+    /// summed over the lanes.
     pub fn emitted(&self, kind: EventKind) -> u64 {
-        self.emitted[kind as usize].load(Ordering::SeqCst)
+        self.lanes
+            .iter()
+            .map(|lane| lane.emitted[kind as usize].load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Total events ever emitted across all kinds.
     pub fn emitted_total(&self) -> u64 {
-        self.emitted.iter().map(|c| c.load(Ordering::SeqCst)).sum()
+        EventKind::ALL.iter().map(|&k| self.emitted(k)).sum()
     }
 
     /// Per-kind emitted counts, in [`EventKind::ALL`] order.
@@ -842,11 +872,12 @@ impl Telemetry {
             .get(lane as usize)
             .unwrap_or_else(|| &self.lanes[self.lanes.len() - 1]);
         // lint:region-start(no-alloc-in-emit) — mirrors the real emit path.
-        let ticket = lane_ref.head.fetch_add(1, Ordering::SeqCst);
+        let ticket = lane_ref.head.fetch_add(1, Ordering::Relaxed);
         let slot = lane_ref.slot_for(ticket);
-        slot.seq.store(2 * ticket + 1, Ordering::SeqCst);
+        slot.seq.store(2 * ticket + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
         slot.kind
-            .store(EventKind::MsgMatch as u64, Ordering::SeqCst);
+            .store(EventKind::MsgMatch as u64, Ordering::Relaxed);
         // ... and the writer dies here: seq never reaches 2·ticket+2.
         // lint:region-end(no-alloc-in-emit)
     }

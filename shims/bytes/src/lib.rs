@@ -5,9 +5,12 @@
 //! **small-message fast path**: payloads of at most [`Bytes::INLINE_CAP`]
 //! (64) bytes are stored *inline in the handle itself* — no heap
 //! allocation on construction and no atomic refcount traffic on clone.
-//! Larger buffers are a shared `Arc<[u8]>`, so fan-out sends of one big
+//! Larger buffers are a shared `Arc<Vec<u8>>`, so fan-out sends of one big
 //! buffer still cost one allocation total and clones are pointer-equal
-//! views of it (which `Envelope` fan-out tests rely on).
+//! views of it (which `Envelope` fan-out tests rely on). A `Vec<u8>` moves
+//! in without a copy, and the sole holder of a shared buffer gets the
+//! `Vec` back out ([`Bytes::is_unique`]), which is how the transport
+//! recycles payload buffers.
 
 #![forbid(unsafe_code)]
 
@@ -27,7 +30,7 @@ enum Repr {
     /// Small buffer stored in the handle itself.
     Inline { len: u8, buf: [u8; INLINE_CAP] },
     /// Shared heap buffer; clones bump a refcount and alias one allocation.
-    Shared(Arc<[u8]>),
+    Shared(Arc<Vec<u8>>),
 }
 
 /// A cheaply cloneable, immutable byte buffer.
@@ -70,7 +73,7 @@ impl Bytes {
             }
         } else {
             Bytes {
-                repr: Repr::Shared(Arc::from(data)),
+                repr: Repr::Shared(Arc::new(data.to_vec())),
             }
         }
     }
@@ -79,6 +82,17 @@ impl Bytes {
     /// small-message fast path).
     pub fn is_inline(&self) -> bool {
         matches!(self.repr, Repr::Inline { .. })
+    }
+
+    /// Whether this handle alone owns its bytes, so converting it into a
+    /// `Vec<u8>` moves the buffer out instead of copying it. Static data
+    /// is never unique.
+    pub fn is_unique(&self) -> bool {
+        match &self.repr {
+            Repr::Static(_) => false,
+            Repr::Inline { .. } => true,
+            Repr::Shared(arc) => Arc::strong_count(arc) == 1,
+        }
     }
 
     /// Length in bytes.
@@ -137,8 +151,18 @@ impl From<Vec<u8>> for Bytes {
             Bytes::copy_from_slice(&v)
         } else {
             Bytes {
-                repr: Repr::Shared(Arc::from(v.into_boxed_slice())),
+                repr: Repr::Shared(Arc::new(v)),
             }
+        }
+    }
+}
+
+impl From<Bytes> for Vec<u8> {
+    /// Moves a unique shared buffer out; copies anything else.
+    fn from(b: Bytes) -> Vec<u8> {
+        match b.repr {
+            Repr::Shared(arc) => Arc::try_unwrap(arc).unwrap_or_else(|arc| arc.to_vec()),
+            _ => b.to_vec(),
         }
     }
 }
@@ -226,6 +250,24 @@ mod tests {
         let a = Bytes::from(vec![7u8; 1024]);
         let b = a.clone();
         assert_eq!(a.as_ptr(), b.as_ptr());
+    }
+
+    #[test]
+    fn a_unique_buffer_moves_out_and_a_shared_one_is_copied() {
+        let v = vec![3u8; 1000];
+        let ptr = v.as_ptr();
+        let a = Bytes::from(v);
+        assert_eq!(a.as_ptr(), ptr, "a Vec moves in without a copy");
+        let b = a.clone();
+        assert!(!a.is_unique() && !b.is_unique());
+        let copied = Vec::from(b);
+        assert_ne!(copied.as_ptr(), ptr);
+        assert!(a.is_unique());
+        let moved = Vec::from(a);
+        assert_eq!(moved.as_ptr(), ptr);
+        assert_eq!(moved, vec![3u8; 1000]);
+        assert!(!Bytes::from_static(b"static").is_unique());
+        assert!(Bytes::copy_from_slice(b"inline").is_unique());
     }
 
     #[test]

@@ -17,9 +17,13 @@
 //!
 //! * **Sequential consistency only.** Every atomic op behaves `SeqCst`
 //!   regardless of the `Ordering` passed; the weak-memory reorderings
-//!   real loom models are not explored. The protocols under test here
-//!   (the telemetry seqlock, the store's mux-lane cursor) are written
-//!   with `SeqCst` ops, so SC exploration matches what ships.
+//!   real loom models are not explored. The store's mux-lane cursor is
+//!   written with `SeqCst` ops, so SC exploration matches what ships;
+//!   the telemetry seqlock publishes with release/acquire fences, so
+//!   its model checks the interleavings, and the fence placement rests
+//!   on the standard seqlock argument (the writer's release fence after
+//!   the odd sequence store, the reader's acquire fence before its
+//!   re-check).
 //! * **Deadlocks are detected**: if every unfinished thread is blocked,
 //!   the execution fails with the offending schedule path.
 //! * **Panics propagate**: an assertion failure in any thread aborts

@@ -234,4 +234,11 @@ pub mod atomic {
 
     model_atomic_arith!(AtomicUsize, usize);
     model_atomic_arith!(AtomicU64, u64);
+
+    /// An atomic fence: a scheduling point, and under sequential
+    /// consistency nothing more (see the crate docs).
+    pub fn fence(_order: Ordering) {
+        let (exec, me) = rt::current();
+        exec.schedule(me);
+    }
 }

@@ -17,16 +17,17 @@
 
 use std::sync::Arc;
 
-use loom::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
+use loom::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering, Ordering::SeqCst};
 use loom::sync::{Condvar, Mutex};
 use loom::thread;
 use mpi_stool::dmtcp::lanes::Dispatch;
 
 /// Mirror of one telemetry ring slot mid-emit (telemetry.rs `emit`):
-/// the writer stores `seq = 2·ticket+1`, the payload fields, then
-/// publishes `seq = 2·ticket+2`. A reader (`Lane::collect`) reads the
-/// seq, the payload, then the seq again, and surfaces the payload only
-/// if both reads saw the same published value. The property: no
+/// the writer stores `seq = 2·ticket+1`, a release fence, the payload
+/// fields, then publishes `seq = 2·ticket+2` with a release store. A
+/// reader (`Lane::collect`) reads the seq (acquire), the payload, an
+/// acquire fence, then the seq again, and surfaces the payload only if
+/// both reads saw the same published value. The property: no
 /// interleaving lets a reader surface a torn (half-written) slot.
 #[test]
 fn seqlock_reader_never_surfaces_a_torn_slot() {
@@ -39,19 +40,21 @@ fn seqlock_reader_never_surfaces_a_torn_slot() {
             let (seq, a, b) = (seq.clone(), a.clone(), b.clone());
             thread::spawn(move || {
                 // Ticket 0: 2·0+1 mid-write, 2·0+2 published.
-                seq.store(1, SeqCst);
-                a.store(7, SeqCst);
-                b.store(9, SeqCst);
-                seq.store(2, SeqCst);
+                seq.store(1, Ordering::Relaxed);
+                fence(Ordering::Release);
+                a.store(7, Ordering::Relaxed);
+                b.store(9, Ordering::Relaxed);
+                seq.store(2, Ordering::Release);
             })
         };
 
         // Concurrent reader, double-check protocol of `Lane::collect`.
-        let s1 = seq.load(SeqCst);
+        let s1 = seq.load(Ordering::Acquire);
         if s1 == 2 {
-            let ra = a.load(SeqCst);
-            let rb = b.load(SeqCst);
-            let s2 = seq.load(SeqCst);
+            let ra = a.load(Ordering::Relaxed);
+            let rb = b.load(Ordering::Relaxed);
+            fence(Ordering::Acquire);
+            let s2 = seq.load(Ordering::Relaxed);
             if s2 == s1 {
                 // Both checks passed: the payload must be complete.
                 assert_eq!((ra, rb), (7, 9), "published slot read torn");
@@ -84,11 +87,12 @@ fn concurrent_emitters_never_lose_a_write() {
                 let seqs = seqs.clone();
                 let vals = vals.clone();
                 thread::spawn(move || {
-                    let ticket = head.fetch_add(1, SeqCst);
+                    let ticket = head.fetch_add(1, Ordering::Relaxed);
                     let slot = ticket as usize;
-                    seqs[slot].store(2 * ticket + 1, SeqCst);
-                    vals[slot].store(100 + w, SeqCst);
-                    seqs[slot].store(2 * ticket + 2, SeqCst);
+                    seqs[slot].store(2 * ticket + 1, Ordering::Relaxed);
+                    fence(Ordering::Release);
+                    vals[slot].store(100 + w, Ordering::Relaxed);
+                    seqs[slot].store(2 * ticket + 2, Ordering::Release);
                 })
             })
             .collect();

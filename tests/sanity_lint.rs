@@ -269,6 +269,29 @@ fn one_run_path_is_silent_in_the_session_and_in_a_test_module() {
 }
 
 // -------------------------------------------------------------------------
+// one-payload-path
+// -------------------------------------------------------------------------
+
+#[test]
+fn one_payload_path_fires_in_an_algorithm_and_nowhere_else() {
+    let send = "\
+fn f(p: &mut P, buf: &[u8]) {
+    p.coll_send(info, 1, TAG, Bytes::copy_from_slice(buf))?;
+}
+";
+    let rule = "one-payload-path".to_string();
+    assert_eq!(
+        findings_for("crates/simnet/src/mpi/algos.rs", send),
+        vec![(rule, 2, 31)]
+    );
+    // The pool itself, the transport below it and a test module may.
+    assert!(findings_for("crates/simnet/src/mpi/process.rs", send).is_empty());
+    assert!(findings_for("crates/simnet/src/fabric.rs", send).is_empty());
+    let in_test = format!("#[cfg(test)]\nmod tests {{\n{send}}}\n");
+    assert!(findings_for("crates/simnet/src/mpi/algos.rs", &in_test).is_empty());
+}
+
+// -------------------------------------------------------------------------
 // shims-only-deps (manifests)
 // -------------------------------------------------------------------------
 

@@ -192,8 +192,14 @@ fn scripted_emits_read_back_pinned_totals() {
         .iter()
         .find(|e| e.kind == EventKind::EpochCommit)
         .unwrap();
-    assert_eq!(commit.vclock_ns, 900, "a system emit stamps the high-water mark");
-    let clamped = events.iter().find(|e| e.kind == EventKind::TierFail).unwrap();
+    assert_eq!(
+        commit.vclock_ns, 900,
+        "a system emit stamps the high-water mark"
+    );
+    let clamped = events
+        .iter()
+        .find(|e| e.kind == EventKind::TierFail)
+        .unwrap();
     assert_eq!(clamped.lane, tel.replica_lane());
 }
 
