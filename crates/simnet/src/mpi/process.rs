@@ -26,10 +26,10 @@ const CTX_TAG: i32 = 0x0200;
 const SPLIT_TAG: i32 = 0x0202;
 
 /// The most payload buffers a rank keeps for reuse.
-pub const PAYLOAD_POOL_BUFFERS: usize = 64;
+const PAYLOAD_POOL_BUFFERS: usize = 64;
 /// The most bytes of capacity a rank's pooled payload buffers hold
 /// together: a 48-rank alltoall's 47 blocks of 64 KiB fit.
-pub const PAYLOAD_POOL_BYTES: usize = 4 << 20;
+const PAYLOAD_POOL_BYTES: usize = 4 << 20;
 
 /// A rank's free list of payload buffers. A send of more than
 /// [`Bytes::INLINE_CAP`] bytes copies into one; a receive that copies its
