@@ -673,7 +673,10 @@ pub fn default_rules() -> Vec<Rule> {
             paths: &["crates/simnet/src/mpi/"],
             allow_paths: &["crates/simnet/src/mpi/process.rs"],
             skip_tests: true,
-            check: Check::BannedPath(&[&["Bytes", "::", "copy_from_slice"]]),
+            check: Check::BannedPath(&[
+                &["Bytes", "::", "copy_from_slice"],
+                &["Bytes", "::", "from"],
+            ]),
         },
     ]
 }

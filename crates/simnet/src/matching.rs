@@ -7,14 +7,18 @@
 //! O(queue length) even for fully-specified receives. This module keeps
 //! the unexpected store **indexed**:
 //!
-//! * Messages are bucketed by their exact `(ctx_id, src, tag)` triple,
-//!   each bucket a FIFO in arrival order. A fully-specified receive is a
-//!   hash lookup plus a front pop: **O(1)**, no scan.
+//! * Messages are bucketed by their exact `(ctx_id, src, tag)` triple in
+//!   one map, each bucket a FIFO in arrival order. A fully-specified
+//!   receive is a hash lookup plus a front pop: **O(1)**, no scan. A
+//!   bucket lives exactly while it holds a message: the pop that empties
+//!   it removes it, and nothing else indexes it.
 //! * Every message is stamped with a per-process **arrival sequence
 //!   number** at ingest. Wildcard receives (`MPI_ANY_SOURCE` /
-//!   `MPI_ANY_TAG`) compare the *front* of each candidate bucket and take
-//!   the globally smallest sequence: O(#live buckets in the context), not
-//!   O(#queued messages).
+//!   `MPI_ANY_TAG`) compare the *front* of every live bucket their
+//!   pattern admits, in any context, and take the smallest sequence:
+//!   O(#live buckets), never O(#queued messages). Wildcards are rare (a
+//!   drain's probe, an any-source application receive), so the exact
+//!   path keeps no second index for them.
 //!
 //! Why this preserves MPI's matching semantics: the fabric delivers
 //! per-(src, dst) FIFO, and ingest stamps sequence numbers in delivery
@@ -105,14 +109,24 @@ type Key = (u64, usize, i32);
 struct MixHasher(u64);
 
 impl Hasher for MixHasher {
-    /// One multiply per word of ≤ 8 bytes, which is how a key's integers come.
+    /// One mix per byte; the matcher's keys never come this way.
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            let word = u64::from_le_bytes(word);
-            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    /// One multiply-mix: how a key's context id comes.
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    /// A source rank, mixed as one word.
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    /// A tag, mixed as one word.
+    fn write_i32(&mut self, n: i32) {
+        self.write_u64(n as u32 as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -128,12 +142,9 @@ const SPARE_BUCKETS: usize = 64;
 /// The shared indexed matching core. One per rank per vendor engine.
 pub struct MatchCore<M: ArrivalModel = WireArrival> {
     model: M,
-    /// Per-(ctx, src, tag) FIFO buckets in arrival order.
+    /// Per-(ctx, src, tag) FIFO buckets in arrival order; only nonempty
+    /// ones are present.
     buckets: MixMap<Key, VecDeque<MatchedMsg>>,
-    /// Secondary index for wildcard scans: exactly the keys of live
-    /// (nonempty) buckets, grouped by context id. Kept in lockstep with
-    /// `buckets` on insert and evict.
-    by_ctx: MixMap<u64, Vec<Key>>,
     /// Up to `SPARE_BUCKETS` emptied queues of evicted buckets, so the common
     /// one-message bucket does not allocate and free a `VecDeque` per message.
     spare: Vec<VecDeque<MatchedMsg>>,
@@ -179,7 +190,6 @@ impl<M: ArrivalModel> MatchCore<M> {
         MatchCore {
             model,
             buckets: MixMap::default(),
-            by_ctx: MixMap::default(),
             spare: Vec::new(),
             next_seq: 0,
             total: 0,
@@ -203,15 +213,10 @@ impl<M: ArrivalModel> MatchCore<M> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let key = (env.ctx_id, env.src, env.tag);
-        let bucket = match self.buckets.entry(key) {
-            Entry::Occupied(o) => o.into_mut(),
-            Entry::Vacant(v) => {
-                // Invariant: a key is in by_ctx iff its bucket exists, so
-                // a vacant bucket means the key is not yet indexed.
-                self.by_ctx.entry(key.0).or_default().push(key);
-                v.insert(self.spare.pop().unwrap_or_default())
-            }
-        };
+        let bucket = self
+            .buckets
+            .entry(key)
+            .or_insert_with(|| self.spare.pop().unwrap_or_default());
         bucket.push_back(MatchedMsg { env, arrival, seq });
         self.total += 1;
     }
@@ -230,34 +235,29 @@ impl<M: ArrivalModel> MatchCore<M> {
     }
 
     /// The key of the only bucket that can hold the first match for the
-    /// pattern, plus how many candidate buckets a wildcard scan compared.
-    /// An exact pattern *is* its key — not probed here, so the caller's
-    /// lookup is the one hash probe of an exact match; a wildcard compares
-    /// live bucket fronts by arrival sequence and names a live bucket.
+    /// pattern, plus how many bucket fronts a wildcard compared. An exact
+    /// pattern *is* its key — not probed here, so the caller's lookup is
+    /// the one hash probe of an exact match; a wildcard compares the
+    /// fronts of the live buckets it admits by arrival sequence and names
+    /// a live bucket.
     fn locate(&self, ctx_id: u64, src: SrcPattern, tag: TagPattern) -> (Option<Key>, usize) {
         if let (SrcPattern::Is(s), TagPattern::Is(t)) = (src, tag) {
             return (Some((ctx_id, s, t)), 0);
         }
-        // by_ctx tracks exactly the live (nonempty) buckets: pick the
-        // pattern-matching front with the smallest arrival sequence.
-        let Some(keys) = self.by_ctx.get(&ctx_id) else {
-            return (None, 0);
-        };
         let want = want(ctx_id, src, tag);
         let mut best: Option<(u64, Key)> = None;
-        for &key in keys.iter() {
+        let mut compared = 0;
+        for (&key, bucket) in &self.buckets {
             if !want.admits(key.0, key.1, key.2) {
                 continue;
             }
-            let front_seq = self.buckets[&key]
-                .front()
-                .expect("indexed buckets are nonempty")
-                .seq;
+            compared += 1;
+            let front_seq = bucket.front().expect("live buckets are nonempty").seq;
             if best.is_none_or(|(seq, _)| front_seq < seq) {
                 best = Some((front_seq, key));
             }
         }
-        (best.map(|(_, key)| key), keys.len())
+        (best.map(|(_, key)| key), compared)
     }
 
     /// Non-blocking match: pump the wire, then deliver the first matching
@@ -276,23 +276,14 @@ impl<M: ArrivalModel> MatchCore<M> {
         let Some(Entry::Occupied(mut bucket)) = located.map(|key| self.buckets.entry(key)) else {
             return Ok(None);
         };
-        let key = *bucket.key();
         let msg = bucket.get_mut().pop_front().expect("buckets are nonempty");
-        // Evict emptied buckets — and their by_ctx index entries — so no
-        // per-(ctx, src, tag) state accumulates over communicator churn.
-        // Only the emptied queue's allocation is kept, for the next key.
+        // Evict emptied buckets so no per-(ctx, src, tag) state
+        // accumulates over communicator churn. Only the emptied queue's
+        // allocation is kept, for the next key.
         if bucket.get().is_empty() {
             let queue = bucket.remove();
             if self.spare.len() < SPARE_BUCKETS {
                 self.spare.push(queue);
-            }
-            if let Some(keys) = self.by_ctx.get_mut(&key.0) {
-                if let Some(pos) = keys.iter().position(|k| *k == key) {
-                    keys.swap_remove(pos);
-                }
-                if keys.is_empty() {
-                    self.by_ctx.remove(&key.0);
-                }
             }
         }
         self.total -= 1;
@@ -571,10 +562,10 @@ mod tests {
             assert_eq!(a.env.payload[0], round);
             assert_eq!(b.env.payload[0], round);
         }
-        // Emptied buckets are evicted and their index entries follow:
-        // no per-key or per-context state accumulates.
+        // Emptied buckets are evicted: no per-key state accumulates, and
+        // the two queues wait in `spare`, reused by every round's keys.
         assert!(core.buckets.is_empty());
-        assert!(core.by_ctx.is_empty());
+        assert_eq!(core.spare.len(), 2);
     }
 
     #[test]

@@ -179,24 +179,13 @@ pub struct Reduction<V: NativeAbi> {
     pub commute: bool,
 }
 
-/// Split `total_elems` elements into `parts` chunk lengths in bytes of
-/// `elem`-byte elements, front-loading the remainder; returns the
-/// lengths and their offsets.
-fn chunks(total_elems: usize, parts: usize, elem: usize) -> (Vec<usize>, Vec<usize>) {
-    let base = total_elems / parts;
-    let rem = total_elems % parts;
-    let lens: Vec<usize> = (0..parts)
-        .map(|i| (base + usize::from(i < rem)) * elem)
-        .collect();
-    let offs = lens
-        .iter()
-        .scan(0, |at, &len| {
-            let off = *at;
-            *at += len;
-            Some(off)
-        })
-        .collect();
-    (lens, offs)
+/// Byte offsets of `total_elems` elements of `elem` bytes split into
+/// `parts` chunks, the remainder front-loaded (one more element in each
+/// of the first `total_elems % parts`): chunk `i` starts at `off(i)` and
+/// ends at `off(i + 1)`, so chunks `[lo, hi)` are `off(lo)..off(hi)`.
+fn chunk_offsets(total_elems: usize, parts: usize, elem: usize) -> impl Fn(usize) -> usize {
+    let (base, rem) = (total_elems / parts, total_elems % parts);
+    move |i| (i * base + i.min(rem)) * elem
 }
 
 /// Lowest set bit (a binomial subtree's span); `v` must be non-zero.
@@ -272,6 +261,35 @@ impl<V: NativeAbi> Process<V> {
         }
         self.recycle(got);
         Ok(())
+    }
+
+    /// One hop of a broadcast tree into `buf`: receive it from comm rank
+    /// `parent` (none at the root), copying it in once, and return the
+    /// payload to forward when the rank `forwards` — the received one
+    /// itself, or at the root a copy of `buf`. A rank that forwards
+    /// nothing hands the received payload back to the pool.
+    fn bcast_hop(
+        &mut self,
+        info: &CommInfo<V>,
+        parent: Option<usize>,
+        tag: i32,
+        buf: &mut [u8],
+        forwards: bool,
+    ) -> MpiResult<Option<Bytes>> {
+        let payload = match parent {
+            Some(src) => {
+                let got = self.coll_recv(info, src, tag, buf.len())?;
+                buf.copy_from_slice(&got);
+                got
+            }
+            None if forwards => self.payload(buf),
+            None => return Ok(None),
+        };
+        if forwards {
+            return Ok(Some(payload));
+        }
+        self.recycle(payload);
+        Ok(None)
     }
 }
 
@@ -449,20 +467,13 @@ pub fn bcast_binomial<V: NativeAbi>(
 ) -> MpiResult<()> {
     let n = info.size();
     let rel = (info.my_rank as usize + n - root) % n;
-    let mut mask = 1;
-    while mask < n {
-        if rel & mask != 0 {
-            p.coll_recv_into(info, (rel - mask + root) % n, BINOMIAL_BCAST, buf, None)?;
-            break;
-        }
-        mask <<= 1;
-    }
-    mask >>= 1;
-    // A rank with children has child rel + 1; a leaf copies nothing.
-    if mask == 0 || rel + 1 >= n {
+    let parent = binomial_span(rel, n).1.map(|parent| (parent + root) % n);
+    let mut mask = binomial_top(rel, n);
+    // A rank with children has child rel + 1.
+    let forwards = mask > 0 && rel + 1 < n;
+    let Some(payload) = p.bcast_hop(info, parent, BINOMIAL_BCAST, buf, forwards)? else {
         return Ok(());
-    }
-    let payload = p.payload(buf);
+    };
     while mask > 0 {
         if rel + mask < n {
             let child = (rel + mask + root) % n;
@@ -486,9 +497,8 @@ pub fn bcast_scatter_ring<V: NativeAbi>(
 ) -> MpiResult<()> {
     let n = info.size();
     let rel = (info.my_rank as usize + n - root) % n;
-    let (lens, offs) = chunks(buf.len() / elem, n, elem);
-    // Bytes of relative chunks [lo, hi), which are contiguous.
-    let range = |lo: usize, hi: usize| offs[lo]..offs[hi - 1] + lens[hi - 1];
+    let off = chunk_offsets(buf.len() / elem, n, elem);
+    let range = |lo, hi| off(lo)..off(hi);
 
     let (span, parent) = binomial_span(rel, n);
     if let Some(parent) = parent {
@@ -530,13 +540,11 @@ pub fn bcast_binary_tree<V: NativeAbi>(
 ) -> MpiResult<()> {
     let n = info.size();
     let rel = (info.my_rank as usize + n - root) % n;
-    if rel != 0 {
-        p.coll_recv_into(info, ((rel - 1) / 2 + root) % n, BINARY_TREE, buf, None)?;
-    }
-    if 2 * rel + 1 >= n {
+    let parent = (rel != 0).then(|| ((rel - 1) / 2 + root) % n);
+    let forwards = 2 * rel + 1 < n;
+    let Some(payload) = p.bcast_hop(info, parent, BINARY_TREE, buf, forwards)? else {
         return Ok(());
-    }
-    let payload = p.payload(buf);
+    };
     for child in [2 * rel + 1, 2 * rel + 2] {
         if child < n {
             let child = ((child + root) % n) as i32;
@@ -563,11 +571,10 @@ pub fn bcast_chain<V: NativeAbi>(
     let seg = segment.max(1);
     for lo in (0..buf.len()).step_by(seg) {
         let hi = (lo + seg).min(buf.len());
-        if let Some(prev) = prev {
-            p.coll_recv_into(info, prev, CHAIN_BCAST, &mut buf[lo..hi], None)?;
-        }
-        if let Some(next) = next {
-            p.coll_send(info, next, CHAIN_BCAST, &buf[lo..hi])?;
+        let segment = &mut buf[lo..hi];
+        let hop = p.bcast_hop(info, prev, CHAIN_BCAST, segment, next.is_some())?;
+        if let (Some(next), Some(payload)) = (next, hop) {
+            p.xsend(info, true, next as i32, CHAIN_BCAST, payload)?;
         }
     }
     Ok(())
@@ -605,11 +612,11 @@ pub fn reduce_binomial<V: NativeAbi>(
     }
     if mask < n {
         let parent = (rel - mask + tree_root) % n;
-        p.xsend(info, true, parent as i32, BINOMIAL_REDUCE, acc.into())?;
+        p.coll_send(info, parent, BINOMIAL_REDUCE, &acc)?;
     } else if me == root {
         recv.copy_from_slice(&acc);
     } else {
-        p.xsend(info, true, root as i32, REDUCE_FORWARD, acc.into())?;
+        p.coll_send(info, root, REDUCE_FORWARD, &acc)?;
     }
     if me == root && tree_root != root {
         p.coll_recv_into(info, tree_root, REDUCE_FORWARD, recv, None)?;
@@ -712,9 +719,8 @@ pub fn allreduce_rabenseifner<V: NativeAbi>(
     let d = Doubling::new(info.size(), fold);
     let part = d.fold_in(p, info, acc, Some(red))?;
     if let Part::Survivor { newrank, .. } = part {
-        let (lens, offs) = chunks(acc.len() / elem, d.pof2, elem);
-        // Bytes of chunks [lo, hi), which are contiguous.
-        let range = |lo: usize, hi: usize| offs[lo]..offs[hi - 1] + lens[hi - 1];
+        let off = chunk_offsets(acc.len() / elem, d.pof2, elem);
+        let range = |lo, hi| off(lo)..off(hi);
         // Each halving step records the range it halved and the partner.
         let mut steps = Vec::new();
         let (mut lo, mut hi) = (0, d.pof2);
@@ -760,8 +766,8 @@ pub fn allreduce_ring<V: NativeAbi>(
 ) -> MpiResult<()> {
     let n = info.size();
     let me = info.my_rank as usize;
-    let (lens, offs) = chunks(acc.len() / elem, n, elem);
-    let chunk = |c: usize| offs[c]..offs[c] + lens[c];
+    let off = chunk_offsets(acc.len() / elem, n, elem);
+    let chunk = |c| off(c)..off(c + 1);
     let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
     for s in 0..n - 1 {
         let (send_c, recv_c) = ((me + n - s) % n, (me + n - s - 1) % n);

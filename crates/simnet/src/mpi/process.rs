@@ -5,7 +5,7 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 use super::abi::{MpiResult, NativeAbi, NativeStatus};
 use super::algos::Reduction;
@@ -34,10 +34,11 @@ const PAYLOAD_POOL_BYTES: usize = 4 << 20;
 /// A rank's free list of payload buffers. A send of more than
 /// [`Bytes::INLINE_CAP`] bytes copies into one; a receive that copies its
 /// payload out hands back a buffer it alone holds. Buffers move between
-/// ranks with the messages, so in steady state a send allocates nothing.
+/// ranks with the messages, each with its shared header, so in steady
+/// state neither a send nor a receive allocates.
 #[derive(Default)]
 struct PayloadPool {
-    free: Vec<Vec<u8>>,
+    free: Vec<BytesMut>,
     /// Total capacity of `free`.
     bytes: usize,
 }
@@ -48,22 +49,24 @@ impl PayloadPool {
         if data.len() <= Bytes::INLINE_CAP {
             return (Bytes::copy_from_slice(data), false);
         }
-        let mut buf = self.free.pop().unwrap_or_default();
-        self.bytes -= buf.capacity();
-        // A buffer too small (or none) grows to fit: an allocation.
-        let miss = buf.capacity() < data.len();
+        let pooled = self.free.pop().inspect(|buf| self.bytes -= buf.capacity());
+        // A buffer too small (or none) is replaced at the payload's
+        // length, not grown: growing would copy its stale bytes.
+        let (mut buf, miss) = match pooled {
+            Some(buf) if buf.capacity() >= data.len() => (buf, false),
+            _ => (BytesMut::with_capacity(data.len()), true),
+        };
         buf.clear();
         buf.extend_from_slice(data);
-        (Bytes::from(buf), miss)
+        (buf.freeze(), miss)
     }
 
     /// Keep `payload`'s buffer if this handle alone holds it and the
     /// pool is under both bounds; otherwise just drop the handle.
     fn give(&mut self, payload: Bytes) {
-        if payload.is_inline() || !payload.is_unique() {
+        let Ok(buf) = payload.try_into_mut() else {
             return;
-        }
-        let buf = Vec::from(payload);
+        };
         let room = self.free.len() < PAYLOAD_POOL_BUFFERS;
         if room && self.bytes + buf.capacity() <= PAYLOAD_POOL_BYTES {
             self.bytes += buf.capacity();
@@ -784,7 +787,7 @@ mod tests {
         for _ in 0..5 {
             pool.give(Bytes::from(vec![2u8; big]));
             assert!(pool.bytes <= PAYLOAD_POOL_BYTES);
-            assert_eq!(pool.bytes, pool.free.iter().map(Vec::capacity).sum());
+            assert_eq!(pool.bytes, pool.free.iter().map(BytesMut::capacity).sum());
         }
         assert_eq!(pool.free.len(), 3);
     }
@@ -809,17 +812,22 @@ mod tests {
     }
 
     #[test]
-    fn inline_payloads_skip_the_pool_and_small_buffers_grow() {
+    fn inline_payloads_skip_the_pool_and_small_buffers_are_replaced() {
         let mut pool = PayloadPool::default();
         let (small, miss) = pool.fill(&[1u8; Bytes::INLINE_CAP]);
         assert!(!miss && small.is_inline());
         pool.give(small);
         assert!(pool.free.is_empty());
 
-        pool.give(Bytes::from(vec![0u8; 100]));
-        let (grown, miss) = pool.fill(&[3u8; 200]);
-        assert!(miss, "a buffer too small for the payload grows");
+        let (short, _) = pool.fill(&[0u8; 100]);
+        let short_ptr = short.as_ptr();
+        pool.give(short);
+        let (fresh, miss) = pool.fill(&[3u8; 200]);
+        assert!(miss, "a buffer too small for the payload is a miss");
+        assert_ne!(fresh.as_ptr(), short_ptr, "and is replaced, not grown");
         assert!(pool.free.is_empty() && pool.bytes == 0);
-        assert_eq!(&grown[..], &[3u8; 200][..]);
+        assert_eq!(&fresh[..], &[3u8; 200][..]);
+        pool.give(fresh);
+        assert_eq!(pool.bytes, 200, "the replacement is sized to the payload");
     }
 }

@@ -8,9 +8,10 @@
 //! Larger buffers are a shared `Arc<Vec<u8>>`, so fan-out sends of one big
 //! buffer still cost one allocation total and clones are pointer-equal
 //! views of it (which `Envelope` fan-out tests rely on). A `Vec<u8>` moves
-//! in without a copy, and the sole holder of a shared buffer gets the
-//! `Vec` back out ([`Bytes::is_unique`]), which is how the transport
-//! recycles payload buffers.
+//! in without a copy. [`BytesMut`] owns the same shared header, so
+//! [`BytesMut::freeze`] allocates nothing, and the sole holder of a shared
+//! buffer gets it back as a `BytesMut` ([`Bytes::try_into_mut`]): that is
+//! how the transport recycles payload buffers, header and all.
 
 #![forbid(unsafe_code)]
 
@@ -84,14 +85,13 @@ impl Bytes {
         matches!(self.repr, Repr::Inline { .. })
     }
 
-    /// Whether this handle alone owns its bytes, so converting it into a
-    /// `Vec<u8>` moves the buffer out instead of copying it. Static data
-    /// is never unique.
-    pub fn is_unique(&self) -> bool {
-        match &self.repr {
-            Repr::Static(_) => false,
-            Repr::Inline { .. } => true,
-            Repr::Shared(arc) => Arc::strong_count(arc) == 1,
+    /// The shared buffer back as a [`BytesMut`], header included, if this
+    /// handle alone holds it; otherwise the handle unchanged. Static and
+    /// inline data have no shared buffer and always come back.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        match self.repr {
+            Repr::Shared(buf) if Arc::strong_count(&buf) == 1 => Ok(BytesMut { buf }),
+            repr => Err(Bytes { repr }),
         }
     }
 
@@ -157,16 +157,6 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
-impl From<Bytes> for Vec<u8> {
-    /// Moves a unique shared buffer out; copies anything else.
-    fn from(b: Bytes) -> Vec<u8> {
-        match b.repr {
-            Repr::Shared(arc) => Arc::try_unwrap(arc).unwrap_or_else(|arc| arc.to_vec()),
-            _ => b.to_vec(),
-        }
-    }
-}
-
 impl From<&'static [u8]> for Bytes {
     fn from(s: &'static [u8]) -> Bytes {
         Bytes::from_static(s)
@@ -182,6 +172,50 @@ impl From<&'static str> for Bytes {
 impl FromIterator<u8> for Bytes {
     fn from_iter<T: IntoIterator<Item = u8>>(iter: T) -> Bytes {
         Bytes::from(iter.into_iter().collect::<Vec<u8>>())
+    }
+}
+
+/// A unique, growable byte buffer. It owns the shared header a frozen
+/// [`Bytes`] points at, so [`BytesMut::freeze`] neither copies nor
+/// allocates.
+#[derive(Debug, Default)]
+pub struct BytesMut {
+    /// Never shared while it is a `BytesMut`.
+    buf: Arc<Vec<u8>>,
+}
+
+impl BytesMut {
+    /// An empty buffer with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> BytesMut {
+        BytesMut {
+            buf: Arc::new(Vec::with_capacity(capacity)),
+        }
+    }
+
+    fn vec(&mut self) -> &mut Vec<u8> {
+        Arc::get_mut(&mut self.buf).expect("a BytesMut is its buffer's only handle")
+    }
+
+    /// Drop the contents, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.vec().clear();
+    }
+
+    /// Append `data`, growing if it does not fit.
+    pub fn extend_from_slice(&mut self, data: &[u8]) {
+        self.vec().extend_from_slice(data);
+    }
+
+    /// Bytes the buffer holds without growing.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// An immutable handle on the same buffer (shared, never inline).
+    pub fn freeze(self) -> Bytes {
+        Bytes {
+            repr: Repr::Shared(self.buf),
+        }
     }
 }
 
@@ -253,21 +287,33 @@ mod tests {
     }
 
     #[test]
-    fn a_unique_buffer_moves_out_and_a_shared_one_is_copied() {
-        let v = vec![3u8; 1000];
-        let ptr = v.as_ptr();
-        let a = Bytes::from(v);
-        assert_eq!(a.as_ptr(), ptr, "a Vec moves in without a copy");
+    fn freeze_then_try_into_mut_keeps_the_buffer() {
+        let mut m = BytesMut::with_capacity(1000);
+        m.extend_from_slice(&[3u8; 1000]);
+        let frozen = m.freeze();
+        let ptr = frozen.as_ptr();
+        assert!(!frozen.is_inline());
+        let mut back = frozen.try_into_mut().expect("the only handle");
+        assert_eq!(back.capacity(), 1000);
+        back.clear();
+        back.extend_from_slice(&[4u8; 900]);
+        let again = back.freeze();
+        assert_eq!(again.as_ptr(), ptr, "the same buffer, refilled in place");
+        assert_eq!(&again[..], &[4u8; 900][..]);
+    }
+
+    #[test]
+    fn a_live_clone_makes_try_into_mut_fail() {
+        let a = Bytes::from(vec![5u8; 1000]);
         let b = a.clone();
-        assert!(!a.is_unique() && !b.is_unique());
-        let copied = Vec::from(b);
-        assert_ne!(copied.as_ptr(), ptr);
-        assert!(a.is_unique());
-        let moved = Vec::from(a);
-        assert_eq!(moved.as_ptr(), ptr);
-        assert_eq!(moved, vec![3u8; 1000]);
-        assert!(!Bytes::from_static(b"static").is_unique());
-        assert!(Bytes::copy_from_slice(b"inline").is_unique());
+        let a = a
+            .try_into_mut()
+            .expect_err("a clone still holds the buffer");
+        assert_eq!(a.as_ptr(), b.as_ptr());
+        drop(b);
+        assert!(a.try_into_mut().is_ok(), "the last handle gets it back");
+        assert!(Bytes::from_static(b"static").try_into_mut().is_err());
+        assert!(Bytes::copy_from_slice(b"inline").try_into_mut().is_err());
     }
 
     #[test]

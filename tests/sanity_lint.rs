@@ -289,6 +289,17 @@ fn f(p: &mut P, buf: &[u8]) {
     assert!(findings_for("crates/simnet/src/fabric.rs", send).is_empty());
     let in_test = format!("#[cfg(test)]\nmod tests {{\n{send}}}\n");
     assert!(findings_for("crates/simnet/src/mpi/algos.rs", &in_test).is_empty());
+    // A payload moved in from a `Vec` bypasses the pool as well.
+    let moved = "\
+fn f(p: &mut P, acc: Vec<u8>) {
+    p.xsend(info, true, 0, TAG, Bytes::from(acc))?;
+}
+";
+    assert_eq!(
+        findings_for("crates/simnet/src/mpi/coll.rs", moved),
+        vec![("one-payload-path".to_string(), 2, 33)]
+    );
+    assert!(findings_for("crates/simnet/src/mpi/process.rs", moved).is_empty());
 }
 
 // -------------------------------------------------------------------------
