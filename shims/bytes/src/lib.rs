@@ -178,7 +178,7 @@ impl FromIterator<u8> for Bytes {
 /// A unique, growable byte buffer. It owns the shared header a frozen
 /// [`Bytes`] points at, so [`BytesMut::freeze`] neither copies nor
 /// allocates.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct BytesMut {
     /// Never shared while it is a `BytesMut`.
     buf: Arc<Vec<u8>>,
