@@ -7,7 +7,6 @@
 //! their own incompatible layout, and the `muk` shim converts.
 
 use crate::consts;
-use crate::datatype::Datatype;
 
 /// Standardized receive status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -18,8 +17,7 @@ pub struct AbiStatus {
     pub tag: i32,
     /// Error code for this operation (used by `waitall` semantics).
     pub error: i32,
-    /// Number of **bytes** actually transferred. Element counts are derived
-    /// via [`AbiStatus::get_count`], mirroring `MPI_Get_count`.
+    /// Number of **bytes** actually transferred.
     pub count_bytes: u64,
 }
 
@@ -44,38 +42,11 @@ impl AbiStatus {
             count_bytes: count_bytes as u64,
         }
     }
-
-    /// Number of whole elements of `datatype` received
-    /// (`MPI_Get_count`). Returns [`consts::UNDEFINED`] as `None` — i.e.
-    /// `None` — if the byte count is not a whole multiple of the type size.
-    pub fn get_count(&self, datatype: Datatype) -> Option<usize> {
-        let sz = datatype.size() as u64;
-        if self.count_bytes.is_multiple_of(sz) {
-            Some((self.count_bytes / sz) as usize)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn get_count_divides_exactly() {
-        let st = AbiStatus::for_receive(3, 9, 32);
-        assert_eq!(st.get_count(Datatype::Double), Some(4));
-        assert_eq!(st.get_count(Datatype::Int32), Some(8));
-        assert_eq!(st.get_count(Datatype::Byte), Some(32));
-    }
-
-    #[test]
-    fn get_count_rejects_partial_elements() {
-        let st = AbiStatus::for_receive(0, 0, 30);
-        assert_eq!(st.get_count(Datatype::Double), None);
-        assert_eq!(st.get_count(Datatype::Int16), Some(15));
-    }
 
     #[test]
     fn empty_status_is_wildcarded() {

@@ -105,15 +105,15 @@ impl AppCtx<'_> {
         self.sim.now()
     }
 
-    /// Charge modelled computation time (scaled by the cluster CPU speed).
+    /// Charge modelled computation time.
     pub fn compute(&self, work: VirtualTime) {
-        self.sim.compute(work);
+        self.sim.advance(work);
     }
 
     /// Sleep in virtual time (the Fig. 6 OSU modification uses a 10 s
     /// window like this one to leave room for the checkpoint).
     pub fn sleep(&self, dt: VirtualTime) {
-        self.sim.sleep(dt);
+        self.sim.advance(dt);
     }
 
     /// A checkpoint **safe point**: the application guarantees it has no

@@ -22,8 +22,7 @@ use std::sync::Arc;
 use dmtcp_sim::{EpochStats, ReplicaStats, TierStats};
 
 pub use simnet::telemetry::{
-    Counter, Event, EventKind, Gauge, Histogram, MetricValue, MetricsRegistry, Telemetry,
-    TelemetryConfig,
+    Counter, Event, EventKind, Histogram, MetricValue, MetricsRegistry, Telemetry, TelemetryConfig,
 };
 
 /// Everything one run recorded, in one place: the flight recorder

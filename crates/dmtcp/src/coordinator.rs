@@ -975,12 +975,6 @@ impl CkptSession<'_> {
             let replicas = shared.replicas.lock().expect("replicas lock").clone();
             let mut commit_ok = true;
             if let Some(group) = &replicas {
-                // Forward the latest rank-reported virtual clock to the
-                // replica group so its election/accept events sort after
-                // the rendezvous that triggered them.
-                if let Some(tel) = shared.telemetry.get() {
-                    group.stamp_vnow(tel.observed_now());
-                }
                 let phase = |p: BarrierPhase| {
                     shared.emit(EventKind::BarrierPhase, phase_code(p), self.epoch, self.cut);
                     group.notify_phase(p);

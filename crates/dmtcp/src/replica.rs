@@ -34,7 +34,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -643,10 +643,6 @@ pub struct ReplicaGroup {
     /// detached one until then: elections, accepts and quorum losses
     /// land on its replica lane, and their counts on its registry.
     telemetry: Arc<Telemetry>,
-    /// Virtual-clock stamp of the round being committed, set by the
-    /// coordinator before it drives the group (the group itself runs on
-    /// a wall [`Clock`] and has no virtual time of its own).
-    vnow_ns: AtomicU64,
 }
 
 impl ReplicaGroup {
@@ -701,7 +697,6 @@ impl ReplicaGroup {
             }),
             proposing: Mutex::new(()),
             telemetry: Telemetry::detached(),
-            vnow_ns: AtomicU64::new(0),
         })
     }
 
@@ -714,19 +709,12 @@ impl ReplicaGroup {
         self.telemetry = tel;
     }
 
-    /// Stamp the virtual-clock time of the round about to be driven
-    /// (called by the coordinator, which does carry a virtual clock).
-    pub fn stamp_vnow(&self, vclock_ns: u64) {
-        self.vnow_ns.fetch_max(vclock_ns, Ordering::SeqCst);
-        self.telemetry.observe_time(vclock_ns);
-    }
-
-    /// Emit one event on the replica lane, stamped with the round's
-    /// virtual clock.
+    /// Emit one event on the replica lane, stamped with the recorder's
+    /// observed virtual clock (the group runs on a wall [`Clock`] and has
+    /// no virtual time of its own).
     fn emit(&self, kind: EventKind, a: u64, b: u64, c: u64) {
         let tel = &self.telemetry;
-        let vnow = self.vnow_ns.load(Ordering::SeqCst).max(tel.observed_now());
-        tel.emit(tel.replica_lane(), kind, vnow, a, b, c);
+        tel.emit_system(tel.replica_lane(), kind, a, b, c);
     }
 
     /// The registry counter `replica.{name}`.

@@ -779,30 +779,40 @@ fn backoff_step(config: TierConfig, key: &str, attempt: u32) -> Duration {
     Duration::from_nanos(nanos.min(u64::MAX as u128) as u64)
 }
 
-/// Sleep before retry `attempt`, honoring the deadline: if the sleep
-/// would cross [`TierConfig::deadline`] (measured from `start`), surface
-/// [`TierError::Timeout`] instead of waiting on.
-fn backoff_or_timeout(
+/// The one retry loop: run `attempt` up to [`TierConfig::max_attempts`]
+/// times, sleeping [`backoff_step`] between tries. An error for which
+/// `is_final` holds is returned at once, and so is the last attempt's
+/// error. If a sleep would cross [`TierConfig::deadline`] (measured from
+/// the first attempt), the loop surfaces [`TierError::Timeout`] instead
+/// of waiting on. `retries` counts the sleeps taken.
+fn retry<T>(
     config: TierConfig,
-    start: std::time::Instant,
     op: &'static str,
     key: &str,
-    attempt: u32,
     retries: &mut u64,
-) -> Result<(), TierError> {
-    let sleep = backoff_step(config, key, attempt);
-    if let Some(deadline) = config.deadline {
-        if start.elapsed() + sleep > deadline {
+    is_final: fn(&TierError) -> bool,
+    mut attempt: impl FnMut() -> Result<T, TierError>,
+) -> Result<T, TierError> {
+    let start = std::time::Instant::now();
+    let mut n = 1;
+    loop {
+        match attempt() {
+            Ok(v) => return Ok(v),
+            Err(e) if is_final(&e) || n >= config.max_attempts.max(1) => return Err(e),
+            Err(_) => {}
+        }
+        let sleep = backoff_step(config, key, n);
+        if config.deadline.is_some_and(|d| start.elapsed() + sleep > d) {
             return Err(TierError::Timeout {
                 op,
                 key: key.to_string(),
             });
         }
+        *retries += 1;
+        // lint:allow(no-sleep-poll) — jittered retry backoff on the tier upload path, not a poll loop.
+        std::thread::sleep(sleep);
+        n += 1;
     }
-    *retries += 1;
-    // lint:allow(no-sleep-poll) — jittered retry backoff on the tier upload path, not a poll loop.
-    std::thread::sleep(sleep);
-    Ok(())
 }
 
 /// Upload one object with read-back verification and jittered
@@ -818,36 +828,22 @@ pub(crate) fn put_verified(
     want: u32,
     retries: &mut u64,
 ) -> Result<(), TierError> {
-    let start = std::time::Instant::now();
-    let mut last = TierError::Io {
-        op: "put",
-        key: key.to_string(),
-        msg: "no attempts made".to_string(),
+    let upload = || {
+        tier.put(key, data)?;
+        let back = tier.get(key)?;
+        if back.len() == data.len() && crc32(&back) == want {
+            return Ok(());
+        }
+        Err(TierError::Corrupt {
+            key: key.to_string(),
+            detail: format!(
+                "read-back verification failed: stored {} bytes, sent {}",
+                back.len(),
+                data.len()
+            ),
+        })
     };
-    for attempt in 0..config.max_attempts.max(1) {
-        if attempt > 0 {
-            backoff_or_timeout(config, start, "put", key, attempt, retries)?;
-        }
-        if let Err(e) = tier.put(key, data) {
-            last = e;
-            continue;
-        }
-        match tier.get(key) {
-            Ok(back) if back.len() == data.len() && crc32(&back) == want => return Ok(()),
-            Ok(back) => {
-                last = TierError::Corrupt {
-                    key: key.to_string(),
-                    detail: format!(
-                        "read-back verification failed: stored {} bytes, sent {}",
-                        back.len(),
-                        data.len()
-                    ),
-                };
-            }
-            Err(e) => last = e,
-        }
-    }
-    Err(last)
+    retry(config, "put", key, retries, |_| false, upload)
 }
 
 /// Download one object with the same jittered-backoff retry policy as
@@ -863,32 +859,14 @@ pub(crate) fn get_retried<T>(
     key: &str,
     check: impl Fn(Vec<u8>) -> Result<T, String>,
 ) -> Result<T, TierError> {
-    let start = std::time::Instant::now();
-    let mut retries = 0u64;
-    let mut last = TierError::Io {
-        op: "get",
-        key: key.to_string(),
-        msg: "no attempts made".to_string(),
-    };
-    for attempt in 0..config.max_attempts.max(1) {
-        if attempt > 0 {
-            backoff_or_timeout(config, start, "get", key, attempt, &mut retries)?;
-        }
-        match tier.get(key).map(&check) {
-            Ok(Ok(checked)) => return Ok(checked),
-            Ok(Err(detail)) => {
-                last = TierError::Corrupt {
-                    key: key.to_string(),
-                    detail,
-                }
-            }
-            Err(e @ TierError::NotFound { .. }) | Err(e @ TierError::BadKey { .. }) => {
-                return Err(e)
-            }
-            Err(e) => last = e,
-        }
-    }
-    Err(last)
+    let is_final =
+        |e: &TierError| matches!(e, TierError::NotFound { .. } | TierError::BadKey { .. });
+    retry(config, "get", key, &mut 0, is_final, || {
+        check(tier.get(key)?).map_err(|detail| TierError::Corrupt {
+            key: key.to_string(),
+            detail,
+        })
+    })
 }
 
 /// Ship one locally committed epoch: copy its objects from the local

@@ -27,7 +27,7 @@ use dmtcp_sim::memory::Memory;
 use mpi_abi::{consts, AbiError, AbiResult, Datatype, MpiAbi};
 use simnet::RankCtx;
 
-use crate::config::ManaConfig;
+use crate::config::{ManaConfig, DRAIN_MSG_OVERHEAD};
 use crate::pool::{DrainPool, PooledMsg};
 use crate::vids::VidTable;
 use crate::wrappers::ManaMpi;
@@ -153,7 +153,7 @@ fn drain(mana: &mut ManaMpi, pending: &[u64]) -> AbiResult<()> {
                     tag: st.tag,
                     payload: buf,
                 });
-                mana.ctx.advance(mana.config.drain_msg_overhead);
+                mana.ctx.advance(DRAIN_MSG_OVERHEAD);
                 progressed = true;
             }
         }

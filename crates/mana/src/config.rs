@@ -10,34 +10,35 @@
 
 use simnet::{KernelVersion, VirtualTime};
 
-/// Tunable costs of the MANA layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Wrapper bookkeeping per call (virtual-id translation, counters).
+pub const WRAPPER_OVERHEAD: VirtualTime = VirtualTime::from_nanos(150);
+/// One context switch via user-space FSGSBASE (kernel ≥ 5.9).
+pub const SWITCH_FSGSBASE: VirtualTime = VirtualTime::from_nanos(40);
+/// One context switch via the `arch_prctl` syscall path (old kernels).
+pub const SWITCH_SYSCALL: VirtualTime = VirtualTime::from_nanos(500);
+/// Collective-support bookkeeping per dissemination round: MANA's
+/// topological-sort collective algorithm maintains sequence state with
+/// extra upper↔lower crossings proportional to log₂(nranks).
+pub const COLL_ROUND_OVERHEAD: VirtualTime = VirtualTime::from_nanos(150);
+/// Modelled checkpoint-image write bandwidth (bytes/second) to the
+/// parallel filesystem.
+pub const CKPT_WRITE_BW: f64 = 1.0e9;
+/// Per-message cost of draining an in-flight message into the pool.
+pub const DRAIN_MSG_OVERHEAD: VirtualTime = VirtualTime::from_nanos(400);
+/// Cost of handing an image to the background writer (queue insert +
+/// ownership transfer), charged per checkpoint when
+/// [`ManaConfig::async_image_writes`] is on.
+pub const CKPT_SUBMIT_OVERHEAD: VirtualTime = VirtualTime::from_micros(5);
+
+/// The MANA layer's per-run settings; its costs are the constants above.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ManaConfig {
-    /// Wrapper bookkeeping per call (virtual-id translation, counters).
-    pub wrapper_overhead: VirtualTime,
-    /// One context switch via user-space FSGSBASE (kernel ≥ 5.9).
-    pub switch_fsgsbase: VirtualTime,
-    /// One context switch via the `arch_prctl` syscall path (old kernels).
-    pub switch_syscall: VirtualTime,
-    /// Collective-support bookkeeping per dissemination round: MANA's
-    /// topological-sort collective algorithm maintains sequence state with
-    /// extra upper↔lower crossings proportional to log₂(nranks).
-    pub coll_round_overhead: VirtualTime,
-    /// Modelled checkpoint-image write bandwidth (bytes/second) to the
-    /// parallel filesystem.
-    pub ckpt_write_bw: f64,
-    /// Per-message cost of draining an in-flight message into the pool.
-    pub drain_msg_overhead: VirtualTime,
     /// When `true`, image writes are asynchronous: the rank hands its
     /// image to the background store at the rendezvous and resumes, paying
-    /// only [`ManaConfig::ckpt_submit_overhead`] instead of the full
+    /// only [`CKPT_SUBMIT_OVERHEAD`] instead of the full
     /// [`ManaConfig::image_write_time`]. Set by the session when a
     /// delta-checkpoint store is attached.
     pub async_image_writes: bool,
-    /// Cost of handing an image to the background writer (queue insert +
-    /// ownership transfer), charged per checkpoint when
-    /// [`ManaConfig::async_image_writes`] is on.
-    pub ckpt_submit_overhead: VirtualTime,
     /// Modelled size of the **static upper half** each rank image
     /// carries: program text, read-only data, allocator slack — the part
     /// of a real MANA image that never changes between epochs and, on
@@ -49,35 +50,19 @@ pub struct ManaConfig {
     pub static_image_bytes: usize,
 }
 
-impl Default for ManaConfig {
-    fn default() -> Self {
-        ManaConfig {
-            wrapper_overhead: VirtualTime::from_nanos(150),
-            switch_fsgsbase: VirtualTime::from_nanos(40),
-            switch_syscall: VirtualTime::from_nanos(500),
-            coll_round_overhead: VirtualTime::from_nanos(150),
-            ckpt_write_bw: 1.0e9,
-            drain_msg_overhead: VirtualTime::from_nanos(400),
-            async_image_writes: false,
-            ckpt_submit_overhead: VirtualTime::from_micros(5),
-            static_image_bytes: 0,
-        }
-    }
-}
-
 impl ManaConfig {
     /// Cost of one upper↔lower context switch on the given kernel.
     pub fn switch_cost(&self, kernel: KernelVersion) -> VirtualTime {
         if kernel.has_userspace_fsgsbase() {
-            self.switch_fsgsbase
+            SWITCH_FSGSBASE
         } else {
-            self.switch_syscall
+            SWITCH_SYSCALL
         }
     }
 
     /// Cost of one full wrapper crossing (enter lower half + return).
     pub fn crossing_cost(&self, kernel: KernelVersion) -> VirtualTime {
-        self.switch_cost(kernel) + self.switch_cost(kernel) + self.wrapper_overhead
+        self.switch_cost(kernel) + self.switch_cost(kernel) + WRAPPER_OVERHEAD
     }
 
     /// Extra cost charged on collective calls: the topological-sort
@@ -87,13 +72,13 @@ impl ManaConfig {
     /// bookkeeping work).
     pub fn collective_extra(&self, kernel: KernelVersion, nranks: usize) -> VirtualTime {
         let rounds = usize::BITS - nranks.saturating_sub(1).leading_zeros();
-        let per_round = self.coll_round_overhead + self.switch_cost(kernel);
+        let per_round = COLL_ROUND_OVERHEAD + self.switch_cost(kernel);
         VirtualTime::from_nanos(per_round.as_nanos() * rounds as u64)
     }
 
     /// Modelled time to write `bytes` of checkpoint image.
     pub fn image_write_time(&self, bytes: usize) -> VirtualTime {
-        VirtualTime::from_nanos((bytes as f64 / self.ckpt_write_bw * 1e9) as u64)
+        VirtualTime::from_nanos((bytes as f64 / CKPT_WRITE_BW * 1e9) as u64)
     }
 
     /// What the checkpoint costs on the rank's critical path: the full
@@ -101,7 +86,7 @@ impl ManaConfig {
     /// store when asynchronous writes are enabled.
     pub fn ckpt_critical_path_time(&self, bytes: usize) -> VirtualTime {
         if self.async_image_writes {
-            self.ckpt_submit_overhead
+            CKPT_SUBMIT_OVERHEAD
         } else {
             self.image_write_time(bytes)
         }
@@ -121,10 +106,7 @@ mod tests {
             old.as_nanos() >= 4 * new.as_nanos(),
             "syscall path must dominate: {old} vs {new}"
         );
-        assert_eq!(
-            old,
-            c.switch_syscall + c.switch_syscall + c.wrapper_overhead
-        );
+        assert_eq!(old, SWITCH_SYSCALL + SWITCH_SYSCALL + WRAPPER_OVERHEAD);
     }
 
     #[test]
@@ -157,12 +139,12 @@ mod tests {
             c.image_write_time(1_000_000)
         );
         c.async_image_writes = true;
-        assert_eq!(c.ckpt_critical_path_time(1_000_000), c.ckpt_submit_overhead);
+        assert_eq!(c.ckpt_critical_path_time(1_000_000), CKPT_SUBMIT_OVERHEAD);
         assert_eq!(
             c.ckpt_critical_path_time(1),
             c.ckpt_critical_path_time(1_000_000_000),
             "submit cost must not scale with image size"
         );
-        assert!(c.ckpt_submit_overhead < c.image_write_time(1_000_000));
+        assert!(CKPT_SUBMIT_OVERHEAD < c.image_write_time(1_000_000));
     }
 }

@@ -15,7 +15,7 @@
 //!   call, translating the application's *virtual* handles to the current
 //!   lower half's real handles, counting point-to-point traffic for the
 //!   drain protocol, and charging the split-process crossing cost;
-//! * [`config::ManaConfig`] — the cost model, including the FSGSBASE
+//! * [`config`] — the cost model as constants, including the FSGSBASE
 //!   register story: on kernels ≥ 5.9 the upper↔lower context switch is a
 //!   cheap user-space register write; on the paper's CentOS 7 it needs a
 //!   syscall, which the paper identifies as the main overhead source;

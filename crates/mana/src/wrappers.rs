@@ -84,11 +84,6 @@ impl ManaMpi {
         self.pool.len()
     }
 
-    /// The cost model in effect.
-    pub fn config(&self) -> &ManaConfig {
-        &self.config
-    }
-
     // ------------------------------------------------------------------
     // Cost accounting
     // ------------------------------------------------------------------

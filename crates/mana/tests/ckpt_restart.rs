@@ -7,6 +7,7 @@ use std::rc::Rc;
 use dmtcp_sim::coordinator::{CkptMode, Coordinator};
 use dmtcp_sim::memory::Memory;
 use mana_sim::ckpt::{maybe_checkpoint, restore_rank, CkptAction};
+use mana_sim::config::{SWITCH_FSGSBASE, SWITCH_SYSCALL};
 use mana_sim::{ManaConfig, ManaMpi};
 use mpi_abi::{consts, AbiResult, Datatype, Handle, MpiAbi, ReduceOp};
 use muk::{MukShim, Vendor};
@@ -99,10 +100,9 @@ fn mana_overhead_visible_on_old_kernel_only() {
         old > new,
         "FSGSBASE syscall fallback must cost extra virtual time: old={old} new={new}"
     );
-    let config = ManaConfig::default();
     // 101 wrapper calls cross the split-process boundary: one comm_rank
     // plus the 100 sendrecvs.
-    let per_call = 2 * (config.switch_syscall.as_nanos() - config.switch_fsgsbase.as_nanos());
+    let per_call = 2 * (SWITCH_SYSCALL.as_nanos() - SWITCH_FSGSBASE.as_nanos());
     assert_eq!(
         old - new,
         101 * per_call,

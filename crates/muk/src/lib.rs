@@ -22,7 +22,7 @@
 //!   library's `Process<V>`, the handle tables and the translation helpers;
 //! * [`overhead`] — the three per-call costs;
 //! * [`registry`] — the "dynamic loader": one soname per [`Vendor`]
-//!   ([`registry::open_wrap`] is our `dlopen`).
+//!   ([`registry::open_vendor`] opens the native baseline).
 //!
 //! The MANA-like checkpointer (`mana-sim`) binds to the standard ABI only,
 //! which is precisely how the paper's revised MANA needs to be compiled
@@ -40,5 +40,5 @@ pub mod registry;
 pub mod shim;
 mod wrap;
 
-pub use registry::{open_wrap, soname_for, Vendor};
+pub use registry::{soname_for, Vendor};
 pub use shim::MukShim;

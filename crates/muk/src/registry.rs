@@ -2,10 +2,9 @@
 //!
 //! Real Mukautuva detects the underlying MPI at runtime and `dlopen`s the
 //! matching wrap library by soname. This module is the analogue: one
-//! soname per [`Vendor`], with [`open_wrap`] playing the role of `dlopen` +
-//! `dlsym`. What it opens is a [`MukShim`] over that vendor's wrap
-//! library; without the shim in front ([`open_vendor`]) it is the native
-//! baseline.
+//! soname per [`Vendor`] ([`soname_for`]). What Mukautuva opens is a
+//! [`MukShim`] over that vendor's wrap library; without the shim in front
+//! ([`open_vendor`]) it is the native baseline.
 
 use std::rc::Rc;
 
@@ -51,18 +50,6 @@ pub fn soname_for(vendor: Vendor) -> &'static str {
     }
 }
 
-/// "dlopen" a wrap library by soname — the one wrap source, instantiated
-/// for that vendor's header — and initialize the vendor library
-/// underneath it for this rank, with nothing in front. Unknown sonames
-/// fail like a missing shared object would.
-pub fn open_wrap(soname: &str, ctx: Rc<RankCtx>) -> Result<Box<dyn MpiAbi>, String> {
-    let vendor = Vendor::ALL
-        .into_iter()
-        .find(|&vendor| soname_for(vendor) == soname)
-        .ok_or_else(|| format!("cannot open shared object file: {soname}: No such file"))?;
-    Ok(open_vendor(vendor, ctx))
-}
-
 /// The native baseline: a vendor's wrap library with no shim in front
 /// (the application recompiled against the vendor's header), charged no
 /// translation cost.
@@ -73,25 +60,6 @@ pub fn open_vendor(vendor: Vendor, ctx: Rc<RankCtx>) -> Box<dyn MpiAbi> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{ClusterSpec, World};
-
-    #[test]
-    fn sonames_resolve_and_unknown_fails() {
-        let spec = ClusterSpec::builder().nodes(1).ranks_per_node(1).build();
-        World::run(&spec, |ctx| {
-            let lib = open_wrap("libmpich-wrap.so", ctx.clone()).unwrap();
-            assert!(lib.library_version().contains("mpich-sim"));
-            let lib = open_wrap("libompi-wrap.so", ctx.clone()).unwrap();
-            assert!(lib.library_version().contains("ompi-sim"));
-            let err = match open_wrap("libmvapich-wrap.so", ctx.clone()) {
-                Err(e) => e,
-                Ok(_) => panic!("unknown soname must fail"),
-            };
-            assert!(err.contains("No such file"));
-            Ok(())
-        })
-        .unwrap();
-    }
 
     #[test]
     fn vendor_names() {

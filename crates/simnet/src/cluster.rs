@@ -116,8 +116,6 @@ pub struct ClusterSpec {
     pub shm_link: LinkModel,
     /// Kernel version on the compute nodes.
     pub kernel: KernelVersion,
-    /// Relative compute speed of the nodes (1.0 = the paper's Xeon E5-2690v3).
-    pub cpu_speed: f64,
     /// Stochastic jitter applied to message costs (off by default).
     pub noise: NoiseModel,
     /// Extra wire bytes charged per message (headers, framing).
@@ -182,9 +180,6 @@ impl ClusterSpec {
         if self.ranks_per_node == 0 {
             return Err("cluster must have at least one rank per node".into());
         }
-        if self.cpu_speed <= 0.0 {
-            return Err("cpu_speed must be positive".into());
-        }
         Ok(())
     }
 }
@@ -203,7 +198,6 @@ pub struct ClusterSpecBuilder {
     interconnect: Interconnect,
     shm_link: LinkModel,
     kernel: KernelVersion,
-    cpu_speed: f64,
     noise: NoiseModel,
     header_bytes: usize,
 }
@@ -218,7 +212,6 @@ impl Default for ClusterSpecBuilder {
             // effective copy bandwidth (two copies through a CMA-style path).
             shm_link: LinkModel::new(VirtualTime::from_nanos(400), 6.0e9),
             kernel: KernelVersion::CENTOS7,
-            cpu_speed: 1.0,
             noise: NoiseModel::disabled(),
             header_bytes: 64,
         }
@@ -250,12 +243,6 @@ impl ClusterSpecBuilder {
         self
     }
 
-    /// Set the relative CPU speed (scales modelled compute time).
-    pub fn cpu_speed(mut self, speed: f64) -> Self {
-        self.cpu_speed = speed;
-        self
-    }
-
     /// Enable stochastic jitter on message costs.
     pub fn noise(mut self, noise: NoiseModel) -> Self {
         self.noise = noise;
@@ -270,7 +257,6 @@ impl ClusterSpecBuilder {
             interconnect: self.interconnect,
             shm_link: self.shm_link,
             kernel: self.kernel,
-            cpu_speed: self.cpu_speed,
             noise: self.noise,
             header_bytes: self.header_bytes,
         }
@@ -326,9 +312,6 @@ mod tests {
         assert!(spec.validate().is_err());
         let mut spec = ClusterSpec::discovery();
         spec.ranks_per_node = 0;
-        assert!(spec.validate().is_err());
-        let mut spec = ClusterSpec::discovery();
-        spec.cpu_speed = 0.0;
         assert!(spec.validate().is_err());
         assert!(ClusterSpec::discovery().validate().is_ok());
     }

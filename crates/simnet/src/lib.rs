@@ -111,8 +111,7 @@ pub use pool::{PoolGuard, WorkerPool};
 pub use rank::RankCtx;
 pub use stats::{mean, median, stddev, Summary};
 pub use telemetry::{
-    Counter, Event, EventKind, Gauge, Histogram, MetricValue, MetricsRegistry, Telemetry,
-    TelemetryConfig,
+    Counter, Event, EventKind, Histogram, MetricValue, MetricsRegistry, Telemetry, TelemetryConfig,
 };
 pub use time::VirtualTime;
 pub use world::{RunPlan, World, WorldOutcome};

@@ -704,7 +704,7 @@ impl<V: NativeAbi> Process<V> {
     /// Charge the CPU cost of reducing `bytes` bytes.
     fn charge_reduce_cost(&self, bytes: usize) {
         let ns = bytes as f64 / V::REDUCE_BYTES_PER_NS;
-        self.ctx.compute(VirtualTime::from_nanos(ns as u64));
+        self.ctx.advance(VirtualTime::from_nanos(ns as u64));
     }
 
     // ------------------------------------------------------------------

@@ -105,22 +105,10 @@ impl RankCtx {
         }
     }
 
-    /// Charge modelled computation time, scaled by the cluster's CPU speed.
-    pub fn compute(&self, work: VirtualTime) {
-        self.advance(work.scale(1.0 / self.spec.cpu_speed));
-    }
-
-    /// Sleep in virtual time (e.g. the 10-second window the paper's modified
-    /// OSU benchmark uses to leave room for a checkpoint).
-    pub fn sleep(&self, dt: VirtualTime) {
-        self.advance(dt);
-    }
-
     /// Injected straggler delay: stall this rank's virtual clock by `dt`
-    /// and count the stall. Unlike [`RankCtx::compute`] the span is *not*
-    /// scaled by the cluster CPU speed — a straggler models external slowness
-    /// (an overheated node, a noisy neighbour), not application work. Used
-    /// by the fault-schedule harness to model slow-but-alive ranks.
+    /// and count the stall. A straggler models external slowness (an
+    /// overheated node, a noisy neighbour), not application work. Used by
+    /// the fault-schedule harness to model slow-but-alive ranks.
     pub fn stall(&self, dt: VirtualTime) {
         self.advance(dt);
         let mut c = self.counters.get();
@@ -198,34 +186,9 @@ mod tests {
         assert_eq!(ctx.now(), VirtualTime::from_micros(3));
         ctx.advance_to(VirtualTime::from_micros(10));
         assert_eq!(ctx.now(), VirtualTime::from_micros(10));
-    }
-
-    #[test]
-    fn compute_scales_with_cpu_speed() {
-        let spec = Arc::new(
-            ClusterSpec::builder()
-                .nodes(1)
-                .ranks_per_node(1)
-                .cpu_speed(2.0)
-                .build(),
-        );
-        let (_fabric, mut eps) = Fabric::new(&spec);
-        let ctx = RankCtx::new(
-            0,
-            spec,
-            eps.pop().unwrap(),
-            NoiseModel::disabled().stream_for_rank(0),
-        );
-        ctx.compute(VirtualTime::from_micros(10));
-        // Twice as fast a CPU: half the time.
-        assert_eq!(ctx.now(), VirtualTime::from_micros(5));
-    }
-
-    #[test]
-    fn sleep_advances_clock() {
-        let ctx = make_ctx();
-        ctx.sleep(VirtualTime::from_secs(10));
-        assert_eq!(ctx.now(), VirtualTime::from_secs(10));
+        // A 10 s window (the OSU checkpoint sleep) lands exactly.
+        ctx.advance(VirtualTime::from_secs(10));
+        assert_eq!(ctx.now(), VirtualTime::from_nanos(10_000_010_000));
     }
 
     #[test]

@@ -294,24 +294,6 @@ impl Counter {
     }
 }
 
-/// A named gauge: a value that can move both ways (queue depths, live
-/// replica counts).
-#[derive(Clone, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Set the gauge.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::SeqCst)
-    }
-}
-
 struct HistogramInner {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
@@ -367,7 +349,6 @@ impl Histogram {
 #[derive(Clone)]
 enum Metric {
     Counter(Counter),
-    Gauge(Gauge),
     Histogram(Histogram),
 }
 
@@ -376,8 +357,6 @@ enum Metric {
 pub enum MetricValue {
     /// Counter value.
     Counter(u64),
-    /// Gauge value.
-    Gauge(u64),
     /// Histogram reading.
     Histogram {
         /// Number of observations.
@@ -390,10 +369,10 @@ pub enum MetricValue {
 }
 
 impl MetricValue {
-    /// The scalar view: counter/gauge value, or a histogram's sum.
+    /// The scalar view: a counter's value, or a histogram's sum.
     pub fn scalar(&self) -> u64 {
         match self {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => *v,
+            MetricValue::Counter(v) => *v,
             MetricValue::Histogram { sum, .. } => *sum,
         }
     }
@@ -435,18 +414,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Get or register the gauge `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = registry_lock(&self.inner);
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::default()))
-        {
-            Metric::Gauge(g) => g.clone(),
-            _ => Gauge::default(),
-        }
-    }
-
     /// Get or register the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
         let mut map = registry_lock(&self.inner);
@@ -466,7 +433,6 @@ impl MetricsRegistry {
             .map(|(name, metric)| {
                 let value = match metric {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.get()),
                     Metric::Histogram(h) => MetricValue::Histogram {
                         count: h.count(),
                         sum: h.sum(),
@@ -1009,7 +975,7 @@ fn metrics_json(snapshot: &BTreeMap<String, MetricValue>) -> String {
         out.push_str(&json_string(name));
         out.push(':');
         match value {
-            MetricValue::Counter(v) | MetricValue::Gauge(v) => out.push_str(&v.to_string()),
+            MetricValue::Counter(v) => out.push_str(&v.to_string()),
             MetricValue::Histogram { count, sum, .. } => {
                 out.push_str(&format!("{{\"count\":{count},\"sum\":{sum}}}"));
             }
@@ -1084,21 +1050,19 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_gauges_histograms() {
+    fn registry_counters_and_histograms() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("a.count");
         c.incr();
         c.add(4);
         // Re-registration returns the same cell.
         assert_eq!(reg.counter("a.count").get(), 5);
-        reg.gauge("b.gauge").set(17);
         let h = reg.histogram("c.hist");
         h.observe(0);
         h.observe(1);
         h.observe(1000);
         let snap = reg.snapshot();
         assert_eq!(snap["a.count"], MetricValue::Counter(5));
-        assert_eq!(snap["b.gauge"], MetricValue::Gauge(17));
         match &snap["c.hist"] {
             MetricValue::Histogram {
                 count,
