@@ -637,7 +637,8 @@ pub(crate) struct RunWiring {
     /// load faulted in about a third more fresh pages (2 cores, glibc).
     pub store: OnceLock<DeltaStore>,
     /// The chain head, when the run restarts from it: loaded through the
-    /// handle that becomes the run's committer lane.
+    /// handle that becomes the run's committer lane, and moved out into
+    /// the restore, so the run does not hold a second copy of it.
     pub head: Option<WorldImage>,
 }
 
@@ -766,7 +767,7 @@ impl Session {
     /// Restore a checkpointed world image and continue the program —
     /// possibly under a different vendor than it was checkpointed with.
     pub fn restore(&self, image: &WorldImage, program: &dyn MpiProgram) -> StoolResult<RunOutcome> {
-        self.run_alone(program, Some(image), false)
+        self.run_alone(program, Some(image.clone()), false)
     }
 
     /// Restart from the newest epoch of the session's attached delta
@@ -786,27 +787,28 @@ impl Session {
 
     /// This session as the one run of its own wiring, on a pool as wide
     /// as its world, restoring `image` or, with `from_head`, the head of
-    /// its own chain.
+    /// its own chain, which moves out of the wiring into the restore.
     fn run_alone(
         &self,
         program: &dyn MpiProgram,
-        image: Option<&WorldImage>,
+        image: Option<WorldImage>,
         from_head: bool,
     ) -> StoolResult<RunOutcome> {
         let pool = WorkerPool::new(self.config.cluster.nranks());
-        let wiring = wire_runs(&[(&self.config, None)], None, from_head)?;
-        let image = image.or(wiring[0].head.as_ref());
+        let mut wiring = wire_runs(&[(&self.config, None)], None, from_head)?;
+        let image = image.or_else(|| wiring[0].head.take());
         self.run_inner(program, image, &pool, &wiring[0])
     }
 
     /// One run over its [`RunWiring`]: the world gang-admits onto `pool`,
     /// checkpoints through the wiring's committer lane, and reports
     /// through its recorder. With `image`, the run restores it: under
-    /// MANA, into a world of the image's size.
+    /// MANA, into a world of the image's size, each rank moving its own
+    /// image out of a slot of its own.
     pub(crate) fn run_inner(
         &self,
         program: &dyn MpiProgram,
-        image: Option<&WorldImage>,
+        image: Option<WorldImage>,
         pool: &WorkerPool,
         wiring: &RunWiring,
     ) -> StoolResult<RunOutcome> {
@@ -827,7 +829,8 @@ impl Session {
                         cluster.nranks()
                     )));
                 }
-                Some((image, mana_cfg))
+                let slots: Vec<_> = image.ranks.into_iter().map(Mutex::new).collect();
+                Some((slots, mana_cfg))
             }
         };
         // The recorder is attached to every layer below before any rank
@@ -899,13 +902,13 @@ impl Session {
         // starved by narrow ones) and held for the whole run.
         let _gang = pool.acquire(cluster.nranks());
         let run_result = World::run_plan(cluster_arc, fabric, endpoints, plan, |ctx| {
-            let (mut stack, mut mem, resume) = match restore {
+            let (mut stack, mut mem, resume) = match &restore {
                 None => (Stack::build(&spec, &ctx), Memory::new(), None),
-                Some((img, mana_cfg)) => {
+                Some((slots, mana_cfg)) => {
                     let lower = spec.build_lower(&ctx);
-                    let restored =
-                        restore_rank(ctx.clone(), mana_cfg, lower, &img.ranks[ctx.rank()])
-                            .map_err(|e| to_sim(StoolError::Restore(e)))?;
+                    let img = std::mem::take(&mut *slots[ctx.rank()].lock().expect("one holder"));
+                    let restored = restore_rank(ctx.clone(), *mana_cfg, lower, img)
+                        .map_err(|e| to_sim(StoolError::Restore(e)))?;
                     (
                         Stack::Mana(Box::new(restored.mana)),
                         restored.memory,

@@ -92,6 +92,14 @@ impl RankImage {
         self.hints.insert(name.to_string(), generation);
     }
 
+    /// Remove a section and hand over its bytes: moved when this image
+    /// alone holds them, copied when they are shared (with a clone of the
+    /// image, or with a producer's cache).
+    pub fn take_section(&mut self, name: &str) -> Option<Vec<u8>> {
+        self.hints.remove(name);
+        self.sections.remove(name).map(Arc::unwrap_or_clone)
+    }
+
     /// The clean-segment hint of a section, if its producer supplied one.
     pub fn section_hint(&self, name: &str) -> Option<u64> {
         self.hints.get(name).copied()
@@ -159,6 +167,14 @@ impl RankImage {
     }
 }
 
+/// A borrowed image as an owned one that shares its sections: taking a
+/// section from it copies the bytes and leaves `image` as it was.
+impl From<&RankImage> for RankImage {
+    fn from(image: &RankImage) -> RankImage {
+        image.clone()
+    }
+}
+
 /// The set of images of one checkpointed world, plus world-level metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorldImage {
@@ -222,6 +238,26 @@ mod tests {
         assert_eq!(shared.encode(), copied.encode());
         assert_eq!(shared.section_hint("memory/u"), Some(9));
         assert_eq!(Arc::strong_count(&data), 2, "shared, not copied");
+    }
+
+    #[test]
+    fn a_section_the_image_alone_holds_moves_and_a_shared_one_is_copied() {
+        let mut img = sample_image(0);
+        let held = img.section("memory").unwrap().as_ptr();
+        let shared = img.clone();
+        // Shared with `shared`: a copy, and the other holder keeps its own.
+        let copy = img.take_section("memory").unwrap();
+        assert_ne!(copy.as_ptr(), held);
+        assert_eq!(copy, [1, 2, 3, 0]);
+        assert_eq!(shared.section("memory").unwrap().as_ptr(), held);
+        assert_eq!(shared, sample_image(0));
+        assert_eq!(img.section("memory"), None);
+        // Held by this image alone: the buffer itself.
+        let mut img = RankImage::from(&shared);
+        drop(shared);
+        let moved = img.take_section("memory").unwrap();
+        assert_eq!(moved.as_ptr(), held);
+        assert_eq!(img.take_section("memory"), None);
     }
 
     #[test]

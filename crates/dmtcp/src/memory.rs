@@ -296,13 +296,36 @@ impl Memory {
         Some(w.into_raw())
     }
 
-    /// Insert one segment from its [`Self::encode_segment`] bytes.
-    pub fn insert_segment(&mut self, name: &str, buf: &[u8]) -> Result<(), CodecError> {
-        let mut r = Reader::raw(buf);
-        let seg = Self::decode_seg(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(CodecError::LengthOutOfBounds(r.remaining() as u64));
+    /// Insert one segment from its [`Self::encode_segment`] bytes. A
+    /// byte segment keeps `buf` itself, its tag and length dropped in
+    /// place; a typed one is decoded into a vector sized by the bytes
+    /// present, never by the length they claim.
+    pub fn insert_segment(&mut self, name: &str, mut buf: Vec<u8>) -> Result<(), CodecError> {
+        let mut r = Reader::raw(&buf);
+        let (tag, len) = (r.u8()?, r.u64()?);
+        let width = match tag {
+            0..=2 => 8,
+            3 => 1,
+            t => return Err(CodecError::LengthOutOfBounds(t as u64)),
+        };
+        // The claim must cover the bytes present exactly: none missing,
+        // none trailing.
+        if len.saturating_mul(width) != r.remaining() as u64 {
+            return Err(CodecError::LengthOutOfBounds(len));
         }
+        let header = buf.len() - r.remaining();
+        let words = buf[header..]
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        let seg = match tag {
+            0 => Segment::F64(words.map(f64::from_bits).collect()),
+            1 => Segment::I64(words.map(|w| w as i64).collect()),
+            2 => Segment::U64(words.collect()),
+            _ => {
+                buf.drain(..header);
+                Segment::Bytes(buf)
+            }
+        };
         self.touch(name);
         self.segments.insert(name.to_string(), seg);
         Ok(())
@@ -332,38 +355,6 @@ impl Memory {
             Segment::Bytes(v) => w.bytes(v),
         }
     }
-
-    fn decode_seg(r: &mut Reader<'_>) -> Result<Segment, CodecError> {
-        let tag = r.u8()?;
-        Ok(match tag {
-            0 => {
-                let len = r.u64()? as usize;
-                let mut v = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    v.push(r.f64()?);
-                }
-                Segment::F64(v)
-            }
-            1 => {
-                let len = r.u64()? as usize;
-                let mut v = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    v.push(r.i64()?);
-                }
-                Segment::I64(v)
-            }
-            2 => {
-                let len = r.u64()? as usize;
-                let mut v = Vec::with_capacity(len.min(1 << 20));
-                for _ in 0..len {
-                    v.push(r.u64()?);
-                }
-                Segment::U64(v)
-            }
-            3 => Segment::Bytes(r.bytes()?.to_vec()),
-            t => return Err(CodecError::LengthOutOfBounds(t as u64)),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -382,12 +373,76 @@ mod tests {
         let mut m2 = Memory::new();
         for name in m.names() {
             let section = m.encode_segment(name).unwrap();
-            m2.insert_segment(name, &section).unwrap();
+            m2.insert_segment(name, section).unwrap();
         }
         assert_eq!(m, m2);
         assert_eq!(m2.f64s("u").unwrap(), &[1.5, -2.5, 3.25]);
         assert_eq!(m2.get_f64("energy"), Some(-1.25e6));
         assert_eq!(m2.get_u64("seeds"), Some(42));
+    }
+
+    /// A segment's bytes as [`Memory::encode_segment`] lays them out: a
+    /// tag, a little-endian length, then `body`.
+    fn encoded(tag: u8, len: u64, body: &[u8]) -> Vec<u8> {
+        [&[tag][..], &len.to_le_bytes(), body].concat()
+    }
+
+    #[test]
+    fn malformed_segments_are_errors_and_insert_nothing() {
+        let cases = [
+            ("unknown tag", encoded(4, 1, &[0; 8])),
+            ("bytes past the end", encoded(3, 10, &[0; 5])),
+            ("f64s past the end", encoded(0, 3, &[0; 16])),
+            ("trailing bytes", encoded(3, 2, &[0; 5])),
+            ("trailing words", encoded(2, 1, &[0; 16])),
+            ("no length", vec![3, 0, 0]),
+            ("empty", Vec::new()),
+            // Decoding sized by these claims would allocate gigabytes, or
+            // panic on a capacity overflow.
+            (
+                "bytes above MAX_FIELD_LEN",
+                encoded(3, (1 << 32) + 1, &[0; 4]),
+            ),
+            ("f64s above any capacity", encoded(0, u64::MAX / 4, &[0; 8])),
+            ("u64s whose size overflows", encoded(2, u64::MAX, &[0; 8])),
+        ];
+        let mut m = Memory::new();
+        for (what, buf) in cases {
+            assert!(m.insert_segment("x", buf).is_err(), "{what}");
+        }
+        assert!(m.is_empty() && m.generation("x").is_none());
+        m.insert_segment("x", encoded(1, 1, &(-3i64).to_le_bytes()))
+            .unwrap();
+        assert_eq!(m.i64s("x"), Some(&[-3][..]));
+    }
+
+    #[test]
+    fn a_restored_byte_segment_keeps_its_section_buffer() {
+        use crate::image::RankImage;
+        let mut m = Memory::new();
+        m.bytes_mut("blob", 4096).fill(7);
+        let mut img = RankImage::new(0, 1, 1);
+        img.put_section("memory/blob", m.encode_segment("blob").unwrap());
+        let held = img.section("memory/blob").unwrap().as_ptr();
+
+        // Shared with another holder: the restore copies, the holder keeps
+        // its bytes.
+        let other = img.clone();
+        let mut copied = Memory::new();
+        let section = RankImage::from(&img).take_section("memory/blob").unwrap();
+        copied.insert_segment("blob", section).unwrap();
+        assert_ne!(copied.bytes("blob").unwrap().as_ptr(), held);
+        assert_eq!(other.section("memory/blob").unwrap().as_ptr(), held);
+        assert_eq!(other, img);
+        drop(other);
+
+        // Held by the image alone: the segment is the section's buffer.
+        let mut moved = Memory::new();
+        let section = img.take_section("memory/blob").unwrap();
+        moved.insert_segment("blob", section).unwrap();
+        assert_eq!(moved.bytes("blob").unwrap().as_ptr(), held);
+        assert_eq!(moved, m);
+        assert_eq!(moved, copied);
     }
 
     #[test]

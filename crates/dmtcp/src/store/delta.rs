@@ -2,6 +2,7 @@
 //! commit pipeline, retention GC and the loader.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -49,16 +50,50 @@ pub(super) fn parse_key(key: &str) -> Option<(u64, &str, &str)> {
     Some((epoch.parse().ok()?, suffix, name))
 }
 
-/// Each epoch's `blocks.bin`, read once; an unreadable file is kept as
-/// its error, for the first block that needs it.
-type BlockFiles = HashMap<u64, Result<Vec<u8>, StoreError>>;
+/// Referenced spans of one `blocks.bin` that lie less than this far
+/// apart are read as one range: a gap this short costs less to read than
+/// another request.
+const MERGE_GAP: u64 = 4096;
+
+/// The referenced ranges of one epoch's `blocks.bin`, concatenated in
+/// `data`, and per range, ascending, where it starts in the file and in
+/// `data`.
+struct BlockFile {
+    starts: Vec<(u64, usize)>,
+    data: Vec<u8>,
+}
+
+/// Each referenced epoch's `blocks.bin`, read once; an unreadable file is
+/// kept as its error, for the first block that needs it.
+type BlockFiles = HashMap<u64, Result<BlockFile, StoreError>>;
+
+/// `spans` (`offset..end`, in any order) merged where they overlap or lie
+/// less than [`MERGE_GAP`] apart.
+fn merge_spans(mut spans: Vec<Range<u64>>) -> Vec<Range<u64>> {
+    spans.sort_unstable_by_key(|r| r.start);
+    let mut merged: Vec<Range<u64>> = Vec::new();
+    for span in spans {
+        match merged.last_mut() {
+            Some(last) if span.start < last.end.saturating_add(MERGE_GAP) => {
+                last.end = last.end.max(span.end);
+            }
+            _ => merged.push(span),
+        }
+    }
+    merged
+}
 
 /// The stored bytes `loc` names in `files`, once they pass their CRC:
-/// `Ok(None)` when they lie outside the file or fail it.
+/// `Ok(None)` when they lie outside what was read or fail it.
 fn stored_block<'f>(files: &'f BlockFiles, loc: &BlockLoc) -> Result<Option<&'f [u8]>, StoreError> {
     let file = files[&loc.epoch].as_ref().map_err(StoreError::clone)?;
+    let i = file
+        .starts
+        .partition_point(|&(start, _)| start <= loc.offset);
+    let (start, at) = file.starts[i.checked_sub(1).expect("a read range holds every loc")];
     Ok(file
-        .get(loc.offset as usize..)
+        .data
+        .get(at + (loc.offset - start) as usize..)
         .and_then(|from| from.get(..loc.len as usize))
         .filter(|stored| crc32(stored) == loc.crc))
 }
@@ -410,16 +445,30 @@ impl DeltaStore {
         Manifest::decode(&buf).map_err(|source| StoreError::Manifest { epoch, source })
     }
 
-    /// The `blocks.bin` of each epoch in `epochs`, read once each.
-    fn block_files(&self, epochs: impl IntoIterator<Item = u64>) -> BlockFiles {
-        let mut files = BlockFiles::new();
-        for epoch in epochs {
-            files.entry(epoch).or_insert_with(|| {
-                self.get(&epoch_key(epoch, "", BLOCKS))?
-                    .ok_or(StoreError::MissingEpoch { epoch })
-            });
+    /// The blocks `locs` reference, one ranged read of each `blocks.bin`
+    /// they lie in.
+    fn read_blocks<'l>(&self, locs: impl IntoIterator<Item = &'l BlockLoc>) -> BlockFiles {
+        let mut spans: BTreeMap<u64, Vec<Range<u64>>> = BTreeMap::new();
+        for loc in locs {
+            let end = loc.offset.saturating_add(loc.len as u64);
+            spans.entry(loc.epoch).or_default().push(loc.offset..end);
         }
-        files
+        let read = |epoch: u64, ranges: Vec<Range<u64>>| {
+            let key = epoch_key(epoch, "", BLOCKS);
+            let data = match self.vol.get_ranges(&key, &ranges) {
+                Err(TierError::NotFound { .. }) => Err(StoreError::MissingEpoch { epoch }),
+                read => read.map_err(|e| self.vol_err(e)),
+            }?;
+            let at = ranges.iter().scan(0, |at, r| {
+                Some(std::mem::replace(at, *at + (r.end - r.start) as usize))
+            });
+            let starts = ranges.iter().map(|r| r.start).zip(at).collect();
+            Ok(BlockFile { starts, data })
+        };
+        spans
+            .into_iter()
+            .map(|(epoch, spans)| (epoch, read(epoch, merge_spans(spans))))
+            .collect()
     }
 
     /// Commit one epoch: write a full base or a delta against the chain
@@ -552,7 +601,7 @@ impl DeltaStore {
         // copy is what encoding would write. A source that cannot be read
         // is encoded instead.
         let compression = self.config.compression;
-        let sources = self.block_files(plan.iter().filter_map(|(_, s)| s.map(|l| l.epoch)));
+        let sources = self.read_blocks(plan.iter().filter_map(|(_, s)| s.as_ref()));
         let parts: Vec<&[(&[u8], Option<BlockLoc>)]> =
             plan.chunks(plan.len().div_ceil(threads).max(1)).collect();
         let encoded: Vec<(Vec<u8>, Vec<BlockLoc>, u64)> = fan_out(&parts, threads, |_, part| {
@@ -792,7 +841,8 @@ impl DeltaStore {
     }
 
     /// Reconstruct one epoch's world image by walking the chain: read its
-    /// manifest and every `blocks.bin` it references once, then
+    /// manifest and, in one ranged read per `blocks.bin` it references,
+    /// the blocks it references (see [`merge_spans`]), then
     /// reassemble the ranks fanned out over `writer_threads` (see
     /// [`fan_out`]). Each block is CRC32-verified and then decoded
     /// straight into its span of the section buffer. Results join in rank
@@ -805,9 +855,13 @@ impl DeltaStore {
             .iter()
             .flat_map(|(_, _, _, sections)| sections);
         let started = Instant::now();
-        let files =
-            self.block_files(locs.flat_map(|(_, blocks)| blocks.iter().map(|(_, l)| l.epoch)));
+        let files = self.read_blocks(locs.flat_map(|(_, blocks)| blocks.iter().map(|(_, l)| l)));
         let read = started.elapsed();
+        let read_bytes = files.values().flatten().map(|f| f.data.len() as u64).sum();
+        self.telemetry
+            .metrics()
+            .counter("store.load.read_bytes")
+            .add(read_bytes);
         let assemble = |slot: usize, rec: &(usize, usize, u64, Vec<SectionRefs>)| {
             let (rank, nranks, rank_epoch, sections) = rec;
             if *rank != slot {
@@ -1054,6 +1108,46 @@ mod tests {
             other => panic!("expected BlockCorrupt, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_truncated_blocks_file_reports_the_block_the_cut_falls_in() {
+        let dir = tmp_dir("trunc");
+        let mut store = DeltaStore::open_with(&dir, small_cfg()).unwrap();
+        store.commit(&image(1, 3, 0x44, 3000)).unwrap();
+        store.commit(&image(2, 3, 0x55, 3000)).unwrap();
+        // Cut the base's blocks.bin in the middle of rank 1's third
+        // "static" block: rank 0, rank 1's "hot" (epoch 2) and its first
+        // two base blocks still load, so that block is the first error.
+        let manifest = store.read_manifest(2).unwrap();
+        let (name, blocks) = &manifest.ranks[1].3[1];
+        assert_eq!(name, "static");
+        let loc = blocks[2].1;
+        assert_eq!(loc.epoch, 1);
+        let path = dir.join("epoch_000001").join("blocks.bin");
+        let buf = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &buf[..(loc.offset + loc.len as u64 / 2) as usize]).unwrap();
+        assert_eq!(
+            store.load_epoch(2).unwrap_err(),
+            StoreError::BlockCorrupt {
+                epoch: 2,
+                src_epoch: 1,
+                offset: loc.offset,
+                rank: 1,
+                section: "static".to_string(),
+            }
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn spans_less_than_4_kib_apart_are_read_as_one_range() {
+        assert_eq!(
+            merge_spans(vec![8295..8300, 0..100, 50..60, 4196..4200, 100..100]),
+            [0..100, 4196..8300],
+            "a gap of 4096 B keeps spans apart, one of 4095 B merges them"
+        );
+        assert!(merge_spans(Vec::new()).is_empty());
     }
 
     #[test]

@@ -47,6 +47,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -122,12 +123,12 @@ impl std::error::Error for TierError {}
 /// A second storage tier holding opaque sealed objects.
 ///
 /// The interface is deliberately the lowest common denominator of object
-/// stores: whole-object put/get, flat keys with `/` as a naming (not
-/// filesystem) convention, idempotent delete, prefix listing. Everything
-/// the store ships through it is self-verifying (seal CRCs + the
-/// manifest's own checksum trailer), so a tier implementation does not
-/// need read-after-write consistency stronger than "a completed put is
-/// eventually observable".
+/// stores: whole-object put/get, ranged get, flat keys with `/` as a
+/// naming (not filesystem) convention, idempotent delete, prefix
+/// listing. Everything the store ships through it is self-verifying
+/// (seal CRCs + the manifest's own checksum trailer), so a tier
+/// implementation does not need read-after-write consistency stronger
+/// than "a completed put is eventually observable".
 ///
 /// A returned put is durable: the object survives a crash or power loss
 /// of the caller from that moment on. Every publish protocol built on the
@@ -141,10 +142,33 @@ pub trait ObjectTier: Send + Sync {
     fn put(&self, key: &str, data: &[u8]) -> Result<(), TierError>;
     /// Fetch the object at `key`.
     fn get(&self, key: &str) -> Result<Vec<u8>, TierError>;
+    /// Fetch the byte ranges `ranges` of the object at `key`, concatenated
+    /// in order. A range past the end of the object reads short, down to
+    /// nothing, and never errs. The default is an [`ObjectTier::get`] plus
+    /// a copy, so a wrapper's scripts and counts see one get.
+    fn get_ranges(&self, key: &str, ranges: &[Range<u64>]) -> Result<Vec<u8>, TierError> {
+        Ok(concat_ranges(&self.get(key)?, ranges))
+    }
     /// List every key starting with `prefix` (pass `""` for all keys).
     fn list(&self, prefix: &str) -> Result<Vec<String>, TierError>;
     /// Delete the object at `key`; deleting a missing object succeeds.
     fn delete(&self, key: &str) -> Result<(), TierError>;
+}
+
+/// `r` within an object of `len` bytes: a range past the end reads short.
+fn clip(r: &Range<u64>, len: u64) -> Range<usize> {
+    let start = r.start.min(len);
+    start as usize..r.end.clamp(start, len) as usize
+}
+
+/// The bytes of `data` that `ranges` name, concatenated.
+fn concat_ranges(data: &[u8], ranges: &[Range<u64>]) -> Vec<u8> {
+    let len = data.len() as u64;
+    let mut out = Vec::with_capacity(ranges.iter().map(|r| clip(r, len).len()).sum());
+    for r in ranges {
+        out.extend_from_slice(&data[clip(r, len)]);
+    }
+    out
 }
 
 /// Jitter applied to every backoff step, in permille of the step: each
@@ -403,6 +427,16 @@ impl FsTier {
         }
     }
 
+    /// A read's error: a missing file is [`TierError::NotFound`].
+    fn get_err(key: &str, e: std::io::Error) -> TierError {
+        match e.kind() {
+            std::io::ErrorKind::NotFound => TierError::NotFound {
+                key: key.to_string(),
+            },
+            _ => Self::io("get", key, e),
+        }
+    }
+
     /// Map an object key to a path under the root, rejecting keys that
     /// would escape it or collide with the staging area.
     fn key_path(&self, key: &str) -> Result<PathBuf, TierError> {
@@ -478,14 +512,24 @@ impl ObjectTier for FsTier {
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>, TierError> {
-        let path = self.key_path(key)?;
-        match std::fs::read(&path) {
-            Ok(buf) => Ok(buf),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(TierError::NotFound {
-                key: key.to_string(),
-            }),
-            Err(e) => Err(Self::io("get", key, e)),
+        std::fs::read(self.key_path(key)?).map_err(|e| Self::get_err(key, e))
+    }
+
+    /// Positioned reads of `ranges`, each clipped to the file's length.
+    fn get_ranges(&self, key: &str, ranges: &[Range<u64>]) -> Result<Vec<u8>, TierError> {
+        use std::os::unix::fs::FileExt as _;
+        let io = |e| Self::get_err(key, e);
+        let file = std::fs::File::open(self.key_path(key)?).map_err(io)?;
+        let len = file.metadata().map_err(io)?.len();
+        let clipped: Vec<Range<usize>> = ranges.iter().map(|r| clip(r, len)).collect();
+        let mut out = vec![0u8; clipped.iter().map(Range::len).sum()];
+        let mut rest = out.as_mut_slice();
+        for r in clipped {
+            let (buf, tail) = rest.split_at_mut(r.len());
+            file.read_exact_at(buf, r.start as u64).map_err(io)?;
+            rest = tail;
         }
+        Ok(out)
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>, TierError> {
@@ -529,6 +573,20 @@ impl MemTier {
     pub fn new() -> MemTier {
         MemTier::default()
     }
+
+    /// `read` of the object at `key`, under the lock.
+    fn read(
+        &self,
+        key: &str,
+        read: impl FnOnce(&Vec<u8>) -> Vec<u8>,
+    ) -> Result<Vec<u8>, TierError> {
+        check_key(key)?;
+        let objects = self.objects.lock().expect("mem tier lock");
+        let data = objects.get(key).ok_or_else(|| TierError::NotFound {
+            key: key.to_string(),
+        })?;
+        Ok(read(data))
+    }
 }
 
 fn check_key(key: &str) -> Result<(), TierError> {
@@ -556,15 +614,11 @@ impl ObjectTier for MemTier {
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>, TierError> {
-        check_key(key)?;
-        self.objects
-            .lock()
-            .expect("mem tier lock")
-            .get(key)
-            .cloned()
-            .ok_or_else(|| TierError::NotFound {
-                key: key.to_string(),
-            })
+        self.read(key, Vec::clone)
+    }
+
+    fn get_ranges(&self, key: &str, ranges: &[Range<u64>]) -> Result<Vec<u8>, TierError> {
+        self.read(key, |data| concat_ranges(data, ranges))
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>, TierError> {
@@ -956,6 +1010,31 @@ mod tests {
         // Overwrite replaces.
         tier.put("epoch_000002/seal", b"replaced").unwrap();
         assert_eq!(tier.get("epoch_000002/seal").unwrap(), b"replaced");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn every_volume_reads_ranges_alike_and_short_at_the_end() {
+        let root = tmp_dir("ranges");
+        let script = Script::new();
+        let vols: [Arc<dyn ObjectTier>; 3] = [
+            Arc::new(FsTier::open(&root).unwrap()),
+            Arc::new(MemTier::new()),
+            script.wrap(Arc::new(MemTier::new())),
+        ];
+        for vol in vols {
+            vol.put("e/blocks.bin", b"0123456789").unwrap();
+            let read = |ranges: &[Range<u64>]| vol.get_ranges("e/blocks.bin", ranges).unwrap();
+            assert_eq!(read(&[1..3, 5..5, 6..9]), b"12678");
+            assert_eq!(read(&[8..12, 20..30]), b"89", "past the end reads short");
+            assert_eq!(read(&[]), b"");
+            assert!(matches!(
+                vol.get_ranges("e/missing", &[0..1, 2..3]),
+                Err(TierError::NotFound { .. })
+            ));
+        }
+        // The default is one get, so a script sees and faults it as one.
+        assert_eq!(script.calls(Op::Get, None), 4);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -268,13 +268,16 @@ pub struct Restored {
 
 /// Restore a rank from its image over a **fresh lower half** — the lower
 /// half may be a different MPI implementation than the one checkpointed
-/// under; the image never references vendor state.
+/// under; the image never references vendor state. The memory sections
+/// move into the restored [`Memory`] when `image` alone holds them; a
+/// borrowed image (`&RankImage`) shares them, and they are copied.
 pub fn restore_rank(
     ctx: Rc<RankCtx>,
     config: ManaConfig,
     mut lower: Box<dyn MpiAbi>,
-    image: &RankImage,
+    image: impl Into<RankImage>,
 ) -> Result<Restored, String> {
+    let mut image = image.into();
     if image.nranks != ctx.nranks() {
         return Err(format!(
             "image is for a {}-rank world, cluster has {} ranks",
@@ -297,9 +300,9 @@ pub fn restore_rank(
     let resume_step = r.u64().map_err(|e| e.to_string())?;
 
     let idx = image
-        .section(sections::MEMORY_INDEX)
+        .take_section(sections::MEMORY_INDEX)
         .ok_or("missing memory index section")?;
-    let mut r = Reader::raw(idx);
+    let mut r = Reader::raw(&idx);
     let count = r.u64().map_err(|e| e.to_string())?;
     if count > 1 << 24 {
         return Err(format!("memory index claims {count} segments"));
@@ -308,7 +311,7 @@ pub fn restore_rank(
     for _ in 0..count {
         let name = r.string().map_err(|e| e.to_string())?;
         let data = image
-            .section(&format!("{}{name}", sections::MEMORY_PREFIX))
+            .take_section(&format!("{}{name}", sections::MEMORY_PREFIX))
             .ok_or_else(|| format!("missing memory segment {name}"))?;
         memory
             .insert_segment(&name, data)

@@ -111,7 +111,7 @@ proptest! {
         let mut back = Memory::new();
         for name in mem.names() {
             let section = mem.encode_segment(name).expect("a held segment");
-            back.insert_segment(name, &section).expect("decode");
+            back.insert_segment(name, section).expect("decode");
         }
         prop_assert_eq!(back, mem);
     }

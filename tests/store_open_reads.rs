@@ -3,16 +3,64 @@
 //!
 //! An open decodes the head manifest only. The chain length behind a
 //! delta head — how many deltas since the newest full base — is walked
-//! back by the first commit that needs it. These tests count the
-//! manifests an open and a load read, and hold a handle reopened after
-//! any commit to the full/delta sequence and the stored bytes of a
-//! handle that never closed.
+//! back by the first commit that needs it. A load reads, of each
+//! `blocks.bin` the head references, only the ranges it references.
+//! These tests count the manifests and block bytes an open and a load
+//! read, and hold a handle reopened after any commit to the full/delta
+//! sequence and the stored bytes of a handle that never closed.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mpi_stool::dmtcp::testing::{Op, Script};
-use mpi_stool::dmtcp::{DeltaStore, MemTier, ObjectTier, RankImage, StoreConfig, WorldImage};
+use mpi_stool::dmtcp::{
+    DeltaStore, MemTier, ObjectTier, RankImage, StoreConfig, TierError, WorldImage,
+};
+use mpi_stool::simnet::telemetry::Telemetry;
+
+/// A volume that counts the `blocks.bin` bytes its reads deliver.
+struct Metered {
+    inner: Arc<dyn ObjectTier>,
+    block_bytes: AtomicU64,
+}
+
+impl Metered {
+    fn count(&self, key: &str, read: Result<Vec<u8>, TierError>) -> Result<Vec<u8>, TierError> {
+        if let (true, Ok(data)) = (key.ends_with("/blocks.bin"), &read) {
+            self.block_bytes
+                .fetch_add(data.len() as u64, Ordering::Relaxed);
+        }
+        read
+    }
+
+    fn block_bytes(&self) -> u64 {
+        self.block_bytes.load(Ordering::Relaxed)
+    }
+}
+
+impl ObjectTier for Metered {
+    fn put(&self, key: &str, data: &[u8]) -> Result<(), TierError> {
+        self.inner.put(key, data)
+    }
+
+    fn get(&self, key: &str) -> Result<Vec<u8>, TierError> {
+        self.count(key, self.inner.get(key))
+    }
+
+    fn get_ranges(&self, key: &str, ranges: &[Range<u64>]) -> Result<Vec<u8>, TierError> {
+        self.count(key, self.inner.get_ranges(key, ranges))
+    }
+
+    fn list(&self, prefix: &str) -> Result<Vec<String>, TierError> {
+        self.inner.list(prefix)
+    }
+
+    fn delete(&self, key: &str) -> Result<(), TierError> {
+        self.inner.delete(key)
+    }
+}
 
 /// Every object on `vol`, by key.
 fn objects(vol: &dyn ObjectTier) -> BTreeMap<String, Vec<u8>> {
@@ -66,7 +114,10 @@ fn cfg(max_chain: usize) -> StoreConfig {
 #[test]
 fn an_open_and_a_load_read_the_head_manifest_twice_and_no_other() {
     let script = Script::new();
-    let vol = script.wrap(Arc::new(MemTier::new()));
+    let vol = Arc::new(Metered {
+        inner: script.wrap(Arc::new(MemTier::new())),
+        block_bytes: AtomicU64::new(0),
+    });
     let mut store = DeltaStore::open_on(vol.clone(), cfg(8)).unwrap();
     for step in 1..=9 {
         store.commit(&world(step)).unwrap();
@@ -77,14 +128,41 @@ fn an_open_and_a_load_read_the_head_manifest_twice_and_no_other() {
         "a base and eight deltas"
     );
     drop(store);
+    let size = |epoch: u64| {
+        let key = format!("epoch_{epoch:06}/blocks.bin");
+        vol.inner.get(&key).unwrap().len() as u64
+    };
+    let chain: u64 = (1..=9).map(size).sum();
+    // Noise is stored raw: the base holds each rank's 600 B "hot" section
+    // then its 3000 B "static" one, the head its three "hot" sections.
+    let (base, head) = (size(1), size(9));
+    assert_eq!((base, head), (3 * 3600, 3 * 600));
 
     let manifest_gets = || script.calls(Op::Get, Some("manifest.bin"));
-    let before = manifest_gets();
-    let store = DeltaStore::open_on(vol.clone(), cfg(8)).unwrap();
+    let block_gets = || script.calls(Op::Get, Some("blocks.bin"));
+    let before = (manifest_gets(), block_gets(), vol.block_bytes());
+    let mut store = DeltaStore::open_on(vol.clone(), cfg(8)).unwrap();
+    let tel = Telemetry::detached();
+    store.attach_telemetry(tel.clone());
     assert_eq!(store.load_latest().unwrap(), world(9));
     // One decode at open, one at load: the eight manifests behind the
     // head are not read.
-    assert_eq!(manifest_gets() - before, 2);
+    assert_eq!(manifest_gets() - before.0, 2);
+    // One get of each blocks.bin the head references: the base's and
+    // its own.
+    assert_eq!(block_gets() - before.1, 2);
+    // The head references every "static" block of the base and every
+    // block of its own. The base's first 600 B (rank 0's old "hot") are
+    // not read; the 600 B gaps between the "static" sections are, as
+    // part of one merged range.
+    let referenced = base - 600 + head;
+    assert_eq!(vol.block_bytes() - before.2, referenced);
+    let read_bytes = tel.metrics().counter("store.load.read_bytes").get();
+    assert_eq!(read_bytes, referenced);
+    assert!(
+        referenced < chain,
+        "{referenced} B of the chain's {chain} B"
+    );
 }
 
 /// Commit `steps` images, reopening the handle after commit `reopen_at`
