@@ -906,7 +906,7 @@ impl Session {
                 None => (Stack::build(&spec, &ctx), Memory::new(), None),
                 Some((slots, mana_cfg)) => {
                     let lower = spec.build_lower(&ctx);
-                    let img = std::mem::take(&mut *slots[ctx.rank()].lock().expect("one holder"));
+                    let img = std::mem::take(&mut *slots[ctx.rank()].lock().expect("rank-owned"));
                     let restored = restore_rank(ctx.clone(), *mana_cfg, lower, img)
                         .map_err(|e| to_sim(StoolError::Restore(e)))?;
                     (
