@@ -6,7 +6,7 @@
 //! baselines:
 //!
 //! * `rendezvous_wallclock` — wall-clock of one full checkpoint
-//!   rendezvous round (gather → counters → image → finish) over the
+//!   rendezvous round (scheduled cut → counters → image → finish) over the
 //!   **flat** and **tree** coordinator barriers, per world size. This is
 //!   the tentpole curve: flat grows linearly with the world (one lock,
 //!   N-thread thundering herd), the radix-32 tree stays near-logarithmic.
@@ -74,10 +74,9 @@ fn cluster(nranks: usize) -> ClusterSpec {
 /// (counter-exchange barrier → image staging → double finish barrier)
 /// over `n` agent threads.
 ///
-/// The cut is pinned with `schedule_checkpoint_at` (the policy-driven
-/// path), so each rank polls exactly once per round and the measured
-/// region is the *rendezvous* — barrier cascades and sharded staging —
-/// not the gather's safe-point polling.
+/// The cut is pinned with `schedule_checkpoint_at`, so each rank polls
+/// exactly once per round and the measured region is the *rendezvous* —
+/// barrier cascades and sharded staging.
 fn rendezvous_round_ms(n: usize, topology: BarrierTopology) -> f64 {
     /// One untimed warmup round (absorbs thread start-up and first-touch
     /// costs) followed by the timed rounds.
@@ -231,9 +230,9 @@ fn virt_makespan(nranks: usize, vendor: Vendor, program: &dyn MpiProgram, ckpt: 
 /// leader takeovers recovered across it: one scenario per barrier phase
 /// (arrive, pre-seal, post-seal, release), each a fresh 3-rank world with
 /// a fresh 3-replica group whose leader is killed at that phase of the
-/// middle round. The ranks advance through the lockstep loop, rank 0
-/// pressing at steps 5, 15 and 25 of 40, so every press opens its own
-/// round whatever the OS schedule. Every scenario must complete all three
+/// middle round. The ranks advance through the lockstep loop with cuts
+/// scheduled at steps 5, 15 and 25 of 40, so every cut is its own round
+/// whatever the OS schedule. Every scenario must complete all three
 /// rounds with exactly one election-timeout takeover, so the metric is
 /// exactly 4 — fully deterministic, gated as such.
 fn failover_recovery_rounds() -> u64 {
@@ -251,13 +250,8 @@ fn failover_recovery_rounds() -> u64 {
         let group = Arc::new(ReplicaGroup::in_memory(ReplicaConfig::default(), clock));
         group.script_faults([ReplicaFault::KillLeaderAt(phase)]);
         coord.attach_replicas(group.clone());
-        let press = |step| {
-            if [5, 15, 25].contains(&step) {
-                coord.request_checkpoint(CkptMode::Continue);
-            }
-        };
         let zeros = vec![0u64; n];
-        lockstep(&coord, n, 40, press, |rank, session| {
+        lockstep(&coord, n, 40, &[5, 15, 25], |rank, session| {
             session
                 .exchange_counters(&zeros, &zeros)
                 .expect("exchange_counters");

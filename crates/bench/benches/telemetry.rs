@@ -22,9 +22,7 @@ use stool::{Checkpointer, DurabilityPolicy, EventKind, Session, StorePolicy, Tel
 /// (no-replica, no-tier) checkpointing run. Per-round counts are a pure
 /// function of the virtual-time schedule.
 const CONTROL_PLANE: &[EventKind] = &[
-    EventKind::CkptRequest,
     EventKind::CkptScheduled,
-    EventKind::CutFinalized,
     EventKind::RendezvousEnter,
     EventKind::BarrierPhase,
     EventKind::EpochCommit,

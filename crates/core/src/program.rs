@@ -164,9 +164,9 @@ impl AppCtx<'_> {
             }
             return Ok(Flow::Stop);
         }
-        // Policy-driven checkpoints are *scheduled*: every rank runs the
-        // same policy and announces the same step before polling there, so
-        // the coordinator pins the cut to this exact step (no gather).
+        // Checkpoints are *scheduled*, the one way a coordinator round
+        // opens: every rank runs the same policy and announces the same
+        // step before polling there, so the cut is this exact step.
         if self.policy.at_step == Some(next_step) {
             if let Some(coord) = &self.coordinator {
                 coord.schedule_checkpoint_at(next_step, self.policy.mode);

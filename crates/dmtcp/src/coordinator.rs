@@ -7,25 +7,21 @@
 //! every application *safe point* (a point with no incomplete nonblocking
 //! requests, between two steps of the main loop).
 //!
-//! # The coordinated quiesce: gather, then rendezvous at the cut
+//! # The coordinated quiesce: a scheduled cut
 //!
-//! A request ("press the button") may be observed by different ranks at
-//! *different* safe-point steps, and a naive "everyone stops at their next
-//! safe point" deadlocks: a rank parked at step *s* has not yet executed
-//! its step-*s* sends, so a peer blocked in a step-*s* receive never
-//! reaches its own safe point. Instead the protocol runs in two phases:
-//!
-//! 1. **Gather** — at its first safe point after the request, each rank
-//!    publishes its position and *keeps running* (nothing is withheld, so
-//!    every rank makes progress to its next safe point). When the last
-//!    rank has published, the **cut** is finalized as the maximum over all
-//!    positions, counting ranks already released back into their step body
-//!    as `position + 1` (the next step they can stop at).
-//! 2. **Rendezvous** — each rank runs forward normally and enters the
-//!    checkpoint barrier exactly at the cut step. A rank waiting at the
-//!    cut has already executed every send below it (and the transport is
-//!    eager), so ranks below the cut never need a waiting rank to make
-//!    progress: the rendezvous always forms.
+//! A round opens only at a scheduled cut: every rank runs the same
+//! checkpoint policy and announces the step with
+//! [`Coordinator::schedule_checkpoint_at`] *before* polling there. The
+//! first announcement opens the round with its cut pinned to that step;
+//! the others join it. A rank polling below the cut runs on, and every
+//! rank enters the checkpoint barrier exactly at the cut. "Everyone stops
+//! at their next safe point" would deadlock — a rank parked at step *s*
+//! has not yet executed its step-*s* sends, so a peer blocked in a step-*s*
+//! receive never reaches its own safe point — but nobody stops early
+//! here: a rank waiting at the cut has already executed every send below
+//! it (and the transport is eager), so a rank below the cut never waits on
+//! a rank at it, and the rendezvous always forms. Which step the cut is
+//! never depends on how the OS scheduled the ranks.
 //!
 //! Inside the rendezvous, phases proceed over a poisonable barrier:
 //! counter exchange (publish per-peer send/receive counts, learn the
@@ -51,8 +47,8 @@
 //! (the unit-step structure every iterative MPI workload has), and all
 //! ranks must share the same step structure. Violations are detected and
 //! reported as [`CkptError::StepSkew`]/[`CkptError::Overrun`] rather than
-//! deadlocking. A rank that finishes its program while a gather is in
-//! progress aborts the round (a world image missing a rank is not
+//! deadlocking. A rank that finishes its program before anyone entered an
+//! open round abandons it (a world image missing a rank is not
 //! restorable); a rank that dies mid-rendezvous poisons the barrier so the
 //! survivors unwind with [`CkptError::Poisoned`] instead of hanging.
 
@@ -66,15 +62,6 @@ use simnet::telemetry::{EventKind, Telemetry};
 use crate::image::{RankImage, WorldImage};
 use crate::replica::{phase_code, BarrierPhase, ReplicaError, ReplicaGroup, ReplicaRecord};
 use crate::store::StoreError;
-
-/// Numeric code for a [`CkptMode`] in telemetry event payloads
-/// (`0` = continue, `1` = stop).
-fn mode_code(mode: CkptMode) -> u64 {
-    match mode {
-        CkptMode::Continue => 0,
-        CkptMode::Stop => 1,
-    }
-}
 
 /// A consumer of completed world images, attached to the coordinator with
 /// [`Coordinator::attach_sink`]. The paradigm case is the asynchronous
@@ -437,21 +424,14 @@ impl<T> ShardedSlots<T> {
 enum Phase {
     /// No round in progress.
     Idle,
-    /// Collecting each rank's first post-request position.
-    Gather,
-    /// The cut is agreed; ranks are running forward to it.
+    /// A cut is scheduled; ranks are running forward to it.
     Rendezvous {
         /// The step every rank checkpoints at.
         cut: u64,
         /// This round's epoch (becomes `completed_epoch` on success).
         epoch: u64,
-        /// The continue/stop decision, latched when the cut was agreed.
+        /// The continue/stop decision, latched when the cut was scheduled.
         mode: CkptMode,
-    },
-    /// The round was abandoned (a rank finished its program first).
-    Aborted {
-        /// Requests up to this epoch are consumed by the abort.
-        epoch: u64,
     },
 }
 
@@ -476,7 +456,6 @@ struct Round {
 struct Shared {
     nranks: usize,
     requested_epoch: AtomicU64,
-    mode: TrackedMutex<CkptMode>,
     round: TrackedMutex<Round>,
     sync: SyncPoint,
     /// Per-rank (sent_to, received_from) matrices for the drain protocol.
@@ -536,7 +515,6 @@ impl Coordinator {
             shared: Arc::new(Shared {
                 nranks,
                 requested_epoch: AtomicU64::new(0),
-                mode: TrackedMutex::named("coord.mode", CkptMode::Continue),
                 round: TrackedMutex::named(
                     "coord.round",
                     Round {
@@ -586,9 +564,9 @@ impl Coordinator {
         self.shared.replicas.lock().expect("replicas lock").clone()
     }
 
-    /// Attach a flight recorder: every protocol transition (requests,
-    /// scheduled cuts, gather finalization, rendezvous entries, barrier
-    /// phases, epoch seals, resignations, poisons) is emitted as a
+    /// Attach a flight recorder: every protocol transition (scheduled
+    /// cuts, rendezvous entries, barrier phases, epoch seals,
+    /// resignations, poisons) is emitted as a
     /// structured event on the recorder's coordinator lane. First
     /// attachment wins; later calls are ignored.
     pub fn attach_telemetry(&self, tel: Arc<Telemetry>) {
@@ -605,32 +583,18 @@ impl Coordinator {
         self.shared.nranks
     }
 
-    /// Request a checkpoint ("press the button"). Ranks observe it at
-    /// their next safe point and run the gather/rendezvous protocol.
-    /// Returns the new epoch.
-    pub fn request_checkpoint(&self, mode: CkptMode) -> u64 {
-        *self.shared.mode.lock().expect("mode lock") = mode;
-        let e = self.shared.requested_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        self.shared
-            .emit(EventKind::CkptRequest, e, mode_code(mode), 0);
-        e
-    }
-
-    /// Schedule a checkpoint at an exact safe-point step (the
-    /// policy-driven path). Unlike [`Coordinator::request_checkpoint`],
-    /// every rank runs the same policy and calls this at the *same* step,
-    /// so no gather is needed: the cut is pinned to `step` exactly.
-    /// Idempotent across ranks; the first caller opens the round.
+    /// Schedule a checkpoint at an exact safe-point step: the one way a
+    /// round opens. Every rank runs the same policy and calls this at the
+    /// *same* step, so the cut is pinned to `step` exactly. Idempotent
+    /// across ranks; the first caller opens the round and latches its
+    /// `mode`, the others join it. Returns this request's epoch.
     ///
     /// A rank must call this at its own `step` safe point *before* polling
-    /// there. If an asynchronous round is already in progress the call
-    /// degrades to a plain request, served by the pending round.
+    /// there. Once any rank has resigned no round can complete, so the
+    /// request opens nothing and the next poll consumes it.
     pub fn schedule_checkpoint_at(&self, step: u64, mode: CkptMode) -> u64 {
         let mut round = self.shared.round.lock().expect("round lock");
-        let epoch = {
-            *self.shared.mode.lock().expect("mode lock") = mode;
-            self.shared.requested_epoch.fetch_add(1, Ordering::SeqCst) + 1
-        };
+        let epoch = self.shared.requested_epoch.fetch_add(1, Ordering::SeqCst) + 1;
         if round.phase == Phase::Idle && round.finished == 0 {
             let round_no = self.shared.completed_rounds.load(Ordering::SeqCst) + 1;
             round.phase = Phase::Rendezvous {
@@ -639,8 +603,12 @@ impl Coordinator {
                 mode,
             };
             round.pos.fill(None);
-            self.shared
-                .emit(EventKind::CkptScheduled, step, mode_code(mode), round_no);
+            self.shared.emit(
+                EventKind::CkptScheduled,
+                step,
+                u64::from(mode == CkptMode::Stop),
+                round_no,
+            );
         }
         epoch
     }
@@ -669,7 +637,6 @@ impl Coordinator {
             shared: self.shared.clone(),
             rank,
             seen_epoch: 0,
-            in_protocol: false,
             resigned: false,
         }
     }
@@ -677,11 +644,8 @@ impl Coordinator {
 
 /// What [`RankAgent::poll`] decided at a safe point.
 pub enum Poll<'a> {
-    /// No checkpoint is pending; run on.
+    /// This safe point is not a cut; run on.
     None,
-    /// A round is in progress but this rank's turn to checkpoint has not
-    /// come; keep running to the next safe point.
-    KeepRunning,
     /// This safe point is the cut: run the checkpoint protocol now.
     Enter(CkptSession<'a>),
 }
@@ -691,9 +655,6 @@ pub struct RankAgent {
     shared: Arc<Shared>,
     rank: usize,
     seen_epoch: u64,
-    /// True between entering the rendezvous barrier and finishing; used to
-    /// poison the round if this rank dies inside it.
-    in_protocol: bool,
     resigned: bool,
 }
 
@@ -734,31 +695,34 @@ impl RankAgent {
         let shared = self.shared.clone();
         let mut round = shared.round.lock().expect("round lock");
         match round.phase {
-            Phase::Aborted { epoch } => {
-                self.seen_epoch = self.seen_epoch.max(epoch);
-                Ok(Poll::None)
-            }
             _ if round.finished > 0 => {
                 // A rank has left for good: no future round can complete.
                 // Consume everything requested so far and run on.
                 self.seen_epoch = shared.requested_epoch.load(Ordering::SeqCst);
                 Ok(Poll::None)
             }
-            Phase::Idle => {
-                round.phase = Phase::Gather;
-                round.pos.fill(None);
-                round.pos[self.rank] = Some(next_step);
-                self.gather_or_run(&mut round, next_step)
-            }
-            Phase::Gather => {
-                self.check_step(&round, next_step)?;
-                round.pos[self.rank] = Some(next_step);
-                self.gather_or_run(&mut round, next_step)
-            }
+            Phase::Idle => Ok(Poll::None),
             Phase::Rendezvous { cut, epoch, mode } => {
                 self.check_step(&round, next_step)?;
                 round.pos[self.rank] = Some(next_step);
-                self.at_rendezvous(&mut round, next_step, cut, epoch, mode)
+                if next_step < cut {
+                    return Ok(Poll::None);
+                }
+                if next_step > cut {
+                    return Err(CkptError::Overrun {
+                        cut,
+                        got: next_step,
+                    });
+                }
+                self.shared
+                    .emit(EventKind::RendezvousEnter, self.rank as u64, cut, epoch);
+                round.entered += 1;
+                Ok(Poll::Enter(CkptSession {
+                    agent: self,
+                    cut,
+                    epoch,
+                    mode,
+                }))
             }
         }
     }
@@ -776,67 +740,11 @@ impl RankAgent {
         Ok(())
     }
 
-    /// In the gather phase with our position recorded: finalize the cut if
-    /// we are the last to publish, then decide our own fate.
-    fn gather_or_run(&mut self, round: &mut Round, next_step: u64) -> Result<Poll<'_>, CkptError> {
-        if round.pos.iter().any(Option::is_none) {
-            // Others still unheard from; keep running (nothing is
-            // withheld, so they all reach a safe point).
-            return Ok(Poll::KeepRunning);
-        }
-        // Everyone has published: finalize. A rank other than us may be
-        // anywhere inside its current step body, so the earliest step it
-        // can still stop at is its last published position + 1.
-        let cut = round
-            .pos
-            .iter()
-            .enumerate()
-            .map(|(r, p)| p.expect("all published") + u64::from(r != self.rank))
-            .max()
-            .expect("nranks > 0");
-        let epoch = self.shared.completed_rounds.load(Ordering::SeqCst) + 1;
-        let mode = *self.shared.mode.lock().expect("mode lock");
-        self.shared
-            .emit(EventKind::CutFinalized, self.rank as u64, cut, epoch);
-        round.phase = Phase::Rendezvous { cut, epoch, mode };
-        self.at_rendezvous(round, next_step, cut, epoch, mode)
-    }
-
-    /// A round is committed to `cut`; decide what this rank does at
-    /// `next_step`.
-    fn at_rendezvous(
-        &mut self,
-        round: &mut Round,
-        next_step: u64,
-        cut: u64,
-        epoch: u64,
-        mode: CkptMode,
-    ) -> Result<Poll<'_>, CkptError> {
-        if next_step < cut {
-            Ok(Poll::KeepRunning)
-        } else if next_step == cut {
-            self.shared
-                .emit(EventKind::RendezvousEnter, self.rank as u64, cut, epoch);
-            round.entered += 1;
-            self.in_protocol = true;
-            Ok(Poll::Enter(CkptSession {
-                agent: self,
-                cut,
-                epoch,
-                mode,
-            }))
-        } else {
-            Err(CkptError::Overrun {
-                cut,
-                got: next_step,
-            })
-        }
-    }
-
     /// Declare that this rank will reach no further safe points (its
     /// program completed or it is unwinding from a failure). Idempotent;
-    /// also invoked on drop. A gather in progress is aborted; a rendezvous
-    /// in progress is poisoned so waiting peers unwind.
+    /// also invoked on drop. An open round nobody has entered yet is
+    /// abandoned; a rendezvous in progress is poisoned so waiting peers
+    /// unwind.
     pub fn resign(&mut self) {
         if self.resigned {
             return;
@@ -844,31 +752,19 @@ impl RankAgent {
         self.resigned = true;
         let mut round = self.shared.round.lock().expect("round lock");
         round.finished += 1;
-        let mut mid_round_death = false;
-        match round.phase {
-            Phase::Gather => {
-                round.phase = Phase::Aborted {
-                    epoch: self.shared.requested_epoch.load(Ordering::SeqCst),
-                };
-                mid_round_death = true;
+        let mid_round_death = matches!(round.phase, Phase::Rendezvous { .. });
+        if let Phase::Rendezvous { epoch, .. } = round.phase {
+            if round.entered > 0 {
+                // Peers are inside the barrier; without us it can never
+                // fill. Release them with an error.
+                self.shared.emit(EventKind::Poison, epoch, 0, 0);
+                self.shared.sync.poison();
+            } else {
+                // Nobody is committed past recall yet: abandon the round.
+                // `finished` is already bumped, so every later poll
+                // consumes the requests and runs on.
+                round.phase = Phase::Idle;
             }
-            Phase::Rendezvous { epoch, .. } => {
-                if round.entered > 0 {
-                    // Peers are inside the barrier; without us it can
-                    // never fill. Release them with an error.
-                    self.shared.emit(EventKind::Poison, epoch, 0, 0);
-                    self.shared.sync.poison();
-                } else {
-                    // Nobody is committed past recall yet (e.g. the cut
-                    // landed beyond the program's final safe point):
-                    // abandon the round cleanly.
-                    round.phase = Phase::Aborted {
-                        epoch: self.shared.requested_epoch.load(Ordering::SeqCst),
-                    };
-                }
-                mid_round_death = true;
-            }
-            Phase::Idle | Phase::Aborted { .. } => {}
         }
         drop(round);
         self.shared.emit(
@@ -1069,7 +965,6 @@ impl CkptSession<'_> {
             // the agent must not re-enter it on the next poll. (A later
             // round can commit once the quorum is restored.)
             self.agent.seen_epoch = shared.round.lock().expect("round lock").consumed_epoch;
-            self.agent.in_protocol = false;
             return Err(CkptError::Replica(e));
         }
         if let Some(e) = shared.sink_error.lock().expect("sink error lock").clone() {
@@ -1079,7 +974,6 @@ impl CkptSession<'_> {
             return Err(CkptError::Store(e));
         }
         self.agent.seen_epoch = shared.round.lock().expect("round lock").consumed_epoch;
-        self.agent.in_protocol = false;
         Ok(self.mode)
     }
 }
@@ -1088,41 +982,45 @@ impl CkptSession<'_> {
 mod tests {
     use super::*;
 
-    /// Drive one rank's side of the protocol: poll at increasing steps
-    /// from `start` until a session opens, run it, and return
-    /// (cut, mode, steps_polled).
-    pub(super) fn run_to_checkpoint(
-        agent: &mut RankAgent,
-        start: u64,
-        sent: &[u64],
-        rcvd: &[u64],
-    ) -> (u64, CkptMode, u64) {
-        let mut step = start;
-        loop {
-            match agent.poll(step).expect("poll") {
-                Poll::None | Poll::KeepRunning => {
-                    step += 1;
-                    std::thread::yield_now();
-                }
-                Poll::Enter(session) => {
-                    let cut = session.cut();
-                    let pending = session.exchange_counters(sent, rcvd).expect("counters");
-                    assert!(pending.iter().all(|&p| p == 0), "no traffic in these tests");
-                    let rank = session.rank();
-                    let n = sent.len();
-                    session.submit_image(RankImage::new(rank, n, session.epoch()));
-                    let mode = session.finish().expect("finish");
-                    return (cut, mode, step - start);
-                }
-            }
+    /// Announce a cut at `step` and poll there: the session must open.
+    fn enter<'a>(
+        coord: &Coordinator,
+        agent: &'a mut RankAgent,
+        step: u64,
+        mode: CkptMode,
+    ) -> CkptSession<'a> {
+        coord.schedule_checkpoint_at(step, mode);
+        match agent.poll(step).expect("poll") {
+            Poll::Enter(session) => session,
+            Poll::None => panic!("a scheduled cut enters at its own step"),
         }
+    }
+
+    /// One rank's side of a round scheduled at `step` with no traffic.
+    /// Returns the cut and the agreed mode.
+    pub(super) fn checkpoint_at(
+        coord: &Coordinator,
+        agent: &mut RankAgent,
+        step: u64,
+        mode: CkptMode,
+    ) -> (u64, CkptMode) {
+        let session = enter(coord, agent, step, mode);
+        let n = coord.nranks();
+        let zeros = vec![0u64; n];
+        let pending = session.exchange_counters(&zeros, &zeros).expect("counters");
+        assert!(pending.iter().all(|&p| p == 0), "no traffic in these tests");
+        session.submit_image(RankImage::new(session.rank(), n, session.epoch()));
+        let cut = session.cut();
+        (cut, session.finish().expect("finish"))
     }
 
     #[test]
     fn full_protocol_over_threads() {
+        // Every rank polls the steps below the cut, then announces the
+        // cut at step 3 and polls there: one round serves all four
+        // announcements, and the cut is the scheduled step everywhere.
         let n = 4;
         let coord = Coordinator::new(n);
-        coord.request_checkpoint(CkptMode::Continue);
         let cuts = std::sync::Mutex::new(Vec::new());
         std::thread::scope(|s| {
             for rank in 0..n {
@@ -1130,20 +1028,23 @@ mod tests {
                 let cuts = &cuts;
                 s.spawn(move || {
                     let mut agent = coord.agent(rank);
-                    assert!(agent.checkpoint_pending());
-                    let zeros = vec![0u64; n];
-                    let (cut, mode, _) = run_to_checkpoint(&mut agent, 0, &zeros, &zeros);
+                    for step in 0..3 {
+                        assert!(matches!(agent.poll(step), Ok(Poll::None)));
+                    }
+                    let (cut, mode) = checkpoint_at(&coord, &mut agent, 3, CkptMode::Continue);
                     assert_eq!(mode, CkptMode::Continue);
                     assert!(!agent.checkpoint_pending());
                     cuts.lock().unwrap().push(cut);
                 });
             }
         });
-        let cuts = cuts.into_inner().unwrap();
-        assert_eq!(cuts.len(), n);
-        assert!(cuts.iter().all(|&c| c == cuts[0]), "uniform cut: {cuts:?}");
+        assert_eq!(cuts.into_inner().unwrap(), vec![3; n]);
         assert_eq!(coord.completed_epoch(), 1);
-        assert_eq!(coord.completed_rounds(), 1);
+        assert_eq!(
+            coord.completed_rounds(),
+            1,
+            "one round serves every request"
+        );
         let world = coord.take_world_image("test").expect("all images staged");
         assert_eq!(world.nranks(), n);
         // Taking again yields nothing: staging was drained.
@@ -1156,7 +1057,6 @@ mod tests {
         // *every* tree group, not only the victim's.
         let n = 6;
         let coord = Coordinator::with_topology(n, BarrierTopology::Tree { radix: 2 });
-        coord.request_checkpoint(CkptMode::Continue);
         let committed = std::sync::Barrier::new(n);
         std::thread::scope(|s| {
             for rank in 0..n - 1 {
@@ -1164,16 +1064,7 @@ mod tests {
                 let committed = &committed;
                 s.spawn(move || {
                     let mut agent = coord.agent(rank);
-                    let mut step = 0;
-                    let session = loop {
-                        match agent.poll(step).expect("poll") {
-                            Poll::Enter(session) => break session,
-                            _ => {
-                                step += 1;
-                                std::thread::yield_now();
-                            }
-                        }
-                    };
+                    let session = enter(&coord, &mut agent, 0, CkptMode::Continue);
                     committed.wait();
                     let zeros = vec![0u64; n];
                     let err = session.exchange_counters(&zeros, &zeros).unwrap_err();
@@ -1184,9 +1075,7 @@ mod tests {
             let committed = &committed;
             s.spawn(move || {
                 let mut agent = coord.agent(n - 1);
-                // Publish a gather position so the cut can be agreed, then
-                // die once every survivor is parked in the barrier.
-                agent.poll(0).expect("poll");
+                // Die once every survivor is inside the barrier.
                 committed.wait();
                 agent.resign();
             });
@@ -1233,22 +1122,12 @@ mod tests {
     fn counter_deficit_computed_from_peer_matrices() {
         let n = 4;
         let coord = Coordinator::new(n);
-        coord.request_checkpoint(CkptMode::Continue);
         std::thread::scope(|s| {
             for rank in 0..n {
                 let coord = coord.clone();
                 s.spawn(move || {
                     let mut agent = coord.agent(rank);
-                    let mut step = 0;
-                    let session = loop {
-                        match agent.poll(step).expect("poll") {
-                            Poll::Enter(session) => break session,
-                            _ => {
-                                step += 1;
-                                std::thread::yield_now();
-                            }
-                        }
-                    };
+                    let session = enter(&coord, &mut agent, 0, CkptMode::Continue);
                     // Rank r has sent r messages to each peer; rank 2
                     // pretends it missed one message from rank 3.
                     let sent = vec![rank as u64; n];
@@ -1272,53 +1151,16 @@ mod tests {
     fn stop_mode_propagates() {
         let n = 2;
         let coord = Coordinator::new(n);
-        coord.request_checkpoint(CkptMode::Stop);
         std::thread::scope(|s| {
             for rank in 0..n {
                 let coord = coord.clone();
                 s.spawn(move || {
                     let mut agent = coord.agent(rank);
-                    let zeros = vec![0u64; n];
-                    let (_, mode, _) = run_to_checkpoint(&mut agent, 0, &zeros, &zeros);
+                    let (_, mode) = checkpoint_at(&coord, &mut agent, 4, CkptMode::Stop);
                     assert_eq!(mode, CkptMode::Stop);
                 });
             }
         });
-    }
-
-    #[test]
-    fn skewed_start_positions_meet_at_max_cut() {
-        // Ranks first observe the request at different steps; the cut is
-        // the max and everyone checkpoints there.
-        let n = 3;
-        let coord = Coordinator::new(n);
-        coord.request_checkpoint(CkptMode::Continue);
-        let cuts = std::sync::Mutex::new(Vec::new());
-        std::thread::scope(|s| {
-            for rank in 0..n {
-                let coord = coord.clone();
-                let cuts = &cuts;
-                s.spawn(move || {
-                    let mut agent = coord.agent(rank);
-                    let zeros = vec![0u64; n];
-                    // Rank r starts polling at step 10*r.
-                    let start = 10 * rank as u64;
-                    let (cut, _, _) = run_to_checkpoint(&mut agent, start, &zeros, &zeros);
-                    assert!(cut >= start, "cut {cut} must be reachable from {start}");
-                    cuts.lock().unwrap().push(cut);
-                });
-            }
-        });
-        let cuts = cuts.into_inner().unwrap();
-        assert!(cuts.iter().all(|&c| c == cuts[0]), "uniform cut: {cuts:?}");
-        // The last rank cannot first-observe the request below step 20, so
-        // the agreed cut is at least there (the exact value depends on how
-        // far the other ranks ran before the gather closed).
-        assert!(
-            cuts[0] >= 20,
-            "cut must be at least the max start, got {}",
-            cuts[0]
-        );
     }
 
     #[test]
@@ -1332,50 +1174,32 @@ mod tests {
     }
 
     #[test]
-    fn single_rank_enters_immediately() {
+    fn single_rank_enters_at_the_scheduled_step() {
         let coord = Coordinator::new(1);
-        coord.request_checkpoint(CkptMode::Continue);
         let mut agent = coord.agent(0);
-        match agent.poll(7).expect("poll") {
-            Poll::Enter(session) => {
-                assert_eq!(session.cut(), 7);
-                let z = vec![0u64; 1];
-                session.exchange_counters(&z, &z).expect("counters");
-                session.submit_image(RankImage::new(0, 1, session.epoch()));
-                assert_eq!(session.finish().expect("finish"), CkptMode::Continue);
-            }
-            _ => panic!("single rank must enter at its first safe point"),
-        }
+        assert_eq!(
+            checkpoint_at(&coord, &mut agent, 7, CkptMode::Continue),
+            (7, CkptMode::Continue)
+        );
         assert!(!agent.checkpoint_pending());
     }
 
     #[test]
     fn multiple_epochs() {
         let coord = Coordinator::new(1);
-        assert_eq!(coord.request_checkpoint(CkptMode::Continue), 1);
         let mut agent = coord.agent(0);
-        match agent.poll(0).expect("poll") {
-            Poll::Enter(s) => {
-                let z = vec![0u64; 1];
-                s.exchange_counters(&z, &z).unwrap();
-                s.submit_image(RankImage::new(0, 1, s.epoch()));
-                s.finish().unwrap();
-            }
-            _ => panic!("expected to enter"),
-        }
+        let once = (0, CkptMode::Continue);
+        assert_eq!(
+            checkpoint_at(&coord, &mut agent, 0, CkptMode::Continue),
+            once
+        );
         let _ = coord.take_world_image("v");
-        assert_eq!(coord.request_checkpoint(CkptMode::Continue), 2);
-        assert!(agent.checkpoint_pending());
-        match agent.poll(5).expect("poll") {
-            Poll::Enter(s) => {
-                assert_eq!(s.epoch(), 2);
-                let z = vec![0u64; 1];
-                s.exchange_counters(&z, &z).unwrap();
-                s.submit_image(RankImage::new(0, 1, s.epoch()));
-                s.finish().unwrap();
-            }
-            _ => panic!("expected to enter the second round"),
-        }
+        assert!(!agent.checkpoint_pending());
+        let twice = (5, CkptMode::Continue);
+        assert_eq!(
+            checkpoint_at(&coord, &mut agent, 5, CkptMode::Continue),
+            twice
+        );
         assert_eq!(coord.completed_epoch(), 2);
         assert_eq!(coord.completed_rounds(), 2);
     }
@@ -1393,14 +1217,12 @@ mod tests {
         let coord = Coordinator::new(n);
         let sink = Arc::new(Collect(std::sync::Mutex::new(Vec::new())));
         coord.attach_sink(sink.clone(), "MPICH");
-        coord.request_checkpoint(CkptMode::Continue);
         std::thread::scope(|s| {
             for rank in 0..n {
                 let coord = coord.clone();
                 s.spawn(move || {
                     let mut agent = coord.agent(rank);
-                    let zeros = vec![0u64; n];
-                    run_to_checkpoint(&mut agent, 0, &zeros, &zeros);
+                    checkpoint_at(&coord, &mut agent, 0, CkptMode::Continue);
                 });
             }
         });
@@ -1431,23 +1253,13 @@ mod tests {
         let n = 2;
         let coord = Coordinator::new(n);
         coord.attach_sink(Arc::new(Fail), "MPICH");
-        coord.request_checkpoint(CkptMode::Continue);
         std::thread::scope(|s| {
             for rank in 0..n {
                 let coord = coord.clone();
                 s.spawn(move || {
                     let mut agent = coord.agent(rank);
                     let zeros = vec![0u64; n];
-                    let mut step = 0;
-                    let session = loop {
-                        match agent.poll(step).expect("poll") {
-                            Poll::Enter(session) => break session,
-                            _ => {
-                                step += 1;
-                                std::thread::yield_now();
-                            }
-                        }
-                    };
+                    let session = enter(&coord, &mut agent, 0, CkptMode::Continue);
                     session.exchange_counters(&zeros, &zeros).expect("counters");
                     session.submit_image(RankImage::new(rank, n, session.epoch()));
                     // Every participant — leader or not — observes the
@@ -1459,19 +1271,19 @@ mod tests {
     }
 
     #[test]
-    fn resign_during_gather_aborts_round() {
-        let n = 2;
-        let coord = Coordinator::new(n);
-        coord.request_checkpoint(CkptMode::Continue);
+    fn resign_before_anyone_entered_abandons_the_round() {
+        let coord = Coordinator::new(2);
+        let tel = Arc::new(Telemetry::new(2));
+        coord.attach_telemetry(tel.clone());
         let mut a0 = coord.agent(0);
         let mut a1 = coord.agent(1);
-        // Rank 0 observes the request and keeps running (gather open).
-        assert!(matches!(a0.poll(3), Ok(Poll::KeepRunning)));
-        // Rank 1 finishes its program without ever polling.
+        coord.schedule_checkpoint_at(5, CkptMode::Continue);
+        // Rank 1 finishes its program before reaching the cut.
         a1.resign();
-        // Rank 0's next poll consumes the aborted request and runs on.
-        assert!(matches!(a0.poll(4), Ok(Poll::None)));
+        // Rank 0's poll at the cut consumes the request and runs on.
+        assert!(matches!(a0.poll(5), Ok(Poll::None)));
         assert!(!a0.checkpoint_pending());
+        assert_eq!(tel.emitted(EventKind::Poison), 0, "nobody was inside");
         assert_eq!(coord.completed_rounds(), 0);
     }
 
@@ -1481,7 +1293,7 @@ mod tests {
         let mut a0 = coord.agent(0);
         let mut a1 = coord.agent(1);
         a1.resign();
-        coord.request_checkpoint(CkptMode::Stop);
+        coord.schedule_checkpoint_at(0, CkptMode::Stop);
         // No round can ever complete; the request is absorbed.
         assert!(matches!(a0.poll(0), Ok(Poll::None)));
         assert!(!a0.checkpoint_pending());
@@ -1491,24 +1303,13 @@ mod tests {
     fn death_mid_rendezvous_poisons_waiters() {
         let n = 2;
         let coord = Coordinator::new(n);
-        coord.request_checkpoint(CkptMode::Continue);
         let barrier = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             let c0 = coord.clone();
             let b = &barrier;
             s.spawn(move || {
                 let mut agent = c0.agent(0);
-                // Poll until we are in the rendezvous and enter it.
-                let mut step = 0;
-                let session = loop {
-                    match agent.poll(step).expect("poll") {
-                        Poll::Enter(session) => break session,
-                        _ => {
-                            step += 1;
-                            std::thread::yield_now();
-                        }
-                    }
-                };
+                let session = enter(&c0, &mut agent, 0, CkptMode::Continue);
                 b.wait(); // let rank 1 die only once we are committed
                 let err = session.exchange_counters(&[0, 0], &[0, 0]).unwrap_err();
                 assert_eq!(err, CkptError::Poisoned);
@@ -1516,12 +1317,6 @@ mod tests {
             let c1 = coord.clone();
             s.spawn(move || {
                 let mut agent = c1.agent(1);
-                // Publish one gather position so the cut can be agreed,
-                // then die before ever reaching it.
-                match agent.poll(0) {
-                    Ok(_) => {}
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
                 b.wait();
                 agent.resign(); // dies mid-round → poison
             });
@@ -1531,55 +1326,13 @@ mod tests {
     #[test]
     fn step_skew_detected_during_round() {
         let coord = Coordinator::new(2);
-        coord.request_checkpoint(CkptMode::Continue);
+        coord.schedule_checkpoint_at(9, CkptMode::Continue);
         let mut a0 = coord.agent(0);
-        assert!(matches!(a0.poll(5), Ok(Poll::KeepRunning)));
+        assert!(matches!(a0.poll(5), Ok(Poll::None)));
         match a0.poll(9) {
             Err(e) => assert_eq!(e, CkptError::StepSkew { last: 5, got: 9 }),
             Ok(_) => panic!("step skew must be detected"),
         }
-    }
-
-    #[test]
-    fn consumed_epoch_absorbs_all_requests_before_finish() {
-        // All ranks request "their own" checkpoint at the same step (the
-        // policy-driven pattern); one round serves every request.
-        let n = 4;
-        let coord = Coordinator::new(n);
-        std::thread::scope(|s| {
-            for rank in 0..n {
-                let coord = coord.clone();
-                s.spawn(move || {
-                    let mut agent = coord.agent(rank);
-                    let zeros = vec![0u64; n];
-                    let mut step = 0;
-                    loop {
-                        if step == 3 {
-                            coord.request_checkpoint(CkptMode::Continue);
-                        }
-                        match agent.poll(step).expect("poll") {
-                            Poll::None | Poll::KeepRunning => {
-                                step += 1;
-                                std::thread::yield_now();
-                            }
-                            Poll::Enter(session) => {
-                                session.exchange_counters(&zeros, &zeros).expect("counters");
-                                session.submit_image(RankImage::new(rank, n, session.epoch()));
-                                session.finish().expect("finish");
-                                break;
-                            }
-                        }
-                    }
-                    // Every rank's request was absorbed by the one round.
-                    assert!(!agent.checkpoint_pending());
-                });
-            }
-        });
-        assert_eq!(
-            coord.completed_rounds(),
-            1,
-            "one round serves all four requests"
-        );
     }
 }
 
@@ -1600,14 +1353,12 @@ mod replica_tests {
             Arc::new(TestClock::new()),
         ));
         coord.attach_replicas(group.clone());
-        coord.request_checkpoint(CkptMode::Continue);
         std::thread::scope(|s| {
             for rank in 0..n {
                 let coord = coord.clone();
                 s.spawn(move || {
                     let mut agent = coord.agent(rank);
-                    let zeros = vec![0u64; n];
-                    super::tests::run_to_checkpoint(&mut agent, 0, &zeros, &zeros);
+                    super::tests::checkpoint_at(&coord, &mut agent, 0, CkptMode::Continue);
                 });
             }
         });

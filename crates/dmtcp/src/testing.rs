@@ -2,50 +2,47 @@
 //!
 //! * [`lockstep`] — deterministic stepping for multi-round coordinator
 //!   harnesses: the test batteries and the `scale` bench's failover
-//!   section advance their rank agents through it, never through a
-//!   free-running step budget whose outcome depends on which thread the
-//!   OS runs first;
+//!   section advance their rank agents through it, with every round at a
+//!   scheduled cut, so no outcome depends on which thread the OS runs
+//!   first;
 //! * [`ScriptedVol`] — the one fault-injecting [`ObjectTier`]: a volume
 //!   that counts its calls and applies a [`Script`] of [`Fault`]s to
 //!   them, shared by as many volumes as one simulated machine holds.
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
-use crate::coordinator::{CkptSession, Coordinator, Poll};
+use crate::coordinator::{CkptMode, CkptSession, Coordinator, Poll};
 use crate::tier::{ObjectTier, TierError};
 
-/// Drive `n` long-lived rank agents through safe points `0..steps` in
-/// lockstep. Before each step every rank waits at a barrier, rank 0 runs
-/// `press(step)` (request a checkpoint, revive a replica, ...), and a
-/// second barrier makes the press visible before anyone polls that step:
-/// every rank polls step *s* after the press for *s*, and nobody finishes
-/// (an agent's `Drop` is a resign) while a press is still to come. What
-/// the rounds do is a function of the script, not of the scheduler.
+/// Drive `n` long-lived rank agents through safe points `0..steps`, with
+/// a checkpoint scheduled at each step in `cuts`: every rank announces the
+/// cut ([`Coordinator::schedule_checkpoint_at`]) before it polls there, as
+/// a session's checkpoint policy does. The ranks meet only inside the
+/// rounds, and nobody finishes (an agent's `Drop` is a resign) before the
+/// last cut's round has released everyone, so which rounds happen, and at
+/// which steps, is a function of `cuts`, not of the scheduler.
 ///
 /// A rank that polls [`Poll::Enter`] hands the session to
 /// `round(rank, session)`; `Break` makes it leave for good, which every
-/// rank must then do at the same step (the barriers count `n` parties).
+/// rank must then do at the same cut.
 pub fn lockstep(
     coord: &Coordinator,
     n: usize,
     steps: u64,
-    press: impl Fn(u64) + Sync,
+    cuts: &[u64],
     round: impl Fn(usize, CkptSession<'_>) -> ControlFlow<()> + Sync,
 ) {
-    let gate = Barrier::new(n);
     std::thread::scope(|s| {
         for rank in 0..n {
-            let (gate, press, round) = (&gate, &press, &round);
+            let round = &round;
             s.spawn(move || {
                 let mut agent = coord.agent(rank);
                 for step in 0..steps {
-                    gate.wait();
-                    if rank == 0 {
-                        press(step);
+                    if cuts.contains(&step) {
+                        coord.schedule_checkpoint_at(step, CkptMode::Continue);
                     }
-                    gate.wait();
                     if let Poll::Enter(session) = agent.poll(step).expect("poll") {
                         if round(rank, session).is_break() {
                             return;

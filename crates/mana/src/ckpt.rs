@@ -76,11 +76,12 @@ pub enum CkptAction {
     },
 }
 
-/// Poll for a requested checkpoint at an application safe point, and take
-/// it if this safe point is the agreed cut. Called by the run-time's
-/// `checkpoint_point`. `resume_step` is the step about to execute; the
-/// coordinator's gather/rendezvous protocol guarantees that when the
-/// checkpoint happens, it happens at the *same* step on every rank (see
+/// Poll the coordinator at an application safe point, and take the
+/// checkpoint if this safe point is a scheduled cut. Called by the
+/// run-time's `checkpoint_point` after it has announced any cut at this
+/// step (`Coordinator::schedule_checkpoint_at`). `resume_step` is the step
+/// about to execute; every rank announces the same cut before polling
+/// there, so the checkpoint happens at the *same* step on every rank (see
 /// `dmtcp_sim::coordinator` for the protocol and its deadlock argument).
 pub fn maybe_checkpoint(
     mana: &mut ManaMpi,
@@ -96,7 +97,7 @@ pub fn maybe_checkpoint(
         .poll_at(resume_step, vnow)
         .map_err(|_| AbiError::Ckpt)?
     {
-        Poll::None | Poll::KeepRunning => return Ok(CkptAction::None),
+        Poll::None => return Ok(CkptAction::None),
         Poll::Enter(session) => session,
     };
     if mana.outstanding() > 0 {

@@ -170,16 +170,16 @@ fn checkpoint_stop_restart_other_vendor_same_answer() {
         let mut mem = Memory::new();
         mem.f64s_mut("acc", 1);
         for step in 0..nsteps {
-            // Safe point between steps.
+            // Safe point between steps: every rank announces the cut
+            // before polling there, as a session's policy does.
+            if step == ckpt_at {
+                coord.schedule_checkpoint_at(step, CkptMode::Stop);
+            }
             match maybe_checkpoint(&mut mana, &mut agent, &mem, step).map_err(err)? {
                 CkptAction::Stop { .. } => return Ok(None),
                 CkptAction::Taken { .. } | CkptAction::None => {}
             }
             ring_step(&mut mana, &mut mem, step).map_err(err)?;
-            if step + 1 == ckpt_at && ctx.rank() == 0 {
-                // "Press the button" once, from rank 0's thread.
-                coord.request_checkpoint(CkptMode::Stop);
-            }
         }
         Ok(Some(mem.f64s("acc").unwrap()[0]))
     })
@@ -227,7 +227,6 @@ fn in_flight_messages_survive_checkpoint_via_pool() {
     let nsteps_msg = 0xBEEFu64;
     let spec = ClusterSpec::builder().nodes(1).ranks_per_node(2).build();
     let coord = Coordinator::new(2);
-    coord.request_checkpoint(CkptMode::Stop);
     let coord_for_ranks = coord.clone();
     let _ = World::run(&spec, move |ctx| {
         let mut agent = coord_for_ranks.agent(ctx.rank());
@@ -243,19 +242,11 @@ fn in_flight_messages_survive_checkpoint_via_pool() {
             )
             .map_err(err)?;
         }
-        // Both ranks poll safe points until the agreed cut; rank 1 never
-        // posted the recv, so the message is still in flight at the cut.
-        let mut step = 0;
-        loop {
-            match maybe_checkpoint(&mut mana, &mut agent, &mem, step).map_err(err)? {
-                CkptAction::Stop { .. } => break,
-                CkptAction::Taken { .. } => panic!("mode was Stop"),
-                CkptAction::None => {
-                    step += 1;
-                    std::thread::yield_now();
-                }
-            }
-        }
+        // Both ranks checkpoint at a cut scheduled at step 0; rank 1
+        // never posted the recv, so the message is still in flight there.
+        coord_for_ranks.schedule_checkpoint_at(0, CkptMode::Stop);
+        let action = maybe_checkpoint(&mut mana, &mut agent, &mem, 0).map_err(err)?;
+        assert!(matches!(action, CkptAction::Stop { .. }), "mode was Stop");
         if ctx.rank() == 1 {
             assert_eq!(mana.pooled(), 1, "the in-flight message must be drained");
         }
@@ -329,21 +320,10 @@ fn dynamic_objects_replayed_across_vendors() {
         mem.set_u64("dup", dup.raw());
         mem.set_u64("sub", sub.raw());
         mem.set_u64("vec2", vec2.raw());
-        if ctx.rank() == 0 {
-            coord_for_ranks.request_checkpoint(CkptMode::Stop);
-        }
-        // Everyone polls safe points until the rendezvous completes.
-        let mut step = 1;
-        loop {
-            match maybe_checkpoint(&mut mana, &mut agent, &mem, step).map_err(err)? {
-                CkptAction::Stop { .. } => break,
-                CkptAction::Taken { .. } => panic!("mode was Stop"),
-                CkptAction::None => {
-                    step += 1;
-                    std::thread::yield_now();
-                }
-            }
-        }
+        // Everyone checkpoints at a cut scheduled at step 1.
+        coord_for_ranks.schedule_checkpoint_at(1, CkptMode::Stop);
+        let action = maybe_checkpoint(&mut mana, &mut agent, &mem, 1).map_err(err)?;
+        assert!(matches!(action, CkptAction::Stop { .. }), "mode was Stop");
         Ok(())
     })
     .unwrap();

@@ -668,6 +668,14 @@ pub fn default_rules() -> Vec<Rule> {
             ]),
         },
         Rule {
+            name: "no-free-running-harness",
+            invariant: "an integration test's outcome never depends on the OS schedule: no yield or sleep except a justified wait on a named condition",
+            paths: &["tests/"],
+            allow_paths: &[],
+            skip_tests: false,
+            check: Check::BannedPath(&[&["thread", "::", "yield_now"], &["thread", "::", "sleep"]]),
+        },
+        Rule {
             name: "one-payload-path",
             invariant: "an MPI message payload is built only by simnet::mpi::Process, whose pool recycles its buffer",
             paths: &["crates/simnet/src/mpi/"],

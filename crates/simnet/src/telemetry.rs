@@ -61,7 +61,7 @@ pub const DEFAULT_SYSTEM_RING: usize = 1024;
 // ---------------------------------------------------------------------------
 
 /// Number of event kinds (the size of the per-kind counter table).
-pub const KIND_COUNT: usize = 27;
+pub const KIND_COUNT: usize = 25;
 
 /// What happened. Each kind carries up to three `u64` payload fields
 /// whose meanings are given by [`EventKind::field_names`].
@@ -70,79 +70,73 @@ pub const KIND_COUNT: usize = 27;
 pub enum EventKind {
     /// A posted receive matched a message (rank lane): `src`, `tag`, `seq`.
     MsgMatch = 0,
-    /// A checkpoint was requested on the coordinator: `epoch`, `mode`.
-    CkptRequest = 1,
     /// A checkpoint cut was scheduled: `cut`, `mode`, `epoch`.
-    CkptScheduled = 2,
-    /// A rank finalized the gather cut: `rank`, `cut`, `epoch`.
-    CutFinalized = 3,
+    CkptScheduled = 1,
     /// A rank entered the rendezvous: `rank`, `cut`, `epoch`.
-    RendezvousEnter = 4,
+    RendezvousEnter = 2,
     /// A rank resigned (fail-stop): `rank`, `epoch`, `aborted`.
-    Resign = 5,
+    Resign = 3,
     /// The finish() leader announced a barrier phase: `phase` (0=Arrive,
     /// 1=PreSeal, 2=PostSeal, 3=Release), `epoch`, `cut`.
-    BarrierPhase = 6,
+    BarrierPhase = 4,
     /// A coordinator epoch sealed at the rendezvous: `epoch`, `cut`, `stop`.
-    EpochCommit = 7,
+    EpochCommit = 5,
     /// A barrier was poisoned (a waiter unwound): `epoch`.
-    Poison = 8,
+    Poison = 6,
     /// The delta store committed a chain epoch: `epoch`, `full`, `blocks_new`.
-    StoreCommit = 9,
+    StoreCommit = 7,
     /// Retention GC ran: `deleted`, `kept`, `guarded` (undurable epochs
     /// the tier guard pinned locally).
-    GcDecision = 10,
+    GcDecision = 8,
     /// An epoch with an unreadable manifest was renamed aside: `epoch`.
-    Quarantine = 11,
+    Quarantine = 9,
     /// The tier shipper started uploading an epoch: `epoch`.
-    TierShip = 12,
+    TierShip = 10,
     /// An epoch's seal landed durably in the tier: `epoch`, `bytes`,
     /// `retries`.
-    SealDurable = 13,
+    SealDurable = 11,
     /// The shipper abandoned an epoch (sticky error): `epoch`, `retries`.
-    TierFail = 14,
+    TierFail = 12,
     /// Paxos phase 1 sent to one acceptor: `ballot`, `acceptor`,
     /// `promised` (1 if the acceptor promised).
-    Prepare = 15,
+    Prepare = 13,
     /// Paxos phase 2 durably accepted by one acceptor: `ballot`, `slot`,
     /// `acceptor`.
-    Accept = 16,
+    Accept = 14,
     /// A record reached quorum at a log slot: `slot`, `ballot`.
-    SlotCommit = 17,
+    SlotCommit = 15,
     /// A candidate's ballot won a quorum of promises: `ballot`,
     /// `candidate`, `promises`.
-    BallotWon = 18,
+    BallotWon = 16,
     /// A leader took over the replica group: `leader`, `ballot`,
     /// `recovery` (1 if it replaced a dead incumbent).
-    LeaderElected = 19,
+    LeaderElected = 17,
     /// A majority of replicas was unreachable: `need`, `have`.
-    QuorumLost = 20,
+    QuorumLost = 18,
     /// The fault script killed a replica: `victim`, `phase`.
-    FaultKill = 21,
+    FaultKill = 19,
     /// The image sink reported a failure: `epoch`.
-    SinkError = 22,
+    SinkError = 20,
     /// A rank body unwound (panic or error): `rank`.
-    RankUnwind = 23,
+    RankUnwind = 21,
     /// The lockcheck detector flagged a lock-order hazard: `code`
     /// (0 = ordering cycle, 1 = reentrant acquisition, 2 = guard held
     /// across a rendezvous point), `locks` involved, `fingerprint`
     /// (stable hash of the lock-name set, for dedup across dumps).
-    LockCycle = 24,
+    LockCycle = 22,
     /// An injected straggler delay stalled a rank at a safe point (rank
     /// lane): `rank`, `delay_ns`, `step`.
-    RankStall = 25,
+    RankStall = 23,
     /// A fault-schedule kill event struck a rank (rank lane): `victim`,
     /// `step`, `node` (the blamed node-group).
-    RankKill = 26,
+    RankKill = 24,
 }
 
 impl EventKind {
     /// Every kind, in discriminant order.
     pub const ALL: [EventKind; KIND_COUNT] = [
         EventKind::MsgMatch,
-        EventKind::CkptRequest,
         EventKind::CkptScheduled,
-        EventKind::CutFinalized,
         EventKind::RendezvousEnter,
         EventKind::Resign,
         EventKind::BarrierPhase,
@@ -172,9 +166,7 @@ impl EventKind {
     pub fn name(self) -> &'static str {
         match self {
             EventKind::MsgMatch => "MsgMatch",
-            EventKind::CkptRequest => "CkptRequest",
             EventKind::CkptScheduled => "CkptScheduled",
-            EventKind::CutFinalized => "CutFinalized",
             EventKind::RendezvousEnter => "RendezvousEnter",
             EventKind::Resign => "Resign",
             EventKind::BarrierPhase => "BarrierPhase",
@@ -205,9 +197,7 @@ impl EventKind {
     pub fn field_names(self) -> [&'static str; 3] {
         match self {
             EventKind::MsgMatch => ["src", "tag", "seq"],
-            EventKind::CkptRequest => ["epoch", "mode", "_"],
             EventKind::CkptScheduled => ["cut", "mode", "epoch"],
-            EventKind::CutFinalized => ["rank", "cut", "epoch"],
             EventKind::RendezvousEnter => ["rank", "cut", "epoch"],
             EventKind::Resign => ["rank", "epoch", "aborted"],
             EventKind::BarrierPhase => ["phase", "epoch", "cut"],

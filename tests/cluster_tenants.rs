@@ -247,6 +247,7 @@ fn quota_backpressure_throttles_only_the_over_budget_tenant() {
     // A wait until the blocked thread has registered, not a step budget:
     // the count moves exactly once, and nothing else can move it.
     while writer.quota_waits(0) == 0 {
+        // lint:allow(no-free-running-harness) — waits until the blocked submit has registered its quota wait
         std::thread::yield_now();
     }
     // ...while the other tenant's submit returns: lanes are isolated.

@@ -32,35 +32,29 @@ const PHASES: [BarrierPhase; 4] = [
 ];
 
 /// Drive `n` long-lived rank agents through `steps` safe points in
-/// lockstep, `press` scripting what rank 0 does before each step. Returns
-/// every `finish()` result, round by round per rank.
+/// lockstep with a checkpoint at each step in `cuts`; `after(rank,
+/// outcome)` runs on every rank once its `finish()` returns. Returns every
+/// `finish()` result, round by round per rank.
 fn drive_rounds(
     coord: &Coordinator,
     n: usize,
     steps: u64,
-    press: impl Fn(u64) + Sync,
+    cuts: &[u64],
+    after: impl Fn(usize, &Result<CkptMode, CkptError>) + Sync,
 ) -> Vec<Result<CkptMode, CkptError>> {
     let results = Mutex::new(Vec::new());
     let zeros = vec![0u64; n];
-    common::lockstep(coord, n, steps, press, |rank, session| {
+    common::lockstep(coord, n, steps, cuts, |rank, session| {
         session.exchange_counters(&zeros, &zeros).expect("exchange");
         session.submit_image(RankImage::new(rank, n, session.epoch()));
         // Finish *before* taking the results lock: the final barrier
         // parks this thread until every rank arrives.
         let outcome = session.finish();
+        after(rank, &outcome);
         results.lock().unwrap().push(outcome);
         ControlFlow::Continue(())
     });
     results.into_inner().unwrap()
-}
-
-/// A `press` that requests a checkpoint at each step in `steps`.
-fn press_at<'a>(coord: &'a Coordinator, steps: &'a [u64]) -> impl Fn(u64) + Sync + 'a {
-    move |step| {
-        if steps.contains(&step) {
-            coord.request_checkpoint(CkptMode::Continue);
-        }
-    }
 }
 
 fn group3(clock: Arc<dyn Clock>) -> ReplicaGroup {
@@ -91,7 +85,7 @@ fn leader_killed_at_every_phase_never_poisons_survivors() {
         group.script_faults([ReplicaFault::KillLeaderAt(phase)]);
         coord.attach_replicas(group.clone());
 
-        let results = drive_rounds(&coord, n, 40, press_at(&coord, &[5, 15, 25]));
+        let results = drive_rounds(&coord, n, 40, &[5, 15, 25], |_, _| {});
         assert_eq!(results.len(), 3 * n, "{phase:?}: three full rounds");
         for r in &results {
             assert!(r.is_ok(), "{phase:?}: a finish() was poisoned: {r:?}");
@@ -136,7 +130,7 @@ fn quorum_loss_aborts_the_round_atomically() {
     group.kill(2);
     coord.attach_replicas(group.clone());
 
-    let results = drive_rounds(&coord, n, 20, press_at(&coord, &[5]));
+    let results = drive_rounds(&coord, n, 20, &[5], |_, _| {});
     assert_eq!(results.len(), n);
     for r in &results {
         match r {
@@ -168,13 +162,11 @@ fn revived_quorum_commits_after_an_abort() {
     group.kill(2);
     coord.attach_replicas(group.clone());
 
-    let results = drive_rounds(&coord, n, 30, |step| {
-        if step == 15 {
-            // Round 1 aborted on quorum loss; restore it.
+    let results = drive_rounds(&coord, n, 30, &[5, 15], |rank, outcome| {
+        if rank == 0 && outcome.is_err() {
+            // Round 1 aborted on quorum loss; restore it. Round 2 cannot
+            // seal before rank 0 reaches its barrier, so after this.
             group.revive(1);
-        }
-        if step == 5 || step == 15 {
-            coord.request_checkpoint(CkptMode::Continue);
         }
     });
 
@@ -203,7 +195,7 @@ fn rank_failstop_logs_a_membership_record() {
 
     let poisoned = AtomicU64::new(0);
     let zeros = vec![0u64; n];
-    common::lockstep(&coord, n, 30, press_at(&coord, &[5]), |rank, session| {
+    common::lockstep(&coord, n, 30, &[5], |rank, session| {
         // Every rank leaves at this round. Rank 2 fail-stops inside it:
         // past the exchange (so its peers are committed to the barrier),
         // before the final barrier — dropping the session and then the
@@ -568,6 +560,7 @@ fn concurrent_commits_never_share_a_log_slot() {
 
     let wait_for = |log: &Script| {
         while log.injected() == 0 {
+            // lint:allow(no-free-running-harness) — waits until the proposer reaches the held log put
             std::thread::yield_now();
         }
     };
@@ -582,6 +575,7 @@ fn concurrent_commits_never_share_a_log_slot() {
             group.commit(gone(1)).unwrap()
         });
         while !b_started.load(Ordering::SeqCst) {
+            // lint:allow(no-free-running-harness) — waits until proposer B's thread has started
             std::thread::yield_now();
         }
         logs[2].hold(false);

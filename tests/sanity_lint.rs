@@ -269,6 +269,62 @@ fn one_run_path_is_silent_in_the_session_and_in_a_test_module() {
 }
 
 // -------------------------------------------------------------------------
+// no-free-running-harness
+// -------------------------------------------------------------------------
+
+const FREE_RUNNING: &str = "\
+fn drive(done: &AtomicBool) {
+    while !done.load(SeqCst) {
+        std::thread::yield_now();
+    }
+    thread::sleep(Duration::from_millis(2));
+}
+";
+
+#[test]
+fn no_free_running_harness_fires_in_integration_tests() {
+    let rule = "no-free-running-harness".to_string();
+    for path in [
+        "tests/coordinator_stress.rs",
+        "crates/mana/tests/ckpt_restart.rs",
+    ] {
+        assert_eq!(
+            findings_for(path, FREE_RUNNING),
+            vec![(rule.clone(), 3, 14), (rule.clone(), 5, 5)],
+            "{path}"
+        );
+    }
+    // Library code and benches are other rules' business.
+    assert!(findings_for("crates/apps/src/wave.rs", FREE_RUNNING).is_empty());
+    assert!(findings_for("crates/bench/benches/scale.rs", FREE_RUNNING).is_empty());
+}
+
+#[test]
+fn no_free_running_harness_suppressed_wait_names_its_condition() {
+    let src = "\
+fn wait(done: &AtomicBool) {
+    while !done.load(SeqCst) {
+        // lint:allow(no-free-running-harness) — waits until the peer sets done
+        std::thread::yield_now();
+    }
+}
+";
+    assert!(findings_for("tests/battery.rs", src).is_empty());
+}
+
+#[test]
+fn no_free_running_harness_clean_forms_pass() {
+    // A barrier or a virtual-clock sleep is not the OS schedule.
+    let clean = "\
+fn step(gate: &Barrier, app: &mut AppCtx) {
+    gate.wait();
+    app.sleep(VirtualTime::from_millis(1));
+}
+";
+    assert!(findings_for("tests/battery.rs", clean).is_empty());
+}
+
+// -------------------------------------------------------------------------
 // one-payload-path
 // -------------------------------------------------------------------------
 
