@@ -1000,7 +1000,7 @@ impl Session {
         // when the store consumed the staged images at the rendezvous —
         // the head epoch of the run's chain, which only a restart reads.
         let checkpoint = |c: &Coordinator| -> Option<Checkpoint> {
-            if c.completed_epoch() == 0 {
+            if c.completed_rounds() == 0 {
                 return None;
             }
             match store {

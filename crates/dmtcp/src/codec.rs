@@ -297,11 +297,6 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Whether fully consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEof {
@@ -395,7 +390,7 @@ mod tests {
         assert_eq!(r.f64().unwrap(), std::f64::consts::PI);
         assert_eq!(r.bytes().unwrap(), b"payload");
         assert_eq!(r.string().unwrap(), "hello \u{1F680}");
-        assert!(r.is_exhausted());
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! Inside the rendezvous, phases proceed over a poisonable barrier:
 //! counter exchange (publish per-peer send/receive counts, learn the
 //! in-flight deficit), *drain* (performed by the MANA layer through the
-//! MPI library itself), image submission, and a final barrier that latches
-//! the consumed request epoch and the continue/stop decision.
+//! MPI library itself), image submission, and a final barrier that closes
+//! the round and returns the continue/stop decision.
 //!
 //! # Scaling to ≥ 512-rank worlds
 //!
@@ -47,12 +47,13 @@
 //! (the unit-step structure every iterative MPI workload has), and all
 //! ranks must share the same step structure. Violations are detected and
 //! reported as [`CkptError::StepSkew`]/[`CkptError::Overrun`] rather than
-//! deadlocking. A rank that finishes its program before anyone entered an
-//! open round abandons it (a world image missing a rank is not
-//! restorable); a rank that dies mid-rendezvous poisons the barrier so the
-//! survivors unwind with [`CkptError::Poisoned`] instead of hanging.
+//! deadlocking. A rank that resigns (finishes its program or dies) closes
+//! any open round, and no later round opens (a world image missing a rank
+//! is not restorable); if anyone had entered the rendezvous, the barrier
+//! is poisoned first so the survivors unwind with [`CkptError::Poisoned`]
+//! instead of hanging.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use sanity::lockcheck::{self, TrackedCondvar, TrackedMutex};
@@ -428,7 +429,8 @@ enum Phase {
     Rendezvous {
         /// The step every rank checkpoints at.
         cut: u64,
-        /// This round's epoch (becomes `completed_epoch` on success).
+        /// This round's epoch: `completed_rounds + 1`, latched when the
+        /// round opened.
         epoch: u64,
         /// The continue/stop decision, latched when the cut was scheduled.
         mode: CkptMode,
@@ -448,31 +450,31 @@ struct Round {
     /// zero, a resignation can still abort the round cleanly; once any
     /// rank is inside the barrier, a resignation must poison it.
     entered: usize,
-    /// Set by the finish() leader; every participant latches it as its
-    /// consumed epoch so no rank re-enters for requests this round served.
-    consumed_epoch: u64,
 }
 
 struct Shared {
     nranks: usize,
-    requested_epoch: AtomicU64,
+    /// Whether the phase is `Rendezvous`: set when a round opens, cleared
+    /// when it closes, always under the round lock. A poll reads it alone,
+    /// so a safe point outside any round costs one atomic load.
+    open: AtomicBool,
     round: TrackedMutex<Round>,
     sync: SyncPoint,
     /// Per-rank (sent_to, received_from) matrices for the drain protocol.
     counters: ShardedSlots<DrainCounters>,
     images: ShardedSlots<RankImage>,
-    completed_epoch: AtomicU64,
     completed_rounds: AtomicU64,
     /// Attached image consumer plus the vendor hint to stamp on forwarded
-    /// world images, if any.
-    sink: TrackedMutex<Option<(Arc<dyn ImageSink>, String)>>,
+    /// world images, if any. Attached before any rank starts.
+    sink: OnceLock<(Arc<dyn ImageSink>, String)>,
     /// First sink failure; latched so every participant of the failing
     /// round (and any later round) unwinds with the same error.
     sink_error: TrackedMutex<Option<StoreError>>,
-    /// Attached coordinator replica group, if any. When present, every
-    /// completed round's epoch record must reach a quorum of replica logs
-    /// before the leader bumps `completed_epoch` or releases the barrier.
-    replicas: TrackedMutex<Option<Arc<ReplicaGroup>>>,
+    /// Attached coordinator replica group, if any, attached before any
+    /// rank starts. When present, every completed round's epoch record
+    /// must reach a quorum of replica logs before the leader bumps
+    /// `completed_rounds` or releases the barrier.
+    replicas: OnceLock<Arc<ReplicaGroup>>,
     /// First quorum-commit failure; latched like `sink_error` so every
     /// participant of the aborted round unwinds with the same error.
     replica_error: TrackedMutex<Option<ReplicaError>>,
@@ -514,7 +516,7 @@ impl Coordinator {
         Coordinator {
             shared: Arc::new(Shared {
                 nranks,
-                requested_epoch: AtomicU64::new(0),
+                open: AtomicBool::new(false),
                 round: TrackedMutex::named(
                     "coord.round",
                     Round {
@@ -522,17 +524,15 @@ impl Coordinator {
                         pos: (0..nranks).map(|_| None).collect(),
                         finished: 0,
                         entered: 0,
-                        consumed_epoch: 0,
                     },
                 ),
                 sync: SyncPoint::new(nranks, topology),
                 counters: ShardedSlots::new(nranks),
                 images: ShardedSlots::new(nranks),
-                completed_epoch: AtomicU64::new(0),
                 completed_rounds: AtomicU64::new(0),
-                sink: TrackedMutex::named("coord.sink", None),
+                sink: OnceLock::new(),
                 sink_error: TrackedMutex::named("coord.sink_error", None),
-                replicas: TrackedMutex::named("coord.replicas", None),
+                replicas: OnceLock::new(),
                 replica_error: TrackedMutex::named("coord.replica_error", None),
                 telemetry: OnceLock::new(),
             }),
@@ -544,9 +544,10 @@ impl Coordinator {
     /// instead of waiting in the staging area for
     /// [`Coordinator::take_world_image`]. This is how the asynchronous
     /// delta-checkpoint store takes ownership of images at the rendezvous
-    /// so that ranks resume while the write proceeds.
+    /// so that ranks resume while the write proceeds. Attach before any
+    /// rank starts; first attachment wins, later calls are ignored.
     pub fn attach_sink(&self, sink: Arc<dyn ImageSink>, vendor_hint: &str) {
-        *self.shared.sink.lock().expect("sink lock") = Some((sink, vendor_hint.to_string()));
+        let _ = self.shared.sink.set((sink, vendor_hint.to_string()));
     }
 
     /// Attach a [`ReplicaGroup`]: from now on every round's epoch record
@@ -554,14 +555,15 @@ impl Coordinator {
     /// becomes observable or its image reaches the sink. If the quorum is
     /// unreachable the round aborts atomically — the staged images are
     /// discarded and every participant unwinds with
-    /// [`CkptError::Replica`].
+    /// [`CkptError::Replica`]. Attach before any rank starts; first
+    /// attachment wins, later calls are ignored.
     pub fn attach_replicas(&self, group: Arc<ReplicaGroup>) {
-        *self.shared.replicas.lock().expect("replicas lock") = Some(group);
+        let _ = self.shared.replicas.set(group);
     }
 
     /// The attached replica group, if any.
     pub fn replicas(&self) -> Option<Arc<ReplicaGroup>> {
-        self.shared.replicas.lock().expect("replicas lock").clone()
+        self.shared.replicas.get().cloned()
     }
 
     /// Attach a flight recorder: every protocol transition (scheduled
@@ -587,14 +589,13 @@ impl Coordinator {
     /// round opens. Every rank runs the same policy and calls this at the
     /// *same* step, so the cut is pinned to `step` exactly. Idempotent
     /// across ranks; the first caller opens the round and latches its
-    /// `mode`, the others join it. Returns this request's epoch.
+    /// `mode`, the others join it.
     ///
     /// A rank must call this at its own `step` safe point *before* polling
     /// there. Once any rank has resigned no round can complete, so the
-    /// request opens nothing and the next poll consumes it.
-    pub fn schedule_checkpoint_at(&self, step: u64, mode: CkptMode) -> u64 {
+    /// call opens nothing and the poll there runs on.
+    pub fn schedule_checkpoint_at(&self, step: u64, mode: CkptMode) {
         let mut round = self.shared.round.lock().expect("round lock");
-        let epoch = self.shared.requested_epoch.fetch_add(1, Ordering::SeqCst) + 1;
         if round.phase == Phase::Idle && round.finished == 0 {
             let round_no = self.shared.completed_rounds.load(Ordering::SeqCst) + 1;
             round.phase = Phase::Rendezvous {
@@ -603,6 +604,7 @@ impl Coordinator {
                 mode,
             };
             round.pos.fill(None);
+            self.shared.open.store(true, Ordering::SeqCst);
             self.shared.emit(
                 EventKind::CkptScheduled,
                 step,
@@ -610,15 +612,10 @@ impl Coordinator {
                 round_no,
             );
         }
-        epoch
     }
 
-    /// The epoch of the most recently completed checkpoint (0 = none yet).
-    pub fn completed_epoch(&self) -> u64 {
-        self.shared.completed_epoch.load(Ordering::SeqCst)
-    }
-
-    /// How many checkpoint rounds have completed.
+    /// How many checkpoint rounds have completed; also the epoch of the
+    /// most recent one (0 = none yet).
     pub fn completed_rounds(&self) -> u64 {
         self.shared.completed_rounds.load(Ordering::SeqCst)
     }
@@ -636,7 +633,6 @@ impl Coordinator {
         RankAgent {
             shared: self.shared.clone(),
             rank,
-            seen_epoch: 0,
             resigned: false,
         }
     }
@@ -654,7 +650,6 @@ pub enum Poll<'a> {
 pub struct RankAgent {
     shared: Arc<Shared>,
     rank: usize,
-    seen_epoch: u64,
     resigned: bool,
 }
 
@@ -662,13 +657,6 @@ impl RankAgent {
     /// This agent's rank.
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    /// Whether a checkpoint request exists that this rank has not yet
-    /// served. Cheap; a single atomic load.
-    #[inline]
-    pub fn checkpoint_pending(&self) -> bool {
-        self.shared.requested_epoch.load(Ordering::Relaxed) > self.seen_epoch
     }
 
     /// Like [`RankAgent::poll`], but first reports the rank's current
@@ -689,18 +677,12 @@ impl RankAgent {
     /// here). Must be called at every safe point; while a round is active,
     /// consecutive polls must present steps that increase by exactly one.
     pub fn poll(&mut self, next_step: u64) -> Result<Poll<'_>, CkptError> {
-        if !self.checkpoint_pending() {
+        if !self.shared.open.load(Ordering::Relaxed) {
             return Ok(Poll::None);
         }
         let shared = self.shared.clone();
         let mut round = shared.round.lock().expect("round lock");
         match round.phase {
-            _ if round.finished > 0 => {
-                // A rank has left for good: no future round can complete.
-                // Consume everything requested so far and run on.
-                self.seen_epoch = shared.requested_epoch.load(Ordering::SeqCst);
-                Ok(Poll::None)
-            }
             Phase::Idle => Ok(Poll::None),
             Phase::Rendezvous { cut, epoch, mode } => {
                 self.check_step(&round, next_step)?;
@@ -742,9 +724,9 @@ impl RankAgent {
 
     /// Declare that this rank will reach no further safe points (its
     /// program completed or it is unwinding from a failure). Idempotent;
-    /// also invoked on drop. An open round nobody has entered yet is
-    /// abandoned; a rendezvous in progress is poisoned so waiting peers
-    /// unwind.
+    /// also invoked on drop. Closes any open round, and `finished > 0`
+    /// keeps every later one from opening; a rendezvous someone entered
+    /// is poisoned first so waiting peers unwind.
     pub fn resign(&mut self) {
         if self.resigned {
             return;
@@ -759,18 +741,15 @@ impl RankAgent {
                 // fill. Release them with an error.
                 self.shared.emit(EventKind::Poison, epoch, 0, 0);
                 self.shared.sync.poison();
-            } else {
-                // Nobody is committed past recall yet: abandon the round.
-                // `finished` is already bumped, so every later poll
-                // consumes the requests and runs on.
-                round.phase = Phase::Idle;
             }
+            round.phase = Phase::Idle;
+            self.shared.open.store(false, Ordering::SeqCst);
         }
         drop(round);
         self.shared.emit(
             EventKind::Resign,
             self.rank as u64,
-            self.shared.requested_epoch.load(Ordering::SeqCst),
+            self.shared.completed_rounds.load(Ordering::SeqCst),
             mid_round_death as u64,
         );
         if mid_round_death {
@@ -779,8 +758,7 @@ impl RankAgent {
             // aborted/poisoned either way, and a failed membership commit
             // must not mask the primary failure the world is unwinding
             // from.
-            let replicas = self.shared.replicas.lock().expect("replicas lock").clone();
-            if let Some(group) = replicas {
+            if let Some(group) = self.shared.replicas.get() {
                 let _ = group.commit(ReplicaRecord::Membership {
                     rank: self.rank as u64,
                     alive: false,
@@ -847,9 +825,9 @@ impl CkptSession<'_> {
         self.agent.shared.images.put(self.agent.rank, image);
     }
 
-    /// Final barrier: the checkpoint is globally complete. Latches the
-    /// consumed request epoch on every participant and returns the mode
-    /// (continue or stop) agreed when the cut was finalized.
+    /// Final barrier: the checkpoint is globally complete. The leader
+    /// closes the round between the two barrier waits; every participant
+    /// returns the mode (continue or stop) latched when the round opened.
     pub fn finish(self) -> Result<CkptMode, CkptError> {
         let shared = self.agent.shared.clone();
         let leader = shared.sync.wait(self.agent.rank)?;
@@ -868,9 +846,9 @@ impl CkptSession<'_> {
             // coordinator leader dying at each barrier phase; the commit
             // itself rides out leader death via election and retry, and
             // only an unreachable quorum aborts the round.
-            let replicas = shared.replicas.lock().expect("replicas lock").clone();
+            let replicas = shared.replicas.get();
             let mut commit_ok = true;
-            if let Some(group) = &replicas {
+            if let Some(group) = replicas {
                 let phase = |p: BarrierPhase| {
                     shared.emit(EventKind::BarrierPhase, phase_code(p), self.epoch, self.cut);
                     group.notify_phase(p);
@@ -878,9 +856,7 @@ impl CkptSession<'_> {
                 phase(BarrierPhase::Arrive);
                 let vendor = shared
                     .sink
-                    .lock()
-                    .expect("sink lock")
-                    .as_ref()
+                    .get()
                     .map(|(_, v)| v.clone())
                     .unwrap_or_default();
                 let record = ReplicaRecord::EpochSeal {
@@ -898,17 +874,14 @@ impl CkptSession<'_> {
                     }
                 }
             }
-            // All participants are parked between the two barriers, and
-            // every participant's own requests happened before it entered:
-            // reading the request counter here absorbs every request this
-            // round can possibly serve.
+            // All participants are parked between the two barriers, so
+            // none polls again before the round is closed.
             let mut round = shared.round.lock().expect("round lock");
-            round.consumed_epoch = shared.requested_epoch.load(Ordering::SeqCst);
             round.phase = Phase::Idle;
+            shared.open.store(false, Ordering::SeqCst);
             round.pos.fill(None);
             round.entered = 0;
             if commit_ok {
-                shared.completed_epoch.store(self.epoch, Ordering::SeqCst);
                 shared.completed_rounds.fetch_add(1, Ordering::SeqCst);
                 shared.emit(
                     EventKind::EpochCommit,
@@ -923,10 +896,9 @@ impl CkptSession<'_> {
                 // store). Every rank has submitted its image before reaching
                 // the barrier above, so the staging area is complete; the sink
                 // takes ownership and the ranks resume while I/O proceeds.
-                let sink = shared.sink.lock().expect("sink lock").clone();
-                if let Some((sink, vendor_hint)) = sink {
+                if let Some((sink, vendor_hint)) = shared.sink.get() {
                     if let Some(ranks) = shared.images.take_all_if_complete() {
-                        if let Err(e) = sink.submit(WorldImage::new(vendor_hint, ranks)) {
+                        if let Err(e) = sink.submit(WorldImage::new(vendor_hint.clone(), ranks)) {
                             shared.emit(EventKind::SinkError, self.epoch, 0, 0);
                             if let Some(tel) = shared.telemetry.get() {
                                 tel.note_incident();
@@ -938,11 +910,11 @@ impl CkptSession<'_> {
             } else {
                 // Atomic abort: the quorum never accepted this epoch, so
                 // nothing of it may survive — drop the staged images and
-                // leave completed_epoch untouched. Restart replays only
+                // leave completed_rounds untouched. Restart replays only
                 // quorum-committed state.
                 shared.images.clear();
             }
-            if let Some(group) = &replicas {
+            if let Some(group) = replicas {
                 shared.emit(
                     EventKind::BarrierPhase,
                     phase_code(BarrierPhase::Release),
@@ -960,11 +932,9 @@ impl CkptSession<'_> {
             .clone()
         {
             // The round aborted atomically: no epoch bump, no sink submit,
-            // no staged images. Every participant unwinds with one error —
-            // but the round itself is over and its request consumed, so
-            // the agent must not re-enter it on the next poll. (A later
-            // round can commit once the quorum is restored.)
-            self.agent.seen_epoch = shared.round.lock().expect("round lock").consumed_epoch;
+            // no staged images. Every participant unwinds with one error;
+            // the round itself is closed, and a later one can commit once
+            // the quorum is restored.
             return Err(CkptError::Replica(e));
         }
         if let Some(e) = shared.sink_error.lock().expect("sink error lock").clone() {
@@ -973,7 +943,6 @@ impl CkptSession<'_> {
             // world unwinds with one consistent error.
             return Err(CkptError::Store(e));
         }
-        self.agent.seen_epoch = shared.round.lock().expect("round lock").consumed_epoch;
         Ok(self.mode)
     }
 }
@@ -1033,13 +1002,12 @@ mod tests {
                     }
                     let (cut, mode) = checkpoint_at(&coord, &mut agent, 3, CkptMode::Continue);
                     assert_eq!(mode, CkptMode::Continue);
-                    assert!(!agent.checkpoint_pending());
+                    assert!(matches!(agent.poll(4), Ok(Poll::None)));
                     cuts.lock().unwrap().push(cut);
                 });
             }
         });
         assert_eq!(cuts.into_inner().unwrap(), vec![3; n]);
-        assert_eq!(coord.completed_epoch(), 1);
         assert_eq!(
             coord.completed_rounds(),
             1,
@@ -1164,12 +1132,11 @@ mod tests {
     }
 
     #[test]
-    fn no_request_means_no_pending() {
+    fn no_schedule_means_no_round() {
         let coord = Coordinator::new(1);
         let mut agent = coord.agent(0);
-        assert!(!agent.checkpoint_pending());
         assert!(matches!(agent.poll(0), Ok(Poll::None)));
-        assert_eq!(coord.completed_epoch(), 0);
+        assert_eq!(coord.completed_rounds(), 0);
         assert!(coord.take_world_image("x").is_none());
     }
 
@@ -1181,7 +1148,7 @@ mod tests {
             checkpoint_at(&coord, &mut agent, 7, CkptMode::Continue),
             (7, CkptMode::Continue)
         );
-        assert!(!agent.checkpoint_pending());
+        assert!(matches!(agent.poll(8), Ok(Poll::None)));
     }
 
     #[test]
@@ -1194,13 +1161,12 @@ mod tests {
             once
         );
         let _ = coord.take_world_image("v");
-        assert!(!agent.checkpoint_pending());
+        assert!(matches!(agent.poll(1), Ok(Poll::None)));
         let twice = (5, CkptMode::Continue);
         assert_eq!(
             checkpoint_at(&coord, &mut agent, 5, CkptMode::Continue),
             twice
         );
-        assert_eq!(coord.completed_epoch(), 2);
         assert_eq!(coord.completed_rounds(), 2);
     }
 
@@ -1280,23 +1246,45 @@ mod tests {
         coord.schedule_checkpoint_at(5, CkptMode::Continue);
         // Rank 1 finishes its program before reaching the cut.
         a1.resign();
-        // Rank 0's poll at the cut consumes the request and runs on.
+        // The resignation closed the round: rank 0 runs on at the cut.
         assert!(matches!(a0.poll(5), Ok(Poll::None)));
-        assert!(!a0.checkpoint_pending());
+        assert!(matches!(a0.poll(6), Ok(Poll::None)));
         assert_eq!(tel.emitted(EventKind::Poison), 0, "nobody was inside");
         assert_eq!(coord.completed_rounds(), 0);
     }
 
     #[test]
-    fn requests_after_any_resignation_are_consumed() {
+    fn cuts_after_any_resignation_open_nothing() {
         let coord = Coordinator::new(2);
         let mut a0 = coord.agent(0);
         let mut a1 = coord.agent(1);
         a1.resign();
         coord.schedule_checkpoint_at(0, CkptMode::Stop);
-        // No round can ever complete; the request is absorbed.
+        // No round can ever complete, so none opens.
         assert!(matches!(a0.poll(0), Ok(Poll::None)));
-        assert!(!a0.checkpoint_pending());
+        assert!(matches!(a0.poll(1), Ok(Poll::None)));
+        assert_eq!(coord.completed_rounds(), 0);
+    }
+
+    #[test]
+    fn resign_after_an_entry_poisons_then_closes_the_round() {
+        let coord = Coordinator::new(3);
+        let tel = Arc::new(Telemetry::new(3));
+        coord.attach_telemetry(tel.clone());
+        let (mut a, mut b, mut c) = (coord.agent(0), coord.agent(1), coord.agent(2));
+        let session = enter(&coord, &mut a, 5, CkptMode::Continue);
+        // Rank 1 dies with rank 0 inside the rendezvous.
+        b.resign();
+        let zeros = [0u64; 3];
+        assert_eq!(
+            session.exchange_counters(&zeros, &zeros).unwrap_err(),
+            CkptError::Poisoned
+        );
+        // Rank 2 reaches the cut after the round was closed: it runs on.
+        coord.schedule_checkpoint_at(5, CkptMode::Continue);
+        assert!(matches!(c.poll(5), Ok(Poll::None)));
+        assert_eq!(tel.emitted(EventKind::Poison), 1);
+        assert_eq!(coord.completed_rounds(), 0);
     }
 
     #[test]

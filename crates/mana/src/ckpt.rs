@@ -129,6 +129,8 @@ pub fn maybe_checkpoint(
 
 /// Receive every in-flight message into the pool. `pending[j]` is how many
 /// messages from world rank `j` are still on the wire towards this rank.
+/// A pass that receives nothing while a deficit remains is
+/// [`AbiError::Ckpt`]: no later pass could find more.
 fn drain(mana: &mut ManaMpi, pending: &[u64]) -> AbiResult<()> {
     let mut remaining: Vec<u64> = pending.to_vec();
     let mut total: u64 = remaining.iter().sum();
@@ -160,9 +162,11 @@ fn drain(mana: &mut ManaMpi, pending: &[u64]) -> AbiResult<()> {
         }
         total = remaining.iter().sum();
         if total > 0 && !progressed {
-            // All counted sends are already enqueued by the eager
-            // transport, but give the scheduler a chance anyway.
-            std::thread::yield_now();
+            // The transport is eager: every counted send was in a mailbox
+            // before the counter exchange. A pass that finds nothing owes
+            // a message no live communicator holds (one sent on a
+            // communicator this rank has freed), and a retry would spin.
+            return Err(AbiError::Ckpt);
         }
     }
     Ok(())

@@ -9,7 +9,7 @@ use dmtcp_sim::memory::Memory;
 use mana_sim::ckpt::{maybe_checkpoint, restore_rank, CkptAction};
 use mana_sim::config::{SWITCH_FSGSBASE, SWITCH_SYSCALL};
 use mana_sim::{ManaConfig, ManaMpi};
-use mpi_abi::{consts, AbiResult, Datatype, Handle, MpiAbi, ReduceOp};
+use mpi_abi::{consts, AbiError, AbiResult, Datatype, Handle, MpiAbi, ReduceOp};
 use muk::{MukShim, Vendor};
 use simnet::{ClusterSpec, RankCtx, World, WorldOutcome};
 
@@ -293,6 +293,40 @@ fn in_flight_messages_survive_checkpoint_via_pool() {
     })
     .unwrap();
     assert_eq!(out.results[1], 0xBEEF);
+}
+
+/// A deficit the drain cannot see: rank 0 sends on a duplicate of world
+/// that both ranks free before the checkpoint, so rank 1's counters owe a
+/// message that no live communicator holds. The checkpoint must fail on
+/// both ranks (rank 1 in its drain, rank 0 on the poisoned barrier)
+/// instead of spinning; the watchdog turns a spin into a failure.
+#[test]
+fn a_deficit_on_a_freed_communicator_fails_the_checkpoint() {
+    let spec = ClusterSpec::builder().nodes(1).ranks_per_node(2).build();
+    let coord = Coordinator::new(2);
+    let coord_for_ranks = coord.clone();
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let out = World::run(&spec, |ctx| {
+            let mut agent = coord_for_ranks.agent(ctx.rank());
+            let mut mana = stack(Vendor::Mpich, &ctx);
+            let dup = mana.comm_dup(Handle::COMM_WORLD).map_err(err)?;
+            if ctx.rank() == 0 {
+                mana.send(&[7u8; 8], Datatype::Byte.handle(), 1, 3, dup)
+                    .map_err(err)?;
+            }
+            mana.comm_free(dup).map_err(err)?;
+            coord_for_ranks.schedule_checkpoint_at(0, CkptMode::Continue);
+            Ok(maybe_checkpoint(&mut mana, &mut agent, &Memory::new(), 0))
+        });
+        let _ = done.send(out.map(|out| out.results));
+    });
+    let results = outcome
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the checkpoint must fail, not spin in the drain")
+        .expect("world");
+    assert_eq!(results, vec![Err(AbiError::Ckpt); 2]);
+    assert_eq!(coord.completed_rounds(), 0);
 }
 
 #[test]

@@ -19,13 +19,6 @@ pub enum SimError {
         /// Number of ranks in the fabric.
         nranks: usize,
     },
-    /// The peer rank has been marked failed (fail-stop fault injection).
-    PeerFailed {
-        /// The failed peer.
-        rank: usize,
-    },
-    /// This rank itself has been marked failed; it must stop communicating.
-    SelfFailed,
     /// The fabric has been shut down (all senders dropped).
     Disconnected,
     /// A rank thread panicked during a `World::run` and the run was aborted.
@@ -45,8 +38,6 @@ impl fmt::Display for SimError {
             SimError::NoSuchRank { rank, nranks } => {
                 write!(f, "no such rank {rank} (fabric has {nranks} ranks)")
             }
-            SimError::PeerFailed { rank } => write!(f, "peer rank {rank} has failed"),
-            SimError::SelfFailed => write!(f, "this rank has been marked failed"),
             SimError::Disconnected => write!(f, "fabric disconnected"),
             SimError::RankPanicked { rank, message } => {
                 write!(f, "rank {rank} panicked: {message}")

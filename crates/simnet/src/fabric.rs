@@ -1,4 +1,4 @@
-//! The fabric: rank-to-rank FIFO mailboxes plus fail-stop fault injection.
+//! The fabric: rank-to-rank FIFO mailboxes and a shutdown switch.
 //!
 //! Each destination rank owns a **striped mailbox**: the arrival queue is
 //! split into `nstripes` lock stripes keyed by *source* rank
@@ -13,22 +13,21 @@
 //! send schedule is observed exactly in send order, as before striping.
 //!
 //! The fabric is **event-driven**: a blocked receiver sleeps on its
-//! mailbox's condition variable and is woken by an envelope it waits for,
-//! by [`Fabric::shutdown`] or by [`Fabric::fail_rank`] — no polling
-//! interval, so failure-detection and shutdown latency is one condvar
-//! wakeup, not a timer tick.
+//! mailbox's condition variable and is woken by an envelope it waits for
+//! or by [`Fabric::shutdown`], the one broadcast wake — no polling
+//! interval, so shutdown latency is one condvar wakeup, not a timer tick.
 //!
 //! **The gate guards the want.** The condvar's mutex (the *gate*) holds
 //! what the parked receiver waits for, a [`Want`] `{ctx_id, src, tag}`
 //! with `None` = wildcard. A receiver about to park takes the gate, writes
-//! its want, registers in `waiters`, re-checks `queued` and the unblock
-//! flags, and sleeps. A sender that reads `waiters > 0` after its push
+//! its want, registers in `waiters`, re-checks `queued` and the shutdown
+//! flag, and sleeps. A sender that reads `waiters > 0` after its push
 //! takes the gate and notifies **only if the want admits its envelope**;
 //! any other envelope waits in its stripe until the admitted one arrives
 //! and the receiver's next pump drains the lot, in arrival order. With no
 //! receiver registered a send takes one stripe lock and no gate (the
-//! 512-rank incast fast path). Shutdown, fail-stop and the detection flip
-//! ignore the want: gate, then `notify_all`.
+//! 512-rank incast fast path). Shutdown ignores the want: gate, then
+//! `notify_all`.
 //!
 //! **No lost wake-up.** A sender bumps `queued` before it loads `waiters`;
 //! a receiver, holding the gate, writes its want and bumps `waiters`
@@ -217,9 +216,9 @@ impl Mailbox {
     }
 
     /// Wake every receiver blocked on this mailbox, whatever it wants
-    /// (shutdown / fail-stop). Passing through the gate first puts the
-    /// notify either before a parking receiver's check of the flags (it
-    /// sees the new state) or after its wait released the gate (it is woken).
+    /// (shutdown). Passing through the gate first puts the notify either
+    /// before a parking receiver's check of the flag (it sees the new
+    /// state) or after its wait released the gate (it is woken).
     fn wake_all(&self) {
         drop(self.gate.lock().expect("mailbox gate poisoned"));
         self.arrived.notify_all();
@@ -261,23 +260,13 @@ pub(crate) struct FabricTelemetry {
 
 struct Shared {
     nranks: usize,
-    failed: Vec<AtomicBool>,
-    /// Number of ranks currently marked failed. Blocked receivers check
-    /// this single counter instead of scanning the per-rank flags; the
-    /// O(nranks) scan happens only when a failure actually exists.
-    failed_count: AtomicUsize,
     shutdown: AtomicBool,
-    /// When true, blocked receivers report peer failures as errors
-    /// (fault-tolerant mode); when false they keep waiting, like a
-    /// non-fault-tolerant MPI would.
-    failure_detection: AtomicBool,
     mailboxes: Vec<Mailbox>,
     /// Attached at most once, before ranks start; absent on bare fabrics.
     telemetry: OnceLock<FabricTelemetry>,
 }
 
-/// Handle to the whole fabric: constructs endpoints, injects failures,
-/// forces shutdown.
+/// Handle to the whole fabric: constructs endpoints, forces shutdown.
 #[derive(Clone)]
 pub struct Fabric {
     shared: Arc<Shared>,
@@ -298,10 +287,7 @@ impl Fabric {
         let nstripes = nstripes.clamp(1, nranks.max(1));
         let shared = Arc::new(Shared {
             nranks,
-            failed: (0..nranks).map(|_| AtomicBool::new(false)).collect(),
-            failed_count: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            failure_detection: AtomicBool::new(false),
             mailboxes: (0..nranks).map(|_| Mailbox::new(nstripes)).collect(),
             telemetry: OnceLock::new(),
         });
@@ -354,51 +340,14 @@ impl Fabric {
         self.shared.telemetry.get()
     }
 
-    /// Count a broadcast wakeup (shutdown / fail-stop / detection flip).
-    fn note_broadcast_wakeup(&self) {
-        if let Some(ft) = self.shared.telemetry.get() {
-            ft.broadcast_wakeups.incr();
-        }
-    }
-
-    /// Mark a rank as failed (fail-stop). Subsequent sends to it error with
-    /// [`SimError::PeerFailed`]; blocked receivers are woken immediately
-    /// and learn of it if failure detection is enabled.
-    pub fn fail_rank(&self, rank: usize) {
-        if rank >= self.shared.nranks {
-            return;
-        }
-        if !self.shared.failed[rank].swap(true, Ordering::SeqCst) {
-            self.shared.failed_count.fetch_add(1, Ordering::SeqCst);
-        }
-        self.note_broadcast_wakeup();
-        for mb in &self.shared.mailboxes {
-            mb.wake_all();
-        }
-    }
-
-    /// Whether a rank has been marked failed.
-    pub fn is_failed(&self, rank: usize) -> bool {
-        rank < self.shared.nranks && self.shared.failed[rank].load(Ordering::SeqCst)
-    }
-
-    /// Enable fault-tolerant semantics: blocked receives return
-    /// [`SimError::PeerFailed`] when any rank has failed, instead of
-    /// waiting forever like a non-fault-tolerant MPI.
-    pub fn enable_failure_detection(&self) {
-        self.shared.failure_detection.store(true, Ordering::SeqCst);
-        self.note_broadcast_wakeup();
-        for mb in &self.shared.mailboxes {
-            mb.wake_all();
-        }
-    }
-
     /// Tear the fabric down: every blocked receive returns
     /// [`SimError::Disconnected`] immediately. Used when a rank errors or
     /// panics so the remaining ranks unwind instead of deadlocking.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.note_broadcast_wakeup();
+        if let Some(ft) = self.shared.telemetry.get() {
+            ft.broadcast_wakeups.incr();
+        }
         for mb in &self.shared.mailboxes {
             mb.wake_all();
         }
@@ -445,24 +394,11 @@ impl Endpoint {
         self.counts[which].set(self.counts[which].get() + 1);
     }
 
-    /// Why a blocked receiver must stop waiting, if it must. Message
-    /// delivery takes precedence: callers check the queue first.
-    fn unblock_reason(&self) -> Option<SimError> {
-        let shared = &self.fabric.shared;
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Some(SimError::Disconnected);
-        }
-        if shared.failed[self.rank].load(Ordering::SeqCst) {
-            return Some(SimError::SelfFailed);
-        }
-        if shared.failure_detection.load(Ordering::SeqCst)
-            && shared.failed_count.load(Ordering::SeqCst) > 0
-        {
-            if let Some(r) = (0..shared.nranks).find(|&r| shared.failed[r].load(Ordering::SeqCst)) {
-                return Some(SimError::PeerFailed { rank: r });
-            }
-        }
-        None
+    /// Whether a blocked receiver must stop waiting: the fabric is shut
+    /// down. Message delivery takes precedence: callers check the queue
+    /// first.
+    fn is_shut_down(&self) -> bool {
+        self.fabric.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// Send a raw envelope. The sender's clock first advances by the
@@ -488,12 +424,6 @@ impl Endpoint {
                 rank: dst,
                 nranks: shared.nranks,
             });
-        }
-        if shared.failed[self.rank].load(Ordering::SeqCst) {
-            return Err(SimError::SelfFailed);
-        }
-        if shared.failed[dst].load(Ordering::SeqCst) {
-            return Err(SimError::PeerFailed { rank: dst });
         }
         if shared.shutdown.load(Ordering::SeqCst) {
             return Err(SimError::Disconnected);
@@ -550,9 +480,8 @@ impl Endpoint {
     /// Blocking pull of the next raw envelope (no time accounting).
     ///
     /// Parks on the mailbox condvar after a bounded yield phase — no
-    /// polling. Unblocks with an error if the fabric shuts down, or — when
-    /// failure detection is enabled — if any rank has been marked failed;
-    /// queued messages are always delivered before an unblock error.
+    /// polling. Unblocks with [`SimError::Disconnected`] if the fabric
+    /// shuts down; queued messages are always delivered before that error.
     pub fn recv_raw(&self) -> SimResult<Envelope> {
         self.recv_raw_wanting(Want::default())
     }
@@ -577,14 +506,13 @@ impl Endpoint {
                 }
             }
             // Still nothing: publish the want and register on the condvar,
-            // then re-check the queues and the unblock flags *after*
-            // registering, so a concurrent push or flag flip cannot be
-            // missed (module docs; flag writers always notify via the gate).
+            // then re-check the queues and the shutdown flag *after*
+            // registering, so a concurrent push or shutdown cannot be
+            // missed (module docs; shutdown always notifies via the gate).
             let mut gate = mailbox.gate.lock().expect("mailbox gate poisoned");
             *gate = want;
             mailbox.waiters.fetch_add(1, Ordering::SeqCst);
-            let wake_now =
-                mailbox.queued.load(Ordering::SeqCst) > 0 || self.unblock_reason().is_some();
+            let wake_now = mailbox.queued.load(Ordering::SeqCst) > 0 || self.is_shut_down();
             if !wake_now {
                 self.count(PARKS);
                 self.fold_counts();
@@ -599,8 +527,8 @@ impl Endpoint {
             if let Some(env) = mailbox.take_next() {
                 return Ok(env);
             }
-            if let Some(err) = self.unblock_reason() {
-                return Err(err);
+            if self.is_shut_down() {
+                return Err(SimError::Disconnected);
             }
             // Spurious wakeup or a racing pop: go around again.
         }
@@ -793,21 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn send_to_failed_rank_errors() {
-        let (fabric, mut eps, spec) = two_rank_setup();
-        let _ep1 = eps.pop().unwrap();
-        let ep0 = eps.pop().unwrap();
-        let ctx0 = ctx_for(0, &spec, ep0);
-        fabric.fail_rank(1);
-        assert!(fabric.is_failed(1));
-        let err = ctx0
-            .endpoint()
-            .send_raw(1, 0, 0, Bytes::new(), &ctx0)
-            .unwrap_err();
-        assert_eq!(err, SimError::PeerFailed { rank: 1 });
-    }
-
-    #[test]
     fn blocked_recv_unblocks_on_shutdown() {
         let (fabric, mut eps, spec) = two_rank_setup();
         let ep1 = eps.pop().unwrap();
@@ -822,25 +735,6 @@ mod tests {
         });
         let err = ctx1.endpoint().recv_raw().unwrap_err();
         assert_eq!(err, SimError::Disconnected);
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn blocked_recv_sees_peer_failure_when_detection_enabled() {
-        let (fabric, mut eps, spec) = two_rank_setup();
-        let ep1 = eps.pop().unwrap();
-        let _ep0 = eps.pop().unwrap();
-        let ctx1 = ctx_for(1, &spec, ep1);
-        fabric.enable_failure_detection();
-        let handle = std::thread::spawn({
-            let fabric = fabric.clone();
-            move || {
-                std::thread::sleep(Duration::from_millis(5));
-                fabric.fail_rank(0);
-            }
-        });
-        let err = ctx1.endpoint().recv_raw().unwrap_err();
-        assert_eq!(err, SimError::PeerFailed { rank: 0 });
         handle.join().unwrap();
     }
 
@@ -978,32 +872,19 @@ mod tests {
     }
 
     #[test]
-    fn narrow_want_still_unblocks_on_shutdown_and_failures() {
-        type Unblock = (fn(&Fabric), SimError);
-        let cases: [Unblock; 3] = [
-            (|f| f.shutdown(), SimError::Disconnected),
-            (|f| f.fail_rank(3), SimError::PeerFailed { rank: 3 }),
-            (|f| f.fail_rank(0), SimError::SelfFailed),
-        ];
-        for (unblock, expect) in cases {
-            let parked = park_rank0(NARROW, |ctx, first| {
-                (first, ctx.endpoint().recv_raw_wanting(NARROW))
-            });
-            // The detection flip is a broadcast wake-up; let the receiver
-            // go back to sleep before anything is sent.
-            parked.fabric.enable_failure_detection();
-            while parked.count("fabric.parks") < 2 {
-                std::thread::yield_now();
-            }
-            // Not wanted, so it only sits in its stripe — and must still
-            // come out before the error does.
-            parked.send(2, 3, 7, b"queued");
-            assert_eq!(parked.count("fabric.wakeups"), 0);
-            unblock(&parked.fabric);
-            let (first, second) = parked.receiver.join().unwrap();
-            assert_eq!(&first.unwrap().payload[..], b"queued");
-            assert_eq!(second.unwrap_err(), expect);
-        }
+    fn narrow_want_still_unblocks_on_shutdown() {
+        let parked = park_rank0(NARROW, |ctx, first| {
+            (first, ctx.endpoint().recv_raw_wanting(NARROW))
+        });
+        // Not wanted, so it only sits in its stripe — and must still come
+        // out before the error does.
+        parked.send(2, 3, 7, b"queued");
+        assert_eq!(parked.count("fabric.wakeups"), 0);
+        parked.fabric.shutdown();
+        assert_eq!(parked.count("fabric.broadcast_wakeups"), 1);
+        let (first, second) = parked.receiver.join().unwrap();
+        assert_eq!(&first.unwrap().payload[..], b"queued");
+        assert_eq!(second.unwrap_err(), SimError::Disconnected);
     }
 
     #[test]

@@ -41,12 +41,12 @@
 //!   lock; a per-destination arrival stamp merges the stripes back into
 //!   global arrival order. Senders push under their stripe's lock and
 //!   wake a registered receiver; blocked receivers sleep on the mailbox
-//!   condvar. [`Fabric::shutdown`] and [`Fabric::fail_rank`] flip an
-//!   atomic flag, briefly acquire each mailbox gate, and `notify_all`, so
-//!   failure-detection latency is one condvar wakeup — there is no
-//!   polling interval, and deadlocked or failed worlds unwind instantly.
-//!   A single `AtomicUsize` failed-rank counter lets receivers check for
-//!   failures without scanning per-rank flags.
+//!   condvar. [`Fabric::shutdown`], the one broadcast wake, flips an
+//!   atomic flag, briefly acquires each mailbox gate, and `notify_all`s,
+//!   so shutdown latency is one condvar wakeup — there is no polling
+//!   interval, and a failed world unwinds instantly. A failure ends the
+//!   job (the paper's non-fault-tolerant MPI): there is no failed-rank
+//!   state for a send or a receive to check.
 //! * **Indexed matching** ([`matching`]). Unexpected messages are
 //!   bucketed per exact `(ctx_id, src, tag)` triple (FIFO per bucket) and
 //!   stamped with a global arrival sequence at ingest. Fully-specified

@@ -125,7 +125,6 @@ impl<V: NativeAbi> Process<V> {
     fn sim_err(e: SimError) -> i32 {
         match e {
             SimError::NoSuchRank { .. } => V::ERR_RANK,
-            SimError::PeerFailed { .. } | SimError::SelfFailed => V::ERR_PROC_FAILED,
             SimError::Disconnected | SimError::RankPanicked { .. } => V::ERR_SHUTDOWN,
             SimError::InvalidConfig(_) => V::ERR_OTHER,
         }

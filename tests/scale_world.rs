@@ -2,7 +2,7 @@
 //! and the full vendor stack at scale.
 //!
 //! These are the integration-level guarantees behind the scale rework:
-//! a fail-stop in a 512-rank world must unwind *every* blocked receiver
+//! a shutdown of a 512-rank world must unwind *every* blocked receiver
 //! via one condvar cascade (no polling, no stragglers), the tree barrier
 //! must complete a 512-rank rendezvous with a uniform cut, and the
 //! collectives must still be correct when the world is 10× the paper's
@@ -23,29 +23,24 @@ fn big_cluster(nranks: usize) -> ClusterSpec {
         .build()
 }
 
-/// 512 blocked receivers; one rank fails. Every survivor must be woken by
-/// the condvar cascade and unwind with `PeerFailed`; the victim itself
-/// reports `SelfFailed`. No polling exists in the fabric, so a missed
-/// wakeup would hang this test — completion *is* the assertion, the
-/// counters make it explicit.
+/// 512 blocked receivers; the fabric shuts down. Every rank must be woken
+/// by the condvar cascade and unwind with `Disconnected`. No polling
+/// exists in the fabric, so a missed wakeup would hang this test —
+/// completion *is* the assertion, the counter makes it explicit.
 #[test]
-fn fail_stop_unwinds_all_512_blocked_receivers() {
+fn shutdown_unwinds_all_512_blocked_receivers() {
     let n = 512;
-    let victim = 137;
     let spec = Arc::new(big_cluster(n));
     let (fabric, endpoints) = Fabric::new(&spec);
-    fabric.enable_failure_detection();
 
-    let peer_failed = AtomicUsize::new(0);
-    let self_failed = AtomicUsize::new(0);
+    let disconnected = AtomicUsize::new(0);
     let blocked = Arc::new(AtomicUsize::new(0));
 
     std::thread::scope(|s| {
         for (rank, ep) in endpoints.into_iter().enumerate() {
             let spec = spec.clone();
             let blocked = blocked.clone();
-            let peer_failed = &peer_failed;
-            let self_failed = &self_failed;
+            let disconnected = &disconnected;
             std::thread::Builder::new()
                 .stack_size(256 * 1024)
                 .spawn_scoped(s, move || {
@@ -53,22 +48,17 @@ fn fail_stop_unwinds_all_512_blocked_receivers() {
                         RankCtx::new(rank, spec, ep, NoiseModel::disabled().stream_for_rank(rank));
                     blocked.fetch_add(1, Ordering::SeqCst);
                     match ctx.endpoint().recv_raw() {
-                        Err(SimError::PeerFailed { rank: r }) => {
-                            assert_eq!(r, victim);
-                            peer_failed.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Err(SimError::SelfFailed) => {
-                            assert_eq!(rank, victim);
-                            self_failed.fetch_add(1, Ordering::SeqCst);
+                        Err(SimError::Disconnected) => {
+                            disconnected.fetch_add(1, Ordering::SeqCst);
                         }
                         other => panic!("rank {rank}: unexpected {other:?}"),
                     }
                 })
                 .expect("spawn");
         }
-        // Inject the failure once every rank is at least at the brink of
-        // its blocking receive (they may still be pre-wait: the wakeup
-        // must cover both the about-to-sleep and the asleep).
+        // Shut down once every rank is at least at the brink of its
+        // blocking receive (they may still be pre-wait: the wakeup must
+        // cover both the about-to-sleep and the asleep).
         let fabric = fabric.clone();
         let blocked = blocked.clone();
         s.spawn(move || {
@@ -78,12 +68,11 @@ fn fail_stop_unwinds_all_512_blocked_receivers() {
             }
             // lint:allow(no-free-running-harness) — lets most receivers park; both the parked and the about-to-park must wake, so the outcome holds either way
             std::thread::sleep(std::time::Duration::from_millis(2));
-            fabric.fail_rank(victim);
+            fabric.shutdown();
         });
     });
 
-    assert_eq!(peer_failed.load(Ordering::SeqCst), n - 1);
-    assert_eq!(self_failed.load(Ordering::SeqCst), 1);
+    assert_eq!(disconnected.load(Ordering::SeqCst), n);
 }
 
 /// A 512-rank checkpoint rendezvous over the tree barrier: one round at

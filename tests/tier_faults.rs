@@ -263,6 +263,9 @@ fn open_with_tier_heals_a_quarantined_head_from_the_tier() {
     let s4 = store.commit(&image(4, 2, 4, 1800)).unwrap();
     assert!(!s4.full, "healed head serves as the delta base");
     assert_eq!(store.load_latest().unwrap(), image(4, 2, 4, 1800));
+    // Dropping the store joins its shipper, which may still be putting
+    // epoch 4 into the tier directory.
+    drop(store);
     std::fs::remove_dir_all(&store_dir).unwrap();
     std::fs::remove_dir_all(&tier_dir).unwrap();
 }
