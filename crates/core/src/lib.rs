@@ -62,7 +62,7 @@ pub use dmtcp_sim::{
     BarrierPhase, ReplicaConfig, ReplicaError, ReplicaFault, ReplicaGroup, ReplicaRecord,
     ReplicaStats,
 };
-pub use dmtcp_sim::{BarrierTopology, CkptMode, WorldImage};
+pub use dmtcp_sim::{CkptMode, WorldImage};
 pub use dmtcp_sim::{
     Compression, DeltaStore, EpochStats, SharedStoreWriter, StoreConfig, StoreError, TenantSink,
 };

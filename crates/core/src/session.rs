@@ -4,7 +4,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use dmtcp_sim::coordinator::{BarrierTopology, CkptMode, Coordinator};
+use dmtcp_sim::coordinator::{CkptMode, Coordinator};
 use dmtcp_sim::image::WorldImage;
 use dmtcp_sim::memory::Memory;
 use dmtcp_sim::replica::{Clock, ReplicaConfig, ReplicaGroup, SystemClock};
@@ -291,9 +291,6 @@ pub struct SessionConfig {
     /// Canonical rank-ordered reductions through the shim (bitwise
     /// reproducible across vendors; requires `use_muk`).
     pub deterministic_reductions: bool,
-    /// Checkpoint-coordinator barrier topology override; `None` lets the
-    /// coordinator pick by world size (flat ≤ 64 ranks, tree beyond).
-    pub barrier_topology: Option<BarrierTopology>,
     /// Where the end-of-run crash-dump timeline is written when the run
     /// records incidents or fails. Defaults to the `STOOL_DUMP_DIR`
     /// environment variable; `None` disables dumping (events stay
@@ -321,7 +318,6 @@ impl Default for SessionBuilder {
                 durability: DurabilityPolicy::default(),
                 schedule: FaultSchedule::default(),
                 deterministic_reductions: false,
-                barrier_topology: None,
                 dump_dir: std::env::var_os("STOOL_DUMP_DIR").map(PathBuf::from),
             },
             injected: Vec::new(),
@@ -389,14 +385,6 @@ impl SessionBuilder {
     /// [`crate::cluster::ClusterBuilder`] tenants take.
     pub fn durability(mut self, policy: DurabilityPolicy) -> Self {
         self.config.durability = policy;
-        self
-    }
-
-    /// Override the checkpoint coordinator's rendezvous barrier topology
-    /// (default: auto by world size — flat up to 64 ranks, radix-32 tree
-    /// beyond).
-    pub fn barrier_topology(mut self, topology: BarrierTopology) -> Self {
-        self.config.barrier_topology = Some(topology);
         self
     }
 
@@ -839,11 +827,7 @@ impl Session {
         let tel = &wiring.tel;
         let coordinator = match self.config.checkpointer {
             Checkpointer::Mana(_) => {
-                let topology = self
-                    .config
-                    .barrier_topology
-                    .unwrap_or_else(|| BarrierTopology::auto(cluster.nranks()));
-                let coord = Coordinator::with_topology(cluster.nranks(), topology);
+                let coord = Coordinator::new(cluster.nranks());
                 coord.attach_telemetry(tel.clone());
                 Some(coord)
             }

@@ -42,16 +42,16 @@
 //!   locks (`ShardedSlots`), so per-rank submissions before a barrier
 //!   contend on `n/64` peers rather than all of them.
 //!
-//! The safe-point contract this imposes on applications: consecutive safe
-//! points on a rank must carry step numbers that increase by exactly one
-//! (the unit-step structure every iterative MPI workload has), and all
-//! ranks must share the same step structure. Violations are detected and
-//! reported as [`CkptError::StepSkew`]/[`CkptError::Overrun`] rather than
-//! deadlocking. A rank that resigns (finishes its program or dies) closes
-//! any open round, and no later round opens (a world image missing a rank
-//! is not restorable); if anyone had entered the rendezvous, the barrier
-//! is poisoned first so the survivors unwind with [`CkptError::Poisoned`]
-//! instead of hanging.
+//! The safe-point contract this imposes on applications: reach the cut.
+//! A rank may number its safe points below the cut however it likes, but
+//! it must poll at the cut step itself; a rank whose poll in an open round
+//! is already past the cut is reported as [`CkptError::Overrun`] rather
+//! than deadlocking. A rank that resigns (finishes its program or dies)
+//! closes any open round, and so does a failed round; either way no later
+//! round opens (a world image missing a rank is not restorable, and every
+//! checkpoint failure ends the job). If anyone had entered the rendezvous
+//! when a rank resigned, the barrier is poisoned first so the survivors
+//! unwind with [`CkptError::Poisoned`] instead of hanging.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -93,17 +93,9 @@ pub enum CkptError {
     /// A participant died mid-round; the protocol barrier was poisoned so
     /// the survivors unwind instead of hanging.
     Poisoned,
-    /// A rank's safe-point steps did not increase by exactly one while a
-    /// round was active (the application violated the safe-point contract).
-    StepSkew {
-        /// The step of this rank's previous safe point in the round.
-        last: u64,
-        /// The step it presented now.
-        got: u64,
-    },
-    /// A rank turned up at a safe point beyond the agreed cut. With the
-    /// unit-step contract this cannot happen; seeing it means the contract
-    /// was violated in a way the skew check could not catch.
+    /// A rank polled past the cut of an open round without polling at the
+    /// cut itself (the application broke the one safe-point contract:
+    /// reach the cut).
     Overrun {
         /// The agreed cut step.
         cut: u64,
@@ -114,7 +106,7 @@ pub enum CkptError {
     /// failed to accept a completed epoch; every participant of the round
     /// observes the same error so the world unwinds consistently.
     Store(StoreError),
-    /// The attached replica group could not commit the epoch record to a
+    /// The attached replica group could not commit the epoch seal to a
     /// quorum: the round aborted atomically (the staged epoch was
     /// discarded, nothing became durable anywhere) and every participant
     /// observes the same error.
@@ -125,11 +117,6 @@ impl std::fmt::Display for CkptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CkptError::Poisoned => write!(f, "checkpoint round poisoned: a participant died"),
-            CkptError::StepSkew { last, got } => write!(
-                f,
-                "safe-point steps must increase by exactly 1 during a checkpoint round \
-                 (previous {last}, got {got})"
-            ),
             CkptError::Overrun { cut, got } => {
                 write!(
                     f,
@@ -143,12 +130,6 @@ impl std::fmt::Display for CkptError {
 }
 
 impl std::error::Error for CkptError {}
-
-impl From<ReplicaError> for CkptError {
-    fn from(e: ReplicaError) -> CkptError {
-        CkptError::Replica(e)
-    }
-}
 
 /// How the rendezvous barrier synchronizes its participants.
 ///
@@ -442,10 +423,8 @@ type DrainCounters = (Vec<u64>, Vec<u64>);
 
 struct Round {
     phase: Phase,
-    /// Per-rank last safe-point step seen in the current round.
-    pos: Vec<Option<u64>>,
-    /// Ranks that have resigned (finished their program or died).
-    finished: usize,
+    /// Set by a resignation or a failed round: no later round opens.
+    closed: bool,
     /// Ranks that have entered the rendezvous barrier this round. While
     /// zero, a resignation can still abort the round cleanly; once any
     /// rank is inside the barrier, a resignation must poison it.
@@ -467,17 +446,16 @@ struct Shared {
     /// Attached image consumer plus the vendor hint to stamp on forwarded
     /// world images, if any. Attached before any rank starts.
     sink: OnceLock<(Arc<dyn ImageSink>, String)>,
-    /// First sink failure; latched so every participant of the failing
-    /// round (and any later round) unwinds with the same error.
-    sink_error: TrackedMutex<Option<StoreError>>,
     /// Attached coordinator replica group, if any, attached before any
-    /// rank starts. When present, every completed round's epoch record
+    /// rank starts. When present, every completed round's epoch seal
     /// must reach a quorum of replica logs before the leader bumps
     /// `completed_rounds` or releases the barrier.
     replicas: OnceLock<Arc<ReplicaGroup>>,
-    /// First quorum-commit failure; latched like `sink_error` so every
-    /// participant of the aborted round unwinds with the same error.
-    replica_error: TrackedMutex<Option<ReplicaError>>,
+    /// The failure of the failed round (a quorum or sink failure),
+    /// latched by the `finish()` leader so every participant unwinds with
+    /// the same error. A failed round closes the coordinator, so no
+    /// later round reads it.
+    error: TrackedMutex<Option<CkptError>>,
     /// Attached flight recorder, if any. All coordinator protocol events
     /// land on its dedicated coordinator lane, stamped with the latest
     /// virtual clock the ranks have reported through
@@ -521,8 +499,7 @@ impl Coordinator {
                     "coord.round",
                     Round {
                         phase: Phase::Idle,
-                        pos: (0..nranks).map(|_| None).collect(),
-                        finished: 0,
+                        closed: false,
                         entered: 0,
                     },
                 ),
@@ -531,9 +508,8 @@ impl Coordinator {
                 images: ShardedSlots::new(nranks),
                 completed_rounds: AtomicU64::new(0),
                 sink: OnceLock::new(),
-                sink_error: TrackedMutex::named("coord.sink_error", None),
                 replicas: OnceLock::new(),
-                replica_error: TrackedMutex::named("coord.replica_error", None),
+                error: TrackedMutex::named("coord.error", None),
                 telemetry: OnceLock::new(),
             }),
         }
@@ -550,7 +526,7 @@ impl Coordinator {
         let _ = self.shared.sink.set((sink, vendor_hint.to_string()));
     }
 
-    /// Attach a [`ReplicaGroup`]: from now on every round's epoch record
+    /// Attach a [`ReplicaGroup`]: from now on every round's epoch seal
     /// is quorum-committed to the replica logs *before* the round's epoch
     /// becomes observable or its image reaches the sink. If the quorum is
     /// unreachable the round aborts atomically — the staged images are
@@ -592,18 +568,17 @@ impl Coordinator {
     /// `mode`, the others join it.
     ///
     /// A rank must call this at its own `step` safe point *before* polling
-    /// there. Once any rank has resigned no round can complete, so the
-    /// call opens nothing and the poll there runs on.
+    /// there. Once any rank has resigned, or a round has failed, no round
+    /// opens again: the call opens nothing and the poll there runs on.
     pub fn schedule_checkpoint_at(&self, step: u64, mode: CkptMode) {
         let mut round = self.shared.round.lock().expect("round lock");
-        if round.phase == Phase::Idle && round.finished == 0 {
+        if round.phase == Phase::Idle && !round.closed {
             let round_no = self.shared.completed_rounds.load(Ordering::SeqCst) + 1;
             round.phase = Phase::Rendezvous {
                 cut: step,
                 epoch: round_no,
                 mode,
             };
-            round.pos.fill(None);
             self.shared.open.store(true, Ordering::SeqCst);
             self.shared.emit(
                 EventKind::CkptScheduled,
@@ -674,8 +649,9 @@ impl RankAgent {
 
     /// Poll at an application safe point. `next_step` is the step about to
     /// execute (and the resume position recorded if the checkpoint happens
-    /// here). Must be called at every safe point; while a round is active,
-    /// consecutive polls must present steps that increase by exactly one.
+    /// here). Below the cut of an open round a poll runs on, whatever steps
+    /// came before it; at the cut it enters; past the cut it is an
+    /// [`CkptError::Overrun`]. Outside a round it costs one atomic load.
     pub fn poll(&mut self, next_step: u64) -> Result<Poll<'_>, CkptError> {
         if !self.shared.open.load(Ordering::Relaxed) {
             return Ok(Poll::None);
@@ -685,8 +661,6 @@ impl RankAgent {
         match round.phase {
             Phase::Idle => Ok(Poll::None),
             Phase::Rendezvous { cut, epoch, mode } => {
-                self.check_step(&round, next_step)?;
-                round.pos[self.rank] = Some(next_step);
                 if next_step < cut {
                     return Ok(Poll::None);
                 }
@@ -709,31 +683,18 @@ impl RankAgent {
         }
     }
 
-    /// Validate the unit-step contract while a round is active.
-    fn check_step(&self, round: &Round, next_step: u64) -> Result<(), CkptError> {
-        if let Some(last) = round.pos[self.rank] {
-            if next_step != last + 1 {
-                return Err(CkptError::StepSkew {
-                    last,
-                    got: next_step,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Declare that this rank will reach no further safe points (its
     /// program completed or it is unwinding from a failure). Idempotent;
-    /// also invoked on drop. Closes any open round, and `finished > 0`
-    /// keeps every later one from opening; a rendezvous someone entered
-    /// is poisoned first so waiting peers unwind.
+    /// also invoked on drop. Closes any open round and keeps every later
+    /// one from opening; a rendezvous someone entered is poisoned first so
+    /// waiting peers unwind.
     pub fn resign(&mut self) {
         if self.resigned {
             return;
         }
         self.resigned = true;
         let mut round = self.shared.round.lock().expect("round lock");
-        round.finished += 1;
+        round.closed = true;
         let mid_round_death = matches!(round.phase, Phase::Rendezvous { .. });
         if let Phase::Rendezvous { epoch, .. } = round.phase {
             if round.entered > 0 {
@@ -752,19 +713,6 @@ impl RankAgent {
             self.shared.completed_rounds.load(Ordering::SeqCst),
             mid_round_death as u64,
         );
-        if mid_round_death {
-            // A rank dying mid-round is a membership change the replicated
-            // log should remember. Best-effort: the round is already
-            // aborted/poisoned either way, and a failed membership commit
-            // must not mask the primary failure the world is unwinding
-            // from.
-            if let Some(group) = self.shared.replicas.get() {
-                let _ = group.commit(ReplicaRecord::Membership {
-                    rank: self.rank as u64,
-                    alive: false,
-                });
-            }
-        }
     }
 }
 
@@ -836,18 +784,13 @@ impl CkptSession<'_> {
             // counter matrices; clearing any earlier races peers still
             // computing their drain deficits.
             shared.counters.clear();
-            // Every participant of the previous round observed its verdict
-            // before this round's rendezvous could form, so an aborted
-            // round's latched error is stale by now: a fresh round starts
-            // with a clean one. (`sink_error`, by contrast, is terminal.)
-            *shared.replica_error.lock().expect("replica error lock") = None;
-            // Quorum-commit the epoch record before anything about this
+            // Quorum-commit the epoch seal before anything about this
             // round becomes observable. The scripted fault hooks model a
             // coordinator leader dying at each barrier phase; the commit
             // itself rides out leader death via election and retry, and
-            // only an unreachable quorum aborts the round.
+            // only an unreachable quorum fails the round.
             let replicas = shared.replicas.get();
-            let mut commit_ok = true;
+            let mut failure = None;
             if let Some(group) = replicas {
                 let phase = |p: BarrierPhase| {
                     shared.emit(EventKind::BarrierPhase, phase_code(p), self.epoch, self.cut);
@@ -868,10 +811,7 @@ impl CkptSession<'_> {
                 phase(BarrierPhase::PreSeal);
                 match group.commit(record) {
                     Ok(_) => phase(BarrierPhase::PostSeal),
-                    Err(e) => {
-                        *shared.replica_error.lock().expect("replica error lock") = Some(e);
-                        commit_ok = false;
-                    }
+                    Err(e) => failure = Some(CkptError::Replica(e)),
                 }
             }
             // All participants are parked between the two barriers, so
@@ -879,9 +819,8 @@ impl CkptSession<'_> {
             let mut round = shared.round.lock().expect("round lock");
             round.phase = Phase::Idle;
             shared.open.store(false, Ordering::SeqCst);
-            round.pos.fill(None);
             round.entered = 0;
-            if commit_ok {
+            if failure.is_none() {
                 shared.completed_rounds.fetch_add(1, Ordering::SeqCst);
                 shared.emit(
                     EventKind::EpochCommit,
@@ -891,7 +830,7 @@ impl CkptSession<'_> {
                 );
             }
             drop(round);
-            if commit_ok {
+            if failure.is_none() {
                 // Hand the completed epoch to the attached sink (the async
                 // store). Every rank has submitted its image before reaching
                 // the barrier above, so the staging area is complete; the sink
@@ -903,16 +842,20 @@ impl CkptSession<'_> {
                             if let Some(tel) = shared.telemetry.get() {
                                 tel.note_incident();
                             }
-                            *shared.sink_error.lock().expect("sink error lock") = Some(e);
+                            failure = Some(CkptError::Store(e));
                         }
                     }
                 }
-            } else {
-                // Atomic abort: the quorum never accepted this epoch, so
-                // nothing of it may survive — drop the staged images and
-                // leave completed_rounds untouched. Restart replays only
-                // quorum-committed state.
+            }
+            if let Some(e) = failure {
+                // A failed round ends the job, so it closes the coordinator
+                // as a resignation does. Nothing of an epoch the quorum
+                // never accepted may survive: its staged images are dropped
+                // (a failed sink already took them), and it never counted
+                // in completed_rounds.
                 shared.images.clear();
+                shared.round.lock().expect("round lock").closed = true;
+                *shared.error.lock().expect("error lock") = Some(e);
             }
             if let Some(group) = replicas {
                 shared.emit(
@@ -925,23 +868,10 @@ impl CkptSession<'_> {
             }
         }
         shared.sync.wait(self.agent.rank)?;
-        if let Some(e) = shared
-            .replica_error
-            .lock()
-            .expect("replica error lock")
-            .clone()
-        {
-            // The round aborted atomically: no epoch bump, no sink submit,
-            // no staged images. Every participant unwinds with one error;
-            // the round itself is closed, and a later one can commit once
-            // the quorum is restored.
-            return Err(CkptError::Replica(e));
-        }
-        if let Some(e) = shared.sink_error.lock().expect("sink error lock").clone() {
+        if let Some(e) = shared.error.lock().expect("error lock").clone() {
             // Observed by every participant after the final barrier: the
-            // checkpoint was taken but could not be persisted, and the
             // world unwinds with one consistent error.
-            return Err(CkptError::Store(e));
+            return Err(e);
         }
         Ok(self.mode)
     }
@@ -1312,14 +1242,18 @@ mod tests {
     }
 
     #[test]
-    fn step_skew_detected_during_round() {
+    fn a_rank_that_reaches_the_cut_enters_and_one_past_it_overruns() {
         let coord = Coordinator::new(2);
         coord.schedule_checkpoint_at(9, CkptMode::Continue);
+        // Rank 0 skips steps 6–8 below the cut: it still enters at 9.
         let mut a0 = coord.agent(0);
         assert!(matches!(a0.poll(5), Ok(Poll::None)));
-        match a0.poll(9) {
-            Err(e) => assert_eq!(e, CkptError::StepSkew { last: 5, got: 9 }),
-            Ok(_) => panic!("step skew must be detected"),
+        assert!(matches!(a0.poll(9), Ok(Poll::Enter(_))));
+        // Rank 1's first poll in the open round is past the cut.
+        let mut a1 = coord.agent(1);
+        match a1.poll(10) {
+            Err(e) => assert_eq!(e, CkptError::Overrun { cut: 9, got: 10 }),
+            Ok(_) => panic!("a poll past the cut must overrun"),
         }
     }
 }

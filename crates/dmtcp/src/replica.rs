@@ -1,5 +1,5 @@
 //! Replicated coordinator commit log: a quorum of coordinator replicas
-//! accepting the records the coordinator already treats as commit points.
+//! accepting the coordinator's one commit point, the epoch seal.
 //!
 //! After the remote tier (PR 4–5) the checkpoint chain survives disk loss
 //! and rank fail-stop, but the coordinator/store-writer process itself is
@@ -9,8 +9,7 @@
 //! fault-intolerant substrate:
 //!
 //! * a [`ReplicaGroup`] of 3+ replicas runs **single-decree Paxos per log
-//!   slot** over [`ReplicaRecord`]s — epoch seals, membership changes and
-//!   rendezvous aborts;
+//!   slot** over [`ReplicaRecord`]s (epoch seals);
 //! * each replica persists its acceptor state to an [`ObjectTier`]-backed
 //!   log using the same checksummed-record discipline as the tier's epoch
 //!   seal (magic + version + payload + FNV trailer, written with
@@ -47,6 +46,8 @@ use crate::tier::{get_retried, put_verified, ObjectTier, TierConfig, TierError};
 const RECORD_MAGIC: u64 = 0x5245_504C_4F47_0001;
 /// Log record format version.
 const RECORD_V1: u64 = 1;
+/// The tag byte of an epoch seal, the one record kind.
+const SEAL_TAG: u8 = 0;
 
 // ---------------------------------------------------------------------------
 // Clocks and the liveness timer
@@ -190,8 +191,9 @@ impl LivenessTimer {
 // Records and errors
 // ---------------------------------------------------------------------------
 
-/// One entry of the replicated coordinator log — exactly the events the
-/// coordinator already treats as commit points.
+/// One entry of the replicated coordinator log: the coordinator's one
+/// commit point. An enum of one kind, tagged on the wire so a log written
+/// today stays readable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplicaRecord {
     /// A checkpoint epoch sealed at the rendezvous: the coordinator's
@@ -207,60 +209,32 @@ pub enum ReplicaRecord {
         /// The vendor the epoch's world image is stamped with.
         vendor: String,
     },
-    /// A membership change: a rank declared fail-stop (resigned while a
-    /// round was in flight).
-    Membership {
-        /// The rank that left the world.
-        rank: u64,
-        /// `false` for fail-stop (the only transition logged today).
-        alive: bool,
-    },
-    /// A rendezvous outcome that did not commit: the round was aborted
-    /// and the staged epoch discarded atomically.
-    Abort {
-        /// The epoch whose round aborted.
-        epoch: u64,
-        /// Why (human-readable; not consulted by recovery).
-        reason: String,
-    },
 }
 
 impl ReplicaRecord {
     /// Encode with the same checksummed-seal discipline as the tier's
-    /// epoch seal: magic, version, payload, FNV trailer.
+    /// epoch seal: magic, version, tag 0, payload, FNV trailer.
     pub fn encode(&self) -> Vec<u8> {
+        let ReplicaRecord::EpochSeal {
+            epoch,
+            cut,
+            stop,
+            vendor,
+        } = self;
         let mut w = Writer::new();
         w.u64(RECORD_MAGIC);
         w.u64(RECORD_V1);
-        match self {
-            ReplicaRecord::EpochSeal {
-                epoch,
-                cut,
-                stop,
-                vendor,
-            } => {
-                w.u8(0);
-                w.u64(*epoch);
-                w.u64(*cut);
-                w.u8(u8::from(*stop));
-                w.string(vendor);
-            }
-            ReplicaRecord::Membership { rank, alive } => {
-                w.u8(1);
-                w.u64(*rank);
-                w.u8(u8::from(*alive));
-            }
-            ReplicaRecord::Abort { epoch, reason } => {
-                w.u8(2);
-                w.u64(*epoch);
-                w.string(reason);
-            }
-        }
+        w.u8(SEAL_TAG);
+        w.u64(*epoch);
+        w.u64(*cut);
+        w.u8(u8::from(*stop));
+        w.string(vendor);
         w.finish()
     }
 
     /// Decode a record; a corrupt buffer (bad trailer, magic, version or
-    /// tag) is rejected, never silently accepted.
+    /// tag: only a seal's tag 0 is accepted) is rejected, never silently
+    /// accepted.
     pub fn decode(buf: &[u8]) -> Result<ReplicaRecord, CodecError> {
         let mut r = Reader::checked(buf)?;
         r.expect_magic(RECORD_MAGIC)?;
@@ -271,26 +245,19 @@ impl ReplicaRecord {
                 found: version,
             });
         }
-        match r.u8()? {
-            0 => Ok(ReplicaRecord::EpochSeal {
-                epoch: r.u64()?,
-                cut: r.u64()?,
-                stop: r.u8()? != 0,
-                vendor: r.string()?,
-            }),
-            1 => Ok(ReplicaRecord::Membership {
-                rank: r.u64()?,
-                alive: r.u8()? != 0,
-            }),
-            2 => Ok(ReplicaRecord::Abort {
-                epoch: r.u64()?,
-                reason: r.string()?,
-            }),
-            tag => Err(CodecError::BadMagic {
-                expected: 2,
-                found: tag as u64,
-            }),
+        let tag = r.u8()?;
+        if tag != SEAL_TAG {
+            return Err(CodecError::BadMagic {
+                expected: u64::from(SEAL_TAG),
+                found: u64::from(tag),
+            });
         }
+        Ok(ReplicaRecord::EpochSeal {
+            epoch: r.u64()?,
+            cut: r.u64()?,
+            stop: r.u8()? != 0,
+            vendor: r.string()?,
+        })
     }
 }
 
@@ -632,12 +599,13 @@ struct GroupState {
 /// the next commit, re-adopting whatever record was in flight.
 pub struct ReplicaGroup {
     config: ReplicaConfig,
-    clock: Arc<dyn Clock>,
     timer: LivenessTimer,
     acceptors: Vec<Acceptor>,
     state: Mutex<GroupState>,
     /// Held for the whole of a [`ReplicaGroup::commit`]: one proposal in
     /// flight at a time, so two callers can never claim the same slot.
+    /// The coordinator's `finish()` leader is the one proposer in the
+    /// library; the lock guards the public API against any other caller.
     proposing: Mutex<()>,
     /// The group's flight recorder — the run's once attached, a
     /// detached one until then: elections, accepts and quorum losses
@@ -682,10 +650,9 @@ impl ReplicaGroup {
             }
             acceptors.push(acceptor);
         }
-        let timer = LivenessTimer::new(clock.clone(), config.election_timeout);
+        let timer = LivenessTimer::new(clock, config.election_timeout);
         Ok(ReplicaGroup {
             config,
-            clock,
             timer,
             acceptors,
             state: Mutex::new(GroupState {
@@ -827,11 +794,10 @@ impl ReplicaGroup {
     /// the caller must then abort its round atomically (nothing was
     /// committed anywhere).
     ///
-    /// Callers on different threads (the round leader's seal, the
-    /// membership records of ranks resigning mid-round) are served one at
-    /// a time: the slot is read here and claimed only after the accept
-    /// phase, and a second proposer let in between would be acknowledged
-    /// in the same slot and overwrite the first one's record.
+    /// Callers on different threads are served one at a time: the slot is
+    /// read here and claimed only after the accept phase, and a second
+    /// proposer let in between would be acknowledged in the same slot and
+    /// overwrite the first one's record.
     pub fn commit(&self, record: ReplicaRecord) -> Result<u64, ReplicaError> {
         let _turn = self.proposing.lock().expect("proposer lock");
         // Bounded retries: each iteration either commits or replaces the
@@ -1065,11 +1031,6 @@ impl ReplicaGroup {
         }
         Ok(false)
     }
-
-    /// The clock the group (and its timer) runs on.
-    pub fn clock(&self) -> Arc<dyn Clock> {
-        self.clock.clone()
-    }
 }
 
 #[cfg(test)]
@@ -1092,20 +1053,42 @@ mod tests {
 
     #[test]
     fn record_roundtrip_all_kinds() {
-        for record in [
-            seal(7),
-            ReplicaRecord::Membership {
-                rank: 3,
-                alive: false,
-            },
-            ReplicaRecord::Abort {
-                epoch: 2,
-                reason: "quorum lost".to_string(),
-            },
-        ] {
-            let buf = record.encode();
-            assert_eq!(ReplicaRecord::decode(&buf).unwrap(), record);
-        }
+        let record = seal(7);
+        assert_eq!(ReplicaRecord::decode(&record.encode()).unwrap(), record);
+        // A tag-1 record (a retired kind) with a valid trailer is rejected.
+        let mut w = Writer::new();
+        w.u64(RECORD_MAGIC);
+        w.u64(RECORD_V1);
+        w.u8(1);
+        w.u64(3);
+        w.u8(0);
+        assert_eq!(
+            ReplicaRecord::decode(&w.finish()),
+            Err(CodecError::BadMagic {
+                expected: 0,
+                found: 1
+            })
+        );
+    }
+
+    #[test]
+    fn a_seal_written_by_the_three_kind_encoder_decodes_byte_equal() {
+        // `EpochSeal { epoch: 7, cut: 70, stop: true, vendor: "MPICH" }` as
+        // encoded when the log also had membership and abort records.
+        const OLD: &str = "0100474f4c504552010000000000000000070000000000000046000000\
+                           000000000105000000000000004d50494348507dbab2f6f2589b";
+        let old: Vec<u8> = (0..OLD.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&OLD[i..i + 2], 16).unwrap())
+            .collect();
+        let record = ReplicaRecord::EpochSeal {
+            epoch: 7,
+            cut: 70,
+            stop: true,
+            vendor: "MPICH".to_string(),
+        };
+        assert_eq!(ReplicaRecord::decode(&old).unwrap(), record);
+        assert_eq!(record.encode(), old);
     }
 
     #[test]
@@ -1183,6 +1166,11 @@ mod tests {
         }
         // The committed prefix survives untouched.
         assert_eq!(g.committed().unwrap().len(), 1);
+        // Reviving one replica restores the quorum: the group is not
+        // wedged by the failed commit.
+        g.revive(1);
+        g.commit(seal(2)).unwrap();
+        assert_eq!(g.committed().unwrap().len(), 2);
     }
 
     #[test]

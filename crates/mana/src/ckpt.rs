@@ -365,7 +365,6 @@ pub fn restore_rank(
         sent_to,
         rcvd_from,
         reqs: std::collections::HashMap::new(),
-        outstanding: 0,
         segments: std::collections::HashMap::new(),
     };
     Ok(Restored {

@@ -49,7 +49,6 @@ pub struct ManaMpi {
     pub(crate) sent_to: Vec<u64>,
     pub(crate) rcvd_from: Vec<u64>,
     pub(crate) reqs: HashMap<Handle, ReqEntry>,
-    pub(crate) outstanding: usize,
     /// Per upper-half memory segment: the generation stamp it was last
     /// encoded at and those encoded bytes. A checkpoint re-references a
     /// segment whose stamp has not moved instead of encoding it again.
@@ -69,14 +68,13 @@ impl ManaMpi {
             sent_to: vec![0; n],
             rcvd_from: vec![0; n],
             reqs: HashMap::new(),
-            outstanding: 0,
             segments: HashMap::new(),
         }
     }
 
     /// Number of incomplete nonblocking requests (checkpoints require 0).
     pub fn outstanding(&self) -> usize {
-        self.outstanding
+        self.reqs.len()
     }
 
     /// Number of messages currently buffered in the drained pool.
@@ -243,7 +241,6 @@ impl MpiAbi for ManaMpi {
                 is_recv: false,
             },
         );
-        self.outstanding += 1;
         Ok(vreq)
     }
 
@@ -269,7 +266,6 @@ impl MpiAbi for ManaMpi {
                     payload: Bytes::from(m.payload),
                 },
             );
-            self.outstanding += 1;
             return Ok(vreq);
         }
         let (dt, c) = (self.real(datatype)?, self.real(comm)?);
@@ -283,14 +279,12 @@ impl MpiAbi for ManaMpi {
                 is_recv: true,
             },
         );
-        self.outstanding += 1;
         Ok(vreq)
     }
 
     fn wait(&mut self, request: Handle) -> AbiResult<(AbiStatus, Option<Bytes>)> {
         self.cross();
         let entry = self.reqs.remove(&request).ok_or(AbiError::Request)?;
-        self.outstanding -= 1;
         match entry {
             ReqEntry::Pooled { status, payload } => Ok((status, Some(payload))),
             ReqEntry::Real {
@@ -311,10 +305,7 @@ impl MpiAbi for ManaMpi {
         self.cross();
         let entry = self.reqs.remove(&request).ok_or(AbiError::Request)?;
         match entry {
-            ReqEntry::Pooled { status, payload } => {
-                self.outstanding -= 1;
-                Ok(Some((status, Some(payload))))
-            }
+            ReqEntry::Pooled { status, payload } => Ok(Some((status, Some(payload)))),
             ReqEntry::Real {
                 real,
                 vcomm,
@@ -332,7 +323,6 @@ impl MpiAbi for ManaMpi {
                     Ok(None)
                 }
                 Some((status, payload)) => {
-                    self.outstanding -= 1;
                     if is_recv {
                         self.count_recv_status(vcomm, &status)?;
                     }

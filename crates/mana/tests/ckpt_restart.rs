@@ -329,6 +329,33 @@ fn a_deficit_on_a_freed_communicator_fails_the_checkpoint() {
     assert_eq!(coord.completed_rounds(), 0);
 }
 
+/// A request whose lower-half `test` fails is gone, so it no longer
+/// counts as outstanding (a stale count made every later checkpoint
+/// refuse with `Unsupported`). Rank 1 posts a 4-byte receive for an
+/// 8-byte message and tests it once the message is there: the vendor
+/// ends the request with a truncation error.
+#[test]
+fn a_failed_test_leaves_no_request_outstanding() {
+    let spec = ClusterSpec::builder().nodes(1).ranks_per_node(2).build();
+    let out = World::run(&spec, |ctx| {
+        let mut mana = stack(Vendor::Mpich, &ctx);
+        if ctx.rank() == 0 {
+            mana.send(&[7u8; 8], Datatype::Byte.handle(), 1, 3, Handle::COMM_WORLD)
+                .map_err(err)?;
+            return Ok(None);
+        }
+        let req = mana
+            .irecv(4, Datatype::Byte.handle(), 0, 3, Handle::COMM_WORLD)
+            .map_err(err)?;
+        mana.probe(0, 3, Handle::COMM_WORLD).map_err(err)?;
+        assert_eq!(mana.outstanding(), 1);
+        let tested = mana.test(req).map(|done| done.is_some());
+        Ok(Some((tested, mana.outstanding())))
+    })
+    .unwrap();
+    assert_eq!(out.results[1], Some((Err(AbiError::Truncate), 0)));
+}
+
 #[test]
 fn dynamic_objects_replayed_across_vendors() {
     // Create a dup, a split, and a derived type before the checkpoint;

@@ -233,9 +233,6 @@ pub const MPI_ERR_SHUTDOWN: i32 = 109;
 /// Library finalized.
 pub const MPI_ERR_FINALIZED: i32 = 110;
 
-/// Result alias for native MPICH-flavour calls: the error is a native code.
-pub type MpichResult<T> = Result<T, i32>;
-
 // ---------------------------------------------------------------------
 // This header, as the shared engine reads it
 // ---------------------------------------------------------------------

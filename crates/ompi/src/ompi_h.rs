@@ -219,9 +219,6 @@ pub const MPI_ERR_SHUTDOWN: i32 = 58;
 /// Library finalized.
 pub const MPI_ERR_FINALIZED: i32 = 59;
 
-/// Result alias for native Open MPI-flavour calls.
-pub type OmpiResult<T> = Result<T, i32>;
-
 // ---------------------------------------------------------------------
 // This header, as the shared engine reads it
 // ---------------------------------------------------------------------

@@ -193,7 +193,11 @@ impl<M: ArrivalModel> MatchCore<M> {
             spare: Vec::new(),
             next_seq: 0,
             total: 0,
-            scratch: Vec::new(),
+            // Pre-sized to the capacity its first growth picks: a rank
+            // whose early receives all parked (nothing queued when `recv`
+            // ran) never drained a batch, and the first one would grow
+            // the buffer mid-run, where a warm message must not allocate.
+            scratch: Vec::with_capacity(4),
         }
     }
 

@@ -756,21 +756,16 @@ mod replica_props {
     use mpi_stool::dmtcp::replica::Clock;
     use mpi_stool::dmtcp::{ReplicaConfig, ReplicaGroup, ReplicaRecord, TestClock};
 
+    /// Any epoch seal, the log's one record kind.
     pub fn any_record() -> impl Strategy<Value = ReplicaRecord> {
-        prop_oneof![
-            (any::<u64>(), any::<u64>(), any::<bool>(), ".{0,24}").prop_map(
-                |(epoch, cut, stop, vendor)| ReplicaRecord::EpochSeal {
-                    epoch,
-                    cut,
-                    stop,
-                    vendor,
-                }
-            ),
-            (any::<u64>(), any::<bool>())
-                .prop_map(|(rank, alive)| ReplicaRecord::Membership { rank, alive }),
-            (any::<u64>(), ".{0,24}")
-                .prop_map(|(epoch, reason)| ReplicaRecord::Abort { epoch, reason }),
-        ]
+        (any::<u64>(), any::<u64>(), any::<bool>(), ".{0,24}").prop_map(
+            |(epoch, cut, stop, vendor)| ReplicaRecord::EpochSeal {
+                epoch,
+                cut,
+                stop,
+                vendor,
+            },
+        )
     }
 
     pub fn group(replicas: usize) -> ReplicaGroup {
