@@ -140,39 +140,88 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Inputs this long and longer fold as four streams (see [`crc32`]).
+const CRC_STREAMS_MIN_LEN: usize = 1024;
+
+/// The reflected CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// `a · b mod P` over GF(2), both reflected (bit 31 is `x^0`).
+fn crc_mul(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    for k in (0..32).rev() {
+        p ^= b & 0u32.wrapping_sub(a >> k & 1);
+        b = b >> 1 ^ CRC_POLY & 0u32.wrapping_sub(b & 1);
+    }
+    p
+}
+
+/// Fold one 8-byte word into `crc` with the slice-by-8 tables `t`.
+#[inline(always)]
+fn crc_word(t: &[[u32; 256]; 8], crc: u32, w: &[u8]) -> u32 {
+    let w = u64::from_le_bytes(w.try_into().expect("8 bytes"));
+    let (lo, hi) = (crc ^ w as u32, (w >> 32) as u32);
+    (0..4).fold(0, |acc, k| {
+        acc ^ t[7 - k][(lo >> (8 * k) & 0xFF) as usize] ^ t[3 - k][(hi >> (8 * k) & 0xFF) as usize]
+    })
+}
+
 /// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-8: `t[k][b]` is
 /// the CRC of byte `b` followed by `k` zero bytes, so eight input bytes
 /// fold in with eight independent table loads instead of eight dependent
-/// ones. Used as the per-block integrity check of the delta-checkpoint
-/// store: unlike the whole-file FNV trailer, a CRC per block localizes
+/// ones. An input of at least 1 KiB folds as four such streams over its
+/// contiguous quarters, interleaved word by word so their loads overlap;
+/// the quarters then join as `crc = crc · x^(8q) ⊕ next` (the register
+/// is linear in its start and its bytes), `x^(8q) mod P` built from the
+/// precomputed `x^(8·2^k)`. The tail past the quarters folds on. Used
+/// as the per-block integrity check of the delta-checkpoint store:
+/// unlike the whole-file FNV trailer, a CRC per block localizes
 /// corruption to the exact (epoch, offset) that rotted on disk.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
-    let t = TABLES.get_or_init(|| {
+    type Tables = ([[u32; 256]; 8], [u32; 64]);
+    static TABLES: std::sync::OnceLock<Tables> = std::sync::OnceLock::new();
+    let (t, x8) = TABLES.get_or_init(|| {
         let mut t = [[0u32; 256]; 8];
         for (i, e) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
+                c = c >> 1 ^ CRC_POLY & 0u32.wrapping_sub(c & 1);
             }
             *e = c;
         }
         for k in 1..8 {
             t[k] = t[k - 1].map(|prev| t[0][(prev & 0xFF) as usize] ^ (prev >> 8));
         }
-        t
+        // `x8[k]` = x^(8·2^k) mod P (bit 31 - n stands for x^n).
+        let mut x8 = [1u32 << (31 - 8); 64];
+        for k in 1..64 {
+            x8[k] = crc_mul(x8[k - 1], x8[k - 1]);
+        }
+        (t, x8)
     });
     let mut crc = 0xFFFF_FFFFu32;
-    let mut words = bytes.chunks_exact(8);
+    let mut rest = bytes;
+    if bytes.len() >= CRC_STREAMS_MIN_LEN {
+        let q = bytes.len() / 32 * 8;
+        let (a, bcd) = bytes.split_at(q);
+        let (b, cd) = bcd.split_at(q);
+        let (c, d) = cd[..2 * q].split_at(q);
+        let [a, b, c, d] = [a, b, c, d].map(|quarter| quarter.chunks_exact(8));
+        let mut s = [crc, 0, 0, 0];
+        for (((wa, wb), wc), wd) in a.zip(b).zip(c).zip(d) {
+            for (s, w) in s.iter_mut().zip([wa, wb, wc, wd]) {
+                *s = crc_word(t, *s, w);
+            }
+        }
+        let shift = (x8.iter().enumerate())
+            .filter(|&(k, _)| q >> k & 1 != 0)
+            .fold(1u32 << 31, |p, (_, &x)| crc_mul(x, p));
+        crc = s[1..].iter().fold(s[0], |acc, s| crc_mul(shift, acc) ^ s);
+        rest = &bytes[4 * q..];
+    }
+    let mut words = rest.chunks_exact(8);
     for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        crc = (0..4).fold(0, |acc, k| {
-            acc ^ t[7 - k][(lo >> (8 * k) & 0xFF) as usize] ^ t[3 - k][w[4 + k] as usize]
-        });
+        crc = crc_word(t, crc, w);
     }
     for &b in words.remainder() {
         crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
@@ -477,9 +526,17 @@ mod tests {
 
     #[test]
     fn sliced_crc32_equals_bytewise_at_every_length_and_alignment() {
-        let data: Vec<u8> = (0..80u32).map(|i| (i * 151 + 43) as u8).collect();
-        for start in 0..8 {
-            for len in 0..=67 {
+        let data: Vec<u8> = (0..(1u32 << 20) + 8)
+            .map(|i| (i.wrapping_mul(151) ^ i >> 9) as u8)
+            .collect();
+        // Every short length, both sides of the four-stream threshold,
+        // around one page, an odd length and a whole MiB.
+        let lens = (0..=67)
+            .chain(1000..=1100)
+            .chain(4087..=4105)
+            .chain([65_549, 1 << 20]);
+        for len in lens {
+            for start in 0..8 {
                 let s = &data[start..start + len];
                 assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
             }

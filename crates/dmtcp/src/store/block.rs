@@ -1,6 +1,8 @@
 //! The block codec — raw, LZ4 or byte-shuffled LZ4 per block — and the
 //! scoped-thread fan-out commit and load share.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use crate::codec::CodecError;
 
 use super::Compression;
@@ -44,36 +46,71 @@ impl BlockCodec {
 /// Content-defined chunk boundaries are rarely 8-aligned, so the filter
 /// transposes the 8-aligned prefix and passes the `< 8`-byte tail
 /// through raw — both directions derive the split from the length alone.
-/// Written into `out` (same length as `data`).
+/// Each group of eight words is one [`transpose8`]: eight words in, eight
+/// bytes of each lane out; the words past the last group move byte by
+/// byte. Written into `out` (same length as `data`).
 fn shuffle8(data: &[u8], out: &mut [u8]) {
     let words = data.len() / 8;
-    let (body, tail) = data.split_at(words * 8);
-    // One pass per lane: lane `k` of the output takes byte `k` of every
-    // input word. (`max(1)`: a chunk size of zero panics, and a body
-    // shorter than one word has no lanes anyway.)
-    for (k, lane) in out[..body.len()].chunks_exact_mut(words.max(1)).enumerate() {
-        for (o, word) in lane.iter_mut().zip(body.chunks_exact(8)) {
-            *o = word[k];
+    let grouped = words / 8 * 8;
+    for (g, group) in data[..grouped * 8].chunks_exact(64).enumerate() {
+        let mut m: [u64; 8] = std::array::from_fn(|r| load64(&group[8 * r..]));
+        transpose8(&mut m);
+        for (k, lane) in m.iter().enumerate() {
+            out[k * words + 8 * g..][..8].copy_from_slice(&lane.to_le_bytes());
         }
     }
-    out[body.len()..].copy_from_slice(tail);
+    for (k, w) in (0..8).flat_map(|k| (grouped..words).map(move |w| (k, w))) {
+        out[k * words + w] = data[8 * w + k];
+    }
+    out[words * 8..].copy_from_slice(&data[words * 8..]);
 }
 
 /// Inverse of [`shuffle8`], written into `out` (same length as `data`).
 fn unshuffle8(data: &[u8], out: &mut [u8]) {
     let words = data.len() / 8;
-    let (body, tail) = data.split_at(words * 8);
-    for (k, lane) in body.chunks_exact(words.max(1)).enumerate() {
-        for (word, &b) in out[..body.len()].chunks_exact_mut(8).zip(lane) {
-            word[k] = b;
+    let grouped = words / 8 * 8;
+    for (g, group) in out[..grouped * 8].chunks_exact_mut(64).enumerate() {
+        let mut m: [u64; 8] = std::array::from_fn(|k| load64(&data[k * words + 8 * g..]));
+        transpose8(&mut m);
+        for (word, row) in group.chunks_exact_mut(8).zip(m) {
+            word.copy_from_slice(&row.to_le_bytes());
         }
     }
-    out[body.len()..].copy_from_slice(tail);
+    for (k, w) in (0..8).flat_map(|k| (grouped..words).map(move |w| (k, w))) {
+        out[8 * w + k] = data[k * words + w];
+    }
+    out[words * 8..].copy_from_slice(&data[words * 8..]);
 }
 
-/// Map `f(index, item)` over `items` on up to `threads` scoped threads,
-/// one contiguous slice each, and return the results in item order. One
-/// thread or one item runs inline on the caller.
+/// The little-endian `u64` at the start of `bytes`.
+fn load64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+/// Transpose an 8 × 8 byte matrix held as eight little-endian rows, in
+/// place: byte `c` of `m[r]` trades places with byte `r` of `m[c]`. Three
+/// mask-and-shift rounds swap the off-diagonal 4 × 4, 2 × 2 and 1 × 1
+/// blocks.
+fn transpose8(m: &mut [u64; 8]) {
+    let rounds = [
+        (4, 0x0000_0000_FFFF_FFFF, [0, 1, 2, 3]),
+        (2, 0x0000_FFFF_0000_FFFF, [0, 1, 4, 5]),
+        (1, 0x00FF_00FF_00FF_00FF, [0, 2, 4, 6]),
+    ];
+    for (s, mask, rows) in rounds {
+        for r in rows {
+            let t = (m[r] >> (8 * s) ^ m[r + s]) & mask;
+            m[r] ^= t << (8 * s);
+            m[r + s] ^= t;
+        }
+    }
+}
+
+/// Map `f(index, item)` over `items` on up to `threads` scoped threads
+/// and return the results in item order. Each thread takes the next
+/// unclaimed item from a shared cursor, so one heavy item (a chain's
+/// base) does not leave a thread idle behind it. One thread or one item
+/// runs inline on the caller.
 pub(super) fn fan_out<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
@@ -83,24 +120,24 @@ pub(super) fn fan_out<T: Sync, R: Send>(
     if threads <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let per = items.len().div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(per)
-            .enumerate()
-            .map(|(c, slice)| {
-                s.spawn(move || {
-                    let at = |(i, t)| f(c * per + i, t);
-                    slice.iter().enumerate().map(at).collect::<Vec<R>>()
-                })
-            })
-            .collect();
+    // `Relaxed`: the cursor only hands out indices; each result comes
+    // back to the caller through its thread's join.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < items.len());
+        std::iter::from_fn(claim)
+            .map(|i| (i, f(i, &items[i])))
+            .collect::<Vec<_>>()
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads).map(|_| s.spawn(work)).collect();
         handles
             .into_iter()
             .flat_map(|h| h.join().expect("fan-out thread"))
             .collect()
-    })
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// One encode worker's buffers, kept from block to block: the shuffled
@@ -201,7 +238,7 @@ mod tests {
 
     #[test]
     fn lane_wise_shuffle_equals_the_index_formula_and_round_trips() {
-        for len in 0..=130usize {
+        for len in (0..=600usize).chain(4087..=4105) {
             let data = fill_bytes(len as u64 + 1, len);
             let mut shuffled = vec![0xEEu8; len];
             shuffle8(&data, &mut shuffled);

@@ -19,10 +19,11 @@ use super::hydrate::TierAttachment;
 use super::manifest::{BlockKey, BlockLoc, Manifest, SectionRefs};
 use super::{EpochStats, StoreConfig, StoreError};
 
-/// The restore path's wall-µs histograms on `tel`: `blocks.bin` reads,
-/// CRC + decode, hydration.
-fn restore_us(tel: &Telemetry) -> [Histogram; 3] {
+/// The restore path's wall-µs histograms on `tel`: the head manifest's
+/// get and decode, `blocks.bin` reads, CRC + decode, hydration.
+fn restore_us(tel: &Telemetry) -> [Histogram; 4] {
     [
+        "store.load.manifest_us",
         "store.load.read_us",
         "store.load.decode_us",
         "tier.hydrate_us",
@@ -156,7 +157,7 @@ pub struct DeltaStore {
     pub(super) telemetry: Arc<Telemetry>,
     /// The restore path's histograms on that recorder, registered with
     /// it so that a reading neither locks nor allocates.
-    pub(super) restore_us: [Histogram; 3],
+    pub(super) restore_us: [Histogram; 4],
 }
 
 impl DeltaStore {
@@ -412,20 +413,6 @@ impl DeltaStore {
         self.vol.delete(key).map_err(|e| self.vol_err(e))
     }
 
-    /// Put an epoch's objects — a commit's, or a verified copy from the
-    /// tier — blocks first, then the manifest that publishes them, each
-    /// replacing the object of that name. A crash in between leaves an
-    /// uncommitted epoch, which the next open deletes.
-    pub(super) fn publish(
-        &self,
-        epoch: u64,
-        blocks: &[u8],
-        manifest: &[u8],
-    ) -> Result<(), StoreError> {
-        self.put(&epoch_key(epoch, "", BLOCKS), blocks)?;
-        self.put(&epoch_key(epoch, "", MANIFEST), manifest)
-    }
-
     /// Delete an epoch directory's objects, manifest first: once the
     /// manifest is gone the epoch is uncommitted, whatever happens to
     /// the rest.
@@ -588,12 +575,12 @@ impl DeltaStore {
         }
         let chunk_done = Instant::now();
 
-        // Encode the planned blocks, one contiguous slice of the plan and
-        // one output buffer per worker. A block's stored form depends on
+        // Encode the planned blocks in `threads` contiguous slices of the
+        // plan, one output buffer per slice. A block's stored form depends on
         // its bytes alone and the buffers concatenate in plan order, so
         // `blocks.bin` does not depend on where the slices were cut.
         // Nothing is allocated per block: the scratch lives as long as the
-        // worker, and `buf` grows by doubling. (Sizing it for the slice's
+        // slice, and `buf` grows by doubling. (Sizing it for the slice's
         // raw bytes up front raised `ckpt_storm`'s peak RSS by a third.)
         // A block an own epoch stores is copied — stored bytes, codec and
         // CRC — once the copy passes that CRC: `encode_block` is a pure
@@ -699,7 +686,10 @@ impl DeltaStore {
                 msg: format!("epoch {epoch} is already committed"),
             });
         }
-        self.publish(epoch, &blocks, &manifest_buf)?;
+        // Blocks first, then the manifest that publishes them: a crash in
+        // between leaves an uncommitted epoch, which the next open deletes.
+        self.put(&epoch_key(epoch, "", BLOCKS), &blocks)?;
+        self.put(&manifest_key, &manifest_buf)?;
         let write_done = Instant::now();
 
         // Publish: the epoch is durable, so the handle may now know it.
@@ -849,7 +839,10 @@ impl DeltaStore {
     /// order, so the error reported is the lowest failing rank's first
     /// bad block — never whichever loader thread lost the race.
     pub fn load_epoch(&self, epoch: u64) -> Result<WorldImage, StoreError> {
+        let [manifest_us, read_us, decode_us, _] = &self.restore_us;
+        let started = Instant::now();
         let manifest = self.read_manifest(epoch)?;
+        manifest_us.observe(started.elapsed().as_micros() as u64);
         let locs = manifest
             .ranks
             .iter()
@@ -899,7 +892,6 @@ impl DeltaStore {
             Ok(img)
         };
         let ranks = fan_out(&manifest.ranks, self.config.writer_threads, assemble);
-        let [read_us, decode_us, _] = &self.restore_us;
         read_us.observe(read.as_micros() as u64);
         decode_us.observe((started.elapsed() - read).as_micros() as u64);
         let ranks = ranks.into_iter().collect::<Result<Vec<_>, _>>()?;

@@ -2,6 +2,7 @@
 //! behind or damaged local chain — the one way an epoch comes back from
 //! the tier.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -9,7 +10,8 @@ use std::sync::Arc;
 use crate::codec::crc32;
 use crate::tier::{fetch_sealed_epoch, ObjectTier, SharedTier, TierConfig, TierRuntime, TierStats};
 
-use super::delta::{epoch_key, MANIFEST};
+use super::block::fan_out;
+use super::delta::{epoch_key, BLOCKS, MANIFEST};
 use super::manifest::Manifest;
 use super::{DeltaStore, StoreConfig, StoreError};
 
@@ -179,7 +181,10 @@ impl DeltaStore {
     /// (remote-only restore pulls the tier head plus its bases), and a
     /// current local head whose *base* epochs were lost (partial disk
     /// damage pulls just the bases back). Epochs already present locally
-    /// are left untouched.
+    /// are left untouched. Every fetched epoch's `blocks.bin` is put
+    /// (fanned out over `writer_threads`) before any `manifest.bin`, and
+    /// the manifests go in ascending epoch order: a crash anywhere leaves
+    /// every installed manifest with all of its blocks.
     ///
     /// Returns the epochs installed, ascending.
     fn hydrate_with(
@@ -217,7 +222,7 @@ impl DeltaStore {
         // exactly the set a restore of the target will read.
         let mut needed = manifest.referenced_epochs();
         needed.insert(target);
-        let mut installed = Vec::new();
+        let mut install = Vec::new();
         for &epoch in &needed {
             if self.epochs.contains(&epoch) {
                 continue;
@@ -230,19 +235,37 @@ impl DeltaStore {
                 // get worse: leave the gap for load-time reporting.
                 continue;
             }
-            let (blocks, manifest) = match fetched_target.take_if(|_| epoch == target) {
-                Some(pair) => pair,
-                None => fetch_sealed_epoch(tier, config, ns, epoch)?,
-            };
-            self.publish(epoch, &blocks, &manifest)?;
-            self.adopt_epoch(epoch)?;
-            installed.push(epoch);
+            install.push(epoch);
         }
-        if !installed.is_empty() {
+        // Every epoch's blocks land before any manifest: fetched, checked
+        // against their seals and put over the writer threads. A failure
+        // here puts no manifest.
+        let put_blocks = |_, &epoch: &u64| {
+            let (blocks, manifest) = match &fetched_target {
+                Some((blocks, manifest)) if epoch == target => {
+                    (Cow::Borrowed(&blocks[..]), Cow::Borrowed(&manifest[..]))
+                }
+                _ => {
+                    let (blocks, manifest) = fetch_sealed_epoch(tier, config, ns, epoch)?;
+                    (Cow::Owned(blocks), Cow::Owned(manifest))
+                }
+            };
+            self.put(&epoch_key(epoch, "", BLOCKS), &blocks)?;
+            Ok::<_, StoreError>(manifest)
+        };
+        let manifests = fan_out(&install, self.config().writer_threads, put_blocks);
+        let manifests = manifests.into_iter().collect::<Result<Vec<_>, _>>()?;
+        // Then the manifests that commit them, oldest first, so each
+        // lands after those of the epochs it references.
+        for (&epoch, manifest) in install.iter().zip(&manifests) {
+            self.put(&epoch_key(epoch, "", MANIFEST), manifest)?;
+            self.adopt_epoch(epoch)?;
+        }
+        if !install.is_empty() {
             self.rebuild_head_state()?;
             let [.., hydrate_us] = &self.restore_us;
             hydrate_us.observe(started.elapsed().as_micros() as u64);
         }
-        Ok(installed)
+        Ok(install)
     }
 }

@@ -33,7 +33,8 @@ pub(crate) enum ReqEntry {
     Real {
         real: Handle,
         vcomm: Handle,
-        is_recv: bool,
+        /// The source a receive named; `None` for a send.
+        recv_src: Option<i32>,
     },
     /// Satisfied from the drained pool at post time.
     Pooled { status: AbiStatus, payload: Bytes },
@@ -136,6 +137,22 @@ impl ManaMpi {
         Ok(())
     }
 
+    /// Pass a receive's outcome through, counting a truncated one: the
+    /// vendor consumed its message but returns no status, so it counts
+    /// against the source the receive named (a wildcard's is unknown).
+    fn count_truncated<T>(
+        &mut self,
+        vcomm: Handle,
+        src: Option<i32>,
+        got: AbiResult<T>,
+    ) -> AbiResult<T> {
+        if let (Err(AbiError::Truncate), Some(src @ 0..)) = (&got, src) {
+            let w = self.world_of(vcomm, src)?;
+            self.rcvd_from[w] += 1;
+        }
+        got
+    }
+
     fn alloc_vreq(&mut self) -> Handle {
         self.vids.alloc(HandleKind::Request)
     }
@@ -215,7 +232,8 @@ impl MpiAbi for ManaMpi {
             return Ok(AbiStatus::for_receive(m.src, m.tag, m.payload.len()));
         }
         let (dt, c) = (self.real(datatype)?, self.real(comm)?);
-        let status = self.lower.recv(buf, dt, src, tag, c)?;
+        let got = self.lower.recv(buf, dt, src, tag, c);
+        let status = self.count_truncated(comm, Some(src), got)?;
         self.count_recv_status(comm, &status)?;
         Ok(status)
     }
@@ -238,7 +256,7 @@ impl MpiAbi for ManaMpi {
             ReqEntry::Real {
                 real,
                 vcomm: comm,
-                is_recv: false,
+                recv_src: None,
             },
         );
         Ok(vreq)
@@ -276,7 +294,7 @@ impl MpiAbi for ManaMpi {
             ReqEntry::Real {
                 real,
                 vcomm: comm,
-                is_recv: true,
+                recv_src: Some(src),
             },
         );
         Ok(vreq)
@@ -290,10 +308,11 @@ impl MpiAbi for ManaMpi {
             ReqEntry::Real {
                 real,
                 vcomm,
-                is_recv,
+                recv_src,
             } => {
-                let (status, payload) = self.lower.wait(real)?;
-                if is_recv {
+                let got = self.lower.wait(real);
+                let (status, payload) = self.count_truncated(vcomm, recv_src, got)?;
+                if recv_src.is_some() {
                     self.count_recv_status(vcomm, &status)?;
                 }
                 Ok((status, payload))
@@ -309,26 +328,27 @@ impl MpiAbi for ManaMpi {
             ReqEntry::Real {
                 real,
                 vcomm,
-                is_recv,
-            } => match self.lower.test(real)? {
-                None => {
-                    self.reqs.insert(
-                        request,
-                        ReqEntry::Real {
+                recv_src,
+            } => {
+                let got = self.lower.test(real);
+                match self.count_truncated(vcomm, recv_src, got)? {
+                    None => {
+                        let entry = ReqEntry::Real {
                             real,
                             vcomm,
-                            is_recv,
-                        },
-                    );
-                    Ok(None)
-                }
-                Some((status, payload)) => {
-                    if is_recv {
-                        self.count_recv_status(vcomm, &status)?;
+                            recv_src,
+                        };
+                        self.reqs.insert(request, entry);
+                        Ok(None)
                     }
-                    Ok(Some((status, payload)))
+                    Some((status, payload)) => {
+                        if recv_src.is_some() {
+                            self.count_recv_status(vcomm, &status)?;
+                        }
+                        Ok(Some((status, payload)))
+                    }
                 }
-            },
+            }
         }
     }
 
@@ -354,7 +374,8 @@ impl MpiAbi for ManaMpi {
             recvbuf[..m.payload.len()].copy_from_slice(&m.payload);
             return Ok(AbiStatus::for_receive(m.src, m.tag, m.payload.len()));
         }
-        let status = self.lower.recv(recvbuf, dt, src, recvtag, c)?;
+        let got = self.lower.recv(recvbuf, dt, src, recvtag, c);
+        let status = self.count_truncated(comm, Some(src), got)?;
         self.count_recv_status(comm, &status)?;
         Ok(status)
     }

@@ -356,6 +356,48 @@ fn a_failed_test_leaves_no_request_outstanding() {
     assert_eq!(out.results[1], Some((Err(AbiError::Truncate), 0)));
 }
 
+/// A receive the vendor ends with a truncation error has still consumed
+/// its message, so the drain counters count it: rank 1 takes rank 0's
+/// 8-byte message into 4 bytes — by `test` after a `probe`, by `wait`,
+/// by a blocking `recv` — and the checkpoint both ranks then take at a
+/// cut completes with nothing left to drain.
+#[test]
+fn a_truncated_receive_is_counted_and_the_next_checkpoint_completes() {
+    let spec = ClusterSpec::builder().nodes(1).ranks_per_node(2).build();
+    let byte = Datatype::Byte.handle();
+    for how in ["test", "wait", "recv"] {
+        let coord = Coordinator::new(2);
+        let coord_for_ranks = coord.clone();
+        let out = World::run(&spec, |ctx| {
+            let mut agent = coord_for_ranks.agent(ctx.rank());
+            let mut mana = stack(Vendor::Mpich, &ctx);
+            let world = Handle::COMM_WORLD;
+            if ctx.rank() == 0 {
+                mana.send(&[7u8; 8], byte, 1, 3, world).map_err(err)?;
+            } else {
+                let got = match how {
+                    "recv" => mana.recv(&mut [0u8; 4], byte, 0, 3, world).map(drop),
+                    _ => {
+                        let req = mana.irecv(4, byte, 0, 3, world).map_err(err)?;
+                        mana.probe(0, 3, world).map_err(err)?;
+                        match how {
+                            "test" => mana.test(req).map(drop),
+                            _ => mana.wait(req).map(drop),
+                        }
+                    }
+                };
+                assert_eq!(got, Err(AbiError::Truncate), "{how}");
+            }
+            coord_for_ranks.schedule_checkpoint_at(0, CkptMode::Continue);
+            let action = maybe_checkpoint(&mut mana, &mut agent, &Memory::new(), 0);
+            Ok(action.map(drop))
+        })
+        .unwrap();
+        assert_eq!(out.results, vec![Ok(()); 2], "{how}");
+        assert_eq!(coord.completed_rounds(), 1, "{how}");
+    }
+}
+
 #[test]
 fn dynamic_objects_replayed_across_vendors() {
     // Create a dup, a split, and a derived type before the checkpoint;

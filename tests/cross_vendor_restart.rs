@@ -828,6 +828,7 @@ fn restore_from_store_opens_its_chain_once() {
     for name in [
         "store.open_us",
         "tier.hydrate_us",
+        "store.load.manifest_us",
         "store.load.read_us",
         "store.load.decode_us",
     ] {

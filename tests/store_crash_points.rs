@@ -9,6 +9,10 @@
 //! `Script`: their mutating operations (`put`, `delete`) count on one
 //! counter. A remote put is held until the script ships, so the order of
 //! operations depends on the script alone, never on the shipper thread.
+//! The one race left is the hydrate's: its `blocks.bin` puts run on the
+//! store's writer threads, so operation `k` among them strikes whichever
+//! put comes `k`-th. All of them precede the first `manifest.bin` put,
+//! so every such crash leaves the same state: blocks, no manifest.
 //!
 //! Armed with `k`, the run either fails operation `k` and goes on, or
 //! loses power at it: operation `k` and every later one fail. Then the

@@ -9,7 +9,7 @@ use std::time::Duration;
 use mpi_stool::apps::WaveMpi;
 use mpi_stool::dmtcp::testing::{Fault, Op, Script};
 use mpi_stool::dmtcp::{
-    DeltaStore, FsTier, ObjectTier, RankImage, SharedStoreWriter, StoreConfig, StoreError,
+    DeltaStore, FsTier, MemTier, ObjectTier, RankImage, SharedStoreWriter, StoreConfig, StoreError,
     TierConfig, TierError, WorldImage,
 };
 use mpi_stool::simnet::ClusterSpec;
@@ -438,6 +438,59 @@ fn download_errors_during_hydration_are_retried() {
     );
     std::fs::remove_dir_all(&store_dir).unwrap();
     std::fs::remove_dir_all(&tier_dir).unwrap();
+}
+
+#[test]
+fn a_failed_blocks_put_installs_no_manifest_and_the_retry_installs_the_chain() {
+    // A base and three deltas, each adding a section the later ones
+    // keep, shipped: the head references all four epochs.
+    let grown = |head: u64| {
+        let ranks = (0..3)
+            .map(|r| {
+                let mut img = RankImage::new(r, 3, head);
+                for e in 1..=head {
+                    img.put_section(&format!("e{e}"), fill_bytes(e << 8 | r as u64, 2000));
+                }
+                img
+            })
+            .collect();
+        WorldImage::new("MPICH".to_string(), ranks)
+    };
+    let tier = Arc::new(MemTier::new());
+    let mut store = DeltaStore::open_on(Arc::new(MemTier::new()), small_cfg()).unwrap();
+    store.attach_tier(tier.clone(), tier_cfg()).unwrap();
+    for epoch in 1..=4 {
+        store.commit(&grown(epoch)).unwrap();
+    }
+    store.tier_flush().unwrap();
+    drop(store);
+
+    // Hydrating into an empty volume, the third put fails. The four
+    // blocks puts race each other on the writer threads, but every one
+    // of them comes before the first manifest, so whichever put gets the
+    // fault, the hydration fails with no epoch committed.
+    let script = Script::new();
+    script.at(Op::Put, 2, Fault::Fail);
+    let local = script.wrap(Arc::new(MemTier::new()));
+    let attach = || {
+        let mut store = DeltaStore::open_on(local.clone(), small_cfg())?;
+        let installed = store.attach_tier(tier.clone(), tier_cfg())?;
+        Ok::<_, StoreError>((store, installed))
+    };
+    assert!(attach().is_err(), "the failed put fails the hydration");
+    assert_eq!(script.injected(), 1);
+    assert_eq!(script.calls(Op::Put, Some("blocks.bin")), 4);
+    assert_eq!(script.calls(Op::Put, Some("manifest.bin")), 0);
+
+    // The retried attach installs the whole chain, byte-equal to the tier.
+    let (store, installed) = attach().unwrap();
+    assert_eq!(installed, vec![1, 2, 3, 4]);
+    assert_eq!(store.load_latest().unwrap(), grown(4));
+    let objects = local.list("").unwrap();
+    assert_eq!(objects.len(), 8, "{objects:?}");
+    for key in objects {
+        assert_eq!(local.get(&key).unwrap(), tier.get(&key).unwrap(), "{key}");
+    }
 }
 
 #[test]
