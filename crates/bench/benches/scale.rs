@@ -34,7 +34,7 @@ use dmtcp_sim::replica::Clock;
 use dmtcp_sim::testing::lockstep;
 use dmtcp_sim::{
     BarrierPhase, BarrierTopology, CkptMode, Coordinator, Poll, RankImage, ReplicaConfig,
-    ReplicaFault, ReplicaGroup, TestClock,
+    ReplicaFault, ReplicaGroup, SystemClock,
 };
 use mpi_abi::{Handle, ReduceOp};
 use simnet::{ClusterSpec, Fabric, Interconnect};
@@ -246,7 +246,7 @@ fn failover_recovery_rounds() -> u64 {
     let mut recoveries = 0;
     for phase in PHASES {
         let coord = Coordinator::new(n);
-        let clock: Arc<dyn Clock> = Arc::new(TestClock::new());
+        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         let group = Arc::new(ReplicaGroup::in_memory(ReplicaConfig::default(), clock));
         group.script_faults([ReplicaFault::KillLeaderAt(phase)]);
         coord.attach_replicas(group.clone());

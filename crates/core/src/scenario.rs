@@ -1045,12 +1045,10 @@ fn durability_for(spec: &ScenarioSpec, base: &Path) -> DurabilityPolicy {
         config: TierConfig {
             max_attempts: 6,
             backoff: Duration::from_millis(1),
-            ..TierConfig::default()
         },
     });
     let replicas = spec.durability.has_replicas().then(|| {
         let mut policy = ReplicaPolicy::new(base.join("replicas"));
-        policy.config.election_timeout = Duration::from_millis(2);
         policy.config.log.backoff = Duration::from_millis(1);
         policy
     });

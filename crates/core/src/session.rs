@@ -198,15 +198,15 @@ pub struct TierPolicy {
 /// before the coordinator releases the rendezvous barrier. With this
 /// attached, the coordinator/store-writer process stops being a single
 /// point of failure: a leader replica killed at any barrier phase is
-/// replaced within the election timeout and the round either commits on
-/// quorum or aborts atomically (see `dmtcp_sim::replica`).
+/// replaced at the next commit and the round either commits on quorum
+/// or aborts atomically (see `dmtcp_sim::replica`).
 /// Scripted replica faults live on the run's [`FaultSchedule`]
 /// (`replica`, [`FaultSchedule::kill_leader_at`]).
 #[derive(Debug, Clone)]
 pub struct ReplicaPolicy {
     /// Root directory; each replica's log lives in `replica_NN/` below it.
     pub dir: PathBuf,
-    /// Group size (≥ 3), election timeout and log retry tunables.
+    /// Group size (≥ 3) and log retry tunables.
     pub config: ReplicaConfig,
 }
 

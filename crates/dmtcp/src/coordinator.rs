@@ -1264,7 +1264,7 @@ mod tests {
 /// protocol is unchanged by the extra leader work.
 mod replica_tests {
     use super::*;
-    use crate::replica::{ReplicaConfig, ReplicaGroup, TestClock};
+    use crate::replica::{ReplicaConfig, ReplicaGroup, SystemClock};
 
     #[test]
     fn finish_with_replicas_attached_completes() {
@@ -1272,7 +1272,7 @@ mod replica_tests {
         let coord = Coordinator::new(n);
         let group = Arc::new(ReplicaGroup::in_memory(
             ReplicaConfig::default(),
-            Arc::new(TestClock::new()),
+            Arc::new(SystemClock::new()),
         ));
         coord.attach_replicas(group.clone());
         std::thread::scope(|s| {

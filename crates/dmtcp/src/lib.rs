@@ -71,8 +71,8 @@ pub use coordinator::{
 pub use image::{RankImage, WorldImage};
 pub use memory::Memory;
 pub use replica::{
-    BarrierPhase, Clock, LivenessTimer, ReplicaConfig, ReplicaError, ReplicaFault, ReplicaGroup,
-    ReplicaRecord, ReplicaStats, SystemClock, TestClock,
+    BarrierPhase, Clock, ReplicaConfig, ReplicaError, ReplicaFault, ReplicaGroup, ReplicaRecord,
+    ReplicaStats, SystemClock,
 };
 pub use store::{
     Compression, DeltaStore, EpochStats, SharedStoreWriter, StoreConfig, StoreError, TenantSink,

@@ -15,11 +15,16 @@
 //!   seal (magic + version + payload + FNV trailer, written with
 //!   read-back verification): the seal format *is* the log-entry
 //!   encoding, there is no second commit path;
-//! * a [`LivenessTimer`] (election timeout + heartbeats over an
-//!   injectable [`Clock`]) detects a dead leader; the next commit elects
-//!   a successor, which **re-adopts** the highest in-flight accepted
-//!   record (or finds none and proposes cleanly) before resuming — so a
-//!   leader killed at any barrier phase poisons nothing;
+//! * the next commit after a leader dies finds it dead
+//!   ([`ReplicaGroup::kill`] is the fail-stop) and elects a successor at
+//!   once, with no timer — so a leader killed at any barrier phase
+//!   poisons nothing;
+//! * **one commit, one slot**: a commit claims the next slot, retries
+//!   only its own record there under new ballots, and never gives the
+//!   slot back, whether it succeeds or not. With one proposer at a time,
+//!   no other record is ever in flight, so an election only wins a
+//!   ballot and re-adopts nothing, and no later proposal ever completes
+//!   a failed commit's slot;
 //! * a scripted [`ReplicaFault`] harness kills the current leader at
 //!   named [`BarrierPhase`]s, which is how the failover battery in
 //!   `tests/replica_failover.rs` exercises every takeover window
@@ -35,7 +40,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use simnet::telemetry::{Counter, EventKind, Telemetry};
 
@@ -50,142 +54,26 @@ const RECORD_V1: u64 = 1;
 const SEAL_TAG: u8 = 0;
 
 // ---------------------------------------------------------------------------
-// Clocks and the liveness timer
+// The clock marker
 // ---------------------------------------------------------------------------
 
-/// A monotonic clock the liveness machinery reads and sleeps on.
-///
-/// Production code uses [`SystemClock`]; tests inject a [`TestClock`] so
-/// election timeouts are deterministic (a "sleep" advances the test
-/// clock instead of stalling the test).
-pub trait Clock: Send + Sync {
-    /// Time elapsed since the clock's origin.
-    fn now(&self) -> Duration;
-    /// Sleep for `d` (or, for a test clock, advance time by `d`).
-    fn sleep(&self, d: Duration);
-}
+/// The type of the clock a group is built with. Failover acts on a
+/// replica's liveness, never on elapsed time, so a group reads no clock:
+/// the trait and [`SystemClock`] stay only as the type of that parameter.
+pub trait Clock: Send + Sync {}
 
-/// The real monotonic clock ([`Instant`]-based).
-pub struct SystemClock {
-    origin: Instant,
-}
+/// The one [`Clock`].
+#[derive(Debug, Default)]
+pub struct SystemClock;
 
 impl SystemClock {
-    /// A clock whose origin is now.
+    /// The clock (it holds nothing).
     pub fn new() -> SystemClock {
-        SystemClock {
-            origin: Instant::now(),
-        }
+        SystemClock
     }
 }
 
-impl Default for SystemClock {
-    fn default() -> Self {
-        SystemClock::new()
-    }
-}
-
-impl Clock for SystemClock {
-    fn now(&self) -> Duration {
-        self.origin.elapsed()
-    }
-
-    fn sleep(&self, d: Duration) {
-        // lint:allow(no-sleep-poll) — the SystemClock impl IS the sanctioned OS sleep behind `Clock`.
-        std::thread::sleep(d);
-    }
-}
-
-/// A manually advanced clock for deterministic tests: `sleep` advances
-/// time instead of blocking, so an election timeout "elapses" instantly
-/// and reproducibly.
-pub struct TestClock {
-    now: Mutex<Duration>,
-}
-
-impl TestClock {
-    /// A test clock starting at zero.
-    pub fn new() -> TestClock {
-        TestClock {
-            now: Mutex::new(Duration::ZERO),
-        }
-    }
-
-    /// Advance the clock by `d`.
-    pub fn advance(&self, d: Duration) {
-        *self.now.lock().expect("test clock lock") += d;
-    }
-}
-
-impl Default for TestClock {
-    fn default() -> Self {
-        TestClock::new()
-    }
-}
-
-impl Clock for TestClock {
-    fn now(&self) -> Duration {
-        *self.now.lock().expect("test clock lock")
-    }
-
-    fn sleep(&self, d: Duration) {
-        self.advance(d);
-    }
-}
-
-/// Election timeout + heartbeat bookkeeping over an injectable clock.
-///
-/// The leader (or any successful leader-driven operation) calls
-/// [`LivenessTimer::beat`]; a follower that finds the leader unresponsive
-/// waits for [`LivenessTimer::expired`] before starting an election —
-/// takeover happens *within* the election timeout, never before it.
-pub struct LivenessTimer {
-    clock: Arc<dyn Clock>,
-    timeout: Duration,
-    last_beat: Mutex<Duration>,
-}
-
-impl LivenessTimer {
-    /// A timer that expires `timeout` after the most recent beat.
-    pub fn new(clock: Arc<dyn Clock>, timeout: Duration) -> LivenessTimer {
-        let now = clock.now();
-        LivenessTimer {
-            clock,
-            timeout,
-            last_beat: Mutex::new(now),
-        }
-    }
-
-    /// Record a heartbeat (leader activity observed now).
-    pub fn beat(&self) {
-        *self.last_beat.lock().expect("timer lock") = self.clock.now();
-    }
-
-    /// Whether the election timeout has elapsed since the last beat.
-    pub fn expired(&self) -> bool {
-        let last = *self.last_beat.lock().expect("timer lock");
-        self.clock.now().saturating_sub(last) >= self.timeout
-    }
-
-    /// Time left until expiry (zero if already expired).
-    pub fn remaining(&self) -> Duration {
-        let last = *self.last_beat.lock().expect("timer lock");
-        (last + self.timeout).saturating_sub(self.clock.now())
-    }
-
-    /// Sleep (on the injected clock) until the timer expires.
-    pub fn wait_expiry(&self) {
-        while !self.expired() {
-            let d = self.remaining().max(Duration::from_micros(100));
-            self.clock.sleep(d);
-        }
-    }
-
-    /// The configured election timeout.
-    pub fn timeout(&self) -> Duration {
-        self.timeout
-    }
-}
+impl Clock for SystemClock {}
 
 // ---------------------------------------------------------------------------
 // Records and errors
@@ -363,23 +251,16 @@ fn slot_key(slot: u64) -> String {
     format!("slot_{slot:06}/accepted")
 }
 
-/// Per-slot accepted `(ballot, record)` pairs of one acceptor.
+/// Per-slot accepted `(ballot, record)` pairs of one log.
 type AcceptedSlots = BTreeMap<u64, (u64, ReplicaRecord)>;
-
-/// One replica's single-decree acceptor state for every slot.
-struct AcceptorState {
-    /// Highest ballot promised (never accept below it).
-    promised: u64,
-    /// Per-slot accepted `(ballot, record)`.
-    accepted: AcceptedSlots,
-}
 
 /// A coordinator replica: the acceptor role plus its durable log.
 struct Acceptor {
     id: usize,
     alive: AtomicBool,
     log: Arc<dyn ObjectTier>,
-    state: Mutex<AcceptorState>,
+    /// Highest ballot promised (never accept below it).
+    promised: Mutex<u64>,
 }
 
 /// Encode an accepted `(ballot, record)` pair for the durable log; the
@@ -430,8 +311,9 @@ fn accepted_slots(log: &dyn ObjectTier, config: TierConfig) -> Result<AcceptedSl
 
 impl Acceptor {
     /// Open an acceptor over its durable log, replaying any persisted
-    /// promise and accepted slots (the restart path: a replica rejoins
-    /// with exactly the state it had durably acknowledged).
+    /// promise (the restart path: a replica rejoins with exactly the
+    /// promise it had durably acknowledged; its accepted slots stay in
+    /// the log, where [`ReplicaGroup::committed`] reads them).
     fn open(
         id: usize,
         log: Arc<dyn ObjectTier>,
@@ -452,12 +334,11 @@ impl Acceptor {
             Err(TierError::NotFound { .. }) => {}
             Err(e) => return Err(ReplicaError::Log(e)),
         }
-        let accepted = accepted_slots(&*log, config)?;
         Ok(Acceptor {
             id,
             alive: AtomicBool::new(true),
             log,
-            state: Mutex::new(AcceptorState { promised, accepted }),
+            promised: Mutex::new(promised),
         })
     }
 
@@ -465,21 +346,20 @@ impl Acceptor {
         self.alive.load(Ordering::SeqCst)
     }
 
-    /// Phase 1: promise `ballot` if it is the highest seen, returning the
-    /// acceptor's accepted slots so the proposer can re-adopt in-flight
-    /// records. `None` = rejected (a higher promise exists).
+    /// Phase 1: promise `ballot` if it is the highest seen. `false` =
+    /// rejected (a higher promise exists, or the replica is dead).
     fn prepare(
         &self,
         ballot: u64,
         config: TierConfig,
         retries: &mut u64,
-    ) -> Result<Option<AcceptedSlots>, ReplicaError> {
+    ) -> Result<bool, ReplicaError> {
         if !self.is_alive() {
-            return Ok(None);
+            return Ok(false);
         }
-        let mut st = self.state.lock().expect("acceptor lock");
-        if ballot <= st.promised {
-            return Ok(None);
+        let mut promised = self.promised.lock().expect("acceptor lock");
+        if ballot <= *promised {
+            return Ok(false);
         }
         let mut w = Writer::new();
         w.u64(ballot);
@@ -493,8 +373,8 @@ impl Acceptor {
             crc32(&buf),
             retries,
         )?;
-        st.promised = ballot;
-        Ok(Some(st.accepted.clone()))
+        *promised = ballot;
+        Ok(true)
     }
 
     /// Phase 2: accept `(ballot, record)` at `slot` unless a higher
@@ -511,8 +391,8 @@ impl Acceptor {
         if !self.is_alive() {
             return Ok(false);
         }
-        let mut st = self.state.lock().expect("acceptor lock");
-        if ballot < st.promised {
+        let mut promised = self.promised.lock().expect("acceptor lock");
+        if ballot < *promised {
             return Ok(false);
         }
         let buf = encode_accepted(ballot, record);
@@ -524,8 +404,7 @@ impl Acceptor {
             crc32(&buf),
             retries,
         )?;
-        st.promised = ballot;
-        st.accepted.insert(slot, (ballot, record.clone()));
+        *promised = ballot;
         Ok(true)
     }
 }
@@ -539,10 +418,8 @@ impl Acceptor {
 pub struct ReplicaConfig {
     /// Number of replicas (≥ 3; quorum is a majority).
     pub replicas: usize,
-    /// How long a dead leader goes undetected before takeover.
-    pub election_timeout: Duration,
-    /// Retry/backoff/deadline policy for the replicas' durable log I/O
-    /// (the same knobs as the tier shipper).
+    /// Retry/backoff policy for the replicas' durable log I/O (the same
+    /// knobs as the tier shipper).
     pub log: TierConfig,
 }
 
@@ -550,7 +427,6 @@ impl Default for ReplicaConfig {
     fn default() -> ReplicaConfig {
         ReplicaConfig {
             replicas: 3,
-            election_timeout: Duration::from_millis(50),
             log: TierConfig::default(),
         }
     }
@@ -567,7 +443,8 @@ pub struct ReplicaStats {
     pub elections: u64,
     /// Elections that replaced a dead incumbent (the failover count).
     pub recoveries: u64,
-    /// In-flight records a new leader re-adopted and re-drove to quorum.
+    /// Commits that reached quorum only on a retry at their own slot,
+    /// under a ballot won after the first accept fell short.
     pub re_adopted: u64,
     /// Log-write retry attempts beyond the first, across replicas.
     pub log_retries: u64,
@@ -581,29 +458,30 @@ struct GroupState {
     ballot: u64,
     /// Highest ballot observed anywhere (elections must exceed it).
     max_ballot: u64,
-    /// Next unassigned log slot.
+    /// Next unclaimed log slot: each commit claims one and never
+    /// returns it, whether it succeeds or fails.
     next_slot: u64,
     /// Scripted faults, consumed front-first as phases are announced.
     faults: VecDeque<ReplicaFault>,
 }
 
 /// A group of coordinator replicas running single-decree Paxos per log
-/// slot, with timeout-driven leader failover.
+/// slot, with leader failover on a known death.
 ///
 /// The handle is the *proposer side*: the coordinator's `finish()` leader
 /// calls [`ReplicaGroup::commit`] with the epoch record and the call
 /// returns only once a majority of replicas has durably accepted it (or
 /// errs with [`ReplicaError::NoQuorum`], in which case the round aborts
 /// atomically). Replica fail-stop is modelled with [`ReplicaGroup::kill`];
-/// a killed leader is detected via the [`LivenessTimer`] and replaced on
-/// the next commit, re-adopting whatever record was in flight.
+/// the next commit finds the killed leader dead and elects a successor at
+/// once.
 pub struct ReplicaGroup {
     config: ReplicaConfig,
-    timer: LivenessTimer,
     acceptors: Vec<Acceptor>,
     state: Mutex<GroupState>,
     /// Held for the whole of a [`ReplicaGroup::commit`]: one proposal in
-    /// flight at a time, so two callers can never claim the same slot.
+    /// flight at a time, so no other call's record is ever in flight at
+    /// or past `next_slot`.
     /// The coordinator's `finish()` leader is the one proposer in the
     /// library; the lock guards the public API against any other caller.
     proposing: Mutex<()>,
@@ -617,10 +495,11 @@ impl ReplicaGroup {
     /// Build a group over explicit per-replica durable logs (one
     /// [`ObjectTier`] each — `FsTier` directories in production,
     /// `MemTier`s, or a `ScriptedVol` over one, in tests). Replays any state the logs
-    /// already hold, so re-opening the same logs resumes the group.
+    /// already hold, so re-opening the same logs resumes the group past
+    /// every slot any log holds.
     pub fn new(
         config: ReplicaConfig,
-        clock: Arc<dyn Clock>,
+        _clock: Arc<dyn Clock>,
         logs: Vec<Arc<dyn ObjectTier>>,
     ) -> Result<ReplicaGroup, ReplicaError> {
         if config.replicas < 3 {
@@ -640,20 +519,15 @@ impl ReplicaGroup {
         let mut max_ballot = 0;
         let mut next_slot = 0;
         for (id, log) in logs.into_iter().enumerate() {
-            let acceptor = Acceptor::open(id, log, config.log)?;
-            {
-                let st = acceptor.state.lock().expect("acceptor lock");
-                max_ballot = max_ballot.max(st.promised);
-                if let Some((&slot, _)) = st.accepted.last_key_value() {
-                    next_slot = next_slot.max(slot + 1);
-                }
+            if let Some((&slot, _)) = accepted_slots(&*log, config.log)?.last_key_value() {
+                next_slot = next_slot.max(slot + 1);
             }
+            let acceptor = Acceptor::open(id, log, config.log)?;
+            max_ballot = max_ballot.max(*acceptor.promised.lock().expect("acceptor lock"));
             acceptors.push(acceptor);
         }
-        let timer = LivenessTimer::new(clock, config.election_timeout);
         Ok(ReplicaGroup {
             config,
-            timer,
             acceptors,
             state: Mutex::new(GroupState {
                 leader: None,
@@ -677,8 +551,7 @@ impl ReplicaGroup {
     }
 
     /// Emit one event on the replica lane, stamped with the recorder's
-    /// observed virtual clock (the group runs on a wall [`Clock`] and has
-    /// no virtual time of its own).
+    /// observed virtual clock (the group has no virtual time of its own).
     fn emit(&self, kind: EventKind, a: u64, b: u64, c: u64) {
         let tel = &self.telemetry;
         tel.emit_system(tel.replica_lane(), kind, a, b, c);
@@ -713,8 +586,8 @@ impl ReplicaGroup {
     }
 
     /// Fail-stop replica `id` (idempotent). A killed leader stays leader
-    /// on paper until the liveness timeout expires and the next commit
-    /// elects a successor.
+    /// on paper until the next commit finds it dead and elects a
+    /// successor.
     pub fn kill(&self, id: usize) {
         if let Some(a) = self.acceptors.get(id) {
             a.alive.store(false, Ordering::SeqCst);
@@ -769,11 +642,6 @@ impl ReplicaGroup {
         }
     }
 
-    /// The group's liveness timer (election timeout + heartbeats).
-    pub fn timer(&self) -> &LivenessTimer {
-        &self.timer
-    }
-
     /// Statistics so far, read from the recorder's registry.
     pub fn stats(&self) -> ReplicaStats {
         ReplicaStats {
@@ -794,25 +662,27 @@ impl ReplicaGroup {
     /// the caller must then abort its round atomically (nothing was
     /// committed anywhere).
     ///
-    /// Callers on different threads are served one at a time: the slot is
-    /// read here and claimed only after the accept phase, and a second
-    /// proposer let in between would be acknowledged in the same slot and
-    /// overwrite the first one's record.
+    /// One commit owns one slot: it claims the next slot on entry, retries
+    /// only its own record there under new ballots, and never hands the
+    /// slot out again, `Ok` or `Err`. Callers on different threads are
+    /// served one at a time, so no other record is ever proposed at that
+    /// slot, and a new leader has nothing in flight to adopt.
     pub fn commit(&self, record: ReplicaRecord) -> Result<u64, ReplicaError> {
         let _turn = self.proposing.lock().expect("proposer lock");
+        let slot = {
+            let mut st = self.state.lock().expect("group lock");
+            st.next_slot += 1;
+            st.next_slot - 1
+        };
         // Bounded retries: each iteration either commits or replaces the
         // leader; with every replica failing at most once, 2N + 2 rounds
         // cover any schedule the fault scripts can produce.
-        for _ in 0..2 * self.config.replicas + 2 {
+        for attempt in 0..2 * self.config.replicas + 2 {
             self.ensure_leader()?;
-            let (ballot, slot) = {
-                let st = self.state.lock().expect("group lock");
-                (st.ballot, st.next_slot)
-            };
+            let ballot = self.state.lock().expect("group lock").ballot;
             if self.drive_accept(ballot, slot, &record)? {
-                self.state.lock().expect("group lock").next_slot = slot + 1;
                 self.counter("commits").incr();
-                self.timer.beat();
+                self.counter("re_adopted").add(u64::from(attempt > 0));
                 return Ok(slot);
             }
             // The leader lost its ballot (superseded) or died under us:
@@ -848,7 +718,8 @@ impl ReplicaGroup {
         let mut out = Vec::new();
         for (slot, entries) in by_slot {
             // Count agreement on the highest ballot present; a slot that
-            // never reached a majority is in flight, not committed.
+            // never reached a majority is a failed commit's, and no later
+            // proposal completes it.
             let Some(&(top, _)) = entries.iter().max_by_key(|(b, _)| *b) else {
                 continue;
             };
@@ -861,31 +732,18 @@ impl ReplicaGroup {
     }
 
     /// Make sure a live leader with a valid ballot exists, electing one
-    /// if needed. Detection of a dead incumbent waits out the election
-    /// timeout first (that is what "within the election timeout" means).
+    /// if needed: at once, as soon as the incumbent is known dead.
     fn ensure_leader(&self) -> Result<(), ReplicaError> {
-        let incumbent = {
-            let st = self.state.lock().expect("group lock");
-            st.leader
-        };
+        let incumbent = self.state.lock().expect("group lock").leader;
         match incumbent {
-            Some(id) if self.acceptors[id].is_alive() => {
-                self.timer.beat();
-                Ok(())
-            }
-            Some(_) => {
-                // The leader is dead but nobody knows yet: followers
-                // notice only when the heartbeat goes silent for the
-                // full election timeout.
-                self.timer.wait_expiry();
-                self.elect(true)
-            }
-            None => self.elect(false),
+            Some(id) if self.acceptors[id].is_alive() => Ok(()),
+            incumbent => self.elect(incumbent.is_some()),
         }
     }
 
-    /// Run phase 1 with a fresh ballot from the lowest-id live replica,
-    /// re-adopting the highest in-flight accepted record if one exists.
+    /// Run phase 1 with a fresh ballot from the lowest-id live replica.
+    /// Winning it is all an election does: the one commit that could be
+    /// in flight is the caller's own, and it retries its record itself.
     fn elect(&self, recovery: bool) -> Result<(), ReplicaError> {
         let candidate = self
             .acceptors
@@ -902,56 +760,38 @@ impl ReplicaGroup {
             (st.max_ballot / n + 1) * n + candidate as u64
         };
         let mut retries = 0u64;
-        let mut promises = Vec::new();
+        let mut promises = 0;
         for acceptor in &self.acceptors {
             // A replica whose log write failed did not promise: one
             // missing promise, like a dead replica's.
-            let accepted = acceptor
+            let promised = acceptor
                 .prepare(ballot, self.config.log, &mut retries)
-                .unwrap_or(None);
+                .unwrap_or(false);
             self.emit(
                 EventKind::Prepare,
                 ballot,
                 acceptor.id as u64,
-                accepted.is_some() as u64,
+                u64::from(promised),
             );
-            if let Some(accepted) = accepted {
-                promises.push(accepted);
-            }
+            promises += usize::from(promised);
         }
         {
             let mut st = self.state.lock().expect("group lock");
             st.max_ballot = st.max_ballot.max(ballot);
         }
         self.counter("log_retries").add(retries);
-        if promises.len() < self.quorum() {
+        if promises < self.quorum() {
             self.emit(
                 EventKind::QuorumLost,
                 self.quorum() as u64,
-                promises.len() as u64,
+                promises as u64,
                 0,
             );
             self.telemetry.note_incident();
             return Err(ReplicaError::NoQuorum {
                 need: self.quorum(),
-                have: promises.len(),
+                have: promises,
             });
-        }
-        // The new leader's view of the log: everything below the highest
-        // accepted slot is already quorum-committed (slots advance only
-        // after commit); the highest slot itself may be in flight and
-        // must be re-adopted so the old leader's proposal survives it.
-        let mut in_flight: Option<(u64, u64, ReplicaRecord)> = None;
-        for accepted in &promises {
-            if let Some((&slot, (b, record))) = accepted.last_key_value() {
-                let better = match &in_flight {
-                    None => true,
-                    Some((s, ib, _)) => slot > *s || (slot == *s && *b > *ib),
-                };
-                if better {
-                    in_flight = Some((slot, *b, record.clone()));
-                }
-            }
         }
         {
             let mut st = self.state.lock().expect("group lock");
@@ -960,29 +800,11 @@ impl ReplicaGroup {
         }
         self.counter("elections").incr();
         self.counter("recoveries").add(recovery as u64);
-        self.timer.beat();
-        if let Some((slot, _, record)) = in_flight {
-            let next = {
-                let st = self.state.lock().expect("group lock");
-                st.next_slot
-            };
-            if slot >= next {
-                // Replay: re-drive the in-flight record to quorum under
-                // the new ballot before accepting new proposals.
-                if self.drive_accept(ballot, slot, &record)? {
-                    self.state.lock().expect("group lock").next_slot = slot + 1;
-                    self.counter("re_adopted").incr();
-                } else {
-                    let mut st = self.state.lock().expect("group lock");
-                    st.leader = None;
-                }
-            }
-        }
         self.emit(
             EventKind::BallotWon,
             ballot,
             candidate as u64,
-            promises.len() as u64,
+            promises as u64,
         );
         self.emit(
             EventKind::LeaderElected,
@@ -1039,7 +861,7 @@ mod tests {
     use crate::tier::MemTier;
 
     fn group3() -> ReplicaGroup {
-        ReplicaGroup::in_memory(ReplicaConfig::default(), Arc::new(TestClock::new()))
+        ReplicaGroup::in_memory(ReplicaConfig::default(), Arc::new(SystemClock::new()))
     }
 
     fn seal(epoch: u64) -> ReplicaRecord {
@@ -1118,19 +940,12 @@ mod tests {
     }
 
     #[test]
-    fn dead_leader_replaced_within_timeout() {
-        let clock = Arc::new(TestClock::new());
-        let g = ReplicaGroup::in_memory(ReplicaConfig::default(), clock.clone());
+    fn dead_leader_replaced_at_the_next_commit() {
+        let g = group3();
         g.commit(seal(1)).unwrap();
         let leader = g.leader().unwrap();
-        let before = clock.now();
         g.kill(leader);
-        g.commit(seal(2)).unwrap();
-        let waited = clock.now() - before;
-        assert!(
-            waited >= Duration::from_millis(1),
-            "takeover waited the timeout"
-        );
+        assert_eq!(g.commit(seal(2)).unwrap(), 1);
         assert_ne!(g.leader().unwrap(), leader);
         assert_eq!(g.stats().recoveries, 1);
         assert_eq!(g.committed().unwrap().len(), 2);
@@ -1138,12 +953,11 @@ mod tests {
 
     #[test]
     fn minority_kills_never_lose_commits() {
-        let clock = Arc::new(TestClock::new());
         let config = ReplicaConfig {
             replicas: 5,
             ..ReplicaConfig::default()
         };
-        let g = ReplicaGroup::in_memory(config, clock);
+        let g = ReplicaGroup::in_memory(config, Arc::new(SystemClock::new()));
         g.commit(seal(1)).unwrap();
         g.kill(g.leader().unwrap());
         g.commit(seal(2)).unwrap();
@@ -1178,7 +992,7 @@ mod tests {
         let logs: Vec<Arc<dyn ObjectTier>> = (0..3)
             .map(|_| Arc::new(MemTier::new()) as Arc<dyn ObjectTier>)
             .collect();
-        let clock: Arc<dyn Clock> = Arc::new(TestClock::new());
+        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         {
             let g =
                 ReplicaGroup::new(ReplicaConfig::default(), clock.clone(), logs.clone()).unwrap();

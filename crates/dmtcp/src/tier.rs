@@ -94,14 +94,6 @@ pub enum TierError {
         /// The rejected key.
         key: String,
     },
-    /// Retrying the operation exceeded the configured wall-clock
-    /// deadline ([`TierConfig::deadline`]) before it could succeed.
-    Timeout {
-        /// The operation ("put", "get").
-        op: &'static str,
-        /// The object key involved.
-        key: String,
-    },
 }
 
 impl fmt::Display for TierError {
@@ -111,9 +103,6 @@ impl fmt::Display for TierError {
             TierError::NotFound { key } => write!(f, "tier object {key} not found"),
             TierError::Corrupt { key, detail } => write!(f, "tier object {key} corrupt: {detail}"),
             TierError::BadKey { key } => write!(f, "invalid tier key {key:?}"),
-            TierError::Timeout { op, key } => {
-                write!(f, "tier {op} {key}: retry deadline exceeded")
-            }
         }
     }
 }
@@ -186,11 +175,6 @@ pub struct TierConfig {
     /// Base backoff between attempts; doubles per retry, and each sleep
     /// is jittered by up to ±25% (`JITTER_PERMILLE`).
     pub backoff: Duration,
-    /// Cap on the total retry wall-clock per object: once the next sleep
-    /// would cross the deadline, the retry loop surfaces
-    /// [`TierError::Timeout`] instead of waiting on. `None` = retries are
-    /// bounded only by `max_attempts`.
-    pub deadline: Option<Duration>,
 }
 
 impl Default for TierConfig {
@@ -198,7 +182,6 @@ impl Default for TierConfig {
         TierConfig {
             max_attempts: 4,
             backoff: Duration::from_millis(10),
-            deadline: None,
         }
     }
 }
@@ -354,8 +337,8 @@ pub(crate) fn sealed_seals(
 /// objects match the lengths and CRCs it records. Returns
 /// `(blocks, manifest)` bytes ready to install locally. Downloads go
 /// through the retrying get path, so transient tier faults and torn
-/// downloads heal, and a configured deadline bounds the wait; bytes that
-/// fail their check on every attempt are [`TierError::Corrupt`].
+/// downloads heal; bytes that fail their check on every attempt are
+/// [`TierError::Corrupt`].
 pub(crate) fn fetch_sealed_epoch(
     tier: &dyn ObjectTier,
     config: TierConfig,
@@ -836,18 +819,14 @@ fn backoff_step(config: TierConfig, key: &str, attempt: u32) -> Duration {
 /// The one retry loop: run `attempt` up to [`TierConfig::max_attempts`]
 /// times, sleeping [`backoff_step`] between tries. An error for which
 /// `is_final` holds is returned at once, and so is the last attempt's
-/// error. If a sleep would cross [`TierConfig::deadline`] (measured from
-/// the first attempt), the loop surfaces [`TierError::Timeout`] instead
-/// of waiting on. `retries` counts the sleeps taken.
+/// error. `retries` counts the sleeps taken.
 fn retry<T>(
     config: TierConfig,
-    op: &'static str,
     key: &str,
     retries: &mut u64,
     is_final: fn(&TierError) -> bool,
     mut attempt: impl FnMut() -> Result<T, TierError>,
 ) -> Result<T, TierError> {
-    let start = std::time::Instant::now();
     let mut n = 1;
     loop {
         match attempt() {
@@ -855,16 +834,9 @@ fn retry<T>(
             Err(e) if is_final(&e) || n >= config.max_attempts.max(1) => return Err(e),
             Err(_) => {}
         }
-        let sleep = backoff_step(config, key, n);
-        if config.deadline.is_some_and(|d| start.elapsed() + sleep > d) {
-            return Err(TierError::Timeout {
-                op,
-                key: key.to_string(),
-            });
-        }
         *retries += 1;
         // lint:allow(no-sleep-poll) — jittered retry backoff on the tier upload path, not a poll loop.
-        std::thread::sleep(sleep);
+        std::thread::sleep(backoff_step(config, key, n));
         n += 1;
     }
 }
@@ -872,8 +844,7 @@ fn retry<T>(
 /// Upload one object with read-back verification and jittered
 /// exponential backoff. `want` is the caller's `crc32(data)`. A put that
 /// "succeeds" but stores bytes whose CRC disagrees (a torn object) counts
-/// as a failed attempt and is re-uploaded. A configured deadline bounds
-/// the total retry wall-clock ([`TierError::Timeout`]).
+/// as a failed attempt and is re-uploaded.
 pub(crate) fn put_verified(
     tier: &dyn ObjectTier,
     config: TierConfig,
@@ -897,16 +868,16 @@ pub(crate) fn put_verified(
             ),
         })
     };
-    retry(config, "put", key, retries, |_| false, upload)
+    retry(config, key, retries, |_| false, upload)
 }
 
 /// Download one object with the same jittered-backoff retry policy as
 /// [`put_verified`]: transient I/O failures retry, and so do bytes that
 /// fail `check` (a torn download reads again), while a missing object
-/// does not (absence is an answer, not a fault); a configured deadline
-/// bounds the total wait. Bytes that fail `check` on every attempt are
-/// [`TierError::Corrupt`]. Hydration and the replica-log replay read
-/// through this, so scripted get faults exercise their retry paths.
+/// does not (absence is an answer, not a fault). Bytes that fail `check`
+/// on every attempt are [`TierError::Corrupt`]. Hydration and the
+/// replica-log replay read through this, so scripted get faults exercise
+/// their retry paths.
 pub(crate) fn get_retried<T>(
     tier: &dyn ObjectTier,
     config: TierConfig,
@@ -915,7 +886,7 @@ pub(crate) fn get_retried<T>(
 ) -> Result<T, TierError> {
     let is_final =
         |e: &TierError| matches!(e, TierError::NotFound { .. } | TierError::BadKey { .. });
-    retry(config, "get", key, &mut 0, is_final, || {
+    retry(config, key, &mut 0, is_final, || {
         check(tier.get(key)?).map_err(|detail| TierError::Corrupt {
             key: key.to_string(),
             detail,
@@ -1079,7 +1050,6 @@ mod tests {
         let cfg = TierConfig {
             max_attempts: 4,
             backoff: Duration::from_millis(1),
-            ..TierConfig::default()
         };
         let mut retries = 0;
         let data = b"payload bytes";
@@ -1103,7 +1073,6 @@ mod tests {
         let cfg = TierConfig {
             max_attempts: 4,
             backoff: Duration::from_millis(1),
-            ..TierConfig::default()
         };
         assert_eq!(get_retried(&*tier, cfg, "k", Ok).unwrap(), b"payload");
         // Absence is an answer, not a fault: no retry budget is spent.
@@ -1116,25 +1085,6 @@ mod tests {
             4,
             "three for `k`, one for `missing`"
         );
-    }
-
-    #[test]
-    fn get_retried_surfaces_timeout_at_the_deadline() {
-        let script = Script::new();
-        let tier = script.wrap(Arc::new(MemTier::new()));
-        tier.put("k", b"payload").unwrap();
-        script.push(Op::Get, [Fault::Fail; 16]);
-        let cfg = TierConfig {
-            max_attempts: 16,
-            backoff: Duration::from_millis(50),
-            deadline: Some(Duration::from_millis(5)),
-        };
-        // The first backoff sleep alone would cross the deadline: the
-        // retry loop surfaces Timeout instead of waiting it out.
-        assert!(matches!(
-            get_retried(&*tier, cfg, "k", Ok),
-            Err(TierError::Timeout { op: "get", .. })
-        ));
     }
 
     #[test]

@@ -596,9 +596,9 @@ pub fn default_rules() -> Vec<Rule> {
             paths: &["crates/simnet/src", "crates/dmtcp/src"],
             allow_paths: &[],
             skip_tests: true,
-            // `thread::sleep` as a path, so calls through the injectable
-            // `Clock` trait (the sanctioned wait primitive) stay legal
-            // while a raw OS sleep — the PR 1 poll-loop class — fires.
+            // `thread::sleep` as a path, so a method that happens to be
+            // named `sleep` stays legal while a raw OS sleep — the
+            // poll-loop class — fires. Waits park on a condvar.
             check: Check::BannedPath(&[
                 &["thread", "::", "sleep"],
                 &["hint", "::", "spin_loop"],

@@ -13,7 +13,8 @@ use std::ops::ControlFlow;
 use std::sync::{Arc, Mutex};
 
 use mpi_stool::dmtcp::{
-    BarrierTopology, CkptMode, Coordinator, Poll, RankImage, ReplicaConfig, ReplicaGroup, TestClock,
+    BarrierTopology, CkptMode, Coordinator, Poll, RankImage, ReplicaConfig, ReplicaGroup,
+    SystemClock,
 };
 
 /// Drive `n` ranks through `steps` safe points each, every rank
@@ -113,7 +114,7 @@ fn three_pressed_rounds_with_replicas_complete() {
     let coord = Coordinator::new(n);
     let group = Arc::new(ReplicaGroup::in_memory(
         ReplicaConfig::default(),
-        Arc::new(TestClock::new()),
+        Arc::new(SystemClock::new()),
     ));
     coord.attach_replicas(group.clone());
     let zeros = vec![0u64; n];

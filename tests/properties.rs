@@ -313,7 +313,6 @@ fn prop_tier_cfg() -> TierConfig {
     TierConfig {
         max_attempts: 3,
         backoff: Duration::from_millis(1),
-        ..TierConfig::default()
     }
 }
 
@@ -754,7 +753,7 @@ proptest! {
 mod replica_props {
     use super::*;
     use mpi_stool::dmtcp::replica::Clock;
-    use mpi_stool::dmtcp::{ReplicaConfig, ReplicaGroup, ReplicaRecord, TestClock};
+    use mpi_stool::dmtcp::{ReplicaConfig, ReplicaGroup, ReplicaRecord, SystemClock};
 
     /// Any epoch seal, the log's one record kind.
     pub fn any_record() -> impl Strategy<Value = ReplicaRecord> {
@@ -769,12 +768,11 @@ mod replica_props {
     }
 
     pub fn group(replicas: usize) -> ReplicaGroup {
-        let clock: Arc<dyn Clock> = Arc::new(TestClock::new());
+        let clock: Arc<dyn Clock> = Arc::new(SystemClock::new());
         ReplicaGroup::in_memory(
             ReplicaConfig {
                 replicas,
                 log: prop_tier_cfg(),
-                ..ReplicaConfig::default()
             },
             clock,
         )

@@ -55,8 +55,8 @@ fn no_sleep_poll_flags_raw_os_sleep_only() {
         vec![("no-sleep-poll".to_string(), 2, 10)]
     );
 
-    // ...but the injectable Clock trait (the sanctioned wait) does not:
-    // `clock.sleep(d)` is a method call, not the `thread::sleep` path.
+    // ...but a method named `sleep` does not: `c.sleep(d)` is a method
+    // call, not the `thread::sleep` path.
     let via_clock = "fn f(c: &dyn Clock, d: Duration) {\n    c.sleep(d);\n}\n";
     assert!(findings_for("crates/simnet/src/x.rs", via_clock).is_empty());
 

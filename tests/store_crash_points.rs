@@ -91,7 +91,6 @@ fn tier_cfg() -> TierConfig {
     TierConfig {
         max_attempts: 2,
         backoff: Duration::ZERO,
-        deadline: None,
     }
 }
 

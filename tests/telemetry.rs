@@ -437,7 +437,6 @@ fn tier_and_replica_stats_are_the_registrys_counts() {
     let root = std::env::temp_dir().join(format!("stool-tel-views-{pid}"));
     let _ = std::fs::remove_dir_all(&root);
     let mut replicas = ReplicaPolicy::new(root.join("replicas"));
-    replicas.config.election_timeout = Duration::from_millis(2);
     replicas.config.log.backoff = Duration::from_millis(1);
     let session = Session::builder()
         .cluster(ClusterSpec::builder().nodes(2).ranks_per_node(2).build())
@@ -450,7 +449,6 @@ fn tier_and_replica_stats_are_the_registrys_counts() {
                 config: TierConfig {
                     max_attempts: 2,
                     backoff: Duration::from_millis(1),
-                    ..TierConfig::default()
                 },
             }),
             replicas: Some(replicas),

@@ -70,7 +70,6 @@ fn tier_cfg() -> TierConfig {
     TierConfig {
         max_attempts: 4,
         backoff: Duration::from_millis(1),
-        ..TierConfig::default()
     }
 }
 
@@ -564,9 +563,9 @@ fn rotted_tier_object_surfaces_corrupt_not_garbage() {
 }
 
 #[test]
-fn unreachable_tier_surfaces_timeout_at_the_retry_deadline() {
-    let store_dir = tmp_dir("get_deadline_store");
-    let tier_dir = tmp_dir("get_deadline_tier");
+fn unreachable_tier_fails_the_hydrating_open_after_max_attempts() {
+    let store_dir = tmp_dir("get_unreachable_store");
+    let tier_dir = tmp_dir("get_unreachable_tier");
     let script = Script::new();
     let tier = script.wrap(Arc::new(FsTier::open(&tier_dir).unwrap()));
     let mut store =
@@ -575,23 +574,24 @@ fn unreachable_tier_surfaces_timeout_at_the_retry_deadline() {
     store.tier_flush().unwrap();
     drop(store);
 
-    // Every download fails and the backoff schedule would exceed the
-    // configured deadline: the hydration bounds its wall-clock with
-    // Timeout instead of sleeping out the whole retry budget.
+    // Every download fails: the hydration tries its first get
+    // `max_attempts` times, without sleeping, and fails the open with the
+    // last attempt's error.
     std::fs::remove_dir_all(&store_dir).unwrap();
     script.push(Op::Get, [Fault::Fail; 64]);
+    let gets = script.calls(Op::Get, None);
     let cfg = TierConfig {
-        max_attempts: 16,
-        backoff: Duration::from_millis(50),
-        deadline: Some(Duration::from_millis(5)),
+        max_attempts: 5,
+        backoff: Duration::ZERO,
     };
     let err = DeltaStore::open_with_tier(&store_dir, small_cfg(), tier, cfg)
         .map(|_| ())
         .expect_err("an unreachable tier must not hydrate");
     assert!(
-        matches!(err, StoreError::Tier(TierError::Timeout { op: "get", .. })),
-        "expected a bounded Timeout, got {err:?}"
+        matches!(&err, StoreError::Tier(TierError::Io { op: "get", msg, .. }) if msg.contains("Fail")),
+        "expected the last get's injected failure, got {err:?}"
     );
+    assert_eq!(script.calls(Op::Get, None) - gets, 5, "one get per attempt");
     std::fs::remove_dir_all(&store_dir).ok();
     std::fs::remove_dir_all(&tier_dir).unwrap();
 }
@@ -610,7 +610,6 @@ fn a_killed_run_ships_nothing_past_its_sticky_shipper() {
         config: TierConfig {
             max_attempts: 1,
             backoff: Duration::from_millis(1),
-            ..TierConfig::default()
         },
     });
     let session = Session::builder()
