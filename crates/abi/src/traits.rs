@@ -134,6 +134,14 @@ pub trait MpiAbi {
     /// and, for receive requests, the received payload.
     fn wait(&mut self, request: Handle) -> AbiResult<(AbiStatus, Option<Bytes>)>;
 
+    /// The status of the message consumed by the last `recv`, `wait` or
+    /// `test` that failed with [`crate::AbiError::Truncate`], once: MPI
+    /// fills a truncated receive's source and tag, a wildcard's included.
+    /// `None` from a library that keeps no such status.
+    fn truncated_status(&mut self) -> Option<AbiStatus> {
+        None
+    }
+
     /// Nonblocking completion test (`MPI_Test`).
     fn test(&mut self, request: Handle) -> AbiResult<Option<(AbiStatus, Option<Bytes>)>>;
 

@@ -111,7 +111,7 @@ impl StorePolicy {
     /// opens fail with [`StoreError::TenantMismatch`] before touching the
     /// chain.
     pub fn open_store(&self) -> Result<DeltaStore, StoreError> {
-        self.open_store_scripted(&[], &[], None)
+        Ok(self.open_store_scripted(&[], &[], None, false)?.0)
     }
 
     /// [`StorePolicy::open_store`] with upload/download fault scripts:
@@ -120,13 +120,16 @@ impl StorePolicy {
     /// requires). [`wire_runs`] scripts the run's `puts` (torn/failed
     /// uploads mid-ship) and, for a restore from the chain, its `gets`
     /// (torn/failed downloads during hydration). `tel` is attached before
-    /// the tier, so the open's hydration reports to it.
+    /// the tier, so the open's hydration reports to it. With `load_head`
+    /// the chain head is loaded through the opened handle too
+    /// ([`DeltaStore::attach_tier_and_load`] when a tier is attached).
     pub(crate) fn open_store_scripted(
         &self,
         puts: &[Fault],
         gets: &[Fault],
         tel: Option<&Arc<Telemetry>>,
-    ) -> Result<DeltaStore, StoreError> {
+        load_head: bool,
+    ) -> Result<(DeltaStore, Option<WorldImage>), StoreError> {
         self.claim()?;
         let scripted = !(puts.is_empty() && gets.is_empty());
         if scripted && self.tier.is_none() {
@@ -145,9 +148,14 @@ impl StorePolicy {
                 script.push(Op::Get, gets.iter().copied());
                 tier = script.wrap(tier);
             }
+            if load_head {
+                let (_, head) = store.attach_tier_and_load(tier, t.config)?;
+                return Ok((store, Some(head)));
+            }
             store.attach_tier(tier, t.config)?;
         }
-        Ok(store)
+        let head = load_head.then(|| store.load_latest()).transpose()?;
+        Ok((store, head))
     }
 
     /// Check (and on first tenant-tagged open, write) the `TENANT`
@@ -640,8 +648,10 @@ pub(crate) struct RunWiring {
 /// under the tenant's namespace; then every store becomes one lane of a
 /// single committer. With `load_head` the open is also behind the run's
 /// download-fault script, and the chain head is loaded through it before
-/// it becomes the run's lane: one open per restore. A [`Session`] is the
-/// one-run case, a [`crate::cluster::Cluster`] the N-run case.
+/// it becomes the run's lane: one open per restore, which decodes a head
+/// it hydrates from the fetched bytes while they are installed. A
+/// [`Session`] is the one-run case, a [`crate::cluster::Cluster`] (which
+/// only launches) the N-run case.
 pub(crate) fn wire_runs(
     runs: &[(&SessionConfig, Option<&str>)],
     shared_tier: Option<&SharedTier>,
@@ -669,14 +679,18 @@ pub(crate) fn wire_runs(
             let started = Instant::now();
             let gets = load_head.then_some(&config.schedule.tier_gets[..]);
             let gets = gets.unwrap_or_default();
-            let mut store =
-                policy.open_store_scripted(&config.schedule.tier_puts, gets, Some(&tel))?;
+            let (mut store, loaded) = policy.open_store_scripted(
+                &config.schedule.tier_puts,
+                gets,
+                Some(&tel),
+                load_head,
+            )?;
             if let (Some(shared), Some(id)) = (shared_tier, tenant) {
                 let ns = tenant_namespace(id).map_err(StoreError::Tier)?;
                 store.attach_shared_tier(shared, &ns)?;
             }
             open_us.observe(started.elapsed().as_micros() as u64);
-            head = load_head.then(|| store.load_latest()).transpose()?;
+            head = loaded;
             lane = Some(stores.len());
             stores.push(store);
         }

@@ -20,13 +20,16 @@ use super::manifest::{BlockKey, BlockLoc, Manifest, SectionRefs};
 use super::{EpochStats, StoreConfig, StoreError};
 
 /// The restore path's wall-µs histograms on `tel`: the head manifest's
-/// get and decode, `blocks.bin` reads, CRC + decode, hydration.
-fn restore_us(tel: &Telemetry) -> [Histogram; 4] {
+/// get and decode, `blocks.bin` reads, CRC + decode, hydration, and
+/// hydration's fetch and local install.
+fn restore_us(tel: &Telemetry) -> [Histogram; 6] {
     [
         "store.load.manifest_us",
         "store.load.read_us",
         "store.load.decode_us",
         "tier.hydrate_us",
+        "tier.hydrate.fetch_us",
+        "tier.hydrate.install_us",
     ]
     .map(|name| tel.metrics().histogram(name))
 }
@@ -157,7 +160,7 @@ pub struct DeltaStore {
     pub(super) telemetry: Arc<Telemetry>,
     /// The restore path's histograms on that recorder, registered with
     /// it so that a reading neither locks nor allocates.
-    pub(super) restore_us: [Histogram; 4],
+    pub(super) restore_us: [Histogram; 6],
 }
 
 impl DeltaStore {
@@ -426,15 +429,24 @@ impl DeltaStore {
     }
 
     pub(super) fn read_manifest(&self, epoch: u64) -> Result<Manifest, StoreError> {
-        let buf = self
-            .get(&epoch_key(epoch, "", MANIFEST))?
-            .ok_or(StoreError::MissingEpoch { epoch })?;
+        self.read_manifest_on(&*self.vol, epoch)
+    }
+
+    fn read_manifest_on(&self, vol: &dyn ObjectTier, epoch: u64) -> Result<Manifest, StoreError> {
+        let buf = match vol.get(&epoch_key(epoch, "", MANIFEST)) {
+            Err(TierError::NotFound { .. }) => Err(StoreError::MissingEpoch { epoch }),
+            read => read.map_err(|e| self.vol_err(e)),
+        }?;
         Manifest::decode(&buf).map_err(|source| StoreError::Manifest { epoch, source })
     }
 
-    /// The blocks `locs` reference, one ranged read of each `blocks.bin`
-    /// they lie in.
-    fn read_blocks<'l>(&self, locs: impl IntoIterator<Item = &'l BlockLoc>) -> BlockFiles {
+    /// The blocks `locs` reference, one ranged read on `vol` of each
+    /// `blocks.bin` they lie in.
+    fn read_blocks<'l>(
+        &self,
+        vol: &dyn ObjectTier,
+        locs: impl IntoIterator<Item = &'l BlockLoc>,
+    ) -> BlockFiles {
         let mut spans: BTreeMap<u64, Vec<Range<u64>>> = BTreeMap::new();
         for loc in locs {
             let end = loc.offset.saturating_add(loc.len as u64);
@@ -442,7 +454,7 @@ impl DeltaStore {
         }
         let read = |epoch: u64, ranges: Vec<Range<u64>>| {
             let key = epoch_key(epoch, "", BLOCKS);
-            let data = match self.vol.get_ranges(&key, &ranges) {
+            let data = match vol.get_ranges(&key, &ranges) {
                 Err(TierError::NotFound { .. }) => Err(StoreError::MissingEpoch { epoch }),
                 read => read.map_err(|e| self.vol_err(e)),
             }?;
@@ -588,7 +600,7 @@ impl DeltaStore {
         // copy is what encoding would write. A source that cannot be read
         // is encoded instead.
         let compression = self.config.compression;
-        let sources = self.read_blocks(plan.iter().filter_map(|(_, s)| s.as_ref()));
+        let sources = self.read_blocks(&*self.vol, plan.iter().filter_map(|(_, s)| s.as_ref()));
         let parts: Vec<&[(&[u8], Option<BlockLoc>)]> =
             plan.chunks(plan.len().div_ceil(threads).max(1)).collect();
         let encoded: Vec<(Vec<u8>, Vec<BlockLoc>, u64)> = fan_out(&parts, threads, |_, part| {
@@ -839,16 +851,30 @@ impl DeltaStore {
     /// order, so the error reported is the lowest failing rank's first
     /// bad block — never whichever loader thread lost the race.
     pub fn load_epoch(&self, epoch: u64) -> Result<WorldImage, StoreError> {
-        let [manifest_us, read_us, decode_us, _] = &self.restore_us;
+        self.load_epoch_on(&*self.vol, epoch)
+    }
+
+    /// [`DeltaStore::load_epoch`], reading the chain's objects from `vol`:
+    /// the chain's own volume, or a hydration's staging volume, which
+    /// holds the objects it fetched.
+    pub(super) fn load_epoch_on(
+        &self,
+        vol: &dyn ObjectTier,
+        epoch: u64,
+    ) -> Result<WorldImage, StoreError> {
+        let [manifest_us, read_us, decode_us, ..] = &self.restore_us;
         let started = Instant::now();
-        let manifest = self.read_manifest(epoch)?;
+        let manifest = self.read_manifest_on(vol, epoch)?;
         manifest_us.observe(started.elapsed().as_micros() as u64);
         let locs = manifest
             .ranks
             .iter()
             .flat_map(|(_, _, _, sections)| sections);
         let started = Instant::now();
-        let files = self.read_blocks(locs.flat_map(|(_, blocks)| blocks.iter().map(|(_, l)| l)));
+        let files = self.read_blocks(
+            vol,
+            locs.flat_map(|(_, blocks)| blocks.iter().map(|(_, l)| l)),
+        );
         let read = started.elapsed();
         let read_bytes = files.values().flatten().map(|f| f.data.len() as u64).sum();
         self.telemetry

@@ -2,13 +2,16 @@
 //! behind or damaged local chain — the one way an epoch comes back from
 //! the tier.
 
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::codec::crc32;
-use crate::tier::{fetch_sealed_epoch, ObjectTier, SharedTier, TierConfig, TierRuntime, TierStats};
+use crate::image::WorldImage;
+use crate::tier::{
+    fetch_sealed_epoch, MemTier, ObjectTier, SharedTier, TierConfig, TierRuntime, TierStats,
+};
 
 use super::block::fan_out;
 use super::delta::{epoch_key, BLOCKS, MANIFEST};
@@ -25,6 +28,10 @@ pub(super) struct TierAttachment {
     pub(super) runtime: Arc<TierRuntime>,
     pub(super) lane: usize,
 }
+
+/// One fetched epoch's `blocks.bin` and `manifest.bin`, shared by its
+/// install and a restore's staging volume.
+type Fetched = (Arc<Vec<u8>>, Arc<Vec<u8>>);
 
 impl DeltaStore {
     /// Like [`DeltaStore::open_with`], with a remote second tier attached
@@ -70,7 +77,24 @@ impl DeltaStore {
         config: TierConfig,
     ) -> Result<Vec<u64>, StoreError> {
         let runtime = Arc::new(TierRuntime::spawn(tier, config));
-        self.attach_runtime(runtime, String::new())
+        Ok(self.attach_runtime(runtime, String::new(), false)?.0)
+    }
+
+    /// [`DeltaStore::attach_tier`], then the chain head's image, as
+    /// [`DeltaStore::load_latest`] returns it: a restore's one open. When
+    /// the attach fetches every epoch the head references, the head is
+    /// decoded from the fetched bytes while they are installed locally.
+    ///
+    /// Returns the epochs hydrated from the tier, ascending, and the head.
+    pub fn attach_tier_and_load(
+        &mut self,
+        tier: Arc<dyn ObjectTier>,
+        config: TierConfig,
+    ) -> Result<(Vec<u64>, WorldImage), StoreError> {
+        let runtime = Arc::new(TierRuntime::spawn(tier, config));
+        let (hydrated, staged) = self.attach_runtime(runtime, String::new(), true)?;
+        let head = staged.map_or_else(|| self.load_latest(), Ok)?;
+        Ok((hydrated, head))
     }
 
     /// Attach this store as one tenant lane of a [`SharedTier`]: epochs
@@ -84,16 +108,21 @@ impl DeltaStore {
         shared: &SharedTier,
         ns: &str,
     ) -> Result<Vec<u64>, StoreError> {
-        self.attach_runtime(shared.runtime().clone(), ns.to_string())
+        Ok(self
+            .attach_runtime(shared.runtime().clone(), ns.to_string(), false)?
+            .0)
     }
 
     /// The shared attach engine: reconcile against the tier under `ns`,
-    /// register a lane, hydrate, queue the unshipped backlog.
+    /// register a lane, hydrate, queue the unshipped backlog. With
+    /// `load_head`, a hydration that fetches every epoch the head
+    /// references also returns the head, decoded from the fetched bytes.
     fn attach_runtime(
         &mut self,
         runtime: Arc<TierRuntime>,
         ns: String,
-    ) -> Result<Vec<u64>, StoreError> {
+        load_head: bool,
+    ) -> Result<(Vec<u64>, Option<WorldImage>), StoreError> {
         let tier = runtime.tier.clone();
         let config = runtime.config;
         let seals = crate::tier::sealed_seals(&*tier, config, &ns)?;
@@ -123,7 +152,7 @@ impl DeltaStore {
             runtime: runtime.clone(),
             lane,
         });
-        let hydrated = self.hydrate_with(&*tier, config, &ns, &sealed)?;
+        let hydrated = self.hydrate_with(&*tier, config, &ns, &sealed, load_head)?;
         for &e in self.epochs.iter().filter(|e| !durable.contains(e)) {
             runtime.enqueue(lane, e);
         }
@@ -159,19 +188,6 @@ impl DeltaStore {
         self.tier.as_ref().map(|t| t.runtime.stats(t.lane))
     }
 
-    /// After an epoch is reinstated locally, drop its stale `.bad` twin
-    /// (if any, manifest first) and its quarantine listing, and splice
-    /// it into the chain view.
-    fn adopt_epoch(&mut self, epoch: u64) -> Result<(), StoreError> {
-        self.delete_epoch(epoch, ".bad")?;
-        self.quarantined.retain(|&q| q != epoch);
-        if !self.epochs.contains(&epoch) {
-            self.epochs.push(epoch);
-            self.epochs.sort_unstable();
-        }
-        Ok(())
-    }
-
     /// Hydrate the chain from `tier` under `ns`, given its listed seals:
     /// determine the restore target (the newer of the local and tier
     /// chain heads), and download every epoch that target's manifest
@@ -181,32 +197,40 @@ impl DeltaStore {
     /// (remote-only restore pulls the tier head plus its bases), and a
     /// current local head whose *base* epochs were lost (partial disk
     /// damage pulls just the bases back). Epochs already present locally
-    /// are left untouched. Every fetched epoch's `blocks.bin` is put
-    /// (fanned out over `writer_threads`) before any `manifest.bin`, and
-    /// the manifests go in ascending epoch order: a crash anywhere leaves
-    /// every installed manifest with all of its blocks.
+    /// are left untouched.
     ///
-    /// Returns the epochs installed, ascending.
+    /// Every epoch is fetched first, over `writer_threads`. Then a scoped
+    /// thread installs them: every `blocks.bin` (fanned out over
+    /// `writer_threads`) before any `manifest.bin`, and the manifests in
+    /// ascending epoch order, so a crash anywhere leaves every installed
+    /// manifest with all of its blocks. With `load_head`, when every
+    /// epoch the target references was fetched, the caller meanwhile
+    /// decodes the target from a staging [`MemTier`] holding the fetched
+    /// objects. Both join before the handle adopts anything: an install
+    /// error wins over the decode's, and a failed install adopts nothing.
+    ///
+    /// Returns the epochs installed, ascending, and the decoded target.
     fn hydrate_with(
         &mut self,
         tier: &dyn ObjectTier,
         config: TierConfig,
         ns: &str,
         sealed: &BTreeSet<u64>,
-    ) -> Result<Vec<u64>, StoreError> {
-        let started = std::time::Instant::now();
+        load_head: bool,
+    ) -> Result<(Vec<u64>, Option<WorldImage>), StoreError> {
+        let started = Instant::now();
         let tier_head = sealed.last().copied();
         let local_head = self.latest();
         // The restore target: the newer of the two heads.
         let Some(target) = local_head.max(tier_head) else {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), None));
         };
         // Pulling a *new* head down is all-or-nothing (installing a head
         // whose bases the tier cannot supply would advertise a chain
         // that cannot restore); repairing bases under a current local
         // head is best-effort (skipping leaves the chain no worse).
         let pulling_new_head = local_head.is_none_or(|l| target > l);
-        let mut fetched_target: Option<(Vec<u8>, Vec<u8>)> = None;
+        let mut fetched_target = None;
         let manifest = if self.epochs.contains(&target) {
             self.read_manifest(target)?
         } else {
@@ -237,35 +261,66 @@ impl DeltaStore {
             }
             install.push(epoch);
         }
-        // Every epoch's blocks land before any manifest: fetched, checked
-        // against their seals and put over the writer threads. A failure
-        // here puts no manifest.
-        let put_blocks = |_, &epoch: &u64| {
-            let (blocks, manifest) = match &fetched_target {
-                Some((blocks, manifest)) if epoch == target => {
-                    (Cow::Borrowed(&blocks[..]), Cow::Borrowed(&manifest[..]))
-                }
-                _ => {
-                    let (blocks, manifest) = fetch_sealed_epoch(tier, config, ns, epoch)?;
-                    (Cow::Owned(blocks), Cow::Owned(manifest))
-                }
-            };
-            self.put(&epoch_key(epoch, "", BLOCKS), &blocks)?;
-            Ok::<_, StoreError>(manifest)
-        };
-        let manifests = fan_out(&install, self.config().writer_threads, put_blocks);
-        let manifests = manifests.into_iter().collect::<Result<Vec<_>, _>>()?;
-        // Then the manifests that commit them, oldest first, so each
-        // lands after those of the epochs it references.
-        for (&epoch, manifest) in install.iter().zip(&manifests) {
+        if install.is_empty() {
+            return Ok((install, None));
+        }
+        // Fetched and checked against their seals, every epoch before
+        // any put. A fetched target is the newest epoch, so the last.
+        let [.., hydrate_us, fetch_us, _] = self.restore_us.clone();
+        let rest = &install[..install.len() - usize::from(fetched_target.is_some())];
+        let fetch = |_, &epoch: &u64| fetch_sealed_epoch(tier, config, ns, epoch);
+        let fetched = fan_out(rest, self.config().writer_threads, fetch);
+        let fetched = fetched.into_iter().chain(fetched_target.map(Ok));
+        let fetched = fetched
+            .map(|pair| pair.map(|(blocks, manifest)| (Arc::new(blocks), Arc::new(manifest))))
+            .collect::<Result<Vec<_>, _>>()?;
+        fetch_us.observe(started.elapsed().as_micros() as u64);
+        let staging = (load_head && install.len() == needed.len()).then(|| {
+            let objects = install
+                .iter()
+                .zip(&fetched)
+                .flat_map(|(&epoch, (blocks, manifest))| {
+                    [
+                        (epoch_key(epoch, "", BLOCKS), blocks.clone()),
+                        (epoch_key(epoch, "", MANIFEST), manifest.clone()),
+                    ]
+                });
+            MemTier::holding(objects)
+        });
+        let store = &*self;
+        let (installed, head) = std::thread::scope(|s| {
+            let installing = s.spawn(|| store.install(&install, &fetched));
+            let head = staging.map(|vol| store.load_epoch_on(&vol, target));
+            (installing.join().expect("install thread"), head)
+        });
+        installed?;
+        let head = head.transpose()?;
+        for &epoch in &install {
+            self.quarantined.retain(|&q| q != epoch);
+            self.epochs.push(epoch);
+        }
+        self.epochs.sort_unstable();
+        self.rebuild_head_state()?;
+        hydrate_us.observe(started.elapsed().as_micros() as u64);
+        Ok((install, head))
+    }
+
+    /// Put fetched epochs into the local chain: every `blocks.bin` over
+    /// the writer threads, then each `manifest.bin`, oldest first, so
+    /// each lands after those of the epochs it references, followed by
+    /// the removal of the epoch's stale `.bad` twin, if any.
+    fn install(&self, epochs: &[u64], fetched: &[Fetched]) -> Result<(), StoreError> {
+        let started = Instant::now();
+        let puts = fan_out(fetched, self.config().writer_threads, |i, (blocks, _)| {
+            self.put(&epoch_key(epochs[i], "", BLOCKS), blocks)
+        });
+        puts.into_iter().collect::<Result<(), _>>()?;
+        for (&epoch, (_, manifest)) in epochs.iter().zip(fetched) {
             self.put(&epoch_key(epoch, "", MANIFEST), manifest)?;
-            self.adopt_epoch(epoch)?;
+            self.delete_epoch(epoch, ".bad")?;
         }
-        if !install.is_empty() {
-            self.rebuild_head_state()?;
-            let [.., hydrate_us] = &self.restore_us;
-            hydrate_us.observe(started.elapsed().as_micros() as u64);
-        }
-        Ok(install)
+        let [.., install_us] = &self.restore_us;
+        install_us.observe(started.elapsed().as_micros() as u64);
+        Ok(())
     }
 }

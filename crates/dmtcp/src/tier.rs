@@ -548,13 +548,20 @@ impl ObjectTier for FsTier {
 /// filesystem directory would add noise without coverage).
 #[derive(Default)]
 pub struct MemTier {
-    objects: Mutex<BTreeMap<String, Vec<u8>>>,
+    objects: Mutex<BTreeMap<String, Arc<Vec<u8>>>>,
 }
 
 impl MemTier {
     /// An empty tier.
     pub fn new() -> MemTier {
         MemTier::default()
+    }
+
+    /// A tier holding `objects`, shared with the caller, not copied.
+    pub(crate) fn holding(objects: impl IntoIterator<Item = (String, Arc<Vec<u8>>)>) -> MemTier {
+        MemTier {
+            objects: Mutex::new(objects.into_iter().collect()),
+        }
     }
 
     /// `read` of the object at `key`, under the lock.
@@ -592,7 +599,7 @@ impl ObjectTier for MemTier {
         self.objects
             .lock()
             .expect("mem tier lock")
-            .insert(key.to_string(), data.to_vec());
+            .insert(key.to_string(), Arc::new(data.to_vec()));
         Ok(())
     }
 

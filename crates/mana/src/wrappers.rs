@@ -33,8 +33,8 @@ pub(crate) enum ReqEntry {
     Real {
         real: Handle,
         vcomm: Handle,
-        /// The source a receive named; `None` for a send.
-        recv_src: Option<i32>,
+        /// A receive, not a send.
+        recv: bool,
     },
     /// Satisfied from the drained pool at post time.
     Pooled { status: AbiStatus, payload: Bytes },
@@ -129,25 +129,23 @@ impl ManaMpi {
         Ok(())
     }
 
-    fn count_recv_status(&mut self, vcomm: Handle, status: &AbiStatus) -> AbiResult<()> {
-        if status.source >= 0 {
-            let w = self.world_of(vcomm, status.source)?;
-            self.rcvd_from[w] += 1;
-        }
-        Ok(())
-    }
-
-    /// Pass a receive's outcome through, counting a truncated one: the
-    /// vendor consumed its message but returns no status, so it counts
-    /// against the source the receive named (a wildcard's is unknown).
-    fn count_truncated<T>(
+    /// Pass a lower-half receive completion through, counting the message
+    /// it consumed: from the status `status` picks out of a completion
+    /// (`None`: nothing consumed), or, for one the lower half ended with
+    /// `Truncate`, from the status the lower half kept.
+    fn count_consumed<T>(
         &mut self,
         vcomm: Handle,
-        src: Option<i32>,
         got: AbiResult<T>,
+        status: impl FnOnce(&T) -> Option<AbiStatus>,
     ) -> AbiResult<T> {
-        if let (Err(AbiError::Truncate), Some(src @ 0..)) = (&got, src) {
-            let w = self.world_of(vcomm, src)?;
+        let consumed = match &got {
+            Ok(done) => status(done),
+            Err(AbiError::Truncate) => self.lower.truncated_status(),
+            Err(_) => None,
+        };
+        if let Some(source @ 0..) = consumed.map(|st| st.source) {
+            let w = self.world_of(vcomm, source)?;
             self.rcvd_from[w] += 1;
         }
         got
@@ -233,9 +231,7 @@ impl MpiAbi for ManaMpi {
         }
         let (dt, c) = (self.real(datatype)?, self.real(comm)?);
         let got = self.lower.recv(buf, dt, src, tag, c);
-        let status = self.count_truncated(comm, Some(src), got)?;
-        self.count_recv_status(comm, &status)?;
-        Ok(status)
+        self.count_consumed(comm, got, |st| Some(*st))
     }
 
     fn isend(
@@ -256,7 +252,7 @@ impl MpiAbi for ManaMpi {
             ReqEntry::Real {
                 real,
                 vcomm: comm,
-                recv_src: None,
+                recv: false,
             },
         );
         Ok(vreq)
@@ -294,7 +290,7 @@ impl MpiAbi for ManaMpi {
             ReqEntry::Real {
                 real,
                 vcomm: comm,
-                recv_src: Some(src),
+                recv: true,
             },
         );
         Ok(vreq)
@@ -305,17 +301,9 @@ impl MpiAbi for ManaMpi {
         let entry = self.reqs.remove(&request).ok_or(AbiError::Request)?;
         match entry {
             ReqEntry::Pooled { status, payload } => Ok((status, Some(payload))),
-            ReqEntry::Real {
-                real,
-                vcomm,
-                recv_src,
-            } => {
+            ReqEntry::Real { real, vcomm, recv } => {
                 let got = self.lower.wait(real);
-                let (status, payload) = self.count_truncated(vcomm, recv_src, got)?;
-                if recv_src.is_some() {
-                    self.count_recv_status(vcomm, &status)?;
-                }
-                Ok((status, payload))
+                self.count_consumed(vcomm, got, |(st, _)| recv.then_some(*st))
             }
         }
     }
@@ -325,29 +313,16 @@ impl MpiAbi for ManaMpi {
         let entry = self.reqs.remove(&request).ok_or(AbiError::Request)?;
         match entry {
             ReqEntry::Pooled { status, payload } => Ok(Some((status, Some(payload)))),
-            ReqEntry::Real {
-                real,
-                vcomm,
-                recv_src,
-            } => {
+            ReqEntry::Real { real, vcomm, recv } => {
                 let got = self.lower.test(real);
-                match self.count_truncated(vcomm, recv_src, got)? {
-                    None => {
-                        let entry = ReqEntry::Real {
-                            real,
-                            vcomm,
-                            recv_src,
-                        };
-                        self.reqs.insert(request, entry);
-                        Ok(None)
-                    }
-                    Some((status, payload)) => {
-                        if recv_src.is_some() {
-                            self.count_recv_status(vcomm, &status)?;
-                        }
-                        Ok(Some((status, payload)))
-                    }
+                let done = self.count_consumed(vcomm, got, |done| {
+                    done.as_ref().filter(|_| recv).map(|(st, _)| *st)
+                })?;
+                if done.is_none() {
+                    let entry = ReqEntry::Real { real, vcomm, recv };
+                    self.reqs.insert(request, entry);
                 }
+                Ok(done)
             }
         }
     }
@@ -375,9 +350,7 @@ impl MpiAbi for ManaMpi {
             return Ok(AbiStatus::for_receive(m.src, m.tag, m.payload.len()));
         }
         let got = self.lower.recv(recvbuf, dt, src, recvtag, c);
-        let status = self.count_truncated(comm, Some(src), got)?;
-        self.count_recv_status(comm, &status)?;
-        Ok(status)
+        self.count_consumed(comm, got, |st| Some(*st))
     }
 
     fn probe(&mut self, src: i32, tag: i32, comm: Handle) -> AbiResult<AbiStatus> {

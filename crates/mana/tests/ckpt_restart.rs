@@ -398,6 +398,50 @@ fn a_truncated_receive_is_counted_and_the_next_checkpoint_completes() {
     }
 }
 
+/// A wildcard receive the vendor ends with a truncation error has
+/// consumed its message too, and it counts against the source the
+/// message came from: the same three receives as above, from
+/// `ANY_SOURCE`, under both vendors, and the next checkpoint completes.
+#[test]
+fn a_truncated_wildcard_receive_is_counted_and_the_next_checkpoint_completes() {
+    let spec = ClusterSpec::builder().nodes(1).ranks_per_node(2).build();
+    let byte = Datatype::Byte.handle();
+    let any = consts::ANY_SOURCE;
+    for vendor in [Vendor::Mpich, Vendor::OpenMpi] {
+        for how in ["test", "wait", "recv"] {
+            let coord = Coordinator::new(2);
+            let coord_for_ranks = coord.clone();
+            let out = World::run(&spec, |ctx| {
+                let mut agent = coord_for_ranks.agent(ctx.rank());
+                let mut mana = stack(vendor, &ctx);
+                let world = Handle::COMM_WORLD;
+                if ctx.rank() == 0 {
+                    mana.send(&[7u8; 8], byte, 1, 3, world).map_err(err)?;
+                } else {
+                    let got = match how {
+                        "recv" => mana.recv(&mut [0u8; 4], byte, any, 3, world).map(drop),
+                        _ => {
+                            let req = mana.irecv(4, byte, any, 3, world).map_err(err)?;
+                            mana.probe(any, 3, world).map_err(err)?;
+                            match how {
+                                "test" => mana.test(req).map(drop),
+                                _ => mana.wait(req).map(drop),
+                            }
+                        }
+                    };
+                    assert_eq!(got, Err(AbiError::Truncate), "{vendor:?} {how}");
+                }
+                coord_for_ranks.schedule_checkpoint_at(0, CkptMode::Continue);
+                let action = maybe_checkpoint(&mut mana, &mut agent, &Memory::new(), 0);
+                Ok(action.map(drop))
+            })
+            .unwrap();
+            assert_eq!(out.results, vec![Ok(()); 2], "{vendor:?} {how}");
+            assert_eq!(coord.completed_rounds(), 1, "{vendor:?} {how}");
+        }
+    }
+}
+
 #[test]
 fn dynamic_objects_replayed_across_vendors() {
     // Create a dup, a split, and a derived type before the checkpoint;

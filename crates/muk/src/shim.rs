@@ -279,6 +279,13 @@ impl MpiAbi for MukShim {
         })
     }
 
+    fn truncated_status(&mut self) -> Option<AbiStatus> {
+        wrap!(&mut self.lib, |w, W| w
+            .native
+            .take_truncated()
+            .map(W::status_out))
+    }
+
     fn test(&mut self, request: Handle) -> AbiResult<Option<(AbiStatus, Option<Bytes>)>> {
         call!(self, &[request], 1, |w, W| {
             let native = w.reqs.native_of(request).ok_or(AbiError::Request)?;

@@ -2,6 +2,7 @@
 //! requests, object management, and the transport and validation helpers
 //! the collectives (`coll.rs`, `algos.rs`) are built on.
 
+use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -102,6 +103,8 @@ pub struct Process<V: NativeAbi> {
     scratch: Vec<u8>,
     next_ctx_base: u64,
     finalized: bool,
+    /// The status of the message the last truncated receive consumed.
+    truncated: Cell<Option<V::Status>>,
 }
 
 impl<V: NativeAbi> Process<V> {
@@ -118,6 +121,7 @@ impl<V: NativeAbi> Process<V> {
             // World uses 0/1, self 2/3; dynamic communicators start at 4.
             next_ctx_base: 4,
             finalized: false,
+            truncated: Cell::new(None),
         }
     }
 
@@ -303,6 +307,19 @@ impl<V: NativeAbi> Process<V> {
         V::Status::for_receive(source, got.env.tag, got.env.len())
     }
 
+    /// `ERR_TRUNCATE`, keeping `status` for [`Process::take_truncated`].
+    fn truncate(&self, status: V::Status) -> i32 {
+        self.truncated.set(Some(status));
+        V::ERR_TRUNCATE
+    }
+
+    /// The status of the message the last receive that failed with
+    /// `ERR_TRUNCATE` consumed, once: MPI fills a truncated receive's
+    /// `MPI_SOURCE` and `MPI_TAG` as it does a completed one's.
+    pub fn take_truncated(&self) -> Option<V::Status> {
+        self.truncated.take()
+    }
+
     fn proc_null_status() -> V::Status {
         V::Status::for_receive(V::PROC_NULL, V::ANY_TAG, 0)
     }
@@ -350,7 +367,7 @@ impl<V: NativeAbi> Process<V> {
         let src_sel = Self::src_sel(&info, src)?;
         let got = self.xrecv(&info, false, src_sel, tag_sel)?;
         if got.env.len() > buf.len() {
-            return Err(V::ERR_TRUNCATE);
+            return Err(self.truncate(Self::status_of(&info.ranks, &got)));
         }
         buf[..got.env.len()].copy_from_slice(&got.env.payload);
         let status = Self::status_of(&info.ranks, &got);
@@ -409,7 +426,7 @@ impl<V: NativeAbi> Process<V> {
     ) -> MpiResult<(V::Status, Option<Bytes>)> {
         self.charge_receive(&got);
         if got.env.len() > posted.max_bytes {
-            return Err(V::ERR_TRUNCATE);
+            return Err(self.truncate(Self::status_of(&posted.ranks, &got)));
         }
         let status = Self::status_of(&posted.ranks, &got);
         Ok((status, Some(got.env.payload)))

@@ -305,16 +305,32 @@ fn compress_with<S: Slot>(
 /// Copy the `len`-byte match that starts `offset` bytes before `pos` to
 /// `pos`. An offset shorter than the match legitimately overlaps
 /// (run-length encoding of periodic data): the bytes already written
-/// repeat with period `offset`, so every pass may copy everything
-/// written so far and the span doubles. The caller has checked
+/// repeat with period `offset`. Offset 1 is a fill. An offset under 8
+/// writes one 8-byte copy of the period at a time, each `8 - 8 % offset`
+/// bytes (whole periods) after the last, then the tail. A longer one
+/// copies everything written so far on every pass, so the span doubles.
+/// Nothing past `pos + len` is written. The caller has checked
 /// `1 <= offset <= pos` and `pos + len <= out.len()`.
 fn copy_match(out: &mut [u8], pos: usize, offset: usize, len: usize) {
-    let start = pos - offset;
-    let mut done = 0;
-    while done < len {
-        let n = (offset + done).min(len - done);
-        out.copy_within(start..start + n, pos + done);
-        done += n;
+    let (start, end) = (pos - offset, pos + len);
+    if offset == 1 {
+        let byte = out[start];
+        out[pos..end].fill(byte);
+    } else if offset < 8 {
+        let pattern: [u8; 8] = std::array::from_fn(|k| out[start + k % offset]);
+        let mut at = pos;
+        while at + 8 <= end {
+            out[at..at + 8].copy_from_slice(&pattern);
+            at += 8 - 8 % offset;
+        }
+        out[at..end].copy_from_slice(&pattern[..end - at]);
+    } else {
+        let mut done = 0;
+        while done < len {
+            let n = (offset + done).min(len - done);
+            out.copy_within(start..start + n, pos + done);
+            done += n;
+        }
     }
 }
 
@@ -351,7 +367,16 @@ pub fn decompress_into(input: &[u8], output: &mut [u8]) -> Result<usize, Decompr
         if lit_len > expected - pos {
             return Err(DecompressError::OutputTooLarge { expected });
         }
-        output[pos..pos + lit_len].copy_from_slice(lits);
+        let out = &mut output[pos..pos + lit_len];
+        if lit_len <= 16 {
+            // Most runs between two matches are this short: a call to
+            // `memcpy` costs more than the bytes.
+            for (o, &l) in out.iter_mut().zip(lits) {
+                *o = l;
+            }
+        } else {
+            out.copy_from_slice(lits);
+        }
         pos += lit_len;
         if i == input.len() {
             // The final sequence is literals-only.
@@ -641,16 +666,113 @@ mod tests {
 
     #[test]
     fn copy_match_equals_bytewise_reference() {
+        // Every path — the fill, each period under 8, the doubling copy —
+        // at every length up to 300, and past it up to 1 KiB.
+        let lens = (4..=300usize).chain([511, 512, 513, 1024]);
         for offset in 1..=40usize {
-            for len in 4..=300usize {
+            for len in lens.clone() {
                 // A prefix longer than the offset, so the copy must start
-                // at `pos - offset` and not at the buffer start.
-                let pos = offset + 3;
-                let mut fast: Vec<u8> = (0..pos + len + 2).map(|i| (i * 31 + 7) as u8).collect();
+                // at `pos - offset` and not at the buffer start, or none.
+                // The two bytes past the match must stay as they were.
+                for pos in [offset + 3, offset] {
+                    let mut fast: Vec<u8> =
+                        (0..pos + len + 2).map(|i| (i * 31 + 7) as u8).collect();
+                    let mut slow = fast.clone();
+                    copy_match(&mut fast, pos, offset, len);
+                    copy_match_bytewise(&mut slow, pos, offset, len);
+                    assert_eq!(fast, slow, "offset {offset} len {len} pos {pos}");
+                }
+            }
+        }
+    }
+
+    /// The decoder [`decompress_into`] replaced, kept as its reference:
+    /// every literal run is one `copy_from_slice`, and every match copies
+    /// everything written so far on each pass, doubling the span.
+    fn decompress_into_reference(
+        input: &[u8],
+        output: &mut [u8],
+    ) -> Result<usize, DecompressError> {
+        let expected = output.len();
+        let (mut pos, mut i) = (0usize, 0usize);
+        let read_lsic = |i: &mut usize, base: usize| -> Result<usize, DecompressError> {
+            let mut len = base;
+            if base == 15 {
+                loop {
+                    let b = *input.get(*i).ok_or(DecompressError::Truncated)?;
+                    *i += 1;
+                    len += b as usize;
+                    if b != 255 {
+                        break;
+                    }
+                }
+            }
+            Ok(len)
+        };
+        loop {
+            let token = *input.get(i).ok_or(DecompressError::Truncated)?;
+            i += 1;
+            let lit_len = read_lsic(&mut i, (token >> 4) as usize)?;
+            let lits = input
+                .get(i..i + lit_len)
+                .ok_or(DecompressError::Truncated)?;
+            i += lit_len;
+            if lit_len > expected - pos {
+                return Err(DecompressError::OutputTooLarge { expected });
+            }
+            output[pos..pos + lit_len].copy_from_slice(lits);
+            pos += lit_len;
+            if i == input.len() {
+                return Ok(pos);
+            }
+            let off = input.get(i..i + 2).ok_or(DecompressError::Truncated)?;
+            let offset = u16::from_le_bytes(off.try_into().expect("2 bytes")) as usize;
+            i += 2;
+            if offset == 0 || offset > pos {
+                return Err(DecompressError::BadOffset);
+            }
+            let match_len = read_lsic(&mut i, (token & 0x0F) as usize)? + MIN_MATCH;
+            if match_len > expected - pos {
+                return Err(DecompressError::OutputTooLarge { expected });
+            }
+            let (start, mut done) = (pos - offset, 0);
+            while done < match_len {
+                let n = (offset + done).min(match_len - done);
+                output.copy_within(start..start + n, pos + done);
+                done += n;
+            }
+            pos += match_len;
+        }
+    }
+
+    #[test]
+    fn decompress_into_equals_the_reference_decoder() {
+        // Shuffled `f64` staircase planes: mostly one literal and a
+        // 7-byte offset-1 match, the shape the store's blocks take.
+        let words: Vec<[u8; 8]> = (0..4096u32)
+            .map(|i| f64::from(i / 8).to_le_bytes())
+            .collect();
+        let planes: Vec<u8> = (0..8)
+            .flat_map(|k| words.iter().map(move |w| w[k]))
+            .collect();
+        for data in differential_corpus().into_iter().chain([planes]) {
+            let n = data.len();
+            let c = compress(&data);
+            // Exact, roomy (8 bytes left untouched) and short outputs,
+            // over the whole stream and a few cuts of it.
+            let cuts = [c.len(), c.len() - 1, c.len() / 2, 3];
+            for (cut, out_len) in cuts
+                .iter()
+                .flat_map(|&cut| [n, n + 8, n / 2].map(|o| (cut, o)))
+            {
+                let mut fast = vec![0xEEu8; out_len];
                 let mut slow = fast.clone();
-                copy_match(&mut fast, pos, offset, len);
-                copy_match_bytewise(&mut slow, pos, offset, len);
-                assert_eq!(fast, slow, "offset {offset} len {len}");
+                let got = decompress_into(&c[..cut.min(c.len())], &mut fast);
+                let want = decompress_into_reference(&c[..cut.min(c.len())], &mut slow);
+                assert_eq!(got, want, "len {n}, cut {cut}, output {out_len}");
+                if want.is_ok() {
+                    assert_eq!(fast, slow, "len {n}, cut {cut}, output {out_len}");
+                }
             }
         }
     }

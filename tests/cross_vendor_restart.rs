@@ -828,6 +828,8 @@ fn restore_from_store_opens_its_chain_once() {
     for name in [
         "store.open_us",
         "tier.hydrate_us",
+        "tier.hydrate.fetch_us",
+        "tier.hydrate.install_us",
         "store.load.manifest_us",
         "store.load.read_us",
         "store.load.decode_us",

@@ -3,7 +3,9 @@
 //! GC — in every scenario the chain must stay restorable, locally or
 //! from the tier.
 
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mpi_stool::apps::WaveMpi;
@@ -12,6 +14,7 @@ use mpi_stool::dmtcp::{
     DeltaStore, FsTier, MemTier, ObjectTier, RankImage, SharedStoreWriter, StoreConfig, StoreError,
     TierConfig, TierError, WorldImage,
 };
+use mpi_stool::simnet::telemetry::{Histogram, Telemetry};
 use mpi_stool::simnet::ClusterSpec;
 use mpi_stool::stool::{
     Checkpoint, Checkpointer, DurabilityPolicy, FaultSchedule, RunOutcome, Session, StorePolicy,
@@ -439,22 +442,24 @@ fn download_errors_during_hydration_are_retried() {
     std::fs::remove_dir_all(&tier_dir).unwrap();
 }
 
-#[test]
-fn a_failed_blocks_put_installs_no_manifest_and_the_retry_installs_the_chain() {
-    // A base and three deltas, each adding a section the later ones
-    // keep, shipped: the head references all four epochs.
-    let grown = |head: u64| {
-        let ranks = (0..3)
-            .map(|r| {
-                let mut img = RankImage::new(r, 3, head);
-                for e in 1..=head {
-                    img.put_section(&format!("e{e}"), fill_bytes(e << 8 | r as u64, 2000));
-                }
-                img
-            })
-            .collect();
-        WorldImage::new("MPICH".to_string(), ranks)
-    };
+/// The image of epoch `head` of a chain in which every epoch adds a
+/// section the later ones keep.
+fn grown(head: u64) -> WorldImage {
+    let ranks = (0..3)
+        .map(|r| {
+            let mut img = RankImage::new(r, 3, head);
+            for e in 1..=head {
+                img.put_section(&format!("e{e}"), fill_bytes(e << 8 | r as u64, 2000));
+            }
+            img
+        })
+        .collect();
+    WorldImage::new("MPICH".to_string(), ranks)
+}
+
+/// A tier holding a shipped base and three deltas of [`grown`]: the
+/// head references all four epochs.
+fn shipped_grown_chain() -> Arc<MemTier> {
     let tier = Arc::new(MemTier::new());
     let mut store = DeltaStore::open_on(Arc::new(MemTier::new()), small_cfg()).unwrap();
     store.attach_tier(tier.clone(), tier_cfg()).unwrap();
@@ -462,7 +467,12 @@ fn a_failed_blocks_put_installs_no_manifest_and_the_retry_installs_the_chain() {
         store.commit(&grown(epoch)).unwrap();
     }
     store.tier_flush().unwrap();
-    drop(store);
+    tier
+}
+
+#[test]
+fn a_failed_blocks_put_installs_no_manifest_and_the_retry_installs_the_chain() {
+    let tier = shipped_grown_chain();
 
     // Hydrating into an empty volume, the third put fails. The four
     // blocks puts race each other on the writer threads, but every one
@@ -490,6 +500,148 @@ fn a_failed_blocks_put_installs_no_manifest_and_the_retry_installs_the_chain() {
     for key in objects {
         assert_eq!(local.get(&key).unwrap(), tier.get(&key).unwrap(), "{key}");
     }
+}
+
+/// A local volume that logs its puts and deletes in order and counts the
+/// `blocks.bin` bytes its reads deliver. With `fail_after`, its first
+/// `blocks.bin` put waits for a reading of that histogram, then fails.
+struct Logged {
+    inner: MemTier,
+    log: Mutex<Vec<String>>,
+    block_bytes: AtomicU64,
+    fail_after: Option<Histogram>,
+}
+
+impl Logged {
+    fn new(fail_after: Option<Histogram>) -> Arc<Logged> {
+        Arc::new(Logged {
+            inner: MemTier::new(),
+            log: Mutex::new(Vec::new()),
+            block_bytes: AtomicU64::new(0),
+            fail_after,
+        })
+    }
+
+    fn log(&self) -> Vec<String> {
+        self.log.lock().unwrap().clone()
+    }
+
+    fn read(&self, key: &str, read: Result<Vec<u8>, TierError>) -> Result<Vec<u8>, TierError> {
+        if let (true, Ok(data)) = (key.ends_with("/blocks.bin"), &read) {
+            self.block_bytes
+                .fetch_add(data.len() as u64, Ordering::Relaxed);
+        }
+        read
+    }
+}
+
+impl ObjectTier for Logged {
+    fn put(&self, key: &str, data: &[u8]) -> Result<(), TierError> {
+        let first_blocks = {
+            let mut log = self.log.lock().unwrap();
+            log.push(format!("put {key}"));
+            let blocks = log
+                .iter()
+                .filter(|l| l.starts_with("put") && l.ends_with("blocks.bin"));
+            key.ends_with("/blocks.bin") && blocks.count() == 1
+        };
+        if let (Some(decoding), true) = (&self.fail_after, first_blocks) {
+            while decoding.count() == 0 {
+                // lint:allow(no-free-running-harness) — until the head's decode has read its manifest
+                std::thread::yield_now();
+            }
+            let msg = "injected while the head decodes".to_string();
+            return Err(TierError::Io {
+                op: "put",
+                key: key.to_string(),
+                msg,
+            });
+        }
+        self.inner.put(key, data)
+    }
+
+    fn get(&self, key: &str) -> Result<Vec<u8>, TierError> {
+        self.read(key, self.inner.get(key))
+    }
+
+    fn get_ranges(&self, key: &str, ranges: &[Range<u64>]) -> Result<Vec<u8>, TierError> {
+        self.read(key, self.inner.get_ranges(key, ranges))
+    }
+
+    fn list(&self, prefix: &str) -> Result<Vec<String>, TierError> {
+        self.inner.list(prefix)
+    }
+
+    fn delete(&self, key: &str) -> Result<(), TierError> {
+        self.log.lock().unwrap().push(format!("delete {key}"));
+        self.inner.delete(key)
+    }
+}
+
+#[test]
+fn a_hydrating_restore_decodes_the_fetched_bytes_and_installs_them_as_before() {
+    let tier = shipped_grown_chain();
+    let local = Logged::new(None);
+    let mut store = DeltaStore::open_on(local.clone(), small_cfg()).unwrap();
+    let tel = Telemetry::detached();
+    store.attach_telemetry(tel.clone());
+    let (hydrated, head) = store
+        .attach_tier_and_load(tier.clone(), tier_cfg())
+        .unwrap();
+    assert_eq!(hydrated, vec![1, 2, 3, 4]);
+    assert_eq!(head, grown(4));
+    // The load read the fetched bytes, not their local copies: every
+    // block of the four epochs is referenced, so it read them all.
+    assert_eq!(local.block_bytes.load(Ordering::Relaxed), 0);
+    let epoch_blocks = |e: u64| tier.get(&format!("epoch_{e:06}/blocks.bin")).unwrap();
+    let referenced: u64 = (1..=4).map(|e| epoch_blocks(e).len() as u64).sum();
+    let read_bytes = tel.metrics().counter("store.load.read_bytes").get();
+    assert_eq!(read_bytes, referenced);
+    // The install: the four blocks puts in any order, then per epoch,
+    // oldest first, its manifest and the deletes of a stale `.bad` twin.
+    let log = local.log();
+    let (mut blocks, rest) = (log[..4].to_vec(), &log[4..]);
+    blocks.sort();
+    let key = |e: u64, dir: &str, name: &str| format!("epoch_{e:06}{dir}/{name}");
+    let want: Vec<String> = (1..=4)
+        .map(|e| format!("put {}", key(e, "", "blocks.bin")))
+        .collect();
+    assert_eq!(blocks, want);
+    let want: Vec<String> = (1..=4)
+        .flat_map(|e| {
+            [
+                format!("put {}", key(e, "", "manifest.bin")),
+                format!("delete {}", key(e, ".bad", "manifest.bin")),
+                format!("delete {}", key(e, ".bad", "blocks.bin")),
+            ]
+        })
+        .collect();
+    assert_eq!(rest, want);
+    // The installed chain restores the same head from its own volume.
+    assert_eq!(store.load_latest().unwrap(), head);
+    assert!(local.block_bytes.load(Ordering::Relaxed) > 0);
+}
+
+#[test]
+fn a_blocks_put_failing_while_the_head_decodes_fails_the_restore_and_installs_no_manifest() {
+    let tier = shipped_grown_chain();
+    let tel = Telemetry::detached();
+    let local = Logged::new(Some(tel.metrics().histogram("store.load.manifest_us")));
+    let mut store = DeltaStore::open_on(local.clone(), small_cfg()).unwrap();
+    store.attach_telemetry(tel.clone());
+    let err = store.attach_tier_and_load(tier, tier_cfg()).unwrap_err();
+    assert!(
+        err.to_string().contains("injected while the head decodes"),
+        "{err}"
+    );
+    let manifests = local
+        .log()
+        .into_iter()
+        .filter(|l| l.ends_with("manifest.bin"));
+    assert_eq!(manifests.count(), 0, "{:?}", local.log());
+    assert!(store.epochs().is_empty(), "{:?}", store.epochs());
+    let reopened = DeltaStore::open_on(local.clone(), small_cfg()).unwrap();
+    assert!(reopened.epochs().is_empty());
 }
 
 #[test]
