@@ -597,14 +597,11 @@ fn scale_rule(out: &mut GateOutcome, _base: &Obj, fresh: &Obj) -> bool {
 /// executed row set and each row's pass state are [`matrix_rule`]'s.
 pub const MATRIX: Report = Report {
     name: "matrix",
-    root: &[
-        field("suite", Ty::Tag(&["pr", "full"]), &[]),
-        field(
-            "spec_scenarios",
-            Positive,
-            &[Exact, Band(MIN_MATRIX_SCENARIOS, f64::INFINITY)],
-        ),
-    ],
+    root: &[field(
+        "spec_scenarios",
+        Positive,
+        &[Exact, Band(MIN_MATRIX_SCENARIOS, f64::INFINITY)],
+    )],
     sections: &[Section {
         key: "scenarios",
         id: &[("name", "")],
@@ -613,7 +610,6 @@ pub const MATRIX: Report = Report {
             field("name", Ty::Str, &[]),
             field("app", Ty::Str, &[]),
             field("vendor", Ty::Str, &[]),
-            field("pr", Ty::Bool, &[]),
             field("passed", Ty::Bool, &[]),
             field("recovery_rounds", NonNegative, &[Exact]),
             field("kills", NonNegative, &[Exact]),
@@ -659,13 +655,10 @@ fn matrix_validate(doc: &Obj) -> Result<(), GateError> {
     Ok(())
 }
 
-/// The executed rows must be the baseline's rows for the suite that ran
-/// (`pr`: the pinned subset, `full`: all of them), in spec order; every
+/// The executed rows must be the baseline's rows, in matrix order; every
 /// row must pass its invariants and keep its identity.
 fn matrix_rule(out: &mut GateOutcome, base: &Obj, fresh: &Obj) -> bool {
-    let suite = fresh["suite"].str("suite").expect("validated");
-    let mut expected = rows_of(base, "scenarios");
-    expected.retain(|r| suite == "full" || r["pr"] == Json::Bool(true));
+    let expected = rows_of(base, "scenarios");
     let executed = rows_of(fresh, "scenarios");
     let names = |rows: &[&Obj]| {
         rows.iter()
@@ -676,7 +669,7 @@ fn matrix_rule(out: &mut GateOutcome, base: &Obj, fresh: &Obj) -> bool {
     out.check(
         same_rows,
         format!(
-            "matrix/{suite}: executed rows {:?} differ from the baseline's suite rows {:?}",
+            "matrix: executed rows {:?} differ from the baseline's rows {:?}",
             names(&executed),
             names(&expected)
         ),
@@ -690,11 +683,11 @@ fn matrix_rule(out: &mut GateOutcome, base: &Obj, fresh: &Obj) -> bool {
             f["passed"] == Json::Bool(true),
             format!("{row}: invariant failure(s): {}", f["failures"]),
         );
-        let identity = |r: &Obj| format!("{}/{}/{}", r["app"], r["vendor"], r["pr"]);
+        let identity = |r: &Obj| format!("{}/{}", r["app"], r["vendor"]);
         out.check(
             identity(b) == identity(f),
             format!(
-                "{row}: identity drift (app/vendor/pr {} vs baseline {})",
+                "{row}: identity drift (app/vendor {} vs baseline {})",
                 identity(f),
                 identity(b)
             ),
@@ -1358,30 +1351,29 @@ mod tests {
         assert!(out.warnings.iter().any(|w| w.contains("emit_wall_ns")));
     }
 
-    fn matrix_row(name: &str, pr: bool, passed: bool, rounds: u64, kills: u64) -> String {
+    fn matrix_row(name: &str, passed: bool, rounds: u64, kills: u64) -> String {
         let failures = if passed { "" } else { "\"chain torn\"" };
         format!(
-            "{{\"name\": \"{name}\", \"app\": \"ring\", \"vendor\": \"MPICH\", \"pr\": {pr}, \
+            "{{\"name\": \"{name}\", \"app\": \"ring\", \"vendor\": \"MPICH\", \
              \"passed\": {passed}, \"recovery_rounds\": {rounds}, \"kills\": {kills}, \
              \"epochs\": 3, \"put_retries\": 0, \"stalls\": 0, \"elections\": 0, \
              \"failures\": [{failures}]}}"
         )
     }
 
-    fn matrix_json_doc(suite: &str, rows: &[String]) -> String {
+    fn matrix_json_doc(rows: &[String]) -> String {
         format!(
-            "{{\"suite\": \"{suite}\", \"spec_scenarios\": 24, \"scenarios\": [{}]}}",
+            "{{\"spec_scenarios\": 24, \"scenarios\": [{}]}}",
             rows.join(", ")
         )
     }
 
     fn matrix_base_text() -> String {
-        let rows = vec![
-            matrix_row("a-storm", true, true, 1, 1),
-            matrix_row("b-quiet", false, true, 0, 0),
-            matrix_row("c-leader", true, true, 0, 0),
-        ];
-        matrix_json_doc("full", &rows)
+        matrix_json_doc(&[
+            matrix_row("a-storm", true, 1, 1),
+            matrix_row("b-quiet", true, 0, 0),
+            matrix_row("c-leader", true, 0, 0),
+        ])
     }
 
     fn matrix_base() -> Json {
@@ -1392,76 +1384,69 @@ mod tests {
     fn matrix_schema_accepts_wellformed_and_rejects_malformed() {
         assert!(read(&MATRIX, &matrix_base_text()).is_ok());
         // passed contradicting the failure list is a schema error.
-        let lie = matrix_json_doc("full", &[matrix_row("a", true, true, 0, 0)])
+        let lie = matrix_json_doc(&[matrix_row("a", true, 0, 0)])
             .replace("\"failures\": []", "\"failures\": [\"broken\"]");
         assert!(read(&MATRIX, &lie).is_err());
-        // Unknown suite, unknown keys, duplicate names, empty rows.
-        let rows = vec![matrix_row("a", true, true, 0, 0)];
-        assert!(read(&MATRIX, &matrix_json_doc("nightly", &rows)).is_err());
-        let unknown = matrix_json_doc("pr", &rows).replace("\"kills\"", "\"killz\"");
+        // Unknown keys, duplicate names, empty rows.
+        let rows = vec![matrix_row("a", true, 0, 0)];
+        let unknown = matrix_json_doc(&rows).replace("\"kills\"", "\"killz\"");
         assert!(read(&MATRIX, &unknown).is_err());
-        let dup = vec![
-            matrix_row("a", true, true, 0, 0),
-            matrix_row("a", true, true, 0, 0),
-        ];
-        assert!(read(&MATRIX, &matrix_json_doc("pr", &dup)).is_err());
-        assert!(read(
-            &MATRIX,
-            "{\"suite\": \"pr\", \"spec_scenarios\": 24, \
-             \"scenarios\": []}"
-        )
-        .is_err());
+        let suite = matrix_json_doc(&rows).replace("{\"spec", "{\"suite\": \"full\", \"spec");
+        assert!(read(&MATRIX, &suite).is_err());
+        let dup = vec![matrix_row("a", true, 0, 0), matrix_row("a", true, 0, 0)];
+        assert!(read(&MATRIX, &matrix_json_doc(&dup)).is_err());
+        assert!(read(&MATRIX, "{\"spec_scenarios\": 24, \"scenarios\": []}").is_err());
         // More executed rows than the spec declares is a schema error.
-        let overfull = matrix_json_doc("pr", &rows).replace("24", "0.5");
+        let overfull = matrix_json_doc(&rows).replace("24", "0.5");
         assert!(read(&MATRIX, &overfull).is_err());
     }
 
     #[test]
     fn matrix_gate_requires_exact_rows_and_pass_states() {
         let base = matrix_base();
-        // The full suite re-run matches exactly: passes.
+        // A re-run that matches exactly passes.
         let fresh = matrix_base();
         let mut out = GateOutcome::default();
         compare(&MATRIX, &mut out, &base, &fresh);
         assert!(out.ok(), "{:?}", out.regressions);
-        // The PR suite runs exactly the pr=true subset: passes.
-        let pr_rows = vec![
-            matrix_row("a-storm", true, true, 1, 1),
-            matrix_row("c-leader", true, true, 0, 0),
-        ];
-        let fresh = read(&MATRIX, &matrix_json_doc("pr", &pr_rows)).unwrap();
-        let mut out = GateOutcome::default();
-        compare(&MATRIX, &mut out, &base, &fresh);
-        assert!(out.ok(), "{:?}", out.regressions);
+        let gate = |rows: &[String]| {
+            let fresh = read(&MATRIX, &matrix_json_doc(rows)).unwrap();
+            let mut out = GateOutcome::default();
+            compare(&MATRIX, &mut out, &base, &fresh);
+            out
+        };
         // A failed scenario is a regression naming its failures.
-        let broken = vec![
-            matrix_row("a-storm", true, false, 1, 1),
-            matrix_row("c-leader", true, true, 0, 0),
-        ];
-        let fresh = read(&MATRIX, &matrix_json_doc("pr", &broken)).unwrap();
-        let mut out = GateOutcome::default();
-        compare(&MATRIX, &mut out, &base, &fresh);
+        let out = gate(&[
+            matrix_row("a-storm", false, 1, 1),
+            matrix_row("b-quiet", true, 0, 0),
+            matrix_row("c-leader", true, 0, 0),
+        ]);
         assert!(!out.ok());
         assert!(out.regressions.iter().any(|r| r.contains("chain torn")));
         // A missing row fails the row-set check.
-        let short = vec![matrix_row("a-storm", true, true, 1, 1)];
-        let fresh = read(&MATRIX, &matrix_json_doc("pr", &short)).unwrap();
-        let mut out = GateOutcome::default();
-        compare(&MATRIX, &mut out, &base, &fresh);
-        assert!(out.regressions[0].starts_with("matrix/pr: "), "{out:?}");
+        let out = gate(&[
+            matrix_row("a-storm", true, 1, 1),
+            matrix_row("c-leader", true, 0, 0),
+        ]);
+        assert!(out.regressions[0].starts_with("matrix: "), "{out:?}");
         // Restart rounds are deterministic and must match exactly.
-        let drifted = vec![
-            matrix_row("a-storm", true, true, 2, 1),
-            matrix_row("c-leader", true, true, 0, 0),
-        ];
-        let fresh = read(&MATRIX, &matrix_json_doc("pr", &drifted)).unwrap();
-        let mut out = GateOutcome::default();
-        compare(&MATRIX, &mut out, &base, &fresh);
+        let out = gate(&[
+            matrix_row("a-storm", true, 2, 1),
+            matrix_row("b-quiet", true, 0, 0),
+            matrix_row("c-leader", true, 0, 0),
+        ]);
         assert!(!out.ok());
         assert!(out
             .regressions
             .iter()
             .any(|r| r.contains("recovery_rounds")));
+        // A row that changes its app is identity drift.
+        let out = gate(&[
+            matrix_row("a-storm", true, 1, 1).replace("ring", "wave"),
+            matrix_row("b-quiet", true, 0, 0),
+            matrix_row("c-leader", true, 0, 0),
+        ]);
+        assert!(out.regressions.iter().any(|r| r.contains("identity drift")));
         // Spec shrinking below the floor fails even if rows match.
         let small = read(&MATRIX, &matrix_base_text().replace("24", "12")).unwrap();
         let mut out = GateOutcome::default();
@@ -1469,15 +1454,11 @@ mod tests {
         assert!(!out.ok());
         assert!(out.regressions.iter().any(|r| r.contains("outside [24")));
         // Observation drift (epochs) warns but never gates.
-        let obs = matrix_json_doc(
-            "pr",
-            &[
-                matrix_row("a-storm", true, true, 1, 1),
-                matrix_row("c-leader", true, true, 0, 0),
-            ],
+        let fresh = read(
+            &MATRIX,
+            &matrix_base_text().replacen("\"epochs\": 3", "\"epochs\": 4", 1),
         )
-        .replacen("\"epochs\": 3", "\"epochs\": 4", 1);
-        let fresh = read(&MATRIX, &obs).unwrap();
+        .unwrap();
         let mut out = GateOutcome::default();
         compare(&MATRIX, &mut out, &base, &fresh);
         assert!(out.ok(), "{:?}", out.regressions);

@@ -14,7 +14,11 @@
 //! rewrote lines by rule, not by running the gate: when the `ckpt` byte
 //! counts went from ±15 % ratios to `Exact`, halving or doubling a byte
 //! count became a failure on that field alone, and every `ckpt` passed
-//! count is out of 18 gates instead of 12; the other verdicts held.
+//! count is out of 18 gates instead of 12; the other verdicts held. One
+//! deletion was made by the same rule: when the matrix lost its quick
+//! subset, the pinned matrix report lost its root `suite` and each row's
+//! `pr`, and the record lost the 28 lines that removed them (both were
+//! ungated, so every other verdict held unchanged).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

@@ -71,8 +71,8 @@ pub use mana_sim::ManaConfig;
 pub use muk::Vendor;
 pub use program::{AppCtx, Flow, MpiProgram};
 pub use scenario::{
-    matrix_json, parse_matrix, run_scenario, DurabilityKind, FaultSchedule, KillEvent,
-    ScenarioResult, ScenarioSpec, Straggler, Victims,
+    matrix_json, run_scenario, App, DurabilityKind, FaultSchedule, KillEvent, ScenarioResult,
+    ScenarioSpec, Straggler, Victims,
 };
 pub use session::{
     Checkpoint, Checkpointer, CkptPolicy, DurabilityPolicy, ReplicaPolicy, RunOutcome, Session,

@@ -6,8 +6,8 @@
 //! fail-storms, correlated node-group kills, slow/straggler ranks, torn
 //! tier uploads mid-ship and coordinator leader-kills at a chosen barrier
 //! phase — and a [`ScenarioSpec`] is one row of a matrix (app × vendor
-//! pair × world size × durability policy × schedule) parsed from a
-//! dependency-free TOML-like spec file ([`parse_matrix`]).
+//! pair × world size × durability policy × schedule), a plain Rust value
+//! checked by [`ScenarioSpec::validate`].
 //!
 //! [`run_scenario`] executes one row and asserts the same three
 //! invariants for every schedule:
@@ -23,10 +23,10 @@
 //!    [`EventKind::RankStall`], torn uploads as tier `put_retries`,
 //!    leader-kills as replica recoveries.
 //!
-//! The `scenario` binary in `stool-bench` runs a committed matrix
-//! (`benches/scenarios/matrix.toml`) and emits one structured JSON result
-//! per row into `BENCH_matrix.json`, which `benchgate --matrix` gates
-//! exactly. See `docs/scenarios.md`.
+//! The committed matrix is `stool_bench::matrix::matrix()`; the
+//! `scenario` binary in `stool-bench` runs every row and emits one
+//! structured JSON result per row into `BENCH_matrix.json`, which
+//! `benchgate --matrix` gates exactly. See `docs/scenarios.md`.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -167,6 +167,15 @@ impl FaultSchedule {
         self
     }
 
+    /// Add a cluster-wide outage at `step`.
+    pub fn kill_world(mut self, step: u64) -> Self {
+        self.kills.push(KillEvent {
+            at_step: step,
+            victims: Victims::World,
+        });
+        self
+    }
+
     /// Delay `rank` by `delay` at every safe point in `[from, until)`.
     pub fn straggle(mut self, rank: usize, from: u64, until: u64, delay: VirtualTime) -> Self {
         self.stragglers.push(Straggler {
@@ -181,6 +190,12 @@ impl FaultSchedule {
     /// Append tier upload faults to the put script.
     pub fn tier_put_faults(mut self, faults: impl IntoIterator<Item = Fault>) -> Self {
         self.tier_puts.extend(faults);
+        self
+    }
+
+    /// Append tier download faults to the hydration script.
+    pub fn tier_get_faults(mut self, faults: impl IntoIterator<Item = Fault>) -> Self {
+        self.tier_gets.extend(faults);
         self
     }
 
@@ -203,7 +218,8 @@ impl FaultSchedule {
     /// Internal-consistency checks against the cluster the schedule will
     /// run on. `Hold` and `PowerLoss` tier faults are rejected: a held
     /// object would hang the scenario, and a lost tier wedge every later
-    /// upload, instead of failing it.
+    /// upload, instead of failing it. A rank gets one straggler window:
+    /// [`Self::straggler_for`] would drop a second.
     pub fn validate(&self, cluster: &ClusterSpec) -> Result<(), String> {
         for kill in &self.kills {
             match &kill.victims {
@@ -233,7 +249,10 @@ impl FaultSchedule {
                 }
             }
         }
-        for s in &self.stragglers {
+        for (i, s) in self.stragglers.iter().enumerate() {
+            if self.stragglers[..i].iter().any(|o| o.rank == s.rank) {
+                return Err(format!("straggler rank {}: a second window", s.rank));
+            }
             if s.rank >= cluster.nranks() {
                 return Err(format!(
                     "straggler rank {} out of range (world has {} ranks)",
@@ -341,14 +360,30 @@ impl DurabilityKind {
     pub fn has_replicas(self) -> bool {
         matches!(self, DurabilityKind::Replica | DurabilityKind::TierReplica)
     }
+}
 
-    /// The spec-file token.
-    pub fn token(self) -> &'static str {
+/// The application a scenario row runs; the runner's program factory
+/// (`stool_bench::matrix::app_for`) instantiates it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum App {
+    /// `stool::programs::RingPings`, the session smoke ring.
+    Ring,
+    /// `stool::programs::SleepyProgram`, compute-free napping steps.
+    Sleepy,
+    /// The paper's §5 wave_mpi stencil.
+    Wave,
+    /// The paper's §5 CoMD mini-MD.
+    Comd,
+}
+
+impl App {
+    /// The name `BENCH_matrix.json` reports.
+    pub fn name(self) -> &'static str {
         match self {
-            DurabilityKind::Store => "store",
-            DurabilityKind::Tier => "tier",
-            DurabilityKind::Replica => "replica",
-            DurabilityKind::TierReplica => "tier+replica",
+            App::Ring => "ring",
+            App::Sleepy => "sleepy",
+            App::Wave => "wave",
+            App::Comd => "comd",
         }
     }
 }
@@ -357,11 +392,11 @@ impl DurabilityKind {
 /// durability policy × [`FaultSchedule`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    /// Row name (unique within a matrix; `[a-z0-9-]`).
+    /// Row name: unique within a matrix, non-empty `[a-z0-9-]` (it names
+    /// the row's directory under the runner's workdir).
     pub name: String,
-    /// Application token (`ring`, `sleepy`, `wave`, `comd` — resolved by
-    /// the runner's program factory).
-    pub app: String,
+    /// The application.
+    pub app: App,
     /// The vendor the job launches under; restarts alternate to the
     /// *other* vendor first (the paper's headline).
     pub vendor: Vendor,
@@ -384,8 +419,6 @@ pub struct ScenarioSpec {
     /// Delete the local chain before the first restart, forcing hydration
     /// from the remote tier alone. Requires a tier.
     pub wipe_local: bool,
-    /// Member of the pinned PR-CI subset (nightly runs every row).
-    pub pr: bool,
     /// The fault schedule.
     pub schedule: FaultSchedule,
 }
@@ -395,7 +428,7 @@ impl ScenarioSpec {
     pub fn named(name: impl Into<String>) -> ScenarioSpec {
         ScenarioSpec {
             name: name.into(),
-            app: "ring".into(),
+            app: App::Ring,
             vendor: Vendor::Mpich,
             nodes: 3,
             ranks_per_node: 2,
@@ -405,7 +438,6 @@ impl ScenarioSpec {
             durability: DurabilityKind::Store,
             det: false,
             wipe_local: false,
-            pr: false,
             schedule: FaultSchedule::default(),
         }
     }
@@ -423,11 +455,15 @@ impl ScenarioSpec {
         other_vendor(self.vendor)
     }
 
-    /// Internal-consistency checks (bounds, durability compatibility).
+    /// Internal-consistency checks (name, bounds, durability
+    /// compatibility). Every kill must land strictly between the first
+    /// checkpoint and the last step, or it could never be recovered from
+    /// or never fire.
     pub fn validate(&self) -> Result<(), String> {
         let ctx = |msg: String| format!("scenario \"{}\": {msg}", self.name);
-        if self.name.is_empty() {
-            return Err("scenario with empty name".into());
+        let name_ok = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-';
+        if self.name.is_empty() || !self.name.chars().all(name_ok) {
+            return Err(ctx("name must be non-empty [a-z0-9-]".into()));
         }
         if self.steps == 0 {
             return Err(ctx("steps must be positive".into()));
@@ -443,31 +479,31 @@ impl ScenarioSpec {
             && (!self.schedule.tier_puts.is_empty() || !self.schedule.tier_gets.is_empty())
         {
             return Err(ctx(format!(
-                "tier faults need durability = \"tier\" or \"tier+replica\" (got \"{}\")",
-                self.durability.token()
+                "tier faults need durability Tier or TierReplica (got {:?})",
+                self.durability
             )));
         }
         if !self.durability.has_replicas() && !self.schedule.replica.is_empty() {
             return Err(ctx(format!(
-                "leader-kill needs durability = \"replica\" or \"tier+replica\" (got \"{}\")",
-                self.durability.token()
+                "leader kills need durability Replica or TierReplica (got {:?})",
+                self.durability
             )));
         }
         if self.wipe_local && !self.durability.has_tier() {
             return Err(ctx("wipe_local needs a remote tier to hydrate from".into()));
         }
-        if let Some(first) = self.schedule.first_kill_step() {
-            if first <= self.ckpt_every {
+        for kill in &self.schedule.kills {
+            if kill.at_step <= self.ckpt_every {
                 return Err(ctx(format!(
-                    "first kill at step {first} precedes the first checkpoint \
+                    "kill at step {} precedes the first checkpoint \
                      (ckpt_every = {}); recovery would restart from scratch",
-                    self.ckpt_every
+                    kill.at_step, self.ckpt_every
                 )));
             }
-            if first >= self.steps {
+            if kill.at_step >= self.steps {
                 return Err(ctx(format!(
-                    "kill at step {first} is past the last step ({})",
-                    self.steps
+                    "kill at step {} is past the last step ({})",
+                    kill.at_step, self.steps
                 )));
             }
         }
@@ -483,271 +519,6 @@ fn other_vendor(v: Vendor) -> Vendor {
 }
 
 // ---------------------------------------------------------------------------
-// The TOML-like matrix parser (dependency-free, gate.rs style)
-// ---------------------------------------------------------------------------
-
-/// Parse a scenario-matrix spec file.
-///
-/// The format is a strict TOML subset, line-based:
-///
-/// ```text
-/// # comment
-/// [scenario.ring-storm-mpich]
-/// app = "ring"              # ring | sleepy | wave | comd
-/// vendor = "mpich"          # mpich | openmpi
-/// nodes = 3
-/// ranks_per_node = 2
-/// steps = 24
-/// payload = 64
-/// ckpt_every = 8
-/// durability = "store"      # store | tier | replica | tier+replica
-/// det = false
-/// wipe_local = false
-/// pr = true
-/// fault = "kill-ranks @14 1,3"
-/// ```
-///
-/// `fault` may repeat; every other key appears at most once per section.
-/// Unknown keys are rejected (strict schema, like the benchgate JSON
-/// parsers). See `docs/scenarios.md` for the fault grammar.
-pub fn parse_matrix(text: &str) -> Result<Vec<ScenarioSpec>, String> {
-    let mut specs: Vec<ScenarioSpec> = Vec::new();
-    let mut current: Option<(ScenarioSpec, Vec<String>)> = None;
-
-    fn finish(
-        specs: &mut Vec<ScenarioSpec>,
-        current: Option<(ScenarioSpec, Vec<String>)>,
-    ) -> Result<(), String> {
-        if let Some((spec, _)) = current {
-            spec.validate()?;
-            if specs.iter().any(|s| s.name == spec.name) {
-                return Err(format!("duplicate scenario name \"{}\"", spec.name));
-            }
-            specs.push(spec);
-        }
-        Ok(())
-    }
-
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = match raw.find('#') {
-            // A '#' inside a quoted value would be a comment too; the
-            // grammar has no use for one, so keep the scanner simple.
-            Some(pos) if !raw[..pos].contains('"') || raw[..pos].matches('"').count() % 2 == 0 => {
-                raw[..pos].trim()
-            }
-            _ => raw.trim(),
-        };
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('[') {
-            let inner = rest
-                .strip_suffix(']')
-                .ok_or_else(|| format!("line {line_no}: unterminated section header"))?;
-            let name = inner.strip_prefix("scenario.").ok_or_else(|| {
-                format!("line {line_no}: section must be [scenario.<name>], got [{inner}]")
-            })?;
-            if name.is_empty()
-                || !name
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-            {
-                return Err(format!(
-                    "line {line_no}: scenario name \"{name}\" must be non-empty [a-z0-9-]"
-                ));
-            }
-            finish(&mut specs, current.take())?;
-            current = Some((ScenarioSpec::named(name), Vec::new()));
-            continue;
-        }
-        let (key, value) = line
-            .split_once('=')
-            .ok_or_else(|| format!("line {line_no}: expected `key = value`, got \"{line}\""))?;
-        let (key, value) = (key.trim(), value.trim());
-        let (spec, seen) = current
-            .as_mut()
-            .ok_or_else(|| format!("line {line_no}: \"{key}\" before any [scenario.*] section"))?;
-        if key != "fault" {
-            if seen.iter().any(|k| k == key) {
-                return Err(format!(
-                    "line {line_no}: duplicate key \"{key}\" in scenario \"{}\"",
-                    spec.name
-                ));
-            }
-            seen.push(key.to_string());
-        }
-        let err = |msg: String| format!("line {line_no}: {msg}");
-        match key {
-            "app" => spec.app = parse_str(value).map_err(err)?,
-            "vendor" => {
-                spec.vendor = match parse_str(value).map_err(err)?.as_str() {
-                    "mpich" => Vendor::Mpich,
-                    "openmpi" => Vendor::OpenMpi,
-                    v => return Err(err(format!("unknown vendor \"{v}\""))),
-                }
-            }
-            "nodes" => spec.nodes = parse_int(value).map_err(err)? as usize,
-            "ranks_per_node" => spec.ranks_per_node = parse_int(value).map_err(err)? as usize,
-            "steps" => spec.steps = parse_int(value).map_err(err)?,
-            "payload" => spec.payload = parse_int(value).map_err(err)?,
-            "ckpt_every" => spec.ckpt_every = parse_int(value).map_err(err)?,
-            "durability" => {
-                spec.durability = match parse_str(value).map_err(err)?.as_str() {
-                    "store" => DurabilityKind::Store,
-                    "tier" => DurabilityKind::Tier,
-                    "replica" => DurabilityKind::Replica,
-                    "tier+replica" => DurabilityKind::TierReplica,
-                    v => return Err(err(format!("unknown durability \"{v}\""))),
-                }
-            }
-            "det" => spec.det = parse_bool(value).map_err(err)?,
-            "wipe_local" => spec.wipe_local = parse_bool(value).map_err(err)?,
-            "pr" => spec.pr = parse_bool(value).map_err(err)?,
-            "fault" => {
-                let fault = parse_str(value).map_err(err)?;
-                parse_fault(&fault, &mut spec.schedule).map_err(err)?;
-            }
-            other => {
-                return Err(err(format!(
-                    "unknown key \"{other}\" (strict schema; see docs/scenarios.md)"
-                )))
-            }
-        }
-    }
-    finish(&mut specs, current)?;
-    if specs.is_empty() {
-        return Err("matrix spec declares no scenarios".into());
-    }
-    Ok(specs)
-}
-
-fn parse_str(v: &str) -> Result<String, String> {
-    let inner = v
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| format!("expected a quoted string, got {v}"))?;
-    if inner.contains('"') {
-        return Err(format!("embedded quote in {v}"));
-    }
-    Ok(inner.to_string())
-}
-
-fn parse_int(v: &str) -> Result<u64, String> {
-    v.parse::<u64>()
-        .map_err(|_| format!("expected an unsigned integer, got {v}"))
-}
-
-fn parse_bool(v: &str) -> Result<bool, String> {
-    match v {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        _ => Err(format!("expected true or false, got {v}")),
-    }
-}
-
-fn parse_usize_list(v: &str) -> Result<Vec<usize>, String> {
-    v.split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("bad list element \"{s}\""))
-        })
-        .collect()
-}
-
-fn parse_at_step(tok: &str) -> Result<u64, String> {
-    tok.strip_prefix('@')
-        .ok_or_else(|| format!("expected @<step>, got \"{tok}\""))
-        .and_then(parse_int)
-}
-
-/// Parse one `fault = "..."` clause into the schedule. Grammar:
-///
-/// ```text
-/// kill-ranks @<step> <r1,r2,...>
-/// kill-nodes @<step> <n1,n2,...>
-/// kill-world @<step>
-/// straggle rank=<r> from=<s> until=<s> delay_us=<n>
-/// tier-put <fail|torn>[,...]
-/// tier-get <fail|torn>[,...]
-/// leader-kill <arrive|pre-seal|post-seal|release>
-/// ```
-fn parse_fault(clause: &str, schedule: &mut FaultSchedule) -> Result<(), String> {
-    let toks: Vec<&str> = clause.split_whitespace().collect();
-    match toks.as_slice() {
-        ["kill-ranks", step, ranks] => {
-            schedule.kills.push(KillEvent {
-                at_step: parse_at_step(step)?,
-                victims: Victims::Ranks(parse_usize_list(ranks)?),
-            });
-        }
-        ["kill-nodes", step, nodes] => {
-            schedule.kills.push(KillEvent {
-                at_step: parse_at_step(step)?,
-                victims: Victims::Nodes(parse_usize_list(nodes)?),
-            });
-        }
-        ["kill-world", step] => {
-            schedule.kills.push(KillEvent {
-                at_step: parse_at_step(step)?,
-                victims: Victims::World,
-            });
-        }
-        ["straggle", rest @ ..] => {
-            let (mut rank, mut from, mut until, mut delay_us) = (None, None, None, None);
-            for kv in rest {
-                let (k, v) = kv
-                    .split_once('=')
-                    .ok_or_else(|| format!("straggle: expected key=value, got \"{kv}\""))?;
-                match k {
-                    "rank" => rank = Some(parse_int(v)? as usize),
-                    "from" => from = Some(parse_int(v)?),
-                    "until" => until = Some(parse_int(v)?),
-                    "delay_us" => delay_us = Some(parse_int(v)?),
-                    _ => return Err(format!("straggle: unknown key \"{k}\"")),
-                }
-            }
-            schedule.stragglers.push(Straggler {
-                rank: rank.ok_or("straggle: missing rank=")?,
-                from_step: from.ok_or("straggle: missing from=")?,
-                until_step: until.ok_or("straggle: missing until=")?,
-                delay: VirtualTime::from_micros(delay_us.ok_or("straggle: missing delay_us=")?),
-            });
-        }
-        [kind @ ("tier-put" | "tier-get"), list] => {
-            let script = match *kind {
-                "tier-put" => &mut schedule.tier_puts,
-                _ => &mut schedule.tier_gets,
-            };
-            for f in list.split(',') {
-                script.push(match f.trim() {
-                    "fail" => Fault::Fail,
-                    "torn" => Fault::Torn,
-                    other => return Err(format!("{kind}: unknown fault \"{other}\"")),
-                });
-            }
-        }
-        ["leader-kill", phase] => {
-            let phase = match *phase {
-                "arrive" => BarrierPhase::Arrive,
-                "pre-seal" => BarrierPhase::PreSeal,
-                "post-seal" => BarrierPhase::PostSeal,
-                "release" => BarrierPhase::Release,
-                other => return Err(format!("leader-kill: unknown phase \"{other}\"")),
-            };
-            schedule.replica.push(ReplicaFault::KillLeaderAt(phase));
-        }
-        _ => {
-            return Err(format!(
-                "unknown fault clause \"{clause}\" (see docs/scenarios.md)"
-            ))
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // The scenario engine
 // ---------------------------------------------------------------------------
 
@@ -758,12 +529,10 @@ fn parse_fault(clause: &str, schedule: &mut FaultSchedule) -> Result<(), String>
 pub struct ScenarioResult {
     /// Row name.
     pub name: String,
-    /// Application token.
-    pub app: String,
+    /// The application.
+    pub app: App,
     /// Launch vendor.
     pub vendor: Vendor,
-    /// PR-subset member.
-    pub pr: bool,
     /// Invariant failures (empty = passed).
     pub failures: Vec<String>,
     /// Global restarts forced by kill events.
@@ -828,9 +597,8 @@ pub fn run_scenario(
 ) -> ScenarioResult {
     let mut result = ScenarioResult {
         name: spec.name.clone(),
-        app: spec.app.clone(),
+        app: spec.app,
         vendor: spec.vendor,
-        pr: spec.pr,
         failures: Vec::new(),
         recovery_rounds: 0,
         kills: 0,
@@ -1272,24 +1040,22 @@ fn memories_differ(expect: &[Memory], got: &[Memory]) -> Option<String> {
 // ---------------------------------------------------------------------------
 
 /// Render a matrix run as the `BENCH_matrix.json` document `benchgate
-/// --matrix` validates: the suite that ran, the total scenario count of
-/// the spec file, and one structured row per executed scenario.
-pub fn matrix_json(suite: &str, spec_scenarios: usize, results: &[ScenarioResult]) -> String {
+/// --matrix` validates: the row count, and one structured row per
+/// scenario.
+pub fn matrix_json(results: &[ScenarioResult]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"suite\": {},\n", json_string(suite)));
-    out.push_str(&format!("  \"spec_scenarios\": {spec_scenarios},\n"));
+    out.push_str(&format!("  \"spec_scenarios\": {},\n", results.len()));
     out.push_str("  \"scenarios\": [\n");
     for (i, r) in results.iter().enumerate() {
         let failures: Vec<String> = r.failures.iter().map(|f| json_string(f)).collect();
         out.push_str(&format!(
-            "    {{\"name\": {}, \"app\": {}, \"vendor\": \"{}\", \"pr\": {}, \
+            "    {{\"name\": {}, \"app\": \"{}\", \"vendor\": \"{}\", \
              \"passed\": {}, \"recovery_rounds\": {}, \"kills\": {}, \"epochs\": {}, \
              \"put_retries\": {}, \"stalls\": {}, \"elections\": {}, \"failures\": [{}]}}{}\n",
             json_string(&r.name),
-            json_string(&r.app),
+            r.app.name(),
             r.vendor.name(),
-            r.pr,
             r.passed(),
             r.recovery_rounds,
             r.kills,
@@ -1381,6 +1147,29 @@ mod tests {
     }
 
     #[test]
+    fn a_later_kill_past_the_last_step_is_refused() {
+        // The first kill is in range; the second would never fire and the
+        // row would fail late on a missing RankKill.
+        let mut spec = ScenarioSpec::named("late-kill");
+        spec.schedule = FaultSchedule::default()
+            .kill_ranks(12, vec![1])
+            .kill_ranks(spec.steps, vec![2]);
+        let err = spec.validate().unwrap_err();
+        assert!(err.contains("past the last step"), "{err}");
+    }
+
+    #[test]
+    fn a_second_straggler_window_on_one_rank_is_refused() {
+        // `straggler_for` applies one window per rank; a second one would
+        // be dropped without a word.
+        let schedule = FaultSchedule::default()
+            .straggle(2, 4, 8, VirtualTime::from_micros(5))
+            .straggle(2, 12, 16, VirtualTime::from_micros(5));
+        let err = schedule.validate(&cluster()).unwrap_err();
+        assert!(err.contains("second window"), "{err}");
+    }
+
+    #[test]
     fn after_failure_consumes_spent_faults() {
         let schedule = FaultSchedule {
             tier_gets: vec![Fault::Torn],
@@ -1400,93 +1189,12 @@ mod tests {
         assert!(rest.replica.is_empty());
     }
 
-    const SAMPLE: &str = r#"
-# A comment.
-[scenario.ring-storm-mpich]
-app = "ring"
-vendor = "mpich"
-steps = 24
-ckpt_every = 8
-pr = true
-fault = "kill-ranks @14 1,3"
-
-[scenario.wave-leader-openmpi]
-app = "wave"
-vendor = "openmpi"
-steps = 30        # trailing comment
-payload = 240
-ckpt_every = 10
-durability = "tier+replica"
-wipe_local = true
-fault = "leader-kill pre-seal"
-fault = "kill-nodes @15 1"
-fault = "tier-put torn,fail"
-fault = "tier-get torn"
-fault = "straggle rank=2 from=4 until=8 delay_us=500"
-"#;
-
-    #[test]
-    fn parses_the_sample_matrix() {
-        let specs = parse_matrix(SAMPLE).unwrap();
-        assert_eq!(specs.len(), 2);
-        let ring = &specs[0];
-        assert_eq!(ring.name, "ring-storm-mpich");
-        assert_eq!(ring.vendor, Vendor::Mpich);
-        assert!(ring.pr);
-        assert_eq!(ring.schedule.kills.len(), 1);
-        assert_eq!(ring.schedule.kills[0].victims, Victims::Ranks(vec![1, 3]));
-        let wave = &specs[1];
-        assert_eq!(wave.durability, DurabilityKind::TierReplica);
-        assert!(wave.wipe_local);
-        assert_eq!(wave.schedule.replica.len(), 1);
-        assert_eq!(wave.schedule.tier_puts, vec![Fault::Torn, Fault::Fail]);
-        assert_eq!(wave.schedule.tier_gets, vec![Fault::Torn]);
-        assert_eq!(wave.schedule.stragglers.len(), 1);
-        assert_eq!(
-            wave.schedule.stragglers[0].delay,
-            VirtualTime::from_micros(500)
-        );
-        assert_eq!(wave.restart_vendor(), Vendor::Mpich);
-    }
-
-    #[test]
-    fn parser_rejects_bad_matrices() {
-        for (bad, why) in [
-            ("steps = 4", "key before a section"),
-            ("[scenario.X]\nsteps = 4", "uppercase name"),
-            ("[scenario.a]\nsteps = \"4\"", "quoted int"),
-            ("[scenario.a]\nbogus = 4", "unknown key"),
-            ("[scenario.a]\nsteps = 8\nsteps = 9", "duplicate key"),
-            (
-                "[scenario.a]\nfault = \"kill-ranks 14 1\"",
-                "missing @step",
-            ),
-            ("[scenario.a]\nfault = \"leader-kill seal\"", "bad phase"),
-            (
-                "[scenario.a]\nsteps = 24\nckpt_every = 8\n[scenario.a]\nsteps = 24\nckpt_every = 8",
-                "duplicate section",
-            ),
-            (
-                "[scenario.a]\nsteps = 24\nckpt_every = 8\nfault = \"kill-world @4\"",
-                "kill before first checkpoint",
-            ),
-            (
-                "[scenario.a]\nsteps = 24\nckpt_every = 8\nfault = \"tier-put torn\"",
-                "tier fault without tier durability",
-            ),
-            ("", "empty matrix"),
-        ] {
-            assert!(parse_matrix(bad).is_err(), "should reject: {why}");
-        }
-    }
-
     #[test]
     fn matrix_json_shape_round_trips_escapes() {
         let r = ScenarioResult {
             name: "a-b".into(),
-            app: "ring".into(),
+            app: App::Ring,
             vendor: Vendor::Mpich,
-            pr: true,
             failures: vec!["a \"quoted\" reason".into()],
             recovery_rounds: 1,
             kills: 1,
@@ -1495,9 +1203,9 @@ fault = "straggle rank=2 from=4 until=8 delay_us=500"
             stalls: 0,
             elections: 0,
         };
-        let doc = matrix_json("pr", 24, &[r]);
-        assert!(doc.contains("\"suite\": \"pr\""));
-        assert!(doc.contains("\"spec_scenarios\": 24"));
+        let doc = matrix_json(&[r]);
+        assert!(doc.contains("\"spec_scenarios\": 1"));
+        assert!(doc.contains("\"app\": \"ring\""));
         assert!(doc.contains("\\\"quoted\\\""));
         assert!(doc.contains("\"passed\": false"));
     }

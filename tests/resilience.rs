@@ -10,8 +10,8 @@ use std::path::{Path, PathBuf};
 use mpi_stool::simnet::ClusterSpec;
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{
-    parse_matrix, run_scenario, Checkpoint, Checkpointer, DurabilityPolicy, EventKind,
-    FaultSchedule, RunOutcome, Session, StorePolicy, Vendor,
+    run_scenario, Checkpoint, Checkpointer, DurabilityPolicy, EventKind, FaultSchedule, RunOutcome,
+    Session, StorePolicy, Vendor,
 };
 
 fn cluster() -> ClusterSpec {
@@ -148,8 +148,7 @@ fn fault_on_checkpoint_step_loses_that_checkpoint() {
     // the step where a periodic checkpoint was due. The run names the
     // *previous* epoch, not the never-taken one, and the row restarts
     // from it under the other vendor bit-identically.
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("benches/scenarios/matrix.toml");
-    let specs = parse_matrix(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let specs = stool_bench::matrix::matrix();
     let spec = specs
         .iter()
         .find(|s| s.name == "ckpt-step-kill-mpich")

@@ -1,5 +1,5 @@
-//! The scenario-matrix battery: the committed matrix spec is well-formed
-//! and covers every fault family, representative rows hold their
+//! The scenario-matrix battery: the committed matrix is well-formed and
+//! covers every fault family, representative rows hold their
 //! invariants through `run_scenario`, a 10x straggler cannot poison the
 //! barrier or skew the cut, and random small fault schedules always
 //! unwind into a bit-identical cross-vendor restart (proptest).
@@ -8,17 +8,12 @@ use std::path::PathBuf;
 
 use mpi_stool::stool::programs::RingPings;
 use mpi_stool::stool::{
-    parse_matrix, run_scenario, Checkpointer, DurabilityPolicy, EventKind, FaultSchedule,
-    ScenarioSpec, Session, StorePolicy, Vendor, Victims,
+    run_scenario, App, Checkpointer, DurabilityKind, DurabilityPolicy, EventKind, Fault,
+    FaultSchedule, ScenarioSpec, Session, StorePolicy, Vendor, Victims,
 };
 use proptest::prelude::*;
 use simnet::{ClusterSpec, VirtualTime};
-
-fn committed_matrix() -> Vec<ScenarioSpec> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("benches/scenarios/matrix.toml");
-    let text = std::fs::read_to_string(&path).expect("committed matrix spec readable");
-    parse_matrix(&text).expect("committed matrix spec parses")
-}
+use stool_bench::matrix::matrix;
 
 fn workdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -31,7 +26,11 @@ fn workdir(tag: &str) -> PathBuf {
 }
 
 fn ring_for(spec: &ScenarioSpec) -> RingPings {
-    assert_eq!(spec.app, "ring", "this battery instantiates ring rows only");
+    assert_eq!(
+        spec.app,
+        App::Ring,
+        "this battery instantiates ring rows only"
+    );
     RingPings {
         rounds: spec.steps,
         payload: spec.payload as usize,
@@ -39,22 +38,23 @@ fn ring_for(spec: &ScenarioSpec) -> RingPings {
 }
 
 // ---------------------------------------------------------------------------
-// The committed spec file
+// The committed matrix
 // ---------------------------------------------------------------------------
 
 #[test]
 fn committed_matrix_meets_the_coverage_floor() {
-    let specs = committed_matrix();
+    let specs = matrix();
     assert!(
         specs.len() >= 24,
         "the matrix must keep >= 24 scenarios, found {}",
         specs.len()
     );
-    let pr = specs.iter().filter(|s| s.pr).count();
-    assert!(
-        pr >= 8,
-        "PR CI needs a pinned subset of >= 8 rows, found {pr}"
-    );
+    // Every row is valid and names its own directory under the workdir.
+    let mut names = std::collections::BTreeSet::new();
+    for spec in &specs {
+        spec.validate().unwrap();
+        assert!(names.insert(&spec.name), "duplicate row {}", spec.name);
+    }
 
     // Every fault family is represented, each under both vendors.
     let family = |pred: &dyn Fn(&ScenarioSpec) -> bool, what: &str| {
@@ -95,34 +95,44 @@ fn committed_matrix_meets_the_coverage_floor() {
     );
 
     // Applications beyond the smoke ring: the paper's §5 workloads.
-    for app in ["wave", "comd"] {
+    for app in [App::Wave, App::Comd] {
         assert!(
             specs.iter().any(|s| s.app == app),
-            "matrix must cover the {app} workload"
+            "matrix must cover the {} workload",
+            app.name()
         );
     }
 }
 
 #[test]
-fn matrix_parser_rejects_drifted_specs() {
-    // A spec whose kill precedes the first checkpoint can never recover
-    // from a chain; the parser must reject it, not let the row fail late.
-    let early_kill = r#"
-[scenario.bad]
-ckpt_every = 8
-fault = "kill-ranks @4 1"
-"#;
-    let err = parse_matrix(early_kill).unwrap_err();
+fn validate_rejects_drifted_specs() {
+    // A row whose kill precedes the first checkpoint can never recover
+    // from a chain; validation must reject it, not let the row fail late.
+    let early_kill = ScenarioSpec {
+        ckpt_every: 8,
+        schedule: FaultSchedule::default().kill_ranks(4, [1]),
+        ..ScenarioSpec::named("bad")
+    };
+    let err = early_kill.validate().unwrap_err();
     assert!(err.contains("precedes the first checkpoint"), "{err}");
 
-    let unknown_key = "[scenario.bad]\nnproc = 4\n";
-    assert!(parse_matrix(unknown_key)
-        .unwrap_err()
-        .contains("unknown key"));
-
-    let tierless_fault = "[scenario.bad]\nfault = \"tier-put torn\"\n";
-    let err = parse_matrix(tierless_fault).unwrap_err();
+    let tierless_fault = ScenarioSpec {
+        schedule: FaultSchedule::default().tier_put_faults([Fault::Torn]),
+        ..ScenarioSpec::named("bad")
+    };
+    let err = tierless_fault.validate().unwrap_err();
     assert!(err.contains("tier faults need durability"), "{err}");
+    let tiered = ScenarioSpec {
+        durability: DurabilityKind::Tier,
+        ..tierless_fault
+    };
+    assert!(tiered.validate().is_ok());
+
+    // The row name becomes a directory under the runner's workdir.
+    for bad in ["", "Ring-Storm", "a/b", "a b"] {
+        let err = ScenarioSpec::named(bad).validate().unwrap_err();
+        assert!(err.contains("[a-z0-9-]"), "{bad:?}: {err}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -131,7 +141,7 @@ fault = "kill-ranks @4 1"
 
 #[test]
 fn committed_storm_rows_hold_their_invariants() {
-    let specs = committed_matrix();
+    let specs = matrix();
     let dir = workdir("storm");
     for name in ["ring-storm-mpich", "ring-storm-openmpi", "node-kill-mpich"] {
         let spec = specs
@@ -156,13 +166,12 @@ fn committed_storm_rows_hold_their_invariants() {
 /// (the row fails otherwise).
 #[test]
 fn torn_upload_row_reships_and_hydrates_from_the_tier() {
-    let specs = committed_matrix();
+    let specs = matrix();
     let spec = specs
         .iter()
         .find(|s| s.name == "torn-ship-hydrate")
         .expect("committed matrix lost the torn-ship-hydrate row");
     assert!(spec.wipe_local, "the row must force tier-only hydration");
-    assert!(spec.pr, "the port must stay in the PR subset");
     let scripted = spec.schedule.tier_puts.len() as u64;
     assert!(scripted >= 2, "torn + fail uploads are both scripted");
 
@@ -184,7 +193,7 @@ fn torn_upload_row_reships_and_hydrates_from_the_tier() {
 /// the row otherwise).
 #[test]
 fn wiped_disk_rows_hydrate_and_resume_from_the_tier() {
-    let specs = committed_matrix();
+    let specs = matrix();
     let wiped: Vec<&ScenarioSpec> = specs.iter().filter(|s| s.wipe_local).collect();
     assert!(wiped.len() >= 3, "the matrix keeps its wiped-disk rows");
     let dir = workdir("wiped");
